@@ -16,14 +16,14 @@
 //! ```
 //!
 //! Every subcommand accepts `--seed N` and `--quick` uniformly. Suite and
-//! single-experiment output is the markdown recorded in `EXPERIMENTS.md`;
+//! single-experiment output is one markdown table per experiment;
 //! `sweep` prints an aggregated statistics table (mean/stddev/min/max/95%
 //! CI across seeds, grouped by grid point) and writes the same aggregation
 //! as JSON — byte-identical for any `--threads` value.
 //!
 //! The telemetry plane (`--telemetry`, `--profile`, `watch`) writes to
 //! **stderr** and side files only: the stdout report stays byte-identical
-//! with the plane on or off, which CI diffs directly.
+//! with the plane on or off (pinned by `integration_telemetry`).
 
 use std::process::ExitCode;
 

@@ -127,7 +127,7 @@ impl Daemon {
         Message::InquiryResponse {
             device: self.info.clone(),
             services: self.advertised_services(),
-            neighbors: self.storage.export_neighbors(max_export_jumps),
+            neighbors: self.storage.export_neighbors_iter(max_export_jumps).collect(),
             bridge_load_percent,
         }
     }

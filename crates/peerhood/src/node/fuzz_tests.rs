@@ -205,7 +205,7 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
     // LinkIds far above anything the world allocates in a 1-second run.
     let mut next_link = 0x4000u64;
     let mut next_counter = 100u32;
-    for role_idx in 0..ALL_ROLES.len() {
+    for role_name in ALL_ROLES {
         for cmd in ALL_COMMANDS {
             next_link += 2;
             next_counter += 1;
@@ -220,7 +220,7 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                     // one command cannot mask the next.
                     let session = ConnectionId::new(attacker_addr, next_counter);
                     let dest = DeviceAddress::from_node_raw(0xBEEF);
-                    let role = match ALL_ROLES[role_idx] {
+                    let role = match role_name {
                         "IncomingUnidentified" => LinkRole::IncomingUnidentified,
                         "DaemonFetch" => LinkRole::DaemonFetch {
                             peer: attacker_addr,

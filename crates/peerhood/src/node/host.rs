@@ -212,7 +212,7 @@ impl PeerHoodNode {
     pub fn known_devices(&self) -> Vec<StoredDevice> {
         self.core
             .as_ref()
-            .map(|c| c.daemon.storage().device_list().into_iter().cloned().collect())
+            .map(|c| c.daemon.storage().devices().cloned().collect())
             .unwrap_or_default()
     }
 

@@ -961,7 +961,7 @@ impl Core {
         {
             return;
         }
-        let mut candidates = self.daemon.storage().handover_candidates(target);
+        let mut candidates: Vec<_> = self.daemon.storage().handover_candidates_iter(target).collect();
         // Fall back on the stored multi-hop route towards the target if no
         // direct neighbour reports it.
         if candidates.is_empty() {

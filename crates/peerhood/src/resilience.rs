@@ -1071,11 +1071,13 @@ mod tests {
 
     #[test]
     fn adaptation_law_tracks_demand_and_respects_the_clamp() {
-        let mut cfg = BackpressureConfig::default();
-        cfg.adapt_window = SimDuration::from_secs(1);
-        cfg.adapt_alpha_percent = 50;
-        cfg.adapt_headroom_percent = 150;
-        cfg.adapt_min_rate = 5;
+        let mut cfg = BackpressureConfig {
+            adapt_window: SimDuration::from_secs(1),
+            adapt_alpha_percent: 50,
+            adapt_headroom_percent: 150,
+            adapt_min_rate: 5,
+            ..BackpressureConfig::default()
+        };
         let mut law = AdaptiveRate::new(&cfg, 100);
         // Seeded at the ceiling: startup is never penalised.
         assert_eq!(law.effective_rate(), 100);
@@ -1099,8 +1101,10 @@ mod tests {
 
     #[test]
     fn adaptation_is_deterministic_in_the_window_count() {
-        let mut cfg = BackpressureConfig::default();
-        cfg.adapt_window = SimDuration::from_secs(1);
+        let cfg = BackpressureConfig {
+            adapt_window: SimDuration::from_secs(1),
+            ..BackpressureConfig::default()
+        };
         let mut a = AdaptiveRate::new(&cfg, 50);
         let mut b = AdaptiveRate::new(&cfg, 50);
         for _ in 0..5 {
@@ -1118,7 +1122,7 @@ mod tests {
         // learned rate converges to max(2 × 1.5, floor 5) = 5 tokens/s.
         for s in 1..40 {
             assert!(r.allow_outbound(app, t(s)));
-            assert!(r.allow_outbound(app, SimTime::ZERO + SimDuration::from_millis(s as u64 * 1000 + 500)));
+            assert!(r.allow_outbound(app, SimTime::ZERO + SimDuration::from_millis(s * 1000 + 500)));
         }
         assert!(r.stats().rate_adaptations > 0);
         // Now the app goes hostile and blasts a burst: the static config

@@ -169,21 +169,9 @@ impl DeviceStorage {
         self.devices.values()
     }
 
-    /// All known devices in address order (thin [`DeviceStorage::devices`]
-    /// shim kept for tests and drivers that want a `Vec`).
-    pub fn device_list(&self) -> Vec<&StoredDevice> {
-        self.devices().collect()
-    }
-
     /// All known direct neighbours, in address order, without allocating.
     pub fn direct_neighbors_iter(&self) -> impl Iterator<Item = &StoredDevice> + '_ {
         self.devices.values().filter(|d| d.is_direct())
-    }
-
-    /// All known direct neighbours (thin
-    /// [`DeviceStorage::direct_neighbors_iter`] shim kept for tests).
-    pub fn direct_neighbors(&self) -> Vec<&StoredDevice> {
-        self.direct_neighbors_iter().collect()
     }
 
     /// Comparison chain of the provider-selection sort: jumps, then nearest
@@ -211,7 +199,7 @@ impl DeviceStorage {
     }
 
     /// The best-ranked provider of `name` — exactly
-    /// `find_service_providers(name).first()`, but found in one allocation-
+    /// `service_providers(name).next()`, but found in one allocation-
     /// free pass (a strict-minimum scan keeps the stable sort's tie-breaking:
     /// first in address order wins among equals).
     pub fn best_service_provider(&self, name: &str) -> Option<(&StoredDevice, &ServiceInfo)> {
@@ -228,13 +216,6 @@ impl DeviceStorage {
             }
         }
         best
-    }
-
-    /// Every `(device, service)` pair whose service name matches `name`,
-    /// best route first (thin [`DeviceStorage::service_providers`] shim kept
-    /// for tests).
-    pub fn find_service_providers(&self, name: &str) -> Vec<(&StoredDevice, &ServiceInfo)> {
-        self.service_providers(name).collect()
     }
 
     /// Storage statistics.
@@ -599,13 +580,6 @@ impl DeviceStorage {
             })
     }
 
-    /// Exports the storage as neighbourhood information for an inquiry
-    /// response (thin [`DeviceStorage::export_neighbors_iter`] shim kept for
-    /// tests and for building owned [`Message`](crate::proto::Message)s).
-    pub fn export_neighbors(&self, max_jumps: u8) -> Vec<NeighborRecord> {
-        self.export_neighbors_iter(max_jumps).collect()
-    }
-
     /// Direct neighbours that have reported `target` as *their* direct
     /// neighbour, together with the quality they reported — the candidate
     /// bridges for a routing handover towards `target` (Fig. 5.5 state 0).
@@ -629,12 +603,6 @@ impl DeviceStorage {
             .collect();
         candidates.sort_by_key(|(_, ours, theirs)| std::cmp::Reverse(*ours as u32 + *theirs as u32));
         candidates.into_iter()
-    }
-
-    /// Handover candidate bridges, best first (thin
-    /// [`DeviceStorage::handover_candidates_iter`] shim kept for tests).
-    pub fn handover_candidates(&self, target: DeviceAddress) -> Vec<(DeviceAddress, u8, u8)> {
-        self.handover_candidates_iter(target).collect()
     }
 
     /// The quality `responder` last reported for `neighbor`, if any.
@@ -1021,14 +989,14 @@ mod tests {
             DiscoveryMode::Dynamic,
             T0,
         );
-        let providers = s.find_service_providers("analysis");
+        let providers: Vec<_> = s.service_providers("analysis").collect();
         assert_eq!(providers.len(), 3);
         // Direct routes come first; among them the static device wins; the
         // one-jump provider is last.
         assert_eq!(providers[0].0.info.address, addr(2));
         assert_eq!(providers[1].0.info.address, addr(1));
         assert_eq!(providers[2].0.info.address, addr(3));
-        assert!(s.find_service_providers("nothing").is_empty());
+        assert!(s.service_providers("nothing").next().is_none());
     }
 
     #[test]
@@ -1043,9 +1011,8 @@ mod tests {
             DiscoveryMode::Dynamic,
             T0,
         );
-        let all = s.export_neighbors(8);
-        assert_eq!(all.len(), 3);
-        let limited = s.export_neighbors(1);
+        assert_eq!(s.export_neighbors_iter(8).count(), 3);
+        let limited: Vec<_> = s.export_neighbors_iter(1).collect();
         assert_eq!(limited.len(), 2, "the 4-jump entry must be excluded");
         // Exported jump counts are the exporter's own view.
         let d2 = limited.iter().find(|r| r.info.address == addr(2)).unwrap();
@@ -1075,7 +1042,7 @@ mod tests {
             DiscoveryMode::Dynamic,
             T0,
         );
-        let candidates = s.handover_candidates(addr(9));
+        let candidates: Vec<_> = s.handover_candidates_iter(addr(9)).collect();
         assert_eq!(candidates.len(), 2);
         // Device 1 has the better combined quality and is listed first.
         assert_eq!(candidates[0].0, addr(1));

@@ -21,6 +21,7 @@ use simnet::prelude::*;
 
 use crate::experiments::full_stack::{metro_configs, FullStackHost, StackMode};
 use crate::report::ExperimentReport;
+use crate::topology::city_placement;
 
 const SCAN: TimerToken = TimerToken(0xE131);
 
@@ -225,34 +226,16 @@ fn churn_city(settings: &ChurnSettings, nodes: usize, churn_per_hour: f64) -> Wo
     let mut config = WorldConfig::with_seed(settings.seed ^ (nodes as u64));
     config.grid_cell_m = config.radio.wlan.range_m;
     let mut world = World::new(config);
-    let area = Rect::square(side);
-    let mut placer = SimRng::new(settings.seed ^ 0xC18E ^ (nodes as u64));
-    let mobile_every = if settings.mobile_fraction <= 0.0 {
-        usize::MAX
-    } else {
-        (1.0 / settings.mobile_fraction).round().max(1.0) as usize
-    };
     let shared = match settings.stack {
         StackMode::Full => Some(metro_configs(settings.inquiry_interval)),
         StackMode::Lightweight => None,
     };
-    for i in 0..nodes {
-        let start = Point::new(placer.uniform_f64(0.0, side), placer.uniform_f64(0.0, side));
-        let mobility = if i % mobile_every == 0 {
-            MobilityModel::RandomWaypoint {
-                area,
-                start,
-                min_speed_mps: 0.7,
-                max_speed_mps: 2.0,
-                pause: SimDuration::from_secs(20),
-            }
-        } else {
-            MobilityModel::stationary(start)
-        };
+    let placer_seed = settings.seed ^ 0xC18E ^ (nodes as u64);
+    for (i, mobility, is_mobile) in city_placement(nodes, side, settings.mobile_fraction, placer_seed) {
         let agent: Box<dyn NodeAgent> = match &shared {
             None => Box::new(ChurnAgent::new(settings.inquiry_interval)),
             Some((static_cfg, mobile_cfg)) => {
-                let cfg = if i % mobile_every == 0 { mobile_cfg } else { static_cfg };
+                let cfg = if is_mobile { mobile_cfg } else { static_cfg };
                 Box::new(FullStackHost::new(Rc::clone(cfg)))
             }
         };

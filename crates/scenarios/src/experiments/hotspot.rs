@@ -14,8 +14,8 @@
 //! run digest and deliberately no shard- or adaptivity-dependent cell.
 //! Rerun it at a different `--shards` value — or flip `adaptive` — and diff
 //! the output: it must be empty, because the partition only ever decides
-//! which thread executes a node, never what the node observes. What *does*
-//! change is the wall clock, which the `adaptive_shards` bench measures.
+//! which thread executes a node, never what the node observes. Only the
+//! wall clock changes.
 
 use simnet::prelude::*;
 

@@ -10,7 +10,7 @@
 //!
 //! The per-node cost that makes this run at all comes from the zero-copy
 //! frame / shared-payload / allocation-lean storage refactor; the
-//! `full_stack_scale` bench records the budget (`BENCH_full_stack.json`).
+//! `city_fullstack` workload of `benchmark/` records it on every PR.
 
 use std::rc::Rc;
 
@@ -18,6 +18,7 @@ use simnet::prelude::*;
 
 use crate::experiments::full_stack::{metro_configs, FullStackHost, FullStats};
 use crate::report::ExperimentReport;
+use crate::topology::city_placement;
 
 /// Settings for the E15 full-stack metropolis run.
 #[derive(Debug, Clone)]
@@ -86,32 +87,10 @@ pub fn metropolis_run(settings: &MetropolisSettings) -> World {
     let mut config = WorldConfig::with_seed(settings.seed ^ (settings.nodes as u64));
     config.grid_cell_m = config.radio.wlan.range_m;
     let mut world = World::new(config);
-    let area = Rect::square(side);
     let (static_cfg, mobile_cfg) = metro_configs(settings.inquiry_interval);
-    let mut placer = SimRng::new(settings.seed ^ 0x3E7A0 ^ (settings.nodes as u64));
-    let mobile_every = if settings.mobile_fraction <= 0.0 {
-        usize::MAX
-    } else {
-        (1.0 / settings.mobile_fraction).round().max(1.0) as usize
-    };
-    for i in 0..settings.nodes {
-        let start = Point::new(placer.uniform_f64(0.0, side), placer.uniform_f64(0.0, side));
-        let mobility = if i % mobile_every == 0 {
-            MobilityModel::RandomWaypoint {
-                area,
-                start,
-                min_speed_mps: 0.7,
-                max_speed_mps: 2.0,
-                pause: SimDuration::from_secs(20),
-            }
-        } else {
-            MobilityModel::stationary(start)
-        };
-        let cfg = if i % mobile_every == 0 {
-            &mobile_cfg
-        } else {
-            &static_cfg
-        };
+    let placer_seed = settings.seed ^ 0x3E7A0 ^ (settings.nodes as u64);
+    for (i, mobility, is_mobile) in city_placement(settings.nodes, side, settings.mobile_fraction, placer_seed) {
+        let cfg = if is_mobile { &mobile_cfg } else { &static_cfg };
         world.add_node(
             format!("m{i}"),
             mobility,

@@ -47,7 +47,7 @@ pub use overload::{
 pub use registry::{
     find, registry, samples_from_report, Experiment, ParamKind, ParamSpec, Params, RunOutput, SampleRow,
 };
-pub use scale::{e12_dense_city, CityAgent, ScaleSettings};
+pub use scale::{e12_dense_city, ScaleSettings};
 pub use sharded::{
     e17_sharded_metropolis, sharded_metropolis_run, sharded_world_digest, ShardCityAgent, ShardedSettings,
 };

@@ -19,10 +19,10 @@ use simnet::prelude::*;
 
 use crate::experiments::full_stack::{metro_configs, FullStackHost, StackMode};
 use crate::report::ExperimentReport;
+use crate::topology::city_placement;
 
 const SCAN: TimerToken = TimerToken(0xE121);
 const QCHECK: TimerToken = TimerToken(0xE122);
-const PING: TimerToken = TimerToken(0xE123);
 
 /// Settings for the E12 dense-city scale runs.
 #[derive(Debug, Clone)]
@@ -83,17 +83,8 @@ impl ScaleSettings {
 /// A city device: scans periodically, attaches to its best-quality
 /// neighbour, and hands over when the monitored quality falls below the
 /// "signal low" threshold of the thesis.
-///
-/// Public so the `full_stack_scale` bench can measure the exact lightweight
-/// agent E12 runs as the baseline of the full-stack cost budget.
-pub struct CityAgent {
+struct CityAgent {
     inquiry_interval: SimDuration,
-    /// When set, the agent also sends a small payload on its attached link
-    /// at this cadence — used by the `full_stack_scale` bench so the
-    /// lightweight baseline carries the same offered data load as the full
-    /// stack's session pings. E12 itself never enables it (the historical
-    /// reports stay byte-identical).
-    ping_interval: Option<SimDuration>,
     attached: Option<(LinkId, NodeId)>,
     handover_from: Option<LinkId>,
     connecting: bool,
@@ -103,27 +94,15 @@ pub struct CityAgent {
 }
 
 impl CityAgent {
-    /// Creates the probe with the given scan cadence.
-    pub fn new(inquiry_interval: SimDuration) -> Self {
+    fn new(inquiry_interval: SimDuration) -> Self {
         CityAgent {
             inquiry_interval,
-            ping_interval: None,
             attached: None,
             handover_from: None,
             connecting: false,
             last_hits: Vec::new(),
             handovers: 0,
             drops: 0,
-        }
-    }
-
-    /// Like [`CityAgent::new`], but also pinging the attached link at
-    /// `ping_interval` (equal offered load for middleware-vs-probe cost
-    /// comparisons).
-    pub fn with_pings(inquiry_interval: SimDuration, ping_interval: SimDuration) -> Self {
-        CityAgent {
-            ping_interval: Some(ping_interval),
-            ..CityAgent::new(inquiry_interval)
         }
     }
 
@@ -150,9 +129,6 @@ impl NodeAgent for CityAgent {
         let jitter_ms = ctx.rng().range(0..self.inquiry_interval.as_millis().max(1));
         ctx.schedule(SimDuration::from_millis(jitter_ms), SCAN);
         ctx.schedule(SimDuration::from_millis(5_000 + jitter_ms), QCHECK);
-        if let Some(ping) = self.ping_interval {
-            ctx.schedule(ping + SimDuration::from_millis(jitter_ms), PING);
-        }
     }
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: TimerToken) {
         match token {
@@ -172,14 +148,6 @@ impl NodeAgent for CityAgent {
                     }
                 }
                 ctx.schedule(SimDuration::from_secs(5), QCHECK);
-            }
-            PING => {
-                if let Some(ping) = self.ping_interval {
-                    if let Some((link, _)) = self.attached {
-                        let _ = ctx.send(link, b"city-ping".to_vec());
-                    }
-                    ctx.schedule(ping, PING);
-                }
             }
             _ => {}
         }
@@ -247,36 +215,18 @@ fn city_run(settings: &ScaleSettings, nodes: usize) -> World {
     // instead of the 10 m Bluetooth default.
     config.grid_cell_m = config.radio.wlan.range_m;
     let mut world = World::new(config);
-    let area = Rect::square(side);
-    let mut placer = SimRng::new(settings.seed ^ 0xC17F ^ (nodes as u64));
-    let mobile_every = if settings.mobile_fraction <= 0.0 {
-        usize::MAX
-    } else {
-        (1.0 / settings.mobile_fraction).round().max(1.0) as usize
-    };
     // Two configuration allocations (static/mobile) for the whole
     // full-stack city.
     let shared = match settings.stack {
         StackMode::Full => Some(metro_configs(settings.inquiry_interval)),
         StackMode::Lightweight => None,
     };
-    for i in 0..nodes {
-        let start = Point::new(placer.uniform_f64(0.0, side), placer.uniform_f64(0.0, side));
-        let mobility = if i % mobile_every == 0 {
-            MobilityModel::RandomWaypoint {
-                area,
-                start,
-                min_speed_mps: 0.7,
-                max_speed_mps: 2.0,
-                pause: SimDuration::from_secs(20),
-            }
-        } else {
-            MobilityModel::stationary(start)
-        };
+    let placer_seed = settings.seed ^ 0xC17F ^ (nodes as u64);
+    for (i, mobility, is_mobile) in city_placement(nodes, side, settings.mobile_fraction, placer_seed) {
         let agent: Box<dyn NodeAgent> = match &shared {
             None => Box::new(CityAgent::new(settings.inquiry_interval)),
             Some((static_cfg, mobile_cfg)) => {
-                let cfg = if i % mobile_every == 0 { mobile_cfg } else { static_cfg };
+                let cfg = if is_mobile { mobile_cfg } else { static_cfg };
                 Box::new(FullStackHost::new(Rc::clone(cfg)))
             }
         };

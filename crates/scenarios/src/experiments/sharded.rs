@@ -22,6 +22,7 @@ use std::any::Any;
 use simnet::prelude::*;
 
 use crate::report::ExperimentReport;
+use crate::topology::city_placement;
 
 const SCAN: TimerToken = TimerToken(0xE171);
 const QCHECK: TimerToken = TimerToken(0xE172);
@@ -262,25 +263,8 @@ pub fn sharded_metropolis_run(settings: &ShardedSettings) -> ShardedWorld {
     config.max_speed_mps = 2.0;
     config.mobility_horizon = SimTime::ZERO + settings.duration + SimDuration::from_secs(600);
     let mut world = ShardedWorld::new(config);
-    let mut placer = SimRng::new(settings.seed ^ 0x5AD0 ^ (settings.nodes as u64));
-    let mobile_every = if settings.mobile_fraction <= 0.0 {
-        usize::MAX
-    } else {
-        (1.0 / settings.mobile_fraction).round().max(1.0) as usize
-    };
-    for i in 0..settings.nodes {
-        let start = Point::new(placer.uniform_f64(0.0, side), placer.uniform_f64(0.0, side));
-        let mobility = if i % mobile_every == 0 {
-            MobilityModel::RandomWaypoint {
-                area,
-                start,
-                min_speed_mps: 0.7,
-                max_speed_mps: 2.0,
-                pause: SimDuration::from_secs(20),
-            }
-        } else {
-            MobilityModel::stationary(start)
-        };
+    let placer_seed = settings.seed ^ 0x5AD0 ^ (settings.nodes as u64);
+    for (i, mobility, _) in city_placement(settings.nodes, side, settings.mobile_fraction, placer_seed) {
         world.add_node(
             format!("s{i}"),
             mobility,

@@ -24,7 +24,7 @@
 //! A world with **no plans installed pays nothing**: the hooks in the event
 //! loop are guarded by emptiness checks, no randomness is drawn, and event
 //! traces are byte-identical to a fault-free build (asserted by the
-//! `faults_overhead` bench and the scale-determinism tests).
+//! scale-determinism tests).
 
 use std::collections::BTreeMap;
 

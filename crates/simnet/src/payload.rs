@@ -19,38 +19,17 @@
 //! * `Payload` is deliberately **not** `Send`/`Sync`: the sequential world
 //!   is single-threaded and the cheaper non-atomic `Rc` counter is the
 //!   point. Buffers that must cross a shard (thread) boundary use
-//!   [`SharedPayload`], the `Arc<[u8]>` sibling; converting a
-//!   `SharedPayload` into a `Payload` is `O(1)` (the `Payload` then carries
-//!   the `Arc` internally), while `Payload::to_shared` copies unless the
-//!   payload was already `Arc`-backed.
+//!   [`SharedPayload`], the `Arc<[u8]>` sibling.
 
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// The backing allocation of a [`Payload`]: node-local buffers stay on the
-/// cheap non-atomic `Rc`; buffers that arrived from another shard keep
-/// their `Arc` so the conversion is free in both directions.
-#[derive(Clone)]
-enum Repr {
-    Local(Rc<[u8]>),
-    Shared(Arc<[u8]>),
-}
-
-impl Repr {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            Repr::Local(rc) => rc,
-            Repr::Shared(arc) => arc,
-        }
-    }
-}
-
 /// An immutable, cheaply clonable byte buffer (see the module docs).
 #[derive(Clone)]
 pub struct Payload {
-    bytes: Repr,
+    bytes: Rc<[u8]>,
 }
 
 impl Payload {
@@ -62,58 +41,41 @@ impl Payload {
     /// Builds a payload by copying the given bytes (one copy, after which
     /// every clone is free).
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Payload {
-            bytes: Repr::Local(Rc::from(bytes)),
-        }
+        Payload { bytes: Rc::from(bytes) }
     }
 
     /// Number of bytes.
     pub fn len(&self) -> usize {
-        self.bytes.as_slice().len()
+        self.bytes.len()
     }
 
     /// True when the payload holds no bytes.
     pub fn is_empty(&self) -> bool {
-        self.bytes.as_slice().is_empty()
+        self.bytes.is_empty()
     }
 
     /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        self.bytes.as_slice()
+        &self.bytes
     }
 
     /// Copies the bytes into an owned `Vec` — the copy-on-write escape
     /// hatch: mutate the vector, then convert it back into a fresh
     /// `Payload`. Other clones of `self` keep the original bytes.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.bytes.as_slice().to_vec()
-    }
-
-    /// Converts into a [`SharedPayload`] that can cross thread (shard)
-    /// boundaries. `O(1)` when this payload already came from a
-    /// `SharedPayload`; otherwise the bytes are copied once into an `Arc`.
-    pub fn to_shared(&self) -> SharedPayload {
-        match &self.bytes {
-            Repr::Local(rc) => SharedPayload {
-                bytes: Arc::from(&rc[..]),
-            },
-            Repr::Shared(arc) => SharedPayload { bytes: Arc::clone(arc) },
-        }
+        self.bytes.to_vec()
     }
 
     /// Number of live clones sharing this allocation (diagnostic for tests).
     pub fn ref_count(&self) -> usize {
-        match &self.bytes {
-            Repr::Local(rc) => Rc::strong_count(rc),
-            Repr::Shared(arc) => Arc::strong_count(arc),
-        }
+        Rc::strong_count(&self.bytes)
     }
 }
 
 impl Default for Payload {
     fn default() -> Self {
         Payload {
-            bytes: Repr::Local(Rc::from(&[][..])),
+            bytes: Rc::from(&[][..]),
         }
     }
 }
@@ -121,21 +83,19 @@ impl Default for Payload {
 impl Deref for Payload {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.bytes.as_slice()
+        &self.bytes
     }
 }
 
 impl AsRef<[u8]> for Payload {
     fn as_ref(&self) -> &[u8] {
-        self.bytes.as_slice()
+        &self.bytes
     }
 }
 
 impl From<Vec<u8>> for Payload {
     fn from(v: Vec<u8>) -> Self {
-        Payload {
-            bytes: Repr::Local(Rc::from(v)),
-        }
+        Payload { bytes: Rc::from(v) }
     }
 }
 
@@ -148,22 +108,6 @@ impl From<&[u8]> for Payload {
 impl<const N: usize> From<&[u8; N]> for Payload {
     fn from(v: &[u8; N]) -> Self {
         Payload::copy_from_slice(v)
-    }
-}
-
-impl From<SharedPayload> for Payload {
-    fn from(shared: SharedPayload) -> Self {
-        Payload {
-            bytes: Repr::Shared(shared.bytes),
-        }
-    }
-}
-
-impl From<&SharedPayload> for Payload {
-    fn from(shared: &SharedPayload) -> Self {
-        Payload {
-            bytes: Repr::Shared(Arc::clone(&shared.bytes)),
-        }
     }
 }
 
@@ -204,8 +148,6 @@ impl fmt::Debug for Payload {
 ///
 /// Same sharing semantics as `Payload` — clones are reference-count bumps,
 /// the buffer is immutable, copy-on-write goes through [`SharedPayload::to_vec`].
-/// Converting to a `Payload` is always `O(1)`; see [`Payload::to_shared`]
-/// for the other direction.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct SharedPayload {
     bytes: Arc<[u8]>,
@@ -358,19 +300,8 @@ mod tests {
         })
         .join()
         .unwrap();
-        // Arc-backed Payload: the conversion must not copy — both sides see
-        // the same allocation, so the strong count covers all of them.
-        let local: Payload = joined.into();
-        assert_eq!(local.ref_count(), 2, "shared + local view of one Arc");
-        assert_eq!(local.as_slice(), &[7u8; 32][..]);
-        // Round-trip back out of an Arc-backed payload is free as well.
-        let back = local.to_shared();
-        assert_eq!(back.ref_count(), 3);
-        // An Rc-backed payload has to copy to become shareable.
-        let rc_backed = Payload::from(vec![1u8, 2]);
-        let copied = rc_backed.to_shared();
-        assert_eq!(copied.ref_count(), 1);
-        assert_eq!(copied.as_slice(), &[1, 2]);
-        assert_eq!(format!("{copied:?}"), "SharedPayload(2 bytes)");
+        assert_eq!(joined.ref_count(), 2, "both handles share one Arc");
+        assert_eq!(joined.as_slice(), &[7u8; 32][..]);
+        assert_eq!(format!("{joined:?}"), "SharedPayload(32 bytes)");
     }
 }

@@ -69,8 +69,8 @@ impl World {
 
     /// Reference implementation of [`World::neighbors_in_range`] that scans
     /// every node instead of consulting the spatial index. Kept as the
-    /// oracle the determinism tests and the `world_scale` bench compare the
-    /// grid path against; results are always identical.
+    /// oracle the determinism tests compare the grid path against; results
+    /// are always identical.
     pub fn neighbors_in_range_reference(&self, node: NodeId, tech: RadioTech) -> Vec<NodeId> {
         let pos = match self.position_of(node) {
             Some(p) => p,

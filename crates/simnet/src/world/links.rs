@@ -258,7 +258,7 @@ impl LinkTable {
     }
 
     /// Number of links still in the active table (open or draining).
-    /// Diagnostic for tests and benches.
+    /// Diagnostic for tests and `benchmark/`.
     pub(crate) fn active_count(&self) -> usize {
         self.active.len()
     }
@@ -268,13 +268,13 @@ impl LinkTable {
         self.active.values().filter(|l| l.open).count()
     }
 
-    /// Number of retired tombstones. Diagnostic for tests and benches.
+    /// Number of retired tombstones. Diagnostic for tests and `benchmark/`.
     pub(crate) fn retired_count(&self) -> usize {
         self.retired.len()
     }
 
     /// Total tombstones reclaimed by generation-based compaction over the
-    /// world's lifetime. Diagnostic for tests and benches.
+    /// world's lifetime. Diagnostic for tests and `benchmark/`.
     pub(crate) fn compacted_count(&self) -> u64 {
         self.compacted
     }

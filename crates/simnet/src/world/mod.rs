@@ -340,7 +340,7 @@ impl World {
     /// Number of links still carried in the active link table (open or
     /// closed-but-draining). Closed links whose endpoints have been notified
     /// and whose in-flight payloads have drained are retired to compact
-    /// tombstones and no longer counted here. Diagnostic for tests/benches.
+    /// tombstones and no longer counted here. Diagnostic for tests and `benchmark/`.
     pub fn active_link_count(&self) -> usize {
         self.links.active_count()
     }
@@ -348,13 +348,13 @@ impl World {
     /// Number of retired (fully closed and drained) links currently held as
     /// tombstones. Bounded on long churn runs: generation-based compaction
     /// reclaims a tombstone once both endpoints have crashed past the epochs
-    /// recorded at retirement. Diagnostic for tests/benches.
+    /// recorded at retirement. Diagnostic for tests and `benchmark/`.
     pub fn retired_link_count(&self) -> usize {
         self.links.retired_count()
     }
 
     /// Lifetime count of retired-link tombstones reclaimed by the
-    /// generation-based compaction. Diagnostic for tests/benches.
+    /// generation-based compaction. Diagnostic for tests and `benchmark/`.
     pub fn compacted_link_count(&self) -> u64 {
         self.links.compacted_count()
     }
