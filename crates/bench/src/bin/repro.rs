@@ -25,6 +25,7 @@
 //! **stderr** and side files only: the stdout report stays byte-identical
 //! with the plane on or off (pinned by `integration_telemetry`).
 
+use std::io::{self, ErrorKind, StdoutLock, Write};
 use std::process::ExitCode;
 
 use scenarios::experiments::{find, registry, Params};
@@ -58,8 +59,7 @@ fn run(args: &[String]) -> Result<(), String> {
         .transpose()?;
 
     if args.iter().any(|a| a == "--list") {
-        list();
-        return Ok(());
+        return print_out(list);
     }
     match first_positional(args) {
         Some("sweep") => {
@@ -117,12 +117,13 @@ fn run(args: &[String]) -> Result<(), String> {
             let seed = seed.unwrap_or(DEFAULT_SUITE_SEED);
             eprintln!("running the E1-E19 experiment suite (seed {seed}, {effort:?}) ...");
             let reports = run_all(seed, effort);
-            for report in &reports {
-                println!("{report}");
-                println!();
-                eprintln!("  finished {}", report.id);
-            }
-            Ok(())
+            print_out(|out| {
+                reports.iter().try_for_each(|report| {
+                    writeln!(out, "{report}\n")?;
+                    eprintln!("  finished {}", report.id);
+                    Ok(())
+                })
+            })
         }
     }
 }
@@ -175,9 +176,12 @@ fn run_one(
         ("--defenses", "defenses"),
     ] {
         if let Some(value) = flag_value(args, flag)? {
-            if !experiment.params().iter().any(|p| p.key == key) {
-                return Err(format!("{} does not take {flag}", experiment.id()));
-            }
+            let spec = experiment
+                .params()
+                .iter()
+                .find(|p| p.key == key)
+                .ok_or_else(|| format!("{} does not take {flag}", experiment.id()))?;
+            spec.kind.check(&value).map_err(|e| format!("{flag}: {e}"))?;
             params.set(key, value);
         }
     }
@@ -218,7 +222,8 @@ fn run_one(
         experiment.id(),
         experiment.slug()
     );
-    println!("{}", experiment.run(seed, &params, quick).report);
+    let report = experiment.run(seed, &params, quick).report;
+    print_out(|out| writeln!(out, "{report}"))?;
 
     let captures = scenarios::telemetry::take_captures();
     scenarios::telemetry::configure(TelemetrySettings::default());
@@ -248,6 +253,15 @@ fn run_one(
         eprintln!("  wrote {path}");
     }
     Ok(())
+}
+
+/// Writes to stdout under one lock. A reader that went away
+/// (`repro --list | head`) is a clean exit, not an error.
+fn print_out(write: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>) -> Result<(), String> {
+    match write(&mut io::stdout().lock()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("writing stdout: {e}")),
+        _ => Ok(()),
+    }
 }
 
 /// Errors on any `--flag` outside `allowed` — sweep-only flags on other
@@ -333,7 +347,7 @@ fn run_sweep_command(args: &[String], base_seed: Option<u64>, quick: bool) -> Re
     );
     let run = run_sweep(&spec, threads).map_err(|e| e.to_string())?;
     let report = aggregate(&run);
-    print!("{}", report.to_markdown());
+    print_out(|out| out.write_all(report.to_markdown().as_bytes()))?;
     std::fs::write(&json_path, report.to_json()).map_err(|e| format!("writing {json_path}: {e}"))?;
     eprintln!("  wrote {json_path}");
     Ok(())
@@ -352,40 +366,45 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
     }
 }
 
+/// The fixed part of `repro --list`; the experiment table follows it.
+const USAGE: &str = "\
+usage:
+  repro [--quick] [--seed N]                 run the full E1-E19 suite
+  repro <experiment> [--quick] [--seed N] [--shards N]
+        [--adaptive-shards] [--imbalance RATIO] [--patience WINDOWS] [--defenses TIER]
+        [--telemetry] [--shard-series] [--interval SECS] [--telemetry-jsonl PATH] [--profile]
+                                             run one experiment (slug or id);
+                                             --shards selects the parallel engine (E17/E18);
+                                             --adaptive-shards enables density-adaptive partitions
+                                             (E18; --imbalance / --patience tune the rebalance gate);
+                                             --defenses off|sanity|auth pins E19's security tier;
+                                             --telemetry records virtual-time series (stderr roll-up,
+                                             JSONL side file; --shard-series adds per-shard load gauges),
+                                             --profile prints the per-phase breakdown
+  repro watch <experiment> [--quick] [--seed N] [--shards N] [--interval SECS]
+                                             live mode: stream sampled frames to stderr while running
+  repro sweep <experiment> [--seeds N] [--seed BASE] [--threads N]
+        [--grid k=v1,v2,...]... [--quick] [--json PATH]
+                                             multi-seed statistical campaign
+  repro --list                               this overview
+
+experiments:
+";
+
 /// `repro --list`: subcommands, experiments and their grid parameters.
-fn list() {
-    println!("usage:");
-    println!("  repro [--quick] [--seed N]                 run the full E1-E19 suite");
-    println!("  repro <experiment> [--quick] [--seed N] [--shards N]");
-    println!("        [--adaptive-shards] [--imbalance RATIO] [--patience WINDOWS] [--defenses TIER]");
-    println!("        [--telemetry] [--shard-series] [--interval SECS] [--telemetry-jsonl PATH] [--profile]");
-    println!("                                             run one experiment (slug or id);");
-    println!("                                             --shards selects the parallel engine (E17/E18);");
-    println!("                                             --adaptive-shards enables density-adaptive partitions");
-    println!("                                             (E18; --imbalance / --patience tune the rebalance gate);");
-    println!("                                             --defenses off|sanity|auth pins E19's security tier;");
-    println!("                                             --telemetry records virtual-time series (stderr roll-up,");
-    println!(
-        "                                             JSONL side file; --shard-series adds per-shard load gauges),"
-    );
-    println!("                                             --profile prints the per-phase breakdown");
-    println!("  repro watch <experiment> [--quick] [--seed N] [--shards N] [--interval SECS]");
-    println!("                                             live mode: stream sampled frames to stderr while running");
-    println!("  repro sweep <experiment> [--seeds N] [--seed BASE] [--threads N]");
-    println!("        [--grid k=v1,v2,...]... [--quick] [--json PATH]");
-    println!("                                             multi-seed statistical campaign");
-    println!("  repro --list                               this overview");
-    println!();
-    println!("experiments:");
+fn list(out: &mut StdoutLock<'static>) -> io::Result<()> {
+    out.write_all(USAGE.as_bytes())?;
     for experiment in registry() {
-        println!(
+        writeln!(
+            out,
             "  {:4} {:18} {}",
             experiment.id(),
             experiment.slug(),
             experiment.title()
-        );
+        )?;
         for p in experiment.params() {
-            println!("         --grid {:18} {}", p.key, p.description);
+            writeln!(out, "         --grid {:18} {}", p.key, p.description)?;
         }
     }
+    Ok(())
 }

@@ -173,23 +173,22 @@ impl Default for BridgeConfig {
 }
 
 /// Protocol-hardening behaviour (the defences exercised by the
-/// `simnet::adversary` hostile-city experiments). Every defence is
-/// individually toggleable and **off by default** — the default stack is
-/// byte-identical to a build without this module.
+/// `simnet::adversary` hostile-city experiments), priced as three nested
+/// tiers — [`off`](SecurityConfig::off), [`sanity`](SecurityConfig::sanity),
+/// [`auth`](SecurityConfig::auth) — and **off by default**: the default
+/// stack is byte-identical to a build without this module.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SecurityConfig {
-    /// Protocol sanity checks: reject connection requests whose connection
-    /// id was allocated by a different device, reply contexts that do not
-    /// refer back to us, duplicate session Accepts and frames whose
-    /// connection id does not match the link they arrive on.
+    /// The sanity tier. Protocol sanity checks: reject connection requests
+    /// whose connection id was allocated by a different device, reply
+    /// contexts that do not refer back to us, duplicate session Accepts and
+    /// frames whose connection id does not match the link they arrive on.
+    /// Reporter reputation: neighbour reports from devices that have
+    /// produced security rejections (or dead bridge routes) are ignored once
+    /// the reporter has accrued
+    /// [`REPORTER_PENALTY_LIMIT`](crate::storage::REPORTER_PENALTY_LIMIT)
+    /// penalties.
     pub sanity_checks: bool,
-    /// Reporter-reputation weighting: neighbour reports from devices that
-    /// have produced security rejections (or dead bridge routes) are
-    /// discounted and eventually ignored.
-    pub reputation: bool,
-    /// Security rejections a reporter may accrue before its neighbour
-    /// reports are ignored entirely (only meaningful with `reputation`).
-    pub reputation_limit: u32,
     /// Keyed frame authentication: every frame carries a 16-byte
     /// seq+MAC trailer; frames failing verification (forged, replayed or
     /// tampered) are dropped before decoding.
@@ -205,8 +204,6 @@ impl SecurityConfig {
     pub fn off() -> Self {
         SecurityConfig {
             sanity_checks: false,
-            reputation: false,
-            reputation_limit: 3,
             frame_auth: false,
             auth_key: 0x5EC0_4EED_0000_0001,
         }
@@ -217,7 +214,6 @@ impl SecurityConfig {
     pub fn sanity() -> Self {
         SecurityConfig {
             sanity_checks: true,
-            reputation: true,
             ..SecurityConfig::off()
         }
     }
@@ -232,7 +228,7 @@ impl SecurityConfig {
 
     /// Whether any defence that keeps per-node state is enabled.
     pub fn any_enabled(&self) -> bool {
-        self.sanity_checks || self.reputation || self.frame_auth
+        self.sanity_checks || self.frame_auth
     }
 }
 
@@ -391,9 +387,9 @@ mod tests {
         assert!(!off.any_enabled(), "the default stack runs no defence");
         assert_eq!(SecurityConfig::default(), off);
         let sanity = SecurityConfig::sanity();
-        assert!(sanity.sanity_checks && sanity.reputation && !sanity.frame_auth);
+        assert!(sanity.sanity_checks && !sanity.frame_auth);
         let auth = SecurityConfig::auth();
-        assert!(auth.sanity_checks && auth.reputation && auth.frame_auth);
+        assert!(auth.sanity_checks && auth.frame_auth);
         assert_eq!(PeerHoodConfig::default().with_security(auth.clone()).security, auth);
     }
 

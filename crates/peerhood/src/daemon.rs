@@ -46,10 +46,10 @@ impl Daemon {
                 .expect("bridge service registers into an empty registry");
         }
         let mut storage = DeviceStorage::new(info.address, config.monitor.quality_threshold);
-        // Arm reporter reputation when the security tier asks for it: the
-        // limit lives in the storage (next to the penalty counts it gates)
-        // so route integration can consult it without a config reference.
-        storage.set_reputation_limit(config.security.reputation.then_some(config.security.reputation_limit));
+        // Reporter reputation is part of the sanity tier; the switch lives in
+        // the storage (next to the penalty counts it gates) so route
+        // integration can consult it without a config reference.
+        storage.set_reputation(config.security.sanity_checks);
         Daemon {
             storage,
             registry,

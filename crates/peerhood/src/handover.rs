@@ -116,7 +116,7 @@ impl HandoverMonitor {
     }
 
     /// State 0: refresh the best candidate from the list produced by
-    /// [`crate::storage::DeviceStorage::handover_candidates`], excluding the
+    /// [`crate::storage::DeviceStorage::handover_candidates_iter`], excluding the
     /// bridge currently in use (there is no point re-routing through it).
     pub fn refresh_candidates(&mut self, candidates: &[(DeviceAddress, u8, u8)], exclude: Option<DeviceAddress>) {
         self.candidate = candidates

@@ -7,7 +7,7 @@
 //! and handover.
 //!
 //! In the simulated substrate a [`DeviceAddress`] deterministically embeds
-//! the underlying simulator [`NodeId`](simnet::NodeId), which plays the role
+//! the underlying simulator [`NodeId`], which plays the role
 //! of "the radio that owns this MAC": converting between the two is a pure
 //! function, exactly as resolving a Bluetooth address resolves to a physical
 //! radio.

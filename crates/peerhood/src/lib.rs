@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::hostile::{ProtocolForge, HOSTILE_BASE};
     pub use crate::ids::{ConnectionId, DeviceAddress};
     pub use crate::node::{AppId, PeerHoodApi, PeerHoodEvent, PeerHoodNode, PeerHoodNodeBuilder};
-    pub use crate::resilience::{AdaptiveRate, BreakerState, ResilienceConfig, ResilienceStats};
+    pub use crate::resilience::{BreakerState, ResilienceConfig, ResilienceStats};
     pub use crate::security::{SecurityStats, AUTH_TRAILER_LEN};
     pub use crate::service::ServiceInfo;
     pub use crate::storage::{StorageStats, StoredDevice};

@@ -1,7 +1,7 @@
 //! The multi-application node host.
 //!
 //! A [`PeerHoodNode`] hosts any number of
-//! [`Application`](crate::application::Application)s on one middleware stack
+//! [`Application`]s on one middleware stack
 //! — exactly like several programs using the PeerHood library on one device.
 //! Nodes are assembled with the fluent [`PeerHoodNodeBuilder`]
 //! (configuration → applications → relay flag):
@@ -68,7 +68,6 @@ pub struct PeerHoodNodeBuilder {
     config: Rc<PeerHoodConfig>,
     apps: Vec<Box<dyn Application>>,
     relay: Option<bool>,
-    resilience: Option<crate::resilience::ResilienceConfig>,
     trusted_apps: bool,
     trace: bool,
 }
@@ -111,15 +110,6 @@ impl PeerHoodNodeBuilder {
         self
     }
 
-    /// Replaces the node's resilience-pipeline configuration (circuit
-    /// breakers, backpressure, admission control). When not called, the
-    /// configuration's `resilience` value — every layer off by default — is
-    /// left untouched.
-    pub fn resilience(mut self, resilience: crate::resilience::ResilienceConfig) -> Self {
-        self.resilience = Some(resilience);
-        self
-    }
-
     /// Controls whether co-hosted applications trust each other with every
     /// connection on the node.
     ///
@@ -152,11 +142,6 @@ impl PeerHoodNodeBuilder {
                 Rc::make_mut(&mut config).bridge.enabled = relay;
             }
         }
-        if let Some(resilience) = self.resilience {
-            if config.resilience != resilience {
-                Rc::make_mut(&mut config).resilience = resilience;
-            }
-        }
         let apps = self
             .apps
             .into_iter()
@@ -180,7 +165,6 @@ impl PeerHoodNode {
             config: Rc::new(PeerHoodConfig::default()),
             apps: Vec::new(),
             relay: None,
-            resilience: None,
             trusted_apps: true,
             trace: false,
         }

@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use simnet::{AttemptId, RadioTech, TimerToken};
+use simnet::{AttemptId, NodeCtx, RadioTech, TimerToken};
 
 use crate::bridge::BridgeService;
 use crate::config::PeerHoodConfig;
@@ -139,7 +139,7 @@ impl Core {
             trusted_apps,
             scratch: Vec::with_capacity(256),
             inquiry_frame: None,
-            resilience: crate::resilience::Resilience::new(config.resilience.clone()),
+            resilience: crate::resilience::Resilience::new(config.resilience),
             security: crate::security::Security::new(config.security.clone()),
             config,
         }
@@ -172,5 +172,22 @@ impl Core {
                 .unwrap_or(primary),
             None => primary,
         }
+    }
+
+    /// Starts one radio connect towards `hop` on behalf of `purpose`, unless
+    /// the hop's circuit breaker refuses the dial; returns whether the
+    /// attempt was started. Callers handle a refusal their own way.
+    pub(crate) fn dial(&mut self, ctx: &mut NodeCtx<'_>, hop: DeviceAddress, purpose: PendingPurpose) -> bool {
+        if !self.resilience.allow_dial(hop, ctx.now()) {
+            return false;
+        }
+        let tech = match purpose {
+            // A fetch goes back out on the radio whose inquiry heard the device.
+            PendingPurpose::DaemonFetch { tech, .. } => tech,
+            _ => self.tech_for(self.daemon.storage().get(hop).map(|e| &e.info)),
+        };
+        let attempt = ctx.connect(hop.node_id(), tech);
+        self.pending.insert(attempt, purpose);
+        true
     }
 }

@@ -311,15 +311,12 @@ impl Core {
         };
         // An open breaker towards the hop turns the dial into a scheduled
         // retry: the bounded retry budget is not burned on a hop known bad.
-        if !self.resilience.allow_dial(first_hop, ctx.now()) {
+        if !self.dial(ctx, first_hop, PendingPurpose::ReplyConnect { conn }) {
             self.schedule_reply_retry(ctx, conn);
             return;
         }
-        let tech = self.tech_for(self.daemon.storage().get(first_hop).map(|e| &e.info));
         if let Some(c) = self.connections.get_mut(conn) {
             c.state = ConnState::Connecting;
         }
-        let attempt = ctx.connect(first_hop.node_id(), tech);
-        self.pending.insert(attempt, PendingPurpose::ReplyConnect { conn });
     }
 }

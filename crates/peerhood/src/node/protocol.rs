@@ -3,7 +3,7 @@
 //! These are the protocol state machines of the middleware: everything that
 //! reacts to a decoded [`Message`] on a classified link, plus the
 //! timer-driven inquiry loop and the quality-monitoring pass of the
-//! HandoverThread (§5.2.1). They mutate the shared [`Core`] and queue typed
+//! HandoverThread (§5.2.1). They mutate the shared `Core` and queue typed
 //! [`PeerHoodEvent`]s for the host to dispatch.
 
 use simnet::{DisconnectReason, InquiryHit, LinkId, NodeCtx, NodeId, Payload, RadioTech, SimDuration};
@@ -53,9 +53,9 @@ impl Core {
     }
 
     /// Records a reputation penalty against a peer one of the defences
-    /// caught misbehaving (no-op unless reporter reputation is enabled).
+    /// caught misbehaving (no-op below the sanity tier).
     pub(crate) fn note_peer_misbehaved(&mut self, peer: DeviceAddress) {
-        if self.security.reputation() {
+        if self.security.sanity_checks() {
             self.daemon.storage_mut().penalize_reporter(peer);
             self.security.stats.penalties_recorded += 1;
         }
@@ -153,7 +153,7 @@ impl Core {
     pub(crate) fn handle_inquiry_complete(&mut self, ctx: &mut NodeCtx<'_>, tech: RadioTech, hits: Vec<InquiryHit>) {
         let now = ctx.now();
         let service_check = self.config.discovery.service_check_interval;
-        let mut fetches: Vec<(NodeId, DeviceAddress, u8)> = Vec::new();
+        let mut fetches: Vec<(DeviceAddress, u8)> = Vec::new();
         for hit in &hits {
             let addr = DeviceAddress::from_node(hit.node);
             if let Some(plugin) = self.daemon.plugins_mut().get_mut(tech) {
@@ -164,29 +164,20 @@ impl Core {
                 .storage_mut()
                 .note_inquiry_hit(addr, hit.quality, now, service_check)
             {
-                fetches.push((hit.node, addr, hit.quality));
+                fetches.push((addr, hit.quality));
             }
         }
-        for (node, addr, quality) in fetches {
+        for (peer, quality) in fetches {
             // A flapping or dead neighbour trips its breaker; while the
             // breaker holds, the daemon stops burning multi-second connect
             // attempts on it — the hit stays in the storage and the fetch
             // resumes once a half-open probe succeeds.
-            if !self.resilience.allow_dial(addr, now) {
+            if !self.dial(ctx, peer, PendingPurpose::DaemonFetch { peer, tech, quality }) {
                 continue;
             }
             if let Some(plugin) = self.daemon.plugins_mut().get_mut(tech) {
                 plugin.note_fetch_started();
             }
-            let attempt = ctx.connect(node, tech);
-            self.pending.insert(
-                attempt,
-                PendingPurpose::DaemonFetch {
-                    peer: addr,
-                    tech,
-                    quality,
-                },
-            );
         }
         // If nothing needs fetching the cycle completes immediately.
         let cycle_done = self
@@ -523,18 +514,17 @@ impl Core {
         {
             let now = ctx.now();
             // Reporter reputation (§3.4.3 hardening): a responder whose
-            // penalty count crossed the configured limit keeps its *direct*
+            // penalty count crossed the limit keeps its *direct*
             // storage entry — we did just talk to it — but its neighbour
             // report is gossip and is no longer integrated into the routing
             // table, so a compromised node cannot keep poisoning route
             // candidates after being caught.
-            let neighbors: &[_] =
-                if self.security.reputation() && self.daemon.storage().reporter_blocked(device.address) {
-                    self.security.stats.reports_skipped += 1;
-                    &[]
-                } else {
-                    &neighbors
-                };
+            let neighbors: &[_] = if self.daemon.storage().reporter_blocked(device.address) {
+                self.security.stats.reports_skipped += 1;
+                &[]
+            } else {
+                &neighbors
+            };
             let discovered = self.daemon.process_inquiry_response(
                 device,
                 services,
@@ -1009,21 +999,13 @@ impl Core {
         // A candidate behind an open breaker is treated like a failed switch
         // attempt, so recovery falls through to the next candidate or to
         // service reconnection instead of dialling a hop known bad.
-        if !self.resilience.allow_dial(candidate.bridge, ctx.now()) {
+        let via = candidate.bridge;
+        if !self.dial(ctx, via, PendingPurpose::Handover { conn, via }) {
             if let Some(m) = self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
                 m.switch_failed();
             }
             return false;
         }
-        let tech = self.tech_for(self.daemon.storage().get(candidate.bridge).map(|e| &e.info));
-        let attempt = ctx.connect(candidate.bridge.node_id(), tech);
-        self.pending.insert(
-            attempt,
-            PendingPurpose::Handover {
-                conn,
-                via: candidate.bridge,
-            },
-        );
         true
     }
 
@@ -1218,23 +1200,14 @@ impl Core {
                         .and_then(|m| m.begin_switch())
                 });
                 if let Some(candidate) = candidate {
-                    if !self.resilience.allow_dial(candidate.bridge, ctx.now()) {
+                    let via = candidate.bridge;
+                    if !self.dial(ctx, via, PendingPurpose::Handover { conn, via }) {
                         // The candidate's breaker is open: abort this switch
                         // (the old route is still up) and keep monitoring.
                         if let Some(m) = self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
                             m.switch_failed();
                         }
-                        continue;
                     }
-                    let tech = self.tech_for(self.daemon.storage().get(candidate.bridge).map(|e| &e.info));
-                    let attempt = ctx.connect(candidate.bridge.node_id(), tech);
-                    self.pending.insert(
-                        attempt,
-                        PendingPurpose::Handover {
-                            conn,
-                            via: candidate.bridge,
-                        },
-                    );
                 }
             }
         }

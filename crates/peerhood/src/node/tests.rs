@@ -961,8 +961,10 @@ fn closed_retention_bounds_the_connection_table_under_churn() {
 /// `CircuitOpen` synchronously instead of burning radio attempts.
 #[test]
 fn circuit_breaker_blocks_dials_to_a_dead_peer() {
-    let mut resilience = crate::resilience::ResilienceConfig::default();
-    resilience.breaker.enabled = true;
+    let resilience = crate::resilience::ResilienceConfig {
+        breaker: true,
+        ..Default::default()
+    };
     let mut world = World::new(WorldConfig::ideal(53));
     let client = world.add_node(
         "client",

@@ -5,7 +5,7 @@
 //! valid frames from compromised nodes: replayed session Accepts,
 //! connection requests carrying foreign connection ids, forged neighbour
 //! reports and spoofed service advertisements. This module supplies the
-//! per-node defences the [`SecurityConfig`](crate::config::SecurityConfig)
+//! per-node defences the [`SecurityConfig`]
 //! tiers toggle:
 //!
 //! * **frame auth** — an opt-in 16-byte `[seq | MAC]` trailer appended
@@ -203,14 +203,10 @@ impl Security {
         self.config.frame_auth
     }
 
-    /// Whether the protocol sanity checks are active.
+    /// Whether the sanity tier (protocol sanity checks and reporter
+    /// reputation) is active.
     pub fn sanity_checks(&self) -> bool {
         self.config.sanity_checks
-    }
-
-    /// Whether reporter reputation is tracked.
-    pub fn reputation(&self) -> bool {
-        self.config.reputation
     }
 
     /// The counters so far.

@@ -22,6 +22,11 @@ use crate::quality::route_acceptable;
 use crate::route::{candidate_replaces, RouteInfo};
 use crate::service::ServiceInfo;
 
+/// Security rejections (or dead bridge routes) a reporter may accrue before
+/// its neighbour reports are ignored entirely, once the sanity tier arms the
+/// reputation defence.
+pub const REPORTER_PENALTY_LIMIT: u32 = 3;
+
 /// One entry of the device storage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredDevice {
@@ -88,9 +93,9 @@ pub struct DeviceStorage {
     /// to dial, accrue penalties here. Empty unless the reputation defence
     /// records any.
     reputation: BTreeMap<DeviceAddress, u32>,
-    /// Penalty count at which a reporter's neighbour reports are ignored.
-    /// `None` (the default) disables the defence entirely.
-    reputation_limit: Option<u32>,
+    /// Whether reporters at [`REPORTER_PENALTY_LIMIT`] are ignored (off by
+    /// default).
+    reputation_armed: bool,
 }
 
 impl DeviceStorage {
@@ -104,15 +109,15 @@ impl DeviceStorage {
             generation: 0,
             maybe_orphans: false,
             reputation: BTreeMap::new(),
-            reputation_limit: None,
+            reputation_armed: false,
         }
     }
 
-    /// Arms (or disarms) the reporter-reputation defence: with a limit set,
-    /// neighbour reports from devices whose penalty count has reached it
-    /// are skipped by the daemon.
-    pub fn set_reputation_limit(&mut self, limit: Option<u32>) {
-        self.reputation_limit = limit;
+    /// Arms (or disarms) the reporter-reputation defence: when armed,
+    /// neighbour reports from devices whose penalty count has reached
+    /// [`REPORTER_PENALTY_LIMIT`] are skipped by the daemon.
+    pub fn set_reputation(&mut self, armed: bool) {
+        self.reputation_armed = armed;
     }
 
     /// Records one reputation penalty against `peer` and returns its new
@@ -131,10 +136,7 @@ impl DeviceStorage {
     /// True when the reputation defence is armed and `peer` has exhausted
     /// its penalty budget — its neighbour reports must be ignored.
     pub fn reporter_blocked(&self, peer: DeviceAddress) -> bool {
-        match self.reputation_limit {
-            Some(limit) => self.reporter_penalty(peer) >= limit,
-            None => false,
-        }
+        self.reputation_armed && self.reporter_penalty(peer) >= REPORTER_PENALTY_LIMIT
     }
 
     /// The owning device's address (never stored as an entry).
@@ -757,8 +759,8 @@ mod tests {
         assert_eq!(s.penalize_reporter(addr(9)), 2);
         assert_eq!(s.reporter_penalty(addr(9)), 2);
         assert!(!s.reporter_blocked(addr(9)), "unarmed defence blocks nobody");
-        // Armed at 3: one more penalty crosses the limit.
-        s.set_reputation_limit(Some(3));
+        // Armed: one more penalty crosses REPORTER_PENALTY_LIMIT.
+        s.set_reputation(true);
         assert!(!s.reporter_blocked(addr(9)));
         s.penalize_reporter(addr(9));
         assert!(s.reporter_blocked(addr(9)));

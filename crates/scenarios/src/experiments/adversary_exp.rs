@@ -120,7 +120,7 @@ pub struct AdversarySettings {
 }
 
 impl AdversarySettings {
-    /// The full-size run used to produce `EXPERIMENTS.md`.
+    /// The full-size run (`repro` without `--quick`).
     pub fn full() -> Self {
         AdversarySettings {
             seed: 19,

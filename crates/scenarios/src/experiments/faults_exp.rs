@@ -181,7 +181,7 @@ pub struct ChurnSettings {
 }
 
 impl ChurnSettings {
-    /// The sizes used to produce `EXPERIMENTS.md` (up to 2000 nodes).
+    /// The full sizes (`repro` without `--quick`): up to 2000 nodes.
     pub fn full() -> Self {
         ChurnSettings {
             seed: 13,

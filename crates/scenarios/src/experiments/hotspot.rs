@@ -55,7 +55,7 @@ pub struct HotspotSettings {
 }
 
 impl HotspotSettings {
-    /// The full-size run used to produce `EXPERIMENTS.md`.
+    /// The full-size run (`repro` without `--quick`).
     pub fn full() -> Self {
         HotspotSettings {
             seed: 18,

@@ -5,7 +5,7 @@
 //! actually makes: the **middleware** survives mobility and failure — now at
 //! a scale the thesis testbed could never reach. Every node runs the
 //! complete PeerHood stack (daemon, discovery plugins, engine, connection
-//! table, handover machinery) plus the [`MetroApp`] service workload, while
+//! table, handover machinery) plus the [`MetroApp`](super::full_stack::MetroApp) service workload, while
 //! a seeded churn schedule crashes and reboots a slice of the city.
 //!
 //! The per-node cost that makes this run at all comes from the zero-copy
@@ -43,7 +43,7 @@ pub struct MetropolisSettings {
 }
 
 impl MetropolisSettings {
-    /// The full-size run used to produce `EXPERIMENTS.md`.
+    /// The full-size run (`repro` without `--quick`).
     pub fn full() -> Self {
         MetropolisSettings {
             seed: 15,

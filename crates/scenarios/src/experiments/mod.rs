@@ -6,8 +6,8 @@
 //! the security defence tiers, all added on top of the thesis).
 //!
 //! Each function builds the scenario it needs, runs the simulation and
-//! returns an [`ExperimentReport`](crate::report::ExperimentReport) whose
-//! `Display` output is the markdown table recorded in `EXPERIMENTS.md`.
+//! returns an [`ExperimentReport`] whose
+//! `Display` output is the markdown table the `repro` binary prints.
 
 pub mod adversary_exp;
 pub mod bridge;
@@ -59,7 +59,7 @@ use crate::report::ExperimentReport;
 pub enum Effort {
     /// Reduced sizes, suitable for CI and `cargo test`.
     Quick,
-    /// The sizes used to produce `EXPERIMENTS.md`.
+    /// The full sizes (`repro` without `--quick`).
     Full,
 }
 

@@ -71,7 +71,7 @@ pub struct OverloadSettings {
 }
 
 impl OverloadSettings {
-    /// The full-size run used to produce `EXPERIMENTS.md`.
+    /// The full-size run (`repro` without `--quick`).
     pub fn full() -> Self {
         OverloadSettings {
             seed: 16,
@@ -335,8 +335,8 @@ impl Application for HotspotApp {
 ///
 /// Geometry (metres, everything inside everyone's WLAN disc): the flapping
 /// hotspot at x=0, the healthy one at x=36, the inner crowd clustered at
-/// x∈[4,10] (the flapping hotspot is its by-quality best provider) and the
-/// outer crowd at x∈[28,34] (the healthy one is). The world seed — and with
+/// x∈\[4,10\] (the flapping hotspot is its by-quality best provider) and the
+/// outer crowd at x∈\[28,34\] (the healthy one is). The world seed — and with
 /// it every flap phase — is independent of `resilience_on`, so the two
 /// modes face the identical fault schedule.
 pub fn overload_run(settings: &OverloadSettings, resilience_on: bool) -> (World, Vec<NodeId>, Vec<NodeId>) {
@@ -346,7 +346,7 @@ pub fn overload_run(settings: &OverloadSettings, resilience_on: bool) -> (World,
     let resilience = if resilience_on {
         ResilienceConfig::all_on()
     } else {
-        ResilienceConfig::disabled()
+        ResilienceConfig::default()
     };
     let cfg = crowd_config(settings.inquiry_interval, resilience);
 

@@ -47,7 +47,7 @@ pub struct ScaleSettings {
 }
 
 impl ScaleSettings {
-    /// The sizes used to produce `EXPERIMENTS.md` (1k–10k nodes).
+    /// The full sizes (`repro` without `--quick`): 1k–10k nodes.
     pub fn full() -> Self {
         ScaleSettings {
             seed: 12,

@@ -56,8 +56,7 @@ pub struct ShardedSettings {
 }
 
 impl ShardedSettings {
-    /// The full-size run used to produce `EXPERIMENTS.md` (a quarter-million
-    /// nodes).
+    /// The full-size run (`repro` without `--quick`): a quarter-million nodes.
     pub fn full() -> Self {
         ShardedSettings {
             seed: 17,

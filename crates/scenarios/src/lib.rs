@@ -5,9 +5,9 @@
 //! into the concrete scenarios of the thesis: office-sized random fields,
 //! corridors of bridge nodes, the two-server handover layout and the tunnel
 //! of Fig. 6.1 — plus the experiment runners E1–E11 that regenerate every
-//! figure-level result (see `DESIGN.md` for the experiment index and
-//! `EXPERIMENTS.md` for the recorded outcomes), the dense-city scale family
-//! E12 and the fault & churn family E13/E14 added on top of the thesis.
+//! figure-level result (`repro --list` prints the experiment index, `repro`
+//! the tables), the dense-city scale family E12 and the fault & churn family
+//! E13/E14 added on top of the thesis.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

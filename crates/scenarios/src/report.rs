@@ -1,8 +1,8 @@
 //! Experiment report structures.
 //!
 //! Every experiment runner returns an [`ExperimentReport`]: a titled table
-//! whose `Display` implementation renders GitHub-flavoured markdown, so the
-//! `repro` binary can regenerate `EXPERIMENTS.md` directly.
+//! whose `Display` implementation renders GitHub-flavoured markdown — what
+//! the `repro` binary prints to stdout.
 
 use std::fmt;
 

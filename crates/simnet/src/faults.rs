@@ -33,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use crate::node::NodeId;
 use crate::radio::RadioTech;
 use crate::rng::SimRng;
+use crate::telemetry::Telemetry;
 use crate::time::{SimDuration, SimTime};
 
 /// One scheduled state transition of a node or one of its radios.
@@ -289,6 +290,16 @@ pub struct FaultStats {
     pub payloads_dropped: u64,
     /// Payloads bit-flipped by loss bursts.
     pub payloads_corrupted: u64,
+}
+
+impl FaultStats {
+    /// Mirrors the lifecycle counters into the telemetry plane as the
+    /// `faults/*` series — the one catalogue both engines sample.
+    pub fn export(&self, tel: &mut Telemetry) {
+        tel.set_counter("faults", "node_crashes", None, self.crashes);
+        tel.set_counter("faults", "node_restarts", None, self.restarts);
+        tel.set_counter("faults", "radio_outages", None, self.radio_outages);
+    }
 }
 
 /// The outcome a loss burst imposes on one payload.

@@ -11,6 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::node::NodeId;
 use crate::radio::RadioTech;
+use crate::telemetry::Telemetry;
 
 /// Counters for one node (or the global aggregate).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,6 +54,22 @@ impl Counters {
         self.messages_lost += other.messages_lost;
         self.links_broken += other.links_broken;
         self.quality_samples += other.quality_samples;
+    }
+
+    /// Mirrors the counters into the telemetry plane as the `world/*`
+    /// series — the one catalogue both engines sample.
+    pub fn export(&self, tel: &mut Telemetry) {
+        tel.set_counter("world", "inquiries_started", None, self.inquiries_started);
+        tel.set_counter("world", "inquiry_hits", None, self.inquiry_hits);
+        tel.set_counter("world", "connect_attempts", None, self.connect_attempts);
+        tel.set_counter("world", "connects_established", None, self.connects_established);
+        tel.set_counter("world", "connect_failures", None, self.connect_failures);
+        tel.set_counter("world", "messages_sent", None, self.messages_sent);
+        tel.set_counter("world", "messages_delivered", None, self.messages_delivered);
+        tel.set_counter("world", "messages_lost", None, self.messages_lost);
+        tel.set_counter("world", "bytes_sent", None, self.bytes_sent);
+        tel.set_counter("world", "links_broken", None, self.links_broken);
+        tel.set_gauge("world", "delivery_rate", None, self.delivery_rate());
     }
 
     /// Fraction of connection attempts that failed, or zero if none were made.

@@ -7,12 +7,12 @@
 //!
 //! Internally the world is layered:
 //!
-//! * [`topology`] — node slots, positions and a uniform spatial [`grid`]
+//! * `topology` — node slots, positions and a uniform spatial `grid`
 //!   index keyed by mobility-aware cell residency,
-//! * [`discovery`] — inquiry sampling against grid candidates,
-//! * [`links`] — the link table plus per-node link and per-link in-flight
+//! * `discovery` — inquiry sampling against grid candidates,
+//! * `links` — the link table plus per-node link and per-link in-flight
 //!   indexes, and
-//! * [`delivery`] — message and disconnect ordering.
+//! * `delivery` — message and disconnect ordering.
 //!
 //! The layering is an implementation detail: the public API and the event
 //! semantics are identical to the original single-file world, and runs
@@ -841,20 +841,8 @@ impl World {
         let tel = self.telemetry.as_mut().expect("checked above");
         tel.set_gauge("world", "nodes_alive", None, alive);
         tel.set_gauge("world", "links_open", None, open_links);
-        tel.set_counter("world", "inquiries_started", None, global.inquiries_started);
-        tel.set_counter("world", "inquiry_hits", None, global.inquiry_hits);
-        tel.set_counter("world", "connect_attempts", None, global.connect_attempts);
-        tel.set_counter("world", "connects_established", None, global.connects_established);
-        tel.set_counter("world", "connect_failures", None, global.connect_failures);
-        tel.set_counter("world", "messages_sent", None, global.messages_sent);
-        tel.set_counter("world", "messages_delivered", None, global.messages_delivered);
-        tel.set_counter("world", "messages_lost", None, global.messages_lost);
-        tel.set_counter("world", "bytes_sent", None, global.bytes_sent);
-        tel.set_counter("world", "links_broken", None, global.links_broken);
-        tel.set_gauge("world", "delivery_rate", None, global.delivery_rate());
-        tel.set_counter("faults", "node_crashes", None, fault_stats.crashes);
-        tel.set_counter("faults", "node_restarts", None, fault_stats.restarts);
-        tel.set_counter("faults", "radio_outages", None, fault_stats.radio_outages);
+        global.export(tel);
+        fault_stats.export(tel);
         if self.adversary.installed() {
             // Only adversarial worlds carry the series: plan-free runs keep
             // their telemetry streams (and digests) untouched.

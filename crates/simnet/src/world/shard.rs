@@ -27,7 +27,7 @@
 //! including one**: the partition decides which thread executes a node,
 //! never what the node observes. That is what makes same-seed runs
 //! byte-identical at any shard count — every RNG draw comes from the
-//! per-node stream (derived exactly as [`World::add_node`] derives it),
+//! per-node stream (derived exactly as [`World::add_node`](crate::world::World::add_node) derives it),
 //! every queue insertion happens at a deterministic point of the node's own
 //! timeline, and every identifier (links, attempts) is packed from
 //! `(initiator, per-node counter)` instead of a global counter whose value
@@ -1666,20 +1666,8 @@ impl ShardedWorld {
         let tel = self.telemetry.as_mut().expect("checked above");
         tel.set_gauge("world", "nodes_alive", None, alive as f64);
         tel.set_gauge("world", "links_open", None, open_halves as f64 / 2.0);
-        tel.set_counter("world", "inquiries_started", None, global.inquiries_started);
-        tel.set_counter("world", "inquiry_hits", None, global.inquiry_hits);
-        tel.set_counter("world", "connect_attempts", None, global.connect_attempts);
-        tel.set_counter("world", "connects_established", None, global.connects_established);
-        tel.set_counter("world", "connect_failures", None, global.connect_failures);
-        tel.set_counter("world", "messages_sent", None, global.messages_sent);
-        tel.set_counter("world", "messages_delivered", None, global.messages_delivered);
-        tel.set_counter("world", "messages_lost", None, global.messages_lost);
-        tel.set_counter("world", "bytes_sent", None, global.bytes_sent);
-        tel.set_counter("world", "links_broken", None, global.links_broken);
-        tel.set_gauge("world", "delivery_rate", None, global.delivery_rate());
-        tel.set_counter("faults", "node_crashes", None, stats.crashes);
-        tel.set_counter("faults", "node_restarts", None, stats.restarts);
-        tel.set_counter("faults", "radio_outages", None, stats.radio_outages);
+        global.export(tel);
+        stats.export(tel);
         for (idx, &(msgs, bytes)) in tech_msgs.iter().enumerate() {
             if msgs == 0 && bytes == 0 {
                 continue; // the old sparse map only carried touched techs
