@@ -17,9 +17,9 @@ use crate::device::DeviceInfo;
 use crate::error::PeerHoodError;
 use crate::ids::DeviceAddress;
 use crate::plugin::PluginSet;
-use crate::proto::{Message, NeighborRecord};
 use crate::service::{ServiceInfo, ServiceRegistry};
 use crate::storage::{DeviceStorage, StorageStats};
+use crate::wire;
 
 /// The hidden service name under which the bridge service is registered.
 pub const BRIDGE_SERVICE_NAME: &str = "__peerhood_bridge__";
@@ -93,17 +93,6 @@ impl Daemon {
         self.registry.unregister(name)
     }
 
-    /// Services to advertise in inquiry responses: everything registered
-    /// except the hidden bridge service.
-    pub fn advertised_services(&self) -> Vec<ServiceInfo> {
-        self.registry
-            .list()
-            .iter()
-            .filter(|s| s.name != BRIDGE_SERVICE_NAME)
-            .cloned()
-            .collect()
-    }
-
     /// Read access to the plugin set.
     pub fn plugins(&self) -> &PluginSet {
         &self.plugins
@@ -119,51 +108,62 @@ impl Daemon {
         self.storage.stats()
     }
 
-    /// Builds the response to a received [`Message::InquiryRequest`]: own
-    /// device information, advertised services and the exported
-    /// neighbourhood, plus the current bridge load (§4's "bottle neck"
-    /// mitigation).
-    pub fn build_inquiry_response(&self, max_export_jumps: u8, bridge_load_percent: u8) -> Message {
-        Message::InquiryResponse {
-            device: self.info.clone(),
-            services: self.advertised_services(),
-            neighbors: self.storage.export_neighbors_iter(max_export_jumps).collect(),
-            bridge_load_percent,
+    /// Writes the response to a received
+    /// [`Message::InquiryRequest`](crate::proto::Message::InquiryRequest)
+    /// into `buf` (Fig. 3.5): own device information, every registered
+    /// service except the hidden bridge service, the device storage's entries
+    /// within `max_export_jumps`, and the current bridge load (§4's "bottle
+    /// neck" mitigation). One pass from the storage to the bytes
+    /// [`wire::encode_into`] would produce for the equivalent message.
+    pub fn encode_inquiry_response(&self, max_export_jumps: u8, bridge_load_percent: u8, buf: &mut Vec<u8>) {
+        let advertised = self.registry.list().iter().filter(|s| s.name != BRIDGE_SERVICE_NAME);
+        let mut reply = wire::InquiryResponseWriter::begin(buf, &self.info, advertised);
+        for d in self.storage.devices().filter(|d| d.route.jumps <= max_export_jumps) {
+            reply.neighbor(&d.info, d.route.jumps, &d.route.hop_qualities, &d.services);
         }
+        reply.finish(bridge_load_percent);
     }
 
-    /// Processes a received [`Message::InquiryResponse`] from a device found
-    /// at `quality` during the last inquiry: stores the device as a direct
-    /// neighbour and integrates its exported neighbourhood (Fig. 3.13).
-    /// Returns the addresses of newly learned devices (the responder first
-    /// when it was unknown), which the node fans out as
-    /// `DeviceDiscovered` events.
+    /// Processes a received inquiry response — read in place, see
+    /// [`wire::InquiryResponseView`] — from a device found at `quality`
+    /// during the last inquiry: stores the device as a direct neighbour and,
+    /// unless `direct_only` (the reporter's gossip is not to be trusted),
+    /// integrates its exported neighbourhood (Fig. 3.13). Returns the
+    /// addresses of newly learned devices (the responder first when it was
+    /// unknown), which the node fans out as `DeviceDiscovered` events.
     ///
     /// The quality used for route comparison is de-rated by the advertised
     /// bridge load (a fully loaded bridge loses up to half of its advertised
     /// quality) so that loaded bridges are avoided.
-    #[allow(clippy::too_many_arguments)]
     pub fn process_inquiry_response(
         &mut self,
-        device: DeviceInfo,
-        services: Vec<ServiceInfo>,
-        neighbors: &[NeighborRecord],
-        bridge_load_percent: u8,
+        report: &wire::InquiryResponseView<'_>,
+        direct_only: bool,
         quality: u8,
         config: &PeerHoodConfig,
         now: SimTime,
     ) -> Vec<DeviceAddress> {
-        let effective_quality = Self::derate_quality(quality, bridge_load_percent);
-        let mobility = device.mobility;
-        let address = device.address;
+        let effective_quality = Self::derate_quality(quality, report.bridge_load_percent);
+        let address = report.device.address;
+        // A refreshed neighbour that still describes itself as stored keeps
+        // the stored description; a first contact from the same fleet shares
+        // this device's own name and technology list.
+        let known = self.storage.get(address);
+        let device = report.device.to_info(Some(known.map_or(&self.info, |d| &d.info)));
+        let services = report.services.to_shared(known.map(|d| &d.services));
         let mut added = Vec::new();
         if self.storage.upsert_direct(device, effective_quality, services, now) {
             added.push(address);
         }
-        added.extend(self.storage.integrate_neighbor_report(
+        let neighbors = if direct_only {
+            wire::Neighbors::default()
+        } else {
+            report.neighbors.clone()
+        };
+        added.extend(self.storage.integrate_neighbor_views(
             address,
             effective_quality,
-            mobility,
+            report.device.mobility,
             neighbors,
             config.discovery.mode,
             now,
@@ -200,6 +200,7 @@ mod tests {
     use super::*;
     use crate::config::DiscoveryMode;
     use crate::device::MobilityClass;
+    use crate::proto::{Message, NeighborRecord};
     use simnet::NodeId;
 
     fn config() -> PeerHoodConfig {
@@ -219,11 +220,48 @@ mod tests {
         Daemon::new(info(0), &config())
     }
 
+    /// What `d` answers an inquiry with, decoded:
+    /// `(device, services, neighbors, bridge_load_percent)`.
+    fn reply(d: &Daemon, max_export_jumps: u8, load: u8) -> (DeviceInfo, Vec<ServiceInfo>, Vec<NeighborRecord>, u8) {
+        let mut frame = Vec::new();
+        d.encode_inquiry_response(max_export_jumps, load, &mut frame);
+        match wire::decode(&frame).expect("the daemon's reply decodes") {
+            Message::InquiryResponse {
+                device,
+                services,
+                neighbors,
+                bridge_load_percent,
+            } => (device, services, neighbors, bridge_load_percent),
+            other => panic!("unexpected message {other:?}"),
+        }
+    }
+
+    /// Feeds `d` the report a device `from` would send, as the frame the
+    /// node's fetch link would deliver it in.
+    fn hear(
+        d: &mut Daemon,
+        from: DeviceInfo,
+        services: Vec<ServiceInfo>,
+        neighbors: Vec<NeighborRecord>,
+        load: u8,
+        quality: u8,
+        cfg: &PeerHoodConfig,
+    ) -> Vec<DeviceAddress> {
+        let frame = wire::encode(&Message::InquiryResponse {
+            device: from,
+            services,
+            neighbors,
+            bridge_load_percent: load,
+        });
+        let report = wire::view_inquiry_response(&frame).expect("a well-formed report");
+        d.process_inquiry_response(&report, false, quality, cfg, SimTime::ZERO)
+    }
+
     #[test]
     fn bridge_service_is_hidden_but_registered() {
         let d = daemon();
         assert!(d.registry().find(BRIDGE_SERVICE_NAME).is_some());
-        assert!(d.advertised_services().is_empty());
+        assert!(reply(&d, 8, 0).1.is_empty());
         // Disabling the bridge omits the hidden service.
         let no_bridge = Daemon::new(info(0), &config().with_bridge_enabled(false));
         assert!(no_bridge.registry().find(BRIDGE_SERVICE_NAME).is_none());
@@ -233,10 +271,10 @@ mod tests {
     fn register_and_advertise_services() {
         let mut d = daemon();
         d.register_service(ServiceInfo::new("echo", "v1", 10)).unwrap();
-        assert_eq!(d.advertised_services().len(), 1);
+        assert_eq!(reply(&d, 8, 0).1, vec![ServiceInfo::new("echo", "v1", 10)]);
         assert!(d.register_service(ServiceInfo::new("echo", "v2", 11)).is_err());
         assert!(d.unregister_service("echo").is_some());
-        assert!(d.advertised_services().is_empty());
+        assert!(reply(&d, 8, 0).1.is_empty());
     }
 
     #[test]
@@ -245,21 +283,38 @@ mod tests {
         d.register_service(ServiceInfo::new("echo", "v1", 10)).unwrap();
         d.storage_mut()
             .upsert_direct(info(2), 240, vec![ServiceInfo::new("print", "", 3)], SimTime::ZERO);
-        match d.build_inquiry_response(8, 25) {
-            Message::InquiryResponse {
-                device,
-                services,
-                neighbors,
-                bridge_load_percent,
-            } => {
-                assert_eq!(device.address, info(0).address);
-                assert_eq!(services.len(), 1);
-                assert_eq!(neighbors.len(), 1);
-                assert_eq!(neighbors[0].info.address, info(2).address);
-                assert_eq!(bridge_load_percent, 25);
-            }
-            other => panic!("unexpected message {other:?}"),
-        }
+        let (device, services, neighbors, bridge_load_percent) = reply(&d, 8, 25);
+        assert_eq!(device.address, info(0).address);
+        assert_eq!(services.len(), 1);
+        assert_eq!(neighbors.len(), 1);
+        assert_eq!(neighbors[0].info.address, info(2).address);
+        assert_eq!(bridge_load_percent, 25);
+    }
+
+    #[test]
+    fn export_neighbors_respects_jump_limit() {
+        let mut d = daemon();
+        let far = |n, jumps: u8, quality| NeighborRecord {
+            info: info(n),
+            jumps,
+            hop_qualities: vec![quality; jumps as usize + 1],
+            services: vec![].into(),
+        };
+        hear(
+            &mut d,
+            info(1),
+            vec![],
+            vec![far(2, 0, 235), far(3, 3, 232)],
+            0,
+            240,
+            &config(),
+        );
+        assert_eq!(reply(&d, 8, 0).2.len(), 3);
+        let limited = reply(&d, 1, 0).2;
+        assert_eq!(limited.len(), 2, "the 4-jump entry must be excluded");
+        // Exported jump counts are the exporter's own view.
+        let d2 = limited.iter().find(|r| r.info.address == info(2).address).unwrap();
+        assert_eq!(d2.jumps, 1);
     }
 
     #[test]
@@ -273,14 +328,14 @@ mod tests {
             hop_qualities: vec![250],
             services: vec![].into(),
         }];
-        let added = d.process_inquiry_response(
+        let added = hear(
+            &mut d,
             responder.clone(),
             vec![ServiceInfo::new("echo", "", 1)],
-            &neighbors,
+            neighbors,
             0,
             245,
             &cfg,
-            SimTime::ZERO,
         );
         assert_eq!(added, vec![responder.address, info(2).address]);
         assert_eq!(d.stats().known_devices, 2);
@@ -288,6 +343,27 @@ mod tests {
         assert!(stored.is_direct());
         assert!(stored.offers("echo"));
         assert_eq!(d.storage().get(info(2).address).unwrap().route.jumps, 1);
+    }
+
+    #[test]
+    fn an_untrusted_reporter_is_stored_but_its_gossip_is_not() {
+        let mut d = daemon();
+        let gossip = NeighborRecord {
+            info: info(2),
+            jumps: 0,
+            hop_qualities: vec![250],
+            services: vec![].into(),
+        };
+        let frame = wire::encode(&Message::InquiryResponse {
+            device: info(1),
+            services: vec![],
+            neighbors: vec![gossip],
+            bridge_load_percent: 0,
+        });
+        let report = wire::view_inquiry_response(&frame).unwrap();
+        let added = d.process_inquiry_response(&report, true, 245, &config(), SimTime::ZERO);
+        assert_eq!(added, vec![info(1).address]);
+        assert!(d.storage().get(info(2).address).is_none());
     }
 
     #[test]
@@ -312,16 +388,8 @@ mod tests {
             hop_qualities: vec![250],
             services: vec![].into(),
         };
-        d.process_inquiry_response(
-            info(1),
-            vec![],
-            std::slice::from_ref(&target),
-            100,
-            245,
-            &cfg,
-            SimTime::ZERO,
-        );
-        d.process_inquiry_response(info(2), vec![], &[target], 0, 245, &cfg, SimTime::ZERO);
+        hear(&mut d, info(1), vec![], vec![target.clone()], 100, 245, &cfg);
+        hear(&mut d, info(2), vec![], vec![target], 0, 245, &cfg);
         let route = &d.storage().get(info(9).address).unwrap().route;
         assert_eq!(route.bridge, Some(info(2).address), "the unloaded bridge must win");
     }

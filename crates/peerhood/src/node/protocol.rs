@@ -23,32 +23,36 @@ use super::{token, Core, PeerHoodEvent, KIND_APP, KIND_INQUIRY, KIND_MONITOR, KI
 
 impl Core {
     pub(crate) fn send_frame(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, message: &Message) {
-        // Encode into the node's reusable scratch buffer; the frame handed
-        // to the world is a shared allocation the delivery pipeline carries
-        // end to end without further copies. The auth trailer (when enabled)
-        // is appended to the scratch bytes before the single share-copy.
         self.scratch.clear();
         wire::encode_into(message, &mut self.scratch);
+        self.send_scratch(ctx, link);
+    }
+
+    /// Sends the bare wire frame sitting in the node's reusable scratch
+    /// buffer: the auth trailer (when enabled) is appended to the scratch
+    /// bytes, and the one share-copy made here is the allocation the world's
+    /// delivery pipeline carries end to end.
+    fn send_scratch(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId) {
         if self.security.frame_auth() {
             let sender = self.daemon.info().address;
             self.security.append_trailer(sender, &mut self.scratch);
         }
-        let frame = wire::Frame::copy_from_slice(&self.scratch);
-        let _ = ctx.send(link, frame);
+        let _ = ctx.send(link, wire::Frame::copy_from_slice(&self.scratch));
     }
 
-    /// Sends an already-encoded frame. With frame authentication on, the
-    /// trailer is per-send and per-hop: cached frames (the inquiry response)
-    /// and relayed frames (the bridge fast path) get a fresh sequence number
-    /// and MAC here instead of carrying a stale one.
-    pub(crate) fn transmit_frame(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, frame: wire::Frame) {
+    /// Sends the already-encoded bare wire frame `bare`, which `carrier`
+    /// holds. With frame authentication off they are the same bytes and the
+    /// carrier itself travels on — a cached inquiry response or a relayed
+    /// frame costs a reference count. With it on, the trailer is per-send
+    /// and per-hop: `bare` gets a fresh sequence number and MAC in the
+    /// scratch buffer instead of carrying a stale one.
+    fn transmit_frame(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, bare: &[u8], carrier: &wire::Frame) {
         if self.security.frame_auth() {
-            let sender = self.daemon.info().address;
-            let mut bytes = frame.to_vec();
-            self.security.append_trailer(sender, &mut bytes);
-            let _ = ctx.send(link, wire::Frame::from(bytes));
+            self.scratch.clear();
+            self.scratch.extend_from_slice(bare);
+            self.send_scratch(ctx, link);
         } else {
-            let _ = ctx.send(link, frame);
+            let _ = ctx.send(link, carrier.clone());
         }
     }
 
@@ -78,10 +82,10 @@ impl Core {
                 return frame.clone();
             }
         }
-        let response = self
-            .daemon
-            .build_inquiry_response(self.config.discovery.max_export_jumps, key.2);
-        let frame = wire::encode_frame(&response, &mut self.scratch);
+        self.scratch.clear();
+        self.daemon
+            .encode_inquiry_response(self.config.discovery.max_export_jumps, key.2, &mut self.scratch);
+        let frame = wire::Frame::copy_from_slice(&self.scratch);
         self.inquiry_frame = Some((key, frame.clone()));
         self.resilience.note_inquiry_served(false);
         frame
@@ -215,40 +219,47 @@ impl Core {
     pub(crate) fn handle_message(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, from: NodeId, payload: Payload) {
         // Frame authentication happens before the codec ever sees the bytes:
         // the trailer is verified against the radio the frame physically
-        // arrived from and stripped, so the rest of the stack (including the
-        // bridge relay fast path) always works on bare wire frames.
-        let payload = if self.security.frame_auth() {
+        // arrived from, and the rest of the stack (including the bridge
+        // relay fast path) works on the bare wire frame — a slice of the
+        // payload it arrived in, never a copy.
+        let body = if self.security.frame_auth() {
             let sender = DeviceAddress::from_node(from);
             match self.security.verify_and_strip(sender, payload.as_slice()) {
-                Ok(body) => Payload::copy_from_slice(body),
+                Ok(body) => body,
                 Err(_) => {
                     self.note_peer_misbehaved(sender);
                     return;
                 }
             }
         } else {
-            payload
+            payload.as_slice()
         };
-        let message = match wire::decode(&payload) {
+        let role = self.engine.role(link).unwrap_or(LinkRole::IncomingUnidentified);
+        // The report fast path: the daemon reads the neighbour report in the
+        // frame it arrived in. Anything but a valid inquiry response is
+        // ignored on a fetch link.
+        if let LinkRole::DaemonFetch { tech, quality, .. } = role {
+            if let Ok(report) = wire::view_inquiry_response(body) {
+                self.handle_report(ctx, link, tech, quality, &report);
+            }
+            return;
+        }
+        let message = match wire::decode(body) {
             Ok(m) => m,
             Err(_) => return,
         };
-        let role = self.engine.role(link).unwrap_or(LinkRole::IncomingUnidentified);
         match role {
             LinkRole::IncomingUnidentified => self.identify_incoming(ctx, link, from, message),
-            LinkRole::DaemonFetch { tech, quality, .. } => {
-                self.handle_fetch_response(ctx, link, tech, quality, message)
-            }
-            LinkRole::DaemonServe => {
-                // The requester normally just closes; ignore anything else.
-            }
+            // A fetch link never gets here; on a serve link the requester
+            // normally just closes, and anything else is ignored.
+            LinkRole::DaemonFetch { .. } | LinkRole::DaemonServe => {}
             LinkRole::AppConnection(conn) => self.handle_app_message(ctx, link, conn, message),
             LinkRole::HandoverPending { conn, via } => self.handle_handover_message(ctx, link, conn, via, message),
             LinkRole::BridgeUpstream(conn) => {
-                self.handle_bridge_message(ctx, link, conn, BridgeSide::Upstream, message, &payload)
+                self.handle_bridge_message(ctx, link, conn, BridgeSide::Upstream, message, body, &payload)
             }
             LinkRole::BridgeDownstream(conn) => {
-                self.handle_bridge_message(ctx, link, conn, BridgeSide::Downstream, message, &payload)
+                self.handle_bridge_message(ctx, link, conn, BridgeSide::Downstream, message, body, &payload)
             }
         }
     }
@@ -258,7 +269,7 @@ impl Core {
             Message::InquiryRequest { requester: _ } => {
                 let frame = self.inquiry_response_frame();
                 self.engine.set_role(link, LinkRole::DaemonServe);
-                self.transmit_frame(ctx, link, frame);
+                self.transmit_frame(ctx, link, &frame, &frame);
             }
             Message::ConnectRequest {
                 conn_id,
@@ -497,50 +508,33 @@ impl Core {
             .insert(attempt, PendingPurpose::BridgeLeg { conn: conn_id });
     }
 
-    fn handle_fetch_response(
+    fn handle_report(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         link: LinkId,
         tech: RadioTech,
         quality: u8,
-        message: Message,
+        report: &wire::InquiryResponseView<'_>,
     ) {
-        if let Message::InquiryResponse {
-            device,
-            services,
-            neighbors,
-            bridge_load_percent,
-        } = message
-        {
-            let now = ctx.now();
-            // Reporter reputation (§3.4.3 hardening): a responder whose
-            // penalty count crossed the limit keeps its *direct*
-            // storage entry — we did just talk to it — but its neighbour
-            // report is gossip and is no longer integrated into the routing
-            // table, so a compromised node cannot keep poisoning route
-            // candidates after being caught.
-            let neighbors: &[_] = if self.daemon.storage().reporter_blocked(device.address) {
-                self.security.stats.reports_skipped += 1;
-                &[]
-            } else {
-                &neighbors
-            };
-            let discovered = self.daemon.process_inquiry_response(
-                device,
-                services,
-                neighbors,
-                bridge_load_percent,
-                quality,
-                &self.config,
-                now,
-            );
-            for address in discovered {
-                self.events.push_back(PeerHoodEvent::DeviceDiscovered { address });
-            }
-            ctx.close(link);
-            self.engine.remove(link);
-            self.note_fetch_finished(ctx, tech);
+        // Reporter reputation (§3.4.3 hardening): a responder whose
+        // penalty count crossed the limit keeps its *direct*
+        // storage entry — we did just talk to it — but its neighbour
+        // report is gossip and is no longer integrated into the routing
+        // table, so a compromised node cannot keep poisoning route
+        // candidates after being caught.
+        let blocked = self.daemon.storage().reporter_blocked(report.device.address);
+        if blocked {
+            self.security.stats.reports_skipped += 1;
         }
+        let discovered = self
+            .daemon
+            .process_inquiry_response(report, blocked, quality, &self.config, ctx.now());
+        for address in discovered {
+            self.events.push_back(PeerHoodEvent::DeviceDiscovered { address });
+        }
+        ctx.close(link);
+        self.engine.remove(link);
+        self.note_fetch_finished(ctx, tech);
     }
 
     fn handle_app_message(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, conn: ConnectionId, message: Message) {
@@ -726,6 +720,7 @@ impl Core {
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn handle_bridge_message(
         &mut self,
         ctx: &mut NodeCtx<'_>,
@@ -733,7 +728,8 @@ impl Core {
         conn: ConnectionId,
         side: BridgeSide,
         message: Message,
-        raw: &Payload,
+        body: &[u8],
+        carrier: &Payload,
     ) {
         // Ignore traffic on legs that are no longer part of the pair.
         let current = match self.bridge.get(conn) {
@@ -779,10 +775,11 @@ impl Core {
                         // The relayed frame would re-encode to exactly the
                         // received bytes, so forward the original shared
                         // frame: a bridge chain of any length carries one
-                        // allocation end to end. (With frame auth on, `raw`
-                        // arrives already stripped and the relay re-MACs it
-                        // for the next hop inside `transmit_frame`.)
-                        self.transmit_frame(ctx, other, raw.clone());
+                        // allocation end to end. (With frame auth on, `body`
+                        // is the verified frame less its trailer and the
+                        // relay re-MACs it for the next hop inside
+                        // `transmit_frame`.)
+                        self.transmit_frame(ctx, other, body, carrier);
                     } else {
                         // Defensive path (e.g. a corrupted-but-decodable
                         // frame whose conn id no longer matches the pair):

@@ -379,11 +379,6 @@ impl Resilience {
         }
     }
 
-    /// The pipeline's configuration.
-    pub fn config(&self) -> &ResilienceConfig {
-        &self.cfg
-    }
-
     // ------------------------------------------------------------------
     // Layer 1: per-peer circuit breakers
     // ------------------------------------------------------------------

@@ -193,11 +193,6 @@ impl Security {
         }
     }
 
-    /// The configuration this runtime enforces.
-    pub fn config(&self) -> &SecurityConfig {
-        &self.config
-    }
-
     /// Whether outbound frames must carry the auth trailer.
     pub fn frame_auth(&self) -> bool {
         self.config.frame_auth

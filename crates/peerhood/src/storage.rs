@@ -21,6 +21,7 @@ use crate::proto::NeighborRecord;
 use crate::quality::route_acceptable;
 use crate::route::{candidate_replaces, RouteInfo};
 use crate::service::ServiceInfo;
+use crate::wire;
 
 /// Security rejections (or dead bridge routes) a reporter may accrue before
 /// its neighbour reports are ignored entirely, once the sanity tier arms the
@@ -71,6 +72,68 @@ pub struct StorageStats {
     pub max_jumps: u8,
     /// Total number of known remote services.
     pub known_services: usize,
+}
+
+/// One neighbour record as [`DeviceStorage::integrate`] reads it: the owned
+/// [`NeighborRecord`] of a decoded [`Message`](crate::proto::Message) or the
+/// [`wire::NeighborView`] of a frame read in place. Everything that
+/// allocates is a method the routine calls only for an entry it inserts or
+/// changes; `like` is the responder's own stored description, shared where
+/// equal.
+trait ReportRecord {
+    fn address(&self) -> DeviceAddress;
+    fn jumps(&self) -> u8;
+    fn hop_qualities(&self) -> &[u8];
+    fn info(&self, like: Option<&DeviceInfo>) -> DeviceInfo;
+    fn services(&self, like: Option<&Rc<[ServiceInfo]>>) -> Rc<[ServiceInfo]>;
+    /// The advertised services whose name `known` does not list yet.
+    fn services_unknown_to(&self, known: &[ServiceInfo]) -> Vec<ServiceInfo>;
+}
+
+impl ReportRecord for &NeighborRecord {
+    fn address(&self) -> DeviceAddress {
+        self.info.address
+    }
+    fn jumps(&self) -> u8 {
+        self.jumps
+    }
+    fn hop_qualities(&self) -> &[u8] {
+        &self.hop_qualities
+    }
+    // An owned record already holds its description behind `Rc`s.
+    fn info(&self, _like: Option<&DeviceInfo>) -> DeviceInfo {
+        self.info.clone()
+    }
+    fn services(&self, _like: Option<&Rc<[ServiceInfo]>>) -> Rc<[ServiceInfo]> {
+        self.services.clone()
+    }
+    fn services_unknown_to(&self, known: &[ServiceInfo]) -> Vec<ServiceInfo> {
+        let unknown = |name: &str| !known.iter().any(|k| k.name == name);
+        self.services.iter().filter(|s| unknown(&s.name)).cloned().collect()
+    }
+}
+
+impl ReportRecord for wire::NeighborView<'_> {
+    fn address(&self) -> DeviceAddress {
+        self.info.address
+    }
+    fn jumps(&self) -> u8 {
+        self.jumps
+    }
+    fn hop_qualities(&self) -> &[u8] {
+        self.hop_qualities
+    }
+    fn info(&self, like: Option<&DeviceInfo>) -> DeviceInfo {
+        self.info.to_info(like)
+    }
+    fn services(&self, like: Option<&Rc<[ServiceInfo]>>) -> Rc<[ServiceInfo]> {
+        self.services.to_shared(like)
+    }
+    fn services_unknown_to(&self, known: &[ServiceInfo]) -> Vec<ServiceInfo> {
+        let unknown = |name: &str| !known.iter().any(|k| k.name == name);
+        let fresh = self.services.clone().filter(|s| unknown(s.name));
+        fresh.map(|s| s.to_info()).collect()
+    }
 }
 
 /// PeerHood's per-device environment knowledge.
@@ -365,60 +428,108 @@ impl DeviceStorage {
         mode: DiscoveryMode,
         now: SimTime,
     ) -> Vec<DeviceAddress> {
+        self.integrate(
+            responder,
+            responder_quality,
+            responder_mobility,
+            records.iter(),
+            mode,
+            now,
+        )
+    }
+
+    /// [`DeviceStorage::integrate_neighbor_report`] over the records of a
+    /// frame read in place: the node's own path. A report that re-announces
+    /// known devices over routes that do not beat the stored ones — the
+    /// steady state — allocates nothing here.
+    pub fn integrate_neighbor_views(
+        &mut self,
+        responder: DeviceAddress,
+        responder_quality: u8,
+        responder_mobility: MobilityClass,
+        records: wire::Neighbors<'_>,
+        mode: DiscoveryMode,
+        now: SimTime,
+    ) -> Vec<DeviceAddress> {
+        self.integrate(responder, responder_quality, responder_mobility, records, mode, now)
+    }
+
+    fn integrate<R: ReportRecord>(
+        &mut self,
+        responder: DeviceAddress,
+        responder_quality: u8,
+        responder_mobility: MobilityClass,
+        records: impl Iterator<Item = R>,
+        mode: DiscoveryMode,
+        now: SimTime,
+    ) -> Vec<DeviceAddress> {
         let mut added = Vec::new();
         self.generation += 1;
+        // What the responder's own entry holds, for new entries to share: in
+        // a fleet built from one configuration every device advertises the
+        // same name, technology list and service list, and a storage of
+        // hundreds of entries should hold them once.
+        let (like_info, like_services) = self
+            .devices
+            .get(&responder)
+            .map(|d| (d.info.clone(), d.services.clone()))
+            .unzip();
+        // The responder's reported-neighbour map is looked up (and, for a
+        // first report, created) once, by the first record that needs it.
+        let mut reporters = Some(&mut self.reported_neighbors);
+        let mut reported: Option<&mut BTreeMap<DeviceAddress, u8>> = None;
         for record in records {
+            let address = record.address();
+            let hops = record.hop_qualities();
             // Own-device filter: avoid a route to ourselves through a
             // neighbour.
-            if record.info.address == self.own_address {
+            if address == self.own_address {
                 continue;
             }
-            if let Some(max) = mode.max_learned_jumps() {
-                // The stored route would have `record.jumps + 1` jumps; skip
-                // anything that would exceed the mode's vision (DirectOnly
-                // accepts nothing from reports, TwoHop only the responder's
-                // direct neighbours).
-                if record.jumps.saturating_add(1) > max {
-                    continue;
-                }
+            // The stored route would have `record.jumps + 1` jumps; skip
+            // anything that would exceed the mode's vision (DirectOnly
+            // accepts nothing from reports, TwoHop only the responder's
+            // direct neighbours).
+            let cand_jumps = record.jumps().saturating_add(1);
+            if mode.max_learned_jumps().is_some_and(|max| cand_jumps > max) {
+                continue;
             }
             // Remember that `responder` claims to reach this device directly
             // (used by routing handover, Fig. 5.5 state 0).
-            if record.jumps == 0 {
-                self.reported_neighbors
-                    .entry(responder)
-                    .or_default()
-                    .insert(record.info.address, record.hop_qualities.first().copied().unwrap_or(0));
+            if record.jumps() == 0 {
+                reported
+                    .get_or_insert_with(|| {
+                        let reporters = reporters.take().expect("taken by the first direct record only");
+                        reporters.entry(responder).or_default()
+                    })
+                    .insert(address, hops.first().copied().unwrap_or(0));
             }
 
             // The candidate route is `[responder_quality] ++ record hops`
-            // through `responder`. Its hop-quality vector is only
-            // materialised when the candidate actually wins (or the device
-            // is new) — in the steady state, where every report re-announces
-            // an already-known route that does not beat the stored one, this
-            // loop allocates nothing.
-            let cand_jumps = record.jumps.saturating_add(1);
+            // through `responder`. It — like the device description and the
+            // service list — is only materialised when the candidate wins
+            // or the device is new.
             let build_candidate = || {
-                let mut hop_qualities = Vec::with_capacity(record.hop_qualities.len() + 1);
+                let mut hop_qualities = Vec::with_capacity(hops.len() + 1);
                 hop_qualities.push(responder_quality);
-                hop_qualities.extend_from_slice(&record.hop_qualities);
+                hop_qualities.extend_from_slice(hops);
                 RouteInfo::via(responder, cand_jumps, hop_qualities, responder_mobility)
             };
 
-            match self.devices.get_mut(&record.info.address) {
+            match self.devices.get_mut(&address) {
                 None => {
                     self.devices.insert(
-                        record.info.address,
+                        address,
                         StoredDevice {
-                            info: record.info.clone(),
+                            info: record.info(like_info.as_ref()),
                             route: build_candidate(),
-                            services: record.services.clone(),
+                            services: record.services(like_services.as_ref()),
                             last_seen: now,
                             last_fetched: now,
                             missed_loops: 0,
                         },
                     );
-                    added.push(record.info.address);
+                    added.push(address);
                 }
                 Some(existing) => {
                     existing.last_seen = now;
@@ -426,16 +537,9 @@ impl DeviceStorage {
                     // shared, so it is rebuilt (copy-on-write) only when a
                     // genuinely new service appears — the steady state, where
                     // reports repeat known services, touches nothing.
-                    let fresh: Vec<&ServiceInfo> = record
-                        .services
-                        .iter()
-                        .filter(|svc| !existing.services.iter().any(|s| s.name == svc.name))
-                        .collect();
+                    let fresh = record.services_unknown_to(&existing.services);
                     if !fresh.is_empty() {
-                        let mut merged: Vec<ServiceInfo> = Vec::with_capacity(existing.services.len() + fresh.len());
-                        merged.extend(existing.services.iter().cloned());
-                        merged.extend(fresh.into_iter().cloned());
-                        existing.services = merged.into();
+                        existing.services = existing.services.iter().cloned().chain(fresh).collect();
                     }
                     // The `candidate_replaces` comparison chain of Fig. 3.13,
                     // evaluated without building the candidate: jumps, then
@@ -448,15 +552,13 @@ impl DeviceStorage {
                         responder_mobility.value() < current.nearest_mobility.value()
                     } else {
                         let threshold = self.quality_threshold;
-                        let cand_ok =
-                            responder_quality >= threshold && record.hop_qualities.iter().all(|&q| q >= threshold);
+                        let cand_ok = responder_quality >= threshold && hops.iter().all(|&q| q >= threshold);
                         let curr_ok = route_acceptable(&current.hop_qualities, threshold);
                         match (cand_ok, curr_ok) {
                             (true, false) => true,
                             (false, _) => false,
                             (true, true) => {
-                                let cand_sum = responder_quality as u32
-                                    + record.hop_qualities.iter().map(|&q| q as u32).sum::<u32>();
+                                let cand_sum = responder_quality as u32 + hops.iter().map(|&q| q as u32).sum::<u32>();
                                 cand_sum > current.quality_sum()
                             }
                         }
@@ -564,22 +666,6 @@ impl DeviceStorage {
         self.maybe_orphans = true;
         self.reported_neighbors.remove(&address);
         self.devices.remove(&address)
-    }
-
-    /// Exports the storage as neighbourhood information for an inquiry
-    /// response (Fig. 3.5), limited to entries within `max_jumps`, without
-    /// allocating the record list. Each yielded record shares its service
-    /// list with the storage entry.
-    pub fn export_neighbors_iter(&self, max_jumps: u8) -> impl Iterator<Item = NeighborRecord> + '_ {
-        self.devices
-            .values()
-            .filter(move |d| d.route.jumps <= max_jumps)
-            .map(|d| NeighborRecord {
-                info: d.info.clone(),
-                jumps: d.route.jumps,
-                hop_qualities: d.route.hop_qualities.clone(),
-                services: d.services.clone(),
-            })
     }
 
     /// Direct neighbours that have reported `target` as *their* direct
@@ -999,26 +1085,6 @@ mod tests {
         assert_eq!(providers[1].0.info.address, addr(1));
         assert_eq!(providers[2].0.info.address, addr(3));
         assert!(s.service_providers("nothing").next().is_none());
-    }
-
-    #[test]
-    fn export_neighbors_respects_jump_limit() {
-        let mut s = storage();
-        s.upsert_direct(info(1, MobilityClass::Static), 240, vec![], T0);
-        s.integrate_neighbor_report(
-            addr(1),
-            240,
-            MobilityClass::Static,
-            &[record(2, 0, 235, vec![]), record(3, 3, 232, vec![])],
-            DiscoveryMode::Dynamic,
-            T0,
-        );
-        assert_eq!(s.export_neighbors_iter(8).count(), 3);
-        let limited: Vec<_> = s.export_neighbors_iter(1).collect();
-        assert_eq!(limited.len(), 2, "the 4-jump entry must be excluded");
-        // Exported jump counts are the exporter's own view.
-        let d2 = limited.iter().find(|r| r.info.address == addr(2)).unwrap();
-        assert_eq!(d2.jumps, 1);
     }
 
     #[test]

@@ -11,8 +11,25 @@
 //! caller-owned reusable scratch buffer — so a node's steady-state encode
 //! path stops allocating — and hands back a frame whose clones are free.
 //! Encode a discovery advertisement once, send it to every neighbour.
+//!
+//! **Neighbour reports never become a [`Message`] on the node's own path.**
+//! The inquiry response is the middleware's steady-state load (≈ 25 records a
+//! frame, one frame per neighbour per inquiry cycle), and almost every record
+//! re-announces a device the receiver already knows. So the report has a
+//! borrowed form, [`InquiryResponseView`]: one validating pass over the frame
+//! — same grammar, same [`WireError`]s as [`decode`]: every element has one
+//! parser, which yields a view, and `decode` is that parser plus `view →
+//! owned` — after which names are `&str` and hop/tech lists `&[u8]` into the
+//! frame it arrived in. The receiving node goes verify → link-role lookup →
+//! view → device storage, and the storage materialises an owned description
+//! only for the entries it inserts or changes. On the serving side
+//! [`InquiryResponseWriter`] streams the reply straight from the device
+//! storage into the scratch buffer, with no intermediate record list (the
+//! record count is patched in afterwards); [`encode_into`] writes its report
+//! arm through the same writer, so the report has one parser and one printer.
 
 use std::fmt;
+use std::rc::Rc;
 
 use simnet::RadioTech;
 
@@ -79,6 +96,10 @@ impl<'a> Writer<'a> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
+    fn header(&mut self, tag: u8) {
+        self.u8(WIRE_VERSION);
+        self.u8(tag);
+    }
     fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
@@ -133,37 +154,95 @@ impl<'a> Writer<'a> {
         self.string(&s.attribute);
         self.u16(s.port.0);
     }
-    fn neighbor(&mut self, n: &NeighborRecord) {
-        self.device(&n.info);
-        self.u8(n.jumps);
-        self.u8(n.hop_qualities.len() as u8);
-        for q in &n.hop_qualities {
-            self.u8(*q);
-        }
-        self.u16(n.services.len() as u16);
-        for s in n.services.iter() {
-            self.service(s);
-        }
+    /// Reserves a `u16` count to be filled in by [`Writer::patch_u16`] once
+    /// the elements behind it have been streamed out.
+    fn reserve_u16(&mut self) -> usize {
+        let at = self.buf.len();
+        self.u16(0);
+        at
+    }
+    fn patch_u16(&mut self, at: usize, v: u16) {
+        self.buf[at..at + 2].copy_from_slice(&v.to_be_bytes());
     }
 }
 
+fn tech_from_byte(byte: u8) -> Option<RadioTech> {
+    match byte {
+        0 => Some(RadioTech::Bluetooth),
+        1 => Some(RadioTech::Wlan),
+        2 => Some(RadioTech::Gprs),
+        _ => None,
+    }
+}
+
+/// Streams one [`Message::InquiryResponse`] frame into a buffer without the
+/// message ever existing: header, device and services up front, then one
+/// [`InquiryResponseWriter::neighbor`] call per exported record, then
+/// [`InquiryResponseWriter::finish`]. The bytes are exactly what
+/// [`encode_into`] produces for the equivalent message (it uses this writer).
+pub struct InquiryResponseWriter<'a> {
+    w: Writer<'a>,
+    count_at: usize,
+    count: usize,
+}
+
+impl<'a> InquiryResponseWriter<'a> {
+    /// Appends the frame's head to `buf` (normally cleared by the caller).
+    pub fn begin<'s>(
+        buf: &'a mut Vec<u8>,
+        device: &DeviceInfo,
+        services: impl IntoIterator<Item = &'s ServiceInfo>,
+    ) -> Self {
+        let mut w = Writer { buf };
+        w.header(TAG_INQUIRY_RESPONSE);
+        w.device(device);
+        let services_at = w.reserve_u16();
+        let mut service_count = 0usize;
+        for s in services {
+            w.service(s);
+            service_count += 1;
+        }
+        w.patch_u16(services_at, service_count as u16);
+        let count_at = w.reserve_u16();
+        InquiryResponseWriter { w, count_at, count: 0 }
+    }
+
+    /// Appends one neighbour record.
+    pub fn neighbor(&mut self, info: &DeviceInfo, jumps: u8, hop_qualities: &[u8], services: &[ServiceInfo]) {
+        let w = &mut self.w;
+        w.device(info);
+        w.u8(jumps);
+        w.u8(hop_qualities.len() as u8);
+        w.buf.extend_from_slice(hop_qualities);
+        w.u16(services.len() as u16);
+        for s in services {
+            w.service(s);
+        }
+        self.count += 1;
+    }
+
+    /// Fills in the record count and closes the frame.
+    pub fn finish(mut self, bridge_load_percent: u8) {
+        self.w.patch_u16(self.count_at, self.count as u16);
+        self.w.u8(bridge_load_percent);
+    }
+}
+
+#[derive(Clone, Default)]
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
+/// The one parser of the frame grammar. Every accessor borrows from the
+/// frame; nothing here allocates, so a corrupted count can never make the
+/// decoder reserve memory — it just runs into [`WireError::Truncated`].
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-    /// Pre-allocation bound for a count read from the wire: every element
-    /// occupies at least one byte, so a corrupted count can never make us
-    /// reserve more slots than there are bytes left in the frame.
-    fn capped(&self, count: usize) -> usize {
-        count.min(self.remaining())
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
@@ -188,14 +267,13 @@ impl<'a> Reader<'a> {
         let b = self.take(8)?;
         Ok(u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
+    fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
     }
-    fn string(&mut self) -> Result<String, WireError> {
+    fn str(&mut self) -> Result<&'a str, WireError> {
         let len = self.u16()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::InvalidUtf8)
     }
     fn address(&mut self) -> Result<DeviceAddress, WireError> {
         let b = self.take(6)?;
@@ -211,58 +289,291 @@ impl<'a> Reader<'a> {
             _ => Err(WireError::InvalidValue("optional connection id")),
         }
     }
-    fn tech(&mut self) -> Result<RadioTech, WireError> {
-        match self.u8()? {
-            0 => Ok(RadioTech::Bluetooth),
-            1 => Ok(RadioTech::Wlan),
-            2 => Ok(RadioTech::Gprs),
-            _ => Err(WireError::InvalidValue("radio technology")),
-        }
-    }
-    fn device(&mut self) -> Result<DeviceInfo, WireError> {
+    fn device(&mut self) -> Result<DeviceView<'a>, WireError> {
         let address = self.address()?;
-        let name = self.string()?;
+        let name = self.str()?;
         let mobility = MobilityClass::from_value(self.u8()?).ok_or(WireError::InvalidValue("mobility class"))?;
         let checksum = Checksum(self.u32()?);
         let tech_count = self.u8()? as usize;
-        let mut techs = Vec::with_capacity(self.capped(tech_count));
+        let techs_at = self.pos;
+        // Byte by byte, not `take(tech_count)`: a bad tech byte ahead of the
+        // point where the frame runs out is an invalid value, not a
+        // truncation.
         for _ in 0..tech_count {
-            techs.push(self.tech()?);
+            tech_from_byte(self.u8()?).ok_or(WireError::InvalidValue("radio technology"))?;
         }
-        Ok(DeviceInfo {
+        Ok(DeviceView {
             address,
-            name: name.into(),
+            name,
             mobility,
             checksum,
-            techs: techs.into(),
+            techs: &self.buf[techs_at..self.pos],
         })
     }
-    fn service(&mut self) -> Result<ServiceInfo, WireError> {
-        let name = self.string()?;
-        let attribute = self.string()?;
-        let port = ServicePort(self.u16()?);
-        Ok(ServiceInfo { name, attribute, port })
+    fn service(&mut self) -> Result<ServiceView<'a>, WireError> {
+        Ok(ServiceView {
+            name: self.str()?,
+            attribute: self.str()?,
+            port: ServicePort(self.u16()?),
+        })
     }
-    fn neighbor(&mut self) -> Result<NeighborRecord, WireError> {
+    /// A counted run of services: walked once here, so the iterator handed
+    /// back only ever re-reads bytes that already parsed.
+    fn services(&mut self) -> Result<Services<'a>, WireError> {
+        let left = self.u16()? as usize;
+        let list = Services { r: self.clone(), left };
+        for _ in 0..left {
+            self.service()?;
+        }
+        Ok(list)
+    }
+    fn neighbor(&mut self) -> Result<NeighborView<'a>, WireError> {
         let info = self.device()?;
         let jumps = self.u8()?;
         let hop_count = self.u8()? as usize;
-        let mut hop_qualities = Vec::with_capacity(self.capped(hop_count));
-        for _ in 0..hop_count {
-            hop_qualities.push(self.u8()?);
-        }
-        let svc_count = self.u16()? as usize;
-        let mut services = Vec::with_capacity(self.capped(svc_count));
-        for _ in 0..svc_count {
-            services.push(self.service()?);
-        }
-        Ok(NeighborRecord {
+        let hop_qualities = self.take(hop_count)?;
+        let services = self.services()?;
+        Ok(NeighborView {
             info,
             jumps,
             hop_qualities,
-            services: services.into(),
+            services,
         })
     }
+    fn inquiry_response(&mut self) -> Result<InquiryResponseView<'a>, WireError> {
+        let device = self.device()?;
+        let services = self.services()?;
+        let left = self.u16()? as usize;
+        let neighbors = Neighbors { r: self.clone(), left };
+        for _ in 0..left {
+            self.neighbor()?;
+        }
+        let bridge_load_percent = self.u8()?;
+        Ok(InquiryResponseView {
+            device,
+            services,
+            neighbors,
+            bridge_load_percent,
+        })
+    }
+    /// Version check, then the message tag.
+    fn header(&mut self) -> Result<u8, WireError> {
+        let version = self.u8()?;
+        if version != WIRE_VERSION {
+            return Err(WireError::VersionMismatch(version));
+        }
+        self.u8()
+    }
+    fn finish(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(WireError::TrailingBytes(n)),
+        }
+    }
+}
+
+/// A device description borrowed from a frame.
+#[derive(Debug, Clone, Copy)]
+pub struct DeviceView<'a> {
+    /// Unique device address.
+    pub address: DeviceAddress,
+    /// Human-readable device name.
+    pub name: &'a str,
+    /// Mobility classification.
+    pub mobility: MobilityClass,
+    /// Daemon process-id checksum.
+    pub checksum: Checksum,
+    /// One validated wire byte per radio technology.
+    techs: &'a [u8],
+}
+
+impl<'a> DeviceView<'a> {
+    /// The radio technologies the device's plugins cover.
+    pub fn techs(&self) -> impl ExactSizeIterator<Item = RadioTech> + 'a {
+        self.techs
+            .iter()
+            .map(|&b| tech_from_byte(b).expect("tech bytes were validated when the view was parsed"))
+    }
+
+    /// The owned description. Where `like` — a description the caller
+    /// already holds — has the same name or technology list, its `Rc` is
+    /// shared instead of a new one allocated ([`DeviceInfo`] compares and
+    /// encodes contents, so the sharing is invisible).
+    pub fn to_info(&self, like: Option<&DeviceInfo>) -> DeviceInfo {
+        let name = match like {
+            Some(like) if *like.name == *self.name => like.name.clone(),
+            _ => self.name.into(),
+        };
+        let techs = match like {
+            Some(like) if self.techs().eq(like.techs.iter().copied()) => like.techs.clone(),
+            _ => self.techs().collect(),
+        };
+        DeviceInfo {
+            address: self.address,
+            name,
+            mobility: self.mobility,
+            checksum: self.checksum,
+            techs,
+        }
+    }
+}
+
+/// A service description borrowed from a frame.
+#[derive(Debug, Clone, Copy)]
+pub struct ServiceView<'a> {
+    /// Service name.
+    pub name: &'a str,
+    /// Free-form attribute string.
+    pub attribute: &'a str,
+    /// Port the service listens on.
+    pub port: ServicePort,
+}
+
+impl ServiceView<'_> {
+    /// The owned description.
+    pub fn to_info(&self) -> ServiceInfo {
+        ServiceInfo {
+            name: self.name.to_owned(),
+            attribute: self.attribute.to_owned(),
+            port: self.port,
+        }
+    }
+
+    fn describes(&self, service: &ServiceInfo) -> bool {
+        self.name == service.name && self.attribute == service.attribute && self.port == service.port
+    }
+}
+
+/// The services of one device in a frame: a cheap-to-clone iterator over
+/// bytes that were validated when the enclosing view was parsed.
+#[derive(Clone)]
+pub struct Services<'a> {
+    r: Reader<'a>,
+    left: usize,
+}
+
+impl<'a> Iterator for Services<'a> {
+    type Item = ServiceView<'a>;
+    fn next(&mut self) -> Option<ServiceView<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        Some(
+            self.r
+                .service()
+                .expect("services were validated when the view was parsed"),
+        )
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Services<'_> {}
+
+impl Services<'_> {
+    /// The owned list, shared with `like` when that holds exactly these
+    /// services (see [`DeviceView::to_info`]).
+    pub fn to_shared(&self, like: Option<&Rc<[ServiceInfo]>>) -> Rc<[ServiceInfo]> {
+        match like {
+            Some(like) if self.len() == like.len() && self.clone().zip(like.iter()).all(|(v, s)| v.describes(s)) => {
+                like.clone()
+            }
+            _ => self.clone().map(|s| s.to_info()).collect(),
+        }
+    }
+}
+
+/// One neighbour record borrowed from a frame.
+#[derive(Clone)]
+pub struct NeighborView<'a> {
+    /// The advertised device.
+    pub info: DeviceView<'a>,
+    /// Jump count as seen from the responding device.
+    pub jumps: u8,
+    /// Per-hop qualities along the responder's route, nearest hop first.
+    pub hop_qualities: &'a [u8],
+    /// Services the device offers.
+    pub services: Services<'a>,
+}
+
+impl NeighborView<'_> {
+    /// The owned record.
+    pub fn to_record(&self) -> NeighborRecord {
+        NeighborRecord {
+            info: self.info.to_info(None),
+            jumps: self.jumps,
+            hop_qualities: self.hop_qualities.to_vec(),
+            services: self.services.to_shared(None),
+        }
+    }
+}
+
+/// The neighbour records of a report (see [`Services`]). The default is the
+/// empty list.
+#[derive(Clone, Default)]
+pub struct Neighbors<'a> {
+    r: Reader<'a>,
+    left: usize,
+}
+
+impl<'a> Iterator for Neighbors<'a> {
+    type Item = NeighborView<'a>;
+    fn next(&mut self) -> Option<NeighborView<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        Some(
+            self.r
+                .neighbor()
+                .expect("records were validated when the view was parsed"),
+        )
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Neighbors<'_> {}
+
+/// A [`Message::InquiryResponse`] read in place: every field borrowed from
+/// the frame, the whole frame validated before the view exists.
+#[derive(Clone)]
+pub struct InquiryResponseView<'a> {
+    /// The responding device's description.
+    pub device: DeviceView<'a>,
+    /// Services registered on the responding device.
+    pub services: Services<'a>,
+    /// The responder's exported device storage.
+    pub neighbors: Neighbors<'a>,
+    /// Bridge load as a percentage of the configured maximum.
+    pub bridge_load_percent: u8,
+}
+
+impl InquiryResponseView<'_> {
+    /// The owned message — what [`decode`] returns for the same frame.
+    pub fn to_message(&self) -> Message {
+        Message::InquiryResponse {
+            device: self.device.to_info(None),
+            services: self.services.clone().map(|s| s.to_info()).collect(),
+            neighbors: self.neighbors.clone().map(|n| n.to_record()).collect(),
+            bridge_load_percent: self.bridge_load_percent,
+        }
+    }
+}
+
+/// Reads an inquiry-response frame in place, without allocating.
+///
+/// # Errors
+///
+/// Exactly [`decode`]'s error for the same bytes when the frame carries the
+/// inquiry-response tag; [`WireError::UnknownTag`] when it is some other
+/// message.
+pub fn view_inquiry_response(frame: &[u8]) -> Result<InquiryResponseView<'_>, WireError> {
+    let mut r = Reader::new(frame);
+    match r.header()? {
+        TAG_INQUIRY_RESPONSE => {}
+        other => return Err(WireError::UnknownTag(other)),
+    }
+    let view = r.inquiry_response()?;
+    r.finish()?;
+    Ok(view)
 }
 
 /// Encodes a message into a freshly allocated self-contained frame.
@@ -288,10 +599,9 @@ pub fn encode_frame(message: &Message, scratch: &mut Vec<u8>) -> Frame {
 /// normally cleared by the caller; [`encode`]/[`encode_frame`] do so).
 pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
     let mut w = Writer { buf };
-    w.u8(WIRE_VERSION);
     match message {
         Message::InquiryRequest { requester } => {
-            w.u8(TAG_INQUIRY_REQUEST);
+            w.header(TAG_INQUIRY_REQUEST);
             w.device(requester);
         }
         Message::InquiryResponse {
@@ -300,17 +610,11 @@ pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
             neighbors,
             bridge_load_percent,
         } => {
-            w.u8(TAG_INQUIRY_RESPONSE);
-            w.device(device);
-            w.u16(services.len() as u16);
-            for s in services {
-                w.service(s);
-            }
-            w.u16(neighbors.len() as u16);
+            let mut report = InquiryResponseWriter::begin(w.buf, device, services);
             for n in neighbors {
-                w.neighbor(n);
+                report.neighbor(&n.info, n.jumps, &n.hop_qualities, &n.services);
             }
-            w.u8(*bridge_load_percent);
+            report.finish(*bridge_load_percent);
         }
         Message::ConnectRequest {
             conn_id,
@@ -318,7 +622,7 @@ pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
             client,
             reply_context,
         } => {
-            w.u8(TAG_CONNECT_REQUEST);
+            w.header(TAG_CONNECT_REQUEST);
             w.conn(*conn_id);
             w.string(service);
             w.device(client);
@@ -331,7 +635,7 @@ pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
             client,
             reply_context,
         } => {
-            w.u8(TAG_BRIDGE_REQUEST);
+            w.header(TAG_BRIDGE_REQUEST);
             w.conn(*conn_id);
             w.address(*destination);
             w.string(service);
@@ -339,22 +643,22 @@ pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
             w.opt_conn(*reply_context);
         }
         Message::Accept { conn_id } => {
-            w.u8(TAG_ACCEPT);
+            w.header(TAG_ACCEPT);
             w.conn(*conn_id);
         }
         Message::Error { conn_id, code, detail } => {
-            w.u8(TAG_ERROR);
+            w.header(TAG_ERROR);
             w.conn(*conn_id);
             w.u8(code.code());
             w.string(detail);
         }
         Message::Data { conn_id, payload } => {
-            w.u8(TAG_DATA);
+            w.header(TAG_DATA);
             w.conn(*conn_id);
             w.bytes(payload);
         }
         Message::Disconnect { conn_id } => {
-            w.u8(TAG_DISCONNECT);
+            w.header(TAG_DISCONNECT);
             w.conn(*conn_id);
         }
     }
@@ -368,62 +672,57 @@ pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
 /// trailing-garbage frames.
 pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
     let mut r = Reader::new(frame);
-    let version = r.u8()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::VersionMismatch(version));
-    }
-    let tag = r.u8()?;
-    let message = match tag {
-        TAG_INQUIRY_REQUEST => Message::InquiryRequest { requester: r.device()? },
+    let message = match r.header()? {
+        TAG_INQUIRY_REQUEST => Message::InquiryRequest {
+            requester: r.device()?.to_info(None),
+        },
+        // Record by record rather than `inquiry_response()?.to_message()`:
+        // the same element parsers and conversions, without walking the
+        // frame once more just to validate it ahead of the conversion.
         TAG_INQUIRY_RESPONSE => {
-            let device = r.device()?;
-            let svc_count = r.u16()? as usize;
-            let mut services = Vec::with_capacity(r.capped(svc_count));
-            for _ in 0..svc_count {
-                services.push(r.service()?);
+            let device = r.device()?.to_info(None);
+            let services = r.services()?.map(|s| s.to_info()).collect();
+            let count = r.u16()? as usize;
+            // Every record occupies at least one byte, so a corrupted count
+            // can never reserve more slots than the frame has bytes left.
+            let mut neighbors = Vec::with_capacity(count.min(r.remaining()));
+            for _ in 0..count {
+                neighbors.push(r.neighbor()?.to_record());
             }
-            let n_count = r.u16()? as usize;
-            let mut neighbors = Vec::with_capacity(r.capped(n_count));
-            for _ in 0..n_count {
-                neighbors.push(r.neighbor()?);
-            }
-            let bridge_load_percent = r.u8()?;
             Message::InquiryResponse {
                 device,
                 services,
                 neighbors,
-                bridge_load_percent,
+                bridge_load_percent: r.u8()?,
             }
         }
         TAG_CONNECT_REQUEST => Message::ConnectRequest {
             conn_id: r.conn()?,
-            service: r.string()?,
-            client: r.device()?,
+            service: r.str()?.to_owned(),
+            client: r.device()?.to_info(None),
             reply_context: r.opt_conn()?,
         },
         TAG_BRIDGE_REQUEST => Message::BridgeRequest {
             conn_id: r.conn()?,
             destination: r.address()?,
-            service: r.string()?,
-            client: r.device()?,
+            service: r.str()?.to_owned(),
+            client: r.device()?.to_info(None),
             reply_context: r.opt_conn()?,
         },
         TAG_ACCEPT => Message::Accept { conn_id: r.conn()? },
         TAG_ERROR => Message::Error {
             conn_id: r.conn()?,
             code: ErrorCode::from_code(r.u8()?).ok_or(WireError::InvalidValue("error code"))?,
-            detail: r.string()?,
+            detail: r.str()?.to_owned(),
         },
         TAG_DATA => Message::Data {
             conn_id: r.conn()?,
-            payload: r.bytes()?,
+            payload: r.bytes()?.to_vec(),
         },
         TAG_DISCONNECT => Message::Disconnect { conn_id: r.conn()? },
         other => return Err(WireError::UnknownTag(other)),
     };
-    if r.remaining() > 0 {
-        return Err(WireError::TrailingBytes(r.remaining()));
-    }
+    r.finish()?;
     Ok(message)
 }
 
@@ -627,17 +926,21 @@ mod tests {
         ][rng.index(6)]
     }
 
+    fn arb_report(rng: &mut SimRng) -> Message {
+        Message::InquiryResponse {
+            device: arb_device(rng),
+            services: (0..rng.range(0usize..4)).map(|_| arb_service(rng)).collect(),
+            neighbors: (0..rng.range(0usize..4)).map(|_| arb_neighbor(rng)).collect(),
+            bridge_load_percent: rng.range(0u8..=255),
+        }
+    }
+
     fn arb_message(rng: &mut SimRng) -> Message {
         match rng.index(8) {
             0 => Message::InquiryRequest {
                 requester: arb_device(rng),
             },
-            1 => Message::InquiryResponse {
-                device: arb_device(rng),
-                services: (0..rng.range(0usize..4)).map(|_| arb_service(rng)).collect(),
-                neighbors: (0..rng.range(0usize..4)).map(|_| arb_neighbor(rng)).collect(),
-                bridge_load_percent: rng.range(0u8..=255),
-            },
+            1 => arb_report(rng),
             2 => Message::ConnectRequest {
                 conn_id: arb_conn(rng),
                 service: arb_string(rng, b"abcz-", 16),
@@ -673,6 +976,60 @@ mod tests {
             let frame = encode(&message);
             let decoded = decode(&frame).unwrap();
             assert_eq!(decoded, message);
+        }
+    }
+
+    #[test]
+    fn view_and_decode_are_one_grammar() {
+        // Whenever a frame carries the report tag, reading it in place and
+        // decoding it must agree on everything: the same message, or the
+        // same error — including which of two defects is reported first (a
+        // bad tech byte ahead of the truncation point is an invalid value).
+        // Non-report frames are in the mix because a mutation of byte 1 can
+        // put the report tag on another message's body.
+        fn agree(frame: &[u8]) {
+            if frame.get(1) == Some(&TAG_INQUIRY_RESPONSE) {
+                let viewed = view_inquiry_response(frame).map(|v| v.to_message());
+                assert_eq!(viewed, decode(frame), "frame {frame:?}");
+            }
+        }
+        // Known answer for that ordering: two announced techs, the first one
+        // invalid, the second one cut off.
+        let two_techs = encode(&Message::InquiryResponse {
+            device: device(1),
+            services: vec![],
+            neighbors: vec![],
+            bridge_load_percent: 0,
+        });
+        let techs_at = 2 + 6 + 2 + "dev1".len() + 1 + 4 + 1;
+        let mut cut = two_techs[..techs_at + 1].to_vec();
+        assert_eq!(decode(&cut), Err(WireError::Truncated));
+        cut[techs_at] = 9;
+        assert_eq!(decode(&cut), Err(WireError::InvalidValue("radio technology")));
+        agree(&cut);
+
+        let mut rng = SimRng::new(0x0E_6A44A2);
+        for round in 0..160 {
+            let message = if round % 4 == 0 {
+                arb_message(&mut rng)
+            } else {
+                arb_report(&mut rng)
+            };
+            let frame = encode(&message);
+            agree(&frame);
+            assert_eq!(decode(&frame).as_ref(), Ok(&message));
+            for len in 0..frame.len() {
+                agree(&frame[..len]);
+            }
+            let mut mutated = frame.clone();
+            for at in 0..frame.len() {
+                let flip = 1 << rng.index(8);
+                for byte in [0, 1, 2, 0xFF, frame[at] ^ flip, frame[at].wrapping_add(1)] {
+                    mutated[at] = byte;
+                    agree(&mutated);
+                }
+                mutated[at] = frame[at];
+            }
         }
     }
 

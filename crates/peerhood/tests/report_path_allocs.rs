@@ -1,0 +1,232 @@
+//! The neighbour-report path's two properties, pinned where tier-1 sees them:
+//! a report that teaches the storage nothing allocates nothing, and what a
+//! report does teach is stored once per fleet, not once per entry. Plus the
+//! serving side's reference check: the reply streamed from the storage is the
+//! frame `wire::encode` writes for the message built record by record.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use peerhood::config::{DiscoveryMode, PeerHoodConfig};
+use peerhood::daemon::{Daemon, BRIDGE_SERVICE_NAME};
+use peerhood::device::{DeviceInfo, MobilityClass};
+use peerhood::proto::{Message, NeighborRecord};
+use peerhood::service::ServiceInfo;
+use peerhood::wire;
+use simnet::rng::SimRng;
+use simnet::{NodeId, RadioTech, SimTime};
+
+thread_local! {
+    /// Allocations made by this thread (`cargo test` runs tests in parallel,
+    /// so a process-wide count would see the neighbours' work).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded to `System` unchanged; the only addition is
+// a bump of a const-initialised, destructor-free thread-local `Cell`, which
+// neither allocates nor can be observed by the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's contract for `alloc` is `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`, and the caller upholds `realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// A device of one fleet: every node advertises the same name, technology
+/// list and services, as the benchmark's cities do.
+fn fleet_device(n: u64) -> DeviceInfo {
+    DeviceInfo::new(NodeId::from_raw(n), "metro", MobilityClass::Dynamic, &[RadioTech::Wlan])
+}
+
+fn fleet_services() -> Vec<ServiceInfo> {
+    vec![ServiceInfo::new("metro.echo", "v1", 7)]
+}
+
+/// The frame responder 1 sends: itself plus devices 100..125 at 0–2 jumps.
+fn fleet_report() -> Vec<u8> {
+    let neighbors = (0..25u64)
+        .map(|i| NeighborRecord {
+            info: fleet_device(100 + i),
+            jumps: (i % 3) as u8,
+            hop_qualities: vec![240; (i % 3) as usize + 1],
+            services: fleet_services().into(),
+        })
+        .collect();
+    wire::encode(&Message::InquiryResponse {
+        device: fleet_device(1),
+        services: fleet_services(),
+        neighbors,
+        bridge_load_percent: 0,
+    })
+}
+
+fn daemon() -> Daemon {
+    Daemon::new(fleet_device(0), &PeerHoodConfig::new("metro", MobilityClass::Dynamic))
+}
+
+#[test]
+fn a_report_of_known_devices_allocates_nothing_in_the_storage() {
+    let frame = fleet_report();
+    let report = wire::view_inquiry_response(&frame).unwrap();
+    let mut d = daemon();
+    let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
+    let learned = d.process_inquiry_response(&report, false, 235, &cfg, SimTime::ZERO);
+    assert_eq!(learned.len(), 26, "the responder and its 25 records");
+
+    // The same report again, one inquiry cycle later: every device is known
+    // and no route is beaten. Reading the frame and folding its records into
+    // the storage must not touch the heap.
+    let (allocations, learned) = allocations_in(|| {
+        let report = wire::view_inquiry_response(&frame).unwrap();
+        d.storage_mut().integrate_neighbor_views(
+            report.device.address,
+            235,
+            report.device.mobility,
+            report.neighbors.clone(),
+            DiscoveryMode::Dynamic,
+            SimTime::from_secs(10),
+        )
+    });
+    assert!(learned.is_empty());
+    assert_eq!(allocations, 0, "the steady-state report path allocated");
+    assert_eq!(
+        d.storage().get(fleet_device(124).address).unwrap().last_seen,
+        SimTime::from_secs(10),
+        "the records were still read"
+    );
+}
+
+#[test]
+fn entries_learned_from_a_same_fleet_report_share_the_responders_description() {
+    let frame = fleet_report();
+    let report = wire::view_inquiry_response(&frame).unwrap();
+    let mut d = daemon();
+    let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
+    d.process_inquiry_response(&report, false, 235, &cfg, SimTime::ZERO);
+
+    let responder = d.storage().get(fleet_device(1).address).unwrap();
+    for n in 100..125 {
+        let entry = d.storage().get(fleet_device(n).address).unwrap();
+        assert_eq!(entry.info, fleet_device(n));
+        assert!(Rc::ptr_eq(&entry.info.name, &responder.info.name), "name of {n}");
+        assert!(Rc::ptr_eq(&entry.info.techs, &responder.info.techs), "techs of {n}");
+        assert!(Rc::ptr_eq(&entry.services, &responder.services), "services of {n}");
+    }
+
+    // A record that differs is stored as sent, not as the responder's.
+    let stranger = NeighborRecord {
+        info: DeviceInfo::new(
+            NodeId::from_raw(900),
+            "kiosk",
+            MobilityClass::Static,
+            &[RadioTech::Bluetooth],
+        ),
+        jumps: 0,
+        hop_qualities: vec![250],
+        services: vec![ServiceInfo::new("print", "", 3)].into(),
+    };
+    let frame = wire::encode(&Message::InquiryResponse {
+        device: fleet_device(1),
+        services: fleet_services(),
+        neighbors: vec![stranger.clone()],
+        bridge_load_percent: 0,
+    });
+    let report = wire::view_inquiry_response(&frame).unwrap();
+    d.process_inquiry_response(&report, false, 235, &cfg, SimTime::ZERO);
+    let entry = d.storage().get(stranger.info.address).unwrap();
+    assert_eq!(entry.info, stranger.info);
+    assert_eq!(entry.services, stranger.services);
+}
+
+#[test]
+fn the_reply_streamed_from_storage_is_the_frame_of_the_message_built_record_by_record() {
+    let mut rng = SimRng::new(0x5E47E);
+    let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
+    for round in 0..40 {
+        let mut d = daemon();
+        for s in 0..rng.range(0usize..3) {
+            d.register_service(ServiceInfo::new(format!("svc{s}"), "v1", s as u16))
+                .unwrap();
+        }
+        // Direct neighbours, each reporting a few devices up to 9 jumps out.
+        for _ in 0..rng.range(0usize..6) {
+            let responder = fleet_device(rng.range(1u64..40));
+            let services: Vec<ServiceInfo> = (0..rng.range(0usize..3))
+                .map(|s| ServiceInfo::new(format!("r{s}"), "", s as u16))
+                .collect();
+            let quality = rng.range(200u8..=255);
+            d.storage_mut()
+                .upsert_direct(responder.clone(), quality, services, SimTime::ZERO);
+            let records: Vec<NeighborRecord> = (0..rng.range(0usize..8))
+                .map(|_| {
+                    let jumps = rng.range(0u8..9);
+                    NeighborRecord {
+                        info: fleet_device(rng.range(40u64..80)),
+                        jumps,
+                        hop_qualities: (0..=jumps).map(|_| rng.range(200u8..=255)).collect(),
+                        services: fleet_services().into(),
+                    }
+                })
+                .collect();
+            d.storage_mut().integrate_neighbor_report(
+                responder.address,
+                quality,
+                responder.mobility,
+                &records,
+                cfg.discovery.mode,
+                SimTime::ZERO,
+            );
+        }
+        for max_export_jumps in [0, 1, 8] {
+            let load = rng.range(0u8..=100);
+            let expected = wire::encode(&Message::InquiryResponse {
+                device: d.info().clone(),
+                services: d
+                    .registry()
+                    .list()
+                    .iter()
+                    .filter(|s| s.name != BRIDGE_SERVICE_NAME)
+                    .cloned()
+                    .collect(),
+                neighbors: d
+                    .storage()
+                    .devices()
+                    .filter(|e| e.route.jumps <= max_export_jumps)
+                    .map(|e| NeighborRecord {
+                        info: e.info.clone(),
+                        jumps: e.route.jumps,
+                        hop_qualities: e.route.hop_qualities.clone(),
+                        services: e.services.clone(),
+                    })
+                    .collect(),
+                bridge_load_percent: load,
+            });
+            // A dirty buffer: the reply is appended after whatever it holds.
+            let mut streamed = vec![0xEE; round % 3];
+            d.encode_inquiry_response(max_export_jumps, load, &mut streamed);
+            assert_eq!(&streamed[round % 3..], expected.as_slice(), "round {round}");
+        }
+    }
+}
