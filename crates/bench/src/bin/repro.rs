@@ -7,19 +7,23 @@
 //! cargo run -p bench --release --bin repro -- --list                # experiments & parameters
 //! cargo run -p bench --release --bin repro -- churn --quick         # one experiment (slug or id)
 //! cargo run -p bench --release --bin repro -- e8 --seed 7
+//! cargo run -p bench --release --bin repro -- churn --quick --nodes 40 --churn 240
 //! cargo run -p bench --release --bin repro -- metropolis --quick --telemetry --profile
-//! cargo run -p bench --release --bin repro -- hotspot --quick --shards 4 --adaptive-shards
+//! cargo run -p bench --release --bin repro -- hotspot --quick --shards 4 --adaptive off
 //! cargo run -p bench --release --bin repro -- watch overload --quick
 //! cargo run -p bench --release --bin repro -- sweep churn --seeds 8 --threads 8 --quick
 //! cargo run -p bench --release --bin repro -- sweep churn --quick \
 //!     --grid churn=0,60,240 --grid nodes=100 --seeds 4 --json BENCH_sweep.json
 //! ```
 //!
-//! Every subcommand accepts `--seed N` and `--quick` uniformly. Suite and
-//! single-experiment output is one markdown table per experiment;
-//! `sweep` prints an aggregated statistics table (mean/stddev/min/max/95%
-//! CI across seeds, grouped by grid point) and writes the same aggregation
-//! as JSON — byte-identical for any `--threads` value.
+//! Every subcommand accepts `--seed N` and `--quick` uniformly, and a single
+//! experiment accepts `--<key> <value>` for every parameter `--list` shows
+//! under it — the same keys `sweep --grid` takes, checked by the same table
+//! row. Suite and single-experiment output is one markdown table per
+//! experiment; `sweep` prints an aggregated statistics table
+//! (mean/stddev/min/max/95% CI across seeds, grouped by grid point) and
+//! writes the same aggregation as JSON — byte-identical for any `--threads`
+//! value.
 //!
 //! The telemetry plane (`--telemetry`, `--profile`, `watch`) writes to
 //! **stderr** and side files only: the stdout report stays byte-identical
@@ -27,8 +31,9 @@
 
 use std::io::{self, ErrorKind, StdoutLock, Write};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use scenarios::experiments::{find, registry, Params};
+use scenarios::experiments::{find, registry, Experiment, Params};
 use scenarios::telemetry::{TelemetryMode, TelemetrySettings};
 use scenarios::{run_all, Effort};
 use simnet::SimDuration;
@@ -38,10 +43,12 @@ use sweep::{aggregate, run_sweep, SweepSpec};
 const DEFAULT_SUITE_SEED: u64 = 20080815;
 /// Default JSON artifact path of `sweep` (CI uploads it).
 const DEFAULT_SWEEP_JSON: &str = "BENCH_sweep.json";
+/// The flags that stand alone; every other `--flag` is followed by a value.
+const SWITCHES: [&str; 5] = ["--quick", "--list", "--telemetry", "--shard-series", "--profile"];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match Cli::parse(&args).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
@@ -51,69 +58,106 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let quick = args.iter().any(|a| a == "--quick");
-    let effort = if quick { Effort::Quick } else { Effort::Full };
-    let seed = flag_value(args, "--seed")?
-        .map(|s| s.parse::<u64>().map_err(|_| format!("--seed: `{s}` is not a u64")))
-        .transpose()?;
+/// The command line, split once into subcommand words, switches and
+/// `--flag value` options (flag names without the dashes, in order).
+struct Cli<'a> {
+    words: Vec<&'a str>,
+    switches: Vec<&'a str>,
+    options: Vec<(&'a str, &'a str)>,
+}
 
-    if args.iter().any(|a| a == "--list") {
+impl<'a> Cli<'a> {
+    fn parse(args: &'a [String]) -> Result<Self, String> {
+        let mut cli = Cli {
+            words: Vec::new(),
+            switches: Vec::new(),
+            options: Vec::new(),
+        };
+        let mut args = args.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            match arg.strip_prefix("--") {
+                None => cli.words.push(arg),
+                Some(_) if SWITCHES.contains(&arg) => cli.switches.push(arg),
+                Some(flag) => match args.next().filter(|v| !v.starts_with("--")) {
+                    Some(value) => cli.options.push((flag, value)),
+                    None => {
+                        return Err(format!(
+                            "{arg} needs a value (only {} stand alone)",
+                            SWITCHES.join(", ")
+                        ))
+                    }
+                },
+            }
+        }
+        Ok(cli)
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.switches.contains(&name)
+    }
+
+    /// Removes every `--flag value` and returns the values in order.
+    fn take_all(&mut self, flag: &str) -> Vec<&'a str> {
+        let values = self
+            .options
+            .iter()
+            .filter(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
+            .collect();
+        self.options.retain(|(f, _)| *f != flag);
+        values
+    }
+
+    /// Removes `--flag value` and parses the value (the last one given wins);
+    /// `what` names the expected type in the error.
+    fn take<T: FromStr>(&mut self, flag: &str, what: &str) -> Result<Option<T>, String> {
+        self.take_all(flag)
+            .pop()
+            .map(|s| s.parse().map_err(|_| format!("--{flag}: `{s}` is not {what}")))
+            .transpose()
+    }
+
+    /// Accounts for everything the subcommand did not take: sweep-only flags
+    /// on other subcommands and typos alike fail loudly instead of being
+    /// dropped. With an experiment, each remaining `--key value` must be one
+    /// of its declared parameters and becomes an override of the run.
+    fn finish(self, words: usize, switches: &[&str], experiment: Option<&Experiment>) -> Result<Params, String> {
+        if let Some(word) = self.words.get(words) {
+            return Err(format!("unexpected argument `{word}`"));
+        }
+        if let Some(switch) = self.switches.iter().find(|s| !switches.contains(s)) {
+            return Err(format!(
+                "unknown flag `{switch}` here (allowed: {})",
+                switches.join(", ")
+            ));
+        }
+        let mut params = Params::new();
+        for (key, value) in self.options {
+            match experiment {
+                Some(e) => e.check(key, value).map_err(|e| format!("--{key}: {e}"))?,
+                None => return Err(format!("unknown flag `--{key}` here")),
+            }
+            params.set(key, value);
+        }
+        Ok(params)
+    }
+}
+
+fn run(mut cli: Cli) -> Result<(), String> {
+    if cli.switch("--list") {
         return print_out(list);
     }
-    match first_positional(args) {
-        Some("sweep") => {
-            reject_unknown_flags(args, &["--quick", "--seed", "--seeds", "--threads", "--grid", "--json"])?;
-            run_sweep_command(args, seed, quick)
-        }
-        Some("watch") => {
-            // Live mode: one experiment with frame streaming forced on.
-            reject_unknown_flags(
-                args,
-                &[
-                    "--quick",
-                    "--seed",
-                    "--shards",
-                    "--adaptive-shards",
-                    "--imbalance",
-                    "--patience",
-                    "--shard-series",
-                    "--interval",
-                    "--telemetry-jsonl",
-                    "--profile",
-                    "--defenses",
-                ],
-            )?;
-            let watch_at = args.iter().position(|a| a == "watch").expect("dispatched on `watch`");
-            let name = first_positional(&args[watch_at + 1..])
-                .ok_or("watch needs an experiment, e.g. `repro watch overload`")?;
-            run_one(name, args, seed, quick, effort, true)
-        }
-        Some(name) => {
-            // Reject sweep-only (and mistyped) flags instead of silently
-            // running something other than what was asked for.
-            reject_unknown_flags(
-                args,
-                &[
-                    "--quick",
-                    "--seed",
-                    "--shards",
-                    "--adaptive-shards",
-                    "--imbalance",
-                    "--patience",
-                    "--shard-series",
-                    "--telemetry",
-                    "--interval",
-                    "--telemetry-jsonl",
-                    "--profile",
-                    "--defenses",
-                ],
-            )?;
-            run_one(name, args, seed, quick, effort, false)
-        }
+    let quick = cli.switch("--quick");
+    let seed = cli.take::<u64>("seed", "a u64")?;
+    match cli.words.first().copied() {
+        Some("sweep") => run_sweep_command(cli, seed, quick),
+        // Live mode: one experiment with frame streaming forced on.
+        Some("watch") => run_one(cli, true, seed, quick),
+        Some(_) => run_one(cli, false, seed, quick),
         None => {
             // The full E1-E19 suite.
-            reject_unknown_flags(args, &["--quick", "--seed"])?;
+            cli.finish(0, &["--quick"], None)?;
+            let effort = if quick { Effort::Quick } else { Effort::Full };
             let seed = seed.unwrap_or(DEFAULT_SUITE_SEED);
             eprintln!("running the E1-E19 experiment suite (seed {seed}, {effort:?}) ...");
             let reports = run_all(seed, effort);
@@ -129,77 +173,42 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 /// Runs a single experiment (`repro <exp>` or `repro watch <exp>`): resolves
-/// the slug, applies `--shards`, engages the telemetry plane per the flags
-/// and prints the report to stdout and every telemetry artefact to stderr.
-fn run_one(
-    name: &str,
-    args: &[String],
-    seed: Option<u64>,
-    quick: bool,
-    effort: Effort,
-    watch: bool,
-) -> Result<(), String> {
-    let shards = flag_value(args, "--shards")?
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|_| format!("--shards: `{s}` is not a count"))
-        })
-        .transpose()?;
-    // `--shards` means the parallel engine: E15's sequential city has
-    // no shard knob, so reroute the request to the sharded metropolis.
-    let name = if shards.is_some() && find(name).map(|e| e.id() == "E15").unwrap_or(false) {
+/// the slug, turns every `--<key> <value>` into a parameter override, engages
+/// the telemetry plane per the flags and prints the report to stdout and
+/// every telemetry artefact to stderr.
+fn run_one(mut cli: Cli, watch: bool, seed: Option<u64>, quick: bool) -> Result<(), String> {
+    // The experiment follows the `watch` word, or is the first word itself.
+    let name_at = usize::from(watch);
+    let name = *cli
+        .words
+        .get(name_at)
+        .ok_or("watch needs an experiment, e.g. `repro watch overload`")?;
+    let mut experiment = find(name).ok_or_else(|| format!("unknown experiment `{name}`"))?;
+    // `--shards` means the parallel engine: E15's sequential city has no
+    // shard parameter, so reroute the request to the sharded metropolis.
+    if experiment.id == "E15" && cli.options.iter().any(|(key, _)| *key == "shards") {
         eprintln!("note: --shards selects the sharded engine; running E17 (sharded-metropolis) instead of E15");
-        "sharded-metropolis"
-    } else {
-        name
-    };
-    // A single experiment by slug or id, through the uniform trait.
-    let experiment = find(name).ok_or_else(|| format!("unknown experiment `{name}`"))?;
-    let mut params = Params::new();
-    if let Some(shards) = shards {
-        if !experiment.params().iter().any(|p| p.key == "shards") {
-            return Err(format!("{} does not take --shards", experiment.id()));
-        }
-        params.set("shards", shards.to_string());
-    }
-    // The load-balancing knobs map onto grid parameters of the same name
-    // (E18 carries them); like --shards they change wall-clock time only.
-    if args.iter().any(|a| a == "--adaptive-shards") {
-        if !experiment.params().iter().any(|p| p.key == "adaptive") {
-            return Err(format!("{} does not take --adaptive-shards", experiment.id()));
-        }
-        params.set("adaptive", "on");
-    }
-    for (flag, key) in [
-        ("--imbalance", "imbalance"),
-        ("--patience", "patience"),
-        ("--defenses", "defenses"),
-    ] {
-        if let Some(value) = flag_value(args, flag)? {
-            let spec = experiment
-                .params()
-                .iter()
-                .find(|p| p.key == key)
-                .ok_or_else(|| format!("{} does not take {flag}", experiment.id()))?;
-            spec.kind.check(&value).map_err(|e| format!("{flag}: {e}"))?;
-            params.set(key, value);
-        }
+        experiment = find("E17").expect("E17 is registered");
     }
 
-    let jsonl_path = flag_value(args, "--telemetry-jsonl")?;
-    let profile = args.iter().any(|a| a == "--profile");
-    let record = args.iter().any(|a| a == "--telemetry") || jsonl_path.is_some();
-    let interval = match flag_value(args, "--interval")? {
-        Some(s) => {
-            let secs: f64 = s
-                .parse()
-                .ok()
-                .filter(|v: &f64| v.is_finite() && *v > 0.0)
-                .ok_or_else(|| format!("--interval: `{s}` is not a positive number of seconds"))?;
-            SimDuration::from_secs_f64(secs)
-        }
+    let jsonl_path = cli.take::<String>("telemetry-jsonl", "a path")?;
+    let interval = match cli.take::<f64>("interval", "a positive number of seconds")? {
+        Some(secs) if secs.is_finite() && secs > 0.0 => SimDuration::from_secs_f64(secs),
+        Some(secs) => return Err(format!("--interval: `{secs}` is not a positive number of seconds")),
         None => TelemetrySettings::default().sample_interval,
     };
+    let profile = cli.switch("--profile");
+    let record = cli.switch("--telemetry") || jsonl_path.is_some();
+    // Per-shard series are layout-dependent, so they are a deliberate
+    // opt-in: the default captures diff clean across --shards values.
+    let shard_series = cli.switch("--shard-series");
+    let switches: &[&str] = if watch {
+        &["--quick", "--shard-series", "--profile"]
+    } else {
+        &["--quick", "--telemetry", "--shard-series", "--profile"]
+    };
+    let params = cli.finish(name_at + 1, switches, Some(experiment))?;
+
     let mode = if watch {
         TelemetryMode::Watch
     } else if record {
@@ -211,18 +220,16 @@ fn run_one(
         mode,
         sample_interval: interval,
         profile,
-        // Per-shard series are layout-dependent, so they are a deliberate
-        // opt-in: the default captures diff clean across --shards values.
-        shard_series: args.iter().any(|a| a == "--shard-series"),
+        shard_series,
     });
 
-    let seed = seed.unwrap_or_else(|| experiment.suite_seed(DEFAULT_SUITE_SEED));
+    let seed = seed.unwrap_or_else(|| experiment.suite_seed.unwrap_or(DEFAULT_SUITE_SEED));
+    let effort = if quick { Effort::Quick } else { Effort::Full };
     eprintln!(
         "running {} ({}) with seed {seed} ({effort:?}) ...",
-        experiment.id(),
-        experiment.slug()
+        experiment.id, experiment.slug
     );
-    let report = experiment.run(seed, &params, quick).report;
+    let report = experiment.run(seed, &params, quick)?.report;
     print_out(|out| writeln!(out, "{report}"))?;
 
     let captures = scenarios::telemetry::take_captures();
@@ -231,7 +238,7 @@ fn run_one(
         eprintln!(
             "note: {} left no telemetry frames (every world-based runner E1-E19 is instrumented; \
              E2/E3 are closed-form)",
-            experiment.id()
+            experiment.id
         );
     }
     let mut jsonl = String::new();
@@ -264,77 +271,32 @@ fn print_out(write: impl FnOnce(&mut StdoutLock<'static>) -> io::Result<()>) -> 
     }
 }
 
-/// Errors on any `--flag` outside `allowed` — sweep-only flags on other
-/// subcommands and typos alike fail loudly instead of being dropped.
-fn reject_unknown_flags(args: &[String], allowed: &[&str]) -> Result<(), String> {
-    for arg in args {
-        if arg.starts_with("--") && !allowed.contains(&arg.as_str()) {
-            return Err(format!("unknown flag `{arg}` here (allowed: {})", allowed.join(", ")));
-        }
-    }
-    Ok(())
-}
-
-/// First token that is neither a flag nor a flag value — the subcommand,
-/// wherever it sits among the flags.
-fn first_positional(args: &[String]) -> Option<&str> {
-    const VALUE_FLAGS: [&str; 11] = [
-        "--seed",
-        "--seeds",
-        "--threads",
-        "--json",
-        "--grid",
-        "--shards",
-        "--imbalance",
-        "--patience",
-        "--interval",
-        "--telemetry-jsonl",
-        "--defenses",
-    ];
-    let mut skip_value = false;
-    for arg in args {
-        if skip_value {
-            skip_value = false;
-            continue;
-        }
-        if arg.starts_with("--") {
-            skip_value = VALUE_FLAGS.contains(&arg.as_str());
-            continue;
-        }
-        return Some(arg);
-    }
-    None
-}
-
 /// `repro sweep <experiment> [--seeds N] [--seed BASE] [--threads N]
 /// [--grid k=v1,v2,...]... [--quick] [--json PATH]`
-fn run_sweep_command(args: &[String], base_seed: Option<u64>, quick: bool) -> Result<(), String> {
-    let sweep_at = args.iter().position(|a| a == "sweep").expect("dispatched on `sweep`");
-    let experiment =
-        first_positional(&args[sweep_at + 1..]).ok_or("sweep needs an experiment, e.g. `repro sweep churn`")?;
-    let seeds: usize = match flag_value(args, "--seeds")? {
-        Some(s) => s.parse().map_err(|_| format!("--seeds: `{s}` is not a count"))?,
-        None => 8,
-    };
-    let threads: usize = match flag_value(args, "--threads")? {
-        Some(s) => s.parse().map_err(|_| format!("--threads: `{s}` is not a count"))?,
-        None => std::thread::available_parallelism().map(usize::from).unwrap_or(1),
-    };
-    let json_path = flag_value(args, "--json")?.unwrap_or_else(|| DEFAULT_SWEEP_JSON.to_string());
+fn run_sweep_command(mut cli: Cli, base_seed: Option<u64>, quick: bool) -> Result<(), String> {
+    let experiment = *cli
+        .words
+        .get(1)
+        .ok_or("sweep needs an experiment, e.g. `repro sweep churn`")?;
+    let seeds = cli.take::<usize>("seeds", "a count")?.unwrap_or(8);
+    let threads = cli
+        .take::<usize>("threads", "a count")?
+        .unwrap_or_else(|| std::thread::available_parallelism().map(usize::from).unwrap_or(1));
+    let json_path = cli
+        .take::<String>("json", "a path")?
+        .unwrap_or_else(|| DEFAULT_SWEEP_JSON.to_string());
 
     let mut spec = SweepSpec::new(experiment)
         .seed_range(base_seed.unwrap_or(42), seeds.max(1))
         .quick(quick);
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--grid" {
-            let kv = args.get(i + 1).ok_or("--grid needs a key=v1,v2,... argument")?;
-            let (key, values) = kv
-                .split_once('=')
-                .ok_or_else(|| format!("--grid: `{kv}` is not key=v1,v2,..."))?;
-            let values: Vec<String> = values.split(',').map(str::to_string).collect();
-            spec = spec.axis(key, values).map_err(|e| e.to_string())?;
-        }
+    for kv in cli.take_all("grid") {
+        let (key, values) = kv
+            .split_once('=')
+            .ok_or_else(|| format!("--grid: `{kv}` is not key=v1,v2,..."))?;
+        let values: Vec<String> = values.split(',').map(str::to_string).collect();
+        spec = spec.axis(key, values).map_err(|e| e.to_string())?;
     }
+    cli.finish(2, &["--quick"], None)?;
     spec.validate().map_err(|e| e.to_string())?;
 
     eprintln!(
@@ -353,35 +315,21 @@ fn run_sweep_command(args: &[String], base_seed: Option<u64>, quick: bool) -> Re
     Ok(())
 }
 
-/// Value of `--flag value`, if present.
-fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
-    match args.iter().position(|a| a == flag) {
-        Some(i) => args
-            .get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .cloned()
-            .map(Some)
-            .ok_or_else(|| format!("{flag} needs a value")),
-        None => Ok(None),
-    }
-}
-
 /// The fixed part of `repro --list`; the experiment table follows it.
 const USAGE: &str = "\
 usage:
   repro [--quick] [--seed N]                 run the full E1-E19 suite
-  repro <experiment> [--quick] [--seed N] [--shards N]
-        [--adaptive-shards] [--imbalance RATIO] [--patience WINDOWS] [--defenses TIER]
+  repro <experiment> [--quick] [--seed N] [--<key> <value>]...
         [--telemetry] [--shard-series] [--interval SECS] [--telemetry-jsonl PATH] [--profile]
                                              run one experiment (slug or id);
-                                             --shards selects the parallel engine (E17/E18);
-                                             --adaptive-shards enables density-adaptive partitions
-                                             (E18; --imbalance / --patience tune the rebalance gate);
-                                             --defenses off|sanity|auth pins E19's security tier;
+                                             --<key> <value> sets any parameter listed under the
+                                             experiment below (the keys `sweep --grid` takes), e.g.
+                                             --shards 4 (E17/E18), --adaptive off (E18),
+                                             --defenses auth (E19), --nodes 40 --churn 240 (E13);
                                              --telemetry records virtual-time series (stderr roll-up,
                                              JSONL side file; --shard-series adds per-shard load gauges),
                                              --profile prints the per-phase breakdown
-  repro watch <experiment> [--quick] [--seed N] [--shards N] [--interval SECS]
+  repro watch <experiment> [--quick] [--seed N] [--<key> <value>]... [--interval SECS]
                                              live mode: stream sampled frames to stderr while running
   repro sweep <experiment> [--seeds N] [--seed BASE] [--threads N]
         [--grid k=v1,v2,...]... [--quick] [--json PATH]
@@ -395,15 +343,9 @@ experiments:
 fn list(out: &mut StdoutLock<'static>) -> io::Result<()> {
     out.write_all(USAGE.as_bytes())?;
     for experiment in registry() {
-        writeln!(
-            out,
-            "  {:4} {:18} {}",
-            experiment.id(),
-            experiment.slug(),
-            experiment.title()
-        )?;
-        for p in experiment.params() {
-            writeln!(out, "         --grid {:18} {}", p.key, p.description)?;
+        writeln!(out, "  {:4} {:18} {}", experiment.id, experiment.slug, experiment.title)?;
+        for (key, help) in experiment.params() {
+            writeln!(out, "         --grid {key:18} {help}")?;
         }
     }
     Ok(())

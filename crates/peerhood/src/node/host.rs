@@ -300,11 +300,6 @@ impl PeerHoodNode {
         self.app::<T>().map(f)
     }
 
-    /// Mutable variant of [`PeerHoodNode::with_app`].
-    pub fn with_app_mut<T: Application, R>(&mut self, f: impl FnOnce(&mut T) -> R) -> Option<R> {
-        self.app_mut::<T>().map(f)
-    }
-
     // ------------------------------------------------------------------
     // Event trace
     // ------------------------------------------------------------------

@@ -234,11 +234,6 @@ impl DeviceStorage {
         self.devices.values()
     }
 
-    /// All known direct neighbours, in address order, without allocating.
-    pub fn direct_neighbors_iter(&self) -> impl Iterator<Item = &StoredDevice> + '_ {
-        self.devices.values().filter(|d| d.is_direct())
-    }
-
     /// Comparison chain of the provider-selection sort: jumps, then nearest
     /// mobility, then (descending) quality sum.
     fn provider_order(a: &StoredDevice, b: &StoredDevice) -> std::cmp::Ordering {

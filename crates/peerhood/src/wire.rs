@@ -7,9 +7,9 @@
 //! buffers produce a [`WireError`] instead of a panic.
 //!
 //! Encoded frames travel as shared [`Frame`]s (`Rc<[u8]>`-backed, re-exported
-//! from [`simnet::Payload`]): [`encode_frame`] writes the bytes into a
+//! from [`simnet::Payload`]): [`encode_into`] writes the bytes into a
 //! caller-owned reusable scratch buffer — so a node's steady-state encode
-//! path stops allocating — and hands back a frame whose clones are free.
+//! path stops allocating — and the frame copied out of it has free clones.
 //! Encode a discovery advertisement once, send it to every neighbour.
 //!
 //! **Neighbour reports never become a [`Message`] on the node's own path.**
@@ -578,25 +578,16 @@ pub fn view_inquiry_response(frame: &[u8]) -> Result<InquiryResponseView<'_>, Wi
 
 /// Encodes a message into a freshly allocated self-contained frame.
 ///
-/// Hot paths should prefer [`encode_into`] / [`encode_frame`] with a reused
-/// scratch buffer; the bytes produced are identical.
+/// Hot paths should prefer [`encode_into`] with a reused scratch buffer; the
+/// bytes produced are identical.
 pub fn encode(message: &Message) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     encode_into(message, &mut buf);
     buf
 }
 
-/// Encodes a message into a shared [`Frame`], using `scratch` as the encode
-/// buffer (cleared first, capacity reused across calls). The returned frame
-/// owns one copy of the bytes; cloning it is free.
-pub fn encode_frame(message: &Message, scratch: &mut Vec<u8>) -> Frame {
-    scratch.clear();
-    encode_into(message, scratch);
-    Frame::copy_from_slice(scratch)
-}
-
 /// Encodes a message by appending its frame bytes to `buf` (which is
-/// normally cleared by the caller; [`encode`]/[`encode_frame`] do so).
+/// normally cleared by the caller; [`encode`] starts from an empty one).
 pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
     let mut w = Writer { buf };
     match message {
@@ -794,26 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_encoding_matches_owned_encoding() {
-        // `encode_frame` through a reused scratch buffer must produce the
-        // byte-identical frame `encode` allocates — including after the
-        // buffer has held a longer message (clearing, not truncating bugs).
-        let mut rng = SimRng::new(0x5C_4A7C4);
-        let mut scratch = Vec::new();
-        for _ in 0..200 {
-            let message = arb_message(&mut rng);
-            let frame = encode_frame(&message, &mut scratch);
-            assert_eq!(frame.as_slice(), encode(&message).as_slice());
-            assert_eq!(decode(&frame).unwrap(), message);
-        }
-        // Clones of a frame share one allocation.
-        let frame = encode_frame(&Message::Accept { conn_id: conn(1, 2) }, &mut scratch);
-        let copy = frame.clone();
-        assert_eq!(frame.ref_count(), 2);
-        assert_eq!(copy.as_slice(), frame.as_slice());
-    }
-
-    #[test]
     fn version_mismatch_detected() {
         let mut frame = encode(&Message::Accept { conn_id: conn(1, 1) });
         frame[0] = 99;
@@ -971,11 +942,18 @@ mod tests {
     #[test]
     fn fuzz_roundtrip() {
         let mut rng = SimRng::new(0xC0DEC);
+        let mut scratch = Vec::new();
         for _ in 0..500 {
             let message = arb_message(&mut rng);
             let frame = encode(&message);
             let decoded = decode(&frame).unwrap();
             assert_eq!(decoded, message);
+            // The node's send path — `encode_into` a cleared, reused scratch
+            // buffer — must produce the same bytes, also after the buffer
+            // has held a longer message.
+            scratch.clear();
+            encode_into(&message, &mut scratch);
+            assert_eq!(scratch, frame);
         }
     }
 

@@ -37,7 +37,9 @@ use peerhood::hostile::{ProtocolForge, HOSTILE_BASE};
 use peerhood::node::PeerHoodNode;
 use peerhood::security::SecurityStats;
 use simnet::prelude::*;
+use simnet::telemetry::Fnv1a;
 
+use crate::experiments::params::{count, seconds, Param};
 use crate::report::ExperimentReport;
 
 use super::overload::{CrowdApp, HotspotApp, HOTSPOT_SERVICE};
@@ -76,13 +78,15 @@ impl Defense {
     }
 }
 
-/// Parses a `defenses=` grid value.
-pub fn parse_defense(value: &str) -> Option<Defense> {
-    match value {
-        "off" => Some(Defense::Off),
-        "sanity" => Some(Defense::Sanity),
-        "auth" => Some(Defense::Auth),
-        _ => None,
+impl std::str::FromStr for Defense {
+    type Err = String;
+
+    /// Parses a `defenses=` grid value.
+    fn from_str(value: &str) -> Result<Self, String> {
+        Defense::ALL
+            .into_iter()
+            .find(|tier| tier.name() == value)
+            .ok_or_else(|| format!("`{value}` is not a defence tier (off|sanity|auth)"))
     }
 }
 
@@ -164,6 +168,25 @@ impl AdversarySettings {
             ..AdversarySettings::full()
         }
     }
+
+    /// The grid parameters of E19, over the settings and the defence tiers
+    /// to run (one report row each).
+    pub const PARAMS: &'static [Param<(Self, Vec<Defense>)>] = &[
+        Param::new(
+            "defenses",
+            "run only one tier (default: off, sanity and auth rows)",
+            |(_, tiers), v| v.parse().map(|tier| *tiers = vec![tier]),
+        ),
+        Param::new("clients", "honest crowd size", |(s, _), v| {
+            count(v).map(|n| s.clients = n)
+        }),
+        Param::new("hostiles", "compromised insiders planted in the crowd", |(s, _), v| {
+            count(v).map(|n| s.hostiles = n)
+        }),
+        Param::new("duration_s", "simulated seconds per tier", |(s, _), v| {
+            seconds(v).map(|d| s.duration = d)
+        }),
+    ];
 }
 
 /// The shared node configuration of the hostile city: the E16 crowd tuning
@@ -198,15 +221,8 @@ fn city_config(settings: &AdversarySettings, defense: Defense) -> Rc<PeerHoodCon
 /// defence tiers by construction, so CI can diff the printed value between
 /// the `off` and `auth` rows as an invariant.
 pub fn plan_digest(plan: &AdversaryPlan) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut digest = FNV_OFFSET;
-    let mut fold = |value: u64| {
-        for b in value.to_be_bytes() {
-            digest ^= b as u64;
-            digest = digest.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut digest = Fnv1a::default();
+    let mut fold = |value: u64| digest.write(&value.to_be_bytes());
     for window in plan.partitions() {
         fold(window.from.as_micros());
         fold(window.until.as_micros());
@@ -220,7 +236,7 @@ pub fn plan_digest(plan: &AdversaryPlan) -> u64 {
         fold(c.until.as_micros());
         fold(c.inject_interval.as_micros());
     }
-    digest
+    digest.finish()
 }
 
 /// The hostile city, built and run in one defence tier. Returns the world,

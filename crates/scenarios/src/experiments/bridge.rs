@@ -61,9 +61,7 @@ pub fn bridge_trial(seed: u64) -> BridgeTrial {
         Box::new(MessagingServer::new("sink")),
     );
     let scope = format!("E6 seed={seed}");
-    crate::telemetry::instrument_world(&mut world, &scope);
-    crate::telemetry::run_world(&mut world, SimDuration::from_secs(500), |_| {});
-    crate::telemetry::finish_world(&mut world, &scope);
+    crate::telemetry::observe(&mut world, &scope, SimDuration::from_secs(500));
     let (connected, setup) = with_app(&mut world, client, |app: &MessagingClient| {
         (app.connected_at.is_some(), app.connection_setup_seconds())
     })
@@ -183,9 +181,7 @@ pub fn e10_coverage_amplification(seed: u64) -> ExperimentReport {
             Box::new(MessagingServer::new("gateway")),
         );
         let scope = format!("E10 bridges={}", if with_bridges { "3" } else { "none" });
-        crate::telemetry::instrument_world(&mut world, &scope);
-        crate::telemetry::run_world(&mut world, SimDuration::from_secs(400), |_| {});
-        crate::telemetry::finish_world(&mut world, &scope);
+        crate::telemetry::observe(&mut world, &scope, SimDuration::from_secs(400));
         let server_addr = peerhood::ids::DeviceAddress::from_node(server);
         let route = world
             .with_agent::<PeerHoodNode, _>(phone, |n, _| {

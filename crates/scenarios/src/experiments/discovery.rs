@@ -9,6 +9,7 @@ use peerhood::quality::route_acceptable;
 use peerhood::route::{best_route, RouteInfo};
 use simnet::prelude::*;
 
+use crate::experiments::params::{seconds, Param};
 use crate::report::ExperimentReport;
 use crate::topology::{
     experiment_config, ground_truth, knowledge_fraction, line_positions, random_positions, spawn_relay,
@@ -44,6 +45,13 @@ impl DiscoverySettings {
             node_counts: [8, 12],
         }
     }
+
+    /// The grid parameters of E1.
+    pub const PARAMS: &'static [Param<Self>] = &[Param::new(
+        "convergence_s",
+        "simulated seconds the network converges for",
+        |s, v| seconds(v).map(|c| s.convergence = c),
+    )];
 }
 
 fn knowledge_for_mode(mode: DiscoveryMode, nodes: usize, seed: u64, convergence: SimDuration) -> f64 {
@@ -63,9 +71,7 @@ fn knowledge_for_mode(mode: DiscoveryMode, nodes: usize, seed: u64, convergence:
         })
         .collect();
     let scope = format!("E1 mode={mode:?} nodes={nodes}");
-    crate::telemetry::instrument_world(&mut world, &scope);
-    crate::telemetry::run_world(&mut world, convergence, |_| {});
-    crate::telemetry::finish_world(&mut world, &scope);
+    crate::telemetry::observe(&mut world, &scope, convergence);
     let mut total = 0.0;
     for (i, id) in ids.iter().enumerate() {
         let known = world
@@ -311,9 +317,7 @@ pub fn e05_static_vs_dynamic_bridge(seed: u64) -> ExperimentReport {
             Box::new(migration::MessagingServer::new("sink")),
         );
         let scope = format!("E5 bridge={}", if static_bridge { "static" } else { "dynamic" });
-        crate::telemetry::instrument_world(&mut world, &scope);
-        crate::telemetry::run_world(&mut world, SimDuration::from_secs(300), |_| {});
-        crate::telemetry::finish_world(&mut world, &scope);
+        crate::telemetry::observe(&mut world, &scope, SimDuration::from_secs(300));
         let server_addr = DeviceAddress::from_node(server);
         let route_via = world
             .with_agent::<PeerHoodNode, _>(client, |n, _| {

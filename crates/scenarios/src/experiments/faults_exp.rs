@@ -19,9 +19,10 @@ use std::rc::Rc;
 
 use simnet::prelude::*;
 
+use crate::experiments::city::City;
 use crate::experiments::full_stack::{metro_configs, FullStackHost, StackMode};
+use crate::experiments::params::{count, number, Param};
 use crate::report::ExperimentReport;
-use crate::topology::city_placement;
 
 const SCAN: TimerToken = TimerToken(0xE131);
 
@@ -156,25 +157,14 @@ impl NodeAgent for ChurnAgent {
 /// Settings for the E13 churn sweep.
 #[derive(Debug, Clone)]
 pub struct ChurnSettings {
-    /// Base random seed (world, placement and fault plans all derive from
-    /// it).
-    pub seed: u64,
+    /// The shared city core (seed 13; the area grows with the population,
+    /// like E12).
+    pub city: City,
     /// Population sizes to sweep.
     pub node_counts: Vec<usize>,
     /// Churn rates to sweep, in expected crashes per node per hour. Zero is
     /// the fault-free control.
     pub churn_per_hour: Vec<f64>,
-    /// Mean downtime of a crashed node.
-    pub mean_downtime: SimDuration,
-    /// Device density in nodes per square kilometre (area grows with the
-    /// population, like E12).
-    pub density_per_km2: f64,
-    /// Fraction of nodes roaming as random-waypoint pedestrians.
-    pub mobile_fraction: f64,
-    /// Simulated duration of each cell of the sweep.
-    pub duration: SimDuration,
-    /// How often each device scans its neighbourhood.
-    pub inquiry_interval: SimDuration,
     /// Which agent populates the city: the lightweight probe (byte-identical
     /// to the historical reports) or the real PeerHood middleware stack.
     pub stack: StackMode,
@@ -184,37 +174,53 @@ impl ChurnSettings {
     /// The full sizes (`repro` without `--quick`): up to 2000 nodes.
     pub fn full() -> Self {
         ChurnSettings {
-            seed: 13,
+            city: City {
+                seed: 13,
+                density_per_km2: 2_000.0,
+                mobile_fraction: 0.25,
+                duration: SimDuration::from_secs(600),
+                inquiry_interval: SimDuration::from_secs(8),
+                mean_downtime: SimDuration::from_secs(20),
+            },
             node_counts: vec![100, 500, 2_000],
             churn_per_hour: vec![0.0, 20.0, 60.0],
-            mean_downtime: SimDuration::from_secs(20),
-            density_per_km2: 2_000.0,
-            mobile_fraction: 0.25,
-            duration: SimDuration::from_secs(600),
-            inquiry_interval: SimDuration::from_secs(8),
             stack: StackMode::Lightweight,
         }
     }
 
     /// A reduced variant for CI and `cargo test`.
     pub fn quick() -> Self {
-        ChurnSettings {
-            seed: 13,
-            node_counts: vec![100],
-            churn_per_hour: vec![0.0, 60.0, 240.0],
-            mean_downtime: SimDuration::from_secs(15),
-            density_per_km2: 2_000.0,
-            mobile_fraction: 0.25,
-            duration: SimDuration::from_secs(150),
-            inquiry_interval: SimDuration::from_secs(8),
-            stack: StackMode::Lightweight,
-        }
+        let mut quick = ChurnSettings::full();
+        quick.node_counts = vec![100];
+        quick.churn_per_hour = vec![0.0, 60.0, 240.0];
+        quick.city.duration = SimDuration::from_secs(150);
+        quick.city.mean_downtime = SimDuration::from_secs(15);
+        quick
     }
 
-    /// Side length in metres of the square area holding `nodes` devices at
-    /// the configured density.
-    pub fn side_m(&self, nodes: usize) -> f64 {
-        (nodes as f64 / self.density_per_km2 * 1_000_000.0).sqrt()
+    /// The grid parameters of E13.
+    pub const PARAMS: &'static [Param<Self>] = &[
+        Param::new("nodes", "city population (replaces the node-count sweep)", |s, v| {
+            count(v).map(|n| s.node_counts = vec![n])
+        }),
+        Param::new(
+            "churn",
+            "crashes per node per hour (replaces the rate sweep)",
+            |s, v| number(v).map(|rate| s.churn_per_hour = vec![rate]),
+        ),
+        City::density(),
+        City::mobile_fraction(),
+        City::duration_s().help("simulated seconds per cell"),
+        City::downtime_s(),
+        Param::new("stack", "lightweight probe or full PeerHood stack", |s, v| {
+            v.parse().map(|mode| s.stack = mode)
+        }),
+    ];
+}
+
+impl AsMut<City> for ChurnSettings {
+    fn as_mut(&mut self) -> &mut City {
+        &mut self.city
     }
 }
 
@@ -222,18 +228,15 @@ impl ChurnSettings {
 /// `churn_per_hour` is zero, so the control run never touches the fault
 /// engine).
 fn churn_city(settings: &ChurnSettings, nodes: usize, churn_per_hour: f64) -> World {
-    let side = settings.side_m(nodes);
-    let mut config = WorldConfig::with_seed(settings.seed ^ (nodes as u64));
-    config.grid_cell_m = config.radio.wlan.range_m;
-    let mut world = World::new(config);
+    let city = &settings.city;
+    let mut world = city.world(nodes);
     let shared = match settings.stack {
-        StackMode::Full => Some(metro_configs(settings.inquiry_interval)),
+        StackMode::Full => Some(metro_configs(city.inquiry_interval)),
         StackMode::Lightweight => None,
     };
-    let placer_seed = settings.seed ^ 0xC18E ^ (nodes as u64);
-    for (i, mobility, is_mobile) in city_placement(nodes, side, settings.mobile_fraction, placer_seed) {
+    for (i, mobility, is_mobile) in city.placement(nodes, 0xC18E) {
         let agent: Box<dyn NodeAgent> = match &shared {
-            None => Box::new(ChurnAgent::new(settings.inquiry_interval)),
+            None => Box::new(ChurnAgent::new(city.inquiry_interval)),
             Some((static_cfg, mobile_cfg)) => {
                 let cfg = if is_mobile { mobile_cfg } else { static_cfg };
                 Box::new(FullStackHost::new(Rc::clone(cfg)))
@@ -241,19 +244,14 @@ fn churn_city(settings: &ChurnSettings, nodes: usize, churn_per_hour: f64) -> Wo
         };
         world.add_node(format!("c{i}"), mobility, &[RadioTech::Wlan], agent);
     }
-    if churn_per_hour > 0.0 {
-        let mtbf = SimDuration::from_secs_f64(3_600.0 / churn_per_hour);
-        let horizon = SimTime::ZERO + settings.duration;
-        let planner = SimRng::new(settings.seed ^ 0xFA17 ^ (nodes as u64) ^ churn_per_hour.to_bits());
-        for (i, node) in world.node_ids().collect::<Vec<_>>().into_iter().enumerate() {
-            let mut rng = planner.derive(i as u64);
-            let plan = FaultPlan::churn(horizon, mtbf, settings.mean_downtime, &mut rng);
-            world.install_fault_plan(node, plan);
-        }
-    }
+    let ids: Vec<NodeId> = world.node_ids().collect();
+    let salt = 0xFA17 ^ (nodes as u64) ^ churn_per_hour.to_bits();
+    city.install_churn(&ids, 1, churn_per_hour, salt, |node, plan| {
+        world.install_fault_plan(node, plan)
+    });
     let scope = format!("E13 nodes={nodes} churn={churn_per_hour:.0}");
     crate::telemetry::instrument_world(&mut world, &scope);
-    crate::telemetry::run_world(&mut world, settings.duration, |_| {});
+    crate::telemetry::run_world(&mut world, city.duration, |_| {});
     // Quiesce: every churn crash has a paired restart, but its exponential
     // downtime can land past the horizon — and a dead node's counters are
     // unreadable (`with_agent` returns `None` while down). Run on until the
@@ -352,10 +350,10 @@ pub fn e13_churn_sweep(settings: &ChurnSettings) -> ExperimentReport {
     report.push_note(format!(
         "constant density {} nodes/km^2, {:.0}% mobile, mean downtime {}s, {}s simulated per cell; \
          zero-churn rows are the control (no fault plan installed at all)",
-        settings.density_per_km2,
-        settings.mobile_fraction * 100.0,
-        settings.mean_downtime.as_secs(),
-        settings.duration.as_secs_f64()
+        settings.city.density_per_km2,
+        settings.city.mobile_fraction * 100.0,
+        settings.city.mean_downtime.as_secs(),
+        settings.city.duration.as_secs_f64()
     ));
     if settings.stack == StackMode::Full {
         report.push_note(
@@ -388,23 +386,20 @@ pub fn e14_blackout_flash_crowd(seed: u64, quick: bool) -> ExperimentReport {
 /// PeerHood stacks instead of the lightweight probe.
 pub fn e14_blackout_flash_crowd_with(seed: u64, quick: bool, stack: StackMode) -> ExperimentReport {
     let nodes = e14_nodes(quick);
-    let settings = ChurnSettings {
-        seed,
-        ..ChurnSettings::quick()
-    };
-    let side = settings.side_m(nodes);
+    let city = ChurnSettings::quick().city;
+    let side = city.side_m(nodes);
     let mut config = WorldConfig::with_seed(seed ^ 0xE14);
     config.grid_cell_m = config.radio.wlan.range_m;
     let mut world = World::new(config);
     let mut placer = SimRng::new(seed ^ 0xB1AC0);
     let shared = match stack {
-        StackMode::Full => Some(metro_configs(settings.inquiry_interval)),
+        StackMode::Full => Some(metro_configs(city.inquiry_interval)),
         StackMode::Lightweight => None,
     };
     for i in 0..nodes {
         let start = Point::new(placer.uniform_f64(0.0, side), placer.uniform_f64(0.0, side));
         let agent: Box<dyn NodeAgent> = match &shared {
-            None => Box::new(ChurnAgent::new(settings.inquiry_interval)),
+            None => Box::new(ChurnAgent::new(city.inquiry_interval)),
             // Every E14 device is stationary: all advertise Static.
             Some((static_cfg, _)) => Box::new(FullStackHost::new(Rc::clone(static_cfg))),
         };

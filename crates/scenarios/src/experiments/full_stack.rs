@@ -42,6 +42,19 @@ pub enum StackMode {
     Full,
 }
 
+impl std::str::FromStr for StackMode {
+    type Err = String;
+
+    /// Parses a `stack=` grid value (`lightweight` / `full`).
+    fn from_str(value: &str) -> Result<Self, String> {
+        match value {
+            "lightweight" => Ok(StackMode::Lightweight),
+            "full" => Ok(StackMode::Full),
+            _ => Err(format!("`{value}` is not a stack mode (lightweight|full)")),
+        }
+    }
+}
+
 /// Name of the service every metropolis node registers and consumes.
 pub const METRO_SERVICE: &str = "metro";
 
@@ -60,13 +73,6 @@ pub fn metro_configs(inquiry_interval: SimDuration) -> (Rc<PeerHoodConfig>, Rc<P
     let mut mobile = (*static_cfg).clone();
     mobile.mobility = peerhood::device::MobilityClass::Dynamic;
     (static_cfg, Rc::new(mobile))
-}
-
-/// The shared node configuration of a full-stack city node advertising
-/// [`MobilityClass::Static`](peerhood::device::MobilityClass::Static) (see
-/// [`metro_configs`] for the static/mobile pair).
-pub fn metro_config(inquiry_interval: SimDuration) -> Rc<PeerHoodConfig> {
-    metro_config_with(inquiry_interval, peerhood::device::MobilityClass::Static)
 }
 
 fn metro_config_with(inquiry_interval: SimDuration, mobility: peerhood::device::MobilityClass) -> Rc<PeerHoodConfig> {

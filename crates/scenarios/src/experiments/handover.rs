@@ -80,9 +80,7 @@ pub fn e07_two_server_handover(seed: u64) -> ExperimentReport {
                 "service-reconnection"
             }
         );
-        crate::telemetry::instrument_world(&mut world, &scope);
-        crate::telemetry::run_world(&mut world, SimDuration::from_secs(400), |_| {});
-        crate::telemetry::finish_world(&mut world, &scope);
+        crate::telemetry::observe(&mut world, &scope, SimDuration::from_secs(400));
         let (restarts, changes) = with_app(&mut world, client, |app: &MessagingClient| {
             (app.restarts, app.connection_changes)
         })
@@ -313,9 +311,7 @@ pub fn e11_monitoring_limitation(seed: u64) -> ExperimentReport {
                 HandoverTarget::FinalDestination => "final-destination",
             }
         );
-        crate::telemetry::instrument_world(&mut world, &scope);
-        crate::telemetry::run_world(&mut world, SimDuration::from_secs(500), |_| {});
-        crate::telemetry::finish_world(&mut world, &scope);
+        crate::telemetry::observe(&mut world, &scope, SimDuration::from_secs(500));
         let handovers = world
             .with_agent::<PeerHoodNode, _>(client, |n, _| n.handover_completions())
             .unwrap();

@@ -19,27 +19,24 @@
 
 use simnet::prelude::*;
 
+use crate::experiments::city::City;
+use crate::experiments::params::{count, number, on_off, Param};
 use crate::experiments::sharded::{sharded_world_digest, ShardCityAgent};
 use crate::report::ExperimentReport;
 
 /// Settings for the E18 hotspot-metropolis run.
 #[derive(Debug, Clone)]
 pub struct HotspotSettings {
-    /// Base random seed (world and placement derive from it).
-    pub seed: u64,
+    /// The city half (seed 18): the overall density fixes the city's side
+    /// length (the district is far denser). Placement is the crowd's own and
+    /// nothing churns, so `mobile_fraction` and `mean_downtime` are unused.
+    pub city: City,
     /// City population.
     pub nodes: usize,
-    /// Overall device density in nodes per square kilometre (fixes the city
-    /// side length; the district is far denser).
-    pub density_per_km2: f64,
     /// Fraction of nodes milling inside the hotspot district.
     pub crowd_fraction: f64,
     /// Fraction of nodes walking in from across the city ("converging").
     pub inbound_fraction: f64,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// How often each device scans its neighbourhood.
-    pub inquiry_interval: SimDuration,
     /// How often an attached device pings its peer.
     pub ping_interval: SimDuration,
     /// Worker threads. Changes wall-clock time only, never results.
@@ -47,63 +44,81 @@ pub struct HotspotSettings {
     /// Density-adaptive stripe rebalancing. Changes wall-clock time only,
     /// never results.
     pub adaptive: bool,
-    /// Rebalance gate: `max(shard load) / mean(shard load)` ratio that must
-    /// be exceeded before a re-cut is considered.
-    pub imbalance_threshold: f64,
-    /// Consecutive over-threshold windows required before a re-cut.
-    pub patience: u32,
 }
 
 impl HotspotSettings {
     /// The full-size run (`repro` without `--quick`).
     pub fn full() -> Self {
         HotspotSettings {
-            seed: 18,
+            city: City {
+                seed: 18,
+                density_per_km2: 1_000.0,
+                mobile_fraction: 0.0,
+                duration: SimDuration::from_secs(90),
+                inquiry_interval: SimDuration::from_secs(20),
+                mean_downtime: SimDuration::ZERO,
+            },
             nodes: 100_000,
-            density_per_km2: 1_000.0,
             crowd_fraction: 0.55,
             inbound_fraction: 0.15,
-            duration: SimDuration::from_secs(90),
-            inquiry_interval: SimDuration::from_secs(20),
             ping_interval: SimDuration::from_secs(10),
             shards: 2,
             adaptive: true,
-            imbalance_threshold: AdaptiveShards::default().imbalance_threshold,
-            patience: AdaptiveShards::default().patience,
         }
     }
 
     /// The CI variant: a smaller crowd over a shorter horizon.
     pub fn quick() -> Self {
-        HotspotSettings {
-            nodes: 30_000,
-            duration: SimDuration::from_secs(45),
-            ..HotspotSettings::full()
-        }
+        let mut quick = HotspotSettings::full();
+        quick.nodes = 30_000;
+        quick.city.duration = SimDuration::from_secs(45);
+        quick
     }
 
     /// A small population for debug-build smoke tests (`cargo test`).
     pub fn smoke() -> Self {
-        HotspotSettings {
-            nodes: 600,
-            duration: SimDuration::from_secs(60),
-            ..HotspotSettings::full()
-        }
-    }
-
-    /// Side length in metres of the square city at the configured density.
-    pub fn side_m(&self) -> f64 {
-        (self.nodes as f64 / self.density_per_km2 * 1_000_000.0).sqrt()
+        let mut smoke = HotspotSettings::full();
+        smoke.nodes = 600;
+        smoke.city.duration = SimDuration::from_secs(60);
+        smoke
     }
 
     /// The hotspot district: a square of a quarter of the city's side,
     /// centred right-of-centre so it sits inside the last stripes of an
     /// equal-width partition — the worst case for static load balance.
     pub fn district(&self) -> Rect {
-        let side = self.side_m();
+        let side = self.city.side_m(self.nodes);
         let d = 0.25 * side;
         let (cx, cy) = (0.78 * side, 0.5 * side);
         Rect::new(cx - d / 2.0, cy - d / 2.0, cx + d / 2.0, cy + d / 2.0)
+    }
+
+    /// The grid parameters of E18.
+    pub const PARAMS: &'static [Param<Self>] = &[
+        Param::new(
+            "shards",
+            "worker threads (wall-clock only; results are shard-invariant)",
+            |s, v| count(v).map(|n| s.shards = n.max(1)),
+        ),
+        Param::new(
+            "adaptive",
+            "density-adaptive stripe rebalancing (wall-clock only)",
+            |s, v| on_off(v).map(|on| s.adaptive = on),
+        ),
+        Param::new("nodes", "city population", |s, v| count(v).map(|n| s.nodes = n)),
+        City::density().help("overall devices per square kilometre"),
+        Param::new(
+            "crowd_fraction",
+            "fraction of nodes milling inside the hotspot district",
+            |s, v| number(v).map(|f| s.crowd_fraction = f.clamp(0.0, 1.0)),
+        ),
+        City::duration_s(),
+    ];
+}
+
+impl AsMut<City> for HotspotSettings {
+    fn as_mut(&mut self) -> &mut City {
+        &mut self.city
     }
 }
 
@@ -111,24 +126,13 @@ impl HotspotSettings {
 /// inspection. Identical `(settings minus shards/adaptive)` produce
 /// identical results at any shard count, adaptivity on or off.
 pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
-    let side = settings.side_m();
-    let area = Rect::new(0.0, 0.0, side, side);
+    let city = &settings.city;
+    let side = city.side_m(settings.nodes);
     let district = settings.district();
-    let mut config = ShardedConfig::new(settings.seed ^ (settings.nodes as u64), area);
-    config.shards = settings.shards;
-    config.adaptive = AdaptiveShards {
-        enabled: settings.adaptive,
-        imbalance_threshold: settings.imbalance_threshold,
-        patience: settings.patience,
-        ..AdaptiveShards::default()
-    };
-    config.grid_cell_m = config.radio.wlan.range_m;
-    config.link_check_interval = SimDuration::from_secs(1);
-    config.window = Some(SimDuration::from_secs(1));
-    config.max_speed_mps = 2.5;
-    config.mobility_horizon = SimTime::ZERO + settings.duration + SimDuration::from_secs(600);
+    let mut config = city.sharded_config(settings.nodes, settings.shards, 2.5);
+    config.adaptive = settings.adaptive;
     let mut world = ShardedWorld::new(config);
-    let mut placer = SimRng::new(settings.seed ^ 0x407_5907 ^ (settings.nodes as u64));
+    let mut placer = SimRng::new(city.seed ^ 0x407_5907 ^ (settings.nodes as u64));
     let crowd = (settings.nodes as f64 * settings.crowd_fraction).round() as usize;
     let inbound = (settings.nodes as f64 * settings.inbound_fraction).round() as usize;
     for i in 0..settings.nodes {
@@ -163,7 +167,7 @@ pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
             format!("h{i}"),
             mobility,
             &[RadioTech::Wlan],
-            Box::new(ShardCityAgent::new(settings.inquiry_interval, settings.ping_interval)),
+            Box::new(ShardCityAgent::new(city.inquiry_interval, settings.ping_interval)),
         );
     }
     let scope = format!(
@@ -173,7 +177,7 @@ pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
         if settings.adaptive { "on" } else { "off" }
     );
     crate::telemetry::instrument_sharded(&mut world, &scope);
-    world.run_for(settings.duration);
+    world.run_for(city.duration);
     crate::telemetry::finish_sharded(&mut world, &scope);
     world
 }
@@ -219,7 +223,7 @@ pub fn e18_hotspot_metropolis(settings: &HotspotSettings) -> ExperimentReport {
     let g = world.metrics().global();
     report.push_row([
         settings.nodes.to_string(),
-        format!("{:.0}", settings.side_m()),
+        format!("{:.0}", settings.city.side_m(settings.nodes)),
         format!("{:.0}", settings.crowd_fraction * 100.0),
         g.inquiries_started.to_string(),
         g.connects_established.to_string(),

@@ -16,80 +16,83 @@ use std::rc::Rc;
 
 use simnet::prelude::*;
 
+use crate::experiments::city::City;
 use crate::experiments::full_stack::{metro_configs, FullStackHost, FullStats};
+use crate::experiments::params::{count, number, Param};
 use crate::report::ExperimentReport;
-use crate::topology::city_placement;
 
 /// Settings for the E15 full-stack metropolis run.
 #[derive(Debug, Clone)]
 pub struct MetropolisSettings {
-    /// Base random seed (world, placement and churn plans derive from it).
-    pub seed: u64,
+    /// The shared city core (seed 15; `inquiry_interval` is every node's
+    /// discovery plugin's).
+    pub city: City,
     /// City population. Every node runs the full middleware stack.
     pub nodes: usize,
-    /// Device density in nodes per square kilometre.
-    pub density_per_km2: f64,
-    /// Fraction of nodes roaming as random-waypoint pedestrians.
-    pub mobile_fraction: f64,
     /// Expected crashes per churning node per hour (every tenth node
     /// churns). Zero disables the fault engine entirely.
     pub churn_per_hour: f64,
-    /// Mean downtime of a crashed node.
-    pub mean_downtime: SimDuration,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// Inquiry interval of every node's discovery plugin.
-    pub inquiry_interval: SimDuration,
 }
 
 impl MetropolisSettings {
     /// The full-size run (`repro` without `--quick`).
     pub fn full() -> Self {
         MetropolisSettings {
-            seed: 15,
+            city: City {
+                seed: 15,
+                density_per_km2: 2_000.0,
+                mobile_fraction: 0.25,
+                duration: SimDuration::from_secs(240),
+                inquiry_interval: SimDuration::from_secs(10),
+                mean_downtime: SimDuration::from_secs(20),
+            },
             nodes: 2_000,
-            density_per_km2: 2_000.0,
-            mobile_fraction: 0.25,
             churn_per_hour: 40.0,
-            mean_downtime: SimDuration::from_secs(20),
-            duration: SimDuration::from_secs(240),
-            inquiry_interval: SimDuration::from_secs(10),
         }
     }
 
     /// The CI variant: same 2k-node city, shorter horizon.
     pub fn quick() -> Self {
-        MetropolisSettings {
-            duration: SimDuration::from_secs(90),
-            ..MetropolisSettings::full()
-        }
+        let mut quick = MetropolisSettings::full();
+        quick.city.duration = SimDuration::from_secs(90);
+        quick
     }
 
     /// A reduced population for debug-build smoke tests (`cargo test`),
     /// where 2k full stacks would dominate the suite's runtime.
     pub fn smoke() -> Self {
-        MetropolisSettings {
-            nodes: 300,
-            duration: SimDuration::from_secs(80),
-            ..MetropolisSettings::full()
-        }
+        let mut smoke = MetropolisSettings::full();
+        smoke.nodes = 300;
+        smoke.city.duration = SimDuration::from_secs(80);
+        smoke
     }
 
-    /// Side length in metres of the square area at the configured density.
-    pub fn side_m(&self) -> f64 {
-        (self.nodes as f64 / self.density_per_km2 * 1_000_000.0).sqrt()
+    /// The grid parameters of E15.
+    pub const PARAMS: &'static [Param<Self>] = &[
+        Param::new("nodes", "city population (every node runs the full stack)", |s, v| {
+            count(v).map(|n| s.nodes = n)
+        }),
+        City::density(),
+        Param::new("churn", "crashes per churning node per hour", |s, v| {
+            number(v).map(|rate| s.churn_per_hour = rate)
+        }),
+        City::mobile_fraction(),
+        City::duration_s(),
+    ];
+}
+
+impl AsMut<City> for MetropolisSettings {
+    fn as_mut(&mut self) -> &mut City {
+        &mut self.city
     }
 }
 
 /// Builds and runs the metropolis, returning the world for inspection.
 pub fn metropolis_run(settings: &MetropolisSettings) -> World {
-    let side = settings.side_m();
-    let mut config = WorldConfig::with_seed(settings.seed ^ (settings.nodes as u64));
-    config.grid_cell_m = config.radio.wlan.range_m;
-    let mut world = World::new(config);
-    let (static_cfg, mobile_cfg) = metro_configs(settings.inquiry_interval);
-    let placer_seed = settings.seed ^ 0x3E7A0 ^ (settings.nodes as u64);
-    for (i, mobility, is_mobile) in city_placement(settings.nodes, side, settings.mobile_fraction, placer_seed) {
+    let city = &settings.city;
+    let mut world = city.world(settings.nodes);
+    let (static_cfg, mobile_cfg) = metro_configs(city.inquiry_interval);
+    for (i, mobility, is_mobile) in city.placement(settings.nodes, 0x3E7A0) {
         let cfg = if is_mobile { &mobile_cfg } else { &static_cfg };
         world.add_node(
             format!("m{i}"),
@@ -98,23 +101,13 @@ pub fn metropolis_run(settings: &MetropolisSettings) -> World {
             Box::new(FullStackHost::new(Rc::clone(cfg))),
         );
     }
-    if settings.churn_per_hour > 0.0 {
-        let mtbf = SimDuration::from_secs_f64(3_600.0 / settings.churn_per_hour);
-        let horizon = SimTime::ZERO + settings.duration;
-        let planner = SimRng::new(settings.seed ^ 0xFA17_3E70);
-        for (i, node) in world.node_ids().collect::<Vec<_>>().into_iter().enumerate() {
-            if i % 10 != 0 {
-                continue;
-            }
-            let mut rng = planner.derive(i as u64);
-            let plan = FaultPlan::churn(horizon, mtbf, settings.mean_downtime, &mut rng);
-            world.install_fault_plan(node, plan);
-        }
-    }
+    let ids: Vec<NodeId> = world.node_ids().collect();
+    city.install_churn(&ids, 10, settings.churn_per_hour, 0xFA17_3E70, |node, plan| {
+        world.install_fault_plan(node, plan)
+    });
     let scope = format!("E15 nodes={}", settings.nodes);
     crate::telemetry::instrument_world(&mut world, &scope);
-    let ids: Vec<NodeId> = world.node_ids().collect();
-    crate::telemetry::run_world(&mut world, settings.duration, |world| {
+    crate::telemetry::run_world(&mut world, city.duration, |world| {
         refresh_stack_gauges(world, &ids);
     });
     // Quiesce like E13: finish every scheduled restart so each probe's
@@ -224,11 +217,11 @@ pub fn e15_full_stack_metropolis(settings: &MetropolisSettings) -> ExperimentRep
     report.push_note(format!(
         "full PeerHood stack on every node; density {} nodes/km^2, {:.0}% mobile, every 10th node \
          churning at {}/h (mean downtime {}s), {}s simulated; mean reconnect {:.2}s over {} samples",
-        settings.density_per_km2,
-        settings.mobile_fraction * 100.0,
+        settings.city.density_per_km2,
+        settings.city.mobile_fraction * 100.0,
         settings.churn_per_hour,
-        settings.mean_downtime.as_secs(),
-        settings.duration.as_secs_f64(),
+        settings.city.mean_downtime.as_secs(),
+        settings.city.duration.as_secs_f64(),
         mean_reconnect,
         stats.reconnects,
     ));

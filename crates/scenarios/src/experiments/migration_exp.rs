@@ -54,9 +54,7 @@ pub fn migration_run(seed: u64, regime: &'static str, spec: TaskSpec) -> Migrati
         Box::new(PictureServer::for_spec("analysis", &spec)),
     );
     let scope = format!("E9 regime={regime}");
-    crate::telemetry::instrument_world(&mut world, &scope);
-    crate::telemetry::run_world(&mut world, SimDuration::from_secs(700), |_| {});
-    crate::telemetry::finish_world(&mut world, &scope);
+    crate::telemetry::observe(&mut world, &scope, SimDuration::from_secs(700));
     let (outcome, sent, finished) = with_app(&mut world, client, |app: &PictureClient| {
         (app.outcome(), app.sent_packages, app.result_received_at)
     })

@@ -11,6 +11,7 @@
 
 pub mod adversary_exp;
 pub mod bridge;
+pub mod city;
 pub mod discovery;
 pub mod faults_exp;
 pub mod full_stack;
@@ -19,15 +20,16 @@ pub mod hotspot;
 pub mod metropolis;
 pub mod migration_exp;
 pub mod overload;
+pub mod params;
 pub mod registry;
 pub mod scale;
 pub mod sharded;
 
 pub use adversary_exp::{
-    adversary_outcome, adversary_run, e19_hostile_city, parse_defense, plan_digest, AdversaryOutcome,
-    AdversarySettings, Defense,
+    adversary_outcome, adversary_run, e19_hostile_city, plan_digest, AdversaryOutcome, AdversarySettings, Defense,
 };
 pub use bridge::{bridge_trial, e06_bridge_performance, e10_coverage_amplification, BridgeTrial};
+pub use city::City;
 pub use discovery::{
     e01_coverage_exclusion, e02_gnutella_traffic, e03_quality_route_selection, e04_notification_delay,
     e05_static_vs_dynamic_bridge, DiscoverySettings,
@@ -44,9 +46,8 @@ pub use overload::{
     e16_overload, overload_outcome, overload_run, CrowdApp, HotspotApp, OverloadOutcome, OverloadSettings,
     HOTSPOT_SERVICE,
 };
-pub use registry::{
-    find, registry, samples_from_report, Experiment, ParamKind, ParamSpec, Params, RunOutput, SampleRow,
-};
+pub use params::{Param, Params};
+pub use registry::{find, registry, samples_from_report, Experiment, RunOutput, SampleRow};
 pub use scale::{e12_dense_city, ScaleSettings};
 pub use sharded::{
     e17_sharded_metropolis, sharded_metropolis_run, sharded_world_digest, ShardCityAgent, ShardedSettings,
@@ -69,9 +70,12 @@ pub enum Effort {
 /// output is byte-identical to the pre-registry per-experiment entry
 /// points (E16–E19 append after the historical E1–E15 blocks).
 pub fn run_all(seed: u64, effort: Effort) -> Vec<ExperimentReport> {
-    let params = Params::new();
+    let defaults = Params::new();
     registry()
         .iter()
-        .map(|e| e.run(e.suite_seed(seed), &params, effort == Effort::Quick).report)
+        .map(|e| {
+            let run = e.run(e.suite_seed.unwrap_or(seed), &defaults, effort == Effort::Quick);
+            run.expect("no overrides to reject").report
+        })
         .collect()
 }

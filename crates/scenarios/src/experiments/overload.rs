@@ -34,6 +34,7 @@ use peerhood::service::ServiceInfo;
 use simnet::prelude::*;
 use std::any::Any;
 
+use crate::experiments::params::{count, on_off, seconds, Param};
 use crate::report::ExperimentReport;
 
 /// Name of the service the hotspots offer and the crowd consumes.
@@ -103,6 +104,22 @@ impl OverloadSettings {
             ..OverloadSettings::full()
         }
     }
+
+    /// The grid parameters of E16, over the settings and the pipeline modes
+    /// to run (one report row each).
+    pub const PARAMS: &'static [Param<(Self, Vec<bool>)>] = &[
+        Param::new(
+            "resilience",
+            "run only one pipeline mode (default: an off row and an on row)",
+            |(_, modes), v| on_off(v).map(|mode| *modes = vec![mode]),
+        ),
+        Param::new("clients", "crowd size (half near each hotspot)", |(s, _), v| {
+            count(v).map(|n| s.clients = n)
+        }),
+        Param::new("duration_s", "simulated seconds per mode", |(s, _), v| {
+            seconds(v).map(|d| s.duration = d)
+        }),
+    ];
 }
 
 /// The shared node configuration of the overload city (everyone static,

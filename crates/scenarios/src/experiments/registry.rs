@@ -1,22 +1,21 @@
-//! The uniform [`Experiment`] trait and the E1–E19 registry.
+//! The experiment registry: E1–E19 as one static table.
 //!
-//! Every experiment of the reproduction is runnable through one interface:
-//! `run(seed, params, quick)` returns both the human-readable markdown
-//! [`ExperimentReport`] and a numeric [`SampleRow`] stream — the raw
-//! material the `sweep` campaign engine aggregates across seeds and grid
-//! points. `run_all` iterates this registry, so a new experiment registered
-//! here is automatically part of the suite, the `repro` CLI and every
-//! sweep.
+//! Every experiment of the reproduction is runnable through one call:
+//! [`Experiment::run`]`(seed, params, quick)` returns both the
+//! human-readable markdown [`ExperimentReport`] and a numeric [`SampleRow`]
+//! stream — the raw material the `sweep` campaign engine aggregates across
+//! seeds and grid points. `run_all` iterates this registry, so a new entry
+//! here is automatically part of the suite, the `repro` CLI and every sweep.
 //!
-//! Implementations are zero-sized `Send + Sync` structs: a sweep worker
-//! thread looks its experiment up in its own registry copy and builds the
-//! (thread-local, `Rc`-based) world entirely inside the worker.
+//! An entry names its settings type's two presets, parameter table (see
+//! [`params`](super::params)) and entry point; nothing else is written per
+//! experiment. The table is `'static` data: a sweep worker thread looks its
+//! experiment up with [`find`] and builds the (thread-local, `Rc`-based)
+//! world entirely inside the worker.
 
 use std::collections::BTreeMap;
 
-use simnet::prelude::SimDuration;
-
-use crate::experiments::adversary_exp::parse_defense;
+use crate::experiments::params::{count, Param, Params};
 use crate::experiments::{
     e01_coverage_exclusion, e02_gnutella_traffic, e03_quality_route_selection, e04_notification_delay,
     e05_static_vs_dynamic_bridge, e06_bridge_performance, e07_two_server_handover, e08_routing_handover,
@@ -47,15 +46,6 @@ pub struct RunOutput {
     pub report: ExperimentReport,
     /// The numeric samples (what `sweep` aggregates).
     pub samples: Vec<SampleRow>,
-}
-
-impl RunOutput {
-    /// Builds the output from a report, deriving samples via
-    /// [`samples_from_report`] with the given identity columns.
-    pub fn from_report(report: ExperimentReport, key_columns: &[&str]) -> Self {
-        let samples = samples_from_report(&report, key_columns);
-        RunOutput { report, samples }
-    }
 }
 
 /// Derives [`SampleRow`]s from a report table: the declared `key_columns`
@@ -101,714 +91,403 @@ pub fn samples_from_report(report: &ExperimentReport, key_columns: &[&str]) -> V
         .collect()
 }
 
-/// The value type a grid parameter accepts, used to validate `--grid`
-/// values before any job runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParamKind {
-    /// Unsigned integer (node counts, trial counts, durations in seconds).
-    USize,
-    /// Floating point (rates, densities, fractions).
-    F64,
-    /// A [`StackMode`]: `lightweight` or `full`.
-    Stack,
-    /// A binary toggle: `on` or `off`.
-    OnOff,
-    /// A [`Defense`] tier: `off`, `sanity` or `auth`.
-    Defense,
+/// How one experiment is put together from its settings type `S`: the two
+/// presets, where the seed goes, the parameter table, and the entry point.
+struct Plan<S: 'static> {
+    quick: fn() -> S,
+    full: fn() -> S,
+    seed: fn(&mut S) -> &mut u64,
+    params: &'static [Param<S>],
+    report: fn(&S) -> ExperimentReport,
 }
 
-impl ParamKind {
-    /// Validates one textual value against the kind.
-    pub fn check(self, value: &str) -> Result<(), String> {
-        match self {
-            ParamKind::USize => value
-                .parse::<usize>()
-                .map(|_| ())
-                .map_err(|_| format!("`{value}` is not an unsigned integer")),
-            ParamKind::F64 => match value.parse::<f64>() {
-                Ok(v) if v.is_finite() => Ok(()),
-                _ => Err(format!("`{value}` is not a finite number")),
-            },
-            ParamKind::Stack => parse_stack(value)
-                .map(|_| ())
-                .ok_or_else(|| format!("`{value}` is not a stack mode (lightweight|full)")),
-            ParamKind::OnOff => parse_on_off(value)
-                .map(|_| ())
-                .ok_or_else(|| format!("`{value}` is not a toggle (on|off)")),
-            ParamKind::Defense => parse_defense(value)
-                .map(|_| ())
-                .ok_or_else(|| format!("`{value}` is not a defence tier (off|sanity|auth)")),
+impl<S> Plan<S> {
+    fn preset(&self, seed: u64, quick: bool) -> S {
+        let mut settings = if quick { (self.quick)() } else { (self.full)() };
+        *(self.seed)(&mut settings) = seed;
+        settings
+    }
+
+    fn row(&self, key: &str) -> Result<&Param<S>, String> {
+        self.params.iter().find(|p| p.key == key).ok_or_else(|| {
+            let known: Vec<&str> = self.params.iter().map(|p| p.key).collect();
+            let known = if known.is_empty() {
+                "none".to_string()
+            } else {
+                known.join(", ")
+            };
+            format!("no grid parameter `{key}` (available: {known})")
+        })
+    }
+}
+
+/// A [`Plan`] with its settings type erased, so the registry is one table.
+trait AnyPlan: Sync {
+    fn params(&self) -> Vec<(&'static str, &'static str)>;
+    fn check(&self, key: &str, value: &str) -> Result<(), String>;
+    fn run(&self, seed: u64, params: &Params, quick: bool) -> Result<ExperimentReport, String>;
+}
+
+impl<S> AnyPlan for Plan<S> {
+    fn params(&self) -> Vec<(&'static str, &'static str)> {
+        self.params.iter().map(|p| (p.key, p.help)).collect()
+    }
+
+    fn check(&self, key: &str, value: &str) -> Result<(), String> {
+        (self.row(key)?.set)(&mut self.preset(0, true), value)
+    }
+
+    fn run(&self, seed: u64, params: &Params, quick: bool) -> Result<ExperimentReport, String> {
+        let mut settings = self.preset(seed, quick);
+        for (key, value) in params.iter() {
+            (self.row(key)?.set)(&mut settings, value).map_err(|e| format!("{key}: {e}"))?;
         }
+        Ok((self.report)(&settings))
     }
 }
 
-/// Parses an on/off toggle.
-pub fn parse_on_off(value: &str) -> Option<bool> {
-    match value {
-        "on" => Some(true),
-        "off" => Some(false),
-        _ => None,
+/// The plan of an experiment whose only input is the seed.
+const fn seeded(report: fn(&u64) -> ExperimentReport) -> Plan<u64> {
+    Plan {
+        quick: || 0,
+        full: || 0,
+        seed: |seed| seed,
+        params: &[],
+        report,
     }
 }
 
-/// Parses a [`StackMode`] name.
-pub fn parse_stack(value: &str) -> Option<StackMode> {
-    match value {
-        "lightweight" => Some(StackMode::Lightweight),
-        "full" => Some(StackMode::Full),
-        _ => None,
-    }
-}
-
-/// One grid-able parameter an experiment understands.
-#[derive(Debug, Clone, Copy)]
-pub struct ParamSpec {
-    /// The `--grid key=…` name.
-    pub key: &'static str,
-    /// Accepted value type.
-    pub kind: ParamKind,
-    /// One-line description for `repro --list`.
-    pub description: &'static str,
-}
-
-/// Parameter overrides for one experiment run — the expansion of one sweep
-/// grid point, or empty for the defaults.
-#[derive(Debug, Clone, Default)]
-pub struct Params(BTreeMap<String, String>);
-
-impl Params {
-    /// The empty override set (every experiment runs its defaults).
-    pub fn new() -> Self {
-        Params::default()
-    }
-
-    /// Builds the set from `(key, value)` pairs (later pairs win).
-    pub fn from_pairs<'a>(pairs: impl IntoIterator<Item = &'a (String, String)>) -> Self {
-        Params(pairs.into_iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-    }
-
-    /// Sets one override.
-    pub fn set(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.0.insert(key.into(), value.into());
-    }
-
-    /// Raw textual value of `key`, if set.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.0.get(key).map(String::as_str)
-    }
-
-    /// Parsed `usize` value of `key`. Values are validated against the
-    /// experiment's [`ParamSpec`]s before a run starts, so a set-but-bogus
-    /// value cannot reach this point through the sweep/CLI path.
-    pub fn get_usize(&self, key: &str) -> Option<usize> {
-        self.get(key).and_then(|v| v.parse().ok())
-    }
-
-    /// Parsed `f64` value of `key` (see [`Params::get_usize`] on validation).
-    pub fn get_f64(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(|v| v.parse().ok())
-    }
-
-    /// Parsed [`StackMode`] value of `key`.
-    pub fn get_stack(&self, key: &str) -> Option<StackMode> {
-        self.get(key).and_then(parse_stack)
-    }
-
-    /// Parsed on/off toggle value of `key`.
-    pub fn get_on_off(&self, key: &str) -> Option<bool> {
-        self.get(key).and_then(parse_on_off)
-    }
-
-    /// Parsed [`Defense`] tier value of `key`.
-    pub fn get_defense(&self, key: &str) -> Option<Defense> {
-        self.get(key).and_then(parse_defense)
-    }
-
-    /// Seconds value of `key` as a [`SimDuration`].
-    pub fn get_secs(&self, key: &str) -> Option<SimDuration> {
-        self.get_usize(key).map(|s| SimDuration::from_secs(s as u64))
-    }
-}
-
-/// A uniformly runnable experiment of the reproduction.
+/// One experiment of the reproduction.
 ///
-/// `run` must be deterministic in `(seed, params, quick)` and build every
-/// world it needs internally — implementations are called from sweep worker
-/// threads, so nothing thread-local (the `Rc`-based world, agents, RNGs)
-/// may escape the call.
-pub trait Experiment: Send + Sync {
+/// [`Experiment::run`] is deterministic in `(seed, params, quick)` and builds
+/// every world it needs internally — it is called from sweep worker threads,
+/// so nothing thread-local (the `Rc`-based world, agents, RNGs) escapes the
+/// call.
+pub struct Experiment {
     /// Figure-level identifier, e.g. `"E13"`.
-    fn id(&self) -> &'static str;
+    pub id: &'static str,
     /// CLI name, e.g. `"churn"`.
-    fn slug(&self) -> &'static str;
+    pub slug: &'static str,
     /// Human-readable one-liner for `repro --list`.
-    fn title(&self) -> &'static str;
-    /// Grid parameters this experiment understands (may be empty).
-    fn params(&self) -> &'static [ParamSpec] {
-        &[]
-    }
+    pub title: &'static str,
     /// Report columns forming a row's identity (the rest become metrics).
-    fn key_columns(&self) -> &'static [&'static str] {
-        &[]
-    }
+    pub key_columns: &'static [&'static str],
     /// The seed this experiment historically runs with inside the full
-    /// suite. Most experiments follow the suite seed; the settings-driven
-    /// families (E1, E12, E13, E15) pin their own, which keeps `run_all`
-    /// byte-identical to the pre-registry entry points.
-    fn suite_seed(&self, suite: u64) -> u64 {
-        suite
-    }
-    /// Runs the experiment: builds its worlds, measures, and returns the
-    /// report plus numeric samples.
-    fn run(&self, seed: u64, params: &Params, quick: bool) -> RunOutput;
+    /// suite. `None` follows the suite seed; the settings-driven families
+    /// pin their own, which keeps `run_all` byte-identical to the
+    /// pre-registry entry points.
+    pub suite_seed: Option<u64>,
+    plan: &'static dyn AnyPlan,
 }
 
-macro_rules! experiment {
-    ($name:ident, $id:literal, $slug:literal, $title:literal, keys: [$($key:literal),*],
-     params: [$(($pkey:literal, $pkind:expr, $pdesc:literal)),*],
-     $(suite_seed: $suite:expr,)?
-     run: $run:expr) => {
-        /// Registry entry (see the struct's `title()` for what it measures).
-        pub struct $name;
-        impl Experiment for $name {
-            fn id(&self) -> &'static str {
-                $id
-            }
-            fn slug(&self) -> &'static str {
-                $slug
-            }
-            fn title(&self) -> &'static str {
-                $title
-            }
-            fn key_columns(&self) -> &'static [&'static str] {
-                &[$($key),*]
-            }
-            fn params(&self) -> &'static [ParamSpec] {
-                &[$(ParamSpec { key: $pkey, kind: $pkind, description: $pdesc }),*]
-            }
-            $(fn suite_seed(&self, suite: u64) -> u64 {
-                let _ = suite;
-                $suite
-            })?
-            fn run(&self, seed: u64, params: &Params, quick: bool) -> RunOutput {
-                let _ = (&params, quick);
-                #[allow(clippy::redundant_closure_call)]
-                let report: ExperimentReport = $run(seed, params, quick);
-                RunOutput::from_report(report, self.key_columns())
-            }
-        }
-    };
-}
-
-experiment!(
-    E01Coverage,
-    "E1",
-    "coverage",
-    "Coverage exclusion vs. discovery algorithm",
-    keys: ["nodes"],
-    params: [("convergence_s", ParamKind::USize, "simulated seconds the network converges for")],
-    suite_seed: 1,
-    run: |seed, params: &Params, quick| {
-        let mut settings = if quick {
-            DiscoverySettings::quick()
-        } else {
-            DiscoverySettings::default()
-        };
-        settings.seed = seed;
-        if let Some(c) = params.get_secs("convergence_s") {
-            settings.convergence = c;
-        }
-        e01_coverage_exclusion(&settings)
+impl Experiment {
+    /// `(key, help)` of every grid parameter this experiment declares, in
+    /// `repro --list` order (may be empty).
+    pub fn params(&self) -> Vec<(&'static str, &'static str)> {
+        self.plan.params()
     }
-);
 
-experiment!(
-    E02Gnutella,
-    "E2",
-    "gnutella",
-    "Gnutella flooding vs. PeerHood discovery traffic",
-    keys: ["nodes"],
-    params: [],
-    run: |seed, _params, _quick| e02_gnutella_traffic(seed)
-);
-
-experiment!(
-    E03Routes,
-    "E3",
-    "routes",
-    "Link-quality route selection (threshold rule)",
-    keys: ["route"],
-    params: [],
-    run: |_seed, _params, _quick| e03_quality_route_selection()
-);
-
-experiment!(
-    E04Notification,
-    "E4",
-    "notification",
-    "Maximum change-notification delay vs. jump count",
-    keys: ["jumps"],
-    params: [("jumps", ParamKind::USize, "maximum jump count to sweep")],
-    run: |seed, params: &Params, quick| {
-        let jumps = params.get_usize("jumps").unwrap_or(if quick { 2 } else { 3 });
-        e04_notification_delay(seed, jumps)
+    /// Whether [`Experiment::run`] would accept `key = value`: looks the row
+    /// up and calls its setter on a scratch preset.
+    pub fn check(&self, key: &str, value: &str) -> Result<(), String> {
+        self.plan.check(key, value)
     }
-);
 
-experiment!(
-    E05BridgeChoice,
-    "E5",
-    "bridge-choice",
-    "Static vs. dynamic devices as bridge",
-    keys: ["bridge mobility"],
-    params: [],
-    run: |seed, _params, _quick| e05_static_vs_dynamic_bridge(seed)
-);
-
-experiment!(
-    E06BridgePerf,
-    "E6",
-    "bridge-perf",
-    "Bridge connection performance",
-    keys: [],
-    params: [("trials", ParamKind::USize, "connection trials to run")],
-    run: |seed, params: &Params, quick| {
-        let trials = params.get_usize("trials").unwrap_or(if quick { 4 } else { 10 });
-        e06_bridge_performance(seed, trials)
-    }
-);
-
-experiment!(
-    E07TwoServer,
-    "E7",
-    "two-server",
-    "Two-server handover vs. routing handover",
-    keys: ["strategy"],
-    params: [],
-    run: |seed, _params, _quick| e07_two_server_handover(seed)
-);
-
-experiment!(
-    E08RoutingHandover,
-    "E8",
-    "routing-handover",
-    "Routing handover under artificial quality decay",
-    keys: ["decay (quality/s)"],
-    params: [("runs", ParamKind::USize, "runs per decay rate")],
-    run: |seed, params: &Params, quick| {
-        let runs = params.get_usize("runs").unwrap_or(if quick { 1 } else { 3 });
-        e08_routing_handover(seed, runs)
-    }
-);
-
-experiment!(
-    E09ResultRouting,
-    "E9",
-    "result-routing",
-    "Result routing across the three package-count regimes",
-    keys: ["regime"],
-    params: [],
-    run: |seed, _params, _quick| e09_result_routing(seed)
-);
-
-experiment!(
-    E10Amplification,
-    "E10",
-    "amplification",
-    "Coverage amplification through a tunnel",
-    keys: ["bridge chain"],
-    params: [],
-    run: |seed, _params, _quick| e10_coverage_amplification(seed)
-);
-
-experiment!(
-    E11Monitoring,
-    "E11",
-    "monitoring",
-    "Monitoring limitation: chain growth when the client returns",
-    keys: ["handover target"],
-    params: [],
-    run: |seed, _params, _quick| e11_monitoring_limitation(seed)
-);
-
-experiment!(
-    E12Scale,
-    "E12",
-    "scale",
-    "Dense-city discovery and handover at scale",
-    keys: ["nodes"],
-    params: [
-        ("nodes", ParamKind::USize, "city population (replaces the node-count sweep)"),
-        ("density", ParamKind::F64, "devices per square kilometre"),
-        ("mobile_fraction", ParamKind::F64, "fraction of roaming pedestrians"),
-        ("duration_s", ParamKind::USize, "simulated seconds per run"),
-        ("stack", ParamKind::Stack, "lightweight probe or full PeerHood stack")
-    ],
-    suite_seed: 12,
-    run: |seed, params: &Params, quick| {
-        let mut settings = if quick { ScaleSettings::quick() } else { ScaleSettings::full() };
-        settings.seed = seed;
-        apply_city_params(
-            params,
-            &mut settings.node_counts,
-            &mut settings.density_per_km2,
-            &mut settings.mobile_fraction,
-            &mut settings.duration,
-            Some(&mut settings.stack),
-        );
-        e12_dense_city(&settings)
-    }
-);
-
-experiment!(
-    E13Churn,
-    "E13",
-    "churn",
-    "Churn sweep: session survival under crash/restart schedules",
-    keys: ["nodes", "churn (/node/h)"],
-    params: [
-        ("nodes", ParamKind::USize, "city population (replaces the node-count sweep)"),
-        ("churn", ParamKind::F64, "crashes per node per hour (replaces the rate sweep)"),
-        ("density", ParamKind::F64, "devices per square kilometre"),
-        ("mobile_fraction", ParamKind::F64, "fraction of roaming pedestrians"),
-        ("duration_s", ParamKind::USize, "simulated seconds per cell"),
-        ("downtime_s", ParamKind::USize, "mean downtime of a crashed node"),
-        ("stack", ParamKind::Stack, "lightweight probe or full PeerHood stack")
-    ],
-    suite_seed: 13,
-    run: |seed, params: &Params, quick| {
-        let mut settings = if quick { ChurnSettings::quick() } else { ChurnSettings::full() };
-        settings.seed = seed;
-        apply_city_params(
-            params,
-            &mut settings.node_counts,
-            &mut settings.density_per_km2,
-            &mut settings.mobile_fraction,
-            &mut settings.duration,
-            Some(&mut settings.stack),
-        );
-        if let Some(rate) = params.get_f64("churn") {
-            settings.churn_per_hour = vec![rate];
-        }
-        if let Some(d) = params.get_secs("downtime_s") {
-            settings.mean_downtime = d;
-        }
-        e13_churn_sweep(&settings)
-    }
-);
-
-experiment!(
-    E14Blackout,
-    "E14",
-    "blackout",
-    "Blackout & flash crowd: mass outage and a restart storm",
-    keys: ["phase", "t (s)"],
-    params: [("stack", ParamKind::Stack, "lightweight probe or full PeerHood stack")],
-    run: |seed, params: &Params, quick| {
-        let stack = params.get_stack("stack").unwrap_or(StackMode::Lightweight);
-        e14_blackout_flash_crowd_with(seed, quick, stack)
-    }
-);
-
-experiment!(
-    E15Metropolis,
-    "E15",
-    "metropolis",
-    "Full-stack metropolis: real middleware on thousands of nodes",
-    keys: ["nodes"],
-    params: [
-        ("nodes", ParamKind::USize, "city population (every node runs the full stack)"),
-        ("density", ParamKind::F64, "devices per square kilometre"),
-        ("churn", ParamKind::F64, "crashes per churning node per hour"),
-        ("mobile_fraction", ParamKind::F64, "fraction of roaming pedestrians"),
-        ("duration_s", ParamKind::USize, "simulated seconds")
-    ],
-    suite_seed: 15,
-    run: |seed, params: &Params, quick| {
-        let mut settings = if quick {
-            MetropolisSettings::quick()
-        } else {
-            MetropolisSettings::full()
-        };
-        settings.seed = seed;
-        if let Some(n) = params.get_usize("nodes") {
-            settings.nodes = n;
-        }
-        if let Some(d) = params.get_f64("density") {
-            settings.density_per_km2 = d;
-        }
-        if let Some(rate) = params.get_f64("churn") {
-            settings.churn_per_hour = rate;
-        }
-        if let Some(m) = params.get_f64("mobile_fraction") {
-            settings.mobile_fraction = m;
-        }
-        if let Some(d) = params.get_secs("duration_s") {
-            settings.duration = d;
-        }
-        e15_full_stack_metropolis(&settings)
-    }
-);
-
-experiment!(
-    E16Overload,
-    "E16",
-    "overload",
-    "Overload city: flash crowd with/without the resilience pipeline",
-    keys: ["resilience"],
-    params: [
-        ("resilience", ParamKind::OnOff, "run only one pipeline mode (default: an off row and an on row)"),
-        ("clients", ParamKind::USize, "crowd size (half near each hotspot)"),
-        ("duration_s", ParamKind::USize, "simulated seconds per mode")
-    ],
-    suite_seed: 16,
-    run: |seed, params: &Params, quick| {
-        let mut settings = if quick {
-            OverloadSettings::quick()
-        } else {
-            OverloadSettings::full()
-        };
-        settings.seed = seed;
-        if let Some(n) = params.get_usize("clients") {
-            settings.clients = n;
-        }
-        if let Some(d) = params.get_secs("duration_s") {
-            settings.duration = d;
-        }
-        let modes: Vec<bool> = match params.get_on_off("resilience") {
-            Some(mode) => vec![mode],
-            None => vec![false, true],
-        };
-        e16_overload(&settings, &modes)
-    }
-);
-
-experiment!(
-    E17ShardedMetropolis,
-    "E17",
-    "sharded-metropolis",
-    "Sharded metropolis: deterministic intra-run parallelism at 100k+ nodes",
-    keys: ["nodes"],
-    params: [
-        ("shards", ParamKind::USize, "worker threads (wall-clock only; results are shard-invariant)"),
-        ("nodes", ParamKind::USize, "city population"),
-        ("density", ParamKind::F64, "devices per square kilometre"),
-        ("churn", ParamKind::F64, "crashes per churning node per hour"),
-        ("mobile_fraction", ParamKind::F64, "fraction of roaming pedestrians"),
-        ("duration_s", ParamKind::USize, "simulated seconds")
-    ],
-    suite_seed: 17,
-    run: |seed, params: &Params, quick| {
-        let mut settings = if quick {
-            ShardedSettings::quick()
-        } else {
-            ShardedSettings::full()
-        };
-        settings.seed = seed;
-        if let Some(s) = params.get_usize("shards") {
-            settings.shards = s.max(1);
-        }
-        if let Some(n) = params.get_usize("nodes") {
-            settings.nodes = n;
-        }
-        if let Some(d) = params.get_f64("density") {
-            settings.density_per_km2 = d;
-        }
-        if let Some(rate) = params.get_f64("churn") {
-            settings.churn_per_hour = rate;
-        }
-        if let Some(m) = params.get_f64("mobile_fraction") {
-            settings.mobile_fraction = m;
-        }
-        if let Some(d) = params.get_secs("duration_s") {
-            settings.duration = d;
-        }
-        e17_sharded_metropolis(&settings)
-    }
-);
-
-experiment!(
-    E18HotspotMetropolis,
-    "E18",
-    "hotspot",
-    "Hotspot metropolis: a flash crowd against the load-balanced sharded world",
-    keys: ["nodes"],
-    params: [
-        ("shards", ParamKind::USize, "worker threads (wall-clock only; results are shard-invariant)"),
-        ("adaptive", ParamKind::OnOff, "density-adaptive stripe rebalancing (wall-clock only)"),
-        ("imbalance", ParamKind::F64, "max/mean load ratio that arms a re-cut (wall-clock only)"),
-        ("patience", ParamKind::USize, "over-threshold windows before a re-cut fires (wall-clock only)"),
-        ("nodes", ParamKind::USize, "city population"),
-        ("density", ParamKind::F64, "overall devices per square kilometre"),
-        ("crowd_fraction", ParamKind::F64, "fraction of nodes milling inside the hotspot district"),
-        ("duration_s", ParamKind::USize, "simulated seconds")
-    ],
-    suite_seed: 18,
-    run: |seed, params: &Params, quick| {
-        let mut settings = if quick {
-            HotspotSettings::quick()
-        } else {
-            HotspotSettings::full()
-        };
-        settings.seed = seed;
-        if let Some(s) = params.get_usize("shards") {
-            settings.shards = s.max(1);
-        }
-        if let Some(a) = params.get_on_off("adaptive") {
-            settings.adaptive = a;
-        }
-        if let Some(r) = params.get_f64("imbalance") {
-            settings.imbalance_threshold = r.max(1.0);
-        }
-        if let Some(p) = params.get_usize("patience") {
-            settings.patience = p.max(1) as u32;
-        }
-        if let Some(n) = params.get_usize("nodes") {
-            settings.nodes = n;
-        }
-        if let Some(d) = params.get_f64("density") {
-            settings.density_per_km2 = d;
-        }
-        if let Some(c) = params.get_f64("crowd_fraction") {
-            settings.crowd_fraction = c.clamp(0.0, 1.0);
-        }
-        if let Some(d) = params.get_secs("duration_s") {
-            settings.duration = d;
-        }
-        e18_hotspot_metropolis(&settings)
-    }
-);
-
-experiment!(
-    E19HostileCity,
-    "E19",
-    "adversary",
-    "Hostile city: partitions and Byzantine insiders vs. the defence tiers",
-    keys: ["defenses"],
-    params: [
-        ("defenses", ParamKind::Defense, "run only one tier (default: off, sanity and auth rows)"),
-        ("clients", ParamKind::USize, "honest crowd size"),
-        ("hostiles", ParamKind::USize, "compromised insiders planted in the crowd"),
-        ("duration_s", ParamKind::USize, "simulated seconds per tier")
-    ],
-    suite_seed: 19,
-    run: |seed, params: &Params, quick| {
-        let mut settings = if quick {
-            AdversarySettings::quick()
-        } else {
-            AdversarySettings::full()
-        };
-        settings.seed = seed;
-        if let Some(n) = params.get_usize("clients") {
-            settings.clients = n;
-        }
-        if let Some(h) = params.get_usize("hostiles") {
-            settings.hostiles = h;
-        }
-        if let Some(d) = params.get_secs("duration_s") {
-            settings.duration = d;
-        }
-        let defenses: Vec<Defense> = match params.get_defense("defenses") {
-            Some(tier) => vec![tier],
-            None => Defense::ALL.to_vec(),
-        };
-        e19_hostile_city(&settings, &defenses)
-    }
-);
-
-/// Applies the shared city-family overrides (E12/E13): population, density,
-/// mobile fraction, duration and stack mode.
-fn apply_city_params(
-    params: &Params,
-    node_counts: &mut Vec<usize>,
-    density: &mut f64,
-    mobile_fraction: &mut f64,
-    duration: &mut SimDuration,
-    stack: Option<&mut StackMode>,
-) {
-    if let Some(n) = params.get_usize("nodes") {
-        *node_counts = vec![n];
-    }
-    if let Some(d) = params.get_f64("density") {
-        *density = d;
-    }
-    if let Some(m) = params.get_f64("mobile_fraction") {
-        *mobile_fraction = m;
-    }
-    if let Some(d) = params.get_secs("duration_s") {
-        *duration = d;
-    }
-    if let (Some(slot), Some(mode)) = (stack, params.get_stack("stack")) {
-        *slot = mode;
+    /// Runs the experiment: applies `params` to the quick or full preset,
+    /// builds its worlds, measures, and returns the report plus numeric
+    /// samples. An undeclared key or an unparsable value is an error.
+    pub fn run(&self, seed: u64, params: &Params, quick: bool) -> Result<RunOutput, String> {
+        let report = self.plan.run(seed, params, quick)?;
+        let samples = samples_from_report(&report, self.key_columns);
+        Ok(RunOutput { report, samples })
     }
 }
+
+static REGISTRY: [Experiment; 19] = [
+    Experiment {
+        id: "E1",
+        slug: "coverage",
+        title: "Coverage exclusion vs. discovery algorithm",
+        key_columns: &["nodes"],
+        suite_seed: Some(1),
+        plan: &Plan {
+            quick: DiscoverySettings::quick,
+            full: DiscoverySettings::default,
+            seed: |s| &mut s.seed,
+            params: DiscoverySettings::PARAMS,
+            report: e01_coverage_exclusion,
+        },
+    },
+    Experiment {
+        id: "E2",
+        slug: "gnutella",
+        title: "Gnutella flooding vs. PeerHood discovery traffic",
+        key_columns: &["nodes"],
+        suite_seed: None,
+        plan: &seeded(|&seed| e02_gnutella_traffic(seed)),
+    },
+    Experiment {
+        id: "E3",
+        slug: "routes",
+        title: "Link-quality route selection (threshold rule)",
+        key_columns: &["route"],
+        suite_seed: None,
+        plan: &seeded(|_| e03_quality_route_selection()),
+    },
+    Experiment {
+        id: "E4",
+        slug: "notification",
+        title: "Maximum change-notification delay vs. jump count",
+        key_columns: &["jumps"],
+        suite_seed: None,
+        plan: &Plan {
+            quick: || (0, 2),
+            full: || (0, 3),
+            seed: |(seed, _)| seed,
+            params: &[Param::new("jumps", "maximum jump count to sweep", |(_, jumps), v| {
+                count(v).map(|n| *jumps = n)
+            })],
+            report: |&(seed, jumps)| e04_notification_delay(seed, jumps),
+        },
+    },
+    Experiment {
+        id: "E5",
+        slug: "bridge-choice",
+        title: "Static vs. dynamic devices as bridge",
+        key_columns: &["bridge mobility"],
+        suite_seed: None,
+        plan: &seeded(|&seed| e05_static_vs_dynamic_bridge(seed)),
+    },
+    Experiment {
+        id: "E6",
+        slug: "bridge-perf",
+        title: "Bridge connection performance",
+        key_columns: &[],
+        suite_seed: None,
+        plan: &Plan {
+            quick: || (0, 4),
+            full: || (0, 10),
+            seed: |(seed, _)| seed,
+            params: &[Param::new("trials", "connection trials to run", |(_, trials), v| {
+                count(v).map(|n| *trials = n)
+            })],
+            report: |&(seed, trials)| e06_bridge_performance(seed, trials),
+        },
+    },
+    Experiment {
+        id: "E7",
+        slug: "two-server",
+        title: "Two-server handover vs. routing handover",
+        key_columns: &["strategy"],
+        suite_seed: None,
+        plan: &seeded(|&seed| e07_two_server_handover(seed)),
+    },
+    Experiment {
+        id: "E8",
+        slug: "routing-handover",
+        title: "Routing handover under artificial quality decay",
+        key_columns: &["decay (quality/s)"],
+        suite_seed: None,
+        plan: &Plan {
+            quick: || (0, 1),
+            full: || (0, 3),
+            seed: |(seed, _)| seed,
+            params: &[Param::new("runs", "runs per decay rate", |(_, runs), v| {
+                count(v).map(|n| *runs = n)
+            })],
+            report: |&(seed, runs)| e08_routing_handover(seed, runs),
+        },
+    },
+    Experiment {
+        id: "E9",
+        slug: "result-routing",
+        title: "Result routing across the three package-count regimes",
+        key_columns: &["regime"],
+        suite_seed: None,
+        plan: &seeded(|&seed| e09_result_routing(seed)),
+    },
+    Experiment {
+        id: "E10",
+        slug: "amplification",
+        title: "Coverage amplification through a tunnel",
+        key_columns: &["bridge chain"],
+        suite_seed: None,
+        plan: &seeded(|&seed| e10_coverage_amplification(seed)),
+    },
+    Experiment {
+        id: "E11",
+        slug: "monitoring",
+        title: "Monitoring limitation: chain growth when the client returns",
+        key_columns: &["handover target"],
+        suite_seed: None,
+        plan: &seeded(|&seed| e11_monitoring_limitation(seed)),
+    },
+    Experiment {
+        id: "E12",
+        slug: "scale",
+        title: "Dense-city discovery and handover at scale",
+        key_columns: &["nodes"],
+        suite_seed: Some(12),
+        plan: &Plan {
+            quick: ScaleSettings::quick,
+            full: ScaleSettings::full,
+            seed: |s| &mut s.city.seed,
+            params: ScaleSettings::PARAMS,
+            report: e12_dense_city,
+        },
+    },
+    Experiment {
+        id: "E13",
+        slug: "churn",
+        title: "Churn sweep: session survival under crash/restart schedules",
+        key_columns: &["nodes", "churn (/node/h)"],
+        suite_seed: Some(13),
+        plan: &Plan {
+            quick: ChurnSettings::quick,
+            full: ChurnSettings::full,
+            seed: |s| &mut s.city.seed,
+            params: ChurnSettings::PARAMS,
+            report: e13_churn_sweep,
+        },
+    },
+    Experiment {
+        id: "E14",
+        slug: "blackout",
+        title: "Blackout & flash crowd: mass outage and a restart storm",
+        key_columns: &["phase", "t (s)"],
+        suite_seed: None,
+        plan: &Plan {
+            // (seed, quick, stack): E14's sizes hang off the effort itself.
+            quick: || (0, true, StackMode::Lightweight),
+            full: || (0, false, StackMode::Lightweight),
+            seed: |(seed, _, _)| seed,
+            params: &[Param::new(
+                "stack",
+                "lightweight probe or full PeerHood stack",
+                |(_, _, stack), v| v.parse().map(|mode| *stack = mode),
+            )],
+            report: |&(seed, quick, stack)| e14_blackout_flash_crowd_with(seed, quick, stack),
+        },
+    },
+    Experiment {
+        id: "E15",
+        slug: "metropolis",
+        title: "Full-stack metropolis: real middleware on thousands of nodes",
+        key_columns: &["nodes"],
+        suite_seed: Some(15),
+        plan: &Plan {
+            quick: MetropolisSettings::quick,
+            full: MetropolisSettings::full,
+            seed: |s| &mut s.city.seed,
+            params: MetropolisSettings::PARAMS,
+            report: e15_full_stack_metropolis,
+        },
+    },
+    Experiment {
+        id: "E16",
+        slug: "overload",
+        title: "Overload city: flash crowd with/without the resilience pipeline",
+        key_columns: &["resilience"],
+        suite_seed: Some(16),
+        plan: &Plan {
+            // The settings plus the pipeline modes to run, one row each.
+            quick: || (OverloadSettings::quick(), vec![false, true]),
+            full: || (OverloadSettings::full(), vec![false, true]),
+            seed: |(settings, _)| &mut settings.seed,
+            params: OverloadSettings::PARAMS,
+            report: |(settings, modes)| e16_overload(settings, modes),
+        },
+    },
+    Experiment {
+        id: "E17",
+        slug: "sharded-metropolis",
+        title: "Sharded metropolis: deterministic intra-run parallelism at 100k+ nodes",
+        key_columns: &["nodes"],
+        suite_seed: Some(17),
+        plan: &Plan {
+            quick: ShardedSettings::quick,
+            full: ShardedSettings::full,
+            seed: |s| &mut s.city.seed,
+            params: ShardedSettings::PARAMS,
+            report: e17_sharded_metropolis,
+        },
+    },
+    Experiment {
+        id: "E18",
+        slug: "hotspot",
+        title: "Hotspot metropolis: a flash crowd against the load-balanced sharded world",
+        key_columns: &["nodes"],
+        suite_seed: Some(18),
+        plan: &Plan {
+            quick: HotspotSettings::quick,
+            full: HotspotSettings::full,
+            seed: |s| &mut s.city.seed,
+            params: HotspotSettings::PARAMS,
+            report: e18_hotspot_metropolis,
+        },
+    },
+    Experiment {
+        id: "E19",
+        slug: "adversary",
+        title: "Hostile city: partitions and Byzantine insiders vs. the defence tiers",
+        key_columns: &["defenses"],
+        suite_seed: Some(19),
+        plan: &Plan {
+            // The settings plus the defence tiers to run, one row each.
+            quick: || (AdversarySettings::quick(), Defense::ALL.to_vec()),
+            full: || (AdversarySettings::full(), Defense::ALL.to_vec()),
+            seed: |(settings, _)| &mut settings.seed,
+            params: AdversarySettings::PARAMS,
+            report: |(settings, tiers)| e19_hostile_city(settings, tiers),
+        },
+    },
+];
 
 /// Every experiment of the reproduction, in E1–E19 order.
-pub fn registry() -> Vec<Box<dyn Experiment>> {
-    vec![
-        Box::new(E01Coverage),
-        Box::new(E02Gnutella),
-        Box::new(E03Routes),
-        Box::new(E04Notification),
-        Box::new(E05BridgeChoice),
-        Box::new(E06BridgePerf),
-        Box::new(E07TwoServer),
-        Box::new(E08RoutingHandover),
-        Box::new(E09ResultRouting),
-        Box::new(E10Amplification),
-        Box::new(E11Monitoring),
-        Box::new(E12Scale),
-        Box::new(E13Churn),
-        Box::new(E14Blackout),
-        Box::new(E15Metropolis),
-        Box::new(E16Overload),
-        Box::new(E17ShardedMetropolis),
-        Box::new(E18HotspotMetropolis),
-        Box::new(E19HostileCity),
-    ]
+pub fn registry() -> &'static [Experiment] {
+    &REGISTRY
 }
 
 /// Looks an experiment up by slug or id, case-insensitively.
-pub fn find(name: &str) -> Option<Box<dyn Experiment>> {
-    registry()
-        .into_iter()
-        .find(|e| e.slug().eq_ignore_ascii_case(name) || e.id().eq_ignore_ascii_case(name))
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    REGISTRY
+        .iter()
+        .find(|e| e.slug.eq_ignore_ascii_case(name) || e.id.eq_ignore_ascii_case(name))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::ExperimentReport;
+    use crate::experiments::params::{number, on_off};
 
     #[test]
     fn registry_has_nineteen_unique_experiments() {
         let reg = registry();
         assert_eq!(reg.len(), 19);
-        let mut slugs: Vec<&str> = reg.iter().map(|e| e.slug()).collect();
-        let mut ids: Vec<&str> = reg.iter().map(|e| e.id()).collect();
+        let mut slugs: Vec<&str> = reg.iter().map(|e| e.slug).collect();
+        let mut ids: Vec<&str> = reg.iter().map(|e| e.id).collect();
         slugs.sort_unstable();
         slugs.dedup();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(slugs.len(), 19, "slugs must be unique");
         assert_eq!(ids.len(), 19, "ids must be unique");
-        assert_eq!(reg[12].id(), "E13");
-        assert_eq!(reg[12].slug(), "churn");
-        assert_eq!(reg[15].id(), "E16");
-        assert_eq!(reg[15].slug(), "overload");
-        assert_eq!(reg[16].id(), "E17");
-        assert_eq!(reg[16].slug(), "sharded-metropolis");
-        assert_eq!(reg[17].id(), "E18");
-        assert_eq!(reg[17].slug(), "hotspot");
-        assert_eq!(reg[18].id(), "E19");
-        assert_eq!(reg[18].slug(), "adversary");
+        for (i, id, slug) in [
+            (12, "E13", "churn"),
+            (15, "E16", "overload"),
+            (16, "E17", "sharded-metropolis"),
+            (17, "E18", "hotspot"),
+            (18, "E19", "adversary"),
+        ] {
+            assert_eq!((reg[i].id, reg[i].slug), (id, slug));
+        }
     }
 
     #[test]
     fn find_resolves_slug_and_id() {
-        assert_eq!(find("churn").unwrap().id(), "E13");
-        assert_eq!(find("e13").unwrap().slug(), "churn");
-        assert_eq!(find("METROPOLIS").unwrap().id(), "E15");
+        assert_eq!(find("churn").unwrap().id, "E13");
+        assert_eq!(find("e13").unwrap().slug, "churn");
+        assert_eq!(find("METROPOLIS").unwrap().id, "E15");
         assert!(find("nope").is_none());
     }
 
@@ -850,18 +529,18 @@ mod tests {
 
     #[test]
     fn param_kind_validation() {
-        assert!(ParamKind::USize.check("42").is_ok());
-        assert!(ParamKind::USize.check("-1").is_err());
-        assert!(ParamKind::F64.check("2.5").is_ok());
-        assert!(ParamKind::F64.check("inf").is_err());
-        assert!(ParamKind::Stack.check("full").is_ok());
-        assert!(ParamKind::Stack.check("Full").is_err());
-        assert!(ParamKind::OnOff.check("on").is_ok());
-        assert!(ParamKind::OnOff.check("off").is_ok());
-        assert!(ParamKind::OnOff.check("true").is_err());
-        assert!(ParamKind::Defense.check("off").is_ok());
-        assert!(ParamKind::Defense.check("sanity").is_ok());
-        assert!(ParamKind::Defense.check("auth").is_ok());
-        assert!(ParamKind::Defense.check("Auth").is_err());
+        assert!(count("42").is_ok());
+        assert!(count("-1").is_err());
+        assert!(number("2.5").is_ok());
+        assert!(number("inf").is_err());
+        assert!("full".parse::<StackMode>().is_ok());
+        assert!("Full".parse::<StackMode>().is_err());
+        assert!(on_off("on").is_ok());
+        assert!(on_off("off").is_ok());
+        assert!(on_off("true").is_err());
+        assert!("off".parse::<Defense>().is_ok());
+        assert!("sanity".parse::<Defense>().is_ok());
+        assert!("auth".parse::<Defense>().is_ok());
+        assert!("Auth".parse::<Defense>().is_err());
     }
 }

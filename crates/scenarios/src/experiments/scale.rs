@@ -17,9 +17,10 @@ use std::rc::Rc;
 
 use simnet::prelude::*;
 
+use crate::experiments::city::City;
 use crate::experiments::full_stack::{metro_configs, FullStackHost, StackMode};
+use crate::experiments::params::{count, Param};
 use crate::report::ExperimentReport;
-use crate::topology::city_placement;
 
 const SCAN: TimerToken = TimerToken(0xE121);
 const QCHECK: TimerToken = TimerToken(0xE122);
@@ -27,20 +28,10 @@ const QCHECK: TimerToken = TimerToken(0xE122);
 /// Settings for the E12 dense-city scale runs.
 #[derive(Debug, Clone)]
 pub struct ScaleSettings {
-    /// Base random seed.
-    pub seed: u64,
+    /// The shared city core (seed 12).
+    pub city: City,
     /// Total node counts to sweep.
     pub node_counts: Vec<usize>,
-    /// Device density in nodes per square kilometre; the simulated area
-    /// grows with the node count so the density stays constant.
-    pub density_per_km2: f64,
-    /// Fraction of nodes roaming as random-waypoint pedestrians (the rest
-    /// are stationary terminals).
-    pub mobile_fraction: f64,
-    /// Simulated duration of each run.
-    pub duration: SimDuration,
-    /// How often each device scans its neighbourhood.
-    pub inquiry_interval: SimDuration,
     /// Which agent populates the city: the lightweight probe (byte-identical
     /// to the historical reports) or the real PeerHood middleware stack.
     pub stack: StackMode,
@@ -50,33 +41,46 @@ impl ScaleSettings {
     /// The full sizes (`repro` without `--quick`): 1k–10k nodes.
     pub fn full() -> Self {
         ScaleSettings {
-            seed: 12,
+            city: City {
+                seed: 12,
+                density_per_km2: 2_000.0,
+                mobile_fraction: 0.25,
+                duration: SimDuration::from_secs(300),
+                inquiry_interval: SimDuration::from_secs(8),
+                // E12 installs no churn.
+                mean_downtime: SimDuration::ZERO,
+            },
             node_counts: vec![1_000, 2_500, 5_000, 10_000],
-            density_per_km2: 2_000.0,
-            mobile_fraction: 0.25,
-            duration: SimDuration::from_secs(300),
-            inquiry_interval: SimDuration::from_secs(8),
             stack: StackMode::Lightweight,
         }
     }
 
     /// A reduced variant for CI and `cargo test`.
     pub fn quick() -> Self {
-        ScaleSettings {
-            seed: 12,
-            node_counts: vec![150, 400],
-            density_per_km2: 2_000.0,
-            mobile_fraction: 0.25,
-            duration: SimDuration::from_secs(90),
-            inquiry_interval: SimDuration::from_secs(10),
-            stack: StackMode::Lightweight,
-        }
+        let mut quick = ScaleSettings::full();
+        quick.node_counts = vec![150, 400];
+        quick.city.duration = SimDuration::from_secs(90);
+        quick.city.inquiry_interval = SimDuration::from_secs(10);
+        quick
     }
 
-    /// Side length in metres of the square area holding `nodes` devices at
-    /// the configured density.
-    pub fn side_m(&self, nodes: usize) -> f64 {
-        (nodes as f64 / self.density_per_km2 * 1_000_000.0).sqrt()
+    /// The grid parameters of E12.
+    pub const PARAMS: &'static [Param<Self>] = &[
+        Param::new("nodes", "city population (replaces the node-count sweep)", |s, v| {
+            count(v).map(|n| s.node_counts = vec![n])
+        }),
+        City::density(),
+        City::mobile_fraction(),
+        City::duration_s().help("simulated seconds per run"),
+        Param::new("stack", "lightweight probe or full PeerHood stack", |s, v| {
+            v.parse().map(|mode| s.stack = mode)
+        }),
+    ];
+}
+
+impl AsMut<City> for ScaleSettings {
+    fn as_mut(&mut self) -> &mut City {
+        &mut self.city
     }
 }
 
@@ -209,22 +213,17 @@ impl NodeAgent for CityAgent {
 /// One dense-city run; returns the populated world after `duration`.
 /// Honours the thread's [`telemetry`](crate::telemetry) settings.
 fn city_run(settings: &ScaleSettings, nodes: usize) -> World {
-    let side = settings.side_m(nodes);
-    let mut config = WorldConfig::with_seed(settings.seed ^ (nodes as u64));
-    // The city is WLAN-only, so size the grid cells to the WLAN range
-    // instead of the 10 m Bluetooth default.
-    config.grid_cell_m = config.radio.wlan.range_m;
-    let mut world = World::new(config);
+    let city = &settings.city;
+    let mut world = city.world(nodes);
     // Two configuration allocations (static/mobile) for the whole
     // full-stack city.
     let shared = match settings.stack {
-        StackMode::Full => Some(metro_configs(settings.inquiry_interval)),
+        StackMode::Full => Some(metro_configs(city.inquiry_interval)),
         StackMode::Lightweight => None,
     };
-    let placer_seed = settings.seed ^ 0xC17F ^ (nodes as u64);
-    for (i, mobility, is_mobile) in city_placement(nodes, side, settings.mobile_fraction, placer_seed) {
+    for (i, mobility, is_mobile) in city.placement(nodes, 0xC17F) {
         let agent: Box<dyn NodeAgent> = match &shared {
-            None => Box::new(CityAgent::new(settings.inquiry_interval)),
+            None => Box::new(CityAgent::new(city.inquiry_interval)),
             Some((static_cfg, mobile_cfg)) => {
                 let cfg = if is_mobile { mobile_cfg } else { static_cfg };
                 Box::new(FullStackHost::new(Rc::clone(cfg)))
@@ -233,9 +232,7 @@ fn city_run(settings: &ScaleSettings, nodes: usize) -> World {
         world.add_node(format!("c{i}"), mobility, &[RadioTech::Wlan], agent);
     }
     let scope = format!("E12 nodes={nodes}");
-    crate::telemetry::instrument_world(&mut world, &scope);
-    crate::telemetry::run_world(&mut world, settings.duration, |_| {});
-    crate::telemetry::finish_world(&mut world, &scope);
+    crate::telemetry::observe(&mut world, &scope, city.duration);
     world
 }
 
@@ -286,7 +283,7 @@ pub fn e12_dense_city(settings: &ScaleSettings) -> ExperimentReport {
         let g = world.metrics().global();
         report.push_row([
             nodes.to_string(),
-            format!("{:.0}", settings.side_m(nodes)),
+            format!("{:.0}", settings.city.side_m(nodes)),
             ExperimentReport::f(avg_neighbors),
             g.inquiries_started.to_string(),
             g.connects_established.to_string(),
@@ -296,9 +293,9 @@ pub fn e12_dense_city(settings: &ScaleSettings) -> ExperimentReport {
     }
     report.push_note(format!(
         "constant density {} nodes/km^2, {:.0}% mobile, {}s simulated per row",
-        settings.density_per_km2,
-        settings.mobile_fraction * 100.0,
-        settings.duration.as_secs_f64()
+        settings.city.density_per_km2,
+        settings.city.mobile_fraction * 100.0,
+        settings.city.duration.as_secs_f64()
     ));
     if settings.stack == StackMode::Full {
         report.push_note(

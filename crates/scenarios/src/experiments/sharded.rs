@@ -20,9 +20,11 @@
 use std::any::Any;
 
 use simnet::prelude::*;
+use simnet::telemetry::Fnv1a;
 
+use crate::experiments::city::City;
+use crate::experiments::params::{count, number, Param};
 use crate::report::ExperimentReport;
-use crate::topology::city_placement;
 
 const SCAN: TimerToken = TimerToken(0xE171);
 const QCHECK: TimerToken = TimerToken(0xE172);
@@ -31,23 +33,13 @@ const PING: TimerToken = TimerToken(0xE173);
 /// Settings for the E17 sharded-metropolis run.
 #[derive(Debug, Clone)]
 pub struct ShardedSettings {
-    /// Base random seed (world, placement and churn plans derive from it).
-    pub seed: u64,
+    /// The shared city core (seed 17).
+    pub city: City,
     /// City population.
     pub nodes: usize,
-    /// Device density in nodes per square kilometre.
-    pub density_per_km2: f64,
-    /// Fraction of nodes roaming as random-waypoint pedestrians.
-    pub mobile_fraction: f64,
     /// Expected crashes per churning node per hour (every tenth node
     /// churns). Zero disables the fault engine.
     pub churn_per_hour: f64,
-    /// Mean downtime of a crashed node.
-    pub mean_downtime: SimDuration,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// How often each device scans its neighbourhood.
-    pub inquiry_interval: SimDuration,
     /// How often an attached device pings its peer.
     pub ping_interval: SimDuration,
     /// Worker threads to run the world on. Changes wall-clock time only,
@@ -59,14 +51,16 @@ impl ShardedSettings {
     /// The full-size run (`repro` without `--quick`): a quarter-million nodes.
     pub fn full() -> Self {
         ShardedSettings {
-            seed: 17,
+            city: City {
+                seed: 17,
+                density_per_km2: 1_000.0,
+                mobile_fraction: 0.2,
+                duration: SimDuration::from_secs(120),
+                inquiry_interval: SimDuration::from_secs(20),
+                mean_downtime: SimDuration::from_secs(25),
+            },
             nodes: 250_000,
-            density_per_km2: 1_000.0,
-            mobile_fraction: 0.2,
             churn_per_hour: 20.0,
-            mean_downtime: SimDuration::from_secs(25),
-            duration: SimDuration::from_secs(120),
-            inquiry_interval: SimDuration::from_secs(20),
             ping_interval: SimDuration::from_secs(10),
             shards: 2,
         }
@@ -74,25 +68,40 @@ impl ShardedSettings {
 
     /// The CI variant: a 100k-node city over a shorter horizon.
     pub fn quick() -> Self {
-        ShardedSettings {
-            nodes: 100_000,
-            duration: SimDuration::from_secs(45),
-            ..ShardedSettings::full()
-        }
+        let mut quick = ShardedSettings::full();
+        quick.nodes = 100_000;
+        quick.city.duration = SimDuration::from_secs(45);
+        quick
     }
 
     /// A small population for debug-build smoke tests (`cargo test`).
     pub fn smoke() -> Self {
-        ShardedSettings {
-            nodes: 600,
-            duration: SimDuration::from_secs(60),
-            ..ShardedSettings::full()
-        }
+        let mut smoke = ShardedSettings::full();
+        smoke.nodes = 600;
+        smoke.city.duration = SimDuration::from_secs(60);
+        smoke
     }
 
-    /// Side length in metres of the square area at the configured density.
-    pub fn side_m(&self) -> f64 {
-        (self.nodes as f64 / self.density_per_km2 * 1_000_000.0).sqrt()
+    /// The grid parameters of E17.
+    pub const PARAMS: &'static [Param<Self>] = &[
+        Param::new(
+            "shards",
+            "worker threads (wall-clock only; results are shard-invariant)",
+            |s, v| count(v).map(|n| s.shards = n.max(1)),
+        ),
+        Param::new("nodes", "city population", |s, v| count(v).map(|n| s.nodes = n)),
+        City::density(),
+        Param::new("churn", "crashes per churning node per hour", |s, v| {
+            number(v).map(|rate| s.churn_per_hour = rate)
+        }),
+        City::mobile_fraction(),
+        City::duration_s(),
+    ];
+}
+
+impl AsMut<City> for ShardedSettings {
+    fn as_mut(&mut self) -> &mut City {
+        &mut self.city
     }
 }
 
@@ -252,41 +261,23 @@ impl ShardAgent for ShardCityAgent {
 /// inspection. Identical `(settings minus shards)` produce identical worlds
 /// at any shard count.
 pub fn sharded_metropolis_run(settings: &ShardedSettings) -> ShardedWorld {
-    let side = settings.side_m();
-    let area = Rect::new(0.0, 0.0, side, side);
-    let mut config = ShardedConfig::new(settings.seed ^ (settings.nodes as u64), area);
-    config.shards = settings.shards;
-    config.grid_cell_m = config.radio.wlan.range_m;
-    config.link_check_interval = SimDuration::from_secs(1);
-    config.window = Some(SimDuration::from_secs(1));
-    config.max_speed_mps = 2.0;
-    config.mobility_horizon = SimTime::ZERO + settings.duration + SimDuration::from_secs(600);
-    let mut world = ShardedWorld::new(config);
-    let placer_seed = settings.seed ^ 0x5AD0 ^ (settings.nodes as u64);
-    for (i, mobility, _) in city_placement(settings.nodes, side, settings.mobile_fraction, placer_seed) {
+    let city = &settings.city;
+    let mut world = ShardedWorld::new(city.sharded_config(settings.nodes, settings.shards, 2.0));
+    for (i, mobility, _) in city.placement(settings.nodes, 0x5AD0) {
         world.add_node(
             format!("s{i}"),
             mobility,
             &[RadioTech::Wlan],
-            Box::new(ShardCityAgent::new(settings.inquiry_interval, settings.ping_interval)),
+            Box::new(ShardCityAgent::new(city.inquiry_interval, settings.ping_interval)),
         );
     }
-    if settings.churn_per_hour > 0.0 {
-        let mtbf = SimDuration::from_secs_f64(3_600.0 / settings.churn_per_hour);
-        let horizon = SimTime::ZERO + settings.duration;
-        let planner = SimRng::new(settings.seed ^ 0xFA17_5A4D);
-        for (i, node) in world.node_ids().collect::<Vec<_>>().into_iter().enumerate() {
-            if i % 10 != 0 {
-                continue;
-            }
-            let mut rng = planner.derive(i as u64);
-            let plan = FaultPlan::churn(horizon, mtbf, settings.mean_downtime, &mut rng);
-            world.install_fault_plan(node, &plan);
-        }
-    }
+    let ids: Vec<NodeId> = world.node_ids().collect();
+    city.install_churn(&ids, 10, settings.churn_per_hour, 0xFA17_5A4D, |node, plan| {
+        world.install_fault_plan(node, &plan)
+    });
     let scope = format!("E17 nodes={} shards={}", settings.nodes, settings.shards);
     crate::telemetry::instrument_sharded(&mut world, &scope);
-    world.run_for(settings.duration);
+    world.run_for(city.duration);
     crate::telemetry::finish_sharded(&mut world, &scope);
     world
 }
@@ -297,15 +288,8 @@ pub fn sharded_metropolis_run(settings: &ShardedSettings) -> ShardedWorld {
 /// they agree on every number the world can report — the single cell CI
 /// diffs across shard counts.
 pub fn sharded_world_digest(world: &ShardedWorld) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = BASIS;
-    let mut fold = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut digest = Fnv1a::default();
+    let mut fold = |v: u64| digest.write(&v.to_le_bytes());
     let fold_counters = |fold: &mut dyn FnMut(u64), c: &Counters| {
         fold(c.inquiries_started);
         fold(c.inquiry_hits);
@@ -343,7 +327,7 @@ pub fn sharded_world_digest(world: &ShardedWorld) -> u64 {
             LifecycleKind::RadioUp(t) => 0x20 + t as u64,
         });
     }
-    h
+    digest.finish()
 }
 
 /// E17 (beyond the thesis): the sharded metropolis.
@@ -386,7 +370,7 @@ pub fn e17_sharded_metropolis(settings: &ShardedSettings) -> ExperimentReport {
     let fault = world.fault_stats();
     report.push_row([
         settings.nodes.to_string(),
-        format!("{:.0}", settings.side_m()),
+        format!("{:.0}", settings.city.side_m(settings.nodes)),
         g.inquiries_started.to_string(),
         g.connects_established.to_string(),
         handovers.to_string(),
@@ -400,11 +384,11 @@ pub fn e17_sharded_metropolis(settings: &ShardedSettings) -> ExperimentReport {
         "density {} nodes/km^2, {:.0}% mobile, every 10th node churning at {}/h (mean downtime \
          {}s), {}s simulated; windowed execution (1s lookahead), digest covers all counters, \
          per-node tallies and the lifecycle stream",
-        settings.density_per_km2,
-        settings.mobile_fraction * 100.0,
+        settings.city.density_per_km2,
+        settings.city.mobile_fraction * 100.0,
         settings.churn_per_hour,
-        settings.mean_downtime.as_secs(),
-        settings.duration.as_secs_f64(),
+        settings.city.mean_downtime.as_secs(),
+        settings.city.duration.as_secs_f64(),
     ));
     report
 }

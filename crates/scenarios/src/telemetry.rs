@@ -3,9 +3,10 @@
 //! The engines ([`World`], [`ShardedWorld`]) carry the recording hooks; this
 //! module decides *whether* a given experiment run engages them. The `repro`
 //! CLI (and tests) call [`configure`] once per thread, the experiment
-//! builders call [`instrument_world`] / [`instrument_sharded`] on each world
-//! they create and [`finish_world`] / [`finish_sharded`] when the run ends,
-//! and the CLI drains the recorded [`TelemetryCapture`]s with
+//! builders call [`observe`] around an uninterrupted run (or
+//! [`instrument_world`] / [`instrument_sharded`] on each world they create
+//! and [`finish_world`] / [`finish_sharded`] when the run ends), and the CLI
+//! drains the recorded [`TelemetryCapture`]s with
 //! [`take_captures`] after the report is printed.
 //!
 //! Settings are **thread-local and default to [`TelemetryMode::Off`]**: sweep
@@ -203,6 +204,15 @@ pub fn run_world(world: &mut World, duration: SimDuration, mut refresh: impl FnM
     refresh(world);
 }
 
+/// Observes one uninterrupted run: [`instrument_world`], [`run_world`] for
+/// `duration` with nothing to refresh, [`finish_world`]. Runs that sample,
+/// refresh gauges or quiesce between those steps call them separately.
+pub fn observe(world: &mut World, scope: &str, duration: SimDuration) {
+    instrument_world(world, scope);
+    run_world(world, duration, |_| {});
+    finish_world(world, scope);
+}
+
 /// The live `repro watch` frame printer: one stderr line per sampled frame
 /// with the aggregate vitals (and per-frame connect/delivery rates derived
 /// from the counter deltas).
@@ -263,9 +273,7 @@ mod tests {
     fn finish_with_nothing_attached_records_no_capture() {
         configure(TelemetrySettings::default());
         let mut world = World::new(WorldConfig::with_seed(7));
-        instrument_world(&mut world, "noop");
-        run_world(&mut world, SimDuration::from_secs(2), |_| {});
-        finish_world(&mut world, "noop");
+        observe(&mut world, "noop", SimDuration::from_secs(2));
         assert!(take_captures().is_empty());
     }
 }

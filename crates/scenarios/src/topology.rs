@@ -72,41 +72,6 @@ pub fn random_positions(count: usize, side_m: f64, seed: u64) -> Vec<Point> {
         .collect()
 }
 
-/// Seeded placement of a constant-density city district: every device starts
-/// uniformly at random inside a `side_m` square, every
-/// `round(1 / mobile_fraction)`-th one is a pedestrian random-waypoint walker
-/// (0.7–2.0 m/s, 20 s pauses) and the rest never move. Yields
-/// `(index, mobility, is_mobile)`; starts are [`random_positions`] of `seed`.
-pub(crate) fn city_placement(
-    count: usize,
-    side_m: f64,
-    mobile_fraction: f64,
-    seed: u64,
-) -> impl Iterator<Item = (usize, MobilityModel, bool)> {
-    let area = Rect::square(side_m);
-    let mobile_every = if mobile_fraction <= 0.0 {
-        usize::MAX
-    } else {
-        (1.0 / mobile_fraction).round().max(1.0) as usize
-    };
-    let starts = random_positions(count, side_m, seed);
-    starts.into_iter().enumerate().map(move |(i, start)| {
-        let is_mobile = i % mobile_every == 0;
-        let mobility = if is_mobile {
-            MobilityModel::RandomWaypoint {
-                area,
-                start,
-                min_speed_mps: 0.7,
-                max_speed_mps: 2.0,
-                pause: SimDuration::from_secs(20),
-            }
-        } else {
-            MobilityModel::stationary(start)
-        };
-        (i, mobility, is_mobile)
-    })
-}
-
 /// Positions along a straight line with constant spacing, starting at the
 /// origin.
 pub fn line_positions(count: usize, spacing_m: f64) -> Vec<Point> {

@@ -36,17 +36,17 @@ fn registry_covers_e1_to_e19_in_order() {
     let reg = registry();
     assert_eq!(reg.len(), 19);
     for (i, experiment) in reg.iter().enumerate() {
-        assert_eq!(experiment.id(), format!("E{}", i + 1));
-        assert!(!experiment.title().is_empty());
+        assert_eq!(experiment.id, format!("E{}", i + 1));
+        assert!(!experiment.title.is_empty());
     }
 }
 
 #[test]
 fn trait_runs_match_the_direct_entry_points_and_yield_samples() {
-    // The uniform trait must be a pure re-routing of the historical entry
+    // The registry must be a pure re-routing of the historical entry
     // points: identical report, plus the numeric sample stream on top.
     let direct = e02_gnutella_traffic(5);
-    let via_trait = find("gnutella").unwrap().run(5, &Params::new(), true);
+    let via_trait = find("gnutella").unwrap().run(5, &Params::new(), true).unwrap();
     assert_eq!(via_trait.report, direct);
     assert_eq!(via_trait.samples.len(), direct.rows.len());
     // Key columns form the scenario identity; the rest become metrics.
@@ -60,9 +60,32 @@ fn grid_params_reach_the_experiment_settings() {
     params.set("nodes", "40");
     params.set("churn", "240");
     params.set("duration_s", "30");
-    let output = find("churn").unwrap().run(7, &params, true);
+    let output = find("churn").unwrap().run(7, &params, true).unwrap();
     assert_eq!(output.report.rows.len(), 1, "one population x one churn rate");
     assert_eq!(output.samples[0].scenario, "nodes=40 churn (/node/h)=240.00");
+}
+
+#[test]
+fn undeclared_keys_and_unparsable_values_are_errors_not_defaults() {
+    let churn = find("churn").unwrap();
+    let mut params = Params::new();
+    params.set("nodse", "40");
+    let unknown = churn.run(7, &params, true).unwrap_err();
+    assert_eq!(unknown, churn.check("nodse", "40").unwrap_err());
+    assert!(
+        unknown.starts_with("no grid parameter `nodse` (available: nodes, churn, "),
+        "{unknown}"
+    );
+    let mut params = Params::new();
+    params.set("nodes", "many");
+    assert_eq!(
+        churn.run(7, &params, true).unwrap_err(),
+        format!("nodes: {}", churn.check("nodes", "many").unwrap_err())
+    );
+    assert_eq!(
+        find("routes").unwrap().check("nodes", "4").unwrap_err(),
+        "no grid parameter `nodes` (available: none)"
+    );
 }
 
 #[test]

@@ -48,12 +48,10 @@ fn e15_report_is_deterministic() {
 
 #[test]
 fn e12_full_stack_mode_swaps_in_the_real_middleware() {
-    let settings = ScaleSettings {
-        node_counts: vec![120],
-        duration: SimDuration::from_secs(60),
-        stack: StackMode::Full,
-        ..ScaleSettings::quick()
-    };
+    let mut settings = ScaleSettings::quick();
+    settings.node_counts = vec![120];
+    settings.city.duration = SimDuration::from_secs(60);
+    settings.stack = StackMode::Full;
     let report = e12_dense_city(&settings);
     assert_eq!(report.rows.len(), 1);
     let cells = &report.rows[0].cells;
@@ -69,13 +67,11 @@ fn e12_full_stack_mode_swaps_in_the_real_middleware() {
 
 #[test]
 fn e13_full_stack_mode_reports_middleware_sessions_under_churn() {
-    let settings = ChurnSettings {
-        node_counts: vec![80],
-        churn_per_hour: vec![120.0],
-        duration: SimDuration::from_secs(100),
-        stack: StackMode::Full,
-        ..ChurnSettings::quick()
-    };
+    let mut settings = ChurnSettings::quick();
+    settings.node_counts = vec![80];
+    settings.churn_per_hour = vec![120.0];
+    settings.city.duration = SimDuration::from_secs(100);
+    settings.stack = StackMode::Full;
     let report = e13_churn_sweep(&settings);
     assert_eq!(report.rows.len(), 1);
     let cells = &report.rows[0].cells;

@@ -25,7 +25,7 @@ fn record() -> TelemetrySettings {
 fn small_scale() -> ScaleSettings {
     let mut s = ScaleSettings::quick();
     s.node_counts = vec![120];
-    s.duration = simnet::SimDuration::from_secs(45);
+    s.city.duration = simnet::SimDuration::from_secs(45);
     s
 }
 
@@ -92,7 +92,7 @@ fn churny_sharded(shards: usize) -> ShardedSettings {
     s.nodes = 3_000;
     s.shards = shards;
     s.churn_per_hour = 60.0;
-    s.duration = simnet::SimDuration::from_secs(30);
+    s.city.duration = simnet::SimDuration::from_secs(30);
     s
 }
 

@@ -116,7 +116,7 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::telemetry::{Frame, FrameSink, Phase, Profiler, Telemetry, TelemetryConfig};
     pub use crate::time::{SimDuration, SimTime};
-    pub use crate::world::partition::{AdaptiveShards, PartitionStats};
+    pub use crate::world::partition::PartitionStats;
     pub use crate::world::shard::{ShardAgent, ShardCtx, ShardedConfig, ShardedWorld};
     pub use crate::world::{NodeCtx, SendError, World, WorldConfig};
 }

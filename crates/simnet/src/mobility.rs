@@ -217,11 +217,6 @@ impl MotionPlan {
         self.segments.last().map(|s| s.end_time).unwrap_or(SimTime::ZERO)
     }
 
-    /// Current end position of the plan (where appended motion starts from).
-    pub fn end_position(&self) -> Point {
-        self.final_position
-    }
-
     /// Appends a stay-in-place segment until the given absolute time. Does
     /// nothing if `until` is not after the current end of the plan.
     pub fn hold_until(&mut self, until: SimTime) {

@@ -278,17 +278,6 @@ impl Telemetry {
             .insert(SeriesKey::new(subsystem, name, label), SeriesValue::Counter(value));
     }
 
-    /// Adds a delta to a counter, creating it at zero first.
-    pub fn add_counter(&mut self, subsystem: &'static str, name: &'static str, label: Option<&str>, delta: u64) {
-        let entry = self
-            .series
-            .entry(SeriesKey::new(subsystem, name, label))
-            .or_insert(SeriesValue::Counter(0));
-        if let SeriesValue::Counter(v) = entry {
-            *v += delta;
-        }
-    }
-
     /// Sets a gauge to an instantaneous level.
     pub fn set_gauge(&mut self, subsystem: &'static str, name: &'static str, label: Option<&str>, value: f64) {
         self.series
@@ -462,15 +451,37 @@ impl Telemetry {
     }
 }
 
-/// FNV-1a over a byte slice (the digest primitive shared with the E17
-/// invariance checks).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Incremental FNV-1a: the digest primitive behind every byte-identity
+/// check (telemetry captures, the E17/E18 world digest, E19's plan digest).
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the digest, in order.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// FNV-1a over a byte slice.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a::default();
+    hash.write(bytes);
+    hash.finish()
 }
 
 // ---------------------------------------------------------------------------

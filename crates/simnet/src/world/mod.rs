@@ -403,13 +403,6 @@ impl World {
         }
     }
 
-    /// Removes an artificial quality override.
-    pub fn clear_link_quality_override(&mut self, link: LinkId) {
-        if let Some(state) = self.links.get_mut(link) {
-            state.quality_override = None;
-        }
-    }
-
     // ------------------------------------------------------------------
     // Fault injection (see the `faults` module)
     // ------------------------------------------------------------------

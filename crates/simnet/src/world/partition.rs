@@ -26,44 +26,16 @@
 //! traces stay byte-identical at any shard count with adaptivity on or
 //! off, and even the rebalance *decisions* replay identically run-to-run.
 
-/// Tuning knobs for density-adaptive sharding, carried by
-/// [`ShardedConfig`](super::shard::ShardedConfig).
-#[derive(Debug, Clone)]
-pub struct AdaptiveShards {
-    /// Master switch. Off (the default) keeps PR 7's fixed equal-width
-    /// stripes bit-for-bit.
-    pub enabled: bool,
-    /// Rebalance only while `max(shard load) / mean(shard load)` exceeds
-    /// this ratio. 1.0 would chase noise; the default tolerates 25% skew.
-    pub imbalance_threshold: f64,
-    /// Consecutive over-threshold windows required before a re-cut — the
-    /// hysteresis that keeps transient spikes from thrashing the partition.
-    pub patience: u32,
-    /// Bins of the density histogram along the stripe axis. More bins cut
-    /// more precisely; the barrier fold is O(nodes) either way.
-    pub bins: usize,
-}
-
-impl Default for AdaptiveShards {
-    fn default() -> Self {
-        AdaptiveShards {
-            enabled: false,
-            imbalance_threshold: 1.25,
-            patience: 3,
-            bins: 256,
-        }
-    }
-}
-
-impl AdaptiveShards {
-    /// Adaptive sharding with the default knobs switched on.
-    pub fn on() -> Self {
-        AdaptiveShards {
-            enabled: true,
-            ..AdaptiveShards::default()
-        }
-    }
-}
+/// Rebalance only while `max(shard load) / mean(shard load)` exceeds this
+/// ratio ([`ShardedConfig::adaptive`](super::shard::ShardedConfig::adaptive)
+/// on). 1.0 would chase noise; this tolerates 25% skew.
+pub const IMBALANCE_THRESHOLD: f64 = 1.25;
+/// Consecutive over-threshold windows required before a re-cut — the
+/// hysteresis that keeps transient spikes from thrashing the partition.
+pub const PATIENCE: u32 = 3;
+/// Bins of the density histogram along the stripe axis. More bins cut more
+/// precisely; the barrier fold is O(nodes) either way.
+pub const DENSITY_BINS: usize = 256;
 
 /// The stripe boundaries of a sharded world: `cuts.len() + 1` vertical
 /// stripes over `[min_x, max_x]`, where interior boundary `i` separates

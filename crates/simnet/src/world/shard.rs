@@ -61,7 +61,8 @@ use crate::rng::SimRng;
 use crate::telemetry::{Histogram, Phase, Profiler, Telemetry, TelemetryConfig, PAYLOAD_SIZE_BOUNDS};
 use crate::time::{SimDuration, SimTime};
 use crate::world::partition::{
-    imbalance, AdaptiveShards, DensityHistogram, HysteresisController, PartitionMap, PartitionStats,
+    imbalance, DensityHistogram, HysteresisController, PartitionMap, PartitionStats, DENSITY_BINS, IMBALANCE_THRESHOLD,
+    PATIENCE,
 };
 use crate::world::SendError;
 
@@ -107,10 +108,11 @@ pub struct ShardedConfig {
     /// finite radio range (the same rule as `WorldConfig`).
     pub grid_cell_m: Option<f64>,
     /// Density-adaptive stripe rebalancing (see
-    /// [`partition`](crate::world::partition)). Off by default; switching it
-    /// on changes only which thread executes a node — never what the node
-    /// observes — so traces stay byte-identical either way.
-    pub adaptive: AdaptiveShards,
+    /// [`partition`](crate::world::partition) for the gate's constants). Off
+    /// by default; switching it on changes only which thread executes a node
+    /// — never what the node observes — so traces stay byte-identical either
+    /// way.
+    pub adaptive: bool,
 }
 
 impl ShardedConfig {
@@ -126,7 +128,7 @@ impl ShardedConfig {
             mobility_horizon: SimTime::from_secs(4 * 3600),
             max_speed_mps: 3.0,
             grid_cell_m: None,
-            adaptive: AdaptiveShards::default(),
+            adaptive: false,
         }
     }
 
@@ -1255,11 +1257,6 @@ impl ShardCtx<'_> {
             .profile(half.tech)
             .sample_quality(own.distance(theirs), &mut self.node.rng)
     }
-
-    /// The peer on the other end of an established link.
-    pub fn link_peer(&self, link: LinkId) -> Option<NodeId> {
-        self.node.links.get(&link).map(|h| h.peer)
-    }
 }
 
 /// A spatially sharded, deterministically parallel world.
@@ -1325,10 +1322,10 @@ impl ShardedWorld {
             snapshot: Vec::new(),
             grid: WindowGrid::new(cell_m),
             partition: PartitionMap::uniform(config.area.min_x, config.area.max_x, shard_count),
-            density: DensityHistogram::new(config.area.min_x, config.area.max_x, config.adaptive.bins),
-            gate: HysteresisController::new(config.adaptive.imbalance_threshold, config.adaptive.patience),
+            density: DensityHistogram::new(config.area.min_x, config.area.max_x, DENSITY_BINS),
+            gate: HysteresisController::new(IMBALANCE_THRESHOLD, PATIENCE),
             pstats: PartitionStats::default(),
-            track_loads: config.adaptive.enabled,
+            track_loads: config.adaptive,
             shard_series: false,
             cuts_scratch: Vec::new(),
             merge_scratch: Vec::new(),
@@ -1780,7 +1777,7 @@ impl ShardedWorld {
         }
         pstats.windows += 1;
         pstats.last_imbalance = imbalance(&pstats.loads);
-        if self.config.adaptive.enabled && shard_count > 1 && self.gate.observe(pstats.last_imbalance) {
+        if self.config.adaptive && shard_count > 1 && self.gate.observe(pstats.last_imbalance) {
             density.cut_into(shard_count, &mut self.cuts_scratch);
             self.partition.set_cuts(&self.cuts_scratch);
             pstats.rebalances += 1;

@@ -781,10 +781,7 @@ mod sharded {
         config.shards = shards;
         config.max_speed_mps = 2.0;
         config.window = Some(SimDuration::from_secs(1));
-        config.adaptive = AdaptiveShards {
-            enabled: adaptive,
-            ..AdaptiveShards::default()
-        };
+        config.adaptive = adaptive;
         let mut world = ShardedWorld::new(config);
         let mut placer = SimRng::new(seed ^ 0x5EED);
         for i in 0..480 {

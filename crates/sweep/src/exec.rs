@@ -67,8 +67,8 @@ pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Result<SweepRun, SweepErro
             let jobs = &jobs;
             let cursor = &cursor;
             scope.spawn(move || {
-                // Each worker owns its registry copy; the Rc-based worlds an
-                // experiment builds live and die inside this thread.
+                // The Rc-based worlds an experiment builds live and die
+                // inside this thread.
                 let Some(first) = jobs.first() else { return };
                 let experiment = find(&first.experiment).expect("validated above");
                 loop {
@@ -76,7 +76,9 @@ pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Result<SweepRun, SweepErro
                     let Some(job) = jobs.get(i) else { break };
                     let params = Params::from_pairs(&job.grid);
                     let job_started = Instant::now();
-                    let output = experiment.run(job.seed, &params, job.quick);
+                    let output = experiment
+                        .run(job.seed, &params, job.quick)
+                        .expect("every grid value passed `validate`");
                     let result = JobResult {
                         job: job.clone(),
                         samples: output.samples,

@@ -1,7 +1,7 @@
 //! # sweep — the parallel experiment-campaign engine
 //!
-//! Every experiment of the reproduction (E1–E15) is runnable through the
-//! uniform [`Experiment`](scenarios::Experiment) trait; this crate turns
+//! Every experiment of the reproduction (E1–E19) is runnable through the
+//! uniform [`Experiment`](scenarios::Experiment) registry; this crate turns
 //! single runs into **campaigns**: a [`SweepSpec`] describes a seed range
 //! and a parameter grid, the [executor](exec) expands it into a
 //! deterministic job list and runs the jobs on a work-stealing thread pool,
@@ -15,7 +15,7 @@
 //! The simulation world is `Rc`-based and must never cross a thread
 //! boundary. The executor therefore ships only [`JobSpec`]s (plain `Send`
 //! data: experiment name, seed, grid point) to the workers; each worker
-//! looks the experiment up in its own registry copy and constructs, runs
+//! looks the experiment up in the static registry and constructs, runs
 //! and drops every world **inside** its own thread, streaming the numeric
 //! samples back over a channel. Jobs are pulled from a shared atomic
 //! cursor, so idle workers steal whatever work is left.

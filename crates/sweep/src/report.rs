@@ -71,7 +71,7 @@ pub struct SweepReport {
 /// Folds a completed run into per-metric statistics grouped by grid point.
 pub fn aggregate(run: &SweepRun) -> SweepReport {
     let (id, title) = find(&run.spec.experiment)
-        .map(|e| (e.id().to_string(), e.title().to_string()))
+        .map(|e| (e.id.to_string(), e.title.to_string()))
         .unwrap_or_default();
     // grid point -> scenario -> metric -> values, all in first-appearance
     // order over the id-sorted results.

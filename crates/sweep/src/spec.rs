@@ -103,8 +103,9 @@ impl SweepSpec {
 
     /// Validates the spec against the experiment registry: the experiment
     /// must exist, every axis key must be one of its declared parameters,
-    /// every value must parse for the parameter's kind, and seed list and
-    /// axis value lists must be non-empty.
+    /// every value must be one the parameter's own setter accepts
+    /// ([`Experiment::check`](scenarios::Experiment::check)), and seed list
+    /// and axis value lists must be non-empty.
     pub fn validate(&self) -> Result<(), SweepError> {
         let exp = find(&self.experiment)
             .ok_or_else(|| SweepError(format!("unknown experiment `{}` (see `repro --list`)", self.experiment)))?;
@@ -112,25 +113,12 @@ impl SweepSpec {
             return Err(SweepError("seed list is empty".into()));
         }
         for (key, values) in &self.axes {
-            let spec = exp.params().iter().find(|p| p.key == key).ok_or_else(|| {
-                let known: Vec<&str> = exp.params().iter().map(|p| p.key).collect();
-                SweepError(format!(
-                    "experiment `{}` has no grid parameter `{key}` (available: {})",
-                    exp.slug(),
-                    if known.is_empty() {
-                        "none".to_string()
-                    } else {
-                        known.join(", ")
-                    }
-                ))
-            })?;
             if values.is_empty() {
                 return Err(SweepError(format!("grid axis `{key}` has no values")));
             }
             for value in values {
-                spec.kind
-                    .check(value)
-                    .map_err(|e| SweepError(format!("grid axis `{key}`: {e}")))?;
+                exp.check(key, value)
+                    .map_err(|e| SweepError(format!("grid axis `{key}` of `{}`: {e}", exp.slug)))?;
             }
         }
         Ok(())
