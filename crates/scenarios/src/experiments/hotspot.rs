@@ -267,6 +267,24 @@ mod tests {
         assert!(world.metrics().global().messages_delivered > 0);
     }
 
+    /// `sharded_world_digest` of the smoke hotspot as the parent of PR 17
+    /// computed it: equal across commits, not only across partitions.
+    const PINNED_SMOKE_DIGEST: u64 = 0x9d0f_ec7e_7b7a_586d;
+
+    #[test]
+    fn smoke_hotspot_digest_is_pinned_with_adaptivity_on_and_off() {
+        for (shards, adaptive) in [(2, false), (3, true)] {
+            let mut settings = HotspotSettings::smoke();
+            settings.shards = shards;
+            settings.adaptive = adaptive;
+            let digest = sharded_world_digest(&hotspot_metropolis_run(&settings));
+            assert_eq!(
+                digest, PINNED_SMOKE_DIGEST,
+                "smoke digest {digest:#018x} moved at shards={shards} adaptive={adaptive}"
+            );
+        }
+    }
+
     #[test]
     fn adaptive_smoke_city_actually_rebalances() {
         let mut settings = HotspotSettings::smoke();

@@ -411,4 +411,22 @@ mod tests {
         assert!(world.metrics().global().connects_established > 0);
         assert!(world.metrics().global().messages_delivered > 0);
     }
+
+    /// `sharded_world_digest` of the smoke city as the parent of PR 17
+    /// computed it. The test above proves the engine equal to itself across
+    /// shard counts; this one proves it equal across commits.
+    const PINNED_SMOKE_DIGEST: u64 = 0xfae1_82fb_92f4_0306;
+
+    #[test]
+    fn smoke_city_digest_is_pinned_at_1_2_and_3_shards() {
+        for shards in [1, 2, 3] {
+            let mut settings = ShardedSettings::smoke();
+            settings.shards = shards;
+            let digest = sharded_world_digest(&sharded_metropolis_run(&settings));
+            assert_eq!(
+                digest, PINNED_SMOKE_DIGEST,
+                "smoke digest {digest:#018x} moved at {shards} shard(s)"
+            );
+        }
+    }
 }

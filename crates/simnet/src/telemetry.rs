@@ -489,7 +489,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// The event-loop phases the profiler attributes wall time to. The first
-/// nine cover the sequential engine's event kinds; the last three are the
+/// nine cover the sequential engine's event kinds; the last four are the
 /// sharded engine's coordinator work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -518,11 +518,17 @@ pub enum Phase {
     ShardWindows,
     /// Sharded engine: window barrier — cross-shard message merge and fold.
     BarrierMerge,
+    /// Sharded engine: core time spent inside the parallel scope but outside
+    /// a shard's own pass — waiting for the slowest shard, plus thread
+    /// start-up — summed over shards. With it, the scope's core time
+    /// (`shards x shard-windows`) splits into per-event spans, this, and the
+    /// remainder: the pass's own shell (slot walk, queue pops, mail).
+    ShardIdle,
 }
 
 impl Phase {
     /// Every phase, in display order.
-    pub const ALL: [Phase; 12] = [
+    pub const ALL: [Phase; 13] = [
         Phase::AgentStart,
         Phase::Timers,
         Phase::Discovery,
@@ -535,6 +541,7 @@ impl Phase {
         Phase::Snapshot,
         Phase::ShardWindows,
         Phase::BarrierMerge,
+        Phase::ShardIdle,
     ];
 
     /// Stable display name.
@@ -552,6 +559,7 @@ impl Phase {
             Phase::Snapshot => "snapshot",
             Phase::ShardWindows => "shard-windows",
             Phase::BarrierMerge => "barrier-merge",
+            Phase::ShardIdle => "shard-idle",
         }
     }
 
@@ -653,12 +661,13 @@ impl Profiler {
             .collect();
         rows.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.idx().cmp(&b.0.idx())));
         // The grid refresh is a sub-span inside discovery/link handling in
-        // the sequential engine, and the shard-window span is the scope wall
-        // that encloses the per-event phases in the sharded engine; neither
-        // may be double-counted in the total.
+        // the sequential engine, the shard-window span is the scope wall that
+        // encloses the per-event phases in the sharded engine, and shard-idle
+        // is the part of that scope no shard worked in; none may be
+        // double-counted in the total.
         let total: u64 = rows
             .iter()
-            .filter(|(p, ..)| !matches!(p, Phase::GridRefresh | Phase::ShardWindows))
+            .filter(|(p, ..)| !matches!(p, Phase::GridRefresh | Phase::ShardWindows | Phase::ShardIdle))
             .map(|(_, _, n)| n)
             .sum();
         let mut out = String::new();
@@ -669,6 +678,8 @@ impl Profiler {
                 "(sub-span)".to_string()
             } else if *phase == Phase::ShardWindows {
                 "(scope wall)".to_string()
+            } else if *phase == Phase::ShardIdle {
+                "(waiting)".to_string()
             } else if total > 0 {
                 format!("{:.1}%", *nanos as f64 * 100.0 / total as f64)
             } else {

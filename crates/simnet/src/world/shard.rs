@@ -4,8 +4,8 @@
 //! around 10k nodes no matter how many cores the machine has. This module
 //! adds [`ShardedWorld`]: the same radio/mobility/fault substrate, spatially
 //! partitioned into per-thread **shards** that each own the nodes, links and
-//! event queue of one contiguous stripe of the simulated area and run their
-//! event loops independently inside a conservative lookahead **window**.
+//! event queues of one contiguous stripe of the simulated area and run them
+//! independently inside a conservative lookahead **window**.
 //!
 //! ## The windowed execution model
 //!
@@ -14,14 +14,47 @@
 //! timers, inquiry completions, link checks, fault actions and messages that
 //! arrived at earlier barriers. Anything one node does that another node
 //! could observe is expressed as a message and becomes visible at
-//! `max(natural_time, start of the next window)`; at each window barrier the
-//! coordinator collects every emitted message, sorts the batch into the
-//! canonical `(effective time, origin node, per-origin sequence)` order and
-//! delivers it into the owning shards. Reads of *other* nodes' dynamic state
-//! (is it alive? discoverable? mid-scan?) go through a per-window
-//! **snapshot** taken at the window start, paired with a per-window bucket
-//! grid over window-start positions; exact positions are always available
-//! because compiled [`MotionPlan`]s are pure data shared by every shard.
+//! `max(natural_time, start of the next window)`. Reads of *other* nodes'
+//! dynamic state (is it alive? discoverable? mid-scan?) go through a
+//! **snapshot** as of the window start, paired with a bucket grid over
+//! window-start positions; exact positions are always available because
+//! compiled [`MotionPlan`]s are pure data shared by every shard.
+//!
+//! So inside a window a node reads only immutable data and writes only its
+//! own state and its shard's outbox, and the order in which *different*
+//! nodes run is unobservable: outbox entries carry a unique
+//! `(origin, per-origin sequence)` key and are re-sorted before delivery,
+//! and everything else a shard accumulates (traffic tallies, histograms,
+//! profiler cells, load counts) is a commutative sum. Each shard therefore
+//! runs a window as **one pass over its nodes in id order**, not as one
+//! time-ordered event loop: a dense array of head times says which nodes
+//! have anything due (the others are never touched), and a due node runs
+//! *all* of its events below the window end back to back, in its own
+//! `(time, insertion)` order, while its queue, link table and agent are hot
+//! in cache.
+//!
+//! What happens where:
+//!
+//! * **In the parallel scope** (one thread per shard): the pass. Per node it
+//!   first queues the mail the last barrier routed to it — the shard sorts
+//!   its inbox by `(addressee, effective time, origin, sequence)`, so each
+//!   queue sees exactly the insertion order of one global canonical sort —
+//!   then drains the node, writes the new head time back, and notes a
+//!   snapshot delta if the node's published state changed (it can only
+//!   change while the node runs its own events).
+//! * **On the coordinator, at the window start**: apply the shards' snapshot
+//!   deltas and re-bucket the *moving* nodes. Nodes whose plan never moves
+//!   sit in a second, persistent grid layer, bucketed once whatever their
+//!   liveness (inquiries filter candidates on the snapshot anyway).
+//! * **On the coordinator, at the barrier**: fold the load model (if on),
+//!   move each mover — every node after a stripe re-cut — to the shard whose
+//!   stripe now contains it, and hand every outbox message to the owner's
+//!   inbox. Nothing is sorted or queued here.
+//! * **At the end of a `run_until` call** the coordinator queues any mail
+//!   still in an inbox itself, so between calls — where
+//!   [`ShardedWorld::install_fault_plan`] and [`ShardedWorld::add_node`]
+//!   schedule into the same queues — every queue holds what a barrier that
+//!   delivered directly would have left there.
 //!
 //! Crucially these windowed semantics apply **at every shard count,
 //! including one**: the partition decides which thread executes a node,
@@ -44,8 +77,7 @@
 //! experiments reproduce byte-identically.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 use crate::event::Scheduler;
 use crate::faults::{FaultAction, FaultPlan, FaultStats, LifecycleEvent, LifecycleKind};
@@ -239,7 +271,7 @@ const TECH_BY_INDEX: [RadioTech; 3] = [RadioTech::Bluetooth, RadioTech::Wlan, Ra
 /// Per-node dynamic state published at each window barrier. Shards read
 /// *other* nodes' state only through this snapshot, so what a node observes
 /// never depends on which shard executes its neighbours.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 struct NodeSnapshot {
     alive: bool,
     techs: u8,
@@ -381,10 +413,6 @@ struct ShardNode {
     next_attempt: u64,
     next_link: u64,
     next_msg_seq: u64,
-    /// Events this node processed since the last barrier load fold — the
-    /// per-node contribution to the shard load model. Layout-invariant: a
-    /// node processes the same events whatever shard executes it.
-    window_events: u64,
 }
 
 impl ShardNode {
@@ -401,25 +429,45 @@ impl ShardNode {
             inquiring_until: self.inquiring_until,
         }
     }
+
+    /// Queues a message another node addressed to this one.
+    fn deliver(&mut self, msg: ShardMsg) {
+        self.queue.schedule(
+            msg.at,
+            NodeEvent::Inbox {
+                origin: msg.origin,
+                body: msg.body,
+            },
+        );
+    }
 }
 
-/// Per-window bucket grid over window-start positions of live nodes.
-/// Queries pad the radius by `max_speed * window` so the window-start index
-/// still covers every node actually in range at any instant of the window;
-/// callers apply the exact predicate on exact positions.
+/// Bucket grid over window-start positions, in two layers. Nodes whose plan
+/// never moves are bucketed once, by the first rebuild after they are
+/// added, and stay whatever their liveness (callers filter candidates on the snapshot anyway); live
+/// movers are re-bucketed at every window start. Queries pad the radius by
+/// `max_speed * window` so the window-start index still covers every node
+/// actually in range at any instant of the window; callers apply the exact
+/// predicate on exact positions.
 struct WindowGrid {
     cell_m: f64,
-    /// Rebuild generation. Buckets stamped with an older generation are
+    /// Rebuild generation. Mover lists stamped with an older generation are
     /// logically empty; they are lazily reset on first touch instead of
     /// walking every bucket the grid has ever populated at each window.
     stamp: u64,
     cells: HashMap<(i64, i64), GridBucket>,
+    /// Nodes `0..seen` have been considered for the persistent layer; nodes
+    /// added since are bucketed by the next rebuild, so that building a
+    /// world stays a plain append per node.
+    seen: usize,
 }
 
 #[derive(Default)]
 struct GridBucket {
+    /// The persistent layer, in id order (ids are handed out ascending).
+    fixed: Vec<NodeId>,
     stamp: u64,
-    ids: Vec<NodeId>,
+    movers: Vec<NodeId>,
 }
 
 impl WindowGrid {
@@ -429,6 +477,7 @@ impl WindowGrid {
             cell_m,
             stamp: 0,
             cells: HashMap::new(),
+            seen: 0,
         }
     }
 
@@ -436,29 +485,46 @@ impl WindowGrid {
         ((p.x / self.cell_m).floor() as i64, (p.y / self.cell_m).floor() as i64)
     }
 
-    /// Rebuilds the index for the window starting at `t0`. Buckets keep
-    /// their allocations across windows (stale ones are invalidated by the
-    /// generation stamp, so the rebuild touches only occupied cells); nodes
-    /// are inserted in id order so every bucket stays id-sorted.
-    fn rebuild(&mut self, t0: SimTime, plans: &[MotionPlan], snapshot: &[NodeSnapshot]) {
+    /// Rebuilds the index for the window starting at `t0`: buckets the
+    /// `fixed` nodes added since the last rebuild, once and for good, then
+    /// re-buckets the live `movers` (ascending raw ids). Buckets keep their
+    /// allocations across windows (stale mover lists are invalidated by the
+    /// generation stamp, so the rebuild touches only occupied cells).
+    fn rebuild(
+        &mut self,
+        t0: SimTime,
+        plans: &[MotionPlan],
+        snapshot: &[NodeSnapshot],
+        fixed: &[bool],
+        movers: &[usize],
+    ) {
+        for raw in self.seen..plans.len() {
+            if fixed[raw] {
+                let cell = self.cell_of(plans[raw].position_at(t0));
+                let bucket = self.cells.entry(cell).or_default();
+                bucket.fixed.push(NodeId::from_raw(raw as u64));
+            }
+        }
+        self.seen = plans.len();
         self.stamp += 1;
-        for (raw, snap) in snapshot.iter().enumerate() {
-            if !snap.alive {
+        for &raw in movers {
+            if !snapshot[raw].alive {
                 continue;
             }
             let cell = self.cell_of(plans[raw].position_at(t0));
             let bucket = self.cells.entry(cell).or_default();
             if bucket.stamp != self.stamp {
                 bucket.stamp = self.stamp;
-                bucket.ids.clear();
+                bucket.movers.clear();
             }
-            bucket.ids.push(NodeId::from_raw(raw as u64));
+            bucket.movers.push(NodeId::from_raw(raw as u64));
         }
     }
 
-    /// Ids of every node bucketed in a cell intersecting the disk, sorted
-    /// ascending, appended into a caller-owned scratch buffer (cleared
-    /// first) — the per-shard reuse of the sequential grid's `query_into`.
+    /// Ids of every node bucketed (in either layer) in a cell intersecting
+    /// the disk, sorted ascending, appended into a caller-owned scratch
+    /// buffer (cleared first) — the per-shard reuse of the sequential grid's
+    /// `query_into`.
     fn query_into(&self, center: Point, radius: f64, out: &mut Vec<NodeId>) {
         out.clear();
         let r = radius + QUERY_PAD_M;
@@ -469,8 +535,9 @@ impl WindowGrid {
         for i in ix_min..=ix_max {
             for j in iy_min..=iy_max {
                 if let Some(bucket) = self.cells.get(&(i, j)) {
+                    out.extend_from_slice(&bucket.fixed);
                     if bucket.stamp == self.stamp {
-                        out.extend_from_slice(&bucket.ids);
+                        out.extend_from_slice(&bucket.movers);
                     }
                 }
             }
@@ -483,6 +550,8 @@ impl WindowGrid {
 struct GlobalView<'a> {
     radio: &'a RadioEnvironment,
     plans: &'a [MotionPlan],
+    /// Per node: the plan never moves (`!moving_after(ZERO)`).
+    fixed: &'a [bool],
     snapshot: &'a [NodeSnapshot],
     grid: &'a WindowGrid,
     /// End of the current window; cross-node effects emitted during the
@@ -494,15 +563,38 @@ struct GlobalView<'a> {
     query_pad_m: f64,
 }
 
-/// One shard: the nodes it currently owns, their event queues, and the
-/// outbox of cross-node messages emitted this window.
+/// One shard: the nodes it currently owns, their event queues, the mail the
+/// last barrier routed to them and the outbox of cross-node messages emitted
+/// this window.
 struct Shard {
     /// Dense by raw node id; `None` for nodes owned by other shards.
     nodes: Vec<Option<Box<ShardNode>>>,
-    /// Lazy index over the owned nodes' earliest pending events:
-    /// `(time, raw id)` entries, corrected on pop when stale.
-    index: BinaryHeap<Reverse<(SimTime, u64)>>,
+    /// Dense by raw node id: the earliest thing pending for an owned node —
+    /// its queue head, or a message still in `inbox` — and `SimTime::MAX`
+    /// for an owned node with nothing pending and for every node owned
+    /// elsewhere. The pass reads this instead of the node, so a node with
+    /// nothing due in a window is never dereferenced.
+    due: Vec<SimTime>,
+    /// A lower bound on every entry of `due` (exact right after a pass; a
+    /// node that migrated away may leave it low, but then the new owner
+    /// holds the same time, so the minimum over all shards is always exact).
+    next_due: SimTime,
+    /// Messages the last barrier routed to nodes owned here, not yet in
+    /// their queues: the next pass sorts them and schedules each node's
+    /// share just before draining that node.
+    inbox: Vec<ShardMsg>,
     outbox: Vec<ShardMsg>,
+    /// `(raw id, snapshot)` of every node whose published state changed
+    /// during the last pass; the coordinator applies it at the next window
+    /// start.
+    snapshot_delta: Vec<(usize, NodeSnapshot)>,
+    /// Wall nanoseconds of the last pass (recorded only while profiling).
+    pass_ns: u64,
+    /// Dense by raw node id while loads are tracked (empty otherwise): events
+    /// each node processed here since the last barrier load fold — the
+    /// per-node contribution to the shard load model. Layout-invariant: a
+    /// node processes the same events whatever shard executes it.
+    window_events: Vec<u64>,
     /// Per-technology (messages, bytes) sent by nodes while owned here,
     /// indexed by [`tech_index`]; commutative, merged into the final
     /// [`Metrics`] at assembly (zero entries skipped, matching the sparse
@@ -523,8 +615,13 @@ impl Shard {
     fn new() -> Self {
         Shard {
             nodes: Vec::new(),
-            index: BinaryHeap::new(),
+            due: Vec::new(),
+            next_due: SimTime::MAX,
+            inbox: Vec::new(),
             outbox: Vec::new(),
+            snapshot_delta: Vec::new(),
+            pass_ns: 0,
+            window_events: Vec::new(),
             tech_msgs: [(0, 0); 3],
             scratch: Vec::new(),
             payload_hist: None,
@@ -532,18 +629,55 @@ impl Shard {
         }
     }
 
-    /// Runs every owned event strictly before `view.window_end`.
+    /// Records that owned node `raw` has something pending at `at`.
+    fn note_pending(&mut self, raw: usize, at: SimTime) {
+        self.due[raw] = self.due[raw].min(at);
+        self.next_due = self.next_due.min(at);
+    }
+
+    /// Drains the inbox grouped by addressee in ascending id order, each
+    /// node's messages in the canonical `(at, origin, seq)` order — per
+    /// queue, exactly the insertion order of one global sort by that key.
+    fn sorted_mail(inbox: &mut Vec<ShardMsg>) -> std::iter::Peekable<std::vec::Drain<'_, ShardMsg>> {
+        inbox.sort_unstable_by_key(|m| (m.to.as_raw(), m.at, m.origin.as_raw(), m.seq));
+        inbox.drain(..).peekable()
+    }
+
+    /// Schedules any inbox left after the last window of a `run_until` call,
+    /// so that between calls every queue holds exactly what the barrier
+    /// delivered (`install_fault_plan` and `add_node` schedule behind it).
+    fn flush_inbox(&mut self) {
+        for msg in Self::sorted_mail(&mut self.inbox) {
+            let node = self.nodes[msg.to.as_raw() as usize]
+                .as_deref_mut()
+                .expect("mail is routed to the owner");
+            node.deliver(msg);
+        }
+    }
+
+    /// One pass over the owned nodes: every node with mail or with an event
+    /// strictly before `view.window_end` takes its mail and then runs all
+    /// of those events back to back. Nodes inside a window are independent
+    /// (see the module docs), so visiting them in id order instead of
+    /// global time order changes nothing a node or the barrier can observe.
     fn run_window(&mut self, view: &GlobalView<'_>) {
+        let started = self.profiler.begin();
         let t1 = view.window_end;
         let Shard {
             nodes,
-            index,
+            due,
+            next_due,
+            inbox,
             outbox,
+            snapshot_delta,
+            window_events,
             tech_msgs,
             scratch,
             payload_hist,
             profiler,
+            ..
         } = self;
+        let mut mail = Self::sorted_mail(inbox);
         let mut exec = Executor {
             view,
             outbox,
@@ -551,34 +685,45 @@ impl Shard {
             scratch,
             payload_hist,
         };
-        while let Some(&Reverse((t, raw))) = index.peek() {
-            if t >= t1 {
-                break;
+        *next_due = SimTime::MAX;
+        for (raw, head) in due.iter_mut().enumerate() {
+            let has_mail = mail.peek().is_some_and(|m| m.to.as_raw() == raw as u64);
+            if *head >= t1 && !has_mail {
+                *next_due = (*next_due).min(*head);
+                continue;
             }
-            index.pop();
-            let Some(node) = nodes[raw as usize].as_deref_mut() else {
-                continue; // stale entry: the node migrated away
-            };
-            match node.queue.peek_time() {
-                None => {}
-                Some(head) if head != t => index.push(Reverse((head, raw))),
-                Some(_) => {
-                    let (at, event) = node.queue.pop().expect("peeked");
-                    node.window_events += 1;
-                    if profiler.is_enabled() {
-                        let phase = phase_of_node_event(&event);
-                        let span = profiler.begin();
-                        exec.process(node, at, event);
-                        profiler.end(phase, span);
-                    } else {
-                        exec.process(node, at, event);
-                    }
-                    if let Some(next) = node.queue.peek_time() {
-                        index.push(Reverse((next, raw)));
-                    }
+            let node = nodes[raw].as_deref_mut().expect("a pending slot is owned");
+            while let Some(msg) = mail.next_if(|m| m.to.as_raw() == raw as u64) {
+                node.deliver(msg);
+            }
+            let mut events = 0;
+            while node.queue.peek_time().is_some_and(|t| t < t1) {
+                let (at, event) = node.queue.pop().expect("peeked");
+                events += 1;
+                if profiler.is_enabled() {
+                    let phase = phase_of_node_event(&event);
+                    let span = profiler.begin();
+                    exec.process(node, at, event);
+                    profiler.end(phase, span);
+                } else {
+                    exec.process(node, at, event);
                 }
             }
+            *head = node.queue.peek_time().unwrap_or(SimTime::MAX);
+            *next_due = (*next_due).min(*head);
+            if let Some(tally) = window_events.get_mut(raw) {
+                *tally += events;
+            }
+            // A node's published state changes only while it runs its own
+            // events, so this is the one place a delta can arise.
+            let published = node.snapshot();
+            if published != view.snapshot[raw] {
+                snapshot_delta.push((raw, published));
+            }
         }
+        debug_assert!(mail.next().is_none(), "mail for a node this shard does not own");
+        drop(mail);
+        self.pass_ns = started.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
     }
 }
 
@@ -804,9 +949,15 @@ impl Executor<'_> {
         let bit = tech_bit(half.tech);
         let peer_dead = !snap.alive;
         let peer_dark = snap.radio_off & bit != 0;
-        let own = self.view.plans[node.id.as_raw() as usize].position_at(now);
-        let theirs = self.view.plans[half.peer.as_raw() as usize].position_at(now);
-        let in_range = self.view.radio.profile(half.tech).in_range(own.distance(theirs)) && node.radio_off & bit == 0;
+        // Two fixed endpoints were in range when the link was set up and
+        // still are: only the radios and the peer's liveness can break it.
+        let fixed_pair = self.view.fixed[node.id.as_raw() as usize] && self.view.fixed[half.peer.as_raw() as usize];
+        let in_range = node.radio_off & bit == 0
+            && (fixed_pair || {
+                let own = self.view.plans[node.id.as_raw() as usize].position_at(now);
+                let theirs = self.view.plans[half.peer.as_raw() as usize].position_at(now);
+                self.view.radio.profile(half.tech).in_range(own.distance(theirs))
+            });
         if !peer_dead && !peer_dark && in_range {
             node.queue
                 .schedule(now + self.view.link_check_interval, NodeEvent::LinkCheck { link });
@@ -1273,6 +1424,12 @@ pub struct ShardedWorld {
     master_rng: SimRng,
     names: Vec<String>,
     plans: Vec<MotionPlan>,
+    /// Per node: its plan never moves. Such a node is bucketed in the grid
+    /// once, changes stripe only at a re-cut, and a link between two of them
+    /// needs no range check.
+    fixed: Vec<bool>,
+    /// Raw ids of the nodes that do move, ascending.
+    movers: Vec<usize>,
     shards: Vec<Shard>,
     owner: Vec<u32>,
     snapshot: Vec<NodeSnapshot>,
@@ -1291,8 +1448,6 @@ pub struct ShardedWorld {
     shard_series: bool,
     /// Reusable scratch for adaptive re-cuts.
     cuts_scratch: Vec<f64>,
-    /// Reusable barrier merge buffer (outboxes drain into it each window).
-    merge_scratch: Vec<ShardMsg>,
     metrics: Metrics,
     stats: FaultStats,
     lifecycle: Vec<LifecycleEvent>,
@@ -1317,6 +1472,8 @@ impl ShardedWorld {
             master_rng,
             names: Vec::new(),
             plans: Vec::new(),
+            fixed: Vec::new(),
+            movers: Vec::new(),
             shards: (0..shard_count).map(|_| Shard::new()).collect(),
             owner: Vec::new(),
             snapshot: Vec::new(),
@@ -1328,7 +1485,6 @@ impl ShardedWorld {
             track_loads: config.adaptive,
             shard_series: false,
             cuts_scratch: Vec::new(),
-            merge_scratch: Vec::new(),
             metrics: Metrics::new(),
             stats: FaultStats::default(),
             lifecycle: Vec::new(),
@@ -1369,8 +1525,10 @@ impl ShardedWorld {
     }
 
     /// Turns on per-phase wall-clock profiling: the coordinator times
-    /// snapshot/grid/window/barrier work and every shard times its own event
-    /// handling (so per-phase nanoseconds sum CPU time across shard threads).
+    /// snapshot/grid/window/barrier work, every shard times its own event
+    /// handling (so per-phase nanoseconds sum CPU time across shard threads)
+    /// and its whole pass, from which the coordinator derives
+    /// [`Phase::ShardIdle`].
     pub fn enable_profiling(&mut self) {
         self.profiler = Profiler::enabled();
         for shard in &mut self.shards {
@@ -1509,19 +1667,25 @@ impl ShardedWorld {
             next_attempt: 0,
             next_link: 0,
             next_msg_seq: 0,
-            window_events: 0,
         };
         node.queue.schedule(self.now, NodeEvent::Start);
         let owner = self.stripe_of(plan.position_at(self.now));
         for shard in &mut self.shards {
             shard.nodes.push(None);
+            shard.due.push(SimTime::MAX);
         }
-        self.shards[owner as usize].index.push(Reverse((self.now, raw)));
-        self.shards[owner as usize].nodes[raw as usize] = Some(Box::new(node));
+        let fixed = !plan.moving_after(SimTime::ZERO);
+        if !fixed {
+            self.movers.push(raw as usize);
+        }
+        self.fixed.push(fixed);
+        self.snapshot.push(node.snapshot());
+        let shard = &mut self.shards[owner as usize];
+        shard.nodes[raw as usize] = Some(Box::new(node));
+        shard.note_pending(raw as usize, self.now);
         self.owner.push(owner);
         self.names.push(name.into());
         self.plans.push(plan);
-        self.snapshot.push(NodeSnapshot::default());
         id
     }
 
@@ -1537,13 +1701,15 @@ impl ShardedWorld {
         let shard = &mut self.shards[self.owner[raw] as usize];
         let now = self.now;
         let slot = shard.nodes[raw].as_deref_mut().expect("node exists");
+        let mut earliest = SimTime::MAX;
         for &(at, action) in plan.actions() {
             let idx = slot.fault_actions.len();
             let when = at.max(now);
             slot.fault_actions.push((when, action));
             slot.queue.schedule(when, NodeEvent::Fault { idx });
-            shard.index.push(Reverse((when, node.as_raw())));
+            earliest = earliest.min(when);
         }
+        shard.note_pending(raw, earliest);
     }
 
     /// Rejects adversary schedules. Partition cuts and Byzantine injection
@@ -1564,27 +1730,29 @@ impl ShardedWorld {
     /// threads. Repeated calls continue deterministically; results depend
     /// only on the seed and the sequence of run calls, never on shard count.
     pub fn run_until(&mut self, deadline: SimTime) {
+        if deadline <= self.now {
+            return;
+        }
+        if self.track_loads {
+            for shard in &mut self.shards {
+                shard.window_events.resize(self.plans.len(), 0);
+            }
+        }
         while self.now < deadline {
             let t1 = (self.now + self.window).min(deadline);
-            let min_pending = self
-                .shards
-                .iter()
-                .filter_map(|s| s.index.peek().map(|&Reverse((t, _))| t))
-                .min();
-            let idle = match min_pending {
-                None => true,
-                Some(t) => t >= t1,
-            };
+            let idle = self.shards.iter().all(|s| s.next_due >= t1);
             if !idle {
                 let span = self.profiler.begin();
-                self.rebuild_snapshot();
+                self.apply_snapshot_deltas();
                 self.profiler.end(Phase::Snapshot, span);
                 let span = self.profiler.begin();
-                self.grid.rebuild(self.now, &self.plans, &self.snapshot);
+                self.grid
+                    .rebuild(self.now, &self.plans, &self.snapshot, &self.fixed, &self.movers);
                 self.profiler.end(Phase::GridRefresh, span);
                 let view = GlobalView {
                     radio: &self.config.radio,
                     plans: &self.plans,
+                    fixed: &self.fixed,
                     snapshot: &self.snapshot,
                     grid: &self.grid,
                     window_end: t1,
@@ -1602,7 +1770,12 @@ impl ShardedWorld {
                         }
                     });
                 }
-                self.profiler.end(Phase::ShardWindows, span);
+                if let Some(t0) = span {
+                    let scope_ns = t0.elapsed().as_nanos() as u64;
+                    self.profiler.add(Phase::ShardWindows, 1, scope_ns);
+                    let idle_ns = self.shards.iter().map(|s| scope_ns.saturating_sub(s.pass_ns)).sum();
+                    self.profiler.add(Phase::ShardIdle, 1, idle_ns);
+                }
                 let span = self.profiler.begin();
                 self.barrier(t1);
                 self.profiler.end(Phase::BarrierMerge, span);
@@ -1611,6 +1784,9 @@ impl ShardedWorld {
             if self.telemetry.is_some() {
                 self.sample_telemetry();
             }
+        }
+        for shard in &mut self.shards {
+            shard.flush_inbox();
         }
         self.assemble();
     }
@@ -1688,59 +1864,67 @@ impl ShardedWorld {
         tel.sample(now);
     }
 
-    fn rebuild_snapshot(&mut self) {
-        let ShardedWorld { shards, snapshot, .. } = self;
-        for shard in shards.iter() {
-            for (raw, slot) in shard.nodes.iter().enumerate() {
-                if let Some(node) = slot.as_deref() {
-                    snapshot[raw] = node.snapshot();
-                }
+    /// Brings the published snapshot up to the window start: every node
+    /// whose state changed during the last pass was noted by its shard.
+    fn apply_snapshot_deltas(&mut self) {
+        for shard in &mut self.shards {
+            for (raw, published) in shard.snapshot_delta.drain(..) {
+                self.snapshot[raw] = published;
             }
         }
     }
 
     /// The window barrier: fold the load model (and maybe re-cut the
     /// stripes), migrate ownership to the stripe containing each node's
-    /// position at `t1`, then merge every outbox into the canonical
-    /// `(time, origin, sequence)` order and deliver into the owning queues.
+    /// position at `t1`, then route every outbox message to the inbox of the
+    /// shard that owns its addressee. Sorting and queueing the mail is the
+    /// owner's job, inside its next pass.
     fn barrier(&mut self, t1: SimTime) {
-        let mut messages = std::mem::take(&mut self.merge_scratch);
-        debug_assert!(messages.is_empty());
-        for shard in &mut self.shards {
-            messages.append(&mut shard.outbox);
+        #[cfg(debug_assertions)]
+        for shard in &self.shards {
+            assert!(shard.inbox.is_empty(), "a pass consumes its whole inbox");
+            for (raw, &due) in shard.due.iter().enumerate() {
+                let head = shard.nodes[raw].as_deref().and_then(|n| n.queue.peek_time());
+                assert_eq!(due, head.unwrap_or(SimTime::MAX), "stale head time for node {raw}");
+            }
         }
-        if self.track_loads {
-            self.fold_loads(t1);
-        }
+        let recut = self.track_loads && self.fold_loads(t1);
         if self.shards.len() > 1 {
-            for raw in 0..self.plans.len() {
-                let current = self.owner[raw];
-                let target = self.stripe_of(self.plans[raw].position_at(t1));
-                if target != current {
-                    let node = self.shards[current as usize].nodes[raw].take().expect("owned");
-                    if let Some(head) = node.queue.peek_time() {
-                        self.shards[target as usize].index.push(Reverse((head, raw as u64)));
-                    }
-                    self.shards[target as usize].nodes[raw] = Some(node);
-                    self.owner[raw] = target;
+            // A fixed node leaves its stripe only when the stripes move.
+            if recut {
+                for raw in 0..self.plans.len() {
+                    self.rehome(raw, t1);
+                }
+            } else {
+                for i in 0..self.movers.len() {
+                    self.rehome(self.movers[i], t1);
                 }
             }
         }
-        messages.sort_unstable_by_key(|m| (m.at, m.origin.as_raw(), m.seq));
-        for msg in messages.drain(..) {
-            let raw = msg.to.as_raw() as usize;
-            let shard = self.owner[raw] as usize;
-            let node = self.shards[shard].nodes[raw].as_deref_mut().expect("owned");
-            node.queue.schedule(
-                msg.at,
-                NodeEvent::Inbox {
-                    origin: msg.origin,
-                    body: msg.body,
-                },
-            );
-            self.shards[shard].index.push(Reverse((msg.at, msg.to.as_raw())));
+        for s in 0..self.shards.len() {
+            let mut outbox = std::mem::take(&mut self.shards[s].outbox);
+            for msg in outbox.drain(..) {
+                let raw = msg.to.as_raw() as usize;
+                let owner = &mut self.shards[self.owner[raw] as usize];
+                owner.note_pending(raw, msg.at);
+                owner.inbox.push(msg);
+            }
+            self.shards[s].outbox = outbox;
         }
-        self.merge_scratch = messages;
+    }
+
+    /// Hands node `raw` to the shard whose stripe contains its position at `t1`.
+    fn rehome(&mut self, raw: usize, t1: SimTime) {
+        let current = self.owner[raw] as usize;
+        let target = self.stripe_of(self.plans[raw].position_at(t1)) as usize;
+        if target == current {
+            return;
+        }
+        let node = self.shards[current].nodes[raw].take().expect("owned");
+        let due = std::mem::replace(&mut self.shards[current].due[raw], SimTime::MAX);
+        self.shards[target].nodes[raw] = Some(node);
+        self.shards[target].note_pending(raw, due);
+        self.owner[raw] = target as u32;
     }
 
     /// Folds the per-shard load model for the window that just ended and,
@@ -1750,11 +1934,13 @@ impl ShardedWorld {
     /// counts (layout-invariant), node counts and motion-plan positions at
     /// `t1`, folded in canonical shard/node order — so the cut sequence is a
     /// deterministic function of seed + state: never wall clock, thread
-    /// identity, or iteration order of any hash table.
-    fn fold_loads(&mut self, t1: SimTime) {
+    /// identity, or iteration order of any hash table. Returns whether the
+    /// stripes were re-cut.
+    fn fold_loads(&mut self, t1: SimTime) -> bool {
         let ShardedWorld {
             shards,
             plans,
+            owner,
             pstats,
             density,
             ..
@@ -1765,23 +1951,22 @@ impl ShardedWorld {
         pstats.occupancy.clear();
         pstats.occupancy.resize(shard_count, 0);
         density.clear();
-        for (s, shard) in shards.iter_mut().enumerate() {
-            for (raw, slot) in shard.nodes.iter_mut().enumerate() {
-                let Some(node) = slot.as_deref_mut() else { continue };
-                let weight = 1 + node.window_events;
-                node.window_events = 0;
-                pstats.loads[s] += weight;
-                pstats.occupancy[s] += 1;
-                density.record(plans[raw].position_at(t1).x, weight);
-            }
+        for (raw, plan) in plans.iter().enumerate() {
+            let s = owner[raw] as usize;
+            let weight = 1 + std::mem::take(&mut shards[s].window_events[raw]);
+            pstats.loads[s] += weight;
+            pstats.occupancy[s] += 1;
+            density.record(plan.position_at(t1).x, weight);
         }
         pstats.windows += 1;
         pstats.last_imbalance = imbalance(&pstats.loads);
-        if self.config.adaptive && shard_count > 1 && self.gate.observe(pstats.last_imbalance) {
+        let recut = self.config.adaptive && shard_count > 1 && self.gate.observe(pstats.last_imbalance);
+        if recut {
             density.cut_into(shard_count, &mut self.cuts_scratch);
             self.partition.set_cuts(&self.cuts_scratch);
             pstats.rebalances += 1;
         }
+        recut
     }
 
     /// Rebuilds the aggregated metrics, fault stats and lifecycle stream
@@ -2007,5 +2192,288 @@ mod tests {
         let mut world = two_node_world(1);
         world.install_adversary_plan(&crate::adversary::AdversaryPlan::new());
         world.run_for(SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn profiling_splits_the_scope_into_one_idle_span_per_window() {
+        let mut world = two_node_world(2);
+        world.enable_profiling();
+        world.run_for(SimDuration::from_secs(5));
+        let profile = world.profile();
+        let windows = profile.calls(Phase::ShardWindows);
+        assert!(windows > 0);
+        assert_eq!(profile.calls(Phase::ShardIdle), windows);
+        // Idle is the part of the scope's core time no shard's pass covers.
+        assert!(profile.nanos(Phase::ShardIdle) <= 2 * profile.nanos(Phase::ShardWindows));
+    }
+
+    const TICK: TimerToken = TimerToken(0x71C);
+
+    /// A scripted agent for the pass's own paths: dials `dial` on start,
+    /// sends one byte per tick once connected, scans back to back when
+    /// `scan` is set, accepts everything and logs what it observes.
+    #[derive(Default)]
+    struct Probe {
+        dial: Option<NodeId>,
+        scan: bool,
+        link: Option<LinkId>,
+        heard: Vec<(SimTime, NodeId)>,
+        scans: Vec<(SimTime, Vec<NodeId>)>,
+    }
+
+    impl Probe {
+        fn dialing(peer: NodeId) -> Box<Self> {
+            Box::new(Probe {
+                dial: Some(peer),
+                ..Probe::default()
+            })
+        }
+        fn scanning() -> Box<Self> {
+            Box::new(Probe {
+                scan: true,
+                ..Probe::default()
+            })
+        }
+    }
+
+    impl ShardAgent for Probe {
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+        fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
+            self.link = None;
+            if let Some(peer) = self.dial {
+                ctx.connect(peer, RadioTech::Wlan);
+            }
+            if self.scan {
+                ctx.start_inquiry(RadioTech::Wlan);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut ShardCtx<'_>, _token: TimerToken) {
+            if let Some(link) = self.link {
+                if ctx.send(link, vec![0x5A]).is_ok() {
+                    ctx.schedule(SimDuration::from_millis(500), TICK);
+                }
+            }
+        }
+        fn on_inquiry_complete(&mut self, ctx: &mut ShardCtx<'_>, _tech: RadioTech, hits: Vec<InquiryHit>) {
+            self.scans.push((ctx.now(), hits.iter().map(|h| h.node).collect()));
+            if self.link.is_none() && self.dial.is_none() {
+                if let Some(hit) = hits.first() {
+                    self.dial = Some(hit.node);
+                    ctx.connect(hit.node, RadioTech::Wlan);
+                }
+            }
+            ctx.start_inquiry(RadioTech::Wlan);
+        }
+        fn on_incoming_connection(&mut self, _ctx: &mut ShardCtx<'_>, _incoming: IncomingConnection) -> bool {
+            true
+        }
+        fn on_connected(
+            &mut self,
+            ctx: &mut ShardCtx<'_>,
+            _attempt: AttemptId,
+            link: LinkId,
+            _peer: NodeId,
+            _tech: RadioTech,
+        ) {
+            self.link = Some(link);
+            ctx.schedule(SimDuration::ZERO, TICK);
+        }
+        fn on_connect_failed(
+            &mut self,
+            _ctx: &mut ShardCtx<'_>,
+            _attempt: AttemptId,
+            _peer: NodeId,
+            _tech: RadioTech,
+            _error: ConnectError,
+        ) {
+            if self.scan {
+                self.dial = None;
+            }
+        }
+        fn on_message(&mut self, ctx: &mut ShardCtx<'_>, _link: LinkId, from: NodeId, _payload: SharedPayload) {
+            self.heard.push((ctx.now(), from));
+        }
+        fn on_disconnected(
+            &mut self,
+            _ctx: &mut ShardCtx<'_>,
+            _link: LinkId,
+            _peer: NodeId,
+            _reason: DisconnectReason,
+        ) {
+            self.link = None;
+            if self.scan {
+                self.dial = None;
+            }
+        }
+    }
+
+    /// A 100 m square with instantaneous, fault-free, noise-free radios and
+    /// the default 500 ms window.
+    fn ideal_world(shards: usize) -> ShardedWorld {
+        let mut config = ShardedConfig::new(7, Rect::square(100.0));
+        config.shards = shards;
+        config.radio = RadioEnvironment::ideal();
+        ShardedWorld::new(config)
+    }
+
+    fn fixed_at(x: f64, y: f64) -> MobilityModel {
+        MobilityModel::stationary(Point::new(x, y))
+    }
+
+    fn probe<R>(world: &mut ShardedWorld, node: NodeId, f: impl FnOnce(&mut Probe) -> R) -> R {
+        world.with_agent::<Probe, _>(node, f).expect("a Probe node")
+    }
+
+    fn ms(millis: u64) -> SimTime {
+        SimTime::from_millis(millis)
+    }
+
+    #[test]
+    fn mail_for_a_walker_that_changes_stripe_is_delivered_by_the_new_owner_in_canonical_order() {
+        let run = |shards: usize| {
+            let mut world = ideal_world(shards);
+            let walker = NodeId::from_raw(2);
+            let a = world.add_node("a", fixed_at(40.0, 50.0), &[RadioTech::Wlan], Probe::dialing(walker));
+            let b = world.add_node("b", fixed_at(60.0, 50.0), &[RadioTech::Wlan], Probe::dialing(walker));
+            // Crosses the two-stripe cut at x = 50 at t = 5 s.
+            let walk = MobilityModel::walk(Point::new(45.0, 50.0), Point::new(55.0, 50.0), 1.0);
+            world.add_node("w", walk, &[RadioTech::Wlan], Box::<Probe>::default());
+            let first_owner = world.owner[2];
+            world.run_for(SimDuration::from_secs(8));
+            let heard = probe(&mut world, walker, |p| p.heard.clone());
+            (heard, first_owner, world.owner[2], a, b)
+        };
+        let (heard, first_owner, last_owner, a, b) = run(2);
+        assert_eq!(
+            (first_owner, last_owner),
+            (0, 1),
+            "the walker must change shard mid-run"
+        );
+        // Both dials resolve in the first window, are answered at 0.5 s and
+        // confirmed at 1.0 s; from then on each sender's tick lands one
+        // window later, the two always on the same instant.
+        let expected: Vec<(SimTime, NodeId)> = (3..16)
+            .flat_map(|half_secs| [(ms(500 * half_secs), a), (ms(500 * half_secs), b)])
+            .collect();
+        assert_eq!(
+            heard, expected,
+            "every instant: lower origin first, no gap at the migration"
+        );
+        assert_eq!(run(1).0, expected, "and the same on one shard");
+    }
+
+    #[test]
+    fn a_crash_installed_between_runs_for_now_lets_the_pending_message_in_first() {
+        let mut world = ideal_world(2);
+        let b = NodeId::from_raw(1);
+        let a = world.add_node("a", fixed_at(40.0, 50.0), &[RadioTech::Wlan], Probe::dialing(b));
+        world.add_node("b", fixed_at(60.0, 50.0), &[RadioTech::Wlan], Box::<Probe>::default());
+        // a's ticks at 1.0 and 1.5 s arrive at 1.5 and 2.0 s: when this call
+        // returns, the second one is pending for exactly `now`.
+        world.run_until(ms(2_000));
+        world.install_fault_plan(b, &FaultPlan::new().crash_at(ms(2_000)));
+        world.run_until(ms(4_000));
+        assert!(!world.is_alive(b));
+        assert_eq!(
+            probe(&mut world, b, |p| p.heard.clone()),
+            vec![(ms(1_500), a), (ms(2_000), a)],
+            "delivered, then crashed: the barrier's message was queued before the fault"
+        );
+        // a's 2.0 s tick reaches a dead node; its 2.5 s link check sees the crash.
+        assert_eq!(world.metrics().global().messages_lost, 1);
+        assert_eq!(world.metrics().global().messages_sent, 3);
+    }
+
+    #[test]
+    fn nodes_added_after_a_run_are_discoverable_and_discover_in_their_first_window() {
+        let mut world = ideal_world(2);
+        let a = world.add_node("a", fixed_at(10.0, 50.0), &[RadioTech::Wlan], Probe::scanning());
+        // a's 2 s scans complete at 2.0, 4.0, ...: stop just short of one.
+        world.run_until(ms(3_900));
+        let fixed = world.add_node("c", fixed_at(20.0, 50.0), &[RadioTech::Wlan], Probe::scanning());
+        let walk = MobilityModel::walk(Point::new(30.0, 50.0), Point::new(40.0, 50.0), 1.0);
+        let walker = world.add_node("d", walk, &[RadioTech::Wlan], Probe::scanning());
+        world.run_until(ms(6_000));
+        let scans_of = |world: &mut ShardedWorld, node| probe(world, node, |p| p.scans.clone());
+        assert_eq!(
+            scans_of(&mut world, a),
+            vec![(ms(2_000), vec![]), (ms(4_000), vec![fixed, walker])],
+            "the scan ending in the newcomers' first window must already see both"
+        );
+        // The newcomers started at 3.9 s; their first scans end at 5.9 s.
+        assert_eq!(scans_of(&mut world, fixed), vec![(ms(5_900), vec![a, walker])]);
+        assert_eq!(scans_of(&mut world, walker), vec![(ms(5_900), vec![a, fixed])]);
+    }
+
+    #[test]
+    fn a_crashed_fixed_node_keeps_its_grid_cell_but_is_no_hit_until_it_restarts() {
+        let mut world = ideal_world(1);
+        let a = world.add_node("a", fixed_at(10.0, 50.0), &[RadioTech::Wlan], Probe::scanning());
+        let b = world.add_node("b", fixed_at(20.0, 50.0), &[RadioTech::Wlan], Box::<Probe>::default());
+        world.install_fault_plan(b, &FaultPlan::new().crash_at(ms(3_000)).restart_at(ms(7_000)));
+        world.run_until(ms(5_000));
+        assert!(!world.is_alive(b));
+        let mut bucketed = Vec::new();
+        world.grid.query_into(Point::new(20.0, 50.0), 1.0, &mut bucketed);
+        world.run_until(ms(10_500));
+        let hits: Vec<Vec<NodeId>> = probe(&mut world, a, |p| p.scans.iter().map(|(_, h)| h.clone()).collect());
+        assert_eq!(hits, vec![vec![b], vec![], vec![], vec![b], vec![b]]);
+        assert!(
+            bucketed.contains(&b),
+            "fixed nodes are indexed once, whatever their liveness: {bucketed:?}"
+        );
+    }
+
+    #[test]
+    fn mostly_fixed_hotspot_is_invariant_to_adaptivity_and_the_recut_moves_fixed_nodes() {
+        // 90 fixed nodes crowd the right quarter, 10 walkers cross the city;
+        // everyone scans, dials its first hit and ticks.
+        let run = |shards: usize, adaptive: bool| {
+            let mut config = ShardedConfig::new(11, Rect::square(100.0));
+            config.shards = shards;
+            config.adaptive = adaptive;
+            let mut world = ShardedWorld::new(config);
+            let mut placer = SimRng::new(0xF1ED);
+            for i in 0..100 {
+                let mobility = if i % 10 == 0 {
+                    let y = placer.uniform_f64(0.0, 100.0);
+                    MobilityModel::walk(Point::new(5.0, y), Point::new(95.0, y), 1.5)
+                } else {
+                    fixed_at(placer.uniform_f64(75.0, 100.0), placer.uniform_f64(0.0, 100.0))
+                };
+                world.add_node(format!("n{i}"), mobility, &[RadioTech::Wlan], Probe::scanning());
+            }
+            world.install_fault_plan(
+                NodeId::from_raw(33),
+                &FaultPlan::new().crash_at(ms(9_000)).restart_at(ms(15_000)),
+            );
+            let uniform_owner = world.owner.clone();
+            world.run_for(SimDuration::from_secs(30));
+            let moved_fixed = (0..100).any(|raw| raw % 10 != 0 && world.owner[raw] != uniform_owner[raw]);
+            let logs: Vec<_> = world
+                .node_ids()
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|node| probe(&mut world, node, |p| (p.heard.clone(), p.scans.clone())))
+                .collect();
+            let trace = (*world.metrics().global(), world.fault_stats().crashes, logs);
+            (trace, world.partition_stats().rebalances, moved_fixed)
+        };
+        let (reference, _, _) = run(1, false);
+        assert!(reference.0.messages_delivered > 0 && reference.0.links_broken > 0);
+        for shards in [2, 3] {
+            let (fixed_stripes, recuts, moved) = run(shards, false);
+            assert_eq!((recuts, moved), (0, false));
+            assert!(fixed_stripes == reference, "static stripes diverged at {shards} shards");
+            let (adaptive, recuts, moved) = run(shards, true);
+            assert!(recuts > 0, "the crowd must trip the gate at {shards} shards");
+            assert!(moved, "a re-cut must migrate fixed nodes too");
+            assert!(adaptive == reference, "adaptive stripes diverged at {shards} shards");
+        }
     }
 }

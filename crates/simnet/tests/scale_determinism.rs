@@ -893,6 +893,13 @@ mod sharded {
     }
 }
 
+/// `sharded::trace_digest` / `sharded::hotspot_trace_digest` as the parent of
+/// PR 17 computed them (any shard count, adaptivity on or off).
+const PINNED_CITY_TRACE_4217: u64 = 0x8ac0_4796_5b22_48d7;
+const PINNED_CITY_TRACE_4218: u64 = 0xe502_e298_0284_4096;
+const PINNED_HOTSPOT_TRACE_9021: u64 = 0xb847_a1ec_c6a5_0a72;
+const PINNED_HOTSPOT_TRACE_9022: u64 = 0xe3b7_ccc5_2cdf_6e5f;
+
 #[test]
 fn sharded_world_trace_is_identical_at_1_2_and_8_shards() {
     // The tentpole determinism claim: shard count is pure load
@@ -909,6 +916,14 @@ fn sharded_world_trace_is_identical_at_1_2_and_8_shards() {
     // And the digest must actually be seed-sensitive, not a constant.
     let other = sharded::trace_digest(4218, 2);
     assert_ne!(one, other, "different seeds should not collide");
+    // Equal to itself across shard counts is not enough: pinned from the
+    // commit before the window loop became a per-node pass (PR 17), so an
+    // engine rewrite that moves every layout the same way still fails here.
+    assert_eq!(
+        (one, other),
+        (PINNED_CITY_TRACE_4217, PINNED_CITY_TRACE_4218),
+        "the sharded engine's trace moved across commits: {one:#018x} {other:#018x}"
+    );
 }
 
 #[test]
@@ -941,6 +956,11 @@ fn hotspot_city_trace_is_invariant_to_shards_and_adaptivity() {
     // And the digest must be seed-sensitive, not a constant.
     let (other, _) = sharded::hotspot_trace_digest(9022, 2, true);
     assert_ne!(reference, other, "different seeds should not collide");
+    assert_eq!(
+        (reference, other),
+        (PINNED_HOTSPOT_TRACE_9021, PINNED_HOTSPOT_TRACE_9022),
+        "the sharded engine's hotspot trace moved across commits: {reference:#018x} {other:#018x}"
+    );
 }
 
 #[test]
