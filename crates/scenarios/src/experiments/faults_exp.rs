@@ -460,7 +460,7 @@ pub fn e14_blackout_flash_crowd_with(seed: u64, quick: bool, stack: StackMode) -
                     .unwrap_or(false),
             })
             .count();
-        let open_links = ids.iter().flat_map(|id| world.links_of(*id)).filter(|l| l.open).count() / 2;
+        let open_links = world.open_link_count();
         report.push_row([
             phase.to_string(),
             t.to_string(),

@@ -198,9 +198,6 @@ pub(crate) struct AdversaryEngine {
     pub(crate) forge: Option<Box<dyn FrameForge>>,
     sniffed: Vec<Payload>,
     sniff_next: usize,
-    /// Message ids of injected frames still in flight: they were built by
-    /// the forge already, so the delivery-time tamper pass skips them.
-    injected_msgs: std::collections::BTreeSet<u64>,
     pub(crate) stats: AdversaryStats,
 }
 
@@ -214,7 +211,6 @@ impl AdversaryEngine {
             forge: None,
             sniffed: Vec::new(),
             sniff_next: 0,
-            injected_msgs: std::collections::BTreeSet::new(),
             stats: AdversaryStats::default(),
         }
     }
@@ -323,16 +319,6 @@ impl AdversaryEngine {
             self.stats.frames_injected += 1;
         }
         out
-    }
-
-    /// Marks an in-flight message as forge-built (exempt from tampering).
-    pub(crate) fn mark_injected(&mut self, msg: u64) {
-        self.injected_msgs.insert(msg);
-    }
-
-    /// True (once) if `msg` was an injected frame; clears the mark.
-    pub(crate) fn take_injected(&mut self, msg: u64) -> bool {
-        self.injected_msgs.remove(&msg)
     }
 }
 

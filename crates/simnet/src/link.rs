@@ -1,5 +1,5 @@
-//! Link bookkeeping: established connections, pending attempts and
-//! in-flight transmissions.
+//! Link bookkeeping: established connections, and the pending attempts and
+//! in-flight transmissions the world's events carry.
 //!
 //! These types are internal to the world's event processing, but a read-only
 //! [`LinkInfo`] snapshot is exposed for scenario drivers and tests.
@@ -57,6 +57,12 @@ pub(crate) struct LinkState {
     /// coverage loss where they are dropped.
     pub closed_gracefully: bool,
     pub quality_override: Option<QualityOverride>,
+    /// Payloads sent on the link whose `Deliver` event has not run yet.
+    pub in_flight: u32,
+    /// Latest delivery time ever scheduled on the link. While anything is in
+    /// flight this is also the latest *pending* delivery: every undelivered
+    /// payload is due at or after `now`, every delivered one was due before.
+    pub last_delivery: SimTime,
 }
 
 impl LinkState {
@@ -107,30 +113,31 @@ impl From<&LinkState> for LinkInfo {
     }
 }
 
-/// A connection attempt that has been initiated but not yet resolved.
+/// A connection attempt that has been initiated but not yet resolved; it
+/// travels inside its `ConnectResolve` event.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingAttempt {
     pub id: AttemptId,
     pub from: NodeId,
     pub to: NodeId,
     pub tech: RadioTech,
-    #[allow(dead_code)]
-    pub started_at: SimTime,
     /// The initiator's life the attempt belongs to; stale attempts from
     /// before a crash resolve to nothing.
     pub epoch: u64,
 }
 
-/// A payload travelling across a link. The payload is a shared [`Payload`]
-/// clone, so queueing a frame on many links (or re-delivering it along a
-/// bridge chain) never copies the bytes.
+/// A payload travelling across a link, carried by its `Deliver` event. The
+/// payload is a shared [`Payload`] clone, so queueing a frame on many links
+/// (or re-delivering it along a bridge chain) never copies the bytes.
 #[derive(Debug, Clone)]
 pub(crate) struct InFlightMessage {
     pub link: LinkId,
+    /// The sending endpoint; the payload goes to the link's other one.
     pub from: NodeId,
-    pub to: NodeId,
     pub payload: Payload,
-    pub deliver_at: SimTime,
+    /// Built by the adversary's forge: already hostile, so the delivery-time
+    /// tamper pass skips it.
+    pub injected: bool,
 }
 
 #[cfg(test)]
@@ -175,6 +182,8 @@ mod tests {
             open: true,
             closed_gracefully: false,
             quality_override: None,
+            in_flight: 0,
+            last_delivery: SimTime::ZERO,
         };
         assert_eq!(s.peer_of(NodeId::from_raw(1)), Some(NodeId::from_raw(2)));
         assert_eq!(s.peer_of(NodeId::from_raw(2)), Some(NodeId::from_raw(1)));

@@ -5,8 +5,6 @@
 //! volume and link breakage. Counters exist per node and are also aggregated
 //! globally.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::node::NodeId;
@@ -102,8 +100,8 @@ impl Counters {
 pub struct Metrics {
     global: Counters,
     per_node: Vec<Option<Counters>>,
-    per_tech_messages: BTreeMap<RadioTech, u64>,
-    per_tech_bytes: BTreeMap<RadioTech, u64>,
+    /// `(messages, bytes)` sent per technology, indexed by `RadioTech::index`.
+    per_tech: [(u64, u64); 3],
 }
 
 impl Metrics {
@@ -136,12 +134,12 @@ impl Metrics {
 
     /// Messages sent per radio technology.
     pub fn messages_for_tech(&self, tech: RadioTech) -> u64 {
-        self.per_tech_messages.get(&tech).copied().unwrap_or(0)
+        self.per_tech[tech.index()].0
     }
 
     /// Payload bytes sent per radio technology.
     pub fn bytes_for_tech(&self, tech: RadioTech) -> u64 {
-        self.per_tech_bytes.get(&tech).copied().unwrap_or(0)
+        self.per_tech[tech.index()].1
     }
 
     fn node_mut(&mut self, node: NodeId) -> &mut Counters {
@@ -189,8 +187,7 @@ impl Metrics {
         let c = self.node_mut(node);
         c.messages_sent += 1;
         c.bytes_sent += bytes;
-        *self.per_tech_messages.entry(tech).or_insert(0) += 1;
-        *self.per_tech_bytes.entry(tech).or_insert(0) += bytes;
+        self.absorb_tech(tech, 1, bytes);
     }
 
     /// Records a message delivered to `node`.
@@ -233,24 +230,20 @@ impl Metrics {
     /// Merges externally recorded per-technology traffic totals (the
     /// per-tech companion of [`Metrics::absorb_node`]).
     pub fn absorb_tech(&mut self, tech: RadioTech, messages: u64, bytes: u64) {
-        if messages == 0 && bytes == 0 {
-            return;
-        }
-        *self.per_tech_messages.entry(tech).or_insert(0) += messages;
-        *self.per_tech_bytes.entry(tech).or_insert(0) += bytes;
+        let entry = &mut self.per_tech[tech.index()];
+        entry.0 += messages;
+        entry.1 += bytes;
     }
 
     /// Resets every counter to zero, keeping the store allocated: the
     /// per-node vector retains its capacity (slots revert to `None`, so
-    /// [`Metrics::iter_nodes`] stays empty until a node records again) and
-    /// the per-tech maps are cleared in place.
+    /// [`Metrics::iter_nodes`] stays empty until a node records again).
     pub fn reset(&mut self) {
         self.global = Counters::default();
         for slot in &mut self.per_node {
             *slot = None;
         }
-        self.per_tech_messages.clear();
-        self.per_tech_bytes.clear();
+        self.per_tech = [(0, 0); 3];
     }
 
     /// Capacity of the per-node counter vector — diagnostic for the

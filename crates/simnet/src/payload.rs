@@ -16,20 +16,18 @@
 //!   other holders of the original are never affected,
 //! * clones are `O(1)`; the backing allocation is freed when the last clone
 //!   drops,
-//! * `Payload` is deliberately **not** `Send`/`Sync`: the sequential world
-//!   is single-threaded and the cheaper non-atomic `Rc` counter is the
-//!   point. Buffers that must cross a shard (thread) boundary use
-//!   [`SharedPayload`], the `Arc<[u8]>` sibling.
+//! * the buffer is an `Arc<[u8]>`, so a `Payload` is `Send + Sync`: the
+//!   sequential world and the sharded world (whose frames cross thread
+//!   boundaries at window barriers) carry the same type.
 
 use std::fmt;
 use std::ops::Deref;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// An immutable, cheaply clonable byte buffer (see the module docs).
 #[derive(Clone)]
 pub struct Payload {
-    bytes: Rc<[u8]>,
+    bytes: Arc<[u8]>,
 }
 
 impl Payload {
@@ -41,7 +39,9 @@ impl Payload {
     /// Builds a payload by copying the given bytes (one copy, after which
     /// every clone is free).
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Payload { bytes: Rc::from(bytes) }
+        Payload {
+            bytes: Arc::from(bytes),
+        }
     }
 
     /// Number of bytes.
@@ -68,14 +68,14 @@ impl Payload {
 
     /// Number of live clones sharing this allocation (diagnostic for tests).
     pub fn ref_count(&self) -> usize {
-        Rc::strong_count(&self.bytes)
+        Arc::strong_count(&self.bytes)
     }
 }
 
 impl Default for Payload {
     fn default() -> Self {
         Payload {
-            bytes: Rc::from(&[][..]),
+            bytes: Arc::from(&[][..]),
         }
     }
 }
@@ -95,7 +95,7 @@ impl AsRef<[u8]> for Payload {
 
 impl From<Vec<u8>> for Payload {
     fn from(v: Vec<u8>) -> Self {
-        Payload { bytes: Rc::from(v) }
+        Payload { bytes: Arc::from(v) }
     }
 }
 
@@ -143,111 +143,9 @@ impl fmt::Debug for Payload {
     }
 }
 
-/// The `Send + Sync` sibling of [`Payload`]: an immutable `Arc<[u8]>` buffer
-/// for bytes that cross shard (thread) boundaries in the sharded world.
-///
-/// Same sharing semantics as `Payload` — clones are reference-count bumps,
-/// the buffer is immutable, copy-on-write goes through [`SharedPayload::to_vec`].
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct SharedPayload {
-    bytes: Arc<[u8]>,
-}
-
-impl SharedPayload {
-    /// An empty payload.
-    pub fn new() -> Self {
-        SharedPayload::default()
-    }
-
-    /// Builds a shared payload by copying the given bytes.
-    pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        SharedPayload {
-            bytes: Arc::from(bytes),
-        }
-    }
-
-    /// Number of bytes.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// True when the payload holds no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// The bytes as a slice.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Copies the bytes into an owned `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.bytes.to_vec()
-    }
-
-    /// Number of live clones sharing this allocation (diagnostic for tests).
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.bytes)
-    }
-}
-
-impl Default for SharedPayload {
-    fn default() -> Self {
-        SharedPayload {
-            bytes: Arc::from(&[][..]),
-        }
-    }
-}
-
-impl Deref for SharedPayload {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl AsRef<[u8]> for SharedPayload {
-    fn as_ref(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl From<Vec<u8>> for SharedPayload {
-    fn from(v: Vec<u8>) -> Self {
-        SharedPayload { bytes: Arc::from(v) }
-    }
-}
-
-impl From<&[u8]> for SharedPayload {
-    fn from(v: &[u8]) -> Self {
-        SharedPayload::copy_from_slice(v)
-    }
-}
-
-impl<const N: usize> From<&[u8; N]> for SharedPayload {
-    fn from(v: &[u8; N]) -> Self {
-        SharedPayload::copy_from_slice(v)
-    }
-}
-
-impl PartialEq<[u8]> for SharedPayload {
-    fn eq(&self, other: &[u8]) -> bool {
-        self.as_slice() == other
-    }
-}
-
-impl PartialEq<Vec<u8>> for SharedPayload {
-    fn eq(&self, other: &Vec<u8>) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl fmt::Debug for SharedPayload {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SharedPayload({} bytes)", self.bytes.len())
-    }
-}
+/// The name the sharded engine's API uses for [`Payload`]. There is one
+/// payload type; the alias stays because downstream signatures spell it.
+pub type SharedPayload = Payload;
 
 #[cfg(test)]
 mod tests {
@@ -292,16 +190,17 @@ mod tests {
 
     #[test]
     fn shared_payload_crosses_threads_and_converts_for_free() {
-        let shared = SharedPayload::from(vec![7u8; 32]);
-        let clone = shared.clone();
+        let payload = Payload::from(vec![7u8; 32]);
+        let clone = payload.clone();
         let joined = std::thread::spawn(move || {
             assert_eq!(clone.len(), 32);
             clone
         })
         .join()
         .unwrap();
-        assert_eq!(joined.ref_count(), 2, "both handles share one Arc");
+        assert_eq!(joined.ref_count(), 2, "both handles share one allocation");
         assert_eq!(joined.as_slice(), &[7u8; 32][..]);
-        assert_eq!(format!("{joined:?}"), "SharedPayload(32 bytes)");
+        let aliased: SharedPayload = joined;
+        assert_eq!(aliased, payload);
     }
 }

@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::rng::SimRng;
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
 /// The wireless technologies PeerHood plugins exist for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -39,6 +39,12 @@ impl RadioTech {
             RadioTech::Wlan => "wlan",
             RadioTech::Gprs => "gprs",
         }
+    }
+
+    /// Position in [`RadioTech::ALL`], which is also the derived `Ord` order:
+    /// the index of per-technology arrays and the bit of a `TechSet`.
+    pub(crate) fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -301,6 +307,97 @@ impl RadioEnvironment {
     }
 }
 
+/// A set of radio technologies, one bit per [`RadioTech::index`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct TechSet(u8);
+
+impl TechSet {
+    pub(crate) fn of(techs: &[RadioTech]) -> Self {
+        TechSet(techs.iter().fold(0, |bits, t| bits | 1 << t.index()))
+    }
+
+    pub(crate) fn contains(self, tech: RadioTech) -> bool {
+        self.0 & (1 << tech.index()) != 0
+    }
+
+    /// Adds `tech`; true if it was not in the set before.
+    pub(crate) fn insert(&mut self, tech: RadioTech) -> bool {
+        let added = !self.contains(tech);
+        self.0 |= 1 << tech.index();
+        added
+    }
+
+    /// Removes `tech`; true if it was in the set.
+    pub(crate) fn remove(&mut self, tech: RadioTech) -> bool {
+        let removed = self.contains(tech);
+        self.0 &= !(1 << tech.index());
+        removed
+    }
+}
+
+/// The dynamic radio-side state of one node: what other nodes can observe of
+/// it. Both engines keep one per node; the sharded engine also publishes it
+/// as the node's window-start snapshot, which is why it stays `Copy` and
+/// comparable.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RadioState {
+    pub(crate) alive: bool,
+    /// Technologies the node carries (fixed at creation).
+    pub(crate) techs: TechSet,
+    /// Technologies the agent answers inquiries on.
+    pub(crate) discoverable: TechSet,
+    /// Radios a fault has forced dark (airplane mode), whatever
+    /// discoverability the agent chose.
+    pub(crate) radio_off: TechSet,
+    /// End of the node's own running scan per technology;
+    /// [`SimTime::ZERO`] when it is not scanning.
+    pub(crate) inquiring_until: [SimTime; 3],
+}
+
+impl RadioState {
+    /// A powered-on node carrying `techs`, discoverable on all of them.
+    pub(crate) fn new(techs: &[RadioTech]) -> Self {
+        let techs = TechSet::of(techs);
+        RadioState {
+            alive: true,
+            techs,
+            discoverable: techs,
+            radio_off: TechSet::default(),
+            inquiring_until: [SimTime::ZERO; 3],
+        }
+    }
+
+    /// True when the node is alive, carries `tech`, and the radio is not
+    /// forced dark — it can communicate over that technology right now.
+    pub(crate) fn enabled(&self, tech: RadioTech) -> bool {
+        self.alive && self.techs.contains(tech) && !self.radio_off.contains(tech)
+    }
+
+    /// True if the node would answer an inquiry on `tech` at `now`: enabled
+    /// and discoverable on the radio, and not itself mid-scan when the
+    /// technology's inquiries are asymmetric (§3.4.2).
+    pub(crate) fn answers_inquiry(&self, tech: RadioTech, profile: &RadioProfile, now: SimTime) -> bool {
+        self.enabled(tech)
+            && self.discoverable.contains(tech)
+            && !(profile.inquiry_asymmetric && self.inquiring_until[tech.index()] > now)
+    }
+
+    /// The node starts (or extends) a scan on `tech` that ends at `until`.
+    pub(crate) fn begin_inquiry(&mut self, tech: RadioTech, until: SimTime) {
+        let slot = &mut self.inquiring_until[tech.index()];
+        *slot = (*slot).max(until);
+    }
+
+    /// A scan on `tech` completed at `now`: unless a later scan is still
+    /// running, the node stops being mid-scan.
+    pub(crate) fn end_inquiry(&mut self, tech: RadioTech, now: SimTime) {
+        let slot = &mut self.inquiring_until[tech.index()];
+        if *slot <= now {
+            *slot = SimTime::ZERO;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,5 +517,96 @@ mod tests {
         assert_eq!(RadioTech::Bluetooth.short_name(), "bt");
         assert_eq!(RadioTech::Wlan.to_string(), "wlan");
         assert_eq!(RadioTech::Gprs.to_string(), "gprs");
+    }
+
+    #[test]
+    fn index_is_the_position_in_all_and_the_ord_order() {
+        for (i, tech) in RadioTech::ALL.into_iter().enumerate() {
+            assert_eq!(tech.index(), i);
+        }
+        assert!(RadioTech::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn tech_set_insert_and_remove_report_changes() {
+        let mut set = TechSet::of(&[]);
+        assert_eq!(set, TechSet::default());
+        assert!(RadioTech::ALL.iter().all(|t| !set.contains(*t)));
+        assert!(set.insert(RadioTech::Wlan));
+        assert!(!set.insert(RadioTech::Wlan), "already present");
+        assert!(set.contains(RadioTech::Wlan) && !set.contains(RadioTech::Bluetooth));
+        assert_eq!(set, TechSet::of(&[RadioTech::Wlan, RadioTech::Wlan]));
+        assert!(!set.remove(RadioTech::Gprs), "never present");
+        assert!(set.remove(RadioTech::Wlan));
+        assert!(!set.remove(RadioTech::Wlan));
+        assert_eq!(set, TechSet::default());
+    }
+
+    #[test]
+    fn radio_state_is_a_small_plain_value() {
+        // The sharded engine copies and compares one per node per window.
+        assert_eq!(std::mem::size_of::<RadioState>(), 32);
+    }
+
+    #[test]
+    fn answers_inquiry_truth_table() {
+        let bt = RadioTech::Bluetooth;
+        let asymmetric = RadioProfile::bluetooth();
+        let symmetric = RadioProfile {
+            inquiry_asymmetric: false,
+            ..RadioProfile::bluetooth()
+        };
+        let now = SimTime::from_secs(10);
+        let base = RadioState::new(&[bt]);
+        assert!(base.enabled(bt) && base.answers_inquiry(bt, &asymmetric, now));
+
+        let dead = RadioState { alive: false, ..base };
+        assert!(!dead.enabled(bt) && !dead.answers_inquiry(bt, &asymmetric, now));
+
+        // Not carried: neither enabled nor answering, whatever else is set.
+        assert!(!base.enabled(RadioTech::Wlan));
+        assert!(!base.answers_inquiry(RadioTech::Wlan, &RadioProfile::wlan(), now));
+
+        let mut dark = base;
+        dark.radio_off.insert(bt);
+        assert!(!dark.enabled(bt) && !dark.answers_inquiry(bt, &asymmetric, now));
+
+        // Hidden: can still communicate, just does not answer scans.
+        let mut hidden = base;
+        hidden.discoverable.remove(bt);
+        assert!(hidden.enabled(bt) && !hidden.answers_inquiry(bt, &asymmetric, now));
+
+        let mut scanning = base;
+        scanning.begin_inquiry(bt, now + SimDuration::from_secs(1));
+        assert!(scanning.enabled(bt));
+        assert!(!scanning.answers_inquiry(bt, &asymmetric, now), "mid-scan, asymmetric");
+        assert!(scanning.answers_inquiry(bt, &symmetric, now), "mid-scan, symmetric");
+
+        // A scan that ends exactly at `now` no longer hides the node.
+        let mut ending = base;
+        ending.begin_inquiry(bt, now);
+        assert!(ending.answers_inquiry(bt, &asymmetric, now));
+    }
+
+    #[test]
+    fn overlapping_scans_end_with_the_later_one() {
+        let bt = RadioTech::Bluetooth;
+        let (early, late) = (SimTime::from_secs(5), SimTime::from_secs(8));
+        let mut state = RadioState::new(&[bt]);
+        state.begin_inquiry(bt, late);
+        state.begin_inquiry(bt, early);
+        assert_eq!(
+            state.inquiring_until[bt.index()],
+            late,
+            "a shorter scan never shortens a running one"
+        );
+        state.end_inquiry(bt, early);
+        assert_eq!(
+            state.inquiring_until[bt.index()],
+            late,
+            "the later scan is still running"
+        );
+        state.end_inquiry(bt, late);
+        assert_eq!(state.inquiring_until[bt.index()], SimTime::ZERO);
     }
 }

@@ -3,9 +3,9 @@
 //! This layer owns the rules about *when* payloads and close notifications
 //! become visible: gracefully closed links flush their in-flight payloads
 //! (socket buffers drain) while physical breaks lose them, and a close
-//! notification never overtakes data written before the close. The in-flight
-//! scan that enforces the latter runs against the per-link in-flight index,
-//! so its cost follows one link's traffic, not the world's.
+//! notification never overtakes data written before the close. Each link
+//! counts its payloads in flight and remembers its latest scheduled delivery,
+//! so enforcing the latter is a field read, not a scan.
 
 use super::{Event, World};
 use crate::faults::{BurstOutcome, LifecycleKind};
@@ -15,53 +15,48 @@ use crate::radio::RadioTech;
 use crate::time::SimDuration;
 
 impl World {
-    pub(super) fn deliver(&mut self, msg: u64) {
-        let mut in_flight = match self.links.take_in_flight(msg) {
-            Some(m) => m,
-            None => return,
-        };
-        // Clear the injected mark up front so lost injections don't leak
-        // bookkeeping entries; the flag survives to the tamper pass below.
-        let was_injected = self.adversary.has_hostiles() && self.adversary.take_injected(msg);
+    pub(super) fn deliver(&mut self, mut in_flight: InFlightMessage) {
+        // Whatever happens to it below, this payload is off the link: a
+        // closed link whose last payload this was leaves the table here.
+        let state = self
+            .links
+            .get_mut(in_flight.link)
+            .expect("a link stays in the table while a payload is in flight on it");
+        state.in_flight -= 1;
         // Payloads already in flight when an endpoint closed the link
         // gracefully are still delivered (the socket buffer flushes); only a
         // physical break (out of range, crash) loses them.
-        let deliverable = self
-            .links
-            .get(in_flight.link)
-            .map(|l| l.open || l.closed_gracefully)
-            .unwrap_or(false);
-        if !deliverable || !self.is_alive(in_flight.to) {
-            self.metrics.record_message_lost(in_flight.to);
-            self.retire_link_if_drained(in_flight.link);
+        let deliverable = state.open || state.closed_gracefully;
+        let from = in_flight.from;
+        let to = state.peer_of(from).expect("only an endpoint transmits on a link");
+        self.links.drop_if_drained(in_flight.link);
+        if !deliverable || !self.is_alive(to) {
+            self.metrics.record_message_lost(to);
             return;
         }
         // Payloads travelling a flapping pair during its down phase are lost
         // like any physical break. Checked before bursts: the predicate is
         // pure arithmetic, so no burst randomness is drawn for a payload the
         // flap already killed.
-        if self.faults.has_flaps() && self.faults.link_flapped_down(in_flight.from, in_flight.to, self.now) {
-            self.metrics.record_message_lost(in_flight.to);
-            self.retire_link_if_drained(in_flight.link);
+        if self.faults.has_flaps() && self.faults.link_flapped_down(from, to, self.now) {
+            self.metrics.record_message_lost(to);
             return;
         }
         // Payloads crossing an active partition cut are lost like any other
         // physical break. Pure window arithmetic behind the emptiness guard,
         // so partition-free worlds pay one branch and draw nothing.
-        if self.adversary.has_partitions() && self.adversary.partitioned(in_flight.from, in_flight.to, self.now) {
+        if self.adversary.has_partitions() && self.adversary.partitioned(from, to, self.now) {
             self.adversary.stats.partition_drops += 1;
-            self.metrics.record_message_lost(in_flight.to);
-            self.retire_link_if_drained(in_flight.link);
+            self.metrics.record_message_lost(to);
             return;
         }
         // Loss/corruption bursts from installed fault plans. The guard keeps
         // burst-free worlds off this path entirely, so they draw no fault
         // randomness and behave byte-identically to a build without it.
         if self.faults.has_bursts() {
-            match self.faults.sample_burst(in_flight.from, in_flight.to, self.now) {
+            match self.faults.sample_burst(from, to, self.now) {
                 Some(BurstOutcome::Drop) => {
-                    self.metrics.record_message_lost(in_flight.to);
-                    self.retire_link_if_drained(in_flight.link);
+                    self.metrics.record_message_lost(to);
                     return;
                 }
                 Some(BurstOutcome::Corrupt) => {
@@ -83,22 +78,15 @@ impl World {
         if self.adversary.has_hostiles() {
             // Forge-built injections are already hostile; only organic frames
             // from a compromised sender go through the tamper pass.
-            if !was_injected {
-                if let Some(hostile) = self.adversary.tamper(in_flight.from, &in_flight.payload, self.now) {
+            if !in_flight.injected {
+                if let Some(hostile) = self.adversary.tamper(from, &in_flight.payload, self.now) {
                     in_flight.payload = hostile;
                 }
             }
-            self.adversary.sniff(in_flight.to, &in_flight.payload, self.now);
+            self.adversary.sniff(to, &in_flight.payload, self.now);
         }
-        self.metrics.record_message_delivered(in_flight.to);
-        let InFlightMessage {
-            link,
-            from,
-            to,
-            payload,
-            ..
-        } = in_flight;
-        self.retire_link_if_drained(link);
+        self.metrics.record_message_delivered(to);
+        let InFlightMessage { link, payload, .. } = in_flight;
         self.agent_call(to, |agent, ctx| agent.on_message(ctx, link, from, payload));
     }
 
@@ -112,12 +100,11 @@ impl World {
                 l.quality_override.is_some(),
                 l.quality_override.map(|ov| ov.exhausted_at(self.now)).unwrap_or(false),
             ),
-            None => return, // retired (or never existed): nothing to check
+            None => return, // closed and drained: nothing to check
         };
         if !open {
-            // Already closed: never reschedule the check; the entry retires
-            // once its in-flight payloads drain.
-            self.retire_link_if_drained(link);
+            // Already closed: never reschedule the check; the entry leaves
+            // the table once its in-flight payloads drain.
             return;
         }
         let a_alive = self.is_alive(a);
@@ -156,7 +143,7 @@ impl World {
                     agent.on_disconnected(ctx, link, a, reason_for(a_alive));
                 });
             }
-            self.retire_link_if_drained(link);
+            self.links.drop_if_drained(link);
             return;
         }
         let next = self.now + self.config.link_check_interval;
@@ -167,14 +154,13 @@ impl World {
         // Preserve FIFO ordering with respect to payloads already in flight
         // towards the peer: the close notification must not overtake data
         // written before the close (socket buffers drain first).
-        if let Some(t) = self.links.last_delivery_on(link) {
-            if t >= self.now {
-                self.scheduler
-                    .schedule(t + SimDuration::from_micros(1), Event::Disconnect { link, closer });
+        let now = self.now;
+        let peer = match self.links.get_mut(link) {
+            Some(state) if state.in_flight > 0 && state.last_delivery >= now => {
+                let after = state.last_delivery + SimDuration::from_micros(1);
+                self.scheduler.schedule(after, Event::Disconnect { link, closer });
                 return;
             }
-        }
-        let peer = match self.links.get_mut(link) {
             Some(state) if state.open => {
                 state.open = false;
                 state.closed_gracefully = true;
@@ -187,7 +173,7 @@ impl World {
                 agent.on_disconnected(ctx, link, closer, DisconnectReason::PeerClosed);
             });
         }
-        self.retire_link_if_drained(link);
+        self.links.drop_if_drained(link);
     }
 
     /// Powers a node off: every open link it participates in breaks and the
@@ -202,7 +188,7 @@ impl World {
     /// Must not be called from inside an agent callback.
     pub fn crash_node(&mut self, node: NodeId) {
         match self.topology.slot(node) {
-            Some(slot) if slot.alive => self.topology.power_off(node),
+            Some(slot) if slot.radio.alive => self.topology.power_off(node),
             _ => return,
         }
         self.faults.record(self.now, node, LifecycleKind::NodeDown);
@@ -221,12 +207,8 @@ impl World {
             self.agent_call(peer, |agent, ctx| {
                 agent.on_disconnected(ctx, link, node, DisconnectReason::PeerFailed);
             });
-            self.retire_link_if_drained(link);
+            self.links.drop_if_drained(link);
         }
-        // The crash bumped this node's epoch: tombstones whose other
-        // endpoint has also crashed since retirement are now unreferencable
-        // and can be reclaimed.
-        self.compact_retired_links_of(node);
     }
 
     /// Breaks every open link of `node` that runs over `tech` (the radio
@@ -258,7 +240,7 @@ impl World {
             self.agent_call(peer, |agent, ctx| {
                 agent.on_disconnected(ctx, link, node, DisconnectReason::OutOfRange);
             });
-            self.retire_link_if_drained(link);
+            self.links.drop_if_drained(link);
         }
     }
 }

@@ -54,15 +54,9 @@ impl World {
             .filter(|id| *id != node)
             .filter(|id| !(self.adversary.has_partitions() && self.adversary.partitioned(node, *id, self.now)))
             .filter(|id| {
-                self.topology
-                    .slot(*id)
-                    .map(|other| {
-                        other.alive
-                            && other.techs.contains(&tech)
-                            && !other.radio_off.contains(&tech)
-                            && self.pair_in_range(pos, other.plan.position_at(self.now), tech)
-                    })
-                    .unwrap_or(false)
+                self.topology.slot(*id).is_some_and(|other| {
+                    other.radio.enabled(tech) && self.pair_in_range(pos, other.plan.position_at(self.now), tech)
+                })
             })
             .collect()
     }
@@ -82,9 +76,7 @@ impl World {
         self.topology
             .nodes
             .iter()
-            .filter(|other| {
-                other.id != node && other.alive && other.techs.contains(&tech) && !other.radio_off.contains(&tech)
-            })
+            .filter(|other| other.id != node && other.radio.enabled(tech))
             .filter(|other| !(self.adversary.has_partitions() && self.adversary.partitioned(node, other.id, self.now)))
             .filter(|other| self.pair_in_range(pos, other.plan.position_at(self.now), tech))
             .map(|other| other.id)
@@ -135,35 +127,10 @@ impl World {
                 }
             }
             // The scan is over: the node becomes discoverable again.
-            if let Some(until) = slot.inquiring_until.get(&tech).copied() {
-                if until <= now {
-                    slot.inquiring_until.remove(&tech);
-                }
-            }
+            slot.radio.end_inquiry(tech, now);
         }
         self.metrics.record_inquiry_hits(node, hits.len() as u64);
         self.agent_call(node, |agent, ctx| agent.on_inquiry_complete(ctx, tech, hits));
-    }
-
-    /// True if `other` would answer an inquiry on `tech` at `now`: powered
-    /// on, carrying and discoverable on the radio, and not itself mid-scan
-    /// when the technology's inquiries are asymmetric (§3.4.2).
-    fn answers_inquiry(
-        other: &super::topology::NodeSlot,
-        tech: RadioTech,
-        profile: &RadioProfile,
-        now: SimTime,
-    ) -> bool {
-        other.alive
-            && other.techs.contains(&tech)
-            && !other.radio_off.contains(&tech)
-            && other.discoverable.contains(&tech)
-            && !(profile.inquiry_asymmetric
-                && other
-                    .inquiring_until
-                    .get(&tech)
-                    .map(|until| *until > now)
-                    .unwrap_or(false))
     }
 
     /// Inquiry candidates for a range-bounded technology, via the grid. The
@@ -189,7 +156,7 @@ impl World {
             .filter(|id| !(self.adversary.has_partitions() && self.adversary.partitioned(node, *id, now)))
             .filter_map(|id| {
                 let other = self.topology.slot(id)?;
-                if !Self::answers_inquiry(other, tech, profile, now) {
+                if !other.radio.answers_inquiry(tech, profile, now) {
                     return None;
                 }
                 let distance = pos.distance(other.plan.position_at(now));
@@ -212,7 +179,7 @@ impl World {
         self.topology
             .nodes
             .iter()
-            .filter(|other| other.id != node && Self::answers_inquiry(other, tech, profile, now))
+            .filter(|other| other.id != node && other.radio.answers_inquiry(tech, profile, now))
             .filter(|other| !(self.adversary.has_partitions() && self.adversary.partitioned(node, other.id, now)))
             .filter_map(|other| {
                 let other_pos = other.plan.position_at(now);

@@ -110,7 +110,7 @@ fn scheduled_crash_breaks_links_and_notifies_the_peer() {
     w.install_fault_plan(b, FaultPlan::new().crash_at(SimTime::from_secs(30)));
     w.run_for(SimDuration::from_secs(60));
     assert!(!w.is_alive(b));
-    assert!(!w.link_info(link).unwrap().open);
+    assert!(!w.link_info(link).is_some_and(|i| i.open));
     w.with_agent::<FaultProbe, _>(a, |p, _| {
         assert_eq!(p.disconnects, vec![(b, DisconnectReason::PeerFailed)]);
     })
@@ -221,7 +221,7 @@ fn radio_outage_breaks_links_like_range_loss_and_hides_the_node() {
     w.run_for(SimDuration::from_secs(40));
     assert!(w.is_alive(b), "an outage is not a crash");
     assert!(!w.radio_enabled(b, RadioTech::Bluetooth));
-    assert!(!w.link_info(link).unwrap().open);
+    assert!(!w.link_info(link).is_some_and(|i| i.open));
     // Both endpoints see the break, with the range-loss reason.
     for node in [a, b] {
         w.with_agent::<FaultProbe, _>(node, |p, _| {
@@ -433,7 +433,10 @@ fn flapping_link_breaks_and_blocks_the_pair_periodically() {
     // break repeatedly while a-c stays up throughout.
     w.install_fault_plan(a, FaultPlan::new().flapping_link(b, SimDuration::from_secs(10), 0.4));
     w.run_for(SimDuration::from_secs(120));
-    assert!(!w.link_info(flaky).unwrap().open, "a 40% duty link cannot stay up");
+    assert!(
+        !w.link_info(flaky).is_some_and(|i| i.open),
+        "a 40% duty link cannot stay up"
+    );
     assert!(w.link_info(clean).unwrap().open, "the untouched pair must survive");
     let (breaks, reasons_ok) = w
         .with_agent::<FaultProbe, _>(a, |p, _| {

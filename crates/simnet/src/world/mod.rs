@@ -10,8 +10,7 @@
 //! * `topology` — node slots, positions and a uniform spatial `grid`
 //!   index keyed by mobility-aware cell residency,
 //! * `discovery` — inquiry sampling against grid candidates,
-//! * `links` — the link table plus per-node link and per-link in-flight
-//!   indexes, and
+//! * `links` — the table of live links and its per-node index, and
 //! * `delivery` — message and disconnect ordering.
 //!
 //! The layering is an implementation detail: the public API and the event
@@ -33,8 +32,6 @@ mod faults_tests;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use self::links::LinkTable;
 use self::topology::{NodeSlot, Topology};
 use crate::adversary::{AdversaryAction, AdversaryEngine, AdversaryPlan, AdversaryStats, FrameForge};
@@ -46,7 +43,7 @@ use crate::metrics::Metrics;
 use crate::mobility::MobilityModel;
 use crate::node::{AttemptId, LinkId, NodeAgent, NodeId, TimerToken};
 use crate::payload::Payload;
-use crate::radio::{RadioEnvironment, RadioTech};
+use crate::radio::{RadioEnvironment, RadioState, RadioTech};
 use crate::rng::SimRng;
 use crate::telemetry::{Phase, Profiler, Telemetry, TelemetryConfig, PAYLOAD_SIZE_BOUNDS};
 use crate::time::{SimDuration, SimTime};
@@ -161,12 +158,10 @@ enum Event {
         tech: RadioTech,
         epoch: u64,
     },
-    ConnectResolve {
-        attempt: AttemptId,
-    },
-    Deliver {
-        msg: u64,
-    },
+    /// Boxed so that the rare, wide attempt does not set the size of every
+    /// queued event.
+    ConnectResolve(Box<PendingAttempt>),
+    Deliver(InFlightMessage),
     LinkCheck {
         link: LinkId,
     },
@@ -248,19 +243,14 @@ impl World {
         let id = NodeId::from_raw(self.topology.nodes.len() as u64);
         let mut node_rng = self.rng.derive(0x4E4F_4445_0000_0000 | id.as_raw());
         let plan = mobility.compile(self.config.mobility_horizon, &mut node_rng);
-        let techs_set: BTreeSet<RadioTech> = techs.iter().copied().collect();
         self.topology.add(
             NodeSlot {
                 id,
                 name: name.into(),
                 plan,
-                discoverable: techs_set.clone(),
-                techs: techs_set,
-                inquiring_until: BTreeMap::new(),
+                radio: RadioState::new(techs),
                 agent: Some(agent),
                 rng: node_rng,
-                alive: true,
-                radio_off: BTreeSet::new(),
                 epoch: 0,
             },
             self.now,
@@ -301,7 +291,7 @@ impl World {
 
     /// Whether a node is still powered on.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.slot(node).map(|s| s.alive).unwrap_or(false)
+        self.slot(node).is_some_and(|s| s.radio.alive)
     }
 
     /// Position of a node at the current simulation time.
@@ -337,34 +327,27 @@ impl World {
         self.topology.grid_cell_m()
     }
 
-    /// Number of links still carried in the active link table (open or
-    /// closed-but-draining). Closed links whose endpoints have been notified
-    /// and whose in-flight payloads have drained are retired to compact
-    /// tombstones and no longer counted here. Diagnostic for tests and `benchmark/`.
+    /// Number of links in the link table: open ones, plus closed ones with a
+    /// payload still in flight. A closed link leaves the table the moment it
+    /// has drained. Diagnostic for tests and `benchmark/`.
     pub fn active_link_count(&self) -> usize {
         self.links.active_count()
     }
 
-    /// Number of retired (fully closed and drained) links currently held as
-    /// tombstones. Bounded on long churn runs: generation-based compaction
-    /// reclaims a tombstone once both endpoints have crashed past the epochs
-    /// recorded at retirement. Diagnostic for tests and `benchmark/`.
+    /// Always 0: no tombstone exists any more. `benchmark/` still reads this;
+    /// the method goes with the next `[benchmark]` PR.
     pub fn retired_link_count(&self) -> usize {
-        self.links.retired_count()
+        0
     }
 
-    /// Lifetime count of retired-link tombstones reclaimed by the
-    /// generation-based compaction. Diagnostic for tests and `benchmark/`.
-    pub fn compacted_link_count(&self) -> u64 {
-        self.links.compacted_count()
-    }
-
-    /// Snapshot of a link.
+    /// Snapshot of a link that is open or still draining; `None` once a
+    /// closed link has drained (and for ids never handed out).
     pub fn link_info(&self, link: LinkId) -> Option<LinkInfo> {
         self.links.info(link)
     }
 
-    /// Snapshots of every link (open or closed) that has `node` as an endpoint.
+    /// Snapshots of every open or still-draining link that has `node` as an
+    /// endpoint.
     pub fn links_of(&self, node: NodeId) -> Vec<LinkInfo> {
         self.links.infos_of(node)
     }
@@ -432,7 +415,7 @@ impl World {
     /// Must not be called from inside an agent callback.
     pub fn restart_node(&mut self, node: NodeId) {
         match self.topology.slot(node) {
-            Some(slot) if !slot.alive => {}
+            Some(slot) if !slot.radio.alive => {}
             _ => return,
         }
         let now = self.now;
@@ -454,11 +437,11 @@ impl World {
     /// Must not be called from inside an agent callback.
     pub fn set_radio_enabled(&mut self, node: NodeId, tech: RadioTech, enabled: bool) {
         let changed = match self.topology.slot_mut(node) {
-            Some(slot) if slot.techs.contains(&tech) => {
+            Some(slot) if slot.radio.techs.contains(tech) => {
                 if enabled {
-                    slot.radio_off.remove(&tech)
+                    slot.radio.radio_off.remove(tech)
                 } else {
-                    slot.radio_off.insert(tech)
+                    slot.radio.radio_off.insert(tech)
                 }
             }
             _ => false,
@@ -482,9 +465,7 @@ impl World {
     /// forced dark by a fault — i.e. the node can actually communicate over
     /// that technology right now.
     pub fn radio_enabled(&self, node: NodeId, tech: RadioTech) -> bool {
-        self.slot(node)
-            .map(|s| s.alive && s.techs.contains(&tech) && !s.radio_off.contains(&tech))
-            .unwrap_or(false)
+        self.slot(node).is_some_and(|s| s.radio.enabled(tech))
     }
 
     /// Aggregate fault-injection counters.
@@ -589,7 +570,7 @@ impl World {
             self.agent_call(b, |agent, ctx| {
                 agent.on_disconnected(ctx, link, a, crate::node::DisconnectReason::OutOfRange);
             });
-            self.retire_link_if_drained(link);
+            self.links.drop_if_drained(link);
         }
     }
 
@@ -606,33 +587,34 @@ impl World {
             return;
         }
         let pick = links[self.adversary.rng.index(links.len())];
-        let (to, tech) = match self.links.get(pick) {
-            Some(state) => match state.peer_of(node) {
-                Some(peer) => (peer, state.tech),
-                None => return,
-            },
-            None => return,
+        let Some(to) = self.links.get(pick).and_then(|state| state.peer_of(node)) else {
+            return;
         };
         let Some(payload) = self.adversary.forge_injection(node, to) else {
             return;
         };
-        let profile = self.config.radio.profile(tech);
-        let delay = profile.transmission_delay(payload.len());
-        self.metrics.record_message_sent(node, tech, payload.len() as u64);
-        let msg = self.links.next_msg_id();
-        self.adversary.mark_injected(msg);
-        let deliver_at = self.now + delay;
-        self.links.send_in_flight(
-            msg,
-            InFlightMessage {
-                link: pick,
-                from: node,
-                to,
-                payload,
-                deliver_at,
-            },
-        );
-        self.scheduler.schedule(deliver_at, Event::Deliver { msg });
+        self.transmit(InFlightMessage {
+            link: pick,
+            from: node,
+            payload,
+            injected: true,
+        });
+    }
+
+    /// Puts a payload on the air over its (open) link: charges the sender,
+    /// counts the payload against the link and schedules its delivery after
+    /// the technology's transmission delay.
+    fn transmit(&mut self, message: InFlightMessage) {
+        let state = self
+            .links
+            .get_mut(message.link)
+            .expect("transmit on a link in the table");
+        let bytes = message.payload.len();
+        let deliver_at = self.now + self.config.radio.profile(state.tech).transmission_delay(bytes);
+        state.in_flight += 1;
+        state.last_delivery = state.last_delivery.max(deliver_at);
+        self.metrics.record_message_sent(message.from, state.tech, bytes as u64);
+        self.scheduler.schedule(deliver_at, Event::Deliver(message));
     }
 
     /// Runs the event loop until simulation time `deadline` and then sets the
@@ -646,6 +628,23 @@ impl World {
         if self.telemetry.is_some() {
             self.sample_telemetry();
         }
+        #[cfg(debug_assertions)]
+        self.audit();
+    }
+
+    /// Conservation audit, run by every debug build at the end of
+    /// [`World::run_until`]: the link table and its node index describe the
+    /// same live links, and every payload ever sent is delivered, lost or
+    /// counted in flight on a link in the table. O(links in the table).
+    #[cfg(debug_assertions)]
+    fn audit(&self) {
+        let in_flight = self.links.audit();
+        let total = self.metrics.global();
+        assert_eq!(
+            total.messages_sent,
+            total.messages_delivered + total.messages_lost + in_flight,
+            "payloads sent != delivered + lost + in flight"
+        );
     }
 
     /// Runs for a further span of simulated time.
@@ -698,7 +697,7 @@ impl World {
         A: NodeAgent + 'static,
     {
         let idx = node.as_raw() as usize;
-        if idx >= self.topology.nodes.len() || !self.topology.nodes[idx].alive {
+        if idx >= self.topology.nodes.len() || !self.topology.nodes[idx].radio.alive {
             return None;
         }
         let mut agent = self.topology.nodes[idx].agent.take()?;
@@ -720,7 +719,7 @@ impl World {
 
     fn agent_call<R>(&mut self, node: NodeId, f: impl FnOnce(&mut dyn NodeAgent, &mut NodeCtx<'_>) -> R) -> Option<R> {
         let idx = node.as_raw() as usize;
-        if idx >= self.topology.nodes.len() || !self.topology.nodes[idx].alive {
+        if idx >= self.topology.nodes.len() || !self.topology.nodes[idx].radio.alive {
             return None;
         }
         let mut agent = self.topology.nodes[idx].agent.take()?;
@@ -753,8 +752,8 @@ impl World {
                     self.complete_inquiry(node, tech);
                 }
             }
-            Event::ConnectResolve { attempt } => self.resolve_attempt(attempt),
-            Event::Deliver { msg } => self.deliver(msg),
+            Event::ConnectResolve(attempt) => self.resolve_attempt(*attempt),
+            Event::Deliver(message) => self.deliver(message),
             Event::LinkCheck { link } => self.check_link(link),
             Event::Disconnect { link, closer } => self.graceful_disconnect(link, closer),
             Event::Fault { node, idx } => self.apply_fault(node, idx),
@@ -804,7 +803,7 @@ impl World {
 
     /// Number of nodes currently powered on (telemetry gauge / diagnostic).
     pub fn alive_count(&self) -> usize {
-        self.topology.nodes.iter().filter(|n| n.alive).count()
+        self.topology.nodes.iter().filter(|n| n.radio.alive).count()
     }
 
     /// Number of currently open links (telemetry gauge / diagnostic).
@@ -866,8 +865,8 @@ fn phase_of(event: &Event) -> Phase {
         Event::NodeStart(_) => Phase::AgentStart,
         Event::Timer { .. } => Phase::Timers,
         Event::InquiryComplete { .. } => Phase::Discovery,
-        Event::ConnectResolve { .. } => Phase::Connect,
-        Event::Deliver { .. } => Phase::Delivery,
+        Event::ConnectResolve(_) => Phase::Connect,
+        Event::Deliver(_) => Phase::Delivery,
         Event::LinkCheck { .. } => Phase::LinkCheck,
         Event::Disconnect { .. } => Phase::Disconnect,
         Event::Fault { .. } => Phase::Faults,
@@ -933,11 +932,10 @@ impl<'a> NodeCtx<'a> {
         let finish = self.world.now + duration;
         let epoch = match self.world.slot_mut(node) {
             Some(slot) => {
-                if !slot.techs.contains(&tech) {
+                if !slot.radio.techs.contains(tech) {
                     return;
                 }
-                let entry = slot.inquiring_until.entry(tech).or_insert(finish);
-                *entry = (*entry).max(finish);
+                slot.radio.begin_inquiry(tech, finish);
                 slot.epoch
             }
             None => return,
@@ -953,11 +951,11 @@ impl<'a> NodeCtx<'a> {
         let node = self.node;
         if let Some(slot) = self.world.slot_mut(node) {
             if discoverable {
-                if slot.techs.contains(&tech) {
-                    slot.discoverable.insert(tech);
+                if slot.radio.techs.contains(tech) {
+                    slot.radio.discoverable.insert(tech);
                 }
             } else {
-                slot.discoverable.remove(&tech);
+                slot.radio.discoverable.remove(tech);
             }
         }
     }
@@ -975,21 +973,17 @@ impl<'a> NodeCtx<'a> {
             let slot = self.world.slot_mut(node).expect("node exists while ctx is alive");
             (profile.sample_setup_latency(&mut slot.rng), slot.epoch)
         };
-        self.world.links.attempts.insert(
-            id,
-            PendingAttempt {
+        let resolve_at = self.world.now + latency;
+        self.world.scheduler.schedule(
+            resolve_at,
+            Event::ConnectResolve(Box::new(PendingAttempt {
                 id,
                 from: node,
                 to: peer,
                 tech,
-                started_at: self.world.now,
                 epoch,
-            },
+            })),
         );
-        let resolve_at = self.world.now + latency;
-        self.world
-            .scheduler
-            .schedule(resolve_at, Event::ConnectResolve { attempt: id });
         id
     }
 
@@ -1008,20 +1002,13 @@ impl<'a> NodeCtx<'a> {
     pub fn send(&mut self, link: LinkId, payload: impl Into<Payload>) -> Result<(), SendError> {
         let payload = payload.into();
         let node = self.node;
-        let (to, tech) = match self.world.links.get(link) {
-            Some(state) => {
-                if !state.open {
-                    return Err(SendError::Closed);
-                }
-                let to = state.peer_of(node).ok_or(SendError::NotEndpoint)?;
-                (to, state.tech)
-            }
+        match self.world.links.get(link) {
+            Some(state) if !state.open => return Err(SendError::Closed),
+            Some(state) if !state.has_endpoint(node) => return Err(SendError::NotEndpoint),
+            Some(_) => {}
             None if self.world.links.is_closed(link) => return Err(SendError::Closed),
             None => return Err(SendError::UnknownLink),
-        };
-        let profile = self.world.config.radio.profile(tech);
-        let delay = profile.transmission_delay(payload.len());
-        self.world.metrics.record_message_sent(node, tech, payload.len() as u64);
+        }
         if let Some(tel) = self.world.telemetry.as_deref_mut() {
             tel.observe(
                 "world",
@@ -1031,19 +1018,12 @@ impl<'a> NodeCtx<'a> {
                 payload.len() as u64,
             );
         }
-        let msg = self.world.links.next_msg_id();
-        let deliver_at = self.world.now + delay;
-        self.world.links.send_in_flight(
-            msg,
-            InFlightMessage {
-                link,
-                from: node,
-                to,
-                payload,
-                deliver_at,
-            },
-        );
-        self.world.scheduler.schedule(deliver_at, Event::Deliver { msg });
+        self.world.transmit(InFlightMessage {
+            link,
+            from: node,
+            payload,
+            injected: false,
+        });
         Ok(())
     }
 

@@ -88,7 +88,7 @@ use crate::node::{
     AttemptId, ConnectError, DisconnectReason, IncomingConnection, InquiryHit, LinkId, NodeId, TimerToken,
 };
 use crate::payload::SharedPayload;
-use crate::radio::{RadioEnvironment, RadioTech};
+use crate::radio::{RadioEnvironment, RadioState, RadioTech, TechSet};
 use crate::rng::SimRng;
 use crate::telemetry::{Histogram, Phase, Profiler, Telemetry, TelemetryConfig, PAYLOAD_SIZE_BOUNDS};
 use crate::time::{SimDuration, SimTime};
@@ -200,8 +200,9 @@ impl ShardedConfig {
 /// The mirror of [`NodeAgent`](crate::node::NodeAgent) with two deliberate
 /// differences: the context is a [`ShardCtx`] (the windowed API), and the
 /// trait requires `Send` because agents execute on worker threads. Payloads
-/// arrive as [`SharedPayload`] — the `Arc`-backed buffer that crosses shard
-/// boundaries without copying.
+/// arrive as [`SharedPayload`], which is the sequential world's
+/// [`Payload`](crate::payload::Payload) under the name this API has always
+/// used: one buffer, shared across shard boundaries without copying.
 #[allow(unused_variables)]
 pub trait ShardAgent: Any + Send {
     /// Upcast for dynamic inspection (post-run assertions).
@@ -246,50 +247,6 @@ pub trait ShardAgent: Any + Send {
     fn on_message(&mut self, ctx: &mut ShardCtx<'_>, link: LinkId, from: NodeId, payload: SharedPayload) {}
     /// An established link went away.
     fn on_disconnected(&mut self, ctx: &mut ShardCtx<'_>, link: LinkId, peer: NodeId, reason: DisconnectReason) {}
-}
-
-fn tech_bit(tech: RadioTech) -> u8 {
-    match tech {
-        RadioTech::Bluetooth => 1,
-        RadioTech::Wlan => 2,
-        RadioTech::Gprs => 4,
-    }
-}
-
-fn tech_index(tech: RadioTech) -> usize {
-    match tech {
-        RadioTech::Bluetooth => 0,
-        RadioTech::Wlan => 1,
-        RadioTech::Gprs => 2,
-    }
-}
-
-/// Inverse of [`tech_index`]; the order also matches `RadioTech`'s `Ord`, so
-/// array-indexed folds replay the old `BTreeMap` iteration order exactly.
-const TECH_BY_INDEX: [RadioTech; 3] = [RadioTech::Bluetooth, RadioTech::Wlan, RadioTech::Gprs];
-
-/// Per-node dynamic state published at each window barrier. Shards read
-/// *other* nodes' state only through this snapshot, so what a node observes
-/// never depends on which shard executes its neighbours.
-#[derive(Clone, Copy, PartialEq)]
-struct NodeSnapshot {
-    alive: bool,
-    techs: u8,
-    discoverable: u8,
-    radio_off: u8,
-    inquiring_until: [SimTime; 3],
-}
-
-impl Default for NodeSnapshot {
-    fn default() -> Self {
-        NodeSnapshot {
-            alive: false,
-            techs: 0,
-            discoverable: 0,
-            radio_off: 0,
-            inquiring_until: [SimTime::ZERO; 3],
-        }
-    }
 }
 
 /// One endpoint's view of an established link.
@@ -389,11 +346,10 @@ enum NodeEvent {
 /// Everything one shard owns about one node.
 struct ShardNode {
     id: NodeId,
-    techs: u8,
-    discoverable: u8,
-    radio_off: u8,
-    inquiring_until: [SimTime; 3],
-    alive: bool,
+    /// The node's dynamic radio-side state. Other nodes read it only as the
+    /// copy published at the window start (`GlobalView::snapshot`), so what
+    /// a node observes never depends on which shard executes its neighbours.
+    radio: RadioState,
     epoch: u64,
     rng: SimRng,
     agent: Option<Box<dyn ShardAgent>>,
@@ -416,20 +372,6 @@ struct ShardNode {
 }
 
 impl ShardNode {
-    fn radio_enabled(&self, tech: RadioTech) -> bool {
-        self.alive && self.techs & tech_bit(tech) != 0 && self.radio_off & tech_bit(tech) == 0
-    }
-
-    fn snapshot(&self) -> NodeSnapshot {
-        NodeSnapshot {
-            alive: self.alive,
-            techs: self.techs,
-            discoverable: self.discoverable,
-            radio_off: self.radio_off,
-            inquiring_until: self.inquiring_until,
-        }
-    }
-
     /// Queues a message another node addressed to this one.
     fn deliver(&mut self, msg: ShardMsg) {
         self.queue.schedule(
@@ -494,7 +436,7 @@ impl WindowGrid {
         &mut self,
         t0: SimTime,
         plans: &[MotionPlan],
-        snapshot: &[NodeSnapshot],
+        snapshot: &[RadioState],
         fixed: &[bool],
         movers: &[usize],
     ) {
@@ -552,7 +494,7 @@ struct GlobalView<'a> {
     plans: &'a [MotionPlan],
     /// Per node: the plan never moves (`!moving_after(ZERO)`).
     fixed: &'a [bool],
-    snapshot: &'a [NodeSnapshot],
+    snapshot: &'a [RadioState],
     grid: &'a WindowGrid,
     /// End of the current window; cross-node effects emitted during the
     /// window become visible no earlier than this.
@@ -587,7 +529,7 @@ struct Shard {
     /// `(raw id, snapshot)` of every node whose published state changed
     /// during the last pass; the coordinator applies it at the next window
     /// start.
-    snapshot_delta: Vec<(usize, NodeSnapshot)>,
+    snapshot_delta: Vec<(usize, RadioState)>,
     /// Wall nanoseconds of the last pass (recorded only while profiling).
     pass_ns: u64,
     /// Dense by raw node id while loads are tracked (empty otherwise): events
@@ -596,9 +538,8 @@ struct Shard {
     /// node processes the same events whatever shard executes it.
     window_events: Vec<u64>,
     /// Per-technology (messages, bytes) sent by nodes while owned here,
-    /// indexed by [`tech_index`]; commutative, merged into the final
-    /// [`Metrics`] at assembly (zero entries skipped, matching the sparse
-    /// map this used to be).
+    /// indexed by `RadioTech::index`; commutative, merged into the final
+    /// [`Metrics`] at assembly.
     tech_msgs: [(u64, u64); 3],
     /// Reusable grid-query scratch buffer (one per shard, not per query).
     scratch: Vec<NodeId>,
@@ -716,9 +657,8 @@ impl Shard {
             }
             // A node's published state changes only while it runs its own
             // events, so this is the one place a delta can arise.
-            let published = node.snapshot();
-            if published != view.snapshot[raw] {
-                snapshot_delta.push((raw, published));
+            if node.radio != view.snapshot[raw] {
+                snapshot_delta.push((raw, node.radio));
             }
         }
         debug_assert!(mail.next().is_none(), "mail for a node this shard does not own");
@@ -794,17 +734,17 @@ impl Executor<'_> {
     fn process(&mut self, node: &mut ShardNode, now: SimTime, event: NodeEvent) {
         match event {
             NodeEvent::Start => {
-                if node.alive {
+                if node.radio.alive {
                     self.call_agent(node, now, |agent, ctx| agent.on_start(ctx));
                 }
             }
             NodeEvent::Timer { token, epoch } => {
-                if node.alive && node.epoch == epoch {
+                if node.radio.alive && node.epoch == epoch {
                     self.call_agent(node, now, |agent, ctx| agent.on_timer(ctx, token));
                 }
             }
             NodeEvent::InquiryComplete { tech, epoch } => {
-                if node.alive && node.epoch == epoch {
+                if node.radio.alive && node.epoch == epoch {
                     self.complete_inquiry(node, now, tech);
                 }
             }
@@ -814,7 +754,7 @@ impl Executor<'_> {
                 tech,
                 epoch,
             } => {
-                if node.alive && node.epoch == epoch {
+                if node.radio.alive && node.epoch == epoch {
                     self.resolve_connect(node, now, attempt, peer, tech);
                 }
             }
@@ -825,7 +765,7 @@ impl Executor<'_> {
                 reason,
                 epoch,
             } => {
-                if node.alive && node.epoch == epoch {
+                if node.radio.alive && node.epoch == epoch {
                     self.call_agent(node, now, |agent, ctx| agent.on_disconnected(ctx, link, peer, reason));
                 }
             }
@@ -836,9 +776,8 @@ impl Executor<'_> {
 
     fn complete_inquiry(&mut self, node: &mut ShardNode, now: SimTime, tech: RadioTech) {
         let profile = self.view.radio.profile(tech).clone();
-        let idx = tech_index(tech);
         let mut hits = Vec::new();
-        if node.radio_enabled(tech) {
+        if node.radio.enabled(tech) {
             let range = profile
                 .range_m
                 .expect("sharded world supports range-bounded technologies only");
@@ -846,18 +785,12 @@ impl Executor<'_> {
             self.view
                 .grid
                 .query_into(pos, range + self.view.query_pad_m, self.scratch);
-            let bit = tech_bit(tech);
             for &candidate in self.scratch.iter() {
                 if candidate == node.id {
                     continue;
                 }
                 let snap = &self.view.snapshot[candidate.as_raw() as usize];
-                if !snap.alive
-                    || snap.techs & bit == 0
-                    || snap.radio_off & bit != 0
-                    || snap.discoverable & bit == 0
-                    || (profile.inquiry_asymmetric && snap.inquiring_until[idx] > now)
-                {
+                if !snap.answers_inquiry(tech, &profile, now) {
                     continue;
                 }
                 let distance = pos.distance(self.view.plans[candidate.as_raw() as usize].position_at(now));
@@ -876,9 +809,7 @@ impl Executor<'_> {
                 }
             }
         }
-        if node.inquiring_until[idx] <= now {
-            node.inquiring_until[idx] = SimTime::ZERO;
-        }
+        node.radio.end_inquiry(tech, now);
         node.counters.inquiry_hits += hits.len() as u64;
         self.call_agent(node, now, |agent, ctx| agent.on_inquiry_complete(ctx, tech, hits));
     }
@@ -898,9 +829,7 @@ impl Executor<'_> {
         let error = if fault {
             Some(ConnectError::Fault)
         } else {
-            let snap = &self.view.snapshot[peer.as_raw() as usize];
-            let bit = tech_bit(tech);
-            if !snap.alive || snap.techs & bit == 0 || snap.radio_off & bit != 0 {
+            if !self.view.snapshot[peer.as_raw() as usize].enabled(tech) {
                 Some(ConnectError::Unreachable)
             } else {
                 let own = self.view.plans[node.id.as_raw() as usize].position_at(now);
@@ -936,7 +865,7 @@ impl Executor<'_> {
     }
 
     fn check_link(&mut self, node: &mut ShardNode, now: SimTime, link: LinkId) {
-        if !node.alive {
+        if !node.radio.alive {
             return; // the crash already tore the table down
         }
         let Some(half) = node.links.get(&link).copied() else {
@@ -945,20 +874,20 @@ impl Executor<'_> {
         if half.status != LinkStatus::Open || !half.initiator {
             return;
         }
+        // The acceptor proved it carries the technology when it took the
+        // request, so for the peer "not enabled" means dead or dark.
         let snap = &self.view.snapshot[half.peer.as_raw() as usize];
-        let bit = tech_bit(half.tech);
         let peer_dead = !snap.alive;
-        let peer_dark = snap.radio_off & bit != 0;
         // Two fixed endpoints were in range when the link was set up and
         // still are: only the radios and the peer's liveness can break it.
         let fixed_pair = self.view.fixed[node.id.as_raw() as usize] && self.view.fixed[half.peer.as_raw() as usize];
-        let in_range = node.radio_off & bit == 0
+        let in_range = !node.radio.radio_off.contains(half.tech)
             && (fixed_pair || {
                 let own = self.view.plans[node.id.as_raw() as usize].position_at(now);
                 let theirs = self.view.plans[half.peer.as_raw() as usize].position_at(now);
                 self.view.radio.profile(half.tech).in_range(own.distance(theirs))
             });
-        if !peer_dead && !peer_dark && in_range {
+        if snap.enabled(half.tech) && in_range {
             node.queue
                 .schedule(now + self.view.link_check_interval, NodeEvent::LinkCheck { link });
             return;
@@ -981,13 +910,13 @@ impl Executor<'_> {
         let action = node.fault_actions[idx].1;
         match action {
             FaultAction::NodeDown => {
-                if !node.alive {
+                if !node.radio.alive {
                     return;
                 }
-                node.alive = false;
+                node.radio.alive = false;
                 node.epoch += 1;
-                node.discoverable = 0;
-                node.inquiring_until = [SimTime::ZERO; 3];
+                node.radio.discoverable = TechSet::default();
+                node.radio.inquiring_until = [SimTime::ZERO; 3];
                 node.pending.clear();
                 node.stats.crashes += 1;
                 node.lifecycle.push(LifecycleEvent {
@@ -1016,11 +945,11 @@ impl Executor<'_> {
                 }
             }
             FaultAction::NodeUp => {
-                if node.alive {
+                if node.radio.alive {
                     return;
                 }
-                node.alive = true;
-                node.discoverable = node.techs;
+                node.radio.alive = true;
+                node.radio.discoverable = node.radio.techs;
                 node.stats.restarts += 1;
                 node.lifecycle.push(LifecycleEvent {
                     at: now,
@@ -1030,11 +959,9 @@ impl Executor<'_> {
                 self.call_agent(node, now, |agent, ctx| agent.on_restart(ctx));
             }
             FaultAction::RadioDown(tech) => {
-                let bit = tech_bit(tech);
-                if node.radio_off & bit != 0 {
+                if !node.radio.radio_off.insert(tech) {
                     return;
                 }
-                node.radio_off |= bit;
                 node.stats.radio_outages += 1;
                 node.lifecycle.push(LifecycleEvent {
                     at: now,
@@ -1067,7 +994,7 @@ impl Executor<'_> {
                             reason: DisconnectReason::OutOfRange,
                         },
                     );
-                    if node.alive && half.status == LinkStatus::Open {
+                    if node.radio.alive && half.status == LinkStatus::Open {
                         let epoch = node.epoch;
                         node.queue.schedule(
                             now,
@@ -1082,11 +1009,9 @@ impl Executor<'_> {
                 }
             }
             FaultAction::RadioUp(tech) => {
-                let bit = tech_bit(tech);
-                if node.radio_off & bit == 0 {
+                if !node.radio.radio_off.remove(tech) {
                     return;
                 }
-                node.radio_off &= !bit;
                 node.stats.radio_restores += 1;
                 node.lifecycle.push(LifecycleEvent {
                     at: now,
@@ -1100,10 +1025,8 @@ impl Executor<'_> {
     fn process_msg(&mut self, node: &mut ShardNode, now: SimTime, origin: NodeId, body: MsgBody) {
         match body {
             MsgBody::ConnectRequest { attempt, link, tech } => {
-                let bit = tech_bit(tech);
-                let reachable = node.alive && node.techs & bit != 0 && node.radio_off & bit == 0;
                 let at = now.max(self.view.window_end);
-                if !reachable {
+                if !node.radio.enabled(tech) {
                     Self::emit(
                         self.outbox,
                         node,
@@ -1162,7 +1085,7 @@ impl Executor<'_> {
                 accepted,
                 error,
             } => {
-                let valid = node.alive && node.pending.remove(&attempt).is_some();
+                let valid = node.radio.alive && node.pending.remove(&attempt).is_some();
                 if !valid {
                     if accepted {
                         // We died (or restarted) while the handshake was in
@@ -1205,7 +1128,7 @@ impl Executor<'_> {
                 }
             }
             MsgBody::Data { link, payload } => {
-                let deliverable = node.alive
+                let deliverable = node.radio.alive
                     && node
                         .links
                         .get(&link)
@@ -1222,7 +1145,7 @@ impl Executor<'_> {
                 let Some(half) = node.links.remove(&link) else {
                     return;
                 };
-                if half.status == LinkStatus::Open && node.alive {
+                if half.status == LinkStatus::Open && node.radio.alive {
                     self.call_agent(node, now, |agent, ctx| {
                         agent.on_disconnected(ctx, link, half.peer, DisconnectReason::PeerClosed)
                     });
@@ -1234,7 +1157,7 @@ impl Executor<'_> {
                 };
                 if half.status == LinkStatus::Open {
                     node.counters.links_broken += 1;
-                    if node.alive {
+                    if node.radio.alive {
                         self.call_agent(node, now, |agent, ctx| {
                             agent.on_disconnected(ctx, link, half.peer, reason)
                         });
@@ -1299,8 +1222,7 @@ impl ShardCtx<'_> {
         let profile = self.view.radio.profile(tech);
         let duration = profile.inquiry_duration;
         let done = self.now + duration;
-        let idx = tech_index(tech);
-        self.node.inquiring_until[idx] = self.node.inquiring_until[idx].max(done);
+        self.node.radio.begin_inquiry(tech, done);
         self.node.counters.inquiries_started += 1;
         let epoch = self.node.epoch;
         self.node
@@ -1311,9 +1233,9 @@ impl ShardCtx<'_> {
     /// Changes whether this node answers inquiries on `tech`.
     pub fn set_discoverable(&mut self, tech: RadioTech, on: bool) {
         if on {
-            self.node.discoverable |= tech_bit(tech);
+            self.node.radio.discoverable.insert(tech);
         } else {
-            self.node.discoverable &= !tech_bit(tech);
+            self.node.radio.discoverable.remove(tech);
         }
     }
 
@@ -1353,7 +1275,7 @@ impl ShardCtx<'_> {
         let delay = profile.transmission_delay(payload.len());
         self.node.counters.messages_sent += 1;
         self.node.counters.bytes_sent += payload.len() as u64;
-        let entry = &mut self.tech_msgs[tech_index(half.tech)];
+        let entry = &mut self.tech_msgs[half.tech.index()];
         entry.0 += 1;
         entry.1 += payload.len() as u64;
         if let Some(hist) = self.payload_hist.as_mut() {
@@ -1432,7 +1354,7 @@ pub struct ShardedWorld {
     movers: Vec<usize>,
     shards: Vec<Shard>,
     owner: Vec<u32>,
-    snapshot: Vec<NodeSnapshot>,
+    snapshot: Vec<RadioState>,
     grid: WindowGrid,
     /// The stripe boundaries. Uniform until the hysteresis gate fires a
     /// density-adaptive re-cut; either way ownership only decides which
@@ -1589,7 +1511,7 @@ impl ShardedWorld {
 
     /// Whether the node is currently powered on.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.slot(node).map(|n| n.alive).unwrap_or(false)
+        self.slot(node).is_some_and(|n| n.radio.alive)
     }
 
     /// Aggregated metrics, assembled at the end of the last run.
@@ -1643,17 +1565,9 @@ impl ShardedWorld {
         let id = NodeId::from_raw(raw);
         let mut rng = self.master_rng.derive(NODE_RNG_LABEL | raw);
         let plan = mobility.compile(self.config.mobility_horizon, &mut rng);
-        let mut tech_mask = 0u8;
-        for t in techs {
-            tech_mask |= tech_bit(*t);
-        }
         let mut node = ShardNode {
             id,
-            techs: tech_mask,
-            discoverable: tech_mask,
-            radio_off: 0,
-            inquiring_until: [SimTime::ZERO; 3],
-            alive: true,
+            radio: RadioState::new(techs),
             epoch: 0,
             rng,
             agent: Some(agent),
@@ -1679,7 +1593,7 @@ impl ShardedWorld {
             self.movers.push(raw as usize);
         }
         self.fixed.push(fixed);
-        self.snapshot.push(node.snapshot());
+        self.snapshot.push(node.radio);
         let shard = &mut self.shards[owner as usize];
         shard.nodes[raw as usize] = Some(Box::new(node));
         shard.note_pending(raw as usize, self.now);
@@ -1814,7 +1728,7 @@ impl ShardedWorld {
         let mut payload = Histogram::new(PAYLOAD_SIZE_BOUNDS);
         for shard in &self.shards {
             for node in shard.nodes.iter().filter_map(|n| n.as_deref()) {
-                if node.alive {
+                if node.radio.alive {
                     alive += 1;
                 }
                 open_halves += node
@@ -1843,9 +1757,9 @@ impl ShardedWorld {
         stats.export(tel);
         for (idx, &(msgs, bytes)) in tech_msgs.iter().enumerate() {
             if msgs == 0 && bytes == 0 {
-                continue; // the old sparse map only carried touched techs
+                continue; // untouched technologies carry no series
             }
-            let label = TECH_BY_INDEX[idx].short_name();
+            let label = RadioTech::ALL[idx].short_name();
             tel.set_counter("world", "messages_sent_tech", Some(label), msgs);
             tel.set_counter("world", "bytes_sent_tech", Some(label), bytes);
         }
@@ -1986,9 +1900,7 @@ impl ShardedWorld {
                 self.lifecycle.extend(node.lifecycle.iter().copied());
             }
             for (idx, &(messages, bytes)) in shard.tech_msgs.iter().enumerate() {
-                if messages != 0 || bytes != 0 {
-                    self.metrics.absorb_tech(TECH_BY_INDEX[idx], messages, bytes);
-                }
+                self.metrics.absorb_tech(RadioTech::ALL[idx], messages, bytes);
             }
         }
         // Stable sort: each node's events are already time-ordered, so

@@ -576,28 +576,8 @@ fn neighbors_grid_matches_reference_under_mobility() {
 
 #[test]
 fn closed_links_retire_once_drained_but_stay_visible() {
-    let mut w = ideal_world(15);
-    let a = w.add_node(
-        "a",
-        MobilityModel::stationary(Point::new(0.0, 0.0)),
-        &bt(),
-        Box::new(Probe::default()),
-    );
-    let b = w.add_node(
-        "b",
-        MobilityModel::stationary(Point::new(2.0, 0.0)),
-        &bt(),
-        Box::new(Probe::accepting()),
-    );
-    w.run_for(SimDuration::from_millis(1));
-    w.with_agent::<Probe, _>(a, |_, ctx| {
-        ctx.connect(b, RadioTech::Bluetooth);
-    })
-    .unwrap();
-    w.run_for(SimDuration::from_secs(1));
-    let link = w.with_agent::<Probe, _>(a, |p, _| p.connected[0].1).unwrap();
+    let (mut w, a, b, link) = connected_pair(15);
     assert_eq!(w.active_link_count(), 1);
-    assert_eq!(w.retired_link_count(), 0);
     // Close with a payload still in flight: the payload must flush first.
     w.with_agent::<Probe, _>(a, |_, ctx| {
         ctx.send(link, b"flush me".to_vec()).unwrap();
@@ -610,64 +590,15 @@ fn closed_links_retire_once_drained_but_stay_visible() {
         assert_eq!(p.disconnects, vec![(link, DisconnectReason::PeerClosed)]);
     })
     .unwrap();
-    // The entry has left the active table ...
+    // Closed and drained, the link has left the table and the node index;
+    // only `send` still knows the id was once handed out.
     assert_eq!(w.active_link_count(), 0);
-    assert_eq!(w.retired_link_count(), 1);
-    // ... but every read API still answers exactly as before.
-    let info = w.link_info(link).expect("retired link still has a snapshot");
-    assert!(!info.open);
-    assert_eq!(info.initiator, a);
-    assert_eq!(info.acceptor, b);
-    assert_eq!(w.links_of(a).len(), 1);
-    assert_eq!(w.links_of(b).len(), 1);
-    let err = w.with_agent::<Probe, _>(a, |_, ctx| ctx.send(link, vec![1])).unwrap();
-    assert_eq!(err, Err(SendError::Closed), "retired links still classify as closed");
-    assert_eq!(w.link_quality(link), None);
-}
-
-#[test]
-fn tombstones_compact_once_both_endpoints_crash_past_retirement() {
-    let mut w = ideal_world(17);
-    let a = w.add_node(
-        "a",
-        MobilityModel::stationary(Point::new(0.0, 0.0)),
-        &bt(),
-        Box::new(Probe::default()),
-    );
-    let b = w.add_node(
-        "b",
-        MobilityModel::stationary(Point::new(2.0, 0.0)),
-        &bt(),
-        Box::new(Probe::accepting()),
-    );
-    w.run_for(SimDuration::from_millis(1));
-    w.with_agent::<Probe, _>(a, |_, ctx| {
-        ctx.connect(b, RadioTech::Bluetooth);
-    })
-    .unwrap();
-    w.run_for(SimDuration::from_secs(1));
-    let link = w.with_agent::<Probe, _>(a, |p, _| p.connected[0].1).unwrap();
-    w.with_agent::<Probe, _>(a, |_, ctx| ctx.close(link)).unwrap();
-    w.run_for(SimDuration::from_secs(1));
-    assert_eq!(w.retired_link_count(), 1);
-    assert_eq!(w.compacted_link_count(), 0);
-
-    // One endpoint crashing is not enough: the surviving peer's agent could
-    // still hold the LinkId, so the tombstone must keep answering.
-    w.crash_node(a);
-    assert_eq!(w.retired_link_count(), 1, "peer b never crashed; tombstone must stay");
-    assert!(w.link_info(link).is_some());
-    w.restart_node(a);
-
-    // Once the second endpoint crashes past the retirement epochs, no live
-    // agent can name the link any more: the tombstone and its by_node index
-    // entries are reclaimed for good.
-    w.crash_node(b);
-    assert_eq!(w.retired_link_count(), 0);
-    assert_eq!(w.compacted_link_count(), 1);
-    assert!(w.link_info(link).is_none());
+    assert_eq!(w.link_info(link), None);
     assert!(w.links_of(a).is_empty());
     assert!(w.links_of(b).is_empty());
+    let err = w.with_agent::<Probe, _>(a, |_, ctx| ctx.send(link, vec![1])).unwrap();
+    assert_eq!(err, Err(SendError::Closed), "a dropped link still classifies as closed");
+    assert_eq!(w.link_quality(link), None);
 }
 
 #[test]
@@ -694,8 +625,102 @@ fn physically_broken_links_retire_after_loss() {
     assert_eq!(w.active_link_count(), 1);
     w.run_for(SimDuration::from_secs(60));
     // Out of range: the link broke, was never gracefully closed, and has
-    // fully retired; no stale entries churn the active table.
+    // left the table; no stale entries churn it.
     assert_eq!(w.active_link_count(), 0);
-    assert_eq!(w.retired_link_count(), 1);
     assert!(w.metrics().global().links_broken >= 2);
+}
+
+/// Two stationary Bluetooth nodes 2 m apart with one established link
+/// (initiated by `a`), on ideal radios.
+fn connected_pair(seed: u64) -> (World, NodeId, NodeId, LinkId) {
+    let mut w = ideal_world(seed);
+    let a = w.add_node(
+        "a",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        Box::new(Probe::default()),
+    );
+    let b = w.add_node(
+        "b",
+        MobilityModel::stationary(Point::new(2.0, 0.0)),
+        &bt(),
+        Box::new(Probe::accepting()),
+    );
+    w.run_for(SimDuration::from_millis(1));
+    w.with_agent::<Probe, _>(a, |_, ctx| {
+        ctx.connect(b, RadioTech::Bluetooth);
+    })
+    .unwrap();
+    w.run_for(SimDuration::from_secs(1));
+    let link = w.with_agent::<Probe, _>(a, |p, _| p.connected[0].1).unwrap();
+    (w, a, b, link)
+}
+
+/// 70 kB takes 0.83 s over ideal Bluetooth; a one-byte payload 30 ms.
+const SLOW_PAYLOAD_BYTES: usize = 70_000;
+
+#[test]
+fn close_waits_for_the_latest_delivery_not_the_last_send() {
+    let (mut w, a, b, link) = connected_pair(18);
+    w.with_agent::<Probe, _>(a, |_, ctx| {
+        ctx.send(link, vec![0xAB; SLOW_PAYLOAD_BYTES]).unwrap();
+        ctx.send(link, vec![1]).unwrap();
+        ctx.close(link);
+    })
+    .unwrap();
+    // The small payload sent second has landed; the big one is still on the
+    // air, so the close must not have reached the peer yet.
+    w.run_for(SimDuration::from_millis(400));
+    w.with_agent::<Probe, _>(b, |p, _| {
+        assert_eq!(p.messages, vec![(link, vec![1])]);
+        assert!(p.disconnects.is_empty(), "the close overtook a payload sent before it");
+    })
+    .unwrap();
+    assert!(w.link_info(link).is_some_and(|i| i.open));
+    w.run_for(SimDuration::from_secs(1));
+    w.with_agent::<Probe, _>(b, |p, _| {
+        assert_eq!(p.messages.len(), 2);
+        assert_eq!(p.messages[1].1.len(), SLOW_PAYLOAD_BYTES);
+        assert_eq!(p.disconnects, vec![(link, DisconnectReason::PeerClosed)]);
+    })
+    .unwrap();
+    assert_eq!(w.active_link_count(), 0);
+}
+
+#[test]
+fn broken_link_stays_in_the_table_until_its_last_payload_is_lost() {
+    let (mut w, a, b, link) = connected_pair(19);
+    w.with_agent::<Probe, _>(a, |_, ctx| ctx.send(link, vec![0; SLOW_PAYLOAD_BYTES]))
+        .unwrap()
+        .unwrap();
+    w.run_for(SimDuration::from_millis(100));
+    w.crash_node(b);
+    // Broken, but a payload is still travelling: the link is visible as
+    // closed, in the table and under its surviving endpoint.
+    assert_eq!(w.active_link_count(), 1);
+    assert_eq!(w.open_link_count(), 0);
+    assert!(w.link_info(link).is_some_and(|i| !i.open));
+    assert_eq!(w.links_of(a).len(), 1);
+    assert_eq!(w.metrics().global().messages_lost, 0);
+    w.run_for(SimDuration::from_secs(1));
+    // Its `Deliver` event ran: the payload is lost and the link is gone.
+    assert_eq!(w.metrics().global().messages_lost, 1);
+    assert_eq!(w.metrics().global().messages_delivered, 0);
+    assert_eq!(w.active_link_count(), 0);
+    assert_eq!(w.link_info(link), None);
+    assert!(w.links_of(a).is_empty());
+}
+
+#[test]
+fn send_tells_a_dropped_link_from_an_id_never_handed_out() {
+    let (mut w, a, b, link) = connected_pair(20);
+    w.crash_node(b);
+    assert_eq!(w.link_info(link), None, "nothing in flight: dropped at once");
+    let (dropped, unknown) = w
+        .with_agent::<Probe, _>(a, |_, ctx| {
+            (ctx.send(link, vec![1]), ctx.send(LinkId(link.0 + 1), vec![1]))
+        })
+        .unwrap();
+    assert_eq!(dropped, Err(SendError::Closed));
+    assert_eq!(unknown, Err(SendError::UnknownLink));
 }

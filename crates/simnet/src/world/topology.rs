@@ -1,19 +1,18 @@
 //! Node slots, positions and the spatial index.
 //!
-//! The topology layer owns every node's static identity (name, radios,
-//! compiled motion plan, RNG stream, agent) and answers "who is where"
-//! questions. Position lookups are pure reads of the compiled plans; the
+//! The topology layer owns every node's identity (name, compiled motion
+//! plan, RNG stream, agent) and its [`RadioState`], and answers "who is
+//! where" questions. Position lookups are pure reads of the compiled plans; the
 //! [`SpatialGrid`] accelerates *radius* queries and is refreshed lazily
 //! behind a `RefCell` so read-only world APIs keep their `&self` signatures.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 
 use super::grid::SpatialGrid;
 use crate::geometry::Point;
 use crate::mobility::MotionPlan;
 use crate::node::{NodeAgent, NodeId};
-use crate::radio::RadioTech;
+use crate::radio::RadioState;
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -22,16 +21,9 @@ pub(crate) struct NodeSlot {
     pub(crate) id: NodeId,
     pub(crate) name: String,
     pub(crate) plan: MotionPlan,
-    pub(crate) techs: BTreeSet<RadioTech>,
-    pub(crate) discoverable: BTreeSet<RadioTech>,
-    pub(crate) inquiring_until: BTreeMap<RadioTech, SimTime>,
+    pub(crate) radio: RadioState,
     pub(crate) agent: Option<Box<dyn NodeAgent>>,
     pub(crate) rng: SimRng,
-    pub(crate) alive: bool,
-    /// Radios currently forced dark by a fault (airplane mode). Disjoint
-    /// from `discoverable`: an outage hides the node from inquiries and
-    /// breaks its links regardless of the discoverability the agent chose.
-    pub(crate) radio_off: BTreeSet<RadioTech>,
     /// Incarnation counter, bumped on every crash. Timers, inquiries and
     /// connection attempts record the epoch they were created in and are
     /// dropped when it no longer matches, so events from a previous life
@@ -83,7 +75,7 @@ impl Topology {
     pub(crate) fn power_off(&mut self, node: NodeId) {
         self.grid.get_mut().remove(node);
         if let Some(slot) = self.slot_mut(node) {
-            slot.alive = false;
+            slot.radio.alive = false;
             slot.epoch += 1;
         }
     }
@@ -96,9 +88,9 @@ impl Topology {
         let Some(slot) = self.nodes.get_mut(node.as_raw() as usize) else {
             return;
         };
-        slot.alive = true;
-        slot.discoverable = slot.techs.clone();
-        slot.inquiring_until.clear();
+        slot.radio.alive = true;
+        slot.radio.discoverable = slot.radio.techs;
+        slot.radio.inquiring_until = [SimTime::ZERO; 3];
         self.grid.get_mut().reinsert(node, &slot.plan, now);
     }
 
