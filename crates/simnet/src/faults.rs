@@ -340,6 +340,10 @@ struct ActiveFlap {
 }
 
 impl ActiveFlap {
+    fn covers(&self, x: NodeId, y: NodeId) -> bool {
+        (self.a == x && self.b == y) || (self.a == y && self.b == x)
+    }
+
     /// True while the square wave is in its down phase at `now`.
     fn down_at(&self, now: SimTime) -> bool {
         let period = self.period.as_micros();
@@ -417,9 +421,13 @@ impl FaultEngine {
     /// down phase at `now`. Pure arithmetic — no randomness is drawn, so the
     /// predicate can sit on hot paths without perturbing traces.
     pub(crate) fn link_flapped_down(&self, x: NodeId, y: NodeId, now: SimTime) -> bool {
-        self.flaps
-            .iter()
-            .any(|f| ((f.a == x && f.b == y) || (f.a == y && f.b == x)) && f.down_at(now))
+        self.flaps.iter().any(|f| f.covers(x, y) && f.down_at(now))
+    }
+
+    /// True if some installed flapping pair covers the `x`/`y` link, whatever
+    /// its phase: such a link can drop at any poll and is checked at each.
+    pub(crate) fn flap_covers(&self, x: NodeId, y: NodeId) -> bool {
+        self.flaps.iter().any(|f| f.covers(x, y))
     }
 
     /// Samples the fate of a payload travelling between `from` and `to` at

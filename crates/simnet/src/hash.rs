@@ -1,0 +1,101 @@
+//! The hash map behind the engines' hot integer-keyed tables: grid cells by
+//! `(i64, i64)`, a sharded node's link halves and pending attempts by id.
+//!
+//! Every key is made inside the simulator, so the collision resistance the
+//! standard library's SipHash buys is worth nothing here, while its cost is
+//! paid on every grid probe and every frame. [`FastMap`] hashes a key with
+//! one rotate, one xor and one multiply per word instead.
+//!
+//! **No caller may observe iteration order** — it differs from the standard
+//! hasher's and is nobody's contract. The grids sort what a query collects,
+//! and the sharded crash and radio-outage tear-downs sort a node's links by
+//! id before emitting anything; the tests below and in the grids hold that.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A `HashMap` keyed by simulator-made integers, hashed by [`MulRotHasher`].
+pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulRotHasher>>;
+
+/// Word-at-a-time multiply-rotate hashing (the scheme rustc's own tables
+/// use). Not for keys an outsider can choose.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct MulRotHasher(u64);
+
+/// An odd constant with no bit pattern to speak of (2^64 / golden ratio).
+const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for MulRotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(MULTIPLIER);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's strong bits are its high ones; the table indexes by
+        // the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::LinkId;
+    use std::hash::{BuildHasher, Hash};
+
+    fn hash_of(key: impl Hash) -> u64 {
+        BuildHasherDefault::<MulRotHasher>::default().hash_one(key)
+    }
+
+    #[test]
+    fn equal_keys_hash_equal_and_neighbouring_keys_do_not() {
+        assert_eq!(hash_of((3i64, -7i64)), hash_of((3i64, -7i64)));
+        assert_eq!(hash_of(LinkId(5 << 32 | 1)), hash_of(LinkId(5 << 32 | 1)));
+        assert_ne!(hash_of((3i64, -7i64)), hash_of((-7i64, 3i64)));
+        assert_ne!(hash_of((0i64, 1i64)), hash_of((1i64, 0i64)));
+        assert_ne!(hash_of(LinkId(5 << 32 | 1)), hash_of(LinkId(6 << 32 | 1)));
+        assert_ne!(hash_of(b"ab".as_slice()), hash_of(b"ba".as_slice()));
+    }
+
+    #[test]
+    fn a_city_of_cells_and_link_ids_spreads_over_the_table() {
+        // The keys the engines really use: a block of grid cells around the
+        // origin and `(initiator << 32) | counter` link ids. A hasher that
+        // folded them onto a few low bits would still be correct, only slow;
+        // this pins that the cheap one does not.
+        let cells = (-60i64..60).flat_map(|i| (-60i64..60).map(move |j| hash_of((i, j))));
+        let links = (0u64..4_000).flat_map(|node| (0u64..4).map(move |n| hash_of(LinkId(node << 32 | n))));
+        for (name, hashes) in [("cells", cells.collect::<Vec<_>>()), ("links", links.collect())] {
+            let mut low: Vec<u64> = hashes.iter().map(|h| h & 0xFFF).collect();
+            let mut tag: Vec<u64> = hashes.iter().map(|h| h >> 57).collect();
+            low.sort_unstable();
+            low.dedup();
+            tag.sort_unstable();
+            tag.dedup();
+            assert!(low.len() > 3_500, "{name}: {} of 4096 low-bit buckets used", low.len());
+            assert_eq!(tag.len(), 128, "{name}: control-byte tags");
+        }
+    }
+
+    #[test]
+    fn a_fast_map_is_a_map() {
+        let mut map: FastMap<(i64, i64), i64> = FastMap::default();
+        for i in -50..50 {
+            for j in -50..50 {
+                map.insert((i, j), i * 100 + j);
+            }
+        }
+        assert_eq!(map.len(), 10_000);
+        assert_eq!(map.get(&(-3, 4)), Some(&-296));
+        assert_eq!(map.remove(&(49, 49)), Some(4_949));
+        assert_eq!(map.get(&(49, 49)), None);
+    }
+}

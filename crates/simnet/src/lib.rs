@@ -86,6 +86,7 @@ pub mod adversary;
 pub mod event;
 pub mod faults;
 pub mod geometry;
+mod hash;
 pub mod link;
 pub mod metrics;
 pub mod mobility;

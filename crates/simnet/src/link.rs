@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::node::{AttemptId, LinkId, NodeId};
 use crate::payload::Payload;
 use crate::radio::RadioTech;
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime, MICROS_PER_SEC};
 
 /// An artificial link-quality override.
 ///
@@ -41,6 +41,47 @@ impl QualityOverride {
     pub fn exhausted_at(&self, now: SimTime) -> bool {
         self.value_at(now) == 0
     }
+
+    /// An instant at or before the first one at which the override is
+    /// exhausted (never late, a microsecond early), or `None` if it never
+    /// decays that far.
+    pub(crate) fn exhaustion(&self) -> Option<SimTime> {
+        // `value_at` rounds, so zero means strictly less than a half is left.
+        let spare = self.initial - 0.5;
+        if spare < 0.0 {
+            return Some(self.set_at);
+        }
+        if self.decay_per_sec.is_nan() || self.decay_per_sec <= 0.0 {
+            return None;
+        }
+        let micros = (spare / self.decay_per_sec * MICROS_PER_SEC as f64) as u64;
+        Some(
+            self.set_at
+                .saturating_add(SimDuration::from_micros(micros.saturating_sub(1))),
+        )
+    }
+}
+
+/// The first instant of the poll grid `phase + k·interval` that is later
+/// than `now` and not before `earliest`. Link checks stay on their link's
+/// own grid, so a break is seen at the instant per-interval polling saw it.
+pub(crate) fn next_poll(phase: SimTime, interval: SimDuration, now: SimTime, earliest: SimTime) -> SimTime {
+    let step = interval.as_micros().max(1);
+    let target = earliest.max(now.saturating_add(SimDuration::from_micros(1)));
+    let steps = target.saturating_since(phase).as_micros().div_ceil(step);
+    phase.saturating_add(SimDuration::from_micros(step.saturating_mul(steps)))
+}
+
+/// The grid instants just before the check pending at `pending`, latest
+/// first: the polls a debug audit replays as the oracle, to see that none of
+/// the skipped ones would have broken the link. Sixteen of them — the unsound
+/// skip, if there is one, sits right before the check, and every audit looks
+/// again.
+#[cfg(debug_assertions)]
+pub(crate) fn polls_before(pending: SimTime, interval: SimDuration) -> impl Iterator<Item = SimTime> {
+    (1..=16u64)
+        .map_while(move |k| pending.as_micros().checked_sub(interval.as_micros().saturating_mul(k)))
+        .map(SimTime::from_micros)
 }
 
 /// Internal state of an established link.
@@ -63,6 +104,10 @@ pub(crate) struct LinkState {
     /// flight this is also the latest *pending* delivery: every undelivered
     /// payload is due at or after `now`, every delivered one was due before.
     pub last_delivery: SimTime,
+    /// When the link's one live `LinkCheck` event fires; `None` while nothing
+    /// time-dependent can break the link. A `LinkCheck` for any other instant
+    /// was superseded and is ignored.
+    pub next_check: Option<SimTime>,
 }
 
 impl LinkState {
@@ -172,6 +217,58 @@ mod tests {
     }
 
     #[test]
+    fn override_exhaustion_is_never_late_and_at_most_one_poll_early() {
+        let step = SimDuration::from_millis(500);
+        for (initial, decay) in [
+            (240.0, 1.0),
+            (3.0, 0.7),
+            (0.5, 2.0),
+            (0.4, 1.0),
+            (17.3, 11.0),
+            (255.0, 0.013),
+        ] {
+            let ov = QualityOverride {
+                set_at: SimTime::from_millis(1_250),
+                initial,
+                decay_per_sec: decay,
+            };
+            let first_exhausted = (1u64..)
+                .map(|k| ov.set_at + step * k)
+                .find(|t| ov.exhausted_at(*t))
+                .expect("a decaying override runs out");
+            let woken = next_poll(ov.set_at, step, ov.set_at, ov.exhaustion().unwrap());
+            assert!(
+                woken <= first_exhausted,
+                "{initial}/{decay}: woken {woken} after {first_exhausted}"
+            );
+            assert!(
+                first_exhausted - woken <= step,
+                "{initial}/{decay}: woken {woken} for {first_exhausted}"
+            );
+        }
+        let frozen = QualityOverride {
+            set_at: SimTime::ZERO,
+            initial: 10.0,
+            decay_per_sec: 0.0,
+        };
+        assert_eq!(frozen.exhaustion(), None);
+    }
+
+    #[test]
+    fn next_poll_stays_on_the_phase_and_moves_on() {
+        let (phase, step) = (SimTime::from_millis(130), SimDuration::from_millis(500));
+        let at = |ms| SimTime::from_millis(ms);
+        // Already due: the next grid instant after `now`, never `now` itself.
+        assert_eq!(next_poll(phase, step, at(630), at(0)), at(1_130));
+        assert_eq!(next_poll(phase, step, at(630), at(630)), at(1_130));
+        assert_eq!(next_poll(phase, step, at(700), at(700)), at(1_130));
+        // An exact grid instant is taken, anything past it rounds up.
+        assert_eq!(next_poll(phase, step, at(630), at(2_130)), at(2_130));
+        assert_eq!(next_poll(phase, step, at(630), at(2_131)), at(2_630));
+        assert_eq!(next_poll(phase, step, at(630), SimTime::MAX), SimTime::MAX);
+    }
+
+    #[test]
     fn link_state_peer_lookup() {
         let s = LinkState {
             id: LinkId(1),
@@ -184,6 +281,7 @@ mod tests {
             quality_override: None,
             in_flight: 0,
             last_delivery: SimTime::ZERO,
+            next_check: None,
         };
         assert_eq!(s.peer_of(NodeId::from_raw(1)), Some(NodeId::from_raw(2)));
         assert_eq!(s.peer_of(NodeId::from_raw(2)), Some(NodeId::from_raw(1)));

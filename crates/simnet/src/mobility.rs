@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::geometry::{Point, Rect};
 use crate::rng::SimRng;
-use crate::time::{SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime, MICROS_PER_SEC};
 
 /// Description of how a node moves, as configured by a scenario.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -303,7 +303,80 @@ impl MotionPlan {
         }
         None
     }
+
+    /// Earliest time at or after `from` at which this trajectory and `other`
+    /// are farther apart than `range_m`, or `None` if they never are.
+    ///
+    /// The answer is **never late and may be early**: the exit is solved
+    /// against `range_m` less a millimetre of slack and rounded down to the
+    /// clock's microsecond, so float rounding cannot push it past the instant
+    /// a position-by-position comparison would first fail. The worlds use it
+    /// to look at a link only when it can break: whoever is woken re-evaluates
+    /// the real predicate and, if the link still holds, simply asks again.
+    ///
+    /// Between two consecutive leg boundaries of either plan both nodes move
+    /// linearly, so their separation is one quadratic per overlap.
+    pub fn range_exit(&self, other: &MotionPlan, range_m: f64, from: SimTime) -> Option<SimTime> {
+        let reach = (range_m - RANGE_EXIT_SLACK_M).max(0.0);
+        let reach_sq = reach * reach;
+        let mut ia = self.segments.partition_point(|s| s.end_time <= from);
+        let mut ib = other.segments.partition_point(|s| s.end_time <= from);
+        let mut t0 = from;
+        loop {
+            let (pa, va, end_a) = self.leg(ia, t0);
+            let (pb, vb, end_b) = other.leg(ib, t0);
+            // Relative position r0 + v·s for s seconds into the overlap.
+            let (rx, ry) = (pa.x - pb.x, pa.y - pb.y);
+            let (vx, vy) = (va.0 - vb.0, va.1 - vb.1);
+            let c = rx * rx + ry * ry - reach_sq;
+            if c > 0.0 {
+                return Some(t0);
+            }
+            let t1 = end_a.min(end_b);
+            let a = vx * vx + vy * vy;
+            if a > 0.0 {
+                // |r0 + v·s|² = reach² with c <= 0: the discriminant is
+                // non-negative and the later root is the way out.
+                let half_b = rx * vx + ry * vy;
+                let secs = (-half_b + (half_b * half_b - a * c).sqrt()) / a;
+                let exit = t0.saturating_add(SimDuration::from_micros((secs * MICROS_PER_SEC as f64) as u64));
+                if exit <= t1 {
+                    return Some(exit);
+                }
+            }
+            if t1 == SimTime::MAX {
+                return None; // both at rest for good, in reach
+            }
+            t0 = t1;
+            while self.segments.get(ia).is_some_and(|s| s.end_time <= t0) {
+                ia += 1;
+            }
+            while other.segments.get(ib).is_some_and(|s| s.end_time <= t0) {
+                ib += 1;
+            }
+        }
+    }
+
+    /// Position at `t`, velocity in metres per second and end of leg `idx`,
+    /// which must be the first one ending after `t`; past the last leg the
+    /// node rests at its final position for ever.
+    fn leg(&self, idx: usize, t: SimTime) -> (Point, (f64, f64), SimTime) {
+        match self.segments.get(idx) {
+            Some(seg) => {
+                // start <= t < end, so the leg has a positive duration.
+                let total = (seg.end_time - seg.start_time).as_secs_f64();
+                let velocity = ((seg.to.x - seg.from.x) / total, (seg.to.y - seg.from.y) / total);
+                (seg.position_at(t), velocity, seg.end_time)
+            }
+            None => (self.final_position, (0.0, 0.0), SimTime::MAX),
+        }
+    }
 }
+
+/// How far short of the range [`MotionPlan::range_exit`] aims, in metres: a
+/// millimetre, orders of magnitude above what float rounding or a leg too
+/// short for the microsecond clock can move a node.
+const RANGE_EXIT_SLACK_M: f64 = 1e-3;
 
 /// Fraction `u` in `[0, 1]` at which the segment `p0 -> p1` (with `p0`
 /// inside the closed rectangle and `p1` outside) first touches the boundary.
@@ -472,6 +545,155 @@ mod tests {
         let rect = Rect::square(10.0);
         let t = plan.departure_time(rect, SimTime::ZERO).unwrap();
         assert!((t.as_secs_f64() - 25.0).abs() < 1e-6, "left at {t:?}");
+    }
+
+    /// Per-interval polling, the oracle the scheduled checks replace: the
+    /// first instant `phase + k·interval` (k >= 1) before `horizon` at which
+    /// the pair is out of range, and how many instants were looked at.
+    fn first_failing_poll(
+        a: &MotionPlan,
+        b: &MotionPlan,
+        range_m: f64,
+        phase: SimTime,
+        interval: SimDuration,
+        horizon: SimTime,
+    ) -> (Option<SimTime>, usize) {
+        let mut looked_at = 0;
+        let mut t = phase + interval;
+        while t < horizon {
+            looked_at += 1;
+            if a.position_at(t).distance(b.position_at(t)) > range_m {
+                return (Some(t), looked_at);
+            }
+            t += interval;
+        }
+        (None, looked_at)
+    }
+
+    /// The scheduling both worlds use: look only at the first poll at or
+    /// after `range_exit`, evaluate the polled predicate there, ask again.
+    fn first_failing_wakeup(
+        a: &MotionPlan,
+        b: &MotionPlan,
+        range_m: f64,
+        phase: SimTime,
+        interval: SimDuration,
+        horizon: SimTime,
+    ) -> (Option<SimTime>, usize) {
+        let mut looked_at = 0;
+        let mut now = phase;
+        while let Some(exit) = a.range_exit(b, range_m, now) {
+            assert!(exit >= now, "range_exit answered {exit} when asked from {now}");
+            now = crate::link::next_poll(phase, interval, now, exit);
+            if now >= horizon {
+                break;
+            }
+            looked_at += 1;
+            if a.position_at(now).distance(b.position_at(now)) > range_m {
+                return (Some(now), looked_at);
+            }
+        }
+        (None, looked_at)
+    }
+
+    /// A seeded trajectory inside a `side`-metre square: fixed, or a walk of
+    /// moves, holds and zero-length legs that comes to rest before the test
+    /// horizon.
+    fn random_plan(rng: &mut SimRng, side: f64) -> MotionPlan {
+        let spot = |rng: &mut SimRng| Point::new(rng.uniform_f64(0.0, side), rng.uniform_f64(0.0, side));
+        let start = spot(rng);
+        if rng.chance(0.3) {
+            return MotionPlan::fixed(start);
+        }
+        let mut plan = MotionPlan::starting_at(start);
+        let rest_after = SimTime::from_secs(rng.range(20..400u64));
+        while plan.end_time() < rest_after {
+            match rng.range(0..5u32) {
+                0 => plan.hold_for(SimDuration::from_micros(rng.range(0..30_000_000u64))),
+                1 => plan.move_to(plan.position_at(plan.end_time()), 1.0),
+                _ => plan.move_to(spot(rng), rng.uniform_f64(0.3, 4.0)),
+            }
+        }
+        plan
+    }
+
+    #[test]
+    fn range_exit_wakeups_break_a_link_at_the_instant_polling_does() {
+        let horizon = SimTime::from_secs(600);
+        let mut rng = SimRng::new(0x0E71);
+        let (mut broke, mut never, mut polled, mut woken) = (0, 0, 0, 0);
+        for case in 0..600 {
+            // Squares from half a range to a few ranges wide: some pairs can
+            // never part, the others leave, graze and re-enter range, some of
+            // them between two polls.
+            let range_m = rng.uniform_f64(5.0, 40.0);
+            let side = range_m * rng.uniform_f64(0.5, 3.0);
+            let (a, b) = (random_plan(&mut rng, side), random_plan(&mut rng, side));
+            let phase = SimTime::from_micros(rng.range(0..50_000_000u64));
+            let interval = SimDuration::from_millis([500, 1_000, 137][case % 3]);
+            let (oracle, old_looks) = first_failing_poll(&a, &b, range_m, phase, interval, horizon);
+            let (got, new_looks) = first_failing_wakeup(&a, &b, range_m, phase, interval, horizon);
+            assert_eq!(
+                got, oracle,
+                "case {case}: range {range_m} phase {phase} interval {interval}"
+            );
+            assert!(
+                new_looks <= old_looks,
+                "case {case}: {new_looks} wake-ups for {old_looks} polls"
+            );
+            match oracle {
+                Some(_) => broke += 1,
+                None => never += 1,
+            }
+            polled += old_looks;
+            woken += new_looks;
+        }
+        assert!(broke > 100 && never > 100, "{broke} pairs broke, {never} never did");
+        assert!(woken * 100 < polled, "{woken} wake-ups against {polled} polls");
+    }
+
+    #[test]
+    fn range_exit_on_the_edges() {
+        let origin = MotionPlan::fixed(Point::ORIGIN);
+        let at = SimTime::from_secs;
+        // Two plans at rest: in range for ever, or out of it from the start.
+        assert_eq!(
+            origin.range_exit(&MotionPlan::fixed(Point::new(10.0, 0.0)), 10.0 + 1e-2, at(3)),
+            None
+        );
+        assert_eq!(
+            origin.range_exit(&MotionPlan::fixed(Point::new(10.0, 0.0)), 9.0, at(3)),
+            Some(at(3))
+        );
+        // A tangent pass: the walker grazes the 10 m circle at t = 20 s and
+        // the distance is never *greater* than the range. Early is allowed
+        // (a millimetre short of the range is reached on the way in), late
+        // is not, and whoever is woken finds the pair still in range.
+        let mut grazing = MotionPlan::starting_at(Point::new(-20.0, 10.0));
+        grazing.move_to(Point::new(20.0, 10.0), 1.0);
+        let out_until = grazing.range_exit(&origin, 10.0, at(0));
+        assert_eq!(out_until, Some(at(0)), "starts out of range");
+        let near_tangent = grazing.range_exit(&origin, 10.0, at(20)).expect("leaves again");
+        assert!(near_tangent >= at(20) && near_tangent <= at(20) + SimDuration::from_millis(150));
+        // Symmetric in the two plans.
+        assert_eq!(origin.range_exit(&grazing, 10.0, at(20)), Some(near_tangent));
+        // A walker that stops inside the range never leaves it; one that
+        // walks through leaves on the far side, not before.
+        let mut stopping = MotionPlan::starting_at(Point::new(-3.0, 0.0));
+        stopping.hold_until(at(5));
+        stopping.move_to(Point::new(4.0, 0.0), 0.5);
+        assert_eq!(stopping.range_exit(&origin, 10.0, at(0)), None);
+        let mut passing = MotionPlan::starting_at(Point::new(-3.0, 0.0));
+        passing.hold_until(at(5));
+        passing.move_to(Point::new(30.0, 0.0), 2.0);
+        let left = passing.range_exit(&origin, 10.0, at(0)).expect("walks out");
+        // 13 m at 2 m/s after a 5 s hold, less the millimetre of slack.
+        assert!(left <= at(5) + SimDuration::from_millis(6_500));
+        assert!(left >= at(5) + SimDuration::from_millis(6_499));
+        assert_eq!(
+            passing.range_exit(&origin, 10.0, left + SimDuration::from_secs(1)),
+            Some(left + SimDuration::from_secs(1))
+        );
     }
 
     #[test]

@@ -9,10 +9,12 @@
 
 use super::{Event, World};
 use crate::faults::{BurstOutcome, LifecycleKind};
-use crate::link::InFlightMessage;
+#[cfg(debug_assertions)]
+use crate::link::polls_before;
+use crate::link::{next_poll, InFlightMessage, LinkState};
 use crate::node::{DisconnectReason, LinkId, NodeId};
 use crate::radio::RadioTech;
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
 impl World {
     pub(super) fn deliver(&mut self, mut in_flight: InFlightMessage) {
@@ -90,36 +92,122 @@ impl World {
         self.agent_call(to, |agent, ctx| agent.on_message(ctx, link, from, payload));
     }
 
-    pub(super) fn check_link(&mut self, link: LinkId) {
-        let (a, b, tech, open, has_override, exhausted) = match self.links.get(link) {
-            Some(l) => (
-                l.a,
-                l.b,
-                l.tech,
-                l.open,
-                l.quality_override.is_some(),
-                l.quality_override.map(|ov| ov.exhausted_at(self.now)).unwrap_or(false),
-            ),
-            None => return, // closed and drained: nothing to check
+    /// The time-dependent part of the check predicate, as of `at`: the pair
+    /// is in a flap's down phase, the link's quality override has run out or,
+    /// without one, the endpoints are out of coverage. Everything else that
+    /// ends a link (crash, radio outage, partition) breaks it explicitly.
+    fn coverage_lost(&self, link: &LinkState, at: SimTime) -> bool {
+        if self.faults.has_flaps() && self.faults.link_flapped_down(link.a, link.b, at) {
+            return true;
+        }
+        match link.quality_override {
+            Some(ov) => ov.exhausted_at(at),
+            None => match (
+                self.topology.position_of(link.a, at),
+                self.topology.position_of(link.b, at),
+            ) {
+                (Some(pa), Some(pb)) => !self.pair_in_range(pa, pb, link.tech),
+                _ => true,
+            },
+        }
+    }
+
+    /// The next instant at which `link` has to be looked at — the first poll
+    /// on its own `established_at + k·interval` grid at which
+    /// [`World::coverage_lost`] could say yes — or `None` when no passing of
+    /// time can break it. May be early, never late: the check re-evaluates
+    /// the predicate and asks again.
+    fn next_check(&self, link: &LinkState) -> Option<SimTime> {
+        let now = self.now;
+        let poll = |earliest| next_poll(link.established_at, self.config.link_check_interval, now, earliest);
+        if self.faults.has_flaps() && self.faults.flap_covers(link.a, link.b) {
+            return Some(poll(now));
+        }
+        if let Some(ov) = link.quality_override {
+            return ov.exhaustion().map(poll);
+        }
+        let plan_a = &self.topology.slot(link.a)?.plan;
+        let plan_b = &self.topology.slot(link.b)?.plan;
+        if link.tech == RadioTech::Gprs {
+            // Cellular coverage ends in a dead zone, not at a distance.
+            let exposed =
+                !self.config.gprs_dead_zones.is_empty() && (plan_a.moving_after(now) || plan_b.moving_after(now));
+            return exposed.then(|| poll(now));
+        }
+        let range_m = self.config.radio.profile(link.tech).range_m?;
+        plan_a.range_exit(plan_b, range_m, now).map(poll)
+    }
+
+    /// Queues a check of the open link `link` at [`World::next_check`] unless
+    /// one is already pending at or before that instant. Called when the link
+    /// is set up, after every check that passes and whenever something that
+    /// can bring the instant forward is installed (an override, a flap).
+    pub(super) fn arm_check(&mut self, link: LinkId) {
+        let Some(state) = self.links.get(link).filter(|l| l.open) else {
+            return;
         };
-        if !open {
-            // Already closed: never reschedule the check; the entry leaves
-            // the table once its in-flight payloads drain.
+        let Some(at) = self.next_check(state) else {
+            return;
+        };
+        if state.next_check.is_some_and(|pending| pending <= at) {
             return;
         }
+        self.links.get_mut(link).expect("looked up above").next_check = Some(at);
+        self.scheduler.schedule(at, Event::LinkCheck { link });
+    }
+
+    /// The net under every skipped poll: an open link has live endpoints with
+    /// the radio on and no cut between them (those break links explicitly);
+    /// one with no check pending has coverage right now; and polling — the
+    /// oracle — finds coverage at the grid instants between now and a pending
+    /// check ([`polls_before`] it), so no check is queued later than the first
+    /// poll that would have broken the link.
+    #[cfg(debug_assertions)]
+    pub(super) fn audit_checks(&self) {
+        let (now, interval) = (self.now, self.config.link_check_interval);
+        for link in self.links.open() {
+            let (id, a, b) = (link.id, link.a, link.b);
+            assert!(
+                self.radio_enabled(a, link.tech) && self.radio_enabled(b, link.tech),
+                "{id:?} is open on a dead node or a dark radio"
+            );
+            assert!(
+                !(self.adversary.has_partitions() && self.adversary.partitioned(a, b, now)),
+                "{id:?} is open across a partition cut"
+            );
+            let Some(pending) = link.next_check else {
+                assert!(
+                    !self.coverage_lost(link, now),
+                    "{id:?} lost coverage with no check pending"
+                );
+                continue;
+            };
+            assert!(pending > now, "{id:?} has a check pending in the past");
+            for poll in polls_before(pending, interval).take_while(|t| *t > now) {
+                assert!(
+                    !self.coverage_lost(link, poll),
+                    "{id:?} loses coverage at {poll}, before its check at {pending}"
+                );
+            }
+        }
+    }
+
+    pub(super) fn check_link(&mut self, link: LinkId) {
+        let Some(state) = self.links.get(link) else {
+            return; // closed and drained: nothing to check
+        };
+        // A closed link is never checked again (the entry leaves the table
+        // once its in-flight payloads drain), and neither is one whose check
+        // was re-armed for an earlier instant after this event was queued.
+        if !state.open || state.next_check != Some(self.now) {
+            return;
+        }
+        let (a, b, tech) = (state.a, state.b, state.tech);
         let a_alive = self.is_alive(a);
         let b_alive = self.is_alive(b);
         let radio_dark = !self.radio_enabled(a, tech) || !self.radio_enabled(b, tech);
-        let flapped_down = self.faults.has_flaps() && self.faults.link_flapped_down(a, b, self.now);
         let cut = self.adversary.has_partitions() && self.adversary.partitioned(a, b, self.now);
-        let physically_broken = radio_dark
-            || flapped_down
-            || cut
-            || if has_override {
-                exhausted
-            } else {
-                !self.in_range(a, b, tech)
-            };
+        let physically_broken = radio_dark || cut || self.coverage_lost(state, self.now);
         if !a_alive || !b_alive || physically_broken {
             if let Some(state) = self.links.get_mut(link) {
                 state.open = false;
@@ -146,8 +234,8 @@ impl World {
             self.links.drop_if_drained(link);
             return;
         }
-        let next = self.now + self.config.link_check_interval;
-        self.scheduler.schedule(next, Event::LinkCheck { link });
+        self.links.get_mut(link).expect("looked up above").next_check = None;
+        self.arm_check(link);
     }
 
     pub(super) fn graceful_disconnect(&mut self, link: LinkId, closer: NodeId) {

@@ -480,3 +480,73 @@ fn flapping_link_breaks_and_blocks_the_pair_periodically() {
     })
     .unwrap();
 }
+
+#[test]
+fn a_stationary_world_runs_no_link_check_and_its_links_still_break() {
+    let mut w = probe_world(23);
+    w.enable_profiling();
+    let hub = add_probe(&mut w, "hub", 0.0);
+    let peers: Vec<NodeId> = (1..=6)
+        .map(|i| add_probe(&mut w, &format!("p{i}"), f64::from(i)))
+        .collect();
+    w.run_for(SimDuration::from_secs(1));
+    let links: Vec<LinkId> = peers.iter().map(|p| connect_pair(&mut w, hub, *p)).collect();
+    let [crashed, dark, cut, flaky, fading, _spared] = peers[..] else {
+        unreachable!()
+    };
+    let t0 = w.now();
+    let after = |secs| t0 + SimDuration::from_secs(secs);
+
+    // Nothing moves, so time alone breaks none of these links: whatever
+    // does break one says so itself.
+    w.install_fault_plan(crashed, FaultPlan::new().crash_at(after(2)));
+    w.install_fault_plan(
+        dark,
+        FaultPlan::new().radio_outage(RadioTech::Bluetooth, after(4), SimDuration::from_secs(5)),
+    );
+    w.install_adversary_plan(crate::adversary::AdversaryPlan::new().partition(after(6), after(9), [cut]));
+    w.run_until(after(20));
+    assert_eq!(
+        w.profiler().calls(Phase::LinkCheck),
+        0,
+        "a link between fixed nodes is never polled"
+    );
+    let open = |w: &World| -> Vec<bool> { links.iter().map(|l| w.link_info(*l).is_some_and(|i| i.open)).collect() };
+    assert_eq!(open(&w), [false, false, false, true, true, true]);
+    let seen = w
+        .with_agent::<FaultProbe, _>(hub, |p, _| p.disconnects.clone())
+        .unwrap();
+    assert_eq!(
+        seen,
+        vec![
+            (crashed, DisconnectReason::PeerFailed),
+            (dark, DisconnectReason::OutOfRange),
+            (cut, DisconnectReason::OutOfRange),
+        ]
+    );
+
+    // A flap and a quality override installed on links that have no check
+    // pending must start one: the flapping pair is polled, the override is
+    // looked at when it runs out (5 units at 1/s: under half a unit is left
+    // after 4.5 s).
+    w.install_fault_plan(
+        hub,
+        FaultPlan::new().flapping_link(flaky, SimDuration::from_secs(10), 0.4),
+    );
+    w.set_link_quality_override(links[4], 5.0, 1.0);
+    w.run_until(after(40));
+    assert_eq!(open(&w), [false, false, false, false, false, true]);
+    let seen = w
+        .with_agent::<FaultProbe, _>(hub, |p, _| p.disconnects[3..].to_vec())
+        .unwrap();
+    assert_eq!(seen.len(), 2);
+    assert!(seen.contains(&(flaky, DisconnectReason::OutOfRange)));
+    assert!(seen.contains(&(fading, DisconnectReason::OutOfRange)));
+    // At most a period of polls for the flap, one or two looks at the override.
+    let checks = w.profiler().calls(Phase::LinkCheck);
+    assert!((2..=22).contains(&checks), "{checks} link checks");
+    // And the spared link is still never looked at.
+    w.run_until(after(400));
+    assert_eq!(w.profiler().calls(Phase::LinkCheck), checks);
+    assert_eq!(open(&w), [false, false, false, false, false, true]);
+}

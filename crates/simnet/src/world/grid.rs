@@ -14,9 +14,10 @@
 //! the grid a pure accelerator: results are byte-identical to a full scan.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::geometry::{Point, Rect};
+use crate::hash::FastMap;
 use crate::mobility::MotionPlan;
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
@@ -45,7 +46,8 @@ struct Residency {
 #[derive(Debug)]
 pub(crate) struct SpatialGrid {
     cell_m: f64,
-    cells: HashMap<(i64, i64), Vec<NodeId>>,
+    /// Probed by key and never iterated: queries sort what they collect.
+    cells: FastMap<(i64, i64), Vec<NodeId>>,
     residency: Vec<Residency>,
     /// (valid_until, raw node id, generation) — min-heap of pending
     /// re-buckets. Entries whose generation no longer matches are stale.
@@ -57,7 +59,7 @@ impl SpatialGrid {
         assert!(cell_m > 0.0 && cell_m.is_finite(), "invalid grid cell size: {cell_m}");
         SpatialGrid {
             cell_m,
-            cells: HashMap::new(),
+            cells: FastMap::default(),
             residency: Vec::new(),
             refresh: BinaryHeap::new(),
         }
@@ -309,6 +311,37 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn query_returns_the_occupants_of_the_covered_cells_in_id_order_whatever_the_hasher() {
+        // The cell map is only ever probed by key; a seeded city, negative
+        // cells included, must answer like a scan over every node.
+        let mut g = SpatialGrid::new(50.0);
+        let mut rng = SimRng::new(0xC17E);
+        let spots: Vec<Point> = (0..2_000)
+            .map(|_| Point::new(rng.uniform_f64(-600.0, 1_400.0), rng.uniform_f64(-600.0, 1_400.0)))
+            .collect();
+        for (i, spot) in spots.iter().enumerate() {
+            g.insert(NodeId::from_raw(i as u64), &plan_fixed(*spot), SimTime::ZERO);
+        }
+        for _ in 0..300 {
+            let center = Point::new(rng.uniform_f64(-700.0, 1_500.0), rng.uniform_f64(-700.0, 1_500.0));
+            let radius = rng.uniform_f64(0.0, 130.0);
+            let reach = radius + QUERY_PAD_M;
+            let (low, high) = (
+                g.cell_of(center.offset(-reach, -reach)),
+                g.cell_of(center.offset(reach, reach)),
+            );
+            let scan: Vec<NodeId> = (0..spots.len())
+                .filter(|i| {
+                    let (cx, cy) = g.cell_of(spots[*i]);
+                    (low.0..=high.0).contains(&cx) && (low.1..=high.1).contains(&cy)
+                })
+                .map(|i| NodeId::from_raw(i as u64))
+                .collect();
+            assert_eq!(g.query(center, radius), scan);
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::{Event, World};
+use super::World;
 use crate::link::{LinkInfo, LinkState, PendingAttempt};
 use crate::node::{AttemptId, ConnectError, IncomingConnection, LinkId, NodeId};
 use crate::time::SimTime;
@@ -139,6 +139,12 @@ impl LinkTable {
         self.active.values().filter(|l| l.open).count()
     }
 
+    /// Every open link, ascending by id.
+    #[cfg(debug_assertions)]
+    pub(crate) fn open(&self) -> impl Iterator<Item = &LinkState> {
+        self.active.values().filter(|l| l.open)
+    }
+
     /// Checks that the two maps describe the same links and returns the
     /// number of payloads in flight across all of them.
     #[cfg(debug_assertions)]
@@ -171,7 +177,8 @@ impl LinkTable {
 impl World {
     /// Resolves a pending connection attempt: checks liveness, radio set and
     /// range, samples the technology fault, asks the target's agent, and on
-    /// acceptance establishes the link and starts its periodic check cycle.
+    /// acceptance establishes the link and queues its first check, if the
+    /// link is one that time can break.
     pub(super) fn resolve_attempt(&mut self, pending: PendingAttempt) {
         let PendingAttempt {
             id,
@@ -257,10 +264,10 @@ impl World {
             quality_override: None,
             in_flight: 0,
             last_delivery: SimTime::ZERO,
+            next_check: None,
         });
         self.metrics.record_connect_established(from);
-        let check_at = self.now + self.config.link_check_interval;
-        self.scheduler.schedule(check_at, Event::LinkCheck { link });
+        self.arm_check(link);
         self.agent_call(from, |agent, ctx| {
             agent.on_connected(ctx, id, link, to, tech);
         });

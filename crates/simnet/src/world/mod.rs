@@ -58,7 +58,9 @@ pub struct WorldConfig {
     /// Horizon up to which mobility plans are compiled. Position queries past
     /// the horizon return the final planned position.
     pub mobility_horizon: SimTime,
-    /// How often established links are checked for coverage loss.
+    /// The grid on which established links are checked for coverage loss: a
+    /// link is looked at `k` intervals after it was set up, for the `k` at
+    /// which it could first have lost coverage.
     pub link_check_interval: SimDuration,
     /// Areas without cellular coverage (the tunnel of Fig. 6.1). Only affects
     /// GPRS.
@@ -383,6 +385,9 @@ impl World {
                 initial,
                 decay_per_sec,
             });
+            // The override may run out before the link's pending check, and
+            // a link nothing else could break has none pending at all.
+            self.arm_check(link);
         }
     }
 
@@ -399,8 +404,16 @@ impl World {
             return;
         }
         let now = self.now;
+        let flaps = !plan.flaps().is_empty();
         for (at, idx) in self.faults.install(node, plan) {
             self.scheduler.schedule(at.max(now), Event::Fault { node, idx });
+        }
+        if flaps {
+            // A flapping pair is polled, and its open links may have no check
+            // pending at all; arming is a no-op for the node's other links.
+            for link in self.links.open_links_of(node) {
+                self.arm_check(link);
+            }
         }
     }
 
@@ -632,10 +645,12 @@ impl World {
         self.audit();
     }
 
-    /// Conservation audit, run by every debug build at the end of
+    /// Consistency audit, run by every debug build at the end of
     /// [`World::run_until`]: the link table and its node index describe the
-    /// same live links, and every payload ever sent is delivered, lost or
-    /// counted in flight on a link in the table. O(links in the table).
+    /// same live links, every payload ever sent is delivered, lost or
+    /// counted in flight on a link in the table, and no open link has been
+    /// left unwatched past an instant at which it could break (see
+    /// `audit_checks`). O(links in the table).
     #[cfg(debug_assertions)]
     fn audit(&self) {
         let in_flight = self.links.audit();
@@ -645,6 +660,7 @@ impl World {
             total.messages_delivered + total.messages_lost + in_flight,
             "payloads sent != delivered + lost + in flight"
         );
+        self.audit_checks();
     }
 
     /// Runs for a further span of simulated time.

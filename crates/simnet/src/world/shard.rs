@@ -77,11 +77,12 @@
 //! experiments reproduce byte-identically.
 
 use std::any::Any;
-use std::collections::HashMap;
 
 use crate::event::Scheduler;
 use crate::faults::{FaultAction, FaultPlan, FaultStats, LifecycleEvent, LifecycleKind};
 use crate::geometry::{Point, Rect};
+use crate::hash::FastMap;
+use crate::link::next_poll;
 use crate::metrics::{Counters, Metrics};
 use crate::mobility::{MobilityModel, MotionPlan};
 use crate::node::{
@@ -128,7 +129,9 @@ pub struct ShardedConfig {
     /// The conservative lookahead window. Defaults to
     /// `link_check_interval` when `None`.
     pub window: Option<SimDuration>,
-    /// How often the initiator of each link re-validates it.
+    /// The grid on which the initiator of a link re-validates it: `k`
+    /// intervals after set-up, for the `k` at which the pair could first be
+    /// out of range.
     pub link_check_interval: SimDuration,
     /// Horizon up to which mobility models are compiled into motion plans.
     pub mobility_horizon: SimTime,
@@ -253,7 +256,8 @@ pub trait ShardAgent: Any + Send {
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum LinkStatus {
     Open,
-    /// We closed gracefully; in-flight data from the peer still delivers.
+    /// We closed gracefully; in-flight data from the peer still delivers,
+    /// and the half goes when the peer's answering `Closed` arrives behind it.
     ClosedLocal,
 }
 
@@ -261,9 +265,14 @@ enum LinkStatus {
 struct LinkHalf {
     peer: NodeId,
     tech: RadioTech,
-    /// The initiating endpoint owns the periodic link checks.
+    /// The initiating endpoint owns the link checks.
     initiator: bool,
     status: LinkStatus,
+    /// Initiator only: when the half's pending `LinkCheck` fires; `None`
+    /// while no passing of time can take the pair out of range.
+    next_check: Option<SimTime>,
+    /// When the latest payload this endpoint sent is due at the peer.
+    last_delivery: SimTime,
 }
 
 /// A cross-node effect, exchanged at window barriers and merged in the
@@ -358,10 +367,10 @@ struct ShardNode {
     /// every place that *iterates* (crash/outage teardown, barrier folds)
     /// either sorts into canonical id order first or folds commutatively, so
     /// hash order never leaks into message sequencing or digests.
-    links: HashMap<LinkId, LinkHalf>,
+    links: FastMap<LinkId, LinkHalf>,
     /// Initiator-side attempts that sent a `ConnectRequest` and await the
     /// reply: attempt -> (peer, tech, link id reserved for the connection).
-    pending: HashMap<AttemptId, (NodeId, RadioTech, LinkId)>,
+    pending: FastMap<AttemptId, (NodeId, RadioTech, LinkId)>,
     fault_actions: Vec<(SimTime, FaultAction)>,
     counters: Counters,
     stats: FaultStats,
@@ -397,7 +406,7 @@ struct WindowGrid {
     /// logically empty; they are lazily reset on first touch instead of
     /// walking every bucket the grid has ever populated at each window.
     stamp: u64,
-    cells: HashMap<(i64, i64), GridBucket>,
+    cells: FastMap<(i64, i64), GridBucket>,
     /// Nodes `0..seen` have been considered for the persistent layer; nodes
     /// added since are bucketed by the next rebuild, so that building a
     /// world stays a plain append per node.
@@ -418,7 +427,7 @@ impl WindowGrid {
         WindowGrid {
             cell_m,
             stamp: 0,
-            cells: HashMap::new(),
+            cells: FastMap::default(),
             seen: 0,
         }
     }
@@ -864,6 +873,28 @@ impl Executor<'_> {
         }
     }
 
+    /// Queues the next check of the initiator half `link` at the first poll
+    /// on its grid at which the pair could be out of range, and nothing when
+    /// it never can: the peer's crash, restart and radio outage arrive as
+    /// `Broken`, the node's own tear its table down. `now` is on the grid (the
+    /// link was just set up or has just passed a check). May be early, never
+    /// late: the check re-evaluates the predicate and asks again.
+    fn arm_check(&mut self, node: &mut ShardNode, now: SimTime, link: LinkId) {
+        let half = node.links.get_mut(&link).expect("an open initiator half");
+        let (own, peer) = (node.id.as_raw() as usize, half.peer.as_raw() as usize);
+        half.next_check = if self.view.fixed[own] && self.view.fixed[peer] {
+            None
+        } else {
+            self.view.radio.profile(half.tech).range_m.and_then(|range_m| {
+                let exit = self.view.plans[own].range_exit(&self.view.plans[peer], range_m, now)?;
+                Some(next_poll(now, self.view.link_check_interval, now, exit))
+            })
+        };
+        if let Some(at) = half.next_check {
+            node.queue.schedule(at, NodeEvent::LinkCheck { link });
+        }
+    }
+
     fn check_link(&mut self, node: &mut ShardNode, now: SimTime, link: LinkId) {
         if !node.radio.alive {
             return; // the crash already tore the table down
@@ -888,8 +919,7 @@ impl Executor<'_> {
                 self.view.radio.profile(half.tech).in_range(own.distance(theirs))
             });
         if snap.enabled(half.tech) && in_range {
-            node.queue
-                .schedule(now + self.view.link_check_interval, NodeEvent::LinkCheck { link });
+            self.arm_check(node, now, link);
             return;
         }
         let reason = if peer_dead {
@@ -927,7 +957,12 @@ impl Executor<'_> {
                 // Hash order must not pick the Broken emission order (it
                 // assigns per-origin sequence numbers): sort into the
                 // ascending link-id order the old ordered map produced.
-                let mut links: Vec<(LinkId, LinkHalf)> = node.links.drain().collect();
+                // A half closed locally is no break: its `Closed` is on its way.
+                let mut links: Vec<(LinkId, LinkHalf)> = node
+                    .links
+                    .drain()
+                    .filter(|(_, half)| half.status == LinkStatus::Open)
+                    .collect();
                 links.sort_unstable_by_key(|(link, _)| link.0);
                 let at = now.max(self.view.window_end);
                 for (link, half) in links {
@@ -1061,6 +1096,8 @@ impl Executor<'_> {
                             tech,
                             initiator: false,
                             status: LinkStatus::Open,
+                            next_check: None,
+                            last_delivery: SimTime::ZERO,
                         },
                     );
                 }
@@ -1112,11 +1149,12 @@ impl Executor<'_> {
                             tech,
                             initiator: true,
                             status: LinkStatus::Open,
+                            next_check: None,
+                            last_delivery: SimTime::ZERO,
                         },
                     );
                     node.counters.connects_established += 1;
-                    node.queue
-                        .schedule(now + self.view.link_check_interval, NodeEvent::LinkCheck { link });
+                    self.arm_check(node, now, link);
                     self.call_agent(node, now, |agent, ctx| {
                         agent.on_connected(ctx, attempt, link, origin, tech)
                     });
@@ -1145,7 +1183,14 @@ impl Executor<'_> {
                 let Some(half) = node.links.remove(&link) else {
                     return;
                 };
-                if half.status == LinkStatus::Open && node.radio.alive {
+                if half.status != LinkStatus::Open {
+                    return; // the answer to our own close: the half is reaped
+                }
+                // Answer behind everything still in flight to the closer, so
+                // that it can drop its half: nothing more will come.
+                let at = now.max(self.view.window_end).max(half.last_delivery);
+                Self::emit(self.outbox, node, at, half.peer, MsgBody::Closed { link });
+                if node.radio.alive {
                     self.call_agent(node, now, |agent, ctx| {
                         agent.on_disconnected(ctx, link, half.peer, DisconnectReason::PeerClosed)
                     });
@@ -1262,9 +1307,11 @@ impl ShardCtx<'_> {
     }
 
     /// Sends `payload` on an established link. Delivery happens at
-    /// `max(now + transmission delay, next window barrier)`.
+    /// `max(now + transmission delay, next window barrier)`. A link this node
+    /// closed answers [`SendError::Closed`] until the peer has answered the
+    /// close, and [`SendError::UnknownLink`] like any other gone link after.
     pub fn send(&mut self, link: LinkId, payload: impl Into<SharedPayload>) -> Result<(), SendError> {
-        let Some(half) = self.node.links.get(&link).copied() else {
+        let Some(half) = self.node.links.get_mut(&link) else {
             return Err(SendError::UnknownLink);
         };
         if half.status != LinkStatus::Open {
@@ -1282,7 +1329,9 @@ impl ShardCtx<'_> {
             hist.observe(payload.len() as u64);
         }
         let at = (self.now + delay).max(self.view.window_end);
-        Executor::emit(self.outbox, self.node, at, half.peer, MsgBody::Data { link, payload });
+        half.last_delivery = half.last_delivery.max(at);
+        let peer = half.peer;
+        Executor::emit(self.outbox, self.node, at, peer, MsgBody::Data { link, payload });
         Ok(())
     }
 
@@ -1572,8 +1621,8 @@ impl ShardedWorld {
             rng,
             agent: Some(agent),
             queue: Scheduler::new(),
-            links: HashMap::new(),
-            pending: HashMap::new(),
+            links: FastMap::default(),
+            pending: FastMap::default(),
             fault_actions: Vec::new(),
             counters: Counters::default(),
             stats: FaultStats::default(),
@@ -1795,13 +1844,7 @@ impl ShardedWorld {
     /// owner's job, inside its next pass.
     fn barrier(&mut self, t1: SimTime) {
         #[cfg(debug_assertions)]
-        for shard in &self.shards {
-            assert!(shard.inbox.is_empty(), "a pass consumes its whole inbox");
-            for (raw, &due) in shard.due.iter().enumerate() {
-                let head = shard.nodes[raw].as_deref().and_then(|n| n.queue.peek_time());
-                assert_eq!(due, head.unwrap_or(SimTime::MAX), "stale head time for node {raw}");
-            }
-        }
+        self.audit(t1);
         let recut = self.track_loads && self.fold_loads(t1);
         if self.shards.len() > 1 {
             // A fixed node leaves its stripe only when the stripes move.
@@ -1824,6 +1867,46 @@ impl ShardedWorld {
                 owner.inbox.push(msg);
             }
             self.shards[s].outbox = outbox;
+        }
+    }
+
+    /// Consistency audit, run by every debug build at each barrier: the pass
+    /// consumed its inbox and left exact head times, and no open initiator
+    /// half has been left unwatched past an instant at which it could leave
+    /// range — one with no check pending is in range now, and polling (the
+    /// oracle) finds the pair in range at the grid instants before a pending
+    /// check (`link::polls_before` it).
+    #[cfg(debug_assertions)]
+    fn audit(&self, t1: SimTime) {
+        let interval = self.config.link_check_interval;
+        for shard in &self.shards {
+            assert!(shard.inbox.is_empty(), "a pass consumes its whole inbox");
+            for (raw, &due) in shard.due.iter().enumerate() {
+                let head = shard.nodes[raw].as_deref().and_then(|n| n.queue.peek_time());
+                assert_eq!(due, head.unwrap_or(SimTime::MAX), "stale head time for node {raw}");
+            }
+            for node in shard.nodes.iter().filter_map(|n| n.as_deref()) {
+                let own = &self.plans[node.id.as_raw() as usize];
+                for (link, half) in &node.links {
+                    if !half.initiator || half.status != LinkStatus::Open {
+                        continue;
+                    }
+                    let peer = &self.plans[half.peer.as_raw() as usize];
+                    let profile = self.config.radio.profile(half.tech);
+                    let in_range = |at: SimTime| profile.in_range(own.position_at(at).distance(peer.position_at(at)));
+                    let Some(pending) = half.next_check else {
+                        assert!(in_range(t1), "{link:?} is out of range with no check pending");
+                        continue;
+                    };
+                    assert!(pending >= t1, "{link:?} has a check pending in a finished window");
+                    for poll in crate::link::polls_before(pending, interval).take_while(|t| *t >= t1) {
+                        assert!(
+                            in_range(poll),
+                            "{link:?} leaves range at {poll}, before its check at {pending}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -2131,6 +2214,7 @@ mod tests {
         link: Option<LinkId>,
         heard: Vec<(SimTime, NodeId)>,
         scans: Vec<(SimTime, Vec<NodeId>)>,
+        dropped: Vec<(SimTime, NodeId, DisconnectReason)>,
     }
 
     impl Probe {
@@ -2210,13 +2294,8 @@ mod tests {
         fn on_message(&mut self, ctx: &mut ShardCtx<'_>, _link: LinkId, from: NodeId, _payload: SharedPayload) {
             self.heard.push((ctx.now(), from));
         }
-        fn on_disconnected(
-            &mut self,
-            _ctx: &mut ShardCtx<'_>,
-            _link: LinkId,
-            _peer: NodeId,
-            _reason: DisconnectReason,
-        ) {
+        fn on_disconnected(&mut self, ctx: &mut ShardCtx<'_>, _link: LinkId, peer: NodeId, reason: DisconnectReason) {
+            self.dropped.push((ctx.now(), peer, reason));
             self.link = None;
             if self.scan {
                 self.dial = None;
@@ -2296,9 +2375,11 @@ mod tests {
             vec![(ms(1_500), a), (ms(2_000), a)],
             "delivered, then crashed: the barrier's message was queued before the fault"
         );
-        // a's 2.0 s tick reaches a dead node; its 2.5 s link check sees the crash.
-        assert_eq!(world.metrics().global().messages_lost, 1);
-        assert_eq!(world.metrics().global().messages_sent, 3);
+        // a's 2.0 s tick reaches a dead node, and so does its 2.5 s one: b's
+        // `Broken` arrives at 2.5 s, queued behind the tick set at 2.0 s.
+        assert_eq!(world.metrics().global().messages_lost, 2);
+        assert_eq!(world.metrics().global().messages_sent, 4);
+        assert_eq!(probe(&mut world, a, |p| p.link), None);
     }
 
     #[test]
@@ -2386,6 +2467,177 @@ mod tests {
             assert!(recuts > 0, "the crowd must trip the gate at {shards} shards");
             assert!(moved, "a re-cut must migrate fixed nodes too");
             assert!(adaptive == reference, "adaptive stripes diverged at {shards} shards");
+        }
+    }
+
+    /// Where per-interval polling (the parent of the range-exit scheduling)
+    /// broke the link of `a_walker_leaves_its_fixed_peer_at_the_instant_polling_found`:
+    /// the first instant of the link's 500 ms grid at which the walker is
+    /// more than WLAN's 50 m from its peer (50 m exactly at 20.0 s).
+    const WALKER_BREAK: SimTime = SimTime::from_millis(20_500);
+
+    #[test]
+    fn a_walker_leaves_its_fixed_peer_at_the_instant_polling_found() {
+        for shards in [1, 2] {
+            let mut world = ideal_world(shards);
+            world.enable_profiling();
+            let a = world.add_node("a", fixed_at(10.0, 50.0), &[RadioTech::Wlan], Box::<Probe>::default());
+            let walk = MobilityModel::walk(Point::new(20.0, 50.0), Point::new(95.0, 50.0), 2.0);
+            let w = world.add_node("w", walk, &[RadioTech::Wlan], Probe::dialing(a));
+            world.run_for(SimDuration::from_secs(30));
+            // The initiator finds out itself; its `Broken` crosses one barrier.
+            assert_eq!(
+                probe(&mut world, w, |p| p.dropped.clone()),
+                vec![(WALKER_BREAK, a, DisconnectReason::OutOfRange)]
+            );
+            assert_eq!(
+                probe(&mut world, a, |p| p.dropped.clone()),
+                vec![(
+                    WALKER_BREAK + SimDuration::from_millis(500),
+                    w,
+                    DisconnectReason::OutOfRange
+                )]
+            );
+            assert_eq!(world.metrics().global().links_broken, 2);
+            // Two looks at the link where polling took 39: the slack in the
+            // exit wakes it at 20.0 s, exactly 50 m out and still in range.
+            assert_eq!(world.profile().calls(Phase::LinkCheck), 2);
+        }
+    }
+
+    #[test]
+    fn a_stationary_city_runs_no_link_check_and_its_links_still_break() {
+        let mut world = ideal_world(2);
+        world.enable_profiling();
+        let wlan = [RadioTech::Wlan];
+        let pair = |world: &mut ShardedWorld, x: f64| {
+            let acceptor = NodeId::from_raw(world.node_count() as u64 + 1);
+            let dialer = world.add_node("dialer", fixed_at(x, 40.0), &wlan, Probe::dialing(acceptor));
+            world.add_node("acceptor", fixed_at(x, 60.0), &wlan, Box::<Probe>::default());
+            (dialer, acceptor)
+        };
+        let (a, b) = pair(&mut world, 10.0);
+        let (c, d) = pair(&mut world, 35.0);
+        let (e, f) = pair(&mut world, 65.0);
+        let (g, h) = pair(&mut world, 90.0);
+        world.install_fault_plan(b, &FaultPlan::new().crash_at(ms(3_000)));
+        world.install_fault_plan(
+            d,
+            &FaultPlan::new().radio_outage(RadioTech::Wlan, ms(5_000), SimDuration::from_secs(2)),
+        );
+        world.install_fault_plan(g, &FaultPlan::new().crash_at(ms(7_200)));
+        world.run_until(ms(12_000));
+        assert_eq!(
+            world.profile().calls(Phase::LinkCheck),
+            0,
+            "a link between fixed nodes is never polled"
+        );
+        // Whatever breaks such a link says so itself, one barrier later.
+        let dropped = |world: &mut ShardedWorld, node| probe(world, node, |p| p.dropped.clone());
+        assert_eq!(
+            dropped(&mut world, a),
+            vec![(ms(3_500), b, DisconnectReason::PeerFailed)]
+        );
+        assert_eq!(
+            dropped(&mut world, d),
+            vec![(ms(5_000), c, DisconnectReason::OutOfRange)]
+        );
+        assert_eq!(
+            dropped(&mut world, c),
+            vec![(ms(5_500), d, DisconnectReason::OutOfRange)]
+        );
+        assert_eq!(
+            dropped(&mut world, h),
+            vec![(ms(7_500), g, DisconnectReason::PeerFailed)]
+        );
+        // 3 crashed or dark endpoints with a link each, 3 peers told.
+        assert_eq!(world.metrics().global().links_broken, 6);
+        // The untouched pair talks on.
+        assert!(dropped(&mut world, e).is_empty() && dropped(&mut world, f).is_empty());
+        assert_eq!(probe(&mut world, f, |p| p.heard.last().copied()), Some((ms(11_500), e)));
+    }
+
+    #[test]
+    fn a_closed_link_leaves_both_tables_and_is_no_break_when_the_closer_crashes() {
+        let mut world = two_node_world(1);
+        let a = NodeId::from_raw(0);
+        let b = NodeId::from_raw(1);
+        // a closes after b's pong, b answers the close, a drops its half.
+        world.run_for(SimDuration::from_secs(30));
+        let links_of = |world: &ShardedWorld, node| world.slot(node).expect("owned").links.len();
+        assert_eq!((links_of(&world, a), links_of(&world, b)), (0, 0));
+        assert_eq!(world.metrics().global().links_broken, 0);
+
+        // Same exchange, but a crashes in the window of its close, before
+        // b's answer can have come back: the half is still `ClosedLocal`.
+        let mut world = two_node_world(1);
+        let mut closed_at = None;
+        while closed_at.is_none() {
+            world.run_for(SimDuration::from_millis(500));
+            let closing = world
+                .slot(a)
+                .expect("owned")
+                .links
+                .values()
+                .any(|half| half.status == LinkStatus::ClosedLocal);
+            closed_at = closing.then(|| world.now());
+            assert!(world.now() < SimTime::from_secs(30), "a closes after the pong");
+        }
+        world.install_fault_plan(a, &FaultPlan::new().crash_at(world.now()));
+        world.run_for(SimDuration::from_secs(5));
+        assert!(!world.is_alive(a));
+        assert_eq!((links_of(&world, a), links_of(&world, b)), (0, 0));
+        assert_eq!(
+            world.metrics().global().links_broken,
+            0,
+            "a graceful close is not a break"
+        );
+        assert_eq!(
+            world.with_agent::<Chatter, _>(b, |c| c.disconnects.clone()).unwrap(),
+            vec![DisconnectReason::PeerClosed]
+        );
+    }
+
+    #[test]
+    fn the_window_grid_returns_the_occupants_of_the_covered_cells_in_id_order_whatever_the_hasher() {
+        // Both layers of a seeded city, negative cells included, against a
+        // scan over every node: the cell map is only ever probed by key.
+        let mut rng = SimRng::new(0xC17F);
+        let spot = |rng: &mut SimRng| Point::new(rng.uniform_f64(-600.0, 1_400.0), rng.uniform_f64(-600.0, 1_400.0));
+        let plans: Vec<MotionPlan> = (0..2_000)
+            .map(|i| {
+                let mut plan = MotionPlan::starting_at(spot(&mut rng));
+                if i % 4 == 0 {
+                    plan.move_to(spot(&mut rng), 1.5);
+                }
+                plan
+            })
+            .collect();
+        let fixed: Vec<bool> = plans.iter().map(|p| !p.moving_after(SimTime::ZERO)).collect();
+        let movers: Vec<usize> = (0..plans.len()).filter(|raw| !fixed[*raw]).collect();
+        let snapshot = vec![RadioState::new(&[RadioTech::Wlan]); plans.len()];
+        let mut grid = WindowGrid::new(50.0);
+        let mut got = Vec::new();
+        for window in [0u64, 40, 41, 300] {
+            let t0 = SimTime::from_secs(window);
+            grid.rebuild(t0, &plans, &snapshot, &fixed, &movers);
+            for _ in 0..100 {
+                let center = spot(&mut rng);
+                let reach = rng.uniform_f64(0.0, 130.0);
+                let (low, high) = (
+                    grid.cell_of(center.offset(-reach - QUERY_PAD_M, -reach - QUERY_PAD_M)),
+                    grid.cell_of(center.offset(reach + QUERY_PAD_M, reach + QUERY_PAD_M)),
+                );
+                let scan: Vec<NodeId> = (0..plans.len())
+                    .filter(|raw| {
+                        let (cx, cy) = grid.cell_of(plans[*raw].position_at(t0));
+                        (low.0..=high.0).contains(&cx) && (low.1..=high.1).contains(&cy)
+                    })
+                    .map(|raw| NodeId::from_raw(raw as u64))
+                    .collect();
+                grid.query_into(center, reach, &mut got);
+                assert_eq!(got, scan, "window {window}");
+            }
         }
     }
 }

@@ -16,6 +16,7 @@ struct Probe {
     accept_incoming: bool,
     messages: Vec<(LinkId, Vec<u8>)>,
     disconnects: Vec<(LinkId, DisconnectReason)>,
+    disconnected_at: Vec<SimTime>,
     echo: bool,
 }
 
@@ -83,8 +84,9 @@ impl NodeAgent for Probe {
         }
         self.messages.push((link, payload.to_vec()));
     }
-    fn on_disconnected(&mut self, _ctx: &mut NodeCtx<'_>, link: LinkId, _peer: NodeId, reason: DisconnectReason) {
+    fn on_disconnected(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, _peer: NodeId, reason: DisconnectReason) {
         self.disconnects.push((link, reason));
+        self.disconnected_at.push(ctx.now());
     }
 }
 
@@ -723,4 +725,81 @@ fn send_tells_a_dropped_link_from_an_id_never_handed_out() {
         .unwrap();
     assert_eq!(dropped, Err(SendError::Closed));
     assert_eq!(unknown, Err(SendError::UnknownLink));
+}
+
+/// Where per-interval polling (the parent of the range-exit scheduling)
+/// broke the link of `a_walker_leaves_its_fixed_peer_at_the_instant_polling_found`:
+/// the first instant of the link's 500 ms grid at which the pair is more than
+/// 10 m apart.
+const WALKER_BREAK_IDEAL: SimTime = SimTime::from_micros(4_513_113);
+const WALKER_BREAK_SEEDED: SimTime = SimTime::from_micros(4_586_012);
+
+#[test]
+fn a_walker_leaves_its_fixed_peer_at_the_instant_polling_found() {
+    // b walks away from a at 2 m/s from 1 m out: 10 m apart after 4.5 s.
+    let run = |config: WorldConfig| {
+        let mut w = World::new(config);
+        w.enable_profiling();
+        let a = w.add_node(
+            "a",
+            MobilityModel::stationary(Point::ORIGIN),
+            &bt(),
+            Box::new(Probe::default()),
+        );
+        let walk = MobilityModel::walk(Point::new(1.0, 0.0), Point::new(200.0, 0.0), 2.0);
+        let b = w.add_node("b", walk, &bt(), Box::new(Probe::accepting()));
+        w.run_for(SimDuration::from_millis(1));
+        w.with_agent::<Probe, _>(a, |_, ctx| {
+            ctx.connect(b, RadioTech::Bluetooth);
+        })
+        .unwrap();
+        w.run_for(SimDuration::from_secs(30));
+        let seen = |w: &mut World, node| {
+            w.with_agent::<Probe, _>(node, |p, _| (p.disconnects.clone(), p.disconnected_at.clone()))
+                .unwrap()
+        };
+        let (at_a, at_b) = (seen(&mut w, a), seen(&mut w, b));
+        assert_eq!(at_a, at_b, "both ends see the one break");
+        assert_eq!(at_a.0.len(), 1);
+        assert_eq!(at_a.0[0].1, DisconnectReason::OutOfRange);
+        (at_a.1[0], w.profiler().calls(Phase::LinkCheck))
+    };
+    // One look at the link, at the instant it breaks; polling took nine.
+    assert_eq!(run(WorldConfig::ideal(7)), (WALKER_BREAK_IDEAL, 1));
+    // Real radios: a sampled set-up latency puts the link on an odd grid.
+    let mut seeded = WorldConfig::with_seed(7);
+    seeded.radio.bluetooth.setup_fault_prob = 0.0;
+    assert_eq!(run(seeded), (WALKER_BREAK_SEEDED, 1));
+}
+
+#[test]
+fn a_walker_that_comes_back_between_two_polls_keeps_its_link() {
+    // b steps out of a's range and back inside one 500 ms interval
+    // (10 m/s, 9.5 m -> 11 m -> 9.5 m in 0.3 s from 1.1 s on, between the
+    // polls at 1.013 s and 1.513 s): polling never saw it, and neither must the wake-up the
+    // exit causes.
+    let mut w = ideal_world(8);
+    w.enable_profiling();
+    let a = w.add_node(
+        "a",
+        MobilityModel::stationary(Point::ORIGIN),
+        &bt(),
+        Box::new(Probe::default()),
+    );
+    let dart = MobilityModel::Waypoints {
+        points: vec![Point::new(9.5, 0.0), Point::new(11.0, 0.0), Point::new(9.5, 0.0)],
+        speed_mps: 10.0,
+        start_after: SimDuration::from_millis(1_100),
+    };
+    let b = w.add_node("b", dart, &bt(), Box::new(Probe::accepting()));
+    w.run_for(SimDuration::from_millis(1));
+    w.with_agent::<Probe, _>(a, |_, ctx| {
+        ctx.connect(b, RadioTech::Bluetooth);
+    })
+    .unwrap();
+    w.run_for(SimDuration::from_secs(30));
+    let link = w.with_agent::<Probe, _>(a, |p, _| p.connected[0].1).unwrap();
+    assert!(w.link_info(link).unwrap().open);
+    // Woken once, at the first poll after the exit; b is back and at rest.
+    assert_eq!(w.profiler().calls(Phase::LinkCheck), 1);
 }
