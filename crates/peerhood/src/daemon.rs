@@ -182,12 +182,12 @@ impl Daemon {
     /// Completes one inquiry cycle for `tech`: ages the storage with the set
     /// of devices that answered and returns the removed addresses.
     pub fn complete_cycle(&mut self, tech: RadioTech, config: &PeerHoodConfig, now: SimTime) -> Vec<DeviceAddress> {
-        let responders = match self.plugins.get_mut(tech) {
+        let mut responders = match self.plugins.get_mut(tech) {
             Some(plugin) => plugin.finish_cycle(),
             None => Vec::new(),
         };
         self.storage.age_cycle(
-            &responders,
+            &mut responders,
             now,
             config.discovery.max_missed_loops,
             config.discovery.stale_timeout,

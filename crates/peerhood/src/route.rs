@@ -13,11 +13,92 @@
 //! 3. higher link quality, subject to the per-hop minimum threshold rule of
 //!    Fig. 3.9.
 
+use std::fmt;
+use std::ops::Deref;
+
 use serde::{Deserialize, Serialize};
 
 use crate::device::MobilityClass;
 use crate::ids::DeviceAddress;
 use crate::quality::candidate_quality_better;
+
+/// Hops a [`HopQualities`] holds inside the route itself. Exports stop at
+/// `max_export_jumps` (8 by default), so every honest route fits; the list
+/// plus its length and tag fill the 24 bytes a `Vec<u8>` header took.
+pub const INLINE_HOPS: usize = 22;
+
+/// The per-hop link qualities of a route, nearest hop first: a byte slice
+/// (`Deref<Target = [u8]>`) stored inside the route up to [`INLINE_HOPS`]
+/// hops and on the heap beyond — a hostile frame may carry 255. Equality and
+/// `Debug` are the slice's.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct HopQualities(Repr);
+
+#[derive(Clone, Serialize, Deserialize)]
+enum Repr {
+    Inline { len: u8, hops: [u8; INLINE_HOPS] },
+    Heap(Box<[u8]>),
+}
+
+impl HopQualities {
+    /// The list `[first] ++ rest`: a reported route seen through the link to
+    /// its reporter, and with an empty `rest` the single hop of a direct one.
+    pub fn prefixed(first: u8, rest: &[u8]) -> Self {
+        Self::build(rest.len() + 1, |hops| {
+            hops[0] = first;
+            hops[1..].copy_from_slice(rest);
+        })
+    }
+
+    fn build(len: usize, fill: impl FnOnce(&mut [u8])) -> Self {
+        if len <= INLINE_HOPS {
+            let mut hops = [0; INLINE_HOPS];
+            fill(&mut hops[..len]);
+            HopQualities(Repr::Inline { len: len as u8, hops })
+        } else {
+            let mut hops = vec![0; len].into_boxed_slice();
+            fill(&mut hops);
+            HopQualities(Repr::Heap(hops))
+        }
+    }
+}
+
+impl Deref for HopQualities {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, hops } => &hops[..*len as usize],
+            Repr::Heap(hops) => hops,
+        }
+    }
+}
+
+impl From<&[u8]> for HopQualities {
+    fn from(hops: &[u8]) -> Self {
+        Self::build(hops.len(), |to| to.copy_from_slice(hops))
+    }
+}
+
+impl From<Vec<u8>> for HopQualities {
+    fn from(hops: Vec<u8>) -> Self {
+        hops.as_slice().into()
+    }
+}
+
+impl PartialEq for HopQualities {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for HopQualities {}
+
+impl fmt::Debug for HopQualities {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
 
 /// A route towards a remote device as stored in the device storage.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,7 +110,7 @@ pub struct RouteInfo {
     pub bridge: Option<DeviceAddress>,
     /// Link-quality value of each hop along the route, nearest hop first.
     /// For a direct neighbour this is the single measured quality.
-    pub hop_qualities: Vec<u8>,
+    pub hop_qualities: HopQualities,
     /// Mobility class of the nearest device on the route (the bridge for
     /// multi-hop routes, the device itself for direct neighbours). The thesis
     /// considers only the nearest device's mobility (§3.4.3).
@@ -42,17 +123,22 @@ impl RouteInfo {
         RouteInfo {
             jumps: 0,
             bridge: None,
-            hop_qualities: vec![quality],
+            hop_qualities: HopQualities::prefixed(quality, &[]),
             nearest_mobility: mobility,
         }
     }
 
     /// A route through `bridge` with the given per-hop qualities.
-    pub fn via(bridge: DeviceAddress, jumps: u8, hop_qualities: Vec<u8>, bridge_mobility: MobilityClass) -> Self {
+    pub fn via(
+        bridge: DeviceAddress,
+        jumps: u8,
+        hop_qualities: impl Into<HopQualities>,
+        bridge_mobility: MobilityClass,
+    ) -> Self {
         RouteInfo {
             jumps,
             bridge: Some(bridge),
-            hop_qualities,
+            hop_qualities: hop_qualities.into(),
             nearest_mobility: bridge_mobility,
         }
     }
@@ -141,6 +227,23 @@ mod tests {
         assert_eq!(r.first_hop_quality(), 250);
         assert_eq!(r.quality_sum(), 485);
         assert_eq!(r.bridge, Some(addr(5)));
+    }
+
+    #[test]
+    fn hop_qualities_read_the_same_inline_and_on_the_heap() {
+        assert_eq!(std::mem::size_of::<HopQualities>(), std::mem::size_of::<Vec<u8>>());
+        // Around the inline limit, and the longest list a frame can carry
+        // behind our own hop.
+        for len in [0, 1, INLINE_HOPS - 1, INLINE_HOPS, INLINE_HOPS + 1, 256] {
+            let hops: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let stored = HopQualities::from(hops.clone());
+            assert_eq!(&*stored, hops.as_slice());
+            assert_eq!(format!("{stored:?}"), format!("{hops:?}"));
+            if let Some((first, rest)) = hops.split_first() {
+                assert_eq!(HopQualities::prefixed(*first, rest), stored);
+            }
+            assert_ne!(HopQualities::prefixed(7, &hops), stored);
+        }
     }
 
     #[test]

@@ -7,8 +7,17 @@
 //! storage also remembers *who reported seeing whom* — exactly the
 //! information the routing-handover controller walks in state 0 ("find
 //! connected device from neighbours of each DeviceList element", Fig. 5.5).
+//!
+//! The table is an index of `(address, slot)` pairs sorted by address over a
+//! dense slab of rows in no particular order. Every ordered walk — the
+//! export, aging, the provider ranking's tie-break, the order devices are
+//! announced found or lost in — is the index in order; a lookup is a binary
+//! search over 16-byte keys, an insert moves keys and appends a row, an erase
+//! fills the hole with the last row. Exporters walk their index, so a
+//! neighbour report arrives in address order and is *merged*: each record is
+//! looked for a few keys past where the previous one was found.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
@@ -19,7 +28,7 @@ use crate::device::{DeviceInfo, MobilityClass};
 use crate::ids::DeviceAddress;
 use crate::proto::NeighborRecord;
 use crate::quality::route_acceptable;
-use crate::route::{candidate_replaces, RouteInfo};
+use crate::route::{candidate_replaces, HopQualities, RouteInfo};
 use crate::service::ServiceInfo;
 use crate::wire;
 
@@ -136,14 +145,124 @@ impl ReportRecord for wire::NeighborView<'_> {
     }
 }
 
+/// An address as a sort key: its six bytes read big-endian, so keys order
+/// exactly as [`DeviceAddress`]es do.
+fn key(address: DeviceAddress) -> u64 {
+    let o = address.octets();
+    u64::from_be_bytes([0, 0, o[0], o[1], o[2], o[3], o[4], o[5]])
+}
+
+/// Where `key` is in a key-sorted list, or where it would be inserted.
+fn find<T>(sorted: &[(u64, T)], key: u64) -> Result<usize, usize> {
+    sorted.binary_search_by_key(&key, |e| e.0)
+}
+
+/// Where the records of one report are in a key-sorted list. While the keys
+/// asked for ascend, each is searched for by galloping — 1, 2, 4, … entries
+/// ahead — from the place of the previous one; a key that does not ascend
+/// gets a binary search of the whole list. Either way the answer is
+/// [`find`]'s, so an unsorted or repeating report changes the cost and
+/// nothing else. Between two calls the caller may insert the key just asked
+/// for at the place returned, and must not change the list otherwise.
+#[derive(Default)]
+struct MergeCursor {
+    /// The previous key and its place; every entry before it is smaller.
+    last: Option<(u64, usize)>,
+}
+
+impl MergeCursor {
+    fn find<T>(&mut self, sorted: &[(u64, T)], key: u64) -> Result<usize, usize> {
+        let found = match self.last {
+            Some((last, from)) if last < key => {
+                let tail = &sorted[from..];
+                let (mut lo, mut step) = (0, 1);
+                while lo + step <= tail.len() && tail[lo + step - 1].0 < key {
+                    lo += step;
+                    step *= 2;
+                }
+                let hi = (lo + step).min(tail.len());
+                let offset = |i| from + lo + i;
+                find(&tail[lo..hi], key).map(offset).map_err(offset)
+            }
+            _ => find(sorted, key),
+        };
+        let (Ok(at) | Err(at)) = found;
+        self.last = Some((key, at));
+        found
+    }
+}
+
+/// The rows and their one order. Rows sit dense in `rows` in no particular
+/// order; `index` holds `(key(address), slot in rows)` for every row, sorted
+/// by key.
+#[derive(Debug, Clone, Default)]
+struct Table {
+    rows: Vec<StoredDevice>,
+    index: Vec<(u64, usize)>,
+}
+
+impl Table {
+    fn get(&self, address: DeviceAddress) -> Option<&StoredDevice> {
+        let at = find(&self.index, key(address)).ok()?;
+        Some(&self.rows[self.index[at].1])
+    }
+
+    fn get_mut(&mut self, address: DeviceAddress) -> Option<&mut StoredDevice> {
+        let at = find(&self.index, key(address)).ok()?;
+        Some(self.at_mut(at))
+    }
+
+    /// The row whose key is at `at` in the index.
+    fn at_mut(&mut self, at: usize) -> &mut StoredDevice {
+        &mut self.rows[self.index[at].1]
+    }
+
+    /// The rows in address order.
+    fn iter(&self) -> impl Iterator<Item = &StoredDevice> + '_ {
+        self.index.iter().map(|&(_, slot)| &self.rows[slot])
+    }
+
+    /// Adds a row whose key belongs at `at` in the index.
+    fn insert_at(&mut self, at: usize, row: StoredDevice) {
+        self.index.insert(at, (key(row.info.address), self.rows.len()));
+        self.rows.push(row);
+    }
+
+    /// Takes a row out; the last row fills its slot.
+    fn remove(&mut self, address: DeviceAddress) -> Option<StoredDevice> {
+        let at = find(&self.index, key(address)).ok()?;
+        let (_, slot) = self.index.remove(at);
+        let row = self.rows.swap_remove(slot);
+        if let Some(moved) = self.rows.get(slot) {
+            let at = find(&self.index, key(moved.info.address)).expect("every row is indexed");
+            self.index[at].1 = slot;
+        }
+        Some(row)
+    }
+}
+
+/// What the storage holds about a device as a *reporter*: what it claimed,
+/// and what trusting it has cost.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Reporter {
+    /// `(key(neighbour), quality)` for every device it reported as its own
+    /// direct neighbour, sorted by key. Erased with the reporter's row.
+    seen: Vec<(u64, u8)>,
+    /// Reputation penalties (security hardening): a device whose frames
+    /// triggered security rejections, or whose bridge routes failed to dial,
+    /// accrues them here. They outlive its row; only a restart forgives.
+    penalties: u32,
+}
+
 /// PeerHood's per-device environment knowledge.
 #[derive(Debug, Clone)]
 pub struct DeviceStorage {
     own_address: DeviceAddress,
     quality_threshold: u8,
-    devices: BTreeMap<DeviceAddress, StoredDevice>,
-    /// responder -> (neighbour -> quality the responder reported for it)
-    reported_neighbors: BTreeMap<DeviceAddress, BTreeMap<DeviceAddress, u8>>,
+    devices: Table,
+    /// Every device that has filed a neighbour report since its row was
+    /// last erased, or holds a penalty.
+    reporters: BTreeMap<DeviceAddress, Reporter>,
     /// Bumped on every mutation; lets callers (the node's cached inquiry
     /// response frame) detect staleness without diffing contents.
     generation: u64,
@@ -151,11 +270,6 @@ pub struct DeviceStorage {
     /// the next aging cycle); lets [`DeviceStorage::age_cycle`] skip the
     /// orphaned-bridge scan when nothing could possibly be orphaned.
     maybe_orphans: bool,
-    /// Reporter-reputation penalties (security hardening): devices whose
-    /// frames triggered security rejections, or whose bridge routes failed
-    /// to dial, accrue penalties here. Empty unless the reputation defence
-    /// records any.
-    reputation: BTreeMap<DeviceAddress, u32>,
     /// Whether reporters at [`REPORTER_PENALTY_LIMIT`] are ignored (off by
     /// default).
     reputation_armed: bool,
@@ -167,11 +281,10 @@ impl DeviceStorage {
         DeviceStorage {
             own_address,
             quality_threshold,
-            devices: BTreeMap::new(),
-            reported_neighbors: BTreeMap::new(),
+            devices: Table::default(),
+            reporters: BTreeMap::new(),
             generation: 0,
             maybe_orphans: false,
-            reputation: BTreeMap::new(),
             reputation_armed: false,
         }
     }
@@ -186,14 +299,14 @@ impl DeviceStorage {
     /// Records one reputation penalty against `peer` and returns its new
     /// penalty count.
     pub fn penalize_reporter(&mut self, peer: DeviceAddress) -> u32 {
-        let count = self.reputation.entry(peer).or_insert(0);
+        let count = &mut self.reporters.entry(peer).or_default().penalties;
         *count = count.saturating_add(1);
         *count
     }
 
     /// The penalty count accrued by `peer`.
     pub fn reporter_penalty(&self, peer: DeviceAddress) -> u32 {
-        self.reputation.get(&peer).copied().unwrap_or(0)
+        self.reporters.get(&peer).map_or(0, |r| r.penalties)
     }
 
     /// True when the reputation defence is armed and `peer` has exhausted
@@ -216,22 +329,34 @@ impl DeviceStorage {
 
     /// Number of known remote devices.
     pub fn len(&self) -> usize {
-        self.devices.len()
+        self.devices.rows.len()
     }
 
     /// True if no remote device is known.
     pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
+        self.devices.rows.is_empty()
     }
 
     /// Looks up a device by address.
     pub fn get(&self, address: DeviceAddress) -> Option<&StoredDevice> {
-        self.devices.get(&address)
+        self.devices.get(address)
     }
 
     /// All known devices in address order, without allocating.
     pub fn devices(&self) -> impl Iterator<Item = &StoredDevice> + '_ {
-        self.devices.values()
+        self.devices.iter()
+    }
+
+    /// Erases a device and what it reported (not its penalties).
+    fn erase(&mut self, address: DeviceAddress) -> Option<StoredDevice> {
+        if let Entry::Occupied(mut reporter) = self.reporters.entry(address) {
+            if reporter.get().penalties == 0 {
+                reporter.remove();
+            } else {
+                reporter.get_mut().seen = Vec::new();
+            }
+        }
+        self.devices.remove(address)
     }
 
     /// Comparison chain of the provider-selection sort: jumps, then nearest
@@ -249,11 +374,8 @@ impl DeviceStorage {
     /// backed by one internally collected vector; it exists so call sites
     /// can stream the ranked results without a second allocation.)
     pub fn service_providers<'a>(&'a self, name: &str) -> impl Iterator<Item = (&'a StoredDevice, &'a ServiceInfo)> {
-        let mut providers: Vec<(&StoredDevice, &ServiceInfo)> = self
-            .devices
-            .values()
-            .filter_map(|d| d.services.iter().find(|s| s.name == name).map(|s| (d, s)))
-            .collect();
+        let mut providers = Vec::new();
+        self.each_provider(name, |d, s| providers.push((d, s)));
         providers.sort_by(|(a, _), (b, _)| Self::provider_order(a, b));
         providers.into_iter()
     }
@@ -264,28 +386,43 @@ impl DeviceStorage {
     /// first in address order wins among equals).
     pub fn best_service_provider(&self, name: &str) -> Option<(&StoredDevice, &ServiceInfo)> {
         let mut best: Option<(&StoredDevice, &ServiceInfo)> = None;
-        for d in self.devices.values() {
-            if let Some(s) = d.services.iter().find(|s| s.name == name) {
-                let wins = match best {
-                    Some((b, _)) => Self::provider_order(d, b) == std::cmp::Ordering::Less,
-                    None => true,
-                };
-                if wins {
-                    best = Some((d, s));
-                }
+        self.each_provider(name, |d, s| {
+            if best.is_none_or(|(b, _)| Self::provider_order(d, b) == std::cmp::Ordering::Less) {
+                best = Some((d, s));
+            }
+        });
+        best
+    }
+
+    /// Every device offering a service called `name`, with that service, in
+    /// address order. A fleet's rows share one service list, so the name is
+    /// searched for once per run of rows holding the same list.
+    fn each_provider<'a>(&'a self, name: &str, mut visit: impl FnMut(&'a StoredDevice, &'a ServiceInfo)) {
+        let mut previous: Option<(&Rc<[ServiceInfo]>, Option<&ServiceInfo>)> = None;
+        for d in self.devices() {
+            let offered = match previous {
+                Some((list, offered)) if Rc::ptr_eq(list, &d.services) => offered,
+                _ => d.services.iter().find(|s| s.name == name),
+            };
+            previous = Some((&d.services, offered));
+            if let Some(s) = offered {
+                visit(d, s);
             }
         }
-        best
     }
 
     /// Storage statistics.
     pub fn stats(&self) -> StorageStats {
-        StorageStats {
-            known_devices: self.devices.len(),
-            direct_neighbors: self.devices.values().filter(|d| d.is_direct()).count(),
-            max_jumps: self.devices.values().map(|d| d.route.jumps).max().unwrap_or(0),
-            known_services: self.devices.values().map(|d| d.services.len()).sum(),
+        let mut stats = StorageStats {
+            known_devices: self.len(),
+            ..StorageStats::default()
+        };
+        for d in &self.devices.rows {
+            stats.direct_neighbors += usize::from(d.is_direct());
+            stats.max_jumps = stats.max_jumps.max(d.route.jumps);
+            stats.known_services += d.services.len();
         }
+        stats
     }
 
     /// Records or refreshes a **direct** neighbour observed by an inquiry and
@@ -304,14 +441,15 @@ impl DeviceStorage {
         let services = services.into();
         self.generation += 1;
         let route = RouteInfo::direct(quality, info.mobility);
-        match self.devices.get_mut(&info.address) {
-            Some(existing) => {
+        match find(&self.devices.index, key(info.address)) {
+            Ok(at) => {
+                let existing = self.devices.at_mut(at);
                 // A direct observation always supersedes an indirect route
                 // and refreshes a direct one.
                 if existing.route.jumps > 0 || candidate_replaces(&route, &existing.route, self.quality_threshold) {
                     existing.route = route;
                 } else if existing.route.is_direct() {
-                    Self::set_single_hop_quality(&mut existing.route.hop_qualities, quality);
+                    existing.route.hop_qualities = HopQualities::prefixed(quality, &[]);
                 }
                 existing.info = info;
                 existing.services = services;
@@ -320,9 +458,9 @@ impl DeviceStorage {
                 existing.missed_loops = 0;
                 false
             }
-            None => {
-                self.devices.insert(
-                    info.address,
+            Err(at) => {
+                self.devices.insert_at(
+                    at,
                     StoredDevice {
                         info,
                         route,
@@ -341,7 +479,7 @@ impl DeviceStorage {
     /// without re-fetching its full information (the cheap path of Fig. 3.12
     /// when the service-checking interval has not elapsed yet).
     pub fn mark_responded(&mut self, address: DeviceAddress, quality: u8, now: SimTime) {
-        if let Some(entry) = self.devices.get_mut(&address) {
+        if let Some(entry) = self.devices.get_mut(address) {
             entry.last_seen = now;
             entry.missed_loops = 0;
             // `last_seen`/`missed_loops` are invisible to the generation's
@@ -349,25 +487,17 @@ impl DeviceStorage {
             // only moves when the exported hop quality actually changes —
             // keeping the encode-once inquiry-response cache warm across
             // steady cycles.
-            if entry.route.is_direct() && entry.route.hop_qualities != [quality] {
+            if entry.route.is_direct() && *entry.route.hop_qualities != [quality] {
                 self.generation += 1;
-                Self::set_single_hop_quality(&mut entry.route.hop_qualities, quality);
+                entry.route.hop_qualities = HopQualities::prefixed(quality, &[]);
             }
         }
-    }
-
-    /// Rewrites a hop-quality list to the single entry `[quality]`, reusing
-    /// the existing allocation when it already holds exactly one hop (the
-    /// steady state of a direct route refreshed every inquiry cycle).
-    fn set_single_hop_quality(hop_qualities: &mut Vec<u8>, quality: u8) {
-        hop_qualities.clear();
-        hop_qualities.push(quality);
     }
 
     /// True if the device's full information should be re-fetched according
     /// to the service-checking interval.
     pub fn needs_recheck(&self, address: DeviceAddress, now: SimTime, interval: SimDuration) -> bool {
-        match self.devices.get(&address) {
+        match self.get(address) {
             None => true,
             Some(entry) => now.saturating_since(entry.last_fetched) >= interval,
         }
@@ -388,7 +518,7 @@ impl DeviceStorage {
         now: SimTime,
         interval: SimDuration,
     ) -> bool {
-        match self.devices.get_mut(&address) {
+        match self.devices.get_mut(address) {
             None => true,
             Some(entry) => {
                 if now.saturating_since(entry.last_fetched) >= interval {
@@ -396,9 +526,9 @@ impl DeviceStorage {
                 }
                 entry.last_seen = now;
                 entry.missed_loops = 0;
-                if entry.route.is_direct() && entry.route.hop_qualities != [quality] {
+                if entry.route.is_direct() && *entry.route.hop_qualities != [quality] {
                     self.generation += 1;
-                    Self::set_single_hop_quality(&mut entry.route.hop_qualities, quality);
+                    entry.route.hop_qualities = HopQualities::prefixed(quality, &[]);
                 }
                 false
             }
@@ -465,14 +595,16 @@ impl DeviceStorage {
         // same name, technology list and service list, and a storage of
         // hundreds of entries should hold them once.
         let (like_info, like_services) = self
-            .devices
-            .get(&responder)
+            .get(responder)
             .map(|d| (d.info.clone(), d.services.clone()))
             .unzip();
-        // The responder's reported-neighbour map is looked up (and, for a
+        // The responder's reported-neighbour list is looked up (and, for a
         // first report, created) once, by the first record that needs it.
-        let mut reporters = Some(&mut self.reported_neighbors);
-        let mut reported: Option<&mut BTreeMap<DeviceAddress, u8>> = None;
+        let mut reporters = Some(&mut self.reporters);
+        let mut reported: Option<&mut Vec<(u64, u8)>> = None;
+        // An exporter walks its index, so the records — and with them the
+        // direct ones — come in address order: both tables are merged into.
+        let (mut in_index, mut in_reported) = (MergeCursor::default(), MergeCursor::default());
         for record in records {
             let address = record.address();
             let hops = record.hop_qualities();
@@ -492,12 +624,15 @@ impl DeviceStorage {
             // Remember that `responder` claims to reach this device directly
             // (used by routing handover, Fig. 5.5 state 0).
             if record.jumps() == 0 {
-                reported
-                    .get_or_insert_with(|| {
-                        let reporters = reporters.take().expect("taken by the first direct record only");
-                        reporters.entry(responder).or_default()
-                    })
-                    .insert(address, hops.first().copied().unwrap_or(0));
+                let reported = reported.get_or_insert_with(|| {
+                    let reporters = reporters.take().expect("taken by the first direct record only");
+                    &mut reporters.entry(responder).or_default().seen
+                });
+                let quality = hops.first().copied().unwrap_or(0);
+                match in_reported.find(reported, key(address)) {
+                    Ok(at) => reported[at].1 = quality,
+                    Err(at) => reported.insert(at, (key(address), quality)),
+                }
             }
 
             // The candidate route is `[responder_quality] ++ record hops`
@@ -505,16 +640,14 @@ impl DeviceStorage {
             // service list — is only materialised when the candidate wins
             // or the device is new.
             let build_candidate = || {
-                let mut hop_qualities = Vec::with_capacity(hops.len() + 1);
-                hop_qualities.push(responder_quality);
-                hop_qualities.extend_from_slice(hops);
+                let hop_qualities = HopQualities::prefixed(responder_quality, hops);
                 RouteInfo::via(responder, cand_jumps, hop_qualities, responder_mobility)
             };
 
-            match self.devices.get_mut(&address) {
-                None => {
-                    self.devices.insert(
-                        address,
+            match in_index.find(&self.devices.index, key(address)) {
+                Err(at) => {
+                    self.devices.insert_at(
+                        at,
                         StoredDevice {
                             info: record.info(like_info.as_ref()),
                             route: build_candidate(),
@@ -526,7 +659,8 @@ impl DeviceStorage {
                     );
                     added.push(address);
                 }
-                Some(existing) => {
+                Ok(at) => {
+                    let existing = self.devices.at_mut(at);
                     existing.last_seen = now;
                     // Merge any newly advertised services. The list is
                     // shared, so it is rebuilt (copy-on-write) only when a
@@ -571,38 +705,40 @@ impl DeviceStorage {
     /// not answer accumulate missed loops and are erased after the limit;
     /// indirect entries are erased when stale or when their bridge has
     /// disappeared (Fig. 3.12's "make older" / "erase stored device").
+    /// `responded` is sorted in place, to be searched once per direct row.
     ///
     /// Returns the addresses that were removed.
     pub fn age_cycle(
         &mut self,
-        responded: &[DeviceAddress],
+        responded: &mut [DeviceAddress],
         now: SimTime,
         max_missed_loops: u32,
         stale_timeout: SimDuration,
     ) -> Vec<DeviceAddress> {
+        responded.sort_unstable();
         let mut removed = Vec::new();
         // Pass 1: age direct neighbours and drop stale indirect entries.
         // Missed-loop counters are invisible to the generation's consumers,
         // so the counter is bumped further down, only when an entry is
         // actually removed.
         let mut to_remove: Vec<DeviceAddress> = Vec::new();
-        for (addr, entry) in self.devices.iter_mut() {
+        for &(_, slot) in &self.devices.index {
+            let entry = &mut self.devices.rows[slot];
             if entry.is_direct() {
-                if responded.contains(addr) {
+                if responded.binary_search(&entry.info.address).is_ok() {
                     entry.missed_loops = 0;
                 } else {
                     entry.missed_loops += 1;
                     if entry.missed_loops > max_missed_loops {
-                        to_remove.push(*addr);
+                        to_remove.push(entry.info.address);
                     }
                 }
             } else if now.saturating_since(entry.last_seen) > stale_timeout {
-                to_remove.push(*addr);
+                to_remove.push(entry.info.address);
             }
         }
         for addr in to_remove {
-            self.devices.remove(&addr);
-            self.reported_neighbors.remove(&addr);
+            self.erase(addr);
             removed.push(addr);
         }
         // Pass 2 (repeated): drop indirect entries whose bridge is gone.
@@ -617,22 +753,15 @@ impl DeviceStorage {
         self.maybe_orphans = false;
         loop {
             let orphaned: Vec<DeviceAddress> = self
-                .devices
-                .iter()
-                .filter(|(_, e)| {
-                    e.route
-                        .bridge
-                        .map(|bridge| !self.devices.contains_key(&bridge))
-                        .unwrap_or(false)
-                })
-                .map(|(addr, _)| *addr)
+                .devices()
+                .filter(|e| e.route.bridge.is_some_and(|bridge| self.get(bridge).is_none()))
+                .map(|e| e.info.address)
                 .collect();
             if orphaned.is_empty() {
                 break;
             }
             for addr in orphaned {
-                self.devices.remove(&addr);
-                self.reported_neighbors.remove(&addr);
+                self.erase(addr);
                 removed.push(addr);
             }
         }
@@ -647,7 +776,7 @@ impl DeviceStorage {
     /// all resets the counter through [`DeviceStorage::mark_responded`] /
     /// [`DeviceStorage::upsert_direct`] and stays.
     pub fn mark_suspect(&mut self, address: DeviceAddress, max_missed_loops: u32) {
-        if let Some(entry) = self.devices.get_mut(&address) {
+        if let Some(entry) = self.devices.get_mut(address) {
             self.generation += 1;
             entry.missed_loops = entry.missed_loops.max(max_missed_loops);
         }
@@ -659,8 +788,7 @@ impl DeviceStorage {
     pub fn remove(&mut self, address: DeviceAddress) -> Option<StoredDevice> {
         self.generation += 1;
         self.maybe_orphans = true;
-        self.reported_neighbors.remove(&address);
-        self.devices.remove(&address)
+        self.erase(address)
     }
 
     /// Direct neighbours that have reported `target` as *their* direct
@@ -674,13 +802,14 @@ impl DeviceStorage {
         // storage: a candidate must have filed a neighbour report, and both
         // maps iterate in address order, so the result list is identical to
         // the historical full-storage scan.
+        let target_key = key(target);
         let mut candidates: Vec<(DeviceAddress, u8, u8)> = self
-            .reported_neighbors
+            .reporters
             .iter()
             .filter(|(responder, _)| **responder != target)
-            .filter_map(|(responder, seen)| {
-                let reported = seen.get(&target).copied()?;
-                let d = self.devices.get(responder).filter(|d| d.is_direct())?;
+            .filter_map(|(responder, Reporter { seen, .. })| {
+                let reported = seen[find(seen, target_key).ok()?].1;
+                let d = self.get(*responder).filter(|d| d.is_direct())?;
                 Some((*responder, d.route.first_hop_quality(), reported))
             })
             .collect();
@@ -690,10 +819,8 @@ impl DeviceStorage {
 
     /// The quality `responder` last reported for `neighbor`, if any.
     pub fn reported_quality(&self, responder: DeviceAddress, neighbor: DeviceAddress) -> Option<u8> {
-        self.reported_neighbors
-            .get(&responder)
-            .and_then(|m| m.get(&neighbor))
-            .copied()
+        let seen = &self.reporters.get(&responder)?.seen;
+        Some(seen[find(seen, key(neighbor)).ok()?].1)
     }
 
     /// Clears every entry (used when the daemon restarts). Reputation
@@ -701,15 +828,15 @@ impl DeviceStorage {
     /// armed/disarmed limit is configuration and survives.
     pub fn clear(&mut self) {
         self.generation += 1;
-        self.devices.clear();
-        self.reported_neighbors.clear();
-        self.reputation.clear();
+        self.devices = Table::default();
+        self.reporters.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::rng::SimRng;
     use simnet::{NodeId, RadioTech};
 
     fn addr(n: u64) -> DeviceAddress {
@@ -800,7 +927,7 @@ mod tests {
         let d2 = s.get(addr(2)).unwrap();
         assert_eq!(d2.route.jumps, 1);
         assert_eq!(d2.route.bridge, Some(addr(1)));
-        assert_eq!(d2.route.hop_qualities, vec![240, 235]);
+        assert_eq!(*d2.route.hop_qualities, [240, 235]);
         let d3 = s.get(addr(3)).unwrap();
         assert_eq!(d3.route.jumps, 2);
         assert_eq!(d3.route.bridge, Some(addr(1)));
@@ -881,7 +1008,7 @@ mod tests {
         // Marking an unknown device is a no-op.
         s.mark_suspect(addr(9), max_missed);
         let removed = s.age_cycle(
-            &[addr(2)],
+            &mut [addr(2)],
             SimTime::from_secs(10),
             max_missed,
             SimDuration::from_secs(600),
@@ -900,7 +1027,7 @@ mod tests {
         // glitch, not a crash): the cheap responded path clears the flag.
         s.mark_responded(addr(1), 245, SimTime::from_secs(5));
         let removed = s.age_cycle(
-            &[addr(1)],
+            &mut [addr(1)],
             SimTime::from_secs(10),
             max_missed,
             SimDuration::from_secs(600),
@@ -978,14 +1105,14 @@ mod tests {
         // Device 1 keeps answering, device 2 goes silent.
         for loop_idx in 0..3 {
             let removed = s.age_cycle(
-                &[addr(1)],
+                &mut [addr(1)],
                 SimTime::from_secs(10 * (loop_idx + 1)),
                 3,
                 SimDuration::from_secs(1000),
             );
             assert!(removed.is_empty(), "removed too early at loop {loop_idx}");
         }
-        let removed = s.age_cycle(&[addr(1)], SimTime::from_secs(40), 3, SimDuration::from_secs(1000));
+        let removed = s.age_cycle(&mut [addr(1)], SimTime::from_secs(40), 3, SimDuration::from_secs(1000));
         assert_eq!(removed, vec![addr(2)]);
         assert!(s.get(addr(2)).is_none());
         assert!(s.get(addr(1)).is_some());
@@ -1008,7 +1135,12 @@ mod tests {
         // only through it) must disappear too.
         let mut removed_total = Vec::new();
         for i in 0..5 {
-            removed_total.extend(s.age_cycle(&[], SimTime::from_secs(10 * (i + 1)), 3, SimDuration::from_secs(10_000)));
+            removed_total.extend(s.age_cycle(
+                &mut [],
+                SimTime::from_secs(10 * (i + 1)),
+                3,
+                SimDuration::from_secs(10_000),
+            ));
         }
         assert!(removed_total.contains(&addr(1)));
         assert!(removed_total.contains(&addr(2)));
@@ -1030,7 +1162,7 @@ mod tests {
         );
         // Device 1 keeps responding but never mentions device 2 again; after
         // the stale timeout device 2 is dropped.
-        let removed = s.age_cycle(&[addr(1)], SimTime::from_secs(300), 3, SimDuration::from_secs(180));
+        let removed = s.age_cycle(&mut [addr(1)], SimTime::from_secs(300), 3, SimDuration::from_secs(180));
         assert_eq!(removed, vec![addr(2)]);
         assert!(s.get(addr(1)).is_some());
     }
@@ -1116,6 +1248,406 @@ mod tests {
         assert_eq!(s.reported_quality(addr(9), addr(1)), None);
         // The target itself is never its own handover candidate.
         assert!(candidates.iter().all(|(a, _, _)| *a != addr(9)));
+    }
+
+    /// The storage as it was before the table: rows inside a `BTreeMap`,
+    /// every record its own lookup, every candidate route built and put
+    /// through [`candidate_replaces`]. The oracle
+    /// `the_table_is_the_reference_model_under_random_operations` holds the
+    /// table to.
+    struct Model {
+        own: DeviceAddress,
+        threshold: u8,
+        devices: BTreeMap<DeviceAddress, StoredDevice>,
+        reported: BTreeMap<DeviceAddress, BTreeMap<DeviceAddress, u8>>,
+        penalties: BTreeMap<DeviceAddress, u32>,
+        generation: u64,
+        maybe_orphans: bool,
+    }
+
+    impl Model {
+        fn upsert_direct(&mut self, info: DeviceInfo, quality: u8, services: Rc<[ServiceInfo]>, now: SimTime) -> bool {
+            if info.address == self.own {
+                return false;
+            }
+            self.generation += 1;
+            let route = RouteInfo::direct(quality, info.mobility);
+            let new = !self.devices.contains_key(&info.address);
+            let entry = self.devices.entry(info.address).or_insert_with(|| StoredDevice {
+                info: info.clone(),
+                route: route.clone(),
+                services: services.clone(),
+                last_seen: now,
+                last_fetched: now,
+                missed_loops: 0,
+            });
+            if entry.route.jumps > 0 || candidate_replaces(&route, &entry.route, self.threshold) {
+                entry.route = route;
+            } else {
+                entry.route.hop_qualities = vec![quality].into();
+            }
+            (entry.info, entry.services) = (info, services);
+            (entry.last_seen, entry.last_fetched, entry.missed_loops) = (now, now, 0);
+            new
+        }
+
+        fn integrate(
+            &mut self,
+            responder: &DeviceInfo,
+            quality: u8,
+            records: &[NeighborRecord],
+            mode: DiscoveryMode,
+            now: SimTime,
+        ) -> Vec<DeviceAddress> {
+            self.generation += 1;
+            let mut added = Vec::new();
+            for record in records {
+                let address = record.info.address;
+                let jumps = record.jumps.saturating_add(1);
+                if address == self.own || mode.max_learned_jumps().is_some_and(|max| jumps > max) {
+                    continue;
+                }
+                if record.jumps == 0 {
+                    let claimed = record.hop_qualities.first().copied().unwrap_or(0);
+                    self.reported
+                        .entry(responder.address)
+                        .or_default()
+                        .insert(address, claimed);
+                }
+                let mut hops = vec![quality];
+                hops.extend_from_slice(&record.hop_qualities);
+                let candidate = RouteInfo::via(responder.address, jumps, hops, responder.mobility);
+                match self.devices.get_mut(&address) {
+                    None => {
+                        added.push(address);
+                        self.devices.insert(
+                            address,
+                            StoredDevice {
+                                info: record.info.clone(),
+                                route: candidate,
+                                services: record.services.clone(),
+                                last_seen: now,
+                                last_fetched: now,
+                                missed_loops: 0,
+                            },
+                        );
+                    }
+                    Some(existing) => {
+                        existing.last_seen = now;
+                        let mut services = existing.services.to_vec();
+                        for s in record.services.iter() {
+                            if !existing.offers(&s.name) {
+                                services.push(s.clone());
+                            }
+                        }
+                        existing.services = services.into();
+                        if candidate_replaces(&candidate, &existing.route, self.threshold) {
+                            existing.route = candidate;
+                        }
+                    }
+                }
+            }
+            added
+        }
+
+        fn note_inquiry_hit(
+            &mut self,
+            address: DeviceAddress,
+            quality: u8,
+            now: SimTime,
+            interval: SimDuration,
+        ) -> bool {
+            let Some(entry) = self.devices.get_mut(&address) else {
+                return true;
+            };
+            if now.saturating_since(entry.last_fetched) >= interval {
+                return true;
+            }
+            (entry.last_seen, entry.missed_loops) = (now, 0);
+            if entry.is_direct() && *entry.route.hop_qualities != [quality] {
+                self.generation += 1;
+                entry.route.hop_qualities = vec![quality].into();
+            }
+            false
+        }
+
+        fn mark_suspect(&mut self, address: DeviceAddress, max_missed_loops: u32) {
+            if let Some(entry) = self.devices.get_mut(&address) {
+                self.generation += 1;
+                entry.missed_loops = entry.missed_loops.max(max_missed_loops);
+            }
+        }
+
+        fn remove(&mut self, address: DeviceAddress) -> Option<StoredDevice> {
+            self.generation += 1;
+            self.maybe_orphans = true;
+            self.reported.remove(&address);
+            self.devices.remove(&address)
+        }
+
+        fn age_cycle(
+            &mut self,
+            responded: &[DeviceAddress],
+            now: SimTime,
+            max_missed_loops: u32,
+            stale_timeout: SimDuration,
+        ) -> Vec<DeviceAddress> {
+            let mut removed = Vec::new();
+            for (addr, entry) in self.devices.iter_mut() {
+                if !entry.is_direct() {
+                    if now.saturating_since(entry.last_seen) > stale_timeout {
+                        removed.push(*addr);
+                    }
+                } else if responded.contains(addr) {
+                    entry.missed_loops = 0;
+                } else {
+                    entry.missed_loops += 1;
+                    if entry.missed_loops > max_missed_loops {
+                        removed.push(*addr);
+                    }
+                }
+            }
+            if removed.is_empty() && !self.maybe_orphans {
+                return removed;
+            }
+            self.generation += 1;
+            self.maybe_orphans = false;
+            let mut round = removed.clone();
+            loop {
+                for addr in &round {
+                    self.devices.remove(addr);
+                    self.reported.remove(addr);
+                }
+                let bridge_gone = |e: &StoredDevice| e.route.bridge.is_some_and(|b| !self.devices.contains_key(&b));
+                round = self
+                    .devices
+                    .values()
+                    .filter(|e| bridge_gone(e))
+                    .map(|e| e.info.address)
+                    .collect();
+                if round.is_empty() {
+                    return removed;
+                }
+                removed.extend(&round);
+            }
+        }
+
+        fn clear(&mut self) {
+            self.generation += 1;
+            self.devices.clear();
+            self.reported.clear();
+            self.penalties.clear();
+        }
+
+        fn handover_candidates(&self, target: DeviceAddress) -> Vec<(DeviceAddress, u8, u8)> {
+            let mut candidates = Vec::new();
+            for (responder, seen) in &self.reported {
+                let direct = self.devices.get(responder).filter(|d| d.is_direct());
+                if let (true, Some(reported), Some(d)) = (*responder != target, seen.get(&target), direct) {
+                    candidates.push((*responder, d.route.first_hop_quality(), *reported));
+                }
+            }
+            candidates.sort_by_key(|(_, ours, theirs)| std::cmp::Reverse(*ours as u32 + *theirs as u32));
+            candidates
+        }
+
+        fn service_providers(&self, name: &str) -> Vec<(DeviceAddress, ServiceInfo)> {
+            let mut providers: Vec<&StoredDevice> = self.devices.values().filter(|d| d.offers(name)).collect();
+            providers.sort_by(|a, b| DeviceStorage::provider_order(a, b));
+            let named = |d: &StoredDevice| d.services.iter().find(|s| s.name == name).cloned();
+            providers
+                .into_iter()
+                .map(|d| (d.info.address, named(d).unwrap()))
+                .collect()
+        }
+    }
+
+    /// Random neighbour records over a small address pool: 0–40 hops whatever
+    /// the jump count says, the owner named now and then, sorted as an
+    /// exporter sends them, or shuffled, or with records repeated.
+    fn random_records(rng: &mut SimRng, service_lists: &[Rc<[ServiceInfo]>]) -> Vec<NeighborRecord> {
+        let mut records: Vec<NeighborRecord> = (0..rng.range(0usize..14))
+            .map(|_| NeighborRecord {
+                info: info(rng.range(0u64..24), random_mobility(rng)),
+                jumps: if rng.chance(0.1) { 255 } else { rng.range(0u8..4) },
+                hop_qualities: (0..rng.range(0usize..=40)).map(|_| rng.range(200u8..=255)).collect(),
+                services: service_lists[rng.index(service_lists.len())].clone(),
+            })
+            .collect();
+        match rng.range(0u8..3) {
+            0 => records.sort_by_key(|r| r.info.address),
+            1 => {
+                for _ in 0..rng.range(0usize..4) {
+                    let again = records.get(rng.index(records.len().max(1))).cloned();
+                    records.extend(again);
+                }
+                rng.shuffle(&mut records);
+            }
+            _ => {}
+        }
+        records
+    }
+
+    fn random_mobility(rng: &mut SimRng) -> MobilityClass {
+        [MobilityClass::Static, MobilityClass::Hybrid, MobilityClass::Dynamic][rng.index(3)]
+    }
+
+    #[test]
+    fn the_table_is_the_reference_model_under_random_operations() {
+        let service = |name: &str, port| ServiceInfo::new(name, "", port);
+        let service_lists: [Rc<[ServiceInfo]>; 4] = [
+            Rc::new([]),
+            Rc::new([service("echo", 1)]),
+            Rc::new([service("print", 2), service("echo", 3)]),
+            Rc::new([service("print", 4), service("print", 5)]),
+        ];
+        let modes = [DiscoveryMode::DirectOnly, DiscoveryMode::TwoHop, DiscoveryMode::Dynamic];
+        let interval = SimDuration::from_secs(30);
+        for seed in 0..8 {
+            let mut rng = SimRng::new(0x7AB1E + seed);
+            let mut s = storage();
+            let mut m = Model {
+                own: addr(0),
+                threshold: 230,
+                devices: BTreeMap::new(),
+                reported: BTreeMap::new(),
+                penalties: BTreeMap::new(),
+                generation: 0,
+                maybe_orphans: false,
+            };
+            let mut now = T0;
+            for step in 0..600 {
+                now += SimDuration::from_secs(rng.range(0u64..8));
+                let who = addr(rng.range(0u64..24));
+                let quality = rng.range(200u8..=255);
+                let at = format!("seed {seed} step {step}");
+                match rng.range(0u8..13) {
+                    0..=2 => {
+                        let device = info(rng.range(0u64..24), random_mobility(&mut rng));
+                        let services = service_lists[rng.index(4)].clone();
+                        let new = s.upsert_direct(device.clone(), quality, services.clone(), now);
+                        assert_eq!(new, m.upsert_direct(device, quality, services, now), "{at}");
+                    }
+                    3..=6 => {
+                        let responder = info(rng.range(0u64..24), random_mobility(&mut rng));
+                        let records = random_records(&mut rng, &service_lists);
+                        let mode = modes[rng.index(3)];
+                        let added = if rng.chance(0.5) {
+                            s.integrate_neighbor_report(
+                                responder.address,
+                                quality,
+                                responder.mobility,
+                                &records,
+                                mode,
+                                now,
+                            )
+                        } else {
+                            let frame = wire::encode(&crate::proto::Message::InquiryResponse {
+                                device: responder.clone(),
+                                services: vec![],
+                                neighbors: records.clone(),
+                                bridge_load_percent: 0,
+                            });
+                            let views = wire::view_inquiry_response(&frame).unwrap().neighbors;
+                            s.integrate_neighbor_views(responder.address, quality, responder.mobility, views, mode, now)
+                        };
+                        assert_eq!(added, m.integrate(&responder, quality, &records, mode, now), "{at}");
+                    }
+                    7 => {
+                        let stale = s.note_inquiry_hit(who, quality, now, interval);
+                        assert_eq!(stale, m.note_inquiry_hit(who, quality, now, interval), "{at}");
+                    }
+                    8 => {
+                        s.mark_suspect(who, 2);
+                        m.mark_suspect(who, 2);
+                    }
+                    9 => assert_eq!(s.remove(who), m.remove(who), "{at}"),
+                    10 => {
+                        let mut responded: Vec<_> =
+                            (0..rng.range(0usize..10)).map(|_| addr(rng.range(0u64..24))).collect();
+                        let stale_timeout = SimDuration::from_secs(60);
+                        let expected = m.age_cycle(&responded, now, 2, stale_timeout);
+                        assert_eq!(s.age_cycle(&mut responded, now, 2, stale_timeout), expected, "{at}");
+                    }
+                    11 => {
+                        let penalties = m.penalties.entry(who).or_default();
+                        *penalties += 1;
+                        assert_eq!(s.penalize_reporter(who), *penalties, "{at}");
+                    }
+                    _ if rng.chance(0.1) => {
+                        s.clear();
+                        m.clear();
+                    }
+                    _ => {}
+                }
+                assert!(s.devices().eq(m.devices.values()), "{at}");
+                assert_eq!(s.len(), m.devices.len(), "{at}");
+                assert_eq!(s.generation(), m.generation, "{at}");
+                let idle = Reporter::default();
+                assert!(
+                    s.reporters.values().all(|r| *r != idle),
+                    "{at}: a reporter with nothing to say was kept"
+                );
+                for target in (0..24).map(addr) {
+                    assert_eq!(s.get(target), m.devices.get(&target), "{at}");
+                    let penalties = m.penalties.get(&target).copied().unwrap_or(0);
+                    assert_eq!(s.reporter_penalty(target), penalties, "{at}");
+                    let candidates: Vec<_> = s.handover_candidates_iter(target).collect();
+                    assert_eq!(candidates, m.handover_candidates(target), "{at}");
+                    for reporter in (0..24).map(addr) {
+                        let claimed = m.reported.get(&reporter).and_then(|seen| seen.get(&target));
+                        assert_eq!(s.reported_quality(reporter, target), claimed.copied(), "{at}");
+                    }
+                }
+                for name in ["echo", "print", "nothing"] {
+                    let flat = |(d, svc): (&StoredDevice, &ServiceInfo)| (d.info.address, svc.clone());
+                    let expected = m.service_providers(name);
+                    assert_eq!(
+                        s.service_providers(name).map(flat).collect::<Vec<_>>(),
+                        expected,
+                        "{at}"
+                    );
+                    assert_eq!(
+                        s.best_service_provider(name).map(flat),
+                        expected.first().cloned(),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shuffled_report_and_its_sorted_twin_leave_equal_storages() {
+        let mut rng = SimRng::new(0x50F7);
+        let mut records: Vec<NeighborRecord> = (1..40)
+            .map(|n| record(n, rng.range(0u8..3), rng.range(200u8..=255), vec![]))
+            .collect();
+        let mut sorted = storage();
+        let mut shuffled = storage();
+        for round in 0..3 {
+            // Teach both the same rows first, in different orders, so the
+            // slabs differ; then refresh and re-route them.
+            for s in [&mut sorted, &mut shuffled] {
+                s.upsert_direct(info(7, MobilityClass::Static), 240, vec![], T0);
+                s.integrate_neighbor_report(
+                    addr(7),
+                    240,
+                    MobilityClass::Static,
+                    &records,
+                    DiscoveryMode::Dynamic,
+                    T0,
+                );
+                records.reverse();
+            }
+            assert!(sorted.devices().eq(shuffled.devices()), "round {round}");
+            assert_eq!(sorted.reporters, shuffled.reporters, "round {round}");
+            assert_eq!(sorted.generation(), shuffled.generation(), "round {round}");
+            rng.shuffle(&mut records);
+            for r in &mut records {
+                r.hop_qualities[0] = rng.range(200u8..=255);
+            }
+        }
     }
 
     #[test]

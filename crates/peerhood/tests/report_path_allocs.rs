@@ -1,7 +1,8 @@
-//! The neighbour-report path's two properties, pinned where tier-1 sees them:
-//! a report that teaches the storage nothing allocates nothing, and what a
-//! report does teach is stored once per fleet, not once per entry. Plus the
-//! serving side's reference check: the reply streamed from the storage is the
+//! The neighbour-report path's properties, pinned where tier-1 sees them: a
+//! report that teaches the storage nothing — or only better routes — allocates
+//! nothing, what a report does teach is stored once per fleet, not once per
+//! entry, and a new row costs table growth, not an allocation of its own.
+//! Plus the serving side's reference check: the reply streamed from the storage is the
 //! frame `wire::encode` writes for the message built record by record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -13,6 +14,7 @@ use peerhood::daemon::{Daemon, BRIDGE_SERVICE_NAME};
 use peerhood::device::{DeviceInfo, MobilityClass};
 use peerhood::proto::{Message, NeighborRecord};
 use peerhood::service::ServiceInfo;
+use peerhood::storage::StoredDevice;
 use peerhood::wire;
 use simnet::rng::SimRng;
 use simnet::{NodeId, RadioTech, SimTime};
@@ -64,13 +66,14 @@ fn fleet_services() -> Vec<ServiceInfo> {
     vec![ServiceInfo::new("metro.echo", "v1", 7)]
 }
 
-/// The frame responder 1 sends: itself plus devices 100..125 at 0–2 jumps.
-fn fleet_report() -> Vec<u8> {
-    let neighbors = (0..25u64)
+/// The frame responder 1 sends: itself plus `devices` devices from 100 up at
+/// 0–2 jumps, every hop at `quality`.
+fn fleet_report(devices: u64, quality: u8) -> Vec<u8> {
+    let neighbors = (0..devices)
         .map(|i| NeighborRecord {
             info: fleet_device(100 + i),
             jumps: (i % 3) as u8,
-            hop_qualities: vec![240; (i % 3) as usize + 1],
+            hop_qualities: vec![quality; (i % 3) as usize + 1],
             services: fleet_services().into(),
         })
         .collect();
@@ -88,7 +91,7 @@ fn daemon() -> Daemon {
 
 #[test]
 fn a_report_of_known_devices_allocates_nothing_in_the_storage() {
-    let frame = fleet_report();
+    let frame = fleet_report(25, 240);
     let report = wire::view_inquiry_response(&frame).unwrap();
     let mut d = daemon();
     let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
@@ -119,8 +122,69 @@ fn a_report_of_known_devices_allocates_nothing_in_the_storage() {
 }
 
 #[test]
+fn a_report_that_only_replaces_routes_allocates_nothing() {
+    let mut d = daemon();
+    let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
+    let frame = fleet_report(25, 240);
+    let report = wire::view_inquiry_response(&frame).unwrap();
+    d.process_inquiry_response(&report, false, 235, &cfg, SimTime::ZERO);
+
+    // The responder has moved closer and so have its neighbours: the same 25
+    // devices, every hop better. Each stored route loses to the reported one
+    // and is rewritten inside its row.
+    let frame = fleet_report(25, 250);
+    let (allocations, learned) = allocations_in(|| {
+        let report = wire::view_inquiry_response(&frame).unwrap();
+        d.storage_mut().integrate_neighbor_views(
+            report.device.address,
+            245,
+            report.device.mobility,
+            report.neighbors.clone(),
+            DiscoveryMode::Dynamic,
+            SimTime::from_secs(10),
+        )
+    });
+    assert!(learned.is_empty());
+    assert_eq!(allocations, 0, "replacing a route allocated");
+    for n in 100..125 {
+        let route = &d.storage().get(fleet_device(n).address).unwrap().route;
+        assert_eq!(route.hop_qualities[0], 245, "route to {n} was not replaced");
+        assert!(route.hop_qualities[1..].iter().all(|&q| q == 250));
+    }
+}
+
+#[test]
+fn new_rows_cost_table_growth_not_an_allocation_each() {
+    const NEW: u64 = 200;
+    let mut d = daemon();
+    d.storage_mut()
+        .upsert_direct(fleet_device(1), 235, fleet_services(), SimTime::ZERO);
+    let frame = fleet_report(NEW, 240);
+    let (allocations, learned) = allocations_in(|| {
+        let report = wire::view_inquiry_response(&frame).unwrap();
+        d.storage_mut().integrate_neighbor_views(
+            report.device.address,
+            235,
+            report.device.mobility,
+            report.neighbors.clone(),
+            DiscoveryMode::Dynamic,
+            SimTime::ZERO,
+        )
+    });
+    assert_eq!(learned.len() as u64, NEW);
+    // Same fleet: descriptions are the responder's, hop lists live in the
+    // rows. What is left is the doubling of four vectors (rows, index, the
+    // responder's reported list, the returned addresses).
+    assert!(allocations < NEW / 4, "{allocations} allocations for {NEW} new rows");
+    assert!(
+        std::mem::size_of::<StoredDevice>() <= 128,
+        "a row outgrew two cache lines"
+    );
+}
+
+#[test]
 fn entries_learned_from_a_same_fleet_report_share_the_responders_description() {
-    let frame = fleet_report();
+    let frame = fleet_report(25, 240);
     let report = wire::view_inquiry_response(&frame).unwrap();
     let mut d = daemon();
     let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
@@ -217,7 +281,7 @@ fn the_reply_streamed_from_storage_is_the_frame_of_the_message_built_record_by_r
                     .map(|e| NeighborRecord {
                         info: e.info.clone(),
                         jumps: e.route.jumps,
-                        hop_qualities: e.route.hop_qualities.clone(),
+                        hop_qualities: e.route.hop_qualities.to_vec(),
                         services: e.services.clone(),
                     })
                     .collect(),
