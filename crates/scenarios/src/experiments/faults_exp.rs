@@ -14,145 +14,13 @@
 //! PeerHood protocol (whose fault reactions are covered by the middleware
 //! test suites). Every number is deterministic in the seed.
 
-use std::any::Any;
-use std::rc::Rc;
-
 use simnet::prelude::*;
 
 use crate::experiments::city::City;
-use crate::experiments::full_stack::{metro_configs, FullStackHost, StackMode};
+use crate::experiments::full_stack::{city_agents, StackMode};
+use crate::experiments::metropolis::aggregate_full_stats;
 use crate::experiments::params::{count, number, Param};
 use crate::report::ExperimentReport;
-
-const SCAN: TimerToken = TimerToken(0xE131);
-
-/// A device under churn: scans periodically, attaches to its best-quality
-/// neighbour, and re-attaches after every loss — while counting sessions,
-/// breaks and reconnection latency. Counters survive crashes (the probe is
-/// the measurement instrument, not the subject), but all session state is
-/// reset when the node reboots.
-struct ChurnAgent {
-    inquiry_interval: SimDuration,
-    attached: Option<(LinkId, NodeId)>,
-    connecting: bool,
-    last_hits: Vec<InquiryHit>,
-    /// Set when a session is lost (or the node reboots); consumed by the
-    /// next successful attachment to measure reconnection latency.
-    down_since: Option<SimTime>,
-    sessions_established: u64,
-    /// Sessions killed by churn: the peer's stack died (`PeerFailed`).
-    broken_by_crash: u64,
-    /// Sessions lost to geometry or radio outage (`OutOfRange`) — the
-    /// background rate mobility produces even without any fault plan.
-    broken_by_range: u64,
-    reconnect_secs_total: f64,
-    reconnects: u64,
-}
-
-impl ChurnAgent {
-    fn new(inquiry_interval: SimDuration) -> Self {
-        ChurnAgent {
-            inquiry_interval,
-            attached: None,
-            connecting: false,
-            last_hits: Vec::new(),
-            down_since: None,
-            sessions_established: 0,
-            broken_by_crash: 0,
-            broken_by_range: 0,
-            reconnect_secs_total: 0.0,
-            reconnects: 0,
-        }
-    }
-
-    fn best_candidate(&self) -> Option<InquiryHit> {
-        self.last_hits
-            .iter()
-            .max_by_key(|h| (h.quality, std::cmp::Reverse(h.node)))
-            .copied()
-    }
-}
-
-impl NodeAgent for ChurnAgent {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        let jitter_ms = ctx.rng().range(0..self.inquiry_interval.as_millis().max(1));
-        ctx.schedule(SimDuration::from_millis(jitter_ms), SCAN);
-    }
-    fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
-        // Reboot: session state is gone (the epoch guard already killed the
-        // old timers and attempts), measurement counters persist. Time spent
-        // dead does not count as reconnection latency.
-        self.attached = None;
-        self.connecting = false;
-        self.last_hits.clear();
-        self.down_since = Some(ctx.now());
-        self.on_start(ctx);
-    }
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: TimerToken) {
-        ctx.start_inquiry(RadioTech::Wlan);
-        ctx.schedule(self.inquiry_interval, SCAN);
-    }
-    fn on_inquiry_complete(&mut self, ctx: &mut NodeCtx<'_>, _tech: RadioTech, hits: Vec<InquiryHit>) {
-        self.last_hits = hits;
-        if self.attached.is_none() && !self.connecting {
-            if let Some(best) = self.best_candidate() {
-                self.connecting = true;
-                ctx.connect(best.node, RadioTech::Wlan);
-            }
-        }
-    }
-    fn on_incoming_connection(&mut self, _ctx: &mut NodeCtx<'_>, _incoming: IncomingConnection) -> bool {
-        true
-    }
-    fn on_connected(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        _attempt: AttemptId,
-        link: LinkId,
-        peer: NodeId,
-        _tech: RadioTech,
-    ) {
-        self.connecting = false;
-        self.attached = Some((link, peer));
-        self.sessions_established += 1;
-        if let Some(t0) = self.down_since.take() {
-            self.reconnect_secs_total += ctx.now().saturating_since(t0).as_secs_f64();
-            self.reconnects += 1;
-        }
-    }
-    fn on_connect_failed(
-        &mut self,
-        _ctx: &mut NodeCtx<'_>,
-        _attempt: AttemptId,
-        _peer: NodeId,
-        _tech: RadioTech,
-        _error: ConnectError,
-    ) {
-        self.connecting = false;
-    }
-    fn on_disconnected(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, _peer: NodeId, reason: DisconnectReason) {
-        if self.attached.map(|(l, _)| l) == Some(link) {
-            self.attached = None;
-            match reason {
-                DisconnectReason::PeerClosed | DisconnectReason::LocalClosed => {}
-                DisconnectReason::PeerFailed => {
-                    self.broken_by_crash += 1;
-                    self.down_since = Some(ctx.now());
-                }
-                DisconnectReason::OutOfRange => {
-                    self.broken_by_range += 1;
-                    self.down_since = Some(ctx.now());
-                }
-            }
-        }
-    }
-}
 
 /// Settings for the E13 churn sweep.
 #[derive(Debug, Clone)]
@@ -230,19 +98,9 @@ impl AsMut<City> for ChurnSettings {
 fn churn_city(settings: &ChurnSettings, nodes: usize, churn_per_hour: f64) -> World {
     let city = &settings.city;
     let mut world = city.world(nodes);
-    let shared = match settings.stack {
-        StackMode::Full => Some(metro_configs(city.inquiry_interval)),
-        StackMode::Lightweight => None,
-    };
+    let agent = city_agents(settings.stack, city.inquiry_interval, false);
     for (i, mobility, is_mobile) in city.placement(nodes, 0xC18E) {
-        let agent: Box<dyn NodeAgent> = match &shared {
-            None => Box::new(ChurnAgent::new(city.inquiry_interval)),
-            Some((static_cfg, mobile_cfg)) => {
-                let cfg = if is_mobile { mobile_cfg } else { static_cfg };
-                Box::new(FullStackHost::new(Rc::clone(cfg)))
-            }
-        };
-        world.add_node(format!("c{i}"), mobility, &[RadioTech::Wlan], agent);
+        world.add_node(format!("c{i}"), mobility, &[RadioTech::Wlan], agent(is_mobile));
     }
     let ids: Vec<NodeId> = world.node_ids().collect();
     let salt = 0xFA17 ^ (nodes as u64) ^ churn_per_hour.to_bits();
@@ -290,58 +148,26 @@ pub fn e13_churn_sweep(settings: &ChurnSettings) -> ExperimentReport {
     for &nodes in &settings.node_counts {
         for &rate in &settings.churn_per_hour {
             let mut world = churn_city(settings, nodes, rate);
-            let ids: Vec<NodeId> = world.node_ids().collect();
-            let (mut established, mut by_crash, mut by_range) = (0u64, 0u64, 0u64);
-            let (mut latency_sum, mut latency_n) = (0.0f64, 0u64);
-            for id in &ids {
-                let counted = match settings.stack {
-                    StackMode::Lightweight => world.with_agent::<ChurnAgent, _>(*id, |a, _| {
-                        (
-                            a.sessions_established,
-                            a.broken_by_crash,
-                            a.broken_by_range,
-                            a.reconnect_secs_total,
-                            a.reconnects,
-                        )
-                    }),
-                    StackMode::Full => world.with_agent::<FullStackHost, _>(*id, |a, _| {
-                        let s = a.stats();
-                        (
-                            s.sessions_established,
-                            s.broken_by_crash,
-                            s.broken_by_range,
-                            s.reconnect_secs_total,
-                            s.reconnects,
-                        )
-                    }),
-                };
-                if let Some((e, c, r, ls, ln)) = counted {
-                    established += e;
-                    by_crash += c;
-                    by_range += r;
-                    latency_sum += ls;
-                    latency_n += ln;
-                }
-            }
+            let (tally, _) = aggregate_full_stats(&mut world);
             let stats = world.fault_stats();
-            let survival = if established == 0 {
+            let survival = if tally.sessions_established == 0 {
                 100.0
             } else {
-                100.0 * (1.0 - by_crash as f64 / established as f64)
+                100.0 * (1.0 - tally.broken_by_crash as f64 / tally.sessions_established as f64)
             };
-            let mean_reconnect = if latency_n == 0 {
+            let mean_reconnect = if tally.reconnects == 0 {
                 0.0
             } else {
-                latency_sum / latency_n as f64
+                tally.reconnect_secs_total / tally.reconnects as f64
             };
             report.push_row([
                 nodes.to_string(),
                 ExperimentReport::f(rate),
                 stats.crashes.to_string(),
                 stats.restarts.to_string(),
-                established.to_string(),
-                by_crash.to_string(),
-                by_range.to_string(),
+                tally.sessions_established.to_string(),
+                tally.broken_by_crash.to_string(),
+                tally.broken_by_range.to_string(),
                 ExperimentReport::f(survival),
                 ExperimentReport::f(mean_reconnect),
             ]);
@@ -392,22 +218,15 @@ pub fn e14_blackout_flash_crowd_with(seed: u64, quick: bool, stack: StackMode) -
     config.grid_cell_m = config.radio.wlan.range_m;
     let mut world = World::new(config);
     let mut placer = SimRng::new(seed ^ 0xB1AC0);
-    let shared = match stack {
-        StackMode::Full => Some(metro_configs(city.inquiry_interval)),
-        StackMode::Lightweight => None,
-    };
+    let agent = city_agents(stack, city.inquiry_interval, false);
     for i in 0..nodes {
         let start = Point::new(placer.uniform_f64(0.0, side), placer.uniform_f64(0.0, side));
-        let agent: Box<dyn NodeAgent> = match &shared {
-            None => Box::new(ChurnAgent::new(city.inquiry_interval)),
-            // Every E14 device is stationary: all advertise Static.
-            Some((static_cfg, _)) => Box::new(FullStackHost::new(Rc::clone(static_cfg))),
-        };
+        // Every E14 device is stationary: all advertise Static.
         world.add_node(
             format!("b{i}"),
             MobilityModel::stationary(start),
             &[RadioTech::Wlan],
-            agent,
+            agent(false),
         );
     }
     // The event: at t=120 s, 60 % of the devices lose their radio for 60 s
@@ -449,17 +268,7 @@ pub fn e14_blackout_flash_crowd_with(seed: u64, quick: bool, stack: StackMode) -
             .iter()
             .filter(|id| world.is_alive(**id) && !world.radio_enabled(**id, RadioTech::Wlan))
             .count();
-        let attached = ids
-            .iter()
-            .filter(|id| match stack {
-                StackMode::Lightweight => world
-                    .with_agent::<ChurnAgent, _>(**id, |a, _| a.attached.is_some())
-                    .unwrap_or(false),
-                StackMode::Full => world
-                    .with_agent::<FullStackHost, _>(**id, |a, _| a.stats().attached)
-                    .unwrap_or(false),
-            })
-            .count();
+        let (_, attached) = aggregate_full_stats(world);
         let open_links = world.open_link_count();
         report.push_row([
             phase.to_string(),

@@ -8,8 +8,8 @@
 //! enough to populate thousand-node cities, so each experiment family gains
 //! a [`StackMode`] knob:
 //!
-//! * [`StackMode::Lightweight`] — the original probe agents, byte-identical
-//!   to the pre-refactor reports (the re-baseline mode),
+//! * [`StackMode::Lightweight`] — the light [`CityProbe`],
+//!   byte-identical to the pre-refactor reports (the re-baseline mode),
 //! * [`StackMode::Full`] — every node hosts a full middleware stack (daemon,
 //!   discovery plugins, engine, connection table, handover machinery) plus a
 //!   small [`MetroApp`] that registers a `"metro"` service, attaches to the
@@ -31,6 +31,8 @@ use peerhood::ids::{ConnectionId, DeviceAddress};
 use peerhood::node::{PeerHoodApi, PeerHoodNode};
 use peerhood::service::ServiceInfo;
 use simnet::prelude::*;
+
+use crate::experiments::probe::CityProbe;
 
 /// Which agent populates a scale experiment's nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +75,25 @@ pub fn metro_configs(inquiry_interval: SimDuration) -> (Rc<PeerHoodConfig>, Rc<P
     let mut mobile = (*static_cfg).clone();
     mobile.mobility = peerhood::device::MobilityClass::Dynamic;
     (static_cfg, Rc::new(mobile))
+}
+
+/// The agent factory of a city under `stack`, from "does this node walk":
+/// the light [`CityProbe`] (which hands over if `hands_over`; E13/E14 measure
+/// re-attachment alone, where a handover would hide a break), or a full stack
+/// on the two configurations of [`metro_configs`], shared by the whole city.
+pub fn city_agents(
+    stack: StackMode,
+    inquiry_interval: SimDuration,
+    hands_over: bool,
+) -> impl Fn(bool) -> Box<dyn NodeAgent> {
+    let shared = (stack == StackMode::Full).then(|| metro_configs(inquiry_interval));
+    move |is_mobile| match &shared {
+        None => Box::new(OnWorld(CityProbe::with(inquiry_interval, None, hands_over))),
+        Some((static_cfg, mobile_cfg)) => {
+            let cfg = if is_mobile { mobile_cfg } else { static_cfg };
+            Box::new(FullStackHost::new(Rc::clone(cfg)))
+        }
+    }
 }
 
 fn metro_config_with(inquiry_interval: SimDuration, mobility: peerhood::device::MobilityClass) -> Rc<PeerHoodConfig> {
@@ -262,7 +283,8 @@ impl Application for MetroApp {
     }
 }
 
-/// Aggregated per-node counters of a full-stack city node.
+/// Per-node counters of a city node: read off the middleware by
+/// [`FullStackHost`], counted by the light [`CityProbe`] itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FullStats {
     /// Client sessions established.
@@ -285,6 +307,40 @@ pub struct FullStats {
     pub payloads_received: u64,
     /// True if the node currently holds an established session.
     pub attached: bool,
+}
+
+impl FullStats {
+    /// Route breaks of either kind — what E12, E17 and E18 report as
+    /// "coverage drops".
+    pub fn route_breaks(&self) -> u64 {
+        self.broken_by_crash + self.broken_by_range
+    }
+
+    /// Sums per-node stats and counts the attached nodes.
+    pub fn tally(nodes: impl IntoIterator<Item = FullStats>) -> (FullStats, usize) {
+        let mut total = FullStats::default();
+        let mut attached = 0;
+        for node in nodes {
+            total += node;
+            attached += usize::from(node.attached);
+        }
+        (total, attached)
+    }
+}
+
+/// Counters add; `attached` is one node's state and is left alone.
+impl std::ops::AddAssign for FullStats {
+    fn add_assign(&mut self, other: FullStats) {
+        self.sessions_established += other.sessions_established;
+        self.broken_by_crash += other.broken_by_crash;
+        self.broken_by_range += other.broken_by_range;
+        self.handover_completions += other.handover_completions;
+        self.route_changes += other.route_changes;
+        self.reconnect_secs_total += other.reconnect_secs_total;
+        self.reconnects += other.reconnects;
+        self.pings_sent += other.pings_sent;
+        self.payloads_received += other.payloads_received;
+    }
 }
 
 /// A city node running the full middleware: delegates every radio event to

@@ -21,7 +21,8 @@ use simnet::prelude::*;
 
 use crate::experiments::city::City;
 use crate::experiments::params::{count, number, on_off, Param};
-use crate::experiments::sharded::{sharded_world_digest, ShardCityAgent};
+use crate::experiments::probe::CityProbe;
+use crate::experiments::sharded::{probe_stats, sharded_world_digest};
 use crate::report::ExperimentReport;
 
 /// Settings for the E18 hotspot-metropolis run.
@@ -167,7 +168,7 @@ pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
             format!("h{i}"),
             mobility,
             &[RadioTech::Wlan],
-            Box::new(ShardCityAgent::new(city.inquiry_interval, settings.ping_interval)),
+            Box::new(CityProbe::new(city.inquiry_interval, settings.ping_interval)),
         );
     }
     let scope = format!(
@@ -212,13 +213,7 @@ pub fn e18_hotspot_metropolis(settings: &HotspotSettings) -> ExperimentReport {
         ],
     );
     let mut world = hotspot_metropolis_run(settings);
-    let (mut handovers, mut drops) = (0u64, 0u64);
-    for id in world.node_ids().collect::<Vec<_>>() {
-        if let Some((h, d)) = world.with_agent::<ShardCityAgent, _>(id, |a| (a.handovers, a.drops)) {
-            handovers += h;
-            drops += d;
-        }
-    }
+    let (stats, _) = probe_stats(&mut world);
     let digest = sharded_world_digest(&world);
     let g = world.metrics().global();
     report.push_row([
@@ -227,8 +222,8 @@ pub fn e18_hotspot_metropolis(settings: &HotspotSettings) -> ExperimentReport {
         format!("{:.0}", settings.crowd_fraction * 100.0),
         g.inquiries_started.to_string(),
         g.connects_established.to_string(),
-        handovers.to_string(),
-        drops.to_string(),
+        stats.handover_completions.to_string(),
+        stats.route_breaks().to_string(),
         g.messages_delivered.to_string(),
         format!("{digest:016x}"),
     ]);

@@ -19,6 +19,7 @@ use simnet::prelude::*;
 use crate::experiments::city::City;
 use crate::experiments::full_stack::{metro_configs, FullStackHost, FullStats};
 use crate::experiments::params::{count, number, Param};
+use crate::experiments::probe::CityProbe;
 use crate::report::ExperimentReport;
 
 /// Settings for the E15 full-stack metropolis run.
@@ -125,53 +126,30 @@ pub fn metropolis_run(settings: &MetropolisSettings) -> World {
 /// on; reads agent state without mutating it.
 fn refresh_stack_gauges(world: &mut World, ids: &[NodeId]) {
     let mut resilience = peerhood::resilience::ResilienceStats::default();
-    let mut sessions = 0u64;
-    let mut handovers = 0u64;
-    let mut route_changes = 0u64;
-    let mut attached = 0u64;
-    for id in ids {
-        if let Some((s, r)) = world.with_agent::<FullStackHost, _>(*id, |a, _| (a.stats(), a.node().resilience_stats()))
-        {
-            sessions += s.sessions_established;
-            handovers += s.handover_completions;
-            route_changes += s.route_changes;
-            if s.attached {
-                attached += 1;
-            }
-            resilience.absorb(&r);
-        }
-    }
+    let (total, attached) = FullStats::tally(ids.iter().filter_map(|id| {
+        world.with_agent::<FullStackHost, _>(*id, |a, _| {
+            resilience.absorb(&a.node().resilience_stats());
+            a.stats()
+        })
+    }));
     if let Some(tel) = world.telemetry_mut() {
-        tel.set_counter("sessions", "established", None, sessions);
+        tel.set_counter("sessions", "established", None, total.sessions_established);
         tel.set_gauge("sessions", "attached", None, attached as f64);
-        tel.set_counter("handover", "completions", None, handovers);
-        tel.set_counter("handover", "route_changes", None, route_changes);
+        tel.set_counter("handover", "completions", None, total.handover_completions);
+        tel.set_counter("handover", "route_changes", None, total.route_changes);
         resilience.export_gauges(tel, None);
     }
 }
 
-/// Sums every node's [`FullStats`] and counts attached nodes.
+/// Sums every live node's [`FullStats`] and counts the attached nodes,
+/// whichever agent populates the city.
 pub fn aggregate_full_stats(world: &mut World) -> (FullStats, usize) {
     let ids: Vec<NodeId> = world.node_ids().collect();
-    let mut total = FullStats::default();
-    let mut attached = 0usize;
-    for id in &ids {
-        if let Some(s) = world.with_agent::<FullStackHost, _>(*id, |a, _| a.stats()) {
-            total.sessions_established += s.sessions_established;
-            total.broken_by_crash += s.broken_by_crash;
-            total.broken_by_range += s.broken_by_range;
-            total.handover_completions += s.handover_completions;
-            total.route_changes += s.route_changes;
-            total.reconnect_secs_total += s.reconnect_secs_total;
-            total.reconnects += s.reconnects;
-            total.pings_sent += s.pings_sent;
-            total.payloads_received += s.payloads_received;
-            if s.attached {
-                attached += 1;
-            }
-        }
-    }
-    (total, attached)
+    FullStats::tally(ids.into_iter().filter_map(|id| {
+        world
+            .with_agent::<CityProbe, _>(id, |a, _| a.stats())
+            .or_else(|| world.with_agent::<FullStackHost, _>(id, |a, _| a.stats()))
+    }))
 }
 
 /// E15 (beyond the thesis): the full-stack metropolis.

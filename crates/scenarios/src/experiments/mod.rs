@@ -21,6 +21,7 @@ pub mod metropolis;
 pub mod migration_exp;
 pub mod overload;
 pub mod params;
+pub mod probe;
 pub mod registry;
 pub mod scale;
 pub mod sharded;
@@ -49,9 +50,7 @@ pub use overload::{
 pub use params::{Param, Params};
 pub use registry::{find, registry, samples_from_report, Experiment, RunOutput, SampleRow};
 pub use scale::{e12_dense_city, ScaleSettings};
-pub use sharded::{
-    e17_sharded_metropolis, sharded_metropolis_run, sharded_world_digest, ShardCityAgent, ShardedSettings,
-};
+pub use sharded::{e17_sharded_metropolis, sharded_metropolis_run, sharded_world_digest, ShardedSettings};
 
 use crate::report::ExperimentReport;
 

@@ -12,18 +12,13 @@
 //! thousands of concurrent devices, which is exactly what the grid index
 //! accelerates. Every reported number is deterministic in the seed.
 
-use std::any::Any;
-use std::rc::Rc;
-
 use simnet::prelude::*;
 
 use crate::experiments::city::City;
-use crate::experiments::full_stack::{metro_configs, FullStackHost, StackMode};
+use crate::experiments::full_stack::{city_agents, StackMode};
+use crate::experiments::metropolis::aggregate_full_stats;
 use crate::experiments::params::{count, Param};
 use crate::report::ExperimentReport;
-
-const SCAN: TimerToken = TimerToken(0xE121);
-const QCHECK: TimerToken = TimerToken(0xE122);
 
 /// Settings for the E12 dense-city scale runs.
 #[derive(Debug, Clone)]
@@ -84,152 +79,14 @@ impl AsMut<City> for ScaleSettings {
     }
 }
 
-/// A city device: scans periodically, attaches to its best-quality
-/// neighbour, and hands over when the monitored quality falls below the
-/// "signal low" threshold of the thesis.
-struct CityAgent {
-    inquiry_interval: SimDuration,
-    attached: Option<(LinkId, NodeId)>,
-    handover_from: Option<LinkId>,
-    connecting: bool,
-    last_hits: Vec<InquiryHit>,
-    handovers: u64,
-    drops: u64,
-}
-
-impl CityAgent {
-    fn new(inquiry_interval: SimDuration) -> Self {
-        CityAgent {
-            inquiry_interval,
-            attached: None,
-            handover_from: None,
-            connecting: false,
-            last_hits: Vec::new(),
-            handovers: 0,
-            drops: 0,
-        }
-    }
-
-    /// Best candidate by quality (ties broken towards the lower id, so the
-    /// choice is deterministic), excluding `except`.
-    fn best_candidate(&self, except: Option<NodeId>) -> Option<InquiryHit> {
-        self.last_hits
-            .iter()
-            .filter(|h| Some(h.node) != except)
-            .max_by_key(|h| (h.quality, std::cmp::Reverse(h.node)))
-            .copied()
-    }
-}
-
-impl NodeAgent for CityAgent {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        // Stagger scans so the city is not phase-locked on one instant.
-        let jitter_ms = ctx.rng().range(0..self.inquiry_interval.as_millis().max(1));
-        ctx.schedule(SimDuration::from_millis(jitter_ms), SCAN);
-        ctx.schedule(SimDuration::from_millis(5_000 + jitter_ms), QCHECK);
-    }
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: TimerToken) {
-        match token {
-            SCAN => {
-                ctx.start_inquiry(RadioTech::Wlan);
-                ctx.schedule(self.inquiry_interval, SCAN);
-            }
-            QCHECK => {
-                if let Some((link, peer)) = self.attached {
-                    let quality = ctx.link_quality(link);
-                    if quality.map(|q| q < QUALITY_LOW_THRESHOLD).unwrap_or(true) && !self.connecting {
-                        if let Some(target) = self.best_candidate(Some(peer)) {
-                            self.handover_from = Some(link);
-                            self.connecting = true;
-                            ctx.connect(target.node, RadioTech::Wlan);
-                        }
-                    }
-                }
-                ctx.schedule(SimDuration::from_secs(5), QCHECK);
-            }
-            _ => {}
-        }
-    }
-    fn on_inquiry_complete(&mut self, ctx: &mut NodeCtx<'_>, _tech: RadioTech, hits: Vec<InquiryHit>) {
-        self.last_hits = hits;
-        if self.attached.is_none() && !self.connecting {
-            if let Some(best) = self.best_candidate(None) {
-                self.connecting = true;
-                ctx.connect(best.node, RadioTech::Wlan);
-            }
-        }
-    }
-    fn on_incoming_connection(&mut self, _ctx: &mut NodeCtx<'_>, _incoming: IncomingConnection) -> bool {
-        true
-    }
-    fn on_connected(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        _attempt: AttemptId,
-        link: LinkId,
-        peer: NodeId,
-        _tech: RadioTech,
-    ) {
-        self.connecting = false;
-        if let Some(old) = self.handover_from.take() {
-            ctx.close(old);
-            self.handovers += 1;
-        }
-        self.attached = Some((link, peer));
-    }
-    fn on_connect_failed(
-        &mut self,
-        _ctx: &mut NodeCtx<'_>,
-        _attempt: AttemptId,
-        _peer: NodeId,
-        _tech: RadioTech,
-        _error: ConnectError,
-    ) {
-        self.connecting = false;
-        self.handover_from = None;
-    }
-    fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _link: LinkId, _from: NodeId, _payload: Payload) {}
-    fn on_disconnected(&mut self, _ctx: &mut NodeCtx<'_>, link: LinkId, _peer: NodeId, reason: DisconnectReason) {
-        if self.handover_from == Some(link) {
-            // The old link died before the handover connect resolved: the
-            // in-flight attempt becomes a plain re-attach, not a handover.
-            self.handover_from = None;
-        }
-        if self.attached.map(|(l, _)| l) == Some(link) {
-            self.attached = None;
-            if reason != DisconnectReason::PeerClosed {
-                self.drops += 1;
-            }
-        }
-    }
-}
-
 /// One dense-city run; returns the populated world after `duration`.
 /// Honours the thread's [`telemetry`](crate::telemetry) settings.
 fn city_run(settings: &ScaleSettings, nodes: usize) -> World {
     let city = &settings.city;
     let mut world = city.world(nodes);
-    // Two configuration allocations (static/mobile) for the whole
-    // full-stack city.
-    let shared = match settings.stack {
-        StackMode::Full => Some(metro_configs(city.inquiry_interval)),
-        StackMode::Lightweight => None,
-    };
+    let agent = city_agents(settings.stack, city.inquiry_interval, true);
     for (i, mobility, is_mobile) in city.placement(nodes, 0xC17F) {
-        let agent: Box<dyn NodeAgent> = match &shared {
-            None => Box::new(CityAgent::new(city.inquiry_interval)),
-            Some((static_cfg, mobile_cfg)) => {
-                let cfg = if is_mobile { mobile_cfg } else { static_cfg };
-                Box::new(FullStackHost::new(Rc::clone(cfg)))
-            }
-        };
-        world.add_node(format!("c{i}"), mobility, &[RadioTech::Wlan], agent);
+        world.add_node(format!("c{i}"), mobility, &[RadioTech::Wlan], agent(is_mobile));
     }
     let scope = format!("E12 nodes={nodes}");
     crate::telemetry::observe(&mut world, &scope, city.duration);
@@ -265,21 +122,8 @@ pub fn e12_dense_city(settings: &ScaleSettings) -> ExperimentReport {
             .map(|id| world.neighbors_in_range(*id, RadioTech::Wlan).len() as f64)
             .sum::<f64>()
             / sample.len() as f64;
-        let (mut handovers, mut drops) = (0u64, 0u64);
-        for id in &ids {
-            let counted = match settings.stack {
-                StackMode::Lightweight => world.with_agent::<CityAgent, _>(*id, |a, _| (a.handovers, a.drops)),
-                // Full stack: completed routing handovers from the
-                // middleware counter; drops are session routes lost to
-                // coverage, as classified by the host wrapper.
-                StackMode::Full => world
-                    .with_agent::<FullStackHost, _>(*id, |a, _| (a.node().handover_completions(), a.broken_by_range)),
-            };
-            if let Some((h, d)) = counted {
-                handovers += h;
-                drops += d;
-            }
-        }
+        // Nothing crashes in E12, so every route break is a coverage drop.
+        let (stats, _) = aggregate_full_stats(&mut world);
         let g = world.metrics().global();
         report.push_row([
             nodes.to_string(),
@@ -287,8 +131,8 @@ pub fn e12_dense_city(settings: &ScaleSettings) -> ExperimentReport {
             ExperimentReport::f(avg_neighbors),
             g.inquiries_started.to_string(),
             g.connects_established.to_string(),
-            handovers.to_string(),
-            drops.to_string(),
+            stats.handover_completions.to_string(),
+            stats.route_breaks().to_string(),
         ]);
     }
     report.push_note(format!(

@@ -11,24 +11,20 @@
 //! and deliberately never mentions the shard count itself. Run it twice with
 //! different `--shards` values and `diff` the output: it must be empty.
 //!
-//! The workload is the E12 city probe ported to the windowed API: every
-//! device periodically scans its WLAN neighbourhood, attaches to the
-//! best-quality peer, pings it, and hands over when the monitored quality
-//! drops below the thesis' "signal low" threshold — under light seeded
-//! churn, at metropolitan population (100k nodes quick, 250k full).
-
-use std::any::Any;
+//! The workload is the E12 city probe: every device periodically scans its
+//! WLAN neighbourhood, attaches to the best-quality peer, pings it, and hands
+//! over when the monitored quality drops below the thesis' "signal low"
+//! threshold — under light seeded churn, at metropolitan population (100k
+//! nodes quick, 250k full).
 
 use simnet::prelude::*;
 use simnet::telemetry::Fnv1a;
 
 use crate::experiments::city::City;
+use crate::experiments::full_stack::FullStats;
 use crate::experiments::params::{count, number, Param};
+use crate::experiments::probe::CityProbe;
 use crate::report::ExperimentReport;
-
-const SCAN: TimerToken = TimerToken(0xE171);
-const QCHECK: TimerToken = TimerToken(0xE172);
-const PING: TimerToken = TimerToken(0xE173);
 
 /// Settings for the E17 sharded-metropolis run.
 #[derive(Debug, Clone)]
@@ -105,156 +101,17 @@ impl AsMut<City> for ShardedSettings {
     }
 }
 
-/// The E12 city probe ported to the sharded world's windowed API: scan,
-/// attach to the best-quality neighbour, ping it, hand over on low quality.
-pub struct ShardCityAgent {
-    inquiry_interval: SimDuration,
-    ping_interval: SimDuration,
-    attached: Option<(LinkId, NodeId)>,
-    handover_from: Option<LinkId>,
-    connecting: bool,
-    last_hits: Vec<InquiryHit>,
-    /// Completed quality-driven handovers.
-    pub handovers: u64,
-    /// Attached links lost to anything but a graceful peer close.
-    pub drops: u64,
-    /// Pings received (the echo side of the data path).
-    pub pings_received: u64,
-}
+/// The probe of the sharded cities, under the name `benchmark/` builds it by:
+/// [`CityProbe::new`] — scan, attach, ping, hand over.
+pub type ShardCityAgent = CityProbe;
 
-impl ShardCityAgent {
-    /// Creates the probe with the given scan and ping cadence.
-    pub fn new(inquiry_interval: SimDuration, ping_interval: SimDuration) -> Self {
-        ShardCityAgent {
-            inquiry_interval,
-            ping_interval,
-            attached: None,
-            handover_from: None,
-            connecting: false,
-            last_hits: Vec::new(),
-            handovers: 0,
-            drops: 0,
-            pings_received: 0,
-        }
-    }
-
-    /// Best candidate by quality (ties towards the lower id), excluding
-    /// `except` — the same deterministic rule as the E12 probe.
-    fn best_candidate(&self, except: Option<NodeId>) -> Option<InquiryHit> {
-        self.last_hits
-            .iter()
-            .filter(|h| Some(h.node) != except)
-            .max_by_key(|h| (h.quality, std::cmp::Reverse(h.node)))
-            .copied()
-    }
-}
-
-impl ShardAgent for ShardCityAgent {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
-        // Stagger scans so the city is not phase-locked on one instant.
-        let jitter_ms = ctx.rng().range(0..self.inquiry_interval.as_millis().max(1));
-        ctx.schedule(SimDuration::from_millis(jitter_ms), SCAN);
-        ctx.schedule(SimDuration::from_millis(5_000 + jitter_ms), QCHECK);
-        ctx.schedule(self.ping_interval + SimDuration::from_millis(jitter_ms), PING);
-    }
-    fn on_restart(&mut self, ctx: &mut ShardCtx<'_>) {
-        // A reboot loses the link table and the scan cache with it.
-        self.attached = None;
-        self.handover_from = None;
-        self.connecting = false;
-        self.last_hits.clear();
-        self.on_start(ctx);
-    }
-    fn on_timer(&mut self, ctx: &mut ShardCtx<'_>, token: TimerToken) {
-        match token {
-            SCAN => {
-                ctx.start_inquiry(RadioTech::Wlan);
-                ctx.schedule(self.inquiry_interval, SCAN);
-            }
-            QCHECK => {
-                if let Some((link, peer)) = self.attached {
-                    let quality = ctx.link_quality(link);
-                    if quality.map(|q| q < QUALITY_LOW_THRESHOLD).unwrap_or(true) && !self.connecting {
-                        if let Some(target) = self.best_candidate(Some(peer)) {
-                            self.handover_from = Some(link);
-                            self.connecting = true;
-                            ctx.connect(target.node, RadioTech::Wlan);
-                        }
-                    }
-                }
-                ctx.schedule(SimDuration::from_secs(5), QCHECK);
-            }
-            PING => {
-                if let Some((link, _)) = self.attached {
-                    let _ = ctx.send(link, b"city-ping".to_vec());
-                }
-                ctx.schedule(self.ping_interval, PING);
-            }
-            _ => {}
-        }
-    }
-    fn on_inquiry_complete(&mut self, ctx: &mut ShardCtx<'_>, _tech: RadioTech, hits: Vec<InquiryHit>) {
-        self.last_hits = hits;
-        if self.attached.is_none() && !self.connecting {
-            if let Some(best) = self.best_candidate(None) {
-                self.connecting = true;
-                ctx.connect(best.node, RadioTech::Wlan);
-            }
-        }
-    }
-    fn on_incoming_connection(&mut self, _ctx: &mut ShardCtx<'_>, _incoming: IncomingConnection) -> bool {
-        true
-    }
-    fn on_connected(
-        &mut self,
-        ctx: &mut ShardCtx<'_>,
-        _attempt: AttemptId,
-        link: LinkId,
-        peer: NodeId,
-        _tech: RadioTech,
-    ) {
-        self.connecting = false;
-        if let Some(old) = self.handover_from.take() {
-            ctx.close(old);
-            self.handovers += 1;
-        }
-        self.attached = Some((link, peer));
-    }
-    fn on_connect_failed(
-        &mut self,
-        _ctx: &mut ShardCtx<'_>,
-        _attempt: AttemptId,
-        _peer: NodeId,
-        _tech: RadioTech,
-        _error: ConnectError,
-    ) {
-        self.connecting = false;
-        self.handover_from = None;
-    }
-    fn on_message(&mut self, _ctx: &mut ShardCtx<'_>, _link: LinkId, _from: NodeId, payload: SharedPayload) {
-        if payload.as_slice() == b"city-ping" {
-            self.pings_received += 1;
-        }
-    }
-    fn on_disconnected(&mut self, _ctx: &mut ShardCtx<'_>, link: LinkId, _peer: NodeId, reason: DisconnectReason) {
-        if self.handover_from == Some(link) {
-            // The old link died before the handover connect resolved: the
-            // in-flight attempt becomes a plain re-attach, not a handover.
-            self.handover_from = None;
-        }
-        if self.attached.map(|(l, _)| l) == Some(link) {
-            self.attached = None;
-            if reason != DisconnectReason::PeerClosed {
-                self.drops += 1;
-            }
-        }
-    }
+/// Sums every live probe's [`FullStats`] and counts the attached ones.
+pub fn probe_stats(world: &mut ShardedWorld) -> (FullStats, usize) {
+    let ids: Vec<NodeId> = world.node_ids().collect();
+    FullStats::tally(
+        ids.into_iter()
+            .filter_map(|id| world.with_agent::<CityProbe, _>(id, |a| a.stats())),
+    )
 }
 
 /// Builds and runs the sharded metropolis, returning the world for
@@ -268,7 +125,7 @@ pub fn sharded_metropolis_run(settings: &ShardedSettings) -> ShardedWorld {
             format!("s{i}"),
             mobility,
             &[RadioTech::Wlan],
-            Box::new(ShardCityAgent::new(city.inquiry_interval, settings.ping_interval)),
+            Box::new(CityProbe::new(city.inquiry_interval, settings.ping_interval)),
         );
     }
     let ids: Vec<NodeId> = world.node_ids().collect();
@@ -358,13 +215,7 @@ pub fn e17_sharded_metropolis(settings: &ShardedSettings) -> ExperimentReport {
         ],
     );
     let mut world = sharded_metropolis_run(settings);
-    let (mut handovers, mut drops) = (0u64, 0u64);
-    for id in world.node_ids().collect::<Vec<_>>() {
-        if let Some((h, d)) = world.with_agent::<ShardCityAgent, _>(id, |a| (a.handovers, a.drops)) {
-            handovers += h;
-            drops += d;
-        }
-    }
+    let (stats, _) = probe_stats(&mut world);
     let digest = sharded_world_digest(&world);
     let g = world.metrics().global();
     let fault = world.fault_stats();
@@ -373,8 +224,8 @@ pub fn e17_sharded_metropolis(settings: &ShardedSettings) -> ExperimentReport {
         format!("{:.0}", settings.city.side_m(settings.nodes)),
         g.inquiries_started.to_string(),
         g.connects_established.to_string(),
-        handovers.to_string(),
-        drops.to_string(),
+        stats.handover_completions.to_string(),
+        stats.route_breaks().to_string(),
         g.messages_delivered.to_string(),
         fault.crashes.to_string(),
         fault.restarts.to_string(),

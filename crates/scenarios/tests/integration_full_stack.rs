@@ -165,3 +165,14 @@ fn peaceful_auth_city_authenticates_its_traffic_and_rejects_none() {
         "the resilience pipeline must not cost an honest city a session"
     );
 }
+
+#[test]
+fn a_full_stack_host_stays_a_small_bin_allocation() {
+    let size = std::mem::size_of::<FullStackHost>();
+    assert!(
+        size <= 1000,
+        "FullStackHost is {size} bytes: past 1000 a boxed host leaves glibc's last small-bin request (1008 with \
+         its header) and every `add_node` takes the large-request path — setup_s read +10-12 % at 1008 (PR 20). \
+         Slim `Core` before adding a field."
+    );
+}

@@ -35,14 +35,16 @@
 //!   on its own labelled RNG stream, so adversary-free worlds are
 //!   byte-identical to a build without the module.
 //!
-//! Behaviour is attached to nodes through the [`node::NodeAgent`] trait; the
-//! `peerhood` crate implements that trait with the full middleware stack.
+//! Behaviour is written once as an [`agent::Agent`] over the [`agent::Ctx`]
+//! calls and runs on both engines: directly on a [`ShardedWorld`], wrapped in
+//! [`OnWorld`] on a [`World`]. The `peerhood` crate implements the
+//! sequential engine's own [`node::NodeAgent`] with the full middleware stack.
 //!
 //! ## Example
 //!
 //! ```
+//! use simnet::agent::Agent; // not in the prelude: see the `agent` module docs
 //! use simnet::prelude::*;
-//! use std::any::Any;
 //!
 //! // A trivial agent that scans for neighbours once at start-up.
 //! #[derive(Default)]
@@ -50,39 +52,40 @@
 //!     found: usize,
 //! }
 //!
-//! impl NodeAgent for Scanner {
-//!     fn as_any(&self) -> &dyn Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn Any { self }
-//!     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+//! impl Agent for Scanner {
+//!     fn on_start<C: Ctx>(&mut self, ctx: &mut C) {
 //!         ctx.start_inquiry(RadioTech::Bluetooth);
 //!     }
-//!     fn on_inquiry_complete(&mut self, _ctx: &mut NodeCtx<'_>, _tech: RadioTech, hits: Vec<InquiryHit>) {
+//!     fn on_inquiry_complete<C: Ctx>(&mut self, _ctx: &mut C, _tech: RadioTech, hits: Vec<InquiryHit>) {
 //!         self.found = hits.len();
 //!     }
 //! }
 //!
+//! let at = |x| MobilityModel::stationary(Point::new(x, 0.0));
+//! let bluetooth = [RadioTech::Bluetooth];
+//!
+//! // The sequential engine takes the agent wrapped in `OnWorld`...
 //! let mut world = World::new(WorldConfig::ideal(7));
-//! let scanner = world.add_node(
-//!     "scanner",
-//!     MobilityModel::stationary(Point::new(0.0, 0.0)),
-//!     &[RadioTech::Bluetooth],
-//!     Box::new(Scanner::default()),
-//! );
-//! world.add_node(
-//!     "peer",
-//!     MobilityModel::stationary(Point::new(3.0, 0.0)),
-//!     &[RadioTech::Bluetooth],
-//!     Box::new(Scanner::default()),
-//! );
+//! let scanner = world.add_node("scanner", at(0.0), &bluetooth, Box::new(OnWorld(Scanner::default())));
+//! world.add_node("peer", at(3.0), &bluetooth, Box::new(OnWorld(Scanner::default())));
 //! world.run_for(SimDuration::from_secs(30));
-//! let found = world.with_agent::<Scanner, _>(scanner, |s, _| s.found).unwrap();
-//! assert_eq!(found, 1);
+//! assert_eq!(world.with_agent::<Scanner, _>(scanner, |s, _| s.found), Some(1));
+//!
+//! // ...the sharded engine takes it as it is.
+//! let mut config = ShardedConfig::new(7, Rect::square(10.0));
+//! config.radio = RadioEnvironment::ideal();
+//! let mut sharded = ShardedWorld::new(config);
+//! let scanner = sharded.add_node("scanner", at(0.0), &bluetooth, Box::new(Scanner::default()));
+//! sharded.add_node("peer", at(3.0), &bluetooth, Box::new(Scanner::default()));
+//! sharded.run_for(SimDuration::from_secs(30));
+//! assert_eq!(sharded.with_agent::<Scanner, _>(scanner, |s| s.found), Some(1));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adversary;
+pub mod agent;
 pub mod event;
 pub mod faults;
 pub mod geometry;
@@ -101,6 +104,8 @@ pub mod world;
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
     pub use crate::adversary::{AdversaryPlan, AdversaryStats, CompromisedNode, FrameForge, PartitionWindow};
+    // `Agent` is deliberately absent: see the `agent` module docs.
+    pub use crate::agent::{Ctx, OnWorld};
     pub use crate::faults::{
         FaultAction, FaultPlan, FaultStats, FlappingLink, LifecycleEvent, LifecycleKind, LossBurst,
     };

@@ -146,6 +146,8 @@ pub struct IncomingConnection {
 /// The `as_any`/`as_any_mut` methods let scenario drivers reach the concrete
 /// agent type (e.g. the PeerHood node) through
 /// [`crate::world::World::with_agent`].
+///
+/// An [`Agent`](crate::agent::Agent) runs here as [`OnWorld`](crate::agent::OnWorld).
 pub trait NodeAgent: Any {
     /// Upcast for immutable downcasting.
     fn as_any(&self) -> &dyn Any;

@@ -382,6 +382,16 @@ impl RadioState {
             && !(profile.inquiry_asymmetric && self.inquiring_until[tech.index()] > now)
     }
 
+    /// The agent's choice whether to answer inquiries on `tech`. A
+    /// technology the node does not carry cannot be turned on.
+    pub(crate) fn set_discoverable(&mut self, tech: RadioTech, on: bool) {
+        if !on {
+            self.discoverable.remove(tech);
+        } else if self.techs.contains(tech) {
+            self.discoverable.insert(tech);
+        }
+    }
+
     /// The node starts (or extends) a scan on `tech` that ends at `until`.
     pub(crate) fn begin_inquiry(&mut self, tech: RadioTech, until: SimTime) {
         let slot = &mut self.inquiring_until[tech.index()];
@@ -573,8 +583,11 @@ mod tests {
 
         // Hidden: can still communicate, just does not answer scans.
         let mut hidden = base;
-        hidden.discoverable.remove(bt);
+        hidden.set_discoverable(bt, false);
         assert!(hidden.enabled(bt) && !hidden.answers_inquiry(bt, &asymmetric, now));
+        hidden.set_discoverable(bt, true);
+        hidden.set_discoverable(RadioTech::Wlan, true);
+        assert_eq!(hidden, base, "back on; a radio the node lacks cannot be turned on");
 
         let mut scanning = base;
         scanning.begin_inquiry(bt, now + SimDuration::from_secs(1));

@@ -32,6 +32,8 @@ mod faults_tests;
 #[cfg(test)]
 mod tests;
 
+use std::any::Any;
+
 use self::links::LinkTable;
 use self::topology::{NodeSlot, Topology};
 use crate::adversary::{AdversaryAction, AdversaryEngine, AdversaryPlan, AdversaryStats, FrameForge};
@@ -706,23 +708,15 @@ impl World {
     /// scenario drivers can invoke application-level operations ("connect to
     /// that service now") between event-loop runs.
     ///
-    /// Returns `None` if the node does not exist, is powered off, or its
-    /// agent is not of type `A`.
+    /// Returns `None` if the node does not exist, is powered off, or its agent
+    /// is not an `A` (an [`OnWorld`](crate::agent::OnWorld) answers for the agent it wraps).
     pub fn with_agent<A, R>(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut NodeCtx<'_>) -> R) -> Option<R>
     where
-        A: NodeAgent + 'static,
+        A: Any,
     {
-        let idx = node.as_raw() as usize;
-        if idx >= self.topology.nodes.len() || !self.topology.nodes[idx].radio.alive {
-            return None;
-        }
-        let mut agent = self.topology.nodes[idx].agent.take()?;
-        let result = {
-            let mut ctx = NodeCtx { world: self, node };
-            agent.as_any_mut().downcast_mut::<A>().map(|typed| f(typed, &mut ctx))
-        };
-        self.topology.nodes[idx].agent = Some(agent);
-        result
+        self.agent_call(node, |agent, ctx| {
+            agent.as_any_mut().downcast_mut::<A>().map(|typed| f(typed, ctx))
+        })?
     }
 
     fn slot(&self, node: NodeId) -> Option<&NodeSlot> {
@@ -922,9 +916,7 @@ impl<'a> NodeCtx<'a> {
             .rng
     }
 
-    /// Schedules a timer that will fire `after` from now with the given
-    /// opaque token. The timer dies with the node's current life: after a
-    /// crash and restart it never fires.
+    /// Schedules a timer `after` from now ([`Ctx::schedule`](crate::agent::Ctx::schedule)).
     pub fn schedule(&mut self, after: SimDuration, token: TimerToken) {
         let at = self.world.now + after;
         let epoch = self.world.slot(self.node).map(|s| s.epoch).unwrap_or(0);
@@ -938,24 +930,17 @@ impl<'a> NodeCtx<'a> {
         );
     }
 
-    /// Starts a device-discovery inquiry on `tech`. The result arrives via
-    /// [`NodeAgent::on_inquiry_complete`] after the technology's inquiry
-    /// duration. While scanning, a Bluetooth device is not discoverable by
-    /// others (the asymmetry of §3.4.2).
+    /// Starts a device-discovery inquiry on `tech`
+    /// ([`Ctx::start_inquiry`](crate::agent::Ctx::start_inquiry)); the result
+    /// arrives via [`NodeAgent::on_inquiry_complete`].
     pub fn start_inquiry(&mut self, tech: RadioTech) {
-        let duration = self.world.config.radio.profile(tech).inquiry_duration;
+        let finish = self.world.now + self.world.config.radio.profile(tech).inquiry_duration;
         let node = self.node;
-        let finish = self.world.now + duration;
-        let epoch = match self.world.slot_mut(node) {
-            Some(slot) => {
-                if !slot.radio.techs.contains(tech) {
-                    return;
-                }
-                slot.radio.begin_inquiry(tech, finish);
-                slot.epoch
-            }
-            None => return,
+        let Some(slot) = self.world.slot_mut(node).filter(|slot| slot.radio.techs.contains(tech)) else {
+            return;
         };
+        slot.radio.begin_inquiry(tech, finish);
+        let epoch = slot.epoch;
         self.world.metrics.record_inquiry_started(node);
         self.world
             .scheduler
@@ -964,15 +949,8 @@ impl<'a> NodeCtx<'a> {
 
     /// Controls whether this node answers discovery inquiries on `tech`.
     pub fn set_discoverable(&mut self, tech: RadioTech, discoverable: bool) {
-        let node = self.node;
-        if let Some(slot) = self.world.slot_mut(node) {
-            if discoverable {
-                if slot.radio.techs.contains(tech) {
-                    slot.radio.discoverable.insert(tech);
-                }
-            } else {
-                slot.radio.discoverable.remove(tech);
-            }
+        if let Some(slot) = self.world.slot_mut(self.node) {
+            slot.radio.set_discoverable(tech, discoverable);
         }
     }
 
@@ -1003,12 +981,10 @@ impl<'a> NodeCtx<'a> {
         id
     }
 
-    /// Sends a payload over an open link. Delivery is asynchronous; if the
-    /// link breaks while the payload is in flight the message is silently
-    /// lost (the data-loss risk §6.1 points out for the original `Write`).
-    ///
-    /// Accepts anything convertible into a shared [`Payload`] — pass a
-    /// `Payload` clone to fan one encoded frame out to many links without
+    /// Sends a payload over an open link ([`Ctx::send`](crate::agent::Ctx::send));
+    /// a payload in flight when the link breaks is silently lost (the
+    /// data-loss risk §6.1 points out for the original `Write`). Pass a
+    /// [`Payload`] clone to fan one encoded frame out to many links without
     /// copying the bytes.
     ///
     /// # Errors

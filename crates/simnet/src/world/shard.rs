@@ -206,6 +206,8 @@ impl ShardedConfig {
 /// arrive as [`SharedPayload`], which is the sequential world's
 /// [`Payload`](crate::payload::Payload) under the name this API has always
 /// used: one buffer, shared across shard boundaries without copying.
+///
+/// Every [`Agent`](crate::agent::Agent)` + Send` is a `ShardAgent`.
 #[allow(unused_variables)]
 pub trait ShardAgent: Any + Send {
     /// Upcast for dynamic inspection (post-run assertions).
@@ -1256,17 +1258,18 @@ impl ShardCtx<'_> {
 
     /// Starts a device inquiry; [`ShardAgent::on_inquiry_complete`] fires
     /// after the technology's inquiry duration. Hits reflect the window
-    /// snapshot (at most one window stale) plus exact positions. GPRS has no
-    /// radius to bound discovery with and is not supported in the sharded
-    /// world.
+    /// snapshot (at most one window stale) plus exact positions. A no-op on a
+    /// technology the node does not carry. GPRS has no radius to bound
+    /// discovery with and is not supported in the sharded world.
     pub fn start_inquiry(&mut self, tech: RadioTech) {
+        if !self.node.radio.techs.contains(tech) {
+            return;
+        }
         assert!(
             tech != RadioTech::Gprs,
             "sharded world supports range-bounded technologies only (Bluetooth/WLAN)"
         );
-        let profile = self.view.radio.profile(tech);
-        let duration = profile.inquiry_duration;
-        let done = self.now + duration;
+        let done = self.now + self.view.radio.profile(tech).inquiry_duration;
         self.node.radio.begin_inquiry(tech, done);
         self.node.counters.inquiries_started += 1;
         let epoch = self.node.epoch;
@@ -1275,13 +1278,10 @@ impl ShardCtx<'_> {
             .schedule(done, NodeEvent::InquiryComplete { tech, epoch });
     }
 
-    /// Changes whether this node answers inquiries on `tech`.
+    /// Changes whether this node answers inquiries on `tech`; a technology
+    /// the node does not carry cannot be turned on.
     pub fn set_discoverable(&mut self, tech: RadioTech, on: bool) {
-        if on {
-            self.node.radio.discoverable.insert(tech);
-        } else {
-            self.node.radio.discoverable.remove(tech);
-        }
+        self.node.radio.set_discoverable(tech, on);
     }
 
     /// Initiates a connection to `peer` over `tech`. Setup latency is
@@ -2005,46 +2005,46 @@ impl ShardedWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::{Agent, Ctx, OnWorld};
 
     const HELLO: TimerToken = TimerToken(0x5EED);
 
-    /// A minimal exercise agent: scans once, connects to the first hit,
-    /// pings, echoes, closes after the echo.
+    /// A minimal exercise agent, written once for both engines: scans once,
+    /// connects to the first hit, pings, echoes, closes after the echo. It
+    /// carries WLAN only, and also asks for what it has no radio for.
     #[derive(Default)]
     struct Chatter {
+        scans_done: Vec<RadioTech>,
         hits: usize,
         got: Vec<Vec<u8>>,
         connected: u32,
         disconnects: Vec<DisconnectReason>,
     }
 
-    impl ShardAgent for Chatter {
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-        fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
+    impl Agent for Chatter {
+        fn on_start<C: Ctx>(&mut self, ctx: &mut C) {
+            ctx.start_inquiry(RadioTech::Bluetooth);
+            ctx.set_discoverable(RadioTech::Bluetooth, true);
             if ctx.node_id().as_raw() == 0 {
                 ctx.schedule(SimDuration::from_millis(100), HELLO);
             }
         }
-        fn on_timer(&mut self, ctx: &mut ShardCtx<'_>, _token: TimerToken) {
+        fn on_timer<C: Ctx>(&mut self, ctx: &mut C, _token: TimerToken) {
             ctx.start_inquiry(RadioTech::Wlan);
         }
-        fn on_inquiry_complete(&mut self, ctx: &mut ShardCtx<'_>, _tech: RadioTech, hits: Vec<InquiryHit>) {
+        fn on_inquiry_complete<C: Ctx>(&mut self, ctx: &mut C, tech: RadioTech, hits: Vec<InquiryHit>) {
+            self.scans_done.push(tech);
             self.hits = hits.len();
             if let Some(hit) = hits.first() {
                 ctx.connect(hit.node, RadioTech::Wlan);
             }
         }
-        fn on_incoming_connection(&mut self, _ctx: &mut ShardCtx<'_>, _incoming: IncomingConnection) -> bool {
+        fn on_incoming_connection<C: Ctx>(&mut self, _ctx: &mut C, _incoming: IncomingConnection) -> bool {
             true
         }
-        fn on_connected(
+        fn on_connected<C: Ctx>(
             &mut self,
-            ctx: &mut ShardCtx<'_>,
+            ctx: &mut C,
             _attempt: AttemptId,
             link: LinkId,
             _peer: NodeId,
@@ -2053,7 +2053,7 @@ mod tests {
             self.connected += 1;
             ctx.send(link, b"ping".to_vec()).unwrap();
         }
-        fn on_message(&mut self, ctx: &mut ShardCtx<'_>, link: LinkId, _from: NodeId, payload: SharedPayload) {
+        fn on_message<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, _from: NodeId, payload: SharedPayload) {
             self.got.push(payload.to_vec());
             if payload.as_slice() == b"ping" {
                 ctx.send(link, b"pong".to_vec()).unwrap();
@@ -2061,9 +2061,56 @@ mod tests {
                 ctx.close(link);
             }
         }
-        fn on_disconnected(&mut self, _ctx: &mut ShardCtx<'_>, _link: LinkId, _peer: NodeId, reason: DisconnectReason) {
+        fn on_disconnected<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, _peer: NodeId, reason: DisconnectReason) {
             self.disconnects.push(reason);
+            assert_eq!(ctx.link_quality(link), None, "the link is gone");
         }
+    }
+
+    const A: NodeId = NodeId::from_raw(0);
+    const B: NodeId = NodeId::from_raw(1);
+
+    /// What [`Ctx`]'s docs promise, on one script: equal where they say
+    /// equal, different exactly where they say *differs*.
+    #[test]
+    fn the_ctx_contract_holds_on_both_engines() {
+        let mut config = crate::world::WorldConfig::with_seed(42);
+        config.radio.wlan.setup_fault_prob = 0.0;
+        config.radio.wlan.inquiry_miss_prob = 0.0;
+        let mut seq = crate::world::World::new(config);
+        for (name, x) in [("a", 10.0), ("b", 20.0)] {
+            let at = MobilityModel::stationary(Point::new(x, 50.0));
+            seq.add_node(name, at, &[RadioTech::Wlan], Box::new(OnWorld(Chatter::default())));
+        }
+        seq.run_for(SimDuration::from_secs(30));
+        let mut par = two_node_world(1);
+        par.run_for(SimDuration::from_secs(30));
+
+        let read = |node: NodeId, seq: &mut crate::world::World, par: &mut ShardedWorld| {
+            let on_world = seq.with_agent::<Chatter, _>(node, |c, _| std::mem::take(c)).unwrap();
+            let on_shards = par.with_agent::<Chatter, _>(node, std::mem::take).unwrap();
+            [on_world, on_shards]
+        };
+        let (a, b) = (read(A, &mut seq, &mut par), read(B, &mut seq, &mut par));
+        for (a, b) in a.iter().zip(&b) {
+            // Scanning and un-hiding a radio the node lacks did nothing; the
+            // WLAN script ran.
+            assert_eq!((&a.scans_done, &b.scans_done), (&vec![RadioTech::Wlan], &vec![]));
+            assert_eq!((a.hits, a.connected), (1, 1));
+            assert_eq!((&a.got, &b.got), (&vec![b"pong".to_vec()], &vec![b"ping".to_vec()]));
+            assert_eq!(b.disconnects, [DisconnectReason::PeerClosed]);
+        }
+        for g in [seq.metrics().global(), par.metrics().global()] {
+            assert_eq!((g.inquiries_started, g.inquiry_hits), (1, 1));
+            assert_eq!((g.connect_attempts, g.connects_established), (1, 1));
+            assert_eq!((g.messages_sent, g.messages_delivered, g.messages_lost), (2, 2, 0));
+        }
+        // Differs: only shards tell the closer, and only `World` counts a
+        // sample of a link that is gone (b's, after the close).
+        assert_eq!(a[0].disconnects, []);
+        assert_eq!(a[1].disconnects, [DisconnectReason::LocalClosed]);
+        assert_eq!(seq.metrics().global().quality_samples, 1);
+        assert_eq!(par.metrics().global().quality_samples, 0);
     }
 
     fn two_node_world(shards: usize) -> ShardedWorld {
