@@ -118,8 +118,8 @@ impl Daemon {
     pub fn encode_inquiry_response(&self, max_export_jumps: u8, bridge_load_percent: u8, buf: &mut Vec<u8>) {
         let advertised = self.registry.list().iter().filter(|s| s.name != BRIDGE_SERVICE_NAME);
         let mut reply = wire::InquiryResponseWriter::begin(buf, &self.info, advertised);
-        for d in self.storage.devices().filter(|d| d.route.jumps <= max_export_jumps) {
-            reply.neighbor(&d.info, d.route.jumps, &d.route.hop_qualities, &d.services);
+        for row in self.storage.exported(max_export_jumps) {
+            reply.neighbor(row);
         }
         reply.finish(bridge_load_percent);
     }
@@ -145,14 +145,12 @@ impl Daemon {
     ) -> Vec<DeviceAddress> {
         let effective_quality = Self::derate_quality(quality, report.bridge_load_percent);
         let address = report.device.address;
-        // A refreshed neighbour that still describes itself as stored keeps
-        // the stored description; a first contact from the same fleet shares
-        // this device's own name and technology list.
-        let known = self.storage.get(address);
-        let device = report.device.to_info(Some(known.map_or(&self.info, |d| &d.info)));
-        let services = report.services.to_shared(known.map(|d| &d.services));
         let mut added = Vec::new();
-        if self.storage.upsert_direct(device, effective_quality, services, now) {
+        let (device, services) = (report.device, report.services.clone());
+        if self
+            .storage
+            .upsert_direct_view(device, services, effective_quality, now)
+        {
             added.push(address);
         }
         let neighbors = if direct_only {

@@ -87,22 +87,20 @@ impl<'a, 'w> PeerHoodApi<'a, 'w> {
 
     /// `GetDeviceList`: every remote device currently in the storage.
     ///
-    /// Returns owned snapshots; middleware-internal code iterates the
-    /// storage directly (see
-    /// [`DeviceStorage::devices`](crate::storage::DeviceStorage::devices))
-    /// without this copy.
+    /// Returns owned snapshots, as
+    /// [`DeviceStorage::devices`](crate::storage::DeviceStorage::devices)
+    /// builds them.
     pub fn device_list(&self) -> Vec<StoredDevice> {
-        self.core.daemon.storage().devices().cloned().collect()
+        self.core.daemon.storage().devices().collect()
     }
 
     /// `GetServiceList`: every `(device, service)` pair currently known.
     pub fn service_list(&self) -> Vec<(DeviceAddress, ServiceInfo)> {
-        self.core
-            .daemon
-            .storage()
-            .devices()
-            .flat_map(|d| d.services.iter().cloned().map(move |s| (d.info.address, s)))
-            .collect()
+        let mut list = Vec::new();
+        for d in self.core.daemon.storage().devices() {
+            list.extend(d.services.iter().map(|s| (d.info.address, s.clone())));
+        }
+        list
     }
 
     /// Storage statistics.
@@ -238,8 +236,7 @@ impl Core {
             .storage()
             .get(target)
             .ok_or(PeerHoodError::UnknownDevice(target))?;
-        let route = entry.route.clone();
-        let target_info = entry.info.clone();
+        let (route, target_info) = (entry.route, entry.info);
         let kind = if route.is_direct() {
             ConnKind::OutgoingDirect
         } else {
@@ -267,12 +264,11 @@ impl Core {
             self.conn_owner.insert(conn, owner);
         }
         let first_hop = kind.first_hop(target).unwrap_or(target);
-        let hop_info = if first_hop == target {
-            Some(target_info)
+        let tech = if first_hop == target {
+            self.tech_for(Some(&target_info))
         } else {
-            self.daemon.storage().get(first_hop).map(|e| e.info.clone())
+            self.tech_towards(first_hop)
         };
-        let tech = self.tech_for(hop_info.as_ref());
         let attempt = ctx.connect(first_hop.node_id(), tech);
         self.pending.insert(attempt, PendingPurpose::AppConnect { conn });
         Ok(conn)
@@ -288,7 +284,7 @@ impl Core {
             .daemon
             .storage()
             .best_service_provider(service)
-            .map(|(d, _)| d.info.address)
+            .map(|(provider, _)| provider)
             .ok_or_else(|| PeerHoodError::ServiceNotFound(service.to_string()))?;
         self.op_connect_to(ctx, owner, provider, service)
     }

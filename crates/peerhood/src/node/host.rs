@@ -196,7 +196,7 @@ impl PeerHoodNode {
     pub fn known_devices(&self) -> Vec<StoredDevice> {
         self.core
             .as_ref()
-            .map(|c| c.daemon.storage().devices().cloned().collect())
+            .map(|c| c.daemon.storage().devices().collect())
             .unwrap_or_default()
     }
 

@@ -174,6 +174,12 @@ impl Core {
         }
     }
 
+    /// [`Core::tech_for`] a device by address: as the storage describes it,
+    /// or our primary technology when it is not known.
+    pub(crate) fn tech_towards(&self, hop: DeviceAddress) -> RadioTech {
+        self.tech_for(self.daemon.storage().get(hop).map(|d| d.info).as_ref())
+    }
+
     /// Starts one radio connect towards `hop` on behalf of `purpose`, unless
     /// the hop's circuit breaker refuses the dial; returns whether the
     /// attempt was started. Callers handle a refusal their own way.
@@ -184,7 +190,7 @@ impl Core {
         let tech = match purpose {
             // A fetch goes back out on the radio whose inquiry heard the device.
             PendingPurpose::DaemonFetch { tech, .. } => tech,
-            _ => self.tech_for(self.daemon.storage().get(hop).map(|e| &e.info)),
+            _ => self.tech_towards(hop),
         };
         let attempt = ctx.connect(hop.node_id(), tech);
         self.pending.insert(attempt, purpose);

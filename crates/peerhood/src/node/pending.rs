@@ -295,7 +295,7 @@ impl Core {
         }
         // Fig. 5.10: look the client up in the device storage and reconnect.
         let route = match self.daemon.storage().get(remote) {
-            Some(entry) => entry.route.clone(),
+            Some(entry) => entry.route,
             None => {
                 self.schedule_reply_retry(ctx, conn);
                 return;

@@ -94,7 +94,7 @@ impl Core {
     pub(crate) fn start(&mut self, ctx: &mut NodeCtx<'_>) {
         // Stagger the plugin inquiry loops a little so co-located devices do
         // not scan in lock-step.
-        for (idx, _tech) in self.config.techs.clone().iter().enumerate() {
+        for idx in 0..self.config.techs.len() {
             let jitter = SimDuration::from_millis(ctx.rng().range(0u64..2_000));
             ctx.schedule(jitter, token(KIND_INQUIRY, idx as u64));
         }
@@ -463,10 +463,7 @@ impl Core {
                 if entry.route.is_direct() {
                     Some((destination, self.tech_for(Some(&entry.info))))
                 } else {
-                    entry.route.bridge.map(|b| {
-                        let tech = self.tech_for(self.daemon.storage().get(b).map(|e| &e.info));
-                        (b, tech)
-                    })
+                    entry.route.bridge.map(|b| (b, self.tech_towards(b)))
                 }
             }
             None => None,
@@ -1043,7 +1040,7 @@ impl Core {
             .daemon
             .storage()
             .service_providers(&service)
-            .map(|(d, _)| d.info.address)
+            .map(|(provider, _)| provider)
             .filter(|a| *a != remote)
             .collect();
         if candidates.is_empty() {
@@ -1064,10 +1061,7 @@ impl Core {
         conn: ConnectionId,
         candidates: &[DeviceAddress],
     ) {
-        let provider = candidates
-            .iter()
-            .copied()
-            .find(|a| self.daemon.storage().get(*a).is_some());
+        let provider = candidates.iter().copied().find(|a| self.daemon.storage().contains(*a));
         let provider = match provider {
             Some(p) => p,
             None => {
@@ -1076,7 +1070,7 @@ impl Core {
             }
         };
         let route = match self.daemon.storage().get(provider) {
-            Some(entry) => entry.route.clone(),
+            Some(entry) => entry.route,
             None => {
                 self.abandon_connection(conn);
                 return;
@@ -1097,7 +1091,7 @@ impl Core {
             self.abandon_connection(conn);
             return;
         }
-        let tech = self.tech_for(self.daemon.storage().get(first_hop).map(|e| &e.info));
+        let tech = self.tech_towards(first_hop);
         if let Some(c) = self.connections.get_mut(conn) {
             c.remote = provider;
             c.kind = kind;

@@ -8,27 +8,34 @@
 //! information the routing-handover controller walks in state 0 ("find
 //! connected device from neighbours of each DeviceList element", Fig. 5.5).
 //!
-//! The table is an index of `(address, slot)` pairs sorted by address over a
-//! dense slab of rows in no particular order. Every ordered walk — the
-//! export, aging, the provider ranking's tie-break, the order devices are
-//! announced found or lost in — is the index in order; a lookup is a binary
-//! search over 16-byte keys, an insert moves keys and appends a row, an erase
-//! fills the hole with the last row. Exporters walk their index, so a
-//! neighbour report arrives in address order and is *merged*: each record is
-//! looked for a few keys past where the previous one was found.
+//! The table lives on a handheld and grows with the neighbourhood, so a known
+//! device costs one cache line: a 64-byte `Row` in a dense slab, in no
+//! particular order, with everything a fleet's devices have in common — name,
+//! technology list, service list — behind one shared `Description` pointer.
+//! Beside the slab sits the one order, two columns sorted by address: `keys`,
+//! which every search walks at an eight-byte stride, and the `slots` the keys
+//! stand for. Every ordered walk — the export, aging, the provider ranking's
+//! tie-break, the order devices are announced found or lost in — is the index
+//! in order; an insert moves keys and appends a row, an erase fills the hole
+//! with the last row. Exporters walk their index, so a neighbour report
+//! arrives in address order and is *merged*: each record is looked for a few
+//! keys past where the previous one was found.
+//!
+//! Rows never leave this module. What is hot reads them in place; everything
+//! else is handed a [`StoredDevice`], the owned value built from a row.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
-use simnet::{SimDuration, SimTime};
+use simnet::{RadioTech, SimDuration, SimTime};
 
 use crate::config::DiscoveryMode;
 use crate::device::{DeviceInfo, MobilityClass};
-use crate::ids::DeviceAddress;
+use crate::ids::{Checksum, DeviceAddress};
 use crate::proto::NeighborRecord;
-use crate::quality::route_acceptable;
-use crate::route::{candidate_replaces, HopQualities, RouteInfo};
+use crate::quality::{route_acceptable, route_quality_sum};
+use crate::route::{HopQualities, RouteInfo};
 use crate::service::ServiceInfo;
 use crate::wire;
 
@@ -37,7 +44,8 @@ use crate::wire;
 /// reputation defence.
 pub const REPORTER_PENALTY_LIMIT: u32 = 3;
 
-/// One entry of the device storage.
+/// One entry of the device storage, as the storage hands it out: an owned
+/// value, built from the stored row on request.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredDevice {
     /// The device's advertised parameters.
@@ -83,6 +91,132 @@ pub struct StorageStats {
     pub known_services: usize,
 }
 
+/// What the devices of one fleet have in common. A row holds one pointer to
+/// it: a record that describes itself the way its responder's row does shares
+/// the responder's, so a storage of hundreds of rows built from one
+/// configuration holds a handful.
+#[derive(Debug, PartialEq)]
+struct Description {
+    name: Rc<str>,
+    techs: Rc<[RadioTech]>,
+    services: Rc<[ServiceInfo]>,
+}
+
+impl Description {
+    /// The description made of these three lists: `like` itself when it
+    /// reads the same, a new one otherwise.
+    fn of(
+        name: Rc<str>,
+        techs: Rc<[RadioTech]>,
+        services: Rc<[ServiceInfo]>,
+        like: Option<&Rc<Description>>,
+    ) -> Rc<Description> {
+        let made = Description { name, techs, services };
+        match like {
+            Some(like) if **like == made => like.clone(),
+            _ => Rc::new(made),
+        }
+    }
+}
+
+/// One known device as the table holds it: a [`StoredDevice`] with its route
+/// flattened in and its three shared lists behind one pointer. 64 bytes, and
+/// the tests hold it there.
+#[derive(Debug, Clone)]
+struct Row {
+    last_seen: SimTime,
+    last_fetched: SimTime,
+    description: Rc<Description>,
+    /// The route's hop qualities, nearest hop first.
+    hops: HopQualities,
+    checksum: Checksum,
+    missed_loops: u32,
+    address: DeviceAddress,
+    /// The route's gateway neighbour; `None` exactly when `jumps` is 0.
+    bridge: Option<DeviceAddress>,
+    jumps: u8,
+    mobility: MobilityClass,
+    /// Mobility of the nearest device on the route.
+    nearest_mobility: MobilityClass,
+}
+
+impl Row {
+    fn is_direct(&self) -> bool {
+        self.jumps == 0
+    }
+
+    fn quality_sum(&self) -> u32 {
+        route_quality_sum(&self.hops)
+    }
+
+    /// The `candidate_replaces` comparison chain of Fig. 3.13 against the
+    /// route `[first] ++ rest`, evaluated without building it: jumps, then
+    /// nearest mobility, then the Fig. 3.9 quality rule.
+    fn beaten_by(&self, jumps: u8, nearest_mobility: MobilityClass, first: u8, rest: &[u8], threshold: u8) -> bool {
+        if jumps != self.jumps {
+            return jumps < self.jumps;
+        }
+        if nearest_mobility.value() != self.nearest_mobility.value() {
+            return nearest_mobility.value() < self.nearest_mobility.value();
+        }
+        let candidate_ok = first >= threshold && rest.iter().all(|&q| q >= threshold);
+        match (candidate_ok, route_acceptable(&self.hops, threshold)) {
+            (true, false) => true,
+            (false, _) => false,
+            (true, true) => first as u32 + route_quality_sum(rest) > self.quality_sum(),
+        }
+    }
+
+    /// A direct neighbour answered at `quality`: refreshes the hop it is
+    /// reached over. Returns whether that changed anything exported.
+    fn heard_at(&mut self, quality: u8, now: SimTime) -> bool {
+        self.last_seen = now;
+        self.missed_loops = 0;
+        let changed = self.is_direct() && *self.hops != [quality];
+        if changed {
+            self.hops = HopQualities::prefixed(quality, &[]);
+        }
+        changed
+    }
+
+    fn as_exported(&self) -> wire::NeighborRef<'_> {
+        wire::NeighborRef {
+            address: self.address,
+            name: &self.description.name,
+            mobility: self.mobility,
+            checksum: self.checksum,
+            techs: &self.description.techs,
+            jumps: self.jumps,
+            hop_qualities: &self.hops,
+            services: &self.description.services,
+        }
+    }
+}
+
+impl From<&Row> for StoredDevice {
+    fn from(row: &Row) -> Self {
+        StoredDevice {
+            info: DeviceInfo {
+                address: row.address,
+                name: row.description.name.clone(),
+                mobility: row.mobility,
+                checksum: row.checksum,
+                techs: row.description.techs.clone(),
+            },
+            route: RouteInfo {
+                jumps: row.jumps,
+                bridge: row.bridge,
+                hop_qualities: row.hops.clone(),
+                nearest_mobility: row.nearest_mobility,
+            },
+            services: row.description.services.clone(),
+            last_seen: row.last_seen,
+            last_fetched: row.last_fetched,
+            missed_loops: row.missed_loops,
+        }
+    }
+}
+
 /// One neighbour record as [`DeviceStorage::integrate`] reads it: the owned
 /// [`NeighborRecord`] of a decoded [`Message`](crate::proto::Message) or the
 /// [`wire::NeighborView`] of a frame read in place. Everything that
@@ -91,10 +225,11 @@ pub struct StorageStats {
 /// equal.
 trait ReportRecord {
     fn address(&self) -> DeviceAddress;
+    fn mobility(&self) -> MobilityClass;
+    fn checksum(&self) -> Checksum;
     fn jumps(&self) -> u8;
     fn hop_qualities(&self) -> &[u8];
-    fn info(&self, like: Option<&DeviceInfo>) -> DeviceInfo;
-    fn services(&self, like: Option<&Rc<[ServiceInfo]>>) -> Rc<[ServiceInfo]>;
+    fn description(&self, like: Option<&Rc<Description>>) -> Rc<Description>;
     /// The advertised services whose name `known` does not list yet.
     fn services_unknown_to(&self, known: &[ServiceInfo]) -> Vec<ServiceInfo>;
 }
@@ -103,18 +238,22 @@ impl ReportRecord for &NeighborRecord {
     fn address(&self) -> DeviceAddress {
         self.info.address
     }
+    fn mobility(&self) -> MobilityClass {
+        self.info.mobility
+    }
+    fn checksum(&self) -> Checksum {
+        self.info.checksum
+    }
     fn jumps(&self) -> u8 {
         self.jumps
     }
     fn hop_qualities(&self) -> &[u8] {
         &self.hop_qualities
     }
-    // An owned record already holds its description behind `Rc`s.
-    fn info(&self, _like: Option<&DeviceInfo>) -> DeviceInfo {
-        self.info.clone()
-    }
-    fn services(&self, _like: Option<&Rc<[ServiceInfo]>>) -> Rc<[ServiceInfo]> {
-        self.services.clone()
+    // An owned record already holds its lists behind `Rc`s.
+    fn description(&self, like: Option<&Rc<Description>>) -> Rc<Description> {
+        let info = &self.info;
+        Description::of(info.name.clone(), info.techs.clone(), self.services.clone(), like)
     }
     fn services_unknown_to(&self, known: &[ServiceInfo]) -> Vec<ServiceInfo> {
         let unknown = |name: &str| !known.iter().any(|k| k.name == name);
@@ -126,17 +265,27 @@ impl ReportRecord for wire::NeighborView<'_> {
     fn address(&self) -> DeviceAddress {
         self.info.address
     }
+    fn mobility(&self) -> MobilityClass {
+        self.info.mobility
+    }
+    fn checksum(&self) -> Checksum {
+        self.info.checksum
+    }
     fn jumps(&self) -> u8 {
         self.jumps
     }
     fn hop_qualities(&self) -> &[u8] {
         self.hop_qualities
     }
-    fn info(&self, like: Option<&DeviceInfo>) -> DeviceInfo {
-        self.info.to_info(like)
-    }
-    fn services(&self, like: Option<&Rc<[ServiceInfo]>>) -> Rc<[ServiceInfo]> {
-        self.services.to_shared(like)
+    // Each list is `like`'s where it reads the same, and so is the whole
+    // when all three do.
+    fn description(&self, like: Option<&Rc<Description>>) -> Rc<Description> {
+        Description::of(
+            self.info.shared_name(like.map(|l| &l.name)),
+            self.info.shared_techs(like.map(|l| &l.techs)),
+            self.services.to_shared(like.map(|l| &l.services)),
+            like,
+        )
     }
     fn services_unknown_to(&self, known: &[ServiceInfo]) -> Vec<ServiceInfo> {
         let unknown = |name: &str| !known.iter().any(|k| k.name == name);
@@ -152,9 +301,21 @@ fn key(address: DeviceAddress) -> u64 {
     u64::from_be_bytes([0, 0, o[0], o[1], o[2], o[3], o[4], o[5]])
 }
 
-/// Where `key` is in a key-sorted list, or where it would be inserted.
-fn find<T>(sorted: &[(u64, T)], key: u64) -> Result<usize, usize> {
-    sorted.binary_search_by_key(&key, |e| e.0)
+/// A reporter's claim to reach the device with key `key` directly, at
+/// `quality`: one word that sorts by the key (a key is 48 bits wide).
+fn claim(key: u64, quality: u8) -> u64 {
+    key << 8 | u64::from(quality)
+}
+
+/// The key of the device a [`claim`] is about.
+fn claimed(claim: &u64) -> u64 {
+    claim >> 8
+}
+
+/// Where `key` is in a list sorted by `key_of`, or where it would be
+/// inserted.
+fn find<T>(sorted: &[T], key: u64, key_of: impl Fn(&T) -> u64) -> Result<usize, usize> {
+    sorted.binary_search_by_key(&key, key_of)
 }
 
 /// Where the records of one report are in a key-sorted list. While the keys
@@ -171,20 +332,20 @@ struct MergeCursor {
 }
 
 impl MergeCursor {
-    fn find<T>(&mut self, sorted: &[(u64, T)], key: u64) -> Result<usize, usize> {
+    fn find<T>(&mut self, sorted: &[T], key: u64, key_of: impl Fn(&T) -> u64) -> Result<usize, usize> {
         let found = match self.last {
             Some((last, from)) if last < key => {
                 let tail = &sorted[from..];
                 let (mut lo, mut step) = (0, 1);
-                while lo + step <= tail.len() && tail[lo + step - 1].0 < key {
+                while lo + step <= tail.len() && key_of(&tail[lo + step - 1]) < key {
                     lo += step;
                     step *= 2;
                 }
                 let hi = (lo + step).min(tail.len());
                 let offset = |i| from + lo + i;
-                find(&tail[lo..hi], key).map(offset).map_err(offset)
+                find(&tail[lo..hi], key, key_of).map(offset).map_err(offset)
             }
-            _ => find(sorted, key),
+            _ => find(sorted, key, key_of),
         };
         let (Ok(at) | Err(at)) = found;
         self.last = Some((key, at));
@@ -193,51 +354,72 @@ impl MergeCursor {
 }
 
 /// The rows and their one order. Rows sit dense in `rows` in no particular
-/// order; `index` holds `(key(address), slot in rows)` for every row, sorted
-/// by key.
+/// order; `keys` holds `key(address)` of every row, sorted, and `slots[i]` is
+/// where in `rows` the row of `keys[i]` is.
 #[derive(Debug, Clone, Default)]
 struct Table {
-    rows: Vec<StoredDevice>,
-    index: Vec<(u64, usize)>,
+    rows: Vec<Row>,
+    keys: Vec<u64>,
+    slots: Vec<u32>,
 }
 
 impl Table {
-    fn get(&self, address: DeviceAddress) -> Option<&StoredDevice> {
-        let at = find(&self.index, key(address)).ok()?;
-        Some(&self.rows[self.index[at].1])
+    fn place_of(&self, address: DeviceAddress) -> Result<usize, usize> {
+        find(&self.keys, key(address), |k| *k)
     }
 
-    fn get_mut(&mut self, address: DeviceAddress) -> Option<&mut StoredDevice> {
-        let at = find(&self.index, key(address)).ok()?;
+    fn get(&self, address: DeviceAddress) -> Option<&Row> {
+        let at = self.place_of(address).ok()?;
+        Some(&self.rows[self.slots[at] as usize])
+    }
+
+    fn get_mut(&mut self, address: DeviceAddress) -> Option<&mut Row> {
+        let at = self.place_of(address).ok()?;
         Some(self.at_mut(at))
     }
 
     /// The row whose key is at `at` in the index.
-    fn at_mut(&mut self, at: usize) -> &mut StoredDevice {
-        &mut self.rows[self.index[at].1]
+    fn at_mut(&mut self, at: usize) -> &mut Row {
+        &mut self.rows[self.slots[at] as usize]
     }
 
     /// The rows in address order.
-    fn iter(&self) -> impl Iterator<Item = &StoredDevice> + '_ {
-        self.index.iter().map(|&(_, slot)| &self.rows[slot])
+    fn iter(&self) -> impl Iterator<Item = &Row> + '_ {
+        self.slots.iter().map(|&slot| &self.rows[slot as usize])
     }
 
     /// Adds a row whose key belongs at `at` in the index.
-    fn insert_at(&mut self, at: usize, row: StoredDevice) {
-        self.index.insert(at, (key(row.info.address), self.rows.len()));
+    fn insert_at(&mut self, at: usize, row: Row) {
+        let slot = u32::try_from(self.rows.len()).expect("a table of 2^32 rows does not fit in memory");
+        self.keys.insert(at, key(row.address));
+        self.slots.insert(at, slot);
         self.rows.push(row);
     }
 
     /// Takes a row out; the last row fills its slot.
-    fn remove(&mut self, address: DeviceAddress) -> Option<StoredDevice> {
-        let at = find(&self.index, key(address)).ok()?;
-        let (_, slot) = self.index.remove(at);
-        let row = self.rows.swap_remove(slot);
-        if let Some(moved) = self.rows.get(slot) {
-            let at = find(&self.index, key(moved.info.address)).expect("every row is indexed");
-            self.index[at].1 = slot;
+    fn remove(&mut self, address: DeviceAddress) -> Option<Row> {
+        let at = self.place_of(address).ok()?;
+        self.keys.remove(at);
+        let slot = self.slots.remove(at);
+        let row = self.rows.swap_remove(slot as usize);
+        if let Some(moved) = self.rows.get(slot as usize) {
+            let at = self.place_of(moved.address).expect("every row is indexed");
+            self.slots[at] = slot;
         }
         Some(row)
+    }
+
+    /// Gives memory back once three quarters of it stand empty, keeping room
+    /// to double: a table that crossed a dense district does not carry its
+    /// peak for the rest of the run, and one hovering around a size does not
+    /// reallocate on every cycle.
+    fn give_back(&mut self) {
+        let len = self.rows.len();
+        if len < self.rows.capacity() / 4 {
+            self.rows.shrink_to(2 * len);
+            self.keys.shrink_to(2 * len);
+            self.slots.shrink_to(2 * len);
+        }
     }
 }
 
@@ -245,13 +427,21 @@ impl Table {
 /// and what trusting it has cost.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Reporter {
-    /// `(key(neighbour), quality)` for every device it reported as its own
-    /// direct neighbour, sorted by key. Erased with the reporter's row.
-    seen: Vec<(u64, u8)>,
+    /// A [`claim`] for every device it reported as its own direct neighbour,
+    /// sorted (by key, that is). Erased with the reporter's row.
+    seen: Vec<u64>,
     /// Reputation penalties (security hardening): a device whose frames
     /// triggered security rejections, or whose bridge routes failed to dial,
     /// accrues them here. They outlive its row; only a restart forgives.
     penalties: u32,
+}
+
+impl Reporter {
+    /// The quality this reporter last claimed to reach `target` at.
+    fn claimed_quality(&self, target: DeviceAddress) -> Option<u8> {
+        let at = find(&self.seen, key(target), claimed).ok()?;
+        Some(self.seen[at] as u8) // the claim's low byte
+    }
 }
 
 /// PeerHood's per-device environment knowledge.
@@ -259,7 +449,9 @@ struct Reporter {
 pub struct DeviceStorage {
     own_address: DeviceAddress,
     quality_threshold: u8,
-    devices: Table,
+    /// Boxed: three vector headers inline would push the host that embeds
+    /// the storage past the allocator's last small size class.
+    devices: Box<Table>,
     /// Every device that has filed a neighbour report since its row was
     /// last erased, or holds a penalty.
     reporters: BTreeMap<DeviceAddress, Reporter>,
@@ -281,7 +473,7 @@ impl DeviceStorage {
         DeviceStorage {
             own_address,
             quality_threshold,
-            devices: Table::default(),
+            devices: Box::default(),
             reporters: BTreeMap::new(),
             generation: 0,
             maybe_orphans: false,
@@ -337,18 +529,39 @@ impl DeviceStorage {
         self.devices.rows.is_empty()
     }
 
-    /// Looks up a device by address.
-    pub fn get(&self, address: DeviceAddress) -> Option<&StoredDevice> {
-        self.devices.get(address)
+    /// True if the device is known.
+    pub fn contains(&self, address: DeviceAddress) -> bool {
+        self.devices.place_of(address).is_ok()
     }
 
-    /// All known devices in address order, without allocating.
-    pub fn devices(&self) -> impl Iterator<Item = &StoredDevice> + '_ {
-        self.devices.iter()
+    /// What is known about a device, by address.
+    pub fn get(&self, address: DeviceAddress) -> Option<StoredDevice> {
+        self.devices.get(address).map(StoredDevice::from)
+    }
+
+    /// All known devices in address order.
+    pub fn devices(&self) -> impl Iterator<Item = StoredDevice> + '_ {
+        self.devices.iter().map(StoredDevice::from)
+    }
+
+    /// The rows within `max_jumps`, in address order, as the inquiry
+    /// response exports them: read in place.
+    pub(crate) fn exported(&self, max_jumps: u8) -> impl Iterator<Item = wire::NeighborRef<'_>> {
+        let near = self.devices.iter().filter(move |row| row.jumps <= max_jumps);
+        near.map(Row::as_exported)
+    }
+
+    /// True when both devices are known and their rows hold one description
+    /// — the same one, not merely equal ones.
+    pub fn shares_description(&self, a: DeviceAddress, b: DeviceAddress) -> bool {
+        match (self.devices.get(a), self.devices.get(b)) {
+            (Some(a), Some(b)) => Rc::ptr_eq(&a.description, &b.description),
+            _ => false,
+        }
     }
 
     /// Erases a device and what it reported (not its penalties).
-    fn erase(&mut self, address: DeviceAddress) -> Option<StoredDevice> {
+    fn erase(&mut self, address: DeviceAddress) -> Option<Row> {
         if let Entry::Occupied(mut reporter) = self.reporters.entry(address) {
             if reporter.get().penalties == 0 {
                 reporter.remove();
@@ -361,50 +574,50 @@ impl DeviceStorage {
 
     /// Comparison chain of the provider-selection sort: jumps, then nearest
     /// mobility, then (descending) quality sum.
-    fn provider_order(a: &StoredDevice, b: &StoredDevice) -> std::cmp::Ordering {
-        a.route
-            .jumps
-            .cmp(&b.route.jumps)
-            .then(a.route.nearest_mobility.value().cmp(&b.route.nearest_mobility.value()))
-            .then(b.route.quality_sum().cmp(&a.route.quality_sum()))
+    fn provider_order(a: &Row, b: &Row) -> std::cmp::Ordering {
+        a.jumps
+            .cmp(&b.jumps)
+            .then(a.nearest_mobility.value().cmp(&b.nearest_mobility.value()))
+            .then(b.quality_sum().cmp(&a.quality_sum()))
     }
 
-    /// Every `(device, service)` pair whose service name matches `name`,
-    /// best route first. (The ranking requires a sort, so the iterator is
-    /// backed by one internally collected vector; it exists so call sites
-    /// can stream the ranked results without a second allocation.)
-    pub fn service_providers<'a>(&'a self, name: &str) -> impl Iterator<Item = (&'a StoredDevice, &'a ServiceInfo)> {
+    /// Every device offering a service whose name matches `name`, with that
+    /// service, best route first. (The ranking requires a sort, so the
+    /// iterator is backed by one internally collected vector; it exists so
+    /// call sites can stream the ranked results without a second
+    /// allocation.)
+    pub fn service_providers<'a>(&'a self, name: &str) -> impl Iterator<Item = (DeviceAddress, &'a ServiceInfo)> {
         let mut providers = Vec::new();
         self.each_provider(name, |d, s| providers.push((d, s)));
         providers.sort_by(|(a, _), (b, _)| Self::provider_order(a, b));
-        providers.into_iter()
+        providers.into_iter().map(|(d, s)| (d.address, s))
     }
 
     /// The best-ranked provider of `name` — exactly
     /// `service_providers(name).next()`, but found in one allocation-
     /// free pass (a strict-minimum scan keeps the stable sort's tie-breaking:
     /// first in address order wins among equals).
-    pub fn best_service_provider(&self, name: &str) -> Option<(&StoredDevice, &ServiceInfo)> {
-        let mut best: Option<(&StoredDevice, &ServiceInfo)> = None;
+    pub fn best_service_provider(&self, name: &str) -> Option<(DeviceAddress, &ServiceInfo)> {
+        let mut best: Option<(&Row, &ServiceInfo)> = None;
         self.each_provider(name, |d, s| {
             if best.is_none_or(|(b, _)| Self::provider_order(d, b) == std::cmp::Ordering::Less) {
                 best = Some((d, s));
             }
         });
-        best
+        best.map(|(d, s)| (d.address, s))
     }
 
     /// Every device offering a service called `name`, with that service, in
-    /// address order. A fleet's rows share one service list, so the name is
-    /// searched for once per run of rows holding the same list.
-    fn each_provider<'a>(&'a self, name: &str, mut visit: impl FnMut(&'a StoredDevice, &'a ServiceInfo)) {
-        let mut previous: Option<(&Rc<[ServiceInfo]>, Option<&ServiceInfo>)> = None;
-        for d in self.devices() {
+    /// address order. A fleet's rows share one description, so the name is
+    /// searched for once per run of rows holding the same one.
+    fn each_provider<'a>(&'a self, name: &str, mut visit: impl FnMut(&'a Row, &'a ServiceInfo)) {
+        let mut previous: Option<(&Rc<Description>, Option<&ServiceInfo>)> = None;
+        for d in self.devices.iter() {
             let offered = match previous {
-                Some((list, offered)) if Rc::ptr_eq(list, &d.services) => offered,
-                _ => d.services.iter().find(|s| s.name == name),
+                Some((described, offered)) if Rc::ptr_eq(described, &d.description) => offered,
+                _ => d.description.services.iter().find(|s| s.name == name),
             };
-            previous = Some((&d.services, offered));
+            previous = Some((&d.description, offered));
             if let Some(s) = offered {
                 visit(d, s);
             }
@@ -419,8 +632,8 @@ impl DeviceStorage {
         };
         for d in &self.devices.rows {
             stats.direct_neighbors += usize::from(d.is_direct());
-            stats.max_jumps = stats.max_jumps.max(d.route.jumps);
-            stats.known_services += d.services.len();
+            stats.max_jumps = stats.max_jumps.max(d.jumps);
+            stats.known_services += d.description.services.len();
         }
         stats
     }
@@ -435,41 +648,81 @@ impl DeviceStorage {
         services: impl Into<Rc<[ServiceInfo]>>,
         now: SimTime,
     ) -> bool {
-        if info.address == self.own_address {
+        let seen = NeighborRecord {
+            info,
+            jumps: 0,
+            hop_qualities: Vec::new(),
+            services: services.into(),
+        };
+        self.observe(&seen, quality, now)
+    }
+
+    /// [`DeviceStorage::upsert_direct`] for a device read in place from the
+    /// response it sent: the node's own path. A neighbour that describes
+    /// itself as stored — or, on first contact, as its fleet does —
+    /// allocates nothing here.
+    pub fn upsert_direct_view(
+        &mut self,
+        device: wire::DeviceView<'_>,
+        services: wire::Services<'_>,
+        quality: u8,
+        now: SimTime,
+    ) -> bool {
+        let seen = wire::NeighborView {
+            info: device,
+            jumps: 0,
+            hop_qualities: &[],
+            services,
+        };
+        self.observe(seen, quality, now)
+    }
+
+    /// A device heard directly at `quality`, describing itself as `seen`
+    /// does (the record's route is not read: the route is the one hop).
+    fn observe<R: ReportRecord>(&mut self, seen: R, quality: u8, now: SimTime) -> bool {
+        let (address, mobility) = (seen.address(), seen.mobility());
+        if address == self.own_address {
             return false;
         }
-        let services = services.into();
         self.generation += 1;
-        let route = RouteInfo::direct(quality, info.mobility);
-        match find(&self.devices.index, key(info.address)) {
+        let threshold = self.quality_threshold;
+        let direct = |description, nearest_mobility| Row {
+            last_seen: now,
+            last_fetched: now,
+            description,
+            hops: HopQualities::prefixed(quality, &[]),
+            checksum: seen.checksum(),
+            missed_loops: 0,
+            address,
+            bridge: None,
+            jumps: 0,
+            mobility,
+            nearest_mobility,
+        };
+        match self.devices.place_of(address) {
             Ok(at) => {
                 let existing = self.devices.at_mut(at);
                 // A direct observation always supersedes an indirect route
-                // and refreshes a direct one.
-                if existing.route.jumps > 0 || candidate_replaces(&route, &existing.route, self.quality_threshold) {
-                    existing.route = route;
-                } else if existing.route.is_direct() {
-                    existing.route.hop_qualities = HopQualities::prefixed(quality, &[]);
-                }
-                existing.info = info;
-                existing.services = services;
-                existing.last_seen = now;
-                existing.last_fetched = now;
-                existing.missed_loops = 0;
+                // and refreshes a direct one, which stays ranked by the
+                // mobility it had unless the observation outranks it.
+                let nearest_mobility = if existing.beaten_by(0, mobility, quality, &[], threshold) {
+                    mobility
+                } else {
+                    existing.nearest_mobility
+                };
+                // A neighbour that still describes itself as stored keeps
+                // the stored description.
+                let description = seen.description(Some(&existing.description));
+                *existing = direct(description, nearest_mobility);
                 false
             }
             Err(at) => {
-                self.devices.insert_at(
-                    at,
-                    StoredDevice {
-                        info,
-                        route,
-                        services,
-                        last_seen: now,
-                        last_fetched: now,
-                        missed_loops: 0,
-                    },
-                );
+                // A first contact has no row to agree with; in a fleet the
+                // one next to it in address order will do.
+                let beside = self.devices.slots.get(at.saturating_sub(1));
+                let held = beside.map(|&slot| &self.devices.rows[slot as usize].description);
+                let description = seen.description(held);
+                self.devices.insert_at(at, direct(description, mobility));
                 true
             }
         }
@@ -480,24 +733,19 @@ impl DeviceStorage {
     /// when the service-checking interval has not elapsed yet).
     pub fn mark_responded(&mut self, address: DeviceAddress, quality: u8, now: SimTime) {
         if let Some(entry) = self.devices.get_mut(address) {
-            entry.last_seen = now;
-            entry.missed_loops = 0;
             // `last_seen`/`missed_loops` are invisible to the generation's
             // consumers (exports and handover candidates), so the counter
             // only moves when the exported hop quality actually changes —
             // keeping the encode-once inquiry-response cache warm across
             // steady cycles.
-            if entry.route.is_direct() && *entry.route.hop_qualities != [quality] {
-                self.generation += 1;
-                entry.route.hop_qualities = HopQualities::prefixed(quality, &[]);
-            }
+            self.generation += u64::from(entry.heard_at(quality, now));
         }
     }
 
     /// True if the device's full information should be re-fetched according
     /// to the service-checking interval.
     pub fn needs_recheck(&self, address: DeviceAddress, now: SimTime, interval: SimDuration) -> bool {
-        match self.get(address) {
+        match self.devices.get(address) {
             None => true,
             Some(entry) => now.saturating_since(entry.last_fetched) >= interval,
         }
@@ -524,12 +772,7 @@ impl DeviceStorage {
                 if now.saturating_since(entry.last_fetched) >= interval {
                     return true;
                 }
-                entry.last_seen = now;
-                entry.missed_loops = 0;
-                if entry.route.is_direct() && *entry.route.hop_qualities != [quality] {
-                    self.generation += 1;
-                    entry.route.hop_qualities = HopQualities::prefixed(quality, &[]);
-                }
+                self.generation += u64::from(entry.heard_at(quality, now));
                 false
             }
         }
@@ -590,18 +833,16 @@ impl DeviceStorage {
     ) -> Vec<DeviceAddress> {
         let mut added = Vec::new();
         self.generation += 1;
-        // What the responder's own entry holds, for new entries to share: in
-        // a fleet built from one configuration every device advertises the
-        // same name, technology list and service list, and a storage of
-        // hundreds of entries should hold them once.
-        let (like_info, like_services) = self
-            .get(responder)
-            .map(|d| (d.info.clone(), d.services.clone()))
-            .unzip();
+        // The description the responder's own row holds, for new rows to
+        // share: in a fleet built from one configuration every device
+        // advertises the same name, technology list and service list, and a
+        // storage of hundreds of rows should hold them once. Looked up by
+        // the first record that inserts a row.
+        let mut like: Option<Option<Rc<Description>>> = None;
         // The responder's reported-neighbour list is looked up (and, for a
         // first report, created) once, by the first record that needs it.
         let mut reporters = Some(&mut self.reporters);
-        let mut reported: Option<&mut Vec<(u64, u8)>> = None;
+        let mut reported: Option<&mut Vec<u64>> = None;
         // An exporter walks its index, so the records — and with them the
         // direct ones — come in address order: both tables are merged into.
         let (mut in_index, mut in_reported) = (MergeCursor::default(), MergeCursor::default());
@@ -628,72 +869,58 @@ impl DeviceStorage {
                     let reporters = reporters.take().expect("taken by the first direct record only");
                     &mut reporters.entry(responder).or_default().seen
                 });
-                let quality = hops.first().copied().unwrap_or(0);
-                match in_reported.find(reported, key(address)) {
-                    Ok(at) => reported[at].1 = quality,
-                    Err(at) => reported.insert(at, (key(address), quality)),
+                let claim = claim(key(address), hops.first().copied().unwrap_or(0));
+                match in_reported.find(reported, key(address), claimed) {
+                    Ok(at) => reported[at] = claim,
+                    Err(at) => reported.insert(at, claim),
                 }
             }
 
             // The candidate route is `[responder_quality] ++ record hops`
-            // through `responder`. It — like the device description and the
-            // service list — is only materialised when the candidate wins
-            // or the device is new.
-            let build_candidate = || {
-                let hop_qualities = HopQualities::prefixed(responder_quality, hops);
-                RouteInfo::via(responder, cand_jumps, hop_qualities, responder_mobility)
-            };
-
-            match in_index.find(&self.devices.index, key(address)) {
+            // through `responder`. It — like the description — is only
+            // materialised when the candidate wins or the device is new.
+            match in_index.find(&self.devices.keys, key(address), |k| *k) {
                 Err(at) => {
-                    self.devices.insert_at(
-                        at,
-                        StoredDevice {
-                            info: record.info(like_info.as_ref()),
-                            route: build_candidate(),
-                            services: record.services(like_services.as_ref()),
-                            last_seen: now,
-                            last_fetched: now,
-                            missed_loops: 0,
-                        },
-                    );
+                    let devices = &self.devices;
+                    let like = like.get_or_insert_with(|| devices.get(responder).map(|r| r.description.clone()));
+                    let row = Row {
+                        last_seen: now,
+                        last_fetched: now,
+                        description: record.description(like.as_ref()),
+                        hops: HopQualities::prefixed(responder_quality, hops),
+                        checksum: record.checksum(),
+                        missed_loops: 0,
+                        address,
+                        bridge: Some(responder),
+                        jumps: cand_jumps,
+                        mobility: record.mobility(),
+                        nearest_mobility: responder_mobility,
+                    };
+                    self.devices.insert_at(at, row);
                     added.push(address);
                 }
                 Ok(at) => {
                     let existing = self.devices.at_mut(at);
                     existing.last_seen = now;
-                    // Merge any newly advertised services. The list is
-                    // shared, so it is rebuilt (copy-on-write) only when a
-                    // genuinely new service appears — the steady state, where
-                    // reports repeat known services, touches nothing.
-                    let fresh = record.services_unknown_to(&existing.services);
+                    // Merge any newly advertised services. The description
+                    // is shared, so this row gets one of its own only when a
+                    // genuinely new service appears — the steady state,
+                    // where reports repeat known services, touches nothing.
+                    let held = &existing.description;
+                    let fresh = record.services_unknown_to(&held.services);
                     if !fresh.is_empty() {
-                        existing.services = existing.services.iter().cloned().chain(fresh).collect();
+                        existing.description = Rc::new(Description {
+                            name: held.name.clone(),
+                            techs: held.techs.clone(),
+                            services: held.services.iter().cloned().chain(fresh).collect(),
+                        });
                     }
-                    // The `candidate_replaces` comparison chain of Fig. 3.13,
-                    // evaluated without building the candidate: jumps, then
-                    // nearest mobility, then the Fig. 3.9 quality rule over
-                    // the prefixed hop list.
-                    let current = &existing.route;
-                    let replaces = if cand_jumps != current.jumps {
-                        cand_jumps < current.jumps
-                    } else if responder_mobility.value() != current.nearest_mobility.value() {
-                        responder_mobility.value() < current.nearest_mobility.value()
-                    } else {
-                        let threshold = self.quality_threshold;
-                        let cand_ok = responder_quality >= threshold && hops.iter().all(|&q| q >= threshold);
-                        let curr_ok = route_acceptable(&current.hop_qualities, threshold);
-                        match (cand_ok, curr_ok) {
-                            (true, false) => true,
-                            (false, _) => false,
-                            (true, true) => {
-                                let cand_sum = responder_quality as u32 + hops.iter().map(|&q| q as u32).sum::<u32>();
-                                cand_sum > current.quality_sum()
-                            }
-                        }
-                    };
-                    if replaces {
-                        existing.route = build_candidate();
+                    let threshold = self.quality_threshold;
+                    if existing.beaten_by(cand_jumps, responder_mobility, responder_quality, hops, threshold) {
+                        existing.hops = HopQualities::prefixed(responder_quality, hops);
+                        existing.bridge = Some(responder);
+                        existing.jumps = cand_jumps;
+                        existing.nearest_mobility = responder_mobility;
                     }
                 }
             }
@@ -722,19 +949,19 @@ impl DeviceStorage {
         // so the counter is bumped further down, only when an entry is
         // actually removed.
         let mut to_remove: Vec<DeviceAddress> = Vec::new();
-        for &(_, slot) in &self.devices.index {
-            let entry = &mut self.devices.rows[slot];
+        for &slot in &self.devices.slots {
+            let entry = &mut self.devices.rows[slot as usize];
             if entry.is_direct() {
-                if responded.binary_search(&entry.info.address).is_ok() {
+                if responded.binary_search(&entry.address).is_ok() {
                     entry.missed_loops = 0;
                 } else {
                     entry.missed_loops += 1;
                     if entry.missed_loops > max_missed_loops {
-                        to_remove.push(entry.info.address);
+                        to_remove.push(entry.address);
                     }
                 }
             } else if now.saturating_since(entry.last_seen) > stale_timeout {
-                to_remove.push(entry.info.address);
+                to_remove.push(entry.address);
             }
         }
         for addr in to_remove {
@@ -752,11 +979,8 @@ impl DeviceStorage {
         self.generation += 1;
         self.maybe_orphans = false;
         loop {
-            let orphaned: Vec<DeviceAddress> = self
-                .devices()
-                .filter(|e| e.route.bridge.is_some_and(|bridge| self.get(bridge).is_none()))
-                .map(|e| e.info.address)
-                .collect();
+            let bridge_gone = |e: &&Row| e.bridge.is_some_and(|bridge| !self.contains(bridge));
+            let orphaned: Vec<DeviceAddress> = self.devices.iter().filter(bridge_gone).map(|e| e.address).collect();
             if orphaned.is_empty() {
                 break;
             }
@@ -765,6 +989,7 @@ impl DeviceStorage {
                 removed.push(addr);
             }
         }
+        self.devices.give_back();
         removed
     }
 
@@ -788,7 +1013,7 @@ impl DeviceStorage {
     pub fn remove(&mut self, address: DeviceAddress) -> Option<StoredDevice> {
         self.generation += 1;
         self.maybe_orphans = true;
-        self.erase(address)
+        self.erase(address).as_ref().map(StoredDevice::from)
     }
 
     /// Direct neighbours that have reported `target` as *their* direct
@@ -802,15 +1027,14 @@ impl DeviceStorage {
         // storage: a candidate must have filed a neighbour report, and both
         // maps iterate in address order, so the result list is identical to
         // the historical full-storage scan.
-        let target_key = key(target);
         let mut candidates: Vec<(DeviceAddress, u8, u8)> = self
             .reporters
             .iter()
             .filter(|(responder, _)| **responder != target)
-            .filter_map(|(responder, Reporter { seen, .. })| {
-                let reported = seen[find(seen, target_key).ok()?].1;
-                let d = self.get(*responder).filter(|d| d.is_direct())?;
-                Some((*responder, d.route.first_hop_quality(), reported))
+            .filter_map(|(responder, reporter)| {
+                let reported = reporter.claimed_quality(target)?;
+                let d = self.devices.get(*responder).filter(|d| d.is_direct())?;
+                Some((*responder, d.hops.first().copied().unwrap_or(0), reported))
             })
             .collect();
         candidates.sort_by_key(|(_, ours, theirs)| std::cmp::Reverse(*ours as u32 + *theirs as u32));
@@ -819,8 +1043,7 @@ impl DeviceStorage {
 
     /// The quality `responder` last reported for `neighbor`, if any.
     pub fn reported_quality(&self, responder: DeviceAddress, neighbor: DeviceAddress) -> Option<u8> {
-        let seen = &self.reporters.get(&responder)?.seen;
-        Some(seen[find(seen, key(neighbor)).ok()?].1)
+        self.reporters.get(&responder)?.claimed_quality(neighbor)
     }
 
     /// Clears every entry (used when the daemon restarts). Reputation
@@ -828,7 +1051,7 @@ impl DeviceStorage {
     /// armed/disarmed limit is configuration and survives.
     pub fn clear(&mut self) {
         self.generation += 1;
-        self.devices = Table::default();
+        *self.devices = Table::default();
         self.reporters.clear();
     }
 }
@@ -836,8 +1059,10 @@ impl DeviceStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::{candidate_replaces, INLINE_HOPS};
     use simnet::rng::SimRng;
-    use simnet::{NodeId, RadioTech};
+    use simnet::NodeId;
+    use std::collections::BTreeSet;
 
     fn addr(n: u64) -> DeviceAddress {
         DeviceAddress::from_node_raw(n)
@@ -866,6 +1091,16 @@ mod tests {
     }
 
     const T0: SimTime = SimTime::ZERO;
+
+    #[test]
+    fn a_row_is_one_cache_line() {
+        assert_eq!(
+            std::mem::size_of::<Row>(),
+            64,
+            "a city node knows hundreds of devices and the table is most of its memory: \
+             a field added to the row is paid for by every one of them"
+        );
+    }
 
     #[test]
     fn upsert_direct_inserts_and_refreshes() {
@@ -1208,9 +1443,9 @@ mod tests {
         assert_eq!(providers.len(), 3);
         // Direct routes come first; among them the static device wins; the
         // one-jump provider is last.
-        assert_eq!(providers[0].0.info.address, addr(2));
-        assert_eq!(providers[1].0.info.address, addr(1));
-        assert_eq!(providers[2].0.info.address, addr(3));
+        assert_eq!(providers[0].0, addr(2));
+        assert_eq!(providers[1].0, addr(1));
+        assert_eq!(providers[2].0, addr(3));
         assert!(s.service_providers("nothing").next().is_none());
     }
 
@@ -1453,7 +1688,11 @@ mod tests {
 
         fn service_providers(&self, name: &str) -> Vec<(DeviceAddress, ServiceInfo)> {
             let mut providers: Vec<&StoredDevice> = self.devices.values().filter(|d| d.offers(name)).collect();
-            providers.sort_by(|a, b| DeviceStorage::provider_order(a, b));
+            let rank = |d: &StoredDevice| {
+                let quality = std::cmp::Reverse(d.route.quality_sum());
+                (d.route.jumps, d.route.nearest_mobility.value(), quality)
+            };
+            providers.sort_by_key(|d| rank(d));
             let named = |d: &StoredDevice| d.services.iter().find(|s| s.name == name).cloned();
             providers
                 .into_iter()
@@ -1462,16 +1701,44 @@ mod tests {
         }
     }
 
+    /// A device of the small address pool as it might describe itself this
+    /// time: mostly the way the fleet does, so that rows come to share a
+    /// description, now and then with a name or a technology list of its
+    /// own — and the other way round the next time it is drawn.
+    fn random_device(rng: &mut SimRng) -> DeviceInfo {
+        let n = rng.range(0u64..24);
+        let name = if rng.chance(0.7) {
+            "metro".into()
+        } else {
+            format!("dev{n}")
+        };
+        let techs: &[RadioTech] = if rng.chance(0.8) {
+            &[RadioTech::Bluetooth]
+        } else {
+            &[RadioTech::Wlan, RadioTech::Bluetooth]
+        };
+        DeviceInfo::new(NodeId::from_raw(n), name, random_mobility(rng), techs)
+    }
+
     /// Random neighbour records over a small address pool: 0–40 hops whatever
-    /// the jump count says, the owner named now and then, sorted as an
-    /// exporter sends them, or shuffled, or with records repeated.
+    /// the jump count says — or just short of, at and just past what a row
+    /// holds inline once our hop is in front, or all 255 a frame can carry —
+    /// the owner named now and then, sorted as an exporter sends them, or
+    /// shuffled, or with records repeated.
     fn random_records(rng: &mut SimRng, service_lists: &[Rc<[ServiceInfo]>]) -> Vec<NeighborRecord> {
         let mut records: Vec<NeighborRecord> = (0..rng.range(0usize..14))
-            .map(|_| NeighborRecord {
-                info: info(rng.range(0u64..24), random_mobility(rng)),
-                jumps: if rng.chance(0.1) { 255 } else { rng.range(0u8..4) },
-                hop_qualities: (0..rng.range(0usize..=40)).map(|_| rng.range(200u8..=255)).collect(),
-                services: service_lists[rng.index(service_lists.len())].clone(),
+            .map(|_| {
+                let hops = match rng.range(0u8..10) {
+                    0 => rng.range(INLINE_HOPS - 2..=INLINE_HOPS),
+                    1 => 255,
+                    _ => rng.range(0usize..=40),
+                };
+                NeighborRecord {
+                    info: random_device(rng),
+                    jumps: if rng.chance(0.1) { 255 } else { rng.range(0u8..4) },
+                    hop_qualities: (0..hops).map(|_| rng.range(200u8..=255)).collect(),
+                    services: service_lists[rng.index(service_lists.len())].clone(),
+                }
             })
             .collect();
         match rng.range(0u8..3) {
@@ -1503,6 +1770,10 @@ mod tests {
         ];
         let modes = [DiscoveryMode::DirectOnly, DiscoveryMode::TwoHop, DiscoveryMode::Dynamic];
         let interval = SimDuration::from_secs(30);
+        // What the generators must have reached by the end: stored hop lists
+        // of these lengths, and service merges on rows sharing a description.
+        let mut hop_list_lengths = BTreeSet::new();
+        let mut merges_on_shared_rows = 0;
         for seed in 0..8 {
             let mut rng = SimRng::new(0x7AB1E + seed);
             let mut s = storage();
@@ -1523,14 +1794,31 @@ mod tests {
                 let at = format!("seed {seed} step {step}");
                 match rng.range(0u8..13) {
                     0..=2 => {
-                        let device = info(rng.range(0u64..24), random_mobility(&mut rng));
+                        let device = random_device(&mut rng);
                         let services = service_lists[rng.index(4)].clone();
-                        let new = s.upsert_direct(device.clone(), quality, services.clone(), now);
+                        let new = if rng.chance(0.5) {
+                            s.upsert_direct(device.clone(), quality, services.clone(), now)
+                        } else {
+                            let frame = wire::encode(&crate::proto::Message::InquiryResponse {
+                                device: device.clone(),
+                                services: services.to_vec(),
+                                neighbors: vec![],
+                                bridge_load_percent: 0,
+                            });
+                            let heard = wire::view_inquiry_response(&frame).unwrap();
+                            s.upsert_direct_view(heard.device, heard.services, quality, now)
+                        };
                         assert_eq!(new, m.upsert_direct(device, quality, services, now), "{at}");
                     }
                     3..=6 => {
-                        let responder = info(rng.range(0u64..24), random_mobility(&mut rng));
+                        let responder = random_device(&mut rng);
                         let records = random_records(&mut rng, &service_lists);
+                        merges_on_shared_rows += records
+                            .iter()
+                            .filter_map(|r| Some((r, s.devices.get(r.info.address)?)))
+                            .filter(|(_, row)| Rc::strong_count(&row.description) > 1)
+                            .filter(|(r, row)| !(*r).services_unknown_to(&row.description.services).is_empty())
+                            .count();
                         let mode = modes[rng.index(3)];
                         let added = if rng.chance(0.5) {
                             s.integrate_neighbor_report(
@@ -1580,7 +1868,8 @@ mod tests {
                     }
                     _ => {}
                 }
-                assert!(s.devices().eq(m.devices.values()), "{at}");
+                assert!(s.devices().eq(m.devices.values().cloned()), "{at}");
+                hop_list_lengths.extend(s.devices.rows.iter().map(|row| row.hops.len()));
                 assert_eq!(s.len(), m.devices.len(), "{at}");
                 assert_eq!(s.generation(), m.generation, "{at}");
                 let idle = Reporter::default();
@@ -1589,7 +1878,7 @@ mod tests {
                     "{at}: a reporter with nothing to say was kept"
                 );
                 for target in (0..24).map(addr) {
-                    assert_eq!(s.get(target), m.devices.get(&target), "{at}");
+                    assert_eq!(s.get(target), m.devices.get(&target).cloned(), "{at}");
                     let penalties = m.penalties.get(&target).copied().unwrap_or(0);
                     assert_eq!(s.reporter_penalty(target), penalties, "{at}");
                     let candidates: Vec<_> = s.handover_candidates_iter(target).collect();
@@ -1600,7 +1889,7 @@ mod tests {
                     }
                 }
                 for name in ["echo", "print", "nothing"] {
-                    let flat = |(d, svc): (&StoredDevice, &ServiceInfo)| (d.info.address, svc.clone());
+                    let flat = |(provider, svc): (DeviceAddress, &ServiceInfo)| (provider, svc.clone());
                     let expected = m.service_providers(name);
                     assert_eq!(
                         s.service_providers(name).map(flat).collect::<Vec<_>>(),
@@ -1615,6 +1904,13 @@ mod tests {
                 }
             }
         }
+        for reached in [1, INLINE_HOPS - 1, INLINE_HOPS, INLINE_HOPS + 1, 256] {
+            assert!(hop_list_lengths.contains(&reached), "no stored route of {reached} hops");
+        }
+        assert!(
+            merges_on_shared_rows > 20,
+            "{merges_on_shared_rows} service merges on shared rows"
+        );
     }
 
     #[test]

@@ -140,12 +140,22 @@ impl<'a> Writer<'a> {
         });
     }
     fn device(&mut self, d: &DeviceInfo) {
-        self.address(d.address);
-        self.string(&d.name);
-        self.u8(d.mobility.value());
-        self.u32(d.checksum.0);
-        self.u8(d.techs.len() as u8);
-        for t in d.techs.iter() {
+        self.device_fields(d.address, &d.name, d.mobility, d.checksum, &d.techs);
+    }
+    fn device_fields(
+        &mut self,
+        address: DeviceAddress,
+        name: &str,
+        mobility: MobilityClass,
+        checksum: Checksum,
+        techs: &[RadioTech],
+    ) {
+        self.address(address);
+        self.string(name);
+        self.u8(mobility.value());
+        self.u32(checksum.0);
+        self.u8(techs.len() as u8);
+        for t in techs {
             self.tech(*t);
         }
     }
@@ -172,6 +182,44 @@ fn tech_from_byte(byte: u8) -> Option<RadioTech> {
         1 => Some(RadioTech::Wlan),
         2 => Some(RadioTech::Gprs),
         _ => None,
+    }
+}
+
+/// One neighbour record borrowed from whatever holds it — a
+/// [`NeighborRecord`] or a row of the device storage, which keeps these
+/// fields apart — as [`InquiryResponseWriter::neighbor`] writes it.
+#[derive(Debug, Clone, Copy)]
+pub struct NeighborRef<'a> {
+    /// The advertised device's address.
+    pub address: DeviceAddress,
+    /// Its human-readable name.
+    pub name: &'a str,
+    /// Its mobility classification.
+    pub mobility: MobilityClass,
+    /// Its daemon process-id checksum.
+    pub checksum: Checksum,
+    /// The radio technologies its plugins cover.
+    pub techs: &'a [RadioTech],
+    /// Jump count as seen from the exporting device.
+    pub jumps: u8,
+    /// Per-hop qualities along the exporter's route, nearest hop first.
+    pub hop_qualities: &'a [u8],
+    /// Services the device offers.
+    pub services: &'a [ServiceInfo],
+}
+
+impl<'a> From<&'a NeighborRecord> for NeighborRef<'a> {
+    fn from(n: &'a NeighborRecord) -> Self {
+        NeighborRef {
+            address: n.info.address,
+            name: &n.info.name,
+            mobility: n.info.mobility,
+            checksum: n.info.checksum,
+            techs: &n.info.techs,
+            jumps: n.jumps,
+            hop_qualities: &n.hop_qualities,
+            services: &n.services,
+        }
     }
 }
 
@@ -208,14 +256,14 @@ impl<'a> InquiryResponseWriter<'a> {
     }
 
     /// Appends one neighbour record.
-    pub fn neighbor(&mut self, info: &DeviceInfo, jumps: u8, hop_qualities: &[u8], services: &[ServiceInfo]) {
+    pub fn neighbor(&mut self, n: NeighborRef<'_>) {
         let w = &mut self.w;
-        w.device(info);
-        w.u8(jumps);
-        w.u8(hop_qualities.len() as u8);
-        w.buf.extend_from_slice(hop_qualities);
-        w.u16(services.len() as u16);
-        for s in services {
+        w.device_fields(n.address, n.name, n.mobility, n.checksum, n.techs);
+        w.u8(n.jumps);
+        w.u8(n.hop_qualities.len() as u8);
+        w.buf.extend_from_slice(n.hop_qualities);
+        w.u16(n.services.len() as u16);
+        for s in n.services {
             w.service(s);
         }
         self.count += 1;
@@ -395,25 +443,35 @@ impl<'a> DeviceView<'a> {
             .map(|&b| tech_from_byte(b).expect("tech bytes were validated when the view was parsed"))
     }
 
-    /// The owned description. Where `like` — a description the caller
-    /// already holds — has the same name or technology list, its `Rc` is
-    /// shared instead of a new one allocated ([`DeviceInfo`] compares and
-    /// encodes contents, so the sharing is invisible).
-    pub fn to_info(&self, like: Option<&DeviceInfo>) -> DeviceInfo {
-        let name = match like {
-            Some(like) if *like.name == *self.name => like.name.clone(),
+    /// The name as an owned string: `like`'s own `Rc` when it reads the same
+    /// ([`DeviceInfo`] compares and encodes contents, so the sharing is
+    /// invisible), a new one otherwise.
+    pub fn shared_name(&self, like: Option<&Rc<str>>) -> Rc<str> {
+        match like {
+            Some(like) if **like == *self.name => like.clone(),
             _ => self.name.into(),
-        };
-        let techs = match like {
-            Some(like) if self.techs().eq(like.techs.iter().copied()) => like.techs.clone(),
+        }
+    }
+
+    /// The technology list, shared with `like` as [`DeviceView::shared_name`]
+    /// shares the name.
+    pub fn shared_techs(&self, like: Option<&Rc<[RadioTech]>>) -> Rc<[RadioTech]> {
+        match like {
+            Some(like) if self.techs().eq(like.iter().copied()) => like.clone(),
             _ => self.techs().collect(),
-        };
+        }
+    }
+
+    /// The owned description, sharing the name and the technology list of
+    /// `like` — a description the caller already holds — where they are
+    /// equal.
+    pub fn to_info(&self, like: Option<&DeviceInfo>) -> DeviceInfo {
         DeviceInfo {
             address: self.address,
-            name,
+            name: self.shared_name(like.map(|l| &l.name)),
             mobility: self.mobility,
             checksum: self.checksum,
-            techs,
+            techs: self.shared_techs(like.map(|l| &l.techs)),
         }
     }
 }
@@ -603,7 +661,7 @@ pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
         } => {
             let mut report = InquiryResponseWriter::begin(w.buf, device, services);
             for n in neighbors {
-                report.neighbor(&n.info, n.jumps, &n.hop_qualities, &n.services);
+                report.neighbor(n.into());
             }
             report.finish(*bridge_load_percent);
         }

@@ -1,7 +1,9 @@
 //! The neighbour-report path's properties, pinned where tier-1 sees them: a
 //! report that teaches the storage nothing — or only better routes — allocates
 //! nothing, what a report does teach is stored once per fleet, not once per
-//! entry, and a new row costs table growth, not an allocation of its own.
+//! entry, and a new row costs table growth, not an allocation of its own — nor
+//! more than a cache line and a half of live heap, which the table gives back
+//! when it empties.
 //! Plus the serving side's reference check: the reply streamed from the storage is the
 //! frame `wire::encode` writes for the message built record by record.
 
@@ -12,36 +14,48 @@ use std::rc::Rc;
 use peerhood::config::{DiscoveryMode, PeerHoodConfig};
 use peerhood::daemon::{Daemon, BRIDGE_SERVICE_NAME};
 use peerhood::device::{DeviceInfo, MobilityClass};
+use peerhood::ids::DeviceAddress;
 use peerhood::proto::{Message, NeighborRecord};
 use peerhood::service::ServiceInfo;
 use peerhood::storage::StoredDevice;
 use peerhood::wire;
 use simnet::rng::SimRng;
-use simnet::{NodeId, RadioTech, SimTime};
+use simnet::{NodeId, RadioTech, SimDuration, SimTime};
 
 thread_local! {
     /// Allocations made by this thread (`cargo test` runs tests in parallel,
     /// so a process-wide count would see the neighbours' work).
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed, counted the same way
+    /// (what another thread frees is not seen: the tests that read it keep
+    /// their storage on one thread).
+    static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn live_bytes_moved(freed: usize, allocated: usize) {
+    LIVE_BYTES.with(|n| n.set(n.get().wrapping_sub(freed).wrapping_add(allocated)));
 }
 
 struct Counting;
 
 // SAFETY: every call is forwarded to `System` unchanged; the only addition is
-// a bump of a const-initialised, destructor-free thread-local `Cell`, which
+// arithmetic on const-initialised, destructor-free thread-local `Cell`s, which
 // neither allocates nor can be observed by the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        live_bytes_moved(0, layout.size());
         // SAFETY: the caller's contract for `alloc` is `System::alloc`'s.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live_bytes_moved(layout.size(), 0);
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        live_bytes_moved(layout.size(), new_size);
         // SAFETY: as for `dealloc`, and the caller upholds `realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -54,6 +68,11 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let result = f();
     (ALLOCATIONS.with(Cell::get) - before, result)
+}
+
+/// Bytes the calling thread holds on the heap now, beyond `baseline`.
+fn live_bytes_since(baseline: usize) -> usize {
+    LIVE_BYTES.with(Cell::get).wrapping_sub(baseline)
 }
 
 /// A device of one fleet: every node advertises the same name, technology
@@ -69,9 +88,14 @@ fn fleet_services() -> Vec<ServiceInfo> {
 /// The frame responder 1 sends: itself plus `devices` devices from 100 up at
 /// 0–2 jumps, every hop at `quality`.
 fn fleet_report(devices: u64, quality: u8) -> Vec<u8> {
+    fleet_report_from(100, devices, quality)
+}
+
+/// [`fleet_report`] about the devices from `first` up.
+fn fleet_report_from(first: u64, devices: u64, quality: u8) -> Vec<u8> {
     let neighbors = (0..devices)
         .map(|i| NeighborRecord {
-            info: fleet_device(100 + i),
+            info: fleet_device(first + i),
             jumps: (i % 3) as u8,
             hop_qualities: vec![quality; (i % 3) as usize + 1],
             services: fleet_services().into(),
@@ -98,19 +122,13 @@ fn a_report_of_known_devices_allocates_nothing_in_the_storage() {
     let learned = d.process_inquiry_response(&report, false, 235, &cfg, SimTime::ZERO);
     assert_eq!(learned.len(), 26, "the responder and its 25 records");
 
-    // The same report again, one inquiry cycle later: every device is known
-    // and no route is beaten. Reading the frame and folding its records into
-    // the storage must not touch the heap.
+    // The same report again, one inquiry cycle later: the responder still
+    // describes itself as stored, every device is known and no route is
+    // beaten. Reading the frame and folding it into the storage — the
+    // responder's own row and its records — must not touch the heap.
     let (allocations, learned) = allocations_in(|| {
         let report = wire::view_inquiry_response(&frame).unwrap();
-        d.storage_mut().integrate_neighbor_views(
-            report.device.address,
-            235,
-            report.device.mobility,
-            report.neighbors.clone(),
-            DiscoveryMode::Dynamic,
-            SimTime::from_secs(10),
-        )
+        d.process_inquiry_response(&report, false, 235, &cfg, SimTime::from_secs(10))
     });
     assert!(learned.is_empty());
     assert_eq!(allocations, 0, "the steady-state report path allocated");
@@ -173,12 +191,12 @@ fn new_rows_cost_table_growth_not_an_allocation_each() {
     });
     assert_eq!(learned.len() as u64, NEW);
     // Same fleet: descriptions are the responder's, hop lists live in the
-    // rows. What is left is the doubling of four vectors (rows, index, the
-    // responder's reported list, the returned addresses).
+    // rows. What is left is the doubling of five vectors (rows, the index's
+    // two columns, the responder's reported list, the returned addresses).
     assert!(allocations < NEW / 4, "{allocations} allocations for {NEW} new rows");
     assert!(
         std::mem::size_of::<StoredDevice>() <= 128,
-        "a row outgrew two cache lines"
+        "the value the storage hands out (its row is pinned in-crate) outgrew two cache lines"
     );
 }
 
@@ -197,6 +215,11 @@ fn entries_learned_from_a_same_fleet_report_share_the_responders_description() {
         assert!(Rc::ptr_eq(&entry.info.name, &responder.info.name), "name of {n}");
         assert!(Rc::ptr_eq(&entry.info.techs, &responder.info.techs), "techs of {n}");
         assert!(Rc::ptr_eq(&entry.services, &responder.services), "services of {n}");
+        // One pointer in the row, not three that happen to agree.
+        let shared = d
+            .storage()
+            .shares_description(fleet_device(n).address, fleet_device(1).address);
+        assert!(shared, "description of {n}");
     }
 
     // A record that differs is stored as sent, not as the responder's.
@@ -222,6 +245,84 @@ fn entries_learned_from_a_same_fleet_report_share_the_responders_description() {
     let entry = d.storage().get(stranger.info.address).unwrap();
     assert_eq!(entry.info, stranger.info);
     assert_eq!(entry.services, stranger.services);
+    assert!(!d
+        .storage()
+        .shares_description(stranger.info.address, fleet_device(1).address));
+}
+
+/// Responder 1's report about `devices` devices from `first` up, folded into
+/// `d` the way the node does it.
+fn hear_fleet_report(d: &mut Daemon, first: u64, devices: u64, now: SimTime) -> Vec<DeviceAddress> {
+    let frame = fleet_report_from(first, devices, 240);
+    let report = wire::view_inquiry_response(&frame).unwrap();
+    let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
+    d.process_inquiry_response(&report, false, 235, &cfg, now)
+}
+
+#[test]
+fn a_known_device_weighs_a_cache_line_and_a_half() {
+    const KNOWN: usize = 500;
+    let baseline = live_bytes_since(0);
+    let mut d = daemon();
+    let empty = live_bytes_since(baseline);
+    // The table of a walker in a dense district: built up report by report,
+    // every record of the responder's own fleet.
+    for batch in 0..20 {
+        hear_fleet_report(&mut d, 100 + batch * 25, 25, SimTime::ZERO);
+    }
+    assert_eq!(d.stats().known_devices, KNOWN + 1, "500 devices and their reporter");
+    let per_device = (live_bytes_since(baseline) - empty) / KNOWN;
+    // A 64-byte row and 12 bytes of index, the vectors' room to grow (none
+    // is ever less than half full), a third of the devices claimed as direct
+    // neighbours at 8 bytes, and one description for all of them.
+    assert!(per_device <= 96, "{per_device} bytes of live heap per known device");
+}
+
+#[test]
+fn a_table_gives_memory_back_when_it_empties() {
+    let baseline = live_bytes_since(0);
+    let mut d = daemon();
+    // 999 devices through one reporter; 950 of them are never heard of
+    // again, 49 are re-announced a minute later.
+    for batch in 0..37 {
+        hear_fleet_report(&mut d, 100 + batch * 27, 27, SimTime::ZERO);
+    }
+    assert_eq!(d.stats().known_devices, 1000);
+    let at_peak = live_bytes_since(baseline);
+    let survivors = hear_fleet_report(&mut d, 500, 49, SimTime::from_secs(60));
+    assert!(survivors.is_empty(), "all known already");
+
+    let generation = d.storage().generation();
+    {
+        let mut removed = d.storage_mut().age_cycle(
+            &mut [fleet_device(1).address],
+            SimTime::from_secs(90),
+            3,
+            SimDuration::from_secs(60),
+        );
+        removed.sort_unstable();
+        let gone = |n: &u64| !(500..549).contains(n);
+        let expected: Vec<DeviceAddress> = (100..1099).filter(gone).map(|n| fleet_device(n).address).collect();
+        assert_eq!(removed, expected);
+    }
+    let after = live_bytes_since(baseline);
+    assert!(
+        after * 4 <= at_peak,
+        "{after} bytes held for 50 devices after {at_peak} for 1 000"
+    );
+
+    // Nothing but the memory moved: one aging step, the same 50 rows in
+    // address order, and the table takes the next report as any other would.
+    assert_eq!(d.storage().generation(), generation + 1);
+    let known: Vec<DeviceAddress> = d.storage().devices().map(|e| e.info.address).collect();
+    let kept = std::iter::once(1).chain(500..549).map(|n| fleet_device(n).address);
+    assert_eq!(known, kept.collect::<Vec<_>>());
+    let learned = hear_fleet_report(&mut d, 540, 20, SimTime::from_secs(100));
+    let new: Vec<DeviceAddress> = (549..560).map(|n| fleet_device(n).address).collect();
+    assert_eq!(learned, new);
+    assert_eq!(d.stats().known_devices, 61);
+    let route = d.storage().get(fleet_device(545).address).unwrap().route;
+    assert_eq!(route.bridge, Some(fleet_device(1).address));
 }
 
 #[test]
