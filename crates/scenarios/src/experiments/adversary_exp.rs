@@ -32,13 +32,14 @@
 
 use std::rc::Rc;
 
-use peerhood::config::{DiscoveryMode, PeerHoodConfig, SecurityConfig};
+use peerhood::config::{PeerHoodConfig, SecurityConfig};
 use peerhood::hostile::{ProtocolForge, HOSTILE_BASE};
 use peerhood::node::PeerHoodNode;
 use peerhood::security::SecurityStats;
 use simnet::prelude::*;
 use simnet::telemetry::Fnv1a;
 
+use crate::experiments::full_stack::wlan_city_config;
 use crate::experiments::params::{count, seconds, Param};
 use crate::report::ExperimentReport;
 
@@ -194,10 +195,7 @@ impl AdversarySettings {
 /// spread the way the thesis intends honest ones to) and the tier's
 /// security configuration applied fleet-wide.
 fn city_config(settings: &AdversarySettings, defense: Defense) -> Rc<PeerHoodConfig> {
-    let mut cfg = PeerHoodConfig::new("hostile-city", peerhood::device::MobilityClass::Static);
-    cfg.techs = vec![RadioTech::Wlan];
-    cfg.discovery.mode = DiscoveryMode::TwoHop;
-    cfg.discovery.inquiry_interval = settings.inquiry_interval;
+    let mut cfg = wlan_city_config("hostile-city", settings.inquiry_interval);
     // Short re-fetch and staleness horizons: neighbours keep re-reading
     // each other all run, so poisoned reports keep landing (off) — and stop
     // being refreshed once their reporter is blocked, at which point the
@@ -210,9 +208,6 @@ fn city_config(settings: &AdversarySettings, defense: Defense) -> Rc<PeerHoodCon
     // providers, so the poison only bites once the real thing is gone.
     cfg.discovery.max_missed_loops = 3;
     cfg.discovery.max_export_jumps = 1;
-    cfg.monitor.interval = SimDuration::from_secs(10);
-    cfg.monitor.quality_threshold = 190;
-    cfg.handover.max_routing_attempts = 1;
     cfg.security = defense.security();
     Rc::new(cfg)
 }

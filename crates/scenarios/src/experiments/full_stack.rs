@@ -71,10 +71,10 @@ const PING_TIMER: u64 = 0x3E70;
 /// matching `Rc` with every node via
 /// [`PeerHoodNodeBuilder::config_shared`](peerhood::node::PeerHoodNodeBuilder::config_shared).
 pub fn metro_configs(inquiry_interval: SimDuration) -> (Rc<PeerHoodConfig>, Rc<PeerHoodConfig>) {
-    let static_cfg = metro_config_with(inquiry_interval, peerhood::device::MobilityClass::Static);
-    let mut mobile = (*static_cfg).clone();
+    let fixed = wlan_city_config("metro", inquiry_interval);
+    let mut mobile = fixed.clone();
     mobile.mobility = peerhood::device::MobilityClass::Dynamic;
-    (static_cfg, Rc::new(mobile))
+    (Rc::new(fixed), Rc::new(mobile))
 }
 
 /// The agent factory of a city under `stack`, from "does this node walk":
@@ -96,8 +96,10 @@ pub fn city_agents(
     }
 }
 
-fn metro_config_with(inquiry_interval: SimDuration, mobility: peerhood::device::MobilityClass) -> Rc<PeerHoodConfig> {
-    let mut cfg = PeerHoodConfig::new("metro", mobility);
+/// The stationary node of a dense WLAN city, fleet `name`: the tuning the
+/// full-stack cities share (E15 as is; E16 and E19 set what they change).
+pub(crate) fn wlan_city_config(name: &str, inquiry_interval: SimDuration) -> PeerHoodConfig {
+    let mut cfg = PeerHoodConfig::new(name, peerhood::device::MobilityClass::Static);
     cfg.techs = vec![RadioTech::Wlan];
     cfg.discovery.mode = DiscoveryMode::TwoHop;
     cfg.discovery.inquiry_interval = inquiry_interval;
@@ -129,7 +131,7 @@ fn metro_config_with(inquiry_interval: SimDuration, mobility: peerhood::device::
     // peer beats growing a relay chain, and every avoided bridge is one
     // less pair of links to check, relay through and eventually break.
     cfg.handover.max_routing_attempts = 1;
-    Rc::new(cfg)
+    cfg
 }
 
 /// The application of a full-stack city node: every device both offers and

@@ -25,7 +25,7 @@
 use std::rc::Rc;
 
 use peerhood::application::Application;
-use peerhood::config::{DiscoveryMode, PeerHoodConfig};
+use peerhood::config::PeerHoodConfig;
 use peerhood::error::PeerHoodError;
 use peerhood::ids::{ConnectionId, DeviceAddress};
 use peerhood::node::{PeerHoodApi, PeerHoodNode};
@@ -34,6 +34,7 @@ use peerhood::service::ServiceInfo;
 use simnet::prelude::*;
 use std::any::Any;
 
+use crate::experiments::full_stack::wlan_city_config;
 use crate::experiments::params::{count, on_off, seconds, Param};
 use crate::report::ExperimentReport;
 
@@ -125,16 +126,7 @@ impl OverloadSettings {
 /// The shared node configuration of the overload city (everyone static,
 /// WLAN, two-hop discovery — the E15 metro tuning at crowd scale).
 fn crowd_config(inquiry_interval: SimDuration, resilience: ResilienceConfig) -> Rc<PeerHoodConfig> {
-    let mut cfg = PeerHoodConfig::new("crowd", peerhood::device::MobilityClass::Static);
-    cfg.techs = vec![RadioTech::Wlan];
-    cfg.discovery.mode = DiscoveryMode::TwoHop;
-    cfg.discovery.inquiry_interval = inquiry_interval;
-    cfg.discovery.service_check_interval = SimDuration::from_secs(300);
-    cfg.discovery.max_missed_loops = 12;
-    cfg.discovery.max_export_jumps = 0;
-    cfg.monitor.interval = SimDuration::from_secs(10);
-    cfg.monitor.quality_threshold = 190;
-    cfg.handover.max_routing_attempts = 1;
+    let mut cfg = wlan_city_config("crowd", inquiry_interval);
     cfg.resilience = resilience;
     Rc::new(cfg)
 }

@@ -293,6 +293,26 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
+    /// Adds another set of counters into this one.
+    pub(crate) fn absorb(&mut self, other: &FaultStats) {
+        self.crashes += other.crashes;
+        self.restarts += other.restarts;
+        self.radio_outages += other.radio_outages;
+        self.radio_restores += other.radio_restores;
+        self.payloads_dropped += other.payloads_dropped;
+        self.payloads_corrupted += other.payloads_corrupted;
+    }
+
+    /// Counts one lifecycle transition.
+    pub(crate) fn count(&mut self, kind: LifecycleKind) {
+        match kind {
+            LifecycleKind::NodeDown => self.crashes += 1,
+            LifecycleKind::NodeUp => self.restarts += 1,
+            LifecycleKind::RadioDown(_) => self.radio_outages += 1,
+            LifecycleKind::RadioUp(_) => self.radio_restores += 1,
+        }
+    }
+
     /// Mirrors the lifecycle counters into the telemetry plane as the
     /// `faults/*` series — the one catalogue both engines sample.
     pub fn export(&self, tel: &mut Telemetry) {
@@ -474,12 +494,7 @@ impl FaultEngine {
     }
 
     pub(crate) fn record(&mut self, at: SimTime, node: NodeId, kind: LifecycleKind) {
-        match kind {
-            LifecycleKind::NodeDown => self.stats.crashes += 1,
-            LifecycleKind::NodeUp => self.stats.restarts += 1,
-            LifecycleKind::RadioDown(_) => self.stats.radio_outages += 1,
-            LifecycleKind::RadioUp(_) => self.stats.radio_restores += 1,
-        }
+        self.stats.count(kind);
         self.lifecycle.push(LifecycleEvent { at, node, kind });
     }
 }

@@ -7,9 +7,9 @@
 //! one rotate, one xor and one multiply per word instead.
 //!
 //! **No caller may observe iteration order** — it differs from the standard
-//! hasher's and is nobody's contract. The grids sort what a query collects,
+//! hasher's and is nobody's contract. The grid sorts what a query collects,
 //! and the sharded crash and radio-outage tear-downs sort a node's links by
-//! id before emitting anything; the tests below and in the grids hold that.
+//! id before emitting anything; the tests below and in the grid hold that.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::mobility::MotionPlan;
 use crate::node::{AttemptId, LinkId, NodeId};
 use crate::payload::Payload;
 use crate::radio::RadioTech;
@@ -72,6 +73,22 @@ pub(crate) fn next_poll(phase: SimTime, interval: SimDuration, now: SimTime, ear
     phase.saturating_add(SimDuration::from_micros(step.saturating_mul(steps)))
 }
 
+/// The first poll after `now`, on the grid `phase + k·interval`, at which two
+/// nodes on plans `a` and `b` could be more than `range_m` apart — where both
+/// engines queue a link's next check — or `None` when the technology has no
+/// range or the pair never leaves it. May be early, never late.
+pub(crate) fn range_exit_poll(
+    a: &MotionPlan,
+    b: &MotionPlan,
+    range_m: Option<f64>,
+    phase: SimTime,
+    interval: SimDuration,
+    now: SimTime,
+) -> Option<SimTime> {
+    let exit = a.range_exit(b, range_m?, now)?;
+    Some(next_poll(phase, interval, now, exit))
+}
+
 /// The grid instants just before the check pending at `pending`, latest
 /// first: the polls a debug audit replays as the oracle, to see that none of
 /// the skipped ones would have broken the link. Sixteen of them — the unsound
@@ -82,6 +99,34 @@ pub(crate) fn polls_before(pending: SimTime, interval: SimDuration) -> impl Iter
     (1..=16u64)
         .map_while(move |k| pending.as_micros().checked_sub(interval.as_micros().saturating_mul(k)))
         .map(SimTime::from_micros)
+}
+
+/// The net under every skipped poll, for one open link at an audit at `now`;
+/// `ahead` is the first instant whose events have not run yet. A link with no
+/// check pending must not have `lost` coverage at `now`; a pending check is
+/// not behind `ahead`, and polling — the oracle — finds coverage at every
+/// grid instant from `ahead` up to it ([`polls_before`]), so no check is
+/// queued later than the first poll that would have broken the link.
+#[cfg(debug_assertions)]
+pub(crate) fn audit_skipped_polls(
+    link: LinkId,
+    pending: Option<SimTime>,
+    now: SimTime,
+    ahead: SimTime,
+    interval: SimDuration,
+    lost: impl Fn(SimTime) -> bool,
+) {
+    let Some(pending) = pending else {
+        assert!(!lost(now), "{link:?} lost coverage with no check pending");
+        return;
+    };
+    assert!(pending >= ahead, "{link:?} has a check pending in the past");
+    for poll in polls_before(pending, interval).take_while(|t| *t >= ahead) {
+        assert!(
+            !lost(poll),
+            "{link:?} loses coverage at {poll}, before its check at {pending}"
+        );
+    }
 }
 
 /// Internal state of an established link.

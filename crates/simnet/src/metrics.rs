@@ -7,9 +7,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::faults::FaultStats;
 use crate::node::NodeId;
 use crate::radio::RadioTech;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Histogram, Telemetry};
 
 /// Counters for one node (or the global aggregate).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,6 +90,36 @@ impl Counters {
     }
 }
 
+/// Writes one sample of the series both engines record — `world/*` and
+/// `faults/*` — into the recorder: one catalogue, whichever engine ran.
+/// `per_tech` is `(messages, bytes)` sent by [`RadioTech::index`]; `payload`
+/// is for an engine that does not observe payload sizes as they are sent.
+pub(crate) fn export_world_frame(
+    tel: &mut Telemetry,
+    nodes_alive: usize,
+    links_open: f64,
+    counters: &Counters,
+    faults: &FaultStats,
+    per_tech: &[(u64, u64); 3],
+    payload: Option<Histogram>,
+) {
+    tel.set_gauge("world", "nodes_alive", None, nodes_alive as f64);
+    tel.set_gauge("world", "links_open", None, links_open);
+    counters.export(tel);
+    faults.export(tel);
+    for (tech, &(messages, bytes)) in RadioTech::ALL.iter().zip(per_tech) {
+        if messages == 0 && bytes == 0 {
+            continue; // untouched technologies carry no series
+        }
+        let label = tech.short_name();
+        tel.set_counter("world", "messages_sent_tech", Some(label), messages);
+        tel.set_counter("world", "bytes_sent_tech", Some(label), bytes);
+    }
+    if let Some(payload) = payload.filter(|hist| hist.count() > 0) {
+        tel.set_histogram("world", "payload_bytes", None, payload);
+    }
+}
+
 /// Metrics store for a whole simulation world.
 ///
 /// Per-node counters live in a dense vector indexed by the node id's raw
@@ -140,6 +171,11 @@ impl Metrics {
     /// Payload bytes sent per radio technology.
     pub fn bytes_for_tech(&self, tech: RadioTech) -> u64 {
         self.per_tech[tech.index()].1
+    }
+
+    /// `(messages, bytes)` sent per technology, by [`RadioTech::index`].
+    pub(crate) fn per_tech(&self) -> &[(u64, u64); 3] {
+        &self.per_tech
     }
 
     fn node_mut(&mut self, node: NodeId) -> &mut Counters {

@@ -12,6 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::node::{InquiryHit, NodeId};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -212,6 +213,27 @@ impl RadioProfile {
         })
     }
 
+    /// The outcome of one inquiry: per candidate `(peer, distance)` — in range
+    /// and answering, in ascending id order — the miss draw and then, for a
+    /// peer not missed, the quality draw, both from the inquirer's stream.
+    pub(crate) fn sample_inquiry(
+        &self,
+        candidates: impl IntoIterator<Item = (NodeId, f64)>,
+        rng: &mut SimRng,
+    ) -> Vec<InquiryHit> {
+        let mut hits = Vec::new();
+        for (node, distance) in candidates {
+            if rng.chance(self.inquiry_miss_prob) {
+                continue;
+            }
+            if let Some(quality) = self.sample_quality(distance, rng) {
+                let tech = self.tech;
+                hits.push(InquiryHit { node, tech, quality });
+            }
+        }
+        hits
+    }
+
     /// Draws a connection-establishment latency from the profile.
     pub fn sample_setup_latency(&self, rng: &mut SimRng) -> SimDuration {
         SimDuration::from_secs_f64(rng.uniform_f64(self.setup_min_s, self.setup_max_s))
@@ -286,6 +308,22 @@ impl RadioEnvironment {
             RadioTech::Bluetooth => &mut self.bluetooth,
             RadioTech::Wlan => &mut self.wlan,
             RadioTech::Gprs => &mut self.gprs,
+        }
+    }
+
+    /// The spatial index's cell side when a world's config names none: the
+    /// smallest positive finite range, so a range query covers a handful of
+    /// cells, and 50 m when every technology has infrastructure coverage.
+    pub(crate) fn default_grid_cell_m(&self) -> f64 {
+        let min_range = RadioTech::ALL
+            .iter()
+            .filter_map(|tech| self.profile(*tech).range_m)
+            .filter(|range| range.is_finite() && *range > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        if min_range.is_finite() {
+            min_range
+        } else {
+            50.0
         }
     }
 
@@ -365,6 +403,21 @@ impl RadioState {
             radio_off: TechSet::default(),
             inquiring_until: [SimTime::ZERO; 3],
         }
+    }
+
+    /// The node crashes. What it chose and what it was scanning for stay
+    /// until [`RadioState::power_on`]: nothing reads them of a dead node.
+    pub(crate) fn power_off(&mut self) {
+        self.alive = false;
+    }
+
+    /// The node restarts with a fresh node's discoverability and no scan
+    /// running; radio outages in force are kept (the fault schedule, not the
+    /// reboot, ends them).
+    pub(crate) fn power_on(&mut self) {
+        self.alive = true;
+        self.discoverable = self.techs;
+        self.inquiring_until = [SimTime::ZERO; 3];
     }
 
     /// True when the node is alive, carries `tech`, and the radio is not
@@ -509,6 +562,38 @@ mod tests {
             let q = bt.sample_quality(9.5, &mut rng).unwrap();
             assert!(q >= 150, "unreasonably low sample {q}");
         }
+    }
+
+    #[test]
+    fn sample_inquiry_draws_what_both_engines_inlined_loops_drew() {
+        // Constants from the parent commit, where `World::complete_inquiry`
+        // and the sharded executor each spelled the loop out: per candidate
+        // one miss draw, then one quality draw if it was not missed.
+        let bt = RadioProfile {
+            inquiry_miss_prob: 0.3,
+            ..RadioProfile::bluetooth()
+        };
+        let candidates = (0..12u64).map(|i| (NodeId::from_raw(3 + 2 * i), 10.0 * i as f64 / 11.0));
+        let mut rng = SimRng::new(0xD1C);
+        let hits = bt.sample_inquiry(candidates, &mut rng);
+        assert!(hits.iter().all(|hit| hit.tech == RadioTech::Bluetooth));
+        let seen: Vec<(u64, u8)> = hits.iter().map(|hit| (hit.node.as_raw(), hit.quality)).collect();
+        let parent = [
+            (5, 252),
+            (7, 255),
+            (9, 254),
+            (17, 232),
+            (19, 220),
+            (21, 208),
+            (23, 188),
+            (25, 171),
+        ];
+        assert_eq!(seen, parent);
+        assert_eq!(
+            rng.next_u64(),
+            0xf922_7e48_592a_c015,
+            "the stream is where the loops left it"
+        );
     }
 
     #[test]

@@ -138,6 +138,13 @@ impl SimRng {
         SimRng::new(z)
     }
 
+    /// The stream of node `raw_id` of a world whose master generator this is:
+    /// the one label scheme both engines' `add_node` use, so a node draws the
+    /// same numbers whichever engine (and shard) runs it.
+    pub(crate) fn derive_node(&self, raw_id: u64) -> SimRng {
+        self.derive(0x4E4F_4445_0000_0000 | raw_id)
+    }
+
     fn base_seed_hint(&self) -> u64 {
         // Peek one draw from a clone to obtain a state-dependent hint without
         // disturbing `self`.

@@ -10,8 +10,8 @@
 use super::{Event, World};
 use crate::faults::{BurstOutcome, LifecycleKind};
 #[cfg(debug_assertions)]
-use crate::link::polls_before;
-use crate::link::{next_poll, InFlightMessage, LinkState};
+use crate::link::audit_skipped_polls;
+use crate::link::{next_poll, range_exit_poll, InFlightMessage, LinkState};
 use crate::node::{DisconnectReason, LinkId, NodeId};
 use crate::radio::RadioTech;
 use crate::time::{SimDuration, SimTime};
@@ -118,8 +118,8 @@ impl World {
     /// time can break it. May be early, never late: the check re-evaluates
     /// the predicate and asks again.
     fn next_check(&self, link: &LinkState) -> Option<SimTime> {
-        let now = self.now;
-        let poll = |earliest| next_poll(link.established_at, self.config.link_check_interval, now, earliest);
+        let (now, interval) = (self.now, self.config.link_check_interval);
+        let poll = |earliest| next_poll(link.established_at, interval, now, earliest);
         if self.faults.has_flaps() && self.faults.flap_covers(link.a, link.b) {
             return Some(poll(now));
         }
@@ -134,8 +134,8 @@ impl World {
                 !self.config.gprs_dead_zones.is_empty() && (plan_a.moving_after(now) || plan_b.moving_after(now));
             return exposed.then(|| poll(now));
         }
-        let range_m = self.config.radio.profile(link.tech).range_m?;
-        plan_a.range_exit(plan_b, range_m, now).map(poll)
+        let range_m = self.config.radio.profile(link.tech).range_m;
+        range_exit_poll(plan_a, plan_b, range_m, link.established_at, interval, now)
     }
 
     /// Queues a check of the open link `link` at [`World::next_check`] unless
@@ -156,15 +156,14 @@ impl World {
         self.scheduler.schedule(at, Event::LinkCheck { link });
     }
 
-    /// The net under every skipped poll: an open link has live endpoints with
-    /// the radio on and no cut between them (those break links explicitly);
-    /// one with no check pending has coverage right now; and polling — the
-    /// oracle — finds coverage at the grid instants between now and a pending
-    /// check ([`polls_before`] it), so no check is queued later than the first
-    /// poll that would have broken the link.
+    /// An open link has live endpoints with the radio on and no cut between
+    /// them (those break links explicitly), and none of the polls it skipped
+    /// would have broken it ([`audit_skipped_polls`]; every event up to and
+    /// including `now` has run).
     #[cfg(debug_assertions)]
     pub(super) fn audit_checks(&self) {
         let (now, interval) = (self.now, self.config.link_check_interval);
+        let ahead = now + SimDuration::from_micros(1);
         for link in self.links.open() {
             let (id, a, b) = (link.id, link.a, link.b);
             assert!(
@@ -175,20 +174,9 @@ impl World {
                 !(self.adversary.has_partitions() && self.adversary.partitioned(a, b, now)),
                 "{id:?} is open across a partition cut"
             );
-            let Some(pending) = link.next_check else {
-                assert!(
-                    !self.coverage_lost(link, now),
-                    "{id:?} lost coverage with no check pending"
-                );
-                continue;
-            };
-            assert!(pending > now, "{id:?} has a check pending in the past");
-            for poll in polls_before(pending, interval).take_while(|t| *t > now) {
-                assert!(
-                    !self.coverage_lost(link, poll),
-                    "{id:?} loses coverage at {poll}, before its check at {pending}"
-                );
-            }
+            audit_skipped_polls(id, link.next_check, now, ahead, interval, |at| {
+                self.coverage_lost(link, at)
+            });
         }
     }
 

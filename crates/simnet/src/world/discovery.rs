@@ -12,7 +12,7 @@
 
 use super::World;
 use crate::geometry::Point;
-use crate::node::{InquiryHit, NodeId};
+use crate::node::NodeId;
 use crate::radio::{RadioProfile, RadioTech};
 use crate::time::SimTime;
 
@@ -91,7 +91,7 @@ impl World {
         if !self.is_alive(node) {
             return;
         }
-        let profile = self.config.radio.profile(tech).clone();
+        let profile = self.config.radio.profile(tech);
         let now = self.now;
 
         // Collect candidate peers first (immutable pass), then sample
@@ -103,32 +103,17 @@ impl World {
             Vec::new()
         } else {
             match self.grid_query_radius(tech) {
-                Some(range) => self.inquiry_candidates_grid(node, pos, range, tech, &profile, now),
-                None => self.inquiry_candidates_scan(node, pos, tech, &profile, now),
+                Some(range) => self.inquiry_candidates_grid(node, pos, range, tech, profile, now),
+                None => self.inquiry_candidates_scan(node, pos, tech, profile, now),
             }
         };
 
-        let mut hits = Vec::new();
-        {
-            let slot = match self.slot_mut(node) {
-                Some(s) => s,
-                None => return,
-            };
-            for (peer, distance) in candidates {
-                if slot.rng.chance(profile.inquiry_miss_prob) {
-                    continue;
-                }
-                if let Some(quality) = profile.sample_quality(distance, &mut slot.rng) {
-                    hits.push(InquiryHit {
-                        node: peer,
-                        tech,
-                        quality,
-                    });
-                }
-            }
-            // The scan is over: the node becomes discoverable again.
-            slot.radio.end_inquiry(tech, now);
-        }
+        let Some(slot) = self.topology.slot_mut(node) else {
+            return;
+        };
+        let hits = profile.sample_inquiry(candidates, &mut slot.rng);
+        // The scan is over: the node becomes discoverable again.
+        slot.radio.end_inquiry(tech, now);
         self.metrics.record_inquiry_hits(node, hits.len() as u64);
         self.agent_call(node, |agent, ctx| agent.on_inquiry_complete(ctx, tech, hits));
     }

@@ -70,6 +70,11 @@ impl SpatialGrid {
         self.cell_m
     }
 
+    /// Number of nodes ever inserted: the raw id the next insertion takes.
+    pub(crate) fn node_count(&self) -> usize {
+        self.residency.len()
+    }
+
     fn cell_of(&self, p: Point) -> (i64, i64) {
         ((p.x / self.cell_m).floor() as i64, (p.y / self.cell_m).floor() as i64)
     }

@@ -41,7 +41,7 @@ use crate::event::Scheduler;
 use crate::faults::{FaultAction, FaultEngine, FaultPlan, FaultStats, LifecycleEvent, LifecycleKind};
 use crate::geometry::{Point, Rect};
 use crate::link::{InFlightMessage, LinkInfo, PendingAttempt, QualityOverride};
-use crate::metrics::Metrics;
+use crate::metrics::{export_world_frame, Metrics};
 use crate::mobility::MobilityModel;
 use crate::node::{AttemptId, LinkId, NodeAgent, NodeId, TimerToken};
 use crate::payload::Payload;
@@ -103,24 +103,6 @@ impl WorldConfig {
             seed,
             radio: RadioEnvironment::ideal(),
             ..WorldConfig::default()
-        }
-    }
-
-    /// The grid cell side the world will use: the explicit override if set,
-    /// otherwise the smallest finite radio range (50 m when every configured
-    /// technology has infrastructure coverage).
-    fn resolved_grid_cell_m(&self) -> f64 {
-        if let Some(cell) = self.grid_cell_m {
-            return cell;
-        }
-        let min_range = RadioTech::ALL
-            .iter()
-            .filter_map(|t| self.radio.profile(*t).range_m)
-            .fold(f64::INFINITY, f64::min);
-        if min_range.is_finite() && min_range > 0.0 {
-            min_range
-        } else {
-            50.0
         }
     }
 }
@@ -210,7 +192,7 @@ impl World {
     /// Creates a world from a configuration.
     pub fn new(config: WorldConfig) -> Self {
         let rng = SimRng::new(config.seed);
-        let grid_cell_m = config.resolved_grid_cell_m();
+        let grid_cell_m = config.grid_cell_m.unwrap_or_else(|| config.radio.default_grid_cell_m());
         let faults = FaultEngine::new(config.seed);
         let adversary = AdversaryEngine::new(config.seed);
         World {
@@ -245,7 +227,7 @@ impl World {
         agent: Box<dyn NodeAgent>,
     ) -> NodeId {
         let id = NodeId::from_raw(self.topology.nodes.len() as u64);
-        let mut node_rng = self.rng.derive(0x4E4F_4445_0000_0000 | id.as_raw());
+        let mut node_rng = self.rng.derive_node(id.as_raw());
         let plan = mobility.compile(self.config.mobility_horizon, &mut node_rng);
         self.topology.add(
             NodeSlot {
@@ -830,21 +812,12 @@ impl World {
         if !due {
             return;
         }
-        let alive = self.alive_count() as f64;
-        let open_links = self.links.open_count() as f64;
-        let global = *self.metrics.global();
-        let fault_stats = self.faults.stats;
-        let per_tech: Vec<(RadioTech, u64, u64)> = RadioTech::ALL
-            .iter()
-            .map(|&t| (t, self.metrics.messages_for_tech(t), self.metrics.bytes_for_tech(t)))
-            .filter(|&(_, msgs, bytes)| msgs > 0 || bytes > 0)
-            .collect();
+        let (alive, open_links) = (self.alive_count(), self.links.open_count() as f64);
         let now = self.now;
         let tel = self.telemetry.as_mut().expect("checked above");
-        tel.set_gauge("world", "nodes_alive", None, alive);
-        tel.set_gauge("world", "links_open", None, open_links);
-        global.export(tel);
-        fault_stats.export(tel);
+        // Payload sizes are observed into the recorder as they are sent.
+        let (global, per_tech) = (self.metrics.global(), self.metrics.per_tech());
+        export_world_frame(tel, alive, open_links, global, &self.faults.stats, per_tech, None);
         if self.adversary.installed() {
             // Only adversarial worlds carry the series: plan-free runs keep
             // their telemetry streams (and digests) untouched.
@@ -859,11 +832,6 @@ impl World {
                 None,
                 self.adversary.partitions_active_at(now) as f64,
             );
-        }
-        for (tech, msgs, bytes) in per_tech {
-            let label = tech.short_name();
-            tel.set_counter("world", "messages_sent_tech", Some(label), msgs);
-            tel.set_counter("world", "bytes_sent_tech", Some(label), bytes);
         }
         tel.sample(now);
     }

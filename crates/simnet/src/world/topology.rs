@@ -75,22 +75,18 @@ impl Topology {
     pub(crate) fn power_off(&mut self, node: NodeId) {
         self.grid.get_mut().remove(node);
         if let Some(slot) = self.slot_mut(node) {
-            slot.radio.alive = false;
+            slot.radio.power_off();
             slot.epoch += 1;
         }
     }
 
-    /// Marks a crashed node alive again and re-enters it into the spatial
-    /// index at its current planned position. Discoverability and inquiry
-    /// bookkeeping reset to the fresh-node defaults; radio outages in force
-    /// are kept (the fault schedule, not the reboot, ends them).
+    /// Marks a crashed node alive again ([`RadioState::power_on`]) and
+    /// re-enters it into the spatial index at its current planned position.
     pub(crate) fn power_on(&mut self, node: NodeId, now: SimTime) {
         let Some(slot) = self.nodes.get_mut(node.as_raw() as usize) else {
             return;
         };
-        slot.radio.alive = true;
-        slot.radio.discoverable = slot.radio.techs;
-        slot.radio.inquiring_until = [SimTime::ZERO; 3];
+        slot.radio.power_on();
         self.grid.get_mut().reinsert(node, &slot.plan, now);
     }
 
