@@ -385,16 +385,10 @@ impl PeerHoodNode {
                     Self::deliver(apps, core, ctx, Some(app), |a, api| a.on_start(api));
                 }
                 PeerHoodEvent::DeviceDiscovered { address } => {
-                    let ids: Vec<AppId> = apps.keys().copied().collect();
-                    for id in ids {
-                        Self::deliver(apps, core, ctx, Some(id), |a, api| a.on_device_discovered(api, address));
-                    }
+                    Self::fan_out(apps, core, ctx, |a, api| a.on_device_discovered(api, address));
                 }
                 PeerHoodEvent::DeviceLost { address } => {
-                    let ids: Vec<AppId> = apps.keys().copied().collect();
-                    for id in ids {
-                        Self::deliver(apps, core, ctx, Some(id), |a, api| a.on_device_lost(api, address));
-                    }
+                    Self::fan_out(apps, core, ctx, |a, api| a.on_device_lost(api, address));
                 }
                 PeerHoodEvent::PeerConnected {
                     app,
@@ -453,6 +447,25 @@ impl PeerHoodNode {
                     Self::deliver(apps, core, ctx, app, |a, api| a.on_timer(api, token));
                 }
             }
+        }
+    }
+
+    /// Invokes one callback on every hosted application, in `AppId` order,
+    /// walking the table in place: a callback's [`PeerHoodApi`] cannot reach
+    /// it.
+    fn fan_out(
+        apps: &mut BTreeMap<AppId, Box<dyn Application>>,
+        core: &mut Core,
+        ctx: &mut NodeCtx<'_>,
+        f: impl Fn(&mut dyn Application, &mut PeerHoodApi<'_, '_>),
+    ) {
+        for (&id, a) in apps.iter_mut() {
+            let mut api = PeerHoodApi {
+                core,
+                ctx,
+                app: Some(id),
+            };
+            f(a.as_mut(), &mut api);
         }
     }
 

@@ -637,6 +637,76 @@ fn event_trace_records_the_dispatch_stream() {
     );
 }
 
+/// What a [`FanOutApp`] saw: the app it ran as, the event, the device.
+type FanOutLog = std::rc::Rc<std::cell::RefCell<Vec<(Option<AppId>, &'static str, DeviceAddress)>>>;
+
+/// Logs every discovery callback into one log shared with its co-hosted app.
+struct FanOutApp(FanOutLog);
+
+impl Application for FanOutApp {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+    fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_, '_>, address: DeviceAddress) {
+        self.0.borrow_mut().push((api.app_id(), "discovered", address));
+    }
+    fn on_device_lost(&mut self, api: &mut PeerHoodApi<'_, '_>, address: DeviceAddress) {
+        self.0.borrow_mut().push((api.app_id(), "lost", address));
+    }
+}
+
+#[test]
+fn discovery_events_reach_every_hosted_app_once_in_app_id_order() {
+    let log = FanOutLog::default();
+    let mut world = World::new(WorldConfig::ideal(49));
+    let client = world.add_node(
+        "client",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        Box::new(
+            PeerHoodNode::builder()
+                .config(PeerHoodConfig::new("client", MobilityClass::Dynamic))
+                .app(FanOutApp(log.clone()))
+                .app(FanOutApp(log.clone()))
+                .event_trace(true)
+                .build(),
+        ),
+    );
+    let server = world.add_node(
+        "server",
+        MobilityModel::stationary(Point::new(4.0, 0.0)),
+        &bt(),
+        peerhood("server", MobilityClass::Static, TestApp::default()),
+    );
+    world.run_for(SimDuration::from_secs(40));
+    world.crash_node(server);
+    // No session to the server, so no suspicion: it ages out at the
+    // 180 s `stale_timeout`.
+    world.run_for(SimDuration::from_secs(200));
+
+    let trace = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| n.take_event_trace())
+        .unwrap();
+    let expected: Vec<_> = trace
+        .iter()
+        .filter_map(|event| match *event {
+            PeerHoodEvent::DeviceDiscovered { address } => Some(("discovered", address)),
+            PeerHoodEvent::DeviceLost { address } => Some(("lost", address)),
+            _ => None,
+        })
+        .flat_map(|(kind, address)| [AppId(0), AppId(1)].map(|app| (Some(app), kind, address)))
+        .collect();
+    let kinds: Vec<&str> = expected.iter().map(|&(_, kind, _)| kind).collect();
+    assert!(
+        kinds.contains(&"discovered") && kinds.contains(&"lost"),
+        "the script must discover the server and lose it: {kinds:?}"
+    );
+    assert_eq!(*log.borrow(), expected, "each event once per app, app 0 before app 1");
+}
+
 // ---------------------------------------------------------------------
 // Handover route-recording regression (the seed bug fixed in PR 3)
 // ---------------------------------------------------------------------

@@ -33,7 +33,9 @@ pub struct CityProbe {
     attached: Option<(LinkId, NodeId)>,
     handover_from: Option<LinkId>,
     connecting: bool,
-    last_hits: Vec<InquiryHit>,
+    /// The last scan's two best hits, best first, by `CityProbe::rank`:
+    /// all that "best hit" and "best hit that is not my peer" ever read.
+    best_hits: [Option<InquiryHit>; 2],
     /// Set when a session is lost (or the node reboots); consumed by the
     /// next successful attachment to measure reconnection latency.
     down_since: Option<SimTime>,
@@ -58,7 +60,7 @@ impl CityProbe {
             attached: None,
             handover_from: None,
             connecting: false,
-            last_hits: Vec::new(),
+            best_hits: [None; 2],
             down_since: None,
             counts: FullStats::default(),
         }
@@ -74,14 +76,29 @@ impl CityProbe {
         }
     }
 
-    /// Best candidate by quality (ties broken towards the lower id, so the
-    /// choice is deterministic), excluding `except`.
+    /// The order candidates are chosen in: by quality, ties broken towards
+    /// the lower id, so the choice is deterministic.
+    fn rank(hit: &InquiryHit) -> (u8, std::cmp::Reverse<NodeId>) {
+        (hit.quality, std::cmp::Reverse(hit.node))
+    }
+
+    /// Keeps the two best of a scan's hits. A scan reports a node at most
+    /// once, so one of the two is never `except` for any single node.
+    fn remember(&mut self, hits: &[InquiryHit]) {
+        self.best_hits = [None; 2];
+        for &hit in hits {
+            let [best, second] = &mut self.best_hits;
+            if best.is_none_or(|b| Self::rank(&hit) > Self::rank(&b)) {
+                *second = best.replace(hit);
+            } else if second.is_none_or(|s| Self::rank(&hit) > Self::rank(&s)) {
+                *second = Some(hit);
+            }
+        }
+    }
+
+    /// Best candidate of the last scan, excluding `except`.
     fn best_candidate(&self, except: Option<NodeId>) -> Option<InquiryHit> {
-        self.last_hits
-            .iter()
-            .filter(|h| Some(h.node) != except)
-            .max_by_key(|h| (h.quality, std::cmp::Reverse(h.node)))
-            .copied()
+        self.best_hits.into_iter().flatten().find(|h| Some(h.node) != except)
     }
 }
 
@@ -105,7 +122,7 @@ impl Agent for CityProbe {
         self.attached = None;
         self.handover_from = None;
         self.connecting = false;
-        self.last_hits.clear();
+        self.best_hits = [None; 2];
         self.down_since = Some(ctx.now());
         // By path: with the prelude's `ShardAgent` in scope too, method syntax
         // would be ambiguous on a type that is both.
@@ -142,7 +159,7 @@ impl Agent for CityProbe {
     }
 
     fn on_inquiry_complete<C: Ctx>(&mut self, ctx: &mut C, _tech: RadioTech, hits: Vec<InquiryHit>) {
-        self.last_hits = hits;
+        self.remember(&hits);
         if self.attached.is_none() && !self.connecting {
             if let Some(best) = self.best_candidate(None) {
                 self.connecting = true;
@@ -201,6 +218,54 @@ impl Agent for CityProbe {
                 DisconnectReason::OutOfRange => self.counts.broken_by_range += 1,
             }
             self.down_since = Some(ctx.now());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The rule the probe applied to its whole last scan before it kept only
+    /// the two best hits.
+    fn whole_scan_best(hits: &[InquiryHit], except: Option<NodeId>) -> Option<InquiryHit> {
+        hits.iter()
+            .filter(|h| Some(h.node) != except)
+            .max_by_key(|h| (h.quality, std::cmp::Reverse(h.node)))
+            .copied()
+    }
+
+    #[test]
+    fn the_two_best_hits_answer_what_the_whole_scan_answered() {
+        let mut rng = SimRng::new(0xB357);
+        let mut probe = CityProbe::with(SimDuration::from_secs(10), None, true);
+        let mut nodes: Vec<u64> = (0..40).collect();
+        for round in 0..3_000 {
+            // A scan reports each node at most once, in no particular order;
+            // a narrow quality range makes ties common.
+            rng.shuffle(&mut nodes);
+            let len = rng.range(0..16usize);
+            let top: u8 = if round % 2 == 0 { 3 } else { 255 };
+            let hits: Vec<InquiryHit> = nodes[..len]
+                .iter()
+                .map(|&raw| InquiryHit {
+                    node: NodeId::from_raw(raw),
+                    tech: RadioTech::Wlan,
+                    quality: rng.range(0..=top),
+                })
+                .collect();
+            probe.remember(&hits);
+            let absent = NodeId::from_raw(nodes[len]);
+            let excepts = [None, Some(absent)]
+                .into_iter()
+                .chain(hits.iter().map(|h| Some(h.node)));
+            for except in excepts {
+                assert_eq!(
+                    probe.best_candidate(except),
+                    whole_scan_best(&hits, except),
+                    "round {round}, except {except:?}, scan {hits:?}"
+                );
+            }
         }
     }
 }

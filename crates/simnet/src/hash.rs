@@ -1,15 +1,15 @@
-//! The hash map behind the engines' hot integer-keyed tables: grid cells by
-//! `(i64, i64)`, a sharded node's link halves and pending attempts by id.
+//! The hash map behind the spatial grid's cells, keyed by `(i64, i64)`.
 //!
 //! Every key is made inside the simulator, so the collision resistance the
 //! standard library's SipHash buys is worth nothing here, while its cost is
-//! paid on every grid probe and every frame. [`FastMap`] hashes a key with
-//! one rotate, one xor and one multiply per word instead.
+//! paid on every grid probe. [`FastMap`] hashes a key with one rotate, one
+//! xor and one multiply per word instead. It serves the grid cells only: a
+//! sharded node's link halves and pending attempts are few and must iterate
+//! in id order, so they live in a small sorted table (`world::shard::table`).
 //!
 //! **No caller may observe iteration order** — it differs from the standard
-//! hasher's and is nobody's contract. The grid sorts what a query collects,
-//! and the sharded crash and radio-outage tear-downs sort a node's links by
-//! id before emitting anything; the tests below and in the grid hold that.
+//! hasher's and is nobody's contract. The grid sorts what a query collects;
+//! the tests below and in the grid hold that.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -67,10 +67,11 @@ mod tests {
 
     #[test]
     fn a_city_of_cells_and_link_ids_spreads_over_the_table() {
-        // The keys the engines really use: a block of grid cells around the
-        // origin and `(initiator << 32) | counter` link ids. A hasher that
-        // folded them onto a few low bits would still be correct, only slow;
-        // this pins that the cheap one does not.
+        // A block of grid cells around the origin (the keys the grid uses)
+        // and `(initiator << 32) | counter` packed ids (the other shape of
+        // simulator-made key). A hasher that folded them onto a few low bits
+        // would still be correct, only slow; this pins that the cheap one
+        // does not.
         let cells = (-60i64..60).flat_map(|i| (-60i64..60).map(move |j| hash_of((i, j))));
         let links = (0u64..4_000).flat_map(|node| (0u64..4).map(move |n| hash_of(LinkId(node << 32 | n))));
         for (name, hashes) in [("cells", cells.collect::<Vec<_>>()), ("links", links.collect())] {

@@ -111,9 +111,11 @@ impl ShardedWorld {
     }
 
     /// Consistency audit, run by every debug build at each barrier: the pass
-    /// consumed its inbox and left exact head times, and no open initiator
-    /// half has been left unwatched past an instant at which it could leave
-    /// range (`link::audit_skipped_polls`; the events before `t1` have run).
+    /// consumed its inbox and left exact head times, every link and attempt
+    /// table is sorted and holds no storage while empty, and no open
+    /// initiator half has been left unwatched past an instant at which it
+    /// could leave range (`link::audit_skipped_polls`; the events before `t1`
+    /// have run).
     #[cfg(debug_assertions)]
     fn audit(&self, t1: SimTime) {
         let interval = self.config.link_check_interval;
@@ -124,14 +126,16 @@ impl ShardedWorld {
                 assert_eq!(due, head.unwrap_or(SimTime::MAX), "stale head time for node {raw}");
             }
             for node in shard.nodes.iter().filter_map(|n| n.as_deref()) {
+                node.links.audit();
+                node.pending.audit();
                 let own = &self.plans[node.id.as_raw() as usize];
-                for (link, half) in &node.links {
+                for (link, half) in node.links.iter() {
                     if !half.initiator || half.status != LinkStatus::Open {
                         continue;
                     }
                     let peer = &self.plans[half.peer.as_raw() as usize];
                     let profile = self.config.radio.profile(half.tech);
-                    crate::link::audit_skipped_polls(*link, half.next_check, t1, t1, interval, |at| {
+                    crate::link::audit_skipped_polls(link, half.next_check, t1, t1, interval, |at| {
                         !profile.in_range(own.position_at(at).distance(peer.position_at(at)))
                     });
                 }
@@ -196,8 +200,9 @@ impl ShardedWorld {
     }
 
     /// Rebuilds the aggregated metrics, fault stats and lifecycle stream
-    /// from the per-node tallies. Sums are commutative and the lifecycle is
-    /// sorted canonically, so the result is independent of shard layout.
+    /// from the per-node tallies (fault ones only where a node has any).
+    /// Sums are commutative and the lifecycle is sorted canonically, so the
+    /// result is independent of shard layout.
     pub(super) fn assemble(&mut self) {
         self.metrics.reset();
         self.stats = FaultStats::default();
@@ -205,8 +210,10 @@ impl ShardedWorld {
         for shard in &self.shards {
             for node in shard.nodes.iter().filter_map(|n| n.as_deref()) {
                 self.metrics.absorb_node(node.id, &node.counters);
-                self.stats.absorb(&node.stats);
-                self.lifecycle.extend(node.lifecycle.iter().copied());
+                if let Some(faults) = node.faults.as_deref() {
+                    self.stats.absorb(&faults.stats);
+                    self.lifecycle.extend_from_slice(&faults.lifecycle);
+                }
             }
             for (idx, &(messages, bytes)) in shard.out.tech_msgs.iter().enumerate() {
                 self.metrics.absorb_tech(RadioTech::ALL[idx], messages, bytes);

@@ -416,7 +416,7 @@ impl Executor<'_> {
     }
 
     fn apply_fault(&mut self, node: &mut ShardNode, now: SimTime, idx: usize) {
-        let action = node.fault_actions[idx].1;
+        let action = node.faults.as_ref().expect("a fault event implies a plan").actions[idx].1;
         match action {
             FaultAction::NodeDown => {
                 if !node.radio.alive {
@@ -426,20 +426,13 @@ impl Executor<'_> {
                 node.epoch += 1;
                 node.pending.clear();
                 node.record(now, LifecycleKind::NodeDown);
-                // Hash order must not pick the Broken emission order (it
-                // assigns per-origin sequence numbers): sort into the
-                // ascending link-id order the old ordered map produced.
                 // A half closed locally is no break: its `Closed` is on its way.
-                let mut links: Vec<(LinkId, LinkHalf)> = node
-                    .links
-                    .drain()
-                    .filter(|(_, half)| half.status == LinkStatus::Open)
-                    .collect();
-                links.sort_unstable_by_key(|(link, _)| link.0);
                 let reason = DisconnectReason::PeerFailed;
-                for (link, half) in links {
-                    node.counters.links_broken += 1;
-                    node.emit(self.out, self.view, now, half.peer, MsgBody::Broken { link, reason });
+                for (link, half) in std::mem::take(&mut node.links) {
+                    if half.status == LinkStatus::Open {
+                        node.counters.links_broken += 1;
+                        node.emit(self.out, self.view, now, half.peer, MsgBody::Broken { link, reason });
+                    }
                 }
             }
             FaultAction::NodeUp => {
@@ -456,18 +449,13 @@ impl Executor<'_> {
                 }
                 node.record(now, LifecycleKind::RadioDown(tech));
                 // Links on the dark technology break for both endpoints.
-                // Sorted by link id for the same reason as the crash path:
-                // emission order assigns message sequence numbers.
-                let mut broken: Vec<(LinkId, LinkHalf)> = node
-                    .links
-                    .iter()
-                    .filter(|(_, h)| h.tech == tech)
-                    .map(|(l, h)| (*l, *h))
-                    .collect();
-                broken.sort_unstable_by_key(|(link, _)| link.0);
                 let reason = DisconnectReason::OutOfRange;
-                for (link, half) in broken {
-                    node.links.remove(&link);
+                // Out of the node while the sweep emits through it.
+                let mut links = std::mem::take(&mut node.links);
+                links.retain(|link, half| {
+                    if half.tech != tech {
+                        return true;
+                    }
                     if half.status == LinkStatus::Open {
                         node.counters.links_broken += 1;
                     }
@@ -475,7 +463,9 @@ impl Executor<'_> {
                     if node.radio.alive && half.status == LinkStatus::Open {
                         node.notify_disconnected(now, link, half.peer, reason);
                     }
-                }
+                    false
+                });
+                node.links = links;
             }
             FaultAction::RadioUp(tech) => {
                 if !node.radio.radio_off.remove(tech) {

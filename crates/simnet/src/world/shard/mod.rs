@@ -82,6 +82,7 @@ mod barrier;
 mod ctx;
 mod exec;
 mod node;
+mod table;
 #[cfg(test)]
 mod tests;
 
@@ -91,10 +92,10 @@ use std::any::Any;
 
 use self::exec::{GlobalView, Shard};
 use self::node::{NodeEvent, ShardNode};
+use self::table::IdTable;
 use crate::event::Scheduler;
 use crate::faults::{FaultPlan, FaultStats, LifecycleEvent};
 use crate::geometry::{Point, Rect};
-use crate::hash::FastMap;
 use crate::metrics::{Counters, Metrics};
 use crate::mobility::{MobilityModel, MotionPlan};
 use crate::node::{
@@ -475,12 +476,10 @@ impl ShardedWorld {
             rng,
             agent: Some(agent),
             queue: Scheduler::new(),
-            links: FastMap::default(),
-            pending: FastMap::default(),
-            fault_actions: Vec::new(),
+            links: IdTable::default(),
+            pending: IdTable::default(),
             counters: Counters::default(),
-            stats: FaultStats::default(),
-            lifecycle: Vec::new(),
+            faults: None,
             next_attempt: 0,
             next_link: 0,
             next_msg_seq: 0,
@@ -518,11 +517,12 @@ impl ShardedWorld {
         let shard = &mut self.shards[self.owner[raw] as usize];
         let now = self.now;
         let slot = shard.nodes[raw].as_deref_mut().expect("node exists");
+        let actions = &mut slot.faults.get_or_insert_default().actions;
         let mut earliest = SimTime::MAX;
         for &(at, action) in plan.actions() {
-            let idx = slot.fault_actions.len();
+            let idx = actions.len();
             let when = at.max(now);
-            slot.fault_actions.push((when, action));
+            actions.push((when, action));
             slot.queue.schedule(when, NodeEvent::Fault { idx });
             earliest = earliest.min(when);
         }

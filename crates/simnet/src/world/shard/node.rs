@@ -2,10 +2,10 @@
 //! its event queue, and the messages nodes exchange across barriers.
 
 use super::exec::{GlobalView, PassOutput};
+use super::table::IdTable;
 use super::ShardAgent;
 use crate::event::Scheduler;
 use crate::faults::{FaultAction, FaultStats, LifecycleEvent, LifecycleKind};
-use crate::hash::FastMap;
 use crate::metrics::Counters;
 use crate::node::{AttemptId, ConnectError, DisconnectReason, LinkId, NodeId, TimerToken};
 use crate::payload::SharedPayload;
@@ -143,21 +143,32 @@ pub(super) struct ShardNode {
     pub(super) rng: SimRng,
     pub(super) agent: Option<Box<dyn ShardAgent>>,
     pub(super) queue: Scheduler<NodeEvent>,
-    /// Hash tables, not ordered maps: the hot path only probes by key, and
-    /// every place that *iterates* (crash/outage teardown, barrier folds)
-    /// either sorts into canonical id order first or folds commutatively, so
-    /// hash order never leaks into message sequencing or digests.
-    pub(super) links: FastMap<LinkId, LinkHalf>,
+    /// The node's halves of its links, in link-id order — the order the
+    /// crash and radio-outage tear-downs emit `Broken` in (emission order
+    /// assigns message sequence numbers). Two entries for a typical probe,
+    /// no storage once the last link is gone.
+    pub(super) links: IdTable<LinkId, LinkHalf>,
     /// Initiator-side attempts that sent a `ConnectRequest` and await the
     /// reply: attempt -> (peer, tech, link id reserved for the connection).
-    pub(super) pending: FastMap<AttemptId, (NodeId, RadioTech, LinkId)>,
-    pub(super) fault_actions: Vec<(SimTime, FaultAction)>,
+    /// Empty, and so without storage, between handshakes.
+    pub(super) pending: IdTable<AttemptId, (NodeId, RadioTech, LinkId)>,
     pub(super) counters: Counters,
-    pub(super) stats: FaultStats,
-    pub(super) lifecycle: Vec<LifecycleEvent>,
+    /// Allocated by `install_fault_plan` (or the first recorded transition):
+    /// a node without a plan pays one pointer for it.
+    pub(super) faults: Option<Box<NodeFaults>>,
     pub(super) next_attempt: u64,
     pub(super) next_link: u64,
     pub(super) next_msg_seq: u64,
+}
+
+/// A node's fault plan and what it has done so far.
+#[derive(Default)]
+pub(super) struct NodeFaults {
+    /// The installed actions, indexed by `NodeEvent::Fault::idx`.
+    pub(super) actions: Vec<(SimTime, FaultAction)>,
+    pub(super) stats: FaultStats,
+    /// The node's transitions, in time order.
+    pub(super) lifecycle: Vec<LifecycleEvent>,
 }
 
 impl ShardNode {
@@ -184,9 +195,10 @@ impl ShardNode {
 
     /// Counts a lifecycle transition and appends it to the node's stream.
     pub(super) fn record(&mut self, at: SimTime, kind: LifecycleKind) {
-        self.stats.count(kind);
         let node = self.id;
-        self.lifecycle.push(LifecycleEvent { at, node, kind });
+        let faults = self.faults.get_or_insert_default();
+        faults.stats.count(kind);
+        faults.lifecycle.push(LifecycleEvent { at, node, kind });
     }
 
     /// Tells the node's own agent that `link` is gone once the current event

@@ -1,4 +1,4 @@
-use super::node::LinkStatus;
+use super::node::{LinkStatus, ID_NODE_SHIFT};
 use super::*;
 use crate::agent::{Agent, Ctx, OnWorld};
 use crate::faults::LifecycleKind;
@@ -721,4 +721,188 @@ fn a_closed_link_leaves_both_tables_and_is_no_break_when_the_closer_crashes() {
         world.with_agent::<Chatter, _>(b, |c| c.disconnects.clone()).unwrap(),
         vec![DisconnectReason::PeerClosed]
     );
+}
+
+#[test]
+fn a_sharded_node_stays_under_304_bytes() {
+    let size = std::mem::size_of::<ShardNode>();
+    assert!(
+        size <= 304,
+        "ShardNode is {size} bytes: every sharded node is one, so 100 k probes pay every byte \
+         of it (PR 25 took it from 400 to 296); put a rarely used field behind a pointer, as \
+         `NodeFaults` is, instead of inline"
+    );
+}
+
+#[test]
+fn only_a_node_with_a_fault_plan_holds_fault_bookkeeping_and_the_stream_assembles_as_before() {
+    let mut world = ideal_world(2);
+    let wlan = [RadioTech::Wlan];
+    let mut nodes = Vec::new();
+    for x in [10.0, 35.0, 65.0] {
+        let acceptor = NodeId::from_raw(world.node_count() as u64 + 1);
+        nodes.push(world.add_node("dialer", fixed_at(x, 40.0), &wlan, Probe::dialing(acceptor)));
+        nodes.push(world.add_node("acceptor", fixed_at(x, 60.0), &wlan, Box::<Probe>::default()));
+    }
+    let (crashed, dark) = (nodes[1], nodes[2]);
+    world.install_fault_plan(crashed, &FaultPlan::new().crash_at(ms(3_000)).restart_at(ms(5_000)));
+    world.install_fault_plan(
+        dark,
+        &FaultPlan::new().radio_outage(RadioTech::Wlan, ms(4_000), SimDuration::from_secs(2)),
+    );
+    world.run_until(ms(10_000));
+    for &node in &nodes {
+        let planned = node == crashed || node == dark;
+        assert_eq!(
+            world.slot(node).expect("owned").faults.is_some(),
+            planned,
+            "{node}: fault bookkeeping is allocated by a plan and only by one"
+        );
+    }
+    let expected = FaultStats {
+        crashes: 1,
+        restarts: 1,
+        radio_outages: 1,
+        radio_restores: 1,
+        ..FaultStats::default()
+    };
+    assert_eq!(world.fault_stats(), expected);
+    let event = |at, node, kind| LifecycleEvent { at: ms(at), node, kind };
+    assert_eq!(
+        world.lifecycle_events(),
+        [
+            event(3_000, crashed, LifecycleKind::NodeDown),
+            event(4_000, dark, LifecycleKind::RadioDown(RadioTech::Wlan)),
+            event(5_000, crashed, LifecycleKind::NodeUp),
+            event(6_000, dark, LifecycleKind::RadioUp(RadioTech::Wlan)),
+        ]
+    );
+}
+
+#[test]
+fn link_and_attempt_tables_give_their_storage_back_when_they_empty() {
+    let mut world = two_node_world(1);
+    let mut saw_a_link = false;
+    while world.now() < SimTime::from_secs(30) {
+        world.run_for(SimDuration::from_millis(500));
+        for node in [A, B] {
+            let slot = world.slot(node).expect("owned");
+            for (len, capacity) in [
+                (slot.links.len(), slot.links.capacity()),
+                (slot.pending.len(), slot.pending.capacity()),
+            ] {
+                assert_eq!(capacity, len, "{node}: a small table is sized to its contents");
+            }
+            saw_a_link |= slot.links.len() > 0;
+        }
+    }
+    assert!(saw_a_link, "the script opens a link");
+    for node in [A, B] {
+        let slot = world.slot(node).expect("owned");
+        assert_eq!(
+            (slot.links.capacity(), slot.pending.capacity()),
+            (0, 0),
+            "{node}: closed and answered, the link is gone and so is the storage"
+        );
+    }
+}
+
+const DIAL: TimerToken = TimerToken(0xD1A1);
+
+/// Dials `peer` `after` its start, accepts everything, and logs the links
+/// it opens and loses in the order it hears of them.
+struct LateDialer {
+    peer: NodeId,
+    after: SimDuration,
+    opened: Vec<LinkId>,
+    lost: Vec<LinkId>,
+}
+
+impl LateDialer {
+    fn boxed(peer: NodeId, after_ms: u64) -> Box<Self> {
+        let after = SimDuration::from_millis(after_ms);
+        Box::new(LateDialer {
+            peer,
+            after,
+            opened: Vec::new(),
+            lost: Vec::new(),
+        })
+    }
+}
+
+impl Agent for LateDialer {
+    fn on_start<C: Ctx>(&mut self, ctx: &mut C) {
+        ctx.schedule(self.after, DIAL);
+    }
+    fn on_timer<C: Ctx>(&mut self, ctx: &mut C, _token: TimerToken) {
+        ctx.connect(self.peer, RadioTech::Wlan);
+    }
+    fn on_incoming_connection<C: Ctx>(&mut self, _ctx: &mut C, incoming: IncomingConnection) -> bool {
+        self.opened.push(incoming.link);
+        true
+    }
+    fn on_connected<C: Ctx>(
+        &mut self,
+        _ctx: &mut C,
+        _attempt: AttemptId,
+        link: LinkId,
+        _peer: NodeId,
+        _tech: RadioTech,
+    ) {
+        self.opened.push(link);
+    }
+    fn on_disconnected<C: Ctx>(&mut self, _ctx: &mut C, link: LinkId, _peer: NodeId, _reason: DisconnectReason) {
+        self.lost.push(link);
+    }
+}
+
+#[test]
+fn a_crash_and_an_outage_break_links_in_ascending_link_id_whatever_order_they_opened_in() {
+    // `victim` dials `peer` first, so its own half — the higher id, packed
+    // from the victim's — enters its table before the half of the link the
+    // peer dials later. Both `Broken`s go to the peer, which hears them in
+    // emission order.
+    let (peer_link, victim_link) = (LinkId(0), LinkId(1 << ID_NODE_SHIFT));
+    for outage in [false, true] {
+        let mut world = ideal_world(1);
+        let peer = world.add_node(
+            "peer",
+            fixed_at(40.0, 50.0),
+            &[RadioTech::Wlan],
+            LateDialer::boxed(B, 3_000),
+        );
+        let victim = world.add_node(
+            "victim",
+            fixed_at(60.0, 50.0),
+            &[RadioTech::Wlan],
+            LateDialer::boxed(A, 1_000),
+        );
+        let plan = if outage {
+            FaultPlan::new().radio_outage(RadioTech::Wlan, ms(6_000), SimDuration::from_secs(2))
+        } else {
+            FaultPlan::new().crash_at(ms(6_000))
+        };
+        world.install_fault_plan(victim, &plan);
+        world.run_until(ms(10_000));
+        let log = |world: &mut ShardedWorld, node| {
+            world
+                .with_agent::<LateDialer, _>(node, |d| (d.opened.clone(), d.lost.clone()))
+                .expect("a LateDialer")
+        };
+        let (opened, lost) = log(&mut world, victim);
+        assert_eq!(
+            opened,
+            [victim_link, peer_link],
+            "the victim's links open out of id order"
+        );
+        let ascending = [peer_link, victim_link];
+        assert_eq!(
+            log(&mut world, peer).1,
+            ascending,
+            "outage {outage}: Broken in link-id order"
+        );
+        if outage {
+            assert_eq!(lost, ascending, "the dark node is told in the same order");
+        }
+    }
 }
