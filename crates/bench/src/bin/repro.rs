@@ -9,7 +9,7 @@
 //! cargo run -p bench --release --bin repro -- e8 --seed 7
 //! cargo run -p bench --release --bin repro -- churn --quick --nodes 40 --churn 240
 //! cargo run -p bench --release --bin repro -- metropolis --quick --telemetry --profile
-//! cargo run -p bench --release --bin repro -- hotspot --quick --shards 4 --adaptive off
+//! cargo run -p bench --release --bin repro -- hotspot --quick --shards 4
 //! cargo run -p bench --release --bin repro -- watch overload --quick
 //! cargo run -p bench --release --bin repro -- sweep churn --seeds 8 --threads 8 --quick
 //! cargo run -p bench --release --bin repro -- sweep churn --quick \
@@ -324,7 +324,7 @@ usage:
                                              run one experiment (slug or id);
                                              --<key> <value> sets any parameter listed under the
                                              experiment below (the keys `sweep --grid` takes), e.g.
-                                             --shards 4 (E17/E18), --adaptive off (E18),
+                                             --shards 4 (E17/E18),
                                              --defenses auth (E19), --nodes 40 --churn 240 (E13);
                                              --telemetry records virtual-time series (stderr roll-up,
                                              JSONL side file; --shard-series adds per-shard load gauges),

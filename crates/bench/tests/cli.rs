@@ -12,18 +12,23 @@ fn repro() -> Command {
 
 /// A mistyped parameter value is refused with its table row's own message
 /// (the one `sweep --grid` gives) before anything runs; a flag the experiment
-/// does not declare — E18's retired rebalance-gate knobs among them — is an
+/// does not declare — E18's retired partition knobs among them — is an
 /// unknown flag, refused naming the keys the experiment does take.
 #[test]
 fn mistyped_flag_values_are_rejected_not_defaulted() {
-    const HOTSPOT_KEYS: &str = "(available: shards, adaptive, nodes, density, crowd_fraction, duration_s)";
+    const HOTSPOT_KEYS: &str = "(available: shards, nodes, density, crowd_fraction, duration_s)";
     for (experiment, key, complaint) in [
         (
             "adversary",
             "defenses",
             "`bogus` is not a defence tier (off|sanity|auth)".to_string(),
         ),
-        ("hotspot", "adaptive", "`bogus` is not a toggle (on|off)".to_string()),
+        ("overload", "resilience", "`bogus` is not a toggle (on|off)".to_string()),
+        (
+            "hotspot",
+            "adaptive",
+            format!("no grid parameter `adaptive` {HOTSPOT_KEYS}"),
+        ),
         (
             "hotspot",
             "imbalance",
@@ -115,7 +120,7 @@ fn every_declared_parameter_goes_through_one_row_on_every_path() {
             "churn" => "60",
             "downtime_s" => "5",
             "stack" => "lightweight",
-            "adaptive" | "resilience" => "off",
+            "resilience" => "off",
             "defenses" => "auth",
             other => panic!("no sample value for the new key `{other}`"),
         }
@@ -165,7 +170,7 @@ fn every_declared_parameter_goes_through_one_row_on_every_path() {
         let output = experiment.run(1, &all, true).expect(experiment.slug);
         assert!(!output.report.rows.is_empty(), "{}", experiment.slug);
     }
-    assert_eq!(keys, 41, "a new parameter needs a sample value above");
+    assert_eq!(keys, 40, "a new parameter needs a sample value above");
 }
 
 /// `repro --list | head -1`: the reader going away is a clean exit, not a

@@ -4,23 +4,22 @@
 //! experiment builds its worst case for *speed*. Most of the city's devices
 //! — and almost all of its radio traffic — pile into one district: a dense
 //! milling crowd inside the district plus a stream of pedestrians walking in
-//! from across the city, over a sparse stationary background. Under the
-//! fixed equal-width stripes of PR 7, the stripe containing the district
-//! does nearly all the work each window while the others wait at the
-//! barrier; with `adaptive` sharding on, the density-adaptive partition
-//! narrows the hot stripes until every worker carries ~equal load.
+//! from across the city, over a sparse stationary background. Under
+//! equal-width stripes the stripe containing the district would do nearly
+//! all the work each window while the others wait at the barrier; the
+//! sharded world's load-balanced partition narrows the hot stripes until
+//! every worker carries about equal load.
 //!
 //! Like E17, the report is built to prove an invariance: it carries the full
-//! run digest and deliberately no shard- or adaptivity-dependent cell.
-//! Rerun it at a different `--shards` value — or flip `adaptive` — and diff
-//! the output: it must be empty, because the partition only ever decides
-//! which thread executes a node, never what the node observes. Only the
-//! wall clock changes.
+//! run digest and deliberately no shard- or partition-dependent cell. Rerun
+//! it at a different `--shards` value and diff the output: it must be empty,
+//! because the partition only ever decides which thread executes a node,
+//! never what the node observes. Only the wall clock changes.
 
 use simnet::prelude::*;
 
 use crate::experiments::city::City;
-use crate::experiments::params::{count, number, on_off, Param};
+use crate::experiments::params::{count, number, Param};
 use crate::experiments::probe::CityProbe;
 use crate::experiments::sharded::{probe_stats, sharded_world_digest};
 use crate::report::ExperimentReport;
@@ -42,9 +41,6 @@ pub struct HotspotSettings {
     pub ping_interval: SimDuration,
     /// Worker threads. Changes wall-clock time only, never results.
     pub shards: usize,
-    /// Density-adaptive stripe rebalancing. Changes wall-clock time only,
-    /// never results.
-    pub adaptive: bool,
 }
 
 impl HotspotSettings {
@@ -64,7 +60,6 @@ impl HotspotSettings {
             inbound_fraction: 0.15,
             ping_interval: SimDuration::from_secs(10),
             shards: 2,
-            adaptive: true,
         }
     }
 
@@ -101,11 +96,6 @@ impl HotspotSettings {
             "worker threads (wall-clock only; results are shard-invariant)",
             |s, v| count(v).map(|n| s.shards = n.max(1)),
         ),
-        Param::new(
-            "adaptive",
-            "density-adaptive stripe rebalancing (wall-clock only)",
-            |s, v| on_off(v).map(|on| s.adaptive = on),
-        ),
         Param::new("nodes", "city population", |s, v| count(v).map(|n| s.nodes = n)),
         City::density().help("overall devices per square kilometre"),
         Param::new(
@@ -124,14 +114,13 @@ impl AsMut<City> for HotspotSettings {
 }
 
 /// Builds and runs the hotspot metropolis, returning the world for
-/// inspection. Identical `(settings minus shards/adaptive)` produce
-/// identical results at any shard count, adaptivity on or off.
+/// inspection. Identical `(settings minus shards)` produce identical
+/// results at any shard count.
 pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
     let city = &settings.city;
     let side = city.side_m(settings.nodes);
     let district = settings.district();
-    let mut config = city.sharded_config(settings.nodes, settings.shards, 2.5);
-    config.adaptive = settings.adaptive;
+    let config = city.sharded_config(settings.nodes, settings.shards, 2.5);
     let mut world = ShardedWorld::new(config);
     let mut placer = SimRng::new(city.seed ^ 0x407_5907 ^ (settings.nodes as u64));
     let crowd = (settings.nodes as f64 * settings.crowd_fraction).round() as usize;
@@ -171,12 +160,7 @@ pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
             Box::new(CityProbe::new(city.inquiry_interval, settings.ping_interval)),
         );
     }
-    let scope = format!(
-        "E18 nodes={} shards={} adaptive={}",
-        settings.nodes,
-        settings.shards,
-        if settings.adaptive { "on" } else { "off" }
-    );
+    let scope = format!("E18 nodes={} shards={}", settings.nodes, settings.shards);
     crate::telemetry::instrument_sharded(&mut world, &scope);
     world.run_for(city.duration);
     crate::telemetry::finish_sharded(&mut world, &scope);
@@ -185,21 +169,20 @@ pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
 
 /// E18 (beyond the thesis): the hotspot metropolis.
 ///
-/// The report is identical for every shard count and adaptivity setting by
-/// construction — it includes the run digest and omits both knobs, so
-/// `diff`-ing two runs that differ only in `--shards` or `adaptive` is the
-/// invariance check itself.
+/// The report is identical for every shard count by construction — it
+/// includes the run digest and omits the knob, so `diff`-ing two runs that
+/// differ only in `--shards` is the invariance check itself.
 pub fn e18_hotspot_metropolis(settings: &HotspotSettings) -> ExperimentReport {
     let mut report = ExperimentReport::new(
         "E18",
         "Hotspot metropolis: a flash crowd against the load-balanced sharded world",
         "Beyond the thesis: a flash crowd piles most of the city's devices and traffic into one \
          district — the worst case for equal-width spatial stripes, whose hottest shard then does \
-         nearly all the work each window. Density-adaptive sharding re-cuts stripe boundaries \
-         along the load histogram at window barriers (hysteresis-gated, from pure simulation \
-         state), which changes wall-clock time only: this table carries a digest of every counter \
-         and no shard- or adaptivity-dependent cell. Rerun with different --shards or adaptive \
-         settings and diff — the output must not change.",
+         nearly all the work each window. Load-balanced sharding re-cuts stripe boundaries along \
+         the per-shard load at window barriers (hysteresis-gated, from pure simulation state), \
+         which changes wall-clock time only: this table carries a digest of every counter and no \
+         shard- or partition-dependent cell. Rerun with a different --shards and diff — the output \
+         must not change.",
         &[
             "nodes",
             "side (m)",
@@ -244,22 +227,26 @@ mod tests {
 
     #[test]
     fn smoke_city_report_is_shard_and_adaptivity_invariant() {
-        let mut static_one = HotspotSettings::smoke();
-        static_one.shards = 1;
-        static_one.adaptive = false;
-        let mut adaptive_four = HotspotSettings::smoke();
-        adaptive_four.shards = 4;
-        adaptive_four.adaptive = true;
-        let a = e18_hotspot_metropolis(&static_one);
-        let b = e18_hotspot_metropolis(&adaptive_four);
+        // One shard never re-cuts; four re-cut as the crowd skews the load.
+        let mut one = HotspotSettings::smoke();
+        one.shards = 1;
+        let mut four = HotspotSettings::smoke();
+        four.shards = 4;
+        let a = e18_hotspot_metropolis(&one);
+        let b = e18_hotspot_metropolis(&four);
         assert_eq!(
             a.to_string(),
             b.to_string(),
-            "report must not depend on shard count or adaptivity"
+            "report must not depend on shard count or re-cuts"
         );
-        let world = hotspot_metropolis_run(&static_one);
+        let world = hotspot_metropolis_run(&one);
         assert!(world.metrics().global().connects_established > 0);
         assert!(world.metrics().global().messages_delivered > 0);
+        assert_eq!(
+            world.partition_stats().rebalances,
+            0,
+            "one stripe has nothing to balance"
+        );
     }
 
     /// `sharded_world_digest` of the smoke hotspot as the parent of PR 17
@@ -267,24 +254,24 @@ mod tests {
     const PINNED_SMOKE_DIGEST: u64 = 0x9d0f_ec7e_7b7a_586d;
 
     #[test]
-    fn smoke_hotspot_digest_is_pinned_with_adaptivity_on_and_off() {
-        for (shards, adaptive) in [(2, false), (3, true)] {
+    fn smoke_hotspot_digest_is_pinned_at_two_and_three_shards() {
+        for shards in [2, 3] {
             let mut settings = HotspotSettings::smoke();
             settings.shards = shards;
-            settings.adaptive = adaptive;
-            let digest = sharded_world_digest(&hotspot_metropolis_run(&settings));
+            let world = hotspot_metropolis_run(&settings);
+            let digest = sharded_world_digest(&world);
             assert_eq!(
                 digest, PINNED_SMOKE_DIGEST,
-                "smoke digest {digest:#018x} moved at shards={shards} adaptive={adaptive}"
+                "smoke digest {digest:#018x} moved at shards={shards}"
             );
+            assert!(world.partition_stats().rebalances > 0, "shards={shards} never re-cut");
         }
     }
 
     #[test]
-    fn adaptive_smoke_city_actually_rebalances() {
+    fn smoke_city_actually_rebalances() {
         let mut settings = HotspotSettings::smoke();
         settings.shards = 4;
-        settings.adaptive = true;
         let world = hotspot_metropolis_run(&settings);
         let stats = world.partition_stats();
         assert!(stats.windows > 0, "barriers must fold the load model");

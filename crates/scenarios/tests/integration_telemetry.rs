@@ -123,7 +123,6 @@ fn shard_series_are_opt_in_and_report_per_shard_load() {
 
     let mut settings = HotspotSettings::smoke();
     settings.shards = 4;
-    settings.adaptive = true;
     // Default capture: no layout-dependent shard/* series, so the JSONL
     // stays byte-identical across --shards counts (the test above).
     configure(record());

@@ -1,41 +1,34 @@
-//! Density-adaptive stripe partitioning for the sharded world.
+//! Load-balanced stripe partitioning for the sharded world.
 //!
-//! PR 7's [`ShardedWorld`](super::shard::ShardedWorld) cuts the simulated
-//! area into vertical stripes of **equal width**. That is the right default
-//! for a uniformly populated city, but a flash crowd converging on one
-//! district piles most nodes — and most events — onto one shard while the
-//! others idle at every window barrier: parallel speedup is bounded by the
-//! most loaded worker, not the mean. This module supplies the three pieces
-//! that make the partition *adaptive*, each a pure function of simulation
-//! state so the decision sequence is a deterministic property of the run:
+//! [`ShardedWorld`](super::shard::ShardedWorld) cuts the simulated area into
+//! vertical stripes, one per shard. Equal widths suit a uniformly populated
+//! city, but a flash crowd converging on one district piles most nodes — and
+//! most events — onto one shard while the others idle at every window
+//! barrier: parallel speedup is bounded by the most loaded worker, not the
+//! mean. So the stripes balance themselves, from three pieces:
 //!
-//! * [`DensityHistogram`] — a coarse, weighted histogram of node positions
-//!   along the stripe axis, rebuilt at each window barrier from per-node
-//!   load weights (`1 + events processed this window`).
-//! * [`PartitionMap`] — the stripe boundaries themselves plus the
-//!   position→stripe lookup, replacing the fixed equal-width formula.
+//! * the per-shard load of each window, `owned nodes + events run`, counted
+//!   by the shards themselves, and its [`imbalance`] (max over mean);
 //! * [`HysteresisController`] — the gate that triggers a re-cut only after
-//!   the measured imbalance has exceeded a threshold for K *consecutive*
-//!   windows, so steady cities never pay migration or re-cut costs.
+//!   the imbalance has exceeded a threshold for K *consecutive* windows, so
+//!   steady cities never pay migration or re-cut costs;
+//! * [`PartitionMap`] — the stripe boundaries, the position→stripe lookup
+//!   and [`PartitionMap::rebalance`], which moves the boundaries so each
+//!   stripe carries about the same share of the load it was measured at.
 //!
 //! None of this can affect simulation results: the partition decides which
-//! thread executes a node, never what the node observes (the PR 7
-//! invariant), and every input to the cut — positions from compiled motion
-//! plans, per-node event counts — is itself independent of the shard
-//! layout. Boundaries are therefore a function of seed + state alone:
-//! traces stay byte-identical at any shard count with adaptivity on or
-//! off, and even the rebalance *decisions* replay identically run-to-run.
+//! thread executes a node, never what the node observes, and every input to
+//! the cut — node counts and events run per window — is itself pure
+//! simulation state. Boundaries are therefore a function of seed + state
+//! alone: traces stay byte-identical at any shard count, and even the
+//! rebalance *decisions* replay identically run-to-run.
 
 /// Rebalance only while `max(shard load) / mean(shard load)` exceeds this
-/// ratio ([`ShardedConfig::adaptive`](super::shard::ShardedConfig::adaptive)
-/// on). 1.0 would chase noise; this tolerates 25% skew.
+/// ratio. 1.0 would chase noise; this tolerates 25% skew.
 pub const IMBALANCE_THRESHOLD: f64 = 1.25;
 /// Consecutive over-threshold windows required before a re-cut — the
 /// hysteresis that keeps transient spikes from thrashing the partition.
 pub const PATIENCE: u32 = 3;
-/// Bins of the density histogram along the stripe axis. More bins cut more
-/// precisely; the barrier fold is O(nodes) either way.
-pub const DENSITY_BINS: usize = 256;
 
 /// The stripe boundaries of a sharded world: `cuts.len() + 1` vertical
 /// stripes over `[min_x, max_x]`, where interior boundary `i` separates
@@ -49,8 +42,7 @@ pub struct PartitionMap {
 }
 
 impl PartitionMap {
-    /// Equal-width stripes — the PR 7 layout and the starting point of
-    /// every adaptive run.
+    /// Equal-width stripes: where every run starts.
     pub fn uniform(min_x: f64, max_x: f64, shards: usize) -> Self {
         let shards = shards.max(1);
         let width = (max_x - min_x).max(f64::MIN_POSITIVE);
@@ -74,90 +66,38 @@ impl PartitionMap {
         self.cuts.partition_point(|&c| x >= c) as u32
     }
 
-    /// Replaces the interior boundaries with a freshly computed cut. The
-    /// new cut must preserve the stripe count and be monotone.
-    pub fn set_cuts(&mut self, cuts: &[f64]) {
-        debug_assert_eq!(cuts.len(), self.cuts.len(), "stripe count must not change");
-        debug_assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "cuts must be ascending");
-        self.cuts.clear();
-        self.cuts.extend(cuts.iter().map(|&c| c.clamp(self.min_x, self.max_x)));
-    }
-}
-
-/// A coarse weighted histogram of node positions along the stripe axis,
-/// folded at window barriers and consumed by [`DensityHistogram::cut_into`].
-#[derive(Debug, Clone)]
-pub struct DensityHistogram {
-    min_x: f64,
-    bin_w: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl DensityHistogram {
-    /// An empty histogram of `bins` equal-width bins over `[min_x, max_x]`.
-    pub fn new(min_x: f64, max_x: f64, bins: usize) -> Self {
-        let bins = bins.max(1);
-        let bin_w = ((max_x - min_x) / bins as f64).max(f64::MIN_POSITIVE);
-        DensityHistogram {
-            min_x,
-            bin_w,
-            bins: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Zeroes every bin, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.bins.iter_mut().for_each(|b| *b = 0);
-        self.total = 0;
-    }
-
-    /// Adds `weight` at position `x` (clamped into the outermost bins).
-    pub fn record(&mut self, x: f64, weight: u64) {
-        let idx = ((x - self.min_x) / self.bin_w) as i64;
-        let idx = idx.clamp(0, self.bins.len() as i64 - 1) as usize;
-        self.bins[idx] += weight;
-        self.total += weight;
-    }
-
-    /// Total recorded weight.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Computes `shards - 1` interior boundaries so each stripe carries
-    /// ~`total / shards` weight: a walk along the weighted prefix sum,
-    /// placing boundary `k` where the cumulative weight crosses
-    /// `k * total / shards` (linearly interpolated inside the crossing
-    /// bin). Appends into `out` (cleared first) so callers reuse the
-    /// allocation across rebalances. With zero total weight the cut
-    /// degenerates to equal widths.
-    pub fn cut_into(&self, shards: usize, out: &mut Vec<f64>) {
-        out.clear();
-        let shards = shards.max(1);
-        if self.total == 0 {
-            let width = self.bin_w * self.bins.len() as f64;
-            out.extend((1..shards).map(|i| self.min_x + width * i as f64 / shards as f64));
+    /// Re-cuts the stripes so each carries about `1 / shards` of `loads`,
+    /// one load per current stripe. Load is taken as uniform inside each
+    /// stripe, so cut `k` goes where the cumulative load crosses `k / shards`
+    /// of the total. That is exact only for load that really is uniform
+    /// within stripes; the gate fires again while imbalance persists, and
+    /// the repeated cuts converge. Zero total load and a single stripe leave
+    /// the cuts as they are.
+    pub fn rebalance(&mut self, loads: &[u64]) {
+        debug_assert_eq!(loads.len(), self.shards(), "one load per stripe");
+        let total: u64 = loads.iter().sum();
+        if total == 0 {
             return;
         }
-        let mut cum: u64 = 0;
-        let mut bin = 0usize;
-        for k in 1..shards {
-            let target = (self.total as u128 * k as u128 / shards as u128) as u64;
-            while bin < self.bins.len() && cum + self.bins[bin] < target {
-                cum += self.bins[bin];
-                bin += 1;
+        // Stripe `i` spans `bounds[i]..bounds[i + 1]`.
+        let bounds: Vec<f64> = std::iter::once(self.min_x)
+            .chain(self.cuts.drain(..))
+            .chain([self.max_x])
+            .collect();
+        let (mut stripe, mut before) = (0, 0u64);
+        for k in 1..loads.len() {
+            let target = (total as u128 * k as u128 / loads.len() as u128) as u64;
+            // The total exceeds every target, so the walk stops inside a
+            // stripe that carries load.
+            while before + loads[stripe] <= target {
+                before += loads[stripe];
+                stripe += 1;
             }
-            let cut = if bin >= self.bins.len() {
-                self.min_x + self.bin_w * self.bins.len() as f64
-            } else {
-                let inside = (target - cum) as f64 / self.bins[bin].max(1) as f64;
-                self.min_x + self.bin_w * (bin as f64 + inside)
-            };
-            // Targets ascend and the walk never backs up, so cuts are
-            // monotone by construction; the max guards float round-off.
-            out.push(out.last().map_or(cut, |&prev: &f64| cut.max(prev)));
+            let (lo, hi) = (bounds[stripe], bounds[stripe + 1]);
+            let inside = (target - before) as f64 / loads[stripe] as f64;
+            // Targets ascend and the walk never backs up; the clamp keeps
+            // float round-off from crossing the stripe's ends.
+            self.cuts.push((lo + (hi - lo) * inside).clamp(lo, hi));
         }
     }
 }
@@ -218,9 +158,7 @@ impl HysteresisController {
     }
 }
 
-/// Live partition diagnostics, updated at every non-idle window barrier
-/// (only while load tracking is on: adaptivity enabled or `shard/*`
-/// telemetry requested).
+/// Live partition diagnostics, updated at every non-idle window barrier.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionStats {
     /// Non-idle windows observed.
@@ -238,6 +176,16 @@ pub struct PartitionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
+
+    /// Per-stripe counts of `points` under `map`.
+    fn loads_of(map: &PartitionMap, points: &[f64]) -> Vec<u64> {
+        let mut loads = vec![0; map.shards()];
+        for &x in points {
+            loads[map.stripe_of(x) as usize] += 1;
+        }
+        loads
+    }
 
     #[test]
     fn uniform_map_matches_equal_width_stripes() {
@@ -263,69 +211,111 @@ mod tests {
 
     #[test]
     fn prefix_sum_cut_equalises_uniform_weight() {
-        let mut hist = DensityHistogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            hist.record(i as f64 + 0.5, 1);
-        }
-        let mut cuts = Vec::new();
-        hist.cut_into(4, &mut cuts);
-        assert_eq!(cuts.len(), 3);
-        for (cut, expect) in cuts.iter().zip([25.0, 50.0, 75.0]) {
-            assert!((cut - expect).abs() < 1.5, "cut {cut} should sit near {expect}");
-        }
+        // Equal loads are already balanced: the cuts stay exactly put, on
+        // equal-width stripes and on skewed ones alike.
+        let mut map = PartitionMap::uniform(0.0, 100.0, 4);
+        map.rebalance(&[7, 7, 7, 7]);
+        assert_eq!(map.cuts(), &[25.0, 50.0, 75.0]);
+        let mut map = PartitionMap::uniform(-3.0, 0.7, 3);
+        map.rebalance(&[10, 1, 0]);
+        let skewed = map.cuts().to_vec();
+        map.rebalance(&[5, 5, 5]);
+        assert_eq!(map.cuts(), &skewed[..]);
     }
 
     #[test]
     fn prefix_sum_cut_narrows_the_hot_district() {
-        // 90% of the weight lives in x ∈ [80, 90): adaptive cuts must pack
-        // three of four stripes around the hotspot.
-        let mut hist = DensityHistogram::new(0.0, 100.0, 100);
-        for i in 0..10 {
-            hist.record(i as f64 * 8.0, 1); // sparse left edge
-        }
-        for i in 0..90 {
-            hist.record(80.0 + (i % 10) as f64, 1); // dense district
-        }
-        let mut cuts = Vec::new();
-        hist.cut_into(4, &mut cuts);
-        assert!(
-            cuts[0] >= 75.0,
-            "first cut {:.1} must sit at the district edge",
-            cuts[0]
-        );
-        assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "cuts must stay sorted");
-        assert!(cuts.iter().all(|c| (0.0..=100.0).contains(c)));
+        // 10 on the left half, 90 on the right: the cut moves right to where
+        // half the load lies, 40 of the hot stripe's 90 into it.
+        let mut map = PartitionMap::uniform(0.0, 100.0, 2);
+        map.rebalance(&[10, 90]);
+        let expect = 100.0 * (0.5 + 0.5 * 40.0 / 90.0);
+        assert!((map.cuts()[0] - expect).abs() < 1e-9, "{:?} vs {expect}", map.cuts());
+        // And back: the mirror image moves it left by as much.
+        let mut map = PartitionMap::uniform(0.0, 100.0, 2);
+        map.rebalance(&[90, 10]);
+        assert!((map.cuts()[0] - (100.0 - expect)).abs() < 1e-9, "{:?}", map.cuts());
+    }
+
+    #[test]
+    fn zero_load_and_one_stripe_are_no_ops() {
+        let mut map = PartitionMap::uniform(0.0, 80.0, 4);
+        map.rebalance(&[0, 0, 0, 0]);
+        assert_eq!(map.cuts(), &[20.0, 40.0, 60.0]);
+        let mut one = PartitionMap::uniform(0.0, 80.0, 1);
+        one.rebalance(&[12]);
+        assert!(one.cuts().is_empty());
+        assert_eq!(one.stripe_of(79.0), 0);
     }
 
     #[test]
     fn degenerate_all_weight_in_one_cell_stays_monotone_and_bounded() {
-        let mut hist = DensityHistogram::new(0.0, 100.0, 50);
-        hist.record(42.0, 1_000);
-        let mut cuts = Vec::new();
-        hist.cut_into(8, &mut cuts);
+        // All the load in one stripe of eight: every cut lands inside it,
+        // the stripes either side collapse, and lookup still covers the area.
+        let mut map = PartitionMap::uniform(0.0, 100.0, 8);
+        let mut loads = [0; 8];
+        loads[3] = 1_000;
+        map.rebalance(&loads);
+        let cuts = map.cuts();
         assert_eq!(cuts.len(), 7);
         assert!(
             cuts.windows(2).all(|w| w[0] <= w[1]),
             "cuts must be ascending: {cuts:?}"
         );
-        // Every cut lands inside the hot bin [42, 44): stripes 1..7 are
-        // (nearly) empty, which the ownership map handles fine.
-        assert!(cuts.iter().all(|c| (40.0..=46.0).contains(c)), "{cuts:?}");
-        let map = {
-            let mut m = PartitionMap::uniform(0.0, 100.0, 8);
-            m.set_cuts(&cuts);
-            m
-        };
+        assert!(cuts.iter().all(|c| (37.5..=50.0).contains(c)), "{cuts:?}");
         assert_eq!(map.stripe_of(0.0), 0);
         assert_eq!(map.stripe_of(99.0), 7);
     }
 
     #[test]
-    fn empty_histogram_cuts_fall_back_to_equal_width() {
-        let hist = DensityHistogram::new(0.0, 80.0, 16);
-        let mut cuts = Vec::new();
-        hist.cut_into(4, &mut cuts);
-        assert_eq!(cuts, vec![20.0, 40.0, 60.0]);
+    fn random_loads_keep_the_cuts_ascending_and_inside_the_area() {
+        let mut rng = SimRng::new(0xC075);
+        let (min_x, max_x) = (-40.0, 260.0);
+        for round in 0..1_000 {
+            let shards = 2 + rng.index(7);
+            let mut map = PartitionMap::uniform(min_x, max_x, shards);
+            // A few re-cuts in a row, so later ones start from skewed stripes.
+            for _ in 0..3 {
+                let loads: Vec<u64> = (0..shards)
+                    .map(|_| if rng.chance(0.3) { 0 } else { rng.range(0..10_000u64) })
+                    .collect();
+                map.rebalance(&loads);
+                let cuts = map.cuts();
+                assert_eq!(cuts.len(), shards - 1, "round {round}");
+                assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "round {round}: {cuts:?}");
+                assert!(
+                    cuts.iter().all(|c| (min_x..=max_x).contains(c)),
+                    "round {round}: {cuts:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_recuts_balance_a_ninety_percent_hotspot_within_four_rounds() {
+        // 900 points in [80, 90), 100 spread evenly over the other nine
+        // tenths: the equal-width cut leaves one stripe with nearly all of it.
+        let hot = (0..900).map(|i| 80.0 + 10.0 * (i as f64 + 0.5) / 900.0);
+        let cold = (0..100).map(|i| {
+            let x = 90.0 * (i as f64 + 0.5) / 100.0;
+            if x < 80.0 {
+                x
+            } else {
+                x + 10.0
+            }
+        });
+        let points: Vec<f64> = hot.chain(cold).collect();
+        for shards in [2, 3, 4, 8] {
+            let mut map = PartitionMap::uniform(0.0, 100.0, shards);
+            let start = imbalance(&loads_of(&map, &points));
+            assert!(start > 1.8, "{shards} shards start at {start:.2}");
+            let mut rounds = 0;
+            while imbalance(&loads_of(&map, &points)) > IMBALANCE_THRESHOLD {
+                assert!(rounds < 4, "{shards} shards still at {:?}", loads_of(&map, &points));
+                map.rebalance(&loads_of(&map, &points));
+                rounds += 1;
+            }
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl ShardedWorld {
         }
     }
 
-    /// The window barrier: fold the load model (and maybe re-cut the
+    /// The window barrier: fold the shards' loads (and maybe re-cut the
     /// stripes), migrate ownership to the stripe containing each node's
     /// position at `t1`, then route every outbox message to the inbox of the
     /// shard that owns its addressee. Sorting and queueing the mail is the
@@ -85,7 +85,7 @@ impl ShardedWorld {
     pub(super) fn barrier(&mut self, t1: SimTime) {
         #[cfg(debug_assertions)]
         self.audit(t1);
-        let recut = self.track_loads && self.fold_loads(t1);
+        let recut = self.fold_loads();
         if self.shards.len() > 1 {
             // A fixed node leaves its stripe only when the stripes move.
             if recut {
@@ -111,7 +111,8 @@ impl ShardedWorld {
     }
 
     /// Consistency audit, run by every debug build at each barrier: the pass
-    /// consumed its inbox and left exact head times, every link and attempt
+    /// consumed its inbox and left exact head times, each shard's owned count
+    /// is its occupied slots, every link and attempt
     /// table is sorted and holds no storage while empty, and no open
     /// initiator half has been left unwatched past an instant at which it
     /// could leave range (`link::audit_skipped_polls`; the events before `t1`
@@ -121,6 +122,8 @@ impl ShardedWorld {
         let interval = self.config.link_check_interval;
         for shard in &self.shards {
             assert!(shard.inbox.is_empty(), "a pass consumes its whole inbox");
+            let occupied = shard.nodes.iter().filter(|n| n.is_some()).count();
+            assert_eq!(shard.owned, occupied as u64, "owned count out of step");
             for (raw, &due) in shard.due.iter().enumerate() {
                 let head = shard.nodes[raw].as_deref().and_then(|n| n.queue.peek_time());
                 assert_eq!(due, head.unwrap_or(SimTime::MAX), "stale head time for node {raw}");
@@ -152,48 +155,33 @@ impl ShardedWorld {
         }
         let node = self.shards[current].nodes[raw].take().expect("owned");
         let due = std::mem::replace(&mut self.shards[current].due[raw], SimTime::MAX);
+        self.shards[current].owned -= 1;
         self.shards[target].nodes[raw] = Some(node);
+        self.shards[target].owned += 1;
         self.shards[target].note_pending(raw, due);
         self.owner[raw] = target as u32;
     }
 
-    /// Folds the per-shard load model for the window that just ended and,
-    /// when adaptivity is on and the hysteresis gate fires, re-cuts the
-    /// stripe boundaries along the weighted prefix sum of the density
-    /// histogram. Every input is pure simulation state — per-node event
-    /// counts (layout-invariant), node counts and motion-plan positions at
-    /// `t1`, folded in canonical shard/node order — so the cut sequence is a
-    /// deterministic function of seed + state: never wall clock, thread
-    /// identity, or iteration order of any hash table. Returns whether the
+    /// Folds the window that just ended into the partition stats — a shard's
+    /// load is the nodes it owns plus the events its pass ran — and, when
+    /// the hysteresis gate fires, re-cuts the stripes along those loads.
+    /// Both counts are simulation state (how many nodes a stripe holds, how
+    /// many events they ran), so the cut sequence is a deterministic function
+    /// of seed + state: never wall clock or thread identity. Returns whether the
     /// stripes were re-cut.
-    fn fold_loads(&mut self, t1: SimTime) -> bool {
-        let ShardedWorld {
-            shards,
-            plans,
-            owner,
-            pstats,
-            density,
-            ..
-        } = self;
-        let shard_count = shards.len();
-        pstats.loads.clear();
-        pstats.loads.resize(shard_count, 0);
+    fn fold_loads(&mut self) -> bool {
+        let pstats = &mut self.pstats;
         pstats.occupancy.clear();
-        pstats.occupancy.resize(shard_count, 0);
-        density.clear();
-        for (raw, plan) in plans.iter().enumerate() {
-            let s = owner[raw] as usize;
-            let weight = 1 + std::mem::take(&mut shards[s].window_events[raw]);
-            pstats.loads[s] += weight;
-            pstats.occupancy[s] += 1;
-            density.record(plan.position_at(t1).x, weight);
-        }
+        pstats.occupancy.extend(self.shards.iter().map(|s| s.owned));
+        pstats.loads.clear();
+        pstats
+            .loads
+            .extend(self.shards.iter_mut().map(|s| s.owned + std::mem::take(&mut s.events)));
         pstats.windows += 1;
         pstats.last_imbalance = imbalance(&pstats.loads);
-        let recut = self.config.adaptive && shard_count > 1 && self.gate.observe(pstats.last_imbalance);
+        let recut = self.gate.observe(pstats.last_imbalance);
         if recut {
-            density.cut_into(shard_count, &mut self.cuts_scratch);
-            self.partition.set_cuts(&self.cuts_scratch);
+            self.partition.rebalance(&pstats.loads);
             pstats.rebalances += 1;
         }
         recut

@@ -87,11 +87,12 @@ pub(super) struct Shard {
     pub(super) snapshot_delta: Vec<(usize, RadioState)>,
     /// Wall nanoseconds of the last pass (recorded only while profiling).
     pub(super) pass_ns: u64,
-    /// Dense by raw node id while loads are tracked (empty otherwise): events
-    /// each node processed here since the last barrier load fold — the
-    /// per-node contribution to the shard load model. Layout-invariant: a
-    /// node processes the same events whatever shard executes it.
-    pub(super) window_events: Vec<u64>,
+    /// Nodes owned here: `Some` slots of `nodes`, counted where ownership
+    /// changes (`add_node`, a barrier's migration).
+    pub(super) owned: u64,
+    /// Events the passes since the last barrier ran. With `owned`, the
+    /// shard's load: a node runs the same events whatever shard executes it.
+    pub(super) events: u64,
     /// Reusable grid-query scratch buffer (one per shard, not per query).
     scratch: Vec<NodeId>,
     /// Shard-local per-phase profiler (inert unless profiling is enabled);
@@ -109,7 +110,8 @@ impl Shard {
             out: PassOutput::default(),
             snapshot_delta: Vec::new(),
             pass_ns: 0,
-            window_events: Vec::new(),
+            owned: 0,
+            events: 0,
             scratch: Vec::new(),
             profiler: Profiler::disabled(),
         }
@@ -156,7 +158,7 @@ impl Shard {
             inbox,
             out,
             snapshot_delta,
-            window_events,
+            events,
             scratch,
             profiler,
             ..
@@ -174,10 +176,9 @@ impl Shard {
             while let Some(msg) = mail.next_if(|m| m.to.as_raw() == raw as u64) {
                 node.deliver(msg);
             }
-            let mut events = 0;
             while node.queue.peek_time().is_some_and(|t| t < t1) {
                 let (at, event) = node.queue.pop().expect("peeked");
-                events += 1;
+                *events += 1;
                 if profiler.is_enabled() {
                     let phase = phase_of_node_event(&event);
                     let span = profiler.begin();
@@ -189,9 +190,6 @@ impl Shard {
             }
             *head = node.queue.peek_time().unwrap_or(SimTime::MAX);
             *next_due = (*next_due).min(*head);
-            if let Some(tally) = window_events.get_mut(raw) {
-                *tally += events;
-            }
             // A node's published state changes only while it runs its own
             // events, so this is the one place a delta can arise.
             if node.radio != view.snapshot[raw] {

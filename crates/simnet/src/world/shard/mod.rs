@@ -48,10 +48,10 @@
 //!   re-bucket the walkers whose plan has left their cell. A node stays
 //!   indexed whatever its liveness (inquiries filter candidates on the
 //!   snapshot anyway).
-//! * **On the coordinator, at the barrier**: fold the load model (if on),
-//!   move each mover — every node after a stripe re-cut — to the shard whose
-//!   stripe now contains it, and hand every outbox message to the owner's
-//!   inbox. Nothing is sorted or queued here.
+//! * **On the coordinator, at the barrier**: fold the shards' load counts
+//!   (O(shards)), move each mover — every node after a stripe re-cut — to the
+//!   shard whose stripe now contains it, and hand every outbox message to the
+//!   owner's inbox. Nothing is sorted or queued here.
 //! * **At the end of a `run_until` call** the coordinator queues any mail
 //!   still in an inbox itself, so between calls — where
 //!   [`ShardedWorld::install_fault_plan`] and [`ShardedWorld::add_node`]
@@ -107,9 +107,7 @@ use crate::rng::SimRng;
 use crate::telemetry::{Histogram, Phase, Profiler, Telemetry, TelemetryConfig, PAYLOAD_SIZE_BOUNDS};
 use crate::time::{SimDuration, SimTime};
 use crate::world::grid::SpatialGrid;
-use crate::world::partition::{
-    DensityHistogram, HysteresisController, PartitionMap, PartitionStats, DENSITY_BINS, IMBALANCE_THRESHOLD, PATIENCE,
-};
+use crate::world::partition::{HysteresisController, PartitionMap, PartitionStats, IMBALANCE_THRESHOLD, PATIENCE};
 
 /// Configuration for a [`ShardedWorld`].
 #[derive(Debug, Clone)]
@@ -141,12 +139,6 @@ pub struct ShardedConfig {
     /// Spatial-grid cell size override in metres; defaults to the smallest
     /// finite radio range.
     pub grid_cell_m: Option<f64>,
-    /// Density-adaptive stripe rebalancing (see
-    /// [`partition`](crate::world::partition) for the gate's constants). Off
-    /// by default; switching it on changes only which thread executes a node
-    /// — never what the node observes — so traces stay byte-identical either
-    /// way.
-    pub adaptive: bool,
 }
 
 impl ShardedConfig {
@@ -162,7 +154,6 @@ impl ShardedConfig {
             mobility_horizon: SimTime::from_secs(4 * 3600),
             max_speed_mps: 3.0,
             grid_cell_m: None,
-            adaptive: false,
         }
     }
 
@@ -261,19 +252,13 @@ pub struct ShardedWorld {
     /// re-bucketed at the window start after its plan left its cell.
     grid: SpatialGrid,
     /// The stripe boundaries. Uniform until the hysteresis gate fires a
-    /// density-adaptive re-cut; either way ownership only decides which
+    /// load-balancing re-cut; either way ownership only decides which
     /// thread runs a node, never what the node observes.
     partition: PartitionMap,
-    density: DensityHistogram,
     gate: HysteresisController,
     pstats: PartitionStats,
-    /// Whether barriers fold the per-shard load model (adaptivity on, or
-    /// per-shard telemetry requested). Off, barriers skip the fold entirely.
-    track_loads: bool,
     /// Whether the telemetry recorder wants `shard/*` series.
     shard_series: bool,
-    /// Reusable scratch for adaptive re-cuts.
-    cuts_scratch: Vec<f64>,
     metrics: Metrics,
     stats: FaultStats,
     lifecycle: Vec<LifecycleEvent>,
@@ -305,12 +290,9 @@ impl ShardedWorld {
             snapshot: Vec::new(),
             grid: SpatialGrid::new(cell_m),
             partition: PartitionMap::uniform(config.area.min_x, config.area.max_x, shard_count),
-            density: DensityHistogram::new(config.area.min_x, config.area.max_x, DENSITY_BINS),
             gate: HysteresisController::new(IMBALANCE_THRESHOLD, PATIENCE),
             pstats: PartitionStats::default(),
-            track_loads: config.adaptive,
             shard_series: false,
-            cuts_scratch: Vec::new(),
             metrics: Metrics::new(),
             stats: FaultStats::default(),
             lifecycle: Vec::new(),
@@ -328,7 +310,6 @@ impl ShardedWorld {
     /// state, so the recorded series are byte-identical at any shard count.
     pub fn enable_telemetry(&mut self, config: TelemetryConfig) {
         self.shard_series = config.shard_series;
-        self.track_loads = self.track_loads || config.shard_series;
         self.telemetry = Some(Box::new(Telemetry::new(config)));
         for shard in &mut self.shards {
             shard.out.payload_hist = Some(Histogram::new(PAYLOAD_SIZE_BOUNDS));
@@ -433,9 +414,8 @@ impl ShardedWorld {
         &self.lifecycle
     }
 
-    /// Live partition diagnostics: per-shard loads, imbalance, re-cut count.
-    /// Populated only while load tracking is on (adaptivity enabled or
-    /// `shard/*` telemetry requested); otherwise all zeros.
+    /// Live partition diagnostics: per-shard loads, imbalance, re-cut count,
+    /// as of the last non-idle window barrier.
     pub fn partition_stats(&self) -> &PartitionStats {
         &self.pstats
     }
@@ -498,6 +478,7 @@ impl ShardedWorld {
         self.snapshot.push(node.radio);
         let shard = &mut self.shards[owner as usize];
         shard.nodes[raw as usize] = Some(Box::new(node));
+        shard.owned += 1;
         shard.note_pending(raw as usize, self.now);
         self.owner.push(owner);
         self.names.push(name.into());
@@ -549,11 +530,6 @@ impl ShardedWorld {
     pub fn run_until(&mut self, deadline: SimTime) {
         if deadline <= self.now {
             return;
-        }
-        if self.track_loads {
-            for shard in &mut self.shards {
-                shard.window_events.resize(self.plans.len(), 0);
-            }
         }
         while self.now < deadline {
             let t1 = (self.now + self.window).min(deadline);

@@ -81,6 +81,7 @@ impl<K: Ord + Copy, V> IdTable<K, V> {
     }
 
     /// The entries in ascending key order.
+    #[cfg(any(debug_assertions, test))]
     pub(super) fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.entries.iter().map(|(k, v)| (*k, v))
     }

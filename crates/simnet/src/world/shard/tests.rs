@@ -377,16 +377,26 @@ fn mail_for_a_walker_that_changes_stripe_is_delivered_by_the_new_owner_in_canoni
         // Crosses the two-stripe cut at x = 50 at t = 5 s.
         let walk = MobilityModel::walk(Point::new(45.0, 50.0), Point::new(55.0, 50.0), 1.0);
         world.add_node("w", walk, &[RadioTech::Wlan], Box::<Probe>::default());
-        let first_owner = world.owner[2];
+        // Its mirror image 30 m south, crossing the other way at the same
+        // barrier: the two stripes carry equal load in every window, so the
+        // stripes stay where they are and only the walkers change owner.
+        let mirror = NodeId::from_raw(5);
+        world.add_node("c", fixed_at(60.0, 20.0), &[RadioTech::Wlan], Probe::dialing(mirror));
+        world.add_node("d", fixed_at(40.0, 20.0), &[RadioTech::Wlan], Probe::dialing(mirror));
+        let walk = MobilityModel::walk(Point::new(54.5, 20.0), Point::new(44.5, 20.0), 1.0);
+        world.add_node("m", walk, &[RadioTech::Wlan], Box::<Probe>::default());
+        let first_owners = (world.owner[2], world.owner[5]);
         world.run_for(SimDuration::from_secs(8));
         let heard = probe(&mut world, walker, |p| p.heard.clone());
-        (heard, first_owner, world.owner[2], a, b)
+        let stats = world.partition_stats();
+        assert_eq!((stats.rebalances, stats.last_imbalance), (0, 1.0), "{stats:?}");
+        (heard, first_owners, (world.owner[2], world.owner[5]), a, b)
     };
-    let (heard, first_owner, last_owner, a, b) = run(2);
+    let (heard, first_owners, last_owners, a, b) = run(2);
     assert_eq!(
-        (first_owner, last_owner),
-        (0, 1),
-        "the walker must change shard mid-run"
+        (first_owners, last_owners),
+        ((0, 1), (1, 0)),
+        "both walkers must change shard mid-run"
     );
     // Both dials resolve in the first window, are answered at 0.5 s and
     // confirmed at 1.0 s; from then on each sender's tick lands one
@@ -551,10 +561,9 @@ fn a_crashed_fixed_node_keeps_its_grid_cell_but_is_no_hit_until_it_restarts() {
 fn mostly_fixed_hotspot_is_invariant_to_adaptivity_and_the_recut_moves_fixed_nodes() {
     // 90 fixed nodes crowd the right quarter, 10 walkers cross the city;
     // everyone scans, dials its first hit and ticks.
-    let run = |shards: usize, adaptive: bool| {
+    let run = |shards: usize| {
         let mut config = ShardedConfig::new(11, Rect::square(100.0));
         config.shards = shards;
-        config.adaptive = adaptive;
         let mut world = ShardedWorld::new(config);
         let mut placer = SimRng::new(0xF1ED);
         for i in 0..100 {
@@ -582,17 +591,68 @@ fn mostly_fixed_hotspot_is_invariant_to_adaptivity_and_the_recut_moves_fixed_nod
         let trace = (*world.metrics().global(), world.fault_stats().crashes, logs);
         (trace, world.partition_stats().rebalances, moved_fixed)
     };
-    let (reference, _, _) = run(1, false);
+    // One stripe never re-cuts: the reference ran on the fixed layout.
+    let (reference, recuts, _) = run(1);
+    assert_eq!(recuts, 0);
     assert!(reference.0.messages_delivered > 0 && reference.0.links_broken > 0);
     for shards in [2, 3] {
-        let (fixed_stripes, recuts, moved) = run(shards, false);
-        assert_eq!((recuts, moved), (0, false));
-        assert!(fixed_stripes == reference, "static stripes diverged at {shards} shards");
-        let (adaptive, recuts, moved) = run(shards, true);
+        let (recut, recuts, moved) = run(shards);
         assert!(recuts > 0, "the crowd must trip the gate at {shards} shards");
         assert!(moved, "a re-cut must migrate fixed nodes too");
-        assert!(adaptive == reference, "adaptive stripes diverged at {shards} shards");
+        assert!(recut == reference, "re-cut stripes diverged at {shards} shards");
     }
+}
+
+#[test]
+fn every_barrier_folds_owned_nodes_plus_events_run_without_telemetry() {
+    const EVENT_PHASES: [Phase; 8] = [
+        Phase::AgentStart,
+        Phase::Timers,
+        Phase::Discovery,
+        Phase::Connect,
+        Phase::Delivery,
+        Phase::LinkCheck,
+        Phase::Disconnect,
+        Phase::Faults,
+    ];
+    let events_run = |world: &ShardedWorld| {
+        let profile = world.profile();
+        EVENT_PHASES.iter().map(|&phase| profile.calls(phase)).sum::<u64>()
+    };
+    // Two ticking pairs and a scanner, spread over three stripes; one of
+    // the dialers walks across them.
+    let mut world = ideal_world(3);
+    world.enable_profiling();
+    let b = NodeId::from_raw(1);
+    world.add_node("a", fixed_at(10.0, 50.0), &[RadioTech::Wlan], Probe::dialing(b));
+    world.add_node("b", fixed_at(40.0, 50.0), &[RadioTech::Wlan], Box::<Probe>::default());
+    let d = NodeId::from_raw(3);
+    let walk = MobilityModel::walk(Point::new(60.0, 60.0), Point::new(30.0, 60.0), 1.5);
+    world.add_node("c", walk, &[RadioTech::Wlan], Probe::dialing(d));
+    world.add_node("d", fixed_at(70.0, 50.0), &[RadioTech::Wlan], Box::<Probe>::default());
+    world.add_node("e", fixed_at(90.0, 50.0), &[RadioTech::Wlan], Probe::scanning());
+    let window = world.window();
+    let mut folds = 0;
+    for _ in 0..40 {
+        let (windows, before) = (world.partition_stats().windows, events_run(&world));
+        world.run_for(window);
+        let ran = events_run(&world) - before;
+        let stats = world.partition_stats();
+        if stats.windows == windows {
+            assert_eq!(ran, 0, "an idle window runs nothing");
+            continue;
+        }
+        folds += 1;
+        assert_eq!(stats.windows, windows + 1);
+        assert_eq!(stats.occupancy.iter().sum::<u64>(), 5, "{stats:?}");
+        assert_eq!(
+            stats.loads.iter().sum::<u64>(),
+            stats.occupancy.iter().sum::<u64>() + ran,
+            "{stats:?}"
+        );
+        assert!(stats.loads.iter().zip(&stats.occupancy).all(|(l, o)| l >= o));
+    }
+    assert!(folds > 30, "the pairs keep every window busy: {folds} folds");
 }
 
 /// Where per-interval polling (the parent of the range-exit scheduling)

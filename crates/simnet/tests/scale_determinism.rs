@@ -672,8 +672,8 @@ mod sharded {
 
     /// The hotspot twin of `build_city`: the same churn and radio-outage
     /// plans, but 70% of the nodes mill inside a district on the right of
-    /// the city — the load skew the density-adaptive partition exists for.
-    pub fn build_hotspot_city(seed: u64, shards: usize, adaptive: bool) -> ShardedWorld {
+    /// the city — the load skew the load-balanced partition exists for.
+    pub fn build_hotspot_city(seed: u64, shards: usize) -> ShardedWorld {
         let side = 300.0;
         let area = Rect::square(side);
         let district = Rect::new(0.65 * side, 0.25 * side, 0.95 * side, 0.75 * side);
@@ -681,7 +681,6 @@ mod sharded {
         config.shards = shards;
         config.max_speed_mps = 2.0;
         config.window = Some(SimDuration::from_secs(1));
-        config.adaptive = adaptive;
         let mut world = ShardedWorld::new(config);
         let mut placer = SimRng::new(seed ^ 0x5EED);
         for i in 0..480 {
@@ -725,8 +724,8 @@ mod sharded {
 
     /// `trace_digest` over the hotspot city, also reporting how many
     /// barrier-time rebalances fired.
-    pub fn hotspot_trace_digest(seed: u64, shards: usize, adaptive: bool) -> (u64, u64) {
-        let mut world = build_hotspot_city(seed, shards, adaptive);
+    pub fn hotspot_trace_digest(seed: u64, shards: usize) -> (u64, u64) {
+        let mut world = build_hotspot_city(seed, shards);
         world.run_for(SimDuration::from_secs(60));
         let rebalances = world.partition_stats().rebalances;
         (world_digest(&mut world), rebalances)
@@ -773,8 +772,9 @@ mod sharded {
     }
 }
 
-/// `sharded::trace_digest` / `sharded::hotspot_trace_digest` as the parent of
-/// PR 17 computed them (any shard count, adaptivity on or off) — but for
+/// `sharded::trace_digest` / `sharded::hotspot_trace_digest` as the commit
+/// before the per-node pass computed them (any shard count, stripes re-cut
+/// or not) — but for
 /// hotspot seed 9022, re-blessed (from `0xe3b7_ccc5_2cdf_6e5f`) when link
 /// checks stopped polling: a peer's `Broken` is no longer pre-empted by a
 /// check queued for the same window start, so an agent's timer due at that
@@ -812,33 +812,27 @@ fn sharded_world_trace_is_identical_at_1_2_and_8_shards() {
 
 #[test]
 fn hotspot_city_trace_is_invariant_to_shards_and_adaptivity() {
-    // The load-balancing determinism claim: the density-adaptive partition
-    // may move stripe boundaries at any barrier, but boundaries only decide
-    // which worker executes a node — never what the node observes. A
-    // hotspot city (70% of nodes in one district) under churn and radio
-    // outages must produce the byte-identical trace at 1, 2 and 8 shards,
-    // with adaptivity on or off, even though the adaptive runs execute on a
-    // genuinely different partition.
-    let (reference, _) = sharded::hotspot_trace_digest(9021, 1, false);
-    let mut adaptive_rebalances = 0;
-    for (shards, adaptive) in [(2, false), (8, false), (1, true), (2, true), (8, true)] {
-        let (digest, rebalances) = sharded::hotspot_trace_digest(9021, shards, adaptive);
-        assert_eq!(
-            digest, reference,
-            "trace diverged at shards={shards} adaptive={adaptive}"
+    // The load-balancing determinism claim: the partition may move stripe
+    // boundaries at any barrier, but boundaries only decide which worker
+    // executes a node — never what the node observes. A hotspot city (70%
+    // of nodes in one district) under churn and radio outages must produce
+    // the byte-identical trace at 1, 2 and 8 shards, even though one stripe
+    // never re-cuts and the others execute on a genuinely different
+    // partition.
+    let (reference, one_shard_rebalances) = sharded::hotspot_trace_digest(9021, 1);
+    assert_eq!(one_shard_rebalances, 0);
+    for shards in [2, 8] {
+        let (digest, rebalances) = sharded::hotspot_trace_digest(9021, shards);
+        assert_eq!(digest, reference, "trace diverged at shards={shards}");
+        // The invariance must not be vacuous: the skewed city has to
+        // actually trip the hysteresis gate and re-cut the partition.
+        assert!(
+            rebalances > 0,
+            "the hotspot must trigger a rebalance at shards={shards}"
         );
-        if adaptive && shards > 1 {
-            adaptive_rebalances += rebalances;
-        }
     }
-    // The invariance must not be vacuous: the skewed city has to actually
-    // trip the hysteresis gate and re-cut the partition.
-    assert!(
-        adaptive_rebalances > 0,
-        "the hotspot must trigger at least one rebalance"
-    );
     // And the digest must be seed-sensitive, not a constant.
-    let (other, _) = sharded::hotspot_trace_digest(9022, 2, true);
+    let (other, _) = sharded::hotspot_trace_digest(9022, 2);
     assert_ne!(reference, other, "different seeds should not collide");
     assert_eq!(
         (reference, other),
