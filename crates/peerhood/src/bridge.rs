@@ -12,6 +12,7 @@
 //! connects and sends.
 
 use serde::{Deserialize, Serialize};
+use simnet::table::IdTable;
 use simnet::LinkId;
 
 use crate::device::DeviceInfo;
@@ -66,7 +67,7 @@ pub struct BridgePair {
 /// The bridge service state: the capacity-limited pair table.
 #[derive(Debug, Clone, Default)]
 pub struct BridgeService {
-    pairs: std::collections::BTreeMap<ConnectionId, BridgePair>,
+    pairs: IdTable<ConnectionId, BridgePair>,
     max_connections: usize,
     total_relayed_messages: u64,
     total_relayed_bytes: u64,
@@ -77,7 +78,7 @@ impl BridgeService {
     /// Creates a bridge service with the given capacity.
     pub fn new(max_connections: usize) -> Self {
         BridgeService {
-            pairs: std::collections::BTreeMap::new(),
+            pairs: IdTable::default(),
             max_connections,
             total_relayed_messages: 0,
             total_relayed_bytes: 0,
@@ -208,7 +209,7 @@ impl BridgeService {
 
     /// Connection ids of every active pair.
     pub fn pair_ids(&self) -> Vec<ConnectionId> {
-        self.pairs.keys().copied().collect()
+        self.pairs.keys().collect()
     }
 }
 

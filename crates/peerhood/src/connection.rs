@@ -8,6 +8,7 @@
 //! [`ConnectionId`] rather than by the underlying radio link.
 
 use serde::{Deserialize, Serialize};
+use simnet::table::IdTable;
 use simnet::{LinkId, SimTime};
 
 use crate::device::DeviceInfo;
@@ -233,7 +234,7 @@ impl From<&AppConnection> for ConnectionSnapshot {
 /// The table of all logical connections of one node (the `iThreadList`).
 #[derive(Debug, Clone, Default)]
 pub struct ConnectionTable {
-    connections: std::collections::BTreeMap<ConnectionId, AppConnection>,
+    connections: IdTable<ConnectionId, AppConnection>,
     next_counter: u32,
 }
 
@@ -282,7 +283,7 @@ impl ConnectionTable {
 
     /// All connection ids (in id order).
     pub fn ids(&self) -> Vec<ConnectionId> {
-        self.connections.keys().copied().collect()
+        self.connections.keys().collect()
     }
 
     /// Iterates over the connections.

@@ -8,8 +8,7 @@
 //! them, so that incoming payloads and disconnect notifications can be routed
 //! to the daemon, the connection table or the bridge service.
 
-use std::collections::BTreeMap;
-
+use simnet::table::IdTable;
 use simnet::{LinkId, RadioTech};
 
 use crate::ids::{ConnectionId, DeviceAddress};
@@ -67,7 +66,7 @@ impl LinkRole {
 /// The link-role registry.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
-    roles: BTreeMap<LinkId, LinkRole>,
+    roles: IdTable<LinkId, LinkRole>,
 }
 
 impl Engine {
@@ -117,7 +116,7 @@ impl Engine {
         self.roles
             .iter()
             .filter(|(_, role)| role.connection() == Some(conn))
-            .map(|(link, _)| *link)
+            .map(|(link, _)| link)
             .collect()
     }
 }

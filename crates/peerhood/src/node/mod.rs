@@ -29,6 +29,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
+use simnet::table::IdTable;
 use simnet::{AttemptId, NodeCtx, RadioTech, TimerToken};
 
 use crate::bridge::BridgeService;
@@ -77,13 +78,13 @@ pub(crate) struct Core {
     pub(crate) engine: Engine,
     pub(crate) connections: ConnectionTable,
     pub(crate) bridge: BridgeService,
-    pub(crate) pending: BTreeMap<AttemptId, PendingPurpose>,
-    pub(crate) retry_conns: BTreeMap<u64, ConnectionId>,
+    pub(crate) pending: IdTable<AttemptId, PendingPurpose>,
+    pub(crate) retry_conns: IdTable<u64, ConnectionId>,
     pub(crate) next_retry_token: u64,
     /// In-flight application timers, keyed by the sequential payload carried
     /// in the simulator timer. The indirection preserves the full 64-bit
     /// application token and the scheduling [`AppId`].
-    pub(crate) app_timers: BTreeMap<u64, (Option<AppId>, u64)>,
+    pub(crate) app_timers: IdTable<u64, (Option<AppId>, u64)>,
     pub(crate) next_app_timer: u64,
     /// Typed events queued during protocol processing and dispatched by the
     /// host once the middleware state is consistent.
@@ -93,7 +94,7 @@ pub(crate) struct Core {
     pub(crate) service_owner: BTreeMap<String, AppId>,
     /// Which application owns each logical connection (all per-connection
     /// callbacks are routed to it).
-    pub(crate) conn_owner: BTreeMap<ConnectionId, AppId>,
+    pub(crate) conn_owner: IdTable<ConnectionId, AppId>,
     pub(crate) handover_completions: u64,
     pub(crate) reply_reconnections: u64,
     /// When false, `send`/`close` through a [`PeerHoodApi`] enforce
@@ -126,14 +127,14 @@ impl Core {
             engine: Engine::new(),
             connections: ConnectionTable::new(),
             bridge: BridgeService::new(config.bridge.max_connections),
-            pending: BTreeMap::new(),
-            retry_conns: BTreeMap::new(),
+            pending: IdTable::default(),
+            retry_conns: IdTable::default(),
             next_retry_token: 0,
-            app_timers: BTreeMap::new(),
+            app_timers: IdTable::default(),
             next_app_timer: 0,
             events: VecDeque::new(),
             service_owner: BTreeMap::new(),
-            conn_owner: BTreeMap::new(),
+            conn_owner: IdTable::default(),
             handover_completions: 0,
             reply_reconnections: 0,
             trusted_apps,

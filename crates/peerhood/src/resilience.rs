@@ -37,9 +37,10 @@
 //! breaker states) is exported per node through
 //! [`PeerHoodNode::resilience_stats`](crate::node::PeerHoodNode::resilience_stats).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
+use simnet::table::IdTable;
 use simnet::{SimDuration, SimTime, Telemetry};
 
 use crate::ids::DeviceAddress;
@@ -357,10 +358,10 @@ impl ResilienceStats {
 #[derive(Debug, Clone)]
 pub struct Resilience {
     cfg: ResilienceConfig,
-    breakers: BTreeMap<DeviceAddress, CircuitBreaker>,
-    inbound: BTreeMap<Option<AppId>, TokenBucket>,
-    outbound: BTreeMap<Option<AppId>, TokenBucket>,
-    admits: BTreeMap<DeviceAddress, VecDeque<SimTime>>,
+    breakers: IdTable<DeviceAddress, CircuitBreaker>,
+    inbound: IdTable<Option<AppId>, TokenBucket>,
+    outbound: IdTable<Option<AppId>, TokenBucket>,
+    admits: IdTable<DeviceAddress, VecDeque<SimTime>>,
     /// The monotonic tallies; the two breaker-population fields stay zero
     /// here and are counted by [`Resilience::stats`].
     counters: ResilienceStats,
@@ -371,10 +372,10 @@ impl Resilience {
     pub fn new(cfg: ResilienceConfig) -> Self {
         Resilience {
             cfg,
-            breakers: BTreeMap::new(),
-            inbound: BTreeMap::new(),
-            outbound: BTreeMap::new(),
-            admits: BTreeMap::new(),
+            breakers: IdTable::default(),
+            inbound: IdTable::default(),
+            outbound: IdTable::default(),
+            admits: IdTable::default(),
             counters: ResilienceStats::default(),
         }
     }
@@ -390,7 +391,7 @@ impl Resilience {
         if !self.cfg.breaker {
             return true;
         }
-        let breaker = self.breakers.entry(peer).or_default();
+        let breaker = self.breaker(peer);
         let was_open = breaker.state() == BreakerState::Open;
         let ok = breaker.allow(now);
         if ok {
@@ -418,7 +419,7 @@ impl Resilience {
         if !self.cfg.breaker {
             return;
         }
-        if self.breakers.entry(peer).or_default().record_failure(now) {
+        if self.breaker(peer).record_failure(now) {
             self.counters.breaker_trips += 1;
         }
     }
@@ -428,9 +429,14 @@ impl Resilience {
         if !self.cfg.breaker {
             return;
         }
-        if self.breakers.entry(peer).or_default().record_break(now) {
+        if self.breaker(peer).record_break(now) {
             self.counters.breaker_trips += 1;
         }
+    }
+
+    /// The breaker towards `peer`, created closed on first use.
+    fn breaker(&mut self, peer: DeviceAddress) -> &mut CircuitBreaker {
+        self.breakers.get_or_insert_with(peer, CircuitBreaker::default)
     }
 
     /// The breaker state towards a peer (`None` when the peer was never
@@ -450,8 +456,7 @@ impl Resilience {
         }
         let ok = self
             .outbound
-            .entry(app)
-            .or_insert_with(|| TokenBucket::new(OUTBOUND_RATE, OUTBOUND_BURST, now))
+            .get_or_insert_with(app, || TokenBucket::new(OUTBOUND_RATE, OUTBOUND_BURST, now))
             .try_take(now);
         if !ok {
             self.counters.outbound_shed += 1;
@@ -466,8 +471,7 @@ impl Resilience {
         }
         let ok = self
             .inbound
-            .entry(app)
-            .or_insert_with(|| TokenBucket::new(INBOUND_RATE, INBOUND_BURST, now))
+            .get_or_insert_with(app, || TokenBucket::new(INBOUND_RATE, INBOUND_BURST, now))
             .try_take(now);
         if !ok {
             self.counters.inbound_shed += 1;
@@ -500,7 +504,7 @@ impl Resilience {
             self.counters.rejected_sessions += 1;
             return false;
         }
-        let recent = self.admits.entry(peer).or_default();
+        let recent = self.admits.get_or_insert_with(peer, VecDeque::new);
         while let Some(first) = recent.front() {
             if now.saturating_since(*first) > PER_PEER_WINDOW {
                 recent.pop_front();

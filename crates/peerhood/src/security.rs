@@ -24,9 +24,8 @@
 //! The MAC is a simulation stand-in measuring the *cost and rejection
 //! behaviour* of authenticated framing, not a cryptographic primitive.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
+use simnet::table::IdTable;
 
 use crate::config::SecurityConfig;
 use crate::ids::DeviceAddress;
@@ -177,7 +176,7 @@ impl SecurityStats {
 pub struct Security {
     config: SecurityConfig,
     send_seq: u64,
-    windows: BTreeMap<DeviceAddress, ReplayWindow>,
+    windows: IdTable<DeviceAddress, ReplayWindow>,
     /// Counters (read by [`SecurityStats`] consumers via `stats()`).
     pub stats: SecurityStats,
 }
@@ -188,7 +187,7 @@ impl Security {
         Security {
             config,
             send_seq: 0,
-            windows: BTreeMap::new(),
+            windows: IdTable::default(),
             stats: SecurityStats::default(),
         }
     }
@@ -237,7 +236,8 @@ impl Security {
             self.stats.auth_rejected += 1;
             return Err(AuthReject::BadMac);
         }
-        if !self.windows.entry(sender).or_default().accept(seq) {
+        let window = self.windows.get_or_insert_with(sender, ReplayWindow::default);
+        if !window.accept(seq) {
             self.stats.replay_rejected += 1;
             return Err(AuthReject::Replayed);
         }

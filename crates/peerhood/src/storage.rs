@@ -24,10 +24,10 @@
 //! Rows never leave this module. What is hot reads them in place; everything
 //! else is handed a [`StoredDevice`], the owned value built from a row.
 
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
+use simnet::table::IdTable;
 use simnet::{RadioTech, SimDuration, SimTime};
 
 use crate::config::DiscoveryMode;
@@ -454,7 +454,7 @@ pub struct DeviceStorage {
     devices: Box<Table>,
     /// Every device that has filed a neighbour report since its row was
     /// last erased, or holds a penalty.
-    reporters: BTreeMap<DeviceAddress, Reporter>,
+    reporters: IdTable<DeviceAddress, Reporter>,
     /// Bumped on every mutation; lets callers (the node's cached inquiry
     /// response frame) detect staleness without diffing contents.
     generation: u64,
@@ -474,7 +474,7 @@ impl DeviceStorage {
             own_address,
             quality_threshold,
             devices: Box::default(),
-            reporters: BTreeMap::new(),
+            reporters: IdTable::default(),
             generation: 0,
             maybe_orphans: false,
             reputation_armed: false,
@@ -491,7 +491,7 @@ impl DeviceStorage {
     /// Records one reputation penalty against `peer` and returns its new
     /// penalty count.
     pub fn penalize_reporter(&mut self, peer: DeviceAddress) -> u32 {
-        let count = &mut self.reporters.entry(peer).or_default().penalties;
+        let count = &mut self.reporters.get_or_insert_with(peer, Reporter::default).penalties;
         *count = count.saturating_add(1);
         *count
     }
@@ -562,12 +562,12 @@ impl DeviceStorage {
 
     /// Erases a device and what it reported (not its penalties).
     fn erase(&mut self, address: DeviceAddress) -> Option<Row> {
-        if let Entry::Occupied(mut reporter) = self.reporters.entry(address) {
-            if reporter.get().penalties == 0 {
-                reporter.remove();
-            } else {
-                reporter.get_mut().seen = Vec::new();
+        match self.reporters.get_mut(&address) {
+            Some(reporter) if reporter.penalties == 0 => {
+                self.reporters.remove(&address);
             }
+            Some(reporter) => reporter.seen = Vec::new(),
+            None => {}
         }
         self.devices.remove(address)
     }
@@ -867,7 +867,7 @@ impl DeviceStorage {
             if record.jumps() == 0 {
                 let reported = reported.get_or_insert_with(|| {
                     let reporters = reporters.take().expect("taken by the first direct record only");
-                    &mut reporters.entry(responder).or_default().seen
+                    &mut reporters.get_or_insert_with(responder, Reporter::default).seen
                 });
                 let claim = claim(key(address), hops.first().copied().unwrap_or(0));
                 match in_reported.find(reported, key(address), claimed) {
@@ -1030,11 +1030,11 @@ impl DeviceStorage {
         let mut candidates: Vec<(DeviceAddress, u8, u8)> = self
             .reporters
             .iter()
-            .filter(|(responder, _)| **responder != target)
+            .filter(|(responder, _)| *responder != target)
             .filter_map(|(responder, reporter)| {
                 let reported = reporter.claimed_quality(target)?;
-                let d = self.devices.get(*responder).filter(|d| d.is_direct())?;
-                Some((*responder, d.hops.first().copied().unwrap_or(0), reported))
+                let d = self.devices.get(responder).filter(|d| d.is_direct())?;
+                Some((responder, d.hops.first().copied().unwrap_or(0), reported))
             })
             .collect();
         candidates.sort_by_key(|(_, ours, theirs)| std::cmp::Reverse(*ours as u32 + *theirs as u32));
@@ -1062,7 +1062,7 @@ mod tests {
     use crate::route::{candidate_replaces, INLINE_HOPS};
     use simnet::rng::SimRng;
     use simnet::NodeId;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn addr(n: u64) -> DeviceAddress {
         DeviceAddress::from_node_raw(n)

@@ -1,15 +1,20 @@
-//! The hash map behind the spatial grid's cells, keyed by `(i64, i64)`.
+//! The hash map behind the spatial grid's cells and the sequential world's
+//! link table.
 //!
-//! Every key is made inside the simulator, so the collision resistance the
-//! standard library's SipHash buys is worth nothing here, while its cost is
-//! paid on every grid probe. [`FastMap`] hashes a key with one rotate, one
-//! xor and one multiply per word instead. It serves the grid cells only: a
-//! sharded node's link halves and pending attempts are few and must iterate
-//! in id order, so they live in a small sorted table (`world::shard::table`).
+//! Every key is made inside the simulator — a grid cell's `(i64, i64)`, a
+//! sequential [`LinkId`](crate::node::LinkId) — so the collision resistance
+//! the standard library's SipHash buys is worth nothing here, while its cost
+//! is paid on every grid probe and every frame. [`FastMap`] hashes a key with
+//! one rotate, one xor and one multiply per word instead. Small per-node maps
+//! that must iterate in id order (a sharded node's link halves, a node's
+//! link index, the middleware's per-link state) are [`IdTable`](crate::table::IdTable)s
+//! instead.
 //!
 //! **No caller may observe iteration order** — it differs from the standard
-//! hasher's and is nobody's contract. The grid sorts what a query collects;
-//! the tests below and in the grid hold that.
+//! hasher's and is nobody's contract. The grid sorts what a query collects,
+//! and the link table's one walk that reaches agents, the partition sweep's
+//! `open_link_endpoints`, sorts by link id; the tests below, in the grid and
+//! `a_partition_breaks_links_in_ascending_id_order` hold that.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -67,14 +72,20 @@ mod tests {
 
     #[test]
     fn a_city_of_cells_and_link_ids_spreads_over_the_table() {
-        // A block of grid cells around the origin (the keys the grid uses)
-        // and `(initiator << 32) | counter` packed ids (the other shape of
-        // simulator-made key). A hasher that folded them onto a few low bits
-        // would still be correct, only slow; this pins that the cheap one
-        // does not.
+        // A block of grid cells around the origin (the keys the grid uses),
+        // `(initiator << 32) | counter` packed ids and the sequential world's
+        // counter ids (the other shapes of simulator-made key). A hasher that
+        // folded them onto a few low bits would still be correct, only slow;
+        // this pins that the cheap one does not.
         let cells = (-60i64..60).flat_map(|i| (-60i64..60).map(move |j| hash_of((i, j))));
         let links = (0u64..4_000).flat_map(|node| (0u64..4).map(move |n| hash_of(LinkId(node << 32 | n))));
-        for (name, hashes) in [("cells", cells.collect::<Vec<_>>()), ("links", links.collect())] {
+        let counted = (0u64..16_000).map(|n| hash_of(LinkId(n)));
+        let shapes = [
+            ("cells", cells.collect::<Vec<_>>()),
+            ("links", links.collect()),
+            ("counted links", counted.collect()),
+        ];
+        for (name, hashes) in shapes {
             let mut low: Vec<u64> = hashes.iter().map(|h| h & 0xFFF).collect();
             let mut tag: Vec<u64> = hashes.iter().map(|h| h >> 57).collect();
             low.sort_unstable();

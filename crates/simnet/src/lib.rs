@@ -97,6 +97,7 @@ pub mod node;
 pub mod payload;
 pub mod radio;
 pub mod rng;
+pub mod table;
 pub mod telemetry;
 pub mod time;
 pub mod world;

@@ -3,6 +3,8 @@
 //! tamper/inject behaviour through a test forge.
 
 use std::any::Any;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use super::*;
 use crate::adversary::{AdversaryPlan, FrameForge};
@@ -108,6 +110,88 @@ fn partition_opening_breaks_links_across_the_cut_as_out_of_range() {
     assert_eq!(stats.partitions_healed, 0, "window still open at t=41");
     assert!(w.partitioned(a, c));
     assert!(!w.partitioned(b, c));
+}
+
+/// Accepts every link and writes each `on_disconnected` it hears into a log
+/// all the nodes share, so the log is the order the world called them in.
+struct DisconnectLog(Rc<RefCell<Vec<(NodeId, LinkId)>>>);
+
+impl NodeAgent for DisconnectLog {
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+    fn on_incoming_connection(&mut self, _ctx: &mut NodeCtx<'_>, _incoming: IncomingConnection) -> bool {
+        true
+    }
+    fn on_disconnected(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, _peer: NodeId, _reason: DisconnectReason) {
+        self.0.borrow_mut().push((ctx.node_id(), link));
+    }
+}
+
+#[test]
+fn a_partition_breaks_links_in_ascending_id_order() {
+    // 8 × 8 links across the cut plus 8 inside the island, dialled all at
+    // once in a shuffled order from either side: ids follow the random setup
+    // latencies, and the table's hash order follows neither.
+    let mut w = World::new(WorldConfig::ideal(27));
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let add = |w: &mut World, name: String, x: f64, y: f64| {
+        let at = MobilityModel::stationary(Point::new(x, y));
+        w.add_node(name, at, &bt(), Box::new(DisconnectLog(log.clone())))
+    };
+    let island: Vec<NodeId> = (0..8)
+        .map(|i| add(&mut w, format!("a{i}"), i as f64 * 0.5, 0.0))
+        .collect();
+    let mainland: Vec<NodeId> = (0..8)
+        .map(|i| add(&mut w, format!("b{i}"), i as f64 * 0.5, 1.0))
+        .collect();
+    let mut dials: Vec<(NodeId, NodeId)> = island
+        .iter()
+        .flat_map(|&a| mainland.iter().map(move |&b| (a, b)))
+        .chain(island.iter().zip(island.iter().cycle().skip(1)).map(|(&a, &b)| (a, b)))
+        .collect();
+    let mut rng = SimRng::new(0xC07);
+    rng.shuffle(&mut dials);
+    for (n, (a, b)) in dials.into_iter().enumerate() {
+        let (from, to) = if n % 2 == 0 { (a, b) } else { (b, a) };
+        w.with_agent::<DisconnectLog, _>(from, |_, ctx| {
+            ctx.connect(to, RadioTech::Bluetooth);
+        })
+        .expect("a live node");
+    }
+    w.run_for(SimDuration::from_secs(5));
+    assert_eq!(w.active_link_count(), 72, "every dial connects");
+    for &node in island.iter().chain(&mainland) {
+        let ids: Vec<LinkId> = w.links_of(node).iter().map(|l| l.id).collect();
+        assert!(
+            ids.windows(2).all(|p| p[0] < p[1]),
+            "{node}: links_of ascending: {ids:?}"
+        );
+    }
+
+    w.install_adversary_plan(AdversaryPlan::new().partition(
+        SimTime::from_secs(10),
+        SimTime::from_secs(60),
+        island.clone(),
+    ));
+    w.run_until(SimTime::from_secs(11));
+    assert_eq!(w.adversary_stats().cut_links_broken, 64);
+    assert_eq!(w.active_link_count(), 8, "the island's own links survive");
+    let heard = log.borrow();
+    assert_eq!(heard.len(), 128, "both ends of every cut link hear it");
+    let order: Vec<LinkId> = heard.iter().map(|&(_, link)| link).collect();
+    assert!(
+        order.chunks(2).all(|ends| ends[0] == ends[1]) && order.windows(2).all(|p| p[0] <= p[1]),
+        "each cut link is heard by both ends, ascending by link id: {order:?}"
+    );
+    for &node in island.iter().chain(&mainland) {
+        let mine: Vec<LinkId> = heard.iter().filter(|&&(n, _)| n == node).map(|&(_, l)| l).collect();
+        assert_eq!(mine.len(), 8, "{node}");
+        assert!(mine.windows(2).all(|p| p[0] < p[1]), "{node} hears ascending: {mine:?}");
+    }
 }
 
 #[test]

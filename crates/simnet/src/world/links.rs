@@ -9,23 +9,30 @@
 //! here — each travels inside the one event that will resolve it — and a
 //! link only counts what it has in flight.
 //!
-//! `links_of`, `crash_node` and the disconnect ordering are indexed by node,
-//! so their cost scales with one node's links instead of the world total.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! Every link opens and closes an entry in both maps, so neither is a
+//! B-tree. The links themselves sit in a [`FastMap`] (link ids are made by
+//! the simulator, so the cheap hash is sound) whose iteration order no caller
+//! may observe: the one walk whose order reaches agents, the partition
+//! sweep's [`LinkTable::open_link_endpoints`], sorts by id. Every other
+//! ordered walk goes through the per-node index, an [`IdTable`] per raw node
+//! id that lists the node's links in ascending id, so `links_of`,
+//! `crash_node` and the disconnect ordering cost one node's links instead of
+//! the world total.
 
 use super::World;
+use crate::hash::FastMap;
 use crate::link::{LinkInfo, LinkState, PendingAttempt};
 use crate::node::{AttemptId, ConnectError, IncomingConnection, LinkId, NodeId};
+use crate::table::IdTable;
 use crate::time::SimTime;
 
 /// The link layer of the world.
 #[derive(Default)]
 pub(crate) struct LinkTable {
     /// Open links plus closed links with a payload still in flight.
-    active: BTreeMap<LinkId, LinkState>,
-    /// The links in `active`, by endpoint.
-    by_node: BTreeMap<NodeId, BTreeSet<LinkId>>,
+    active: FastMap<LinkId, LinkState>,
+    /// The links in `active`, by the raw id of each endpoint.
+    by_node: Vec<IdTable<LinkId, ()>>,
     next_link: u64,
     next_attempt: u64,
 }
@@ -47,10 +54,24 @@ impl LinkTable {
         id
     }
 
+    /// The ids of the links in the table with `node` as an endpoint,
+    /// ascending.
+    fn ids_of(&self, node: NodeId) -> impl Iterator<Item = LinkId> + '_ {
+        self.by_node
+            .get(node.as_raw() as usize)
+            .into_iter()
+            .flat_map(IdTable::keys)
+    }
+
     /// Inserts a freshly established link and indexes both endpoints.
     pub(crate) fn insert(&mut self, state: LinkState) {
-        self.by_node.entry(state.a).or_default().insert(state.id);
-        self.by_node.entry(state.b).or_default().insert(state.id);
+        for node in [state.a, state.b] {
+            let raw = node.as_raw() as usize;
+            if raw >= self.by_node.len() {
+                self.by_node.resize_with(raw + 1, IdTable::default);
+            }
+            self.by_node[raw].insert(state.id, ());
+        }
         self.active.insert(state.id, state);
     }
 
@@ -79,30 +100,22 @@ impl LinkTable {
     /// Snapshots of every open or still-draining link with `node` as an
     /// endpoint, ascending by link id.
     pub(crate) fn infos_of(&self, node: NodeId) -> Vec<LinkInfo> {
-        let Some(ids) = self.by_node.get(&node) else {
-            return Vec::new();
-        };
-        ids.iter().filter_map(|id| self.info(*id)).collect()
+        self.ids_of(node).filter_map(|id| self.info(id)).collect()
     }
 
     /// `(id, a, b)` of every open link, ascending by link id. Used by the
-    /// partition-start sweep that breaks links across a fresh cut.
+    /// partition-start sweep that breaks links across a fresh cut, in this
+    /// order; the sort is what keeps the hash map's order unobserved.
     pub(crate) fn open_link_endpoints(&self) -> Vec<(LinkId, NodeId, NodeId)> {
-        self.active
-            .values()
-            .filter(|l| l.open)
-            .map(|l| (l.id, l.a, l.b))
-            .collect()
+        let mut open: Vec<_> = self.open().map(|l| (l.id, l.a, l.b)).collect();
+        open.sort_unstable_by_key(|&(id, _, _)| id);
+        open
     }
 
     /// Ids of the *open* links `node` participates in, ascending.
     pub(crate) fn open_links_of(&self, node: NodeId) -> Vec<LinkId> {
-        let Some(ids) = self.by_node.get(&node) else {
-            return Vec::new();
-        };
-        ids.iter()
+        self.ids_of(node)
             .filter(|id| self.active.get(id).is_some_and(|l| l.open))
-            .copied()
             .collect()
     }
 
@@ -118,11 +131,8 @@ impl LinkTable {
             return;
         }
         for node in [state.a, state.b] {
-            if let Some(ids) = self.by_node.get_mut(&node) {
+            if let Some(ids) = self.by_node.get_mut(node.as_raw() as usize) {
                 ids.remove(&link);
-                if ids.is_empty() {
-                    self.by_node.remove(&node);
-                }
             }
         }
         self.active.remove(&link);
@@ -136,25 +146,26 @@ impl LinkTable {
 
     /// Number of currently open links (the telemetry `links_open` gauge).
     pub(crate) fn open_count(&self) -> usize {
-        self.active.values().filter(|l| l.open).count()
+        self.open().count()
     }
 
-    /// Every open link, ascending by id.
-    #[cfg(debug_assertions)]
+    /// Every open link, in no particular order.
     pub(crate) fn open(&self) -> impl Iterator<Item = &LinkState> {
         self.active.values().filter(|l| l.open)
     }
 
-    /// Checks that the two maps describe the same links and returns the
-    /// number of payloads in flight across all of them.
+    /// Checks that the two maps describe the same links and that every
+    /// per-node table is sorted and holds no storage while empty, and
+    /// returns the number of payloads in flight across all links.
     #[cfg(debug_assertions)]
     pub(crate) fn audit(&self) -> u64 {
-        for (node, ids) in &self.by_node {
-            assert!(!ids.is_empty(), "{node} keeps an empty index entry");
-            for id in ids {
-                let state = self.active.get(id);
+        for (raw, ids) in self.by_node.iter().enumerate() {
+            ids.audit();
+            let node = NodeId::from_raw(raw as u64);
+            for id in ids.keys() {
+                let state = self.active.get(&id);
                 assert!(
-                    state.is_some_and(|l| l.has_endpoint(*node)),
+                    state.is_some_and(|l| l.has_endpoint(node)),
                     "{node} indexes {id:?}, which is not a live link of it"
                 );
             }
@@ -166,7 +177,8 @@ impl LinkTable {
                 state.id
             );
             for node in [state.a, state.b] {
-                let indexed = self.by_node.get(&node).is_some_and(|ids| ids.contains(&state.id));
+                let ids = self.by_node.get(node.as_raw() as usize);
+                let indexed = ids.is_some_and(|ids| ids.contains_key(&state.id));
                 assert!(indexed, "{:?} is not indexed under {node}", state.id);
             }
         }

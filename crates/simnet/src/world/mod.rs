@@ -333,7 +333,7 @@ impl World {
     }
 
     /// Snapshots of every open or still-draining link that has `node` as an
-    /// endpoint.
+    /// endpoint, ascending by link id.
     pub fn links_of(&self, node: NodeId) -> Vec<LinkInfo> {
         self.links.infos_of(node)
     }

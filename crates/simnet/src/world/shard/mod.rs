@@ -82,7 +82,6 @@ mod barrier;
 mod ctx;
 mod exec;
 mod node;
-mod table;
 #[cfg(test)]
 mod tests;
 
@@ -92,7 +91,6 @@ use std::any::Any;
 
 use self::exec::{GlobalView, Shard};
 use self::node::{NodeEvent, ShardNode};
-use self::table::IdTable;
 use crate::event::Scheduler;
 use crate::faults::{FaultPlan, FaultStats, LifecycleEvent};
 use crate::geometry::{Point, Rect};
@@ -104,6 +102,7 @@ use crate::node::{
 use crate::payload::SharedPayload;
 use crate::radio::{RadioEnvironment, RadioState, RadioTech};
 use crate::rng::SimRng;
+use crate::table::IdTable;
 use crate::telemetry::{Histogram, Phase, Profiler, Telemetry, TelemetryConfig, PAYLOAD_SIZE_BOUNDS};
 use crate::time::{SimDuration, SimTime};
 use crate::world::grid::SpatialGrid;

@@ -2,7 +2,6 @@
 //! its event queue, and the messages nodes exchange across barriers.
 
 use super::exec::{GlobalView, PassOutput};
-use super::table::IdTable;
 use super::ShardAgent;
 use crate::event::Scheduler;
 use crate::faults::{FaultAction, FaultStats, LifecycleEvent, LifecycleKind};
@@ -11,6 +10,7 @@ use crate::node::{AttemptId, ConnectError, DisconnectReason, LinkId, NodeId, Tim
 use crate::payload::SharedPayload;
 use crate::radio::{RadioState, RadioTech};
 use crate::rng::SimRng;
+use crate::table::IdTable;
 use crate::time::SimTime;
 
 /// Link/attempt identifiers pack the initiating node into the high bits and

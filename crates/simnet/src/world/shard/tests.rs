@@ -853,7 +853,7 @@ fn link_and_attempt_tables_give_their_storage_back_when_they_empty() {
             ] {
                 assert_eq!(capacity, len, "{node}: a small table is sized to its contents");
             }
-            saw_a_link |= slot.links.len() > 0;
+            saw_a_link |= !slot.links.is_empty();
         }
     }
     assert!(saw_a_link, "the script opens a link");
