@@ -134,7 +134,7 @@ impl MessagingClient {
         Some((self.connected_at? - self.first_attempt_at?).as_secs_f64())
     }
 
-    fn try_connect(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn try_connect(&mut self, api: &mut PeerHoodApi<'_>) {
         if self.gave_up || self.conn.is_some() {
             return;
         }
@@ -170,11 +170,11 @@ impl Application for MessagingClient {
         self
     }
 
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         api.schedule_timer(self.start_after, TOKEN_CONNECT);
     }
 
-    fn on_timer(&mut self, api: &mut PeerHoodApi<'_, '_>, token: u64) {
+    fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
         match token {
             TOKEN_CONNECT => self.try_connect(api),
             TOKEN_SEND => {
@@ -198,21 +198,21 @@ impl Application for MessagingClient {
         }
     }
 
-    fn on_connected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         if self.conn == Some(conn) {
             self.connected_at = Some(api.now());
             api.schedule_timer(SimDuration::from_millis(10), TOKEN_SEND);
         }
     }
 
-    fn on_connect_failed(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _error: PeerHoodError) {
+    fn on_connect_failed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
         if self.conn == Some(conn) {
             self.conn = None;
             api.schedule_timer(self.retry_after, TOKEN_CONNECT);
         }
     }
 
-    fn on_connection_changed(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connection_changed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         if self.conn == Some(conn) {
             self.connection_changes += 1;
             if self.connected_at.is_none() {
@@ -225,7 +225,7 @@ impl Application for MessagingClient {
         }
     }
 
-    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _provider: DeviceAddress) {
+    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
         if self.conn == Some(conn) {
             // A different provider means the task starts over (§5.2.2).
             self.restarts += 1;
@@ -235,7 +235,7 @@ impl Application for MessagingClient {
         }
     }
 
-    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _graceful: bool) {
+    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
         if self.conn == Some(conn) {
             self.disconnects += 1;
             if !self.finished() {
@@ -295,14 +295,14 @@ impl Application for MessagingServer {
         self
     }
 
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         api.register_service(ServiceInfo::new(self.service.clone(), "messaging", 40))
             .expect("messaging service registers once");
     }
 
     fn on_peer_connected(
         &mut self,
-        _api: &mut PeerHoodApi<'_, '_>,
+        _api: &mut PeerHoodApi<'_>,
         _conn: ConnectionId,
         _client: DeviceInfo,
         _service: &str,
@@ -310,11 +310,11 @@ impl Application for MessagingServer {
         self.clients += 1;
     }
 
-    fn on_data(&mut self, api: &mut PeerHoodApi<'_, '_>, _conn: ConnectionId, payload: Vec<u8>) {
+    fn on_data(&mut self, api: &mut PeerHoodApi<'_>, _conn: ConnectionId, payload: Vec<u8>) {
         self.received.push((api.now(), payload));
     }
 
-    fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_, '_>, _conn: ConnectionId) {
+    fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_>, _conn: ConnectionId) {
         self.connection_changes += 1;
     }
 }
@@ -324,7 +324,7 @@ mod tests {
     use super::*;
     use peerhood::config::PeerHoodConfig;
     use peerhood::node::PeerHoodNode;
-    use simnet::{MobilityModel, Point, RadioTech, World, WorldConfig};
+    use simnet::{MobilityModel, OnWorld, Point, RadioTech, World, WorldConfig};
 
     fn bt() -> [RadioTech; 1] {
         [RadioTech::Bluetooth]
@@ -337,7 +337,7 @@ mod tests {
             "client",
             MobilityModel::stationary(Point::new(0.0, 0.0)),
             &bt(),
-            Box::new(
+            Box::new(OnWorld(
                 PeerHoodNode::builder()
                     .config(PeerHoodConfig::mobile_device("client"))
                     .app(MessagingClient::new(
@@ -348,18 +348,18 @@ mod tests {
                         SimDuration::from_secs(30),
                     ))
                     .build(),
-            ),
+            )),
         );
         let server = world.add_node(
             "server",
             MobilityModel::stationary(Point::new(5.0, 0.0)),
             &bt(),
-            Box::new(
+            Box::new(OnWorld(
                 PeerHoodNode::builder()
                     .config(PeerHoodConfig::static_device("server"))
                     .app(MessagingServer::new("msg"))
                     .build(),
-            ),
+            )),
         );
         world.run_for(SimDuration::from_secs(120));
         let (sent, finished, setup) = world
@@ -390,7 +390,7 @@ mod tests {
             "client",
             MobilityModel::stationary(Point::new(0.0, 0.0)),
             &bt(),
-            Box::new(
+            Box::new(OnWorld(
                 PeerHoodNode::builder()
                     .config(PeerHoodConfig::mobile_device("client"))
                     .app(MessagingClient::new(
@@ -401,18 +401,18 @@ mod tests {
                         SimDuration::from_millis(100),
                     ))
                     .build(),
-            ),
+            )),
         );
         world.add_node(
             "server",
             MobilityModel::stationary(Point::new(5.0, 0.0)),
             &bt(),
-            Box::new(
+            Box::new(OnWorld(
                 PeerHoodNode::builder()
                     .config(PeerHoodConfig::static_device("server"))
                     .app(MessagingServer::new("msg"))
                     .build(),
-            ),
+            )),
         );
         world.run_for(SimDuration::from_secs(120));
         let finished = world

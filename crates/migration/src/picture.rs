@@ -111,7 +111,7 @@ impl PictureClient {
         }
     }
 
-    fn try_connect(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn try_connect(&mut self, api: &mut PeerHoodApi<'_>) {
         if self.conn.is_some() || self.completed() {
             return;
         }
@@ -121,7 +121,7 @@ impl PictureClient {
         }
     }
 
-    fn begin_upload(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn begin_upload(&mut self, api: &mut PeerHoodApi<'_>) {
         let conn = match self.conn {
             Some(c) => c,
             None => return,
@@ -141,11 +141,11 @@ impl Application for PictureClient {
         self
     }
 
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         api.schedule_timer(self.start_after, TOKEN_CONNECT);
     }
 
-    fn on_timer(&mut self, api: &mut PeerHoodApi<'_, '_>, token: u64) {
+    fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
         match token {
             TOKEN_CONNECT => self.try_connect(api),
             TOKEN_SEND => {
@@ -174,27 +174,27 @@ impl Application for PictureClient {
         }
     }
 
-    fn on_connected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         if self.conn == Some(conn) {
             self.begin_upload(api);
         }
     }
 
-    fn on_connect_failed(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _error: PeerHoodError) {
+    fn on_connect_failed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
         if self.conn == Some(conn) {
             self.conn = None;
             api.schedule_timer(self.retry_after, TOKEN_CONNECT);
         }
     }
 
-    fn on_data(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, payload: Vec<u8>) {
+    fn on_data(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, payload: Vec<u8>) {
         if self.conn == Some(conn) && self.result.is_none() {
             self.result = Some(payload);
             self.result_received_at = Some(api.now());
         }
     }
 
-    fn on_connection_changed(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connection_changed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         if self.conn == Some(conn) {
             if !self.completed() {
                 self.connection_changes += 1;
@@ -206,7 +206,7 @@ impl Application for PictureClient {
         }
     }
 
-    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _provider: DeviceAddress) {
+    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
         if self.conn == Some(conn) {
             // A different server means the whole task restarts (§5.2.2).
             self.restarts += 1;
@@ -215,7 +215,7 @@ impl Application for PictureClient {
         }
     }
 
-    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _graceful: bool) {
+    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
         if self.conn == Some(conn) {
             if !self.completed() {
                 self.disconnects += 1;
@@ -291,14 +291,14 @@ impl Application for PictureServer {
         self
     }
 
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         api.register_service(ServiceInfo::new(self.service.clone(), "image analysis", 50))
             .expect("picture service registers once");
     }
 
     fn on_peer_connected(
         &mut self,
-        _api: &mut PeerHoodApi<'_, '_>,
+        _api: &mut PeerHoodApi<'_>,
         conn: ConnectionId,
         _client: DeviceInfo,
         _service: &str,
@@ -307,7 +307,7 @@ impl Application for PictureServer {
         self.sessions.entry(conn).or_default();
     }
 
-    fn on_data(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, payload: Vec<u8>) {
+    fn on_data(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, payload: Vec<u8>) {
         let now_processing = {
             let session = self.sessions.entry(conn).or_default();
             if session.done || session.processing {
@@ -336,7 +336,7 @@ impl Application for PictureServer {
         }
     }
 
-    fn on_timer(&mut self, api: &mut PeerHoodApi<'_, '_>, token: u64) {
+    fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
         if let Some(conn) = self.token_conns.remove(&token) {
             if let Some(session) = self.sessions.get_mut(&conn) {
                 session.processing = false;
@@ -352,7 +352,7 @@ impl Application for PictureServer {
         }
     }
 
-    fn on_disconnected(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _graceful: bool) {
+    fn on_disconnected(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
         if let Some(session) = self.sessions.get(&conn) {
             if !session.done && !session.processing {
                 self.interrupted_uploads += 1;
@@ -366,7 +366,7 @@ mod tests {
     use super::*;
     use peerhood::config::PeerHoodConfig;
     use peerhood::node::PeerHoodNode;
-    use simnet::{MobilityModel, Point, RadioTech, World, WorldConfig};
+    use simnet::{MobilityModel, OnWorld, Point, RadioTech, World, WorldConfig};
 
     #[test]
     fn header_roundtrip() {
@@ -396,23 +396,23 @@ mod tests {
             "phone",
             MobilityModel::stationary(Point::new(0.0, 0.0)),
             &[RadioTech::Bluetooth],
-            Box::new(
+            Box::new(OnWorld(
                 PeerHoodNode::builder()
                     .config(PeerHoodConfig::mobile_device("phone"))
                     .app(PictureClient::new("analysis", spec.clone(), SimDuration::from_secs(25)))
                     .build(),
-            ),
+            )),
         );
         let server = world.add_node(
             "pc",
             MobilityModel::stationary(Point::new(5.0, 0.0)),
             &[RadioTech::Bluetooth],
-            Box::new(
+            Box::new(OnWorld(
                 PeerHoodNode::builder()
                     .config(PeerHoodConfig::static_device("pc"))
                     .app(PictureServer::for_spec("analysis", &spec))
                     .build(),
-            ),
+            )),
         );
         world.run_for(SimDuration::from_secs(180));
         let outcome = world
@@ -460,23 +460,23 @@ mod tests {
                 start_after: SimDuration::from_secs(60),
             },
             &[RadioTech::Bluetooth],
-            Box::new(
+            Box::new(OnWorld(
                 PeerHoodNode::builder()
                     .config(PeerHoodConfig::mobile_device("phone"))
                     .app(PictureClient::new("analysis", spec.clone(), SimDuration::from_secs(25)))
                     .build(),
-            ),
+            )),
         );
         world.add_node(
             "pc",
             MobilityModel::stationary(Point::new(5.0, 0.0)),
             &[RadioTech::Bluetooth],
-            Box::new(
+            Box::new(OnWorld(
                 PeerHoodNode::builder()
                     .config(PeerHoodConfig::static_device("pc"))
                     .app(PictureServer::for_spec("analysis", &spec))
                     .build(),
-            ),
+            )),
         );
         world.run_for(SimDuration::from_secs(500));
         let (outcome, result_at) = world

@@ -28,42 +28,36 @@ pub trait Application: Any {
 
     /// Called once when the PeerHood node starts. Typical applications
     /// register their services here.
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         let _ = api;
     }
 
     /// A remote client connected to one of this application's registered
     /// services.
-    fn on_peer_connected(
-        &mut self,
-        api: &mut PeerHoodApi<'_, '_>,
-        conn: ConnectionId,
-        client: DeviceInfo,
-        service: &str,
-    ) {
+    fn on_peer_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, client: DeviceInfo, service: &str) {
         let _ = (api, conn, client, service);
     }
 
     /// An outgoing connection initiated with [`PeerHoodApi::connect_to`]
     /// received its end-to-end acknowledgement and is ready for data.
-    fn on_connected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         let _ = (api, conn);
     }
 
     /// An outgoing connection could not be established.
-    fn on_connect_failed(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, error: PeerHoodError) {
+    fn on_connect_failed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, error: PeerHoodError) {
         let _ = (api, conn, error);
     }
 
     /// Application data arrived on a connection.
-    fn on_data(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, payload: Vec<u8>) {
+    fn on_data(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, payload: Vec<u8>) {
         let _ = (api, conn, payload);
     }
 
     /// A connection went down and the middleware is not (or no longer)
     /// trying to recover it. `graceful` is true when the peer closed the
     /// connection deliberately.
-    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, graceful: bool) {
+    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, graceful: bool) {
         let _ = (api, conn, graceful);
     }
 
@@ -71,7 +65,7 @@ pub trait Application: Any {
     /// session — a completed routing handover, a server reply-channel
     /// re-establishment or a client re-attachment (the `ChangeConnection`
     /// callback of Fig. 5.5).
-    fn on_connection_changed(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connection_changed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         let _ = (api, conn);
     }
 
@@ -81,7 +75,7 @@ pub trait Application: Any {
     /// zero). Return `true` to allow the reconnection.
     fn on_reconnect_required(
         &mut self,
-        api: &mut PeerHoodApi<'_, '_>,
+        api: &mut PeerHoodApi<'_>,
         conn: ConnectionId,
         candidates: &[DeviceAddress],
     ) -> bool {
@@ -92,7 +86,7 @@ pub trait Application: Any {
     /// A service reconnection to `provider` completed. The application must
     /// restart its task (re-send the migrated data) on the same connection
     /// id.
-    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, provider: DeviceAddress) {
+    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, provider: DeviceAddress) {
         let _ = (api, conn, provider);
     }
 
@@ -100,25 +94,25 @@ pub trait Application: Any {
     /// inbound payload was dropped by the rate limit or a queued result by
     /// the outbox cap. The connection itself stays up; the application can
     /// slow down, resynchronise or close it.
-    fn on_shed(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, dropped_bytes: usize) {
+    fn on_shed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, dropped_bytes: usize) {
         let _ = (api, conn, dropped_bytes);
     }
 
     /// An application timer scheduled with [`PeerHoodApi::schedule_timer`]
     /// fired.
-    fn on_timer(&mut self, api: &mut PeerHoodApi<'_, '_>, token: u64) {
+    fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
         let _ = (api, token);
     }
 
     /// Dynamic discovery learned about a new remote device. Fanned out to
     /// every application hosted on the node.
-    fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_, '_>, address: DeviceAddress) {
+    fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_>, address: DeviceAddress) {
         let _ = (api, address);
     }
 
     /// A known remote device aged out of the storage. Fanned out to every
     /// application hosted on the node.
-    fn on_device_lost(&mut self, api: &mut PeerHoodApi<'_, '_>, address: DeviceAddress) {
+    fn on_device_lost(&mut self, api: &mut PeerHoodApi<'_>, address: DeviceAddress) {
         let _ = (api, address);
     }
 }

@@ -16,7 +16,8 @@
 //!   routing.
 //!
 //! The middleware runs on top of the [`simnet`] substrate: a
-//! [`node::PeerHoodNode`] implements [`simnet::NodeAgent`] and hosts any
+//! [`node::PeerHoodNode`] is a [`simnet::agent::Agent`], acting through a
+//! `&mut dyn` [`simnet::Ctx`], and hosts any
 //! number of [`application::Application`]s — one middleware stack shared by
 //! several programs on the same device, exactly as the thesis describes.
 //! Nodes are assembled with the fluent builder (configuration →
@@ -38,21 +39,22 @@
 //!     "client",
 //!     MobilityModel::stationary(Point::new(0.0, 0.0)),
 //!     &[RadioTech::Bluetooth],
-//!     Box::new(
+//!     Box::new(OnWorld(
 //!         PeerHoodNode::builder()
 //!             .config(PeerHoodConfig::mobile_device("client"))
 //!             .app(IdleApplication)
 //!             .build(),
-//!     ),
+//!     )),
 //! );
 //! world.add_node(
 //!     "server",
 //!     MobilityModel::stationary(Point::new(4.0, 0.0)),
 //!     &[RadioTech::Bluetooth],
 //!     // A pure relay: middleware only, no applications.
-//!     Box::new(PeerHoodNode::relay(PeerHoodConfig::static_device("server"))),
+//!     Box::new(OnWorld(PeerHoodNode::relay(PeerHoodConfig::static_device("server")))),
 //! );
 //! // Run a minute of simulated time: the daemons discover each other.
+//! // `OnWorld` answers `with_agent` for the node it wraps.
 //! world.run_for(SimDuration::from_secs(60));
 //! let known = world
 //!     .with_agent::<PeerHoodNode, _>(client, |node, _| node.storage_stats().known_devices)

@@ -9,7 +9,7 @@
 //! connections opened through it are owned by — and their callbacks routed
 //! to — that application.
 
-use simnet::{NodeCtx, SimDuration, SimTime};
+use simnet::{Ctx, SimDuration, SimTime};
 
 use crate::connection::{AppConnection, ConnKind, ConnectionSnapshot};
 use crate::error::PeerHoodError;
@@ -30,15 +30,15 @@ use super::{token, AppId, Core, KIND_APP};
 /// device are mutually trusted, as in the original library where they share
 /// one daemon, so mutating operations (`send`, `close`, `set_sending`,
 /// `unregister_service`) accept any connection or service on the node.
-pub struct PeerHoodApi<'a, 'w> {
+pub struct PeerHoodApi<'a> {
     pub(crate) core: &'a mut Core,
-    pub(crate) ctx: &'a mut NodeCtx<'w>,
+    pub(crate) ctx: &'a mut dyn Ctx,
     /// The application this handle acts for; `None` for driver-side use on a
     /// node without applications.
     pub(crate) app: Option<AppId>,
 }
 
-impl<'a, 'w> PeerHoodApi<'a, 'w> {
+impl PeerHoodApi<'_> {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.ctx.now()
@@ -226,7 +226,7 @@ impl<'a, 'w> PeerHoodApi<'a, 'w> {
 impl Core {
     pub(crate) fn op_connect_to(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         owner: Option<AppId>,
         target: DeviceAddress,
         service: &str,
@@ -276,7 +276,7 @@ impl Core {
 
     pub(crate) fn op_connect_to_service(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         owner: Option<AppId>,
         service: &str,
     ) -> Result<ConnectionId, PeerHoodError> {
@@ -291,7 +291,7 @@ impl Core {
 
     pub(crate) fn op_send(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         conn: ConnectionId,
         payload: Vec<u8>,
     ) -> Result<(), PeerHoodError> {
@@ -337,7 +337,7 @@ impl Core {
         Err(PeerHoodError::InvalidConnectionState(conn))
     }
 
-    pub(crate) fn op_close(&mut self, ctx: &mut NodeCtx<'_>, conn: ConnectionId) {
+    pub(crate) fn op_close(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
         if let Some(c) = self.connections.remove(conn) {
             if let Some(link) = c.link {
                 self.send_frame(ctx, link, &Message::Disconnect { conn_id: conn });

@@ -17,7 +17,9 @@
 
 use std::collections::BTreeSet;
 
-use simnet::{FrameForge, LinkId, MobilityModel, NodeId, Point, RadioTech, SimDuration, SimRng, World, WorldConfig};
+use simnet::{
+    Ctx, FrameForge, LinkId, MobilityModel, NodeId, OnWorld, Point, RadioTech, SimDuration, SimRng, World, WorldConfig,
+};
 
 use crate::application::Application;
 use crate::config::{PeerHoodConfig, SecurityConfig};
@@ -100,15 +102,15 @@ impl Application for FuzzApp {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
     }
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         if let Some(name) = self.service {
             api.register_service(ServiceInfo::new(name, "fuzz", 10)).unwrap();
         }
     }
-    fn on_connected(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connected(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         self.connected.push(conn);
     }
-    fn on_data(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, payload: Vec<u8>) {
+    fn on_data(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, payload: Vec<u8>) {
         if self.echo {
             let mut reply = payload.clone();
             reply.reverse();
@@ -169,7 +171,7 @@ fn victim_world(tier: SecurityConfig) -> (World, NodeId) {
         "victim",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &[RadioTech::Bluetooth],
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(cfg)
                 .app(FuzzApp {
@@ -177,7 +179,7 @@ fn victim_world(tier: SecurityConfig) -> (World, NodeId) {
                     ..FuzzApp::default()
                 })
                 .build(),
-        ),
+        )),
     );
     world.run_for(SimDuration::from_secs(1));
     (world, victim)
@@ -478,18 +480,18 @@ fn authenticated_stacks_interoperate() {
         "client",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &[RadioTech::Bluetooth],
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(client_cfg)
                 .app(FuzzApp::default())
                 .build(),
-        ),
+        )),
     );
     let server = world.add_node(
         "server",
         MobilityModel::stationary(Point::new(4.0, 0.0)),
         &[RadioTech::Bluetooth],
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(server_cfg)
                 .app(FuzzApp {
@@ -498,7 +500,7 @@ fn authenticated_stacks_interoperate() {
                     ..FuzzApp::default()
                 })
                 .build(),
-        ),
+        )),
     );
     world.run_for(SimDuration::from_secs(40));
     let conn = world

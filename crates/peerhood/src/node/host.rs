@@ -23,13 +23,13 @@
 //! every app. The same typed [`PeerHoodEvent`] stream can be recorded for
 //! scenario drivers through [`PeerHoodNode::subscribe_event_trace`].
 
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
+use simnet::agent::Agent;
 use simnet::{
-    AttemptId, ConnectError, DisconnectReason, IncomingConnection, InquiryHit, LinkId, NodeAgent, NodeCtx, NodeId,
-    Payload, RadioTech, TimerToken,
+    AttemptId, ConnectError, Ctx, DisconnectReason, IncomingConnection, InquiryHit, LinkId, NodeId, Payload, RadioTech,
+    TimerToken,
 };
 
 use crate::application::Application;
@@ -338,7 +338,7 @@ impl PeerHoodNode {
     /// delivered afterwards.
     ///
     /// Returns `None` if the node has not started yet.
-    pub fn with_api<R>(&mut self, ctx: &mut NodeCtx<'_>, f: impl FnOnce(&mut PeerHoodApi<'_, '_>) -> R) -> Option<R> {
+    pub fn with_api<R>(&mut self, ctx: &mut dyn Ctx, f: impl FnOnce(&mut PeerHoodApi<'_>) -> R) -> Option<R> {
         let app = self.apps.keys().next().copied();
         self.with_api_for(app, ctx, f)
     }
@@ -348,8 +348,8 @@ impl PeerHoodNode {
     pub fn with_api_for<R>(
         &mut self,
         app: Option<AppId>,
-        ctx: &mut NodeCtx<'_>,
-        f: impl FnOnce(&mut PeerHoodApi<'_, '_>) -> R,
+        ctx: &mut dyn Ctx,
+        f: impl FnOnce(&mut PeerHoodApi<'_>) -> R,
     ) -> Option<R> {
         let result = {
             let core = self.core.as_mut()?;
@@ -367,7 +367,7 @@ impl PeerHoodNode {
         self.core.as_mut()
     }
 
-    fn drain_events(&mut self, ctx: &mut NodeCtx<'_>) {
+    fn drain_events(&mut self, ctx: &mut dyn Ctx) {
         while let Some(event) = self.core.as_mut().and_then(|c| c.events.pop_front()) {
             if let Some(trace) = self.trace.as_mut() {
                 if trace.len() == EVENT_TRACE_CAP {
@@ -456,8 +456,8 @@ impl PeerHoodNode {
     fn fan_out(
         apps: &mut BTreeMap<AppId, Box<dyn Application>>,
         core: &mut Core,
-        ctx: &mut NodeCtx<'_>,
-        f: impl Fn(&mut dyn Application, &mut PeerHoodApi<'_, '_>),
+        ctx: &mut dyn Ctx,
+        f: impl Fn(&mut dyn Application, &mut PeerHoodApi<'_>),
     ) {
         for (&id, a) in apps.iter_mut() {
             let mut api = PeerHoodApi {
@@ -475,9 +475,9 @@ impl PeerHoodNode {
     fn deliver(
         apps: &mut BTreeMap<AppId, Box<dyn Application>>,
         core: &mut Core,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         app: Option<AppId>,
-        f: impl FnOnce(&mut dyn Application, &mut PeerHoodApi<'_, '_>),
+        f: impl FnOnce(&mut dyn Application, &mut PeerHoodApi<'_>),
     ) {
         let id = match app {
             Some(id) => id,
@@ -494,15 +494,12 @@ impl PeerHoodNode {
     }
 }
 
-impl NodeAgent for PeerHoodNode {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+/// Each callback turns `ctx` into a `&mut dyn Ctx` once: the middleware below
+/// is written against the trait object, because a [`PeerHoodApi`] handed to a
+/// `Box<dyn Application>` cannot be generic over the context.
+impl Agent for PeerHoodNode {
+    fn on_start<C: Ctx>(&mut self, ctx: &mut C) {
+        let ctx: &mut dyn Ctx = ctx;
         let info = DeviceInfo::new(
             ctx.node_id(),
             self.config.device_name.clone(),
@@ -518,7 +515,7 @@ impl NodeAgent for PeerHoodNode {
         self.drain_events(ctx);
     }
 
-    fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
+    fn on_restart<C: Ctx>(&mut self, ctx: &mut C) {
         // A crash wipes the middleware state — daemon storage, connection
         // table, bridge pairs, pending attempts — exactly like killing and
         // relaunching the real daemon. The reborn daemon starts its
@@ -528,21 +525,23 @@ impl NodeAgent for PeerHoodNode {
         self.on_start(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: TimerToken) {
+    fn on_timer<C: Ctx>(&mut self, ctx: &mut C, timer: TimerToken) {
+        let ctx: &mut dyn Ctx = ctx;
         if let Some(core) = self.core.as_mut() {
             core.handle_timer(ctx, timer);
         }
         self.drain_events(ctx);
     }
 
-    fn on_inquiry_complete(&mut self, ctx: &mut NodeCtx<'_>, tech: RadioTech, hits: Vec<InquiryHit>) {
+    fn on_inquiry_complete<C: Ctx>(&mut self, ctx: &mut C, tech: RadioTech, hits: Vec<InquiryHit>) {
+        let ctx: &mut dyn Ctx = ctx;
         if let Some(core) = self.core.as_mut() {
             core.handle_inquiry_complete(ctx, tech, hits);
         }
         self.drain_events(ctx);
     }
 
-    fn on_incoming_connection(&mut self, ctx: &mut NodeCtx<'_>, incoming: IncomingConnection) -> bool {
+    fn on_incoming_connection<C: Ctx>(&mut self, ctx: &mut C, incoming: IncomingConnection) -> bool {
         match self.core.as_mut() {
             Some(core) => {
                 // Admission control runs before any middleware state is
@@ -566,35 +565,39 @@ impl NodeAgent for PeerHoodNode {
         }
     }
 
-    fn on_connected(&mut self, ctx: &mut NodeCtx<'_>, attempt: AttemptId, link: LinkId, peer: NodeId, tech: RadioTech) {
+    fn on_connected<C: Ctx>(&mut self, ctx: &mut C, attempt: AttemptId, link: LinkId, peer: NodeId, tech: RadioTech) {
+        let ctx: &mut dyn Ctx = ctx;
         if let Some(core) = self.core.as_mut() {
             core.handle_connected(ctx, attempt, link, peer, tech);
         }
         self.drain_events(ctx);
     }
 
-    fn on_connect_failed(
+    fn on_connect_failed<C: Ctx>(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut C,
         attempt: AttemptId,
         peer: NodeId,
         tech: RadioTech,
         error: ConnectError,
     ) {
+        let ctx: &mut dyn Ctx = ctx;
         if let Some(core) = self.core.as_mut() {
             core.handle_connect_failed(ctx, attempt, peer, tech, error);
         }
         self.drain_events(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, from: NodeId, payload: Payload) {
+    fn on_message<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, from: NodeId, payload: Payload) {
+        let ctx: &mut dyn Ctx = ctx;
         if let Some(core) = self.core.as_mut() {
             core.handle_message(ctx, link, from, payload);
         }
         self.drain_events(ctx);
     }
 
-    fn on_disconnected(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, peer: NodeId, reason: DisconnectReason) {
+    fn on_disconnected<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, peer: NodeId, reason: DisconnectReason) {
+        let ctx: &mut dyn Ctx = ctx;
         if let Some(core) = self.core.as_mut() {
             core.handle_disconnected(ctx, link, peer, reason);
         }

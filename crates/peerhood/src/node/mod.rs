@@ -1,6 +1,6 @@
 //! The PeerHood node: glue between the middleware and the simulated radio.
 //!
-//! [`PeerHoodNode`] implements [`simnet::NodeAgent`] and owns the whole
+//! [`PeerHoodNode`] implements [`simnet::agent::Agent`] and owns the whole
 //! middleware stack of one device — daemon, engine, connection table, bridge
 //! service and handover machinery — plus the registry of
 //! [`Application`](crate::application::Application)s running on top of it.
@@ -11,7 +11,7 @@
 //!
 //! * [`host`] — the node itself: application registry, fluent
 //!   [`PeerHoodNodeBuilder`], event dispatch and the
-//!   [`simnet::NodeAgent`] implementation,
+//!   [`simnet::agent::Agent`] implementation,
 //! * [`api`] — the [`PeerHoodApi`] handle applications and scenario drivers
 //!   use to act on the middleware,
 //! * [`events`] — the [`PeerHoodEvent`] vocabulary and [`AppId`],
@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use simnet::table::IdTable;
-use simnet::{AttemptId, NodeCtx, RadioTech, TimerToken};
+use simnet::{AttemptId, Ctx, RadioTech, TimerToken};
 
 use crate::bridge::BridgeService;
 use crate::config::PeerHoodConfig;
@@ -184,7 +184,7 @@ impl Core {
     /// Starts one radio connect towards `hop` on behalf of `purpose`, unless
     /// the hop's circuit breaker refuses the dial; returns whether the
     /// attempt was started. Callers handle a refusal their own way.
-    pub(crate) fn dial(&mut self, ctx: &mut NodeCtx<'_>, hop: DeviceAddress, purpose: PendingPurpose) -> bool {
+    pub(crate) fn dial(&mut self, ctx: &mut dyn Ctx, hop: DeviceAddress, purpose: PendingPurpose) -> bool {
         if !self.resilience.allow_dial(hop, ctx.now()) {
             return false;
         }

@@ -6,7 +6,7 @@
 //! application connection, a bridge leg, a handover replacement route or a
 //! server-initiated reply reconnection (§5.3).
 
-use simnet::{AttemptId, ConnectError, LinkId, NodeCtx, NodeId, RadioTech};
+use simnet::{AttemptId, ConnectError, Ctx, LinkId, NodeId, RadioTech};
 
 use crate::connection::{ConnKind, ConnState};
 use crate::error::{ErrorCode, PeerHoodError};
@@ -54,7 +54,7 @@ pub enum PendingPurpose {
 impl Core {
     pub(crate) fn handle_connected(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         attempt: AttemptId,
         link: LinkId,
         _peer: NodeId,
@@ -210,7 +210,7 @@ impl Core {
 
     pub(crate) fn handle_connect_failed(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         attempt: AttemptId,
         _peer: NodeId,
         tech: RadioTech,
@@ -260,7 +260,7 @@ impl Core {
         }
     }
 
-    pub(crate) fn schedule_reply_retry(&mut self, ctx: &mut NodeCtx<'_>, conn: ConnectionId) {
+    pub(crate) fn schedule_reply_retry(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
         let attempts = match self.connections.get_mut(conn) {
             Some(c) => {
                 c.reconnect_attempts += 1;
@@ -285,7 +285,7 @@ impl Core {
         );
     }
 
-    pub(crate) fn try_reply_reconnect(&mut self, ctx: &mut NodeCtx<'_>, conn: ConnectionId) {
+    pub(crate) fn try_reply_reconnect(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
         let (established, remote, has_outbox) = match self.connections.get(conn) {
             Some(c) => (c.is_established(), c.remote, !c.outbox.is_empty()),
             None => return,

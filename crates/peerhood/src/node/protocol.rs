@@ -6,7 +6,7 @@
 //! HandoverThread (§5.2.1). They mutate the shared `Core` and queue typed
 //! [`PeerHoodEvent`]s for the host to dispatch.
 
-use simnet::{DisconnectReason, InquiryHit, LinkId, NodeCtx, NodeId, Payload, RadioTech, SimDuration};
+use simnet::{Ctx, DisconnectReason, InquiryHit, LinkId, NodeId, Payload, RadioTech, SimDuration};
 
 use crate::bridge::BridgeSide;
 use crate::connection::{AppConnection, ConnKind, ConnState};
@@ -22,7 +22,7 @@ use super::pending::PendingPurpose;
 use super::{token, Core, PeerHoodEvent, KIND_APP, KIND_INQUIRY, KIND_MONITOR, KIND_RETRY, KIND_SHIFT, PAYLOAD_MASK};
 
 impl Core {
-    pub(crate) fn send_frame(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, message: &Message) {
+    pub(crate) fn send_frame(&mut self, ctx: &mut dyn Ctx, link: LinkId, message: &Message) {
         self.scratch.clear();
         wire::encode_into(message, &mut self.scratch);
         self.send_scratch(ctx, link);
@@ -32,7 +32,7 @@ impl Core {
     /// buffer: the auth trailer (when enabled) is appended to the scratch
     /// bytes, and the one share-copy made here is the allocation the world's
     /// delivery pipeline carries end to end.
-    fn send_scratch(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId) {
+    fn send_scratch(&mut self, ctx: &mut dyn Ctx, link: LinkId) {
         if self.security.frame_auth() {
             let sender = self.daemon.info().address;
             self.security.append_trailer(sender, &mut self.scratch);
@@ -46,7 +46,7 @@ impl Core {
     /// frame costs a reference count. With it on, the trailer is per-send
     /// and per-hop: `bare` gets a fresh sequence number and MAC in the
     /// scratch buffer instead of carrying a stale one.
-    fn transmit_frame(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, bare: &[u8], carrier: &wire::Frame) {
+    fn transmit_frame(&mut self, ctx: &mut dyn Ctx, link: LinkId, bare: &[u8], carrier: &wire::Frame) {
         if self.security.frame_auth() {
             self.scratch.clear();
             self.scratch.extend_from_slice(bare);
@@ -91,7 +91,7 @@ impl Core {
         frame
     }
 
-    pub(crate) fn start(&mut self, ctx: &mut NodeCtx<'_>) {
+    pub(crate) fn start(&mut self, ctx: &mut dyn Ctx) {
         // Stagger the plugin inquiry loops a little so co-located devices do
         // not scan in lock-step.
         for idx in 0..self.config.techs.len() {
@@ -101,7 +101,7 @@ impl Core {
         ctx.schedule(self.config.monitor.interval, token(KIND_MONITOR, 0));
     }
 
-    pub(crate) fn handle_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: simnet::TimerToken) {
+    pub(crate) fn handle_timer(&mut self, ctx: &mut dyn Ctx, timer: simnet::TimerToken) {
         let kind = timer.0 >> KIND_SHIFT;
         let payload = timer.0 & PAYLOAD_MASK;
         match kind {
@@ -121,7 +121,7 @@ impl Core {
                 ctx.start_inquiry(tech);
             }
             KIND_MONITOR => {
-                self.compact_closed_connections(ctx);
+                self.compact_closed_connections();
                 self.monitor_pass(ctx);
                 ctx.schedule(self.config.monitor.interval, token(KIND_MONITOR, 0));
             }
@@ -142,7 +142,7 @@ impl Core {
         }
     }
 
-    fn schedule_next_inquiry(&mut self, ctx: &mut NodeCtx<'_>, tech: RadioTech) {
+    fn schedule_next_inquiry(&mut self, ctx: &mut dyn Ctx, tech: RadioTech) {
         if let Some(idx) = self.config.techs.iter().position(|t| *t == tech) {
             // Random per-cycle jitter keeps co-located devices from scanning
             // in lock-step, which together with the Bluetooth inquiry
@@ -154,7 +154,7 @@ impl Core {
         }
     }
 
-    pub(crate) fn handle_inquiry_complete(&mut self, ctx: &mut NodeCtx<'_>, tech: RadioTech, hits: Vec<InquiryHit>) {
+    pub(crate) fn handle_inquiry_complete(&mut self, ctx: &mut dyn Ctx, tech: RadioTech, hits: Vec<InquiryHit>) {
         let now = ctx.now();
         let service_check = self.config.discovery.service_check_interval;
         let mut fetches: Vec<(DeviceAddress, u8)> = Vec::new();
@@ -195,7 +195,7 @@ impl Core {
         }
     }
 
-    fn finish_discovery_cycle(&mut self, ctx: &mut NodeCtx<'_>, tech: RadioTech) {
+    fn finish_discovery_cycle(&mut self, ctx: &mut dyn Ctx, tech: RadioTech) {
         let now = ctx.now();
         let removed = self.daemon.complete_cycle(tech, &self.config, now);
         for address in removed {
@@ -204,7 +204,7 @@ impl Core {
         self.schedule_next_inquiry(ctx, tech);
     }
 
-    pub(crate) fn note_fetch_finished(&mut self, ctx: &mut NodeCtx<'_>, tech: RadioTech) {
+    pub(crate) fn note_fetch_finished(&mut self, ctx: &mut dyn Ctx, tech: RadioTech) {
         let done = self
             .daemon
             .plugins_mut()
@@ -216,7 +216,7 @@ impl Core {
         }
     }
 
-    pub(crate) fn handle_message(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, from: NodeId, payload: Payload) {
+    pub(crate) fn handle_message(&mut self, ctx: &mut dyn Ctx, link: LinkId, from: NodeId, payload: Payload) {
         // Frame authentication happens before the codec ever sees the bytes:
         // the trailer is verified against the radio the frame physically
         // arrived from, and the rest of the stack (including the bridge
@@ -264,7 +264,7 @@ impl Core {
         }
     }
 
-    fn identify_incoming(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, from: NodeId, message: Message) {
+    fn identify_incoming(&mut self, ctx: &mut dyn Ctx, link: LinkId, from: NodeId, message: Message) {
         match message {
             Message::InquiryRequest { requester: _ } => {
                 let frame = self.inquiry_response_frame();
@@ -295,7 +295,7 @@ impl Core {
     #[allow(clippy::too_many_arguments)]
     fn handle_connect_request(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         link: LinkId,
         conn_id: ConnectionId,
         service: String,
@@ -426,7 +426,7 @@ impl Core {
     #[allow(clippy::too_many_arguments)]
     fn handle_bridge_request(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         link: LinkId,
         from: NodeId,
         conn_id: ConnectionId,
@@ -507,7 +507,7 @@ impl Core {
 
     fn handle_report(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         link: LinkId,
         tech: RadioTech,
         quality: u8,
@@ -534,7 +534,7 @@ impl Core {
         self.note_fetch_finished(ctx, tech);
     }
 
-    fn handle_app_message(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, conn: ConnectionId, message: Message) {
+    fn handle_app_message(&mut self, ctx: &mut dyn Ctx, link: LinkId, conn: ConnectionId, message: Message) {
         // Stale links must not affect the session (the connection may already
         // have been handed over to a different link).
         let is_current = self
@@ -664,7 +664,7 @@ impl Core {
 
     fn handle_handover_message(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         link: LinkId,
         conn: ConnectionId,
         via: DeviceAddress,
@@ -720,7 +720,7 @@ impl Core {
     #[allow(clippy::too_many_arguments)]
     fn handle_bridge_message(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         link: LinkId,
         conn: ConnectionId,
         side: BridgeSide,
@@ -804,7 +804,7 @@ impl Core {
         }
     }
 
-    pub(crate) fn fail_bridge_pair(&mut self, ctx: &mut NodeCtx<'_>, conn: ConnectionId, code: ErrorCode) {
+    pub(crate) fn fail_bridge_pair(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, code: ErrorCode) {
         if let Some(pair) = self.bridge.remove(conn) {
             self.send_frame(
                 ctx,
@@ -826,7 +826,7 @@ impl Core {
 
     pub(crate) fn handle_disconnected(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         link: LinkId,
         peer: NodeId,
         reason: DisconnectReason,
@@ -886,7 +886,7 @@ impl Core {
         }
     }
 
-    fn app_link_lost(&mut self, ctx: &mut NodeCtx<'_>, conn: ConnectionId, link: LinkId, reason: DisconnectReason) {
+    fn app_link_lost(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, link: LinkId, reason: DisconnectReason) {
         let is_current = self
             .connections
             .get(conn)
@@ -965,7 +965,7 @@ impl Core {
         }
     }
 
-    fn try_routing_handover(&mut self, ctx: &mut NodeCtx<'_>, conn: ConnectionId) -> bool {
+    fn try_routing_handover(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) -> bool {
         // If a replacement route is already being established, let it resolve
         // instead of stacking a second recovery on top of it.
         if self
@@ -1003,7 +1003,7 @@ impl Core {
         true
     }
 
-    pub(crate) fn handover_attempt_failed(&mut self, ctx: &mut NodeCtx<'_>, conn: ConnectionId) {
+    pub(crate) fn handover_attempt_failed(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
         if let Some(c) = self.connections.get_mut(conn) {
             if let Some(m) = c.monitor.as_mut() {
                 m.switch_failed();
@@ -1057,7 +1057,7 @@ impl Core {
 
     pub(crate) fn start_service_reconnection(
         &mut self,
-        ctx: &mut NodeCtx<'_>,
+        ctx: &mut dyn Ctx,
         conn: ConnectionId,
         candidates: &[DeviceAddress],
     ) {
@@ -1130,7 +1130,7 @@ impl Core {
     /// outbox-empty; any sign of life resets the counter, and entries idle
     /// past the retention are dropped. The default (`None`) keeps the
     /// original keep-forever behaviour byte for byte.
-    fn compact_closed_connections(&mut self, _ctx: &mut NodeCtx<'_>) {
+    fn compact_closed_connections(&mut self) {
         let retention = match self.config.handover.closed_retention {
             Some(r) => r,
             None => return,
@@ -1160,7 +1160,7 @@ impl Core {
         }
     }
 
-    fn monitor_pass(&mut self, ctx: &mut NodeCtx<'_>) {
+    fn monitor_pass(&mut self, ctx: &mut dyn Ctx) {
         if !self.config.handover.enabled {
             return;
         }
@@ -1204,7 +1204,7 @@ impl Core {
         }
     }
 
-    pub(crate) fn flush_outbox(&mut self, ctx: &mut NodeCtx<'_>, conn: ConnectionId) {
+    pub(crate) fn flush_outbox(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
         let (link, payloads) = match self.connections.get_mut(conn) {
             Some(c) if c.is_established() => (c.link, std::mem::take(&mut c.outbox)),
             _ => return,

@@ -4,7 +4,7 @@
 
 use std::any::Any;
 
-use simnet::{MobilityModel, Point, RadioTech, SimDuration, World, WorldConfig};
+use simnet::{Ctx, MobilityModel, OnWorld, Point, RadioTech, SimDuration, World, WorldConfig};
 
 use crate::application::Application;
 use crate::config::PeerHoodConfig;
@@ -49,27 +49,27 @@ impl Application for TestApp {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         if let Some(name) = self.service {
             api.register_service(ServiceInfo::new(name, "test", 10)).unwrap();
         }
     }
     fn on_peer_connected(
         &mut self,
-        _api: &mut PeerHoodApi<'_, '_>,
+        _api: &mut PeerHoodApi<'_>,
         conn: ConnectionId,
         _client: DeviceInfo,
         service: &str,
     ) {
         self.peer_connected.push((conn, service.to_string()));
     }
-    fn on_connected(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connected(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         self.connected.push(conn);
     }
-    fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, error: PeerHoodError) {
+    fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, error: PeerHoodError) {
         self.failed.push((conn, error));
     }
-    fn on_data(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, payload: Vec<u8>) {
+    fn on_data(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, payload: Vec<u8>) {
         if self.echo {
             let mut reply = payload.clone();
             reply.reverse();
@@ -77,27 +77,27 @@ impl Application for TestApp {
         }
         self.data.push((conn, payload));
     }
-    fn on_disconnected(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, graceful: bool) {
+    fn on_disconnected(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, graceful: bool) {
         self.disconnected.push((conn, graceful));
     }
-    fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         self.changed.push(conn);
     }
-    fn on_device_discovered(&mut self, _api: &mut PeerHoodApi<'_, '_>, address: DeviceAddress) {
+    fn on_device_discovered(&mut self, _api: &mut PeerHoodApi<'_>, address: DeviceAddress) {
         self.discovered.push(address);
     }
-    fn on_timer(&mut self, _api: &mut PeerHoodApi<'_, '_>, token: u64) {
+    fn on_timer(&mut self, _api: &mut PeerHoodApi<'_>, token: u64) {
         self.timers.push(token);
     }
 }
 
-fn peerhood(name: &str, mobility: MobilityClass, app: TestApp) -> Box<PeerHoodNode> {
-    Box::new(
+fn peerhood(name: &str, mobility: MobilityClass, app: TestApp) -> Box<OnWorld<PeerHoodNode>> {
+    Box::new(OnWorld(
         PeerHoodNode::builder()
             .config(PeerHoodConfig::new(name, mobility))
             .app(app)
             .build(),
-    )
+    ))
 }
 
 fn fast_discovery_config(name: &str, mobility: MobilityClass) -> PeerHoodConfig {
@@ -187,29 +187,32 @@ fn bridged_connection_relays_data_between_remote_devices() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(fast_discovery_config("a", MobilityClass::Dynamic))
                 .app(TestApp::default())
                 .build(),
-        ),
+        )),
     );
     let b = world.add_node(
         "b",
         MobilityModel::stationary(Point::new(8.0, 0.0)),
         &bt(),
-        Box::new(PeerHoodNode::relay(fast_discovery_config("b", MobilityClass::Static))),
+        Box::new(OnWorld(PeerHoodNode::relay(fast_discovery_config(
+            "b",
+            MobilityClass::Static,
+        )))),
     );
     let c = world.add_node(
         "c",
         MobilityModel::stationary(Point::new(16.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(fast_discovery_config("c", MobilityClass::Static))
                 .app(TestApp::server("echo", true))
                 .build(),
-        ),
+        )),
     );
     assert!(!world.in_range(a, c, RadioTech::Bluetooth));
     // Dynamic discovery needs a couple of cycles to propagate C to A.
@@ -355,24 +358,24 @@ fn two_services_on_one_device_route_to_the_right_app() {
         "client",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("client", MobilityClass::Dynamic))
                 .app(TestApp::default())
                 .build(),
-        ),
+        )),
     );
     let server = world.add_node(
         "server",
         MobilityModel::stationary(Point::new(4.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("server", MobilityClass::Static))
                 .app(TestApp::server("echo", true))
                 .app(TestApp::server("print", false))
                 .build(),
-        ),
+        )),
     );
     world.run_for(SimDuration::from_secs(40));
     let stats = world
@@ -441,14 +444,14 @@ fn ownership_world(trusted: bool) -> (World, simnet::NodeId, ConnectionId) {
         "client",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("client", MobilityClass::Dynamic))
                 .app(TestApp::default())
                 .app(TestApp::default())
                 .trusted_apps(trusted)
                 .build(),
-        ),
+        )),
     );
     world.add_node(
         "server",
@@ -525,13 +528,13 @@ fn timers_are_routed_to_the_scheduling_app() {
         "dev",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::static_device("dev"))
                 .app(TestApp::default())
                 .app(TestApp::default())
                 .build(),
-        ),
+        )),
     );
     world.run_for(SimDuration::from_secs(1));
     world
@@ -557,25 +560,25 @@ fn event_trace_records_the_dispatch_stream() {
         "client",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("client", MobilityClass::Dynamic))
                 .app(TestApp::default())
                 .event_trace(true)
                 .build(),
-        ),
+        )),
     );
     let server = world.add_node(
         "server",
         MobilityModel::stationary(Point::new(4.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("server", MobilityClass::Static))
                 .app(TestApp::server("echo", true))
                 .event_trace(true)
                 .build(),
-        ),
+        )),
     );
     world.run_for(SimDuration::from_secs(40));
     let conn = world
@@ -650,10 +653,10 @@ impl Application for FanOutApp {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-    fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_, '_>, address: DeviceAddress) {
+    fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_>, address: DeviceAddress) {
         self.0.borrow_mut().push((api.app_id(), "discovered", address));
     }
-    fn on_device_lost(&mut self, api: &mut PeerHoodApi<'_, '_>, address: DeviceAddress) {
+    fn on_device_lost(&mut self, api: &mut PeerHoodApi<'_>, address: DeviceAddress) {
         self.0.borrow_mut().push((api.app_id(), "lost", address));
     }
 }
@@ -666,14 +669,14 @@ fn discovery_events_reach_every_hosted_app_once_in_app_id_order() {
         "client",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("client", MobilityClass::Dynamic))
                 .app(FanOutApp(log.clone()))
                 .app(FanOutApp(log.clone()))
                 .event_trace(true)
                 .build(),
-        ),
+        )),
     );
     let server = world.add_node(
         "server",
@@ -752,10 +755,10 @@ fn handover_records_the_bridge_actually_used_not_the_refreshed_candidate() {
             "bridge",
             MobilityModel::stationary(p),
             &bt(),
-            Box::new(PeerHoodNode::relay(fast_discovery_config(
+            Box::new(OnWorld(PeerHoodNode::relay(fast_discovery_config(
                 "bridge",
                 MobilityClass::Static,
-            ))),
+            )))),
         )
     });
     let bridge_addrs = bridges.map(DeviceAddress::from_node);
@@ -881,13 +884,13 @@ fn crashed_peer_expires_and_reborn_daemon_readvertises() {
         "client",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("client", MobilityClass::Dynamic))
                 .app(TestApp::default())
                 .event_trace(true)
                 .build(),
-        ),
+        )),
     );
     let server = world.add_node(
         "server",
@@ -978,12 +981,12 @@ fn churn_sessions(closed_retention: Option<SimDuration>, sessions: usize) -> usi
         "server",
         MobilityModel::stationary(Point::new(4.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(server_cfg)
                 .app(TestApp::server("echo", true))
                 .build(),
-        ),
+        )),
     );
     world.run_for(SimDuration::from_secs(40));
     for _ in 0..sessions {
@@ -1040,12 +1043,12 @@ fn circuit_breaker_blocks_dials_to_a_dead_peer() {
         "client",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("client", MobilityClass::Dynamic).with_resilience(resilience))
                 .app(TestApp::default())
                 .build(),
-        ),
+        )),
     );
     let server = world.add_node(
         "server",

@@ -27,7 +27,7 @@ fn main() {
         "phone",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &phone_techs,
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(phone_cfg)
                 .app(MessagingClient::new(
@@ -40,7 +40,7 @@ fn main() {
                 .app(PictureClient::new("analysis", spec.clone(), SimDuration::from_secs(35)))
                 .event_trace(true)
                 .build(),
-        ),
+        )),
     );
 
     // The PC hosts two server applications with independent services.
@@ -50,14 +50,14 @@ fn main() {
         "pc",
         MobilityModel::stationary(Point::new(4.0, 0.0)),
         &pc_techs,
-        Box::new(
+        Box::new(OnWorld(
             PeerHoodNode::builder()
                 .config(pc_cfg)
                 .app(MessagingServer::new("print"))
                 .app(PictureServer::for_spec("analysis", &spec))
                 .relay(true)
                 .build(),
-        ),
+        )),
     );
 
     world.run_for(SimDuration::from_secs(240));

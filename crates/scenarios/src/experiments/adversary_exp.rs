@@ -257,12 +257,12 @@ pub fn adversary_run(settings: &AdversarySettings, defense: Defense) -> (World, 
                 format!("hs{p}"),
                 MobilityModel::stationary(Point::new(x, 20.0)),
                 &[RadioTech::Wlan],
-                Box::new(
+                Box::new(OnWorld(
                     PeerHoodNode::builder()
                         .config_shared(Rc::clone(&cfg))
                         .app(HotspotApp::default())
                         .build(),
-                ),
+                )),
             ),
         );
     }
@@ -274,12 +274,12 @@ pub fn adversary_run(settings: &AdversarySettings, defense: Defense) -> (World, 
             format!("c{i}"),
             MobilityModel::stationary(pos),
             &[RadioTech::Wlan],
-            Box::new(
+            Box::new(OnWorld(
                 PeerHoodNode::builder()
                     .config_shared(Rc::clone(&cfg))
                     .app(crowd_app())
                     .build(),
-            ),
+            )),
         );
         honest.push(id);
         if i % 6 < 2 {
@@ -297,12 +297,12 @@ pub fn adversary_run(settings: &AdversarySettings, defense: Defense) -> (World, 
                 format!("x{h}"),
                 MobilityModel::stationary(pos),
                 &[RadioTech::Wlan],
-                Box::new(
+                Box::new(OnWorld(
                     PeerHoodNode::builder()
                         .config_shared(Rc::clone(&cfg))
                         .app(crowd_app())
                         .build(),
-                ),
+                )),
             ),
         );
     }

@@ -308,7 +308,7 @@ pub fn e05_static_vs_dynamic_bridge(seed: u64) -> ExperimentReport {
             "bridge",
             bridge_mobility_model,
             &techs,
-            Box::new(PeerHoodNode::relay(bridge_cfg)),
+            Box::new(OnWorld(PeerHoodNode::relay(bridge_cfg))),
         );
         let server = crate::topology::spawn_app(
             &mut world,

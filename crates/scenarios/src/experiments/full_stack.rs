@@ -30,6 +30,7 @@ use peerhood::error::PeerHoodError;
 use peerhood::ids::{ConnectionId, DeviceAddress};
 use peerhood::node::{PeerHoodApi, PeerHoodNode};
 use peerhood::service::ServiceInfo;
+use simnet::agent::Agent;
 use simnet::prelude::*;
 
 use crate::experiments::probe::CityProbe;
@@ -165,7 +166,7 @@ pub struct MetroApp {
 }
 
 impl MetroApp {
-    fn try_attach(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn try_attach(&mut self, api: &mut PeerHoodApi<'_>) {
         if self.current.is_some() || self.connecting {
             return;
         }
@@ -194,7 +195,7 @@ impl Application for MetroApp {
         self
     }
 
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         // A restart reaches here too (the reborn daemon re-runs app
         // start-up): session state is gone with the old core.
         self.current = None;
@@ -203,11 +204,11 @@ impl Application for MetroApp {
         api.schedule_timer(SimDuration::from_secs(10), PING_TIMER);
     }
 
-    fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_, '_>, _address: DeviceAddress) {
+    fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_>, _address: DeviceAddress) {
         self.try_attach(api);
     }
 
-    fn on_connected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         if self.current == Some(conn) {
             self.connecting = false;
             self.sessions_established += 1;
@@ -218,18 +219,18 @@ impl Application for MetroApp {
         }
     }
 
-    fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _error: PeerHoodError) {
+    fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
         if self.current == Some(conn) {
             self.current = None;
             self.connecting = false;
         }
     }
 
-    fn on_data(&mut self, _api: &mut PeerHoodApi<'_, '_>, _conn: ConnectionId, _payload: Vec<u8>) {
+    fn on_data(&mut self, _api: &mut PeerHoodApi<'_>, _conn: ConnectionId, _payload: Vec<u8>) {
         self.payloads_received += 1;
     }
 
-    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _graceful: bool) {
+    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
         if self.current == Some(conn) {
             self.current = None;
             self.connecting = false;
@@ -238,7 +239,7 @@ impl Application for MetroApp {
         }
     }
 
-    fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         if self.current == Some(conn) {
             self.route_changes += 1;
         }
@@ -246,7 +247,7 @@ impl Application for MetroApp {
 
     fn on_reconnect_required(
         &mut self,
-        _api: &mut PeerHoodApi<'_, '_>,
+        _api: &mut PeerHoodApi<'_>,
         _conn: ConnectionId,
         _candidates: &[DeviceAddress],
     ) -> bool {
@@ -258,7 +259,7 @@ impl Application for MetroApp {
         false
     }
 
-    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _provider: DeviceAddress) {
+    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
         if self.current == Some(conn) {
             self.connecting = false;
             self.sessions_established += 1;
@@ -269,7 +270,7 @@ impl Application for MetroApp {
         }
     }
 
-    fn on_timer(&mut self, api: &mut PeerHoodApi<'_, '_>, token: u64) {
+    fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
         if token != PING_TIMER {
             return;
         }
@@ -399,6 +400,8 @@ impl FullStackHost {
     }
 }
 
+/// Calls the node's [`Agent`] callbacks by path: `FullStackHost` itself stays
+/// a [`NodeAgent`], whose callbacks callers reach by method syntax.
 impl NodeAgent for FullStackHost {
     fn as_any(&self) -> &dyn Any {
         self
@@ -407,22 +410,22 @@ impl NodeAgent for FullStackHost {
         self
     }
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.node.on_start(ctx);
+        Agent::on_start(&mut self.node, ctx);
     }
     fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.node.on_restart(ctx);
+        Agent::on_restart(&mut self.node, ctx);
     }
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: TimerToken) {
-        self.node.on_timer(ctx, timer);
+        Agent::on_timer(&mut self.node, ctx, timer);
     }
     fn on_inquiry_complete(&mut self, ctx: &mut NodeCtx<'_>, tech: RadioTech, hits: Vec<InquiryHit>) {
-        self.node.on_inquiry_complete(ctx, tech, hits);
+        Agent::on_inquiry_complete(&mut self.node, ctx, tech, hits);
     }
     fn on_incoming_connection(&mut self, ctx: &mut NodeCtx<'_>, incoming: IncomingConnection) -> bool {
-        self.node.on_incoming_connection(ctx, incoming)
+        Agent::on_incoming_connection(&mut self.node, ctx, incoming)
     }
     fn on_connected(&mut self, ctx: &mut NodeCtx<'_>, attempt: AttemptId, link: LinkId, peer: NodeId, tech: RadioTech) {
-        self.node.on_connected(ctx, attempt, link, peer, tech);
+        Agent::on_connected(&mut self.node, ctx, attempt, link, peer, tech);
     }
     fn on_connect_failed(
         &mut self,
@@ -432,10 +435,10 @@ impl NodeAgent for FullStackHost {
         tech: RadioTech,
         error: ConnectError,
     ) {
-        self.node.on_connect_failed(ctx, attempt, peer, tech, error);
+        Agent::on_connect_failed(&mut self.node, ctx, attempt, peer, tech, error);
     }
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, from: NodeId, payload: Payload) {
-        self.node.on_message(ctx, link, from, payload);
+        Agent::on_message(&mut self.node, ctx, link, from, payload);
     }
     fn on_disconnected(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, peer: NodeId, reason: DisconnectReason) {
         // Classify before delegating: the middleware is about to start its
@@ -450,6 +453,6 @@ impl NodeAgent for FullStackHost {
                 DisconnectReason::PeerClosed | DisconnectReason::LocalClosed => {}
             }
         }
-        self.node.on_disconnected(ctx, link, peer, reason);
+        Agent::on_disconnected(&mut self.node, ctx, link, peer, reason);
     }
 }

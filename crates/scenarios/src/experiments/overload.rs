@@ -186,7 +186,7 @@ impl CrowdApp {
         }
     }
 
-    fn try_attach(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn try_attach(&mut self, api: &mut PeerHoodApi<'_>) {
         if self.current.is_some() || self.connecting || api.now() < SimTime::ZERO + self.warmup {
             return;
         }
@@ -226,17 +226,17 @@ impl Application for CrowdApp {
         self
     }
 
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         self.current = None;
         self.connecting = false;
         api.schedule_timer(self.tick, PING_TIMER);
     }
 
-    fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_, '_>, _address: DeviceAddress) {
+    fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_>, _address: DeviceAddress) {
         self.try_attach(api);
     }
 
-    fn on_connected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+    fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         if self.current == Some(conn) {
             self.connecting = false;
             self.sessions_established += 1;
@@ -247,18 +247,18 @@ impl Application for CrowdApp {
         }
     }
 
-    fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _error: PeerHoodError) {
+    fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
         if self.current == Some(conn) {
             self.current = None;
             self.connecting = false;
         }
     }
 
-    fn on_data(&mut self, _api: &mut PeerHoodApi<'_, '_>, _conn: ConnectionId, _payload: Vec<u8>) {
+    fn on_data(&mut self, _api: &mut PeerHoodApi<'_>, _conn: ConnectionId, _payload: Vec<u8>) {
         self.delivered += 1;
     }
 
-    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _graceful: bool) {
+    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
         if self.current == Some(conn) {
             self.current = None;
             self.connecting = false;
@@ -269,14 +269,14 @@ impl Application for CrowdApp {
 
     fn on_reconnect_required(
         &mut self,
-        _api: &mut PeerHoodApi<'_, '_>,
+        _api: &mut PeerHoodApi<'_>,
         _conn: ConnectionId,
         _candidates: &[DeviceAddress],
     ) -> bool {
         false
     }
 
-    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _provider: DeviceAddress) {
+    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
         if self.current == Some(conn) {
             self.connecting = false;
             self.sessions_established += 1;
@@ -287,7 +287,7 @@ impl Application for CrowdApp {
         }
     }
 
-    fn on_timer(&mut self, api: &mut PeerHoodApi<'_, '_>, token: u64) {
+    fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
         if token != PING_TIMER {
             return;
         }
@@ -327,11 +327,11 @@ impl Application for HotspotApp {
         self
     }
 
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         let _ = api.register_service(ServiceInfo::new(HOTSPOT_SERVICE, "v1", 80));
     }
 
-    fn on_data(&mut self, api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, payload: Vec<u8>) {
+    fn on_data(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, payload: Vec<u8>) {
         match api.send(conn, payload) {
             Ok(()) => self.served += 1,
             Err(_) => self.echoes_shed += 1,
@@ -364,12 +364,12 @@ pub fn overload_run(settings: &OverloadSettings, resilience_on: bool) -> (World,
             name.to_string(),
             MobilityModel::stationary(Point::new(x, 10.0)),
             &[RadioTech::Wlan],
-            Box::new(
+            Box::new(OnWorld(
                 PeerHoodNode::builder()
                     .config_shared(Rc::clone(&cfg))
                     .app(HotspotApp::default())
                     .build(),
-            ),
+            )),
         )
     };
     let flapping = hotspot(&mut world, "hs-flapping", 0.0);
@@ -385,7 +385,7 @@ pub fn overload_run(settings: &OverloadSettings, resilience_on: bool) -> (World,
                 format!("c{i}"),
                 MobilityModel::stationary(pos),
                 &[RadioTech::Wlan],
-                Box::new(
+                Box::new(OnWorld(
                     PeerHoodNode::builder()
                         .config_shared(Rc::clone(&cfg))
                         .app(CrowdApp::new(
@@ -394,7 +394,7 @@ pub fn overload_run(settings: &OverloadSettings, resilience_on: bool) -> (World,
                             settings.warmup,
                         ))
                         .build(),
-                ),
+                )),
             ),
         );
     }

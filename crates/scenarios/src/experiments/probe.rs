@@ -150,7 +150,7 @@ impl Agent for CityProbe {
             }
             PING => {
                 if let Some((link, _)) = self.attached {
-                    let _ = ctx.send(link, PING_PAYLOAD.to_vec());
+                    let _ = ctx.send(link, PING_PAYLOAD.into());
                 }
                 ctx.schedule(self.ping_interval.expect("only a pinging probe arms PING"), PING);
             }

@@ -20,7 +20,7 @@ pub fn spawn_relay(world: &mut World, config: PeerHoodConfig, position: Point) -
         name,
         MobilityModel::stationary(position),
         &techs,
-        Box::new(PeerHoodNode::relay(config)),
+        Box::new(OnWorld(PeerHoodNode::relay(config))),
     )
 }
 
@@ -49,7 +49,7 @@ pub fn spawn_apps(
     for app in apps {
         builder = builder.app_boxed(app);
     }
-    world.add_node(name, mobility, &techs, Box::new(builder.build()))
+    world.add_node(name, mobility, &techs, Box::new(OnWorld(builder.build())))
 }
 
 /// Runs a closure against the first application of type `T` hosted on a

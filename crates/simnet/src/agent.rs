@@ -2,19 +2,20 @@
 //!
 //! [`World`](crate::world::World) and
 //! [`ShardedWorld`](crate::world::shard::ShardedWorld) hand their callbacks
-//! different contexts ([`NodeCtx`], [`ShardCtx`]) with the same eleven calls.
-//! [`Ctx`] is that common surface, and its method docs are the contract: what
-//! a call does on both engines and where they may differ. An [`Agent`] is
-//! written once against it and runs on a `ShardedWorld` as it is (every
-//! `Agent + Send` **is** a [`ShardAgent`]) and on a `World` as [`OnWorld`].
+//! different contexts ([`NodeCtx`], [`ShardCtx`]); each implements [`Ctx`]
+//! once, and `Ctx`'s method docs are the contract: what a call does on both
+//! engines and where they may differ. `Ctx` is dyn-compatible, so code that
+//! need not be generic takes `&mut dyn Ctx` (the PeerHood middleware does:
+//! its applications are trait objects). An [`Agent`] is written once against
+//! it and runs on a `ShardedWorld` as it is (every `Agent + Send` **is** a
+//! [`ShardAgent`]) and on a `World` as [`OnWorld`].
 //!
-//! The asymmetry is forced: `benchmark/` (frozen) glob-imports
-//! [`crate::prelude`] and calls callbacks by method syntax on a probe that
-//! must be a `ShardAgent`, so a type implementing both engine traits — or
-//! `Agent` in the prelude — would make those calls ambiguous (E0034). Import
-//! `simnet::agent::Agent` by name; `Ctx` is in the prelude, where the
-//! contexts' inherent methods win over it. `Agent` is the trait that
-//! survives when `NodeAgent` and `ShardAgent` merge.
+//! `Ctx` is in [`crate::prelude`]; `Agent` is not. `benchmark/` (frozen)
+//! glob-imports the prelude and calls callbacks by method syntax on a probe
+//! that must be a `ShardAgent`, so a type implementing both engine traits —
+//! or `Agent` in the prelude — would make those calls ambiguous (E0034).
+//! Import `simnet::agent::Agent` by name. `Agent` is the trait that survives
+//! when `NodeAgent` and `ShardAgent` merge.
 
 use std::any::Any;
 
@@ -74,13 +75,15 @@ pub trait Ctx {
     fn connect(&mut self, peer: NodeId, tech: RadioTech) -> AttemptId;
 
     /// Sends `payload` on an open link of this node; it is lost if the link
-    /// breaks while it is in flight. *Differs:* on shards delivery is no
-    /// earlier than the next window start.
+    /// breaks while it is in flight (the data-loss risk §6.1 points out for
+    /// the original `Write`). A [`Payload`] clone shares its bytes, so one
+    /// encoded frame fans out to many links without a copy. *Differs:* on
+    /// shards delivery is no earlier than the next window start.
     ///
     /// # Errors
     ///
     /// The link is unknown, closed, or not this node's.
-    fn send(&mut self, link: LinkId, payload: impl Into<Payload>) -> Result<(), SendError>;
+    fn send(&mut self, link: LinkId, payload: Payload) -> Result<(), SendError>;
 
     /// Gracefully closes an open link; the peer hears `PeerClosed` behind
     /// everything already sent to it. *Differs:* on shards the closer itself
@@ -88,68 +91,13 @@ pub trait Ctx {
     /// nothing.
     fn close(&mut self, link: LinkId);
 
-    /// Samples the quality (0–255) of an open link from the exact distance;
-    /// `None` if it is closed or out of range. *Differs:* the noise is drawn
-    /// from the **asker's** stream on shards and the link initiator's on
-    /// `World`, and only `World` counts a sample of a link already gone.
+    /// Samples the quality (0–255) of an open link from the exact distance,
+    /// as the HCI RSSI / link-quality reading of §3.4.1 does; `None` if it is
+    /// closed or out of range. *Differs:* the noise is drawn from the
+    /// **asker's** stream on shards and the link initiator's on `World`, and
+    /// only `World` counts a sample of a link already gone.
     fn link_quality(&mut self, link: LinkId) -> Option<u8>;
 }
-
-/// `impl Ctx` by forwarding to the context's inherent methods; `#[inline]`
-/// because the workspace builds without LTO and agents live in other crates.
-macro_rules! forward_ctx {
-    ($ctx:ident) => {
-        impl Ctx for $ctx<'_> {
-            #[inline]
-            fn now(&self) -> SimTime {
-                $ctx::now(self)
-            }
-            #[inline]
-            fn node_id(&self) -> NodeId {
-                $ctx::node_id(self)
-            }
-            #[inline]
-            fn position(&self) -> Point {
-                $ctx::position(self)
-            }
-            #[inline]
-            fn rng(&mut self) -> &mut SimRng {
-                $ctx::rng(self)
-            }
-            #[inline]
-            fn schedule(&mut self, after: SimDuration, token: TimerToken) {
-                $ctx::schedule(self, after, token)
-            }
-            #[inline]
-            fn start_inquiry(&mut self, tech: RadioTech) {
-                $ctx::start_inquiry(self, tech)
-            }
-            #[inline]
-            fn set_discoverable(&mut self, tech: RadioTech, discoverable: bool) {
-                $ctx::set_discoverable(self, tech, discoverable)
-            }
-            #[inline]
-            fn connect(&mut self, peer: NodeId, tech: RadioTech) -> AttemptId {
-                $ctx::connect(self, peer, tech)
-            }
-            #[inline]
-            fn send(&mut self, link: LinkId, payload: impl Into<Payload>) -> Result<(), SendError> {
-                $ctx::send(self, link, payload)
-            }
-            #[inline]
-            fn close(&mut self, link: LinkId) {
-                $ctx::close(self, link)
-            }
-            #[inline]
-            fn link_quality(&mut self, link: LinkId) -> Option<u8> {
-                $ctx::link_quality(self, link)
-            }
-        }
-    };
-}
-
-forward_ctx!(NodeCtx);
-forward_ctx!(ShardCtx);
 
 /// Behaviour attached to a node, written once for both engines. The
 /// callbacks and their defaults are [`NodeAgent`]'s; all run on the simulated

@@ -37,8 +37,8 @@
 //!
 //! Behaviour is written once as an [`agent::Agent`] over the [`agent::Ctx`]
 //! calls and runs on both engines: directly on a [`ShardedWorld`], wrapped in
-//! [`OnWorld`] on a [`World`]. The `peerhood` crate implements the
-//! sequential engine's own [`node::NodeAgent`] with the full middleware stack.
+//! [`OnWorld`] on a [`World`]. The `peerhood` crate's full middleware stack
+//! is such an agent too; it acts through a `&mut dyn Ctx`.
 //!
 //! ## Example
 //!

@@ -2,9 +2,10 @@
 //!
 //! A *node* is a physical device in the simulated world (a phone, laptop or
 //! PC). Its behaviour — in this repository, the PeerHood middleware stack —
-//! is supplied as a [`NodeAgent`] implementation. The world delivers radio
-//! events to the agent through the callbacks defined here and the agent acts
-//! on the world through [`crate::world::NodeCtx`].
+//! is written once as an [`Agent`](crate::agent::Agent) and acts through
+//! [`Ctx`](crate::agent::Ctx). [`NodeAgent`] is the sequential engine's own
+//! callback trait: the world delivers radio events through it, and an
+//! `Agent` runs on it as [`OnWorld`](crate::agent::OnWorld).
 
 use std::any::Any;
 use std::fmt;
@@ -171,13 +172,13 @@ pub trait NodeAgent: Any {
         self.on_start(ctx);
     }
 
-    /// Called when a timer scheduled via [`NodeCtx::schedule`] fires.
+    /// Called when a timer scheduled via [`Ctx::schedule`](crate::agent::Ctx::schedule) fires.
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, timer: TimerToken) {
         let _ = (ctx, timer);
     }
 
     /// Called when a device-discovery inquiry started via
-    /// [`NodeCtx::start_inquiry`] completes.
+    /// [`Ctx::start_inquiry`](crate::agent::Ctx::start_inquiry) completes.
     fn on_inquiry_complete(&mut self, ctx: &mut NodeCtx<'_>, tech: RadioTech, hits: Vec<InquiryHit>) {
         let _ = (ctx, tech, hits);
     }

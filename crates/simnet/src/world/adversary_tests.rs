@@ -2,12 +2,12 @@
 //! breaks, discovery suppression, delivery loss, heal) and Byzantine
 //! tamper/inject behaviour through a test forge.
 
-use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use super::*;
 use crate::adversary::{AdversaryPlan, FrameForge};
+use crate::agent::{Agent, OnWorld};
 use crate::node::{ConnectError, DisconnectReason, IncomingConnection, InquiryHit};
 
 #[derive(Default)]
@@ -19,22 +19,16 @@ struct Probe {
     disconnects: Vec<(NodeId, DisconnectReason)>,
 }
 
-impl NodeAgent for Probe {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn on_inquiry_complete(&mut self, _ctx: &mut NodeCtx<'_>, _tech: RadioTech, hits: Vec<InquiryHit>) {
+impl Agent for Probe {
+    fn on_inquiry_complete<C: Ctx>(&mut self, _ctx: &mut C, _tech: RadioTech, hits: Vec<InquiryHit>) {
         self.inquiry_hits.push(hits.into_iter().map(|h| h.node).collect());
     }
-    fn on_incoming_connection(&mut self, _ctx: &mut NodeCtx<'_>, _incoming: IncomingConnection) -> bool {
+    fn on_incoming_connection<C: Ctx>(&mut self, _ctx: &mut C, _incoming: IncomingConnection) -> bool {
         true
     }
-    fn on_connected(
+    fn on_connected<C: Ctx>(
         &mut self,
-        _ctx: &mut NodeCtx<'_>,
+        _ctx: &mut C,
         _attempt: AttemptId,
         link: LinkId,
         peer: NodeId,
@@ -42,9 +36,9 @@ impl NodeAgent for Probe {
     ) {
         self.connected.push((link, peer));
     }
-    fn on_connect_failed(
+    fn on_connect_failed<C: Ctx>(
         &mut self,
-        _ctx: &mut NodeCtx<'_>,
+        _ctx: &mut C,
         _attempt: AttemptId,
         _peer: NodeId,
         _tech: RadioTech,
@@ -52,10 +46,10 @@ impl NodeAgent for Probe {
     ) {
         self.failed.push(error);
     }
-    fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _link: LinkId, _from: NodeId, payload: Payload) {
+    fn on_message<C: Ctx>(&mut self, _ctx: &mut C, _link: LinkId, _from: NodeId, payload: Payload) {
         self.messages.push(payload.to_vec());
     }
-    fn on_disconnected(&mut self, _ctx: &mut NodeCtx<'_>, _link: LinkId, peer: NodeId, reason: DisconnectReason) {
+    fn on_disconnected<C: Ctx>(&mut self, _ctx: &mut C, _link: LinkId, peer: NodeId, reason: DisconnectReason) {
         self.disconnects.push((peer, reason));
     }
 }
@@ -69,7 +63,7 @@ fn add_probe(w: &mut World, name: &str, x: f64) -> NodeId {
         name,
         MobilityModel::stationary(Point::new(x, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     )
 }
 
@@ -116,17 +110,11 @@ fn partition_opening_breaks_links_across_the_cut_as_out_of_range() {
 /// all the nodes share, so the log is the order the world called them in.
 struct DisconnectLog(Rc<RefCell<Vec<(NodeId, LinkId)>>>);
 
-impl NodeAgent for DisconnectLog {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn on_incoming_connection(&mut self, _ctx: &mut NodeCtx<'_>, _incoming: IncomingConnection) -> bool {
+impl Agent for DisconnectLog {
+    fn on_incoming_connection<C: Ctx>(&mut self, _ctx: &mut C, _incoming: IncomingConnection) -> bool {
         true
     }
-    fn on_disconnected(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, _peer: NodeId, _reason: DisconnectReason) {
+    fn on_disconnected<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, _peer: NodeId, _reason: DisconnectReason) {
         self.0.borrow_mut().push((ctx.node_id(), link));
     }
 }
@@ -140,7 +128,7 @@ fn a_partition_breaks_links_in_ascending_id_order() {
     let log = Rc::new(RefCell::new(Vec::new()));
     let add = |w: &mut World, name: String, x: f64, y: f64| {
         let at = MobilityModel::stationary(Point::new(x, y));
-        w.add_node(name, at, &bt(), Box::new(DisconnectLog(log.clone())))
+        w.add_node(name, at, &bt(), Box::new(OnWorld(DisconnectLog(log.clone()))))
     };
     let island: Vec<NodeId> = (0..8)
         .map(|i| add(&mut w, format!("a{i}"), i as f64 * 0.5, 0.0))

@@ -1,9 +1,8 @@
 //! World-level tests of the fault-injection subsystem: crash/restart
 //! lifecycle, epoch guards, radio outages and loss bursts.
 
-use std::any::Any;
-
 use super::*;
+use crate::agent::{Agent, OnWorld};
 use crate::faults::{FaultPlan, LifecycleKind};
 use crate::node::{ConnectError, DisconnectReason, IncomingConnection, InquiryHit};
 
@@ -20,32 +19,26 @@ struct FaultProbe {
     disconnects: Vec<(NodeId, DisconnectReason)>,
 }
 
-impl NodeAgent for FaultProbe {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn on_start(&mut self, _ctx: &mut NodeCtx<'_>) {
+impl Agent for FaultProbe {
+    fn on_start<C: Ctx>(&mut self, _ctx: &mut C) {
         self.starts += 1;
     }
-    fn on_restart(&mut self, ctx: &mut NodeCtx<'_>) {
+    fn on_restart<C: Ctx>(&mut self, ctx: &mut C) {
         self.restarts += 1;
         self.on_start(ctx);
     }
-    fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, timer: TimerToken) {
+    fn on_timer<C: Ctx>(&mut self, _ctx: &mut C, timer: TimerToken) {
         self.timers.push(timer);
     }
-    fn on_inquiry_complete(&mut self, _ctx: &mut NodeCtx<'_>, _tech: RadioTech, hits: Vec<InquiryHit>) {
+    fn on_inquiry_complete<C: Ctx>(&mut self, _ctx: &mut C, _tech: RadioTech, hits: Vec<InquiryHit>) {
         self.inquiry_hits.push(hits.into_iter().map(|h| h.node).collect());
     }
-    fn on_incoming_connection(&mut self, _ctx: &mut NodeCtx<'_>, _incoming: IncomingConnection) -> bool {
+    fn on_incoming_connection<C: Ctx>(&mut self, _ctx: &mut C, _incoming: IncomingConnection) -> bool {
         true
     }
-    fn on_connected(
+    fn on_connected<C: Ctx>(
         &mut self,
-        _ctx: &mut NodeCtx<'_>,
+        _ctx: &mut C,
         _attempt: AttemptId,
         link: LinkId,
         peer: NodeId,
@@ -53,9 +46,9 @@ impl NodeAgent for FaultProbe {
     ) {
         self.connected.push((link, peer));
     }
-    fn on_connect_failed(
+    fn on_connect_failed<C: Ctx>(
         &mut self,
-        _ctx: &mut NodeCtx<'_>,
+        _ctx: &mut C,
         _attempt: AttemptId,
         _peer: NodeId,
         _tech: RadioTech,
@@ -63,10 +56,10 @@ impl NodeAgent for FaultProbe {
     ) {
         self.failed.push(error);
     }
-    fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _link: LinkId, _from: NodeId, payload: Payload) {
+    fn on_message<C: Ctx>(&mut self, _ctx: &mut C, _link: LinkId, _from: NodeId, payload: Payload) {
         self.messages.push(payload.to_vec());
     }
-    fn on_disconnected(&mut self, _ctx: &mut NodeCtx<'_>, _link: LinkId, peer: NodeId, reason: DisconnectReason) {
+    fn on_disconnected<C: Ctx>(&mut self, _ctx: &mut C, _link: LinkId, peer: NodeId, reason: DisconnectReason) {
         self.disconnects.push((peer, reason));
     }
 }
@@ -84,7 +77,7 @@ fn add_probe(w: &mut World, name: &str, x: f64) -> NodeId {
         name,
         MobilityModel::stationary(Point::new(x, 0.0)),
         &bt(),
-        Box::new(FaultProbe::default()),
+        Box::new(OnWorld(FaultProbe::default())),
     )
 }
 
@@ -257,13 +250,13 @@ fn radio_outage_is_per_technology() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &techs,
-        Box::new(FaultProbe::default()),
+        Box::new(OnWorld(FaultProbe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::stationary(Point::new(5.0, 0.0)),
         &techs,
-        Box::new(FaultProbe::default()),
+        Box::new(OnWorld(FaultProbe::default())),
     );
     w.run_for(SimDuration::from_secs(1));
     w.set_radio_enabled(b, RadioTech::Bluetooth, false);
@@ -287,15 +280,15 @@ fn loss_burst_drops_payloads_only_inside_the_window() {
     );
     // Before the window: delivered.
     w.run_until(SimTime::from_secs(50));
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, b"before".to_vec()).unwrap())
+    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, b"before".into()).unwrap())
         .unwrap();
     // Inside: dropped.
     w.run_until(SimTime::from_secs(150));
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, b"during".to_vec()).unwrap())
+    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, b"during".into()).unwrap())
         .unwrap();
     // After: delivered again.
     w.run_until(SimTime::from_secs(250));
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, b"after".to_vec()).unwrap())
+    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, b"after".into()).unwrap())
         .unwrap();
     w.run_for(SimDuration::from_secs(5));
     w.with_agent::<FaultProbe, _>(b, |p, _| {
@@ -325,17 +318,17 @@ fn link_burst_hits_only_the_targeted_pair() {
     // Inside the window: both directions of a<->b die, a<->c is untouched.
     w.run_until(SimTime::from_secs(150));
     w.with_agent::<FaultProbe, _>(a, |_, ctx| {
-        ctx.send(link_ab, b"to-b".to_vec()).unwrap();
-        ctx.send(link_ac, b"to-c".to_vec()).unwrap();
+        ctx.send(link_ab, b"to-b".into()).unwrap();
+        ctx.send(link_ac, b"to-c".into()).unwrap();
     })
     .unwrap();
-    w.with_agent::<FaultProbe, _>(b, |_, ctx| ctx.send(link_ab, b"from-b".to_vec()).unwrap())
+    w.with_agent::<FaultProbe, _>(b, |_, ctx| ctx.send(link_ab, b"from-b".into()).unwrap())
         .unwrap();
-    w.with_agent::<FaultProbe, _>(c, |_, ctx| ctx.send(link_ac, b"from-c".to_vec()).unwrap())
+    w.with_agent::<FaultProbe, _>(c, |_, ctx| ctx.send(link_ac, b"from-c".into()).unwrap())
         .unwrap();
     // After the window the pair works again.
     w.run_until(SimTime::from_secs(250));
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link_ab, b"late".to_vec()).unwrap())
+    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link_ab, b"late".into()).unwrap())
         .unwrap();
     w.run_for(SimDuration::from_secs(5));
     w.with_agent::<FaultProbe, _>(b, |p, _| {
@@ -362,7 +355,7 @@ fn corruption_bursts_flip_bits_but_still_deliver() {
     let link = connect_pair(&mut w, a, b);
     w.install_fault_plan(b, FaultPlan::new().loss_burst(SimTime::ZERO, SimTime::MAX, 0.0, 1.0));
     let original = vec![0u8; 64];
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, original.clone()).unwrap())
+    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, original.clone().into()).unwrap())
         .unwrap();
     w.run_for(SimDuration::from_secs(5));
     w.with_agent::<FaultProbe, _>(b, |p, _| {
@@ -401,7 +394,7 @@ fn same_seed_and_plan_reproduce_the_same_fault_run() {
                 w.with_agent::<FaultProbe, _>(from, |p, ctx| {
                     if let Some((link, peer)) = p.connected.last().copied() {
                         if peer == to {
-                            let _ = ctx.send(link, vec![round as u8; 16]);
+                            let _ = ctx.send(link, vec![round as u8; 16].into());
                             return;
                         }
                     }

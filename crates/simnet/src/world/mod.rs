@@ -37,6 +37,7 @@ use std::any::Any;
 use self::links::LinkTable;
 use self::topology::{NodeSlot, Topology};
 use crate::adversary::{AdversaryAction, AdversaryEngine, AdversaryPlan, AdversaryStats, FrameForge};
+use crate::agent::Ctx;
 use crate::event::Scheduler;
 use crate::faults::{FaultAction, FaultEngine, FaultPlan, FaultStats, LifecycleEvent, LifecycleKind};
 use crate::geometry::{Point, Rect};
@@ -853,30 +854,30 @@ fn phase_of(event: &Event) -> Phase {
 }
 
 /// Handle through which an agent (or a scenario driver holding
-/// [`World::with_agent`]) acts on the world on behalf of one node.
+/// [`World::with_agent`]) acts on the world on behalf of one node; its calls
+/// are [`Ctx`]'s.
 pub struct NodeCtx<'a> {
     world: &'a mut World,
     node: NodeId,
 }
 
-impl<'a> NodeCtx<'a> {
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
+impl Ctx for NodeCtx<'_> {
+    #[inline]
+    fn now(&self) -> SimTime {
         self.world.now
     }
 
-    /// The node this context acts for.
-    pub fn node_id(&self) -> NodeId {
+    #[inline]
+    fn node_id(&self) -> NodeId {
         self.node
     }
 
-    /// Current position of this node.
-    pub fn position(&self) -> Point {
+    fn position(&self) -> Point {
         self.world.position_of(self.node).unwrap_or(Point::ORIGIN)
     }
 
-    /// This node's deterministic random stream.
-    pub fn rng(&mut self) -> &mut SimRng {
+    #[inline]
+    fn rng(&mut self) -> &mut SimRng {
         &mut self
             .world
             .slot_mut(self.node)
@@ -884,8 +885,7 @@ impl<'a> NodeCtx<'a> {
             .rng
     }
 
-    /// Schedules a timer `after` from now ([`Ctx::schedule`](crate::agent::Ctx::schedule)).
-    pub fn schedule(&mut self, after: SimDuration, token: TimerToken) {
+    fn schedule(&mut self, after: SimDuration, token: TimerToken) {
         let at = self.world.now + after;
         let epoch = self.world.slot(self.node).map(|s| s.epoch).unwrap_or(0);
         self.world.scheduler.schedule(
@@ -898,10 +898,7 @@ impl<'a> NodeCtx<'a> {
         );
     }
 
-    /// Starts a device-discovery inquiry on `tech`
-    /// ([`Ctx::start_inquiry`](crate::agent::Ctx::start_inquiry)); the result
-    /// arrives via [`NodeAgent::on_inquiry_complete`].
-    pub fn start_inquiry(&mut self, tech: RadioTech) {
+    fn start_inquiry(&mut self, tech: RadioTech) {
         let finish = self.world.now + self.world.config.radio.profile(tech).inquiry_duration;
         let node = self.node;
         let Some(slot) = self.world.slot_mut(node).filter(|slot| slot.radio.techs.contains(tech)) else {
@@ -915,18 +912,13 @@ impl<'a> NodeCtx<'a> {
             .schedule(finish, Event::InquiryComplete { node, tech, epoch });
     }
 
-    /// Controls whether this node answers discovery inquiries on `tech`.
-    pub fn set_discoverable(&mut self, tech: RadioTech, discoverable: bool) {
+    fn set_discoverable(&mut self, tech: RadioTech, discoverable: bool) {
         if let Some(slot) = self.world.slot_mut(self.node) {
             slot.radio.set_discoverable(tech, discoverable);
         }
     }
 
-    /// Initiates a connection to `peer` over `tech`. Resolution (success or
-    /// failure) is reported asynchronously through
-    /// [`NodeAgent::on_connected`] / [`NodeAgent::on_connect_failed`] after a
-    /// technology-dependent setup latency.
-    pub fn connect(&mut self, peer: NodeId, tech: RadioTech) -> AttemptId {
+    fn connect(&mut self, peer: NodeId, tech: RadioTech) -> AttemptId {
         let id = self.world.links.next_attempt_id();
         let node = self.node;
         self.world.metrics.record_connect_attempt(node);
@@ -949,18 +941,7 @@ impl<'a> NodeCtx<'a> {
         id
     }
 
-    /// Sends a payload over an open link ([`Ctx::send`](crate::agent::Ctx::send));
-    /// a payload in flight when the link breaks is silently lost (the
-    /// data-loss risk §6.1 points out for the original `Write`). Pass a
-    /// [`Payload`] clone to fan one encoded frame out to many links without
-    /// copying the bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the link is unknown, closed, or this node is not
-    /// one of its endpoints.
-    pub fn send(&mut self, link: LinkId, payload: impl Into<Payload>) -> Result<(), SendError> {
-        let payload = payload.into();
+    fn send(&mut self, link: LinkId, payload: Payload) -> Result<(), SendError> {
         let node = self.node;
         match self.world.links.get(link) {
             Some(state) if !state.open => return Err(SendError::Closed),
@@ -987,9 +968,7 @@ impl<'a> NodeCtx<'a> {
         Ok(())
     }
 
-    /// Closes an open link. The peer is notified asynchronously with
-    /// [`DisconnectReason::PeerClosed`](crate::node::DisconnectReason::PeerClosed).
-    pub fn close(&mut self, link: LinkId) {
+    fn close(&mut self, link: LinkId) {
         let node = self.node;
         let is_endpoint = self
             .world
@@ -1006,22 +985,9 @@ impl<'a> NodeCtx<'a> {
             .schedule(at, Event::Disconnect { link, closer: node });
     }
 
-    /// Samples the current quality of an open link (0-255), or `None` if the
-    /// link is closed or out of range. Mirrors listening on the HCI channel
-    /// for RSSI / link quality (§3.4.1).
-    pub fn link_quality(&mut self, link: LinkId) -> Option<u8> {
+    fn link_quality(&mut self, link: LinkId) -> Option<u8> {
         let node = self.node;
         self.world.metrics.record_quality_sample(node);
         self.world.link_quality(link)
-    }
-
-    /// Read-only snapshot of a link.
-    pub fn link_info(&self, link: LinkId) -> Option<LinkInfo> {
-        self.world.link_info(link)
-    }
-
-    /// Installs the artificial quality decay of §5.2.1 on a link.
-    pub fn set_link_quality_override(&mut self, link: LinkId, initial: f64, decay_per_sec: f64) {
-        self.world.set_link_quality_override(link, initial, decay_per_sec);
     }
 }

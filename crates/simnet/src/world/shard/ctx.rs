@@ -4,16 +4,18 @@ use super::exec::{GlobalView, PassOutput};
 use super::node::{LinkStatus, MsgBody, NodeEvent, ShardNode, ID_NODE_SHIFT};
 #[cfg(doc)]
 use super::ShardAgent;
+use crate::agent::Ctx;
 use crate::geometry::Point;
 use crate::node::{AttemptId, DisconnectReason, LinkId, NodeId, TimerToken};
-use crate::payload::SharedPayload;
+use crate::payload::Payload;
 use crate::radio::RadioTech;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::world::SendError;
 
 /// The windowed node-side API handed to [`ShardAgent`] callbacks — the
-/// sharded mirror of [`NodeCtx`](crate::world::NodeCtx).
+/// sharded mirror of [`NodeCtx`](crate::world::NodeCtx); its calls are
+/// [`Ctx`]'s.
 pub struct ShardCtx<'a> {
     pub(super) now: SimTime,
     pub(super) node: &'a mut ShardNode,
@@ -21,42 +23,34 @@ pub struct ShardCtx<'a> {
     pub(super) out: &'a mut PassOutput,
 }
 
-impl ShardCtx<'_> {
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
+impl Ctx for ShardCtx<'_> {
+    #[inline]
+    fn now(&self) -> SimTime {
         self.now
     }
 
-    /// The node this context belongs to.
-    pub fn node_id(&self) -> NodeId {
+    #[inline]
+    fn node_id(&self) -> NodeId {
         self.node.id
     }
 
-    /// The node's exact current position.
-    pub fn position(&self) -> Point {
+    fn position(&self) -> Point {
         self.view.plans[self.node.id.as_raw() as usize].position_at(self.now)
     }
 
-    /// The node's deterministic random stream (identical to the stream the
-    /// sequential world would derive for the same seed and node id).
-    pub fn rng(&mut self) -> &mut SimRng {
+    #[inline]
+    fn rng(&mut self) -> &mut SimRng {
         &mut self.node.rng
     }
 
-    /// Schedules [`ShardAgent::on_timer`] with `token` after `after`.
-    pub fn schedule(&mut self, after: SimDuration, token: TimerToken) {
+    fn schedule(&mut self, after: SimDuration, token: TimerToken) {
         let epoch = self.node.epoch;
         self.node
             .queue
             .schedule(self.now + after, NodeEvent::Timer { token, epoch });
     }
 
-    /// Starts a device inquiry; [`ShardAgent::on_inquiry_complete`] fires
-    /// after the technology's inquiry duration. Hits reflect the window
-    /// snapshot (at most one window stale) plus exact positions. A no-op on a
-    /// technology the node does not carry. GPRS has no radius to bound
-    /// discovery with and is not supported in the sharded world.
-    pub fn start_inquiry(&mut self, tech: RadioTech) {
+    fn start_inquiry(&mut self, tech: RadioTech) {
         if !self.node.radio.techs.contains(tech) {
             return;
         }
@@ -73,17 +67,11 @@ impl ShardCtx<'_> {
             .schedule(done, NodeEvent::InquiryComplete { tech, epoch });
     }
 
-    /// Changes whether this node answers inquiries on `tech`; a technology
-    /// the node does not carry cannot be turned on.
-    pub fn set_discoverable(&mut self, tech: RadioTech, on: bool) {
+    fn set_discoverable(&mut self, tech: RadioTech, on: bool) {
         self.node.radio.set_discoverable(tech, on);
     }
 
-    /// Initiates a connection to `peer` over `tech`. Setup latency is
-    /// sampled from this node's stream now; the outcome arrives through
-    /// [`ShardAgent::on_connected`] / [`ShardAgent::on_connect_failed`]
-    /// after the handshake crosses up to two window barriers.
-    pub fn connect(&mut self, peer: NodeId, tech: RadioTech) -> AttemptId {
+    fn connect(&mut self, peer: NodeId, tech: RadioTech) -> AttemptId {
         let attempt = AttemptId((self.node.id.as_raw() << ID_NODE_SHIFT) | self.node.next_attempt);
         self.node.next_attempt += 1;
         self.node.counters.connect_attempts += 1;
@@ -101,18 +89,13 @@ impl ShardCtx<'_> {
         attempt
     }
 
-    /// Sends `payload` on an established link. Delivery happens at
-    /// `max(now + transmission delay, next window barrier)`. A link this node
-    /// closed answers [`SendError::Closed`] until the peer has answered the
-    /// close, and [`SendError::UnknownLink`] like any other gone link after.
-    pub fn send(&mut self, link: LinkId, payload: impl Into<SharedPayload>) -> Result<(), SendError> {
+    fn send(&mut self, link: LinkId, payload: Payload) -> Result<(), SendError> {
         let Some(half) = self.node.links.get_mut(&link) else {
             return Err(SendError::UnknownLink);
         };
         if half.status != LinkStatus::Open {
             return Err(SendError::Closed);
         }
-        let payload = payload.into();
         let profile = self.view.radio.profile(half.tech);
         let delay = profile.transmission_delay(payload.len());
         self.node.counters.messages_sent += 1;
@@ -131,11 +114,7 @@ impl ShardCtx<'_> {
         Ok(())
     }
 
-    /// Gracefully closes a link. This node sees
-    /// [`ShardAgent::on_disconnected`] with `LocalClosed` once the current
-    /// callback returns; the peer sees `PeerClosed` after the barrier,
-    /// ordered after all data this node sent before closing.
-    pub fn close(&mut self, link: LinkId) {
+    fn close(&mut self, link: LinkId) {
         let Some(half) = self.node.links.get_mut(&link) else {
             return;
         };
@@ -150,11 +129,7 @@ impl ShardCtx<'_> {
             .emit(self.out, self.view, self.now, peer, MsgBody::Closed { link });
     }
 
-    /// Samples the current quality of an open link (0–255) from the exact
-    /// inter-node distance. Unlike the sequential world, the draw comes from
-    /// the *querying* node's stream — the only way the sample can be
-    /// independent of shard layout.
-    pub fn link_quality(&mut self, link: LinkId) -> Option<u8> {
+    fn link_quality(&mut self, link: LinkId) -> Option<u8> {
         let half = self.node.links.get(&link).copied()?;
         if half.status != LinkStatus::Open {
             return None;

@@ -424,14 +424,7 @@ impl Executor<'_> {
                 node.epoch += 1;
                 node.pending.clear();
                 node.record(now, LifecycleKind::NodeDown);
-                // A half closed locally is no break: its `Closed` is on its way.
-                let reason = DisconnectReason::PeerFailed;
-                for (link, half) in std::mem::take(&mut node.links) {
-                    if half.status == LinkStatus::Open {
-                        node.counters.links_broken += 1;
-                        node.emit(self.out, self.view, now, half.peer, MsgBody::Broken { link, reason });
-                    }
-                }
+                self.tear_down(node, now, DisconnectReason::PeerFailed, |_| true);
             }
             FaultAction::NodeUp => {
                 if node.radio.alive {
@@ -446,24 +439,7 @@ impl Executor<'_> {
                     return;
                 }
                 node.record(now, LifecycleKind::RadioDown(tech));
-                // Links on the dark technology break for both endpoints.
-                let reason = DisconnectReason::OutOfRange;
-                // Out of the node while the sweep emits through it.
-                let mut links = std::mem::take(&mut node.links);
-                links.retain(|link, half| {
-                    if half.tech != tech {
-                        return true;
-                    }
-                    if half.status == LinkStatus::Open {
-                        node.counters.links_broken += 1;
-                    }
-                    node.emit(self.out, self.view, now, half.peer, MsgBody::Broken { link, reason });
-                    if node.radio.alive && half.status == LinkStatus::Open {
-                        node.notify_disconnected(now, link, half.peer, reason);
-                    }
-                    false
-                });
-                node.links = links;
+                self.tear_down(node, now, DisconnectReason::OutOfRange, |on| on == tech);
             }
             FaultAction::RadioUp(tech) => {
                 if !node.radio.radio_off.remove(tech) {
@@ -472,6 +448,34 @@ impl Executor<'_> {
                 node.record(now, LifecycleKind::RadioUp(tech));
             }
         }
+    }
+
+    /// Drops this node's halves on the technologies `dark` names. An open
+    /// half breaks for both endpoints (the agent hears it while the node is
+    /// alive); a half closed locally is no break: its `Closed` is on its way.
+    fn tear_down(
+        &mut self,
+        node: &mut ShardNode,
+        now: SimTime,
+        reason: DisconnectReason,
+        dark: impl Fn(RadioTech) -> bool,
+    ) {
+        // Out of the node while the sweep emits through it.
+        let mut links = std::mem::take(&mut node.links);
+        links.retain(|link, half| {
+            if !dark(half.tech) {
+                return true;
+            }
+            if half.status == LinkStatus::Open {
+                node.counters.links_broken += 1;
+                node.emit(self.out, self.view, now, half.peer, MsgBody::Broken { link, reason });
+                if node.radio.alive {
+                    node.notify_disconnected(now, link, half.peer, reason);
+                }
+            }
+            false
+        });
+        node.links = links;
     }
 
     fn process_msg(&mut self, node: &mut ShardNode, now: SimTime, origin: NodeId, body: MsgBody) {

@@ -189,7 +189,7 @@ pub trait ShardAgent: Any + Send {
     fn on_restart(&mut self, ctx: &mut ShardCtx<'_>) {
         self.on_start(ctx);
     }
-    /// A timer scheduled through [`ShardCtx::schedule`] fired.
+    /// A timer scheduled through [`Ctx::schedule`](crate::agent::Ctx::schedule) fired.
     fn on_timer(&mut self, ctx: &mut ShardCtx<'_>, token: TimerToken) {}
     /// A device inquiry finished.
     fn on_inquiry_complete(&mut self, ctx: &mut ShardCtx<'_>, tech: RadioTech, hits: Vec<InquiryHit>) {}

@@ -116,7 +116,7 @@ pub(super) enum NodeEvent {
         link: LinkId,
     },
     /// Deferred local agent notification (e.g. the `LocalClosed` callback
-    /// after `ShardCtx::close`), delivered once the current callback returns.
+    /// after `Ctx::close`), delivered once the current callback returns.
     Disconnected {
         link: LinkId,
         peer: NodeId,

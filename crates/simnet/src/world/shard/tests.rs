@@ -47,19 +47,27 @@ impl Agent for Chatter {
         _tech: RadioTech,
     ) {
         self.connected += 1;
-        ctx.send(link, b"ping".to_vec()).unwrap();
+        ctx.send(link, b"ping".into()).unwrap();
     }
     fn on_message<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, _from: NodeId, payload: SharedPayload) {
-        self.got.push(payload.to_vec());
-        if payload.as_slice() == b"ping" {
-            ctx.send(link, b"pong".to_vec()).unwrap();
-        } else {
-            ctx.close(link);
-        }
+        // Through `dyn Ctx`, as the PeerHood middleware acts: both contexts
+        // must work behind a trait object.
+        self.answer(ctx, link, payload);
     }
     fn on_disconnected<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, _peer: NodeId, reason: DisconnectReason) {
         self.disconnects.push(reason);
         assert_eq!(ctx.link_quality(link), None, "the link is gone");
+    }
+}
+
+impl Chatter {
+    fn answer(&mut self, ctx: &mut dyn Ctx, link: LinkId, payload: SharedPayload) {
+        self.got.push(payload.to_vec());
+        if payload.as_slice() == b"ping" {
+            ctx.send(link, b"pong".into()).unwrap();
+        } else {
+            ctx.close(link);
+        }
     }
 }
 
@@ -275,14 +283,8 @@ impl Probe {
     }
 }
 
-impl ShardAgent for Probe {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
+impl Agent for Probe {
+    fn on_start<C: Ctx>(&mut self, ctx: &mut C) {
         self.link = None;
         if let Some(peer) = self.dial {
             ctx.connect(peer, RadioTech::Wlan);
@@ -291,14 +293,14 @@ impl ShardAgent for Probe {
             ctx.start_inquiry(RadioTech::Wlan);
         }
     }
-    fn on_timer(&mut self, ctx: &mut ShardCtx<'_>, _token: TimerToken) {
+    fn on_timer<C: Ctx>(&mut self, ctx: &mut C, _token: TimerToken) {
         if let Some(link) = self.link {
-            if ctx.send(link, vec![0x5A]).is_ok() {
+            if ctx.send(link, vec![0x5A].into()).is_ok() {
                 ctx.schedule(SimDuration::from_millis(500), TICK);
             }
         }
     }
-    fn on_inquiry_complete(&mut self, ctx: &mut ShardCtx<'_>, _tech: RadioTech, hits: Vec<InquiryHit>) {
+    fn on_inquiry_complete<C: Ctx>(&mut self, ctx: &mut C, _tech: RadioTech, hits: Vec<InquiryHit>) {
         self.scans.push((ctx.now(), hits.iter().map(|h| h.node).collect()));
         if self.link.is_none() && self.dial.is_none() {
             if let Some(hit) = hits.first() {
@@ -308,12 +310,12 @@ impl ShardAgent for Probe {
         }
         ctx.start_inquiry(RadioTech::Wlan);
     }
-    fn on_incoming_connection(&mut self, _ctx: &mut ShardCtx<'_>, _incoming: IncomingConnection) -> bool {
+    fn on_incoming_connection<C: Ctx>(&mut self, _ctx: &mut C, _incoming: IncomingConnection) -> bool {
         true
     }
-    fn on_connected(
+    fn on_connected<C: Ctx>(
         &mut self,
-        ctx: &mut ShardCtx<'_>,
+        ctx: &mut C,
         _attempt: AttemptId,
         link: LinkId,
         _peer: NodeId,
@@ -322,9 +324,9 @@ impl ShardAgent for Probe {
         self.link = Some(link);
         ctx.schedule(SimDuration::ZERO, TICK);
     }
-    fn on_connect_failed(
+    fn on_connect_failed<C: Ctx>(
         &mut self,
-        _ctx: &mut ShardCtx<'_>,
+        _ctx: &mut C,
         _attempt: AttemptId,
         _peer: NodeId,
         _tech: RadioTech,
@@ -334,10 +336,10 @@ impl ShardAgent for Probe {
             self.dial = None;
         }
     }
-    fn on_message(&mut self, ctx: &mut ShardCtx<'_>, _link: LinkId, from: NodeId, _payload: SharedPayload) {
+    fn on_message<C: Ctx>(&mut self, ctx: &mut C, _link: LinkId, from: NodeId, _payload: SharedPayload) {
         self.heard.push((ctx.now(), from));
     }
-    fn on_disconnected(&mut self, ctx: &mut ShardCtx<'_>, _link: LinkId, peer: NodeId, reason: DisconnectReason) {
+    fn on_disconnected<C: Ctx>(&mut self, ctx: &mut C, _link: LinkId, peer: NodeId, reason: DisconnectReason) {
         self.dropped.push((ctx.now(), peer, reason));
         self.link = None;
         if self.scan {
@@ -965,4 +967,76 @@ fn a_crash_and_an_outage_break_links_in_ascending_link_id_whatever_order_they_op
             assert_eq!(lost, ascending, "the dark node is told in the same order");
         }
     }
+}
+
+/// Dials `peer` on start (when set), closes the link the moment it opens
+/// and logs what it hears.
+#[derive(Default)]
+struct Quitter {
+    peer: Option<NodeId>,
+    closed_at: Option<SimTime>,
+    heard: Vec<DisconnectReason>,
+}
+
+impl Agent for Quitter {
+    fn on_start<C: Ctx>(&mut self, ctx: &mut C) {
+        if let Some(peer) = self.peer {
+            ctx.connect(peer, RadioTech::Wlan);
+        }
+    }
+    fn on_incoming_connection<C: Ctx>(&mut self, _ctx: &mut C, _incoming: IncomingConnection) -> bool {
+        true
+    }
+    fn on_connected<C: Ctx>(
+        &mut self,
+        ctx: &mut C,
+        _attempt: AttemptId,
+        link: LinkId,
+        _peer: NodeId,
+        _tech: RadioTech,
+    ) {
+        self.closed_at = Some(ctx.now());
+        ctx.close(link);
+    }
+    fn on_disconnected<C: Ctx>(&mut self, _ctx: &mut C, _link: LinkId, _peer: NodeId, reason: DisconnectReason) {
+        self.heard.push(reason);
+    }
+}
+
+#[test]
+fn a_radio_outage_breaks_no_half_the_node_already_closed() {
+    let mut world = ideal_world(1);
+    world.enable_profiling();
+    let peer = world.add_node(
+        "peer",
+        fixed_at(40.0, 50.0),
+        &[RadioTech::Wlan],
+        Box::<Quitter>::default(),
+    );
+    let closer = Quitter {
+        peer: Some(peer),
+        ..Quitter::default()
+    };
+    let closer = world.add_node("closer", fixed_at(60.0, 50.0), &[RadioTech::Wlan], Box::new(closer));
+    let dark_at = ms(1_250);
+    let plan = FaultPlan::new().radio_outage(RadioTech::Wlan, dark_at, SimDuration::from_secs(1));
+    world.install_fault_plan(closer, &plan);
+    world.run_until(ms(5_000));
+    let log = |world: &mut ShardedWorld, node| {
+        world
+            .with_agent::<Quitter, _>(node, |q| (q.closed_at, q.heard.clone()))
+            .expect("a Quitter")
+    };
+    let (closed_at, heard) = log(&mut world, closer);
+    let closed_at = closed_at.expect("the link opened");
+    assert!(
+        closed_at < dark_at && dark_at < closed_at + world.window(),
+        "the radio goes dark while the closed half waits for the peer's answer"
+    );
+    assert_eq!(heard, [DisconnectReason::LocalClosed]);
+    assert_eq!(log(&mut world, peer).1, [DisconnectReason::PeerClosed]);
+    assert_eq!(world.metrics().global().links_broken, 0);
+    // The closer's own `LocalClosed`, the peer's `Closed` and the answer to
+    // it: a `Broken` for the closed half would be a fourth.
+    assert_eq!(world.profile().calls(Phase::Disconnect), 3);
 }

@@ -1,7 +1,7 @@
-use std::any::Any;
 use std::collections::VecDeque;
 
 use super::*;
+use crate::agent::{Agent, OnWorld};
 use crate::node::{ConnectError, DisconnectReason, IncomingConnection, InquiryHit};
 
 /// A minimal scriptable agent used to exercise the world mechanics.
@@ -36,39 +36,26 @@ impl Probe {
     }
 }
 
-impl NodeAgent for Probe {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn on_start(&mut self, _ctx: &mut NodeCtx<'_>) {
+impl Agent for Probe {
+    fn on_start<C: Ctx>(&mut self, _ctx: &mut C) {
         self.started = true;
     }
-    fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, timer: TimerToken) {
+    fn on_timer<C: Ctx>(&mut self, _ctx: &mut C, timer: TimerToken) {
         self.timers.push(timer);
     }
-    fn on_inquiry_complete(&mut self, _ctx: &mut NodeCtx<'_>, tech: RadioTech, hits: Vec<InquiryHit>) {
+    fn on_inquiry_complete<C: Ctx>(&mut self, _ctx: &mut C, tech: RadioTech, hits: Vec<InquiryHit>) {
         self.inquiry_results.push((tech, hits));
     }
-    fn on_incoming_connection(&mut self, _ctx: &mut NodeCtx<'_>, incoming: IncomingConnection) -> bool {
+    fn on_incoming_connection<C: Ctx>(&mut self, _ctx: &mut C, incoming: IncomingConnection) -> bool {
         self.incoming.push(incoming);
         self.accept_incoming
     }
-    fn on_connected(
-        &mut self,
-        _ctx: &mut NodeCtx<'_>,
-        attempt: AttemptId,
-        link: LinkId,
-        peer: NodeId,
-        _tech: RadioTech,
-    ) {
+    fn on_connected<C: Ctx>(&mut self, _ctx: &mut C, attempt: AttemptId, link: LinkId, peer: NodeId, _tech: RadioTech) {
         self.connected.push((attempt, link, peer));
     }
-    fn on_connect_failed(
+    fn on_connect_failed<C: Ctx>(
         &mut self,
-        _ctx: &mut NodeCtx<'_>,
+        _ctx: &mut C,
         attempt: AttemptId,
         _peer: NodeId,
         _tech: RadioTech,
@@ -76,15 +63,15 @@ impl NodeAgent for Probe {
     ) {
         self.failed.push((attempt, error));
     }
-    fn on_message(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, _from: NodeId, payload: Payload) {
+    fn on_message<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, _from: NodeId, payload: Payload) {
         if self.echo {
             let mut reply = payload.to_vec();
             reply.reverse();
-            let _ = ctx.send(link, reply);
+            let _ = ctx.send(link, reply.into());
         }
         self.messages.push((link, payload.to_vec()));
     }
-    fn on_disconnected(&mut self, ctx: &mut NodeCtx<'_>, link: LinkId, _peer: NodeId, reason: DisconnectReason) {
+    fn on_disconnected<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, _peer: NodeId, reason: DisconnectReason) {
         self.disconnects.push((link, reason));
         self.disconnected_at.push(ctx.now());
     }
@@ -105,7 +92,7 @@ fn start_and_timer_delivery() {
         "a",
         MobilityModel::stationary(Point::ORIGIN),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |p, ctx| {
@@ -128,19 +115,19 @@ fn inquiry_finds_only_nodes_in_range() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::stationary(Point::new(5.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let _far = w.add_node(
         "far",
         MobilityModel::stationary(Point::new(100.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| ctx.start_inquiry(RadioTech::Bluetooth))
@@ -165,13 +152,13 @@ fn undiscoverable_nodes_are_not_found() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::stationary(Point::new(3.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(b, |_, ctx| ctx.set_discoverable(RadioTech::Bluetooth, false))
@@ -192,13 +179,13 @@ fn connect_send_and_receive() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::stationary(Point::new(4.0, 0.0)),
         &bt(),
-        Box::new(Probe::echoing()),
+        Box::new(OnWorld(Probe::echoing())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| {
@@ -213,7 +200,7 @@ fn connect_send_and_receive() {
         })
         .unwrap();
     w.with_agent::<Probe, _>(a, |_, ctx| {
-        ctx.send(link, b"hello".to_vec()).unwrap();
+        ctx.send(link, b"hello".into()).unwrap();
     })
     .unwrap();
     w.run_for(SimDuration::from_secs(2));
@@ -239,13 +226,13 @@ fn rejected_connection_reports_failure() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::stationary(Point::new(4.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()), // does not accept
+        Box::new(OnWorld(Probe::default())), // does not accept
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| {
@@ -268,13 +255,13 @@ fn out_of_range_connection_fails() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::stationary(Point::new(500.0, 0.0)),
         &bt(),
-        Box::new(Probe::accepting()),
+        Box::new(OnWorld(Probe::accepting())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| {
@@ -295,7 +282,7 @@ fn mobility_breaks_links_and_loses_in_flight_messages() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     // b walks away at 2 m/s immediately; after ~5 s it is out of the 10 m
     // Bluetooth range.
@@ -303,7 +290,7 @@ fn mobility_breaks_links_and_loses_in_flight_messages() {
         "b",
         MobilityModel::walk(Point::new(1.0, 0.0), Point::new(200.0, 0.0), 2.0),
         &bt(),
-        Box::new(Probe::accepting()),
+        Box::new(OnWorld(Probe::accepting())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| {
@@ -324,7 +311,7 @@ fn mobility_breaks_links_and_loses_in_flight_messages() {
     assert!(w.metrics().global().links_broken >= 2);
     // Sending on the now-closed link is an error.
     let err = w
-        .with_agent::<Probe, _>(a, |_, ctx| ctx.send(link, vec![1, 2, 3]))
+        .with_agent::<Probe, _>(a, |_, ctx| ctx.send(link, vec![1, 2, 3].into()))
         .unwrap();
     assert_eq!(err, Err(SendError::Closed));
 }
@@ -336,13 +323,13 @@ fn graceful_close_notifies_peer() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::stationary(Point::new(2.0, 0.0)),
         &bt(),
-        Box::new(Probe::accepting()),
+        Box::new(OnWorld(Probe::accepting())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| {
@@ -366,13 +353,13 @@ fn crash_node_fails_links() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::stationary(Point::new(2.0, 0.0)),
         &bt(),
-        Box::new(Probe::accepting()),
+        Box::new(OnWorld(Probe::accepting())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| {
@@ -398,13 +385,13 @@ fn quality_override_decays_and_breaks_link() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::stationary(Point::new(2.0, 0.0)),
         &bt(),
-        Box::new(Probe::accepting()),
+        Box::new(OnWorld(Probe::accepting())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| {
@@ -437,13 +424,13 @@ fn gprs_dead_zone_blocks_connection() {
         "inside",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &[RadioTech::Gprs],
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let outside = w.add_node(
         "outside",
         MobilityModel::stationary(Point::new(100.0, 0.0)),
         &[RadioTech::Gprs],
-        Box::new(Probe::accepting()),
+        Box::new(OnWorld(Probe::accepting())),
     );
     w.run_for(SimDuration::from_millis(1));
     assert!(!w.in_range(inside, outside, RadioTech::Gprs));
@@ -461,7 +448,7 @@ fn gprs_dead_zone_blocks_connection() {
         "far",
         MobilityModel::stationary(Point::new(5000.0, 0.0)),
         &[RadioTech::Gprs],
-        Box::new(Probe::accepting()),
+        Box::new(OnWorld(Probe::accepting())),
     );
     w.run_for(SimDuration::from_millis(1));
     assert!(w.in_range(outside, far, RadioTech::Gprs));
@@ -475,13 +462,13 @@ fn determinism_same_seed_same_outcome() {
             "a",
             MobilityModel::stationary(Point::new(0.0, 0.0)),
             &bt(),
-            Box::new(Probe::default()),
+            Box::new(OnWorld(Probe::default())),
         );
         let b = w.add_node(
             "b",
             MobilityModel::stationary(Point::new(6.0, 0.0)),
             &bt(),
-            Box::new(Probe::accepting()),
+            Box::new(OnWorld(Probe::accepting())),
         );
         w.run_for(SimDuration::from_millis(1));
         for _ in 0..10 {
@@ -520,7 +507,7 @@ fn world_accessors() {
         "alpha",
         MobilityModel::stationary(Point::new(1.0, 2.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     assert_eq!(w.node_count(), 1);
     assert_eq!(w.node_name(a), Some("alpha"));
@@ -564,7 +551,7 @@ fn neighbors_grid_matches_reference_under_mobility() {
                 pause: SimDuration::from_secs(3),
             }
         };
-        w.add_node(format!("n{i}"), mobility, &bt(), Box::new(Probe::default()));
+        w.add_node(format!("n{i}"), mobility, &bt(), Box::new(OnWorld(Probe::default())));
     }
     for step in 0..20 {
         w.run_for(SimDuration::from_secs(7));
@@ -582,7 +569,7 @@ fn closed_links_retire_once_drained_but_stay_visible() {
     assert_eq!(w.active_link_count(), 1);
     // Close with a payload still in flight: the payload must flush first.
     w.with_agent::<Probe, _>(a, |_, ctx| {
-        ctx.send(link, b"flush me".to_vec()).unwrap();
+        ctx.send(link, b"flush me".into()).unwrap();
         ctx.close(link);
     })
     .unwrap();
@@ -598,7 +585,9 @@ fn closed_links_retire_once_drained_but_stay_visible() {
     assert_eq!(w.link_info(link), None);
     assert!(w.links_of(a).is_empty());
     assert!(w.links_of(b).is_empty());
-    let err = w.with_agent::<Probe, _>(a, |_, ctx| ctx.send(link, vec![1])).unwrap();
+    let err = w
+        .with_agent::<Probe, _>(a, |_, ctx| ctx.send(link, vec![1].into()))
+        .unwrap();
     assert_eq!(err, Err(SendError::Closed), "a dropped link still classifies as closed");
     assert_eq!(w.link_quality(link), None);
 }
@@ -610,13 +599,13 @@ fn physically_broken_links_retire_after_loss() {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::walk(Point::new(1.0, 0.0), Point::new(300.0, 0.0), 4.0),
         &bt(),
-        Box::new(Probe::accepting()),
+        Box::new(OnWorld(Probe::accepting())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| {
@@ -640,13 +629,13 @@ fn connected_pair(seed: u64) -> (World, NodeId, NodeId, LinkId) {
         "a",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let b = w.add_node(
         "b",
         MobilityModel::stationary(Point::new(2.0, 0.0)),
         &bt(),
-        Box::new(Probe::accepting()),
+        Box::new(OnWorld(Probe::accepting())),
     );
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| {
@@ -665,8 +654,8 @@ const SLOW_PAYLOAD_BYTES: usize = 70_000;
 fn close_waits_for_the_latest_delivery_not_the_last_send() {
     let (mut w, a, b, link) = connected_pair(18);
     w.with_agent::<Probe, _>(a, |_, ctx| {
-        ctx.send(link, vec![0xAB; SLOW_PAYLOAD_BYTES]).unwrap();
-        ctx.send(link, vec![1]).unwrap();
+        ctx.send(link, vec![0xAB; SLOW_PAYLOAD_BYTES].into()).unwrap();
+        ctx.send(link, vec![1].into()).unwrap();
         ctx.close(link);
     })
     .unwrap();
@@ -692,7 +681,7 @@ fn close_waits_for_the_latest_delivery_not_the_last_send() {
 #[test]
 fn broken_link_stays_in_the_table_until_its_last_payload_is_lost() {
     let (mut w, a, b, link) = connected_pair(19);
-    w.with_agent::<Probe, _>(a, |_, ctx| ctx.send(link, vec![0; SLOW_PAYLOAD_BYTES]))
+    w.with_agent::<Probe, _>(a, |_, ctx| ctx.send(link, vec![0; SLOW_PAYLOAD_BYTES].into()))
         .unwrap()
         .unwrap();
     w.run_for(SimDuration::from_millis(100));
@@ -720,7 +709,10 @@ fn send_tells_a_dropped_link_from_an_id_never_handed_out() {
     assert_eq!(w.link_info(link), None, "nothing in flight: dropped at once");
     let (dropped, unknown) = w
         .with_agent::<Probe, _>(a, |_, ctx| {
-            (ctx.send(link, vec![1]), ctx.send(LinkId(link.0 + 1), vec![1]))
+            (
+                ctx.send(link, vec![1].into()),
+                ctx.send(LinkId(link.0 + 1), vec![1].into()),
+            )
         })
         .unwrap();
     assert_eq!(dropped, Err(SendError::Closed));
@@ -744,10 +736,10 @@ fn a_walker_leaves_its_fixed_peer_at_the_instant_polling_found() {
             "a",
             MobilityModel::stationary(Point::ORIGIN),
             &bt(),
-            Box::new(Probe::default()),
+            Box::new(OnWorld(Probe::default())),
         );
         let walk = MobilityModel::walk(Point::new(1.0, 0.0), Point::new(200.0, 0.0), 2.0);
-        let b = w.add_node("b", walk, &bt(), Box::new(Probe::accepting()));
+        let b = w.add_node("b", walk, &bt(), Box::new(OnWorld(Probe::accepting())));
         w.run_for(SimDuration::from_millis(1));
         w.with_agent::<Probe, _>(a, |_, ctx| {
             ctx.connect(b, RadioTech::Bluetooth);
@@ -784,14 +776,14 @@ fn a_walker_that_comes_back_between_two_polls_keeps_its_link() {
         "a",
         MobilityModel::stationary(Point::ORIGIN),
         &bt(),
-        Box::new(Probe::default()),
+        Box::new(OnWorld(Probe::default())),
     );
     let dart = MobilityModel::Waypoints {
         points: vec![Point::new(9.5, 0.0), Point::new(11.0, 0.0), Point::new(9.5, 0.0)],
         speed_mps: 10.0,
         start_after: SimDuration::from_millis(1_100),
     };
-    let b = w.add_node("b", dart, &bt(), Box::new(Probe::accepting()));
+    let b = w.add_node("b", dart, &bt(), Box::new(OnWorld(Probe::accepting())));
     w.run_for(SimDuration::from_millis(1));
     w.with_agent::<Probe, _>(a, |_, ctx| {
         ctx.connect(b, RadioTech::Bluetooth);

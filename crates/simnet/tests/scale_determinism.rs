@@ -77,7 +77,7 @@ impl Agent for Pulse {
     }
     fn on_connected<C: Ctx>(&mut self, ctx: &mut C, _attempt: AttemptId, link: LinkId, peer: NodeId, _tech: RadioTech) {
         self.fold(0x20 + peer.as_raw());
-        let _ = ctx.send(link, vec![0xAB; 32]);
+        let _ = ctx.send(link, vec![0xAB; 32].into());
     }
     fn on_connect_failed<C: Ctx>(
         &mut self,
@@ -331,7 +331,7 @@ mod full_stack {
     }
 
     impl PulseApp {
-        fn try_attach(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+        fn try_attach(&mut self, api: &mut PeerHoodApi<'_>) {
             if self.current.is_none() && !self.connecting {
                 if let Ok(conn) = api.connect_to_service("pulse") {
                     self.current = Some(conn);
@@ -348,16 +348,16 @@ mod full_stack {
         fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
-        fn on_start(&mut self, api: &mut PeerHoodApi<'_, '_>) {
+        fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
             self.current = None;
             self.connecting = false;
             let _ = api.register_service(ServiceInfo::new("pulse", "", 5));
             api.schedule_timer(SimDuration::from_secs(7), 1);
         }
-        fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_, '_>, _address: DeviceAddress) {
+        fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_>, _address: DeviceAddress) {
             self.try_attach(api);
         }
-        fn on_connected(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId) {
+        fn on_connected(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
             if self.current == Some(conn) {
                 self.connecting = false;
                 self.sessions += 1;
@@ -365,7 +365,7 @@ mod full_stack {
         }
         fn on_connect_failed(
             &mut self,
-            _api: &mut PeerHoodApi<'_, '_>,
+            _api: &mut PeerHoodApi<'_>,
             conn: ConnectionId,
             _error: peerhood::error::PeerHoodError,
         ) {
@@ -374,16 +374,16 @@ mod full_stack {
                 self.connecting = false;
             }
         }
-        fn on_data(&mut self, _api: &mut PeerHoodApi<'_, '_>, _conn: ConnectionId, _payload: Vec<u8>) {
+        fn on_data(&mut self, _api: &mut PeerHoodApi<'_>, _conn: ConnectionId, _payload: Vec<u8>) {
             self.payloads += 1;
         }
-        fn on_disconnected(&mut self, _api: &mut PeerHoodApi<'_, '_>, conn: ConnectionId, _graceful: bool) {
+        fn on_disconnected(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
             if self.current == Some(conn) {
                 self.current = None;
                 self.connecting = false;
             }
         }
-        fn on_timer(&mut self, api: &mut PeerHoodApi<'_, '_>, _token: u64) {
+        fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, _token: u64) {
             match self.current {
                 Some(conn) if !self.connecting => {
                     let _ = api.send(conn, b"pulse".to_vec());
@@ -428,12 +428,12 @@ mod full_stack {
                 format!("p{i}"),
                 mobility,
                 &[RadioTech::Bluetooth],
-                Box::new(
+                Box::new(OnWorld(
                     PeerHoodNode::builder()
                         .config_shared(Rc::clone(&shared))
                         .app(PulseApp::default())
                         .build(),
-                ),
+                )),
             );
         }
         world
