@@ -52,17 +52,6 @@ pub enum LinkRole {
     BridgeDownstream(ConnectionId),
 }
 
-impl LinkRole {
-    /// The connection this role is tied to, if any.
-    pub fn connection(&self) -> Option<ConnectionId> {
-        match self {
-            LinkRole::AppConnection(c) | LinkRole::BridgeUpstream(c) | LinkRole::BridgeDownstream(c) => Some(*c),
-            LinkRole::HandoverPending { conn, .. } => Some(*conn),
-            _ => None,
-        }
-    }
-}
-
 /// The link-role registry.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
@@ -90,16 +79,6 @@ impl Engine {
         self.roles.remove(&link)
     }
 
-    /// Number of tracked links.
-    pub fn len(&self) -> usize {
-        self.roles.len()
-    }
-
-    /// True if no link is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.roles.is_empty()
-    }
-
     /// Number of accepted incoming links whose first command has not arrived
     /// yet. Counted by the admission layer towards the concurrent-session
     /// cap, so a flood of half-open connections cannot sneak past it.
@@ -108,16 +87,6 @@ impl Engine {
             .values()
             .filter(|role| matches!(role, LinkRole::IncomingUnidentified))
             .count()
-    }
-
-    /// All links currently serving the given connection (at most one app
-    /// link plus possibly one pending handover link).
-    pub fn links_for_connection(&self, conn: ConnectionId) -> Vec<LinkId> {
-        self.roles
-            .iter()
-            .filter(|(_, role)| role.connection() == Some(conn))
-            .map(|(link, _)| link)
-            .collect()
     }
 }
 
@@ -132,10 +101,8 @@ mod tests {
     #[test]
     fn set_get_remove() {
         let mut e = Engine::new();
-        assert!(e.is_empty());
         e.set_role(LinkId(1), LinkRole::IncomingUnidentified);
         e.set_role(LinkId(2), LinkRole::AppConnection(conn(0)));
-        assert_eq!(e.len(), 2);
         assert_eq!(e.role(LinkId(1)), Some(LinkRole::IncomingUnidentified));
         assert_eq!(e.role(LinkId(3)), None);
         // Identification replaces the role in place.
@@ -143,48 +110,5 @@ mod tests {
         assert_eq!(e.role(LinkId(1)), Some(LinkRole::BridgeUpstream(conn(5))));
         assert_eq!(e.remove(LinkId(1)), Some(LinkRole::BridgeUpstream(conn(5))));
         assert_eq!(e.remove(LinkId(1)), None);
-    }
-
-    #[test]
-    fn connection_extraction() {
-        assert_eq!(LinkRole::AppConnection(conn(1)).connection(), Some(conn(1)));
-        assert_eq!(
-            LinkRole::HandoverPending {
-                conn: conn(2),
-                via: DeviceAddress::from_node_raw(7)
-            }
-            .connection(),
-            Some(conn(2))
-        );
-        assert_eq!(LinkRole::BridgeDownstream(conn(3)).connection(), Some(conn(3)));
-        assert_eq!(LinkRole::IncomingUnidentified.connection(), None);
-        assert_eq!(
-            LinkRole::DaemonFetch {
-                peer: DeviceAddress::from_node_raw(4),
-                tech: RadioTech::Bluetooth,
-                quality: 200
-            }
-            .connection(),
-            None
-        );
-        assert_eq!(LinkRole::DaemonServe.connection(), None);
-    }
-
-    #[test]
-    fn links_for_connection_finds_both_current_and_pending() {
-        let mut e = Engine::new();
-        e.set_role(LinkId(1), LinkRole::AppConnection(conn(7)));
-        e.set_role(
-            LinkId(2),
-            LinkRole::HandoverPending {
-                conn: conn(7),
-                via: DeviceAddress::from_node_raw(9),
-            },
-        );
-        e.set_role(LinkId(3), LinkRole::AppConnection(conn(8)));
-        let mut links = e.links_for_connection(conn(7));
-        links.sort();
-        assert_eq!(links, vec![LinkId(1), LinkId(2)]);
-        assert!(e.links_for_connection(conn(99)).is_empty());
     }
 }

@@ -12,6 +12,7 @@
 use simnet::{Ctx, SimDuration, SimTime};
 
 use crate::connection::{AppConnection, ConnKind, ConnectionSnapshot};
+use crate::engine::LinkRole;
 use crate::error::PeerHoodError;
 use crate::handover::HandoverMonitor;
 use crate::ids::{ConnectionId, DeviceAddress};
@@ -19,7 +20,6 @@ use crate::proto::Message;
 use crate::service::ServiceInfo;
 use crate::storage::{StorageStats, StoredDevice};
 
-use super::pending::PendingPurpose;
 use super::{token, AppId, Core, KIND_APP};
 
 /// Handle applications (and scenario drivers) use to act on the middleware.
@@ -236,7 +236,7 @@ impl Core {
             .storage()
             .get(target)
             .ok_or(PeerHoodError::UnknownDevice(target))?;
-        let (route, target_info) = (entry.route, entry.info);
+        let route = entry.route;
         let kind = if route.is_direct() {
             ConnKind::OutgoingDirect
         } else {
@@ -245,13 +245,15 @@ impl Core {
         };
         // The circuit breaker gates the dial towards the first physical hop
         // before any connection state is allocated: a refused dial costs
-        // nothing — no id, no table entry, no radio attempt.
-        let gate_hop = kind.first_hop(target).unwrap_or(target);
-        if !self.resilience.allow_dial(gate_hop, ctx.now()) {
-            return Err(PeerHoodError::CircuitOpen(gate_hop));
+        // nothing — no id, no table entry, no radio attempt. So this is the
+        // one dial that asks the breaker itself and then takes `dial`'s
+        // ungated half.
+        let first_hop = kind.first_hop(target).unwrap_or(target);
+        if !self.resilience.allow_dial(first_hop, ctx.now()) {
+            return Err(PeerHoodError::CircuitOpen(first_hop));
         }
         let conn = self.connections.allocate_id(self.my_address());
-        let mut connection = AppConnection::outgoing(conn, target, service, kind.clone(), ctx.now());
+        let mut connection = AppConnection::outgoing(conn, target, service, kind, ctx.now());
         if self.config.handover.enabled {
             connection.monitor = Some(HandoverMonitor::new(
                 self.config.monitor.quality_threshold,
@@ -263,14 +265,7 @@ impl Core {
         if let Some(owner) = owner {
             self.conn_owner.insert(conn, owner);
         }
-        let first_hop = kind.first_hop(target).unwrap_or(target);
-        let tech = if first_hop == target {
-            self.tech_for(Some(&target_info))
-        } else {
-            self.tech_towards(first_hop)
-        };
-        let attempt = ctx.connect(first_hop.node_id(), tech);
-        self.pending.insert(attempt, PendingPurpose::AppConnect { conn });
+        self.connect_hop(ctx, first_hop, LinkRole::AppConnection(conn));
         Ok(conn)
     }
 
@@ -340,9 +335,7 @@ impl Core {
     pub(crate) fn op_close(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
         if let Some(c) = self.connections.remove(conn) {
             if let Some(link) = c.link {
-                self.send_frame(ctx, link, &Message::Disconnect { conn_id: conn });
-                ctx.close(link);
-                self.engine.remove(link);
+                self.hang_up(ctx, link, conn);
             }
         }
         self.conn_owner.remove(&conn);

@@ -30,6 +30,7 @@ use crate::error::ErrorCode;
 use crate::hostile::{ProtocolForge, HOSTILE_BASE};
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::proto::{Message, NeighborRecord};
+use crate::resilience::ResilienceConfig;
 use crate::service::ServiceInfo;
 use crate::wire;
 
@@ -164,9 +165,11 @@ fn poisoned_response() -> Message {
     }
 }
 
-fn victim_world(tier: SecurityConfig) -> (World, NodeId) {
+fn victim_world(tier: SecurityConfig, resilience: ResilienceConfig) -> (World, NodeId) {
     let mut world = World::new(WorldConfig::ideal(0xF0_22));
-    let cfg = PeerHoodConfig::new("victim", MobilityClass::Static).with_security(tier);
+    let cfg = PeerHoodConfig::new("victim", MobilityClass::Static)
+        .with_security(tier)
+        .with_resilience(resilience);
     let victim = world.add_node(
         "victim",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
@@ -201,7 +204,7 @@ struct MatrixOutcome {
 /// Feeds every role x command pair (plus the forged-reply-context variant)
 /// into a fresh victim and reports what stuck.
 fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
-    let (mut world, victim) = victim_world(tier);
+    let (mut world, victim) = victim_world(tier, ResilienceConfig::default());
     let mut covered = BTreeSet::new();
     let mut injected = 0u64;
     // LinkIds far above anything the world allocates in a 1-second run.
@@ -437,8 +440,16 @@ fn auth_rejects_every_raw_hostile_frame_before_decode() {
 
 #[test]
 fn forge_corpus_never_panics_any_tier() {
-    for tier in [SecurityConfig::off(), SecurityConfig::sanity(), SecurityConfig::auth()] {
-        let (mut world, victim) = victim_world(tier);
+    // The last configuration runs every gate together: auth, sanity,
+    // admission, backpressure and the breakers.
+    let off = ResilienceConfig::default();
+    for (tier, resilience) in [
+        (SecurityConfig::off(), off),
+        (SecurityConfig::sanity(), off),
+        (SecurityConfig::auth(), off),
+        (SecurityConfig::auth(), ResilienceConfig::all_on()),
+    ] {
+        let (mut world, victim) = victim_world(tier, resilience);
         let mut rng = SimRng::new(0xF0_26E);
         let mut forge = ProtocolForge::new("svc");
         // Sniffed traffic for the forge to replay: a legitimate-looking

@@ -15,8 +15,9 @@
 //! * [`api`] — the [`PeerHoodApi`] handle applications and scenario drivers
 //!   use to act on the middleware,
 //! * [`events`] — the [`PeerHoodEvent`] vocabulary and [`AppId`],
-//! * [`pending`] — the physical connection-attempt ledger (why each radio
-//!   connect was started, and what to do when it succeeds or fails),
+//! * [`pending`] — the one way to open a link (`Core::dial`) and the
+//!   physical connection-attempt ledger (the link role each radio connect
+//!   will take, and what to do when it succeeds or fails),
 //! * [`protocol`] — wire-message handling, discovery cycles, bridge
 //!   relaying, quality monitoring and handover.
 //!
@@ -30,15 +31,17 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use simnet::table::IdTable;
-use simnet::{AttemptId, Ctx, RadioTech, TimerToken};
+use simnet::{AttemptId, Ctx, LinkId, RadioTech, TimerToken};
 
 use crate::bridge::BridgeService;
 use crate::config::PeerHoodConfig;
 use crate::connection::ConnectionTable;
 use crate::daemon::Daemon;
 use crate::device::DeviceInfo;
-use crate::engine::Engine;
+use crate::engine::{Engine, LinkRole};
+use crate::error::ErrorCode;
 use crate::ids::{ConnectionId, DeviceAddress};
+use crate::proto::Message;
 
 pub mod api;
 pub mod events;
@@ -54,7 +57,6 @@ mod tests;
 pub use api::PeerHoodApi;
 pub use events::{AppId, PeerHoodEvent};
 pub use host::{PeerHoodNode, PeerHoodNodeBuilder};
-pub use pending::PendingPurpose;
 
 const KIND_SHIFT: u64 = 56;
 const KIND_INQUIRY: u64 = 1;
@@ -78,7 +80,8 @@ pub(crate) struct Core {
     pub(crate) engine: Engine,
     pub(crate) connections: ConnectionTable,
     pub(crate) bridge: BridgeService,
-    pub(crate) pending: IdTable<AttemptId, PendingPurpose>,
+    /// Radio connects in flight, each with the role its link takes once up.
+    pub(crate) pending: IdTable<AttemptId, LinkRole>,
     pub(crate) retry_conns: IdTable<u64, ConnectionId>,
     pub(crate) next_retry_token: u64,
     /// In-flight application timers, keyed by the sequential payload carried
@@ -181,20 +184,28 @@ impl Core {
         self.tech_for(self.daemon.storage().get(hop).map(|d| d.info).as_ref())
     }
 
-    /// Starts one radio connect towards `hop` on behalf of `purpose`, unless
-    /// the hop's circuit breaker refuses the dial; returns whether the
-    /// attempt was started. Callers handle a refusal their own way.
-    pub(crate) fn dial(&mut self, ctx: &mut dyn Ctx, hop: DeviceAddress, purpose: PendingPurpose) -> bool {
-        if !self.resilience.allow_dial(hop, ctx.now()) {
-            return false;
-        }
-        let tech = match purpose {
-            // A fetch goes back out on the radio whose inquiry heard the device.
-            PendingPurpose::DaemonFetch { tech, .. } => tech,
-            _ => self.tech_towards(hop),
-        };
-        let attempt = ctx.connect(hop.node_id(), tech);
-        self.pending.insert(attempt, purpose);
-        true
+    /// Closes a link and forgets its role: the one way the node drops a link.
+    pub(crate) fn drop_link(&mut self, ctx: &mut dyn Ctx, link: LinkId) {
+        ctx.close(link);
+        self.engine.remove(link);
+    }
+
+    /// Answers a request on `link` with an `Error` frame, then drops the link.
+    pub(crate) fn refuse(
+        &mut self,
+        ctx: &mut dyn Ctx,
+        link: LinkId,
+        conn_id: ConnectionId,
+        code: ErrorCode,
+        detail: String,
+    ) {
+        self.send_frame(ctx, link, &Message::Error { conn_id, code, detail });
+        self.drop_link(ctx, link);
+    }
+
+    /// Tells the far end of `link` that `conn` is over, then drops the link.
+    pub(crate) fn hang_up(&mut self, ctx: &mut dyn Ctx, link: LinkId, conn: ConnectionId) {
+        self.send_frame(ctx, link, &Message::Disconnect { conn_id: conn });
+        self.drop_link(ctx, link);
     }
 }

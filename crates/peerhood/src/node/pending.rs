@@ -1,210 +1,142 @@
 //! The physical connection-attempt ledger.
 //!
-//! Every radio-level connect the node starts is recorded with a
-//! [`PendingPurpose`] so the success and failure callbacks can resume the
-//! right protocol flow: a daemon information fetch, the first hop of an
-//! application connection, a bridge leg, a handover replacement route or a
-//! server-initiated reply reconnection (§5.3).
+//! Every radio connect the node starts goes through `Core::dial` and is
+//! recorded with the [`LinkRole`] the link takes once it is up, so the
+//! success and failure callbacks resume the right protocol flow: a daemon
+//! information fetch, the first hop of an application connection or of a
+//! server-initiated reply reconnection (§5.3), a bridge leg or a handover
+//! replacement route.
 
 use simnet::{AttemptId, ConnectError, Ctx, LinkId, NodeId, RadioTech};
 
 use crate::connection::{ConnKind, ConnState};
+use crate::device::DeviceInfo;
+use crate::engine::LinkRole;
 use crate::error::{ErrorCode, PeerHoodError};
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::proto::Message;
 
 use super::{token, Core, PeerHoodEvent, KIND_RETRY};
 
-/// Why a physical connection attempt was started.
-#[derive(Debug, Clone)]
-pub enum PendingPurpose {
-    /// Daemon information fetch towards a device found by an inquiry.
-    DaemonFetch {
-        /// The device being interrogated.
-        peer: DeviceAddress,
-        /// The radio the inquiry ran on.
-        tech: RadioTech,
-        /// Quality sampled during the inquiry.
-        quality: u8,
-    },
-    /// First hop of an outgoing application connection.
-    AppConnect {
-        /// The logical connection being established.
-        conn: ConnectionId,
-    },
-    /// Downstream leg of a relayed bridge pair.
-    BridgeLeg {
-        /// The relayed connection.
-        conn: ConnectionId,
-    },
-    /// Replacement route being built by the handover machinery.
-    Handover {
-        /// The connection being re-routed.
-        conn: ConnectionId,
-        /// The bridge the replacement route goes through.
-        via: DeviceAddress,
-    },
-    /// Server re-connecting to a client to deliver queued results (§5.3).
-    ReplyConnect {
-        /// The waiting server-side connection.
-        conn: ConnectionId,
-    },
+/// The request that opens `conn_id` over a freshly connected first hop: a
+/// `ConnectRequest` when that hop is the destination itself, otherwise a
+/// `BridgeRequest` the hop relays towards `destination`.
+fn open_request(
+    conn_id: ConnectionId,
+    hop_is_destination: bool,
+    destination: DeviceAddress,
+    service: String,
+    client: DeviceInfo,
+    reply_context: Option<ConnectionId>,
+) -> Message {
+    if hop_is_destination {
+        Message::ConnectRequest {
+            conn_id,
+            service,
+            client,
+            reply_context,
+        }
+    } else {
+        Message::BridgeRequest {
+            conn_id,
+            destination,
+            service,
+            client,
+            reply_context,
+        }
+    }
 }
 
 impl Core {
+    /// Starts one radio connect towards `hop` for a link that takes `role`
+    /// once it is up, unless the hop's circuit breaker refuses the dial;
+    /// returns whether the attempt was started. Callers handle a refusal
+    /// their own way.
+    pub(crate) fn dial(&mut self, ctx: &mut dyn Ctx, hop: DeviceAddress, role: LinkRole) -> bool {
+        if !self.resilience.allow_dial(hop, ctx.now()) {
+            return false;
+        }
+        self.connect_hop(ctx, hop, role);
+        true
+    }
+
+    /// [`Core::dial`] without the breaker: the one place the node starts a
+    /// radio connect. Two dials take it directly. `op_connect_to` asks the
+    /// breaker itself, before it allocates a connection id, so a refused
+    /// dial costs nothing. A relay's downstream leg is not gated at all: it
+    /// dials on a peer's behalf and answers only with the leg's own failure,
+    /// which still feeds the hop's breaker.
+    pub(crate) fn connect_hop(&mut self, ctx: &mut dyn Ctx, hop: DeviceAddress, role: LinkRole) {
+        let tech = match role {
+            // A fetch goes back out on the radio whose inquiry heard the device.
+            LinkRole::DaemonFetch { tech, .. } => tech,
+            _ => self.tech_towards(hop),
+        };
+        let attempt = ctx.connect(hop.node_id(), tech);
+        self.pending.insert(attempt, role);
+    }
+
     pub(crate) fn handle_connected(
         &mut self,
         ctx: &mut dyn Ctx,
         attempt: AttemptId,
         link: LinkId,
-        _peer: NodeId,
+        peer: NodeId,
         _tech: RadioTech,
     ) {
-        let purpose = match self.pending.remove(&attempt) {
-            Some(p) => p,
+        let role = match self.pending.remove(&attempt) {
+            Some(r) => r,
             None => return,
         };
+        let peer = DeviceAddress::from_node(peer);
         // The radio link came up: the circuit breaker towards that physical
         // hop records the success (closing a half-open breaker).
-        self.resilience.record_dial_success(DeviceAddress::from_node(_peer));
-        match purpose {
-            PendingPurpose::DaemonFetch { peer, tech, quality } => {
-                self.engine
-                    .set_role(link, crate::engine::LinkRole::DaemonFetch { peer, tech, quality });
-                let requester = self.my_info();
-                self.send_frame(ctx, link, &Message::InquiryRequest { requester });
+        self.resilience.record_dial_success(peer);
+        let request = match role {
+            LinkRole::DaemonFetch { .. } => Some(Message::InquiryRequest {
+                requester: self.my_info(),
+            }),
+            LinkRole::AppConnection(conn) => {
+                // An id this node allocated is its own outgoing connection;
+                // any other is a server reconnecting to its client (§5.3).
+                let reply = conn.initiator() != self.my_address();
+                let client = self.my_info();
+                self.connections.get_mut(conn).map(|c| {
+                    c.link = Some(link);
+                    c.state = ConnState::AwaitingAccept;
+                    let direct = if reply {
+                        peer == c.remote
+                    } else {
+                        c.kind == ConnKind::OutgoingDirect
+                    };
+                    open_request(conn, direct, c.remote, c.service.clone(), client, reply.then_some(conn))
+                })
             }
-            PendingPurpose::AppConnect { conn } => {
-                let (message, ok) = match self.connections.get_mut(conn) {
-                    Some(c) => {
-                        c.link = Some(link);
-                        c.state = ConnState::AwaitingAccept;
-                        let client = self.daemon.info().clone();
-                        let msg = match &c.kind {
-                            ConnKind::OutgoingDirect => Message::ConnectRequest {
-                                conn_id: conn,
-                                service: c.service.clone(),
-                                client,
-                                reply_context: None,
-                            },
-                            ConnKind::OutgoingBridged { .. } => Message::BridgeRequest {
-                                conn_id: conn,
-                                destination: c.remote,
-                                service: c.service.clone(),
-                                client,
-                                reply_context: None,
-                            },
-                            ConnKind::Incoming { .. } => Message::ConnectRequest {
-                                conn_id: conn,
-                                service: c.service.clone(),
-                                client,
-                                reply_context: Some(conn),
-                            },
-                        };
-                        (msg, true)
-                    }
-                    None => (Message::Disconnect { conn_id: conn }, false),
-                };
-                if ok {
-                    self.engine.set_role(link, crate::engine::LinkRole::AppConnection(conn));
-                    self.send_frame(ctx, link, &message);
-                } else {
-                    ctx.close(link);
-                }
+            LinkRole::BridgeDownstream(conn) => self.bridge.get_mut(conn).map(|pair| {
+                pair.downstream = Some(link);
+                open_request(
+                    conn,
+                    peer == pair.destination,
+                    pair.destination,
+                    pair.service.clone(),
+                    pair.client.clone(),
+                    pair.reply_context,
+                )
+            }),
+            LinkRole::HandoverPending { conn, via } => self.connections.get(conn).map(|c| {
+                let target = self.handover_destination(c);
+                open_request(conn, via == target, target, c.service.clone(), self.my_info(), None)
+            }),
+            // Never dialled.
+            LinkRole::IncomingUnidentified | LinkRole::DaemonServe | LinkRole::BridgeUpstream(_) => None,
+        };
+        match request {
+            Some(request) => {
+                self.engine.set_role(link, role);
+                self.send_frame(ctx, link, &request);
             }
-            PendingPurpose::BridgeLeg { conn } => {
-                let peer_addr = DeviceAddress::from_node(_peer);
-                let message = match self.bridge.get_mut(conn) {
-                    Some(pair) => {
-                        pair.downstream = Some(link);
-                        if peer_addr == pair.destination {
-                            Message::ConnectRequest {
-                                conn_id: conn,
-                                service: pair.service.clone(),
-                                client: pair.client.clone(),
-                                reply_context: pair.reply_context,
-                            }
-                        } else {
-                            Message::BridgeRequest {
-                                conn_id: conn,
-                                destination: pair.destination,
-                                service: pair.service.clone(),
-                                client: pair.client.clone(),
-                                reply_context: pair.reply_context,
-                            }
-                        }
-                    }
-                    None => {
-                        ctx.close(link);
-                        return;
-                    }
-                };
-                self.engine
-                    .set_role(link, crate::engine::LinkRole::BridgeDownstream(conn));
-                self.send_frame(ctx, link, &message);
-            }
-            PendingPurpose::Handover { conn, via } => {
-                let message = match self.connections.get(conn) {
-                    Some(c) => {
-                        let target = self.handover_destination(c);
-                        if via == target {
-                            Message::ConnectRequest {
-                                conn_id: conn,
-                                service: c.service.clone(),
-                                client: self.daemon.info().clone(),
-                                reply_context: None,
-                            }
-                        } else {
-                            Message::BridgeRequest {
-                                conn_id: conn,
-                                destination: target,
-                                service: c.service.clone(),
-                                client: self.daemon.info().clone(),
-                                reply_context: None,
-                            }
-                        }
-                    }
-                    None => {
-                        ctx.close(link);
-                        return;
-                    }
-                };
-                self.engine
-                    .set_role(link, crate::engine::LinkRole::HandoverPending { conn, via });
-                self.send_frame(ctx, link, &message);
-            }
-            PendingPurpose::ReplyConnect { conn } => {
-                let message = match self.connections.get_mut(conn) {
-                    Some(c) => {
-                        c.link = Some(link);
-                        c.state = ConnState::AwaitingAccept;
-                        let first_hop_is_client = DeviceAddress::from_node(_peer) == c.remote;
-                        let client = self.daemon.info().clone();
-                        if first_hop_is_client {
-                            Message::ConnectRequest {
-                                conn_id: conn,
-                                service: c.service.clone(),
-                                client,
-                                reply_context: Some(conn),
-                            }
-                        } else {
-                            Message::BridgeRequest {
-                                conn_id: conn,
-                                destination: c.remote,
-                                service: c.service.clone(),
-                                client,
-                                reply_context: Some(conn),
-                            }
-                        }
-                    }
-                    None => {
-                        ctx.close(link);
-                        return;
-                    }
-                };
-                self.engine.set_role(link, crate::engine::LinkRole::AppConnection(conn));
-                self.send_frame(ctx, link, &message);
-            }
+            // The connection or the relayed pair went away during the dial.
+            None => self.drop_link(ctx, link),
         }
     }
 
@@ -212,23 +144,25 @@ impl Core {
         &mut self,
         ctx: &mut dyn Ctx,
         attempt: AttemptId,
-        _peer: NodeId,
+        peer: NodeId,
         tech: RadioTech,
-        _error: ConnectError,
+        error: ConnectError,
     ) {
-        let purpose = match self.pending.remove(&attempt) {
-            Some(p) => p,
+        let role = match self.pending.remove(&attempt) {
+            Some(r) => r,
             None => return,
         };
+        let peer = DeviceAddress::from_node(peer);
         // Dial failures towards a physical hop feed its circuit breaker,
         // whatever protocol flow the attempt belonged to.
-        self.resilience
-            .record_dial_failure(DeviceAddress::from_node(_peer), ctx.now());
-        match purpose {
-            PendingPurpose::DaemonFetch { .. } => {
+        self.resilience.record_dial_failure(peer, ctx.now());
+        match role {
+            LinkRole::DaemonFetch { .. } => {
                 self.note_fetch_finished(ctx, tech);
             }
-            PendingPurpose::AppConnect { conn } => {
+            // Our own connection: the app hears the failure even if it closed
+            // the connection while the radio was dialling.
+            LinkRole::AppConnection(conn) if conn.initiator() == self.my_address() => {
                 if let Some(c) = self.connections.get_mut(conn) {
                     c.state = ConnState::Failed;
                     c.link = None;
@@ -236,27 +170,28 @@ impl Core {
                 self.events.push_back(PeerHoodEvent::ConnectFailed {
                     app: self.owner_of(conn),
                     conn,
-                    error: PeerHoodError::Remote(_error.to_string()),
+                    error: PeerHoodError::Remote(error.to_string()),
                 });
             }
-            PendingPurpose::BridgeLeg { conn } => {
-                // A next hop that was advertised as a route but cannot be
-                // dialled is how forged neighbour reports manifest at the
-                // bridge: the reputation layer charges the hop so repeated
-                // phantom routes eventually stop being followed.
-                self.note_peer_misbehaved(DeviceAddress::from_node(_peer));
-                self.fail_bridge_pair(ctx, conn, ErrorCode::DownstreamFailed);
-            }
-            PendingPurpose::Handover { conn, .. } => {
-                self.handover_attempt_failed(ctx, conn);
-            }
-            PendingPurpose::ReplyConnect { conn } => {
+            LinkRole::AppConnection(conn) => {
                 if let Some(c) = self.connections.get_mut(conn) {
                     c.state = ConnState::Closed;
                     c.link = None;
                 }
                 self.schedule_reply_retry(ctx, conn);
             }
+            LinkRole::BridgeDownstream(conn) => {
+                // A next hop that was advertised as a route but cannot be
+                // dialled is how forged neighbour reports manifest at the
+                // bridge: the reputation layer charges the hop so repeated
+                // phantom routes eventually stop being followed.
+                self.note_peer_misbehaved(peer);
+                self.fail_bridge_pair(ctx, conn, ErrorCode::DownstreamFailed, "bridge leg failed".into());
+            }
+            LinkRole::HandoverPending { conn, .. } => {
+                self.handover_attempt_failed(ctx, conn);
+            }
+            LinkRole::IncomingUnidentified | LinkRole::DaemonServe | LinkRole::BridgeUpstream(_) => {}
         }
     }
 
@@ -311,7 +246,7 @@ impl Core {
         };
         // An open breaker towards the hop turns the dial into a scheduled
         // retry: the bounded retry budget is not burned on a hop known bad.
-        if !self.dial(ctx, first_hop, PendingPurpose::ReplyConnect { conn }) {
+        if !self.dial(ctx, first_hop, LinkRole::AppConnection(conn)) {
             self.schedule_reply_retry(ctx, conn);
             return;
         }

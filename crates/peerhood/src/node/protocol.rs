@@ -18,7 +18,6 @@ use crate::ids::{ConnectionId, DeviceAddress};
 use crate::proto::Message;
 use crate::wire;
 
-use super::pending::PendingPurpose;
 use super::{token, Core, PeerHoodEvent, KIND_APP, KIND_INQUIRY, KIND_MONITOR, KIND_RETRY, KIND_SHIFT, PAYLOAD_MASK};
 
 impl Core {
@@ -176,7 +175,7 @@ impl Core {
             // breaker holds, the daemon stops burning multi-second connect
             // attempts on it — the hit stays in the storage and the fetch
             // resumes once a half-open probe succeeds.
-            if !self.dial(ctx, peer, PendingPurpose::DaemonFetch { peer, tech, quality }) {
+            if !self.dial(ctx, peer, LinkRole::DaemonFetch { peer, tech, quality }) {
                 continue;
             }
             if let Some(plugin) = self.daemon.plugins_mut().get_mut(tech) {
@@ -284,11 +283,8 @@ impl Core {
                 client,
                 reply_context,
             } => self.handle_bridge_request(ctx, link, from, conn_id, destination, service, client, reply_context),
-            _ => {
-                // Anything else on an unidentified link is a protocol error.
-                ctx.close(link);
-                self.engine.remove(link);
-            }
+            // Anything else on an unidentified link is a protocol error.
+            _ => self.drop_link(ctx, link),
         }
     }
 
@@ -311,8 +307,7 @@ impl Core {
                 if orig.initiator() != self.my_address() {
                     self.security.stats.bad_reply_context += 1;
                     self.note_peer_misbehaved(client.address);
-                    ctx.close(link);
-                    self.engine.remove(link);
+                    self.drop_link(ctx, link);
                     return;
                 }
             } else if self.connections.get(conn_id).is_none()
@@ -325,66 +320,38 @@ impl Core {
                 // or pre-poison someone else's session.
                 self.security.stats.foreign_conn_rejected += 1;
                 self.note_peer_misbehaved(client.address);
-                ctx.close(link);
-                self.engine.remove(link);
+                self.drop_link(ctx, link);
                 return;
             }
         }
         // Case 1: the server is calling back with the result of a migrated
         // task — attach the link to the waiting session (§5.3).
-        if let Some(orig) = reply_context {
-            if self.connections.get(orig).is_some() {
-                if let Some(c) = self.connections.get_mut(orig) {
-                    if let Some(old) = c.link.take() {
-                        if old != link {
-                            ctx.close(old);
-                            self.engine.remove(old);
-                        }
-                    }
-                    c.establish(link, now);
-                }
-                self.engine.set_role(link, LinkRole::AppConnection(orig));
-                self.send_frame(ctx, link, &Message::Accept { conn_id });
-                self.events.push_back(PeerHoodEvent::ConnectionChanged {
-                    app: self.owner_of(orig),
-                    conn: orig,
-                });
-                return;
-            }
-        }
         // Case 2: re-establishment of a session this device already knows
-        // (server side of a routing handover or client re-attachment).
-        if self.connections.get(conn_id).is_some() {
-            if let Some(c) = self.connections.get_mut(conn_id) {
-                if let Some(old) = c.link.take() {
-                    if old != link {
-                        ctx.close(old);
-                        self.engine.remove(old);
-                    }
-                }
-                c.establish(link, now);
-            }
-            self.engine.set_role(link, LinkRole::AppConnection(conn_id));
+        // (server side of a routing handover or client re-attachment); its
+        // queued results follow on the new link.
+        let known = match reply_context {
+            Some(orig) if self.connections.get(orig).is_some() => Some((orig, false)),
+            _ if self.connections.get(conn_id).is_some() => Some((conn_id, true)),
+            _ => None,
+        };
+        if let Some((conn, flush)) = known {
+            self.adopt_link(ctx, conn, link);
             self.send_frame(ctx, link, &Message::Accept { conn_id });
             self.events.push_back(PeerHoodEvent::ConnectionChanged {
-                app: self.owner_of(conn_id),
-                conn: conn_id,
+                app: self.owner_of(conn),
+                conn,
             });
-            self.flush_outbox(ctx, conn_id);
+            if flush {
+                self.flush_outbox(ctx, conn);
+            }
             return;
         }
         // Case 3: splice of an existing bridge pair's upstream leg (the
         // per-hop handover of §5.2.1's monitoring-limitation discussion).
-        if self.bridge.get(conn_id).is_some() {
-            let old_upstream = self.bridge.get(conn_id).map(|p| p.upstream);
-            if let Some(pair) = self.bridge.get_mut(conn_id) {
-                pair.upstream = link;
-            }
-            if let Some(old) = old_upstream {
-                if old != link {
-                    ctx.close(old);
-                    self.engine.remove(old);
-                }
+        if let Some(pair) = self.bridge.get_mut(conn_id) {
+            let old = std::mem::replace(&mut pair.upstream, link);
+            if old != link {
+                self.drop_link(ctx, old);
             }
             self.engine.set_role(link, LinkRole::BridgeUpstream(conn_id));
             self.send_frame(ctx, link, &Message::Accept { conn_id });
@@ -409,18 +376,24 @@ impl Core {
                 service,
             });
         } else {
-            self.send_frame(
-                ctx,
-                link,
-                &Message::Error {
-                    conn_id,
-                    code: ErrorCode::ServiceUnavailable,
-                    detail: format!("no service named {service}"),
-                },
-            );
-            ctx.close(link);
-            self.engine.remove(link);
+            let detail = format!("no service named {service}");
+            self.refuse(ctx, link, conn_id, ErrorCode::ServiceUnavailable, detail);
         }
+    }
+
+    /// Moves `conn` onto `link`: the link it was on, if another, is dropped
+    /// and `link` is classified as the connection's.
+    fn adopt_link(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, link: LinkId) {
+        let now = ctx.now();
+        let old = self.connections.get_mut(conn).and_then(|c| {
+            let old = c.link;
+            c.establish(link, now);
+            old
+        });
+        if let Some(old) = old.filter(|&old| old != link) {
+            self.drop_link(ctx, old);
+        }
+        self.engine.set_role(link, LinkRole::AppConnection(conn));
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -443,29 +416,15 @@ impl Core {
         }
         if !self.config.bridge.enabled || !self.bridge.has_capacity() {
             self.bridge.record_refusal();
-            self.send_frame(
-                ctx,
-                link,
-                &Message::Error {
-                    conn_id,
-                    code: ErrorCode::BridgeBusy,
-                    detail: "bridge service unavailable or at capacity".into(),
-                },
-            );
-            ctx.close(link);
-            self.engine.remove(link);
+            let detail = "bridge service unavailable or at capacity".into();
+            self.refuse(ctx, link, conn_id, ErrorCode::BridgeBusy, detail);
             return;
         }
         // Select the next hop from the device storage (Fig. 4.4: "get devices
         // list, find given address").
         let next_hop = match self.daemon.storage().get(destination) {
-            Some(entry) => {
-                if entry.route.is_direct() {
-                    Some((destination, self.tech_for(Some(&entry.info))))
-                } else {
-                    entry.route.bridge.map(|b| (b, self.tech_towards(b)))
-                }
-            }
+            Some(entry) if entry.route.is_direct() => Some(destination),
+            Some(entry) => entry.route.bridge,
             None => None,
         };
         // Routing-loop sanity check (§3.4.3 hardening): if the best route to
@@ -476,33 +435,23 @@ impl Core {
         // back to the hostile itself), so treat the reflection as no route and
         // let the originator's reputation layer charge its bridge.
         let next_hop = match next_hop {
-            Some((hop, _)) if self.security.sanity_checks() && hop.node_id() == from => None,
+            Some(hop) if self.security.sanity_checks() && hop.node_id() == from => None,
             other => other,
         };
-        let (hop, tech) = match next_hop {
+        let hop = match next_hop {
             Some(h) => h,
             None => {
                 self.bridge.record_refusal();
-                self.send_frame(
-                    ctx,
-                    link,
-                    &Message::Error {
-                        conn_id,
-                        code: ErrorCode::NoRouteToDestination,
-                        detail: format!("no route to {destination}"),
-                    },
-                );
-                ctx.close(link);
-                self.engine.remove(link);
+                let detail = format!("no route to {destination}");
+                self.refuse(ctx, link, conn_id, ErrorCode::NoRouteToDestination, detail);
                 return;
             }
         };
         self.bridge
             .insert_pending(conn_id, link, destination, service, client, reply_context);
         self.engine.set_role(link, LinkRole::BridgeUpstream(conn_id));
-        let attempt = ctx.connect(hop.node_id(), tech);
-        self.pending
-            .insert(attempt, PendingPurpose::BridgeLeg { conn: conn_id });
+        // Not breaker-gated (see `Core::connect_hop`).
+        self.connect_hop(ctx, hop, LinkRole::BridgeDownstream(conn_id));
     }
 
     fn handle_report(
@@ -529,8 +478,7 @@ impl Core {
         for address in discovered {
             self.events.push_back(PeerHoodEvent::DeviceDiscovered { address });
         }
-        ctx.close(link);
-        self.engine.remove(link);
+        self.drop_link(ctx, link);
         self.note_fetch_finished(ctx, tech);
     }
 
@@ -544,8 +492,7 @@ impl Core {
             .unwrap_or(false);
         if !is_current {
             if matches!(message, Message::Disconnect { .. }) {
-                ctx.close(link);
-                self.engine.remove(link);
+                self.drop_link(ctx, link);
             }
             return;
         }
@@ -619,8 +566,7 @@ impl Core {
                     c.link = None;
                     c.state = if outgoing { ConnState::Failed } else { ConnState::Closed };
                 }
-                ctx.close(link);
-                self.engine.remove(link);
+                self.drop_link(ctx, link);
                 if outgoing {
                     self.events.push_back(PeerHoodEvent::ConnectFailed {
                         app: self.owner_of(conn),
@@ -650,8 +596,7 @@ impl Core {
                 if let Some(c) = self.connections.get_mut(conn) {
                     c.mark_closed();
                 }
-                ctx.close(link);
-                self.engine.remove(link);
+                self.drop_link(ctx, link);
                 self.events.push_back(PeerHoodEvent::Disconnected {
                     app: self.owner_of(conn),
                     conn,
@@ -672,15 +617,8 @@ impl Core {
     ) {
         match message {
             Message::Accept { .. } => {
-                let now = ctx.now();
-                let old_link = self.connections.get(conn).and_then(|c| c.link);
+                self.adopt_link(ctx, conn, link);
                 if let Some(c) = self.connections.get_mut(conn) {
-                    if let Some(old) = old_link {
-                        if old != link {
-                            ctx.close(old);
-                        }
-                    }
-                    c.establish(link, now);
                     // Record the route actually built. `via` travelled with
                     // the link role from the moment the switch began, so a
                     // candidate refreshed (or consumed) while the replacement
@@ -696,12 +634,6 @@ impl Core {
                         monitor.switch_succeeded();
                     }
                 }
-                if let Some(old) = old_link {
-                    if old != link {
-                        self.engine.remove(old);
-                    }
-                }
-                self.engine.set_role(link, LinkRole::AppConnection(conn));
                 self.handover_completions += 1;
                 self.events.push_back(PeerHoodEvent::ConnectionChanged {
                     app: self.owner_of(conn),
@@ -709,8 +641,7 @@ impl Core {
                 });
             }
             Message::Error { .. } => {
-                ctx.close(link);
-                self.engine.remove(link);
+                self.drop_link(ctx, link);
                 self.handover_attempt_failed(ctx, conn);
             }
             _ => {}
@@ -749,21 +680,7 @@ impl Core {
                 }
             }
             Message::Error { code, detail, .. } if side == BridgeSide::Downstream => {
-                if let Some(pair) = self.bridge.remove(conn) {
-                    self.send_frame(
-                        ctx,
-                        pair.upstream,
-                        &Message::Error {
-                            conn_id: conn,
-                            code,
-                            detail,
-                        },
-                    );
-                    ctx.close(pair.upstream);
-                    ctx.close(link);
-                    self.engine.remove(pair.upstream);
-                    self.engine.remove(link);
-                }
+                self.fail_bridge_pair(ctx, conn, code, detail);
             }
             Message::Data { conn_id, payload } => {
                 if let Some((_, other, _)) = self.bridge.relay_target(link) {
@@ -792,34 +709,22 @@ impl Core {
                         BridgeSide::Downstream => Some(pair.upstream),
                     };
                     if let Some(other) = other {
-                        self.send_frame(ctx, other, &Message::Disconnect { conn_id: conn });
-                        ctx.close(other);
-                        self.engine.remove(other);
+                        self.hang_up(ctx, other, conn);
                     }
-                    ctx.close(link);
-                    self.engine.remove(link);
+                    self.drop_link(ctx, link);
                 }
             }
             _ => {}
         }
     }
 
-    pub(crate) fn fail_bridge_pair(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, code: ErrorCode) {
+    /// Tears a relayed pair down after its downstream leg failed: the
+    /// requester hears `code` and `detail`, and both legs are dropped.
+    pub(crate) fn fail_bridge_pair(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, code: ErrorCode, detail: String) {
         if let Some(pair) = self.bridge.remove(conn) {
-            self.send_frame(
-                ctx,
-                pair.upstream,
-                &Message::Error {
-                    conn_id: conn,
-                    code,
-                    detail: "bridge leg failed".into(),
-                },
-            );
-            ctx.close(pair.upstream);
-            self.engine.remove(pair.upstream);
+            self.refuse(ctx, pair.upstream, conn, code, detail);
             if let Some(down) = pair.downstream {
-                ctx.close(down);
-                self.engine.remove(down);
+                self.drop_link(ctx, down);
             }
         }
     }
@@ -864,12 +769,8 @@ impl Core {
             LinkRole::BridgeUpstream(conn) => {
                 let matches = self.bridge.get(conn).map(|p| p.upstream == link).unwrap_or(false);
                 if matches {
-                    if let Some(pair) = self.bridge.remove(conn) {
-                        if let Some(down) = pair.downstream {
-                            self.send_frame(ctx, down, &Message::Disconnect { conn_id: conn });
-                            ctx.close(down);
-                            self.engine.remove(down);
-                        }
+                    if let Some(down) = self.bridge.remove(conn).and_then(|pair| pair.downstream) {
+                        self.hang_up(ctx, down, conn);
                     }
                 }
             }
@@ -880,7 +781,7 @@ impl Core {
                     .map(|p| p.downstream == Some(link))
                     .unwrap_or(false);
                 if matches {
-                    self.fail_bridge_pair(ctx, conn, ErrorCode::DownstreamFailed);
+                    self.fail_bridge_pair(ctx, conn, ErrorCode::DownstreamFailed, "bridge leg failed".into());
                 }
             }
         }
@@ -978,29 +879,33 @@ impl Core {
             return true;
         }
         self.refresh_handover_candidates(conn);
+        self.switch_route(ctx, conn)
+    }
+
+    /// Begins a switch to the monitor's candidate route and dials it;
+    /// returns whether the replacement route is being dialled. A candidate
+    /// behind an open breaker is treated like a failed switch attempt, so
+    /// recovery falls through to the next candidate or to service
+    /// reconnection instead of dialling a hop known bad.
+    fn switch_route(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) -> bool {
         let max_attempts = self.config.handover.max_routing_attempts;
-        let candidate = match self.connections.get_mut(conn) {
-            Some(c) => match c.monitor.as_mut() {
-                Some(m) if !m.attempts_exhausted(max_attempts) => m.begin_switch(),
-                _ => None,
-            },
-            None => None,
-        };
-        let candidate = match candidate {
-            Some(c) => c,
+        let candidate = self
+            .connections
+            .get_mut(conn)
+            .and_then(|c| c.monitor.as_mut())
+            .filter(|m| !m.attempts_exhausted(max_attempts))
+            .and_then(|m| m.begin_switch());
+        let via = match candidate {
+            Some(c) => c.bridge,
             None => return false,
         };
-        // A candidate behind an open breaker is treated like a failed switch
-        // attempt, so recovery falls through to the next candidate or to
-        // service reconnection instead of dialling a hop known bad.
-        let via = candidate.bridge;
-        if !self.dial(ctx, via, PendingPurpose::Handover { conn, via }) {
-            if let Some(m) = self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
-                m.switch_failed();
-            }
-            return false;
+        if self.dial(ctx, via, LinkRole::HandoverPending { conn, via }) {
+            return true;
         }
-        true
+        if let Some(m) = self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
+            m.switch_failed();
+        }
+        false
     }
 
     pub(crate) fn handover_attempt_failed(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
@@ -1087,11 +992,15 @@ impl Core {
         let monitor_cfg = self.config.monitor.clone();
         let handover_target = self.config.handover.target;
         let first_hop = kind.first_hop(provider).unwrap_or(provider);
-        if !self.resilience.allow_dial(first_hop, ctx.now()) {
+        // A connection its app closed before approving the switch is not
+        // dialled, and its hop's breaker is not asked.
+        if self.connections.get(conn).is_none() {
+            return;
+        }
+        if !self.dial(ctx, first_hop, LinkRole::AppConnection(conn)) {
             self.abandon_connection(conn);
             return;
         }
-        let tech = self.tech_towards(first_hop);
         if let Some(c) = self.connections.get_mut(conn) {
             c.remote = provider;
             c.kind = kind;
@@ -1103,11 +1012,7 @@ impl Core {
                 monitor_cfg.low_count_limit,
                 handover_target,
             ));
-        } else {
-            return;
         }
-        let attempt = ctx.connect(first_hop.node_id(), tech);
-        self.pending.insert(attempt, PendingPurpose::AppConnect { conn });
     }
 
     pub(crate) fn abandon_connection(&mut self, conn: ConnectionId) {
@@ -1182,24 +1087,10 @@ impl Core {
                 None => false,
             };
             if trigger {
-                // State 2: establish the replacement route.
-                let max_attempts = self.config.handover.max_routing_attempts;
-                let candidate = self.connections.get_mut(conn).and_then(|c| {
-                    c.monitor
-                        .as_mut()
-                        .filter(|m| !m.attempts_exhausted(max_attempts))
-                        .and_then(|m| m.begin_switch())
-                });
-                if let Some(candidate) = candidate {
-                    let via = candidate.bridge;
-                    if !self.dial(ctx, via, PendingPurpose::Handover { conn, via }) {
-                        // The candidate's breaker is open: abort this switch
-                        // (the old route is still up) and keep monitoring.
-                        if let Some(m) = self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
-                            m.switch_failed();
-                        }
-                    }
-                }
+                // State 2: establish the replacement route. While the old
+                // route is up a refused dial only aborts this switch, and
+                // monitoring goes on.
+                self.switch_route(ctx, conn);
             }
         }
     }

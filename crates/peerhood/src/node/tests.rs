@@ -9,12 +9,13 @@ use simnet::{Ctx, MobilityModel, OnWorld, Point, RadioTech, SimDuration, World, 
 use crate::application::Application;
 use crate::config::PeerHoodConfig;
 use crate::device::{DeviceInfo, MobilityClass};
+use crate::engine::LinkRole;
 use crate::error::PeerHoodError;
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::proto::NeighborRecord;
 use crate::service::ServiceInfo;
 
-use super::{AppId, PeerHoodApi, PeerHoodEvent, PeerHoodNode, PendingPurpose};
+use super::{AppId, PeerHoodApi, PeerHoodEvent, PeerHoodNode};
 
 /// A scriptable test application that records every callback and echoes
 /// received data back when asked to.
@@ -794,7 +795,7 @@ fn handover_records_the_bridge_actually_used_not_the_refreshed_candidate() {
             .with_agent::<PeerHoodNode, _>(client, |n, _| {
                 n.core_mut().and_then(|core| {
                     core.pending.values().find_map(|p| match p {
-                        PendingPurpose::Handover { conn: c, via } if *c == conn => Some(*via),
+                        LinkRole::HandoverPending { conn: c, via } if *c == conn => Some(*via),
                         _ => None,
                     })
                 })
@@ -1062,16 +1063,29 @@ fn circuit_breaker_blocks_dials_to_a_dead_peer() {
         .unwrap();
     world.crash_node(server);
 
+    // What a connect leaves behind on the client: its connections and the
+    // radio attempts in flight.
+    let footprint = |n: &mut PeerHoodNode| {
+        (
+            n.connections(),
+            n.core_mut().expect("client core running").pending.len(),
+        )
+    };
     let mut circuit_open = false;
     for _ in 0..8 {
-        let result = world
+        let (result, before, after) = world
             .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
-                n.with_api(ctx, |api| api.connect_to(server_addr, "echo")).unwrap()
+                let before = footprint(n);
+                let result = n.with_api(ctx, |api| api.connect_to(server_addr, "echo")).unwrap();
+                (result, before, footprint(n))
             })
             .unwrap();
         match result {
             Err(PeerHoodError::CircuitOpen(hop)) => {
                 assert_eq!(hop, server_addr);
+                // The breaker is asked before an id is allocated: a refused
+                // dial leaves no connection and no attempt behind.
+                assert_eq!(after, before, "a refused dial must cost nothing");
                 circuit_open = true;
                 break;
             }

@@ -13,8 +13,9 @@
 //!    keyed by [`DeviceAddress`], tripped by connect failures, peer crashes
 //!    and flapping (repeated link breaks within a window), with
 //!    deterministic virtual-clock cooldowns and half-open probes, gating
-//!    every outgoing dial (application connects, daemon fetches, reply
-//!    reconnects and handover legs all funnel through the same gate),
+//!    the node's own dials (application connects, service reconnections,
+//!    daemon fetches, reply reconnects and handover legs); a relay's
+//!    downstream leg is not gated, though its failures still count,
 //! 2. **bounded per-app inbound/outbound rate limits with explicit
 //!    shedding** — token buckets plus a cap on the §5.3 result-routing
 //!    outbox; shed work is surfaced as
@@ -385,8 +386,10 @@ impl Resilience {
     // ------------------------------------------------------------------
 
     /// Gate for one outgoing dial towards `peer` (the first physical hop).
-    /// Every dial the middleware starts — application connects, daemon
-    /// fetches, reply reconnects, handover legs — asks here first.
+    /// The node asks here in `Core::dial` before every dial of its own —
+    /// daemon fetches, reply reconnects, handover legs, service
+    /// reconnections — and in `op_connect_to` before it allocates a
+    /// connection id. A relay's downstream leg does not ask.
     pub fn allow_dial(&mut self, peer: DeviceAddress, now: SimTime) -> bool {
         if !self.cfg.breaker {
             return true;
