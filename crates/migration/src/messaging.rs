@@ -7,8 +7,6 @@
 //! applications reproduce that workload and record the timings the
 //! experiments need.
 
-use std::any::Any;
-
 use peerhood::node::PeerHoodApi;
 use peerhood::prelude::*;
 use simnet::{SimDuration, SimTime};
@@ -30,8 +28,6 @@ pub struct MessagingClient {
     pub interval: SimDuration,
     /// Delay before the first connection attempt.
     pub start_after: SimDuration,
-    /// Connect to this specific device instead of the best provider.
-    pub target: Option<DeviceAddress>,
     /// If the connection cannot be established (or no provider is known yet),
     /// retry after this long.
     pub retry_after: SimDuration,
@@ -101,7 +97,6 @@ impl MessagingClient {
             repetitions,
             interval,
             start_after,
-            target: None,
             retry_after: SimDuration::from_secs(5),
             max_attempts: 10,
             conn: None,
@@ -115,12 +110,6 @@ impl MessagingClient {
             restarts: 0,
             gave_up: false,
         }
-    }
-
-    /// Pin the client to one specific provider device.
-    pub fn with_target(mut self, target: DeviceAddress) -> Self {
-        self.target = Some(target);
-        self
     }
 
     /// True once every repetition has been sent.
@@ -142,11 +131,7 @@ impl MessagingClient {
             self.gave_up = true;
             return;
         }
-        let result = match self.target {
-            Some(addr) => api.connect_to(addr, &self.service),
-            None => api.connect_to_service(&self.service),
-        };
-        match result {
+        match api.connect_to_service(&self.service) {
             Ok(conn) => {
                 self.attempts += 1;
                 if self.first_attempt_at.is_none() {
@@ -163,13 +148,6 @@ impl MessagingClient {
 }
 
 impl Application for MessagingClient {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         api.schedule_timer(self.start_after, TOKEN_CONNECT);
     }
@@ -288,13 +266,6 @@ impl MessagingServer {
 }
 
 impl Application for MessagingServer {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         api.register_service(ServiceInfo::new(self.service.clone(), "messaging", 40))
             .expect("messaging service registers once");
@@ -440,7 +411,5 @@ mod tests {
         let gm = MessagingClient::good_morning("msg", SimDuration::ZERO);
         assert_eq!(gm.repetitions, 50);
         assert_eq!(gm.message, b"good morning!".to_vec());
-        let pinned = gm.with_target(DeviceAddress::from_node_raw(4));
-        assert_eq!(pinned.target, Some(DeviceAddress::from_node_raw(4)));
     }
 }

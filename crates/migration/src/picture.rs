@@ -6,7 +6,6 @@
 //! result back — reconnecting to the client through the device storage if
 //! the connection broke in the meantime (result routing).
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use peerhood::node::PeerHoodApi;
@@ -134,13 +133,6 @@ impl PictureClient {
 }
 
 impl Application for PictureClient {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         api.schedule_timer(self.start_after, TOKEN_CONNECT);
     }
@@ -284,13 +276,6 @@ impl PictureServer {
 }
 
 impl Application for PictureServer {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         api.register_service(ServiceInfo::new(self.service.clone(), "image analysis", 50))
             .expect("picture service registers once");

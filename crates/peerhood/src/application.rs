@@ -17,15 +17,11 @@ use crate::node::PeerHoodApi;
 /// Behaviour of a PeerHood application running on one device.
 ///
 /// All methods have empty default implementations so applications only
-/// implement the callbacks they care about. The `as_any` methods allow
-/// scenario drivers and tests to downcast to the concrete application type
-/// and inspect its state.
+/// implement the callbacks they care about. Scenario drivers and tests reach
+/// the concrete type by upcasting a `&dyn Application` to `&dyn Any` and
+/// downcasting that (what [`PeerHoodNode::app`](crate::node::PeerHoodNode::app)
+/// does).
 pub trait Application: Any {
-    /// Upcast for immutable downcasting.
-    fn as_any(&self) -> &dyn Any;
-    /// Upcast for mutable downcasting.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-
     /// Called once when the PeerHood node starts. Typical applications
     /// register their services here.
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
@@ -122,14 +118,7 @@ pub trait Application: Any {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdleApplication;
 
-impl Application for IdleApplication {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
+impl Application for IdleApplication {}
 
 #[cfg(test)]
 mod tests {
@@ -137,8 +126,12 @@ mod tests {
 
     #[test]
     fn idle_application_downcasts() {
-        let mut app = IdleApplication;
-        assert!(app.as_any().downcast_ref::<IdleApplication>().is_some());
-        assert!(app.as_any_mut().downcast_mut::<IdleApplication>().is_some());
+        let app: Box<dyn Application> = Box::new(IdleApplication);
+        let inner: &dyn Any = app.as_ref();
+        assert!(inner.downcast_ref::<IdleApplication>().is_some());
+        // Upcasting the box instead reads the box's own type: the trap
+        // `PeerHoodNode::app` steps around.
+        let boxed: &dyn Any = &app;
+        assert!(boxed.downcast_ref::<IdleApplication>().is_none());
     }
 }

@@ -206,11 +206,6 @@ impl BridgeService {
     pub fn remove(&mut self, conn_id: ConnectionId) -> Option<BridgePair> {
         self.pairs.remove(&conn_id)
     }
-
-    /// Connection ids of every active pair.
-    pub fn pair_ids(&self) -> Vec<ConnectionId> {
-        self.pairs.keys().collect()
-    }
 }
 
 #[cfg(test)]
@@ -303,7 +298,6 @@ mod tests {
     fn remove_frees_capacity() {
         let (mut b, id) = service_with_one_pair();
         assert_eq!(b.len(), 1);
-        assert_eq!(b.pair_ids(), vec![id]);
         let pair = b.remove(id).unwrap();
         assert_eq!(pair.destination, addr(9));
         assert!(b.is_empty());

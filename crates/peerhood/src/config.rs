@@ -118,9 +118,6 @@ pub struct HandoverConfig {
     /// Maximum routing-handover attempts per connection before giving up and
     /// falling back to service reconnection (§5.2.2).
     pub max_routing_attempts: u32,
-    /// Whether the middleware may reconnect to a *different* provider of the
-    /// same service when routing handover is impossible.
-    pub allow_service_reconnection: bool,
     /// What the replacement route aims at: the thesis' implementation
     /// re-routes towards the current link peer (which produces the chain
     /// growth of Fig. 5.6/5.7), the default re-routes towards the final
@@ -144,7 +141,6 @@ impl Default for HandoverConfig {
         HandoverConfig {
             enabled: true,
             max_routing_attempts: 2,
-            allow_service_reconnection: true,
             target: crate::handover::HandoverTarget::FinalDestination,
             max_reply_attempts: 5,
             reply_retry_interval: SimDuration::from_secs(15),
@@ -224,11 +220,6 @@ impl SecurityConfig {
             frame_auth: true,
             ..SecurityConfig::sanity()
         }
-    }
-
-    /// Whether any defence that keeps per-node state is enabled.
-    pub fn any_enabled(&self) -> bool {
-        self.sanity_checks || self.frame_auth
     }
 }
 
@@ -312,12 +303,6 @@ impl PeerHoodConfig {
         self
     }
 
-    /// Enables or disables handover (builder-style).
-    pub fn with_handover_enabled(mut self, enabled: bool) -> Self {
-        self.handover.enabled = enabled;
-        self
-    }
-
     /// Replaces the resilience-pipeline configuration (builder-style).
     pub fn with_resilience(mut self, resilience: crate::resilience::ResilienceConfig) -> Self {
         self.resilience = resilience;
@@ -364,13 +349,11 @@ mod tests {
         let cfg = PeerHoodConfig::static_device("pc")
             .with_discovery_mode(DiscoveryMode::TwoHop)
             .with_techs(&[RadioTech::Bluetooth, RadioTech::Gprs])
-            .with_bridge_enabled(false)
-            .with_handover_enabled(false);
+            .with_bridge_enabled(false);
         assert_eq!(cfg.mobility, MobilityClass::Static);
         assert_eq!(cfg.discovery.mode, DiscoveryMode::TwoHop);
         assert_eq!(cfg.techs.len(), 2);
         assert!(!cfg.bridge.enabled);
-        assert!(!cfg.handover.enabled);
     }
 
     #[test]
@@ -384,7 +367,10 @@ mod tests {
     #[test]
     fn security_tiers_nest() {
         let off = SecurityConfig::off();
-        assert!(!off.any_enabled(), "the default stack runs no defence");
+        assert!(
+            !off.sanity_checks && !off.frame_auth,
+            "the default stack runs no defence"
+        );
         assert_eq!(SecurityConfig::default(), off);
         let sanity = SecurityConfig::sanity();
         assert!(sanity.sanity_checks && !sanity.frame_auth);

@@ -271,16 +271,6 @@ impl ConnectionTable {
         self.connections.remove(&id)
     }
 
-    /// The connection currently carried by `link`, if any.
-    pub fn by_link(&self, link: LinkId) -> Option<&AppConnection> {
-        self.connections.values().find(|c| c.link == Some(link))
-    }
-
-    /// Mutable variant of [`ConnectionTable::by_link`].
-    pub fn by_link_mut(&mut self, link: LinkId) -> Option<&mut AppConnection> {
-        self.connections.values_mut().find(|c| c.link == Some(link))
-    }
-
     /// All connection ids (in id order).
     pub fn ids(&self) -> Vec<ConnectionId> {
         self.connections.keys().collect()
@@ -391,10 +381,8 @@ mod tests {
         conn.establish(LinkId(42), SimTime::ZERO);
         table.insert(conn);
         assert_eq!(table.len(), 1);
-        assert!(table.get(id).is_some());
-        assert_eq!(table.by_link(LinkId(42)).unwrap().id, id);
-        assert!(table.by_link(LinkId(1)).is_none());
-        table.by_link_mut(LinkId(42)).unwrap().sending = false;
+        assert_eq!(table.get(id).unwrap().link, Some(LinkId(42)));
+        table.get_mut(id).unwrap().sending = false;
         assert!(!table.get(id).unwrap().sending);
         assert_eq!(table.ids(), vec![id]);
         assert!(table.remove(id).is_some());

@@ -45,11 +45,6 @@ impl MobilityClass {
             _ => return None,
         })
     }
-
-    /// True for devices that should be preferred as bridges.
-    pub fn prefers_bridge_role(self) -> bool {
-        matches!(self, MobilityClass::Static)
-    }
 }
 
 impl fmt::Display for MobilityClass {
@@ -107,13 +102,6 @@ impl DeviceInfo {
     pub fn supports(&self, tech: RadioTech) -> bool {
         self.techs.contains(&tech)
     }
-
-    /// The technology both this device and `other` support, preferring the
-    /// order of this device's plugin list (used when choosing how to reach a
-    /// neighbour).
-    pub fn common_tech(&self, other: &DeviceInfo) -> Option<RadioTech> {
-        self.techs.iter().copied().find(|t| other.supports(*t))
-    }
 }
 
 impl fmt::Display for DeviceInfo {
@@ -141,8 +129,6 @@ mod tests {
         assert_eq!(MobilityClass::from_value(2), None);
         assert!(MobilityClass::Static < MobilityClass::Hybrid);
         assert!(MobilityClass::Hybrid < MobilityClass::Dynamic);
-        assert!(MobilityClass::Static.prefers_bridge_role());
-        assert!(!MobilityClass::Dynamic.prefers_bridge_role());
     }
 
     #[test]
@@ -158,25 +144,5 @@ mod tests {
         assert!(!info.supports(RadioTech::Gprs));
         assert!(info.to_string().contains("laptop"));
         assert_eq!(info.checksum, Checksum(1003));
-    }
-
-    #[test]
-    fn common_tech_prefers_own_order() {
-        let a = DeviceInfo::new(
-            NodeId::from_raw(1),
-            "a",
-            MobilityClass::Static,
-            &[RadioTech::Wlan, RadioTech::Bluetooth],
-        );
-        let b = DeviceInfo::new(
-            NodeId::from_raw(2),
-            "b",
-            MobilityClass::Dynamic,
-            &[RadioTech::Bluetooth, RadioTech::Wlan],
-        );
-        assert_eq!(a.common_tech(&b), Some(RadioTech::Wlan));
-        assert_eq!(b.common_tech(&a), Some(RadioTech::Bluetooth));
-        let c = DeviceInfo::new(NodeId::from_raw(3), "c", MobilityClass::Static, &[RadioTech::Gprs]);
-        assert_eq!(a.common_tech(&c), None);
     }
 }

@@ -5,9 +5,10 @@
 //! syntactically valid hostile frame injected straight into
 //! `Core::handle_message`. The harness asserts three things:
 //!
-//! 1. **coverage** — all role x command pairs are fed (the `role_tag` and
-//!    `command_tag` guards are wildcard-free matches, so adding a link role
-//!    or a protocol command fails compilation until the corpus learns it),
+//! 1. **coverage** — all role x command pairs are fed (`role_tag` and
+//!    [`Message::command_name`] are wildcard-free matches, so adding a link
+//!    role or a protocol command fails compilation until the corpus learns
+//!    it),
 //! 2. **tier behaviour** — with `defenses=off` nothing is counted as
 //!    rejected and session hijacks land; with `sanity` every hijack class
 //!    trips its counter; with `auth` no unauthenticated frame even reaches
@@ -50,21 +51,6 @@ fn role_tag(role: &LinkRole) -> &'static str {
     }
 }
 
-/// Wildcard-free command classifier: a new [`Message`] variant breaks the
-/// harness at compile time until the hostile corpus covers it.
-fn command_tag(message: &Message) -> &'static str {
-    match message {
-        Message::InquiryRequest { .. } => "PH_INQUIRY",
-        Message::InquiryResponse { .. } => "PH_INQUIRY_RESP",
-        Message::ConnectRequest { .. } => "PH_CONNECT",
-        Message::BridgeRequest { .. } => "PH_BRIDGE",
-        Message::Accept { .. } => "PH_OK",
-        Message::Error { .. } => "PH_ERROR",
-        Message::Data { .. } => "PH_DATA",
-        Message::Disconnect { .. } => "PH_DISCONNECT",
-    }
-}
-
 const ALL_ROLES: [&str; 7] = [
     "IncomingUnidentified",
     "DaemonFetch",
@@ -97,12 +83,6 @@ struct FuzzApp {
 }
 
 impl Application for FuzzApp {
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         if let Some(name) = self.service {
             api.register_service(ServiceInfo::new(name, "fuzz", 10)).unwrap();
@@ -314,7 +294,7 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                         "PH_DISCONNECT" => Message::Disconnect { conn_id: session },
                         other => panic!("unknown command {other}"),
                     };
-                    assert_eq!(command_tag(&message), cmd, "corpus entry mislabelled");
+                    assert_eq!(message.command_name(), cmd, "corpus entry mislabelled");
                     covered.insert((role_tag(&role).to_string(), cmd.to_string()));
                     injected += 1;
                     core.handle_message(ctx, link, attacker_node(), wire::encode(&message).into());

@@ -23,6 +23,7 @@
 //! every app. The same typed [`PeerHoodEvent`] stream can be recorded for
 //! scenario drivers through [`PeerHoodNode::subscribe_event_trace`].
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -280,17 +281,12 @@ impl PeerHoodNode {
 
     /// Typed access to the first hosted application of type `T`.
     pub fn app<T: Application>(&self) -> Option<&T> {
-        self.apps.values().find_map(|a| a.as_any().downcast_ref::<T>())
-    }
-
-    /// Mutable typed access to the first hosted application of type `T`.
-    pub fn app_mut<T: Application>(&mut self) -> Option<&mut T> {
-        self.apps.values_mut().find_map(|a| a.as_any_mut().downcast_mut::<T>())
+        self.apps.values().find_map(|a| downcast(a.as_ref()))
     }
 
     /// Typed access to a specific application by id.
     pub fn app_by_id<T: Application>(&self, id: AppId) -> Option<&T> {
-        self.apps.get(&id).and_then(|a| a.as_any().downcast_ref::<T>())
+        self.apps.get(&id).and_then(|a| downcast(a.as_ref()))
     }
 
     /// Runs a closure against the first hosted application of type `T` —
@@ -492,6 +488,13 @@ impl PeerHoodNode {
             f(a.as_mut(), &mut api);
         }
     }
+}
+
+/// Downcasts a hosted application. The `&dyn Application` is upcast, not its
+/// `Box`: `&Box<dyn Application>` upcasts too, but to the box's own type, and
+/// every downcast of that returns `None`.
+fn downcast<T: Application>(app: &dyn Application) -> Option<&T> {
+    (app as &dyn Any).downcast_ref()
 }
 
 /// Each callback turns `ctx` into a `&mut dyn Ctx` once: the middleware below

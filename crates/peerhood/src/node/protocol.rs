@@ -933,7 +933,7 @@ impl Core {
             None => return,
         };
         let app = self.owner_of(conn);
-        if !self.config.handover.allow_service_reconnection || !sending {
+        if !sending {
             self.events.push_back(PeerHoodEvent::Disconnected {
                 app,
                 conn,

@@ -2,8 +2,6 @@
 //! multi-application dispatch layer (routing, builder defaults, event
 //! trace).
 
-use std::any::Any;
-
 use simnet::{Ctx, MobilityModel, OnWorld, Point, RadioTech, SimDuration, World, WorldConfig};
 
 use crate::application::Application;
@@ -44,12 +42,6 @@ impl TestApp {
 }
 
 impl Application for TestApp {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         if let Some(name) = self.service {
             api.register_service(ServiceInfo::new(name, "test", 10)).unwrap();
@@ -648,12 +640,6 @@ type FanOutLog = std::rc::Rc<std::cell::RefCell<Vec<(Option<AppId>, &'static str
 struct FanOutApp(FanOutLog);
 
 impl Application for FanOutApp {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
     fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_>, address: DeviceAddress) {
         self.0.borrow_mut().push((api.app_id(), "discovered", address));
     }

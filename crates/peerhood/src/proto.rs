@@ -148,19 +148,6 @@ impl Message {
             Message::Disconnect { .. } => "PH_DISCONNECT",
         }
     }
-
-    /// True for messages that establish or tear down connections (as opposed
-    /// to carrying payload or discovery information).
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Message::ConnectRequest { .. }
-                | Message::BridgeRequest { .. }
-                | Message::Accept { .. }
-                | Message::Error { .. }
-                | Message::Disconnect { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -221,17 +208,5 @@ mod tests {
             Message::InquiryRequest { requester: client() }.command_name(),
             "PH_INQUIRY"
         );
-    }
-
-    #[test]
-    fn control_classification() {
-        let conn = ConnectionId::new(DeviceAddress::from_node_raw(1), 0);
-        assert!(Message::Accept { conn_id: conn }.is_control());
-        assert!(!Message::Data {
-            conn_id: conn,
-            payload: vec![]
-        }
-        .is_control());
-        assert!(!Message::InquiryRequest { requester: client() }.is_control());
     }
 }

@@ -14,55 +14,10 @@
 //!    degrading and triggers handover (§5.2.1).
 
 use serde::{Deserialize, Serialize};
-use simnet::{QUALITY_LOW_THRESHOLD, QUALITY_MAX};
-
-/// A sampled or advertised link-quality value (0–255).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct LinkQuality(pub u8);
-
-impl LinkQuality {
-    /// Best possible quality.
-    pub const MAX: LinkQuality = LinkQuality(QUALITY_MAX);
-    /// The thesis' "minimum demanded" / "signal low" threshold of 230.
-    pub const LOW_THRESHOLD: LinkQuality = LinkQuality(QUALITY_LOW_THRESHOLD);
-
-    /// The raw value.
-    pub fn value(self) -> u8 {
-        self.0
-    }
-
-    /// True if the value is at or above the given acceptance threshold.
-    pub fn acceptable(self, threshold: u8) -> bool {
-        self.0 >= threshold
-    }
-
-    /// True if the value is below the given threshold (a "signal low" event
-    /// in the handover monitor).
-    pub fn is_low(self, threshold: u8) -> bool {
-        self.0 < threshold
-    }
-}
-
-impl From<u8> for LinkQuality {
-    fn from(value: u8) -> Self {
-        LinkQuality(value)
-    }
-}
-
-impl std::fmt::Display for LinkQuality {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "q{}", self.0)
-    }
-}
 
 /// Sum of hop qualities along a route (Fig. 3.8's "addition").
 pub fn route_quality_sum(hops: &[u8]) -> u32 {
     hops.iter().map(|&q| q as u32).sum()
-}
-
-/// The weakest hop along a route.
-pub fn route_quality_min(hops: &[u8]) -> u8 {
-    hops.iter().copied().min().unwrap_or(0)
 }
 
 /// The Fig. 3.9 acceptance rule: a route is usable only if **every** hop is
@@ -144,28 +99,18 @@ impl LowSignalCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::{QUALITY_LOW_THRESHOLD, QUALITY_MAX};
 
     #[test]
     fn constants_match_thesis() {
-        assert_eq!(LinkQuality::MAX.value(), 255);
-        assert_eq!(LinkQuality::LOW_THRESHOLD.value(), 230);
-    }
-
-    #[test]
-    fn acceptable_and_low() {
-        assert!(LinkQuality(230).acceptable(230));
-        assert!(!LinkQuality(229).acceptable(230));
-        assert!(LinkQuality(229).is_low(230));
-        assert!(!LinkQuality(230).is_low(230));
-        assert_eq!(LinkQuality::from(40u8).value(), 40);
+        assert_eq!(QUALITY_MAX, 255);
+        assert_eq!(QUALITY_LOW_THRESHOLD, 230);
     }
 
     #[test]
     fn sums_and_minimum() {
         assert_eq!(route_quality_sum(&[230, 230]), 460);
         assert_eq!(route_quality_sum(&[]), 0);
-        assert_eq!(route_quality_min(&[240, 210, 255]), 210);
-        assert_eq!(route_quality_min(&[]), 0);
     }
 
     #[test]

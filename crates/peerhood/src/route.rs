@@ -164,11 +164,6 @@ impl RouteInfo {
     pub fn quality_sum(&self) -> u32 {
         self.hop_qualities.iter().map(|&q| q as u32).sum()
     }
-
-    /// The connection cost used by the thesis: the jump count.
-    pub fn cost(&self) -> u8 {
-        self.jumps
-    }
 }
 
 /// Decides whether `candidate` should replace `current` for the same target
@@ -219,7 +214,7 @@ mod tests {
     fn direct_route_properties() {
         let r = RouteInfo::direct(240, MobilityClass::Static);
         assert!(r.is_direct());
-        assert_eq!(r.cost(), 0);
+        assert_eq!(r.jumps, 0);
         assert_eq!(r.first_hop_quality(), 240);
         assert_eq!(r.quality_sum(), 240);
         assert_eq!(r.bridge, None);
@@ -229,7 +224,7 @@ mod tests {
     fn via_route_properties() {
         let r = RouteInfo::via(addr(5), 1, vec![250, 235], MobilityClass::Hybrid);
         assert!(!r.is_direct());
-        assert_eq!(r.cost(), 1);
+        assert_eq!(r.jumps, 1);
         assert_eq!(r.first_hop_quality(), 250);
         assert_eq!(r.quality_sum(), 485);
         assert_eq!(r.bridge, Some(addr(5)));

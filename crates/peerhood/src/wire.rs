@@ -1093,10 +1093,10 @@ mod tests {
 
     #[test]
     fn fuzz_bit_flips_never_panic() {
-        // The fault engine's corruption bursts flip a handful of bits in
-        // otherwise valid frames — the exact input shape this test feeds
-        // `decode`: mostly-plausible structure with corrupted lengths, tags,
-        // counts and enum discriminants. The decoder must return a
+        // A noisy radio flips a handful of bits in otherwise valid frames —
+        // the input shape this test feeds `decode`: mostly-plausible
+        // structure with corrupted lengths, tags, counts and enum
+        // discriminants. The decoder must return a
         // `WireError` (or, occasionally, a different valid message), never
         // panic or over-allocate.
         let mut rng = SimRng::new(0xB17F11);
@@ -1118,7 +1118,7 @@ mod tests {
 
     #[test]
     fn fuzz_heavy_corruption_never_panics() {
-        // Denser damage than a burst would cause: up to a quarter of the
+        // Denser damage than a few flips: up to a quarter of the
         // frame's bits flipped.
         let mut rng = SimRng::new(0x0DEA_DB17);
         for _ in 0..1000 {

@@ -202,14 +202,9 @@ fn e14_nodes(quick: bool) -> usize {
 }
 
 /// E14 (beyond the thesis): a mass radio blackout plus a crash wave whose
-/// restarts all land within a few seconds. Runs the lightweight probe agent
-/// (the historical, byte-stable variant).
-pub fn e14_blackout_flash_crowd(seed: u64, quick: bool) -> ExperimentReport {
-    e14_blackout_flash_crowd_with(seed, quick, StackMode::Lightweight)
-}
-
-/// E14 with an explicit [`StackMode`]: `Full` populates the block with real
-/// PeerHood stacks instead of the lightweight probe.
+/// restarts all land within a few seconds. `stack` picks the agent:
+/// [`StackMode::Lightweight`] runs the probe (the historical, byte-stable
+/// variant), `Full` populates the block with real PeerHood stacks.
 pub fn e14_blackout_flash_crowd_with(seed: u64, quick: bool, stack: StackMode) -> ExperimentReport {
     let nodes = e14_nodes(quick);
     let city = ChurnSettings::quick().city;

@@ -188,13 +188,6 @@ impl MetroApp {
 }
 
 impl Application for MetroApp {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         // A restart reaches here too (the reborn daemon re-runs app
         // start-up): session state is gone with the old core.
@@ -260,14 +253,7 @@ impl Application for MetroApp {
     }
 
     fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
-        if self.current == Some(conn) {
-            self.connecting = false;
-            self.sessions_established += 1;
-            if let Some(t0) = self.down_since.take() {
-                self.reconnect_secs_total += api.now().saturating_since(t0).as_secs_f64();
-                self.reconnects += 1;
-            }
-        }
+        self.on_connected(api, conn);
     }
 
     fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {

@@ -29,11 +29,10 @@ pub fn e07_two_server_handover(seed: u64) -> ExperimentReport {
     for &routing_handover in &[false, true] {
         let mut world = World::new(WorldConfig::ideal(seed + routing_handover as u64));
         let mut client_cfg = experiment_config("client", MobilityClass::Dynamic, DiscoveryMode::Dynamic);
+        // With routing handover disabled the middleware reports the broken
+        // link as `Disconnected` and proposes no service reconnection; the
+        // client then dials the best provider it knows by itself.
         client_cfg.handover.enabled = routing_handover;
-        // Even with routing handover disabled the middleware may reconnect to
-        // another provider of the same service (the thesis' service
-        // reconnection).
-        client_cfg.handover.allow_service_reconnection = true;
         // The client starts next to server 1 and walks towards server 2.
         // In the routing-handover configuration (Fig. 5.4) a static bridge
         // half way keeps server 1 reachable; in the plain two-server

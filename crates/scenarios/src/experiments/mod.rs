@@ -35,7 +35,7 @@ pub use discovery::{
     e01_coverage_exclusion, e02_gnutella_traffic, e03_quality_route_selection, e04_notification_delay,
     e05_static_vs_dynamic_bridge, DiscoverySettings,
 };
-pub use faults_exp::{e13_churn_sweep, e14_blackout_flash_crowd, e14_blackout_flash_crowd_with, ChurnSettings};
+pub use faults_exp::{e13_churn_sweep, e14_blackout_flash_crowd_with, ChurnSettings};
 pub use full_stack::{FullStackHost, FullStats, MetroApp, StackMode, METRO_SERVICE};
 pub use handover::{
     e07_two_server_handover, e08_routing_handover, e11_monitoring_limitation, routing_handover_run, HandoverRun,

@@ -32,7 +32,6 @@ use peerhood::node::{PeerHoodApi, PeerHoodNode};
 use peerhood::resilience::{ResilienceConfig, ResilienceStats};
 use peerhood::service::ServiceInfo;
 use simnet::prelude::*;
-use std::any::Any;
 
 use crate::experiments::full_stack::wlan_city_config;
 use crate::experiments::params::{count, on_off, seconds, Param};
@@ -219,13 +218,6 @@ impl CrowdApp {
 }
 
 impl Application for CrowdApp {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         self.current = None;
         self.connecting = false;
@@ -277,14 +269,7 @@ impl Application for CrowdApp {
     }
 
     fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
-        if self.current == Some(conn) {
-            self.connecting = false;
-            self.sessions_established += 1;
-            if let Some(t0) = self.down_since.take() {
-                self.reconnect_secs_total += api.now().saturating_since(t0).as_secs_f64();
-                self.reconnects += 1;
-            }
-        }
+        self.on_connected(api, conn);
     }
 
     fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
@@ -320,13 +305,6 @@ pub struct HotspotApp {
 }
 
 impl Application for HotspotApp {
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         let _ = api.register_service(ServiceInfo::new(HOTSPOT_SERVICE, "v1", 80));
     }

@@ -1,7 +1,7 @@
 //! Adversarial fault injection: network partitions and Byzantine frames.
 //!
 //! [`simnet::faults`](crate::faults) models *accidental* failure — crashes,
-//! outages, loss bursts. This module models *malice*:
+//! outages, flapping links. This module models *malice*:
 //!
 //! * **Partition windows** — scheduled intervals during which two node sets
 //!   cannot hear each other at all: inquiries do not cross the cut,

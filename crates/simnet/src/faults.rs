@@ -2,7 +2,7 @@
 //!
 //! The thesis evaluates PeerHood against one kind of adversity — geometry: a
 //! device walks out of radio range. Real deployments also die of crashed
-//! daemons, radios toggled off and lossy links. This module adds those
+//! daemons, radios toggled off and flaky links. This module adds those
 //! failure modes to the simulated world without giving up determinism:
 //!
 //! * a [`FaultPlan`] is a per-node schedule of **crashes & restarts** (the
@@ -10,9 +10,9 @@
 //!   while down, and its agent is reborn with fresh state through
 //!   [`NodeAgent::on_restart`](crate::node::NodeAgent::on_restart)),
 //!   **radio outages** (per-technology airplane mode: the node answers no
-//!   inquiries and its links on that technology drop) and **loss bursts**
-//!   (windows during which payloads touching the node are dropped or
-//!   bit-flipped with seeded randomness),
+//!   inquiries and its links on that technology drop) and **flapping
+//!   links** (a link pair that is periodically dead, phase-shifted by the
+//!   world seed),
 //! * plans are either scripted explicitly (the builder methods) or derived
 //!   from a seed with [`FaultPlan::churn`], so every run of a churn scenario
 //!   reproduces byte-for-byte,
@@ -52,38 +52,6 @@ pub enum FaultAction {
     RadioUp(RadioTech),
 }
 
-/// A window during which payloads travelling to or from the planned node are
-/// subject to seeded loss and corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LossBurst {
-    /// Start of the window (inclusive).
-    pub from: SimTime,
-    /// End of the window (exclusive).
-    pub until: SimTime,
-    /// Probability that an affected payload is silently dropped.
-    pub drop_prob: f64,
-    /// Probability that an affected (non-dropped) payload has random bits
-    /// flipped before delivery — exercising the wire codec's error paths.
-    pub corrupt_prob: f64,
-    /// When set, the burst targets only the link *pair* between the planned
-    /// node and this peer (one flaky radio path, not the whole node); `None`
-    /// hits every link of the planned node.
-    pub peer: Option<NodeId>,
-}
-
-impl LossBurst {
-    /// True if `now` falls inside the window.
-    pub fn active_at(&self, now: SimTime) -> bool {
-        self.from <= now && now < self.until
-    }
-
-    /// True if the burst applies to a payload whose opposite endpoint is
-    /// `other` (always true for node-wide bursts).
-    pub fn applies_to_peer(&self, other: NodeId) -> bool {
-        self.peer.map(|p| p == other).unwrap_or(true)
-    }
-}
-
 /// A periodic up/down square wave on the link pair between the planned node
 /// and one peer: a link that works for `duty` of every `period` and is dead
 /// for the rest — the classic flapping neighbour that keeps tearing down and
@@ -111,14 +79,12 @@ pub struct FlappingLink {
 ///
 /// let plan = FaultPlan::new()
 ///     .crash_for(SimTime::from_secs(60), SimDuration::from_secs(10))
-///     .radio_outage(RadioTech::Bluetooth, SimTime::from_secs(120), SimDuration::from_secs(5))
-///     .loss_burst(SimTime::from_secs(30), SimTime::from_secs(40), 0.2, 0.1);
+///     .radio_outage(RadioTech::Bluetooth, SimTime::from_secs(120), SimDuration::from_secs(5));
 /// assert_eq!(plan.actions().len(), 4);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     actions: Vec<(SimTime, FaultAction)>,
-    bursts: Vec<LossBurst>,
     flaps: Vec<FlappingLink>,
 }
 
@@ -130,17 +96,12 @@ impl FaultPlan {
 
     /// True if the plan schedules nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.actions.is_empty() && self.bursts.is_empty() && self.flaps.is_empty()
+        self.actions.is_empty() && self.flaps.is_empty()
     }
 
     /// The scheduled actions, in insertion order.
     pub fn actions(&self) -> &[(SimTime, FaultAction)] {
         &self.actions
-    }
-
-    /// The loss/corruption windows.
-    pub fn bursts(&self) -> &[LossBurst] {
-        &self.bursts
     }
 
     /// The flapping link pairs.
@@ -171,39 +132,6 @@ impl FaultPlan {
     pub fn radio_outage(mut self, tech: RadioTech, at: SimTime, duration: SimDuration) -> Self {
         self.actions.push((at, FaultAction::RadioDown(tech)));
         self.actions.push((at + duration, FaultAction::RadioUp(tech)));
-        self
-    }
-
-    /// Adds a loss/corruption window. Probabilities are clamped to `[0, 1]`.
-    pub fn loss_burst(mut self, from: SimTime, until: SimTime, drop_prob: f64, corrupt_prob: f64) -> Self {
-        self.bursts.push(LossBurst {
-            from,
-            until,
-            drop_prob: drop_prob.clamp(0.0, 1.0),
-            corrupt_prob: corrupt_prob.clamp(0.0, 1.0),
-            peer: None,
-        });
-        self
-    }
-
-    /// Adds a loss/corruption window that targets only the link pair between
-    /// the planned node and `peer` — one flaky radio path — leaving the
-    /// node's other links clean. Probabilities are clamped to `[0, 1]`.
-    pub fn link_burst(
-        mut self,
-        peer: NodeId,
-        from: SimTime,
-        until: SimTime,
-        drop_prob: f64,
-        corrupt_prob: f64,
-    ) -> Self {
-        self.bursts.push(LossBurst {
-            from,
-            until,
-            drop_prob: drop_prob.clamp(0.0, 1.0),
-            corrupt_prob: corrupt_prob.clamp(0.0, 1.0),
-            peer: Some(peer),
-        });
         self
     }
 
@@ -286,10 +214,6 @@ pub struct FaultStats {
     pub radio_outages: u64,
     /// Radios restored.
     pub radio_restores: u64,
-    /// Payloads dropped by loss bursts.
-    pub payloads_dropped: u64,
-    /// Payloads bit-flipped by loss bursts.
-    pub payloads_corrupted: u64,
 }
 
 impl FaultStats {
@@ -299,8 +223,6 @@ impl FaultStats {
         self.restarts += other.restarts;
         self.radio_outages += other.radio_outages;
         self.radio_restores += other.radio_restores;
-        self.payloads_dropped += other.payloads_dropped;
-        self.payloads_corrupted += other.payloads_corrupted;
     }
 
     /// Counts one lifecycle transition.
@@ -322,24 +244,16 @@ impl FaultStats {
     }
 }
 
-/// The outcome a loss burst imposes on one payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BurstOutcome {
-    Drop,
-    Corrupt,
-}
-
-/// The world-side fault engine: installed plans, the dedicated fault RNG
-/// stream, lifecycle log and counters.
+/// The world-side fault engine: installed actions and flaps, the dedicated
+/// fault RNG stream, lifecycle log and counters.
 ///
 /// The RNG is seeded independently of the world's master stream (from the
 /// world seed, but through its own constant), so installing plans never
 /// perturbs the draws a fault-free world would make.
 pub(crate) struct FaultEngine {
-    plans: BTreeMap<NodeId, FaultPlan>,
-    /// True once any installed plan carries a loss burst; lets the delivery
-    /// hot path skip all burst bookkeeping in burst-free worlds.
-    any_bursts: bool,
+    /// Each node's installed actions, indexed by the schedule `install`
+    /// returned.
+    actions: BTreeMap<NodeId, Vec<FaultAction>>,
     /// Flapping pairs from installed plans, phase-shifted at install time.
     flaps: Vec<ActiveFlap>,
     rng: SimRng,
@@ -380,8 +294,7 @@ const FAULT_RNG_LABEL: u64 = 0xFA17_5EED_0000_0001;
 impl FaultEngine {
     pub(crate) fn new(world_seed: u64) -> Self {
         FaultEngine {
-            plans: BTreeMap::new(),
-            any_bursts: false,
+            actions: BTreeMap::new(),
             flaps: Vec::new(),
             rng: SimRng::new(world_seed ^ FAULT_RNG_LABEL),
             stats: FaultStats::default(),
@@ -391,10 +304,9 @@ impl FaultEngine {
 
     /// Registers a plan and returns the actions to schedule. Installing a
     /// second plan for the same node extends the first. Flapping pairs get
-    /// their phase offset drawn from the fault stream here — flap-free plans
-    /// draw nothing, keeping burst/churn-only worlds byte-identical.
+    /// their phase offset drawn from the fault stream here — the only draw
+    /// the stream makes, so flap-free worlds draw nothing.
     pub(crate) fn install(&mut self, node: NodeId, plan: FaultPlan) -> Vec<(SimTime, usize)> {
-        self.any_bursts |= !plan.bursts.is_empty();
         for flap in &plan.flaps {
             let period = flap.period.as_micros();
             let phase = if period == 0 { 0 } else { self.rng.range(0..period) };
@@ -406,29 +318,19 @@ impl FaultEngine {
                 phase: SimDuration::from_micros(phase),
             });
         }
-        let entry = self.plans.entry(node).or_default();
-        let base = entry.actions.len();
-        let schedule: Vec<(SimTime, usize)> = plan
-            .actions
+        let entry = self.actions.entry(node).or_default();
+        let base = entry.len();
+        entry.extend(plan.actions.iter().map(|(_, action)| *action));
+        plan.actions
             .iter()
             .enumerate()
             .map(|(i, (at, _))| (*at, base + i))
-            .collect();
-        entry.actions.extend(plan.actions);
-        entry.bursts.extend(plan.bursts);
-        entry.flaps.extend(plan.flaps);
-        schedule
+            .collect()
     }
 
     /// The action a previously installed plan scheduled under `idx`.
     pub(crate) fn action(&self, node: NodeId, idx: usize) -> Option<FaultAction> {
-        self.plans.get(&node).and_then(|p| p.actions.get(idx)).map(|(_, a)| *a)
-    }
-
-    /// True if any installed plan has loss bursts (cheap guard for the
-    /// delivery hot path).
-    pub(crate) fn has_bursts(&self) -> bool {
-        self.any_bursts
+        self.actions.get(&node).and_then(|a| a.get(idx)).copied()
     }
 
     /// True if any installed plan has flapping pairs (cheap guard for the
@@ -448,49 +350,6 @@ impl FaultEngine {
     /// its phase: such a link can drop at any poll and is checked at each.
     pub(crate) fn flap_covers(&self, x: NodeId, y: NodeId) -> bool {
         self.flaps.iter().any(|f| f.covers(x, y))
-    }
-
-    /// Samples the fate of a payload travelling between `from` and `to` at
-    /// `now`. Draws randomness only while a burst window of either endpoint
-    /// is active, so burst-free instants cost nothing and perturb nothing.
-    pub(crate) fn sample_burst(&mut self, from: NodeId, to: NodeId, now: SimTime) -> Option<BurstOutcome> {
-        let (mut drop_p, mut corrupt_p) = (0.0f64, 0.0f64);
-        for (node, other) in [(from, to), (to, from)] {
-            if let Some(plan) = self.plans.get(&node) {
-                for burst in &plan.bursts {
-                    if burst.active_at(now) && burst.applies_to_peer(other) {
-                        drop_p = drop_p.max(burst.drop_prob);
-                        corrupt_p = corrupt_p.max(burst.corrupt_prob);
-                    }
-                }
-            }
-        }
-        if drop_p <= 0.0 && corrupt_p <= 0.0 {
-            return None;
-        }
-        if self.rng.chance(drop_p) {
-            self.stats.payloads_dropped += 1;
-            return Some(BurstOutcome::Drop);
-        }
-        if self.rng.chance(corrupt_p) {
-            self.stats.payloads_corrupted += 1;
-            return Some(BurstOutcome::Corrupt);
-        }
-        None
-    }
-
-    /// Flips `1..=4` random bits of a payload in place (no-op on empty
-    /// payloads).
-    pub(crate) fn corrupt_payload(&mut self, payload: &mut [u8]) {
-        if payload.is_empty() {
-            return;
-        }
-        let flips = 1 + self.rng.index(4);
-        for _ in 0..flips {
-            let byte = self.rng.index(payload.len());
-            let bit = self.rng.index(8) as u8;
-            payload[byte] ^= 1 << bit;
-        }
     }
 
     pub(crate) fn record(&mut self, at: SimTime, node: NodeId, kind: LifecycleKind) {
@@ -519,21 +378,8 @@ mod tests {
                 (SimTime::from_secs(100), FaultAction::NodeDown),
             ]
         );
-        assert!(plan.bursts().is_empty());
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
-    }
-
-    #[test]
-    fn loss_burst_probabilities_are_clamped_and_windows_tested() {
-        let plan = FaultPlan::new().loss_burst(SimTime::from_secs(5), SimTime::from_secs(10), 2.0, -1.0);
-        let burst = plan.bursts()[0];
-        assert_eq!(burst.drop_prob, 1.0);
-        assert_eq!(burst.corrupt_prob, 0.0);
-        assert!(!burst.active_at(SimTime::from_secs(4)));
-        assert!(burst.active_at(SimTime::from_secs(5)));
-        assert!(burst.active_at(SimTime::from_secs(9)));
-        assert!(!burst.active_at(SimTime::from_secs(10)));
     }
 
     #[test]
@@ -573,53 +419,6 @@ mod tests {
             &mut SimRng::new(1),
         );
         assert!(plan.is_empty());
-    }
-
-    #[test]
-    fn engine_samples_bursts_only_inside_windows() {
-        let mut engine = FaultEngine::new(42);
-        let node = NodeId::from_raw(0);
-        let peer = NodeId::from_raw(1);
-        engine.install(
-            node,
-            FaultPlan::new().loss_burst(SimTime::from_secs(10), SimTime::from_secs(20), 1.0, 0.0),
-        );
-        assert!(engine.has_bursts());
-        // Outside the window: no outcome and no randomness drawn.
-        assert_eq!(engine.sample_burst(node, peer, SimTime::from_secs(5)), None);
-        // Inside, drop_prob 1.0 always drops, in either direction.
-        assert_eq!(
-            engine.sample_burst(node, peer, SimTime::from_secs(15)),
-            Some(BurstOutcome::Drop)
-        );
-        assert_eq!(
-            engine.sample_burst(peer, node, SimTime::from_secs(15)),
-            Some(BurstOutcome::Drop)
-        );
-        assert_eq!(engine.stats.payloads_dropped, 2);
-    }
-
-    #[test]
-    fn link_bursts_target_only_the_planned_pair() {
-        let mut engine = FaultEngine::new(7);
-        let node = NodeId::from_raw(0);
-        let flaky_peer = NodeId::from_raw(1);
-        let clean_peer = NodeId::from_raw(2);
-        engine.install(
-            node,
-            FaultPlan::new().link_burst(flaky_peer, SimTime::from_secs(10), SimTime::from_secs(20), 1.0, 0.0),
-        );
-        assert!(engine.has_bursts());
-        let inside = SimTime::from_secs(15);
-        // The targeted pair drops in both directions...
-        assert_eq!(engine.sample_burst(node, flaky_peer, inside), Some(BurstOutcome::Drop));
-        assert_eq!(engine.sample_burst(flaky_peer, node, inside), Some(BurstOutcome::Drop));
-        // ...while the node's other links stay clean (and draw no randomness).
-        assert_eq!(engine.sample_burst(node, clean_peer, inside), None);
-        assert_eq!(engine.sample_burst(clean_peer, node, inside), None);
-        // Outside the window even the targeted pair is clean.
-        assert_eq!(engine.sample_burst(node, flaky_peer, SimTime::from_secs(25)), None);
-        assert_eq!(engine.stats.payloads_dropped, 2);
     }
 
     #[test]
@@ -697,23 +496,6 @@ mod tests {
         let mut zero = FaultEngine::new(4);
         zero.install(node, FaultPlan::new().flapping_link(up_peer, SimDuration::ZERO, 0.5));
         assert!(!zero.link_flapped_down(node, up_peer, SimTime::from_secs(1)));
-    }
-
-    #[test]
-    fn corruption_flips_bits_deterministically() {
-        let mut a = FaultEngine::new(9);
-        let mut b = FaultEngine::new(9);
-        let original = vec![0u8; 32];
-        let mut pa = original.clone();
-        let mut pb = original.clone();
-        a.corrupt_payload(&mut pa);
-        b.corrupt_payload(&mut pb);
-        assert_eq!(pa, pb, "same engine seed must corrupt identically");
-        assert_ne!(pa, original, "at least one bit must flip");
-        // Empty payloads are left alone.
-        let mut empty: Vec<u8> = Vec::new();
-        a.corrupt_payload(&mut empty);
-        assert!(empty.is_empty());
     }
 
     #[test]

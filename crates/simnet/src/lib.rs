@@ -23,8 +23,8 @@
 //!   periodic link checks and the artificial quality-decay mode the thesis
 //!   uses in its own handover simulation (§5.2.1),
 //! * **faults and churn** ([`faults`]) — seeded per-node schedules of node
-//!   crashes & restarts, per-technology radio outages and link-level
-//!   loss/corruption bursts, with a typed lifecycle-event stream; a world
+//!   crashes & restarts, per-technology radio outages and flapping link
+//!   pairs, with a typed lifecycle-event stream; a world
 //!   with no fault plans installed behaves byte-identically to one built
 //!   without the subsystem,
 //! * **adversaries** ([`adversary`]) — seeded network-partition windows
@@ -107,9 +107,7 @@ pub mod prelude {
     pub use crate::adversary::{AdversaryPlan, AdversaryStats, CompromisedNode, FrameForge, PartitionWindow};
     // `Agent` is deliberately absent: see the `agent` module docs.
     pub use crate::agent::{Ctx, OnWorld};
-    pub use crate::faults::{
-        FaultAction, FaultPlan, FaultStats, FlappingLink, LifecycleEvent, LifecycleKind, LossBurst,
-    };
+    pub use crate::faults::{FaultAction, FaultPlan, FaultStats, FlappingLink, LifecycleEvent, LifecycleKind};
     pub use crate::geometry::{Point, Rect};
     pub use crate::link::LinkInfo;
     pub use crate::metrics::{Counters, Metrics};

@@ -71,15 +71,6 @@ impl Counters {
         tel.set_gauge("world", "delivery_rate", None, self.delivery_rate());
     }
 
-    /// Fraction of connection attempts that failed, or zero if none were made.
-    pub fn connect_failure_rate(&self) -> f64 {
-        if self.connect_attempts == 0 {
-            0.0
-        } else {
-            self.connect_failures as f64 / self.connect_attempts as f64
-        }
-    }
-
     /// Fraction of sent messages that were delivered, or 1.0 if none were sent.
     pub fn delivery_rate(&self) -> f64 {
         if self.messages_sent == 0 {
@@ -326,13 +317,9 @@ mod tests {
     #[test]
     fn rates() {
         let mut c = Counters::default();
-        assert_eq!(c.connect_failure_rate(), 0.0);
         assert_eq!(c.delivery_rate(), 1.0);
-        c.connect_attempts = 10;
-        c.connect_failures = 3;
         c.messages_sent = 20;
         c.messages_delivered = 19;
-        assert!((c.connect_failure_rate() - 0.3).abs() < 1e-12);
         assert!((c.delivery_rate() - 0.95).abs() < 1e-12);
     }
 

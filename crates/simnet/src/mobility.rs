@@ -92,16 +92,6 @@ impl MobilityModel {
         }
     }
 
-    /// The position the node occupies at time zero.
-    pub fn initial_position(&self) -> Point {
-        match self {
-            MobilityModel::Stationary { position } => *position,
-            MobilityModel::Linear { from, .. } => *from,
-            MobilityModel::Waypoints { points, .. } => points.first().copied().unwrap_or(Point::ORIGIN),
-            MobilityModel::RandomWaypoint { area, start, .. } => area.clamp(*start),
-        }
-    }
-
     /// True if the model can ever move the node.
     pub fn is_mobile(&self) -> bool {
         !matches!(self, MobilityModel::Stationary { .. })
@@ -482,16 +472,14 @@ mod tests {
 
     #[test]
     fn initial_positions() {
-        assert_eq!(
-            MobilityModel::stationary(Point::new(1.0, 2.0)).initial_position(),
-            Point::new(1.0, 2.0)
-        );
         let wp = MobilityModel::Waypoints {
             points: vec![Point::new(7.0, 7.0)],
             speed_mps: 1.0,
             start_after: SimDuration::ZERO,
         };
-        assert_eq!(wp.initial_position(), Point::new(7.0, 7.0));
+        let plan = wp.compile(SimTime::from_secs(10), &mut rng());
+        assert_eq!(plan.position_at(SimTime::ZERO), Point::new(7.0, 7.0));
+        assert_eq!(plan.position_at(SimTime::from_secs(10)), Point::new(7.0, 7.0));
     }
 
     #[test]

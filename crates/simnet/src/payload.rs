@@ -11,7 +11,7 @@
 //! Ownership rules:
 //!
 //! * a `Payload` is immutable — anyone holding a clone sees the same bytes
-//!   forever; mutation (e.g. a corruption burst flipping bits) goes through
+//!   forever; mutation (e.g. the adversary tampering with a frame) goes through
 //!   [`Payload::to_vec`] and rebuilds a fresh buffer (copy-on-write), so
 //!   other holders of the original are never affected,
 //! * clones are `O(1)`; the backing allocation is freed when the last clone

@@ -158,15 +158,6 @@ impl RadioProfile {
         }
     }
 
-    /// Returns the default profile for a technology.
-    pub fn default_for(tech: RadioTech) -> Self {
-        match tech {
-            RadioTech::Bluetooth => RadioProfile::bluetooth(),
-            RadioTech::Wlan => RadioProfile::wlan(),
-            RadioTech::Gprs => RadioProfile::gprs(),
-        }
-    }
-
     /// True if two nodes separated by `distance_m` are within radio range.
     /// Infrastructure technologies are always in range (dead zones are
     /// handled by the world, which knows node positions).
@@ -250,24 +241,6 @@ impl RadioProfile {
     pub fn transmission_delay(&self, bytes: usize) -> SimDuration {
         let serialise = (bytes as f64 * 8.0) / self.bitrate_bps;
         self.base_latency + SimDuration::from_secs_f64(serialise)
-    }
-
-    /// The distance at which the noise-free quality first drops below the
-    /// given threshold, or `None` for infrastructure technologies. Useful for
-    /// placing nodes "at the edge" in scenarios.
-    pub fn distance_for_quality(&self, threshold: u8) -> Option<f64> {
-        let range = self.range_m?;
-        if threshold == QUALITY_MAX {
-            return Some(range * self.quality_plateau_fraction);
-        }
-        if threshold <= self.quality_at_edge {
-            return Some(range);
-        }
-        let plateau = range * self.quality_plateau_fraction;
-        let span = range - plateau;
-        let frac =
-            ((QUALITY_MAX as f64 - threshold as f64) / (QUALITY_MAX as f64 - self.quality_at_edge as f64)).sqrt();
-        Some(plateau + span * frac)
     }
 }
 
@@ -468,7 +441,7 @@ mod tests {
     #[test]
     fn default_profiles_match_their_tech() {
         for tech in RadioTech::ALL {
-            assert_eq!(RadioProfile::default_for(tech).tech, tech);
+            assert_eq!(RadioEnvironment::default().profile(tech).tech, tech);
         }
     }
 
@@ -540,18 +513,6 @@ mod tests {
         assert!(large > small);
         // 100 kB at 700 kbit/s is a bit over a second.
         assert!(large.as_secs_f64() > 1.0 && large.as_secs_f64() < 2.5);
-    }
-
-    #[test]
-    fn distance_for_quality_inverts_the_model() {
-        let bt = RadioProfile::bluetooth();
-        let d = bt.distance_for_quality(QUALITY_LOW_THRESHOLD).unwrap();
-        let q = bt.quality_at_distance(d).unwrap();
-        assert!(
-            (q as i16 - QUALITY_LOW_THRESHOLD as i16).abs() <= 2,
-            "inversion error: {q} vs {QUALITY_LOW_THRESHOLD}"
-        );
-        assert!(d > 2.5 && d < 10.0);
     }
 
     #[test]

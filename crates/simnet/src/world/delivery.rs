@@ -8,7 +8,7 @@
 //! so enforcing the latter is a field read, not a scan.
 
 use super::{Event, World};
-use crate::faults::{BurstOutcome, LifecycleKind};
+use crate::faults::LifecycleKind;
 #[cfg(debug_assertions)]
 use crate::link::audit_skipped_polls;
 use crate::link::{next_poll, range_exit_poll, InFlightMessage, LinkState};
@@ -37,9 +37,7 @@ impl World {
             return;
         }
         // Payloads travelling a flapping pair during its down phase are lost
-        // like any physical break. Checked before bursts: the predicate is
-        // pure arithmetic, so no burst randomness is drawn for a payload the
-        // flap already killed.
+        // like any physical break. The predicate is pure arithmetic.
         if self.faults.has_flaps() && self.faults.link_flapped_down(from, to, self.now) {
             self.metrics.record_message_lost(to);
             return;
@@ -52,31 +50,10 @@ impl World {
             self.metrics.record_message_lost(to);
             return;
         }
-        // Loss/corruption bursts from installed fault plans. The guard keeps
-        // burst-free worlds off this path entirely, so they draw no fault
-        // randomness and behave byte-identically to a build without it.
-        if self.faults.has_bursts() {
-            match self.faults.sample_burst(from, to, self.now) {
-                Some(BurstOutcome::Drop) => {
-                    self.metrics.record_message_lost(to);
-                    return;
-                }
-                Some(BurstOutcome::Corrupt) => {
-                    // Copy-on-write: the shared payload may still be queued
-                    // on other links (or held by the sender), so the burst
-                    // mutates a private copy and only this delivery sees the
-                    // flipped bits.
-                    let mut bytes = in_flight.payload.to_vec();
-                    self.faults.corrupt_payload(&mut bytes);
-                    in_flight.payload = bytes.into();
-                }
-                None => {}
-            }
-        }
         // Byzantine compromise: frames *sent by* a compromised node may be
         // rewritten in flight by the forge, and every frame *delivered to*
-        // one is sniffed as replay material. Guarded like bursts so worlds
-        // without hostiles skip both calls.
+        // one is sniffed as replay material. Guarded so worlds without
+        // hostiles skip both calls.
         if self.adversary.has_hostiles() {
             // Forge-built injections are already hostile; only organic frames
             // from a compromised sender go through the tamper pass.

@@ -1,5 +1,5 @@
 //! World-level tests of the fault-injection subsystem: crash/restart
-//! lifecycle, epoch guards, radio outages and loss bursts.
+//! lifecycle, epoch guards and radio outages.
 
 use super::*;
 use crate::agent::{Agent, OnWorld};
@@ -268,106 +268,6 @@ fn radio_outage_is_per_technology() {
 }
 
 #[test]
-fn loss_burst_drops_payloads_only_inside_the_window() {
-    let mut w = probe_world(17);
-    let a = add_probe(&mut w, "a", 0.0);
-    let b = add_probe(&mut w, "b", 5.0);
-    w.run_for(SimDuration::from_secs(1));
-    let link = connect_pair(&mut w, a, b);
-    w.install_fault_plan(
-        a,
-        FaultPlan::new().loss_burst(SimTime::from_secs(100), SimTime::from_secs(200), 1.0, 0.0),
-    );
-    // Before the window: delivered.
-    w.run_until(SimTime::from_secs(50));
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, b"before".into()).unwrap())
-        .unwrap();
-    // Inside: dropped.
-    w.run_until(SimTime::from_secs(150));
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, b"during".into()).unwrap())
-        .unwrap();
-    // After: delivered again.
-    w.run_until(SimTime::from_secs(250));
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, b"after".into()).unwrap())
-        .unwrap();
-    w.run_for(SimDuration::from_secs(5));
-    w.with_agent::<FaultProbe, _>(b, |p, _| {
-        assert_eq!(p.messages, vec![b"before".to_vec(), b"after".to_vec()]);
-    })
-    .unwrap();
-    assert_eq!(w.fault_stats().payloads_dropped, 1);
-    assert_eq!(w.metrics().global().messages_lost, 1);
-}
-
-#[test]
-fn link_burst_hits_only_the_targeted_pair() {
-    // Node `a` sits between `b` (the flaky pair) and `c` (a clean one). A
-    // `link_burst(b, ..)` on `a` must drop only the a<->b traffic; a<->c
-    // payloads sent at the very same instants sail through.
-    let mut w = probe_world(19);
-    let a = add_probe(&mut w, "a", 0.0);
-    let b = add_probe(&mut w, "b", 5.0);
-    let c = add_probe(&mut w, "c", -5.0);
-    w.run_for(SimDuration::from_secs(1));
-    let link_ab = connect_pair(&mut w, a, b);
-    let link_ac = connect_pair(&mut w, a, c);
-    w.install_fault_plan(
-        a,
-        FaultPlan::new().link_burst(b, SimTime::from_secs(100), SimTime::from_secs(200), 1.0, 0.0),
-    );
-    // Inside the window: both directions of a<->b die, a<->c is untouched.
-    w.run_until(SimTime::from_secs(150));
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| {
-        ctx.send(link_ab, b"to-b".into()).unwrap();
-        ctx.send(link_ac, b"to-c".into()).unwrap();
-    })
-    .unwrap();
-    w.with_agent::<FaultProbe, _>(b, |_, ctx| ctx.send(link_ab, b"from-b".into()).unwrap())
-        .unwrap();
-    w.with_agent::<FaultProbe, _>(c, |_, ctx| ctx.send(link_ac, b"from-c".into()).unwrap())
-        .unwrap();
-    // After the window the pair works again.
-    w.run_until(SimTime::from_secs(250));
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link_ab, b"late".into()).unwrap())
-        .unwrap();
-    w.run_for(SimDuration::from_secs(5));
-    w.with_agent::<FaultProbe, _>(b, |p, _| {
-        assert_eq!(p.messages, vec![b"late".to_vec()], "in-window a->b must drop");
-    })
-    .unwrap();
-    w.with_agent::<FaultProbe, _>(c, |p, _| {
-        assert_eq!(p.messages, vec![b"to-c".to_vec()], "the clean pair must deliver");
-    })
-    .unwrap();
-    w.with_agent::<FaultProbe, _>(a, |p, _| {
-        assert_eq!(p.messages, vec![b"from-c".to_vec()], "only b's reply is dropped");
-    })
-    .unwrap();
-    assert_eq!(w.fault_stats().payloads_dropped, 2);
-}
-
-#[test]
-fn corruption_bursts_flip_bits_but_still_deliver() {
-    let mut w = probe_world(18);
-    let a = add_probe(&mut w, "a", 0.0);
-    let b = add_probe(&mut w, "b", 5.0);
-    w.run_for(SimDuration::from_secs(1));
-    let link = connect_pair(&mut w, a, b);
-    w.install_fault_plan(b, FaultPlan::new().loss_burst(SimTime::ZERO, SimTime::MAX, 0.0, 1.0));
-    let original = vec![0u8; 64];
-    w.with_agent::<FaultProbe, _>(a, |_, ctx| ctx.send(link, original.clone().into()).unwrap())
-        .unwrap();
-    w.run_for(SimDuration::from_secs(5));
-    w.with_agent::<FaultProbe, _>(b, |p, _| {
-        assert_eq!(p.messages.len(), 1, "corrupted payloads are still delivered");
-        assert_eq!(p.messages[0].len(), original.len());
-        assert_ne!(p.messages[0], original, "bits must have flipped");
-    })
-    .unwrap();
-    assert!(w.fault_stats().payloads_corrupted >= 1);
-}
-
-#[test]
 fn same_seed_and_plan_reproduce_the_same_fault_run() {
     let run = |seed: u64| {
         let mut w = probe_world(seed);
@@ -382,8 +282,7 @@ fn same_seed_and_plan_reproduce_the_same_fault_run() {
                 SimDuration::from_secs(60),
                 SimDuration::from_secs(10),
                 &mut rng,
-            )
-            .loss_burst(SimTime::from_secs(100), SimTime::from_secs(140), 0.3, 0.3);
+            );
             w.install_fault_plan(*node, plan);
         }
         // Every node keeps trying to talk to its right neighbour.

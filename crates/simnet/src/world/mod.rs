@@ -654,21 +654,6 @@ impl World {
         self.run_until(deadline);
     }
 
-    /// Runs until no events remain or `limit` is reached, returning the time
-    /// at which the loop stopped.
-    pub fn run_until_idle(&mut self, limit: SimTime) -> SimTime {
-        while let Some((time, event)) = self.scheduler.pop_due(limit) {
-            self.now = self.now.max(time);
-            self.dispatch(event);
-        }
-        if self.scheduler.peek_time().is_none() {
-            self.now
-        } else {
-            self.now = self.now.max(limit);
-            self.now
-        }
-    }
-
     /// One event through the instrumentation shell: profile the handling
     /// wall time by phase, then check the telemetry sample boundary. With
     /// both tools off (the default) this adds two predictable branches and

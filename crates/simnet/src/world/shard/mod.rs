@@ -74,8 +74,8 @@
 //! changes) can be observed up to `W` later than the sequential world would
 //! deliver them, link quality is sampled from the *querying* node's RNG
 //! stream, and fault support covers node crash/restart and radio outages
-//! (loss bursts and flapping links draw from a globally ordered fault RNG
-//! and are rejected). The sequential `World` is untouched: existing
+//! (flapping links draw their phase from a globally ordered fault RNG and
+//! are rejected). The sequential `World` is untouched: existing
 //! experiments reproduce byte-identically.
 
 mod barrier;
@@ -486,12 +486,12 @@ impl ShardedWorld {
     }
 
     /// Installs a fault plan on a node. The sharded world supports node
-    /// crash/restart and radio outages; loss bursts and flapping links draw
-    /// from a globally ordered fault RNG and are rejected.
+    /// crash/restart and radio outages; flapping links draw their phase from
+    /// a globally ordered fault RNG and are rejected.
     pub fn install_fault_plan(&mut self, node: NodeId, plan: &FaultPlan) {
         assert!(
-            plan.bursts().is_empty() && plan.flaps().is_empty(),
-            "sharded world supports crash/restart/radio-outage faults only"
+            plan.flaps().is_empty(),
+            "sharded world supports crash/restart/radio-outage faults only, not flapping links"
         );
         let raw = node.as_raw() as usize;
         let shard = &mut self.shards[self.owner[raw] as usize];
@@ -512,7 +512,7 @@ impl ShardedWorld {
     /// Rejects adversary schedules. Partition cuts and Byzantine injection
     /// consult globally ordered state (cross-cut link sweeps, one adversary
     /// RNG stream, the sniff ring) that has no shard-local representation
-    /// yet, so — exactly like loss bursts — a sharded run refuses the plan
+    /// yet, so — exactly like flapping links — a sharded run refuses the plan
     /// instead of silently diverging from the sequential world. Use the
     /// sequential [`World`](crate::world::World) for adversarial scenarios.
     pub fn install_adversary_plan(&mut self, plan: &crate::adversary::AdversaryPlan) {

@@ -164,14 +164,10 @@ fn churn_and_outage_plan(seed: u64, i: usize) -> Option<FaultPlan> {
     })
 }
 
-/// Installs [`churn_and_outage_plan`] and, if `loss_bursts`, a loss burst
-/// (sequential-world-only) wherever there is an outage.
-fn install_fault_plans(world: &mut World, seed: u64, loss_bursts: bool) {
+/// Installs [`churn_and_outage_plan`] on every node it plans for.
+fn install_fault_plans(world: &mut World, seed: u64) {
     for (i, node) in world.node_ids().collect::<Vec<_>>().into_iter().enumerate() {
-        if let Some(mut plan) = churn_and_outage_plan(seed, i) {
-            if loss_bursts && i % 20 == 0 {
-                plan = plan.loss_burst(SimTime::from_secs(20), SimTime::from_secs(40), 0.25, 0.25);
-            }
+        if let Some(plan) = churn_and_outage_plan(seed, i) {
             world.install_fault_plan(node, plan);
         }
     }
@@ -182,7 +178,7 @@ fn install_fault_plans(world: &mut World, seed: u64, loss_bursts: bool) {
 fn trace_digest_with_faults(seed: u64, check_oracle: bool, faults: bool) -> u64 {
     let mut world = build_city(seed, 500, true);
     if faults {
-        install_fault_plans(&mut world, seed, true);
+        install_fault_plans(&mut world, seed);
     }
     let mut digest = 0xcbf29ce484222325u64;
     for _round in 0..6 {
@@ -216,14 +212,7 @@ fn trace_digest_with_faults(seed: u64, check_oracle: bool, faults: bool) -> u64 
         digest = fnv(digest, v);
     }
     let f = world.fault_stats();
-    for v in [
-        f.crashes,
-        f.restarts,
-        f.radio_outages,
-        f.radio_restores,
-        f.payloads_dropped,
-        f.payloads_corrupted,
-    ] {
+    for v in [f.crashes, f.restarts, f.radio_outages, f.radio_restores] {
         digest = fnv(digest, v);
     }
     for event in world.lifecycle_events() {
@@ -250,7 +239,7 @@ fn trace_digest(seed: u64, check_oracle: bool) -> u64 {
 /// `trace_digest_with_faults` already covers.
 fn partitioned_churn_digest(seed: u64, partitioned: bool) -> (u64, AdversaryStats) {
     let mut world = build_city(seed, 500, true);
-    install_fault_plans(&mut world, seed, true);
+    install_fault_plans(&mut world, seed);
     if partitioned {
         let island: Vec<NodeId> = world
             .node_ids()
@@ -288,7 +277,7 @@ fn partitioned_churn_digest(seed: u64, partitioned: bool) -> (u64, AdversaryStat
         digest = fnv(digest, v);
     }
     let f = world.fault_stats();
-    for v in [f.crashes, f.restarts, f.radio_outages, f.payloads_dropped] {
+    for v in [f.crashes, f.restarts, f.radio_outages] {
         digest = fnv(digest, v);
     }
     let a = world.adversary_stats();
@@ -310,7 +299,6 @@ fn partitioned_churn_digest(seed: u64, partitioned: bool) -> (u64, AdversaryStat
 // ---------------------------------------------------------------------
 
 mod full_stack {
-    use std::any::Any;
     use std::rc::Rc;
 
     use peerhood::application::Application;
@@ -342,12 +330,6 @@ mod full_stack {
     }
 
     impl Application for PulseApp {
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
         fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
             self.current = None;
             self.connecting = false;
@@ -444,7 +426,7 @@ mod full_stack {
     /// metrics, fault statistics and the lifecycle stream — into one digest.
     pub fn digest(seed: u64, fnv: impl Fn(u64, u64) -> u64) -> u64 {
         let mut world = build(seed);
-        super::install_fault_plans(&mut world, seed, true);
+        super::install_fault_plans(&mut world, seed);
         world.run_for(SimDuration::from_secs(45));
         let mut digest = 0xcbf29ce484222325u64;
         for node in world.node_ids().collect::<Vec<_>>() {
@@ -481,7 +463,7 @@ mod full_stack {
             digest = fnv(digest, v);
         }
         let f = world.fault_stats();
-        for v in [f.crashes, f.restarts, f.payloads_dropped, f.payloads_corrupted] {
+        for v in [f.crashes, f.restarts] {
             digest = fnv(digest, v);
         }
         for event in world.lifecycle_events() {
@@ -497,7 +479,7 @@ fn same_seed_identical_full_peerhood_digest_at_1k_nodes() {
     // The complete middleware stack — daemon, discovery plugins, engine,
     // connection table, handover machinery, shared config, cached
     // advertisement frames, shared payloads — on 1000 nodes under churn and
-    // loss bursts must reproduce byte-for-byte from the seed. This pins the
+    // radio outages must reproduce byte-for-byte from the seed. This pins the
     // allocation-lean data path: any hidden nondeterminism (iteration over
     // unordered state, cache-dependent behaviour, payload aliasing bugs)
     // shows up as a digest mismatch.
@@ -578,7 +560,7 @@ fn same_seed_identical_trace_digest_at_500_nodes() {
 
 #[test]
 fn same_seed_and_fault_plan_identical_trace_digest_at_500_nodes() {
-    // Crashes, restarts, radio outages and loss bursts included: the whole
+    // Crashes, restarts and radio outages included: the whole
     // event trace — and the lifecycle stream itself — must reproduce from
     // the seed. The oracle check runs mid-churn, so the grid's
     // eviction/reinsertion path is compared against the full scan while
@@ -601,7 +583,7 @@ fn same_seed_and_fault_plan_identical_trace_digest_at_500_nodes() {
 
 #[test]
 fn partitioned_churn_city_trace_is_deterministic_and_the_cut_bites() {
-    // Partitions layered on top of churn, outages and loss bursts: the full
+    // Partitions layered on top of churn and outages: the full
     // adversarial trace — including the adversary counters themselves —
     // must reproduce from the seed, and the cut must visibly change the run
     // relative to the partition-free city.
@@ -645,7 +627,7 @@ mod sharded {
 
     /// 480 Bluetooth nodes, a quarter mobile, with churn on every tenth
     /// node and radio outages on every twentieth — the fault classes the
-    /// sharded engine supports (loss bursts are sequential-world-only).
+    /// sharded engine supports (flapping links are sequential-world-only).
     pub fn build_city(seed: u64, shards: usize) -> ShardedWorld {
         let mut world = city(seed, shards, 480, true);
         install_fault_plans(&mut world, seed);
@@ -846,7 +828,7 @@ fn hotspot_city_trace_is_invariant_to_shards_and_adaptivity() {
 fn sharded_world_cleanly_rejects_a_partition_plan() {
     // The partition cut sweep consults globally ordered link state and one
     // adversary RNG stream, neither of which has a shard-local
-    // representation — so, exactly like loss bursts, the sharded engine
+    // representation — so, exactly like flapping links, the sharded engine
     // must refuse the plan outright rather than silently diverge from the
     // sequential trace the test above pins down.
     let mut world = sharded::build_city(2008, 2);
@@ -929,7 +911,7 @@ mod differential {
         let mut world = super::build_city(seed, 400, moving_and_failing);
         let mut shards = super::sharded::city(seed, 1, 400, moving_and_failing);
         if moving_and_failing {
-            super::install_fault_plans(&mut world, seed, false);
+            super::install_fault_plans(&mut world, seed);
             super::sharded::install_fault_plans(&mut shards, seed);
         }
         world.run_for(SimDuration::from_secs(60));
