@@ -34,8 +34,8 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use scenarios::experiments::{find, registry, Experiment, Params};
+use scenarios::run_all;
 use scenarios::telemetry::{TelemetryMode, TelemetrySettings};
-use scenarios::{run_all, Effort};
 use simnet::SimDuration;
 use sweep::{aggregate, run_sweep, SweepSpec};
 
@@ -157,10 +157,12 @@ fn run(mut cli: Cli) -> Result<(), String> {
         None => {
             // The full E1-E19 suite.
             cli.finish(0, &["--quick"], None)?;
-            let effort = if quick { Effort::Quick } else { Effort::Full };
             let seed = seed.unwrap_or(DEFAULT_SUITE_SEED);
-            eprintln!("running the E1-E19 experiment suite (seed {seed}, {effort:?}) ...");
-            let reports = run_all(seed, effort);
+            eprintln!(
+                "running the E1-E19 experiment suite (seed {seed}, {}) ...",
+                if quick { "Quick" } else { "Full" }
+            );
+            let reports = run_all(seed, quick);
             print_out(|out| {
                 reports.iter().try_for_each(|report| {
                     writeln!(out, "{report}\n")?;
@@ -224,10 +226,11 @@ fn run_one(mut cli: Cli, watch: bool, seed: Option<u64>, quick: bool) -> Result<
     });
 
     let seed = seed.unwrap_or_else(|| experiment.suite_seed.unwrap_or(DEFAULT_SUITE_SEED));
-    let effort = if quick { Effort::Quick } else { Effort::Full };
     eprintln!(
-        "running {} ({}) with seed {seed} ({effort:?}) ...",
-        experiment.id, experiment.slug
+        "running {} ({}) with seed {seed} ({}) ...",
+        experiment.id,
+        experiment.slug,
+        if quick { "Quick" } else { "Full" }
     );
     let report = experiment.run(seed, &params, quick)?.report;
     print_out(|out| writeln!(out, "{report}"))?;

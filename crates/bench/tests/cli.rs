@@ -95,7 +95,7 @@ fn a_misspelt_parameter_flag_is_rejected_naming_the_available_keys() {
     assert!(
         stderr.contains(
             "error: --nodse: no grid parameter `nodse` (available: nodes, churn, density, \
-             mobile_fraction, duration_s, downtime_s, stack)"
+             mobile_fraction, duration_s, downtime_s)"
         ),
         "{stderr}"
     );
@@ -119,7 +119,6 @@ fn every_declared_parameter_goes_through_one_row_on_every_path() {
             "mobile_fraction" | "crowd_fraction" => "0.5",
             "churn" => "60",
             "downtime_s" => "5",
-            "stack" => "lightweight",
             "resilience" => "off",
             "defenses" => "auth",
             other => panic!("no sample value for the new key `{other}`"),
@@ -170,7 +169,7 @@ fn every_declared_parameter_goes_through_one_row_on_every_path() {
         let output = experiment.run(1, &all, true).expect(experiment.slug);
         assert!(!output.report.rows.is_empty(), "{}", experiment.slug);
     }
-    assert_eq!(keys, 40, "a new parameter needs a sample value above");
+    assert_eq!(keys, 37, "a new parameter needs a sample value above");
 }
 
 /// `repro --list | head -1`: the reader going away is a clean exit, not a

@@ -93,11 +93,10 @@ impl Default for DiscoveryConfig {
 pub struct MonitorConfig {
     /// How often the quality of each monitored connection is sampled.
     pub interval: SimDuration,
-    /// The "signal low" threshold (the thesis uses 230).
+    /// The "signal low" threshold (the thesis uses 230). How many low
+    /// samples are tolerated is
+    /// [`LOW_COUNT_LIMIT`](crate::quality::LOW_COUNT_LIMIT).
     pub quality_threshold: u8,
-    /// Number of consecutive low samples tolerated before handover starts
-    /// (the thesis uses 3: the fourth low sample triggers).
-    pub low_count_limit: u32,
 }
 
 impl Default for MonitorConfig {
@@ -105,7 +104,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             interval: SimDuration::from_secs(1),
             quality_threshold: QUALITY_LOW_THRESHOLD,
-            low_count_limit: 3,
         }
     }
 }
@@ -123,17 +121,6 @@ pub struct HandoverConfig {
     /// growth of Fig. 5.6/5.7), the default re-routes towards the final
     /// destination.
     pub target: crate::handover::HandoverTarget,
-    /// Maximum number of reconnect attempts made by a server trying to
-    /// return results to a disconnected client (result routing, §5.3).
-    pub max_reply_attempts: u32,
-    /// Delay between those reconnect attempts.
-    pub reply_retry_interval: SimDuration,
-    /// How long a closed-but-revivable connection record (kept for result
-    /// routing and reconnection) is retained once fully idle. `None` (the
-    /// default) keeps records forever — the original behaviour; setting a
-    /// retention bounds the working set under long churn via the same
-    /// epoch-compaction recipe the simulator uses for retired links.
-    pub closed_retention: Option<SimDuration>,
 }
 
 impl Default for HandoverConfig {
@@ -142,9 +129,6 @@ impl Default for HandoverConfig {
             enabled: true,
             max_routing_attempts: 2,
             target: crate::handover::HandoverTarget::FinalDestination,
-            max_reply_attempts: 5,
-            reply_retry_interval: SimDuration::from_secs(15),
-            closed_retention: None,
         }
     }
 }
@@ -247,7 +231,7 @@ pub struct PeerHoodConfig {
     /// Bridge service behaviour.
     pub bridge: BridgeConfig,
     /// Resilience pipeline (circuit breakers, backpressure, admission
-    /// control); every layer disabled by default.
+    /// control); one switch, off by default.
     pub resilience: crate::resilience::ResilienceConfig,
     /// Protocol hardening (sanity checks, reporter reputation, frame
     /// authentication); every defence disabled by default.
@@ -296,24 +280,6 @@ impl PeerHoodConfig {
         self.techs = techs.to_vec();
         self
     }
-
-    /// Enables or disables the bridge service (builder-style).
-    pub fn with_bridge_enabled(mut self, enabled: bool) -> Self {
-        self.bridge.enabled = enabled;
-        self
-    }
-
-    /// Replaces the resilience-pipeline configuration (builder-style).
-    pub fn with_resilience(mut self, resilience: crate::resilience::ResilienceConfig) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
-    /// Replaces the protocol-hardening configuration (builder-style).
-    pub fn with_security(mut self, security: SecurityConfig) -> Self {
-        self.security = security;
-        self
-    }
 }
 
 impl Default for PeerHoodConfig {
@@ -330,7 +296,7 @@ mod tests {
     fn defaults_follow_the_thesis() {
         let cfg = PeerHoodConfig::default();
         assert_eq!(cfg.monitor.quality_threshold, 230);
-        assert_eq!(cfg.monitor.low_count_limit, 3);
+        assert_eq!(crate::quality::LOW_COUNT_LIMIT, 3);
         assert_eq!(cfg.discovery.mode, DiscoveryMode::Dynamic);
         assert_eq!(cfg.techs, vec![RadioTech::Bluetooth]);
         assert!(cfg.bridge.enabled);
@@ -348,12 +314,10 @@ mod tests {
     fn builders_modify_the_right_fields() {
         let cfg = PeerHoodConfig::static_device("pc")
             .with_discovery_mode(DiscoveryMode::TwoHop)
-            .with_techs(&[RadioTech::Bluetooth, RadioTech::Gprs])
-            .with_bridge_enabled(false);
+            .with_techs(&[RadioTech::Bluetooth, RadioTech::Gprs]);
         assert_eq!(cfg.mobility, MobilityClass::Static);
         assert_eq!(cfg.discovery.mode, DiscoveryMode::TwoHop);
         assert_eq!(cfg.techs.len(), 2);
-        assert!(!cfg.bridge.enabled);
     }
 
     #[test]
@@ -376,7 +340,6 @@ mod tests {
         assert!(sanity.sanity_checks && !sanity.frame_auth);
         let auth = SecurityConfig::auth();
         assert!(auth.sanity_checks && auth.frame_auth);
-        assert_eq!(PeerHoodConfig::default().with_security(auth.clone()).security, auth);
     }
 
     #[test]

@@ -104,12 +104,6 @@ pub struct AppConnection {
     pub created_at: SimTime,
     /// When the connection was last established end-to-end.
     pub established_at: Option<SimTime>,
-    /// Consecutive monitor epochs this entry spent closed, link-less and
-    /// with an empty outbox. Drives the epoch-compaction of
-    /// closed-but-revivable records when
-    /// [`HandoverConfig::closed_retention`](crate::config::HandoverConfig::closed_retention)
-    /// is set; any sign of life resets it to zero.
-    pub idle_epochs: u32,
 }
 
 impl AppConnection {
@@ -135,7 +129,6 @@ impl AppConnection {
             reconnecting: false,
             created_at: now,
             established_at: None,
-            idle_epochs: 0,
         }
     }
 
@@ -161,7 +154,6 @@ impl AppConnection {
             reconnecting: false,
             created_at: now,
             established_at: Some(now),
-            idle_epochs: 0,
         }
     }
 
@@ -180,7 +172,6 @@ impl AppConnection {
         self.link = Some(link);
         self.state = ConnState::Established;
         self.established_at = Some(now);
-        self.idle_epochs = 0;
     }
 
     /// Marks the connection down, detaching the link.

@@ -261,7 +261,9 @@ mod tests {
         assert!(d.registry().find(BRIDGE_SERVICE_NAME).is_some());
         assert!(reply(&d, 8, 0).1.is_empty());
         // Disabling the bridge omits the hidden service.
-        let no_bridge = Daemon::new(info(0), &config().with_bridge_enabled(false));
+        let mut cfg = config();
+        cfg.bridge.enabled = false;
+        let no_bridge = Daemon::new(info(0), &cfg);
         assert!(no_bridge.registry().find(BRIDGE_SERVICE_NAME).is_none());
     }
 

@@ -88,11 +88,10 @@ pub struct HandoverMonitor {
 }
 
 impl HandoverMonitor {
-    /// Creates a monitor with the given threshold, tolerated low count and
-    /// target semantics.
-    pub fn new(quality_threshold: u8, low_count_limit: u32, target: HandoverTarget) -> Self {
+    /// Creates a monitor with the given threshold and target semantics.
+    pub fn new(quality_threshold: u8, target: HandoverTarget) -> Self {
         HandoverMonitor {
-            counter: LowSignalCounter::new(quality_threshold, low_count_limit),
+            counter: LowSignalCounter::new(quality_threshold),
             candidate: None,
             attempts: 0,
             phase: HandoverPhase::Monitoring,
@@ -190,7 +189,7 @@ mod tests {
     }
 
     fn monitor() -> HandoverMonitor {
-        HandoverMonitor::new(230, 3, HandoverTarget::FinalDestination)
+        HandoverMonitor::new(230, HandoverTarget::FinalDestination)
     }
 
     #[test]
@@ -216,7 +215,7 @@ mod tests {
         assert!(!m.record_quality(Some(229)));
         assert!(!m.record_quality(Some(220)));
         assert!(!m.record_quality(Some(210)));
-        // Fourth consecutive low sample exceeds the limit of 3.
+        // Fourth consecutive low sample exceeds LOW_COUNT_LIMIT (3).
         assert!(m.record_quality(Some(205)));
     }
 
@@ -272,7 +271,7 @@ mod tests {
     #[test]
     fn default_target_is_final_destination() {
         assert_eq!(HandoverTarget::default(), HandoverTarget::FinalDestination);
-        let m = HandoverMonitor::new(230, 3, HandoverTarget::LinkPeer);
+        let m = HandoverMonitor::new(230, HandoverTarget::LinkPeer);
         assert_eq!(m.target, HandoverTarget::LinkPeer);
     }
 }

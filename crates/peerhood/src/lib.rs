@@ -21,8 +21,8 @@
 //! number of [`application::Application`]s — one middleware stack shared by
 //! several programs on the same device, exactly as the thesis describes.
 //! Nodes are assembled with the fluent builder (configuration →
-//! applications → relay flag) and callbacks are routed per application
-//! through the typed [`node::PeerHoodEvent`] dispatch layer.
+//! applications) and callbacks are routed per application through the typed
+//! [`node::PeerHoodEvent`] dispatch layer.
 //!
 //! ## Quick start
 //!

@@ -257,7 +257,6 @@ impl Core {
         if self.config.handover.enabled {
             connection.monitor = Some(HandoverMonitor::new(
                 self.config.monitor.quality_threshold,
-                self.config.monitor.low_count_limit,
                 self.config.handover.target,
             ));
         }

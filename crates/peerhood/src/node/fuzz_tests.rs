@@ -147,9 +147,9 @@ fn poisoned_response() -> Message {
 
 fn victim_world(tier: SecurityConfig, resilience: ResilienceConfig) -> (World, NodeId) {
     let mut world = World::new(WorldConfig::ideal(0xF0_22));
-    let cfg = PeerHoodConfig::new("victim", MobilityClass::Static)
-        .with_security(tier)
-        .with_resilience(resilience);
+    let mut cfg = PeerHoodConfig::new("victim", MobilityClass::Static);
+    cfg.security = tier;
+    cfg.resilience = resilience;
     let victim = world.add_node(
         "victim",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
@@ -463,9 +463,11 @@ fn authenticated_stacks_interoperate() {
     // other, connect and exchange data — the defence may cost bytes, never
     // sessions.
     let mut world = World::new(WorldConfig::ideal(0xA07));
-    let mut client_cfg = PeerHoodConfig::new("client", MobilityClass::Dynamic).with_security(SecurityConfig::auth());
+    let mut client_cfg = PeerHoodConfig::new("client", MobilityClass::Dynamic);
+    client_cfg.security = SecurityConfig::auth();
     client_cfg.discovery.inquiry_interval = SimDuration::from_secs(3);
-    let mut server_cfg = PeerHoodConfig::new("server", MobilityClass::Static).with_security(SecurityConfig::auth());
+    let mut server_cfg = PeerHoodConfig::new("server", MobilityClass::Static);
+    server_cfg.security = SecurityConfig::auth();
     server_cfg.discovery.inquiry_interval = SimDuration::from_secs(3);
     let client = world.add_node(
         "client",

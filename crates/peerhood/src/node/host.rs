@@ -4,16 +4,17 @@
 //! [`Application`]s on one middleware stack
 //! — exactly like several programs using the PeerHood library on one device.
 //! Nodes are assembled with the fluent [`PeerHoodNodeBuilder`]
-//! (configuration → applications → relay flag):
+//! (configuration → applications); whether the node relays for others is
+//! the configuration's `bridge.enabled`:
 //!
 //! ```
 //! use peerhood::prelude::*;
 //!
-//! let node = PeerHoodNode::builder()
+//! let mut node = PeerHoodNode::builder()
 //!     .config(PeerHoodConfig::static_device("pc"))
 //!     .app(IdleApplication)
-//!     .relay(true)
 //!     .build();
+//! node.subscribe_event_trace();
 //! assert_eq!(node.app_ids().len(), 1);
 //! ```
 //!
@@ -21,7 +22,8 @@
 //! receives its incoming connections, the app that opened a connection
 //! receives its data and handover callbacks, and discovery events fan out to
 //! every app. The same typed [`PeerHoodEvent`] stream can be recorded for
-//! scenario drivers through [`PeerHoodNode::subscribe_event_trace`].
+//! scenario drivers through [`PeerHoodNode::subscribe_event_trace`], the one
+//! way to turn the trace on.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -63,14 +65,11 @@ pub struct PeerHoodNode {
     trace: Option<VecDeque<PeerHoodEvent>>,
 }
 
-/// Fluent constructor for [`PeerHoodNode`]: configuration → applications →
-/// relay flag.
+/// Fluent constructor for [`PeerHoodNode`]: configuration → applications.
 pub struct PeerHoodNodeBuilder {
     config: Rc<PeerHoodConfig>,
     apps: Vec<Box<dyn Application>>,
-    relay: Option<bool>,
     trusted_apps: bool,
-    trace: bool,
 }
 
 impl PeerHoodNodeBuilder {
@@ -103,14 +102,6 @@ impl PeerHoodNodeBuilder {
         self
     }
 
-    /// Sets whether this node relays other devices' connections — i.e.
-    /// whether the hidden bridge service of Ch. 4 runs. When not called, the
-    /// configuration's `bridge.enabled` value is left untouched.
-    pub fn relay(mut self, relay: bool) -> Self {
-        self.relay = Some(relay);
-        self
-    }
-
     /// Controls whether co-hosted applications trust each other with every
     /// connection on the node.
     ///
@@ -126,23 +117,8 @@ impl PeerHoodNodeBuilder {
         self
     }
 
-    /// Enables the typed event trace from the start (equivalent to calling
-    /// [`PeerHoodNode::subscribe_event_trace`] on the built node).
-    pub fn event_trace(mut self, enabled: bool) -> Self {
-        self.trace = enabled;
-        self
-    }
-
     /// Builds the node.
     pub fn build(self) -> PeerHoodNode {
-        let mut config = self.config;
-        if let Some(relay) = self.relay {
-            if config.bridge.enabled != relay {
-                // Copy-on-write: only fork the shared configuration when the
-                // relay flag actually diverges from it.
-                Rc::make_mut(&mut config).bridge.enabled = relay;
-            }
-        }
         let apps = self
             .apps
             .into_iter()
@@ -150,24 +126,22 @@ impl PeerHoodNodeBuilder {
             .map(|(i, app)| (AppId(i as u32), app))
             .collect();
         PeerHoodNode {
-            config,
+            config: self.config,
             core: None,
             apps,
             trusted_apps: self.trusted_apps,
-            trace: if self.trace { Some(VecDeque::new()) } else { None },
+            trace: None,
         }
     }
 }
 
 impl PeerHoodNode {
-    /// Starts building a node (configuration → applications → relay flag).
+    /// Starts building a node (configuration → applications).
     pub fn builder() -> PeerHoodNodeBuilder {
         PeerHoodNodeBuilder {
             config: Rc::new(PeerHoodConfig::default()),
             apps: Vec::new(),
-            relay: None,
             trusted_apps: true,
-            trace: false,
         }
     }
 
@@ -176,11 +150,6 @@ impl PeerHoodNode {
     /// Shorthand for `PeerHoodNode::builder().config(config).build()`.
     pub fn relay(config: PeerHoodConfig) -> Self {
         PeerHoodNode::builder().config(config).build()
-    }
-
-    /// The configuration this node was created with.
-    pub fn config(&self) -> &PeerHoodConfig {
-        &self.config
     }
 
     /// This device's address (available after the node has started).
@@ -307,11 +276,6 @@ impl PeerHoodNode {
         if self.trace.is_none() {
             self.trace = Some(VecDeque::new());
         }
-    }
-
-    /// True when the event trace is being recorded.
-    pub fn event_trace_enabled(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// Drains and returns the recorded events (empty when the trace is not

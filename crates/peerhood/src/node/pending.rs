@@ -7,7 +7,7 @@
 //! server-initiated reply reconnection (§5.3), a bridge leg or a handover
 //! replacement route.
 
-use simnet::{AttemptId, ConnectError, Ctx, LinkId, NodeId, RadioTech};
+use simnet::{AttemptId, ConnectError, Ctx, LinkId, NodeId, RadioTech, SimDuration};
 
 use crate::connection::{ConnKind, ConnState};
 use crate::device::DeviceInfo;
@@ -17,6 +17,12 @@ use crate::ids::{ConnectionId, DeviceAddress};
 use crate::proto::Message;
 
 use super::{token, Core, PeerHoodEvent, KIND_RETRY};
+
+/// Reconnect attempts a server makes to return results to a disconnected
+/// client (result routing, §5.3) before it gives the connection up.
+pub const MAX_REPLY_ATTEMPTS: u32 = 5;
+/// Delay between those reconnect attempts.
+pub const REPLY_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(15);
 
 /// The request that opens `conn_id` over a freshly connected first hop: a
 /// `ConnectRequest` when that hop is the destination itself, otherwise a
@@ -203,7 +209,7 @@ impl Core {
             }
             None => return,
         };
-        if attempts > self.config.handover.max_reply_attempts {
+        if attempts > MAX_REPLY_ATTEMPTS {
             self.events.push_back(PeerHoodEvent::Disconnected {
                 app: self.owner_of(conn),
                 conn,
@@ -214,10 +220,7 @@ impl Core {
         let token_payload = self.next_retry_token;
         self.next_retry_token += 1;
         self.retry_conns.insert(token_payload, conn);
-        ctx.schedule(
-            self.config.handover.reply_retry_interval,
-            token(KIND_RETRY, token_payload),
-        );
+        ctx.schedule(REPLY_RETRY_INTERVAL, token(KIND_RETRY, token_payload));
     }
 
     pub(crate) fn try_reply_reconnect(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {

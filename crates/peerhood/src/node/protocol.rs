@@ -120,7 +120,6 @@ impl Core {
                 ctx.start_inquiry(tech);
             }
             KIND_MONITOR => {
-                self.compact_closed_connections();
                 self.monitor_pass(ctx);
                 ctx.schedule(self.config.monitor.interval, token(KIND_MONITOR, 0));
             }
@@ -989,8 +988,6 @@ impl Core {
                 None => ConnKind::OutgoingDirect,
             }
         };
-        let monitor_cfg = self.config.monitor.clone();
-        let handover_target = self.config.handover.target;
         let first_hop = kind.first_hop(provider).unwrap_or(provider);
         // A connection its app closed before approving the switch is not
         // dialled, and its hop's breaker is not asked.
@@ -1008,9 +1005,8 @@ impl Core {
             c.link = None;
             c.reconnecting = true;
             c.monitor = Some(HandoverMonitor::new(
-                monitor_cfg.quality_threshold,
-                monitor_cfg.low_count_limit,
-                handover_target,
+                self.config.monitor.quality_threshold,
+                self.config.handover.target,
             ));
         }
     }
@@ -1024,45 +1020,6 @@ impl Core {
             conn,
             graceful: false,
         });
-    }
-
-    /// Epoch-compaction of closed-but-revivable connection records — the
-    /// simulator's retired-link recipe applied to the connection table.
-    /// `Closed`/`Failed` entries are deliberately kept so result routing or
-    /// reconnection can revive them, which under long churn grows the table
-    /// without bound. When `handover.closed_retention` is set, each monitor
-    /// tick counts an *idle epoch* for entries that are down, link-less and
-    /// outbox-empty; any sign of life resets the counter, and entries idle
-    /// past the retention are dropped. The default (`None`) keeps the
-    /// original keep-forever behaviour byte for byte.
-    fn compact_closed_connections(&mut self) {
-        let retention = match self.config.handover.closed_retention {
-            Some(r) => r,
-            None => return,
-        };
-        let interval = self.config.monitor.interval.as_micros().max(1);
-        let max_epochs = (retention.as_micros() / interval).max(1) as u32;
-        for conn in self.connections.ids() {
-            let remove = match self.connections.get_mut(conn) {
-                Some(c) => {
-                    let idle = matches!(c.state, ConnState::Closed | ConnState::Failed)
-                        && c.link.is_none()
-                        && c.outbox.is_empty();
-                    if idle {
-                        c.idle_epochs += 1;
-                        c.idle_epochs > max_epochs
-                    } else {
-                        c.idle_epochs = 0;
-                        false
-                    }
-                }
-                None => false,
-            };
-            if remove {
-                self.connections.remove(conn);
-                self.conn_owner.remove(&conn);
-            }
-        }
     }
 
     fn monitor_pass(&mut self, ctx: &mut dyn Ctx) {

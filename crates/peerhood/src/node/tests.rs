@@ -93,6 +93,12 @@ fn peerhood(name: &str, mobility: MobilityClass, app: TestApp) -> Box<OnWorld<Pe
     ))
 }
 
+/// A node that records its event trace from the start.
+fn traced(mut node: PeerHoodNode) -> Box<OnWorld<PeerHoodNode>> {
+    node.subscribe_event_trace();
+    Box::new(OnWorld(node))
+}
+
 fn fast_discovery_config(name: &str, mobility: MobilityClass) -> PeerHoodConfig {
     let mut cfg = PeerHoodConfig::new(name, mobility);
     cfg.discovery.inquiry_interval = SimDuration::from_secs(3);
@@ -318,20 +324,15 @@ fn connecting_to_an_unknown_service_fails_cleanly() {
 
 #[test]
 fn builder_defaults_and_relay_flag() {
-    let node = PeerHoodNode::builder().build();
+    let mut node = PeerHoodNode::builder().build();
     assert!(node.app_ids().is_empty(), "no apps by default");
-    assert!(node.config().bridge.enabled, "bridge untouched by default");
-    assert!(!node.event_trace_enabled());
+    assert!(node.take_event_trace().is_empty(), "no trace until subscribed");
     assert_eq!(node.device_address(), None, "no address before start");
 
-    let relayless = PeerHoodNode::builder()
-        .config(PeerHoodConfig::static_device("pc"))
-        .relay(false)
-        .build();
-    assert!(!relayless.config().bridge.enabled, ".relay(false) disables the bridge");
-
-    let traced = PeerHoodNode::builder().event_trace(true).build();
-    assert!(traced.event_trace_enabled());
+    // A pure relay hosts no applications; whether it relays is its
+    // configuration's `bridge.enabled`, the one switch.
+    let relay = PeerHoodNode::relay(PeerHoodConfig::static_device("pc"));
+    assert!(relay.app_ids().is_empty());
 
     let two = PeerHoodNode::builder()
         .app(TestApp::default())
@@ -553,25 +554,23 @@ fn event_trace_records_the_dispatch_stream() {
         "client",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(OnWorld(
+        traced(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("client", MobilityClass::Dynamic))
                 .app(TestApp::default())
-                .event_trace(true)
                 .build(),
-        )),
+        ),
     );
     let server = world.add_node(
         "server",
         MobilityModel::stationary(Point::new(4.0, 0.0)),
         &bt(),
-        Box::new(OnWorld(
+        traced(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("server", MobilityClass::Static))
                 .app(TestApp::server("echo", true))
-                .event_trace(true)
                 .build(),
-        )),
+        ),
     );
     world.run_for(SimDuration::from_secs(40));
     let conn = world
@@ -656,14 +655,13 @@ fn discovery_events_reach_every_hosted_app_once_in_app_id_order() {
         "client",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(OnWorld(
+        traced(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("client", MobilityClass::Dynamic))
                 .app(FanOutApp(log.clone()))
                 .app(FanOutApp(log.clone()))
-                .event_trace(true)
                 .build(),
-        )),
+        ),
     );
     let server = world.add_node(
         "server",
@@ -871,13 +869,12 @@ fn crashed_peer_expires_and_reborn_daemon_readvertises() {
         "client",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &bt(),
-        Box::new(OnWorld(
+        traced(
             PeerHoodNode::builder()
                 .config(PeerHoodConfig::new("client", MobilityClass::Dynamic))
                 .app(TestApp::default())
-                .event_trace(true)
                 .build(),
-        )),
+        ),
     );
     let server = world.add_node(
         "server",
@@ -950,81 +947,13 @@ fn crashed_peer_expires_and_reborn_daemon_readvertises() {
 // Resilience pipeline
 // ---------------------------------------------------------------------
 
-/// Drives `sessions` connect→talk→close rounds from a fresh client world
-/// against a server built with the given `closed_retention`, returning the
-/// server's final connection-table size. The server keeps every closed
-/// session revivable by default; the retention bounds that working set.
-fn churn_sessions(closed_retention: Option<SimDuration>, sessions: usize) -> usize {
-    let mut world = World::new(WorldConfig::ideal(77));
-    let client = world.add_node(
-        "client",
-        MobilityModel::stationary(Point::new(0.0, 0.0)),
-        &bt(),
-        peerhood("client", MobilityClass::Dynamic, TestApp::default()),
-    );
-    let mut server_cfg = PeerHoodConfig::new("server", MobilityClass::Static);
-    server_cfg.handover.closed_retention = closed_retention;
-    let server = world.add_node(
-        "server",
-        MobilityModel::stationary(Point::new(4.0, 0.0)),
-        &bt(),
-        Box::new(OnWorld(
-            PeerHoodNode::builder()
-                .config(server_cfg)
-                .app(TestApp::server("echo", true))
-                .build(),
-        )),
-    );
-    world.run_for(SimDuration::from_secs(40));
-    for _ in 0..sessions {
-        let conn = world
-            .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
-                n.with_api(ctx, |api| api.connect_to_service("echo")).unwrap()
-            })
-            .unwrap()
-            .expect("echo service reachable");
-        world.run_for(SimDuration::from_secs(5));
-        world
-            .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
-                n.with_api(ctx, |api| api.close(conn)).unwrap().unwrap();
-            })
-            .unwrap();
-        world.run_for(SimDuration::from_secs(5));
-    }
-    // Let the retention window elapse fully after the last session.
-    world.run_for(SimDuration::from_secs(30));
-    world
-        .with_agent::<PeerHoodNode, _>(server, |n, _| n.connections().len())
-        .unwrap()
-}
-
-/// Satellite of the resilience PR: the epoch-compaction recipe applied to
-/// closed-but-revivable connections. Without a retention the server-side
-/// table grows one `Closed` entry per churned session, forever; with
-/// `closed_retention` set the long-churn working set stays bounded.
-#[test]
-fn closed_retention_bounds_the_connection_table_under_churn() {
-    let unbounded = churn_sessions(None, 8);
-    assert_eq!(
-        unbounded, 8,
-        "without retention every churned session leaves a revivable Closed entry"
-    );
-    let bounded = churn_sessions(Some(SimDuration::from_secs(10)), 8);
-    assert!(
-        bounded <= 2,
-        "with a 10 s retention the working set must stay bounded, got {bounded}"
-    );
-}
-
 /// The per-peer circuit breaker on the client refuses dials towards a
 /// crashed server once consecutive failures trip it, surfacing
 /// `CircuitOpen` synchronously instead of burning radio attempts.
 #[test]
 fn circuit_breaker_blocks_dials_to_a_dead_peer() {
-    let resilience = crate::resilience::ResilienceConfig {
-        breaker: true,
-        ..Default::default()
-    };
+    let mut client_cfg = PeerHoodConfig::new("client", MobilityClass::Dynamic);
+    client_cfg.resilience = crate::resilience::ResilienceConfig::all_on();
     let mut world = World::new(WorldConfig::ideal(53));
     let client = world.add_node(
         "client",
@@ -1032,7 +961,7 @@ fn circuit_breaker_blocks_dials_to_a_dead_peer() {
         &bt(),
         Box::new(OnWorld(
             PeerHoodNode::builder()
-                .config(PeerHoodConfig::new("client", MobilityClass::Dynamic).with_resilience(resilience))
+                .config(client_cfg)
                 .app(TestApp::default())
                 .build(),
         )),

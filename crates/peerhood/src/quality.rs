@@ -10,7 +10,7 @@
 //!    threshold** (230) or the route is rejected even if its sum is higher
 //!    (Fig. 3.9),
 //! 3. a connection whose sampled quality stays below the threshold for more
-//!    than a configured number of consecutive samples is considered to be
+//!    than [`LOW_COUNT_LIMIT`] consecutive samples is considered to be
 //!    degrading and triggers handover (§5.2.1).
 
 use serde::{Deserialize, Serialize};
@@ -40,25 +40,24 @@ pub fn candidate_quality_better(candidate: &[u8], current: &[u8], threshold: u8)
     }
 }
 
+/// Consecutive "signal low" samples tolerated before handover starts: the
+/// thesis uses 3, so the fourth low sample triggers (§5.2.1).
+pub const LOW_COUNT_LIMIT: u32 = 3;
+
 /// Tracks consecutive "signal low" samples for a monitored connection
 /// (state 1 of the routing-handover diagram, Fig. 5.5): handover triggers
-/// once more than `limit` consecutive samples fall below the threshold.
+/// once more than [`LOW_COUNT_LIMIT`] consecutive samples fall below the
+/// threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LowSignalCounter {
     threshold: u8,
-    limit: u32,
     count: u32,
 }
 
 impl LowSignalCounter {
-    /// Creates a counter with the given threshold and consecutive-sample
-    /// limit (the thesis uses threshold 230 and limit 3).
-    pub fn new(threshold: u8, limit: u32) -> Self {
-        LowSignalCounter {
-            threshold,
-            limit,
-            count: 0,
-        }
+    /// Creates a counter with the given threshold (the thesis uses 230).
+    pub fn new(threshold: u8) -> Self {
+        LowSignalCounter { threshold, count: 0 }
     }
 
     /// Records a quality sample. Returns `true` if this sample pushed the
@@ -66,7 +65,7 @@ impl LowSignalCounter {
     pub fn record(&mut self, quality: u8) -> bool {
         if quality < self.threshold {
             self.count += 1;
-            self.count > self.limit
+            self.count > LOW_COUNT_LIMIT
         } else {
             self.count = 0;
             false
@@ -77,7 +76,7 @@ impl LowSignalCounter {
     /// a low sample.
     pub fn record_missing(&mut self) -> bool {
         self.count += 1;
-        self.count > self.limit
+        self.count > LOW_COUNT_LIMIT
     }
 
     /// Number of consecutive low samples so far.
@@ -156,7 +155,7 @@ mod tests {
     fn low_signal_counter_triggers_after_limit_exceeded() {
         // Thesis: "if the signal has been too low for 3 times ... go to
         // state 2" — i.e. the fourth consecutive low sample triggers.
-        let mut c = LowSignalCounter::new(230, 3);
+        let mut c = LowSignalCounter::new(230);
         assert!(!c.record(229));
         assert!(!c.record(210));
         assert!(!c.record(200));
@@ -166,7 +165,7 @@ mod tests {
 
     #[test]
     fn good_sample_resets_counter() {
-        let mut c = LowSignalCounter::new(230, 3);
+        let mut c = LowSignalCounter::new(230);
         c.record(100);
         c.record(100);
         assert_eq!(c.consecutive_low(), 2);
@@ -177,9 +176,10 @@ mod tests {
 
     #[test]
     fn missing_samples_count_as_low() {
-        let mut c = LowSignalCounter::new(230, 2);
-        assert!(!c.record_missing());
-        assert!(!c.record_missing());
+        let mut c = LowSignalCounter::new(230);
+        for _ in 0..LOW_COUNT_LIMIT {
+            assert!(!c.record_missing());
+        }
         assert!(c.record_missing());
         c.reset();
         assert_eq!(c.consecutive_low(), 0);

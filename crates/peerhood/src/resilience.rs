@@ -4,9 +4,9 @@
 //! The thesis' middleware trusts every peer and accepts every connection,
 //! which degrades ungracefully under overload (see the E13/E14 fault
 //! experiments). This module adds an ordered, per-node middleware pipeline
-//! interposed on the data path, switched on per layer by the
-//! [`ResilienceConfig`] handed to
-//! [`PeerHoodConfig::with_resilience`](crate::config::PeerHoodConfig::with_resilience)
+//! interposed on the data path, switched on as a whole by the
+//! [`ResilienceConfig`] in
+//! [`PeerHoodConfig::resilience`](crate::config::PeerHoodConfig::resilience)
 //! and tuned by the constants below:
 //!
 //! 1. **per-peer circuit breakers** — Closed/Open/HalfOpen state machines
@@ -30,9 +30,10 @@
 //!    from the generation-keyed cached frame.
 //!
 //! Every decision is a pure function of the virtual clock and the observed
-//! event stream — the pipeline draws **no randomness**, and with every layer
-//! disabled (the default) it is behaviourally invisible, preserving
-//! byte-identical reports for all existing experiments.
+//! event stream — the pipeline draws **no randomness**, and switched off
+//! (the default) it is behaviourally invisible, preserving byte-identical
+//! reports for all existing experiments. There is no per-layer switch: no
+//! caller ever turned one layer on without the others.
 //!
 //! A [`ResilienceStats`] snapshot (per-layer trips, sheds, admits/rejects,
 //! breaker states) is exported per node through
@@ -80,27 +81,20 @@ pub const PER_PEER_RATE: usize = 6;
 /// Sliding window for the per-peer accept-rate cap.
 pub const PER_PEER_WINDOW: SimDuration = SimDuration::from_secs(10);
 
-/// Composition of the resilience pipeline: one switch per layer, tuned by
-/// the constants of this module. The default disables everything, making
-/// the pipeline behaviourally invisible.
+/// The resilience pipeline's one switch: all three layers (circuit
+/// breakers, backpressure, admission control) run, tuned by the constants
+/// of this module, or none does. The default is off, making the pipeline
+/// behaviourally invisible.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ResilienceConfig {
-    /// Per-peer circuit breakers on every outgoing dial.
-    pub breaker: bool,
-    /// Per-app inbound/outbound rate limits and queue caps.
-    pub backpressure: bool,
-    /// Admission control on incoming radio connections.
-    pub admission: bool,
+    /// Whether the pipeline runs.
+    pub enabled: bool,
 }
 
 impl ResilienceConfig {
     /// Every layer enabled.
     pub fn all_on() -> Self {
-        ResilienceConfig {
-            breaker: true,
-            backpressure: true,
-            admission: true,
-        }
+        ResilienceConfig { enabled: true }
     }
 }
 
@@ -329,33 +323,27 @@ impl ResilienceStats {
 
     /// Mirrors the snapshot into the telemetry plane under the `resilience`
     /// subsystem: monotonic tallies as counters, the live breaker population
-    /// as gauges. `label` distinguishes scopes (a node name, or `None` for a
-    /// fleet-wide roll-up).
-    pub fn export_gauges(&self, tel: &mut Telemetry, label: Option<&str>) {
-        tel.set_counter("resilience", "breaker_trips", label, self.breaker_trips);
-        tel.set_counter("resilience", "breaker_blocked", label, self.breaker_blocked);
-        tel.set_counter("resilience", "breaker_probes", label, self.breaker_probes);
-        tel.set_gauge("resilience", "breakers_open", label, self.breakers_open as f64);
-        tel.set_gauge(
-            "resilience",
-            "breakers_half_open",
-            label,
-            self.breakers_half_open as f64,
-        );
-        tel.set_counter("resilience", "inbound_shed", label, self.inbound_shed);
-        tel.set_counter("resilience", "outbound_shed", label, self.outbound_shed);
-        tel.set_counter("resilience", "queue_shed", label, self.queue_shed);
-        tel.set_counter("resilience", "admitted", label, self.admitted);
-        tel.set_counter("resilience", "rejected_sessions", label, self.rejected_sessions);
-        tel.set_counter("resilience", "rejected_rate", label, self.rejected_rate);
-        tel.set_counter("resilience", "inquiries_cached", label, self.inquiries_cached);
-        tel.set_counter("resilience", "inquiries_encoded", label, self.inquiries_encoded);
+    /// as gauges.
+    pub fn export(&self, tel: &mut Telemetry) {
+        tel.set_counter("resilience", "breaker_trips", None, self.breaker_trips);
+        tel.set_counter("resilience", "breaker_blocked", None, self.breaker_blocked);
+        tel.set_counter("resilience", "breaker_probes", None, self.breaker_probes);
+        tel.set_gauge("resilience", "breakers_open", None, self.breakers_open as f64);
+        tel.set_gauge("resilience", "breakers_half_open", None, self.breakers_half_open as f64);
+        tel.set_counter("resilience", "inbound_shed", None, self.inbound_shed);
+        tel.set_counter("resilience", "outbound_shed", None, self.outbound_shed);
+        tel.set_counter("resilience", "queue_shed", None, self.queue_shed);
+        tel.set_counter("resilience", "admitted", None, self.admitted);
+        tel.set_counter("resilience", "rejected_sessions", None, self.rejected_sessions);
+        tel.set_counter("resilience", "rejected_rate", None, self.rejected_rate);
+        tel.set_counter("resilience", "inquiries_cached", None, self.inquiries_cached);
+        tel.set_counter("resilience", "inquiries_encoded", None, self.inquiries_encoded);
     }
 }
 
 /// Runtime state of one node's resilience pipeline. Owned by the middleware
 /// core; every data-path hook funnels through the methods here, and each
-/// method is a no-op returning "allow" when its layer is disabled.
+/// method is a no-op returning "allow" when the pipeline is off.
 #[derive(Debug, Clone)]
 pub struct Resilience {
     cfg: ResilienceConfig,
@@ -391,7 +379,7 @@ impl Resilience {
     /// reconnections — and in `op_connect_to` before it allocates a
     /// connection id. A relay's downstream leg does not ask.
     pub fn allow_dial(&mut self, peer: DeviceAddress, now: SimTime) -> bool {
-        if !self.cfg.breaker {
+        if !self.cfg.enabled {
             return true;
         }
         let breaker = self.breaker(peer);
@@ -409,7 +397,7 @@ impl Resilience {
 
     /// Records a successful dial (radio link established towards `peer`).
     pub fn record_dial_success(&mut self, peer: DeviceAddress) {
-        if !self.cfg.breaker {
+        if !self.cfg.enabled {
             return;
         }
         if let Some(b) = self.breakers.get_mut(&peer) {
@@ -419,7 +407,7 @@ impl Resilience {
 
     /// Records a failed dial (connect refused/failed) or a peer crash.
     pub fn record_dial_failure(&mut self, peer: DeviceAddress, now: SimTime) {
-        if !self.cfg.breaker {
+        if !self.cfg.enabled {
             return;
         }
         if self.breaker(peer).record_failure(now) {
@@ -429,7 +417,7 @@ impl Resilience {
 
     /// Records a link break towards `peer` (flap counting).
     pub fn record_link_break(&mut self, peer: DeviceAddress, now: SimTime) {
-        if !self.cfg.breaker {
+        if !self.cfg.enabled {
             return;
         }
         if self.breaker(peer).record_break(now) {
@@ -443,7 +431,7 @@ impl Resilience {
     }
 
     /// The breaker state towards a peer (`None` when the peer was never
-    /// dialled or the layer is disabled).
+    /// dialled or the pipeline is off).
     pub fn breaker_state(&self, peer: DeviceAddress) -> Option<BreakerState> {
         self.breakers.get(&peer).map(|b| b.state())
     }
@@ -454,7 +442,7 @@ impl Resilience {
 
     /// Gate for one outbound application send by `app`.
     pub fn allow_outbound(&mut self, app: Option<AppId>, now: SimTime) -> bool {
-        if !self.cfg.backpressure {
+        if !self.cfg.enabled {
             return true;
         }
         let ok = self
@@ -469,7 +457,7 @@ impl Resilience {
 
     /// Gate for one inbound payload delivered to `app`.
     pub fn allow_inbound(&mut self, app: Option<AppId>, now: SimTime) -> bool {
-        if !self.cfg.backpressure {
+        if !self.cfg.enabled {
             return true;
         }
         let ok = self
@@ -482,9 +470,9 @@ impl Resilience {
         ok
     }
 
-    /// The outbox queue cap, when the backpressure layer is active.
+    /// The outbox queue cap, when the pipeline is on.
     pub fn outbox_cap(&self) -> Option<usize> {
-        self.cfg.backpressure.then_some(OUTBOX_CAP)
+        self.cfg.enabled.then_some(OUTBOX_CAP)
     }
 
     /// Counts one result shed by the outbox cap.
@@ -500,7 +488,7 @@ impl Resilience {
     /// `active_sessions` is the caller-computed concurrent incoming-session
     /// count (established incoming connections plus unidentified links).
     pub fn admit(&mut self, peer: DeviceAddress, now: SimTime, active_sessions: usize) -> bool {
-        if !self.cfg.admission {
+        if !self.cfg.enabled {
             return true;
         }
         if active_sessions >= MAX_SESSIONS {
@@ -655,21 +643,29 @@ mod tests {
         assert!(!bucket.try_take(t(100)));
     }
 
+    /// The default switch leaves all three layers inert past every cap: more
+    /// dial failures than `FAILURE_THRESHOLD`, more sends than either burst,
+    /// more sessions than `MAX_SESSIONS` and more accepts than
+    /// `PER_PEER_RATE` all pass, and no counter moves.
     #[test]
     fn disabled_layers_allow_everything_and_count_nothing() {
         let mut r = Resilience::new(ResilienceConfig::default());
         let peer = DeviceAddress::from_node_raw(7);
-        for s in 0..10 {
-            r.record_dial_failure(peer, t(s));
-            r.record_link_break(peer, t(s));
-            assert!(r.allow_dial(peer, t(s)));
-            assert!(r.allow_outbound(None, t(s)));
-            assert!(r.allow_inbound(None, t(s)));
-            assert!(r.admit(peer, t(s), usize::MAX - 1));
+        for _ in 0..=FAILURE_THRESHOLD {
+            r.record_dial_failure(peer, t(0));
+            r.record_link_break(peer, t(0));
         }
+        assert!(r.allow_dial(peer, t(0)));
+        for _ in 0..=OUTBOUND_BURST.max(INBOUND_BURST) {
+            assert!(r.allow_outbound(None, t(0)));
+            assert!(r.allow_inbound(None, t(0)));
+        }
+        for _ in 0..=PER_PEER_RATE {
+            assert!(r.admit(peer, t(0), MAX_SESSIONS + 1));
+        }
+        assert_eq!(r.breaker_state(peer), None);
         assert_eq!(r.outbox_cap(), None);
-        let stats = r.stats();
-        assert_eq!(stats, ResilienceStats::default());
+        assert_eq!(r.stats(), ResilienceStats::default());
     }
 
     #[test]
@@ -695,10 +691,7 @@ mod tests {
 
     #[test]
     fn admission_enforces_session_and_rate_caps() {
-        let mut r = Resilience::new(ResilienceConfig {
-            admission: true,
-            ..ResilienceConfig::default()
-        });
+        let mut r = Resilience::new(ResilienceConfig::all_on());
         let peer = DeviceAddress::from_node_raw(3);
         // Session cap: one below MAX_SESSIONS is admitted, at it is not.
         assert!(r.admit(peer, t(0), MAX_SESSIONS - 1));
@@ -719,10 +712,7 @@ mod tests {
 
     #[test]
     fn backpressure_sheds_past_the_burst() {
-        let mut r = Resilience::new(ResilienceConfig {
-            backpressure: true,
-            ..ResilienceConfig::default()
-        });
+        let mut r = Resilience::new(ResilienceConfig::all_on());
         let app = Some(AppId(0));
         for _ in 0..OUTBOUND_BURST {
             assert!(r.allow_outbound(app, t(0)));

@@ -143,18 +143,18 @@ impl SecurityStats {
 
     /// Mirrors the counters into a telemetry sink under the `security`
     /// subsystem (same shape as
-    /// [`ResilienceStats::export_gauges`](crate::resilience::ResilienceStats::export_gauges)).
-    pub fn export_gauges(&self, tel: &mut simnet::Telemetry, label: Option<&str>) {
-        tel.set_counter("security", "frames_authenticated", label, self.frames_authenticated);
-        tel.set_counter("security", "auth_bytes", label, self.auth_bytes);
-        tel.set_counter("security", "auth_rejected", label, self.auth_rejected);
-        tel.set_counter("security", "replay_rejected", label, self.replay_rejected);
-        tel.set_counter("security", "foreign_conn_rejected", label, self.foreign_conn_rejected);
-        tel.set_counter("security", "bad_reply_context", label, self.bad_reply_context);
-        tel.set_counter("security", "duplicate_accepts", label, self.duplicate_accepts);
-        tel.set_counter("security", "conn_mismatch_dropped", label, self.conn_mismatch_dropped);
-        tel.set_counter("security", "reports_skipped", label, self.reports_skipped);
-        tel.set_counter("security", "penalties_recorded", label, self.penalties_recorded);
+    /// [`ResilienceStats::export`](crate::resilience::ResilienceStats::export)).
+    pub fn export(&self, tel: &mut simnet::Telemetry) {
+        tel.set_counter("security", "frames_authenticated", None, self.frames_authenticated);
+        tel.set_counter("security", "auth_bytes", None, self.auth_bytes);
+        tel.set_counter("security", "auth_rejected", None, self.auth_rejected);
+        tel.set_counter("security", "replay_rejected", None, self.replay_rejected);
+        tel.set_counter("security", "foreign_conn_rejected", None, self.foreign_conn_rejected);
+        tel.set_counter("security", "bad_reply_context", None, self.bad_reply_context);
+        tel.set_counter("security", "duplicate_accepts", None, self.duplicate_accepts);
+        tel.set_counter("security", "conn_mismatch_dropped", None, self.conn_mismatch_dropped);
+        tel.set_counter("security", "reports_skipped", None, self.reports_skipped);
+        tel.set_counter("security", "penalties_recorded", None, self.penalties_recorded);
     }
 
     /// Hostile frames this node demonstrably refused: every rejection a

@@ -23,24 +23,23 @@ fn main() {
     // The phone hosts two client applications on one middleware stack.
     let phone_cfg = experiment_config("phone", MobilityClass::Dynamic, DiscoveryMode::Dynamic);
     let phone_techs = phone_cfg.techs.clone();
+    let mut phone_node = PeerHoodNode::builder()
+        .config(phone_cfg)
+        .app(MessagingClient::new(
+            "print",
+            b"hello from the phone".to_vec(),
+            10,
+            SimDuration::from_secs(1),
+            SimDuration::from_secs(30),
+        ))
+        .app(PictureClient::new("analysis", spec.clone(), SimDuration::from_secs(35)))
+        .build();
+    phone_node.subscribe_event_trace();
     let phone = world.add_node(
         "phone",
         MobilityModel::stationary(Point::new(0.0, 0.0)),
         &phone_techs,
-        Box::new(OnWorld(
-            PeerHoodNode::builder()
-                .config(phone_cfg)
-                .app(MessagingClient::new(
-                    "print",
-                    b"hello from the phone".to_vec(),
-                    10,
-                    SimDuration::from_secs(1),
-                    SimDuration::from_secs(30),
-                ))
-                .app(PictureClient::new("analysis", spec.clone(), SimDuration::from_secs(35)))
-                .event_trace(true)
-                .build(),
-        )),
+        Box::new(OnWorld(phone_node)),
     );
 
     // The PC hosts two server applications with independent services.
@@ -55,7 +54,6 @@ fn main() {
                 .config(pc_cfg)
                 .app(MessagingServer::new("print"))
                 .app(PictureServer::for_spec("analysis", &spec))
-                .relay(true)
                 .build(),
         )),
     );

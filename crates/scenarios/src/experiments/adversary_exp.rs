@@ -340,7 +340,7 @@ pub fn adversary_run(settings: &AdversarySettings, defense: Defense) -> (World, 
             }
         }
         if let Some(tel) = world.telemetry_mut() {
-            total.export_gauges(tel, None);
+            total.export(tel);
         }
     });
     crate::telemetry::finish_world(&mut world, &scope);

@@ -17,9 +17,9 @@
 use simnet::prelude::*;
 
 use crate::experiments::city::City;
-use crate::experiments::full_stack::{city_agents, StackMode};
 use crate::experiments::metropolis::aggregate_full_stats;
 use crate::experiments::params::{count, number, Param};
+use crate::experiments::probe::CityProbe;
 use crate::report::ExperimentReport;
 
 /// Settings for the E13 churn sweep.
@@ -33,9 +33,6 @@ pub struct ChurnSettings {
     /// Churn rates to sweep, in expected crashes per node per hour. Zero is
     /// the fault-free control.
     pub churn_per_hour: Vec<f64>,
-    /// Which agent populates the city: the lightweight probe (byte-identical
-    /// to the historical reports) or the real PeerHood middleware stack.
-    pub stack: StackMode,
 }
 
 impl ChurnSettings {
@@ -52,7 +49,6 @@ impl ChurnSettings {
             },
             node_counts: vec![100, 500, 2_000],
             churn_per_hour: vec![0.0, 20.0, 60.0],
-            stack: StackMode::Lightweight,
         }
     }
 
@@ -80,9 +76,6 @@ impl ChurnSettings {
         City::mobile_fraction(),
         City::duration_s().help("simulated seconds per cell"),
         City::downtime_s(),
-        Param::new("stack", "lightweight probe or full PeerHood stack", |s, v| {
-            v.parse().map(|mode| s.stack = mode)
-        }),
     ];
 }
 
@@ -98,9 +91,13 @@ impl AsMut<City> for ChurnSettings {
 fn churn_city(settings: &ChurnSettings, nodes: usize, churn_per_hour: f64) -> World {
     let city = &settings.city;
     let mut world = city.world(nodes);
-    let agent = city_agents(settings.stack, city.inquiry_interval, false);
-    for (i, mobility, is_mobile) in city.placement(nodes, 0xC18E) {
-        world.add_node(format!("c{i}"), mobility, &[RadioTech::Wlan], agent(is_mobile));
+    for (i, mobility, _) in city.placement(nodes, 0xC18E) {
+        world.add_node(
+            format!("c{i}"),
+            mobility,
+            &[RadioTech::Wlan],
+            probe(city.inquiry_interval),
+        );
     }
     let ids: Vec<NodeId> = world.node_ids().collect();
     let salt = 0xFA17 ^ (nodes as u64) ^ churn_per_hour.to_bits();
@@ -181,18 +178,16 @@ pub fn e13_churn_sweep(settings: &ChurnSettings) -> ExperimentReport {
         settings.city.mean_downtime.as_secs(),
         settings.city.duration.as_secs_f64()
     ));
-    if settings.stack == StackMode::Full {
-        report.push_note(
-            "full PeerHood stack on every node (StackMode::Full): sessions are middleware-level \
-             service connections, break reasons classified at the radio layer under the session \
-             route"
-                .to_string(),
-        );
-    }
     report
 }
 
-/// Population of the E14 run per effort level.
+/// The light probe of the E13 and E14 cities: it re-attaches but never hands
+/// over, since a handover would hide the break these experiments count.
+fn probe(inquiry_interval: SimDuration) -> Box<dyn NodeAgent> {
+    Box::new(OnWorld(CityProbe::with(inquiry_interval, None, false)))
+}
+
+/// Population of the E14 run, quick or full.
 fn e14_nodes(quick: bool) -> usize {
     if quick {
         120
@@ -202,10 +197,8 @@ fn e14_nodes(quick: bool) -> usize {
 }
 
 /// E14 (beyond the thesis): a mass radio blackout plus a crash wave whose
-/// restarts all land within a few seconds. `stack` picks the agent:
-/// [`StackMode::Lightweight`] runs the probe (the historical, byte-stable
-/// variant), `Full` populates the block with real PeerHood stacks.
-pub fn e14_blackout_flash_crowd_with(seed: u64, quick: bool, stack: StackMode) -> ExperimentReport {
+/// restarts all land within a few seconds.
+pub fn e14_blackout_flash_crowd(seed: u64, quick: bool) -> ExperimentReport {
     let nodes = e14_nodes(quick);
     let city = ChurnSettings::quick().city;
     let side = city.side_m(nodes);
@@ -213,7 +206,6 @@ pub fn e14_blackout_flash_crowd_with(seed: u64, quick: bool, stack: StackMode) -
     config.grid_cell_m = config.radio.wlan.range_m;
     let mut world = World::new(config);
     let mut placer = SimRng::new(seed ^ 0xB1AC0);
-    let agent = city_agents(stack, city.inquiry_interval, false);
     for i in 0..nodes {
         let start = Point::new(placer.uniform_f64(0.0, side), placer.uniform_f64(0.0, side));
         // Every E14 device is stationary: all advertise Static.
@@ -221,7 +213,7 @@ pub fn e14_blackout_flash_crowd_with(seed: u64, quick: bool, stack: StackMode) -
             format!("b{i}"),
             MobilityModel::stationary(start),
             &[RadioTech::Wlan],
-            agent(false),
+            probe(city.inquiry_interval),
         );
     }
     // The event: at t=120 s, 60 % of the devices lose their radio for 60 s
@@ -274,7 +266,7 @@ pub fn e14_blackout_flash_crowd_with(seed: u64, quick: bool, stack: StackMode) -
             open_links.to_string(),
         ]);
     };
-    let scope = format!("E14 nodes={nodes} stack={stack:?}");
+    let scope = format!("E14 nodes={nodes}");
     crate::telemetry::instrument_world(&mut world, &scope);
     world.run_until(SimTime::from_secs(115));
     sample(&mut world, "before");

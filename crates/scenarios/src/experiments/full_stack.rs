@@ -1,20 +1,16 @@
-//! Full-stack scale machinery: run the **real PeerHood middleware** — not a
-//! lightweight stand-in agent — on every node of the E12–E15 city worlds.
+//! Full-stack city machinery: the **real PeerHood middleware** — not the
+//! light [`CityProbe`](crate::experiments::probe::CityProbe) the E12–E14,
+//! E17 and E18 cities run — on every node of a city: E15's metropolis and
+//! the ledger's full-stack workloads (E16 and E19 build on its WLAN city
+//! configuration).
 //!
-//! The scale experiments historically drove the `simnet` substrate with
-//! purpose-built probe agents because the full stack was too
-//! allocation-heavy per node. After the zero-copy frame / shared-payload /
-//! allocation-lean-storage refactor the real [`PeerHoodNode`] host is cheap
-//! enough to populate thousand-node cities, so each experiment family gains
-//! a [`StackMode`] knob:
-//!
-//! * [`StackMode::Lightweight`] — the light [`CityProbe`],
-//!   byte-identical to the pre-refactor reports (the re-baseline mode),
-//! * [`StackMode::Full`] — every node hosts a full middleware stack (daemon,
-//!   discovery plugins, engine, connection table, handover machinery) plus a
-//!   small [`MetroApp`] that registers a `"metro"` service, attaches to the
-//!   best provider dynamic discovery finds, and keeps the session alive with
-//!   periodic pings.
+//! After the zero-copy frame / shared-payload / allocation-lean-storage
+//! refactor the real [`PeerHoodNode`] host is cheap enough to populate
+//! thousand-node cities. Every node hosts a full middleware stack (daemon,
+//! discovery plugins, engine, connection table, handover machinery) plus a
+//! small [`MetroApp`] that registers a `"metro"` service, attaches to the
+//! best provider dynamic discovery finds, and keeps the session alive with
+//! periodic pings.
 //!
 //! [`FullStackHost`] wraps the [`PeerHoodNode`] so experiments can still
 //! classify *why* a session's route broke (crash vs. range — information the
@@ -32,31 +28,6 @@ use peerhood::node::{PeerHoodApi, PeerHoodNode};
 use peerhood::service::ServiceInfo;
 use simnet::agent::Agent;
 use simnet::prelude::*;
-
-use crate::experiments::probe::CityProbe;
-
-/// Which agent populates a scale experiment's nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StackMode {
-    /// The original lightweight probe agent (reports byte-identical to the
-    /// pre-refactor baselines).
-    Lightweight,
-    /// The real `PeerHoodNode` middleware stack on every node.
-    Full,
-}
-
-impl std::str::FromStr for StackMode {
-    type Err = String;
-
-    /// Parses a `stack=` grid value (`lightweight` / `full`).
-    fn from_str(value: &str) -> Result<Self, String> {
-        match value {
-            "lightweight" => Ok(StackMode::Lightweight),
-            "full" => Ok(StackMode::Full),
-            _ => Err(format!("`{value}` is not a stack mode (lightweight|full)")),
-        }
-    }
-}
 
 /// Name of the service every metropolis node registers and consumes.
 pub const METRO_SERVICE: &str = "metro";
@@ -76,25 +47,6 @@ pub fn metro_configs(inquiry_interval: SimDuration) -> (Rc<PeerHoodConfig>, Rc<P
     let mut mobile = fixed.clone();
     mobile.mobility = peerhood::device::MobilityClass::Dynamic;
     (Rc::new(fixed), Rc::new(mobile))
-}
-
-/// The agent factory of a city under `stack`, from "does this node walk":
-/// the light [`CityProbe`] (which hands over if `hands_over`; E13/E14 measure
-/// re-attachment alone, where a handover would hide a break), or a full stack
-/// on the two configurations of [`metro_configs`], shared by the whole city.
-pub fn city_agents(
-    stack: StackMode,
-    inquiry_interval: SimDuration,
-    hands_over: bool,
-) -> impl Fn(bool) -> Box<dyn NodeAgent> {
-    let shared = (stack == StackMode::Full).then(|| metro_configs(inquiry_interval));
-    move |is_mobile| match &shared {
-        None => Box::new(OnWorld(CityProbe::with(inquiry_interval, None, hands_over))),
-        Some((static_cfg, mobile_cfg)) => {
-            let cfg = if is_mobile { mobile_cfg } else { static_cfg };
-            Box::new(FullStackHost::new(Rc::clone(cfg)))
-        }
-    }
 }
 
 /// The stationary node of a dense WLAN city, fleet `name`: the tuning the
@@ -273,7 +225,8 @@ impl Application for MetroApp {
 }
 
 /// Per-node counters of a city node: read off the middleware by
-/// [`FullStackHost`], counted by the light [`CityProbe`] itself.
+/// [`FullStackHost`], counted by the light
+/// [`CityProbe`](crate::experiments::probe::CityProbe) itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FullStats {
     /// Client sessions established.

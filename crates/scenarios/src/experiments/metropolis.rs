@@ -137,7 +137,7 @@ fn refresh_stack_gauges(world: &mut World, ids: &[NodeId]) {
         tel.set_gauge("sessions", "attached", None, attached as f64);
         tel.set_counter("handover", "completions", None, total.handover_completions);
         tel.set_counter("handover", "route_changes", None, total.route_changes);
-        resilience.export_gauges(tel, None);
+        resilience.export(tel);
     }
 }
 

@@ -35,8 +35,8 @@ pub use discovery::{
     e01_coverage_exclusion, e02_gnutella_traffic, e03_quality_route_selection, e04_notification_delay,
     e05_static_vs_dynamic_bridge, DiscoverySettings,
 };
-pub use faults_exp::{e13_churn_sweep, e14_blackout_flash_crowd_with, ChurnSettings};
-pub use full_stack::{FullStackHost, FullStats, MetroApp, StackMode, METRO_SERVICE};
+pub use faults_exp::{e13_churn_sweep, e14_blackout_flash_crowd, ChurnSettings};
+pub use full_stack::{FullStackHost, FullStats, MetroApp, METRO_SERVICE};
 pub use handover::{
     e07_two_server_handover, e08_routing_handover, e11_monitoring_limitation, routing_handover_run, HandoverRun,
 };
@@ -54,26 +54,18 @@ pub use sharded::{e17_sharded_metropolis, sharded_metropolis_run, sharded_world_
 
 use crate::report::ExperimentReport;
 
-/// How thorough a full reproduction run should be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effort {
-    /// Reduced sizes, suitable for CI and `cargo test`.
-    Quick,
-    /// The full sizes (`repro` without `--quick`).
-    Full,
-}
-
-/// Runs every experiment through the [`Experiment`] registry and returns
+/// Runs every experiment through the [`Experiment`] registry — at reduced
+/// sizes when `quick`, exactly as [`Experiment::run`] takes it — and returns
 /// the reports in E1–E19 order. Settings-driven families keep their
 /// historical pinned seeds (see [`Experiment::suite_seed`]), so the suite
 /// output is byte-identical to the pre-registry per-experiment entry
 /// points (E16–E19 append after the historical E1–E15 blocks).
-pub fn run_all(seed: u64, effort: Effort) -> Vec<ExperimentReport> {
+pub fn run_all(seed: u64, quick: bool) -> Vec<ExperimentReport> {
     let defaults = Params::new();
     registry()
         .iter()
         .map(|e| {
-            let run = e.run(e.suite_seed.unwrap_or(seed), &defaults, effort == Effort::Quick);
+            let run = e.run(e.suite_seed.unwrap_or(seed), &defaults, quick);
             run.expect("no overrides to reject").report
         })
         .collect()

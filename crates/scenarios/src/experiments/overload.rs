@@ -396,7 +396,7 @@ pub fn overload_run(settings: &OverloadSettings, resilience_on: bool) -> (World,
             }
         }
         if let Some(tel) = world.telemetry_mut() {
-            total.export_gauges(tel, None);
+            total.export(tel);
         }
     });
     crate::telemetry::finish_world(&mut world, &scope);

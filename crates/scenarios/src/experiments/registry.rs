@@ -20,9 +20,9 @@ use crate::experiments::{
     e01_coverage_exclusion, e02_gnutella_traffic, e03_quality_route_selection, e04_notification_delay,
     e05_static_vs_dynamic_bridge, e06_bridge_performance, e07_two_server_handover, e08_routing_handover,
     e09_result_routing, e10_coverage_amplification, e11_monitoring_limitation, e12_dense_city, e13_churn_sweep,
-    e14_blackout_flash_crowd_with, e15_full_stack_metropolis, e16_overload, e17_sharded_metropolis,
-    e18_hotspot_metropolis, e19_hostile_city, AdversarySettings, ChurnSettings, Defense, DiscoverySettings,
-    HotspotSettings, MetropolisSettings, OverloadSettings, ScaleSettings, ShardedSettings, StackMode,
+    e14_blackout_flash_crowd, e15_full_stack_metropolis, e16_overload, e17_sharded_metropolis, e18_hotspot_metropolis,
+    e19_hostile_city, AdversarySettings, ChurnSettings, Defense, DiscoverySettings, HotspotSettings,
+    MetropolisSettings, OverloadSettings, ScaleSettings, ShardedSettings,
 };
 use crate::report::ExperimentReport;
 
@@ -357,16 +357,12 @@ static REGISTRY: [Experiment; 19] = [
         key_columns: &["phase", "t (s)"],
         suite_seed: None,
         plan: &Plan {
-            // (seed, quick, stack): E14's sizes hang off the effort itself.
-            quick: || (0, true, StackMode::Lightweight),
-            full: || (0, false, StackMode::Lightweight),
-            seed: |(seed, _, _)| seed,
-            params: &[Param::new(
-                "stack",
-                "lightweight probe or full PeerHood stack",
-                |(_, _, stack), v| v.parse().map(|mode| *stack = mode),
-            )],
-            report: |&(seed, quick, stack)| e14_blackout_flash_crowd_with(seed, quick, stack),
+            // (seed, quick): E14's sizes hang off the quick flag itself.
+            quick: || (0, true),
+            full: || (0, false),
+            seed: |(seed, _)| seed,
+            params: &[],
+            report: |&(seed, quick)| e14_blackout_flash_crowd(seed, quick),
         },
     },
     Experiment {
@@ -533,8 +529,6 @@ mod tests {
         assert!(count("-1").is_err());
         assert!(number("2.5").is_ok());
         assert!(number("inf").is_err());
-        assert!("full".parse::<StackMode>().is_ok());
-        assert!("Full".parse::<StackMode>().is_err());
         assert!(on_off("on").is_ok());
         assert!(on_off("off").is_ok());
         assert!(on_off("true").is_err());

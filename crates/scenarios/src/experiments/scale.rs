@@ -15,9 +15,9 @@
 use simnet::prelude::*;
 
 use crate::experiments::city::City;
-use crate::experiments::full_stack::{city_agents, StackMode};
 use crate::experiments::metropolis::aggregate_full_stats;
 use crate::experiments::params::{count, Param};
+use crate::experiments::probe::CityProbe;
 use crate::report::ExperimentReport;
 
 /// Settings for the E12 dense-city scale runs.
@@ -27,9 +27,6 @@ pub struct ScaleSettings {
     pub city: City,
     /// Total node counts to sweep.
     pub node_counts: Vec<usize>,
-    /// Which agent populates the city: the lightweight probe (byte-identical
-    /// to the historical reports) or the real PeerHood middleware stack.
-    pub stack: StackMode,
 }
 
 impl ScaleSettings {
@@ -46,7 +43,6 @@ impl ScaleSettings {
                 mean_downtime: SimDuration::ZERO,
             },
             node_counts: vec![1_000, 2_500, 5_000, 10_000],
-            stack: StackMode::Lightweight,
         }
     }
 
@@ -67,9 +63,6 @@ impl ScaleSettings {
         City::density(),
         City::mobile_fraction(),
         City::duration_s().help("simulated seconds per run"),
-        Param::new("stack", "lightweight probe or full PeerHood stack", |s, v| {
-            v.parse().map(|mode| s.stack = mode)
-        }),
     ];
 }
 
@@ -84,9 +77,9 @@ impl AsMut<City> for ScaleSettings {
 fn city_run(settings: &ScaleSettings, nodes: usize) -> World {
     let city = &settings.city;
     let mut world = city.world(nodes);
-    let agent = city_agents(settings.stack, city.inquiry_interval, true);
-    for (i, mobility, is_mobile) in city.placement(nodes, 0xC17F) {
-        world.add_node(format!("c{i}"), mobility, &[RadioTech::Wlan], agent(is_mobile));
+    for (i, mobility, _) in city.placement(nodes, 0xC17F) {
+        let probe = CityProbe::with(city.inquiry_interval, None, true);
+        world.add_node(format!("c{i}"), mobility, &[RadioTech::Wlan], Box::new(OnWorld(probe)));
     }
     let scope = format!("E12 nodes={nodes}");
     crate::telemetry::observe(&mut world, &scope, city.duration);
@@ -141,12 +134,5 @@ pub fn e12_dense_city(settings: &ScaleSettings) -> ExperimentReport {
         settings.city.mobile_fraction * 100.0,
         settings.city.duration.as_secs_f64()
     ));
-    if settings.stack == StackMode::Full {
-        report.push_note(
-            "full PeerHood stack on every node (StackMode::Full): handovers are completed routing \
-             handovers, drops are session routes lost to coverage"
-                .to_string(),
-        );
-    }
     report
 }

@@ -17,6 +17,6 @@ pub mod report;
 pub mod telemetry;
 pub mod topology;
 
-pub use experiments::{find, registry, run_all, Effort, Experiment, Param, Params, RunOutput, SampleRow};
+pub use experiments::{find, registry, run_all, Experiment, Param, Params, RunOutput, SampleRow};
 pub use report::ExperimentReport;
 pub use telemetry::{TelemetryCapture, TelemetryMode, TelemetrySettings};

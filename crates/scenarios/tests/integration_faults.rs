@@ -2,7 +2,7 @@
 //! quick mode on every `cargo test`, so the fault subsystem's scale path is
 //! exercised in CI, and their reports must be deterministic in the seed.
 
-use scenarios::experiments::{e13_churn_sweep, e14_blackout_flash_crowd_with, ChurnSettings, StackMode};
+use scenarios::experiments::{e13_churn_sweep, e14_blackout_flash_crowd, ChurnSettings};
 
 #[test]
 fn e13_quick_churn_kills_and_recovers_sessions() {
@@ -50,7 +50,7 @@ fn e13_report_is_deterministic() {
 
 #[test]
 fn e14_blackout_collapses_and_recovers_attachment() {
-    let report = e14_blackout_flash_crowd_with(14, true, StackMode::Lightweight);
+    let report = e14_blackout_flash_crowd(14, true);
     assert_eq!(report.rows.len(), 3);
     let attached: Vec<f64> = report.rows.iter().map(|r| r.cells[4].parse().unwrap()).collect();
     let alive: Vec<u64> = report.rows.iter().map(|r| r.cells[2].parse().unwrap()).collect();
@@ -72,7 +72,7 @@ fn e14_blackout_collapses_and_recovers_attachment() {
 
 #[test]
 fn e14_report_is_deterministic() {
-    let a = e14_blackout_flash_crowd_with(14, true, StackMode::Lightweight);
-    let b = e14_blackout_flash_crowd_with(14, true, StackMode::Lightweight);
+    let a = e14_blackout_flash_crowd(14, true);
+    let b = e14_blackout_flash_crowd(14, true);
     assert_eq!(a, b);
 }

@@ -34,7 +34,8 @@ use crate::time::{SimDuration, SimTime};
 /// Default virtual-time sampling interval (one simulated second).
 pub const DEFAULT_SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
-/// Default bound on the in-memory frame ring.
+/// Bound on the in-memory frame ring: when it is full the oldest frame is
+/// dropped (and counted in [`Telemetry::dropped_frames`]).
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// Upper bounds (bytes) of the payload-size histogram buckets used by both
@@ -46,9 +47,6 @@ pub const PAYLOAD_SIZE_BOUNDS: &[u64] = &[16, 64, 256, 1024, 4096, 16384];
 pub struct TelemetryConfig {
     /// Virtual-time spacing of sampled frames.
     pub sample_interval: SimDuration,
-    /// Maximum frames retained; the oldest frame is dropped (and counted in
-    /// [`Telemetry::dropped_frames`]) when the ring is full.
-    pub ring_capacity: usize,
     /// Record per-shard `shard/*` series (load, occupancy, imbalance,
     /// rebalances) in the sharded world. Off by default because these series
     /// are inherently shard-layout-dependent: leaving them out keeps every
@@ -60,7 +58,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             sample_interval: DEFAULT_SAMPLE_INTERVAL,
-            ring_capacity: DEFAULT_RING_CAPACITY,
             shard_series: false,
         }
     }
@@ -266,11 +263,6 @@ impl Telemetry {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
-    }
-
     /// Sets a counter to an absolute cumulative value (the engines mirror
     /// their already-maintained counters at sample time).
     pub fn set_counter(&mut self, subsystem: &'static str, name: &'static str, label: Option<&str>, value: u64) {
@@ -338,7 +330,7 @@ impl Telemetry {
         if let Some(cb) = self.on_frame.as_mut() {
             cb(&frame);
         }
-        if self.frames.len() >= self.config.ring_capacity.max(1) {
+        if self.frames.len() >= DEFAULT_RING_CAPACITY {
             self.frames.pop_front();
             self.dropped += 1;
         }
@@ -748,16 +740,13 @@ mod tests {
 
     #[test]
     fn ring_capacity_bounds_memory_and_counts_drops() {
-        let mut tel = Telemetry::new(TelemetryConfig {
-            sample_interval: SimDuration::from_secs(1),
-            ring_capacity: 3,
-            ..TelemetryConfig::default()
-        });
-        for s in 1..=10u64 {
+        let mut tel = Telemetry::new(TelemetryConfig::every(SimDuration::from_secs(1)));
+        let samples = DEFAULT_RING_CAPACITY as u64 + 7;
+        for s in 1..=samples {
             tel.set_counter("world", "ticks", None, s);
             tel.sample(SimTime::from_secs(s));
         }
-        assert_eq!(tel.frame_count(), 3);
+        assert_eq!(tel.frame_count(), DEFAULT_RING_CAPACITY);
         assert_eq!(tel.dropped_frames(), 7);
         let first_kept = tel.frames().next().unwrap();
         assert_eq!(first_kept.at, SimTime::from_secs(8));

@@ -233,7 +233,7 @@ mod tests {
         let ok = SweepSpec::new("churn")
             .axis("nodes", vec!["100".into()])
             .unwrap()
-            .axis("stack", vec!["full".into(), "lightweight".into()])
+            .axis("churn", vec!["0".into(), "60".into()])
             .unwrap();
         assert!(ok.validate().is_ok());
         // Ids resolve too.
