@@ -103,15 +103,13 @@ pub(crate) struct Core {
     /// When false, `send`/`close` through a [`PeerHoodApi`] enforce
     /// connection ownership (see [`PeerHoodNodeBuilder::trusted_apps`]).
     pub(crate) trusted_apps: bool,
-    /// Reusable encode buffer: every outgoing frame is written here first,
-    /// then copied once into a shared [`wire::Frame`](crate::wire::Frame) —
-    /// the steady-state send path performs no buffer growth.
-    pub(crate) scratch: Vec<u8>,
     /// Cached encoded inquiry-response frame, keyed by (storage generation,
     /// registry generation, bridge load). While nothing changes — the common
     /// case between discovery cycles — every inquiry served on any link
     /// reuses the same allocation instead of re-exporting and re-encoding
-    /// the whole neighbourhood per neighbour.
+    /// the whole neighbourhood per neighbour. Exact-sized: like every
+    /// outgoing frame it is encoded in the thread's encode buffer and copied
+    /// out once, so the node holds no encode buffer of its own.
     pub(crate) inquiry_frame: Option<((u64, u64, u8), crate::wire::Frame)>,
     /// The resilience pipeline: circuit breakers, backpressure and admission
     /// control interposed on the data path (no-op when every layer is
@@ -141,7 +139,6 @@ impl Core {
             handover_completions: 0,
             reply_reconnections: 0,
             trusted_apps,
-            scratch: Vec::with_capacity(256),
             inquiry_frame: None,
             resilience: crate::resilience::Resilience::new(config.resilience),
             security: crate::security::Security::new(config.security.clone()),

@@ -22,21 +22,22 @@ use super::{token, Core, PeerHoodEvent, KIND_APP, KIND_INQUIRY, KIND_MONITOR, KI
 
 impl Core {
     pub(crate) fn send_frame(&mut self, ctx: &mut dyn Ctx, link: LinkId, message: &Message) {
-        self.scratch.clear();
-        wire::encode_into(message, &mut self.scratch);
-        self.send_scratch(ctx, link);
+        wire::with_encode_buffer(|frame| {
+            wire::encode_into(message, frame);
+            self.send_encoded(ctx, link, frame);
+        });
     }
 
-    /// Sends the bare wire frame sitting in the node's reusable scratch
-    /// buffer: the auth trailer (when enabled) is appended to the scratch
-    /// bytes, and the one share-copy made here is the allocation the world's
-    /// delivery pipeline carries end to end.
-    fn send_scratch(&mut self, ctx: &mut dyn Ctx, link: LinkId) {
+    /// Sends the bare wire frame `frame`, written in the thread's encode
+    /// buffer: the auth trailer (when enabled) is appended to it, and the
+    /// one share-copy made here is the allocation the world's delivery
+    /// pipeline carries end to end.
+    fn send_encoded(&mut self, ctx: &mut dyn Ctx, link: LinkId, frame: &mut Vec<u8>) {
         if self.security.frame_auth() {
             let sender = self.daemon.info().address;
-            self.security.append_trailer(sender, &mut self.scratch);
+            self.security.append_trailer(sender, frame);
         }
-        let _ = ctx.send(link, wire::Frame::copy_from_slice(&self.scratch));
+        let _ = ctx.send(link, wire::Frame::copy_from_slice(frame));
     }
 
     /// Sends the already-encoded bare wire frame `bare`, which `carrier`
@@ -44,12 +45,13 @@ impl Core {
     /// carrier itself travels on — a cached inquiry response or a relayed
     /// frame costs a reference count. With it on, the trailer is per-send
     /// and per-hop: `bare` gets a fresh sequence number and MAC in the
-    /// scratch buffer instead of carrying a stale one.
+    /// encode buffer instead of carrying a stale one.
     fn transmit_frame(&mut self, ctx: &mut dyn Ctx, link: LinkId, bare: &[u8], carrier: &wire::Frame) {
         if self.security.frame_auth() {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(bare);
-            self.send_scratch(ctx, link);
+            wire::with_encode_buffer(|frame| {
+                frame.extend_from_slice(bare);
+                self.send_encoded(ctx, link, frame);
+            });
         } else {
             let _ = ctx.send(link, carrier.clone());
         }
@@ -81,10 +83,11 @@ impl Core {
                 return frame.clone();
             }
         }
-        self.scratch.clear();
-        self.daemon
-            .encode_inquiry_response(self.config.discovery.max_export_jumps, key.2, &mut self.scratch);
-        let frame = wire::Frame::copy_from_slice(&self.scratch);
+        let max_jumps = self.config.discovery.max_export_jumps;
+        let frame = wire::with_encode_buffer(|buffer| {
+            self.daemon.encode_inquiry_response(max_jumps, key.2, buffer);
+            wire::Frame::copy_from_slice(buffer)
+        });
         self.inquiry_frame = Some((key, frame.clone()));
         self.resilience.note_inquiry_served(false);
         frame

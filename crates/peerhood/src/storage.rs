@@ -312,6 +312,28 @@ fn claimed(claim: &u64) -> u64 {
     claim >> 8
 }
 
+/// A full table column or claim list grows by its length over this divisor
+/// (a quarter)...
+const GROWTH_DIVISOR: usize = 4;
+/// ...and by at least this many entries.
+const MIN_GROWTH: usize = 4;
+
+/// The capacity a table column or claim list of `len` entries grows (or
+/// gives memory back) to: `len` and room for a quarter more. Doubling would
+/// leave up to half of what a storage of hundreds of rows reserves empty.
+fn headroom(len: usize) -> usize {
+    len + (len / GROWTH_DIVISOR).max(MIN_GROWTH)
+}
+
+/// Makes room for one more entry and the `more` that may follow it: a full
+/// vector grows to [`headroom`], or to room for all of them if that is more.
+fn reserve_one<T>(entries: &mut Vec<T>, more: usize) {
+    let len = entries.len();
+    if len == entries.capacity() {
+        entries.reserve_exact((headroom(len) - len).max(1 + more));
+    }
+}
+
 /// Where `key` is in a list sorted by `key_of`, or where it would be
 /// inserted.
 fn find<T>(sorted: &[T], key: u64, key_of: impl Fn(&T) -> u64) -> Result<usize, usize> {
@@ -355,7 +377,8 @@ impl MergeCursor {
 
 /// The rows and their one order. Rows sit dense in `rows` in no particular
 /// order; `keys` holds `key(address)` of every row, sorted, and `slots[i]` is
-/// where in `rows` the row of `keys[i]` is.
+/// where in `rows` the row of `keys[i]` is. The three grow together, to
+/// [`headroom`].
 #[derive(Debug, Clone, Default)]
 struct Table {
     rows: Vec<Row>,
@@ -388,9 +411,13 @@ impl Table {
         self.slots.iter().map(|&slot| &self.rows[slot as usize])
     }
 
-    /// Adds a row whose key belongs at `at` in the index.
-    fn insert_at(&mut self, at: usize, row: Row) {
+    /// Adds a row whose key belongs at `at` in the index, while up to `more`
+    /// rows may follow it: a report that fills the table grows it once.
+    fn insert_at(&mut self, at: usize, row: Row, more: usize) {
         let slot = u32::try_from(self.rows.len()).expect("a table of 2^32 rows does not fit in memory");
+        reserve_one(&mut self.keys, more);
+        reserve_one(&mut self.slots, more);
+        reserve_one(&mut self.rows, more);
         self.keys.insert(at, key(row.address));
         self.slots.insert(at, slot);
         self.rows.push(row);
@@ -409,17 +436,24 @@ impl Table {
         Some(row)
     }
 
-    /// Gives memory back once three quarters of it stand empty, keeping room
-    /// to double: a table that crossed a dense district does not carry its
-    /// peak for the rest of the run, and one hovering around a size does not
-    /// reallocate on every cycle.
+    /// Gives memory back once three quarters of it stand empty, down to the
+    /// [`headroom`] a growing table keeps: a table that crossed a dense
+    /// district does not carry its peak for the rest of the run, and one
+    /// hovering around a size does not reallocate on every cycle.
     fn give_back(&mut self) {
-        let len = self.rows.len();
-        if len < self.rows.capacity() / 4 {
-            self.rows.shrink_to(2 * len);
-            self.keys.shrink_to(2 * len);
-            self.slots.shrink_to(2 * len);
+        if self.rows.len() < self.rows.capacity() / 4 {
+            self.trim();
         }
+    }
+
+    /// Shrinks the columns to [`headroom`], so a table grown for records a
+    /// report then turned out to know, or one aging emptied, holds no more
+    /// room than one grown row by row.
+    fn trim(&mut self) {
+        let room = headroom(self.rows.len());
+        self.rows.shrink_to(room);
+        self.keys.shrink_to(room);
+        self.slots.shrink_to(room);
     }
 }
 
@@ -428,7 +462,8 @@ impl Table {
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Reporter {
     /// A [`claim`] for every device it reported as its own direct neighbour,
-    /// sorted (by key, that is). Erased with the reporter's row.
+    /// sorted (by key, that is), grown to [`headroom`]. Erased with the
+    /// reporter's row.
     seen: Vec<u64>,
     /// Reputation penalties (security hardening): a device whose frames
     /// triggered security rejections, or whose bridge routes failed to dial,
@@ -722,7 +757,7 @@ impl DeviceStorage {
                 let beside = self.devices.slots.get(at.saturating_sub(1));
                 let held = beside.map(|&slot| &self.devices.rows[slot as usize].description);
                 let description = seen.description(held);
-                self.devices.insert_at(at, direct(description, mobility));
+                self.devices.insert_at(at, direct(description, mobility), 0);
                 true
             }
         }
@@ -827,11 +862,12 @@ impl DeviceStorage {
         responder: DeviceAddress,
         responder_quality: u8,
         responder_mobility: MobilityClass,
-        records: impl Iterator<Item = R>,
+        mut records: impl ExactSizeIterator<Item = R>,
         mode: DiscoveryMode,
         now: SimTime,
     ) -> Vec<DeviceAddress> {
         let mut added = Vec::new();
+        let capacity = self.devices.rows.capacity();
         self.generation += 1;
         // The description the responder's own row holds, for new rows to
         // share: in a fleet built from one configuration every device
@@ -840,13 +876,14 @@ impl DeviceStorage {
         // the first record that inserts a row.
         let mut like: Option<Option<Rc<Description>>> = None;
         // The responder's reported-neighbour list is looked up (and, for a
-        // first report, created) once, by the first record that needs it.
+        // first report, created) once, by the first record that needs it,
+        // with the capacity it had then.
         let mut reporters = Some(&mut self.reporters);
-        let mut reported: Option<&mut Vec<u64>> = None;
+        let mut reported: Option<(&mut Vec<u64>, usize)> = None;
         // An exporter walks its index, so the records — and with them the
         // direct ones — come in address order: both tables are merged into.
         let (mut in_index, mut in_reported) = (MergeCursor::default(), MergeCursor::default());
-        for record in records {
+        while let Some(record) = records.next() {
             let address = record.address();
             let hops = record.hop_qualities();
             // Own-device filter: avoid a route to ourselves through a
@@ -865,14 +902,19 @@ impl DeviceStorage {
             // Remember that `responder` claims to reach this device directly
             // (used by routing handover, Fig. 5.5 state 0).
             if record.jumps() == 0 {
-                let reported = reported.get_or_insert_with(|| {
+                let (reported, _) = reported.get_or_insert_with(|| {
                     let reporters = reporters.take().expect("taken by the first direct record only");
-                    &mut reporters.get_or_insert_with(responder, Reporter::default).seen
+                    let seen = &mut reporters.get_or_insert_with(responder, Reporter::default).seen;
+                    let capacity = seen.capacity();
+                    (seen, capacity)
                 });
                 let claim = claim(key(address), hops.first().copied().unwrap_or(0));
                 match in_reported.find(reported, key(address), claimed) {
                     Ok(at) => reported[at] = claim,
-                    Err(at) => reported.insert(at, claim),
+                    Err(at) => {
+                        reserve_one(reported, records.len());
+                        reported.insert(at, claim);
+                    }
                 }
             }
 
@@ -896,7 +938,7 @@ impl DeviceStorage {
                         mobility: record.mobility(),
                         nearest_mobility: responder_mobility,
                     };
-                    self.devices.insert_at(at, row);
+                    self.devices.insert_at(at, row, records.len());
                     added.push(address);
                 }
                 Ok(at) => {
@@ -923,6 +965,16 @@ impl DeviceStorage {
                         existing.nearest_mobility = responder_mobility;
                     }
                 }
+            }
+        }
+        // A list that grew made room for every record left, and some of them
+        // were known or not direct.
+        if self.devices.rows.capacity() != capacity {
+            self.devices.trim();
+        }
+        if let Some((reported, capacity)) = reported {
+            if reported.capacity() != capacity {
+                reported.shrink_to(headroom(reported.len()));
             }
         }
         added
@@ -1100,6 +1152,109 @@ mod tests {
             "a city node knows hundreds of devices and the table is most of its memory: \
              a field added to the row is paid for by every one of them"
         );
+    }
+
+    /// Holds `capacity` at most a quarter (and four entries) above `len`.
+    fn within_headroom(capacity: usize, len: usize) -> bool {
+        capacity <= len + len / 4 + 4
+    }
+
+    #[test]
+    fn a_report_grows_a_full_table_once_and_trims_what_its_known_records_left() {
+        let report = |devices: std::ops::Range<u64>| -> Vec<NeighborRecord> {
+            devices.map(|n| record(n, 1, 240, Vec::new())).collect()
+        };
+        let mut s = storage();
+        let hear = |s: &mut DeviceStorage, records: &[NeighborRecord]| {
+            s.integrate_neighbor_report(addr(1), 240, MobilityClass::Static, records, DiscoveryMode::Dynamic, T0)
+        };
+        // Eight new records: the empty table grows once, to exactly eight.
+        assert_eq!(hear(&mut s, &report(10..18)).len(), 8);
+        assert_eq!((s.devices.rows.len(), s.devices.rows.capacity()), (8, 8));
+        // One new record and twelve known ones on a full table: room for all
+        // thirteen is made, and what the known ones did not take goes back.
+        assert_eq!(
+            hear(&mut s, &report(9..22)),
+            vec![addr(9), addr(18), addr(19), addr(20), addr(21)]
+        );
+        let table = &s.devices;
+        for capacity in [table.rows.capacity(), table.keys.capacity(), table.slots.capacity()] {
+            assert_eq!(capacity, 13 + 4, "13 rows and the headroom of four");
+        }
+    }
+
+    #[test]
+    fn tables_and_claim_lists_grow_by_a_quarter_and_give_back_to_the_same_room() {
+        let mut rng = SimRng::new(0x6E0D);
+        let mut s = storage();
+        let (mut grew, mut gave_back) = (0, 0);
+        let mut now = T0;
+        for step in 0..1_500u64 {
+            now += SimDuration::from_secs(1);
+            // The neighbourhood drifts through the address space: every 100
+            // steps its reporters and what they report move on, and the old
+            // district ages out.
+            let district = step / 100 * 300;
+            let before = (
+                s.devices.rows.capacity(),
+                s.devices.keys.capacity(),
+                s.devices.slots.capacity(),
+            );
+            match rng.range(0u8..10) {
+                0..=6 => {
+                    let responder = district + 1 + rng.range(0u64..20);
+                    s.upsert_direct(info(responder, MobilityClass::Static), 240, Vec::new(), now);
+                    let records: Vec<NeighborRecord> = (0..rng.range(1usize..40))
+                        .map(|_| record(district + 20 + rng.range(0u64..280), rng.range(0u8..3), 240, Vec::new()))
+                        .collect();
+                    s.integrate_neighbor_report(
+                        addr(responder),
+                        240,
+                        MobilityClass::Static,
+                        &records,
+                        DiscoveryMode::Dynamic,
+                        now,
+                    );
+                }
+                7 => {
+                    s.remove(addr(district + rng.range(0u64..300)));
+                }
+                _ => {
+                    let mut responded: Vec<DeviceAddress> =
+                        (0..5).map(|_| addr(district + 1 + rng.range(0u64..20))).collect();
+                    s.age_cycle(&mut responded, now, 2, SimDuration::from_secs(20));
+                    let (capacity, len) = (s.devices.rows.capacity(), s.devices.rows.len());
+                    assert!(
+                        within_headroom(capacity, len) || len >= capacity / 4,
+                        "step {step}: three quarters of {capacity} rows stand empty"
+                    );
+                }
+            }
+            // A column's capacity changes when it grows and when the table
+            // gives memory back; either way it lands within the headroom.
+            let table = &s.devices;
+            let columns = [
+                (before.0, table.rows.capacity(), table.rows.len()),
+                (before.1, table.keys.capacity(), table.keys.len()),
+                (before.2, table.slots.capacity(), table.slots.len()),
+            ];
+            for (was, capacity, len) in columns {
+                if capacity != was {
+                    assert!(within_headroom(capacity, len), "step {step}: {capacity} for {len}");
+                    grew += usize::from(capacity > was);
+                    gave_back += usize::from(capacity < was);
+                }
+            }
+            // A claim list only grows, or is dropped whole.
+            for (reporter, claims) in s.reporters.iter() {
+                let (capacity, len) = (claims.seen.capacity(), claims.seen.len());
+                assert!(
+                    within_headroom(capacity, len),
+                    "step {step}: {reporter}'s {capacity} for {len}"
+                );
+            }
+        }
+        assert!(grew > 100 && gave_back > 10, "{grew} growths, {gave_back} give-backs");
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //!
 //! Encoded frames travel as shared [`Frame`]s (`Rc<[u8]>`-backed, re-exported
 //! from [`simnet::Payload`]): [`encode_into`] writes the bytes into a
-//! caller-owned reusable scratch buffer — so a node's steady-state encode
-//! path stops allocating — and the frame copied out of it has free clones.
-//! Encode a discovery advertisement once, send it to every neighbour.
+//! reusable buffer — the node's send path uses one per thread
+//! (`with_encode_buffer`), so the steady-state encode path stops allocating
+//! and no node keeps a buffer of its own — and the exact-sized frame copied
+//! out of it has free clones. Encode a discovery advertisement once, send it
+//! to every neighbour.
 //!
 //! **Neighbour reports never become a [`Message`] on the node's own path.**
 //! The inquiry response is the middleware's steady-state load (≈ 25 records a
@@ -24,10 +26,11 @@
 //! view → device storage, and the storage materialises an owned description
 //! only for the entries it inserts or changes. On the serving side
 //! [`InquiryResponseWriter`] streams the reply straight from the device
-//! storage into the scratch buffer, with no intermediate record list (the
+//! storage into the encode buffer, with no intermediate record list (the
 //! record count is patched in afterwards); [`encode_into`] writes its report
 //! arm through the same writer, so the report has one parser and one printer.
 
+use std::cell::Cell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -634,10 +637,29 @@ pub fn view_inquiry_response(frame: &[u8]) -> Result<InquiryResponseView<'_>, Wi
     Ok(view)
 }
 
+thread_local! {
+    /// The encode buffer every node on this thread writes its frames into;
+    /// see [`with_encode_buffer`].
+    static ENCODE_BUFFER: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `encode` on this thread's encode buffer, cleared. The buffer is taken
+/// out for the call and put back after, so an encode nested inside `encode`
+/// starts from an empty vector (and allocates) instead of writing into the
+/// one in use. It keeps the capacity of the largest frame encoded on the
+/// thread: one buffer per thread, not one per node.
+pub(crate) fn with_encode_buffer<R>(encode: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let mut buffer = ENCODE_BUFFER.take();
+    buffer.clear();
+    let result = encode(&mut buffer);
+    ENCODE_BUFFER.set(buffer);
+    result
+}
+
 /// Encodes a message into a freshly allocated self-contained frame.
 ///
-/// Hot paths should prefer [`encode_into`] with a reused scratch buffer; the
-/// bytes produced are identical.
+/// Hot paths should prefer [`encode_into`] with a reused buffer; the bytes
+/// produced are identical.
 pub fn encode(message: &Message) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     encode_into(message, &mut buf);
@@ -1000,19 +1022,40 @@ mod tests {
     #[test]
     fn fuzz_roundtrip() {
         let mut rng = SimRng::new(0xC0DEC);
-        let mut scratch = Vec::new();
         for _ in 0..500 {
             let message = arb_message(&mut rng);
             let frame = encode(&message);
             let decoded = decode(&frame).unwrap();
             assert_eq!(decoded, message);
-            // The node's send path — `encode_into` a cleared, reused scratch
+            // The node's send path — `encode_into` the thread's reused encode
             // buffer — must produce the same bytes, also after the buffer
             // has held a longer message.
-            scratch.clear();
-            encode_into(&message, &mut scratch);
-            assert_eq!(scratch, frame);
+            with_encode_buffer(|buffer| {
+                encode_into(&message, buffer);
+                assert_eq!(*buffer, frame);
+            });
         }
+    }
+
+    #[test]
+    fn the_encode_buffer_is_reused_and_a_nested_encode_gets_its_own() {
+        let held = with_encode_buffer(|outer| {
+            outer.extend_from_slice(&[1; 300]);
+            with_encode_buffer(|inner| {
+                assert_eq!(inner.capacity(), 0, "the outer encode holds the buffer");
+                inner.push(2);
+            });
+            assert_eq!(*outer, [1; 300], "the nested encode wrote elsewhere");
+            outer.capacity()
+        });
+        with_encode_buffer(|again| {
+            assert!(again.is_empty(), "handed out cleared");
+            assert_eq!(
+                again.capacity(),
+                held,
+                "the outer buffer was put back, not the nested one"
+            );
+        });
     }
 
     #[test]

@@ -191,8 +191,10 @@ fn new_rows_cost_table_growth_not_an_allocation_each() {
     });
     assert_eq!(learned.len() as u64, NEW);
     // Same fleet: descriptions are the responder's, hop lists live in the
-    // rows. What is left is the doubling of five vectors (rows, the index's
-    // two columns, the responder's reported list, the returned addresses).
+    // rows. What is left is the growth of five vectors: the rows, the
+    // index's two columns and the responder's reported list once for the
+    // whole report (the list then trimmed to the direct records it took),
+    // the returned addresses by doubling.
     assert!(allocations < NEW / 4, "{allocations} allocations for {NEW} new rows");
     assert!(
         std::mem::size_of::<StoredDevice>() <= 128,
@@ -272,9 +274,9 @@ fn a_known_device_weighs_a_cache_line_and_a_half() {
     }
     assert_eq!(d.stats().known_devices, KNOWN + 1, "500 devices and their reporter");
     let per_device = (live_bytes_since(baseline) - empty) / KNOWN;
-    // A 64-byte row and 12 bytes of index, the vectors' room to grow (none
-    // is ever less than half full), a third of the devices claimed as direct
-    // neighbours at 8 bytes, and one description for all of them.
+    // A 64-byte row and 12 bytes of index, the vectors' room to grow (at
+    // most a quarter of what they hold), a third of the devices claimed as
+    // direct neighbours at 8 bytes, and one description for all of them.
     assert!(per_device <= 96, "{per_device} bytes of live heap per known device");
 }
 

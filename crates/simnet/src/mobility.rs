@@ -98,9 +98,10 @@ impl MobilityModel {
     }
 
     /// Compiles the model into a deterministic [`MotionPlan`] covering the
-    /// time span `[0, horizon]`. Random-waypoint legs are drawn from `rng`.
+    /// time span `[0, horizon]`, its storage sized to its legs. Random-waypoint
+    /// legs are drawn from `rng`.
     pub fn compile(&self, horizon: SimTime, rng: &mut SimRng) -> MotionPlan {
-        match self {
+        let mut plan = match self {
             MobilityModel::Stationary { position } => MotionPlan::fixed(*position),
             MobilityModel::Linear {
                 from,
@@ -147,12 +148,23 @@ impl MobilityModel {
                 }
                 plan
             }
-        }
+        };
+        plan.waypoints.shrink_to_fit();
+        plan
     }
 }
 
-/// One linear segment of a compiled trajectory.
+/// Where and when one leg of a compiled trajectory ends. The leg starts
+/// where and when the previous one ended — the plan's origin at time zero for
+/// the first — so a plan stores each point once.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+struct Waypoint {
+    until: SimTime,
+    at: Point,
+}
+
+/// One linear leg, rebuilt from two adjacent waypoints.
+#[derive(Debug, Clone, Copy)]
 struct Segment {
     start_time: SimTime,
     end_time: SimTime,
@@ -177,53 +189,71 @@ impl Segment {
     }
 }
 
-/// A deterministic piecewise-linear trajectory: the node's position can be
-/// evaluated at any instant with a binary search over segments.
+/// A deterministic piecewise-linear trajectory: the node's start and the
+/// waypoint each leg ends at, so its position at any instant is a binary
+/// search over the waypoints and one leg rebuilt from two of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MotionPlan {
-    segments: Vec<Segment>,
-    final_position: Point,
+    origin: Point,
+    waypoints: Vec<Waypoint>,
 }
 
 impl MotionPlan {
     /// A plan that keeps the node at `position` forever.
     pub fn fixed(position: Point) -> Self {
-        MotionPlan {
-            segments: Vec::new(),
-            final_position: position,
-        }
+        MotionPlan::starting_at(position)
     }
 
     /// Starts building a plan with the node at `start` at time zero.
     pub fn starting_at(start: Point) -> Self {
         MotionPlan {
-            segments: Vec::new(),
-            final_position: start,
+            origin: start,
+            waypoints: Vec::new(),
         }
     }
 
     /// Time at which the last scheduled movement finishes.
     pub fn end_time(&self) -> SimTime {
-        self.segments.last().map(|s| s.end_time).unwrap_or(SimTime::ZERO)
+        self.waypoints.last().map_or(SimTime::ZERO, |w| w.until)
     }
 
-    /// Appends a stay-in-place segment until the given absolute time. Does
+    /// Where the node rests once the plan is over.
+    fn final_position(&self) -> Point {
+        self.waypoints.last().map_or(self.origin, |w| w.at)
+    }
+
+    /// Leg `idx`: from the end of the previous leg (the origin at time zero
+    /// for the first) to waypoint `idx`.
+    fn segment(&self, idx: usize) -> Option<Segment> {
+        let end = self.waypoints.get(idx)?;
+        let (start_time, from) = match idx.checked_sub(1) {
+            Some(prev) => (self.waypoints[prev].until, self.waypoints[prev].at),
+            None => (SimTime::ZERO, self.origin),
+        };
+        Some(Segment {
+            start_time,
+            end_time: end.until,
+            from,
+            to: end.at,
+        })
+    }
+
+    /// The legs from leg `idx` on, in order.
+    fn segments_from(&self, idx: usize) -> impl Iterator<Item = Segment> + '_ {
+        (idx..self.waypoints.len()).filter_map(|idx| self.segment(idx))
+    }
+
+    /// Appends a stay-in-place leg until the given absolute time. Does
     /// nothing if `until` is not after the current end of the plan.
     pub fn hold_until(&mut self, until: SimTime) {
-        let start = self.end_time();
-        if until <= start {
+        if until <= self.end_time() {
             return;
         }
-        let pos = self.final_position;
-        self.segments.push(Segment {
-            start_time: start,
-            end_time: until,
-            from: pos,
-            to: pos,
-        });
+        let at = self.final_position();
+        self.waypoints.push(Waypoint { until, at });
     }
 
-    /// Appends a stay-in-place segment of the given length.
+    /// Appends a stay-in-place leg of the given length.
     pub fn hold_for(&mut self, duration: SimDuration) {
         let until = self.end_time() + duration;
         self.hold_until(until);
@@ -237,35 +267,27 @@ impl MotionPlan {
     /// Panics if `speed_mps` is not strictly positive.
     pub fn move_to(&mut self, target: Point, speed_mps: f64) {
         assert!(speed_mps > 0.0, "speed must be positive");
-        let from = self.final_position;
-        let start = self.end_time();
-        let distance = from.distance(target);
+        let distance = self.final_position().distance(target);
         let travel = SimDuration::from_secs_f64(distance / speed_mps);
-        self.segments.push(Segment {
-            start_time: start,
-            end_time: start + travel,
-            from,
-            to: target,
+        self.waypoints.push(Waypoint {
+            until: self.end_time() + travel,
+            at: target,
         });
-        self.final_position = target;
     }
 
     /// Position of the node at time `t`.
     pub fn position_at(&self, t: SimTime) -> Point {
-        if self.segments.is_empty() {
-            return self.final_position;
-        }
-        // Binary search for the segment containing t.
-        let idx = self.segments.partition_point(|s| s.end_time < t);
-        match self.segments.get(idx) {
+        // Binary search for the leg containing t.
+        let idx = self.waypoints.partition_point(|w| w.until < t);
+        match self.segment(idx) {
             Some(seg) => seg.position_at(t),
-            None => self.final_position,
+            None => self.final_position(),
         }
     }
 
     /// True if the node is still scheduled to move after time `t`.
     pub fn moving_after(&self, t: SimTime) -> bool {
-        self.segments.iter().any(|s| s.end_time > t && s.from != s.to)
+        self.segments_from(0).any(|s| s.end_time > t && s.from != s.to)
     }
 
     /// Earliest time at or after `from` at which the trajectory leaves the
@@ -278,8 +300,8 @@ impl MotionPlan {
         if !rect.contains(self.position_at(from)) {
             return Some(from);
         }
-        let start_idx = self.segments.partition_point(|s| s.end_time < from);
-        for seg in &self.segments[start_idx..] {
+        let start_idx = self.waypoints.partition_point(|w| w.until < from);
+        for seg in self.segments_from(start_idx) {
             // Both endpoints of a linear piece inside a convex region means
             // the whole piece is inside; only pieces ending outside can cross.
             if rect.contains(seg.to) {
@@ -309,8 +331,8 @@ impl MotionPlan {
     pub fn range_exit(&self, other: &MotionPlan, range_m: f64, from: SimTime) -> Option<SimTime> {
         let reach = (range_m - RANGE_EXIT_SLACK_M).max(0.0);
         let reach_sq = reach * reach;
-        let mut ia = self.segments.partition_point(|s| s.end_time <= from);
-        let mut ib = other.segments.partition_point(|s| s.end_time <= from);
+        let mut ia = self.waypoints.partition_point(|w| w.until <= from);
+        let mut ib = other.waypoints.partition_point(|w| w.until <= from);
         let mut t0 = from;
         loop {
             let (pa, va, end_a) = self.leg(ia, t0);
@@ -338,10 +360,10 @@ impl MotionPlan {
                 return None; // both at rest for good, in reach
             }
             t0 = t1;
-            while self.segments.get(ia).is_some_and(|s| s.end_time <= t0) {
+            while self.waypoints.get(ia).is_some_and(|w| w.until <= t0) {
                 ia += 1;
             }
-            while other.segments.get(ib).is_some_and(|s| s.end_time <= t0) {
+            while other.waypoints.get(ib).is_some_and(|w| w.until <= t0) {
                 ib += 1;
             }
         }
@@ -351,14 +373,14 @@ impl MotionPlan {
     /// which must be the first one ending after `t`; past the last leg the
     /// node rests at its final position for ever.
     fn leg(&self, idx: usize, t: SimTime) -> (Point, (f64, f64), SimTime) {
-        match self.segments.get(idx) {
+        match self.segment(idx) {
             Some(seg) => {
                 // start <= t < end, so the leg has a positive duration.
                 let total = (seg.end_time - seg.start_time).as_secs_f64();
                 let velocity = ((seg.to.x - seg.from.x) / total, (seg.to.y - seg.from.y) / total);
                 (seg.position_at(t), velocity, seg.end_time)
             }
-            None => (self.final_position, (0.0, 0.0), SimTime::MAX),
+            None => (self.final_position(), (0.0, 0.0), SimTime::MAX),
         }
     }
 }
@@ -681,6 +703,135 @@ mod tests {
         assert_eq!(
             passing.range_exit(&origin, 10.0, left + SimDuration::from_secs(1)),
             Some(left + SimDuration::from_secs(1))
+        );
+    }
+
+    /// FNV-1a over 64-bit words: one number for a long list of answers.
+    fn fold(acc: u64, word: u64) -> u64 {
+        (acc ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+
+    fn fold_time(acc: u64, t: Option<SimTime>) -> u64 {
+        fold(acc, t.map_or(u64::MAX, SimTime::as_micros))
+    }
+
+    /// One plan of every model the scenarios compile, plus seeded walks of
+    /// moves, holds and zero-length legs.
+    fn differential_plans() -> Vec<MotionPlan> {
+        let horizon = SimTime::from_secs(900);
+        let area = Rect::new(-20.0, 10.0, 180.0, 130.0);
+        let mut rng = SimRng::new(0x3A7E);
+        let mut plans = vec![
+            MobilityModel::stationary(Point::new(41.5, 77.25)).compile(horizon, &mut rng),
+            MobilityModel::walk(Point::new(0.0, 20.0), Point::new(150.0, 95.0), 1.3).compile(horizon, &mut rng),
+            MobilityModel::walk_after(
+                Point::new(160.0, 120.0),
+                Point::new(-10.0, 15.0),
+                0.9,
+                SimDuration::from_millis(12_345),
+            )
+            .compile(horizon, &mut rng),
+            // A repeated point is a zero-length leg.
+            MobilityModel::Waypoints {
+                points: vec![
+                    Point::new(10.0, 20.0),
+                    Point::new(60.0, 20.0),
+                    Point::new(60.0, 20.0),
+                    Point::new(60.0, 110.0),
+                    Point::new(-15.0, 60.0),
+                ],
+                speed_mps: 1.7,
+                start_after: SimDuration::from_secs(30),
+            }
+            .compile(horizon, &mut rng),
+        ];
+        for pause in [SimDuration::from_secs(20), SimDuration::ZERO] {
+            let roam = MobilityModel::RandomWaypoint {
+                area,
+                start: Point::new(80.0, 70.0),
+                min_speed_mps: 0.7,
+                max_speed_mps: 2.0,
+                pause,
+            };
+            for _ in 0..3 {
+                plans.push(roam.compile(horizon, &mut rng));
+            }
+        }
+        for _ in 0..6 {
+            plans.push(random_plan(&mut rng, 160.0));
+        }
+        plans
+    }
+
+    #[test]
+    fn a_waypoint_is_an_end_time_and_a_point() {
+        // One per leg: where the leg ends and when; its start is the previous one.
+        assert_eq!(std::mem::size_of::<Waypoint>(), 24);
+    }
+
+    #[test]
+    fn a_compiled_plan_holds_each_leg_once_and_no_spare_room() {
+        let plans = differential_plans();
+        for plan in &plans[..10] {
+            assert_eq!(plan.waypoints.capacity(), plan.waypoints.len());
+        }
+        // A 900 s roam of 20 s pauses is a few dozen legs, none empty.
+        let roam = &plans[4];
+        assert!(roam.waypoints.len() > 20, "{} legs", roam.waypoints.len());
+        assert!(roam.waypoints.windows(2).all(|w| w[0].until <= w[1].until));
+        assert!(MotionPlan::fixed(Point::ORIGIN).waypoints.capacity() == 0);
+    }
+
+    #[test]
+    fn motion_plans_answer_what_the_segment_form_answered() {
+        // Constants from the commit where a plan stored one 48-byte segment
+        // (start, end, from, to) per leg.
+        let plans = differential_plans();
+        let mut positions = 0xcbf2_9ce4_8422_2325;
+        for plan in &plans {
+            for step in 0..2_000u64 {
+                let p = plan.position_at(SimTime::from_micros(step * 470_001));
+                positions = fold(fold(positions, p.x.to_bits()), p.y.to_bits());
+            }
+            positions = fold_time(positions, Some(plan.end_time()));
+        }
+        let (mut departures, mut leaves) = (0xcbf2_9ce4_8422_2325, 0);
+        for plan in &plans {
+            for cx in -1..8 {
+                for cy in 0..6 {
+                    let cell = Rect::new(
+                        cx as f64 * 25.0,
+                        cy as f64 * 25.0,
+                        (cx + 1) as f64 * 25.0,
+                        (cy + 1) as f64 * 25.0,
+                    );
+                    for from in [0, 7_300_001, 64_000_000, 333_333_333, 880_000_000] {
+                        let left = plan.departure_time(cell, SimTime::from_micros(from));
+                        leaves += usize::from(left.is_some_and(|t| t > SimTime::from_micros(from)));
+                        departures = fold_time(departures, left);
+                    }
+                }
+            }
+        }
+        let (mut exits, mut parted, mut stayed) = (0xcbf2_9ce4_8422_2325, 0, 0);
+        for a in &plans {
+            for b in &plans {
+                for range_m in [12.5, 40.0, 95.0] {
+                    for from in [0, 5_000_000, 123_456_789, 600_000_000] {
+                        let exit = a.range_exit(b, range_m, SimTime::from_micros(from));
+                        parted += usize::from(exit.is_some_and(|t| t > SimTime::from_micros(from)));
+                        stayed += usize::from(exit.is_none());
+                        exits = fold_time(exits, exit);
+                    }
+                }
+            }
+        }
+        // The lattices reach crossings, partings and pairs that never part.
+        assert_eq!((leaves, parted, stayed), (53, 800, 344));
+        assert_eq!(
+            (positions, departures, exits),
+            (0x55e6_6157_e31c_70c8, 0x632a_ffae_a5ee_b57a, 0x9751_6cd0_1fa3_d625),
+            "position_at, departure_time and range_exit folds"
         );
     }
 
