@@ -28,10 +28,6 @@ pub enum PeerHoodError {
     BridgeBusy,
     /// The remote end answered with a protocol error.
     Remote(String),
-    /// The operation acted on a connection owned by a different application
-    /// on the same node, and the node was built without the
-    /// `trusted_apps(true)` escape hatch.
-    NotOwner(ConnectionId),
     /// The resilience pipeline shed the operation: the per-app rate limit or
     /// a queue cap refused to take more work for this connection.
     Overloaded(ConnectionId),
@@ -55,9 +51,6 @@ impl fmt::Display for PeerHoodError {
             }
             PeerHoodError::BridgeBusy => write!(f, "bridge connection limit reached"),
             PeerHoodError::Remote(reason) => write!(f, "remote error: {reason}"),
-            PeerHoodError::NotOwner(id) => {
-                write!(f, "connection {id} is owned by a different application")
-            }
             PeerHoodError::Overloaded(id) => {
                 write!(f, "connection {id} shed by the resilience pipeline")
             }

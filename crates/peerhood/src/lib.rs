@@ -24,6 +24,12 @@
 //! applications) and callbacks are routed per application through the typed
 //! [`node::PeerHoodEvent`] dispatch layer.
 //!
+//! The thesis' daemon — [`storage::DeviceStorage`], [`service::ServiceRegistry`]
+//! and one [`plugin::PluginState`] per radio (Fig. 2.3) — and its engine,
+//! which classifies every radio link by its role (§4.1), are not separate
+//! components here: they are state the node holds, and the [`node`]
+//! module's protocol code works on it directly.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -69,9 +75,7 @@ pub mod application;
 pub mod bridge;
 pub mod config;
 pub mod connection;
-pub mod daemon;
 pub mod device;
-pub mod engine;
 pub mod error;
 pub mod gnutella;
 pub mod handover;

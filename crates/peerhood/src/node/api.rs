@@ -12,7 +12,6 @@
 use simnet::{Ctx, SimDuration, SimTime};
 
 use crate::connection::{AppConnection, ConnKind, ConnectionSnapshot};
-use crate::engine::LinkRole;
 use crate::error::PeerHoodError;
 use crate::handover::HandoverMonitor;
 use crate::ids::{ConnectionId, DeviceAddress};
@@ -20,6 +19,7 @@ use crate::proto::Message;
 use crate::service::ServiceInfo;
 use crate::storage::{StorageStats, StoredDevice};
 
+use super::pending::LinkRole;
 use super::{token, AppId, Core, KIND_APP};
 
 /// Handle applications (and scenario drivers) use to act on the middleware.
@@ -69,7 +69,7 @@ impl PeerHoodApi<'_> {
     /// Fails if a service with the same name is already registered.
     pub fn register_service(&mut self, service: ServiceInfo) -> Result<(), PeerHoodError> {
         let name = service.name.clone();
-        self.core.daemon.register_service(service)?;
+        self.core.registry.register(service)?;
         if let Some(app) = self.app {
             self.core.service_owner.insert(name, app);
         }
@@ -78,7 +78,7 @@ impl PeerHoodApi<'_> {
 
     /// Unregisters an application service.
     pub fn unregister_service(&mut self, name: &str) -> Option<ServiceInfo> {
-        let removed = self.core.daemon.unregister_service(name);
+        let removed = self.core.registry.unregister(name);
         if removed.is_some() {
             self.core.service_owner.remove(name);
         }
@@ -91,13 +91,13 @@ impl PeerHoodApi<'_> {
     /// [`DeviceStorage::devices`](crate::storage::DeviceStorage::devices)
     /// builds them.
     pub fn device_list(&self) -> Vec<StoredDevice> {
-        self.core.daemon.storage().devices().collect()
+        self.core.storage.devices().collect()
     }
 
     /// `GetServiceList`: every `(device, service)` pair currently known.
     pub fn service_list(&self) -> Vec<(DeviceAddress, ServiceInfo)> {
         let mut list = Vec::new();
-        for d in self.core.daemon.storage().devices() {
+        for d in self.core.storage.devices() {
             list.extend(d.services.iter().map(|s| (d.info.address, s.clone())));
         }
         list
@@ -105,7 +105,7 @@ impl PeerHoodApi<'_> {
 
     /// Storage statistics.
     pub fn storage_stats(&self) -> StorageStats {
-        self.core.daemon.stats()
+        self.core.storage.stats()
     }
 
     /// Connects to a named service on a specific device. Returns the
@@ -135,12 +135,9 @@ impl PeerHoodApi<'_> {
     ///
     /// # Errors
     ///
-    /// Fails if the connection is unknown, if an outgoing connection is not
-    /// currently established, or — on a node built with
-    /// `trusted_apps(false)` — with [`PeerHoodError::NotOwner`] when the
-    /// connection belongs to a different application.
+    /// Fails if the connection is unknown or if an outgoing connection is
+    /// not currently established.
     pub fn send(&mut self, conn: ConnectionId, payload: Vec<u8>) -> Result<(), PeerHoodError> {
-        self.check_owner(conn)?;
         self.core.op_send(self.ctx, conn, payload)
     }
 
@@ -150,41 +147,15 @@ impl PeerHoodApi<'_> {
     ///
     /// # Errors
     ///
-    /// Fails if the connection is unknown, or — on a node built with
-    /// `trusted_apps(false)` — with [`PeerHoodError::NotOwner`] when the
-    /// connection belongs to a different application.
+    /// Fails if the connection is unknown.
     pub fn set_sending(&mut self, conn: ConnectionId, sending: bool) -> Result<(), PeerHoodError> {
-        self.check_owner(conn)?;
         self.core.op_set_sending(conn, sending)
     }
 
     /// Closes a connection and forgets it. Closing an unknown (e.g. already
     /// closed) connection is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// On a node built with `trusted_apps(false)`, returns
-    /// [`PeerHoodError::NotOwner`] when the connection belongs to a
-    /// different application; the connection is left untouched.
-    pub fn close(&mut self, conn: ConnectionId) -> Result<(), PeerHoodError> {
-        self.check_owner(conn)?;
+    pub fn close(&mut self, conn: ConnectionId) {
         self.core.op_close(self.ctx, conn);
-        Ok(())
-    }
-
-    /// Ownership gate for mutating per-connection operations: enforced only
-    /// on nodes built with `trusted_apps(false)`, and only between two
-    /// *applications* — a driver-side handle (no application identity) and
-    /// unowned connections pass, preserving the scenario-driver escape
-    /// hatch.
-    fn check_owner(&self, conn: ConnectionId) -> Result<(), PeerHoodError> {
-        if self.core.trusted_apps {
-            return Ok(());
-        }
-        match (self.app, self.core.owner_of(conn)) {
-            (Some(acting), Some(owner)) if acting != owner => Err(PeerHoodError::NotOwner(conn)),
-            _ => Ok(()),
-        }
     }
 
     /// Snapshot of one connection.
@@ -231,11 +202,7 @@ impl Core {
         target: DeviceAddress,
         service: &str,
     ) -> Result<ConnectionId, PeerHoodError> {
-        let entry = self
-            .daemon
-            .storage()
-            .get(target)
-            .ok_or(PeerHoodError::UnknownDevice(target))?;
+        let entry = self.storage.get(target).ok_or(PeerHoodError::UnknownDevice(target))?;
         let route = entry.route;
         let kind = if route.is_direct() {
             ConnKind::OutgoingDirect
@@ -275,8 +242,7 @@ impl Core {
         service: &str,
     ) -> Result<ConnectionId, PeerHoodError> {
         let provider = self
-            .daemon
-            .storage()
+            .storage
             .best_service_provider(service)
             .map(|(provider, _)| provider)
             .ok_or_else(|| PeerHoodError::ServiceNotFound(service.to_string()))?;

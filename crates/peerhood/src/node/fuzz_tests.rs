@@ -1,6 +1,6 @@
 //! The state-machine-coverage fuzz harness (hostile-city tentpole).
 //!
-//! Every protocol transition — each [`LinkRole`] the engine can classify a
+//! Every protocol transition — each [`LinkRole`] the node can classify a
 //! link into, crossed with each `PH_*` wire command — is exercised with a
 //! syntactically valid hostile frame injected straight into
 //! `Core::handle_message`. The harness asserts three things:
@@ -26,7 +26,6 @@ use crate::application::Application;
 use crate::config::{PeerHoodConfig, SecurityConfig};
 use crate::connection::{AppConnection, ConnKind};
 use crate::device::{DeviceInfo, MobilityClass};
-use crate::engine::LinkRole;
 use crate::error::ErrorCode;
 use crate::hostile::{ProtocolForge, HOSTILE_BASE};
 use crate::ids::{ConnectionId, DeviceAddress};
@@ -35,6 +34,7 @@ use crate::resilience::ResilienceConfig;
 use crate::service::ServiceInfo;
 use crate::wire;
 
+use super::pending::LinkRole;
 use super::{PeerHoodApi, PeerHoodNode};
 
 /// Wildcard-free role classifier: a new [`LinkRole`] variant breaks the
@@ -177,6 +177,8 @@ struct MatrixOutcome {
     hijacked: usize,
     /// Whether the phantom neighbour made it into the device storage.
     poisoned: bool,
+    /// Reputation penalties the victim's storage holds against the attacker.
+    attacker_penalty: u32,
     /// Total hostile frames injected.
     injected: u64,
 }
@@ -227,12 +229,12 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                     match role {
                         LinkRole::IncomingUnidentified => {}
                         LinkRole::DaemonFetch { .. } | LinkRole::DaemonServe => {
-                            core.engine.set_role(link, role);
+                            core.roles.insert(link, role);
                         }
                         LinkRole::AppConnection(conn) => {
                             core.connections
                                 .insert(AppConnection::incoming(conn, attacker_info(), "svc", link, now));
-                            core.engine.set_role(link, role);
+                            core.roles.insert(link, role);
                         }
                         LinkRole::HandoverPending { conn, via } => {
                             core.connections.insert(AppConnection::outgoing(
@@ -242,19 +244,19 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                                 ConnKind::OutgoingDirect,
                                 now,
                             ));
-                            core.engine.set_role(link, role);
+                            core.roles.insert(link, role);
                         }
                         LinkRole::BridgeUpstream(conn) => {
                             core.bridge
                                 .insert_pending(conn, link, dest, "svc", attacker_info(), None);
                             core.bridge.get_mut(conn).unwrap().downstream = Some(aux);
-                            core.engine.set_role(link, role);
+                            core.roles.insert(link, role);
                         }
                         LinkRole::BridgeDownstream(conn) => {
                             core.bridge
                                 .insert_pending(conn, aux, dest, "svc", attacker_info(), None);
                             core.bridge.get_mut(conn).unwrap().downstream = Some(link);
-                            core.engine.set_role(link, role);
+                            core.roles.insert(link, role);
                         }
                     }
                     // The hostile frame for this command. Session-scoped
@@ -320,7 +322,7 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
         .unwrap();
     // Let queued events drain through the normal dispatch path.
     world.run_for(SimDuration::from_secs(2));
-    let (stats, hijacked, poisoned) = world
+    let (stats, hijacked, poisoned, attacker_penalty) = world
         .with_agent::<PeerHoodNode, _>(victim, |n, _| {
             let stats = n.security_stats();
             let core = n.core_mut().expect("node started");
@@ -330,13 +332,13 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                 .iter()
                 .filter(|c| c.initiator() == phantom_addr())
                 .count();
-            let poisoned = core.daemon.storage().get(phantom_addr()).is_some()
+            let poisoned = core.storage.get(phantom_addr()).is_some()
                 || core
-                    .daemon
-                    .storage()
+                    .storage
                     .get(DeviceAddress::from_node_raw(HOSTILE_BASE + 0x42))
                     .is_some();
-            (stats, hijacked, poisoned)
+            let attacker_penalty = core.storage.reporter_penalty(DeviceAddress::from_node(attacker_node()));
+            (stats, hijacked, poisoned, attacker_penalty)
         })
         .unwrap();
     MatrixOutcome {
@@ -344,6 +346,7 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
         stats,
         hijacked,
         poisoned,
+        attacker_penalty,
         injected,
     }
 }
@@ -368,6 +371,9 @@ fn defenses_off_accepts_what_sanity_rejects() {
     // With everything disabled no defence fires...
     assert_eq!(off.stats.frames_rejected(), 0);
     assert_eq!(off.stats.penalties_recorded, 0);
+    // ...and the storage holds no penalty, so below the sanity tier no
+    // reporter is ever blocked.
+    assert_eq!(off.attacker_penalty, 0);
     // ...and the hostile frames actually land: the phantom pre-poisons a
     // session and the forged report reaches the routing table.
     assert!(

@@ -39,10 +39,10 @@ use crate::application::Application;
 use crate::config::PeerHoodConfig;
 use crate::connection::ConnectionSnapshot;
 use crate::device::DeviceInfo;
-use crate::engine::LinkRole;
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::storage::{StorageStats, StoredDevice};
 
+use super::pending::LinkRole;
 use super::{AppId, Core, PeerHoodApi, PeerHoodEvent};
 
 /// Maximum number of events the trace retains between drains; when full the
@@ -58,7 +58,6 @@ pub struct PeerHoodNode {
     config: Rc<PeerHoodConfig>,
     core: Option<Core>,
     apps: BTreeMap<AppId, Box<dyn Application>>,
-    trusted_apps: bool,
     /// When `Some`, every dispatched [`PeerHoodEvent`] is also recorded here
     /// for scenario drivers (see [`PeerHoodNode::subscribe_event_trace`]).
     /// Bounded to [`EVENT_TRACE_CAP`] entries (oldest dropped first).
@@ -69,7 +68,6 @@ pub struct PeerHoodNode {
 pub struct PeerHoodNodeBuilder {
     config: Rc<PeerHoodConfig>,
     apps: Vec<Box<dyn Application>>,
-    trusted_apps: bool,
 }
 
 impl PeerHoodNodeBuilder {
@@ -102,21 +100,6 @@ impl PeerHoodNodeBuilder {
         self
     }
 
-    /// Controls whether co-hosted applications trust each other with every
-    /// connection on the node.
-    ///
-    /// The default (`true`) matches the original library's same-device trust
-    /// model: any application (or a scenario driver) may `send`/`close` any
-    /// connection. Built with `trusted_apps(false)`, those operations return
-    /// [`PeerHoodError::NotOwner`](crate::error::PeerHoodError::NotOwner)
-    /// when invoked by an application on a connection owned by a *different*
-    /// application (driver-side handles with no application identity are
-    /// exempt — that is the driver escape hatch).
-    pub fn trusted_apps(mut self, trusted: bool) -> Self {
-        self.trusted_apps = trusted;
-        self
-    }
-
     /// Builds the node.
     pub fn build(self) -> PeerHoodNode {
         let apps = self
@@ -129,7 +112,6 @@ impl PeerHoodNodeBuilder {
             config: self.config,
             core: None,
             apps,
-            trusted_apps: self.trusted_apps,
             trace: None,
         }
     }
@@ -141,7 +123,6 @@ impl PeerHoodNode {
         PeerHoodNodeBuilder {
             config: Rc::new(PeerHoodConfig::default()),
             apps: Vec::new(),
-            trusted_apps: true,
         }
     }
 
@@ -154,19 +135,19 @@ impl PeerHoodNode {
 
     /// This device's address (available after the node has started).
     pub fn device_address(&self) -> Option<DeviceAddress> {
-        self.core.as_ref().map(|c| c.daemon.info().address)
+        self.core.as_ref().map(|c| c.info.address)
     }
 
-    /// Storage statistics of the daemon.
+    /// Statistics of the device storage.
     pub fn storage_stats(&self) -> StorageStats {
-        self.core.as_ref().map(|c| c.daemon.stats()).unwrap_or_default()
+        self.core.as_ref().map(|c| c.storage.stats()).unwrap_or_default()
     }
 
     /// Snapshot of every known remote device.
     pub fn known_devices(&self) -> Vec<StoredDevice> {
         self.core
             .as_ref()
-            .map(|c| c.daemon.storage().devices().collect())
+            .map(|c| c.storage.devices().collect())
             .unwrap_or_default()
     }
 
@@ -473,7 +454,7 @@ impl Agent for PeerHoodNode {
             self.config.mobility,
             &self.config.techs,
         );
-        let mut core = Core::new(info, Rc::clone(&self.config), self.trusted_apps);
+        let mut core = Core::new(info, Rc::clone(&self.config));
         core.start(ctx);
         for id in self.apps.keys() {
             core.events.push_back(PeerHoodEvent::Started { app: *id });
@@ -514,9 +495,16 @@ impl Agent for PeerHoodNode {
                 // Admission control runs before any middleware state is
                 // allocated: a rejected dialer sees `ConnectError::Rejected`
                 // straight from the radio layer — the cheapest possible
-                // answer, no protocol exchange, no engine entry.
+                // answer, no protocol exchange, no link role. Accepted links
+                // whose first command has not arrived yet count towards the
+                // session cap, so a flood of half-open connections cannot
+                // sneak past it.
                 let peer = DeviceAddress::from_node(incoming.from);
-                let active = core.engine.incoming_unidentified()
+                let half_open = core
+                    .roles
+                    .values()
+                    .filter(|role| **role == LinkRole::IncomingUnidentified);
+                let active = half_open.count()
                     + core
                         .connections
                         .iter()
@@ -525,7 +513,7 @@ impl Agent for PeerHoodNode {
                 if !core.resilience.admit(peer, ctx.now(), active) {
                     return false;
                 }
-                core.engine.set_role(incoming.link, LinkRole::IncomingUnidentified);
+                core.roles.insert(incoming.link, LinkRole::IncomingUnidentified);
                 true
             }
             None => false,

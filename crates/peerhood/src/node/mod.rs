@@ -1,8 +1,10 @@
 //! The PeerHood node: glue between the middleware and the simulated radio.
 //!
 //! [`PeerHoodNode`] implements [`simnet::agent::Agent`] and owns the whole
-//! middleware stack of one device — daemon, engine, connection table, bridge
-//! service and handover machinery — plus the registry of
+//! middleware stack of one device — the daemon's device storage, service
+//! registry and discovery plugins (Fig. 2.3), the role of every radio link
+//! (the engine of §4.1), the connection table, bridge service and handover
+//! machinery — plus the registry of
 //! [`Application`](crate::application::Application)s running on top of it.
 //! Applications act on the middleware through [`PeerHoodApi`] and receive
 //! their callbacks through the typed [`PeerHoodEvent`] dispatch layer.
@@ -15,11 +17,11 @@
 //! * [`api`] — the [`PeerHoodApi`] handle applications and scenario drivers
 //!   use to act on the middleware,
 //! * [`events`] — the [`PeerHoodEvent`] vocabulary and [`AppId`],
-//! * [`pending`] — the one way to open a link (`Core::dial`) and the
-//!   physical connection-attempt ledger (the link role each radio connect
-//!   will take, and what to do when it succeeds or fails),
-//! * [`protocol`] — wire-message handling, discovery cycles, bridge
-//!   relaying, quality monitoring and handover.
+//! * [`pending`] — the one way to open a link (`Core::dial`), the link
+//!   roles and the physical connection-attempt ledger (the link role each
+//!   radio connect will take, and what to do when it succeeds or fails),
+//! * [`protocol`] — wire-message handling, discovery cycles and the
+//!   inquiry response, bridge relaying, quality monitoring and handover.
 //!
 //! The original implementation runs these pieces as threads (inquiry thread,
 //! advertisement thread, roaming/handover threads, the bridge main loop);
@@ -36,12 +38,15 @@ use simnet::{AttemptId, Ctx, LinkId, RadioTech, TimerToken};
 use crate::bridge::BridgeService;
 use crate::config::PeerHoodConfig;
 use crate::connection::ConnectionTable;
-use crate::daemon::Daemon;
 use crate::device::DeviceInfo;
-use crate::engine::{Engine, LinkRole};
 use crate::error::ErrorCode;
 use crate::ids::{ConnectionId, DeviceAddress};
+use crate::plugin::PluginState;
 use crate::proto::Message;
+use crate::service::{ServiceInfo, ServiceRegistry, BRIDGE_SERVICE_NAME};
+use crate::storage::DeviceStorage;
+
+use pending::LinkRole;
 
 pub mod api;
 pub mod events;
@@ -76,8 +81,15 @@ pub(crate) struct Core {
     /// [`PeerHoodNodeBuilder::config_shared`], potentially with thousands of
     /// sibling nodes): one configuration allocation per fleet, not per node.
     pub(crate) config: Rc<PeerHoodConfig>,
-    pub(crate) daemon: Daemon,
-    pub(crate) engine: Engine,
+    /// The local device description advertised to the network.
+    pub(crate) info: DeviceInfo,
+    pub(crate) storage: DeviceStorage,
+    pub(crate) registry: ServiceRegistry,
+    /// One discovery plugin per configured radio, in `config.techs` order.
+    pub(crate) plugins: Vec<PluginState>,
+    /// What each live radio link is used for, so its payloads and its
+    /// disconnect reach the right flow.
+    pub(crate) roles: IdTable<LinkId, LinkRole>,
     pub(crate) connections: ConnectionTable,
     pub(crate) bridge: BridgeService,
     /// Radio connects in flight, each with the role its link takes once up.
@@ -100,9 +112,6 @@ pub(crate) struct Core {
     pub(crate) conn_owner: IdTable<ConnectionId, AppId>,
     pub(crate) handover_completions: u64,
     pub(crate) reply_reconnections: u64,
-    /// When false, `send`/`close` through a [`PeerHoodApi`] enforce
-    /// connection ownership (see [`PeerHoodNodeBuilder::trusted_apps`]).
-    pub(crate) trusted_apps: bool,
     /// Cached encoded inquiry-response frame, keyed by (storage generation,
     /// registry generation, bridge load). While nothing changes — the common
     /// case between discovery cycles — every inquiry served on any link
@@ -122,10 +131,21 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    pub(crate) fn new(info: DeviceInfo, config: Rc<PeerHoodConfig>, trusted_apps: bool) -> Self {
+    pub(crate) fn new(info: DeviceInfo, config: Rc<PeerHoodConfig>) -> Self {
+        let mut registry = ServiceRegistry::new();
+        if config.bridge.enabled {
+            // The hidden bridge service is part of every PeerHood package and
+            // is started with the daemon (§4).
+            registry
+                .register(ServiceInfo::new(BRIDGE_SERVICE_NAME, "hidden", 1))
+                .expect("bridge service registers into an empty registry");
+        }
         Core {
-            daemon: Daemon::new(info, &config),
-            engine: Engine::new(),
+            storage: DeviceStorage::new(info.address, config.monitor.quality_threshold),
+            registry,
+            plugins: config.techs.iter().map(|&tech| PluginState::new(tech)).collect(),
+            info,
+            roles: IdTable::default(),
             connections: ConnectionTable::new(),
             bridge: BridgeService::new(config.bridge.max_connections),
             pending: IdTable::default(),
@@ -138,7 +158,6 @@ impl Core {
             conn_owner: IdTable::default(),
             handover_completions: 0,
             reply_reconnections: 0,
-            trusted_apps,
             inquiry_frame: None,
             resilience: crate::resilience::Resilience::new(config.resilience),
             security: crate::security::Security::new(config.security.clone()),
@@ -147,11 +166,16 @@ impl Core {
     }
 
     pub(crate) fn my_address(&self) -> DeviceAddress {
-        self.daemon.info().address
+        self.info.address
     }
 
     pub(crate) fn my_info(&self) -> DeviceInfo {
-        self.daemon.info().clone()
+        self.info.clone()
+    }
+
+    /// The discovery plugin driving `tech`, if that radio is configured.
+    pub(crate) fn plugin_mut(&mut self, tech: RadioTech) -> Option<&mut PluginState> {
+        self.plugins.iter_mut().find(|p| p.tech == tech)
     }
 
     /// The application owning a connection, if any.
@@ -178,13 +202,13 @@ impl Core {
     /// [`Core::tech_for`] a device by address: as the storage describes it,
     /// or our primary technology when it is not known.
     pub(crate) fn tech_towards(&self, hop: DeviceAddress) -> RadioTech {
-        self.tech_for(self.daemon.storage().get(hop).map(|d| d.info).as_ref())
+        self.tech_for(self.storage.get(hop).map(|d| d.info).as_ref())
     }
 
     /// Closes a link and forgets its role: the one way the node drops a link.
     pub(crate) fn drop_link(&mut self, ctx: &mut dyn Ctx, link: LinkId) {
         ctx.close(link);
-        self.engine.remove(link);
+        self.roles.remove(&link);
     }
 
     /// Answers a request on `link` with an `Error` frame, then drops the link.

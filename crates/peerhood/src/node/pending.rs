@@ -1,17 +1,17 @@
-//! The physical connection-attempt ledger.
+//! Link roles and the physical connection-attempt ledger.
 //!
 //! Every radio connect the node starts goes through `Core::dial` and is
-//! recorded with the [`LinkRole`] the link takes once it is up, so the
+//! recorded with the `LinkRole` the link takes once it is up, so the
 //! success and failure callbacks resume the right protocol flow: a daemon
 //! information fetch, the first hop of an application connection or of a
 //! server-initiated reply reconnection (§5.3), a bridge leg or a handover
-//! replacement route.
+//! replacement route. Once up, the link is classified by the same role in
+//! `Core::roles`.
 
 use simnet::{AttemptId, ConnectError, Ctx, LinkId, NodeId, RadioTech, SimDuration};
 
 use crate::connection::{ConnKind, ConnState};
 use crate::device::DeviceInfo;
-use crate::engine::LinkRole;
 use crate::error::{ErrorCode, PeerHoodError};
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::proto::Message;
@@ -23,6 +23,49 @@ use super::{token, Core, PeerHoodEvent, KIND_RETRY};
 pub const MAX_REPLY_ATTEMPTS: u32 = 5;
 /// Delay between those reconnect attempts.
 pub const REPLY_RETRY_INTERVAL: SimDuration = SimDuration::from_secs(15);
+
+/// What a radio link is used for: the role a dialled link takes once it is
+/// up, and the role `Core::roles` classifies every live link by — §4.1's
+/// engine, which identifies an incoming link's intention from its first
+/// command, so that payloads and disconnects reach the daemon, the
+/// connection table or the bridge service.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LinkRole {
+    /// An accepted incoming link whose first command has not arrived yet.
+    IncomingUnidentified,
+    /// A short daemon connection we opened to fetch device information.
+    DaemonFetch {
+        /// The device being interrogated.
+        peer: DeviceAddress,
+        /// The radio the inquiry that found the device ran on (the plugin
+        /// whose fetch accounting this link belongs to).
+        tech: RadioTech,
+        /// Quality sampled during the inquiry that found the device.
+        quality: u8,
+    },
+    /// A short daemon connection we are serving (we answered an inquiry).
+    DaemonServe,
+    /// The link carries an application connection (ours or a peer's).
+    AppConnection(ConnectionId),
+    /// The link is a replacement route being established by the handover
+    /// machinery for the given connection; it becomes `AppConnection` once
+    /// the end-to-end acknowledgement arrives.
+    HandoverPending {
+        /// The connection being re-routed.
+        conn: ConnectionId,
+        /// The device this replacement link physically connects to — the
+        /// bridge the new route goes through, or the destination itself for
+        /// a direct re-route. Recorded here (not recovered from the
+        /// handover monitor) so the connection's `ConnKind` reflects the
+        /// route actually built even when the monitor's candidate has been
+        /// refreshed while the switch was in flight.
+        via: DeviceAddress,
+    },
+    /// Upstream leg (towards the requester) of a relayed bridge pair.
+    BridgeUpstream(ConnectionId),
+    /// Downstream leg (towards the destination) of a relayed bridge pair.
+    BridgeDownstream(ConnectionId),
+}
 
 /// The request that opens `conn_id` over a freshly connected first hop: a
 /// `ConnectRequest` when that hop is the destination itself, otherwise a
@@ -138,7 +181,7 @@ impl Core {
         };
         match request {
             Some(request) => {
-                self.engine.set_role(link, role);
+                self.roles.insert(link, role);
                 self.send_frame(ctx, link, &request);
             }
             // The connection or the relayed pair went away during the dial.
@@ -232,7 +275,7 @@ impl Core {
             return;
         }
         // Fig. 5.10: look the client up in the device storage and reconnect.
-        let route = match self.daemon.storage().get(remote) {
+        let route = match self.storage.get(remote) {
             Some(entry) => entry.route,
             None => {
                 self.schedule_reply_retry(ctx, conn);

@@ -11,13 +11,15 @@ use simnet::{Ctx, DisconnectReason, InquiryHit, LinkId, NodeId, Payload, RadioTe
 use crate::bridge::BridgeSide;
 use crate::connection::{AppConnection, ConnKind, ConnState};
 use crate::device::DeviceInfo;
-use crate::engine::LinkRole;
 use crate::error::{ErrorCode, PeerHoodError};
 use crate::handover::{HandoverMonitor, HandoverTarget};
 use crate::ids::{ConnectionId, DeviceAddress};
+use crate::plugin::PluginState;
 use crate::proto::Message;
+use crate::service::BRIDGE_SERVICE_NAME;
 use crate::wire;
 
+use super::pending::LinkRole;
 use super::{token, Core, PeerHoodEvent, KIND_APP, KIND_INQUIRY, KIND_MONITOR, KIND_RETRY, KIND_SHIFT, PAYLOAD_MASK};
 
 impl Core {
@@ -34,8 +36,7 @@ impl Core {
     /// pipeline carries end to end.
     fn send_encoded(&mut self, ctx: &mut dyn Ctx, link: LinkId, frame: &mut Vec<u8>) {
         if self.security.frame_auth() {
-            let sender = self.daemon.info().address;
-            self.security.append_trailer(sender, frame);
+            self.security.append_trailer(self.info.address, frame);
         }
         let _ = ctx.send(link, wire::Frame::copy_from_slice(frame));
     }
@@ -61,20 +62,25 @@ impl Core {
     /// caught misbehaving (no-op below the sanity tier).
     pub(crate) fn note_peer_misbehaved(&mut self, peer: DeviceAddress) {
         if self.security.sanity_checks() {
-            self.daemon.storage_mut().penalize_reporter(peer);
+            self.storage.penalize_reporter(peer);
             self.security.stats.penalties_recorded += 1;
         }
     }
 
-    /// The encoded response to an inquiry request. Encoded once and then
-    /// reused — served to every neighbour that asks — until the device
-    /// storage, the service registry or the bridge load actually changes
-    /// (tracked by generation counters, so the cached bytes are always
-    /// exactly what a fresh encode would produce).
-    fn inquiry_response_frame(&mut self) -> wire::Frame {
+    /// The encoded response to an inquiry request (Fig. 3.5): own device
+    /// information, every registered service except the hidden bridge
+    /// service, the storage's entries within `max_export_jumps`, and the
+    /// current bridge load (§4's "bottle neck" mitigation), written in one
+    /// pass from the storage to the bytes [`wire::encode_into`] would
+    /// produce for the equivalent message. Encoded once and then reused —
+    /// served to every neighbour that asks — until the device storage, the
+    /// service registry or the bridge load actually changes (tracked by
+    /// generation counters, so the cached bytes are always exactly what a
+    /// fresh encode would produce).
+    pub(crate) fn inquiry_response_frame(&mut self) -> wire::Frame {
         let key = (
-            self.daemon.storage().generation(),
-            self.daemon.registry().generation(),
+            self.storage.generation(),
+            self.registry.generation(),
             self.bridge.load_percent(),
         );
         if let Some((cached_key, frame)) = &self.inquiry_frame {
@@ -85,7 +91,12 @@ impl Core {
         }
         let max_jumps = self.config.discovery.max_export_jumps;
         let frame = wire::with_encode_buffer(|buffer| {
-            self.daemon.encode_inquiry_response(max_jumps, key.2, buffer);
+            let advertised = self.registry.list().iter().filter(|s| s.name != BRIDGE_SERVICE_NAME);
+            let mut reply = wire::InquiryResponseWriter::begin(buffer, &self.info, advertised);
+            for row in self.storage.exported(max_jumps) {
+                reply.neighbor(row);
+            }
+            reply.finish(key.2);
             wire::Frame::copy_from_slice(buffer)
         });
         self.inquiry_frame = Some((key, frame.clone()));
@@ -112,13 +123,13 @@ impl Core {
                     Some(t) => t,
                     None => return,
                 };
-                if let Some(plugin) = self.daemon.plugins_mut().get_mut(tech) {
+                if let Some(plugin) = self.plugin_mut(tech) {
                     if plugin.cycle_active {
                         // The previous cycle is still fetching; retry shortly.
                         ctx.schedule(SimDuration::from_secs(2), timer);
                         return;
                     }
-                    plugin.begin_cycle(ctx.now());
+                    plugin.begin_cycle();
                 }
                 ctx.start_inquiry(tech);
             }
@@ -161,14 +172,10 @@ impl Core {
         let mut fetches: Vec<(DeviceAddress, u8)> = Vec::new();
         for hit in &hits {
             let addr = DeviceAddress::from_node(hit.node);
-            if let Some(plugin) = self.daemon.plugins_mut().get_mut(tech) {
+            if let Some(plugin) = self.plugin_mut(tech) {
                 plugin.note_responder(addr);
             }
-            if self
-                .daemon
-                .storage_mut()
-                .note_inquiry_hit(addr, hit.quality, now, service_check)
-            {
+            if self.storage.note_inquiry_hit(addr, hit.quality, now, service_check) {
                 fetches.push((addr, hit.quality));
             }
         }
@@ -180,25 +187,28 @@ impl Core {
             if !self.dial(ctx, peer, LinkRole::DaemonFetch { peer, tech, quality }) {
                 continue;
             }
-            if let Some(plugin) = self.daemon.plugins_mut().get_mut(tech) {
+            if let Some(plugin) = self.plugin_mut(tech) {
                 plugin.note_fetch_started();
             }
         }
         // If nothing needs fetching the cycle completes immediately.
-        let cycle_done = self
-            .daemon
-            .plugins()
-            .get(tech)
-            .map(|p| p.pending_fetches == 0)
-            .unwrap_or(true);
-        if cycle_done {
+        if self.plugin_mut(tech).is_none_or(|p| p.pending_fetches == 0) {
             self.finish_discovery_cycle(ctx, tech);
         }
     }
 
-    fn finish_discovery_cycle(&mut self, ctx: &mut dyn Ctx, tech: RadioTech) {
-        let now = ctx.now();
-        let removed = self.daemon.complete_cycle(tech, &self.config, now);
+    /// Completes one inquiry cycle for `tech`: ages the storage with the
+    /// devices that answered, announces the ones it removed as lost, and
+    /// schedules the next inquiry.
+    pub(crate) fn finish_discovery_cycle(&mut self, ctx: &mut dyn Ctx, tech: RadioTech) {
+        let mut responders = self.plugin_mut(tech).map(PluginState::finish_cycle).unwrap_or_default();
+        let discovery = &self.config.discovery;
+        let removed = self.storage.age_cycle(
+            &mut responders,
+            ctx.now(),
+            discovery.max_missed_loops,
+            discovery.stale_timeout,
+        );
         for address in removed {
             self.events.push_back(PeerHoodEvent::DeviceLost { address });
         }
@@ -207,11 +217,8 @@ impl Core {
 
     pub(crate) fn note_fetch_finished(&mut self, ctx: &mut dyn Ctx, tech: RadioTech) {
         let done = self
-            .daemon
-            .plugins_mut()
-            .get_mut(tech)
-            .map(|p| p.cycle_active && p.note_fetch_finished())
-            .unwrap_or(false);
+            .plugin_mut(tech)
+            .is_some_and(|p| p.cycle_active && p.note_fetch_finished());
         if done {
             self.finish_discovery_cycle(ctx, tech);
         }
@@ -235,7 +242,7 @@ impl Core {
         } else {
             payload.as_slice()
         };
-        let role = self.engine.role(link).unwrap_or(LinkRole::IncomingUnidentified);
+        let role = self.roles.get(&link).copied().unwrap_or(LinkRole::IncomingUnidentified);
         // The report fast path: the daemon reads the neighbour report in the
         // frame it arrived in. Anything but a valid inquiry response is
         // ignored on a fetch link.
@@ -269,7 +276,7 @@ impl Core {
         match message {
             Message::InquiryRequest { requester: _ } => {
                 let frame = self.inquiry_response_frame();
-                self.engine.set_role(link, LinkRole::DaemonServe);
+                self.roles.insert(link, LinkRole::DaemonServe);
                 self.transmit_frame(ctx, link, &frame, &frame);
             }
             Message::ConnectRequest {
@@ -355,15 +362,15 @@ impl Core {
             if old != link {
                 self.drop_link(ctx, old);
             }
-            self.engine.set_role(link, LinkRole::BridgeUpstream(conn_id));
+            self.roles.insert(link, LinkRole::BridgeUpstream(conn_id));
             self.send_frame(ctx, link, &Message::Accept { conn_id });
             return;
         }
         // Case 4: a brand-new incoming connection to one of our services.
-        if self.daemon.registry().find(&service).is_some() {
+        if self.registry.find(&service).is_some() {
             let connection = AppConnection::incoming(conn_id, client.clone(), service.clone(), link, now);
             self.connections.insert(connection);
-            self.engine.set_role(link, LinkRole::AppConnection(conn_id));
+            self.roles.insert(link, LinkRole::AppConnection(conn_id));
             self.send_frame(ctx, link, &Message::Accept { conn_id });
             // Route the new connection to the application that registered
             // the service.
@@ -395,7 +402,7 @@ impl Core {
         if let Some(old) = old.filter(|&old| old != link) {
             self.drop_link(ctx, old);
         }
-        self.engine.set_role(link, LinkRole::AppConnection(conn));
+        self.roles.insert(link, LinkRole::AppConnection(conn));
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -424,7 +431,7 @@ impl Core {
         }
         // Select the next hop from the device storage (Fig. 4.4: "get devices
         // list, find given address").
-        let next_hop = match self.daemon.storage().get(destination) {
+        let next_hop = match self.storage.get(destination) {
             Some(entry) if entry.route.is_direct() => Some(destination),
             Some(entry) => entry.route.bridge,
             None => None,
@@ -451,7 +458,7 @@ impl Core {
         };
         self.bridge
             .insert_pending(conn_id, link, destination, service, client, reply_context);
-        self.engine.set_role(link, LinkRole::BridgeUpstream(conn_id));
+        self.roles.insert(link, LinkRole::BridgeUpstream(conn_id));
         // Not breaker-gated (see `Core::connect_hop`).
         self.connect_hop(ctx, hop, LinkRole::BridgeDownstream(conn_id));
     }
@@ -470,13 +477,14 @@ impl Core {
         // report is gossip and is no longer integrated into the routing
         // table, so a compromised node cannot keep poisoning route
         // candidates after being caught.
-        let blocked = self.daemon.storage().reporter_blocked(report.device.address);
+        let blocked = self.storage.reporter_blocked(report.device.address);
         if blocked {
             self.security.stats.reports_skipped += 1;
         }
+        let mode = self.config.discovery.mode;
         let discovered = self
-            .daemon
-            .process_inquiry_response(report, blocked, quality, &self.config, ctx.now());
+            .storage
+            .integrate_report(report, !blocked, quality, mode, ctx.now());
         for address in discovered {
             self.events.push_back(PeerHoodEvent::DeviceDiscovered { address });
         }
@@ -744,8 +752,7 @@ impl Core {
             // instead of surviving the full missed-loop tolerance. If the
             // device actually comes back it answers the next inquiry and the
             // flag is reset.
-            self.daemon
-                .storage_mut()
+            self.storage
                 .mark_suspect(DeviceAddress::from_node(peer), self.config.discovery.max_missed_loops);
             // A crashed peer counts as a dial failure towards it.
             self.resilience
@@ -757,7 +764,7 @@ impl Core {
             self.resilience
                 .record_link_break(DeviceAddress::from_node(peer), ctx.now());
         }
-        let role = match self.engine.remove(link) {
+        let role = match self.roles.remove(&link) {
             Some(r) => r,
             None => return,
         };
@@ -838,7 +845,7 @@ impl Core {
         // (generation-tracked), the target and the excluded bridge: when
         // none of them moved since the monitor's last refresh — the
         // steady-state monitoring pass — skip the walk-and-sort entirely.
-        let key = (self.daemon.storage().generation(), target, exclude);
+        let key = (self.storage.generation(), target, exclude);
         if self
             .connections
             .get(conn)
@@ -848,11 +855,11 @@ impl Core {
         {
             return;
         }
-        let mut candidates: Vec<_> = self.daemon.storage().handover_candidates_iter(target).collect();
+        let mut candidates: Vec<_> = self.storage.handover_candidates_iter(target).collect();
         // Fall back on the stored multi-hop route towards the target if no
         // direct neighbour reports it.
         if candidates.is_empty() {
-            if let Some(entry) = self.daemon.storage().get(target) {
+            if let Some(entry) = self.storage.get(target) {
                 if let Some(bridge) = entry.route.bridge {
                     let ours = entry.route.first_hop_quality();
                     let theirs = entry.route.hop_qualities.get(1).copied().unwrap_or(0);
@@ -944,8 +951,7 @@ impl Core {
             return;
         }
         let candidates: Vec<DeviceAddress> = self
-            .daemon
-            .storage()
+            .storage
             .service_providers(&service)
             .map(|(provider, _)| provider)
             .filter(|a| *a != remote)
@@ -968,7 +974,7 @@ impl Core {
         conn: ConnectionId,
         candidates: &[DeviceAddress],
     ) {
-        let provider = candidates.iter().copied().find(|a| self.daemon.storage().contains(*a));
+        let provider = candidates.iter().copied().find(|a| self.storage.contains(*a));
         let provider = match provider {
             Some(p) => p,
             None => {
@@ -976,7 +982,7 @@ impl Core {
                 return;
             }
         };
-        let route = match self.daemon.storage().get(provider) {
+        let route = match self.storage.get(provider) {
             Some(entry) => entry.route,
             None => {
                 self.abandon_connection(conn);

@@ -2,18 +2,23 @@
 //! multi-application dispatch layer (routing, builder defaults, event
 //! trace).
 
-use simnet::{Ctx, MobilityModel, OnWorld, Point, RadioTech, SimDuration, World, WorldConfig};
+use std::rc::Rc;
+
+use simnet::rng::SimRng;
+use simnet::{Ctx, MobilityModel, NodeId, OnWorld, Point, RadioTech, SimDuration, SimTime, World, WorldConfig};
 
 use crate::application::Application;
+use crate::bridge::BridgeService;
 use crate::config::PeerHoodConfig;
 use crate::device::{DeviceInfo, MobilityClass};
-use crate::engine::LinkRole;
 use crate::error::PeerHoodError;
 use crate::ids::{ConnectionId, DeviceAddress};
-use crate::proto::NeighborRecord;
-use crate::service::ServiceInfo;
+use crate::proto::{Message, NeighborRecord};
+use crate::service::{ServiceInfo, BRIDGE_SERVICE_NAME};
+use crate::wire;
 
-use super::{AppId, PeerHoodApi, PeerHoodEvent, PeerHoodNode};
+use super::pending::LinkRole;
+use super::{AppId, Core, PeerHoodApi, PeerHoodEvent, PeerHoodNode};
 
 /// A scriptable test application that records every callback and echoes
 /// received data back when asked to.
@@ -432,7 +437,7 @@ fn two_services_on_one_device_route_to_the_right_app() {
 /// Builds a two-node world (client with two apps, echo server) and returns
 /// `(world, client, conn)` where `conn` is an established connection owned
 /// by the client's app 0.
-fn ownership_world(trusted: bool) -> (World, simnet::NodeId, ConnectionId) {
+fn ownership_world() -> (World, simnet::NodeId, ConnectionId) {
     let mut world = World::new(WorldConfig::ideal(47));
     let client = world.add_node(
         "client",
@@ -443,7 +448,6 @@ fn ownership_world(trusted: bool) -> (World, simnet::NodeId, ConnectionId) {
                 .config(PeerHoodConfig::new("client", MobilityClass::Dynamic))
                 .app(TestApp::default())
                 .app(TestApp::default())
-                .trusted_apps(trusted)
                 .build(),
         )),
     );
@@ -466,51 +470,17 @@ fn ownership_world(trusted: bool) -> (World, simnet::NodeId, ConnectionId) {
 }
 
 #[test]
-fn untrusted_apps_cannot_touch_each_others_connections() {
-    let (mut world, client, conn) = ownership_world(false);
-    world
-        .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
-            assert_eq!(n.connection_owner(conn), Some(AppId(0)));
-            // App 1 is neither owner nor trusted: send and close refuse.
-            n.with_api_for(Some(AppId(1)), ctx, |api| {
-                assert_eq!(api.send(conn, b"sneaky".to_vec()), Err(PeerHoodError::NotOwner(conn)));
-                assert_eq!(api.close(conn), Err(PeerHoodError::NotOwner(conn)));
-                assert_eq!(api.set_sending(conn, false), Err(PeerHoodError::NotOwner(conn)));
-            });
-        })
-        .unwrap();
-    world.run_for(SimDuration::from_secs(2));
-    world
-        .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
-            // The refused close left the connection alive; the owner still
-            // works, and a driver-side handle (no app identity) is the
-            // documented escape hatch.
-            assert_eq!(
-                n.connection(conn).unwrap().state,
-                crate::connection::ConnState::Established
-            );
-            n.with_api_for(Some(AppId(0)), ctx, |api| {
-                api.send(conn, b"mine".to_vec()).unwrap();
-            });
-            n.with_api_for(None, ctx, |api| {
-                api.send(conn, b"driver".to_vec()).unwrap();
-            });
-        })
-        .unwrap();
-}
-
-#[test]
 fn trusted_apps_default_preserves_the_shared_daemon_model() {
-    let (mut world, client, conn) = ownership_world(true);
+    let (mut world, client, conn) = ownership_world();
     world
         .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
             // Any co-hosted app may act on the connection, as in the
             // original library where applications share one daemon.
             n.with_api_for(Some(AppId(1)), ctx, |api| {
                 api.send(conn, b"shared".to_vec()).unwrap();
-                api.close(conn).unwrap();
+                api.close(conn);
             });
-            assert!(n.connection(conn).is_none(), "the trusted close must stick");
+            assert!(n.connection(conn).is_none(), "the co-hosted app's close must stick");
         })
         .unwrap();
 }
@@ -805,14 +775,8 @@ fn handover_records_the_bridge_actually_used_not_the_refreshed_candidate() {
         .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
             let now = ctx.now();
             let core = n.core_mut().expect("client core running");
-            let server_info = core
-                .daemon
-                .storage()
-                .get(server_addr)
-                .expect("server known")
-                .info
-                .clone();
-            core.daemon.storage_mut().integrate_neighbor_report(
+            let server_info = core.storage.get(server_addr).expect("server known").info.clone();
+            core.storage.integrate_neighbor_report(
                 decoy,
                 255,
                 MobilityClass::Static,
@@ -1015,4 +979,240 @@ fn circuit_breaker_blocks_dials_to_a_dead_peer() {
         .unwrap();
     assert!(stats.breaker_trips >= 1, "the trip must be counted, got {stats:?}");
     assert!(stats.breaker_blocked >= 1, "the refused dial must be counted");
+}
+
+// ---------------------------------------------------------------------
+// The daemon's state on the core: registry, inquiry response, cycles
+// ---------------------------------------------------------------------
+
+fn device(n: u64) -> DeviceInfo {
+    DeviceInfo::new(
+        NodeId::from_raw(n),
+        format!("d{n}"),
+        MobilityClass::Static,
+        &[RadioTech::Bluetooth],
+    )
+}
+
+fn core_config() -> PeerHoodConfig {
+    PeerHoodConfig::new("test", MobilityClass::Static)
+}
+
+/// The core of device 0, not started.
+fn core_of(config: PeerHoodConfig) -> Core {
+    Core::new(device(0), Rc::new(config))
+}
+
+/// Sets the bridge load `core` advertises: `percent` relayed pairs out of
+/// 100.
+fn load_bridge(core: &mut Core, percent: u8) {
+    core.bridge = BridgeService::new(100);
+    for n in 0..u32::from(percent) {
+        let conn = ConnectionId::new(DeviceAddress::from_node_raw(7), n);
+        let destination = DeviceAddress::from_node_raw(8);
+        core.bridge
+            .insert_pending(conn, simnet::LinkId(u64::from(n)), destination, "svc", device(7), None);
+    }
+}
+
+/// What `core` answers an inquiry with, exporting up to `max_export_jumps`
+/// jumps, decoded: `(device, services, neighbors, bridge_load_percent)`.
+fn reply(core: &mut Core, max_export_jumps: u8) -> (DeviceInfo, Vec<ServiceInfo>, Vec<NeighborRecord>, u8) {
+    let mut config = core_config();
+    config.discovery.max_export_jumps = max_export_jumps;
+    core.config = Rc::new(config);
+    core.inquiry_frame = None;
+    match wire::decode(&core.inquiry_response_frame()).expect("the inquiry response decodes") {
+        Message::InquiryResponse {
+            device,
+            services,
+            neighbors,
+            bridge_load_percent,
+        } => (device, services, neighbors, bridge_load_percent),
+        other => panic!("unexpected message {other:?}"),
+    }
+}
+
+#[test]
+fn bridge_service_is_hidden_but_registered() {
+    let mut core = core_of(core_config());
+    assert!(core.registry.find(BRIDGE_SERVICE_NAME).is_some());
+    assert!(reply(&mut core, 8).1.is_empty());
+    // Disabling the bridge omits the hidden service.
+    let mut config = core_config();
+    config.bridge.enabled = false;
+    assert!(core_of(config).registry.find(BRIDGE_SERVICE_NAME).is_none());
+}
+
+#[test]
+fn register_and_advertise_services() {
+    let mut core = core_of(core_config());
+    core.registry.register(ServiceInfo::new("echo", "v1", 10)).unwrap();
+    assert_eq!(reply(&mut core, 8).1, vec![ServiceInfo::new("echo", "v1", 10)]);
+    assert!(core.registry.register(ServiceInfo::new("echo", "v2", 11)).is_err());
+    assert!(core.registry.unregister("echo").is_some());
+    assert!(reply(&mut core, 8).1.is_empty());
+}
+
+#[test]
+fn inquiry_response_contains_storage_export() {
+    let mut core = core_of(core_config());
+    core.registry.register(ServiceInfo::new("echo", "v1", 10)).unwrap();
+    core.storage
+        .upsert_direct(device(2), 240, vec![ServiceInfo::new("print", "", 3)], SimTime::ZERO);
+    load_bridge(&mut core, 25);
+    let (me, services, neighbors, bridge_load_percent) = reply(&mut core, 8);
+    assert_eq!(me.address, device(0).address);
+    assert_eq!(services.len(), 1);
+    assert_eq!(neighbors.len(), 1);
+    assert_eq!(neighbors[0].info.address, device(2).address);
+    assert_eq!(bridge_load_percent, 25);
+}
+
+#[test]
+fn export_neighbors_respects_jump_limit() {
+    let mut core = core_of(core_config());
+    let far = |n, jumps: u8, quality| NeighborRecord {
+        info: device(n),
+        jumps,
+        hop_qualities: vec![quality; jumps as usize + 1],
+        services: vec![].into(),
+    };
+    let frame = wire::encode(&Message::InquiryResponse {
+        device: device(1),
+        services: vec![],
+        neighbors: vec![far(2, 0, 235), far(3, 3, 232)],
+        bridge_load_percent: 0,
+    });
+    let report = wire::view_inquiry_response(&frame).unwrap();
+    let mode = core.config.discovery.mode;
+    core.storage.integrate_report(&report, true, 240, mode, SimTime::ZERO);
+    assert_eq!(reply(&mut core, 8).2.len(), 3);
+    let limited = reply(&mut core, 1).2;
+    assert_eq!(limited.len(), 2, "the 4-jump entry must be excluded");
+    // Exported jump counts are the exporter's own view.
+    let d2 = limited.iter().find(|r| r.info.address == device(2).address).unwrap();
+    assert_eq!(d2.jumps, 1);
+}
+
+/// An agent that does nothing: it lends a free-standing [`Core`] a context.
+struct Bystander;
+
+impl simnet::agent::Agent for Bystander {}
+
+#[test]
+fn a_discovery_cycle_ages_and_removes_silent_devices() {
+    let mut world = World::new(WorldConfig::ideal(3));
+    let node = world.add_node(
+        "bystander",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        Box::new(OnWorld(Bystander)),
+    );
+    let mut core = core_of(core_config());
+    core.storage.upsert_direct(device(1), 240, vec![], SimTime::ZERO);
+    core.storage.upsert_direct(device(2), 240, vec![], SimTime::ZERO);
+    // Device 1 answers every cycle, device 2 never does. The default
+    // configuration tolerates five missed loops, so the sixth silent cycle
+    // removes it — and announces it lost.
+    for cycle in 0..8 {
+        world.run_for(SimDuration::from_secs(10));
+        world
+            .with_agent::<Bystander, _>(node, |_, ctx| {
+                let plugin = core.plugin_mut(RadioTech::Bluetooth).expect("a Bluetooth plugin");
+                plugin.begin_cycle();
+                plugin.note_responder(device(1).address);
+                core.finish_discovery_cycle(ctx, RadioTech::Bluetooth);
+            })
+            .unwrap();
+        let lost: Vec<PeerHoodEvent> = core.events.drain(..).collect();
+        if cycle < 5 {
+            assert!(lost.is_empty(), "cycle {cycle} removed {lost:?}");
+        }
+    }
+    assert!(core.storage.get(device(1).address).is_some());
+    assert!(core.storage.get(device(2).address).is_none());
+}
+
+/// A device of one fleet: every node advertises the same name, technology
+/// list and services.
+fn fleet_device(n: u64) -> DeviceInfo {
+    DeviceInfo::new(NodeId::from_raw(n), "metro", MobilityClass::Dynamic, &[RadioTech::Wlan])
+}
+
+#[test]
+fn the_reply_streamed_from_storage_is_the_frame_of_the_message_built_record_by_record() {
+    let mut rng = SimRng::new(0x5E47E);
+    let fleet_services = || vec![ServiceInfo::new("metro.echo", "v1", 7)];
+    for round in 0..40 {
+        let mut core = Core::new(
+            fleet_device(0),
+            Rc::new(PeerHoodConfig::new("metro", MobilityClass::Dynamic)),
+        );
+        for s in 0..rng.range(0usize..3) {
+            core.registry
+                .register(ServiceInfo::new(format!("svc{s}"), "v1", s as u16))
+                .unwrap();
+        }
+        // Direct neighbours, each reporting a few devices up to 9 jumps out.
+        for _ in 0..rng.range(0usize..6) {
+            let responder = fleet_device(rng.range(1u64..40));
+            let services: Vec<ServiceInfo> = (0..rng.range(0usize..3))
+                .map(|s| ServiceInfo::new(format!("r{s}"), "", s as u16))
+                .collect();
+            let quality = rng.range(200u8..=255);
+            core.storage
+                .upsert_direct(responder.clone(), quality, services, SimTime::ZERO);
+            let records: Vec<NeighborRecord> = (0..rng.range(0usize..8))
+                .map(|_| {
+                    let jumps = rng.range(0u8..9);
+                    NeighborRecord {
+                        info: fleet_device(rng.range(40u64..80)),
+                        jumps,
+                        hop_qualities: (0..=jumps).map(|_| rng.range(200u8..=255)).collect(),
+                        services: fleet_services().into(),
+                    }
+                })
+                .collect();
+            core.storage.integrate_neighbor_report(
+                responder.address,
+                quality,
+                responder.mobility,
+                &records,
+                core.config.discovery.mode,
+                SimTime::ZERO,
+            );
+        }
+        for max_export_jumps in [0, 1, 8] {
+            let load = rng.range(0u8..=100);
+            let expected = wire::encode(&Message::InquiryResponse {
+                device: core.my_info(),
+                services: core
+                    .registry
+                    .list()
+                    .iter()
+                    .filter(|s| s.name != BRIDGE_SERVICE_NAME)
+                    .cloned()
+                    .collect(),
+                neighbors: core
+                    .storage
+                    .devices()
+                    .filter(|e| e.route.jumps <= max_export_jumps)
+                    .map(|e| NeighborRecord {
+                        info: e.info.clone(),
+                        jumps: e.route.jumps,
+                        hop_qualities: e.route.hop_qualities.to_vec(),
+                        services: e.services.clone(),
+                    })
+                    .collect(),
+                bridge_load_percent: load,
+            });
+            let mut config = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
+            config.discovery.max_export_jumps = max_export_jumps;
+            core.config = Rc::new(config);
+            core.inquiry_frame = None;
+            load_bridge(&mut core, load);
+            assert_eq!(&core.inquiry_response_frame()[..], expected.as_slice(), "round {round}");
+        }
+    }
 }

@@ -1,6 +1,6 @@
 //! Network plugin state.
 //!
-//! The daemon owns one plugin per network technology (BTPlugin, WLANPlugin,
+//! The node owns one plugin per network technology (BTPlugin, WLANPlugin,
 //! GPRSPlugin, Fig. 2.3). Each plugin runs its own inquiry loop: scan, fetch
 //! information from new or recheck-due devices, update the device storage,
 //! age the entries, sleep, repeat (Fig. 3.12). The reproduction keeps the
@@ -8,7 +8,7 @@
 //! operations performed by the node glue.
 
 use serde::{Deserialize, Serialize};
-use simnet::{RadioTech, SimTime};
+use simnet::RadioTech;
 
 use crate::ids::DeviceAddress;
 
@@ -17,14 +17,10 @@ use crate::ids::DeviceAddress;
 pub struct PluginState {
     /// The technology this plugin drives.
     pub tech: RadioTech,
-    /// Number of completed inquiry cycles.
-    pub cycles_completed: u64,
     /// Devices that answered the inquiry currently being processed.
     pub current_responders: Vec<DeviceAddress>,
     /// Information fetches still outstanding for the current cycle.
     pub pending_fetches: usize,
-    /// When the current cycle's inquiry was started.
-    pub cycle_started_at: SimTime,
     /// True while an inquiry scan or its follow-up fetches are in progress.
     pub cycle_active: bool,
 }
@@ -34,18 +30,15 @@ impl PluginState {
     pub fn new(tech: RadioTech) -> Self {
         PluginState {
             tech,
-            cycles_completed: 0,
             current_responders: Vec::new(),
             pending_fetches: 0,
-            cycle_started_at: SimTime::ZERO,
             cycle_active: false,
         }
     }
 
     /// Marks the start of a new inquiry cycle.
-    pub fn begin_cycle(&mut self, now: SimTime) {
+    pub fn begin_cycle(&mut self) {
         self.cycle_active = true;
-        self.cycle_started_at = now;
         self.current_responders.clear();
         self.pending_fetches = 0;
     }
@@ -72,53 +65,7 @@ impl PluginState {
     /// Marks the cycle complete, returning the devices that answered.
     pub fn finish_cycle(&mut self) -> Vec<DeviceAddress> {
         self.cycle_active = false;
-        self.cycles_completed += 1;
         std::mem::take(&mut self.current_responders)
-    }
-}
-
-/// The set of plugins configured on a daemon.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PluginSet {
-    plugins: Vec<PluginState>,
-}
-
-impl PluginSet {
-    /// Creates a plugin per technology, in the given order.
-    pub fn new(techs: &[RadioTech]) -> Self {
-        PluginSet {
-            plugins: techs.iter().map(|t| PluginState::new(*t)).collect(),
-        }
-    }
-
-    /// The plugin for a technology.
-    pub fn get(&self, tech: RadioTech) -> Option<&PluginState> {
-        self.plugins.iter().find(|p| p.tech == tech)
-    }
-
-    /// Mutable access to the plugin for a technology.
-    pub fn get_mut(&mut self, tech: RadioTech) -> Option<&mut PluginState> {
-        self.plugins.iter_mut().find(|p| p.tech == tech)
-    }
-
-    /// All plugins.
-    pub fn iter(&self) -> impl Iterator<Item = &PluginState> {
-        self.plugins.iter()
-    }
-
-    /// Configured technologies in plugin order.
-    pub fn techs(&self) -> Vec<RadioTech> {
-        self.plugins.iter().map(|p| p.tech).collect()
-    }
-
-    /// Number of plugins.
-    pub fn len(&self) -> usize {
-        self.plugins.len()
-    }
-
-    /// True if no plugin is configured.
-    pub fn is_empty(&self) -> bool {
-        self.plugins.is_empty()
     }
 }
 
@@ -134,7 +81,7 @@ mod tests {
     fn cycle_lifecycle() {
         let mut p = PluginState::new(RadioTech::Bluetooth);
         assert!(!p.cycle_active);
-        p.begin_cycle(SimTime::from_secs(5));
+        p.begin_cycle();
         assert!(p.cycle_active);
         p.note_responder(addr(1));
         p.note_responder(addr(2));
@@ -146,7 +93,6 @@ mod tests {
         assert!(p.note_fetch_finished());
         let responders = p.finish_cycle();
         assert_eq!(responders, vec![addr(1), addr(2)]);
-        assert_eq!(p.cycles_completed, 1);
         assert!(!p.cycle_active);
         assert!(p.current_responders.is_empty());
     }
@@ -156,18 +102,5 @@ mod tests {
         let mut p = PluginState::new(RadioTech::Wlan);
         assert!(p.note_fetch_finished());
         assert_eq!(p.pending_fetches, 0);
-    }
-
-    #[test]
-    fn plugin_set_lookup() {
-        let mut set = PluginSet::new(&[RadioTech::Bluetooth, RadioTech::Gprs]);
-        assert_eq!(set.len(), 2);
-        assert!(!set.is_empty());
-        assert!(set.get(RadioTech::Bluetooth).is_some());
-        assert!(set.get(RadioTech::Wlan).is_none());
-        set.get_mut(RadioTech::Gprs).unwrap().begin_cycle(SimTime::ZERO);
-        assert!(set.get(RadioTech::Gprs).unwrap().cycle_active);
-        assert_eq!(set.techs(), vec![RadioTech::Bluetooth, RadioTech::Gprs]);
-        assert_eq!(set.iter().count(), 2);
     }
 }

@@ -11,6 +11,9 @@ use serde::{Deserialize, Serialize};
 use crate::error::PeerHoodError;
 use crate::ids::ServicePort;
 
+/// The hidden service name under which the bridge service is registered.
+pub const BRIDGE_SERVICE_NAME: &str = "__peerhood_bridge__";
+
 /// Description of one registered service.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServiceInfo {

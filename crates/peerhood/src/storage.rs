@@ -40,8 +40,8 @@ use crate::service::ServiceInfo;
 use crate::wire;
 
 /// Security rejections (or dead bridge routes) a reporter may accrue before
-/// its neighbour reports are ignored entirely, once the sanity tier arms the
-/// reputation defence.
+/// its neighbour reports are ignored entirely. Penalties are only ever
+/// recorded at the sanity tier, so below it nobody reaches the limit.
 pub const REPORTER_PENALTY_LIMIT: u32 = 3;
 
 /// One entry of the device storage, as the storage hands it out: an owned
@@ -497,9 +497,6 @@ pub struct DeviceStorage {
     /// the next aging cycle); lets [`DeviceStorage::age_cycle`] skip the
     /// orphaned-bridge scan when nothing could possibly be orphaned.
     maybe_orphans: bool,
-    /// Whether reporters at [`REPORTER_PENALTY_LIMIT`] are ignored (off by
-    /// default).
-    reputation_armed: bool,
 }
 
 impl DeviceStorage {
@@ -512,15 +509,7 @@ impl DeviceStorage {
             reporters: IdTable::default(),
             generation: 0,
             maybe_orphans: false,
-            reputation_armed: false,
         }
-    }
-
-    /// Arms (or disarms) the reporter-reputation defence: when armed,
-    /// neighbour reports from devices whose penalty count has reached
-    /// [`REPORTER_PENALTY_LIMIT`] are skipped by the daemon.
-    pub fn set_reputation(&mut self, armed: bool) {
-        self.reputation_armed = armed;
     }
 
     /// Records one reputation penalty against `peer` and returns its new
@@ -536,10 +525,10 @@ impl DeviceStorage {
         self.reporters.get(&peer).map_or(0, |r| r.penalties)
     }
 
-    /// True when the reputation defence is armed and `peer` has exhausted
-    /// its penalty budget — its neighbour reports must be ignored.
+    /// True when `peer` has exhausted its penalty budget — its neighbour
+    /// reports must be ignored.
     pub fn reporter_blocked(&self, peer: DeviceAddress) -> bool {
-        self.reputation_armed && self.reporter_penalty(peer) >= REPORTER_PENALTY_LIMIT
+        self.reporter_penalty(peer) >= REPORTER_PENALTY_LIMIT
     }
 
     /// The owning device's address (never stored as an entry).
@@ -692,11 +681,46 @@ impl DeviceStorage {
         self.observe(&seen, quality, now)
     }
 
+    /// Lands a neighbour report — read in place, see
+    /// [`wire::InquiryResponseView`] — from a device heard at `quality`
+    /// during the last inquiry: stores the responder as a direct neighbour
+    /// and, when `trust_gossip`, integrates its exported neighbourhood
+    /// (Fig. 3.13). Returns the addresses of newly learned devices (the
+    /// responder first when it was unknown), which the node announces as
+    /// found.
+    ///
+    /// The quality used for route comparison is de-rated by the advertised
+    /// bridge load — a fully loaded bridge loses half of its quality — so
+    /// that loaded bridges are avoided (§4's "bottle neck" mitigation).
+    pub fn integrate_report(
+        &mut self,
+        report: &wire::InquiryResponseView<'_>,
+        trust_gossip: bool,
+        quality: u8,
+        mode: DiscoveryMode,
+        now: SimTime,
+    ) -> Vec<DeviceAddress> {
+        let (load, q) = (u32::from(report.bridge_load_percent.min(100)), u32::from(quality));
+        let quality = (q - q * load / 200) as u8;
+        let (device, address) = (report.device, report.device.address);
+        let mut added = Vec::new();
+        if self.upsert_direct_view(device, report.services.clone(), quality, now) {
+            added.push(address);
+        }
+        let neighbors = if trust_gossip {
+            report.neighbors.clone()
+        } else {
+            wire::Neighbors::default()
+        };
+        added.extend(self.integrate_neighbor_views(address, quality, device.mobility, neighbors, mode, now));
+        added
+    }
+
     /// [`DeviceStorage::upsert_direct`] for a device read in place from the
     /// response it sent: the node's own path. A neighbour that describes
     /// itself as stored — or, on first contact, as its fleet does —
     /// allocates nothing here.
-    pub fn upsert_direct_view(
+    fn upsert_direct_view(
         &mut self,
         device: wire::DeviceView<'_>,
         services: wire::Services<'_>,
@@ -1099,8 +1123,7 @@ impl DeviceStorage {
     }
 
     /// Clears every entry (used when the daemon restarts). Reputation
-    /// penalties are in-memory state and die with the restart too; the
-    /// armed/disarmed limit is configuration and survives.
+    /// penalties are in-memory state and die with the restart too.
     pub fn clear(&mut self) {
         self.generation += 1;
         *self.devices = Table::default();
@@ -1352,21 +1375,126 @@ mod tests {
     #[test]
     fn reputation_penalties_block_reporters_only_when_armed() {
         let mut s = storage();
-        // Unarmed: penalties accrue but never block.
+        // Penalties (recorded only at the sanity tier, which is what arms
+        // the defence) accrue; the one that reaches REPORTER_PENALTY_LIMIT
+        // blocks. Below the tier none is recorded: see
+        // `defenses_off_accepts_what_sanity_rejects`.
         assert_eq!(s.penalize_reporter(addr(9)), 1);
         assert_eq!(s.penalize_reporter(addr(9)), 2);
         assert_eq!(s.reporter_penalty(addr(9)), 2);
-        assert!(!s.reporter_blocked(addr(9)), "unarmed defence blocks nobody");
-        // Armed: one more penalty crosses REPORTER_PENALTY_LIMIT.
-        s.set_reputation(true);
         assert!(!s.reporter_blocked(addr(9)));
         s.penalize_reporter(addr(9));
         assert!(s.reporter_blocked(addr(9)));
         assert!(!s.reporter_blocked(addr(10)), "other peers unaffected");
-        // A daemon restart wipes the in-memory penalties but stays armed.
+        // A daemon restart wipes the in-memory penalties.
         s.clear();
         assert_eq!(s.reporter_penalty(addr(9)), 0);
         assert!(!s.reporter_blocked(addr(9)));
+    }
+
+    /// Lands the report a device `from` would send, as the frame the node's
+    /// fetch link delivers it in, heard at `quality`.
+    fn hear(
+        s: &mut DeviceStorage,
+        from: DeviceInfo,
+        services: Vec<ServiceInfo>,
+        neighbors: Vec<NeighborRecord>,
+        load: u8,
+        quality: u8,
+        trust_gossip: bool,
+    ) -> Vec<DeviceAddress> {
+        let frame = wire::encode(&crate::proto::Message::InquiryResponse {
+            device: from,
+            services,
+            neighbors,
+            bridge_load_percent: load,
+        });
+        let report = wire::view_inquiry_response(&frame).expect("a well-formed report");
+        s.integrate_report(&report, trust_gossip, quality, DiscoveryMode::Dynamic, T0)
+    }
+
+    #[test]
+    fn integrate_report_updates_storage() {
+        let mut s = storage();
+        let responder = info(1, MobilityClass::Static);
+        let services = vec![ServiceInfo::new("echo", "", 1)];
+        let added = hear(
+            &mut s,
+            responder.clone(),
+            services,
+            vec![record(2, 0, 250, vec![])],
+            0,
+            245,
+            true,
+        );
+        assert_eq!(added, vec![responder.address, addr(2)]);
+        assert_eq!(s.stats().known_devices, 2);
+        let stored = s.get(responder.address).unwrap();
+        assert!(stored.is_direct());
+        assert!(stored.offers("echo"));
+        assert_eq!(s.get(addr(2)).unwrap().route.jumps, 1);
+    }
+
+    #[test]
+    fn an_untrusted_reporter_is_stored_but_its_gossip_is_not() {
+        let mut s = storage();
+        let from = info(1, MobilityClass::Static);
+        let added = hear(&mut s, from, vec![], vec![record(2, 0, 250, vec![])], 0, 245, false);
+        assert_eq!(added, vec![addr(1)]);
+        assert!(s.get(addr(2)).is_none());
+    }
+
+    #[test]
+    fn quality_derating_by_bridge_load() {
+        // At 100 % load (or more, as advertised) the quality drops by half.
+        for (quality, load, derated) in [
+            (240, 0, 240),
+            (240, 100, 120),
+            (240, 50, 180),
+            (240, 255, 120),
+            (0, 100, 0),
+        ] {
+            let mut s = storage();
+            hear(
+                &mut s,
+                info(1, MobilityClass::Static),
+                vec![],
+                vec![],
+                load,
+                quality,
+                true,
+            );
+            let route = s.get(addr(1)).unwrap().route;
+            assert_eq!(route.first_hop_quality(), derated, "{quality} at {load} % load");
+        }
+    }
+
+    #[test]
+    fn loaded_bridges_influence_route_choice() {
+        let mut s = storage();
+        // Two potential bridges report the same target with identical raw
+        // quality, but one is fully loaded.
+        let target = record(9, 0, 250, vec![]);
+        hear(
+            &mut s,
+            info(1, MobilityClass::Static),
+            vec![],
+            vec![target.clone()],
+            100,
+            245,
+            true,
+        );
+        hear(
+            &mut s,
+            info(2, MobilityClass::Static),
+            vec![],
+            vec![target],
+            0,
+            245,
+            true,
+        );
+        let route = s.get(addr(9)).unwrap().route;
+        assert_eq!(route.bridge, Some(addr(2)), "the unloaded bridge must win");
     }
 
     #[test]

@@ -4,22 +4,18 @@
 //! entry, and a new row costs table growth, not an allocation of its own — nor
 //! more than a cache line and a half of live heap, which the table gives back
 //! when it empties.
-//! Plus the serving side's reference check: the reply streamed from the storage is the
-//! frame `wire::encode` writes for the message built record by record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
 use peerhood::config::{DiscoveryMode, PeerHoodConfig};
-use peerhood::daemon::{Daemon, BRIDGE_SERVICE_NAME};
 use peerhood::device::{DeviceInfo, MobilityClass};
 use peerhood::ids::DeviceAddress;
 use peerhood::proto::{Message, NeighborRecord};
 use peerhood::service::ServiceInfo;
-use peerhood::storage::StoredDevice;
+use peerhood::storage::{DeviceStorage, StoredDevice};
 use peerhood::wire;
-use simnet::rng::SimRng;
 use simnet::{NodeId, RadioTech, SimDuration, SimTime};
 
 thread_local! {
@@ -109,17 +105,24 @@ fn fleet_report_from(first: u64, devices: u64, quality: u8) -> Vec<u8> {
     })
 }
 
-fn daemon() -> Daemon {
-    Daemon::new(fleet_device(0), &PeerHoodConfig::new("metro", MobilityClass::Dynamic))
+/// Device 0's storage, as a node built from the fleet's configuration holds
+/// it.
+fn storage() -> DeviceStorage {
+    let config = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
+    DeviceStorage::new(fleet_device(0).address, config.monitor.quality_threshold)
+}
+
+/// Lands `report` the way the node does, from a responder heard at 235.
+fn land(d: &mut DeviceStorage, report: &wire::InquiryResponseView<'_>, now: SimTime) -> Vec<DeviceAddress> {
+    d.integrate_report(report, true, 235, DiscoveryMode::Dynamic, now)
 }
 
 #[test]
 fn a_report_of_known_devices_allocates_nothing_in_the_storage() {
     let frame = fleet_report(25, 240);
     let report = wire::view_inquiry_response(&frame).unwrap();
-    let mut d = daemon();
-    let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
-    let learned = d.process_inquiry_response(&report, false, 235, &cfg, SimTime::ZERO);
+    let mut d = storage();
+    let learned = land(&mut d, &report, SimTime::ZERO);
     assert_eq!(learned.len(), 26, "the responder and its 25 records");
 
     // The same report again, one inquiry cycle later: the responder still
@@ -128,12 +131,12 @@ fn a_report_of_known_devices_allocates_nothing_in_the_storage() {
     // responder's own row and its records — must not touch the heap.
     let (allocations, learned) = allocations_in(|| {
         let report = wire::view_inquiry_response(&frame).unwrap();
-        d.process_inquiry_response(&report, false, 235, &cfg, SimTime::from_secs(10))
+        land(&mut d, &report, SimTime::from_secs(10))
     });
     assert!(learned.is_empty());
     assert_eq!(allocations, 0, "the steady-state report path allocated");
     assert_eq!(
-        d.storage().get(fleet_device(124).address).unwrap().last_seen,
+        d.get(fleet_device(124).address).unwrap().last_seen,
         SimTime::from_secs(10),
         "the records were still read"
     );
@@ -141,11 +144,10 @@ fn a_report_of_known_devices_allocates_nothing_in_the_storage() {
 
 #[test]
 fn a_report_that_only_replaces_routes_allocates_nothing() {
-    let mut d = daemon();
-    let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
+    let mut d = storage();
     let frame = fleet_report(25, 240);
     let report = wire::view_inquiry_response(&frame).unwrap();
-    d.process_inquiry_response(&report, false, 235, &cfg, SimTime::ZERO);
+    land(&mut d, &report, SimTime::ZERO);
 
     // The responder has moved closer and so have its neighbours: the same 25
     // devices, every hop better. Each stored route loses to the reported one
@@ -153,7 +155,7 @@ fn a_report_that_only_replaces_routes_allocates_nothing() {
     let frame = fleet_report(25, 250);
     let (allocations, learned) = allocations_in(|| {
         let report = wire::view_inquiry_response(&frame).unwrap();
-        d.storage_mut().integrate_neighbor_views(
+        d.integrate_neighbor_views(
             report.device.address,
             245,
             report.device.mobility,
@@ -165,7 +167,7 @@ fn a_report_that_only_replaces_routes_allocates_nothing() {
     assert!(learned.is_empty());
     assert_eq!(allocations, 0, "replacing a route allocated");
     for n in 100..125 {
-        let route = &d.storage().get(fleet_device(n).address).unwrap().route;
+        let route = &d.get(fleet_device(n).address).unwrap().route;
         assert_eq!(route.hop_qualities[0], 245, "route to {n} was not replaced");
         assert!(route.hop_qualities[1..].iter().all(|&q| q == 250));
     }
@@ -174,13 +176,12 @@ fn a_report_that_only_replaces_routes_allocates_nothing() {
 #[test]
 fn new_rows_cost_table_growth_not_an_allocation_each() {
     const NEW: u64 = 200;
-    let mut d = daemon();
-    d.storage_mut()
-        .upsert_direct(fleet_device(1), 235, fleet_services(), SimTime::ZERO);
+    let mut d = storage();
+    d.upsert_direct(fleet_device(1), 235, fleet_services(), SimTime::ZERO);
     let frame = fleet_report(NEW, 240);
     let (allocations, learned) = allocations_in(|| {
         let report = wire::view_inquiry_response(&frame).unwrap();
-        d.storage_mut().integrate_neighbor_views(
+        d.integrate_neighbor_views(
             report.device.address,
             235,
             report.device.mobility,
@@ -206,21 +207,18 @@ fn new_rows_cost_table_growth_not_an_allocation_each() {
 fn entries_learned_from_a_same_fleet_report_share_the_responders_description() {
     let frame = fleet_report(25, 240);
     let report = wire::view_inquiry_response(&frame).unwrap();
-    let mut d = daemon();
-    let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
-    d.process_inquiry_response(&report, false, 235, &cfg, SimTime::ZERO);
+    let mut d = storage();
+    land(&mut d, &report, SimTime::ZERO);
 
-    let responder = d.storage().get(fleet_device(1).address).unwrap();
+    let responder = d.get(fleet_device(1).address).unwrap();
     for n in 100..125 {
-        let entry = d.storage().get(fleet_device(n).address).unwrap();
+        let entry = d.get(fleet_device(n).address).unwrap();
         assert_eq!(entry.info, fleet_device(n));
         assert!(Rc::ptr_eq(&entry.info.name, &responder.info.name), "name of {n}");
         assert!(Rc::ptr_eq(&entry.info.techs, &responder.info.techs), "techs of {n}");
         assert!(Rc::ptr_eq(&entry.services, &responder.services), "services of {n}");
         // One pointer in the row, not three that happen to agree.
-        let shared = d
-            .storage()
-            .shares_description(fleet_device(n).address, fleet_device(1).address);
+        let shared = d.shares_description(fleet_device(n).address, fleet_device(1).address);
         assert!(shared, "description of {n}");
     }
 
@@ -243,29 +241,26 @@ fn entries_learned_from_a_same_fleet_report_share_the_responders_description() {
         bridge_load_percent: 0,
     });
     let report = wire::view_inquiry_response(&frame).unwrap();
-    d.process_inquiry_response(&report, false, 235, &cfg, SimTime::ZERO);
-    let entry = d.storage().get(stranger.info.address).unwrap();
+    land(&mut d, &report, SimTime::ZERO);
+    let entry = d.get(stranger.info.address).unwrap();
     assert_eq!(entry.info, stranger.info);
     assert_eq!(entry.services, stranger.services);
-    assert!(!d
-        .storage()
-        .shares_description(stranger.info.address, fleet_device(1).address));
+    assert!(!d.shares_description(stranger.info.address, fleet_device(1).address));
 }
 
 /// Responder 1's report about `devices` devices from `first` up, folded into
 /// `d` the way the node does it.
-fn hear_fleet_report(d: &mut Daemon, first: u64, devices: u64, now: SimTime) -> Vec<DeviceAddress> {
+fn hear_fleet_report(d: &mut DeviceStorage, first: u64, devices: u64, now: SimTime) -> Vec<DeviceAddress> {
     let frame = fleet_report_from(first, devices, 240);
     let report = wire::view_inquiry_response(&frame).unwrap();
-    let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
-    d.process_inquiry_response(&report, false, 235, &cfg, now)
+    land(d, &report, now)
 }
 
 #[test]
 fn a_known_device_weighs_a_cache_line_and_a_half() {
     const KNOWN: usize = 500;
     let baseline = live_bytes_since(0);
-    let mut d = daemon();
+    let mut d = storage();
     let empty = live_bytes_since(baseline);
     // The table of a walker in a dense district: built up report by report,
     // every record of the responder's own fleet.
@@ -283,7 +278,7 @@ fn a_known_device_weighs_a_cache_line_and_a_half() {
 #[test]
 fn a_table_gives_memory_back_when_it_empties() {
     let baseline = live_bytes_since(0);
-    let mut d = daemon();
+    let mut d = storage();
     // 999 devices through one reporter; 950 of them are never heard of
     // again, 49 are re-announced a minute later.
     for batch in 0..37 {
@@ -294,9 +289,9 @@ fn a_table_gives_memory_back_when_it_empties() {
     let survivors = hear_fleet_report(&mut d, 500, 49, SimTime::from_secs(60));
     assert!(survivors.is_empty(), "all known already");
 
-    let generation = d.storage().generation();
+    let generation = d.generation();
     {
-        let mut removed = d.storage_mut().age_cycle(
+        let mut removed = d.age_cycle(
             &mut [fleet_device(1).address],
             SimTime::from_secs(90),
             3,
@@ -315,85 +310,14 @@ fn a_table_gives_memory_back_when_it_empties() {
 
     // Nothing but the memory moved: one aging step, the same 50 rows in
     // address order, and the table takes the next report as any other would.
-    assert_eq!(d.storage().generation(), generation + 1);
-    let known: Vec<DeviceAddress> = d.storage().devices().map(|e| e.info.address).collect();
+    assert_eq!(d.generation(), generation + 1);
+    let known: Vec<DeviceAddress> = d.devices().map(|e| e.info.address).collect();
     let kept = std::iter::once(1).chain(500..549).map(|n| fleet_device(n).address);
     assert_eq!(known, kept.collect::<Vec<_>>());
     let learned = hear_fleet_report(&mut d, 540, 20, SimTime::from_secs(100));
     let new: Vec<DeviceAddress> = (549..560).map(|n| fleet_device(n).address).collect();
     assert_eq!(learned, new);
     assert_eq!(d.stats().known_devices, 61);
-    let route = d.storage().get(fleet_device(545).address).unwrap().route;
+    let route = d.get(fleet_device(545).address).unwrap().route;
     assert_eq!(route.bridge, Some(fleet_device(1).address));
-}
-
-#[test]
-fn the_reply_streamed_from_storage_is_the_frame_of_the_message_built_record_by_record() {
-    let mut rng = SimRng::new(0x5E47E);
-    let cfg = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
-    for round in 0..40 {
-        let mut d = daemon();
-        for s in 0..rng.range(0usize..3) {
-            d.register_service(ServiceInfo::new(format!("svc{s}"), "v1", s as u16))
-                .unwrap();
-        }
-        // Direct neighbours, each reporting a few devices up to 9 jumps out.
-        for _ in 0..rng.range(0usize..6) {
-            let responder = fleet_device(rng.range(1u64..40));
-            let services: Vec<ServiceInfo> = (0..rng.range(0usize..3))
-                .map(|s| ServiceInfo::new(format!("r{s}"), "", s as u16))
-                .collect();
-            let quality = rng.range(200u8..=255);
-            d.storage_mut()
-                .upsert_direct(responder.clone(), quality, services, SimTime::ZERO);
-            let records: Vec<NeighborRecord> = (0..rng.range(0usize..8))
-                .map(|_| {
-                    let jumps = rng.range(0u8..9);
-                    NeighborRecord {
-                        info: fleet_device(rng.range(40u64..80)),
-                        jumps,
-                        hop_qualities: (0..=jumps).map(|_| rng.range(200u8..=255)).collect(),
-                        services: fleet_services().into(),
-                    }
-                })
-                .collect();
-            d.storage_mut().integrate_neighbor_report(
-                responder.address,
-                quality,
-                responder.mobility,
-                &records,
-                cfg.discovery.mode,
-                SimTime::ZERO,
-            );
-        }
-        for max_export_jumps in [0, 1, 8] {
-            let load = rng.range(0u8..=100);
-            let expected = wire::encode(&Message::InquiryResponse {
-                device: d.info().clone(),
-                services: d
-                    .registry()
-                    .list()
-                    .iter()
-                    .filter(|s| s.name != BRIDGE_SERVICE_NAME)
-                    .cloned()
-                    .collect(),
-                neighbors: d
-                    .storage()
-                    .devices()
-                    .filter(|e| e.route.jumps <= max_export_jumps)
-                    .map(|e| NeighborRecord {
-                        info: e.info.clone(),
-                        jumps: e.route.jumps,
-                        hop_qualities: e.route.hop_qualities.to_vec(),
-                        services: e.services.clone(),
-                    })
-                    .collect(),
-                bridge_load_percent: load,
-            });
-            // A dirty buffer: the reply is appended after whatever it holds.
-            let mut streamed = vec![0xEE; round % 3];
-            d.encode_inquiry_response(max_export_jumps, load, &mut streamed);
-            assert_eq!(&streamed[round % 3..], expected.as_slice(), "round {round}");
-        }
-    }
 }

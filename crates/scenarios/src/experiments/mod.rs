@@ -1,4 +1,5 @@
-//! The experiment runners E1–E19 (see `DESIGN.md` for the per-figure index;
+//! The experiment runners E1–E19 (`repro --list` prints each one's id and
+//! title, and each report's *Paper:* line names the claim it reproduces;
 //! E12 is the dense-city scale family, E13/E14 are the fault & churn
 //! family, E16 is the resilience-pipeline overload city, E17 is the
 //! sharded metropolis, E18 is the hotspot metropolis on the

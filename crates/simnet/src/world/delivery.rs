@@ -168,39 +168,37 @@ impl World {
             return;
         }
         let (a, b, tech) = (state.a, state.b, state.tech);
-        let a_alive = self.is_alive(a);
-        let b_alive = self.is_alive(b);
+        let dead = !self.is_alive(a) || !self.is_alive(b);
         let radio_dark = !self.radio_enabled(a, tech) || !self.radio_enabled(b, tech);
         let cut = self.adversary.has_partitions() && self.adversary.partitioned(a, b, self.now);
-        let physically_broken = radio_dark || cut || self.coverage_lost(state, self.now);
-        if !a_alive || !b_alive || physically_broken {
-            if let Some(state) = self.links.get_mut(link) {
-                state.open = false;
-            }
-            self.metrics.record_link_broken(a);
-            self.metrics.record_link_broken(b);
-            let reason_for = |peer_alive: bool| {
-                if peer_alive {
-                    DisconnectReason::OutOfRange
-                } else {
-                    DisconnectReason::PeerFailed
-                }
-            };
-            if a_alive {
-                self.agent_call(a, |agent, ctx| {
-                    agent.on_disconnected(ctx, link, b, reason_for(b_alive));
-                });
-            }
-            if b_alive {
-                self.agent_call(b, |agent, ctx| {
-                    agent.on_disconnected(ctx, link, a, reason_for(a_alive));
-                });
-            }
-            self.links.drop_if_drained(link);
+        if dead || radio_dark || cut || self.coverage_lost(state, self.now) {
+            self.break_link(link, a, b);
             return;
         }
         self.links.get_mut(link).expect("looked up above").next_check = None;
         self.arm_check(link);
+    }
+
+    /// Breaks an open link: it is closed, counted broken at both ends, and
+    /// `first` then `second` hear of it — [`DisconnectReason::OutOfRange`]
+    /// while the other end is alive, [`DisconnectReason::PeerFailed`] when
+    /// it is not (a dead end hears nothing: `agent_call` skips it). The one
+    /// way a link breaks on `World`; a graceful close is not a break.
+    pub(super) fn break_link(&mut self, link: LinkId, first: NodeId, second: NodeId) {
+        if let Some(state) = self.links.get_mut(link) {
+            state.open = false;
+        }
+        self.metrics.record_link_broken(first);
+        self.metrics.record_link_broken(second);
+        for (to, peer) in [(first, second), (second, first)] {
+            let reason = if self.is_alive(peer) {
+                DisconnectReason::OutOfRange
+            } else {
+                DisconnectReason::PeerFailed
+            };
+            self.agent_call(to, |agent, ctx| agent.on_disconnected(ctx, link, peer, reason));
+        }
+        self.links.drop_if_drained(link);
     }
 
     pub(super) fn graceful_disconnect(&mut self, link: LinkId, closer: NodeId) {
@@ -245,55 +243,26 @@ impl World {
             _ => return,
         }
         self.faults.record(self.now, node, LifecycleKind::NodeDown);
-        let affected: Vec<(LinkId, NodeId)> = self
-            .links
-            .open_links_of(node)
-            .into_iter()
-            .filter_map(|id| self.links.get(id).and_then(|l| l.peer_of(node)).map(|peer| (id, peer)))
-            .collect();
-        for (link, peer) in affected {
-            if let Some(state) = self.links.get_mut(link) {
-                state.open = false;
-            }
-            self.metrics.record_link_broken(peer);
-            self.metrics.record_link_broken(node);
-            self.agent_call(peer, |agent, ctx| {
-                agent.on_disconnected(ctx, link, node, DisconnectReason::PeerFailed);
-            });
-            self.links.drop_if_drained(link);
-        }
+        self.break_links_of(node, |_| true);
     }
 
-    /// Breaks every open link of `node` that runs over `tech` (the radio
-    /// went dark). Unlike a crash both endpoints are still running, so both
-    /// are notified — with `OutOfRange`, the same reason a coverage loss
-    /// produces, which routes the break into the identical recovery paths.
-    pub(super) fn break_links_on_tech(&mut self, node: NodeId, tech: RadioTech) {
+    /// Breaks every open link of `node` that `which` picks, in ascending
+    /// link id, through [`World::break_link`] with `node` first. A radio
+    /// outage picks its technology's links: both ends are still running, so
+    /// both hear `OutOfRange`, the reason a coverage loss gives, which
+    /// routes the break into the identical recovery paths.
+    pub(super) fn break_links_of(&mut self, node: NodeId, which: impl Fn(&LinkState) -> bool) {
         let affected: Vec<(LinkId, NodeId)> = self
             .links
             .open_links_of(node)
             .into_iter()
             .filter_map(|id| {
-                self.links
-                    .get(id)
-                    .filter(|l| l.tech == tech)
-                    .and_then(|l| l.peer_of(node))
-                    .map(|peer| (id, peer))
+                let link = self.links.get(id).filter(|l| which(l))?;
+                link.peer_of(node).map(|peer| (id, peer))
             })
             .collect();
         for (link, peer) in affected {
-            if let Some(state) = self.links.get_mut(link) {
-                state.open = false;
-            }
-            self.metrics.record_link_broken(node);
-            self.metrics.record_link_broken(peer);
-            self.agent_call(node, |agent, ctx| {
-                agent.on_disconnected(ctx, link, peer, DisconnectReason::OutOfRange);
-            });
-            self.agent_call(peer, |agent, ctx| {
-                agent.on_disconnected(ctx, link, node, DisconnectReason::OutOfRange);
-            });
-            self.links.drop_if_drained(link);
+            self.break_link(link, node, peer);
         }
     }
 }

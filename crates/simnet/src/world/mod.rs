@@ -455,7 +455,7 @@ impl World {
         };
         self.faults.record(now, node, kind);
         if !enabled {
-            self.break_links_on_tech(node, tech);
+            self.break_links_of(node, |link| link.tech == tech);
         }
     }
 
@@ -556,19 +556,8 @@ impl World {
             .filter(|&(_, a, b)| window.cuts(a, b))
             .collect();
         for (link, a, b) in affected {
-            if let Some(state) = self.links.get_mut(link) {
-                state.open = false;
-            }
             self.adversary.stats.cut_links_broken += 1;
-            self.metrics.record_link_broken(a);
-            self.metrics.record_link_broken(b);
-            self.agent_call(a, |agent, ctx| {
-                agent.on_disconnected(ctx, link, b, crate::node::DisconnectReason::OutOfRange);
-            });
-            self.agent_call(b, |agent, ctx| {
-                agent.on_disconnected(ctx, link, a, crate::node::DisconnectReason::OutOfRange);
-            });
-            self.links.drop_if_drained(link);
+            self.break_link(link, a, b);
         }
     }
 
