@@ -1,14 +1,16 @@
 //! The discrete-event scheduler.
 //!
-//! A simple binary-heap scheduler with a monotonically increasing sequence
-//! number as a tie-breaker, so that events scheduled for the same instant are
-//! delivered in the order they were scheduled. This keeps runs deterministic
-//! regardless of heap internals.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! A 4-ary min-heap ordered by `(time, seq)`, where `seq` is a monotonically
+//! increasing sequence number: events scheduled for the same instant are
+//! delivered in the order they were scheduled. No two events share a key, so
+//! the pop order is fixed by the keys alone and runs are deterministic
+//! regardless of heap internals. Four children a node make the heap half as
+//! deep as a binary one, and a node's children sit next to each other.
 
 use crate::time::SimTime;
+
+/// Children per heap node.
+const ARITY: usize = 4;
 
 /// An entry in the scheduler.
 #[derive(Debug, Clone)]
@@ -18,25 +20,9 @@ struct Scheduled<T> {
     payload: T,
 }
 
-impl<T> PartialEq for Scheduled<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<T> Eq for Scheduled<T> {}
-
-impl<T> PartialOrd for Scheduled<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Scheduled<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is popped
-        // first, breaking ties by insertion order.
-        other.time.cmp(&self.time).then_with(|| other.seq.cmp(&self.seq))
+impl<T> Scheduled<T> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
 }
 
@@ -55,7 +41,9 @@ impl<T> Ord for Scheduled<T> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler<T> {
-    heap: BinaryHeap<Scheduled<T>>,
+    /// The heap: every entry's key is below its children's, the children
+    /// of entry `i` being `ARITY * i + 1 ..= ARITY * i + ARITY`.
+    heap: Vec<Scheduled<T>>,
     next_seq: u64,
 }
 
@@ -69,7 +57,7 @@ impl<T> Scheduler<T> {
     /// Creates an empty scheduler.
     pub fn new() -> Self {
         Scheduler {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
             next_seq: 0,
         }
     }
@@ -80,16 +68,26 @@ impl<T> Scheduler<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Scheduled { time, seq, payload });
+        self.sift_up(self.heap.len() - 1);
     }
 
     /// The time of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
+        self.heap.first().map(|s| s.time)
     }
 
     /// Removes and returns the next `(time, payload)` pair.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|s| (s.time, s.payload))
+        let last = self.heap.pop()?;
+        let next = match self.heap.first_mut() {
+            Some(root) => {
+                let next = std::mem::replace(root, last);
+                self.sift_down(0);
+                next
+            }
+            None => last,
+        };
+        Some((next.time, next.payload))
     }
 
     /// Removes and returns the next event only if it is due at or before
@@ -115,11 +113,48 @@ impl<T> Scheduler<T> {
     pub fn clear(&mut self) {
         self.heap.clear();
     }
+
+    /// Moves entry `i` up until its parent's key is below its own.
+    fn sift_up(&mut self, mut i: usize) {
+        let key = self.heap[i].key();
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if self.heap[parent].key() < key {
+                break;
+            }
+            self.heap.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    /// Moves entry `i` down until its key is below all its children's.
+    fn sift_down(&mut self, mut i: usize) {
+        let key = self.heap[i].key();
+        let len = self.heap.len();
+        loop {
+            let first = ARITY * i + 1;
+            if first >= len {
+                break;
+            }
+            let mut least = first;
+            for child in first + 1..(first + ARITY).min(len) {
+                if self.heap[child].key() < self.heap[least].key() {
+                    least = child;
+                }
+            }
+            if key < self.heap[least].key() {
+                break;
+            }
+            self.heap.swap(i, least);
+            i = least;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
     use crate::time::SimDuration;
 
     #[test]
@@ -177,5 +212,64 @@ mod tests {
         assert_eq!(s.pop().unwrap().1, 1);
         assert_eq!(s.pop().unwrap().1, 3);
         assert_eq!(s.pop().unwrap().1, 4);
+    }
+
+    #[test]
+    fn the_heap_pops_what_a_sorted_list_pops() {
+        for seed in 0..8 {
+            let mut rng = SimRng::new(0xE4E4 + seed);
+            let mut heap = Scheduler::new();
+            // The model: (time, seq) pairs kept sorted, the first one next.
+            let (mut model, mut next_seq) = (Vec::<(SimTime, u64)>::new(), 0u64);
+            let (mut used, mut deepest, mut ties) = (Vec::new(), 0, 0);
+            for op in 0..20_000 {
+                match rng.range(0..1_000u32) {
+                    0..=599 => {
+                        // About 30 % of schedules land on an instant already used.
+                        let time = if !used.is_empty() && rng.chance(0.3) {
+                            ties += 1;
+                            used[rng.index(used.len())]
+                        } else {
+                            SimTime::from_micros(rng.range(0..5_000_000u64))
+                        };
+                        used.push(time);
+                        heap.schedule(time, next_seq);
+                        let at = model.partition_point(|&key| key < (time, next_seq));
+                        model.insert(at, (time, next_seq));
+                        next_seq += 1;
+                    }
+                    600..=749 => {
+                        let want = (!model.is_empty()).then(|| model.remove(0));
+                        assert_eq!(heap.pop(), want, "seed {seed}, op {op}: pop");
+                    }
+                    750..=997 => {
+                        let deadline = SimTime::from_micros(rng.range(0..5_000_000u64));
+                        let due = model.first().is_some_and(|&(time, _)| time <= deadline);
+                        let want = due.then(|| model.remove(0));
+                        assert_eq!(
+                            heap.pop_due(deadline),
+                            want,
+                            "seed {seed}, op {op}: pop_due({deadline})"
+                        );
+                    }
+                    _ => {
+                        heap.clear();
+                        model.clear();
+                    }
+                }
+                assert_eq!(heap.len(), model.len(), "seed {seed}, op {op}: len");
+                assert_eq!(
+                    heap.peek_time(),
+                    model.first().map(|&(time, _)| time),
+                    "seed {seed}, op {op}: peek"
+                );
+                deepest = deepest.max(model.len());
+            }
+            // Deep enough for five levels of four children, with many ties.
+            assert!(
+                deepest > 400 && ties > 3_000,
+                "seed {seed}: {deepest} deep, {ties} ties"
+            );
+        }
     }
 }

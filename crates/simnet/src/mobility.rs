@@ -7,9 +7,13 @@
 //! random-waypoint roaming for the larger random-field experiments.
 //!
 //! A [`MobilityModel`] is compiled into a [`MotionPlan`] — a deterministic
-//! piecewise-linear trajectory — when the node is added to the world, so
-//! position queries at arbitrary times are pure lookups and the whole run
-//! stays reproducible.
+//! piecewise-linear trajectory — when the node is added to the world. The
+//! trajectory never changes after that, so a position query at any time has
+//! one answer and the whole run stays reproducible. A plan remembers only
+//! which leg it last answered from, a hint that makes the next query at a
+//! nearby time cheap and cannot change what any query answers.
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use serde::{Deserialize, Serialize};
 
@@ -101,7 +105,7 @@ impl MobilityModel {
     /// time span `[0, horizon]`, its storage sized to its legs. Random-waypoint
     /// legs are drawn from `rng`.
     pub fn compile(&self, horizon: SimTime, rng: &mut SimRng) -> MotionPlan {
-        let mut plan = match self {
+        match self {
             MobilityModel::Stationary { position } => MotionPlan::fixed(*position),
             MobilityModel::Linear {
                 from,
@@ -109,10 +113,10 @@ impl MobilityModel {
                 speed_mps,
                 start_after,
             } => {
-                let mut plan = MotionPlan::starting_at(*from);
+                let mut plan = PlanBuilder::starting_at(*from);
                 plan.hold_until(SimTime::ZERO + *start_after);
                 plan.move_to(*to, *speed_mps);
-                plan
+                plan.build()
             }
             MobilityModel::Waypoints {
                 points,
@@ -120,12 +124,12 @@ impl MobilityModel {
                 start_after,
             } => {
                 let start = points.first().copied().unwrap_or(Point::ORIGIN);
-                let mut plan = MotionPlan::starting_at(start);
+                let mut plan = PlanBuilder::starting_at(start);
                 plan.hold_until(SimTime::ZERO + *start_after);
                 for p in points.iter().skip(1) {
                     plan.move_to(*p, *speed_mps);
                 }
-                plan
+                plan.build()
             }
             MobilityModel::RandomWaypoint {
                 area,
@@ -134,7 +138,7 @@ impl MobilityModel {
                 max_speed_mps,
                 pause,
             } => {
-                let mut plan = MotionPlan::starting_at(area.clamp(*start));
+                let mut plan = PlanBuilder::starting_at(area.clamp(*start));
                 while plan.end_time() < horizon {
                     let target = Point::new(
                         rng.uniform_f64(area.min_x, area.max_x),
@@ -146,11 +150,9 @@ impl MobilityModel {
                         plan.hold_for(*pause);
                     }
                 }
-                plan
+                plan.build()
             }
-        };
-        plan.waypoints.shrink_to_fit();
-        plan
+        }
     }
 }
 
@@ -189,27 +191,103 @@ impl Segment {
     }
 }
 
-/// A deterministic piecewise-linear trajectory: the node's start and the
-/// waypoint each leg ends at, so its position at any instant is a binary
-/// search over the waypoints and one leg rebuilt from two of them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MotionPlan {
+/// A trajectory under construction: legs are appended in time order, and
+/// [`PlanBuilder::build`] boxes them once, at their exact length.
+struct PlanBuilder {
     origin: Point,
     waypoints: Vec<Waypoint>,
+}
+
+impl PlanBuilder {
+    /// Starts a plan with the node at `start` at time zero.
+    fn starting_at(start: Point) -> Self {
+        PlanBuilder {
+            origin: start,
+            waypoints: Vec::new(),
+        }
+    }
+
+    fn end_time(&self) -> SimTime {
+        self.waypoints.last().map_or(SimTime::ZERO, |w| w.until)
+    }
+
+    fn final_position(&self) -> Point {
+        self.waypoints.last().map_or(self.origin, |w| w.at)
+    }
+
+    /// Appends a stay-in-place leg until the given absolute time. Does
+    /// nothing if `until` is not after the current end of the plan.
+    fn hold_until(&mut self, until: SimTime) {
+        if until <= self.end_time() {
+            return;
+        }
+        let at = self.final_position();
+        self.waypoints.push(Waypoint { until, at });
+    }
+
+    /// Appends a stay-in-place leg of the given length.
+    fn hold_for(&mut self, duration: SimDuration) {
+        let until = self.end_time() + duration;
+        self.hold_until(until);
+    }
+
+    /// Appends a constant-speed movement from the current end position to
+    /// `target`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `speed_mps` is not strictly positive.
+    fn move_to(&mut self, target: Point, speed_mps: f64) {
+        assert!(speed_mps > 0.0, "speed must be positive");
+        let distance = self.final_position().distance(target);
+        let travel = SimDuration::from_secs_f64(distance / speed_mps);
+        self.waypoints.push(Waypoint {
+            until: self.end_time() + travel,
+            at: target,
+        });
+    }
+
+    fn build(self) -> MotionPlan {
+        MotionPlan {
+            origin: self.origin,
+            waypoints: self.waypoints.into_boxed_slice(),
+            cursor: AtomicU32::new(0),
+        }
+    }
+}
+
+/// How many legs past its hint [`MotionPlan::leg_at`] steps before it
+/// searches instead.
+const CURSOR_REACH: usize = 2;
+
+/// A deterministic piecewise-linear trajectory: the node's start and the
+/// waypoint each leg ends at, so its position at any instant is one leg
+/// rebuilt from two adjacent waypoints.
+///
+/// The leg is found from a cursor: the plan keeps the index of the leg its
+/// last lookup answered from, and a query at or just after that leg reads
+/// one or two waypoints instead of searching them all. Plans are shared by
+/// the threads of the sharded engine, so the cursor is atomic; it publishes
+/// no data and every value of it yields the same answer, so it is read and
+/// written `Relaxed` and is left out of equality.
+#[derive(Debug, Serialize, Deserialize)]
+pub struct MotionPlan {
+    origin: Point,
+    waypoints: Box<[Waypoint]>,
+    #[serde(skip)]
+    cursor: AtomicU32,
+}
+
+impl PartialEq for MotionPlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.origin == other.origin && self.waypoints == other.waypoints
+    }
 }
 
 impl MotionPlan {
     /// A plan that keeps the node at `position` forever.
     pub fn fixed(position: Point) -> Self {
-        MotionPlan::starting_at(position)
-    }
-
-    /// Starts building a plan with the node at `start` at time zero.
-    pub fn starting_at(start: Point) -> Self {
-        MotionPlan {
-            origin: start,
-            waypoints: Vec::new(),
-        }
+        PlanBuilder::starting_at(position).build()
     }
 
     /// Time at which the last scheduled movement finishes.
@@ -220,6 +298,37 @@ impl MotionPlan {
     /// Where the node rests once the plan is over.
     fn final_position(&self) -> Point {
         self.waypoints.last().map_or(self.origin, |w| w.at)
+    }
+
+    /// Index of the leg that holds `t`: the first one ending at or after
+    /// `t`, or the leg count once the plan is over — what
+    /// `waypoints.partition_point(|w| w.until < t)` answers, found from the
+    /// cursor when `t` is at or a few legs past it.
+    fn leg_at(&self, t: SimTime) -> usize {
+        let legs = &self.waypoints[..];
+        let hint = self.cursor.load(Ordering::Relaxed) as usize;
+        let idx = if hint > legs.len() || (hint > 0 && legs[hint - 1].until >= t) {
+            // Behind the hint (or a hint from nowhere): search everything.
+            legs.partition_point(|w| w.until < t)
+        } else {
+            // Every leg before the hint ends before `t`: step a few legs on,
+            // then search only what is left.
+            let mut idx = hint;
+            let reach = (hint + CURSOR_REACH).min(legs.len());
+            while idx < reach && legs[idx].until < t {
+                idx += 1;
+            }
+            if idx == reach {
+                idx += legs[idx..].partition_point(|w| w.until < t);
+            }
+            idx
+        };
+        // Written only when it moves, so threads sharing a plan rarely write
+        // its line; any value is a valid hint, so the cast cannot mislead.
+        if idx != hint {
+            self.cursor.store(idx as u32, Ordering::Relaxed);
+        }
+        idx
     }
 
     /// Leg `idx`: from the end of the previous leg (the origin at time zero
@@ -243,51 +352,23 @@ impl MotionPlan {
         (idx..self.waypoints.len()).filter_map(|idx| self.segment(idx))
     }
 
-    /// Appends a stay-in-place leg until the given absolute time. Does
-    /// nothing if `until` is not after the current end of the plan.
-    pub fn hold_until(&mut self, until: SimTime) {
-        if until <= self.end_time() {
-            return;
-        }
-        let at = self.final_position();
-        self.waypoints.push(Waypoint { until, at });
-    }
-
-    /// Appends a stay-in-place leg of the given length.
-    pub fn hold_for(&mut self, duration: SimDuration) {
-        let until = self.end_time() + duration;
-        self.hold_until(until);
-    }
-
-    /// Appends a constant-speed movement from the current end position to
-    /// `target`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speed_mps` is not strictly positive.
-    pub fn move_to(&mut self, target: Point, speed_mps: f64) {
-        assert!(speed_mps > 0.0, "speed must be positive");
-        let distance = self.final_position().distance(target);
-        let travel = SimDuration::from_secs_f64(distance / speed_mps);
-        self.waypoints.push(Waypoint {
-            until: self.end_time() + travel,
-            at: target,
-        });
-    }
-
-    /// Position of the node at time `t`.
-    pub fn position_at(&self, t: SimTime) -> Point {
-        // Binary search for the leg containing t.
-        let idx = self.waypoints.partition_point(|w| w.until < t);
+    /// Position at `t` on leg `idx`, which must be [`MotionPlan::leg_at`]`(t)`.
+    fn position_on(&self, idx: usize, t: SimTime) -> Point {
         match self.segment(idx) {
             Some(seg) => seg.position_at(t),
             None => self.final_position(),
         }
     }
 
+    /// Position of the node at time `t`.
+    pub fn position_at(&self, t: SimTime) -> Point {
+        self.position_on(self.leg_at(t), t)
+    }
+
     /// True if the node is still scheduled to move after time `t`.
     pub fn moving_after(&self, t: SimTime) -> bool {
-        self.segments_from(0).any(|s| s.end_time > t && s.from != s.to)
+        self.segments_from(self.leg_at(t))
+            .any(|s| s.end_time > t && s.from != s.to)
     }
 
     /// Earliest time at or after `from` at which the trajectory leaves the
@@ -297,10 +378,10 @@ impl MotionPlan {
     /// grid-cell residency stays valid, so the index only touches a node
     /// when it actually crosses a cell boundary instead of on every query.
     pub fn departure_time(&self, rect: Rect, from: SimTime) -> Option<SimTime> {
-        if !rect.contains(self.position_at(from)) {
+        let start_idx = self.leg_at(from);
+        if !rect.contains(self.position_on(start_idx, from)) {
             return Some(from);
         }
-        let start_idx = self.waypoints.partition_point(|w| w.until < from);
         for seg in self.segments_from(start_idx) {
             // Both endpoints of a linear piece inside a convex region means
             // the whole piece is inside; only pieces ending outside can cross.
@@ -331,10 +412,16 @@ impl MotionPlan {
     pub fn range_exit(&self, other: &MotionPlan, range_m: f64, from: SimTime) -> Option<SimTime> {
         let reach = (range_m - RANGE_EXIT_SLACK_M).max(0.0);
         let reach_sq = reach * reach;
-        let mut ia = self.waypoints.partition_point(|w| w.until <= from);
-        let mut ib = other.waypoints.partition_point(|w| w.until <= from);
+        let (mut ia, mut ib) = (self.leg_at(from), other.leg_at(from));
         let mut t0 = from;
         loop {
+            // The first leg of each plan ending after t0.
+            while self.waypoints.get(ia).is_some_and(|w| w.until <= t0) {
+                ia += 1;
+            }
+            while other.waypoints.get(ib).is_some_and(|w| w.until <= t0) {
+                ib += 1;
+            }
             let (pa, va, end_a) = self.leg(ia, t0);
             let (pb, vb, end_b) = other.leg(ib, t0);
             // Relative position r0 + v·s for s seconds into the overlap.
@@ -360,12 +447,6 @@ impl MotionPlan {
                 return None; // both at rest for good, in reach
             }
             t0 = t1;
-            while self.waypoints.get(ia).is_some_and(|w| w.until <= t0) {
-                ia += 1;
-            }
-            while other.waypoints.get(ib).is_some_and(|w| w.until <= t0) {
-                ib += 1;
-            }
         }
     }
 
@@ -507,7 +588,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_speed_rejected() {
-        let mut plan = MotionPlan::starting_at(Point::ORIGIN);
+        let mut plan = PlanBuilder::starting_at(Point::ORIGIN);
         plan.move_to(Point::new(1.0, 0.0), 0.0);
     }
 
@@ -549,9 +630,10 @@ mod tests {
 
     #[test]
     fn departure_time_skips_hold_segments() {
-        let mut plan = MotionPlan::starting_at(Point::new(5.0, 5.0));
+        let mut plan = PlanBuilder::starting_at(Point::new(5.0, 5.0));
         plan.hold_until(SimTime::from_secs(20));
         plan.move_to(Point::new(5.0, 35.0), 1.0); // leaves y=10 at t=25
+        let plan = plan.build();
         let rect = Rect::square(10.0);
         let t = plan.departure_time(rect, SimTime::ZERO).unwrap();
         assert!((t.as_secs_f64() - 25.0).abs() < 1e-6, "left at {t:?}");
@@ -615,16 +697,16 @@ mod tests {
         if rng.chance(0.3) {
             return MotionPlan::fixed(start);
         }
-        let mut plan = MotionPlan::starting_at(start);
+        let mut plan = PlanBuilder::starting_at(start);
         let rest_after = SimTime::from_secs(rng.range(20..400u64));
         while plan.end_time() < rest_after {
             match rng.range(0..5u32) {
                 0 => plan.hold_for(SimDuration::from_micros(rng.range(0..30_000_000u64))),
-                1 => plan.move_to(plan.position_at(plan.end_time()), 1.0),
+                1 => plan.move_to(plan.final_position(), 1.0),
                 _ => plan.move_to(spot(rng), rng.uniform_f64(0.3, 4.0)),
             }
         }
-        plan
+        plan.build()
     }
 
     #[test]
@@ -679,8 +761,9 @@ mod tests {
         // the distance is never *greater* than the range. Early is allowed
         // (a millimetre short of the range is reached on the way in), late
         // is not, and whoever is woken finds the pair still in range.
-        let mut grazing = MotionPlan::starting_at(Point::new(-20.0, 10.0));
+        let mut grazing = PlanBuilder::starting_at(Point::new(-20.0, 10.0));
         grazing.move_to(Point::new(20.0, 10.0), 1.0);
+        let grazing = grazing.build();
         let out_until = grazing.range_exit(&origin, 10.0, at(0));
         assert_eq!(out_until, Some(at(0)), "starts out of range");
         let near_tangent = grazing.range_exit(&origin, 10.0, at(20)).expect("leaves again");
@@ -689,13 +772,14 @@ mod tests {
         assert_eq!(origin.range_exit(&grazing, 10.0, at(20)), Some(near_tangent));
         // A walker that stops inside the range never leaves it; one that
         // walks through leaves on the far side, not before.
-        let mut stopping = MotionPlan::starting_at(Point::new(-3.0, 0.0));
+        let mut stopping = PlanBuilder::starting_at(Point::new(-3.0, 0.0));
         stopping.hold_until(at(5));
         stopping.move_to(Point::new(4.0, 0.0), 0.5);
-        assert_eq!(stopping.range_exit(&origin, 10.0, at(0)), None);
-        let mut passing = MotionPlan::starting_at(Point::new(-3.0, 0.0));
+        assert_eq!(stopping.build().range_exit(&origin, 10.0, at(0)), None);
+        let mut passing = PlanBuilder::starting_at(Point::new(-3.0, 0.0));
         passing.hold_until(at(5));
         passing.move_to(Point::new(30.0, 0.0), 2.0);
+        let passing = passing.build();
         let left = passing.range_exit(&origin, 10.0, at(0)).expect("walks out");
         // 13 m at 2 m/s after a 5 s hold, less the millimetre of slack.
         assert!(left <= at(5) + SimDuration::from_millis(6_500));
@@ -770,16 +854,20 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_is_its_origin_its_boxed_legs_and_a_cursor() {
+        // 16 (origin) + 16 (boxed slice) + 4 (cursor), padded to 8.
+        assert_eq!(std::mem::size_of::<MotionPlan>(), 40);
+    }
+
+    #[test]
     fn a_compiled_plan_holds_each_leg_once_and_no_spare_room() {
+        // A boxed slice has no spare room: the plan's length is all it holds.
         let plans = differential_plans();
-        for plan in &plans[..10] {
-            assert_eq!(plan.waypoints.capacity(), plan.waypoints.len());
-        }
         // A 900 s roam of 20 s pauses is a few dozen legs, none empty.
         let roam = &plans[4];
         assert!(roam.waypoints.len() > 20, "{} legs", roam.waypoints.len());
         assert!(roam.waypoints.windows(2).all(|w| w[0].until <= w[1].until));
-        assert!(MotionPlan::fixed(Point::ORIGIN).waypoints.capacity() == 0);
+        assert!(MotionPlan::fixed(Point::ORIGIN).waypoints.is_empty());
     }
 
     #[test]
@@ -833,6 +921,97 @@ mod tests {
             (0x55e6_6157_e31c_70c8, 0x632a_ffae_a5ee_b57a, 0x9751_6cd0_1fa3_d625),
             "position_at, departure_time and range_exit folds"
         );
+    }
+
+    /// Where a plan is at `t` without its cursor: the whole-plan binary
+    /// search and the leg rebuilt from it.
+    fn searched_position(plan: &MotionPlan, t: SimTime) -> (usize, u64, u64) {
+        let idx = plan.waypoints.partition_point(|w| w.until < t);
+        let p = plan
+            .segment(idx)
+            .map_or(plan.final_position(), |seg| seg.position_at(t));
+        (idx, p.x.to_bits(), p.y.to_bits())
+    }
+
+    /// Where a plan is at `t` through its cursor, in the same form.
+    fn cursor_position(plan: &MotionPlan, t: SimTime) -> (usize, u64, u64) {
+        let p = plan.position_at(t);
+        // The lookup just left the cursor on the leg it answered from.
+        let idx = plan.cursor.load(Ordering::Relaxed) as usize;
+        (idx, p.x.to_bits(), p.y.to_bits())
+    }
+
+    /// A lattice over the whole run and past its end, plus every leg's end
+    /// and the microseconds either side of it.
+    fn probe_instants(plan: &MotionPlan) -> Vec<SimTime> {
+        let mut instants: Vec<u64> = (0..1_000u64).map(|step| step * 950_001).collect();
+        for w in plan.waypoints.iter() {
+            let end = w.until.as_micros();
+            instants.extend([end.saturating_sub(1), end, end + 1]);
+        }
+        instants.sort_unstable();
+        instants.into_iter().map(SimTime::from_micros).collect()
+    }
+
+    #[test]
+    fn the_cursor_answers_what_the_search_answers_in_any_order() {
+        let mut rng = SimRng::new(0xC025);
+        for (n, plan) in differential_plans().iter().enumerate() {
+            let monotone = probe_instants(plan);
+            let repeated: Vec<SimTime> = monotone.iter().flat_map(|&t| [t, t]).collect();
+            // Each instant, then one half as far into the run: a jump back.
+            let backward: Vec<SimTime> = (0..monotone.len())
+                .flat_map(|i| [monotone[i], monotone[i / 2]])
+                .collect();
+            let mut shuffled = monotone.clone();
+            rng.shuffle(&mut shuffled);
+            for (order, instants) in [monotone.clone(), repeated, backward, shuffled].iter().enumerate() {
+                for &t in instants {
+                    assert_eq!(
+                        cursor_position(plan, t),
+                        searched_position(plan, t),
+                        "plan {n}, order {order}, t {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_threads_sharing_a_plan_get_the_searched_answers() {
+        let plans = differential_plans();
+        let barrier = std::sync::Barrier::new(2);
+        let wrong: Vec<Vec<String>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..2)
+                .map(|thread| {
+                    let (plans, barrier) = (&plans, &barrier);
+                    scope.spawn(move || {
+                        // Round by round both threads walk one plan, each
+                        // taking every other instant, so each finds the
+                        // cursor where the other left it. A wrong answer is
+                        // noted, not asserted, so neither thread leaves the
+                        // other waiting at the barrier.
+                        let mut wrong = Vec::new();
+                        for round in 0..3 {
+                            for (n, plan) in plans.iter().enumerate() {
+                                let instants = probe_instants(plan);
+                                for &t in instants.iter().skip((thread + round) % 2).step_by(2) {
+                                    let got = plan.position_at(t);
+                                    let (_, x, y) = searched_position(plan, t);
+                                    if (got.x.to_bits(), got.y.to_bits()) != (x, y) {
+                                        wrong.push(format!("thread {thread}, plan {n}, t {t}"));
+                                    }
+                                }
+                                barrier.wait();
+                            }
+                        }
+                        wrong
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().expect("no panic")).collect()
+        });
+        assert_eq!(wrong, [Vec::<String>::new(), Vec::new()]);
     }
 
     #[test]

@@ -19,14 +19,16 @@
 //! **snapshot** as of the window start, and "who is near" through the
 //! sequential world's spatial index, brought up to the window start and
 //! queried `max_speed × W` wider; exact positions are always available
-//! because compiled [`MotionPlan`]s are pure data shared by every shard.
+//! because compiled [`MotionPlan`]s are shared by every shard and answer
+//! every query the same way. A plan's one interior write is its leg cursor,
+//! a hint that speeds the next lookup and cannot change an answer.
 //!
-//! So inside a window a node reads only immutable data and writes only its
-//! own state and its shard's outbox, and the order in which *different*
-//! nodes run is unobservable: outbox entries carry a unique
-//! `(origin, per-origin sequence)` key and are re-sorted before delivery,
-//! and everything else a shard accumulates (traffic tallies, histograms,
-//! profiler cells, load counts) is a commutative sum. Each shard therefore
+//! So inside a window a node reads only data whose answers cannot change
+//! and writes only its own state and its shard's outbox, and the order in
+//! which *different* nodes run is unobservable: outbox entries carry a
+//! unique `(origin, per-origin sequence)` key and are re-sorted before
+//! delivery, and everything else a shard accumulates (traffic tallies,
+//! histograms, profiler cells, load counts) is a commutative sum. Each shard therefore
 //! runs a window as **one pass over its nodes in id order**, not as one
 //! time-ordered event loop: a dense array of head times says which nodes
 //! have anything due (the others are never touched), and a due node runs
