@@ -1,20 +1,19 @@
-//! The hash map behind the spatial grid's cells and the sequential world's
-//! link table.
+//! The hash map behind the sequential world's link table.
 //!
-//! Every key is made inside the simulator — a grid cell's `(i64, i64)`, a
-//! sequential [`LinkId`](crate::node::LinkId) — so the collision resistance
-//! the standard library's SipHash buys is worth nothing here, while its cost
-//! is paid on every grid probe and every frame. [`FastMap`] hashes a key with
-//! one rotate, one xor and one multiply per word instead. Small per-node maps
-//! that must iterate in id order (a sharded node's link halves, a node's
-//! link index, the middleware's per-link state) are [`IdTable`](crate::table::IdTable)s
-//! instead.
+//! Every key is made inside the simulator — a sequential
+//! [`LinkId`](crate::node::LinkId) — so the collision resistance the standard
+//! library's SipHash buys is worth nothing here, while its cost is paid on
+//! every frame. [`FastMap`] hashes a key with one rotate, one xor and one
+//! multiply per word instead. Small per-node maps that must iterate in id
+//! order (a sharded node's link halves, a node's link index, the
+//! middleware's per-link state) are [`IdTable`](crate::table::IdTable)s
+//! instead, and the spatial grid's cells live in a dense table of their own
+//! (`world::grid`), probed without hashing.
 //!
 //! **No caller may observe iteration order** — it differs from the standard
-//! hasher's and is nobody's contract. The grid sorts what a query collects,
-//! and the link table's one walk that reaches agents, the partition sweep's
-//! `open_link_endpoints`, sorts by link id; the tests below, in the grid and
-//! `a_partition_breaks_links_in_ascending_id_order` hold that.
+//! hasher's and is nobody's contract. The link table's one walk that reaches
+//! agents, the partition sweep's `open_link_endpoints`, sorts by link id;
+//! `a_partition_breaks_links_in_ascending_id_order` holds that.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -72,11 +71,11 @@ mod tests {
 
     #[test]
     fn a_city_of_cells_and_link_ids_spreads_over_the_table() {
-        // A block of grid cells around the origin (the keys the grid uses),
-        // `(initiator << 32) | counter` packed ids and the sequential world's
-        // counter ids (the other shapes of simulator-made key). A hasher that
-        // folded them onto a few low bits would still be correct, only slow;
-        // this pins that the cheap one does not.
+        // A block of integer pairs around the origin, `(initiator << 32) |
+        // counter` packed ids and the sequential world's counter ids: the
+        // shapes of simulator-made key. A hasher that folded them onto a few
+        // low bits would still be correct, only slow; this pins that the
+        // cheap one does not.
         let cells = (-60i64..60).flat_map(|i| (-60i64..60).map(move |j| hash_of((i, j))));
         let links = (0u64..4_000).flat_map(|node| (0u64..4).map(move |n| hash_of(LinkId(node << 32 | n))));
         let counted = (0u64..16_000).map(|n| hash_of(LinkId(n)));
@@ -99,15 +98,15 @@ mod tests {
 
     #[test]
     fn a_fast_map_is_a_map() {
-        let mut map: FastMap<(i64, i64), i64> = FastMap::default();
-        for i in -50..50 {
-            for j in -50..50 {
-                map.insert((i, j), i * 100 + j);
+        let mut map: FastMap<LinkId, u64> = FastMap::default();
+        for node in 0..100u64 {
+            for n in 0..100u64 {
+                map.insert(LinkId(node << 32 | n), node * 100 + n);
             }
         }
         assert_eq!(map.len(), 10_000);
-        assert_eq!(map.get(&(-3, 4)), Some(&-296));
-        assert_eq!(map.remove(&(49, 49)), Some(4_949));
-        assert_eq!(map.get(&(49, 49)), None);
+        assert_eq!(map.get(&LinkId(3 << 32 | 4)), Some(&304));
+        assert_eq!(map.remove(&LinkId(99 << 32 | 99)), Some(9_999));
+        assert_eq!(map.get(&LinkId(99 << 32 | 99)), None);
     }
 }

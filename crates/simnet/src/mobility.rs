@@ -371,6 +371,27 @@ impl MotionPlan {
             .any(|s| s.end_time > t && s.from != s.to)
     }
 
+    /// Where the node stands at every instant, if it never moves: every leg
+    /// ends at the origin, so [`MotionPlan::position_at`] answers that point
+    /// whatever the time. `None` for a plan that moves at all, even a jump
+    /// at time zero.
+    pub fn fixed_position(&self) -> Option<Point> {
+        self.waypoints
+            .iter()
+            .all(|w| w.at == self.origin)
+            .then_some(self.origin)
+    }
+
+    /// True if no leg is faster than `max_speed_mps`: each covers at most
+    /// `max_speed_mps × (duration + 1 µs)`, the microsecond covering leg end
+    /// times rounded to the clock.
+    pub fn keeps_to(&self, max_speed_mps: f64) -> bool {
+        self.segments_from(0).all(|seg| {
+            let secs = (seg.end_time - seg.start_time).as_secs_f64() + 1e-6;
+            seg.from.distance(seg.to) <= max_speed_mps * secs
+        })
+    }
+
     /// Earliest time at or after `from` at which the trajectory leaves the
     /// closed rectangle `rect`, or `None` if the node never does.
     ///
@@ -1012,6 +1033,60 @@ mod tests {
             threads.into_iter().map(|t| t.join().expect("no panic")).collect()
         });
         assert_eq!(wrong, [Vec::<String>::new(), Vec::new()]);
+    }
+
+    #[test]
+    fn a_fixed_position_is_what_the_plan_answers_at_every_instant() {
+        let held = MobilityModel::walk_after(
+            Point::new(4.0, -2.0),
+            Point::new(4.0, -2.0),
+            1.0,
+            SimDuration::from_secs(5),
+        )
+        .compile(SimTime::from_secs(60), &mut rng());
+        for plan in [MotionPlan::fixed(Point::new(-0.5, 7.25)), held] {
+            let at = plan.fixed_position().expect("never moves");
+            for s in [0, 1, 5, 6, 59, 3_600] {
+                assert_eq!(plan.position_at(SimTime::from_secs(s)), at);
+            }
+        }
+        for plan in differential_plans() {
+            assert_eq!(plan.fixed_position().is_some(), !plan.moving_after(SimTime::ZERO));
+        }
+        // A jump at time zero is a move, though nothing moves after it.
+        let jump = MotionPlan {
+            origin: Point::ORIGIN,
+            waypoints: vec![Waypoint {
+                until: SimTime::ZERO,
+                at: Point::new(1.0, 0.0),
+            }]
+            .into_boxed_slice(),
+            cursor: AtomicU32::new(0),
+        };
+        assert!(!jump.moving_after(SimTime::ZERO));
+        assert_eq!(jump.fixed_position(), None);
+    }
+
+    #[test]
+    fn a_plan_keeps_to_the_speed_it_was_compiled_at_and_not_below() {
+        let walk = |speed| MobilityModel::walk(Point::ORIGIN, Point::new(123.456_789, 7.0), speed);
+        for speed in [0.3, 1.0, 2.5, 3.0] {
+            let plan = walk(speed).compile(SimTime::from_secs(600), &mut rng());
+            assert!(plan.keeps_to(speed), "{speed} m/s");
+            assert!(!plan.keeps_to(speed * 0.99), "{speed} m/s");
+        }
+        assert!(MotionPlan::fixed(Point::ORIGIN).keeps_to(0.0));
+        let roam = MobilityModel::RandomWaypoint {
+            area: Rect::square(500.0),
+            start: Point::ORIGIN,
+            min_speed_mps: 0.7,
+            max_speed_mps: 2.5,
+            pause: SimDuration::ZERO,
+        };
+        let mut draws = rng();
+        for _ in 0..20 {
+            assert!(roam.compile(SimTime::from_secs(3_600), &mut draws).keeps_to(2.5));
+        }
     }
 
     #[test]

@@ -212,7 +212,9 @@ impl RadioProfile {
         candidates: impl IntoIterator<Item = (NodeId, f64)>,
         rng: &mut SimRng,
     ) -> Vec<InquiryHit> {
-        let mut hits = Vec::new();
+        // Sized once, at its bound: every candidate a hit.
+        let candidates = candidates.into_iter();
+        let mut hits = Vec::with_capacity(candidates.size_hint().0);
         for (node, distance) in candidates {
             if rng.chance(self.inquiry_miss_prob) {
                 continue;

@@ -489,10 +489,12 @@ pub enum Phase {
     AgentStart,
     /// Agent timer callbacks.
     Timers,
-    /// Inquiry completion: grid query, candidate filtering, hit delivery.
+    /// Inquiry completion: grid walk, candidate filtering, hit delivery.
     Discovery,
     /// Spatial-grid refresh (sequential engine: a sub-span inside
-    /// [`Phase::Discovery`]; sharded engine: the per-window rebuild).
+    /// [`Phase::Discovery`] that re-buckets the walkers due and nothing
+    /// else — the walk itself is discovery's own time; sharded engine: the
+    /// per-window rebuild).
     GridRefresh,
     /// Connection-attempt resolution (incl. handover re-attaches).
     Connect,

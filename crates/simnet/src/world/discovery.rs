@@ -1,19 +1,22 @@
 //! Device discovery: inquiry completion and neighbourhood queries.
 //!
-//! For range-bounded technologies, candidate peers come from the spatial
-//! grid index instead of a scan over every node in the world; the exact
-//! filters (liveness, radio set, discoverability, the Bluetooth inquiry
-//! asymmetry, the precise range predicate) then run on the candidate set.
-//! Because grid candidates arrive sorted by node id — the same order the
-//! full scan visited them — the surviving candidate list, and therefore
-//! every RNG draw made while sampling misses and qualities, is identical to
-//! the pre-index implementation. Infrastructure technologies (GPRS) have no
-//! radius to bound the query with and keep the full scan.
+//! For range-bounded technologies, candidate peers come from one walk of the
+//! spatial grid around the asker instead of a scan over every node in the
+//! world; the exact filters (liveness, radio set, discoverability, the
+//! Bluetooth inquiry asymmetry, the precise range predicate) then run on each
+//! candidate in place. A fixed candidate is range-checked from the position
+//! its bucket entry carries before its slot is read; a walker's plan is read
+//! as before. The grid is brought up to the current instant before every
+//! walk, so no speed bound is needed. The survivors are sorted by node id —
+//! the order the full scan visited them — so the candidate list, and
+//! therefore every RNG draw made while sampling misses and qualities, is
+//! identical to the pre-index implementation. Infrastructure technologies
+//! (GPRS) have no radius to bound the walk with and keep the full scan.
 
 use super::World;
 use crate::geometry::Point;
 use crate::node::NodeId;
-use crate::radio::{RadioProfile, RadioTech};
+use crate::radio::{RadioProfile, RadioState, RadioTech};
 use crate::time::SimTime;
 
 impl World {
@@ -46,19 +49,9 @@ impl World {
             Some(r) => r,
             None => return self.neighbors_in_range_reference(node, tech),
         };
-        let mut scratch = self.candidate_scratch.borrow_mut();
-        self.topology.candidates_within_into(pos, range, self.now, &mut scratch);
-        scratch
-            .iter()
-            .copied()
-            .filter(|id| *id != node)
-            .filter(|id| !(self.adversary.has_partitions() && self.adversary.partitioned(node, *id, self.now)))
-            .filter(|id| {
-                self.topology.slot(*id).is_some_and(|other| {
-                    other.radio.enabled(tech) && self.pair_in_range(pos, other.plan.position_at(self.now), tech)
-                })
-            })
-            .collect()
+        self.topology.refresh_grid(self.now);
+        let near = self.grid_peers(node, pos, range, tech, |radio| radio.enabled(tech));
+        near.into_iter().map(|(id, _)| id).collect()
     }
 
     /// Reference implementation of [`World::neighbors_in_range`] that scans
@@ -118,9 +111,7 @@ impl World {
         self.agent_call(node, |agent, ctx| agent.on_inquiry_complete(ctx, tech, hits));
     }
 
-    /// Inquiry candidates for a range-bounded technology, via the grid. The
-    /// candidate superset lands in the world's reusable scratch buffer; only
-    /// the surviving (id, distance) pairs are materialised.
+    /// Inquiry candidates for a range-bounded technology, via the grid.
     fn inquiry_candidates_grid(
         &self,
         node: NodeId,
@@ -130,24 +121,51 @@ impl World {
         profile: &RadioProfile,
         now: SimTime,
     ) -> Vec<(NodeId, f64)> {
-        let mut scratch = self.candidate_scratch.borrow_mut();
         let span = self.profiler().begin();
-        self.topology.candidates_within_into(pos, range, now, &mut scratch);
+        self.topology.refresh_grid(now);
         self.profiler().end(crate::telemetry::Phase::GridRefresh, span);
-        scratch
-            .iter()
-            .copied()
-            .filter(|id| *id != node)
-            .filter(|id| !(self.adversary.has_partitions() && self.adversary.partitioned(node, *id, now)))
-            .filter_map(|id| {
-                let other = self.topology.slot(id)?;
-                if !other.radio.answers_inquiry(tech, profile, now) {
-                    return None;
-                }
-                let distance = pos.distance(other.plan.position_at(now));
-                profile.in_range(distance).then_some((id, distance))
-            })
-            .collect()
+        self.grid_peers(node, pos, range, tech, |radio| {
+            radio.answers_inquiry(tech, profile, now)
+        })
+    }
+
+    /// The one grid walk both queries take: every node but `node`, not cut
+    /// off from it by a partition, whose radio `passes`, within `range` of
+    /// `pos` on `tech` at the current instant — with its distance, in id
+    /// order. The grid must be refreshed to now.
+    fn grid_peers(
+        &self,
+        node: NodeId,
+        pos: Point,
+        range: f64,
+        tech: RadioTech,
+        passes: impl Fn(&RadioState) -> bool,
+    ) -> Vec<(NodeId, f64)> {
+        let (now, profile) = (self.now, self.config.radio.profile(tech));
+        let mut peers = Vec::new();
+        self.topology.for_each_near(pos, range, |entry| {
+            let id = entry.node();
+            // A fixed candidate out of range is dropped before its slot is read.
+            let fixed_distance = entry.fixed_at().map(|at| pos.distance(at));
+            if id == node || fixed_distance.is_some_and(|d| !profile.in_range(d)) {
+                return;
+            }
+            if self.adversary.has_partitions() && self.adversary.partitioned(node, id, now) {
+                return;
+            }
+            let Some(other) = self.topology.slot(id) else {
+                return;
+            };
+            if !passes(&other.radio) {
+                return;
+            }
+            let distance = fixed_distance.unwrap_or_else(|| pos.distance(other.plan.position_at(now)));
+            if profile.in_range(distance) {
+                peers.push((id, distance));
+            }
+        });
+        peers.sort_unstable_by_key(|&(id, _)| id);
+        peers
     }
 
     /// Inquiry candidates for an infrastructure technology (no radius to

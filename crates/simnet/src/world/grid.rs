@@ -1,5 +1,5 @@
 //! A uniform spatial grid over node positions, keyed by mobility-aware
-//! cell residency.
+//! cell residency and stored in a dense, wrapped table.
 //!
 //! Every node occupies exactly one square cell. Because trajectories are
 //! compiled [`MotionPlan`]s, the exact instant a node leaves its current
@@ -8,16 +8,34 @@
 //! tracked by a refresh heap — instead of on every query. Stationary nodes
 //! are bucketed once and never touched again.
 //!
-//! Range queries return a *superset* of the nodes within the radius (all
-//! occupants of every cell intersecting the padded query disk, sorted by
-//! node id); callers apply the exact range predicate themselves. This keeps
-//! the grid a pure accelerator: results are byte-identical to a full scan.
+//! **The table.** Cell `(i, j)` lives in slot `(i mod W, j mod H)` (the
+//! Euclidean remainder, so negative cells wrap too) of a dense array of
+//! buckets: no hashing on the query path. `W` and `H` are powers of two whose
+//! product is at least half the number of nodes ever inserted and at least
+//! 64; they double as nodes are added, re-bucketing every entry, so an insert
+//! stays amortised O(1) and the table's size follows the node count, not the
+//! layout (a caller that knows how many nodes are coming sizes it once,
+//! [`SpatialGrid::reserve`]). Cells farther apart than the table alias onto one slot; that only
+//! adds candidates.
+//!
+//! **An entry** is the node's id, plus its position when its plan never
+//! moves ([`MotionPlan::fixed_position`]): that position is what
+//! [`MotionPlan::position_at`] answers at every instant, so a caller can
+//! range-check a fixed candidate without reading its plan.
+//!
+//! **A query** ([`SpatialGrid::for_each_near`]) walks the entries of every
+//! slot covering the square of cells around the query disk (its radius plus
+//! a sub-millimetre pad), each slot at most once, in no particular order. It
+//! visits a *superset* of the nodes within the radius — the occupants of
+//! those cells plus whatever aliases onto the same slots — and every tracked
+//! node at most once; callers apply the exact range predicate, and sort what
+//! survives when order matters. This keeps the grid a pure accelerator:
+//! results are byte-identical to a full scan.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::geometry::{Point, Rect};
-use crate::hash::FastMap;
 use crate::mobility::MotionPlan;
 use crate::node::NodeId;
 use crate::time::{SimDuration, SimTime};
@@ -34,6 +52,9 @@ const QUERY_PAD_M: f64 = 1e-3;
 /// exactly on a cell boundary.
 const MIN_RESIDENCY: SimDuration = SimDuration::from_micros(1);
 
+/// The smallest table: 8 × 8 slots.
+const MIN_SLOTS_LOG2: u32 = 6;
+
 #[derive(Debug, Clone, Copy)]
 struct Residency {
     cell: (i64, i64),
@@ -42,12 +63,118 @@ struct Residency {
     tracked: bool,
 }
 
+/// One bucket entry: a node, and where it stands if it never moves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry {
+    node: NodeId,
+    /// The fixed node's position; `x` is NaN for a node whose plan moves.
+    at: Point,
+}
+
+impl Entry {
+    fn new(node: NodeId, plan: &MotionPlan) -> Self {
+        let at = plan.fixed_position().unwrap_or(Point::new(f64::NAN, f64::NAN));
+        Entry { node, at }
+    }
+
+    /// The node this entry indexes.
+    #[inline]
+    pub(crate) fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// The node's position at every instant, if its plan never moves.
+    #[inline]
+    pub(crate) fn fixed_at(&self) -> Option<Point> {
+        (!self.at.x.is_nan()).then_some(self.at)
+    }
+}
+
+/// The dense bucket array: cell `(i, j)` lives in slot
+/// `(i mod 2^cols_log2, j mod 2^rows_log2)`, stored row-major.
+#[derive(Debug)]
+struct CellTable {
+    cols_log2: u32,
+    rows_log2: u32,
+    buckets: Vec<Vec<Entry>>,
+}
+
+impl CellTable {
+    /// An empty table of `2^slots_log2` slots; the columns take the odd power.
+    fn with_slots_log2(slots_log2: u32) -> Self {
+        CellTable {
+            cols_log2: slots_log2.div_ceil(2),
+            rows_log2: slots_log2 / 2,
+            buckets: (0..1usize << slots_log2).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// log2 of the slot count for `nodes`: the smallest power of two that
+    /// is at least half of them, and at least the minimum.
+    fn slots_log2_for(nodes: usize) -> u32 {
+        nodes
+            .div_ceil(2)
+            .next_power_of_two()
+            .trailing_zeros()
+            .max(MIN_SLOTS_LOG2)
+    }
+
+    fn slot(&self, (i, j): (i64, i64)) -> usize {
+        // With a power-of-two modulus the Euclidean remainder is a mask.
+        let x = (i & ((1i64 << self.cols_log2) - 1)) as usize;
+        let y = (j & ((1i64 << self.rows_log2) - 1)) as usize;
+        (y << self.cols_log2) | x
+    }
+
+    fn bucket_mut(&mut self, cell: (i64, i64)) -> &mut Vec<Entry> {
+        let slot = self.slot(cell);
+        &mut self.buckets[slot]
+    }
+
+    /// Rebuilds the table with `2^slots_log2` slots and re-buckets every
+    /// entry by its node's cell.
+    fn resize(&mut self, slots_log2: u32, cell_of: impl Fn(NodeId) -> (i64, i64)) {
+        let old = std::mem::replace(self, CellTable::with_slots_log2(slots_log2));
+        for entry in old.buckets.into_iter().flatten() {
+            self.bucket_mut(cell_of(entry.node)).push(entry);
+        }
+    }
+
+    /// The slots covering cells `lo..=hi` along one axis of `2^len_log2`
+    /// slots: a start slot and a count, at most the whole axis, so that the
+    /// `k`-th slot is `(start + k) mod 2^len_log2` and none repeats.
+    fn span(lo: i64, hi: i64, len_log2: u32) -> (usize, usize) {
+        let len = 1usize << len_log2;
+        match hi.checked_sub(lo) {
+            Some(d) if d < 0 => (0, 0),
+            Some(d) if (d as u64) < len as u64 => ((lo & (len as i64 - 1)) as usize, d as usize + 1),
+            _ => (0, len),
+        }
+    }
+
+    /// Walks the entries of every slot covering the cells `lo..=hi`, each
+    /// slot once.
+    #[inline]
+    fn for_each_covering(&self, lo: (i64, i64), hi: (i64, i64), mut visit: impl FnMut(&Entry)) {
+        let (x0, cols) = Self::span(lo.0, hi.0, self.cols_log2);
+        let (y0, rows) = Self::span(lo.1, hi.1, self.rows_log2);
+        let (x_mask, y_mask) = ((1usize << self.cols_log2) - 1, (1usize << self.rows_log2) - 1);
+        for dy in 0..rows {
+            let row = ((y0 + dy) & y_mask) << self.cols_log2;
+            for dx in 0..cols {
+                for entry in &self.buckets[row | ((x0 + dx) & x_mask)] {
+                    visit(entry);
+                }
+            }
+        }
+    }
+}
+
 /// The spatial index. One instance lives inside the world's topology layer.
 #[derive(Debug)]
 pub(crate) struct SpatialGrid {
     cell_m: f64,
-    /// Probed by key and never iterated: queries sort what they collect.
-    cells: FastMap<(i64, i64), Vec<NodeId>>,
+    table: CellTable,
     residency: Vec<Residency>,
     /// (valid_until, raw node id, generation) — min-heap of pending
     /// re-buckets. Entries whose generation no longer matches are stale.
@@ -59,7 +186,7 @@ impl SpatialGrid {
         assert!(cell_m > 0.0 && cell_m.is_finite(), "invalid grid cell size: {cell_m}");
         SpatialGrid {
             cell_m,
-            cells: FastMap::default(),
+            table: CellTable::with_slots_log2(MIN_SLOTS_LOG2),
             residency: Vec::new(),
             refresh: BinaryHeap::new(),
         }
@@ -94,14 +221,33 @@ impl SpatialGrid {
     pub(crate) fn insert(&mut self, node: NodeId, plan: &MotionPlan, now: SimTime) {
         let raw = node.as_raw() as usize;
         assert_eq!(raw, self.residency.len(), "grid insertions must follow node id order");
+        self.reserve(raw + 1);
         self.residency.push(Residency {
             cell: (0, 0),
             valid_until: SimTime::ZERO,
             generation: 0,
             tracked: true,
         });
+        self.enter(node, plan, now);
+    }
+
+    /// Sizes the table for `nodes` insertions in all, so that inserting up to
+    /// there re-buckets nothing. The table only grows; every insertion
+    /// reserves for itself, so this is an optimisation for a caller that
+    /// knows how many are coming.
+    pub(crate) fn reserve(&mut self, nodes: usize) {
+        let slots_log2 = CellTable::slots_log2_for(nodes);
+        if slots_log2 > self.table.cols_log2 + self.table.rows_log2 {
+            let residency = &self.residency;
+            self.table.resize(slots_log2, |n| residency[n.as_raw() as usize].cell);
+        }
+    }
+
+    /// Buckets a tracked node at its position at `now` and schedules its
+    /// next refresh.
+    fn enter(&mut self, node: NodeId, plan: &MotionPlan, now: SimTime) {
         let cell = self.cell_of(plan.position_at(now));
-        self.cells.entry(cell).or_default().push(node);
+        self.table.bucket_mut(cell).push(Entry::new(node, plan));
         self.rebucket(node, cell, plan, now);
     }
 
@@ -118,7 +264,7 @@ impl SpatialGrid {
         r.tracked = false;
         r.generation += 1;
         let cell = r.cell;
-        self.remove_from_bucket(cell, node);
+        self.take_from_bucket(cell, node);
     }
 
     /// Resumes tracking a node previously dropped by [`SpatialGrid::remove`]
@@ -133,20 +279,13 @@ impl SpatialGrid {
             return;
         }
         r.tracked = true;
-        let cell = self.cell_of(plan.position_at(now));
-        self.cells.entry(cell).or_default().push(node);
-        self.rebucket(node, cell, plan, now);
+        self.enter(node, plan, now);
     }
 
-    fn remove_from_bucket(&mut self, cell: (i64, i64), node: NodeId) {
-        if let Some(bucket) = self.cells.get_mut(&cell) {
-            if let Some(pos) = bucket.iter().position(|n| *n == node) {
-                bucket.swap_remove(pos);
-            }
-            if bucket.is_empty() {
-                self.cells.remove(&cell);
-            }
-        }
+    fn take_from_bucket(&mut self, cell: (i64, i64), node: NodeId) -> Option<Entry> {
+        let bucket = self.table.bucket_mut(cell);
+        let pos = bucket.iter().position(|e| e.node == node)?;
+        Some(bucket.swap_remove(pos))
     }
 
     /// Records `cell` as the node's residency and schedules the next refresh
@@ -184,46 +323,38 @@ impl SpatialGrid {
             let plan = plan_of(node);
             let cell = self.cell_of(plan.position_at(now));
             if cell != r.cell {
-                self.remove_from_bucket(r.cell, node);
-                self.cells.entry(cell).or_default().push(node);
+                let entry = self.take_from_bucket(r.cell, node).expect("a tracked node is bucketed");
+                self.table.bucket_mut(cell).push(entry);
             }
             self.rebucket(node, cell, plan, now);
         }
     }
 
-    /// All tracked nodes in cells intersecting the disk of `radius` metres
-    /// around `center`, sorted by node id. A superset of the nodes truly
-    /// within the radius; callers must still apply the exact range test.
-    /// Production paths go through [`SpatialGrid::query_into`]; this
-    /// allocating convenience form remains for the unit tests.
+    /// Visits every tracked node bucketed in a slot that covers the cells
+    /// within `radius` metres of `center` (the bounding square, padded by
+    /// [`QUERY_PAD_M`]), each at most once and in no particular order. A
+    /// superset of the nodes truly within the radius; callers must still
+    /// apply the exact range test.
+    #[inline]
+    pub(crate) fn for_each_near(&self, center: Point, radius: f64, visit: impl FnMut(&Entry)) {
+        let r = radius + QUERY_PAD_M;
+        let (lo, hi) = (self.cell_of(center.offset(-r, -r)), self.cell_of(center.offset(r, r)));
+        self.table.for_each_covering(lo, hi, visit);
+    }
+
+    /// The ids [`SpatialGrid::for_each_near`] visits, sorted.
     #[cfg(test)]
     pub(crate) fn query(&self, center: Point, radius: f64) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.query_into(center, radius, &mut out);
+        self.for_each_near(center, radius, |entry| out.push(entry.node()));
+        out.sort_unstable();
         out
     }
 
-    /// Like [`SpatialGrid::query`], but appends into a caller-owned scratch
-    /// buffer (cleared first) so hot paths — every inquiry and neighbour
-    /// lookup at 100k nodes — reuse one allocation instead of building a
-    /// fresh candidate `Vec` per query. Contents are identical to `query`.
-    pub(crate) fn query_into(&self, center: Point, radius: f64, out: &mut Vec<NodeId>) {
-        out.clear();
-        let r = radius + QUERY_PAD_M;
-        let ix_min = ((center.x - r) / self.cell_m).floor() as i64;
-        let ix_max = ((center.x + r) / self.cell_m).floor() as i64;
-        let iy_min = ((center.y - r) / self.cell_m).floor() as i64;
-        let iy_max = ((center.y + r) / self.cell_m).floor() as i64;
-        for i in ix_min..=ix_max {
-            for j in iy_min..=iy_max {
-                if let Some(bucket) = self.cells.get(&(i, j)) {
-                    out.extend_from_slice(bucket);
-                }
-            }
-        }
-        // Each node lives in exactly one bucket, so sorting suffices for a
-        // deterministic, duplicate-free result.
-        out.sort_unstable();
+    /// Number of slots in the cell table.
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
+        self.table.buckets.len()
     }
 }
 
@@ -258,11 +389,12 @@ mod tests {
         g.insert(NodeId::from_raw(0), &plan, SimTime::ZERO);
         // At t=0 the node is near the origin.
         assert_eq!(g.query(Point::new(0.0, 0.0), 10.0).len(), 1);
-        // At t=60 it has walked 60 m; refresh and query there.
-        let t = SimTime::from_secs(60);
+        // At t=40 it has walked 40 m; refresh and query there (cells 4 apart
+        // on a table 8 wide, so neither query aliases onto the other's slots).
+        let t = SimTime::from_secs(40);
         g.refresh(t, |_| &plan);
         assert!(g.query(Point::new(0.0, 0.0), 10.0).is_empty());
-        assert_eq!(g.query(Point::new(65.0, 5.0), 10.0).len(), 1);
+        assert_eq!(g.query(Point::new(45.0, 5.0), 10.0).len(), 1);
     }
 
     #[test]
@@ -320,9 +452,10 @@ mod tests {
     }
 
     #[test]
-    fn query_returns_the_occupants_of_the_covered_cells_in_id_order_whatever_the_hasher() {
-        // The cell map is only ever probed by key; a seeded city, negative
-        // cells included, must answer like a scan over every node.
+    fn query_returns_the_occupants_of_the_covered_slots_in_id_order() {
+        // A seeded city, negative cells included, wider than the table: a
+        // query answers like a scan over every node whose cell wraps onto a
+        // slot of the covered cells, and every node at most once.
         let mut g = SpatialGrid::new(50.0);
         let mut rng = SimRng::new(0xC17E);
         let spots: Vec<Point> = (0..2_000)
@@ -331,6 +464,7 @@ mod tests {
         for (i, spot) in spots.iter().enumerate() {
             g.insert(NodeId::from_raw(i as u64), &plan_fixed(*spot), SimTime::ZERO);
         }
+        assert_eq!(g.slot_count(), 1_024, "2 000 nodes take 32 x 32 slots");
         for _ in 0..300 {
             let center = Point::new(rng.uniform_f64(-700.0, 1_500.0), rng.uniform_f64(-700.0, 1_500.0));
             let radius = rng.uniform_f64(0.0, 130.0);
@@ -339,14 +473,56 @@ mod tests {
                 g.cell_of(center.offset(-reach, -reach)),
                 g.cell_of(center.offset(reach, reach)),
             );
+            let covered: Vec<usize> = (low.0..=high.0)
+                .flat_map(|i| (low.1..=high.1).map(move |j| (i, j)))
+                .map(|cell| g.table.slot(cell))
+                .collect();
             let scan: Vec<NodeId> = (0..spots.len())
-                .filter(|i| {
-                    let (cx, cy) = g.cell_of(spots[*i]);
-                    (low.0..=high.0).contains(&cx) && (low.1..=high.1).contains(&cy)
-                })
+                .filter(|i| covered.contains(&g.table.slot(g.cell_of(spots[*i]))))
                 .map(|i| NodeId::from_raw(i as u64))
                 .collect();
             assert_eq!(g.query(center, radius), scan);
         }
+    }
+
+    #[test]
+    fn the_table_doubles_with_the_nodes_and_a_fixed_entry_carries_its_position() {
+        let mut g = SpatialGrid::new(10.0);
+        let mut rng = SimRng::new(0x7AB);
+        let mut plans = Vec::new();
+        for i in 0..1_000u64 {
+            let start = Point::new(rng.uniform_f64(-300.0, 300.0), rng.uniform_f64(-300.0, 300.0));
+            let model = if i % 3 == 0 {
+                MobilityModel::walk(start, Point::new(-start.x, start.y), 1.0)
+            } else {
+                MobilityModel::stationary(start)
+            };
+            plans.push(model.compile(SimTime::from_secs(600), &mut rng));
+            g.insert(NodeId::from_raw(i), &plans[i as usize], SimTime::ZERO);
+            let nodes = i as usize + 1;
+            let slots = g.slot_count();
+            assert!(
+                slots.is_power_of_two() && slots >= 64 && 2 * slots >= nodes,
+                "{nodes} nodes, {slots} slots"
+            );
+            assert!(slots <= 64.max(nodes), "{nodes} nodes, {slots} slots");
+        }
+        let mut seen = vec![0u32; plans.len()];
+        g.for_each_near(Point::ORIGIN, 1e9, |entry| {
+            let raw = entry.node().as_raw() as usize;
+            seen[raw] += 1;
+            let plan = &plans[raw];
+            match entry.fixed_at() {
+                Some(at) => {
+                    assert_eq!(plan.fixed_position(), Some(at));
+                    assert_eq!(plan.position_at(SimTime::from_secs(599)), at);
+                }
+                None => assert!(plan.fixed_position().is_none()),
+            }
+        });
+        assert!(
+            seen.iter().all(|&n| n == 1),
+            "a query wider than the table visits each node once"
+        );
     }
 }

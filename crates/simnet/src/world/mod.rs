@@ -9,7 +9,7 @@
 //!
 //! * `topology` — node slots, positions and a uniform spatial `grid`
 //!   index keyed by mobility-aware cell residency,
-//! * `discovery` — inquiry sampling against grid candidates,
+//! * `discovery` — inquiry sampling over one walk of the grid,
 //! * `links` — the table of live links and its per-node index, and
 //! * `delivery` — message and disconnect ordering.
 //!
@@ -176,11 +176,6 @@ pub struct World {
     faults: FaultEngine,
     adversary: AdversaryEngine,
     rng: SimRng,
-    /// Reusable scratch buffer for grid candidate queries (behind a
-    /// `RefCell` so read-only APIs keep `&self`). Every inquiry and
-    /// neighbour lookup fills this one allocation instead of building a
-    /// fresh candidate `Vec` — hot at 100k nodes.
-    candidate_scratch: std::cell::RefCell<Vec<NodeId>>,
     /// Live telemetry recorder; `None` (the default) keeps the event loop
     /// free of sampling work. Behind a `Box` so the disabled case costs one
     /// pointer.
@@ -206,7 +201,6 @@ impl World {
             faults,
             adversary,
             rng,
-            candidate_scratch: std::cell::RefCell::new(Vec::new()),
             telemetry: None,
             profiler: Profiler::disabled(),
         }

@@ -4,6 +4,7 @@
 use super::node::LinkStatus;
 use super::ShardedWorld;
 use crate::faults::FaultStats;
+use crate::geometry::Point;
 use crate::metrics::export_world_frame;
 use crate::node::NodeId;
 use crate::radio::RadioTech;
@@ -58,13 +59,19 @@ impl ShardedWorld {
 
     /// Brings the spatial index up to the window start. Nodes added since the
     /// last one enter it here, not in [`ShardedWorld::add_node`]: building a
-    /// world stays a plain append per node.
+    /// world stays a plain append per node. A newcomer's position entry is
+    /// written here too, anchored at the window start.
     pub(super) fn refresh_grid(&mut self) {
+        let now = self.now;
+        self.grid.reserve(self.plans.len());
         for raw in self.grid.node_count()..self.plans.len() {
-            self.grid
-                .insert(NodeId::from_raw(raw as u64), &self.plans[raw], self.now);
+            let plan = &self.plans[raw];
+            self.grid.insert(NodeId::from_raw(raw as u64), plan, now);
+            self.at
+                .push(plan.fixed_position().unwrap_or_else(|| plan.position_at(now)));
+            self.anchored_at = self.anchored_at.min(now);
         }
-        self.grid.refresh(self.now, |id| &self.plans[id.as_raw() as usize]);
+        self.grid.refresh(now, |id| &self.plans[id.as_raw() as usize]);
     }
 
     /// Brings the published snapshot up to the window start: every node
@@ -86,16 +93,29 @@ impl ShardedWorld {
         #[cfg(debug_assertions)]
         self.audit(t1);
         let recut = self.fold_loads();
-        if self.shards.len() > 1 {
+        let striped = self.shards.len() > 1;
+        // One pass over the movers, in the order the shards anchored them at
+        // t1 (a contiguous share each), writes each anchor and, unless a
+        // re-cut re-homes everyone below, hands the mover to the stripe that
+        // contains it there.
+        let mut movers = 0..self.movers.len();
+        for s in 0..self.shards.len() {
+            let anchors = std::mem::take(&mut self.shards[s].anchors);
+            for (&p, i) in anchors.iter().zip(movers.by_ref()) {
+                let raw = self.movers[i];
+                self.at[raw] = p;
+                if striped && !recut {
+                    self.rehome(raw, p);
+                }
+            }
+            self.shards[s].anchors = anchors;
+        }
+        debug_assert!(movers.is_empty(), "every mover was anchored");
+        self.anchored_at = t1;
+        if striped && recut {
             // A fixed node leaves its stripe only when the stripes move.
-            if recut {
-                for raw in 0..self.plans.len() {
-                    self.rehome(raw, t1);
-                }
-            } else {
-                for i in 0..self.movers.len() {
-                    self.rehome(self.movers[i], t1);
-                }
+            for raw in 0..self.plans.len() {
+                self.rehome(raw, self.at[raw]);
             }
         }
         for s in 0..self.shards.len() {
@@ -146,10 +166,10 @@ impl ShardedWorld {
         }
     }
 
-    /// Hands node `raw` to the shard whose stripe contains its position at `t1`.
-    fn rehome(&mut self, raw: usize, t1: SimTime) {
+    /// Hands node `raw`, standing at `p`, to the shard whose stripe contains `p`.
+    fn rehome(&mut self, raw: usize, p: Point) {
         let current = self.owner[raw] as usize;
-        let target = self.stripe_of(self.plans[raw].position_at(t1)) as usize;
+        let target = self.stripe_of(p) as usize;
         if target == current {
             return;
         }

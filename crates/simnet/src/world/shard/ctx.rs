@@ -35,7 +35,7 @@ impl Ctx for ShardCtx<'_> {
     }
 
     fn position(&self) -> Point {
-        self.view.plans[self.node.id.as_raw() as usize].position_at(self.now)
+        self.view.position(self.node.id, self.now)
     }
 
     #[inline]

@@ -1,9 +1,12 @@
 //! One shard and the pass it runs over its nodes inside a window.
 
+use std::ops::Range;
+
 use super::ctx::ShardCtx;
 use super::node::{LinkHalf, LinkStatus, MsgBody, NodeEvent, ShardMsg, ShardNode, ID_NODE_SHIFT};
 use super::ShardAgent;
 use crate::faults::{FaultAction, LifecycleKind};
+use crate::geometry::Point;
 use crate::link::range_exit_poll;
 use crate::mobility::MotionPlan;
 use crate::node::{AttemptId, ConnectError, DisconnectReason, IncomingConnection, LinkId, NodeId};
@@ -12,12 +15,27 @@ use crate::telemetry::{Histogram, Phase, Profiler};
 use crate::time::{SimDuration, SimTime};
 use crate::world::grid::SpatialGrid;
 
+/// Slack on the walker test of an inquiry, in metres: a plan's legs may each
+/// run a microsecond's travel ahead of the speed bound
+/// ([`MotionPlan::keeps_to`]), and float rounding is far below a millimetre.
+const ANCHOR_SLACK_M: f64 = 1e-3;
+
 /// Immutable state shared by every shard during one window.
 pub(super) struct GlobalView<'a> {
     pub(super) radio: &'a RadioEnvironment,
     pub(super) plans: &'a [MotionPlan],
-    /// Per node: the plan never moves (`!moving_after(ZERO)`).
+    /// Per node: the plan never moves ([`MotionPlan::fixed_position`]).
     pub(super) fixed: &'a [bool],
+    /// Per node: a fixed node's exact position, a walker's position at
+    /// `anchored_at` or later.
+    pub(super) at: &'a [Point],
+    /// The oldest anchor time in `at`.
+    pub(super) anchored_at: SimTime,
+    /// Raw ids of the nodes that move, ascending: the shards anchor them at
+    /// `window_end` for the barrier, a contiguous share each.
+    pub(super) movers: &'a [usize],
+    /// The speed no node exceeds (checked by `add_node`).
+    pub(super) max_speed_mps: f64,
     pub(super) snapshot: &'a [RadioState],
     /// Cell residency as of the window start; queries are padded by
     /// `query_pad_m` and callers filter on the snapshot and on exact positions.
@@ -32,10 +50,20 @@ pub(super) struct GlobalView<'a> {
 }
 
 impl GlobalView<'_> {
-    /// Exact distance between two nodes at `at`, off their compiled plans.
+    /// A node's exact position at `at`: a fixed node's from the position
+    /// column, a walker's off its compiled plan.
+    pub(super) fn position(&self, node: NodeId, at: SimTime) -> Point {
+        let raw = node.as_raw() as usize;
+        if self.fixed[raw] {
+            self.at[raw]
+        } else {
+            self.plans[raw].position_at(at)
+        }
+    }
+
+    /// Exact distance between two nodes at `at`.
     pub(super) fn distance(&self, a: NodeId, b: NodeId, at: SimTime) -> f64 {
-        let position = |node: NodeId| self.plans[node.as_raw() as usize].position_at(at);
-        position(a).distance(position(b))
+        self.position(a, at).distance(self.position(b, at))
     }
 
     /// When a cross-node effect with natural time `earliest` becomes visible:
@@ -58,6 +86,43 @@ pub(super) struct PassOutput {
     /// Payload sizes sent, allocated only when telemetry is on; the
     /// coordinator merges the shards' at a sample.
     pub(super) payload_hist: Option<Histogram>,
+    /// Test builds: the inquiries checked against a scan of every node, and
+    /// the oldest anchor one of them was answered from.
+    #[cfg(test)]
+    pub(super) checked: (u64, SimDuration),
+}
+
+#[cfg(test)]
+impl PassOutput {
+    /// Test builds hold every inquiry's survivors to a scan of every node
+    /// with the exact predicate, in id order.
+    fn cross_check(
+        &mut self,
+        view: &GlobalView<'_>,
+        own: NodeId,
+        pos: Point,
+        tech: RadioTech,
+        now: SimTime,
+        survivors: &[(NodeId, f64)],
+    ) {
+        let profile = view.radio.profile(tech);
+        let scan: Vec<(NodeId, f64)> = (0..view.plans.len())
+            .filter_map(|raw| {
+                let id = NodeId::from_raw(raw as u64);
+                if id == own || !view.snapshot[raw].answers_inquiry(tech, profile, now) {
+                    return None;
+                }
+                let distance = pos.distance(view.plans[raw].position_at(now));
+                profile.in_range(distance).then_some((id, distance))
+            })
+            .collect();
+        assert_eq!(
+            survivors, scan,
+            "inquiry of {own} at {now:?}: the grid walk disagrees with a scan"
+        );
+        self.checked.0 += 1;
+        self.checked.1 = self.checked.1.max(now.saturating_since(view.anchored_at));
+    }
 }
 
 /// One shard: the nodes it currently owns, their event queues, the mail the
@@ -85,6 +150,9 @@ pub(super) struct Shard {
     /// during the last pass; the coordinator applies it at the next window
     /// start.
     pub(super) snapshot_delta: Vec<(usize, RadioState)>,
+    /// Where this shard's share of the movers stands at the end of the last
+    /// pass's window, in `movers` order; the barrier writes them to `at`.
+    pub(super) anchors: Vec<Point>,
     /// Wall nanoseconds of the last pass (recorded only while profiling).
     pub(super) pass_ns: u64,
     /// Nodes owned here: `Some` slots of `nodes`, counted where ownership
@@ -93,8 +161,9 @@ pub(super) struct Shard {
     /// Events the passes since the last barrier ran. With `owned`, the
     /// shard's load: a node runs the same events whatever shard executes it.
     pub(super) events: u64,
-    /// Reusable grid-query scratch buffer (one per shard, not per query).
-    scratch: Vec<NodeId>,
+    /// Reusable buffer of an inquiry's surviving `(candidate, distance)`
+    /// pairs (one per shard, not per query).
+    survivors: Vec<(NodeId, f64)>,
     /// Shard-local per-phase profiler (inert unless profiling is enabled);
     /// folded into the coordinator's view on demand.
     pub(super) profiler: Profiler,
@@ -109,10 +178,11 @@ impl Shard {
             inbox: Vec::new(),
             out: PassOutput::default(),
             snapshot_delta: Vec::new(),
+            anchors: Vec::new(),
             pass_ns: 0,
             owned: 0,
             events: 0,
-            scratch: Vec::new(),
+            survivors: Vec::new(),
             profiler: Profiler::disabled(),
         }
     }
@@ -148,7 +218,8 @@ impl Shard {
     /// of those events back to back. Nodes inside a window are independent
     /// (see the module docs), so visiting them in id order instead of
     /// global time order changes nothing a node or the barrier can observe.
-    pub(super) fn run_window(&mut self, view: &GlobalView<'_>) {
+    /// Then it anchors the movers `movers[share]` at the window end.
+    pub(super) fn run_window(&mut self, view: &GlobalView<'_>, share: Range<usize>) {
         let started = self.profiler.begin();
         let t1 = view.window_end;
         let Shard {
@@ -159,12 +230,12 @@ impl Shard {
             out,
             snapshot_delta,
             events,
-            scratch,
+            survivors,
             profiler,
             ..
         } = self;
         let mut mail = Self::sorted_mail(inbox);
-        let mut exec = Executor { view, out, scratch };
+        let mut exec = Executor { view, out, survivors };
         *next_due = SimTime::MAX;
         for (raw, head) in due.iter_mut().enumerate() {
             let has_mail = mail.peek().is_some_and(|m| m.to.as_raw() == raw as u64);
@@ -198,6 +269,11 @@ impl Shard {
         }
         debug_assert!(mail.next().is_none(), "mail for a node this shard does not own");
         drop(mail);
+        // Plans are shared and positions pure, so any shard can anchor any
+        // mover: reading the plans here keeps them off the serial barrier.
+        self.anchors.clear();
+        let anchored = view.movers[share].iter().map(|&raw| view.plans[raw].position_at(t1));
+        self.anchors.extend(anchored);
         self.pass_ns = started.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
     }
 }
@@ -225,7 +301,7 @@ fn phase_of_node_event(event: &NodeEvent) -> Phase {
 struct Executor<'a> {
     view: &'a GlobalView<'a>,
     out: &'a mut PassOutput,
-    scratch: &'a mut Vec<NodeId>,
+    survivors: &'a mut Vec<(NodeId, f64)>,
 }
 
 impl Executor<'_> {
@@ -293,6 +369,12 @@ impl Executor<'_> {
         }
     }
 
+    /// Completes a scan: walks the grid around the asker, rejects what
+    /// cannot be in range before reading its snapshot or plan — a fixed
+    /// candidate by the exact test on its bucket position, a walker whose
+    /// anchor lies farther than the range plus the distance it can have
+    /// walked since — applies the exact predicate to the rest, and draws the
+    /// hits from the survivors in id order.
     fn complete_inquiry(&mut self, node: &mut ShardNode, now: SimTime, tech: RadioTech) {
         let view = self.view;
         let profile = view.radio.profile(tech);
@@ -301,17 +383,36 @@ impl Executor<'_> {
             let range = profile
                 .range_m
                 .expect("sharded world supports range-bounded technologies only");
-            let (own, pos) = (node.id, view.plans[node.id.as_raw() as usize].position_at(now));
-            view.grid.query_into(pos, range + view.query_pad_m, self.scratch);
-            let answering = self.scratch.iter().filter_map(|&candidate| {
-                let raw = candidate.as_raw() as usize;
+            let (own, pos) = (node.id, view.position(node.id, now));
+            let drift = view.max_speed_mps * now.saturating_since(view.anchored_at).as_secs_f64();
+            let walker_reach = range + drift + ANCHOR_SLACK_M;
+            let survivors = &mut *self.survivors;
+            survivors.clear();
+            view.grid.for_each_near(pos, range + view.query_pad_m, |entry| {
+                let (candidate, raw) = (entry.node(), entry.node().as_raw() as usize);
+                let fixed_distance = match entry.fixed_at() {
+                    Some(at) => {
+                        let distance = pos.distance(at);
+                        if !profile.in_range(distance) {
+                            return;
+                        }
+                        Some(distance)
+                    }
+                    None if pos.distance(view.at[raw]) > walker_reach => return,
+                    None => None,
+                };
                 if candidate == own || !view.snapshot[raw].answers_inquiry(tech, profile, now) {
-                    return None;
+                    return;
                 }
-                let distance = pos.distance(view.plans[raw].position_at(now));
-                profile.in_range(distance).then_some((candidate, distance))
+                let distance = fixed_distance.unwrap_or_else(|| pos.distance(view.plans[raw].position_at(now)));
+                if profile.in_range(distance) {
+                    survivors.push((candidate, distance));
+                }
             });
-            hits = profile.sample_inquiry(answering, &mut node.rng);
+            survivors.sort_unstable_by_key(|&(id, _)| id);
+            #[cfg(test)]
+            self.out.cross_check(view, own, pos, tech, now, survivors);
+            hits = profile.sample_inquiry(survivors.iter().copied(), &mut node.rng);
         }
         node.radio.end_inquiry(tech, now);
         node.counters.inquiry_hits += hits.len() as u64;

@@ -18,10 +18,26 @@
 //! dynamic state (is it alive? discoverable? mid-scan?) go through a
 //! **snapshot** as of the window start, and "who is near" through the
 //! sequential world's spatial index, brought up to the window start and
-//! queried `max_speed × W` wider; exact positions are always available
+//! walked `max_speed × W` wider; exact positions are always available
 //! because compiled [`MotionPlan`]s are shared by every shard and answer
 //! every query the same way. A plan's one interior write is its leg cursor,
 //! a hint that speeds the next lookup and cannot change an answer.
+//!
+//! Most candidates of a walk are rejected before their snapshot or plan is
+//! read. A fixed node's grid entry carries its exact position. A walker is
+//! judged by its **anchor**: one dense position column, `at`, holds every
+//! fixed node's position and every walker's position at the last barrier,
+//! and `anchored_at` is the oldest anchor time in it. Each shard ends its
+//! pass by computing where a contiguous share of the movers stands at the
+//! window end (plans are shared and positions pure, so the plan reads run in
+//! parallel), and the barrier's one pass over the movers writes those
+//! anchors and re-homes from them; a newcomer's entry is written by the
+//! window start that indexes it. Windows in which no node has an event run
+//! no barrier, so anchors may be several windows old. No node moves faster
+//! than [`ShardedConfig::max_speed_mps`] — `add_node` checks it
+//! ([`MotionPlan::keeps_to`]) — so a walker whose anchor lies farther than
+//! `range + max_speed × (now − anchored_at) + 1 mm` cannot be in range. The survivors get the exact predicate and are sorted by id, so the
+//! inquiry draws from its stream exactly what a scan in id order would.
 //!
 //! So inside a window a node reads only data whose answers cannot change
 //! and writes only its own state and its shard's outbox, and the order in
@@ -44,16 +60,18 @@
 //!   queue sees exactly the insertion order of one global canonical sort —
 //!   then drains the node, writes the new head time back, and notes a
 //!   snapshot delta if the node's published state changed (it can only
-//!   change while the node runs its own events).
+//!   change while the node runs its own events). After the pass the shard
+//!   anchors its share of the movers at the window end.
 //! * **On the coordinator, at the window start**: apply the shards' snapshot
 //!   deltas, enter the nodes added since the last window into the index and
 //!   re-bucket the walkers whose plan has left their cell. A node stays
 //!   indexed whatever its liveness (inquiries filter candidates on the
 //!   snapshot anyway).
 //! * **On the coordinator, at the barrier**: fold the shards' load counts
-//!   (O(shards)), move each mover — every node after a stripe re-cut — to the
-//!   shard whose stripe now contains it, and hand every outbox message to the
-//!   owner's inbox. Nothing is sorted or queued here.
+//!   (O(shards)), write each mover's anchor and move it — every node after
+//!   a stripe re-cut — to the shard whose stripe now contains it, and
+//!   hand every outbox message to the owner's inbox. Nothing is sorted or
+//!   queued here.
 //! * **At the end of a `run_until` call** the coordinator queues any mail
 //!   still in an inbox itself, so between calls — where
 //!   [`ShardedWorld::install_fault_plan`] and [`ShardedWorld::add_node`]
@@ -133,9 +151,11 @@ pub struct ShardedConfig {
     pub link_check_interval: SimDuration,
     /// Horizon up to which mobility models are compiled into motion plans.
     pub mobility_horizon: SimTime,
-    /// Upper bound on any node's speed in metres per second. Used to pad
-    /// per-window grid queries so a window-start index still yields a
-    /// superset of the nodes in range at any instant inside the window.
+    /// Upper bound on any node's speed in metres per second, checked by
+    /// [`ShardedWorld::add_node`]. It pads per-window grid queries so a
+    /// window-start index still yields a superset of the nodes in range at
+    /// any instant inside the window, and bounds how far a walker can have
+    /// strayed from its last anchor.
     pub max_speed_mps: f64,
     /// Spatial-grid cell size override in metres; defaults to the smallest
     /// finite radio range.
@@ -239,10 +259,17 @@ pub struct ShardedWorld {
     master_rng: SimRng,
     names: Vec<String>,
     plans: Vec<MotionPlan>,
-    /// Per node: its plan never moves. Such a node is bucketed in the grid
-    /// once, changes stripe only at a re-cut, and a link between two of them
-    /// needs no range check.
+    /// Per node: its plan never moves ([`MotionPlan::fixed_position`]).
+    /// Such a node is bucketed in the grid once, changes stripe only at a
+    /// re-cut, and a link between two of them needs no range check.
     fixed: Vec<bool>,
+    /// Per node indexed so far: a fixed node's exact position, and a
+    /// walker's position at its last anchor — the barrier's pass over the
+    /// movers, or the window start that indexed it.
+    at: Vec<Point>,
+    /// The oldest anchor time in `at`: every walker stands within
+    /// `max_speed_mps × (now − anchored_at)` of its entry.
+    anchored_at: SimTime,
     /// Raw ids of the nodes that do move, ascending.
     movers: Vec<usize>,
     shards: Vec<Shard>,
@@ -285,6 +312,8 @@ impl ShardedWorld {
             names: Vec::new(),
             plans: Vec::new(),
             fixed: Vec::new(),
+            at: Vec::new(),
+            anchored_at: SimTime::MAX,
             movers: Vec::new(),
             shards: (0..shard_count).map(|_| Shard::new()).collect(),
             owner: Vec::new(),
@@ -439,6 +468,11 @@ impl ShardedWorld {
     /// Adds a node with the given behaviour; ids are dense and assigned in
     /// insertion order. The node's RNG stream and compiled motion plan are
     /// the ones the sequential world would give it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the compiled plan is faster than
+    /// [`ShardedConfig::max_speed_mps`] ([`MotionPlan::keeps_to`]).
     pub fn add_node(
         &mut self,
         name: impl Into<String>,
@@ -471,7 +505,12 @@ impl ShardedWorld {
             shard.nodes.push(None);
             shard.due.push(SimTime::MAX);
         }
-        let fixed = !plan.moving_after(SimTime::ZERO);
+        assert!(
+            plan.keeps_to(self.config.max_speed_mps),
+            "sharded world bounds every node's speed by max_speed_mps ({} m/s): a faster node would drop out of other nodes' inquiries",
+            self.config.max_speed_mps
+        );
+        let fixed = plan.fixed_position().is_some();
         if !fixed {
             self.movers.push(raw as usize);
         }
@@ -546,6 +585,10 @@ impl ShardedWorld {
                     radio: &self.config.radio,
                     plans: &self.plans,
                     fixed: &self.fixed,
+                    at: &self.at,
+                    anchored_at: self.anchored_at,
+                    movers: &self.movers,
+                    max_speed_mps: self.config.max_speed_mps,
                     snapshot: &self.snapshot,
                     grid: &self.grid,
                     window_end: t1,
@@ -553,13 +596,15 @@ impl ShardedWorld {
                     query_pad_m: self.config.max_speed_mps * self.window.as_secs_f64(),
                 };
                 let span = self.profiler.begin();
-                if self.shards.len() == 1 {
-                    self.shards[0].run_window(&view);
+                let (movers, shards) = (self.movers.len(), self.shards.len());
+                let share = |s: usize| movers * s / shards..movers * (s + 1) / shards;
+                if shards == 1 {
+                    self.shards[0].run_window(&view, share(0));
                 } else {
                     std::thread::scope(|scope| {
-                        for shard in self.shards.iter_mut() {
-                            let view = &view;
-                            scope.spawn(move || shard.run_window(view));
+                        for (s, shard) in self.shards.iter_mut().enumerate() {
+                            let (view, share) = (&view, share(s));
+                            scope.spawn(move || shard.run_window(view, share));
                         }
                     });
                 }

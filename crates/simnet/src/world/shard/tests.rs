@@ -497,10 +497,9 @@ fn add_node_does_no_grid_work_and_the_next_window_start_indexes_the_newcomers() 
         "the next window start indexes the newcomers"
     );
     // Everyone is bucketed within one window's walk of where it stands.
-    let mut near = Vec::new();
     for node in world.node_ids() {
         let here = world.position_of(node).expect("exists");
-        world.grid.query_into(here, 1.5 * window.as_secs_f64(), &mut near);
+        let near = world.grid.query(here, 1.5 * window.as_secs_f64());
         assert!(near.contains(&node), "{node} is not indexed around {here:?}");
     }
 }
@@ -548,8 +547,7 @@ fn a_crashed_fixed_node_keeps_its_grid_cell_but_is_no_hit_until_it_restarts() {
     world.install_fault_plan(b, &FaultPlan::new().crash_at(ms(3_000)).restart_at(ms(7_000)));
     world.run_until(ms(5_000));
     assert!(!world.is_alive(b));
-    let mut bucketed = Vec::new();
-    world.grid.query_into(Point::new(20.0, 50.0), 1.0, &mut bucketed);
+    let bucketed = world.grid.query(Point::new(20.0, 50.0), 1.0);
     world.run_until(ms(10_500));
     let hits: Vec<Vec<NodeId>> = probe(&mut world, a, |p| p.scans.iter().map(|(_, h)| h.clone()).collect());
     assert_eq!(hits, vec![vec![b], vec![], vec![], vec![b], vec![b]]);
@@ -1038,4 +1036,198 @@ fn a_radio_outage_breaks_no_half_the_node_already_closed() {
     // The closer's own `LocalClosed`, the peer's `Closed` and the answer to
     // it: a `Broken` for the closed half would be a fourth.
     assert_eq!(world.profile().calls(Phase::Disconnect), 3);
+}
+
+#[test]
+#[should_panic(expected = "bounds every node's speed by max_speed_mps (3 m/s)")]
+fn a_walker_faster_than_the_speed_bound_is_refused() {
+    let mut world = ideal_world(1);
+    world.add_node(
+        "steady",
+        fixed_at(10.0, 10.0),
+        &[RadioTech::Wlan],
+        Box::<Probe>::default(),
+    );
+    let sprint = MobilityModel::walk(Point::new(0.0, 50.0), Point::new(100.0, 50.0), 5.0);
+    world.add_node("sprinter", sprint, &[RadioTech::Wlan], Box::<Probe>::default());
+}
+
+/// Scans in rounds: each round starts at a multiple of `ROUND`, a per-node
+/// jitter of less than one window later, so that while the scans are in the
+/// air no node has anything to do and no barrier re-anchors the walkers.
+#[derive(Default)]
+struct Sweeper {
+    jitter: Option<SimDuration>,
+    hits: Vec<(SimTime, Vec<NodeId>)>,
+}
+
+const ROUND: SimDuration = SimDuration::from_secs(10);
+
+impl Sweeper {
+    fn next_round(&mut self, ctx: &mut impl Ctx) {
+        let jitter = *self
+            .jitter
+            .get_or_insert_with(|| SimDuration::from_secs_f64(ctx.rng().uniform_f64(0.0, 0.4)));
+        let round = ROUND.as_micros();
+        let next = SimTime::from_micros((ctx.now().as_micros() / round + 1) * round) + jitter;
+        ctx.schedule(next - ctx.now(), TICK);
+    }
+}
+
+impl Agent for Sweeper {
+    fn on_start<C: Ctx>(&mut self, ctx: &mut C) {
+        self.next_round(ctx);
+    }
+    fn on_timer<C: Ctx>(&mut self, ctx: &mut C, _token: TimerToken) {
+        ctx.start_inquiry(RadioTech::Wlan);
+    }
+    fn on_inquiry_complete<C: Ctx>(&mut self, ctx: &mut C, _tech: RadioTech, hits: Vec<InquiryHit>) {
+        self.hits.push((ctx.now(), hits.iter().map(|h| h.node).collect()));
+        self.next_round(ctx);
+    }
+}
+
+/// Every inquiry of a 1 000-node city — 80 % fixed, walkers at the speed
+/// bound, one crash and restart, newcomers between runs, and 4 s scans in
+/// the air over windows with no event, so that anchors age seven windows —
+/// is held by the test build's
+/// cross-check in `complete_inquiry` to a scan of every node with the exact
+/// predicate, in id order; at 1 and at 3 shards, with the same hits.
+#[test]
+fn every_sharded_inquiry_answers_what_a_scan_of_every_node_answers() {
+    let run = |shards: usize| {
+        let side = 900.0;
+        let mut config = ShardedConfig::new(0x0AC1E, Rect::square(side));
+        config.shards = shards;
+        config.radio.wlan.inquiry_duration = SimDuration::from_secs(4);
+        let bound = config.max_speed_mps;
+        let mut world = ShardedWorld::new(config);
+        let mut placer = SimRng::new(0x0AC1E);
+        let mut crowd = |world: &mut ShardedWorld, count: usize| {
+            for _ in 0..count {
+                let i = world.node_count();
+                let at = Point::new(placer.uniform_f64(0.0, side), placer.uniform_f64(0.0, side));
+                let mobility = match i % 10 {
+                    0 => MobilityModel::walk(at, Point::new(side - at.x, side - at.y), bound),
+                    5 => MobilityModel::RandomWaypoint {
+                        area: Rect::square(side),
+                        start: at,
+                        min_speed_mps: bound,
+                        max_speed_mps: bound,
+                        pause: SimDuration::from_secs(3),
+                    },
+                    _ => MobilityModel::stationary(at),
+                };
+                world.add_node(format!("n{i}"), mobility, &[RadioTech::Wlan], Box::<Sweeper>::default());
+            }
+        };
+        crowd(&mut world, 900);
+        let crashed = NodeId::from_raw(17);
+        world.install_fault_plan(crashed, &FaultPlan::new().crash_at(ms(15_000)).restart_at(ms(25_000)));
+        world.run_for(SimDuration::from_secs(20));
+        crowd(&mut world, 50);
+        world.run_for(SimDuration::from_secs(20));
+        crowd(&mut world, 50);
+        world.run_for(SimDuration::from_secs(20));
+        let (checked, oldest) = world.shards.iter().fold((0, SimDuration::ZERO), |(n, age), s| {
+            (n + s.out.checked.0, age.max(s.out.checked.1))
+        });
+        let hits: Vec<_> = world
+            .node_ids()
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|node| {
+                world
+                    .with_agent::<Sweeper, _>(node, |s| s.hits.clone())
+                    .expect("a Sweeper")
+            })
+            .collect();
+        assert_eq!(world.fault_stats().crashes, 1);
+        (checked, oldest, hits, world.window())
+    };
+    let (checked, oldest, hits, window) = run(1);
+    // Rounds start at 10 s: 900 nodes scan in 5, the newcomers of 20 s in 3
+    // and those of 40 s in 1, less the crashed node's round at 20 s.
+    assert_eq!(checked, 900 * 5 + 50 * 3 + 50 - 1, "inquiries cross-checked");
+    assert!(oldest > window * 3, "anchors aged only {oldest:?}");
+    let walker_hits = hits
+        .iter()
+        .flatten()
+        .flat_map(|(_, seen)| seen)
+        .filter(|id| matches!(id.as_raw() % 10, 0 | 5))
+        .count();
+    assert!(walker_hits > 1_000, "{walker_hits} hits on walkers");
+    let (checked_3, _, hits_3, _) = run(3);
+    assert_eq!(checked_3, checked);
+    assert_eq!(hits_3, hits);
+}
+
+/// A cluster plus outliers 10 000 km apart: both engines' cell tables stay
+/// sized by the node count, answer exactly, and a query wider than the
+/// table visits each node once.
+#[test]
+fn both_engines_keep_a_bounded_cell_table_over_a_city_with_far_outliers() {
+    let mut placer = SimRng::new(0xFA7);
+    let spots: Vec<Point> = (0..300)
+        .map(|i| {
+            if i % 30 == 0 {
+                let k = (i / 30) as f64 - 5.0;
+                Point::new(k * 1e7, -k * 1e7)
+            } else {
+                Point::new(placer.uniform_f64(0.0, 200.0), placer.uniform_f64(0.0, 200.0))
+            }
+        })
+        .collect();
+    let bounded = |slots: usize| {
+        assert!(slots <= 4 * spots.len() + 64, "{slots} slots for {} nodes", spots.len());
+    };
+    let no_duplicates = |mut ids: Vec<NodeId>| {
+        let visited = ids.len();
+        ids.dedup();
+        assert_eq!(ids.len(), visited, "a wide query visits each node once");
+        assert_eq!(visited, spots.len(), "and every node");
+    };
+
+    let mut sequential = crate::world::World::new(crate::world::WorldConfig::with_seed(3));
+    for (i, spot) in spots.iter().enumerate() {
+        let mobility = if i % 7 == 0 {
+            MobilityModel::walk(*spot, spot.offset(150.0, 0.0), 1.5)
+        } else {
+            MobilityModel::stationary(*spot)
+        };
+        sequential.add_node(
+            format!("n{i}"),
+            mobility,
+            &[RadioTech::Wlan],
+            Box::new(OnWorld(Chatter::default())),
+        );
+    }
+    sequential.run_until(ms(30_000));
+    bounded(sequential.topology.grid_slots());
+    for node in sequential.node_ids().collect::<Vec<_>>() {
+        assert_eq!(
+            sequential.neighbors_in_range(node, RadioTech::Wlan),
+            sequential.neighbors_in_range_reference(node, RadioTech::Wlan)
+        );
+    }
+    let mut wide = Vec::new();
+    sequential
+        .topology
+        .for_each_near(Point::ORIGIN, 1e9, |entry| wide.push(entry.node()));
+    wide.sort_unstable();
+    no_duplicates(wide);
+
+    let mut sharded = ideal_world(2);
+    for (i, spot) in spots.iter().enumerate() {
+        let mobility = if i % 7 == 0 {
+            MobilityModel::walk(*spot, spot.offset(150.0, 0.0), 1.5)
+        } else {
+            MobilityModel::stationary(*spot)
+        };
+        sharded.add_node(format!("n{i}"), mobility, &[RadioTech::Wlan], Probe::scanning());
+    }
+    sharded.run_until(ms(30_000));
+    bounded(sharded.grid.slot_count());
+    assert!(sharded.shards.iter().map(|s| s.out.checked.0).sum::<u64>() > 1_000);
+    no_duplicates(sharded.grid.query(Point::ORIGIN, 1e9));
 }

@@ -8,7 +8,7 @@
 
 use std::cell::RefCell;
 
-use super::grid::SpatialGrid;
+use super::grid::{Entry, SpatialGrid};
 use crate::geometry::Point;
 use crate::mobility::MotionPlan;
 use crate::node::{NodeAgent, NodeId};
@@ -90,16 +90,24 @@ impl Topology {
         self.grid.get_mut().reinsert(node, &slot.plan, now);
     }
 
-    /// Node ids in every grid cell intersecting the disk of `radius` metres
-    /// around `center`, cleared into and returned through a caller-owned
-    /// scratch `Vec` so the per-query candidate allocation disappears from
-    /// the inquiry/neighbour hot paths. Results are sorted ascending: a
-    /// superset of the nodes truly in range (callers apply the exact
-    /// predicate), byte-identical to a full scan once filtered, because
-    /// candidate order matches node-id order.
-    pub(crate) fn candidates_within_into(&self, center: Point, radius: f64, now: SimTime, out: &mut Vec<NodeId>) {
+    /// Brings the spatial index up to `now`: re-buckets every walker whose
+    /// plan has left its cell. Runs before every [`Topology::for_each_near`].
+    pub(crate) fn refresh_grid(&self, now: SimTime) {
         let mut grid = self.grid.borrow_mut();
         grid.refresh(now, |id| &self.nodes[id.as_raw() as usize].plan);
-        grid.query_into(center, radius, out);
+    }
+
+    /// Walks the index around `center` ([`SpatialGrid::for_each_near`]):
+    /// every node that may be within `radius` metres, once each, in no
+    /// particular order. The index must have been refreshed to the instant
+    /// the caller range-checks at.
+    pub(crate) fn for_each_near(&self, center: Point, radius: f64, visit: impl FnMut(&Entry)) {
+        self.grid.borrow().for_each_near(center, radius, visit);
+    }
+
+    /// Number of slots in the grid's cell table.
+    #[cfg(test)]
+    pub(crate) fn grid_slots(&self) -> usize {
+        self.grid.borrow().slot_count()
     }
 }
