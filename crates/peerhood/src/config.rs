@@ -166,7 +166,7 @@ pub struct SecurityConfig {
     /// Reporter reputation: neighbour reports from devices that have
     /// produced security rejections (or dead bridge routes) are ignored once
     /// the reporter has accrued
-    /// [`REPORTER_PENALTY_LIMIT`](crate::storage::REPORTER_PENALTY_LIMIT)
+    /// [`REPORTER_PENALTY_LIMIT`](crate::security::REPORTER_PENALTY_LIMIT)
     /// penalties.
     pub sanity_checks: bool,
     /// Keyed frame authentication: every frame carries a 16-byte

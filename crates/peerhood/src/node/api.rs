@@ -216,7 +216,8 @@ impl Core {
         // one dial that asks the breaker itself and then takes `dial`'s
         // ungated half.
         let first_hop = kind.first_hop(target).unwrap_or(target);
-        if !self.resilience.allow_dial(first_hop, ctx.now()) {
+        let peers = &mut self.security.peers;
+        if !self.resilience.allow_dial(peers, first_hop, ctx.now()) {
             return Err(PeerHoodError::CircuitOpen(first_hop));
         }
         let conn = self.connections.allocate_id(self.my_address());

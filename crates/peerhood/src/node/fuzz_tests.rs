@@ -337,7 +337,8 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                     .storage
                     .get(DeviceAddress::from_node_raw(HOSTILE_BASE + 0x42))
                     .is_some();
-            let attacker_penalty = core.storage.reporter_penalty(DeviceAddress::from_node(attacker_node()));
+            let attacker = &core.security.peers.get(&DeviceAddress::from_node(attacker_node()));
+            let attacker_penalty = attacker.map_or(0, |row| row.penalties);
             (stats, hijacked, poisoned, attacker_penalty)
         })
         .unwrap();

@@ -200,7 +200,8 @@ impl PeerHoodNode {
     /// Snapshot of the resilience pipeline's per-layer counters and breaker
     /// population.
     pub fn resilience_stats(&self) -> crate::resilience::ResilienceStats {
-        self.core.as_ref().map(|c| c.resilience.stats()).unwrap_or_default()
+        let core = self.core.as_ref();
+        core.map(|c| c.resilience.stats(&c.security.peers)).unwrap_or_default()
     }
 
     /// Snapshot of the protocol-hardening counters (frame auth, replay
@@ -510,7 +511,8 @@ impl Agent for PeerHoodNode {
                         .iter()
                         .filter(|c| !c.is_outgoing() && c.is_established())
                         .count();
-                if !core.resilience.admit(peer, ctx.now(), active) {
+                let peers = &mut core.security.peers;
+                if !core.resilience.admit(peers, peer, ctx.now(), active) {
                     return false;
                 }
                 core.roles.insert(incoming.link, LinkRole::IncomingUnidentified);

@@ -102,7 +102,7 @@ impl Core {
     /// returns whether the attempt was started. Callers handle a refusal
     /// their own way.
     pub(crate) fn dial(&mut self, ctx: &mut dyn Ctx, hop: DeviceAddress, role: LinkRole) -> bool {
-        if !self.resilience.allow_dial(hop, ctx.now()) {
+        if !self.resilience.allow_dial(&mut self.security.peers, hop, ctx.now()) {
             return false;
         }
         self.connect_hop(ctx, hop, role);
@@ -140,7 +140,7 @@ impl Core {
         let peer = DeviceAddress::from_node(peer);
         // The radio link came up: the circuit breaker towards that physical
         // hop records the success (closing a half-open breaker).
-        self.resilience.record_dial_success(peer);
+        self.resilience.record_dial_success(&mut self.security.peers, peer);
         let request = match role {
             LinkRole::DaemonFetch { .. } => Some(Message::InquiryRequest {
                 requester: self.my_info(),
@@ -204,7 +204,8 @@ impl Core {
         let peer = DeviceAddress::from_node(peer);
         // Dial failures towards a physical hop feed its circuit breaker,
         // whatever protocol flow the attempt belonged to.
-        self.resilience.record_dial_failure(peer, ctx.now());
+        self.resilience
+            .record_dial_failure(&mut self.security.peers, peer, ctx.now());
         match role {
             LinkRole::DaemonFetch { .. } => {
                 self.note_fetch_finished(ctx, tech);
@@ -234,7 +235,7 @@ impl Core {
                 // dialled is how forged neighbour reports manifest at the
                 // bridge: the reputation layer charges the hop so repeated
                 // phantom routes eventually stop being followed.
-                self.note_peer_misbehaved(peer);
+                self.security.penalize(peer);
                 self.fail_bridge_pair(ctx, conn, ErrorCode::DownstreamFailed, "bridge leg failed".into());
             }
             LinkRole::HandoverPending { conn, .. } => {

@@ -58,15 +58,6 @@ impl Core {
         }
     }
 
-    /// Records a reputation penalty against a peer one of the defences
-    /// caught misbehaving (no-op below the sanity tier).
-    pub(crate) fn note_peer_misbehaved(&mut self, peer: DeviceAddress) {
-        if self.security.sanity_checks() {
-            self.storage.penalize_reporter(peer);
-            self.security.stats.penalties_recorded += 1;
-        }
-    }
-
     /// The encoded response to an inquiry request (Fig. 3.5): own device
     /// information, every registered service except the hidden bridge
     /// service, the storage's entries within `max_export_jumps`, and the
@@ -235,7 +226,7 @@ impl Core {
             match self.security.verify_and_strip(sender, payload.as_slice()) {
                 Ok(body) => body,
                 Err(_) => {
-                    self.note_peer_misbehaved(sender);
+                    self.security.penalize(sender);
                     return;
                 }
             }
@@ -315,7 +306,7 @@ impl Core {
                 // anything else is a forged or replayed reply context.
                 if orig.initiator() != self.my_address() {
                     self.security.stats.bad_reply_context += 1;
-                    self.note_peer_misbehaved(client.address);
+                    self.security.penalize(client.address);
                     self.drop_link(ctx, link);
                     return;
                 }
@@ -328,7 +319,7 @@ impl Core {
                 // allocator is a replayed or forged frame trying to hijack
                 // or pre-poison someone else's session.
                 self.security.stats.foreign_conn_rejected += 1;
-                self.note_peer_misbehaved(client.address);
+                self.security.penalize(client.address);
                 self.drop_link(ctx, link);
                 return;
             }
@@ -477,7 +468,7 @@ impl Core {
         // report is gossip and is no longer integrated into the routing
         // table, so a compromised node cannot keep poisoning route
         // candidates after being caught.
-        let blocked = self.storage.reporter_blocked(report.device.address);
+        let blocked = self.security.reporter_blocked(report.device.address);
         if blocked {
             self.security.stats.reports_skipped += 1;
         }
@@ -569,7 +560,7 @@ impl Core {
                         _ => None,
                     };
                     if let Some(peer) = blame {
-                        self.note_peer_misbehaved(peer);
+                        self.security.penalize(peer);
                     }
                 }
                 if let Some(c) = self.connections.get_mut(conn) {
@@ -756,13 +747,13 @@ impl Core {
                 .mark_suspect(DeviceAddress::from_node(peer), self.config.discovery.max_missed_loops);
             // A crashed peer counts as a dial failure towards it.
             self.resilience
-                .record_dial_failure(DeviceAddress::from_node(peer), ctx.now());
+                .record_dial_failure(&mut self.security.peers, DeviceAddress::from_node(peer), ctx.now());
         } else if reason == DisconnectReason::OutOfRange {
             // A physically broken link feeds the flap detector: a neighbour
             // whose links keep breaking trips its breaker even though every
             // individual dial succeeds.
             self.resilience
-                .record_link_break(DeviceAddress::from_node(peer), ctx.now());
+                .record_link_break(&mut self.security.peers, DeviceAddress::from_node(peer), ctx.now());
         }
         let role = match self.roles.remove(&link) {
             Some(r) => r,

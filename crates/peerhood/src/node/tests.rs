@@ -14,6 +14,7 @@ use crate::device::{DeviceInfo, MobilityClass};
 use crate::error::PeerHoodError;
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::proto::{Message, NeighborRecord};
+use crate::resilience::BreakerState;
 use crate::service::{ServiceInfo, BRIDGE_SERVICE_NAME};
 use crate::wire;
 
@@ -979,6 +980,100 @@ fn circuit_breaker_blocks_dials_to_a_dead_peer() {
         .unwrap();
     assert!(stats.breaker_trips >= 1, "the trip must be counted, got {stats:?}");
     assert!(stats.breaker_blocked >= 1, "the refused dial must be counted");
+}
+
+/// A crash forgives everything: a hardened node holding penalties, replay
+/// windows, a tripped breaker and a neighbour's claims is crashed and
+/// restarted by a `FaultPlan`, and its reborn core holds no peer row and no
+/// claim.
+#[test]
+fn a_restart_empties_the_peer_table_and_the_claims() {
+    let hardened = |name: &str, mobility| {
+        let mut cfg = PeerHoodConfig::new(name, mobility);
+        cfg.security = crate::config::SecurityConfig::auth();
+        cfg.resilience = crate::resilience::ResilienceConfig::all_on();
+        cfg
+    };
+    let node =
+        |cfg: PeerHoodConfig, app: TestApp| Box::new(OnWorld(PeerHoodNode::builder().config(cfg).app(app).build()));
+    let mut world = World::new(WorldConfig::ideal(57));
+    let victim = world.add_node(
+        "victim",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        node(hardened("victim", MobilityClass::Dynamic), TestApp::default()),
+    );
+    let relay = world.add_node(
+        "relay",
+        MobilityModel::stationary(Point::new(3.0, 0.0)),
+        &bt(),
+        node(hardened("relay", MobilityClass::Static), TestApp::default()),
+    );
+    let server = world.add_node(
+        "server",
+        MobilityModel::stationary(Point::new(6.0, 0.0)),
+        &bt(),
+        node(
+            hardened("server", MobilityClass::Static),
+            TestApp::server("echo", false),
+        ),
+    );
+    world.run_for(SimDuration::from_secs(40));
+    let (relay_addr, server_addr) = (DeviceAddress::from_node(relay), DeviceAddress::from_node(server));
+
+    // A frame without a valid trailer, on the relay's radio: a penalty.
+    world
+        .with_agent::<PeerHoodNode, _>(victim, |n, ctx| {
+            let core = n.core_mut().expect("victim running");
+            core.handle_message(ctx, simnet::LinkId(9_999), relay, b"no trailer".to_vec().into());
+        })
+        .unwrap();
+    // Dials towards the crashed server trip its breaker.
+    world.crash_node(server);
+    let mut circuit_open = false;
+    for _ in 0..8 {
+        let result = world
+            .with_agent::<PeerHoodNode, _>(victim, |n, ctx| {
+                n.with_api(ctx, |api| api.connect_to(server_addr, "echo")).unwrap()
+            })
+            .unwrap();
+        if let Err(PeerHoodError::CircuitOpen(_)) = result {
+            circuit_open = true;
+            break;
+        }
+        world.run_for(SimDuration::from_secs(8));
+    }
+    assert!(circuit_open, "repeated dial failures must trip the breaker");
+
+    let held = |n: &mut PeerHoodNode| {
+        let core = n.core_mut().expect("victim running");
+        let peers = &core.security.peers;
+        let penalized = peers.get(&relay_addr).map_or(0, |row| row.penalties);
+        let open = peers
+            .values()
+            .filter(|row| row.breaker.state() == BreakerState::Open)
+            .count();
+        let claimed = core.storage.reported_quality(relay_addr, server_addr).is_some()
+            || core.storage.reported_quality(server_addr, relay_addr).is_some();
+        (peers.len(), penalized, open, claimed)
+    };
+    let before = world.with_agent::<PeerHoodNode, _>(victim, |n, _| held(n)).unwrap();
+    assert_eq!(before.0, 2, "a row for each neighbour heard");
+    assert!(before.1 >= 1, "the relay holds a penalty");
+    assert_eq!(before.2, 1, "the server's breaker is open");
+    assert!(before.3, "a neighbour's claim is held");
+
+    let crash_at = world.now() + SimDuration::from_secs(1);
+    let downtime = SimDuration::from_secs(5);
+    world.install_fault_plan(victim, simnet::FaultPlan::new().crash_for(crash_at, downtime));
+    world.run_until(crash_at + downtime + SimDuration::from_millis(10));
+    let after = world.with_agent::<PeerHoodNode, _>(victim, |n, _| held(n)).unwrap();
+    assert_eq!(
+        after,
+        (0, 0, 0, false),
+        "the reborn core starts with no peer row and no claim"
+    );
+    assert_eq!(world.fault_stats().restarts, 1);
 }
 
 // ---------------------------------------------------------------------

@@ -9,13 +9,13 @@
 //! [`PeerHoodConfig::resilience`](crate::config::PeerHoodConfig::resilience)
 //! and tuned by the constants below:
 //!
-//! 1. **per-peer circuit breakers** — Closed/Open/HalfOpen state machines
-//!    keyed by [`DeviceAddress`], tripped by connect failures, peer crashes
-//!    and flapping (repeated link breaks within a window), with
-//!    deterministic virtual-clock cooldowns and half-open probes, gating
-//!    the node's own dials (application connects, service reconnections,
-//!    daemon fetches, reply reconnects and handover legs); a relay's
-//!    downstream leg is not gated, though its failures still count,
+//! 1. **per-peer circuit breakers** — Closed/Open/HalfOpen state machines,
+//!    one in each peer's row of the [`PeerTable`], tripped by connect
+//!    failures, peer crashes and flapping (repeated link breaks within a
+//!    window), with deterministic virtual-clock cooldowns and half-open
+//!    probes, gating the node's own dials (application connects, service
+//!    reconnections, daemon fetches, reply reconnects and handover legs); a
+//!    relay's downstream leg is not gated, though its failures still count,
 //! 2. **bounded per-app inbound/outbound rate limits with explicit
 //!    shedding** — token buckets plus a cap on the §5.3 result-routing
 //!    outbox; shed work is surfaced as
@@ -23,7 +23,8 @@
 //!    or a typed [`Shed`](crate::node::PeerHoodEvent::Shed) event to the
 //!    owning app, never dropped silently,
 //! 3. **admission control** on incoming radio connections — a per-node
-//!    concurrent-session cap and a per-peer accept-rate cap; rejected
+//!    concurrent-session cap and a per-peer accept-rate cap, whose log of
+//!    recent accepts is the peer row's admission column; rejected
 //!    attempts are answered at the radio layer (the dialer sees
 //!    `ConnectError::Rejected`) before any middleware state is allocated,
 //!    and hot neighbours re-asking for inquiry responses are already served
@@ -34,6 +35,10 @@
 //! (the default) it is behaviourally invisible, preserving byte-identical
 //! reports for all existing experiments. There is no per-layer switch: no
 //! caller ever turned one layer on without the others.
+//!
+//! Layers 1 and 3 keep no state of their own: their gates are handed the
+//! node's [`PeerTable`] (owned by [`Security`](crate::security::Security))
+//! and insert a row only when the pipeline is on.
 //!
 //! A [`ResilienceStats`] snapshot (per-layer trips, sheds, admits/rejects,
 //! breaker states) is exported per node through
@@ -47,6 +52,7 @@ use simnet::{SimDuration, SimTime, Telemetry};
 
 use crate::ids::DeviceAddress;
 use crate::node::AppId;
+use crate::security::{Peer, PeerTable};
 
 /// Consecutive dial failures (connect refused/failed, peer crashed) that trip
 /// a Closed breaker open.
@@ -204,18 +210,7 @@ impl CircuitBreaker {
     /// Records a link break towards the peer (the flap detector). Returns
     /// true when the break tripped the breaker.
     pub fn record_break(&mut self, now: SimTime) -> bool {
-        let horizon = now.saturating_since(SimTime::ZERO);
-        while let Some(first) = self.breaks.front() {
-            if horizon
-                .as_micros()
-                .saturating_sub(first.saturating_since(SimTime::ZERO).as_micros())
-                > FLAP_WINDOW.as_micros()
-            {
-                self.breaks.pop_front();
-            } else {
-                break;
-            }
-        }
+        slide(&mut self.breaks, now, FLAP_WINDOW);
         self.breaks.push_back(now);
         match self.state {
             BreakerState::HalfOpen => {
@@ -229,6 +224,15 @@ impl CircuitBreaker {
             }
             _ => false,
         }
+    }
+}
+
+/// Drops the instants of an oldest-first log that lie more than `window`
+/// before `now`: the one rule of both sliding windows, the flap log and the
+/// admission log.
+fn slide(log: &mut VecDeque<SimTime>, now: SimTime, window: SimDuration) {
+    while log.front().is_some_and(|first| now.saturating_since(*first) > window) {
+        log.pop_front();
     }
 }
 
@@ -343,17 +347,21 @@ impl ResilienceStats {
 
 /// Runtime state of one node's resilience pipeline. Owned by the middleware
 /// core; every data-path hook funnels through the methods here, and each
-/// method is a no-op returning "allow" when the pipeline is off.
+/// method is a no-op returning "allow" when the pipeline is off. The
+/// per-peer layers read and write the [`PeerTable`] they are handed.
 #[derive(Debug, Clone)]
 pub struct Resilience {
     cfg: ResilienceConfig,
-    breakers: IdTable<DeviceAddress, CircuitBreaker>,
     inbound: IdTable<Option<AppId>, TokenBucket>,
     outbound: IdTable<Option<AppId>, TokenBucket>,
-    admits: IdTable<DeviceAddress, VecDeque<SimTime>>,
     /// The monotonic tallies; the two breaker-population fields stay zero
     /// here and are counted by [`Resilience::stats`].
     counters: ResilienceStats,
+}
+
+/// The breaker towards `peer`, its row created on first use.
+fn breaker(peers: &mut PeerTable, peer: DeviceAddress) -> &mut CircuitBreaker {
+    &mut peers.get_or_insert_with(peer, Peer::default).breaker
 }
 
 impl Resilience {
@@ -361,10 +369,8 @@ impl Resilience {
     pub fn new(cfg: ResilienceConfig) -> Self {
         Resilience {
             cfg,
-            breakers: IdTable::default(),
             inbound: IdTable::default(),
             outbound: IdTable::default(),
-            admits: IdTable::default(),
             counters: ResilienceStats::default(),
         }
     }
@@ -378,11 +384,11 @@ impl Resilience {
     /// daemon fetches, reply reconnects, handover legs, service
     /// reconnections — and in `op_connect_to` before it allocates a
     /// connection id. A relay's downstream leg does not ask.
-    pub fn allow_dial(&mut self, peer: DeviceAddress, now: SimTime) -> bool {
+    pub fn allow_dial(&mut self, peers: &mut PeerTable, peer: DeviceAddress, now: SimTime) -> bool {
         if !self.cfg.enabled {
             return true;
         }
-        let breaker = self.breaker(peer);
+        let breaker = breaker(peers, peer);
         let was_open = breaker.state() == BreakerState::Open;
         let ok = breaker.allow(now);
         if ok {
@@ -396,44 +402,34 @@ impl Resilience {
     }
 
     /// Records a successful dial (radio link established towards `peer`).
-    pub fn record_dial_success(&mut self, peer: DeviceAddress) {
+    /// Creates no row: a success leaves a new breaker as it was.
+    pub fn record_dial_success(&self, peers: &mut PeerTable, peer: DeviceAddress) {
         if !self.cfg.enabled {
             return;
         }
-        if let Some(b) = self.breakers.get_mut(&peer) {
-            b.record_success();
+        if let Some(row) = peers.get_mut(&peer) {
+            row.breaker.record_success();
         }
     }
 
     /// Records a failed dial (connect refused/failed) or a peer crash.
-    pub fn record_dial_failure(&mut self, peer: DeviceAddress, now: SimTime) {
+    pub fn record_dial_failure(&mut self, peers: &mut PeerTable, peer: DeviceAddress, now: SimTime) {
         if !self.cfg.enabled {
             return;
         }
-        if self.breaker(peer).record_failure(now) {
+        if breaker(peers, peer).record_failure(now) {
             self.counters.breaker_trips += 1;
         }
     }
 
     /// Records a link break towards `peer` (flap counting).
-    pub fn record_link_break(&mut self, peer: DeviceAddress, now: SimTime) {
+    pub fn record_link_break(&mut self, peers: &mut PeerTable, peer: DeviceAddress, now: SimTime) {
         if !self.cfg.enabled {
             return;
         }
-        if self.breaker(peer).record_break(now) {
+        if breaker(peers, peer).record_break(now) {
             self.counters.breaker_trips += 1;
         }
-    }
-
-    /// The breaker towards `peer`, created closed on first use.
-    fn breaker(&mut self, peer: DeviceAddress) -> &mut CircuitBreaker {
-        self.breakers.get_or_insert_with(peer, CircuitBreaker::default)
-    }
-
-    /// The breaker state towards a peer (`None` when the peer was never
-    /// dialled or the pipeline is off).
-    pub fn breaker_state(&self, peer: DeviceAddress) -> Option<BreakerState> {
-        self.breakers.get(&peer).map(|b| b.state())
     }
 
     // ------------------------------------------------------------------
@@ -487,7 +483,7 @@ impl Resilience {
     /// Gate for one incoming radio connection from `peer`.
     /// `active_sessions` is the caller-computed concurrent incoming-session
     /// count (established incoming connections plus unidentified links).
-    pub fn admit(&mut self, peer: DeviceAddress, now: SimTime, active_sessions: usize) -> bool {
+    pub fn admit(&mut self, peers: &mut PeerTable, peer: DeviceAddress, now: SimTime, active_sessions: usize) -> bool {
         if !self.cfg.enabled {
             return true;
         }
@@ -495,14 +491,8 @@ impl Resilience {
             self.counters.rejected_sessions += 1;
             return false;
         }
-        let recent = self.admits.get_or_insert_with(peer, VecDeque::new);
-        while let Some(first) = recent.front() {
-            if now.saturating_since(*first) > PER_PEER_WINDOW {
-                recent.pop_front();
-            } else {
-                break;
-            }
-        }
+        let recent = &mut peers.get_or_insert_with(peer, Peer::default).admits;
+        slide(recent, now, PER_PEER_WINDOW);
         if recent.len() >= PER_PEER_RATE {
             self.counters.rejected_rate += 1;
             return false;
@@ -527,9 +517,9 @@ impl Resilience {
     }
 
     /// Point-in-time snapshot of every per-layer counter plus the live
-    /// breaker population.
-    pub fn stats(&self) -> ResilienceStats {
-        let population = |state| self.breakers.values().filter(|b| b.state() == state).count();
+    /// breaker population of `peers`.
+    pub fn stats(&self, peers: &PeerTable) -> ResilienceStats {
+        let population = |state| peers.values().filter(|row| row.breaker.state() == state).count();
         ResilienceStats {
             breakers_open: population(BreakerState::Open),
             breakers_half_open: population(BreakerState::HalfOpen),
@@ -544,6 +534,11 @@ mod tests {
 
     fn t(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
+    }
+
+    /// The state of the breaker in `peer`'s row, if it has a row.
+    fn breaker_state(peers: &PeerTable, peer: DeviceAddress) -> Option<BreakerState> {
+        peers.get(&peer).map(|row| row.breaker.state())
     }
 
     #[test]
@@ -624,6 +619,33 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Open);
     }
 
+    /// Both sliding windows keep an instant exactly one window old and drop
+    /// it a microsecond later.
+    #[test]
+    fn both_windows_keep_an_instant_exactly_a_window_old() {
+        let after = |at: SimTime| at + SimDuration::from_micros(1);
+        let mut b = CircuitBreaker::default();
+        b.record_break(t(0));
+        b.record_break(t(30));
+        assert!(b.record_break(t(60)), "the break at 0 s still counts at 60 s");
+        let mut late = CircuitBreaker::default();
+        late.record_break(t(0));
+        late.record_break(t(30));
+        assert!(!late.record_break(after(t(60))));
+
+        let mut r = Resilience::new(ResilienceConfig::all_on());
+        let mut peers = PeerTable::default();
+        let peer = DeviceAddress::from_node_raw(5);
+        for _ in 0..PER_PEER_RATE {
+            assert!(r.admit(&mut peers, peer, t(0), 0));
+        }
+        assert!(
+            !r.admit(&mut peers, peer, t(10), 0),
+            "the accepts at 0 s still count at 10 s"
+        );
+        assert!(r.admit(&mut peers, peer, after(t(10)), 0));
+    }
+
     #[test]
     fn token_bucket_refills_linearly_and_caps_at_burst() {
         let mut bucket = TokenBucket::new(2, 4, t(0));
@@ -650,64 +672,67 @@ mod tests {
     #[test]
     fn disabled_layers_allow_everything_and_count_nothing() {
         let mut r = Resilience::new(ResilienceConfig::default());
+        let mut peers = PeerTable::default();
         let peer = DeviceAddress::from_node_raw(7);
         for _ in 0..=FAILURE_THRESHOLD {
-            r.record_dial_failure(peer, t(0));
-            r.record_link_break(peer, t(0));
+            r.record_dial_failure(&mut peers, peer, t(0));
+            r.record_link_break(&mut peers, peer, t(0));
         }
-        assert!(r.allow_dial(peer, t(0)));
+        assert!(r.allow_dial(&mut peers, peer, t(0)));
         for _ in 0..=OUTBOUND_BURST.max(INBOUND_BURST) {
             assert!(r.allow_outbound(None, t(0)));
             assert!(r.allow_inbound(None, t(0)));
         }
         for _ in 0..=PER_PEER_RATE {
-            assert!(r.admit(peer, t(0), MAX_SESSIONS + 1));
+            assert!(r.admit(&mut peers, peer, t(0), MAX_SESSIONS + 1));
         }
-        assert_eq!(r.breaker_state(peer), None);
+        assert!(peers.is_empty(), "a switched-off pipeline created a row");
         assert_eq!(r.outbox_cap(), None);
-        assert_eq!(r.stats(), ResilienceStats::default());
+        assert_eq!(r.stats(&peers), ResilienceStats::default());
     }
 
     #[test]
     fn pipeline_counters_track_each_layer() {
         let mut r = Resilience::new(ResilienceConfig::all_on());
+        let mut peers = PeerTable::default();
         let peer = DeviceAddress::from_node_raw(9);
         for s in 0..3 {
-            r.record_dial_failure(peer, t(s));
+            r.record_dial_failure(&mut peers, peer, t(s));
         }
-        assert_eq!(r.breaker_state(peer), Some(BreakerState::Open));
-        assert!(!r.allow_dial(peer, t(4)));
-        let stats = r.stats();
+        assert_eq!(breaker_state(&peers, peer), Some(BreakerState::Open));
+        assert!(!r.allow_dial(&mut peers, peer, t(4)));
+        let stats = r.stats(&peers);
         assert_eq!(stats.breaker_trips, 1);
         assert_eq!(stats.breaker_blocked, 1);
         assert_eq!(stats.breakers_open, 1);
         // Cooldown over: the next dial is a counted probe.
-        assert!(r.allow_dial(peer, t(40)));
-        assert_eq!(r.stats().breaker_probes, 1);
-        assert_eq!(r.stats().breakers_half_open, 1);
-        r.record_dial_success(peer);
-        assert_eq!(r.breaker_state(peer), Some(BreakerState::Closed));
+        assert!(r.allow_dial(&mut peers, peer, t(40)));
+        assert_eq!(r.stats(&peers).breaker_probes, 1);
+        assert_eq!(r.stats(&peers).breakers_half_open, 1);
+        r.record_dial_success(&mut peers, peer);
+        assert_eq!(breaker_state(&peers, peer), Some(BreakerState::Closed));
     }
 
     #[test]
     fn admission_enforces_session_and_rate_caps() {
         let mut r = Resilience::new(ResilienceConfig::all_on());
+        let mut peers = PeerTable::default();
         let peer = DeviceAddress::from_node_raw(3);
         // Session cap: one below MAX_SESSIONS is admitted, at it is not.
-        assert!(r.admit(peer, t(0), MAX_SESSIONS - 1));
-        assert!(!r.admit(peer, t(0), MAX_SESSIONS));
-        assert_eq!(r.stats().rejected_sessions, 1);
+        assert!(r.admit(&mut peers, peer, t(0), MAX_SESSIONS - 1));
+        assert!(!r.admit(&mut peers, peer, t(0), MAX_SESSIONS));
+        assert_eq!(r.stats(&peers).rejected_sessions, 1);
         // Per-peer rate cap inside the window...
         for _ in 1..PER_PEER_RATE {
-            assert!(r.admit(peer, t(1), 0));
+            assert!(r.admit(&mut peers, peer, t(1), 0));
         }
-        assert!(!r.admit(peer, t(2), 0));
-        assert_eq!(r.stats().rejected_rate, 1);
+        assert!(!r.admit(&mut peers, peer, t(2), 0));
+        assert_eq!(r.stats(&peers).rejected_rate, 1);
         // ...which is per peer...
-        assert!(r.admit(DeviceAddress::from_node_raw(4), t(2), 0));
+        assert!(r.admit(&mut peers, DeviceAddress::from_node_raw(4), t(2), 0));
         // ...and recovers once the window slides past.
-        assert!(r.admit(peer, t(20), 0));
-        assert_eq!(r.stats().admitted, PER_PEER_RATE as u64 + 2);
+        assert!(r.admit(&mut peers, peer, t(20), 0));
+        assert_eq!(r.stats(&peers).admitted, PER_PEER_RATE as u64 + 2);
     }
 
     #[test]
@@ -718,7 +743,7 @@ mod tests {
             assert!(r.allow_outbound(app, t(0)));
         }
         assert!(!r.allow_outbound(app, t(0)));
-        assert_eq!(r.stats().outbound_shed, 1);
+        assert_eq!(r.stats(&PeerTable::default()).outbound_shed, 1);
         assert_eq!(r.outbox_cap(), Some(OUTBOX_CAP));
         // Separate apps have separate buckets, and so do the two directions.
         assert!(r.allow_outbound(Some(AppId(1)), t(0)));

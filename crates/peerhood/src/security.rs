@@ -1,5 +1,6 @@
-//! Protocol hardening: frame authentication, replay suppression and the
-//! counters behind the hostile-city security scorecard.
+//! Protocol hardening: frame authentication, replay suppression, reporter
+//! reputation, the counters behind the hostile-city security scorecard, and
+//! the one table every defence keeps its per-peer state in.
 //!
 //! The adversary model (see `simnet::adversary`) injects syntactically
 //! valid frames from compromised nodes: replayed session Accepts,
@@ -18,18 +19,30 @@
 //! * **replay windows** — a per-sender monotonic sequence number checked
 //!   against a 64-entry sliding-window bitmap, which kills byte-exact
 //!   replays that would otherwise still carry a valid MAC.
+//! * **reporter reputation** — at the sanity tier a peer caught misbehaving
+//!   accrues a penalty, and one with [`REPORTER_PENALTY_LIMIT`] of them has
+//!   its neighbour reports ignored.
 //! * **[`SecurityStats`]** — every defence counts what it rejected, and the
 //!   scorecard sums these across the city.
+//!
+//! A peer's row of the [`PeerTable`] holds its replay window, its penalties,
+//! and the breaker and admission log of the [resilience
+//! pipeline](crate::resilience), whose gates are handed the table. A row is
+//! made where a defence first has something to hold and is never evicted.
 //!
 //! The MAC is a simulation stand-in measuring the *cost and rejection
 //! behaviour* of authenticated framing, not a cryptographic primitive.
 
+use std::collections::VecDeque;
+
 use serde::{Deserialize, Serialize};
 use simnet::table::IdTable;
 use simnet::telemetry::Fnv1a;
+use simnet::SimTime;
 
 use crate::config::SecurityConfig;
 use crate::ids::DeviceAddress;
+use crate::resilience::CircuitBreaker;
 
 /// Bytes the frame-auth trailer appends to every frame: an 8-byte
 /// big-endian sequence number followed by the 8-byte MAC.
@@ -87,6 +100,29 @@ impl ReplayWindow {
         true
     }
 }
+
+/// Security rejections (or dead bridge routes) a peer may accrue before its
+/// neighbour reports are ignored entirely. Penalties are only ever recorded
+/// at the sanity tier, so below it nobody reaches the limit.
+pub const REPORTER_PENALTY_LIMIT: u32 = 3;
+
+/// One peer's row of the [`PeerTable`]: a column per defence.
+#[derive(Debug, Clone, Default)]
+pub struct Peer {
+    window: ReplayWindow,
+    /// Reputation penalties: a peer whose frames triggered security
+    /// rejections, or whose bridge routes failed to dial, accrues them here.
+    /// They outlive the peer's storage row; only a restart forgives.
+    pub(crate) penalties: u32,
+    /// The circuit breaker towards the peer (resilience layer 1).
+    pub(crate) breaker: CircuitBreaker,
+    /// When the peer's recent incoming connections were admitted, oldest
+    /// first (resilience layer 3).
+    pub(crate) admits: VecDeque<SimTime>,
+}
+
+/// Every defence's per-peer state, one [`Peer`] row per address.
+pub type PeerTable = IdTable<DeviceAddress, Peer>;
 
 /// Counters of everything the hardening layer did — the per-node raw
 /// material of the E19 security scorecard.
@@ -162,13 +198,13 @@ impl SecurityStats {
 }
 
 /// Per-node runtime of the hardening layer: the enabled defences, the
-/// outbound sequence counter, the per-sender replay windows and the
-/// counters.
+/// outbound sequence counter, the peer table and the counters.
 #[derive(Debug)]
 pub struct Security {
     config: SecurityConfig,
     send_seq: u64,
-    windows: IdTable<DeviceAddress, ReplayWindow>,
+    /// Every defence's per-peer state.
+    pub(crate) peers: PeerTable,
     /// Counters (read by [`SecurityStats`] consumers via `stats()`).
     pub stats: SecurityStats,
 }
@@ -179,7 +215,7 @@ impl Security {
         Security {
             config,
             send_seq: 0,
-            windows: IdTable::default(),
+            peers: PeerTable::default(),
             stats: SecurityStats::default(),
         }
     }
@@ -198,6 +234,22 @@ impl Security {
     /// The counters so far.
     pub fn stats(&self) -> SecurityStats {
         self.stats
+    }
+
+    /// Records a reputation penalty against a peer one of the defences
+    /// caught misbehaving (no-op below the sanity tier).
+    pub fn penalize(&mut self, peer: DeviceAddress) {
+        if self.config.sanity_checks {
+            let penalties = &mut self.peers.get_or_insert_with(peer, Peer::default).penalties;
+            *penalties = penalties.saturating_add(1);
+            self.stats.penalties_recorded += 1;
+        }
+    }
+
+    /// True when `peer` has exhausted its penalty budget: its neighbour
+    /// reports must be ignored.
+    pub fn reporter_blocked(&self, peer: DeviceAddress) -> bool {
+        self.peers.get(&peer).map_or(0, |row| row.penalties) >= REPORTER_PENALTY_LIMIT
     }
 
     /// Appends the `[seq | MAC]` trailer to an outbound frame. The caller
@@ -228,8 +280,7 @@ impl Security {
             self.stats.auth_rejected += 1;
             return Err(AuthReject::BadMac);
         }
-        let window = self.windows.get_or_insert_with(sender, ReplayWindow::default);
-        if !window.accept(seq) {
+        if !self.peers.get_or_insert_with(sender, Peer::default).window.accept(seq) {
             self.stats.replay_rejected += 1;
             return Err(AuthReject::Replayed);
         }
@@ -240,6 +291,13 @@ impl Security {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::{
+        BreakerState, Resilience, ResilienceConfig, ResilienceStats, COOLDOWN, FAILURE_THRESHOLD, FLAP_THRESHOLD,
+        FLAP_WINDOW, MAX_SESSIONS, PER_PEER_RATE, PER_PEER_WINDOW, PROBE_SUCCESSES,
+    };
+    use simnet::rng::SimRng;
+    use simnet::SimDuration;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn addr(raw: u64) -> DeviceAddress {
         DeviceAddress::from_node_raw(raw)
@@ -361,6 +419,408 @@ mod tests {
         // Both carry seq=1 but from different senders: both accepted.
         assert!(receiver.verify_and_strip(addr(1), &fa).is_ok());
         assert!(receiver.verify_and_strip(addr(2), &fb).is_ok());
+    }
+
+    #[test]
+    fn reputation_penalties_block_reporters_only_when_armed() {
+        // Penalties (recorded only at the sanity tier, which is what arms
+        // the defence) accrue; the one that reaches REPORTER_PENALTY_LIMIT
+        // blocks.
+        let mut armed = Security::new(SecurityConfig::sanity());
+        armed.penalize(addr(9));
+        armed.penalize(addr(9));
+        assert_eq!(armed.peers.get(&addr(9)).map(|row| row.penalties), Some(2));
+        assert!(!armed.reporter_blocked(addr(9)));
+        armed.penalize(addr(9));
+        assert!(armed.reporter_blocked(addr(9)));
+        assert!(!armed.reporter_blocked(addr(10)), "other peers unaffected");
+        assert_eq!(armed.stats.penalties_recorded, 3);
+        // Below the tier none is recorded, and no row is created.
+        let mut off = Security::new(SecurityConfig::off());
+        for _ in 0..=REPORTER_PENALTY_LIMIT {
+            off.penalize(addr(9));
+        }
+        assert!(!off.reporter_blocked(addr(9)));
+        assert!(off.peers.is_empty());
+        assert_eq!(off.stats, SecurityStats::default());
+    }
+
+    #[test]
+    fn a_peer_row_stays_120_bytes() {
+        let size = std::mem::size_of::<(DeviceAddress, Peer)>();
+        assert_eq!(
+            size, 120,
+            "a peer-table entry is {size} bytes. A row is never evicted: at the end of a seed-20080815 \
+             city_hostile run the nodes hold ~134 k of them, so every byte here is paid that often (see the \
+             census in ROADMAP item 11)."
+        );
+    }
+
+    /// The circuit breaker as it was kept in its own map: the flap log
+    /// pruned by microsecond arithmetic measured from the epoch.
+    struct MapBreaker {
+        state: BreakerState,
+        failures: u32,
+        breaks: VecDeque<SimTime>,
+        opened_at: SimTime,
+        probes: u32,
+    }
+
+    impl MapBreaker {
+        fn new() -> Self {
+            MapBreaker {
+                state: BreakerState::Closed,
+                failures: 0,
+                breaks: VecDeque::new(),
+                opened_at: SimTime::ZERO,
+                probes: 0,
+            }
+        }
+
+        fn trip(&mut self, now: SimTime) -> bool {
+            (self.state, self.opened_at, self.failures, self.probes) = (BreakerState::Open, now, 0, 0);
+            true
+        }
+
+        fn allow(&mut self, now: SimTime) -> bool {
+            if self.state != BreakerState::Open {
+                return true;
+            }
+            if now.saturating_since(self.opened_at) < COOLDOWN {
+                return false;
+            }
+            (self.state, self.probes) = (BreakerState::HalfOpen, 0);
+            true
+        }
+
+        fn success(&mut self) {
+            match self.state {
+                BreakerState::Closed => self.failures = 0,
+                BreakerState::HalfOpen => {
+                    self.probes += 1;
+                    if self.probes >= PROBE_SUCCESSES {
+                        (self.state, self.failures) = (BreakerState::Closed, 0);
+                        self.breaks.clear();
+                    }
+                }
+                BreakerState::Open => {}
+            }
+        }
+
+        fn failure(&mut self, now: SimTime) -> bool {
+            match self.state {
+                BreakerState::HalfOpen => self.trip(now),
+                BreakerState::Closed => {
+                    self.failures += 1;
+                    self.failures >= FAILURE_THRESHOLD && self.trip(now)
+                }
+                BreakerState::Open => false,
+            }
+        }
+
+        fn flap(&mut self, now: SimTime) -> bool {
+            let horizon = now.saturating_since(SimTime::ZERO).as_micros();
+            while let Some(first) = self.breaks.front() {
+                if horizon.saturating_sub(first.saturating_since(SimTime::ZERO).as_micros()) > FLAP_WINDOW.as_micros() {
+                    self.breaks.pop_front();
+                } else {
+                    break;
+                }
+            }
+            self.breaks.push_back(now);
+            match self.state {
+                BreakerState::HalfOpen => self.trip(now),
+                BreakerState::Closed => self.breaks.len() >= FLAP_THRESHOLD && self.trip(now),
+                BreakerState::Open => false,
+            }
+        }
+    }
+
+    /// The per-peer state as four maps, each with its own lifetime: the
+    /// replay windows, the penalties, the breakers and the admission logs.
+    struct FourMaps {
+        sanity: bool,
+        pipeline: bool,
+        windows: BTreeMap<DeviceAddress, ReplayWindow>,
+        penalties: BTreeMap<DeviceAddress, u32>,
+        breakers: BTreeMap<DeviceAddress, MapBreaker>,
+        admits: BTreeMap<DeviceAddress, VecDeque<SimTime>>,
+        security: SecurityStats,
+        resilience: ResilienceStats,
+    }
+
+    impl FourMaps {
+        fn verify(&mut self, key: u64, sender: DeviceAddress, frame: &[u8]) -> Result<Vec<u8>, AuthReject> {
+            let Some(body_len) = frame.len().checked_sub(AUTH_TRAILER_LEN) else {
+                self.security.auth_rejected += 1;
+                return Err(AuthReject::BadMac);
+            };
+            let (body, trailer) = frame.split_at(body_len);
+            let seq = u64::from_be_bytes(trailer[..8].try_into().unwrap());
+            if frame_mac(key, sender, seq, body) != u64::from_be_bytes(trailer[8..].try_into().unwrap()) {
+                self.security.auth_rejected += 1;
+                return Err(AuthReject::BadMac);
+            }
+            if !self.windows.entry(sender).or_default().accept(seq) {
+                self.security.replay_rejected += 1;
+                return Err(AuthReject::Replayed);
+            }
+            Ok(body.to_vec())
+        }
+
+        fn penalize(&mut self, peer: DeviceAddress) {
+            if self.sanity {
+                *self.penalties.entry(peer).or_default() += 1;
+                self.security.penalties_recorded += 1;
+            }
+        }
+
+        fn blocked(&self, peer: DeviceAddress) -> bool {
+            self.penalties.get(&peer).is_some_and(|p| *p >= REPORTER_PENALTY_LIMIT)
+        }
+
+        fn allow_dial(&mut self, peer: DeviceAddress, now: SimTime) -> bool {
+            if !self.pipeline {
+                return true;
+            }
+            let breaker = self.breakers.entry(peer).or_insert_with(MapBreaker::new);
+            let was_open = breaker.state == BreakerState::Open;
+            let ok = breaker.allow(now);
+            match (ok, was_open) {
+                (true, true) => self.resilience.breaker_probes += 1,
+                (false, _) => self.resilience.breaker_blocked += 1,
+                _ => {}
+            }
+            ok
+        }
+
+        fn dial_success(&mut self, peer: DeviceAddress) {
+            if let Some(breaker) = self.breakers.get_mut(&peer).filter(|_| self.pipeline) {
+                breaker.success();
+            }
+        }
+
+        fn dial_failure(&mut self, peer: DeviceAddress, now: SimTime) {
+            if self.pipeline && self.breakers.entry(peer).or_insert_with(MapBreaker::new).failure(now) {
+                self.resilience.breaker_trips += 1;
+            }
+        }
+
+        fn link_break(&mut self, peer: DeviceAddress, now: SimTime) {
+            if self.pipeline && self.breakers.entry(peer).or_insert_with(MapBreaker::new).flap(now) {
+                self.resilience.breaker_trips += 1;
+            }
+        }
+
+        fn admit(&mut self, peer: DeviceAddress, now: SimTime, sessions: usize) -> bool {
+            if !self.pipeline {
+                return true;
+            }
+            if sessions >= MAX_SESSIONS {
+                self.resilience.rejected_sessions += 1;
+                return false;
+            }
+            let recent = self.admits.entry(peer).or_default();
+            while let Some(first) = recent.front() {
+                if now.saturating_since(*first) > PER_PEER_WINDOW {
+                    recent.pop_front();
+                } else {
+                    break;
+                }
+            }
+            if recent.len() >= PER_PEER_RATE {
+                self.resilience.rejected_rate += 1;
+                return false;
+            }
+            recent.push_back(now);
+            self.resilience.admitted += 1;
+            true
+        }
+
+        fn resilience_stats(&self) -> ResilienceStats {
+            let population = |state| self.breakers.values().filter(|b| b.state == state).count();
+            ResilienceStats {
+                breakers_open: population(BreakerState::Open),
+                breakers_half_open: population(BreakerState::HalfOpen),
+                ..self.resilience.clone()
+            }
+        }
+
+        fn keys(&self) -> BTreeSet<DeviceAddress> {
+            let windows = self.windows.keys().chain(self.penalties.keys());
+            windows
+                .chain(self.breakers.keys())
+                .chain(self.admits.keys())
+                .copied()
+                .collect()
+        }
+    }
+
+    /// The one peer table against the four maps it replaced, over 16 peers
+    /// and an advancing clock, with the sanity tier and the resilience
+    /// pipeline each on and off: every verdict, both stats snapshots, every
+    /// breaker's state and the set of peers with a row must agree after
+    /// every step.
+    #[test]
+    fn the_peer_table_answers_what_four_maps_answered() {
+        let mut reached = ResilienceStats::default();
+        let (mut replays, mut blocks) = (0, 0);
+        for (sanity, pipeline) in [(true, true), (true, false), (false, true), (false, false)] {
+            for seed in 0..3 {
+                let mut rng = SimRng::new(0x9EE5 + seed);
+                let config = SecurityConfig {
+                    sanity_checks: sanity,
+                    ..SecurityConfig::auth()
+                };
+                let key = config.auth_key;
+                let mut security = Security::new(config);
+                let mut resilience = Resilience::new(ResilienceConfig { enabled: pipeline });
+                let mut m = FourMaps {
+                    sanity,
+                    pipeline,
+                    windows: BTreeMap::new(),
+                    penalties: BTreeMap::new(),
+                    breakers: BTreeMap::new(),
+                    admits: BTreeMap::new(),
+                    security: SecurityStats::default(),
+                    resilience: ResilienceStats::default(),
+                };
+                // Each peer signs with its own sequence counter; `sent` keeps
+                // recent frames, delivered or held back, for replays and
+                // forgeries.
+                let mut senders: Vec<Security> = (0..=16).map(|_| auth_security()).collect();
+                let mut sent: Vec<(DeviceAddress, Vec<u8>)> = Vec::new();
+                let mut now = SimTime::ZERO;
+                for step in 0..1_500 {
+                    now += match rng.range(0u8..50) {
+                        0 => SimDuration::from_secs(rng.range(30u64..90)),
+                        _ => SimDuration::from_millis(250 * rng.range(0u64..8)),
+                    };
+                    // A few peers are busy; a burst repeats one step.
+                    let raw = if rng.chance(0.5) {
+                        rng.range(1u64..=4)
+                    } else {
+                        rng.range(1u64..=16)
+                    };
+                    let peer = addr(raw);
+                    let burst = if rng.chance(0.2) { rng.range(2usize..9) } else { 1 };
+                    let op = rng.range(0u8..11);
+                    for _ in 0..burst {
+                        now += SimDuration::from_millis(250 * rng.range(0u64..3));
+                        let at = format!("sanity {sanity} pipeline {pipeline} seed {seed} step {step} op {op}");
+                        match op {
+                            0..=2 => {
+                                let (sender, frame) = match op {
+                                    // A fresh frame, delivered now or held back.
+                                    0 => {
+                                        let mut frame = vec![step as u8, raw as u8];
+                                        senders[raw as usize].append_trailer(peer, &mut frame);
+                                        sent.push((peer, frame.clone()));
+                                        if rng.chance(0.3) {
+                                            continue;
+                                        }
+                                        (peer, frame)
+                                    }
+                                    // A replay, or a late delivery of a held frame.
+                                    1 if !sent.is_empty() => sent[rng.index(sent.len())].clone(),
+                                    // A forgery: tampered, misattributed or truncated.
+                                    _ if !sent.is_empty() => {
+                                        let (sender, mut frame) = sent[rng.index(sent.len())].clone();
+                                        match rng.range(0u8..3) {
+                                            0 => frame[0] ^= 0x5A,
+                                            1 => *frame.last_mut().unwrap() ^= 1,
+                                            _ => frame.truncate(rng.index(AUTH_TRAILER_LEN)),
+                                        }
+                                        let sender = if rng.chance(0.3) {
+                                            addr(rng.range(1u64..=16))
+                                        } else {
+                                            sender
+                                        };
+                                        (sender, frame)
+                                    }
+                                    _ => continue,
+                                };
+                                let verdict = security.verify_and_strip(sender, &frame).map(<[u8]>::to_vec);
+                                let expected = m.verify(key, sender, &frame);
+                                assert_eq!(verdict, expected, "{at}");
+                                replays += usize::from(verdict == Err(AuthReject::Replayed));
+                                if verdict.is_err() {
+                                    // As the node does with a frame that fails.
+                                    security.penalize(sender);
+                                    m.penalize(sender);
+                                }
+                                if sent.len() > 48 {
+                                    sent.remove(0);
+                                }
+                            }
+                            3 => {
+                                let allowed = resilience.allow_dial(&mut security.peers, peer, now);
+                                assert_eq!(allowed, m.allow_dial(peer, now), "{at}");
+                            }
+                            4 => {
+                                resilience.record_dial_success(&mut security.peers, peer);
+                                m.dial_success(peer);
+                            }
+                            // A failed dial, or a crash, which the node books as one.
+                            5 | 6 => {
+                                resilience.record_dial_failure(&mut security.peers, peer, now);
+                                m.dial_failure(peer, now);
+                            }
+                            7 => {
+                                resilience.record_link_break(&mut security.peers, peer, now);
+                                m.link_break(peer, now);
+                            }
+                            8 => {
+                                let sessions = if rng.chance(0.9) {
+                                    rng.range(0..MAX_SESSIONS)
+                                } else {
+                                    rng.range(MAX_SESSIONS..MAX_SESSIONS + 3)
+                                };
+                                let admitted = resilience.admit(&mut security.peers, peer, now, sessions);
+                                assert_eq!(admitted, m.admit(peer, now, sessions), "{at}");
+                            }
+                            9 => {
+                                security.penalize(peer);
+                                m.penalize(peer);
+                            }
+                            _ => {
+                                let blocked = security.reporter_blocked(peer);
+                                assert_eq!(blocked, m.blocked(peer), "{at}");
+                                blocks += usize::from(blocked);
+                            }
+                        }
+                        assert_eq!(security.stats(), m.security, "{at}");
+                        let stats = resilience.stats(&security.peers);
+                        assert_eq!(stats, m.resilience_stats(), "{at}");
+                        let peers = &security.peers;
+                        for (address, row) in peers.iter() {
+                            let model = m.breakers.get(&address).map_or(BreakerState::Closed, |b| b.state);
+                            assert_eq!(row.breaker.state(), model, "{at}: {address}");
+                        }
+                        assert!(
+                            peers.keys().eq(m.keys()),
+                            "{at}: rows {:?}",
+                            peers.keys().collect::<Vec<_>>()
+                        );
+                    }
+                }
+                reached.absorb(&resilience.stats(&security.peers));
+            }
+        }
+        // What the generators must have reached.
+        assert!(
+            replays > 50 && blocks > 50,
+            "{replays} replays, {blocks} blocked queries"
+        );
+        for (what, count) in [
+            ("trips", reached.breaker_trips),
+            ("blocked dials", reached.breaker_blocked),
+            ("probes", reached.breaker_probes),
+            ("session rejections", reached.rejected_sessions),
+            ("rate rejections", reached.rejected_rate),
+        ] {
+            assert!(count > 20, "{count} {what}");
+        }
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //!
 //! Rows never leave this module. What is hot reads them in place; everything
 //! else is handed a [`StoredDevice`], the owned value built from a row.
+//!
+//! Of a reporter the storage keeps only what it claimed, and erases that
+//! with the reporter's row. What trusting a peer has cost — its reputation
+//! penalties — lives with the other defences in the
+//! [peer table](crate::security::PeerTable).
 
 use std::rc::Rc;
 
@@ -38,11 +43,6 @@ use crate::quality::{route_acceptable, route_quality_sum};
 use crate::route::{HopQualities, RouteInfo};
 use crate::service::ServiceInfo;
 use crate::wire;
-
-/// Security rejections (or dead bridge routes) a reporter may accrue before
-/// its neighbour reports are ignored entirely. Penalties are only ever
-/// recorded at the sanity tier, so below it nobody reaches the limit.
-pub const REPORTER_PENALTY_LIMIT: u32 = 3;
 
 /// One entry of the device storage, as the storage hands it out: an owned
 /// value, built from the stored row on request.
@@ -457,26 +457,11 @@ impl Table {
     }
 }
 
-/// What the storage holds about a device as a *reporter*: what it claimed,
-/// and what trusting it has cost.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Reporter {
-    /// A [`claim`] for every device it reported as its own direct neighbour,
-    /// sorted (by key, that is), grown to [`headroom`]. Erased with the
-    /// reporter's row.
-    seen: Vec<u64>,
-    /// Reputation penalties (security hardening): a device whose frames
-    /// triggered security rejections, or whose bridge routes failed to dial,
-    /// accrues them here. They outlive its row; only a restart forgives.
-    penalties: u32,
-}
-
-impl Reporter {
-    /// The quality this reporter last claimed to reach `target` at.
-    fn claimed_quality(&self, target: DeviceAddress) -> Option<u8> {
-        let at = find(&self.seen, key(target), claimed).ok()?;
-        Some(self.seen[at] as u8) // the claim's low byte
-    }
+/// The quality a reporter whose claims are `claims` last claimed to reach
+/// `target` at.
+fn claimed_quality(claims: &[u64], target: DeviceAddress) -> Option<u8> {
+    let at = find(claims, key(target), claimed).ok()?;
+    Some(claims[at] as u8) // the claim's low byte
 }
 
 /// PeerHood's per-device environment knowledge.
@@ -487,9 +472,11 @@ pub struct DeviceStorage {
     /// Boxed: three vector headers inline would push the host that embeds
     /// the storage past the allocator's last small size class.
     devices: Box<Table>,
-    /// Every device that has filed a neighbour report since its row was
-    /// last erased, or holds a penalty.
-    reporters: IdTable<DeviceAddress, Reporter>,
+    /// What each device that has filed a neighbour report since its row was
+    /// last erased claimed: a [`claim`] for every device it reported as its
+    /// own direct neighbour, sorted (by key, that is), grown to
+    /// [`headroom`]. Erased with the reporter's row.
+    claims: IdTable<DeviceAddress, Vec<u64>>,
     /// Bumped on every mutation; lets callers (the node's cached inquiry
     /// response frame) detect staleness without diffing contents.
     generation: u64,
@@ -506,29 +493,10 @@ impl DeviceStorage {
             own_address,
             quality_threshold,
             devices: Box::default(),
-            reporters: IdTable::default(),
+            claims: IdTable::default(),
             generation: 0,
             maybe_orphans: false,
         }
-    }
-
-    /// Records one reputation penalty against `peer` and returns its new
-    /// penalty count.
-    pub fn penalize_reporter(&mut self, peer: DeviceAddress) -> u32 {
-        let count = &mut self.reporters.get_or_insert_with(peer, Reporter::default).penalties;
-        *count = count.saturating_add(1);
-        *count
-    }
-
-    /// The penalty count accrued by `peer`.
-    pub fn reporter_penalty(&self, peer: DeviceAddress) -> u32 {
-        self.reporters.get(&peer).map_or(0, |r| r.penalties)
-    }
-
-    /// True when `peer` has exhausted its penalty budget — its neighbour
-    /// reports must be ignored.
-    pub fn reporter_blocked(&self, peer: DeviceAddress) -> bool {
-        self.reporter_penalty(peer) >= REPORTER_PENALTY_LIMIT
     }
 
     /// The owning device's address (never stored as an entry).
@@ -584,15 +552,9 @@ impl DeviceStorage {
         }
     }
 
-    /// Erases a device and what it reported (not its penalties).
+    /// Erases a device and what it claimed.
     fn erase(&mut self, address: DeviceAddress) -> Option<Row> {
-        match self.reporters.get_mut(&address) {
-            Some(reporter) if reporter.penalties == 0 => {
-                self.reporters.remove(&address);
-            }
-            Some(reporter) => reporter.seen = Vec::new(),
-            None => {}
-        }
+        self.claims.remove(&address);
         self.devices.remove(address)
     }
 
@@ -902,7 +864,7 @@ impl DeviceStorage {
         // The responder's reported-neighbour list is looked up (and, for a
         // first report, created) once, by the first record that needs it,
         // with the capacity it had then.
-        let mut reporters = Some(&mut self.reporters);
+        let mut claims = Some(&mut self.claims);
         let mut reported: Option<(&mut Vec<u64>, usize)> = None;
         // An exporter walks its index, so the records — and with them the
         // direct ones — come in address order: both tables are merged into.
@@ -927,8 +889,8 @@ impl DeviceStorage {
             // (used by routing handover, Fig. 5.5 state 0).
             if record.jumps() == 0 {
                 let (reported, _) = reported.get_or_insert_with(|| {
-                    let reporters = reporters.take().expect("taken by the first direct record only");
-                    let seen = &mut reporters.get_or_insert_with(responder, Reporter::default).seen;
+                    let claims = claims.take().expect("taken by the first direct record only");
+                    let seen = claims.get_or_insert_with(responder, Vec::new);
                     let capacity = seen.capacity();
                     (seen, capacity)
                 });
@@ -1099,16 +1061,16 @@ impl DeviceStorage {
     /// target); like [`DeviceStorage::service_providers`] the ranking needs
     /// one internal sort, after which the results stream without copies.
     pub fn handover_candidates_iter(&self, target: DeviceAddress) -> impl Iterator<Item = (DeviceAddress, u8, u8)> {
-        // Walk the (much smaller) reporter table instead of the whole device
+        // Walk the (much smaller) claims table instead of the whole device
         // storage: a candidate must have filed a neighbour report, and both
         // maps iterate in address order, so the result list is identical to
         // the historical full-storage scan.
         let mut candidates: Vec<(DeviceAddress, u8, u8)> = self
-            .reporters
+            .claims
             .iter()
             .filter(|(responder, _)| *responder != target)
-            .filter_map(|(responder, reporter)| {
-                let reported = reporter.claimed_quality(target)?;
+            .filter_map(|(responder, seen)| {
+                let reported = claimed_quality(seen, target)?;
                 let d = self.devices.get(responder).filter(|d| d.is_direct())?;
                 Some((responder, d.hops.first().copied().unwrap_or(0), reported))
             })
@@ -1119,15 +1081,7 @@ impl DeviceStorage {
 
     /// The quality `responder` last reported for `neighbor`, if any.
     pub fn reported_quality(&self, responder: DeviceAddress, neighbor: DeviceAddress) -> Option<u8> {
-        self.reporters.get(&responder)?.claimed_quality(neighbor)
-    }
-
-    /// Clears every entry (used when the daemon restarts). Reputation
-    /// penalties are in-memory state and die with the restart too.
-    pub fn clear(&mut self) {
-        self.generation += 1;
-        *self.devices = Table::default();
-        self.reporters.clear();
+        claimed_quality(self.claims.get(&responder)?, neighbor)
     }
 }
 
@@ -1269,8 +1223,8 @@ mod tests {
                 }
             }
             // A claim list only grows, or is dropped whole.
-            for (reporter, claims) in s.reporters.iter() {
-                let (capacity, len) = (claims.seen.capacity(), claims.seen.len());
+            for (reporter, claims) in s.claims.iter() {
+                let (capacity, len) = (claims.capacity(), claims.len());
                 assert!(
                     within_headroom(capacity, len),
                     "step {step}: {reporter}'s {capacity} for {len}"
@@ -1370,26 +1324,6 @@ mod tests {
         assert!(s.get(addr(2)).is_some());
         assert!(s.get(addr(3)).is_none());
         assert!(s.get(addr(4)).is_none());
-    }
-
-    #[test]
-    fn reputation_penalties_block_reporters_only_when_armed() {
-        let mut s = storage();
-        // Penalties (recorded only at the sanity tier, which is what arms
-        // the defence) accrue; the one that reaches REPORTER_PENALTY_LIMIT
-        // blocks. Below the tier none is recorded: see
-        // `defenses_off_accepts_what_sanity_rejects`.
-        assert_eq!(s.penalize_reporter(addr(9)), 1);
-        assert_eq!(s.penalize_reporter(addr(9)), 2);
-        assert_eq!(s.reporter_penalty(addr(9)), 2);
-        assert!(!s.reporter_blocked(addr(9)));
-        s.penalize_reporter(addr(9));
-        assert!(s.reporter_blocked(addr(9)));
-        assert!(!s.reporter_blocked(addr(10)), "other peers unaffected");
-        // A daemon restart wipes the in-memory penalties.
-        s.clear();
-        assert_eq!(s.reporter_penalty(addr(9)), 0);
-        assert!(!s.reporter_blocked(addr(9)));
     }
 
     /// Lands the report a device `from` would send, as the frame the node's
@@ -1778,7 +1712,6 @@ mod tests {
         threshold: u8,
         devices: BTreeMap<DeviceAddress, StoredDevice>,
         reported: BTreeMap<DeviceAddress, BTreeMap<DeviceAddress, u8>>,
-        penalties: BTreeMap<DeviceAddress, u32>,
         generation: u64,
         maybe_orphans: bool,
     }
@@ -1950,13 +1883,6 @@ mod tests {
             }
         }
 
-        fn clear(&mut self) {
-            self.generation += 1;
-            self.devices.clear();
-            self.reported.clear();
-            self.penalties.clear();
-        }
-
         fn handover_candidates(&self, target: DeviceAddress) -> Vec<(DeviceAddress, u8, u8)> {
             let mut candidates = Vec::new();
             for (responder, seen) in &self.reported {
@@ -2065,7 +1991,6 @@ mod tests {
                 threshold: 230,
                 devices: BTreeMap::new(),
                 reported: BTreeMap::new(),
-                penalties: BTreeMap::new(),
                 generation: 0,
                 maybe_orphans: false,
             };
@@ -2075,7 +2000,7 @@ mod tests {
                 let who = addr(rng.range(0u64..24));
                 let quality = rng.range(200u8..=255);
                 let at = format!("seed {seed} step {step}");
-                match rng.range(0u8..13) {
+                match rng.range(0u8..12) {
                     0..=2 => {
                         let device = random_device(&mut rng);
                         let services = service_lists[rng.index(4)].clone();
@@ -2140,30 +2065,18 @@ mod tests {
                         let expected = m.age_cycle(&responded, now, 2, stale_timeout);
                         assert_eq!(s.age_cycle(&mut responded, now, 2, stale_timeout), expected, "{at}");
                     }
-                    11 => {
-                        let penalties = m.penalties.entry(who).or_default();
-                        *penalties += 1;
-                        assert_eq!(s.penalize_reporter(who), *penalties, "{at}");
-                    }
-                    _ if rng.chance(0.1) => {
-                        s.clear();
-                        m.clear();
-                    }
                     _ => {}
                 }
                 assert!(s.devices().eq(m.devices.values().cloned()), "{at}");
                 hop_list_lengths.extend(s.devices.rows.iter().map(|row| row.hops.len()));
                 assert_eq!(s.len(), m.devices.len(), "{at}");
                 assert_eq!(s.generation(), m.generation, "{at}");
-                let idle = Reporter::default();
                 assert!(
-                    s.reporters.values().all(|r| *r != idle),
+                    s.claims.values().all(|claims| !claims.is_empty()),
                     "{at}: a reporter with nothing to say was kept"
                 );
                 for target in (0..24).map(addr) {
                     assert_eq!(s.get(target), m.devices.get(&target).cloned(), "{at}");
-                    let penalties = m.penalties.get(&target).copied().unwrap_or(0);
-                    assert_eq!(s.reporter_penalty(target), penalties, "{at}");
                     let candidates: Vec<_> = s.handover_candidates_iter(target).collect();
                     assert_eq!(candidates, m.handover_candidates(target), "{at}");
                     for reporter in (0..24).map(addr) {
@@ -2220,7 +2133,7 @@ mod tests {
                 records.reverse();
             }
             assert!(sorted.devices().eq(shuffled.devices()), "round {round}");
-            assert_eq!(sorted.reporters, shuffled.reporters, "round {round}");
+            assert_eq!(sorted.claims, shuffled.claims, "round {round}");
             assert_eq!(sorted.generation(), shuffled.generation(), "round {round}");
             rng.shuffle(&mut records);
             for r in &mut records {
@@ -2230,14 +2143,27 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_clear() {
+    fn remove_erases_the_row_and_its_claims() {
         let mut s = storage();
         s.upsert_direct(info(1, MobilityClass::Static), 240, vec![], T0);
+        let records = [record(2, 0, 230, vec![])];
+        s.integrate_neighbor_report(
+            addr(1),
+            240,
+            MobilityClass::Static,
+            &records,
+            DiscoveryMode::Dynamic,
+            T0,
+        );
+        assert_eq!(s.reported_quality(addr(1), addr(2)), Some(230));
         assert!(s.remove(addr(1)).is_some());
         assert!(s.remove(addr(1)).is_none());
-        s.upsert_direct(info(2, MobilityClass::Static), 240, vec![], T0);
-        s.clear();
-        assert!(s.is_empty());
+        assert_eq!(s.reported_quality(addr(1), addr(2)), None);
+        assert!(s.claims.is_empty(), "the claims row outlived its device");
+        assert!(
+            s.get(addr(2)).is_some(),
+            "what it reported stays until the next aging cycle"
+        );
         assert_eq!(s.own_address(), addr(0));
     }
 }
