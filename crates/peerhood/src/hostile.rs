@@ -108,15 +108,15 @@ impl ProtocolForge {
     }
 
     /// A connection id found in the sniffed frames, if any — live session
-    /// material for replay and hijack attacks.
+    /// material for replay and hijack attacks. The frame is checked, not
+    /// decoded: under frame auth every sniffed frame carries a trailer and
+    /// fails the check, and nothing is built for it.
     fn sniffed_conn(&self, sniffed: &[Payload], rng: &mut SimRng) -> Option<ConnectionId> {
         if sniffed.is_empty() {
             return None;
         }
         let pick = rng.range(0..sniffed.len());
-        wire::decode(sniffed[pick].as_slice())
-            .ok()
-            .and_then(|m| m.connection_id())
+        wire::validate(sniffed[pick].as_slice()).ok().and_then(|(_, conn)| conn)
     }
 
     /// A forged inquiry response: the attacker re-advertises itself while
@@ -151,21 +151,29 @@ impl ProtocolForge {
 
 impl FrameForge for ProtocolForge {
     fn tamper(&mut self, attacker: NodeId, payload: &Payload, rng: &mut SimRng) -> Option<Payload> {
-        // Decode → mutate semantically → re-encode: the tampered frame is
-        // always syntactically valid, so only a defence can reject it. (With
-        // frame auth enabled the trailer makes this decode fail, which keeps
-        // the MAC intact — sealed frames cannot be usefully tampered with.)
-        let message = wire::decode(payload.as_slice()).ok()?;
+        // Check → decode → mutate semantically → re-encode: the tampered
+        // frame is always syntactically valid, so only a defence can reject
+        // it. (With frame auth enabled the trailer makes the check fail,
+        // which keeps the MAC intact — sealed frames cannot be usefully
+        // tampered with.) Only a frame that is tampered is decoded.
+        let (tag, _) = wire::validate(payload.as_slice()).ok()?;
         // The attacker's own discovery answers are the poisoning channel:
         // the receiver is mid-fetch by definition, so a substituted report
         // always integrates. These are replaced every time; ordinary
         // traffic is tampered at the 1-in-`TAMPER_ONE_IN` rate below.
-        if matches!(message, Message::InquiryResponse { .. }) {
+        if tag == wire::TAG_INQUIRY_RESPONSE {
             return Some(wire::encode(&self.poisoned_report(attacker)).into());
         }
         if rng.range(0..TAMPER_ONE_IN) != 0 {
             return None;
         }
+        // Only these three are rewritten. The rest passes untouched —
+        // discovery requests among them: the attacker must stay discoverable
+        // to keep its poisoned responses flowing.
+        if ![wire::TAG_DATA, wire::TAG_ACCEPT, wire::TAG_CONNECT_REQUEST].contains(&tag) {
+            return None;
+        }
+        let message = wire::decode(payload.as_slice()).ok()?;
         let tampered = match message {
             Message::Data { conn_id, payload } => match rng.range(0u32..3) {
                 0 => Message::Disconnect { conn_id },
@@ -202,9 +210,6 @@ impl FrameForge for ProtocolForge {
                 client,
                 reply_context,
             },
-            // Remaining discovery traffic (requests, advertisements) passes
-            // untouched: the attacker must stay discoverable to keep its
-            // poisoned responses flowing.
             _ => return None,
         };
         Some(wire::encode(&tampered).into())

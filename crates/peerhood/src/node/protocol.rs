@@ -6,6 +6,8 @@
 //! HandoverThread (§5.2.1). They mutate the shared `Core` and queue typed
 //! [`PeerHoodEvent`]s for the host to dispatch.
 
+use std::collections::VecDeque;
+
 use simnet::{Ctx, DisconnectReason, InquiryHit, LinkId, NodeId, Payload, RadioTech, SimDuration};
 
 use crate::bridge::BridgeSide;
@@ -234,23 +236,39 @@ impl Core {
             payload.as_slice()
         };
         let role = self.roles.get(&link).copied().unwrap_or(LinkRole::IncomingUnidentified);
-        // The report fast path: the daemon reads the neighbour report in the
-        // frame it arrived in. Anything but a valid inquiry response is
-        // ignored on a fetch link.
-        if let LinkRole::DaemonFetch { tech, quality, .. } = role {
-            if let Ok(report) = wire::view_inquiry_response(body) {
-                self.handle_report(ctx, link, tech, quality, &report);
+        // The daemon's frames are read where they lie. On a fetch link the
+        // neighbour report is read in the frame it arrived in, and anything
+        // but a valid inquiry response is ignored. On a serve link the
+        // requester normally just closes, and anything it sends is ignored
+        // unread. An inquiry request is answered from the cached response
+        // once it is known to decode, without building the requester's
+        // description no one reads (the tag is read first, so no other
+        // frame is parsed twice).
+        match role {
+            LinkRole::DaemonFetch { tech, quality, .. } => {
+                if let Ok(report) = wire::view_inquiry_response(body) {
+                    self.handle_report(ctx, link, tech, quality, &report);
+                }
+                return;
             }
-            return;
+            LinkRole::DaemonServe => return,
+            LinkRole::IncomingUnidentified
+                if body.get(1) == Some(&wire::TAG_INQUIRY_REQUEST) && wire::validate(body).is_ok() =>
+            {
+                let frame = self.inquiry_response_frame();
+                self.roles.insert(link, LinkRole::DaemonServe);
+                self.transmit_frame(ctx, link, &frame, &frame);
+                return;
+            }
+            _ => {}
         }
-        let message = match wire::decode(body) {
+        let message = match wire::decode_like(body, &self.info) {
             Ok(m) => m,
             Err(_) => return,
         };
         match role {
             LinkRole::IncomingUnidentified => self.identify_incoming(ctx, link, from, message),
-            // A fetch link never gets here; on a serve link the requester
-            // normally just closes, and anything else is ignored.
+            // Handled above.
             LinkRole::DaemonFetch { .. } | LinkRole::DaemonServe => {}
             LinkRole::AppConnection(conn) => self.handle_app_message(ctx, link, conn, message),
             LinkRole::HandoverPending { conn, via } => self.handle_handover_message(ctx, link, conn, via, message),
@@ -263,13 +281,10 @@ impl Core {
         }
     }
 
+    /// The first frame on an incoming link other than an inquiry request
+    /// (which `handle_message` answers before decoding anything).
     fn identify_incoming(&mut self, ctx: &mut dyn Ctx, link: LinkId, from: NodeId, message: Message) {
         match message {
-            Message::InquiryRequest { requester: _ } => {
-                let frame = self.inquiry_response_frame();
-                self.roles.insert(link, LinkRole::DaemonServe);
-                self.transmit_frame(ctx, link, &frame, &frame);
-            }
             Message::ConnectRequest {
                 conn_id,
                 service,
@@ -473,12 +488,9 @@ impl Core {
             self.security.stats.reports_skipped += 1;
         }
         let mode = self.config.discovery.mode;
-        let discovered = self
-            .storage
-            .integrate_report(report, !blocked, quality, mode, ctx.now());
-        for address in discovered {
-            self.events.push_back(PeerHoodEvent::DeviceDiscovered { address });
-        }
+        let mut discovered = Discovered(&mut self.events);
+        self.storage
+            .integrate_report_into(report, !blocked, quality, mode, ctx.now(), &mut discovered);
         self.drop_link(ctx, link);
         self.note_fetch_finished(ctx, tech);
     }
@@ -1062,5 +1074,18 @@ impl Core {
                 self.send_frame(ctx, link, &Message::Data { conn_id: conn, payload });
             }
         }
+    }
+}
+
+/// Announces each device the storage learns as found, straight onto the
+/// event queue: no list of addresses is built to be turned into events.
+struct Discovered<'a>(&'a mut VecDeque<PeerHoodEvent>);
+
+impl Extend<DeviceAddress> for Discovered<'_> {
+    fn extend<I: IntoIterator<Item = DeviceAddress>>(&mut self, found: I) {
+        let events = found
+            .into_iter()
+            .map(|address| PeerHoodEvent::DeviceDiscovered { address });
+        self.0.extend(events);
     }
 }

@@ -1190,6 +1190,38 @@ fn export_neighbors_respects_jump_limit() {
     assert_eq!(d2.jumps, 1);
 }
 
+#[test]
+fn a_record_of_255_hops_leaves_the_inquiry_response_decodable() {
+    // Our hop in front of 254 reported ones fills the 255 a frame can
+    // carry; in front of 255 it would be one too many, and the next export
+    // would write the row's hop count wrapped to 0.
+    let mut core = core_of(core_config());
+    let record = |n, hops| NeighborRecord {
+        info: device(n),
+        jumps: 0,
+        hop_qualities: vec![240; hops],
+        services: vec![].into(),
+    };
+    let frame = wire::encode(&Message::InquiryResponse {
+        device: device(1),
+        services: vec![],
+        neighbors: vec![record(2, 255), record(3, 254)],
+        bridge_load_percent: 0,
+    });
+    let report = wire::view_inquiry_response(&frame).unwrap();
+    let mode = core.config.discovery.mode;
+    core.storage.integrate_report(&report, true, 240, mode, SimTime::ZERO);
+    assert!(wire::decode(&core.inquiry_response_frame()).is_ok());
+    let exported = reply(&mut core, 8).2;
+    let addresses: Vec<DeviceAddress> = exported.iter().map(|r| r.info.address).collect();
+    assert_eq!(addresses, [device(1).address, device(3).address]);
+    assert_eq!(exported[1].hop_qualities.len(), 255);
+    assert_eq!(
+        core.storage.reported_quality(device(1).address, device(2).address),
+        None
+    );
+}
+
 /// An agent that does nothing: it lends a free-standing [`Core`] a context.
 struct Bystander;
 

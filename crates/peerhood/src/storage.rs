@@ -558,13 +558,13 @@ impl DeviceStorage {
         self.devices.remove(address)
     }
 
-    /// Comparison chain of the provider-selection sort: jumps, then nearest
-    /// mobility, then (descending) quality sum.
-    fn provider_order(a: &Row, b: &Row) -> std::cmp::Ordering {
-        a.jumps
-            .cmp(&b.jumps)
-            .then(a.nearest_mobility.value().cmp(&b.nearest_mobility.value()))
-            .then(b.quality_sum().cmp(&a.quality_sum()))
+    /// The provider-selection rank of a row: jumps, then nearest mobility,
+    /// then (descending) quality sum, and the address last. Addresses are
+    /// unique, so no two rows rank alike, and ordering by the key is the
+    /// stable sort of address-ordered rows by the first three.
+    fn provider_rank(row: &Row) -> (u8, u8, std::cmp::Reverse<u32>, DeviceAddress) {
+        let quality = std::cmp::Reverse(row.quality_sum());
+        (row.jumps, row.nearest_mobility.value(), quality, row.address)
     }
 
     /// Every device offering a service whose name matches `name`, with that
@@ -574,31 +574,33 @@ impl DeviceStorage {
     /// allocation.)
     pub fn service_providers<'a>(&'a self, name: &str) -> impl Iterator<Item = (DeviceAddress, &'a ServiceInfo)> {
         let mut providers = Vec::new();
-        self.each_provider(name, |d, s| providers.push((d, s)));
-        providers.sort_by(|(a, _), (b, _)| Self::provider_order(a, b));
-        providers.into_iter().map(|(d, s)| (d.address, s))
+        self.each_provider(name, |d, s| providers.push((Self::provider_rank(d), s)));
+        providers.sort_unstable_by_key(|(rank, _)| *rank);
+        providers.into_iter().map(|((.., address), s)| (address, s))
     }
 
     /// The best-ranked provider of `name` — exactly
-    /// `service_providers(name).next()`, but found in one allocation-
-    /// free pass (a strict-minimum scan keeps the stable sort's tie-breaking:
-    /// first in address order wins among equals).
+    /// `service_providers(name).next()`, but found in one allocation-free
+    /// pass that keeps the strict minimum of the rank.
     pub fn best_service_provider(&self, name: &str) -> Option<(DeviceAddress, &ServiceInfo)> {
-        let mut best: Option<(&Row, &ServiceInfo)> = None;
+        let mut best = None;
         self.each_provider(name, |d, s| {
-            if best.is_none_or(|(b, _)| Self::provider_order(d, b) == std::cmp::Ordering::Less) {
-                best = Some((d, s));
+            let rank = Self::provider_rank(d);
+            if best.as_ref().is_none_or(|(b, _)| rank < *b) {
+                best = Some((rank, s));
             }
         });
-        best.map(|(d, s)| (d.address, s))
+        best.map(|((.., address), s)| (address, s))
     }
 
     /// Every device offering a service called `name`, with that service, in
-    /// address order. A fleet's rows share one description, so the name is
-    /// searched for once per run of rows holding the same one.
+    /// the rows' slab order: the ranking orders them itself, so the walk
+    /// reads the rows where they lie instead of through the index. A
+    /// fleet's rows share one description, so the name is searched for once
+    /// per run of rows holding the same one.
     fn each_provider<'a>(&'a self, name: &str, mut visit: impl FnMut(&'a Row, &'a ServiceInfo)) {
         let mut previous: Option<(&Rc<Description>, Option<&ServiceInfo>)> = None;
-        for d in self.devices.iter() {
+        for d in &self.devices.rows {
             let offered = match previous {
                 Some((described, offered)) if Rc::ptr_eq(described, &d.description) => offered,
                 _ => d.description.services.iter().find(|s| s.name == name),
@@ -662,20 +664,35 @@ impl DeviceStorage {
         mode: DiscoveryMode,
         now: SimTime,
     ) -> Vec<DeviceAddress> {
+        let mut added = Vec::new();
+        self.integrate_report_into(report, trust_gossip, quality, mode, now, &mut added);
+        added
+    }
+
+    /// [`DeviceStorage::integrate_report`] handing each newly learned
+    /// address to `found` as it is learned, in the same order: the node's
+    /// own path, which turns them straight into events.
+    pub fn integrate_report_into(
+        &mut self,
+        report: &wire::InquiryResponseView<'_>,
+        trust_gossip: bool,
+        quality: u8,
+        mode: DiscoveryMode,
+        now: SimTime,
+        found: &mut impl Extend<DeviceAddress>,
+    ) {
         let (load, q) = (u32::from(report.bridge_load_percent.min(100)), u32::from(quality));
         let quality = (q - q * load / 200) as u8;
         let (device, address) = (report.device, report.device.address);
-        let mut added = Vec::new();
         if self.upsert_direct_view(device, report.services.clone(), quality, now) {
-            added.push(address);
+            found.extend([address]);
         }
         let neighbors = if trust_gossip {
             report.neighbors.clone()
         } else {
             wire::Neighbors::default()
         };
-        added.extend(self.integrate_neighbor_views(address, quality, device.mobility, neighbors, mode, now));
-        added
+        self.integrate(address, quality, device.mobility, neighbors, mode, now, found);
     }
 
     /// [`DeviceStorage::upsert_direct`] for a device read in place from the
@@ -817,14 +834,18 @@ impl DeviceStorage {
         mode: DiscoveryMode,
         now: SimTime,
     ) -> Vec<DeviceAddress> {
+        let mut added = Vec::new();
+        let records = records.iter();
         self.integrate(
             responder,
             responder_quality,
             responder_mobility,
-            records.iter(),
+            records,
             mode,
             now,
-        )
+            &mut added,
+        );
+        added
     }
 
     /// [`DeviceStorage::integrate_neighbor_report`] over the records of a
@@ -840,9 +861,22 @@ impl DeviceStorage {
         mode: DiscoveryMode,
         now: SimTime,
     ) -> Vec<DeviceAddress> {
-        self.integrate(responder, responder_quality, responder_mobility, records, mode, now)
+        let mut added = Vec::new();
+        self.integrate(
+            responder,
+            responder_quality,
+            responder_mobility,
+            records,
+            mode,
+            now,
+            &mut added,
+        );
+        added
     }
 
+    /// The integration itself; every newly learned address goes to `found`
+    /// as it is learned.
+    #[allow(clippy::too_many_arguments)]
     fn integrate<R: ReportRecord>(
         &mut self,
         responder: DeviceAddress,
@@ -851,8 +885,8 @@ impl DeviceStorage {
         mut records: impl ExactSizeIterator<Item = R>,
         mode: DiscoveryMode,
         now: SimTime,
-    ) -> Vec<DeviceAddress> {
-        let mut added = Vec::new();
+        found: &mut impl Extend<DeviceAddress>,
+    ) {
         let capacity = self.devices.rows.capacity();
         self.generation += 1;
         // The description the responder's own row holds, for new rows to
@@ -883,6 +917,12 @@ impl DeviceStorage {
             // direct neighbours).
             let cand_jumps = record.jumps().saturating_add(1);
             if mode.max_learned_jumps().is_some_and(|max| cand_jumps > max) {
+                continue;
+            }
+            // The stored route would be `[responder_quality] ++ hops`; skip
+            // one longer than a frame can carry, which the next export of
+            // the row would otherwise write with a wrapped count.
+            if hops.len() >= usize::from(u8::MAX) {
                 continue;
             }
             // Remember that `responder` claims to reach this device directly
@@ -925,7 +965,7 @@ impl DeviceStorage {
                         nearest_mobility: responder_mobility,
                     };
                     self.devices.insert_at(at, row, records.len());
-                    added.push(address);
+                    found.extend([address]);
                 }
                 Ok(at) => {
                     let existing = self.devices.at_mut(at);
@@ -963,7 +1003,6 @@ impl DeviceStorage {
                 reported.shrink_to(headroom(reported.len()));
             }
         }
-        added
     }
 
     /// Ages the storage after one inquiry loop: direct neighbours that did
@@ -981,12 +1020,11 @@ impl DeviceStorage {
         stale_timeout: SimDuration,
     ) -> Vec<DeviceAddress> {
         responded.sort_unstable();
-        let mut removed = Vec::new();
         // Pass 1: age direct neighbours and drop stale indirect entries.
         // Missed-loop counters are invisible to the generation's consumers,
         // so the counter is bumped further down, only when an entry is
         // actually removed.
-        let mut to_remove: Vec<DeviceAddress> = Vec::new();
+        let mut removed = Vec::new();
         for &slot in &self.devices.slots {
             let entry = &mut self.devices.rows[slot as usize];
             if entry.is_direct() {
@@ -995,16 +1033,15 @@ impl DeviceStorage {
                 } else {
                     entry.missed_loops += 1;
                     if entry.missed_loops > max_missed_loops {
-                        to_remove.push(entry.address);
+                        removed.push(entry.address);
                     }
                 }
             } else if now.saturating_since(entry.last_seen) > stale_timeout {
-                to_remove.push(entry.address);
+                removed.push(entry.address);
             }
         }
-        for addr in to_remove {
+        for &addr in &removed {
             self.erase(addr);
-            removed.push(addr);
         }
         // Pass 2 (repeated): drop indirect entries whose bridge is gone.
         // Orphans can only exist when something was removed — in pass 1
@@ -1758,6 +1795,9 @@ mod tests {
                 if address == self.own || mode.max_learned_jumps().is_some_and(|max| jumps > max) {
                     continue;
                 }
+                if record.hop_qualities.len() >= usize::from(u8::MAX) {
+                    continue;
+                }
                 if record.jumps == 0 {
                     let claimed = record.hop_qualities.first().copied().unwrap_or(0);
                     self.reported
@@ -1931,7 +1971,8 @@ mod tests {
 
     /// Random neighbour records over a small address pool: 0–40 hops whatever
     /// the jump count says — or just short of, at and just past what a row
-    /// holds inline once our hop is in front, or all 255 a frame can carry —
+    /// holds inline once our hop is in front, or the 254 that fill a stored
+    /// route to the 255 a frame can carry, or 255, one too many —
     /// the owner named now and then, sorted as an exporter sends them, or
     /// shuffled, or with records repeated.
     fn random_records(rng: &mut SimRng, service_lists: &[Rc<[ServiceInfo]>]) -> Vec<NeighborRecord> {
@@ -1939,7 +1980,7 @@ mod tests {
             .map(|_| {
                 let hops = match rng.range(0u8..10) {
                     0 => rng.range(INLINE_HOPS - 2..=INLINE_HOPS),
-                    1 => 255,
+                    1 => rng.range(254usize..=255),
                     _ => rng.range(0usize..=40),
                 };
                 NeighborRecord {
@@ -2100,7 +2141,7 @@ mod tests {
                 }
             }
         }
-        for reached in [1, INLINE_HOPS - 1, INLINE_HOPS, INLINE_HOPS + 1, 256] {
+        for reached in [1, INLINE_HOPS - 1, INLINE_HOPS, INLINE_HOPS + 1, 255] {
             assert!(hop_list_lengths.contains(&reached), "no stored route of {reached} hops");
         }
         assert!(

@@ -22,13 +22,26 @@
 //! — same grammar, same [`WireError`]s as [`decode`]: every element has one
 //! parser, which yields a view, and `decode` is that parser plus `view →
 //! owned` — after which names are `&str` and hop/tech lists `&[u8]` into the
-//! frame it arrived in. The receiving node goes verify → link-role lookup →
-//! view → device storage, and the storage materialises an owned description
-//! only for the entries it inserts or changes. On the serving side
+//! frame it arrived in. The walk a view's [`Neighbors`] make re-reads each
+//! record's fields with the same parser but steps over its services by their
+//! length prefixes, so a service is parsed again only where the storage looks
+//! inside the list; a record's [`Services`] keep the bytes of their run, and
+//! a list a new row may share is compared with the shared one byte for byte
+//! ([`Services::to_shared`]). The receiving node goes verify → link-role
+//! lookup → view → device storage, and the storage materialises an owned
+//! description only for the entries it inserts or changes. On the serving side
 //! [`InquiryResponseWriter`] streams the reply straight from the device
 //! storage into the encode buffer, with no intermediate record list (the
 //! record count is patched in afterwards); [`encode_into`] writes its report
 //! arm through the same writer, so the report has one parser and one printer.
+//!
+//! **Other frames are built only where something keeps them.** [`validate`]
+//! gives [`decode`]'s verdict through the same parser without building
+//! anything: a daemon answers an inquiry request from its cached response
+//! without the requester's description, and the adversary's forge reads a
+//! tag or a connection id without decoding a report. [`decode`] builds the
+//! owned [`Message`] for the frames whose fields reach an application or a
+//! bridge.
 
 use std::cell::Cell;
 use std::fmt;
@@ -82,14 +95,22 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-const TAG_INQUIRY_REQUEST: u8 = 1;
-const TAG_INQUIRY_RESPONSE: u8 = 2;
-const TAG_CONNECT_REQUEST: u8 = 3;
-const TAG_BRIDGE_REQUEST: u8 = 4;
-const TAG_ACCEPT: u8 = 5;
-const TAG_ERROR: u8 = 6;
-const TAG_DATA: u8 = 7;
-const TAG_DISCONNECT: u8 = 8;
+/// Tag of a [`Message::InquiryRequest`] frame (its second byte).
+pub const TAG_INQUIRY_REQUEST: u8 = 1;
+/// Tag of a [`Message::InquiryResponse`] frame.
+pub const TAG_INQUIRY_RESPONSE: u8 = 2;
+/// Tag of a [`Message::ConnectRequest`] frame.
+pub const TAG_CONNECT_REQUEST: u8 = 3;
+/// Tag of a [`Message::BridgeRequest`] frame.
+pub const TAG_BRIDGE_REQUEST: u8 = 4;
+/// Tag of a [`Message::Accept`] frame.
+pub const TAG_ACCEPT: u8 = 5;
+/// Tag of a [`Message::Error`] frame.
+pub const TAG_ERROR: u8 = 6;
+/// Tag of a [`Message::Data`] frame.
+pub const TAG_DATA: u8 = 7;
+/// Tag of a [`Message::Disconnect`] frame.
+pub const TAG_DISCONNECT: u8 = 8;
 
 struct Writer<'a> {
     buf: &'a mut Vec<u8>,
@@ -113,11 +134,11 @@ impl<'a> Writer<'a> {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
     fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
+        self.u32(counted(v.len(), 32) as u32);
         self.buf.extend_from_slice(v);
     }
     fn string(&mut self, v: &str) {
-        self.u16(v.len() as u16);
+        self.u16(counted(v.len(), 16) as u16);
         self.buf.extend_from_slice(v.as_bytes());
     }
     fn address(&mut self, a: DeviceAddress) {
@@ -157,7 +178,7 @@ impl<'a> Writer<'a> {
         self.string(name);
         self.u8(mobility.value());
         self.u32(checksum.0);
-        self.u8(techs.len() as u8);
+        self.u8(counted(techs.len(), 8) as u8);
         for t in techs {
             self.tech(*t);
         }
@@ -177,6 +198,17 @@ impl<'a> Writer<'a> {
     fn patch_u16(&mut self, at: usize, v: u16) {
         self.buf[at..at + 2].copy_from_slice(&v.to_be_bytes());
     }
+}
+
+/// `n`, checked in debug builds to fit the `bits`-wide field the writer is
+/// about to narrow it into: a longer count would be written wrapped, and the
+/// frame would no longer parse.
+fn counted(n: usize, bits: u32) -> usize {
+    debug_assert!(
+        (n as u64) >> bits == 0,
+        "a count of {n} does not fit its {bits}-bit wire field"
+    );
+    n
 }
 
 fn tech_from_byte(byte: u8) -> Option<RadioTech> {
@@ -253,7 +285,7 @@ impl<'a> InquiryResponseWriter<'a> {
             w.service(s);
             service_count += 1;
         }
-        w.patch_u16(services_at, service_count as u16);
+        w.patch_u16(services_at, counted(service_count, 16) as u16);
         let count_at = w.reserve_u16();
         InquiryResponseWriter { w, count_at, count: 0 }
     }
@@ -263,9 +295,9 @@ impl<'a> InquiryResponseWriter<'a> {
         let w = &mut self.w;
         w.device_fields(n.address, n.name, n.mobility, n.checksum, n.techs);
         w.u8(n.jumps);
-        w.u8(n.hop_qualities.len() as u8);
+        w.u8(counted(n.hop_qualities.len(), 8) as u8);
         w.buf.extend_from_slice(n.hop_qualities);
-        w.u16(n.services.len() as u16);
+        w.u16(counted(n.services.len(), 16) as u16);
         for s in n.services {
             w.service(s);
         }
@@ -274,7 +306,7 @@ impl<'a> InquiryResponseWriter<'a> {
 
     /// Fills in the record count and closes the frame.
     pub fn finish(mut self, bridge_load_percent: u8) {
-        self.w.patch_u16(self.count_at, self.count as u16);
+        self.w.patch_u16(self.count_at, counted(self.count, 16) as u16);
         self.w.u8(bridge_load_percent);
     }
 }
@@ -368,22 +400,38 @@ impl<'a> Reader<'a> {
             port: ServicePort(self.u16()?),
         })
     }
-    /// A counted run of services: walked once here, so the iterator handed
-    /// back only ever re-reads bytes that already parsed.
-    fn services(&mut self) -> Result<Services<'a>, WireError> {
+    /// A counted run of services. The validating pass (`CHECK`) parses
+    /// every one; a walk over bytes that already passed it steps over each by
+    /// its length prefixes, with no UTF-8 check and no [`ServiceView`].
+    /// Either way the list handed back keeps the bytes it covers and only
+    /// ever re-reads bytes that parsed.
+    fn services<const CHECK: bool>(&mut self) -> Result<Services<'a>, WireError> {
+        let start = self.pos;
         let left = self.u16()? as usize;
-        let list = Services { r: self.clone(), left };
+        let r = self.clone();
         for _ in 0..left {
-            self.service()?;
+            if CHECK {
+                self.service()?;
+            } else {
+                let name = self.u16()? as usize;
+                self.take(name)?;
+                let attribute = self.u16()? as usize;
+                self.take(attribute)?;
+                self.take(2)?;
+            }
         }
-        Ok(list)
+        Ok(Services {
+            span: &self.buf[start..self.pos],
+            r,
+            left,
+        })
     }
-    fn neighbor(&mut self) -> Result<NeighborView<'a>, WireError> {
+    fn neighbor<const CHECK: bool>(&mut self) -> Result<NeighborView<'a>, WireError> {
         let info = self.device()?;
         let jumps = self.u8()?;
         let hop_count = self.u8()? as usize;
         let hop_qualities = self.take(hop_count)?;
-        let services = self.services()?;
+        let services = self.services::<CHECK>()?;
         Ok(NeighborView {
             info,
             jumps,
@@ -393,11 +441,11 @@ impl<'a> Reader<'a> {
     }
     fn inquiry_response(&mut self) -> Result<InquiryResponseView<'a>, WireError> {
         let device = self.device()?;
-        let services = self.services()?;
+        let services = self.services::<true>()?;
         let left = self.u16()? as usize;
         let neighbors = Neighbors { r: self.clone(), left };
         for _ in 0..left {
-            self.neighbor()?;
+            self.neighbor::<true>()?;
         }
         let bridge_load_percent = self.u8()?;
         Ok(InquiryResponseView {
@@ -499,16 +547,15 @@ impl ServiceView<'_> {
             port: self.port,
         }
     }
-
-    fn describes(&self, service: &ServiceInfo) -> bool {
-        self.name == service.name && self.attribute == service.attribute && self.port == service.port
-    }
 }
 
 /// The services of one device in a frame: a cheap-to-clone iterator over
 /// bytes that were validated when the enclosing view was parsed.
 #[derive(Clone)]
 pub struct Services<'a> {
+    /// The run as it is on the wire, count included: two runs with equal
+    /// bytes hold equal services.
+    span: &'a [u8],
     r: Reader<'a>,
     left: usize,
 }
@@ -530,14 +577,26 @@ impl<'a> Iterator for Services<'a> {
 
 impl ExactSizeIterator for Services<'_> {}
 
-impl Services<'_> {
+impl<'a> Services<'a> {
+    /// True when the run is exactly `list`'s encoding: the bytes are
+    /// compared with the list's strings as they stand, with no UTF-8 check
+    /// (bytes equal to a `str`'s are valid by construction).
+    fn encodes(&self, list: &[ServiceInfo]) -> bool {
+        let mut r = Reader::new(self.span);
+        let string = |r: &mut Reader<'_>, v: &str| {
+            r.u16().is_ok_and(|len| usize::from(len) == v.len()) && r.take(v.len()).is_ok_and(|b| b == v.as_bytes())
+        };
+        r.u16().is_ok_and(|count| usize::from(count) == list.len())
+            && list
+                .iter()
+                .all(|s| string(&mut r, &s.name) && string(&mut r, &s.attribute) && r.u16() == Ok(s.port.0))
+    }
+
     /// The owned list, shared with `like` when that holds exactly these
     /// services (see [`DeviceView::to_info`]).
     pub fn to_shared(&self, like: Option<&Rc<[ServiceInfo]>>) -> Rc<[ServiceInfo]> {
         match like {
-            Some(like) if self.len() == like.len() && self.clone().zip(like.iter()).all(|(v, s)| v.describes(s)) => {
-                like.clone()
-            }
+            Some(like) if self.encodes(like) => like.clone(),
             _ => self.clone().map(|s| s.to_info()).collect(),
         }
     }
@@ -582,7 +641,7 @@ impl<'a> Iterator for Neighbors<'a> {
         self.left = self.left.checked_sub(1)?;
         Some(
             self.r
-                .neighbor()
+                .neighbor::<false>()
                 .expect("records were validated when the view was parsed"),
         )
     }
@@ -735,6 +794,138 @@ pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
     }
 }
 
+/// A frame read in place: the one parser behind [`decode`] and [`validate`],
+/// which differ only in what they build from it.
+enum MessageView<'a> {
+    InquiryRequest {
+        requester: DeviceView<'a>,
+    },
+    InquiryResponse(InquiryResponseView<'a>),
+    ConnectRequest {
+        conn_id: ConnectionId,
+        service: &'a str,
+        client: DeviceView<'a>,
+        reply_context: Option<ConnectionId>,
+    },
+    BridgeRequest {
+        conn_id: ConnectionId,
+        destination: DeviceAddress,
+        service: &'a str,
+        client: DeviceView<'a>,
+        reply_context: Option<ConnectionId>,
+    },
+    Accept(ConnectionId),
+    Error {
+        conn_id: ConnectionId,
+        code: ErrorCode,
+        detail: &'a str,
+    },
+    Data {
+        conn_id: ConnectionId,
+        payload: &'a [u8],
+    },
+    Disconnect(ConnectionId),
+}
+
+impl MessageView<'_> {
+    fn connection_id(&self) -> Option<ConnectionId> {
+        match self {
+            MessageView::InquiryRequest { .. } | MessageView::InquiryResponse(_) => None,
+            MessageView::ConnectRequest { conn_id, .. }
+            | MessageView::BridgeRequest { conn_id, .. }
+            | MessageView::Accept(conn_id)
+            | MessageView::Error { conn_id, .. }
+            | MessageView::Data { conn_id, .. }
+            | MessageView::Disconnect(conn_id) => Some(*conn_id),
+        }
+    }
+
+    /// The owned message, its device descriptions sharing `like`'s name
+    /// and technology list where equal (see [`DeviceView::to_info`]).
+    fn to_message(&self, like: Option<&DeviceInfo>) -> Message {
+        match *self {
+            MessageView::InquiryRequest { requester } => Message::InquiryRequest {
+                requester: requester.to_info(like),
+            },
+            // Not reached from `decode`, which converts a report record by
+            // record.
+            MessageView::InquiryResponse(ref report) => report.to_message(),
+            MessageView::ConnectRequest {
+                conn_id,
+                service,
+                client,
+                reply_context,
+            } => Message::ConnectRequest {
+                conn_id,
+                service: service.to_owned(),
+                client: client.to_info(like),
+                reply_context,
+            },
+            MessageView::BridgeRequest {
+                conn_id,
+                destination,
+                service,
+                client,
+                reply_context,
+            } => Message::BridgeRequest {
+                conn_id,
+                destination,
+                service: service.to_owned(),
+                client: client.to_info(like),
+                reply_context,
+            },
+            MessageView::Accept(conn_id) => Message::Accept { conn_id },
+            MessageView::Error { conn_id, code, detail } => Message::Error {
+                conn_id,
+                code,
+                detail: detail.to_owned(),
+            },
+            MessageView::Data { conn_id, payload } => Message::Data {
+                conn_id,
+                payload: payload.to_vec(),
+            },
+            MessageView::Disconnect(conn_id) => Message::Disconnect { conn_id },
+        }
+    }
+}
+
+impl<'a> Reader<'a> {
+    /// The message after a header carrying `tag`.
+    fn body(&mut self, tag: u8) -> Result<MessageView<'a>, WireError> {
+        Ok(match tag {
+            TAG_INQUIRY_REQUEST => MessageView::InquiryRequest {
+                requester: self.device()?,
+            },
+            TAG_INQUIRY_RESPONSE => MessageView::InquiryResponse(self.inquiry_response()?),
+            TAG_CONNECT_REQUEST => MessageView::ConnectRequest {
+                conn_id: self.conn()?,
+                service: self.str()?,
+                client: self.device()?,
+                reply_context: self.opt_conn()?,
+            },
+            TAG_BRIDGE_REQUEST => MessageView::BridgeRequest {
+                conn_id: self.conn()?,
+                destination: self.address()?,
+                service: self.str()?,
+                client: self.device()?,
+                reply_context: self.opt_conn()?,
+            },
+            TAG_ACCEPT => MessageView::Accept(self.conn()?),
+            TAG_ERROR => MessageView::Error {
+                conn_id: self.conn()?,
+                code: ErrorCode::from_code(self.u8()?).ok_or(WireError::InvalidValue("error code"))?,
+                detail: self.str()?,
+            },
+            TAG_DATA => MessageView::Data {
+                conn_id: self.conn()?,
+                payload: self.bytes()?,
+            },
+            TAG_DISCONNECT => MessageView::Disconnect(self.conn()?),
+            other => return Err(WireError::UnknownTag(other)),
+        })
+    }
+}
+
 /// Decodes a frame previously produced by [`encode`].
 ///
 /// # Errors
@@ -742,23 +933,37 @@ pub fn encode_into(message: &Message, buf: &mut Vec<u8>) {
 /// Returns a [`WireError`] for truncated, corrupt, version-mismatched or
 /// trailing-garbage frames.
 pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
+    decode_sharing(frame, None)
+}
+
+/// [`decode`], every device description in the frame sharing the name and
+/// technology list of `like` where they are equal (see
+/// [`DeviceView::to_info`]). A node decodes with its own description: a
+/// fleet's devices describe themselves alike, so a connecting client's
+/// description then costs no allocation of its own.
+///
+/// # Errors
+///
+/// Exactly [`decode`]'s.
+pub fn decode_like(frame: &[u8], like: &DeviceInfo) -> Result<Message, WireError> {
+    decode_sharing(frame, Some(like))
+}
+
+fn decode_sharing(frame: &[u8], like: Option<&DeviceInfo>) -> Result<Message, WireError> {
     let mut r = Reader::new(frame);
     let message = match r.header()? {
-        TAG_INQUIRY_REQUEST => Message::InquiryRequest {
-            requester: r.device()?.to_info(None),
-        },
-        // Record by record rather than `inquiry_response()?.to_message()`:
+        // Record by record rather than the validated view's `to_message()`:
         // the same element parsers and conversions, without walking the
         // frame once more just to validate it ahead of the conversion.
         TAG_INQUIRY_RESPONSE => {
-            let device = r.device()?.to_info(None);
-            let services = r.services()?.map(|s| s.to_info()).collect();
+            let device = r.device()?.to_info(like);
+            let services = r.services::<true>()?.map(|s| s.to_info()).collect();
             let count = r.u16()? as usize;
             // Every record occupies at least one byte, so a corrupted count
             // can never reserve more slots than the frame has bytes left.
             let mut neighbors = Vec::with_capacity(count.min(r.remaining()));
             for _ in 0..count {
-                neighbors.push(r.neighbor()?.to_record());
+                neighbors.push(r.neighbor::<true>()?.to_record());
             }
             Message::InquiryResponse {
                 device,
@@ -767,34 +972,25 @@ pub fn decode(frame: &[u8]) -> Result<Message, WireError> {
                 bridge_load_percent: r.u8()?,
             }
         }
-        TAG_CONNECT_REQUEST => Message::ConnectRequest {
-            conn_id: r.conn()?,
-            service: r.str()?.to_owned(),
-            client: r.device()?.to_info(None),
-            reply_context: r.opt_conn()?,
-        },
-        TAG_BRIDGE_REQUEST => Message::BridgeRequest {
-            conn_id: r.conn()?,
-            destination: r.address()?,
-            service: r.str()?.to_owned(),
-            client: r.device()?.to_info(None),
-            reply_context: r.opt_conn()?,
-        },
-        TAG_ACCEPT => Message::Accept { conn_id: r.conn()? },
-        TAG_ERROR => Message::Error {
-            conn_id: r.conn()?,
-            code: ErrorCode::from_code(r.u8()?).ok_or(WireError::InvalidValue("error code"))?,
-            detail: r.str()?.to_owned(),
-        },
-        TAG_DATA => Message::Data {
-            conn_id: r.conn()?,
-            payload: r.bytes()?.to_vec(),
-        },
-        TAG_DISCONNECT => Message::Disconnect { conn_id: r.conn()? },
-        other => return Err(WireError::UnknownTag(other)),
+        tag => r.body(tag)?.to_message(like),
     };
     r.finish()?;
     Ok(message)
+}
+
+/// Checks a frame without building anything: [`decode`]'s verdict, and for a
+/// frame that decodes, its tag (one of the `TAG_*` constants) and what
+/// [`Message::connection_id`] would say.
+///
+/// # Errors
+///
+/// Exactly [`decode`]'s error for the same bytes.
+pub fn validate(frame: &[u8]) -> Result<(u8, Option<ConnectionId>), WireError> {
+    let mut r = Reader::new(frame);
+    let tag = r.header()?;
+    let conn = r.body(tag)?.connection_id();
+    r.finish()?;
+    Ok((tag, conn))
 }
 
 #[cfg(test)]
@@ -1066,11 +1262,16 @@ mod tests {
         // bad tech byte ahead of the truncation point is an invalid value).
         // Non-report frames are in the mix because a mutation of byte 1 can
         // put the report tag on another message's body.
+        // The checks that build nothing give decode's verdict on every frame.
         fn agree(frame: &[u8]) {
+            let decoded = decode(frame);
             if frame.get(1) == Some(&TAG_INQUIRY_RESPONSE) {
                 let viewed = view_inquiry_response(frame).map(|v| v.to_message());
-                assert_eq!(viewed, decode(frame), "frame {frame:?}");
+                assert_eq!(viewed, decoded, "frame {frame:?}");
             }
+            let checked = decoded.as_ref().map(|m| (frame[1], m.connection_id()));
+            assert_eq!(validate(frame), checked.map_err(Clone::clone), "frame {frame:?}");
+            assert_eq!(decode_like(frame, &device(1)), decoded, "frame {frame:?}");
         }
         // Known answer for that ordering: two announced techs, the first one
         // invalid, the second one cut off.

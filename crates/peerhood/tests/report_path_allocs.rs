@@ -6,17 +6,23 @@
 //! when it empties.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use peerhood::config::{DiscoveryMode, PeerHoodConfig};
+use peerhood::application::Application;
+use peerhood::config::{DiscoveryMode, PeerHoodConfig, SecurityConfig};
 use peerhood::device::{DeviceInfo, MobilityClass};
-use peerhood::ids::DeviceAddress;
+use peerhood::ids::{ConnectionId, DeviceAddress};
+use peerhood::node::{PeerHoodApi, PeerHoodNode};
 use peerhood::proto::{Message, NeighborRecord};
 use peerhood::service::ServiceInfo;
 use peerhood::storage::{DeviceStorage, StoredDevice};
 use peerhood::wire;
-use simnet::{NodeId, RadioTech, SimDuration, SimTime};
+use simnet::agent::Agent;
+use simnet::{
+    AttemptId, ConnectError, Ctx, DisconnectReason, IncomingConnection, InquiryHit, LinkId, MobilityModel, NodeId,
+    OnWorld, Payload, Point, RadioTech, SimDuration, SimTime, TimerToken, World, WorldConfig,
+};
 
 thread_local! {
     /// Allocations made by this thread (`cargo test` runs tests in parallel,
@@ -320,4 +326,241 @@ fn a_table_gives_memory_back_when_it_empties() {
     assert_eq!(d.stats().known_devices, 61);
     let route = d.get(fleet_device(545).address).unwrap().route;
     assert_eq!(route.bridge, Some(fleet_device(1).address));
+}
+
+// ---------------------------------------------------------------------
+// A steady-state session, frame by frame
+// ---------------------------------------------------------------------
+
+/// What one node's middleware allocated for each frame it received:
+/// `(tag, allocations, served from the cached inquiry response)`.
+type FrameLog = Rc<RefCell<Vec<(u8, u64, bool)>>>;
+
+/// A node whose every received frame is counted: the frame's tag (its
+/// second byte, with or without an auth trailer behind it) and what the
+/// whole `on_message` — middleware, event dispatch, application — allocated.
+struct Counted {
+    node: PeerHoodNode,
+    frames: FrameLog,
+}
+
+impl Agent for Counted {
+    fn on_start<C: Ctx>(&mut self, ctx: &mut C) {
+        self.node.on_start(ctx)
+    }
+    fn on_restart<C: Ctx>(&mut self, ctx: &mut C) {
+        self.node.on_restart(ctx)
+    }
+    fn on_timer<C: Ctx>(&mut self, ctx: &mut C, token: TimerToken) {
+        self.node.on_timer(ctx, token)
+    }
+    fn on_inquiry_complete<C: Ctx>(&mut self, ctx: &mut C, tech: RadioTech, hits: Vec<InquiryHit>) {
+        self.node.on_inquiry_complete(ctx, tech, hits)
+    }
+    fn on_incoming_connection<C: Ctx>(&mut self, ctx: &mut C, incoming: IncomingConnection) -> bool {
+        self.node.on_incoming_connection(ctx, incoming)
+    }
+    fn on_connected<C: Ctx>(&mut self, ctx: &mut C, attempt: AttemptId, link: LinkId, peer: NodeId, tech: RadioTech) {
+        self.node.on_connected(ctx, attempt, link, peer, tech)
+    }
+    fn on_connect_failed<C: Ctx>(
+        &mut self,
+        ctx: &mut C,
+        attempt: AttemptId,
+        peer: NodeId,
+        tech: RadioTech,
+        error: ConnectError,
+    ) {
+        self.node.on_connect_failed(ctx, attempt, peer, tech, error)
+    }
+    fn on_message<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, from: NodeId, payload: Payload) {
+        let tag = payload.as_slice()[1];
+        let cached = self.node.resilience_stats().inquiries_cached;
+        let (allocations, ()) = allocations_in(|| self.node.on_message(ctx, link, from, payload));
+        let from_cache = self.node.resilience_stats().inquiries_cached > cached;
+        self.frames.borrow_mut().push((tag, allocations, from_cache));
+    }
+    fn on_disconnected<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, peer: NodeId, reason: DisconnectReason) {
+        self.node.on_disconnected(ctx, link, peer, reason)
+    }
+}
+
+/// The client's application: counts the bytes it is sent and keeps none.
+#[derive(Default)]
+struct Sink {
+    received: usize,
+}
+
+impl Application for Sink {
+    fn on_data(&mut self, _api: &mut PeerHoodApi<'_>, _conn: ConnectionId, payload: Vec<u8>) {
+        self.received += payload.len();
+    }
+}
+
+/// The server's application: answers every payload with one of its own.
+struct Echo;
+
+impl Application for Echo {
+    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
+        api.register_service(ServiceInfo::new("echo", "v1", 7)).unwrap();
+    }
+    fn on_data(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, payload: Vec<u8>) {
+        let _ = api.send(conn, payload);
+    }
+}
+
+/// The frames a session received, per node.
+struct Session {
+    client: Vec<(u8, u64, bool)>,
+    server: Vec<(u8, u64, bool)>,
+    bridge: Vec<(u8, u64, bool)>,
+    /// Payload bytes the client's application was handed.
+    echoed: usize,
+}
+
+/// A client connects straight to a server and exchanges `rounds` data
+/// frames each way; then its link decays, the session is handed over to a
+/// route through a bridge and `rounds` more go each way through it; then
+/// the client hangs up.
+fn session(frame_auth: bool, rounds: usize) -> Session {
+    let mut radio = WorldConfig::ideal(47);
+    radio.radio.bluetooth.setup_min_s = 2.0;
+    radio.radio.bluetooth.setup_max_s = 2.0;
+    let mut world = World::new(radio);
+    let config = |name: &str, mobility| {
+        let mut config = PeerHoodConfig::new(name, mobility);
+        config.discovery.inquiry_interval = SimDuration::from_secs(3);
+        if frame_auth {
+            config.security = SecurityConfig::auth();
+        }
+        config
+    };
+    let mut add = |name, at: Point, node: PeerHoodNode| {
+        let frames = FrameLog::default();
+        let counted = Counted {
+            node,
+            frames: frames.clone(),
+        };
+        let id = world.add_node(
+            name,
+            MobilityModel::stationary(at),
+            &[RadioTech::Bluetooth],
+            Box::new(OnWorld(counted)),
+        );
+        (id, frames)
+    };
+    let client_node = PeerHoodNode::builder()
+        .config(config("client", MobilityClass::Dynamic))
+        .app(Sink::default())
+        .build();
+    let server_node = PeerHoodNode::builder()
+        .config(config("server", MobilityClass::Static))
+        .app(Echo)
+        .build();
+    let (client, client_frames) = add("client", Point::new(0.0, 0.0), client_node);
+    let (server, server_frames) = add("server", Point::new(5.0, 0.0), server_node);
+    let bridge_node = PeerHoodNode::relay(config("bridge", MobilityClass::Static));
+    let (bridge, bridge_frames) = add("bridge", Point::new(2.5, 3.5), bridge_node);
+    world.run_for(SimDuration::from_secs(120));
+
+    let server_address = DeviceAddress::from_node(server);
+    let on_client = |world: &mut World, act: &mut dyn FnMut(&mut PeerHoodApi<'_>)| {
+        world
+            .with_agent::<Counted, _>(client, |c, ctx| c.node.with_api(ctx, |api| act(api)))
+            .expect("the client runs");
+    };
+    let mut conn = None;
+    on_client(&mut world, &mut |api| {
+        conn = Some(api.connect_to(server_address, "echo").unwrap())
+    });
+    let conn = conn.unwrap();
+    world.run_for(SimDuration::from_secs(10));
+    let exchange = |world: &mut World| {
+        for round in 0..rounds {
+            world
+                .with_agent::<Counted, _>(client, |c, ctx| {
+                    c.node
+                        .with_api(ctx, |api| api.send(conn, vec![round as u8; 32]).unwrap())
+                })
+                .unwrap();
+            world.run_for(SimDuration::from_millis(500));
+        }
+    };
+    exchange(&mut world);
+
+    let link = world
+        .with_agent::<Counted, _>(client, |c, _| c.node.connection_link(conn))
+        .unwrap()
+        .expect("the direct route is up");
+    world.set_link_quality_override(link, 240.0, 20.0);
+    world.run_for(SimDuration::from_secs(30));
+    let handed_over = world
+        .with_agent::<Counted, _>(client, |c, _| c.node.handover_completions())
+        .unwrap();
+    assert_eq!(handed_over, 1, "the decaying link is handed over once");
+    exchange(&mut world);
+    assert!(
+        world
+            .with_agent::<Counted, _>(bridge, |c, _| c.node.bridge_stats().1)
+            .unwrap()
+            >= 2 * rounds as u64,
+        "the bridge relays the session"
+    );
+    on_client(&mut world, &mut |api| api.close(conn));
+    world.run_for(SimDuration::from_secs(5));
+    let echoed = world
+        .with_agent::<Counted, _>(client, |c, _| c.node.app::<Sink>().unwrap().received)
+        .unwrap();
+    let take = |frames: FrameLog| std::mem::take(&mut *frames.borrow_mut());
+    Session {
+        client: take(client_frames),
+        server: take(server_frames),
+        bridge: take(bridge_frames),
+        echoed,
+    }
+}
+
+/// The allocation counts of the frames in `frames` carrying `tag`, and of
+/// inquiry requests only those answered from the cached response.
+fn counts(frames: &[(u8, u64, bool)], tag: u8) -> Vec<u64> {
+    let answered = |cached: bool| tag != wire::TAG_INQUIRY_REQUEST || cached;
+    frames
+        .iter()
+        .filter(|(t, _, cached)| *t == tag && answered(*cached))
+        .map(|(_, n, _)| *n)
+        .collect()
+}
+
+#[test]
+fn a_session_allocates_what_each_frame_keeps() {
+    const ROUNDS: usize = 12;
+    for frame_auth in [false, true] {
+        let s = session(frame_auth, ROUNDS);
+        assert_eq!(s.echoed, 2 * ROUNDS * 32, "every payload came back");
+        // A data frame handed to the application allocates only the payload
+        // the application receives, with or without frame authentication.
+        assert_eq!(counts(&s.client, wire::TAG_DATA), [1; 2 * ROUNDS], "auth {frame_auth}");
+        if frame_auth {
+            continue;
+        }
+        // Every node answered inquiries from its cached response, and
+        // building nothing to do so.
+        for (who, frames) in [("client", &s.client), ("server", &s.server), ("bridge", &s.bridge)] {
+            let answered = counts(frames, wire::TAG_INQUIRY_REQUEST);
+            assert!(
+                !answered.is_empty() && answered.iter().all(|&n| n == 0),
+                "{who}: {answered:?}"
+            );
+        }
+        // The client's two Accepts, the direct route's and the handover's.
+        assert_eq!(counts(&s.client, wire::TAG_ACCEPT), [0, 0]);
+        // The server closes the session in place; the bridge tells the
+        // server, which is the one frame it encodes.
+        assert_eq!(counts(&s.server, wire::TAG_DISCONNECT), [0]);
+        assert_eq!(counts(&s.bridge, wire::TAG_DISCONNECT), [1]);
+        // A relayed data frame travels on as it came; the one allocation is
+        // its decoded payload, which the relay reads the connection id
+        // beside.
+        assert_eq!(counts(&s.bridge, wire::TAG_DATA), [1; 2 * ROUNDS]);
+    }
 }
