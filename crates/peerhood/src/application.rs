@@ -20,8 +20,9 @@ use crate::node::PeerHoodApi;
 /// implement the callbacks they care about. Scenario drivers and tests reach
 /// the concrete type by upcasting a `&dyn Application` to `&dyn Any` and
 /// downcasting that (what [`PeerHoodNode::app`](crate::node::PeerHoodNode::app)
-/// does).
-pub trait Application: Any {
+/// does). Applications are `Send`, so the node hosting them is one too and
+/// runs on either engine.
+pub trait Application: Any + Send {
     /// Called once when the PeerHood node starts. Typical applications
     /// register their services here.
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {

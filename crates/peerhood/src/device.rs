@@ -1,7 +1,7 @@
 //! Device descriptions and the static/hybrid/dynamic mobility classes.
 
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use simnet::{NodeId, RadioTech};
@@ -62,23 +62,24 @@ impl fmt::Display for MobilityClass {
 /// address, human-readable name, mobility class, checksum (daemon pid) and
 /// the radio technologies it supports.
 ///
-/// The name and technology list are interned behind `Rc`s: a device
+/// The name and technology list are interned behind `Arc`s: a device
 /// description is cloned on every protocol hop (connect requests, neighbour
 /// exports, storage upserts), and at metropolis scale those clones must be
-/// reference-count bumps, not string copies. Both equality and the wire
+/// reference-count bumps, not string copies. The count is atomic so a whole
+/// stack is `Send` and may run on the sharded engine's worker threads. Both equality and the wire
 /// encoding compare/serialise the *contents*, so the sharing is invisible.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeviceInfo {
     /// Unique device address.
     pub address: DeviceAddress,
     /// Human-readable device name.
-    pub name: Rc<str>,
+    pub name: Arc<str>,
     /// Mobility classification configured in the daemon.
     pub mobility: MobilityClass,
     /// Daemon process-id checksum.
     pub checksum: Checksum,
     /// Radio technologies the device's plugins cover.
-    pub techs: Rc<[RadioTech]>,
+    pub techs: Arc<[RadioTech]>,
 }
 
 impl DeviceInfo {

@@ -31,7 +31,7 @@
 //!   conn-id splices, data corruption, forged disconnects (killed by frame
 //!   auth, which seals the bytes end to end per hop).
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use simnet::{FrameForge, NodeId, Payload, RadioTech, SimRng};
 
@@ -125,7 +125,7 @@ impl ProtocolForge {
     /// receiver integrates them as route candidates bridged via the
     /// attacker — the §3.4.3 poisoning the scorecard counts.
     fn poisoned_report(&mut self, attacker: NodeId) -> Message {
-        let spoofed: Rc<[ServiceInfo]> = vec![ServiceInfo::new(&self.service, "spoofed", 1)].into();
+        let spoofed: Arc<[ServiceInfo]> = vec![ServiceInfo::new(&self.service, "spoofed", 1)].into();
         let neighbors = (0..POISON_FANOUT)
             .map(|_| {
                 let address = self.hostile_address();

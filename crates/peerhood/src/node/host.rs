@@ -27,7 +27,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use simnet::agent::Agent;
 use simnet::{
@@ -51,11 +51,13 @@ use super::{AppId, Core, PeerHoodApi, PeerHoodEvent};
 pub const EVENT_TRACE_CAP: usize = 65_536;
 
 /// A complete PeerHood device: middleware plus its hosted applications.
+/// Everything it holds is `Send`, so the `Agent` impl makes it a
+/// [`ShardAgent`](simnet::ShardAgent) as well as an `OnWorld` agent.
 pub struct PeerHoodNode {
-    /// Shared configuration — clone the `Rc` across a fleet of nodes
-    /// (builder [`config_shared`](PeerHoodNodeBuilder::config_shared)) and
-    /// thousands of devices reference one allocation.
-    config: Rc<PeerHoodConfig>,
+    /// Shared configuration — clone the `Arc` across a fleet of nodes
+    /// (builder [`config`](PeerHoodNodeBuilder::config)) and thousands of
+    /// devices reference one allocation.
+    config: Arc<PeerHoodConfig>,
     core: Option<Core>,
     apps: BTreeMap<AppId, Box<dyn Application>>,
     /// When `Some`, every dispatched [`PeerHoodEvent`] is also recorded here
@@ -66,24 +68,18 @@ pub struct PeerHoodNode {
 
 /// Fluent constructor for [`PeerHoodNode`]: configuration → applications.
 pub struct PeerHoodNodeBuilder {
-    config: Rc<PeerHoodConfig>,
+    config: Arc<PeerHoodConfig>,
     apps: Vec<Box<dyn Application>>,
 }
 
 impl PeerHoodNodeBuilder {
     /// Replaces the node configuration (defaults to
-    /// [`PeerHoodConfig::default`]).
-    pub fn config(mut self, config: PeerHoodConfig) -> Self {
-        self.config = Rc::new(config);
-        self
-    }
-
-    /// Replaces the node configuration with an already-shared one. Scenario
-    /// drivers building large fleets pass the same `Rc` to every node, so
-    /// the configuration (device names aside, see
+    /// [`PeerHoodConfig::default`]), given as a value or as an already-shared
+    /// `Arc`. Scenario drivers building large fleets pass clones of one `Arc`,
+    /// so the configuration (device names aside, see
     /// [`PeerHoodConfig::device_name`]) is stored once for the whole world.
-    pub fn config_shared(mut self, config: Rc<PeerHoodConfig>) -> Self {
-        self.config = config;
+    pub fn config(mut self, config: impl Into<Arc<PeerHoodConfig>>) -> Self {
+        self.config = config.into();
         self
     }
 
@@ -121,7 +117,7 @@ impl PeerHoodNode {
     /// Starts building a node (configuration → applications).
     pub fn builder() -> PeerHoodNodeBuilder {
         PeerHoodNodeBuilder {
-            config: Rc::new(PeerHoodConfig::default()),
+            config: Arc::new(PeerHoodConfig::default()),
             apps: Vec::new(),
         }
     }
@@ -455,7 +451,7 @@ impl Agent for PeerHoodNode {
             self.config.mobility,
             &self.config.techs,
         );
-        let mut core = Core::new(info, Rc::clone(&self.config));
+        let mut core = Core::new(info, Arc::clone(&self.config));
         core.start(ctx);
         for id in self.apps.keys() {
             core.events.push_back(PeerHoodEvent::Started { app: *id });

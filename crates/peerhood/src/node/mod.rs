@@ -30,7 +30,7 @@
 //! deterministic.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use simnet::table::IdTable;
 use simnet::{AttemptId, Ctx, LinkId, RadioTech, TimerToken};
@@ -77,10 +77,10 @@ fn token(kind: u64, payload: u64) -> TimerToken {
 /// Everything the node owns once started: the middleware state shared by the
 /// protocol, pending-attempt and API layers.
 pub(crate) struct Core {
-    /// Shared with the host (and, via
-    /// [`PeerHoodNodeBuilder::config_shared`], potentially with thousands of
-    /// sibling nodes): one configuration allocation per fleet, not per node.
-    pub(crate) config: Rc<PeerHoodConfig>,
+    /// Shared with the host (and, via [`PeerHoodNodeBuilder::config`],
+    /// potentially with thousands of sibling nodes): one configuration
+    /// allocation per fleet, not per node.
+    pub(crate) config: Arc<PeerHoodConfig>,
     /// The local device description advertised to the network.
     pub(crate) info: DeviceInfo,
     pub(crate) storage: DeviceStorage,
@@ -131,7 +131,7 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    pub(crate) fn new(info: DeviceInfo, config: Rc<PeerHoodConfig>) -> Self {
+    pub(crate) fn new(info: DeviceInfo, config: Arc<PeerHoodConfig>) -> Self {
         let mut registry = ServiceRegistry::new();
         if config.bridge.enabled {
             // The hidden bridge service is part of every PeerHood package and

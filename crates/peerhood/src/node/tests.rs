@@ -2,7 +2,7 @@
 //! multi-application dispatch layer (routing, builder defaults, event
 //! trace).
 
-use std::rc::Rc;
+use std::sync::{Arc, Mutex};
 
 use simnet::rng::SimRng;
 use simnet::{Ctx, MobilityModel, NodeId, OnWorld, Point, RadioTech, SimDuration, SimTime, World, WorldConfig};
@@ -604,17 +604,17 @@ fn event_trace_records_the_dispatch_stream() {
 }
 
 /// What a [`FanOutApp`] saw: the app it ran as, the event, the device.
-type FanOutLog = std::rc::Rc<std::cell::RefCell<Vec<(Option<AppId>, &'static str, DeviceAddress)>>>;
+type FanOutLog = Arc<Mutex<Vec<(Option<AppId>, &'static str, DeviceAddress)>>>;
 
 /// Logs every discovery callback into one log shared with its co-hosted app.
 struct FanOutApp(FanOutLog);
 
 impl Application for FanOutApp {
     fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_>, address: DeviceAddress) {
-        self.0.borrow_mut().push((api.app_id(), "discovered", address));
+        self.0.lock().unwrap().push((api.app_id(), "discovered", address));
     }
     fn on_device_lost(&mut self, api: &mut PeerHoodApi<'_>, address: DeviceAddress) {
-        self.0.borrow_mut().push((api.app_id(), "lost", address));
+        self.0.lock().unwrap().push((api.app_id(), "lost", address));
     }
 }
 
@@ -663,7 +663,11 @@ fn discovery_events_reach_every_hosted_app_once_in_app_id_order() {
         kinds.contains(&"discovered") && kinds.contains(&"lost"),
         "the script must discover the server and lose it: {kinds:?}"
     );
-    assert_eq!(*log.borrow(), expected, "each event once per app, app 0 before app 1");
+    assert_eq!(
+        *log.lock().unwrap(),
+        expected,
+        "each event once per app, app 0 before app 1"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -1095,7 +1099,7 @@ fn core_config() -> PeerHoodConfig {
 
 /// The core of device 0, not started.
 fn core_of(config: PeerHoodConfig) -> Core {
-    Core::new(device(0), Rc::new(config))
+    Core::new(device(0), Arc::new(config))
 }
 
 /// Sets the bridge load `core` advertises: `percent` relayed pairs out of
@@ -1115,7 +1119,7 @@ fn load_bridge(core: &mut Core, percent: u8) {
 fn reply(core: &mut Core, max_export_jumps: u8) -> (DeviceInfo, Vec<ServiceInfo>, Vec<NeighborRecord>, u8) {
     let mut config = core_config();
     config.discovery.max_export_jumps = max_export_jumps;
-    core.config = Rc::new(config);
+    core.config = Arc::new(config);
     core.inquiry_frame = None;
     match wire::decode(&core.inquiry_response_frame()).expect("the inquiry response decodes") {
         Message::InquiryResponse {
@@ -1274,7 +1278,7 @@ fn the_reply_streamed_from_storage_is_the_frame_of_the_message_built_record_by_r
     for round in 0..40 {
         let mut core = Core::new(
             fleet_device(0),
-            Rc::new(PeerHoodConfig::new("metro", MobilityClass::Dynamic)),
+            Arc::new(PeerHoodConfig::new("metro", MobilityClass::Dynamic)),
         );
         for s in 0..rng.range(0usize..3) {
             core.registry
@@ -1336,7 +1340,7 @@ fn the_reply_streamed_from_storage_is_the_frame_of_the_message_built_record_by_r
             });
             let mut config = PeerHoodConfig::new("metro", MobilityClass::Dynamic);
             config.discovery.max_export_jumps = max_export_jumps;
-            core.config = Rc::new(config);
+            core.config = Arc::new(config);
             core.inquiry_frame = None;
             load_bridge(&mut core, load);
             assert_eq!(&core.inquiry_response_frame()[..], expected.as_slice(), "round {round}");

@@ -7,7 +7,7 @@
 //! counts and qualities) and for result routing (client parameters carried
 //! at connection start, §5.3 option 2).
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -28,10 +28,10 @@ pub struct NeighborRecord {
     /// Per-hop qualities along the responder's route to this device, nearest
     /// hop first.
     pub hop_qualities: Vec<u8>,
-    /// Services the device offers. Interned behind an `Rc` slice so the same
+    /// Services the device offers. Interned behind an `Arc` slice so the same
     /// list flows from decode through the device storage and back out of
     /// `export_neighbors` without per-record deep clones.
-    pub services: Rc<[ServiceInfo]>,
+    pub services: Arc<[ServiceInfo]>,
 }
 
 /// A protocol message carried as one payload on a simulated link.

@@ -29,7 +29,7 @@
 //! penalties — lives with the other defences in the
 //! [peer table](crate::security::PeerTable).
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use simnet::table::IdTable;
@@ -55,7 +55,7 @@ pub struct StoredDevice {
     /// Services the device offers. Shared with the [`NeighborRecord`]s the
     /// list arrived in (and leaves through): cloning an entry or exporting
     /// the neighbourhood bumps a reference count instead of copying strings.
-    pub services: Rc<[ServiceInfo]>,
+    pub services: Arc<[ServiceInfo]>,
     /// Last time the entry was confirmed (directly or via a neighbour
     /// report).
     pub last_seen: SimTime,
@@ -97,24 +97,24 @@ pub struct StorageStats {
 /// configuration holds a handful.
 #[derive(Debug, PartialEq)]
 struct Description {
-    name: Rc<str>,
-    techs: Rc<[RadioTech]>,
-    services: Rc<[ServiceInfo]>,
+    name: Arc<str>,
+    techs: Arc<[RadioTech]>,
+    services: Arc<[ServiceInfo]>,
 }
 
 impl Description {
     /// The description made of these three lists: `like` itself when it
     /// reads the same, a new one otherwise.
     fn of(
-        name: Rc<str>,
-        techs: Rc<[RadioTech]>,
-        services: Rc<[ServiceInfo]>,
-        like: Option<&Rc<Description>>,
-    ) -> Rc<Description> {
+        name: Arc<str>,
+        techs: Arc<[RadioTech]>,
+        services: Arc<[ServiceInfo]>,
+        like: Option<&Arc<Description>>,
+    ) -> Arc<Description> {
         let made = Description { name, techs, services };
         match like {
             Some(like) if **like == made => like.clone(),
-            _ => Rc::new(made),
+            _ => Arc::new(made),
         }
     }
 }
@@ -126,7 +126,7 @@ impl Description {
 struct Row {
     last_seen: SimTime,
     last_fetched: SimTime,
-    description: Rc<Description>,
+    description: Arc<Description>,
     /// The route's hop qualities, nearest hop first.
     hops: HopQualities,
     checksum: Checksum,
@@ -229,7 +229,7 @@ trait ReportRecord {
     fn checksum(&self) -> Checksum;
     fn jumps(&self) -> u8;
     fn hop_qualities(&self) -> &[u8];
-    fn description(&self, like: Option<&Rc<Description>>) -> Rc<Description>;
+    fn description(&self, like: Option<&Arc<Description>>) -> Arc<Description>;
     /// The advertised services whose name `known` does not list yet.
     fn services_unknown_to(&self, known: &[ServiceInfo]) -> Vec<ServiceInfo>;
 }
@@ -250,8 +250,8 @@ impl ReportRecord for &NeighborRecord {
     fn hop_qualities(&self) -> &[u8] {
         &self.hop_qualities
     }
-    // An owned record already holds its lists behind `Rc`s.
-    fn description(&self, like: Option<&Rc<Description>>) -> Rc<Description> {
+    // An owned record already holds its lists behind `Arc`s.
+    fn description(&self, like: Option<&Arc<Description>>) -> Arc<Description> {
         let info = &self.info;
         Description::of(info.name.clone(), info.techs.clone(), self.services.clone(), like)
     }
@@ -279,7 +279,7 @@ impl ReportRecord for wire::NeighborView<'_> {
     }
     // Each list is `like`'s where it reads the same, and so is the whole
     // when all three do.
-    fn description(&self, like: Option<&Rc<Description>>) -> Rc<Description> {
+    fn description(&self, like: Option<&Arc<Description>>) -> Arc<Description> {
         Description::of(
             self.info.shared_name(like.map(|l| &l.name)),
             self.info.shared_techs(like.map(|l| &l.techs)),
@@ -547,7 +547,7 @@ impl DeviceStorage {
     /// — the same one, not merely equal ones.
     pub fn shares_description(&self, a: DeviceAddress, b: DeviceAddress) -> bool {
         match (self.devices.get(a), self.devices.get(b)) {
-            (Some(a), Some(b)) => Rc::ptr_eq(&a.description, &b.description),
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.description, &b.description),
             _ => false,
         }
     }
@@ -599,10 +599,10 @@ impl DeviceStorage {
     /// fleet's rows share one description, so the name is searched for once
     /// per run of rows holding the same one.
     fn each_provider<'a>(&'a self, name: &str, mut visit: impl FnMut(&'a Row, &'a ServiceInfo)) {
-        let mut previous: Option<(&Rc<Description>, Option<&ServiceInfo>)> = None;
+        let mut previous: Option<(&Arc<Description>, Option<&ServiceInfo>)> = None;
         for d in &self.devices.rows {
             let offered = match previous {
-                Some((described, offered)) if Rc::ptr_eq(described, &d.description) => offered,
+                Some((described, offered)) if Arc::ptr_eq(described, &d.description) => offered,
                 _ => d.description.services.iter().find(|s| s.name == name),
             };
             previous = Some((&d.description, offered));
@@ -633,7 +633,7 @@ impl DeviceStorage {
         &mut self,
         info: DeviceInfo,
         quality: u8,
-        services: impl Into<Rc<[ServiceInfo]>>,
+        services: impl Into<Arc<[ServiceInfo]>>,
         now: SimTime,
     ) -> bool {
         let seen = NeighborRecord {
@@ -894,7 +894,7 @@ impl DeviceStorage {
         // advertises the same name, technology list and service list, and a
         // storage of hundreds of rows should hold them once. Looked up by
         // the first record that inserts a row.
-        let mut like: Option<Option<Rc<Description>>> = None;
+        let mut like: Option<Option<Arc<Description>>> = None;
         // The responder's reported-neighbour list is looked up (and, for a
         // first report, created) once, by the first record that needs it,
         // with the capacity it had then.
@@ -977,7 +977,7 @@ impl DeviceStorage {
                     let held = &existing.description;
                     let fresh = record.services_unknown_to(&held.services);
                     if !fresh.is_empty() {
-                        existing.description = Rc::new(Description {
+                        existing.description = Arc::new(Description {
                             name: held.name.clone(),
                             techs: held.techs.clone(),
                             services: held.services.iter().cloned().chain(fresh).collect(),
@@ -1754,7 +1754,7 @@ mod tests {
     }
 
     impl Model {
-        fn upsert_direct(&mut self, info: DeviceInfo, quality: u8, services: Rc<[ServiceInfo]>, now: SimTime) -> bool {
+        fn upsert_direct(&mut self, info: DeviceInfo, quality: u8, services: Arc<[ServiceInfo]>, now: SimTime) -> bool {
             if info.address == self.own {
                 return false;
             }
@@ -1975,7 +1975,7 @@ mod tests {
     /// route to the 255 a frame can carry, or 255, one too many —
     /// the owner named now and then, sorted as an exporter sends them, or
     /// shuffled, or with records repeated.
-    fn random_records(rng: &mut SimRng, service_lists: &[Rc<[ServiceInfo]>]) -> Vec<NeighborRecord> {
+    fn random_records(rng: &mut SimRng, service_lists: &[Arc<[ServiceInfo]>]) -> Vec<NeighborRecord> {
         let mut records: Vec<NeighborRecord> = (0..rng.range(0usize..14))
             .map(|_| {
                 let hops = match rng.range(0u8..10) {
@@ -2012,11 +2012,11 @@ mod tests {
     #[test]
     fn the_table_is_the_reference_model_under_random_operations() {
         let service = |name: &str, port| ServiceInfo::new(name, "", port);
-        let service_lists: [Rc<[ServiceInfo]>; 4] = [
-            Rc::new([]),
-            Rc::new([service("echo", 1)]),
-            Rc::new([service("print", 2), service("echo", 3)]),
-            Rc::new([service("print", 4), service("print", 5)]),
+        let service_lists: [Arc<[ServiceInfo]>; 4] = [
+            Arc::new([]),
+            Arc::new([service("echo", 1)]),
+            Arc::new([service("print", 2), service("echo", 3)]),
+            Arc::new([service("print", 4), service("print", 5)]),
         ];
         let modes = [DiscoveryMode::DirectOnly, DiscoveryMode::TwoHop, DiscoveryMode::Dynamic];
         let interval = SimDuration::from_secs(30);
@@ -2065,7 +2065,7 @@ mod tests {
                         merges_on_shared_rows += records
                             .iter()
                             .filter_map(|r| Some((r, s.devices.get(r.info.address)?)))
-                            .filter(|(_, row)| Rc::strong_count(&row.description) > 1)
+                            .filter(|(_, row)| Arc::strong_count(&row.description) > 1)
                             .filter(|(r, row)| !(*r).services_unknown_to(&row.description.services).is_empty())
                             .count();
                         let mode = modes[rng.index(3)];

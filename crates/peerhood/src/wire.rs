@@ -6,7 +6,7 @@
 //! (property-tested below), and decoding is defensive: truncated or corrupt
 //! buffers produce a [`WireError`] instead of a panic.
 //!
-//! Encoded frames travel as shared [`Frame`]s (`Rc<[u8]>`-backed, re-exported
+//! Encoded frames travel as shared [`Frame`]s (`Arc<[u8]>`-backed, re-exported
 //! from [`simnet::Payload`]): [`encode_into`] writes the bytes into a
 //! reusable buffer — the node's send path uses one per thread
 //! (`with_encode_buffer`), so the steady-state encode path stops allocating
@@ -45,7 +45,7 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use simnet::RadioTech;
 
@@ -494,10 +494,10 @@ impl<'a> DeviceView<'a> {
             .map(|&b| tech_from_byte(b).expect("tech bytes were validated when the view was parsed"))
     }
 
-    /// The name as an owned string: `like`'s own `Rc` when it reads the same
+    /// The name as an owned string: `like`'s own `Arc` when it reads the same
     /// ([`DeviceInfo`] compares and encodes contents, so the sharing is
     /// invisible), a new one otherwise.
-    pub fn shared_name(&self, like: Option<&Rc<str>>) -> Rc<str> {
+    pub fn shared_name(&self, like: Option<&Arc<str>>) -> Arc<str> {
         match like {
             Some(like) if **like == *self.name => like.clone(),
             _ => self.name.into(),
@@ -506,7 +506,7 @@ impl<'a> DeviceView<'a> {
 
     /// The technology list, shared with `like` as [`DeviceView::shared_name`]
     /// shares the name.
-    pub fn shared_techs(&self, like: Option<&Rc<[RadioTech]>>) -> Rc<[RadioTech]> {
+    pub fn shared_techs(&self, like: Option<&Arc<[RadioTech]>>) -> Arc<[RadioTech]> {
         match like {
             Some(like) if self.techs().eq(like.iter().copied()) => like.clone(),
             _ => self.techs().collect(),
@@ -594,7 +594,7 @@ impl<'a> Services<'a> {
 
     /// The owned list, shared with `like` when that holds exactly these
     /// services (see [`DeviceView::to_info`]).
-    pub fn to_shared(&self, like: Option<&Rc<[ServiceInfo]>>) -> Rc<[ServiceInfo]> {
+    pub fn to_shared(&self, like: Option<&Arc<[ServiceInfo]>>) -> Arc<[ServiceInfo]> {
         match like {
             Some(like) if self.encodes(like) => like.clone(),
             _ => self.clone().map(|s| s.to_info()).collect(),

@@ -8,6 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::Arc;
 
 use peerhood::application::Application;
 use peerhood::config::{DiscoveryMode, PeerHoodConfig, SecurityConfig};
@@ -220,9 +221,9 @@ fn entries_learned_from_a_same_fleet_report_share_the_responders_description() {
     for n in 100..125 {
         let entry = d.get(fleet_device(n).address).unwrap();
         assert_eq!(entry.info, fleet_device(n));
-        assert!(Rc::ptr_eq(&entry.info.name, &responder.info.name), "name of {n}");
-        assert!(Rc::ptr_eq(&entry.info.techs, &responder.info.techs), "techs of {n}");
-        assert!(Rc::ptr_eq(&entry.services, &responder.services), "services of {n}");
+        assert!(Arc::ptr_eq(&entry.info.name, &responder.info.name), "name of {n}");
+        assert!(Arc::ptr_eq(&entry.info.techs, &responder.info.techs), "techs of {n}");
+        assert!(Arc::ptr_eq(&entry.services, &responder.services), "services of {n}");
         // One pointer in the row, not three that happen to agree.
         let shared = d.shares_description(fleet_device(n).address, fleet_device(1).address);
         assert!(shared, "description of {n}");

@@ -30,7 +30,7 @@
 //! in the report notes is identical across tiers (CI diffs it between the
 //! `off` and `auth` runs).
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use peerhood::config::{PeerHoodConfig, SecurityConfig};
 use peerhood::hostile::{ProtocolForge, HOSTILE_BASE};
@@ -39,7 +39,8 @@ use peerhood::security::SecurityStats;
 use simnet::prelude::*;
 use simnet::telemetry::Fnv1a;
 
-use crate::experiments::full_stack::wlan_city_config;
+use crate::experiments::city::wlan_world;
+use crate::experiments::full_stack::{add_stack, wlan_city_config};
 use crate::experiments::params::{count, seconds, Param};
 use crate::report::ExperimentReport;
 
@@ -194,7 +195,7 @@ impl AdversarySettings {
 /// with one-hop neighbour re-export switched on (so poisoned reports
 /// spread the way the thesis intends honest ones to) and the tier's
 /// security configuration applied fleet-wide.
-fn city_config(settings: &AdversarySettings, defense: Defense) -> Rc<PeerHoodConfig> {
+fn city_config(settings: &AdversarySettings, defense: Defense) -> Arc<PeerHoodConfig> {
     let mut cfg = wlan_city_config("hostile-city", settings.inquiry_interval);
     // Short re-fetch and staleness horizons: neighbours keep re-reading
     // each other all run, so poisoned reports keep landing (off) — and stop
@@ -209,7 +210,7 @@ fn city_config(settings: &AdversarySettings, defense: Defense) -> Rc<PeerHoodCon
     cfg.discovery.max_missed_loops = 3;
     cfg.discovery.max_export_jumps = 1;
     cfg.security = defense.security();
-    Rc::new(cfg)
+    Arc::new(cfg)
 }
 
 /// Seed-stable FNV-1a digest of an [`AdversaryPlan`] — identical across
@@ -244,43 +245,19 @@ pub fn plan_digest(plan: &AdversaryPlan) -> u64 {
 /// window islands the left crowd columns together with the first insider
 /// (and no provider), then heals the city again.
 pub fn adversary_run(settings: &AdversarySettings, defense: Defense) -> (World, Vec<NodeId>, Vec<NodeId>, u64) {
-    let mut config = WorldConfig::with_seed(settings.seed ^ 0x0E19_0000);
-    config.grid_cell_m = config.radio.wlan.range_m;
-    let mut world = World::new(config);
+    let mut world = wlan_world(settings.seed ^ 0x0E19_0000);
     let cfg = city_config(settings, defense);
 
     let mut honest = Vec::with_capacity(settings.providers + settings.clients);
     for p in 0..settings.providers {
-        let x = 20.0 * p as f64;
-        honest.push(
-            world.add_node(
-                format!("hs{p}"),
-                MobilityModel::stationary(Point::new(x, 20.0)),
-                &[RadioTech::Wlan],
-                Box::new(OnWorld(
-                    PeerHoodNode::builder()
-                        .config_shared(Rc::clone(&cfg))
-                        .app(HotspotApp::default())
-                        .build(),
-                )),
-            ),
-        );
+        let at = Point::new(20.0 * p as f64, 20.0);
+        honest.push(add_stack(&mut world, format!("hs{p}"), at, &cfg, HotspotApp::default()));
     }
     let crowd_app = || CrowdApp::new(settings.ping_interval, settings.pings_per_tick, settings.warmup);
     let mut left_clients = Vec::new();
     for i in 0..settings.clients {
         let pos = Point::new(3.0 + (i % 6) as f64 * 6.0, 4.0 + (i / 6) as f64 * 4.0);
-        let id = world.add_node(
-            format!("c{i}"),
-            MobilityModel::stationary(pos),
-            &[RadioTech::Wlan],
-            Box::new(OnWorld(
-                PeerHoodNode::builder()
-                    .config_shared(Rc::clone(&cfg))
-                    .app(crowd_app())
-                    .build(),
-            )),
-        );
+        let id = add_stack(&mut world, format!("c{i}"), pos, &cfg, crowd_app());
         honest.push(id);
         if i % 6 < 2 {
             left_clients.push(id);
@@ -292,19 +269,7 @@ pub fn adversary_run(settings: &AdversarySettings, defense: Defense) -> (World, 
     let mut hostiles = Vec::with_capacity(settings.hostiles);
     for h in 0..settings.hostiles {
         let pos = Point::new(10.0 + 8.0 * h as f64, 14.0);
-        hostiles.push(
-            world.add_node(
-                format!("x{h}"),
-                MobilityModel::stationary(pos),
-                &[RadioTech::Wlan],
-                Box::new(OnWorld(
-                    PeerHoodNode::builder()
-                        .config_shared(Rc::clone(&cfg))
-                        .app(crowd_app())
-                        .build(),
-                )),
-            ),
-        );
+        hostiles.push(add_stack(&mut world, format!("x{h}"), pos, &cfg, crowd_app()));
     }
 
     let compromise_from = SimTime::ZERO + settings.compromise_at;

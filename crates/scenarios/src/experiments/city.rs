@@ -12,6 +12,15 @@ use simnet::prelude::*;
 use crate::experiments::params::{number, seconds, Param};
 use crate::topology::random_positions;
 
+/// An empty sequential world seeded with `seed` for a WLAN-only city: the
+/// grid cells are sized to the WLAN range instead of the 10 m Bluetooth
+/// default.
+pub fn wlan_world(seed: u64) -> World {
+    let mut config = WorldConfig::with_seed(seed);
+    config.grid_cell_m = config.radio.wlan.range_m;
+    World::new(config)
+}
+
 /// Settings of the shared city core.
 #[derive(Debug, Clone)]
 pub struct City {
@@ -39,13 +48,10 @@ impl City {
         (nodes as f64 / self.density_per_km2 * 1_000_000.0).sqrt()
     }
 
-    /// An empty sequential world for a city of `nodes` devices. The city is
-    /// WLAN-only, so the grid cells are sized to the WLAN range instead of
-    /// the 10 m Bluetooth default.
+    /// An empty sequential world for a city of `nodes` devices (see
+    /// [`wlan_world`]).
     pub fn world(&self, nodes: usize) -> World {
-        let mut config = WorldConfig::with_seed(self.seed ^ (nodes as u64));
-        config.grid_cell_m = config.radio.wlan.range_m;
-        World::new(config)
+        wlan_world(self.seed ^ (nodes as u64))
     }
 
     /// The sharded-engine configuration for a city of `nodes` devices on

@@ -16,7 +16,7 @@
 
 use simnet::prelude::*;
 
-use crate::experiments::city::City;
+use crate::experiments::city::{wlan_world, City};
 use crate::experiments::metropolis::aggregate_full_stats;
 use crate::experiments::params::{count, number, Param};
 use crate::experiments::probe::CityProbe;
@@ -202,9 +202,7 @@ pub fn e14_blackout_flash_crowd(seed: u64, quick: bool) -> ExperimentReport {
     let nodes = e14_nodes(quick);
     let city = ChurnSettings::quick().city;
     let side = city.side_m(nodes);
-    let mut config = WorldConfig::with_seed(seed ^ 0xE14);
-    config.grid_cell_m = config.radio.wlan.range_m;
-    let mut world = World::new(config);
+    let mut world = wlan_world(seed ^ 0xE14);
     let mut placer = SimRng::new(seed ^ 0xB1AC0);
     for i in 0..nodes {
         let start = Point::new(placer.uniform_f64(0.0, side), placer.uniform_f64(0.0, side));

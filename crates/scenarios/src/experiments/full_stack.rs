@@ -18,7 +18,9 @@
 //! radio-level disconnect reasons under the app's current session link.
 
 use std::any::Any;
-use std::rc::Rc;
+use std::cell::RefCell;
+use std::rc::{Rc, Weak};
+use std::sync::Arc;
 
 use peerhood::application::Application;
 use peerhood::config::{DiscoveryMode, PeerHoodConfig};
@@ -39,9 +41,8 @@ const PING_TIMER: u64 = 0x3E70;
 /// advertised [`MobilityClass`](peerhood::device::MobilityClass). Truthful
 /// classes matter at scale: the §3.4.3 route ranking prefers static
 /// providers, so sessions anchor on terminals that stay put instead of
-/// churning through passing pedestrians. Build once per world and share the
-/// matching `Rc` with every node via
-/// [`PeerHoodNodeBuilder::config_shared`](peerhood::node::PeerHoodNodeBuilder::config_shared).
+/// churning through passing pedestrians. Build once per world and hand the
+/// matching `Rc` to every [`FullStackHost::new`].
 pub fn metro_configs(inquiry_interval: SimDuration) -> (Rc<PeerHoodConfig>, Rc<PeerHoodConfig>) {
     let fixed = wlan_city_config("metro", inquiry_interval);
     let mut mobile = fixed.clone();
@@ -85,6 +86,24 @@ pub(crate) fn wlan_city_config(name: &str, inquiry_interval: SimDuration) -> Pee
     // less pair of links to check, relay through and eventually break.
     cfg.handover.max_routing_attempts = 1;
     cfg
+}
+
+/// Adds a stationary WLAN node at `at` running the middleware under a clone
+/// of `config` and `app` (the hand-placed cities of E16 and E19).
+pub(crate) fn add_stack(
+    world: &mut World,
+    name: impl Into<String>,
+    at: Point,
+    config: &Arc<PeerHoodConfig>,
+    app: impl Application,
+) -> NodeId {
+    let node = PeerHoodNode::builder().config(Arc::clone(config)).app(app).build();
+    world.add_node(
+        name,
+        MobilityModel::stationary(at),
+        &[RadioTech::Wlan],
+        Box::new(OnWorld(node)),
+    )
 }
 
 /// The application of a full-stack city node: every device both offers and
@@ -297,12 +316,46 @@ pub struct FullStackHost {
     pub broken_by_range: u64,
 }
 
+thread_local! {
+    /// The `Arc` each live `Rc` configuration was converted to, keyed by a
+    /// `Weak` so an entry dies with its configuration.
+    static SHARED_CONFIGS: RefCell<Vec<(Weak<PeerHoodConfig>, Arc<PeerHoodConfig>)>> =
+        const { RefCell::new(Vec::new()) };
+}
+
+/// The `Arc` a stack shares for `config`: every host built from one `Rc`
+/// holds one `Arc`, so N hosts from k live configurations cost k copies.
+/// Entries whose `Rc` has died are pruned first; a `Weak` keeps its
+/// allocation, so a live entry's address is never a rebuilt configuration's.
+fn shared_config(config: Rc<PeerHoodConfig>) -> Arc<PeerHoodConfig> {
+    SHARED_CONFIGS.with_borrow_mut(|table| {
+        table.retain(|(weak, _)| weak.strong_count() > 0);
+        if let Some((_, shared)) = table.iter().find(|(weak, _)| weak.as_ptr() == Rc::as_ptr(&config)) {
+            return Arc::clone(shared);
+        }
+        let shared = Arc::new(PeerHoodConfig::clone(&config));
+        table.push((Rc::downgrade(&config), Arc::clone(&shared)));
+        shared
+    })
+}
+
+/// Both engines can run the full stack: the middleware node is a
+/// [`ShardAgent`] and the host that wraps it is `Send`.
+const _: () = {
+    const fn shard_agent<T: ShardAgent>() {}
+    const fn send<T: Send>() {}
+    shard_agent::<PeerHoodNode>();
+    send::<FullStackHost>();
+};
+
 impl FullStackHost {
-    /// Builds a city node sharing `config` with the rest of the fleet.
+    /// Builds a city node sharing `config` with the rest of the fleet. The
+    /// stack holds an `Arc`: the `Rc` is converted once per configuration
+    /// and thread (see [`metro_configs`]).
     pub fn new(config: Rc<PeerHoodConfig>) -> Self {
         FullStackHost {
             node: PeerHoodNode::builder()
-                .config_shared(config)
+                .config(shared_config(config))
                 .app(MetroApp::default())
                 .build(),
             broken_by_crash: 0,
@@ -393,5 +446,50 @@ impl NodeAgent for FullStackHost {
             }
         }
         Agent::on_disconnected(&mut self.node, ctx, link, peer, reason);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn live_entries() -> usize {
+        SHARED_CONFIGS.with_borrow(Vec::len)
+    }
+
+    #[test]
+    fn hosts_built_from_one_rc_share_one_arc_and_two_rcs_give_two() {
+        let (fixed, mobile) = metro_configs(SimDuration::from_secs(10));
+        let hosts: Vec<FullStackHost> = (0..4).map(|_| FullStackHost::new(Rc::clone(&fixed))).collect();
+        let shared = shared_config(Rc::clone(&fixed));
+        // The table's entry, the four hosts and `shared` itself.
+        assert_eq!(Arc::strong_count(&shared), 6, "four hosts from one Rc hold one Arc");
+        let walker = FullStackHost::new(Rc::clone(&mobile));
+        let other = shared_config(Rc::clone(&mobile));
+        assert!(!Arc::ptr_eq(&shared, &other), "two live Rcs give two Arcs");
+        assert_eq!(Arc::strong_count(&other), 3);
+        assert_eq!(*other, *mobile);
+        assert_eq!(live_entries(), 2);
+        drop((hosts, walker));
+        assert_eq!(Arc::strong_count(&shared), 2, "a dropped host releases its clone");
+    }
+
+    #[test]
+    fn a_config_dropped_and_rebuilt_gets_its_own_contents() {
+        let first = Rc::new(PeerHoodConfig::static_device("first"));
+        let host = FullStackHost::new(Rc::clone(&first));
+        let held = shared_config(first);
+        // The only `Rc` is gone; the host still holds the converted `Arc`.
+        for round in 0..8 {
+            let name = format!("rebuilt-{round}");
+            let rebuilt = Rc::new(PeerHoodConfig::static_device(name.as_str()));
+            let converted = shared_config(Rc::clone(&rebuilt));
+            assert_eq!(converted.device_name, name, "round {round}: a stale Arc was handed out");
+            assert!(!Arc::ptr_eq(&converted, &held));
+            assert_eq!(live_entries(), 1, "round {round}: dead entries are pruned");
+        }
+        assert_eq!(held.device_name, "first");
+        drop(host);
+        assert_eq!(Arc::strong_count(&held), 1, "the table dropped the dead config's Arc");
     }
 }

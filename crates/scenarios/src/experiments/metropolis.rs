@@ -12,8 +12,6 @@
 //! frame / shared-payload / allocation-lean storage refactor; the
 //! `city_fullstack` workload of `benchmark/` records it on every PR.
 
-use std::rc::Rc;
-
 use simnet::prelude::*;
 
 use crate::experiments::city::City;
@@ -99,7 +97,7 @@ pub fn metropolis_run(settings: &MetropolisSettings) -> World {
             format!("m{i}"),
             mobility,
             &[RadioTech::Wlan],
-            Box::new(FullStackHost::new(Rc::clone(cfg))),
+            Box::new(FullStackHost::new(cfg.clone())),
         );
     }
     let ids: Vec<NodeId> = world.node_ids().collect();

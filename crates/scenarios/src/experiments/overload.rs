@@ -22,10 +22,9 @@
 //! phases), and the pipeline itself draws no randomness, so one seed gives
 //! one byte-identical report per mode (asserted by the tests below).
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use peerhood::application::Application;
-use peerhood::config::PeerHoodConfig;
 use peerhood::error::PeerHoodError;
 use peerhood::ids::{ConnectionId, DeviceAddress};
 use peerhood::node::{PeerHoodApi, PeerHoodNode};
@@ -33,7 +32,8 @@ use peerhood::resilience::{ResilienceConfig, ResilienceStats};
 use peerhood::service::ServiceInfo;
 use simnet::prelude::*;
 
-use crate::experiments::full_stack::wlan_city_config;
+use crate::experiments::city::wlan_world;
+use crate::experiments::full_stack::{add_stack, wlan_city_config};
 use crate::experiments::params::{count, on_off, seconds, Param};
 use crate::report::ExperimentReport;
 
@@ -120,14 +120,6 @@ impl OverloadSettings {
             seconds(v).map(|d| s.duration = d)
         }),
     ];
-}
-
-/// The shared node configuration of the overload city (everyone static,
-/// WLAN, two-hop discovery — the E15 metro tuning at crowd scale).
-fn crowd_config(inquiry_interval: SimDuration, resilience: ResilienceConfig) -> Rc<PeerHoodConfig> {
-    let mut cfg = wlan_city_config("crowd", inquiry_interval);
-    cfg.resilience = resilience;
-    Rc::new(cfg)
 }
 
 /// A crowd member: attaches to the best `"hotspot"` provider and pings it
@@ -327,28 +319,17 @@ impl Application for HotspotApp {
 /// it every flap phase — is independent of `resilience_on`, so the two
 /// modes face the identical fault schedule.
 pub fn overload_run(settings: &OverloadSettings, resilience_on: bool) -> (World, Vec<NodeId>, Vec<NodeId>) {
-    let mut config = WorldConfig::with_seed(settings.seed ^ 0x0E16_0000);
-    config.grid_cell_m = config.radio.wlan.range_m;
-    let mut world = World::new(config);
-    let resilience = if resilience_on {
-        ResilienceConfig::all_on()
-    } else {
-        ResilienceConfig::default()
-    };
-    let cfg = crowd_config(settings.inquiry_interval, resilience);
+    let mut world = wlan_world(settings.seed ^ 0x0E16_0000);
+    // Everyone static, WLAN, two-hop discovery: the E15 metro tuning at
+    // crowd scale.
+    let mut cfg = wlan_city_config("crowd", settings.inquiry_interval);
+    if resilience_on {
+        cfg.resilience = ResilienceConfig::all_on();
+    }
+    let cfg = Arc::new(cfg);
 
     let hotspot = |world: &mut World, name: &str, x: f64| {
-        world.add_node(
-            name.to_string(),
-            MobilityModel::stationary(Point::new(x, 10.0)),
-            &[RadioTech::Wlan],
-            Box::new(OnWorld(
-                PeerHoodNode::builder()
-                    .config_shared(Rc::clone(&cfg))
-                    .app(HotspotApp::default())
-                    .build(),
-            )),
-        )
+        add_stack(world, name, Point::new(x, 10.0), &cfg, HotspotApp::default())
     };
     let flapping = hotspot(&mut world, "hs-flapping", 0.0);
     let healthy = hotspot(&mut world, "hs-healthy", 36.0);
@@ -358,23 +339,8 @@ pub fn overload_run(settings: &OverloadSettings, resilience_on: bool) -> (World,
     for i in 0..settings.clients {
         let (base_x, j) = if i < inner { (4.0, i) } else { (28.0, i - inner) };
         let pos = Point::new(base_x + (j % 4) as f64 * 2.0, 6.0 + (j / 4) as f64 * 2.0);
-        clients.push(
-            world.add_node(
-                format!("c{i}"),
-                MobilityModel::stationary(pos),
-                &[RadioTech::Wlan],
-                Box::new(OnWorld(
-                    PeerHoodNode::builder()
-                        .config_shared(Rc::clone(&cfg))
-                        .app(CrowdApp::new(
-                            settings.ping_interval,
-                            settings.pings_per_tick,
-                            settings.warmup,
-                        ))
-                        .build(),
-                )),
-            ),
-        );
+        let app = CrowdApp::new(settings.ping_interval, settings.pings_per_tick, settings.warmup);
+        clients.push(add_stack(&mut world, format!("c{i}"), pos, &cfg, app));
     }
 
     let mut plan = FaultPlan::new();

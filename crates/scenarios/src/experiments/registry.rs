@@ -10,8 +10,8 @@
 //! An entry names its settings type's two presets, parameter table (see
 //! [`params`](super::params)) and entry point; nothing else is written per
 //! experiment. The table is `'static` data: a sweep worker thread looks its
-//! experiment up with [`find`] and builds the (thread-local, `Rc`-based)
-//! world entirely inside the worker.
+//! experiment up with [`find`] and builds the world entirely inside the
+//! worker (a sequential `World` is not `Send`: its agents need not be).
 
 use std::collections::BTreeMap;
 
@@ -161,8 +161,8 @@ const fn seeded(report: fn(&u64) -> ExperimentReport) -> Plan<u64> {
 ///
 /// [`Experiment::run`] is deterministic in `(seed, params, quick)` and builds
 /// every world it needs internally — it is called from sweep worker threads,
-/// so nothing thread-local (the `Rc`-based world, agents, RNGs) escapes the
-/// call.
+/// so nothing that stays on one thread (a sequential world and its agents)
+/// escapes the call.
 pub struct Experiment {
     /// Figure-level identifier, e.g. `"E13"`.
     pub id: &'static str,

@@ -8,6 +8,7 @@ use std::rc::Rc;
 use peerhood::config::SecurityConfig;
 use peerhood::resilience::{ResilienceConfig, ResilienceStats};
 use peerhood::security::SecurityStats;
+use scenarios::experiments::city::wlan_world;
 use scenarios::experiments::full_stack::{metro_configs, FullStackHost};
 use scenarios::experiments::{e15_full_stack_metropolis, MetropolisSettings};
 use scenarios::topology::random_positions;
@@ -55,9 +56,7 @@ fn peaceful_auth_city_authenticates_its_traffic_and_rejects_none() {
     let side = (NODES as f64 / 2_000.0 * 1_000_000.0).sqrt();
     let mut sessions_by_input = Vec::new();
     for resilience in [ResilienceConfig::default(), ResilienceConfig::all_on()] {
-        let mut config = WorldConfig::with_seed(20080815);
-        config.grid_cell_m = config.radio.wlan.range_m;
-        let mut world = World::new(config);
+        let mut world = wlan_world(20080815);
         let (static_cfg, mobile_cfg) = metro_configs(SimDuration::from_secs(10));
         let [static_cfg, mobile_cfg] = [static_cfg, mobile_cfg].map(|base| {
             let mut cfg = (*base).clone();

@@ -299,7 +299,7 @@ fn partitioned_churn_digest(seed: u64, partitioned: bool) -> (u64, AdversaryStat
 // ---------------------------------------------------------------------
 
 mod full_stack {
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     use peerhood::application::Application;
     use peerhood::config::{DiscoveryMode, PeerHoodConfig};
@@ -377,7 +377,7 @@ mod full_stack {
     }
 
     /// Shared configuration of the 1k-node full-stack city.
-    pub fn config() -> Rc<PeerHoodConfig> {
+    pub fn config() -> Arc<PeerHoodConfig> {
         let mut cfg = PeerHoodConfig::new("pulse-dev", peerhood::device::MobilityClass::Hybrid);
         cfg.discovery.mode = DiscoveryMode::TwoHop;
         cfg.discovery.service_check_interval = SimDuration::from_secs(60);
@@ -412,7 +412,7 @@ mod full_stack {
                 &[RadioTech::Bluetooth],
                 Box::new(OnWorld(
                     PeerHoodNode::builder()
-                        .config_shared(Rc::clone(&shared))
+                        .config(Arc::clone(&shared))
                         .app(PulseApp::default())
                         .build(),
                 )),

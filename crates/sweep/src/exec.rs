@@ -2,7 +2,7 @@
 //!
 //! Workers pull [`JobSpec`]s from a shared atomic cursor (an idle worker
 //! steals whatever job is next, so uneven job durations still pack), build
-//! the `Rc`-based world entirely inside their own thread, and stream each
+//! every world entirely inside their own thread, and stream each
 //! job's [`SampleRow`]s back over a channel. The collector re-sorts results
 //! by job id, so downstream aggregation is byte-identical for every thread
 //! count.
@@ -67,7 +67,7 @@ pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Result<SweepRun, SweepErro
             let jobs = &jobs;
             let cursor = &cursor;
             scope.spawn(move || {
-                // The Rc-based worlds an experiment builds live and die
+                // The worlds an experiment builds (not `Send`) live and die
                 // inside this thread.
                 let Some(first) = jobs.first() else { return };
                 let experiment = find(&first.experiment).expect("validated above");

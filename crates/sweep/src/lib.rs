@@ -12,8 +12,8 @@
 //!
 //! ## Threading model
 //!
-//! The simulation world is `Rc`-based and must never cross a thread
-//! boundary. The executor therefore ships only [`JobSpec`]s (plain `Send`
+//! A sequential simulation world is not `Send` (its agents need not be)
+//! and never crosses a thread boundary. The executor therefore ships only [`JobSpec`]s (plain `Send`
 //! data: experiment name, seed, grid point) to the workers; each worker
 //! looks the experiment up in the static registry and constructs, runs
 //! and drops every world **inside** its own thread, streaming the numeric

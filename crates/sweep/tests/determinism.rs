@@ -44,7 +44,7 @@ fn eight_threads_emit_byte_identical_json_to_one_thread() {
 #[test]
 fn world_backed_grid_sweep_is_thread_count_invariant() {
     // A real (if tiny) E13 world per job: 2 grid points × 2 seeds, each
-    // building its Rc-based world inside the worker thread.
+    // building its world inside the worker thread.
     let spec = SweepSpec::new("churn")
         .seed_range(7, 2)
         .quick(true)
