@@ -386,27 +386,18 @@ pub fn adversary_outcome(settings: &AdversarySettings, defense: Defense) -> Adve
 /// E19 (beyond the thesis): the hostile city, one scorecard row per
 /// defence tier in `defenses`.
 pub fn e19_hostile_city(settings: &AdversarySettings, defenses: &[Defense]) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E19",
-        "Hostile city: partitions and Byzantine insiders vs. the defence tiers",
-        "Beyond the thesis: the paper's middleware trusts every frame a neighbour sends. \
-         Compromised insiders replay sessions, forge connection requests and poison the \
-         neighbourhood with phantom providers while a seeded partition splits the city; the same \
-         attack schedule is replayed against each peerhood::security tier and the scorecard \
-         counts what got through.",
-        &[
-            "defenses",
-            "sessions",
-            "survived",
-            "goodput",
-            "routes poisoned",
-            "hostile frames",
-            "hostile accepted",
-            "hostile rejected",
-            "reports skipped",
-            "auth bytes",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "defenses",
+        "sessions",
+        "survived",
+        "goodput",
+        "routes poisoned",
+        "hostile frames",
+        "hostile accepted",
+        "hostile rejected",
+        "reports skipped",
+        "auth bytes",
+    ]);
     let mut digest = None;
     for &defense in defenses {
         let o = adversary_outcome(settings, defense);

@@ -88,20 +88,14 @@ pub fn bridge_trial(seed: u64) -> BridgeTrial {
 /// E6 (§4.3, Fig. 4.5): repeated bridge connection attempts over the
 /// realistic Bluetooth model.
 pub fn e06_bridge_performance(seed: u64, trials: usize) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E6",
-        "Bridge connection performance (two clients, one bridge, one server)",
-        "Out of ten attempts three failed with normal Bluetooth connection faults; successful \
-         connections took 3-18 s to establish; relayed data showed an almost negligible delay (§4.3).",
-        &[
-            "trials",
-            "successful",
-            "failed",
-            "setup min (s)",
-            "setup max (s)",
-            "mean extra relay delay (ms)",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "trials",
+        "successful",
+        "failed",
+        "setup min (s)",
+        "setup max (s)",
+        "mean extra relay delay (ms)",
+    ]);
     let results: Vec<BridgeTrial> = (0..trials).map(|i| bridge_trial(seed + i as u64 * 17)).collect();
     let successful: Vec<&BridgeTrial> = results.iter().filter(|t| t.connected).collect();
     let failed = results.len() - successful.len();
@@ -135,18 +129,12 @@ pub fn e06_bridge_performance(seed: u64, trials: usize) -> ExperimentReport {
 /// E10 (Fig. 6.1): coverage amplification — reaching a GPRS-connected server
 /// from inside a tunnel through a chain of Bluetooth bridge nodes.
 pub fn e10_coverage_amplification(seed: u64) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E10",
-        "Coverage amplification through a tunnel",
-        "A phone inside a tunnel without GPRS coverage reaches the GPRS-connected server outside \
-         through a chain of Bluetooth bridge devices (Fig. 6.1).",
-        &[
-            "bridge chain",
-            "phone knows server",
-            "route jumps",
-            "messages delivered / 10",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "bridge chain",
+        "phone knows server",
+        "route jumps",
+        "messages delivered / 10",
+    ]);
     for &with_bridges in &[true, false] {
         // The tunnel is a GPRS dead zone covering x in [-5, 27].
         let mut config = WorldConfig::ideal(seed + with_bridges as u64);

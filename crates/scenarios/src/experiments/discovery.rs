@@ -85,13 +85,7 @@ fn knowledge_for_mode(mode: DiscoveryMode, nodes: usize, seed: u64, convergence:
 /// E1 (Fig. 3.1–3.3): fraction of the reachable network each node knows
 /// under direct-only, legacy two-hop and dynamic discovery.
 pub fn e01_coverage_exclusion(settings: &DiscoverySettings) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E1",
-        "Coverage exclusion vs. discovery algorithm",
-        "Direct-only and two-hop discovery leave devices outside the inquiry coverage invisible; \
-         dynamic discovery achieves total environment awareness (Fig. 3.1-3.6).",
-        &["nodes", "direct-only", "two-hop", "dynamic"],
-    );
+    let mut report = ExperimentReport::new(&["nodes", "direct-only", "two-hop", "dynamic"]);
     for (idx, &nodes) in settings.node_counts.iter().enumerate() {
         let seed = settings.seed + idx as u64;
         let direct = knowledge_for_mode(DiscoveryMode::DirectOnly, nodes, seed, settings.convergence);
@@ -117,19 +111,13 @@ pub fn e01_coverage_exclusion(settings: &DiscoverySettings) -> ExperimentReport 
 /// E2 (§3.2, Fig. 3.4): query traffic of Gnutella flooding vs. one PeerHood
 /// dynamic-discovery cycle on the same topologies.
 pub fn e02_gnutella_traffic(seed: u64) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E2",
-        "Gnutella flooding vs. PeerHood discovery traffic",
-        "Gnutella-style flooding generates huge query traffic; PeerHood sends the inquiry only to \
-         direct neighbours, so one cycle is linear in the number of links (§3.2-3.3).",
-        &[
-            "nodes",
-            "edges",
-            "gnutella msgs (all nodes search, TTL 7)",
-            "peerhood msgs / cycle",
-            "ratio",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "nodes",
+        "edges",
+        "gnutella msgs (all nodes search, TTL 7)",
+        "peerhood msgs / cycle",
+        "ratio",
+    ]);
     for (i, &nodes) in [10usize, 20, 40, 80].iter().enumerate() {
         let positions = random_positions(nodes, (nodes as f64).sqrt() * 9.0, seed + i as u64);
         let pairs: Vec<(f64, f64)> = positions.iter().map(|p| (p.x, p.y)).collect();
@@ -156,19 +144,13 @@ pub fn e02_gnutella_traffic(seed: u64) -> ExperimentReport {
 /// E3 (Fig. 3.8–3.9): best-route selection with equal-sum routes and the
 /// minimum-quality threshold.
 pub fn e03_quality_route_selection() -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E3",
-        "Link-quality route selection (threshold rule)",
-        "Two routes with equal quality sums (230+230 vs 210+250): the route containing a hop below \
-         the minimum demanded threshold 230 is rejected (Fig. 3.9).",
-        &[
-            "route",
-            "hop qualities",
-            "sum",
-            "acceptable (threshold 230)",
-            "selected",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "route",
+        "hop qualities",
+        "sum",
+        "acceptable (threshold 230)",
+        "selected",
+    ]);
     let a_b_d = RouteInfo::via(
         DeviceAddress::from_node_raw(1),
         1,
@@ -198,13 +180,7 @@ pub fn e03_quality_route_selection() -> ExperimentReport {
 
 /// E4 (Fig. 3.10): change-notification delay vs. jump count.
 pub fn e04_notification_delay(seed: u64, max_jumps: usize) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E4",
-        "Maximum change-notification delay vs. jump count",
-        "Max Delay = Num Jumps x searching cycle time: a change several jumps away is learned only \
-         after that many full discovery cycles (Fig. 3.10).",
-        &["jumps", "measured delay (s)", "cycle time (s)", "predicted bound (s)"],
-    );
+    let mut report = ExperimentReport::new(&["jumps", "measured delay (s)", "cycle time (s)", "predicted bound (s)"]);
     for jumps in 1..=max_jumps {
         // A line of `jumps + 1` relays; the observer sits at one end, the new
         // device appears at the other end once the network has converged.
@@ -257,18 +233,12 @@ pub fn e04_notification_delay(seed: u64, max_jumps: usize) -> ExperimentReport {
 /// E5 (Fig. 3.11, §3.4.3): static bridges are preferred over dynamic ones and
 /// keep relayed connections alive longer.
 pub fn e05_static_vs_dynamic_bridge(seed: u64) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E5",
-        "Static vs. dynamic devices as bridge",
-        "Static terminals should be preferred as bridges; a dynamic bridge walks away and breaks the \
-         relayed connection (Fig. 3.11).",
-        &[
-            "bridge mobility",
-            "route chosen through",
-            "relay survived 120 s",
-            "relayed messages",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "bridge mobility",
+        "route chosen through",
+        "relay survived 120 s",
+        "relayed messages",
+    ]);
     for &static_bridge in &[true, false] {
         let mut world = World::new(WorldConfig::ideal(seed + static_bridge as u64));
         // Client and server 16 m apart; two candidate bridges in the middle.

@@ -123,25 +123,17 @@ fn churn_city(settings: &ChurnSettings, nodes: usize, churn_per_hour: f64) -> Wo
 /// E13 (beyond the thesis): session survival and reconnection latency under
 /// seeded node churn.
 pub fn e13_churn_sweep(settings: &ChurnSettings) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E13",
-        "Churn sweep: session survival under crash/restart schedules",
-        "Beyond the thesis: the middleware's whole premise is surviving mobility-induced failure, \
-         but the original evaluation only ever breaks links by walking out of range. E13 injects \
-         seeded crash/restart churn and measures how sessions survive and how quickly devices \
-         re-attach as the churn rate grows.",
-        &[
-            "nodes",
-            "churn (/node/h)",
-            "crashes",
-            "restarts",
-            "sessions",
-            "broken by churn",
-            "broken by range",
-            "churn survival %",
-            "mean reconnect (s)",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "nodes",
+        "churn (/node/h)",
+        "crashes",
+        "restarts",
+        "sessions",
+        "broken by churn",
+        "broken by range",
+        "churn survival %",
+        "mean reconnect (s)",
+    ]);
     for &nodes in &settings.node_counts {
         for &rate in &settings.churn_per_hour {
             let mut world = churn_city(settings, nodes, rate);
@@ -237,15 +229,7 @@ pub fn e14_blackout_flash_crowd(seed: u64, quick: bool) -> ExperimentReport {
         world.install_fault_plan(*node, plan);
     }
 
-    let mut report = ExperimentReport::new(
-        "E14",
-        "Blackout & flash crowd: mass outage and a restart storm",
-        "Beyond the thesis: 60% of a city block loses its radio at once and another 25% crashes, \
-         then every crashed device reboots within five seconds. Attachment must collapse during \
-         the blackout and recover once radios return and the restart storm's discovery wave \
-         passes.",
-        &["phase", "t (s)", "alive", "radios dark", "attached %", "open links"],
-    );
+    let mut report = ExperimentReport::new(&["phase", "t (s)", "alive", "radios dark", "attached %", "open links"]);
     let mut sample = |world: &mut World, phase: &str| {
         let t = world.now().as_secs();
         let alive = ids.iter().filter(|id| world.is_alive(**id)).count();

@@ -13,19 +13,13 @@ use crate::topology::{experiment_config, spawn_app, spawn_relay, with_app};
 /// E7 (Fig. 5.3): handing over to a second server restarts the task, while a
 /// routing handover through a bridge preserves the session.
 pub fn e07_two_server_handover(seed: u64) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E7",
-        "Two-server handover vs. routing handover",
-        "Switching to a second server providing the same service forces the whole task migration to \
-         start again; keeping the original server through a bridge preserves it (Fig. 5.3-5.4).",
-        &[
-            "strategy",
-            "task restarts",
-            "route changes",
-            "messages received (both servers)",
-            "messages needed",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "strategy",
+        "task restarts",
+        "route changes",
+        "messages received (both servers)",
+        "messages needed",
+    ]);
     for &routing_handover in &[false, true] {
         let mut world = World::new(WorldConfig::ideal(seed + routing_handover as u64));
         let mut client_cfg = experiment_config("client", MobilityClass::Dynamic, DiscoveryMode::Dynamic);
@@ -203,20 +197,13 @@ pub fn routing_handover_run(seed: u64, decay_per_sec: f64) -> HandoverRun {
 /// E8 (§5.2.1, Fig. 5.5/5.8): routing handover under artificial quality decay
 /// at different speeds.
 pub fn e08_routing_handover(seed: u64, runs_per_rate: usize) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E8",
-        "Routing handover under artificial quality decay",
-        "With the quality decremented by 1/s the handover triggers after the 230 threshold and three \
-         low samples and completes like a normal interconnection (4-15 s); at walking-speed decay the \
-         connection is often lost before the second route is ready (§5.2.1).",
-        &[
-            "decay (quality/s)",
-            "runs",
-            "handover completed",
-            "mean stall during switch (s)",
-            "mean messages delivered / 50",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "decay (quality/s)",
+        "runs",
+        "handover completed",
+        "mean stall during switch (s)",
+        "mean messages delivered / 50",
+    ]);
     for &decay in &[1.0, 5.0, 15.0, 30.0] {
         let runs: Vec<HandoverRun> = (0..runs_per_rate)
             .map(|i| routing_handover_run(seed + i as u64 * 31, decay))
@@ -246,18 +233,12 @@ pub fn e08_routing_handover(seed: u64, runs_per_rate: usize) -> ExperimentReport
 /// current link peer grows bridge chains that never shrink, unlike re-routing
 /// towards the final destination.
 pub fn e11_monitoring_limitation(seed: u64) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E11",
-        "Monitoring limitation: chain growth when the client returns",
-        "Because each HandoverThread only extends the path from its own position, a client that walks \
-         away and comes back ends up connected through an unnecessary chain of bridges (Fig. 5.6/5.7).",
-        &[
-            "handover target",
-            "handovers",
-            "bridge pairs left active",
-            "final route bridged",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "handover target",
+        "handovers",
+        "bridge pairs left active",
+        "final route bridged",
+    ]);
     for &target in &[HandoverTarget::LinkPeer, HandoverTarget::FinalDestination] {
         let mut world = World::new(WorldConfig::ideal(seed));
         let mut client_cfg = experiment_config("client", MobilityClass::Dynamic, DiscoveryMode::Dynamic);

@@ -173,28 +173,17 @@ pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
 /// includes the run digest and omits the knob, so `diff`-ing two runs that
 /// differ only in `--shards` is the invariance check itself.
 pub fn e18_hotspot_metropolis(settings: &HotspotSettings) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E18",
-        "Hotspot metropolis: a flash crowd against the load-balanced sharded world",
-        "Beyond the thesis: a flash crowd piles most of the city's devices and traffic into one \
-         district — the worst case for equal-width spatial stripes, whose hottest shard then does \
-         nearly all the work each window. Load-balanced sharding re-cuts stripe boundaries along \
-         the per-shard load at window barriers (hysteresis-gated, from pure simulation state), \
-         which changes wall-clock time only: this table carries a digest of every counter and no \
-         shard- or partition-dependent cell. Rerun with a different --shards and diff — the output \
-         must not change.",
-        &[
-            "nodes",
-            "side (m)",
-            "crowd %",
-            "inquiries",
-            "links established",
-            "handovers",
-            "coverage drops",
-            "pings delivered",
-            "digest",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "nodes",
+        "side (m)",
+        "crowd %",
+        "inquiries",
+        "links established",
+        "handovers",
+        "coverage drops",
+        "pings delivered",
+        "digest",
+    ]);
     let mut world = hotspot_metropolis_run(settings);
     let (stats, _) = probe_stats(&mut world);
     let digest = sharded_world_digest(&world);

@@ -57,15 +57,6 @@ impl MetropolisSettings {
         quick
     }
 
-    /// A reduced population for debug-build smoke tests (`cargo test`),
-    /// where 2k full stacks would dominate the suite's runtime.
-    pub fn smoke() -> Self {
-        let mut smoke = MetropolisSettings::full();
-        smoke.nodes = 300;
-        smoke.city.duration = SimDuration::from_secs(80);
-        smoke
-    }
-
     /// The grid parameters of E15.
     pub const PARAMS: &'static [Param<Self>] = &[
         Param::new("nodes", "city population (every node runs the full stack)", |s, v| {
@@ -152,25 +143,17 @@ pub fn aggregate_full_stats(world: &mut World) -> (FullStats, usize) {
 
 /// E15 (beyond the thesis): the full-stack metropolis.
 pub fn e15_full_stack_metropolis(settings: &MetropolisSettings) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E15",
-        "Full-stack metropolis: real middleware on thousands of nodes",
-        "Beyond the thesis: every device runs the complete PeerHood stack (daemon, dynamic \
-         discovery, engine, handover machinery) plus a service workload, under mobility and \
-         seeded churn. The zero-copy frame and allocation-lean storage refactor is what makes \
-         the per-node cost small enough to populate the city with real middleware.",
-        &[
-            "nodes",
-            "sessions",
-            "pings delivered",
-            "broken by churn",
-            "broken by range",
-            "handovers",
-            "crashes",
-            "restarts",
-            "attached %",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "nodes",
+        "sessions",
+        "pings delivered",
+        "broken by churn",
+        "broken by range",
+        "handovers",
+        "crashes",
+        "restarts",
+        "attached %",
+    ]);
     let mut world = metropolis_run(settings);
     let (stats, attached) = aggregate_full_stats(&mut world);
     let fault = world.fault_stats();

@@ -73,20 +73,13 @@ pub fn migration_run(seed: u64, regime: &'static str, spec: TaskSpec) -> Migrati
 
 /// E9 (§5.3, Fig. 5.9/5.10): the three package-count regimes.
 pub fn e09_result_routing(seed: u64) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E9",
-        "Result routing across the three package-count regimes",
-        "Small tasks finish before the device leaves coverage; with a considerable package count the \
-         connection breaks during processing and the server routes the result back through its device \
-         storage; with a huge count the connection breaks during the upload itself (§5.3).",
-        &[
-            "regime",
-            "outcome",
-            "packages uploaded",
-            "result routed back",
-            "completion time (s)",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "regime",
+        "outcome",
+        "packages uploaded",
+        "result routed back",
+        "completion time (s)",
+    ]);
     let regimes: [(&'static str, TaskSpec); 3] = [
         ("small", TaskSpec::small()),
         ("considerable", TaskSpec::considerable()),

@@ -1,14 +1,17 @@
-//! The experiment runners E1–E19 (`repro --list` prints each one's id and
-//! title, and each report's *Paper:* line names the claim it reproduces;
-//! E12 is the dense-city scale family, E13/E14 are the fault & churn
-//! family, E16 is the resilience-pipeline overload city, E17 is the
-//! sharded metropolis, E18 is the hotspot metropolis on the
-//! load-balanced sharded engine and E19 is the hostile city run against
-//! the security defence tiers, all added on top of the thesis).
+//! The experiment runners E1–E19 (E12 is the dense-city scale family,
+//! E13/E14 are the fault & churn family, E16 is the resilience-pipeline
+//! overload city, E17 is the sharded metropolis, E18 is the hotspot
+//! metropolis on the load-balanced sharded engine and E19 is the hostile
+//! city run against the security defence tiers, all added on top of the
+//! thesis).
 //!
 //! Each function builds the scenario it needs, runs the simulation and
-//! returns an [`ExperimentReport`] whose
-//! `Display` output is the markdown table the `repro` binary prints.
+//! returns an [`ExperimentReport`] of columns, rows and notes. Its id, title
+//! and *Paper:* line — the claim it reproduces — are written once, in the
+//! experiment's [`registry`](mod@registry) row, and [`Experiment::run`]
+//! stamps them on; the stamped report's `Display` output is the markdown
+//! table the `repro` binary prints. `crates/scenarios/tests/claims.rs`
+//! checks every *Paper:* line against its report at eight seeds.
 
 pub mod adversary_exp;
 pub mod bridge;

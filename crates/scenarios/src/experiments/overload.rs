@@ -447,26 +447,18 @@ pub fn overload_outcome(settings: &OverloadSettings, resilience_on: bool) -> Ove
 /// resilience pipeline. `modes` lists the pipeline states to run
 /// (`false` = off, `true` = on), one report row each.
 pub fn e16_overload(settings: &OverloadSettings, modes: &[bool]) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E16",
-        "Overload city: flash crowd against a flapping hotspot",
-        "Beyond the thesis: the paper's middleware accepts every connection and re-dials any \
-         provider forever. A crowd split across a healthy and a flapping hotspot starves without \
-         the resilience pipeline; with per-peer circuit breakers, backpressure and admission \
-         control the crowd diverts to the healthy provider and goodput and fairness recover.",
-        &[
-            "resilience",
-            "goodput",
-            "fairness",
-            "sessions",
-            "diverted",
-            "mean reconnect (s)",
-            "breaker trips",
-            "blocked dials",
-            "shed",
-            "rejected",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "resilience",
+        "goodput",
+        "fairness",
+        "sessions",
+        "diverted",
+        "mean reconnect (s)",
+        "breaker trips",
+        "blocked dials",
+        "shed",
+        "rejected",
+    ]);
     for &on in modes {
         let o = overload_outcome(settings, on);
         report.push_row([

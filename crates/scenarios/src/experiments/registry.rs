@@ -7,11 +7,17 @@
 //! seeds and grid points. `run_all` iterates this registry, so a new entry
 //! here is automatically part of the suite, the `repro` CLI and every sweep.
 //!
-//! An entry names its settings type's two presets, parameter table (see
+//! An entry is the one place an experiment's id, title and *Paper:* line are
+//! written: the entry point fills in only columns, rows and notes, and
+//! [`Experiment::run`] stamps the header on. Beside them an entry names its
+//! settings type's two presets, parameter table (see
 //! [`params`](super::params)) and entry point; nothing else is written per
-//! experiment. The table is `'static` data: a sweep worker thread looks its
-//! experiment up with [`find`] and builds the world entirely inside the
-//! worker (a sequential `World` is not `Send`: its agents need not be).
+//! experiment. `crates/scenarios/tests/claims.rs` holds one check per entry,
+//! written from its *Paper:* line and run at eight seeds.
+//!
+//! The table is `'static` data: a sweep worker thread looks its experiment
+//! up with [`find`] and builds the world entirely inside the worker (a
+//! sequential `World` is not `Send`: its agents need not be).
 
 use std::collections::BTreeMap;
 
@@ -168,8 +174,11 @@ pub struct Experiment {
     pub id: &'static str,
     /// CLI name, e.g. `"churn"`.
     pub slug: &'static str,
-    /// Human-readable one-liner for `repro --list`.
+    /// The report's title, also `repro --list`'s and a sweep's.
     pub title: &'static str,
+    /// The thesis claim (or, beyond the thesis, the property) the report
+    /// reproduces: its *Paper:* line.
+    pub paper_claim: &'static str,
     /// Report columns forming a row's identity (the rest become metrics).
     pub key_columns: &'static [&'static str],
     /// The seed this experiment historically runs with inside the full
@@ -194,10 +203,12 @@ impl Experiment {
     }
 
     /// Runs the experiment: applies `params` to the quick or full preset,
-    /// builds its worlds, measures, and returns the report plus numeric
-    /// samples. An undeclared key or an unparsable value is an error.
+    /// builds its worlds, measures, and returns the report — headed by this
+    /// row's id, title and *Paper:* line — plus numeric samples. An
+    /// undeclared key or an unparsable value is an error.
     pub fn run(&self, seed: u64, params: &Params, quick: bool) -> Result<RunOutput, String> {
-        let report = self.plan.run(seed, params, quick)?;
+        let mut report = self.plan.run(seed, params, quick)?;
+        (report.id, report.title, report.paper_claim) = (self.id, self.title, self.paper_claim);
         let samples = samples_from_report(&report, self.key_columns);
         Ok(RunOutput { report, samples })
     }
@@ -208,6 +219,8 @@ static REGISTRY: [Experiment; 19] = [
         id: "E1",
         slug: "coverage",
         title: "Coverage exclusion vs. discovery algorithm",
+        paper_claim: "Direct-only and two-hop discovery leave devices outside the inquiry coverage invisible; dynamic \
+            discovery achieves total environment awareness (Fig. 3.1-3.6).",
         key_columns: &["nodes"],
         suite_seed: Some(1),
         plan: &Plan {
@@ -222,6 +235,8 @@ static REGISTRY: [Experiment; 19] = [
         id: "E2",
         slug: "gnutella",
         title: "Gnutella flooding vs. PeerHood discovery traffic",
+        paper_claim: "Gnutella-style flooding generates huge query traffic; PeerHood sends the inquiry only to direct \
+            neighbours, so one cycle is linear in the number of links (§3.2-3.3).",
         key_columns: &["nodes"],
         suite_seed: None,
         plan: &seeded(|&seed| e02_gnutella_traffic(seed)),
@@ -230,6 +245,8 @@ static REGISTRY: [Experiment; 19] = [
         id: "E3",
         slug: "routes",
         title: "Link-quality route selection (threshold rule)",
+        paper_claim: "Two routes with equal quality sums (230+230 vs 210+250): the route containing a hop below the \
+            minimum demanded threshold 230 is rejected (Fig. 3.9).",
         key_columns: &["route"],
         suite_seed: None,
         plan: &seeded(|_| e03_quality_route_selection()),
@@ -238,6 +255,8 @@ static REGISTRY: [Experiment; 19] = [
         id: "E4",
         slug: "notification",
         title: "Maximum change-notification delay vs. jump count",
+        paper_claim: "Max Delay = Num Jumps x searching cycle time: a change several jumps away is learned only after \
+            that many full discovery cycles (Fig. 3.10).",
         key_columns: &["jumps"],
         suite_seed: None,
         plan: &Plan {
@@ -254,6 +273,8 @@ static REGISTRY: [Experiment; 19] = [
         id: "E5",
         slug: "bridge-choice",
         title: "Static vs. dynamic devices as bridge",
+        paper_claim: "Static terminals should be preferred as bridges; a dynamic bridge walks away and breaks the \
+            relayed connection (Fig. 3.11).",
         key_columns: &["bridge mobility"],
         suite_seed: None,
         plan: &seeded(|&seed| e05_static_vs_dynamic_bridge(seed)),
@@ -261,7 +282,9 @@ static REGISTRY: [Experiment; 19] = [
     Experiment {
         id: "E6",
         slug: "bridge-perf",
-        title: "Bridge connection performance",
+        title: "Bridge connection performance (two clients, one bridge, one server)",
+        paper_claim: "Out of ten attempts three failed with normal Bluetooth connection faults; successful \
+            connections took 3-18 s to establish; relayed data showed an almost negligible delay (§4.3).",
         key_columns: &[],
         suite_seed: None,
         plan: &Plan {
@@ -278,6 +301,8 @@ static REGISTRY: [Experiment; 19] = [
         id: "E7",
         slug: "two-server",
         title: "Two-server handover vs. routing handover",
+        paper_claim: "Switching to a second server providing the same service forces the whole task migration to \
+            start again; keeping the original server through a bridge preserves it (Fig. 5.3-5.4).",
         key_columns: &["strategy"],
         suite_seed: None,
         plan: &seeded(|&seed| e07_two_server_handover(seed)),
@@ -286,6 +311,9 @@ static REGISTRY: [Experiment; 19] = [
         id: "E8",
         slug: "routing-handover",
         title: "Routing handover under artificial quality decay",
+        paper_claim: "With the quality decremented by 1/s the handover triggers after the 230 threshold and three low \
+            samples and completes like a normal interconnection (4-15 s); at walking-speed decay the connection is \
+            often lost before the second route is ready (§5.2.1).",
         key_columns: &["decay (quality/s)"],
         suite_seed: None,
         plan: &Plan {
@@ -302,6 +330,9 @@ static REGISTRY: [Experiment; 19] = [
         id: "E9",
         slug: "result-routing",
         title: "Result routing across the three package-count regimes",
+        paper_claim: "Small tasks finish before the device leaves coverage; with a considerable package count the \
+            connection breaks during processing and the server routes the result back through its device storage; \
+            with a huge count the connection breaks during the upload itself (§5.3).",
         key_columns: &["regime"],
         suite_seed: None,
         plan: &seeded(|&seed| e09_result_routing(seed)),
@@ -310,6 +341,8 @@ static REGISTRY: [Experiment; 19] = [
         id: "E10",
         slug: "amplification",
         title: "Coverage amplification through a tunnel",
+        paper_claim: "A phone inside a tunnel without GPRS coverage reaches the GPRS-connected server outside through \
+            a chain of Bluetooth bridge devices (Fig. 6.1).",
         key_columns: &["bridge chain"],
         suite_seed: None,
         plan: &seeded(|&seed| e10_coverage_amplification(seed)),
@@ -318,6 +351,8 @@ static REGISTRY: [Experiment; 19] = [
         id: "E11",
         slug: "monitoring",
         title: "Monitoring limitation: chain growth when the client returns",
+        paper_claim: "Because each HandoverThread only extends the path from its own position, a client that walks \
+            away and comes back ends up connected through an unnecessary chain of bridges (Fig. 5.6/5.7).",
         key_columns: &["handover target"],
         suite_seed: None,
         plan: &seeded(|&seed| e11_monitoring_limitation(seed)),
@@ -326,6 +361,9 @@ static REGISTRY: [Experiment; 19] = [
         id: "E12",
         slug: "scale",
         title: "Dense-city discovery and handover at scale",
+        paper_claim: "Beyond the thesis: the spatially-indexed world sustains the paper's \
+            discovery/monitoring/handover loop at city scale (1k-10k devices at constant density), where the original \
+            full-scan world was quadratic in the population.",
         key_columns: &["nodes"],
         suite_seed: Some(12),
         plan: &Plan {
@@ -340,6 +378,9 @@ static REGISTRY: [Experiment; 19] = [
         id: "E13",
         slug: "churn",
         title: "Churn sweep: session survival under crash/restart schedules",
+        paper_claim: "Beyond the thesis: the middleware's whole premise is surviving mobility-induced failure, but \
+            the original evaluation only ever breaks links by walking out of range. E13 injects seeded crash/restart \
+            churn and measures how sessions survive and how quickly devices re-attach as the churn rate grows.",
         key_columns: &["nodes", "churn (/node/h)"],
         suite_seed: Some(13),
         plan: &Plan {
@@ -354,6 +395,9 @@ static REGISTRY: [Experiment; 19] = [
         id: "E14",
         slug: "blackout",
         title: "Blackout & flash crowd: mass outage and a restart storm",
+        paper_claim: "Beyond the thesis: 60% of a city block loses its radio at once and another 25% crashes, then \
+            every crashed device reboots within five seconds. Attachment must collapse during the blackout and \
+            recover once radios return and the restart storm's discovery wave passes.",
         key_columns: &["phase", "t (s)"],
         suite_seed: None,
         plan: &Plan {
@@ -369,6 +413,10 @@ static REGISTRY: [Experiment; 19] = [
         id: "E15",
         slug: "metropolis",
         title: "Full-stack metropolis: real middleware on thousands of nodes",
+        paper_claim: "Beyond the thesis: every device runs the complete PeerHood stack (daemon, dynamic discovery, \
+            engine, handover machinery) plus a service workload, under mobility and seeded churn. The zero-copy frame \
+            and allocation-lean storage refactor is what makes the per-node cost small enough to populate the city \
+            with real middleware.",
         key_columns: &["nodes"],
         suite_seed: Some(15),
         plan: &Plan {
@@ -382,7 +430,11 @@ static REGISTRY: [Experiment; 19] = [
     Experiment {
         id: "E16",
         slug: "overload",
-        title: "Overload city: flash crowd with/without the resilience pipeline",
+        title: "Overload city: flash crowd against a flapping hotspot",
+        paper_claim: "Beyond the thesis: the paper's middleware accepts every connection and re-dials any provider \
+            forever. A crowd split across a healthy and a flapping hotspot starves without the resilience pipeline; \
+            with per-peer circuit breakers, backpressure and admission control the crowd diverts to the healthy \
+            provider and goodput and fairness recover.",
         key_columns: &["resilience"],
         suite_seed: Some(16),
         plan: &Plan {
@@ -398,6 +450,11 @@ static REGISTRY: [Experiment; 19] = [
         id: "E17",
         slug: "sharded-metropolis",
         title: "Sharded metropolis: deterministic intra-run parallelism at 100k+ nodes",
+        paper_claim: "Beyond the thesis: the world itself parallelises. Spatial shards advance in conservative \
+            lookahead windows with cross-shard events merged in canonical order, so one run spreads across every core \
+            while staying byte-identical at any shard count. This table contains a digest of every counter and \
+            lifecycle event and no shard-dependent cell: rerun with a different --shards value and diff — the output \
+            must not change.",
         key_columns: &["nodes"],
         suite_seed: Some(17),
         plan: &Plan {
@@ -412,6 +469,12 @@ static REGISTRY: [Experiment; 19] = [
         id: "E18",
         slug: "hotspot",
         title: "Hotspot metropolis: a flash crowd against the load-balanced sharded world",
+        paper_claim: "Beyond the thesis: a flash crowd piles most of the city's devices and traffic into one district \
+            — the worst case for equal-width spatial stripes, whose hottest shard then does nearly all the work each \
+            window. Load-balanced sharding re-cuts stripe boundaries along the per-shard load at window barriers \
+            (hysteresis-gated, from pure simulation state), which changes wall-clock time only: this table carries a \
+            digest of every counter and no shard- or partition-dependent cell. Rerun with a different --shards and \
+            diff — the output must not change.",
         key_columns: &["nodes"],
         suite_seed: Some(18),
         plan: &Plan {
@@ -426,6 +489,10 @@ static REGISTRY: [Experiment; 19] = [
         id: "E19",
         slug: "adversary",
         title: "Hostile city: partitions and Byzantine insiders vs. the defence tiers",
+        paper_claim: "Beyond the thesis: the paper's middleware trusts every frame a neighbour sends. Compromised \
+            insiders replay sessions, forge connection requests and poison the neighbourhood with phantom providers \
+            while a seeded partition splits the city; the same attack schedule is replayed against each \
+            peerhood::security tier and the scorecard counts what got through.",
         key_columns: &["defenses"],
         suite_seed: Some(19),
         plan: &Plan {
@@ -468,6 +535,10 @@ mod tests {
         ids.dedup();
         assert_eq!(slugs.len(), 19, "slugs must be unique");
         assert_eq!(ids.len(), 19, "ids must be unique");
+        for (i, experiment) in reg.iter().enumerate() {
+            assert_eq!(experiment.id, format!("E{}", i + 1), "E1-E19 in order");
+            assert!(!experiment.title.is_empty() && !experiment.paper_claim.is_empty());
+        }
         for (i, id, slug) in [
             (12, "E13", "churn"),
             (15, "E16", "overload"),
@@ -489,7 +560,7 @@ mod tests {
 
     #[test]
     fn samples_keep_key_columns_as_identity_and_numbers_as_metrics() {
-        let mut r = ExperimentReport::new("E0", "demo", "claim", &["nodes", "kind", "sessions", "survival %"]);
+        let mut r = ExperimentReport::new(&["nodes", "kind", "sessions", "survival %"]);
         r.push_row(["100", "a", "17", "98.50"]);
         r.push_row(["100", "b", "abc", "77.00"]);
         let samples = samples_from_report(&r, &["nodes", "kind"]);
@@ -505,7 +576,7 @@ mod tests {
 
     #[test]
     fn duplicate_scenarios_get_deterministic_suffixes() {
-        let mut r = ExperimentReport::new("E0", "demo", "claim", &["phase", "v"]);
+        let mut r = ExperimentReport::new(&["phase", "v"]);
         r.push_row(["warm", "1"]);
         r.push_row(["warm", "2"]);
         r.push_row(["cool", "3"]);
@@ -516,7 +587,7 @@ mod tests {
 
     #[test]
     fn rows_without_key_columns_fall_back_to_all() {
-        let mut r = ExperimentReport::new("E0", "demo", "claim", &["v"]);
+        let mut r = ExperimentReport::new(&["v"]);
         r.push_row(["4"]);
         let samples = samples_from_report(&r, &[]);
         assert_eq!(samples[0].scenario, "all");

@@ -88,22 +88,15 @@ fn city_run(settings: &ScaleSettings, nodes: usize) -> World {
 
 /// E12 (beyond the thesis): dense-city discovery and handover at scale.
 pub fn e12_dense_city(settings: &ScaleSettings) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E12",
-        "Dense-city discovery and handover at scale",
-        "Beyond the thesis: the spatially-indexed world sustains the paper's discovery/monitoring/\
-         handover loop at city scale (1k-10k devices at constant density), where the original \
-         full-scan world was quadratic in the population.",
-        &[
-            "nodes",
-            "side (m)",
-            "avg neighbors",
-            "inquiries",
-            "links established",
-            "handovers",
-            "coverage drops",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "nodes",
+        "side (m)",
+        "avg neighbors",
+        "inquiries",
+        "links established",
+        "handovers",
+        "coverage drops",
+    ]);
     for &nodes in &settings.node_counts {
         let mut world = city_run(settings, nodes);
         let ids: Vec<NodeId> = world.node_ids().collect();

@@ -193,27 +193,18 @@ pub fn sharded_world_digest(world: &ShardedWorld) -> u64 {
 /// includes the run digest and omits the shard count, so `diff`-ing two
 /// runs at different `--shards` values is the invariance check itself.
 pub fn e17_sharded_metropolis(settings: &ShardedSettings) -> ExperimentReport {
-    let mut report = ExperimentReport::new(
-        "E17",
-        "Sharded metropolis: deterministic intra-run parallelism at 100k+ nodes",
-        "Beyond the thesis: the world itself parallelises. Spatial shards advance in conservative \
-         lookahead windows with cross-shard events merged in canonical order, so one run spreads \
-         across every core while staying byte-identical at any shard count. This table contains a \
-         digest of every counter and lifecycle event and no shard-dependent cell: rerun with a \
-         different --shards value and diff — the output must not change.",
-        &[
-            "nodes",
-            "side (m)",
-            "inquiries",
-            "links established",
-            "handovers",
-            "coverage drops",
-            "pings delivered",
-            "crashes",
-            "restarts",
-            "digest",
-        ],
-    );
+    let mut report = ExperimentReport::new(&[
+        "nodes",
+        "side (m)",
+        "inquiries",
+        "links established",
+        "handovers",
+        "coverage drops",
+        "pings delivered",
+        "crashes",
+        "restarts",
+        "digest",
+    ]);
     let mut world = sharded_metropolis_run(settings);
     let (stats, _) = probe_stats(&mut world);
     let digest = sharded_world_digest(&world);

@@ -1,8 +1,10 @@
 //! Experiment report structures.
 //!
-//! Every experiment runner returns an [`ExperimentReport`]: a titled table
-//! whose `Display` implementation renders GitHub-flavoured markdown — what
-//! the `repro` binary prints to stdout.
+//! Every experiment runner returns an [`ExperimentReport`]: a table whose
+//! `Display` implementation renders GitHub-flavoured markdown — what the
+//! `repro` binary prints to stdout. The runner fills in the columns, rows and
+//! notes; the header (id, title and *Paper:* line) is the registry row's,
+//! stamped on by [`Experiment::run`](crate::experiments::Experiment::run).
 
 use std::fmt;
 
@@ -31,12 +33,13 @@ impl Row {
 /// A titled result table for one experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentReport {
-    /// Experiment identifier, e.g. `"E6"`.
-    pub id: String,
-    /// Human-readable title.
-    pub title: String,
-    /// What the thesis claims / reports for this experiment.
-    pub paper_claim: String,
+    /// Experiment identifier, e.g. `"E6"` (empty until the registry stamps it).
+    pub id: &'static str,
+    /// Human-readable title (empty until the registry stamps it).
+    pub title: &'static str,
+    /// What the thesis claims / reports for this experiment (empty until the
+    /// registry stamps it).
+    pub paper_claim: &'static str,
     /// Column headers.
     pub columns: Vec<String>,
     /// Data rows.
@@ -46,17 +49,12 @@ pub struct ExperimentReport {
 }
 
 impl ExperimentReport {
-    /// Creates an empty report.
-    pub fn new(
-        id: impl Into<String>,
-        title: impl Into<String>,
-        paper_claim: impl Into<String>,
-        columns: &[&str],
-    ) -> Self {
+    /// Creates an empty report with these columns and no header.
+    pub fn new(columns: &[&str]) -> Self {
         ExperimentReport {
-            id: id.into(),
-            title: title.into(),
-            paper_claim: paper_claim.into(),
+            id: "",
+            title: "",
+            paper_claim: "",
             columns: columns.iter().map(|c| c.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
@@ -114,7 +112,8 @@ mod tests {
 
     #[test]
     fn report_renders_markdown() {
-        let mut r = ExperimentReport::new("E0", "Demo", "a claim", &["setting", "value"]);
+        let mut r = ExperimentReport::new(&["setting", "value"]);
+        (r.id, r.title, r.paper_claim) = ("E0", "Demo", "a claim");
         r.push_row(["x", "1"]);
         r.push_row(["y", "2"]);
         r.push_note("looks right");

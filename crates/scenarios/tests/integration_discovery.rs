@@ -2,9 +2,6 @@
 
 use peerhood::node::PeerHoodNode;
 use peerhood::prelude::*;
-use scenarios::experiments::{
-    e01_coverage_exclusion, e02_gnutella_traffic, e03_quality_route_selection, DiscoverySettings,
-};
 use scenarios::topology::{experiment_config, line_positions, spawn_relay};
 use simnet::prelude::*;
 
@@ -63,39 +60,4 @@ fn direct_only_mode_is_limited_to_radio_coverage() {
         .with_agent::<PeerHoodNode, _>(ids[0], |n, _| n.storage_stats().known_devices)
         .unwrap();
     assert_eq!(known, 1, "an end node only sees its single direct neighbour");
-}
-
-#[test]
-fn e1_dynamic_beats_direct_only() {
-    let report = e01_coverage_exclusion(&DiscoverySettings::quick());
-    assert_eq!(report.rows.len(), 2);
-    for row in &report.rows {
-        let direct: f64 = row.cells[1].parse().unwrap();
-        let dynamic: f64 = row.cells[3].parse().unwrap();
-        assert!(
-            dynamic >= direct,
-            "dynamic discovery must know at least as much as direct-only"
-        );
-        assert!(
-            dynamic > 0.9,
-            "dynamic discovery should approach total awareness, got {dynamic}"
-        );
-    }
-}
-
-#[test]
-fn e2_gnutella_generates_more_traffic() {
-    let report = e02_gnutella_traffic(5);
-    for row in &report.rows {
-        let gnutella: f64 = row.cells[2].parse().unwrap();
-        let peerhood: f64 = row.cells[3].parse().unwrap();
-        assert!(gnutella > peerhood, "flooding must cost more than one PeerHood cycle");
-    }
-}
-
-#[test]
-fn e3_threshold_rule_selects_the_right_route() {
-    let report = e03_quality_route_selection();
-    assert_eq!(report.rows[0].cells[4], "true");
-    assert_eq!(report.rows[1].cells[4], "false");
 }

@@ -1,53 +1,27 @@
-//! Smoke tests for the full experiment suite (quick settings): every report
-//! must be produced with the expected shape so `repro` cannot silently skip a
-//! figure.
+//! The registry's run path: a run is its entry point's report under the
+//! registry row's header, grid parameters reach the settings, and a bad key
+//! or value is an error. What each report shows is `claims.rs`'s.
 
-use scenarios::experiments::{
-    e02_gnutella_traffic, e03_quality_route_selection, e09_result_routing, e10_coverage_amplification, find, registry,
-    Params,
-};
-
-#[test]
-fn e9_reproduces_the_three_regimes() {
-    let report = e09_result_routing(9);
-    assert_eq!(report.rows.len(), 3);
-    assert!(report.rows[0].cells[1].contains("CompletedDirect"));
-    assert!(report.rows[1].cells[1].contains("CompletedViaResultRouting"));
-    // The huge regime requires recovery of some kind; accept either recovery
-    // or (on unlucky seeds) result routing, but it must complete.
-    assert!(report.rows[2].cells[1].contains("Completed"));
-}
-
-#[test]
-fn e10_tunnel_is_only_reachable_with_bridges() {
-    let report = e10_coverage_amplification(10);
-    assert_eq!(report.rows.len(), 2);
-    assert_eq!(report.rows[0].cells[1], "true", "with bridges the server is known");
-    assert_eq!(report.rows[1].cells[1], "false", "without bridges it is not");
-    let with_bridges: usize = report.rows[0].cells[3].parse().unwrap();
-    assert!(
-        with_bridges >= 8,
-        "nearly all messages must cross the tunnel, got {with_bridges}"
-    );
-}
-
-#[test]
-fn registry_covers_e1_to_e19_in_order() {
-    let reg = registry();
-    assert_eq!(reg.len(), 19);
-    for (i, experiment) in reg.iter().enumerate() {
-        assert_eq!(experiment.id, format!("E{}", i + 1));
-        assert!(!experiment.title.is_empty());
-    }
-}
+use scenarios::experiments::{e02_gnutella_traffic, find, Params};
 
 #[test]
 fn trait_runs_match_the_direct_entry_points_and_yield_samples() {
-    // The registry must be a pure re-routing of the historical entry
-    // points: identical report, plus the numeric sample stream on top.
+    // The registry re-routes the entry point and heads its report with the
+    // row's id, title and *Paper:* line; columns, rows and notes are the
+    // entry point's own, and the numeric sample stream comes on top.
+    let gnutella = find("gnutella").unwrap();
     let direct = e02_gnutella_traffic(5);
-    let via_trait = find("gnutella").unwrap().run(5, &Params::new(), true).unwrap();
-    assert_eq!(via_trait.report, direct);
+    assert_eq!((direct.id, direct.title, direct.paper_claim), ("", "", ""));
+    let via_trait = gnutella.run(5, &Params::new(), true).unwrap();
+    let report = &via_trait.report;
+    assert_eq!(
+        (report.id, report.title, report.paper_claim),
+        (gnutella.id, gnutella.title, gnutella.paper_claim)
+    );
+    assert_eq!(
+        (&report.columns, &report.rows, &report.notes),
+        (&direct.columns, &direct.rows, &direct.notes)
+    );
     assert_eq!(via_trait.samples.len(), direct.rows.len());
     // Key columns form the scenario identity; the rest become metrics.
     assert!(via_trait.samples[0].scenario.starts_with("nodes="));
@@ -90,7 +64,7 @@ fn undeclared_keys_and_unparsable_values_are_errors_not_defaults() {
 
 #[test]
 fn reports_render_markdown_tables() {
-    let report = e03_quality_route_selection();
+    let report = find("routes").unwrap().run(1, &Params::new(), true).unwrap().report;
     let text = report.to_string();
     assert!(text.contains("### E3"));
     assert!(text.lines().filter(|l| l.starts_with('|')).count() >= 4);

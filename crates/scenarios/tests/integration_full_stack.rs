@@ -1,7 +1,8 @@
-//! Full-stack smoke tests: the real PeerHood middleware populates the E15
+//! Full-stack tests: the real PeerHood middleware populates the E15
 //! metropolis and an authenticated city, on every `cargo test`. Debug builds
-//! use the reduced `smoke` population; CI runs the 2k-node quick variant
-//! through the release `repro` binary.
+//! run E15 at 300 nodes for 80 s (`claims.rs` checks its *Paper:* line
+//! there); CI runs the 2k-node quick variant through the release `repro`
+//! binary.
 
 use std::rc::Rc;
 
@@ -10,38 +11,21 @@ use peerhood::resilience::{ResilienceConfig, ResilienceStats};
 use peerhood::security::SecurityStats;
 use scenarios::experiments::city::wlan_world;
 use scenarios::experiments::full_stack::{metro_configs, FullStackHost};
-use scenarios::experiments::{e15_full_stack_metropolis, MetropolisSettings};
+use scenarios::experiments::{find, Params};
 use scenarios::topology::random_positions;
 use simnet::prelude::*;
 
-#[test]
-fn e15_smoke_runs_real_middleware_under_churn() {
-    let settings = MetropolisSettings::smoke();
-    let report = e15_full_stack_metropolis(&settings);
-    assert_eq!(report.rows.len(), 1);
-    let cells = &report.rows[0].cells;
-    assert_eq!(cells[0], settings.nodes.to_string());
-    let sessions: u64 = cells[1].parse().unwrap();
-    assert!(sessions > 0, "middleware sessions must form: {cells:?}");
-    let pings: u64 = cells[2].parse().unwrap();
-    assert!(pings > 0, "session payloads must flow end to end: {cells:?}");
-    let crashes: u64 = cells[6].parse().unwrap();
-    let restarts: u64 = cells[7].parse().unwrap();
-    assert!(crashes > 0, "the churn schedule must bite: {cells:?}");
-    assert_eq!(crashes, restarts, "the run quiesces every scheduled restart");
-    let attached: f64 = cells[8].parse().unwrap();
-    assert!(
-        attached > 50.0,
-        "most devices must hold a session after recovery, got {attached}%"
-    );
-}
-
+/// E15 at the debug-sized grid point `claims.rs` checks it at, run twice
+/// through the registry.
 #[test]
 fn e15_report_is_deterministic() {
-    let settings = MetropolisSettings::smoke();
-    let a = e15_full_stack_metropolis(&settings);
-    let b = e15_full_stack_metropolis(&settings);
-    assert_eq!(a, b, "same settings must reproduce the identical report");
+    let mut params = Params::new();
+    params.set("nodes", "300");
+    params.set("duration_s", "80");
+    let metropolis = find("metropolis").unwrap();
+    let a = metropolis.run(15, &params, true).unwrap();
+    let b = metropolis.run(15, &params, true).unwrap();
+    assert_eq!(a.report, b.report, "same settings must reproduce the identical report");
 }
 
 /// The hardening tier must sit on the data path of an honest city without
