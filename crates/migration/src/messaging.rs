@@ -39,6 +39,9 @@ pub struct MessagingClient {
     pub conn: Option<ConnectionId>,
     /// Messages sent so far (in the current task run).
     pub sent: u32,
+    /// When each message was handed to the middleware, in sending order
+    /// (across task restarts).
+    pub sent_at: Vec<SimTime>,
     /// Connection attempts made.
     pub attempts: u32,
     /// When the first connection attempt started.
@@ -101,6 +104,7 @@ impl MessagingClient {
             max_attempts: 10,
             conn: None,
             sent: 0,
+            sent_at: Vec::new(),
             attempts: 0,
             first_attempt_at: None,
             connected_at: None,
@@ -165,6 +169,7 @@ impl Application for MessagingClient {
                 }
                 if api.send(conn, self.message.clone()).is_ok() {
                     self.sent += 1;
+                    self.sent_at.push(api.now());
                 }
                 if self.sent >= self.repetitions {
                     self.finished_at = Some(api.now());

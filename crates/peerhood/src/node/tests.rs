@@ -1185,7 +1185,8 @@ fn export_neighbors_respects_jump_limit() {
     });
     let report = wire::view_inquiry_response(&frame).unwrap();
     let mode = core.config.discovery.mode;
-    core.storage.integrate_report(&report, true, 240, mode, SimTime::ZERO);
+    core.storage
+        .integrate_report_into(&report, true, 240, mode, SimTime::ZERO, &mut Vec::new());
     assert_eq!(reply(&mut core, 8).2.len(), 3);
     let limited = reply(&mut core, 1).2;
     assert_eq!(limited.len(), 2, "the 4-jump entry must be excluded");
@@ -1214,7 +1215,8 @@ fn a_record_of_255_hops_leaves_the_inquiry_response_decodable() {
     });
     let report = wire::view_inquiry_response(&frame).unwrap();
     let mode = core.config.discovery.mode;
-    core.storage.integrate_report(&report, true, 240, mode, SimTime::ZERO);
+    core.storage
+        .integrate_report_into(&report, true, 240, mode, SimTime::ZERO, &mut Vec::new());
     assert!(wire::decode(&core.inquiry_response_frame()).is_ok());
     let exported = reply(&mut core, 8).2;
     let addresses: Vec<DeviceAddress> = exported.iter().map(|r| r.info.address).collect();

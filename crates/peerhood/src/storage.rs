@@ -649,29 +649,13 @@ impl DeviceStorage {
     /// [`wire::InquiryResponseView`] — from a device heard at `quality`
     /// during the last inquiry: stores the responder as a direct neighbour
     /// and, when `trust_gossip`, integrates its exported neighbourhood
-    /// (Fig. 3.13). Returns the addresses of newly learned devices (the
-    /// responder first when it was unknown), which the node announces as
-    /// found.
+    /// (Fig. 3.13). Hands each newly learned address to `found` as it is
+    /// learned (the responder first when it was unknown); the node turns
+    /// them straight into found events.
     ///
     /// The quality used for route comparison is de-rated by the advertised
     /// bridge load — a fully loaded bridge loses half of its quality — so
     /// that loaded bridges are avoided (§4's "bottle neck" mitigation).
-    pub fn integrate_report(
-        &mut self,
-        report: &wire::InquiryResponseView<'_>,
-        trust_gossip: bool,
-        quality: u8,
-        mode: DiscoveryMode,
-        now: SimTime,
-    ) -> Vec<DeviceAddress> {
-        let mut added = Vec::new();
-        self.integrate_report_into(report, trust_gossip, quality, mode, now, &mut added);
-        added
-    }
-
-    /// [`DeviceStorage::integrate_report`] handing each newly learned
-    /// address to `found` as it is learned, in the same order: the node's
-    /// own path, which turns them straight into events.
     pub fn integrate_report_into(
         &mut self,
         report: &wire::InquiryResponseView<'_>,
@@ -766,37 +750,17 @@ impl DeviceStorage {
         }
     }
 
-    /// Marks a direct neighbour as having answered the current inquiry loop
-    /// without re-fetching its full information (the cheap path of Fig. 3.12
-    /// when the service-checking interval has not elapsed yet).
-    pub fn mark_responded(&mut self, address: DeviceAddress, quality: u8, now: SimTime) {
-        if let Some(entry) = self.devices.get_mut(address) {
-            // `last_seen`/`missed_loops` are invisible to the generation's
-            // consumers (exports and handover candidates), so the counter
-            // only moves when the exported hop quality actually changes —
-            // keeping the encode-once inquiry-response cache warm across
-            // steady cycles.
-            self.generation += u64::from(entry.heard_at(quality, now));
-        }
-    }
-
-    /// True if the device's full information should be re-fetched according
-    /// to the service-checking interval.
-    pub fn needs_recheck(&self, address: DeviceAddress, now: SimTime, interval: SimDuration) -> bool {
-        match self.devices.get(address) {
-            None => true,
-            Some(entry) => now.saturating_since(entry.last_fetched) >= interval,
-        }
-    }
-
     /// Processes one inquiry hit in a single lookup: when the device is
-    /// unknown or stale per the service-checking interval, returns `true`
-    /// (the caller starts a full fetch, exactly as
-    /// [`DeviceStorage::needs_recheck`] would have said); otherwise applies
-    /// the cheap [`DeviceStorage::mark_responded`] refresh and returns
-    /// `false`. Behaviour is identical to calling the two methods
-    /// separately — this just avoids walking the map twice per hit on the
-    /// discovery hot path.
+    /// unknown, or its full information is older than the service-checking
+    /// `interval`, returns `true` and the caller starts a full fetch.
+    /// Otherwise the device answered the current inquiry loop and needs no
+    /// fetch (the cheap path of Fig. 3.12): `last_seen`, the missed-loop
+    /// count and a direct row's hop quality are refreshed, and it returns
+    /// `false`. `last_seen` and `missed_loops` are invisible to the
+    /// generation's consumers (exports and handover candidates), so the
+    /// generation only moves when the exported hop quality changes, which
+    /// keeps the encode-once inquiry-response cache warm across steady
+    /// cycles.
     pub fn note_inquiry_hit(
         &mut self,
         address: DeviceAddress,
@@ -1073,7 +1037,7 @@ impl DeviceStorage {
     /// the next inquiry cycle it stays silent through removes it — i.e. a
     /// crashed neighbour ages out within one discovery cycle instead of
     /// `max_missed_loops` of them. A device that answers an inquiry after
-    /// all resets the counter through [`DeviceStorage::mark_responded`] /
+    /// all resets the counter through [`DeviceStorage::note_inquiry_hit`] /
     /// [`DeviceStorage::upsert_direct`] and stays.
     pub fn mark_suspect(&mut self, address: DeviceAddress, max_missed_loops: u32) {
         if let Some(entry) = self.devices.get_mut(address) {
@@ -1381,7 +1345,9 @@ mod tests {
             bridge_load_percent: load,
         });
         let report = wire::view_inquiry_response(&frame).expect("a well-formed report");
-        s.integrate_report(&report, trust_gossip, quality, DiscoveryMode::Dynamic, T0)
+        let mut added = Vec::new();
+        s.integrate_report_into(&report, trust_gossip, quality, DiscoveryMode::Dynamic, T0, &mut added);
+        added
     }
 
     #[test]
@@ -1514,7 +1480,7 @@ mod tests {
         s.mark_suspect(addr(1), max_missed);
         // The device answers the next inquiry after all (it was a link
         // glitch, not a crash): the cheap responded path clears the flag.
-        s.mark_responded(addr(1), 245, SimTime::from_secs(5));
+        assert!(!s.note_inquiry_hit(addr(1), 245, SimTime::from_secs(5), SimDuration::from_secs(600)));
         let removed = s.age_cycle(
             &mut [addr(1)],
             SimTime::from_secs(10),
@@ -1659,24 +1625,23 @@ mod tests {
     #[test]
     fn needs_recheck_honours_interval() {
         let mut s = storage();
-        assert!(s.needs_recheck(addr(1), T0, SimDuration::from_secs(60)));
+        let interval = SimDuration::from_secs(60);
+        assert!(s.note_inquiry_hit(addr(1), 240, T0, interval));
+        assert!(s.get(addr(1)).is_none(), "a hit on an unknown device stores nothing");
         s.upsert_direct(info(1, MobilityClass::Static), 240, vec![], T0);
-        assert!(!s.needs_recheck(addr(1), SimTime::from_secs(30), SimDuration::from_secs(60)));
-        assert!(s.needs_recheck(addr(1), SimTime::from_secs(61), SimDuration::from_secs(60)));
+        assert!(!s.note_inquiry_hit(addr(1), 240, SimTime::from_secs(30), interval));
+        assert!(s.note_inquiry_hit(addr(1), 240, SimTime::from_secs(61), interval));
     }
 
     #[test]
     fn mark_responded_refreshes_without_fetch() {
         let mut s = storage();
         s.upsert_direct(info(1, MobilityClass::Static), 240, vec![], T0);
-        s.mark_responded(addr(1), 200, SimTime::from_secs(20));
+        assert!(!s.note_inquiry_hit(addr(1), 200, SimTime::from_secs(20), SimDuration::from_secs(60)));
         let d = s.get(addr(1)).unwrap();
         assert_eq!(d.route.first_hop_quality(), 200);
         assert_eq!(d.last_seen, SimTime::from_secs(20));
         assert_eq!(d.last_fetched, T0);
-        // Marking an unknown device is a no-op.
-        s.mark_responded(addr(9), 100, SimTime::from_secs(20));
-        assert!(s.get(addr(9)).is_none());
     }
 
     #[test]

@@ -121,7 +121,9 @@ fn storage() -> DeviceStorage {
 
 /// Lands `report` the way the node does, from a responder heard at 235.
 fn land(d: &mut DeviceStorage, report: &wire::InquiryResponseView<'_>, now: SimTime) -> Vec<DeviceAddress> {
-    d.integrate_report(report, true, 235, DiscoveryMode::Dynamic, now)
+    let mut learned = Vec::new();
+    d.integrate_report_into(report, true, 235, DiscoveryMode::Dynamic, now, &mut learned);
+    learned
 }
 
 #[test]

@@ -34,17 +34,15 @@ use std::sync::Arc;
 
 use peerhood::config::{PeerHoodConfig, SecurityConfig};
 use peerhood::hostile::{ProtocolForge, HOSTILE_BASE};
-use peerhood::node::PeerHoodNode;
 use peerhood::security::SecurityStats;
 use simnet::prelude::*;
 use simnet::telemetry::Fnv1a;
 
 use crate::experiments::city::wlan_world;
+use crate::experiments::crowd::{Crowd, CrowdTally, HotspotApp, HOTSPOT_SERVICE};
 use crate::experiments::full_stack::{add_stack, wlan_city_config};
-use crate::experiments::params::{count, seconds, Param};
+use crate::experiments::params::{count, Param};
 use crate::report::ExperimentReport;
-
-use super::overload::{CrowdApp, HotspotApp, HOTSPOT_SERVICE};
 
 /// One defence tier of the scorecard grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,29 +90,15 @@ impl std::str::FromStr for Defense {
     }
 }
 
-/// Settings for the E19 hostile-city run.
+/// What E19 adds to its crowd: honest providers, planted insiders and the
+/// attack and partition schedule. Every defence tier runs the same seed, so
+/// the same schedule.
 #[derive(Debug, Clone)]
 pub struct AdversarySettings {
-    /// Base random seed (world, attack schedule and partition phase all
-    /// derive from it; every defence tier runs the same seed).
-    pub seed: u64,
     /// Honest `"hotspot"` providers.
     pub providers: usize,
-    /// Honest crowd members.
-    pub clients: usize,
     /// Compromised insiders (run the honest stack; their radio is hostile).
     pub hostiles: usize,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// Inquiry interval — deliberately short so victims keep daemon-fetch
-    /// links towards the insiders open (the poisoning delivery channel).
-    pub inquiry_interval: SimDuration,
-    /// Discovery warmup before the crowd's first attach.
-    pub warmup: SimDuration,
-    /// Application tick of the crowd.
-    pub ping_interval: SimDuration,
-    /// Pings per tick while attached.
-    pub pings_per_tick: usize,
     /// When the insiders' compromise windows open.
     pub compromise_at: SimDuration,
     /// Spacing of injection attempts per insider.
@@ -125,78 +109,66 @@ pub struct AdversarySettings {
     pub partition_until: SimDuration,
 }
 
-impl AdversarySettings {
-    /// The full-size run (`repro` without `--quick`).
-    pub fn full() -> Self {
-        AdversarySettings {
-            seed: 19,
+/// E19 at full size (`repro` without `--quick`). The inquiry interval is
+/// deliberately short so victims keep daemon-fetch links towards the
+/// insiders open (the poisoning delivery channel).
+pub fn full() -> Crowd<AdversarySettings> {
+    Crowd {
+        seed: 19,
+        clients: 18,
+        duration: SimDuration::from_secs(240),
+        inquiry_interval: SimDuration::from_secs(4),
+        warmup: SimDuration::from_secs(30),
+        ping_interval: SimDuration::from_secs(2),
+        pings_per_tick: 2,
+        extra: AdversarySettings {
             providers: 3,
-            clients: 18,
             hostiles: 3,
-            duration: SimDuration::from_secs(240),
-            inquiry_interval: SimDuration::from_secs(4),
-            warmup: SimDuration::from_secs(30),
-            ping_interval: SimDuration::from_secs(2),
-            pings_per_tick: 2,
             compromise_at: SimDuration::from_secs(40),
             inject_interval: SimDuration::from_millis(900),
             partition_from: SimDuration::from_secs(120),
             partition_until: SimDuration::from_secs(160),
-        }
+        },
     }
+}
 
-    /// The CI variant: smaller crowd, shorter horizon.
-    pub fn quick() -> Self {
-        AdversarySettings {
-            clients: 12,
+/// E19's CI variant: a smaller crowd over a shorter horizon.
+pub fn quick() -> Crowd<AdversarySettings> {
+    let full = full();
+    Crowd {
+        clients: 12,
+        duration: SimDuration::from_secs(180),
+        extra: AdversarySettings {
             hostiles: 2,
-            duration: SimDuration::from_secs(180),
             partition_from: SimDuration::from_secs(90),
             partition_until: SimDuration::from_secs(120),
-            ..AdversarySettings::full()
-        }
+            ..full.extra
+        },
+        ..full
     }
-
-    /// A reduced city for debug-build smoke tests (`cargo test`).
-    pub fn smoke() -> Self {
-        AdversarySettings {
-            providers: 2,
-            clients: 8,
-            hostiles: 2,
-            duration: SimDuration::from_secs(150),
-            compromise_at: SimDuration::from_secs(30),
-            partition_from: SimDuration::from_secs(70),
-            partition_until: SimDuration::from_secs(100),
-            ..AdversarySettings::full()
-        }
-    }
-
-    /// The grid parameters of E19, over the settings and the defence tiers
-    /// to run (one report row each).
-    pub const PARAMS: &'static [Param<(Self, Vec<Defense>)>] = &[
-        Param::new(
-            "defenses",
-            "run only one tier (default: off, sanity and auth rows)",
-            |(_, tiers), v| v.parse().map(|tier| *tiers = vec![tier]),
-        ),
-        Param::new("clients", "honest crowd size", |(s, _), v| {
-            count(v).map(|n| s.clients = n)
-        }),
-        Param::new("hostiles", "compromised insiders planted in the crowd", |(s, _), v| {
-            count(v).map(|n| s.hostiles = n)
-        }),
-        Param::new("duration_s", "simulated seconds per tier", |(s, _), v| {
-            seconds(v).map(|d| s.duration = d)
-        }),
-    ];
 }
+
+/// The grid parameters of E19, over the crowd and the defence tiers to run
+/// (one report row each).
+pub const PARAMS: &[Param<(Crowd<AdversarySettings>, Vec<Defense>)>] = &[
+    Param::new(
+        "defenses",
+        "run only one tier (default: off, sanity and auth rows)",
+        |(_, tiers), v| v.parse().map(|tier| *tiers = vec![tier]),
+    ),
+    Crowd::clients().help("honest crowd size"),
+    Param::new("hostiles", "compromised insiders planted in the crowd", |(s, _), v| {
+        count(v).map(|n| s.extra.hostiles = n)
+    }),
+    Crowd::duration_s().help("simulated seconds per tier"),
+];
 
 /// The shared node configuration of the hostile city: the E16 crowd tuning
 /// with one-hop neighbour re-export switched on (so poisoned reports
 /// spread the way the thesis intends honest ones to) and the tier's
 /// security configuration applied fleet-wide.
-fn city_config(settings: &AdversarySettings, defense: Defense) -> Arc<PeerHoodConfig> {
-    let mut cfg = wlan_city_config("hostile-city", settings.inquiry_interval);
+fn city_config(crowd: &Crowd<AdversarySettings>, defense: Defense) -> Arc<PeerHoodConfig> {
+    let mut cfg = wlan_city_config("hostile-city", crowd.inquiry_interval);
     // Short re-fetch and staleness horizons: neighbours keep re-reading
     // each other all run, so poisoned reports keep landing (off) — and stop
     // being refreshed once their reporter is blocked, at which point the
@@ -244,20 +216,20 @@ pub fn plan_digest(plan: &AdversaryPlan) -> u64 {
 /// crowd so every client keeps them within one radio hop. The partition
 /// window islands the left crowd columns together with the first insider
 /// (and no provider), then heals the city again.
-pub fn adversary_run(settings: &AdversarySettings, defense: Defense) -> (World, Vec<NodeId>, Vec<NodeId>, u64) {
-    let mut world = wlan_world(settings.seed ^ 0x0E19_0000);
-    let cfg = city_config(settings, defense);
+pub fn adversary_run(crowd: &Crowd<AdversarySettings>, defense: Defense) -> (World, Vec<NodeId>, Vec<NodeId>, u64) {
+    let mut world = wlan_world(crowd.seed ^ 0x0E19_0000);
+    let cfg = city_config(crowd, defense);
+    let attack = &crowd.extra;
 
-    let mut honest = Vec::with_capacity(settings.providers + settings.clients);
-    for p in 0..settings.providers {
+    let mut honest = Vec::with_capacity(attack.providers + crowd.clients);
+    for p in 0..attack.providers {
         let at = Point::new(20.0 * p as f64, 20.0);
         honest.push(add_stack(&mut world, format!("hs{p}"), at, &cfg, HotspotApp::default()));
     }
-    let crowd_app = || CrowdApp::new(settings.ping_interval, settings.pings_per_tick, settings.warmup);
     let mut left_clients = Vec::new();
-    for i in 0..settings.clients {
+    for i in 0..crowd.clients {
         let pos = Point::new(3.0 + (i % 6) as f64 * 6.0, 4.0 + (i / 6) as f64 * 4.0);
-        let id = add_stack(&mut world, format!("c{i}"), pos, &cfg, crowd_app());
+        let id = add_stack(&mut world, format!("c{i}"), pos, &cfg, crowd.app());
         honest.push(id);
         if i % 6 < 2 {
             left_clients.push(id);
@@ -266,17 +238,17 @@ pub fn adversary_run(settings: &AdversarySettings, defense: Defense) -> (World, 
     // The insiders run the honest stack and the honest crowd application —
     // their persistent hotspot session guarantees the injector always finds
     // an open link, and gives the tamper pass real data traffic to corrupt.
-    let mut hostiles = Vec::with_capacity(settings.hostiles);
-    for h in 0..settings.hostiles {
+    let mut hostiles = Vec::with_capacity(attack.hostiles);
+    for h in 0..attack.hostiles {
         let pos = Point::new(10.0 + 8.0 * h as f64, 14.0);
-        hostiles.push(add_stack(&mut world, format!("x{h}"), pos, &cfg, crowd_app()));
+        hostiles.push(add_stack(&mut world, format!("x{h}"), pos, &cfg, crowd.app()));
     }
 
-    let compromise_from = SimTime::ZERO + settings.compromise_at;
-    let compromise_until = SimTime::ZERO + settings.duration;
+    let compromise_from = SimTime::ZERO + attack.compromise_at;
+    let compromise_until = SimTime::ZERO + crowd.duration;
     let mut plan = AdversaryPlan::new();
     for &node in &hostiles {
-        plan = plan.compromise(node, compromise_from, compromise_until, settings.inject_interval);
+        plan = plan.compromise(node, compromise_from, compromise_until, attack.inject_interval);
     }
     // The island holds crowd members and one insider but no provider: the
     // cut tears the islanders' sessions down and leaves the insider's
@@ -284,8 +256,8 @@ pub fn adversary_run(settings: &AdversarySettings, defense: Defense) -> (World, 
     let mut island = vec![hostiles[0]];
     island.extend_from_slice(&left_clients);
     plan = plan.partition(
-        SimTime::ZERO + settings.partition_from,
-        SimTime::ZERO + settings.partition_until,
+        SimTime::ZERO + attack.partition_from,
+        SimTime::ZERO + attack.partition_until,
         island,
     );
     let digest = plan_digest(&plan);
@@ -293,22 +265,15 @@ pub fn adversary_run(settings: &AdversarySettings, defense: Defense) -> (World, 
     world.set_frame_forge(Box::new(ProtocolForge::new(HOTSPOT_SERVICE)));
 
     let scope = format!("E19 defenses={}", defense.name());
-    crate::telemetry::instrument_world(&mut world, &scope);
-    let honest_ids = honest.clone();
-    crate::telemetry::run_world(&mut world, settings.duration, |world| {
-        // Mirror the hardening layer's counters (summed over the honest
-        // city) into the `security` gauges between frames.
-        let mut total = SecurityStats::default();
-        for id in &honest_ids {
-            if let Some(stats) = world.with_agent::<PeerHoodNode, _>(*id, |node, _| node.security_stats()) {
-                total.absorb(&stats);
-            }
-        }
-        if let Some(tel) = world.telemetry_mut() {
-            total.export(tel);
-        }
-    });
-    crate::telemetry::finish_world(&mut world, &scope);
+    // Mirror the hardening layer's counters (summed over the honest city)
+    // into the `security` gauges between frames.
+    crowd.run(
+        &mut world,
+        &scope,
+        &honest,
+        |total: &mut SecurityStats, node| total.absorb(&node.security_stats()),
+        SecurityStats::export,
+    );
     (world, honest, hostiles, digest)
 }
 
@@ -340,39 +305,25 @@ pub struct AdversaryOutcome {
 }
 
 /// Runs one tier and aggregates the scorecard.
-pub fn adversary_outcome(settings: &AdversarySettings, defense: Defense) -> AdversaryOutcome {
-    let (mut world, honest, _hostiles, digest) = adversary_run(settings, defense);
-    let mut sessions = 0u64;
-    let mut lost = 0u64;
-    let mut goodput = 0u64;
+pub fn adversary_outcome(crowd: &Crowd<AdversarySettings>, defense: Defense) -> AdversaryOutcome {
+    let (mut world, honest, _hostiles, digest) = adversary_run(crowd, defense);
     let mut routes_poisoned = 0u64;
     let mut security = SecurityStats::default();
-    for &id in &honest {
-        let sample = world.with_agent::<PeerHoodNode, _>(id, |node, _| {
-            let app = node
-                .with_app(|a: &CrowdApp| (a.sessions_established, a.sessions_lost, a.delivered))
-                .unwrap_or((0, 0, 0));
-            let poisoned = node
-                .known_devices()
-                .iter()
-                .filter(|d| d.info.address.node_id().as_raw() >= HOSTILE_BASE)
-                .count() as u64;
-            (app, poisoned, node.security_stats())
-        });
-        let ((established, app_lost, delivered), poisoned, stats) = sample.unwrap_or_default();
-        sessions += established;
-        lost += app_lost;
-        goodput += delivered;
-        routes_poisoned += poisoned;
-        security.absorb(&stats);
-    }
+    let tally = CrowdTally::of(&mut world, &honest, |node| {
+        routes_poisoned += node
+            .known_devices()
+            .iter()
+            .filter(|d| d.info.address.node_id().as_raw() >= HOSTILE_BASE)
+            .count() as u64;
+        security.absorb(&node.security_stats());
+    });
     let adversary = world.adversary_stats();
     let hostile_frames = adversary.frames_hostile();
     let hostile_rejected = security.frames_rejected();
     AdversaryOutcome {
-        sessions,
-        survived: sessions.saturating_sub(lost),
-        goodput,
+        sessions: tally.sessions,
+        survived: tally.sessions.saturating_sub(tally.lost),
+        goodput: tally.goodput(),
         routes_poisoned,
         hostile_frames,
         hostile_rejected,
@@ -385,7 +336,7 @@ pub fn adversary_outcome(settings: &AdversarySettings, defense: Defense) -> Adve
 
 /// E19 (beyond the thesis): the hostile city, one scorecard row per
 /// defence tier in `defenses`.
-pub fn e19_hostile_city(settings: &AdversarySettings, defenses: &[Defense]) -> ExperimentReport {
+pub fn e19_hostile_city(crowd: &Crowd<AdversarySettings>, defenses: &[Defense]) -> ExperimentReport {
     let mut report = ExperimentReport::new(&[
         "defenses",
         "sessions",
@@ -400,7 +351,7 @@ pub fn e19_hostile_city(settings: &AdversarySettings, defenses: &[Defense]) -> E
     ]);
     let mut digest = None;
     for &defense in defenses {
-        let o = adversary_outcome(settings, defense);
+        let o = adversary_outcome(crowd, defense);
         digest = Some(o.plan_digest);
         report.push_row([
             defense.name().to_string(),
@@ -419,14 +370,14 @@ pub fn e19_hostile_city(settings: &AdversarySettings, defenses: &[Defense]) -> E
         "{} providers, {} clients and {} compromised insiders in one WLAN disc; compromise opens \
          at {}s (injection every {:.1}s per insider), a partition islands the left third over \
          [{}s, {}s), {}s simulated; identical world seed in every tier — only the defences differ",
-        settings.providers,
-        settings.clients,
-        settings.hostiles,
-        settings.compromise_at.as_secs(),
-        settings.inject_interval.as_secs_f64(),
-        settings.partition_from.as_secs(),
-        settings.partition_until.as_secs(),
-        settings.duration.as_secs_f64(),
+        crowd.extra.providers,
+        crowd.clients,
+        crowd.extra.hostiles,
+        crowd.extra.compromise_at.as_secs(),
+        crowd.extra.inject_interval.as_secs_f64(),
+        crowd.extra.partition_from.as_secs(),
+        crowd.extra.partition_until.as_secs(),
+        crowd.duration.as_secs_f64(),
     ));
     if let Some(digest) = digest {
         report.push_note(format!("plan digest {digest:016x}"));
@@ -438,11 +389,30 @@ pub fn e19_hostile_city(settings: &AdversarySettings, defenses: &[Defense]) -> E
 mod tests {
     use super::*;
 
+    /// A debug-build hostile city: two providers, eight clients and two
+    /// insiders, compromised at 30 s and cut over [70 s, 100 s) of 150 s.
+    fn small() -> Crowd<AdversarySettings> {
+        let full = full();
+        Crowd {
+            clients: 8,
+            duration: SimDuration::from_secs(150),
+            extra: AdversarySettings {
+                providers: 2,
+                hostiles: 2,
+                compromise_at: SimDuration::from_secs(30),
+                partition_from: SimDuration::from_secs(70),
+                partition_until: SimDuration::from_secs(100),
+                ..full.extra
+            },
+            ..full
+        }
+    }
+
     /// Same seed ⇒ identical scorecard per tier — the adversary draws from
     /// its own RNG stream and the defences draw none.
     #[test]
     fn hostile_city_is_deterministic_per_tier() {
-        let settings = AdversarySettings::smoke();
+        let settings = small();
         for defense in Defense::ALL {
             let a = adversary_outcome(&settings, defense);
             let b = adversary_outcome(&settings, defense);
@@ -460,10 +430,7 @@ mod tests {
     #[test]
     fn defences_strictly_lower_poison_and_acceptance_across_seeds() {
         for seed in [19u64, 42, 77, 20080815] {
-            let settings = AdversarySettings {
-                seed,
-                ..AdversarySettings::smoke()
-            };
+            let settings = Crowd { seed, ..small() };
             let off = adversary_outcome(&settings, Defense::Off);
             let sanity = adversary_outcome(&settings, Defense::Sanity);
             let auth = adversary_outcome(&settings, Defense::Auth);

@@ -18,9 +18,10 @@ pub struct BridgeTrial {
     pub setup_seconds: Option<f64>,
     /// Messages delivered to the server out of the 20 sent.
     pub delivered: usize,
-    /// Mean extra delay between consecutive deliveries beyond the nominal
-    /// one-second interval, in milliseconds.
-    pub extra_delay_ms: f64,
+    /// Mean one-way delay from the client's send to the server's receipt,
+    /// in milliseconds, when all 20 messages arrived. Links are FIFO, so
+    /// the n-th message received is the n-th sent.
+    pub delay_ms: Option<f64>,
 }
 
 /// Runs one trial of the §4.3 bridge performance test: a client sends a
@@ -62,26 +63,31 @@ pub fn bridge_trial(seed: u64) -> BridgeTrial {
     );
     let scope = format!("E6 seed={seed}");
     crate::telemetry::observe(&mut world, &scope, SimDuration::from_secs(500));
-    let (connected, setup) = with_app(&mut world, client, |app: &MessagingClient| {
-        (app.connected_at.is_some(), app.connection_setup_seconds())
+    let (connected, setup, sent_at) = with_app(&mut world, client, |app: &MessagingClient| {
+        (
+            app.connected_at.is_some(),
+            app.connection_setup_seconds(),
+            app.sent_at.clone(),
+        )
     })
     .unwrap();
-    let (delivered, extra_delay_ms) = with_app(&mut world, server, |app: &MessagingServer| {
-        let count = app.received_count();
-        let mean_gap = if count >= 2 {
-            let total: f64 = app.received.windows(2).map(|w| (w[1].0 - w[0].0).as_secs_f64()).sum();
-            total / (count - 1) as f64
-        } else {
-            1.0
-        };
-        (count, (mean_gap - 1.0).max(0.0) * 1000.0)
+    let received_at: Vec<SimTime> = with_app(&mut world, server, |app: &MessagingServer| {
+        app.received.iter().map(|(at, _)| *at).collect()
     })
     .unwrap();
+    let delay_ms = (received_at.len() == 20 && sent_at.len() == 20).then(|| {
+        let total: f64 = sent_at
+            .iter()
+            .zip(&received_at)
+            .map(|(&sent, &received)| (received - sent).as_secs_f64())
+            .sum();
+        total / 20.0 * 1000.0
+    });
     BridgeTrial {
         connected,
         setup_seconds: setup,
-        delivered,
-        extra_delay_ms,
+        delivered: received_at.len(),
+        delay_ms,
     }
 }
 
@@ -94,7 +100,7 @@ pub fn e06_bridge_performance(seed: u64, trials: usize) -> ExperimentReport {
         "failed",
         "setup min (s)",
         "setup max (s)",
-        "mean extra relay delay (ms)",
+        "mean one-way delay (ms)",
     ]);
     let results: Vec<BridgeTrial> = (0..trials).map(|i| bridge_trial(seed + i as u64 * 17)).collect();
     let successful: Vec<&BridgeTrial> = results.iter().filter(|t| t.connected).collect();
@@ -104,10 +110,12 @@ pub fn e06_bridge_performance(seed: u64, trials: usize) -> ExperimentReport {
         .filter_map(|t| t.setup_seconds)
         .fold(f64::INFINITY, f64::min);
     let setup_max = successful.iter().filter_map(|t| t.setup_seconds).fold(0.0, f64::max);
-    let mean_extra: f64 = if successful.is_empty() {
-        0.0
+    let delays: Vec<f64> = results.iter().filter_map(|t| t.delay_ms).collect();
+    // No trial that delivered all 20 messages leaves no delay to report.
+    let mean_delay = if delays.is_empty() {
+        "-".to_string()
     } else {
-        successful.iter().map(|t| t.extra_delay_ms).sum::<f64>() / successful.len() as f64
+        ExperimentReport::f(delays.iter().sum::<f64>() / delays.len() as f64)
     };
     report.push_row([
         results.len().to_string(),
@@ -115,7 +123,7 @@ pub fn e06_bridge_performance(seed: u64, trials: usize) -> ExperimentReport {
         failed.to_string(),
         ExperimentReport::f(if setup_min.is_finite() { setup_min } else { 0.0 }),
         ExperimentReport::f(setup_max),
-        ExperimentReport::f(mean_extra),
+        mean_delay,
     ]);
     let delivered_ok = successful.iter().filter(|t| t.delivered >= 20).count();
     report.push_note(format!(

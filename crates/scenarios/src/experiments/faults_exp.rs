@@ -18,78 +18,51 @@ use simnet::prelude::*;
 
 use crate::experiments::city::{wlan_world, City};
 use crate::experiments::metropolis::aggregate_full_stats;
-use crate::experiments::params::{count, number, Param};
+use crate::experiments::params::Param;
 use crate::experiments::probe::CityProbe;
 use crate::report::ExperimentReport;
 
-/// Settings for the E13 churn sweep.
-#[derive(Debug, Clone)]
-pub struct ChurnSettings {
-    /// The shared city core (seed 13; the area grows with the population,
-    /// like E12).
-    pub city: City,
-    /// Population sizes to sweep.
-    pub node_counts: Vec<usize>,
-    /// Churn rates to sweep, in expected crashes per node per hour. Zero is
-    /// the fault-free control.
-    pub churn_per_hour: Vec<f64>,
-}
-
-impl ChurnSettings {
-    /// The full sizes (`repro` without `--quick`): up to 2000 nodes.
-    pub fn full() -> Self {
-        ChurnSettings {
-            city: City {
-                seed: 13,
-                density_per_km2: 2_000.0,
-                mobile_fraction: 0.25,
-                duration: SimDuration::from_secs(600),
-                inquiry_interval: SimDuration::from_secs(8),
-                mean_downtime: SimDuration::from_secs(20),
-            },
-            node_counts: vec![100, 500, 2_000],
-            churn_per_hour: vec![0.0, 20.0, 60.0],
-        }
-    }
-
-    /// A reduced variant for CI and `cargo test`.
-    pub fn quick() -> Self {
-        let mut quick = ChurnSettings::full();
-        quick.node_counts = vec![100];
-        quick.churn_per_hour = vec![0.0, 60.0, 240.0];
-        quick.city.duration = SimDuration::from_secs(150);
-        quick.city.mean_downtime = SimDuration::from_secs(15);
-        quick
-    }
-
-    /// The grid parameters of E13.
-    pub const PARAMS: &'static [Param<Self>] = &[
-        Param::new("nodes", "city population (replaces the node-count sweep)", |s, v| {
-            count(v).map(|n| s.node_counts = vec![n])
-        }),
-        Param::new(
-            "churn",
-            "crashes per node per hour (replaces the rate sweep)",
-            |s, v| number(v).map(|rate| s.churn_per_hour = vec![rate]),
-        ),
-        City::density(),
-        City::mobile_fraction(),
-        City::duration_s().help("simulated seconds per cell"),
-        City::downtime_s(),
-    ];
-}
-
-impl AsMut<City> for ChurnSettings {
-    fn as_mut(&mut self) -> &mut City {
-        &mut self.city
+/// E13 at full size (`repro` without `--quick`): up to 2000 nodes; the
+/// area grows with the population, like E12.
+pub fn full() -> City {
+    City {
+        seed: 13,
+        nodes: vec![100, 500, 2_000],
+        density_per_km2: 2_000.0,
+        mobile_fraction: 0.25,
+        duration: SimDuration::from_secs(600),
+        inquiry_interval: SimDuration::from_secs(8),
+        churn_per_hour: vec![0.0, 20.0, 60.0],
+        mean_downtime: SimDuration::from_secs(20),
+        ..City::default()
     }
 }
+
+/// E13 reduced for CI and `cargo test`.
+pub fn quick() -> City {
+    City {
+        nodes: vec![100],
+        churn_per_hour: vec![0.0, 60.0, 240.0],
+        duration: SimDuration::from_secs(150),
+        mean_downtime: SimDuration::from_secs(15),
+        ..full()
+    }
+}
+
+/// The grid parameters of E13.
+pub const PARAMS: &[Param<City>] = &[
+    City::nodes().help("city population (replaces the node-count sweep)"),
+    City::churn().help("crashes per node per hour (replaces the rate sweep)"),
+    City::density(),
+    City::mobile_fraction(),
+    City::duration_s().help("simulated seconds per cell"),
+    City::downtime_s(),
+];
 
 /// Builds the WLAN city and installs one churn plan per node (none when
 /// `churn_per_hour` is zero, so the control run never touches the fault
 /// engine).
-fn churn_city(settings: &ChurnSettings, nodes: usize, churn_per_hour: f64) -> World {
-    let city = &settings.city;
+fn churn_city(city: &City, nodes: usize, churn_per_hour: f64) -> World {
     let mut world = city.world(nodes);
     for (i, mobility, _) in city.placement(nodes, 0xC18E) {
         world.add_node(
@@ -105,24 +78,13 @@ fn churn_city(settings: &ChurnSettings, nodes: usize, churn_per_hour: f64) -> Wo
         world.install_fault_plan(node, plan)
     });
     let scope = format!("E13 nodes={nodes} churn={churn_per_hour:.0}");
-    crate::telemetry::instrument_world(&mut world, &scope);
-    crate::telemetry::run_world(&mut world, city.duration, |_| {});
-    // Quiesce: every churn crash has a paired restart, but its exponential
-    // downtime can land past the horizon — and a dead node's counters are
-    // unreadable (`with_agent` returns `None` while down). Run on until the
-    // last scheduled restart has fired, so the report aggregates every
-    // probe's numbers instead of silently dropping the nodes that happened
-    // to be mid-reboot at the horizon.
-    while world.fault_stats().restarts < world.fault_stats().crashes {
-        world.run_for(SimDuration::from_secs(5));
-    }
-    crate::telemetry::finish_world(&mut world, &scope);
+    city.run(&mut world, &scope, |_| {});
     world
 }
 
 /// E13 (beyond the thesis): session survival and reconnection latency under
 /// seeded node churn.
-pub fn e13_churn_sweep(settings: &ChurnSettings) -> ExperimentReport {
+pub fn e13_churn_sweep(city: &City) -> ExperimentReport {
     let mut report = ExperimentReport::new(&[
         "nodes",
         "churn (/node/h)",
@@ -134,41 +96,39 @@ pub fn e13_churn_sweep(settings: &ChurnSettings) -> ExperimentReport {
         "churn survival %",
         "mean reconnect (s)",
     ]);
-    for &nodes in &settings.node_counts {
-        for &rate in &settings.churn_per_hour {
-            let mut world = churn_city(settings, nodes, rate);
-            let (tally, _) = aggregate_full_stats(&mut world);
-            let stats = world.fault_stats();
-            let survival = if tally.sessions_established == 0 {
-                100.0
-            } else {
-                100.0 * (1.0 - tally.broken_by_crash as f64 / tally.sessions_established as f64)
-            };
-            let mean_reconnect = if tally.reconnects == 0 {
-                0.0
-            } else {
-                tally.reconnect_secs_total / tally.reconnects as f64
-            };
-            report.push_row([
-                nodes.to_string(),
-                ExperimentReport::f(rate),
-                stats.crashes.to_string(),
-                stats.restarts.to_string(),
-                tally.sessions_established.to_string(),
-                tally.broken_by_crash.to_string(),
-                tally.broken_by_range.to_string(),
-                ExperimentReport::f(survival),
-                ExperimentReport::f(mean_reconnect),
-            ]);
-        }
+    for (nodes, rate) in city.cells() {
+        let mut world = churn_city(city, nodes, rate);
+        let (tally, _) = aggregate_full_stats(&mut world);
+        let stats = world.fault_stats();
+        let survival = if tally.sessions_established == 0 {
+            100.0
+        } else {
+            100.0 * (1.0 - tally.broken_by_crash as f64 / tally.sessions_established as f64)
+        };
+        let mean_reconnect = if tally.reconnects == 0 {
+            0.0
+        } else {
+            tally.reconnect_secs_total / tally.reconnects as f64
+        };
+        report.push_row([
+            nodes.to_string(),
+            ExperimentReport::f(rate),
+            stats.crashes.to_string(),
+            stats.restarts.to_string(),
+            tally.sessions_established.to_string(),
+            tally.broken_by_crash.to_string(),
+            tally.broken_by_range.to_string(),
+            ExperimentReport::f(survival),
+            ExperimentReport::f(mean_reconnect),
+        ]);
     }
     report.push_note(format!(
         "constant density {} nodes/km^2, {:.0}% mobile, mean downtime {}s, {}s simulated per cell; \
          zero-churn rows are the control (no fault plan installed at all)",
-        settings.city.density_per_km2,
-        settings.city.mobile_fraction * 100.0,
-        settings.city.mean_downtime.as_secs(),
-        settings.city.duration.as_secs_f64()
+        city.density_per_km2,
+        city.mobile_fraction * 100.0,
+        city.mean_downtime.as_secs(),
+        city.duration.as_secs_f64()
     ));
     report
 }
@@ -192,7 +152,8 @@ fn e14_nodes(quick: bool) -> usize {
 /// restarts all land within a few seconds.
 pub fn e14_blackout_flash_crowd(seed: u64, quick: bool) -> ExperimentReport {
     let nodes = e14_nodes(quick);
-    let city = ChurnSettings::quick().city;
+    // E13's quick city: its density and scan interval.
+    let city = self::quick();
     let side = city.side_m(nodes);
     let mut world = wlan_world(seed ^ 0xE14);
     let mut placer = SimRng::new(seed ^ 0xB1AC0);

@@ -62,7 +62,7 @@ pub(crate) fn wlan_city_config(name: &str, inquiry_interval: SimDuration) -> Pee
     // timescale; the default 5-loop retention (~50 s) would age a neighbour
     // out just in time to pay a full information fetch on re-encounter.
     // Twelve loops (~2 min) keep the storage warm across those excursions,
-    // so re-meeting a known device costs a `mark_responded`, not a fetch.
+    // so re-meeting a known device costs a `note_inquiry_hit`, not a fetch.
     cfg.discovery.max_missed_loops = 12;
     // Export only the direct neighbourhood (the classic §3.1 fetch): at
     // metropolis density a node's two-hop vision covers dozens of devices,

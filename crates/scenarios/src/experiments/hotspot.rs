@@ -19,113 +19,83 @@
 use simnet::prelude::*;
 
 use crate::experiments::city::City;
-use crate::experiments::params::{count, number, Param};
+use crate::experiments::params::{number, Param};
 use crate::experiments::probe::CityProbe;
 use crate::experiments::sharded::{probe_stats, sharded_world_digest};
 use crate::report::ExperimentReport;
 
-/// Settings for the E18 hotspot-metropolis run.
-#[derive(Debug, Clone)]
+/// What E18 adds to its city: how the crowd is split.
+#[derive(Debug, Clone, Default)]
 pub struct HotspotSettings {
-    /// The city half (seed 18): the overall density fixes the city's side
-    /// length (the district is far denser). Placement is the crowd's own and
-    /// nothing churns, so `mobile_fraction` and `mean_downtime` are unused.
-    pub city: City,
-    /// City population.
-    pub nodes: usize,
     /// Fraction of nodes milling inside the hotspot district.
     pub crowd_fraction: f64,
     /// Fraction of nodes walking in from across the city ("converging").
     pub inbound_fraction: f64,
-    /// How often an attached device pings its peer.
-    pub ping_interval: SimDuration,
-    /// Worker threads. Changes wall-clock time only, never results.
-    pub shards: usize,
 }
 
-impl HotspotSettings {
-    /// The full-size run (`repro` without `--quick`).
-    pub fn full() -> Self {
-        HotspotSettings {
-            city: City {
-                seed: 18,
-                density_per_km2: 1_000.0,
-                mobile_fraction: 0.0,
-                duration: SimDuration::from_secs(90),
-                inquiry_interval: SimDuration::from_secs(20),
-                mean_downtime: SimDuration::ZERO,
-            },
-            nodes: 100_000,
+/// E18 at full size (`repro` without `--quick`). The overall density fixes
+/// the city's side length (the district is far denser); placement is the
+/// crowd's own and nothing churns, so `mobile_fraction` and the churn
+/// settings stay unset.
+pub fn full() -> City<HotspotSettings> {
+    City {
+        seed: 18,
+        nodes: vec![100_000],
+        density_per_km2: 1_000.0,
+        duration: SimDuration::from_secs(90),
+        inquiry_interval: SimDuration::from_secs(20),
+        ping_interval: Some(SimDuration::from_secs(10)),
+        shards: 2,
+        extra: HotspotSettings {
             crowd_fraction: 0.55,
             inbound_fraction: 0.15,
-            ping_interval: SimDuration::from_secs(10),
-            shards: 2,
-        }
-    }
-
-    /// The CI variant: a smaller crowd over a shorter horizon.
-    pub fn quick() -> Self {
-        let mut quick = HotspotSettings::full();
-        quick.nodes = 30_000;
-        quick.city.duration = SimDuration::from_secs(45);
-        quick
-    }
-
-    /// A small population for debug-build smoke tests (`cargo test`).
-    pub fn smoke() -> Self {
-        let mut smoke = HotspotSettings::full();
-        smoke.nodes = 600;
-        smoke.city.duration = SimDuration::from_secs(60);
-        smoke
-    }
-
-    /// The hotspot district: a square of a quarter of the city's side,
-    /// centred right-of-centre so it sits inside the last stripes of an
-    /// equal-width partition — the worst case for static load balance.
-    pub fn district(&self) -> Rect {
-        let side = self.city.side_m(self.nodes);
-        let d = 0.25 * side;
-        let (cx, cy) = (0.78 * side, 0.5 * side);
-        Rect::new(cx - d / 2.0, cy - d / 2.0, cx + d / 2.0, cy + d / 2.0)
-    }
-
-    /// The grid parameters of E18.
-    pub const PARAMS: &'static [Param<Self>] = &[
-        Param::new(
-            "shards",
-            "worker threads (wall-clock only; results are shard-invariant)",
-            |s, v| count(v).map(|n| s.shards = n.max(1)),
-        ),
-        Param::new("nodes", "city population", |s, v| count(v).map(|n| s.nodes = n)),
-        City::density().help("overall devices per square kilometre"),
-        Param::new(
-            "crowd_fraction",
-            "fraction of nodes milling inside the hotspot district",
-            |s, v| number(v).map(|f| s.crowd_fraction = f.clamp(0.0, 1.0)),
-        ),
-        City::duration_s(),
-    ];
-}
-
-impl AsMut<City> for HotspotSettings {
-    fn as_mut(&mut self) -> &mut City {
-        &mut self.city
+        },
+        ..City::default()
     }
 }
 
-/// Builds and runs the hotspot metropolis, returning the world for
-/// inspection. Identical `(settings minus shards)` produce identical
+/// E18's CI variant: a smaller crowd over a shorter horizon.
+pub fn quick() -> City<HotspotSettings> {
+    City {
+        nodes: vec![30_000],
+        duration: SimDuration::from_secs(45),
+        ..full()
+    }
+}
+
+/// The grid parameters of E18.
+pub const PARAMS: &[Param<City<HotspotSettings>>] = &[
+    City::shards(),
+    City::nodes(),
+    City::density().help("overall devices per square kilometre"),
+    Param::new(
+        "crowd_fraction",
+        "fraction of nodes milling inside the hotspot district",
+        |s, v| number(v).map(|f| s.extra.crowd_fraction = f.clamp(0.0, 1.0)),
+    ),
+    City::duration_s(),
+];
+
+/// The hotspot district of a city of side `side`: a square of a quarter of
+/// the side, centred right-of-centre so it sits inside the last stripes of
+/// an equal-width partition — the worst case for static load balance.
+fn district(side: f64) -> Rect {
+    let d = 0.25 * side;
+    let (cx, cy) = (0.78 * side, 0.5 * side);
+    Rect::new(cx - d / 2.0, cy - d / 2.0, cx + d / 2.0, cy + d / 2.0)
+}
+
+/// Builds and runs a hotspot metropolis of `nodes` probes, returning the
+/// world for inspection. Identical `(city minus shards)` produce identical
 /// results at any shard count.
-pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
-    let city = &settings.city;
-    let side = city.side_m(settings.nodes);
-    let district = settings.district();
-    let config = city.sharded_config(settings.nodes, settings.shards, 2.5);
-    let mut world = ShardedWorld::new(config);
-    let mut placer = SimRng::new(city.seed ^ 0x407_5907 ^ (settings.nodes as u64));
-    let crowd = (settings.nodes as f64 * settings.crowd_fraction).round() as usize;
-    let inbound = (settings.nodes as f64 * settings.inbound_fraction).round() as usize;
-    for i in 0..settings.nodes {
+pub fn hotspot_metropolis_run(city: &City<HotspotSettings>, nodes: usize) -> ShardedWorld {
+    let side = city.side_m(nodes);
+    let district = district(side);
+    let mut world = ShardedWorld::new(city.sharded_config(nodes, 2.5));
+    let mut placer = SimRng::new(city.seed ^ 0x407_5907 ^ (nodes as u64));
+    let crowd = (nodes as f64 * city.extra.crowd_fraction).round() as usize;
+    let inbound = (nodes as f64 * city.extra.inbound_fraction).round() as usize;
+    for i in 0..nodes {
         let mobility = if i < crowd {
             // The flash crowd: milling pedestrians inside the district.
             let start = Point::new(
@@ -157,10 +127,10 @@ pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
             format!("h{i}"),
             mobility,
             &[RadioTech::Wlan],
-            Box::new(CityProbe::new(city.inquiry_interval, settings.ping_interval)),
+            Box::new(CityProbe::with(city.inquiry_interval, city.ping_interval, true)),
         );
     }
-    let scope = format!("E18 nodes={} shards={}", settings.nodes, settings.shards);
+    let scope = format!("E18 nodes={nodes} shards={}", city.shards);
     crate::telemetry::instrument_sharded(&mut world, &scope);
     world.run_for(city.duration);
     crate::telemetry::finish_sharded(&mut world, &scope);
@@ -172,7 +142,7 @@ pub fn hotspot_metropolis_run(settings: &HotspotSettings) -> ShardedWorld {
 /// The report is identical for every shard count by construction — it
 /// includes the run digest and omits the knob, so `diff`-ing two runs that
 /// differ only in `--shards` is the invariance check itself.
-pub fn e18_hotspot_metropolis(settings: &HotspotSettings) -> ExperimentReport {
+pub fn e18_hotspot_metropolis(city: &City<HotspotSettings>) -> ExperimentReport {
     let mut report = ExperimentReport::new(&[
         "nodes",
         "side (m)",
@@ -184,28 +154,30 @@ pub fn e18_hotspot_metropolis(settings: &HotspotSettings) -> ExperimentReport {
         "pings delivered",
         "digest",
     ]);
-    let mut world = hotspot_metropolis_run(settings);
-    let (stats, _) = probe_stats(&mut world);
-    let digest = sharded_world_digest(&world);
-    let g = world.metrics().global();
-    report.push_row([
-        settings.nodes.to_string(),
-        format!("{:.0}", settings.city.side_m(settings.nodes)),
-        format!("{:.0}", settings.crowd_fraction * 100.0),
-        g.inquiries_started.to_string(),
-        g.connects_established.to_string(),
-        stats.handover_completions.to_string(),
-        stats.route_breaks().to_string(),
-        g.messages_delivered.to_string(),
-        format!("{digest:016x}"),
-    ]);
+    for &nodes in &city.nodes {
+        let mut world = hotspot_metropolis_run(city, nodes);
+        let (stats, _) = probe_stats(&mut world);
+        let digest = sharded_world_digest(&world);
+        let g = world.metrics().global();
+        report.push_row([
+            nodes.to_string(),
+            format!("{:.0}", city.side_m(nodes)),
+            format!("{:.0}", city.extra.crowd_fraction * 100.0),
+            g.inquiries_started.to_string(),
+            g.connects_established.to_string(),
+            stats.handover_completions.to_string(),
+            stats.route_breaks().to_string(),
+            g.messages_delivered.to_string(),
+            format!("{digest:016x}"),
+        ]);
+    }
     report.push_note(format!(
         "{:.0}% of nodes mill inside a district of a quarter of the city's side (right of \
          centre), {:.0}% walk in from across the city, the rest are stationary background; \
          windowed execution (1s lookahead), digest covers all counters, per-node tallies and the \
          lifecycle stream",
-        settings.crowd_fraction * 100.0,
-        settings.inbound_fraction * 100.0,
+        city.extra.crowd_fraction * 100.0,
+        city.extra.inbound_fraction * 100.0,
     ));
     report
 }
@@ -214,21 +186,27 @@ pub fn e18_hotspot_metropolis(settings: &HotspotSettings) -> ExperimentReport {
 mod tests {
     use super::*;
 
+    /// E18 at 600 nodes over 60 s on `shards` threads: a debug-build city.
+    fn small(shards: usize) -> City<HotspotSettings> {
+        City {
+            nodes: vec![600],
+            duration: SimDuration::from_secs(60),
+            shards,
+            ..quick()
+        }
+    }
+
     #[test]
     fn smoke_city_report_is_shard_and_adaptivity_invariant() {
         // One shard never re-cuts; four re-cut as the crowd skews the load.
-        let mut one = HotspotSettings::smoke();
-        one.shards = 1;
-        let mut four = HotspotSettings::smoke();
-        four.shards = 4;
-        let a = e18_hotspot_metropolis(&one);
-        let b = e18_hotspot_metropolis(&four);
+        let a = e18_hotspot_metropolis(&small(1));
+        let b = e18_hotspot_metropolis(&small(4));
         assert_eq!(
             a.to_string(),
             b.to_string(),
             "report must not depend on shard count or re-cuts"
         );
-        let world = hotspot_metropolis_run(&one);
+        let world = hotspot_metropolis_run(&small(1), 600);
         assert!(world.metrics().global().connects_established > 0);
         assert!(world.metrics().global().messages_delivered > 0);
         assert_eq!(
@@ -245,9 +223,7 @@ mod tests {
     #[test]
     fn smoke_hotspot_digest_is_pinned_at_two_and_three_shards() {
         for shards in [2, 3] {
-            let mut settings = HotspotSettings::smoke();
-            settings.shards = shards;
-            let world = hotspot_metropolis_run(&settings);
+            let world = hotspot_metropolis_run(&small(shards), 600);
             let digest = sharded_world_digest(&world);
             assert_eq!(
                 digest, PINNED_SMOKE_DIGEST,
@@ -259,9 +235,7 @@ mod tests {
 
     #[test]
     fn smoke_city_actually_rebalances() {
-        let mut settings = HotspotSettings::smoke();
-        settings.shards = 4;
-        let world = hotspot_metropolis_run(&settings);
+        let world = hotspot_metropolis_run(&small(4), 600);
         let stats = world.partition_stats();
         assert!(stats.windows > 0, "barriers must fold the load model");
         assert!(

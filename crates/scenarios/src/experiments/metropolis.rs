@@ -16,73 +16,49 @@ use simnet::prelude::*;
 
 use crate::experiments::city::City;
 use crate::experiments::full_stack::{metro_configs, FullStackHost, FullStats};
-use crate::experiments::params::{count, number, Param};
+use crate::experiments::params::Param;
 use crate::experiments::probe::CityProbe;
 use crate::report::ExperimentReport;
 
-/// Settings for the E15 full-stack metropolis run.
-#[derive(Debug, Clone)]
-pub struct MetropolisSettings {
-    /// The shared city core (seed 15; `inquiry_interval` is every node's
-    /// discovery plugin's).
-    pub city: City,
-    /// City population. Every node runs the full middleware stack.
-    pub nodes: usize,
-    /// Expected crashes per churning node per hour (every tenth node
-    /// churns). Zero disables the fault engine entirely.
-    pub churn_per_hour: f64,
-}
-
-impl MetropolisSettings {
-    /// The full-size run (`repro` without `--quick`).
-    pub fn full() -> Self {
-        MetropolisSettings {
-            city: City {
-                seed: 15,
-                density_per_km2: 2_000.0,
-                mobile_fraction: 0.25,
-                duration: SimDuration::from_secs(240),
-                inquiry_interval: SimDuration::from_secs(10),
-                mean_downtime: SimDuration::from_secs(20),
-            },
-            nodes: 2_000,
-            churn_per_hour: 40.0,
-        }
-    }
-
-    /// The CI variant: same 2k-node city, shorter horizon.
-    pub fn quick() -> Self {
-        let mut quick = MetropolisSettings::full();
-        quick.city.duration = SimDuration::from_secs(90);
-        quick
-    }
-
-    /// The grid parameters of E15.
-    pub const PARAMS: &'static [Param<Self>] = &[
-        Param::new("nodes", "city population (every node runs the full stack)", |s, v| {
-            count(v).map(|n| s.nodes = n)
-        }),
-        City::density(),
-        Param::new("churn", "crashes per churning node per hour", |s, v| {
-            number(v).map(|rate| s.churn_per_hour = rate)
-        }),
-        City::mobile_fraction(),
-        City::duration_s(),
-    ];
-}
-
-impl AsMut<City> for MetropolisSettings {
-    fn as_mut(&mut self) -> &mut City {
-        &mut self.city
+/// E15 at full size (`repro` without `--quick`): 2k nodes, every tenth
+/// churning; `inquiry_interval` is every node's discovery plugin's.
+pub fn full() -> City {
+    City {
+        seed: 15,
+        nodes: vec![2_000],
+        density_per_km2: 2_000.0,
+        mobile_fraction: 0.25,
+        duration: SimDuration::from_secs(240),
+        inquiry_interval: SimDuration::from_secs(10),
+        churn_per_hour: vec![40.0],
+        mean_downtime: SimDuration::from_secs(20),
+        ..City::default()
     }
 }
 
-/// Builds and runs the metropolis, returning the world for inspection.
-pub fn metropolis_run(settings: &MetropolisSettings) -> World {
-    let city = &settings.city;
-    let mut world = city.world(settings.nodes);
+/// E15's CI variant: the same 2k-node city over a shorter horizon.
+pub fn quick() -> City {
+    City {
+        duration: SimDuration::from_secs(90),
+        ..full()
+    }
+}
+
+/// The grid parameters of E15.
+pub const PARAMS: &[Param<City>] = &[
+    City::nodes().help("city population (every node runs the full stack)"),
+    City::density(),
+    City::churn(),
+    City::mobile_fraction(),
+    City::duration_s(),
+];
+
+/// Builds and runs a metropolis of `nodes` full stacks, every tenth
+/// churning at `churn_per_hour`, returning the world for inspection.
+pub fn metropolis_run(city: &City, nodes: usize, churn_per_hour: f64) -> World {
+    let mut world = city.world(nodes);
     let (static_cfg, mobile_cfg) = metro_configs(city.inquiry_interval);
-    for (i, mobility, is_mobile) in city.placement(settings.nodes, 0x3E7A0) {
+    for (i, mobility, is_mobile) in city.placement(nodes, 0x3E7A0) {
         let cfg = if is_mobile { &mobile_cfg } else { &static_cfg };
         world.add_node(
             format!("m{i}"),
@@ -92,20 +68,11 @@ pub fn metropolis_run(settings: &MetropolisSettings) -> World {
         );
     }
     let ids: Vec<NodeId> = world.node_ids().collect();
-    city.install_churn(&ids, 10, settings.churn_per_hour, 0xFA17_3E70, |node, plan| {
+    city.install_churn(&ids, 10, churn_per_hour, 0xFA17_3E70, |node, plan| {
         world.install_fault_plan(node, plan)
     });
-    let scope = format!("E15 nodes={}", settings.nodes);
-    crate::telemetry::instrument_world(&mut world, &scope);
-    crate::telemetry::run_world(&mut world, city.duration, |world| {
-        refresh_stack_gauges(world, &ids);
-    });
-    // Quiesce like E13: finish every scheduled restart so each probe's
-    // counters are readable.
-    while world.fault_stats().restarts < world.fault_stats().crashes {
-        world.run_for(SimDuration::from_secs(5));
-    }
-    crate::telemetry::finish_world(&mut world, &scope);
+    let scope = format!("E15 nodes={nodes}");
+    city.run(&mut world, &scope, |world| refresh_stack_gauges(world, &ids));
     world
 }
 
@@ -142,7 +109,7 @@ pub fn aggregate_full_stats(world: &mut World) -> (FullStats, usize) {
 }
 
 /// E15 (beyond the thesis): the full-stack metropolis.
-pub fn e15_full_stack_metropolis(settings: &MetropolisSettings) -> ExperimentReport {
+pub fn e15_full_stack_metropolis(city: &City) -> ExperimentReport {
     let mut report = ExperimentReport::new(&[
         "nodes",
         "sessions",
@@ -154,35 +121,40 @@ pub fn e15_full_stack_metropolis(settings: &MetropolisSettings) -> ExperimentRep
         "restarts",
         "attached %",
     ]);
-    let mut world = metropolis_run(settings);
-    let (stats, attached) = aggregate_full_stats(&mut world);
-    let fault = world.fault_stats();
-    report.push_row([
-        settings.nodes.to_string(),
-        stats.sessions_established.to_string(),
-        stats.payloads_received.to_string(),
-        stats.broken_by_crash.to_string(),
-        stats.broken_by_range.to_string(),
-        stats.handover_completions.to_string(),
-        fault.crashes.to_string(),
-        fault.restarts.to_string(),
-        ExperimentReport::f(100.0 * attached as f64 / settings.nodes as f64),
-    ]);
-    let mean_reconnect = if stats.reconnects == 0 {
+    let (mut reconnect_secs, mut reconnects) = (0.0, 0);
+    for (nodes, rate) in city.cells() {
+        let mut world = metropolis_run(city, nodes, rate);
+        let (stats, attached) = aggregate_full_stats(&mut world);
+        let fault = world.fault_stats();
+        report.push_row([
+            nodes.to_string(),
+            stats.sessions_established.to_string(),
+            stats.payloads_received.to_string(),
+            stats.broken_by_crash.to_string(),
+            stats.broken_by_range.to_string(),
+            stats.handover_completions.to_string(),
+            fault.crashes.to_string(),
+            fault.restarts.to_string(),
+            ExperimentReport::f(100.0 * attached as f64 / nodes as f64),
+        ]);
+        reconnect_secs += stats.reconnect_secs_total;
+        reconnects += stats.reconnects;
+    }
+    let mean_reconnect = if reconnects == 0 {
         0.0
     } else {
-        stats.reconnect_secs_total / stats.reconnects as f64
+        reconnect_secs / reconnects as f64
     };
     report.push_note(format!(
         "full PeerHood stack on every node; density {} nodes/km^2, {:.0}% mobile, every 10th node \
          churning at {}/h (mean downtime {}s), {}s simulated; mean reconnect {:.2}s over {} samples",
-        settings.city.density_per_km2,
-        settings.city.mobile_fraction * 100.0,
-        settings.churn_per_hour,
-        settings.city.mean_downtime.as_secs(),
-        settings.city.duration.as_secs_f64(),
+        city.density_per_km2,
+        city.mobile_fraction * 100.0,
+        city.churn_rates(),
+        city.mean_downtime.as_secs(),
+        city.duration.as_secs_f64(),
         mean_reconnect,
-        stats.reconnects,
+        reconnects,
     ));
     report
 }

@@ -3,7 +3,8 @@
 //! overload city, E17 is the sharded metropolis, E18 is the hotspot
 //! metropolis on the load-balanced sharded engine and E19 is the hostile
 //! city run against the security defence tiers, all added on top of the
-//! thesis).
+//! thesis). The metropolises E12, E13, E15, E17 and E18 share the
+//! [`City`] core, the crowd cities E16 and E19 the [`Crowd`] core.
 //!
 //! Each function builds the scenario it needs, runs the simulation and
 //! returns an [`ExperimentReport`] of columns, rows and notes. Its id, title
@@ -16,6 +17,7 @@
 pub mod adversary_exp;
 pub mod bridge;
 pub mod city;
+pub mod crowd;
 pub mod discovery;
 pub mod faults_exp;
 pub mod full_stack;
@@ -35,26 +37,24 @@ pub use adversary_exp::{
 };
 pub use bridge::{bridge_trial, e06_bridge_performance, e10_coverage_amplification, BridgeTrial};
 pub use city::City;
+pub use crowd::{Crowd, CrowdApp, CrowdTally, HotspotApp, HOTSPOT_SERVICE};
 pub use discovery::{
     e01_coverage_exclusion, e02_gnutella_traffic, e03_quality_route_selection, e04_notification_delay,
     e05_static_vs_dynamic_bridge, DiscoverySettings,
 };
-pub use faults_exp::{e13_churn_sweep, e14_blackout_flash_crowd, ChurnSettings};
+pub use faults_exp::{e13_churn_sweep, e14_blackout_flash_crowd};
 pub use full_stack::{FullStackHost, FullStats, MetroApp, METRO_SERVICE};
 pub use handover::{
     e07_two_server_handover, e08_routing_handover, e11_monitoring_limitation, routing_handover_run, HandoverRun,
 };
 pub use hotspot::{e18_hotspot_metropolis, hotspot_metropolis_run, HotspotSettings};
-pub use metropolis::{e15_full_stack_metropolis, metropolis_run, MetropolisSettings};
+pub use metropolis::{e15_full_stack_metropolis, metropolis_run};
 pub use migration_exp::{e09_result_routing, migration_run, MigrationRun};
-pub use overload::{
-    e16_overload, overload_outcome, overload_run, CrowdApp, HotspotApp, OverloadOutcome, OverloadSettings,
-    HOTSPOT_SERVICE,
-};
+pub use overload::{e16_overload, overload_outcome, overload_run, OverloadOutcome, OverloadSettings};
 pub use params::{Param, Params};
 pub use registry::{find, registry, samples_from_report, Experiment, RunOutput, SampleRow};
-pub use scale::{e12_dense_city, ScaleSettings};
-pub use sharded::{e17_sharded_metropolis, sharded_metropolis_run, sharded_world_digest, ShardedSettings};
+pub use scale::e12_dense_city;
+pub use sharded::{e17_sharded_metropolis, sharded_metropolis_run, sharded_world_digest};
 
 use crate::report::ExperimentReport;
 

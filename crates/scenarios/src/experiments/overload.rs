@@ -14,9 +14,11 @@
 //!   both goodput and per-app fairness (min/max delivered) collapse.
 //! * **resilience on** ([`ResilienceConfig::all_on`]): per-peer circuit
 //!   breakers trip on the repeated failures and link breaks, the next
-//!   attach sees [`PeerHoodError::CircuitOpen`] synchronously and the
-//!   [`CrowdApp`] diverts to the next known provider — the crowd converges
-//!   on the healthy hotspot and stays there.
+//!   attach sees
+//!   [`PeerHoodError::CircuitOpen`](peerhood::error::PeerHoodError::CircuitOpen)
+//!   synchronously and the [`CrowdApp`](super::crowd::CrowdApp) diverts to
+//!   the next known provider — the crowd converges on the healthy hotspot
+//!   and stays there.
 //!
 //! Determinism: both modes run the *same* world seed (identical flap
 //! phases), and the pipeline itself draws no randomness, so one seed gives
@@ -24,290 +26,64 @@
 
 use std::sync::Arc;
 
-use peerhood::application::Application;
-use peerhood::error::PeerHoodError;
-use peerhood::ids::{ConnectionId, DeviceAddress};
-use peerhood::node::{PeerHoodApi, PeerHoodNode};
+use peerhood::node::PeerHoodNode;
 use peerhood::resilience::{ResilienceConfig, ResilienceStats};
-use peerhood::service::ServiceInfo;
 use simnet::prelude::*;
 
 use crate::experiments::city::wlan_world;
+use crate::experiments::crowd::{Crowd, CrowdTally, HotspotApp};
 use crate::experiments::full_stack::{add_stack, wlan_city_config};
-use crate::experiments::params::{count, on_off, seconds, Param};
+use crate::experiments::params::{on_off, Param};
 use crate::report::ExperimentReport;
 
-/// Name of the service the hotspots offer and the crowd consumes.
-pub const HOTSPOT_SERVICE: &str = "hotspot";
-
-const PING_TIMER: u64 = 0xC40;
-
-/// Settings for the E16 overload-city run.
+/// What E16 adds to its crowd: the flapping hotspot's link schedule. The
+/// inner half of the crowd spawns next to the flapping hotspot, the outer
+/// half next to the healthy one.
 #[derive(Debug, Clone)]
 pub struct OverloadSettings {
-    /// Base random seed (world and flap phases derive from it; both
-    /// pipeline modes run the same world seed).
-    pub seed: u64,
-    /// Crowd size. The inner half spawns next to the flapping hotspot, the
-    /// outer half next to the healthy one.
-    pub clients: usize,
-    /// Simulated duration.
-    pub duration: SimDuration,
-    /// Inquiry interval of every node's discovery plugin.
-    pub inquiry_interval: SimDuration,
-    /// Discovery warmup: clients hold their first attach back this long so
-    /// everyone has fetched both hotspots (the flapping one is only
-    /// reachable during its up phases) and the §3.4.3 ranking — not fetch
-    /// order — picks the provider.
-    pub warmup: SimDuration,
-    /// Application tick: attached clients send pings, detached ones
-    /// re-attach.
-    pub ping_interval: SimDuration,
-    /// Pings sent per tick while attached.
-    pub pings_per_tick: usize,
     /// Full up+down cycle of the flapping hotspot's links.
     pub flap_period: SimDuration,
     /// Fraction of each flap period the links are up.
     pub flap_duty: f64,
 }
 
-impl OverloadSettings {
-    /// The full-size run (`repro` without `--quick`).
-    pub fn full() -> Self {
-        OverloadSettings {
-            seed: 16,
-            clients: 24,
-            duration: SimDuration::from_secs(240),
-            inquiry_interval: SimDuration::from_secs(10),
-            warmup: SimDuration::from_secs(40),
-            ping_interval: SimDuration::from_secs(2),
-            pings_per_tick: 2,
+/// E16 at full size (`repro` without `--quick`).
+pub fn full() -> Crowd<OverloadSettings> {
+    Crowd {
+        seed: 16,
+        clients: 24,
+        duration: SimDuration::from_secs(240),
+        inquiry_interval: SimDuration::from_secs(10),
+        warmup: SimDuration::from_secs(40),
+        ping_interval: SimDuration::from_secs(2),
+        pings_per_tick: 2,
+        extra: OverloadSettings {
             flap_period: SimDuration::from_secs(20),
             flap_duty: 0.5,
-        }
-    }
-
-    /// The CI variant: smaller crowd, shorter horizon.
-    pub fn quick() -> Self {
-        OverloadSettings {
-            clients: 16,
-            duration: SimDuration::from_secs(120),
-            ..OverloadSettings::full()
-        }
-    }
-
-    /// A reduced crowd for debug-build smoke tests (`cargo test`).
-    pub fn smoke() -> Self {
-        OverloadSettings {
-            clients: 8,
-            duration: SimDuration::from_secs(120),
-            ..OverloadSettings::full()
-        }
-    }
-
-    /// The grid parameters of E16, over the settings and the pipeline modes
-    /// to run (one report row each).
-    pub const PARAMS: &'static [Param<(Self, Vec<bool>)>] = &[
-        Param::new(
-            "resilience",
-            "run only one pipeline mode (default: an off row and an on row)",
-            |(_, modes), v| on_off(v).map(|mode| *modes = vec![mode]),
-        ),
-        Param::new("clients", "crowd size (half near each hotspot)", |(s, _), v| {
-            count(v).map(|n| s.clients = n)
-        }),
-        Param::new("duration_s", "simulated seconds per mode", |(s, _), v| {
-            seconds(v).map(|d| s.duration = d)
-        }),
-    ];
-}
-
-/// A crowd member: attaches to the best `"hotspot"` provider and pings it
-/// every tick. When the attach is refused synchronously by an open circuit
-/// breaker, it walks the rest of the known providers instead of waiting for
-/// the breaker's peer to come back — the diversion the pipeline exists to
-/// enable.
-pub struct CrowdApp {
-    /// Tick interval (pings while attached, re-attach otherwise).
-    tick: SimDuration,
-    /// Pings sent per tick while attached.
-    ping_burst: usize,
-    /// No attach before this long into the run (discovery warmup).
-    warmup: SimDuration,
-    current: Option<ConnectionId>,
-    connecting: bool,
-    down_since: Option<SimTime>,
-    /// Client sessions established.
-    pub sessions_established: u64,
-    /// Sessions the middleware could not keep alive.
-    pub sessions_lost: u64,
-    /// Attaches diverted away from an open-breaker provider.
-    pub diverted: u64,
-    /// Pings sent / echoes received.
-    pub pings_sent: u64,
-    /// Echo payloads delivered back to this client.
-    pub delivered: u64,
-    /// Sends refused by the backpressure layer.
-    pub sends_shed: u64,
-    /// Total reconnection latency and sample count.
-    pub reconnect_secs_total: f64,
-    /// Number of latency samples in `reconnect_secs_total`.
-    pub reconnects: u64,
-}
-
-impl CrowdApp {
-    /// A crowd member ticking every `tick`, sending `ping_burst` pings per
-    /// tick while attached, holding its first attach until `warmup`.
-    pub fn new(tick: SimDuration, ping_burst: usize, warmup: SimDuration) -> Self {
-        CrowdApp {
-            tick,
-            ping_burst,
-            warmup,
-            current: None,
-            connecting: false,
-            down_since: None,
-            sessions_established: 0,
-            sessions_lost: 0,
-            diverted: 0,
-            pings_sent: 0,
-            delivered: 0,
-            sends_shed: 0,
-            reconnect_secs_total: 0.0,
-            reconnects: 0,
-        }
-    }
-
-    fn try_attach(&mut self, api: &mut PeerHoodApi<'_>) {
-        if self.current.is_some() || self.connecting || api.now() < SimTime::ZERO + self.warmup {
-            return;
-        }
-        match api.connect_to_service(HOTSPOT_SERVICE) {
-            Ok(conn) => {
-                self.current = Some(conn);
-                self.connecting = true;
-            }
-            Err(PeerHoodError::CircuitOpen(_)) => {
-                // The best-ranked provider is behind an open breaker: try
-                // the other known providers in deterministic address order.
-                let providers: Vec<DeviceAddress> = api
-                    .service_list()
-                    .into_iter()
-                    .filter(|(_, s)| s.name == HOTSPOT_SERVICE)
-                    .map(|(addr, _)| addr)
-                    .collect();
-                for addr in providers {
-                    if let Ok(conn) = api.connect_to(addr, HOTSPOT_SERVICE) {
-                        self.current = Some(conn);
-                        self.connecting = true;
-                        self.diverted += 1;
-                        return;
-                    }
-                }
-            }
-            Err(_) => {}
-        }
+        },
     }
 }
 
-impl Application for CrowdApp {
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
-        self.current = None;
-        self.connecting = false;
-        api.schedule_timer(self.tick, PING_TIMER);
-    }
-
-    fn on_device_discovered(&mut self, api: &mut PeerHoodApi<'_>, _address: DeviceAddress) {
-        self.try_attach(api);
-    }
-
-    fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.current == Some(conn) {
-            self.connecting = false;
-            self.sessions_established += 1;
-            if let Some(t0) = self.down_since.take() {
-                self.reconnect_secs_total += api.now().saturating_since(t0).as_secs_f64();
-                self.reconnects += 1;
-            }
-        }
-    }
-
-    fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
-        if self.current == Some(conn) {
-            self.current = None;
-            self.connecting = false;
-        }
-    }
-
-    fn on_data(&mut self, _api: &mut PeerHoodApi<'_>, _conn: ConnectionId, _payload: Vec<u8>) {
-        self.delivered += 1;
-    }
-
-    fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
-        if self.current == Some(conn) {
-            self.current = None;
-            self.connecting = false;
-            self.sessions_lost += 1;
-            self.down_since = Some(api.now());
-        }
-    }
-
-    fn on_reconnect_required(
-        &mut self,
-        _api: &mut PeerHoodApi<'_>,
-        _conn: ConnectionId,
-        _candidates: &[DeviceAddress],
-    ) -> bool {
-        false
-    }
-
-    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
-        self.on_connected(api, conn);
-    }
-
-    fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
-        if token != PING_TIMER {
-            return;
-        }
-        match self.current {
-            Some(conn) if !self.connecting => {
-                for _ in 0..self.ping_burst {
-                    match api.send(conn, b"crowd-ping".to_vec()) {
-                        Ok(()) => self.pings_sent += 1,
-                        Err(_) => {
-                            self.sends_shed += 1;
-                            break;
-                        }
-                    }
-                }
-            }
-            _ => self.try_attach(api),
-        }
-        api.schedule_timer(self.tick, PING_TIMER);
+/// E16's CI variant: a smaller crowd over a shorter horizon.
+pub fn quick() -> Crowd<OverloadSettings> {
+    Crowd {
+        clients: 16,
+        duration: SimDuration::from_secs(120),
+        ..full()
     }
 }
 
-/// A hotspot: registers the [`HOTSPOT_SERVICE`] and echoes every payload
-/// back to its sender.
-#[derive(Default)]
-pub struct HotspotApp {
-    /// Payloads received and echoed.
-    pub served: u64,
-    /// Echoes refused by the backpressure layer.
-    pub echoes_shed: u64,
-}
-
-impl Application for HotspotApp {
-    fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
-        let _ = api.register_service(ServiceInfo::new(HOTSPOT_SERVICE, "v1", 80));
-    }
-
-    fn on_data(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, payload: Vec<u8>) {
-        match api.send(conn, payload) {
-            Ok(()) => self.served += 1,
-            Err(_) => self.echoes_shed += 1,
-        }
-    }
-}
+/// The grid parameters of E16, over the crowd and the pipeline modes to run
+/// (one report row each).
+pub const PARAMS: &[Param<(Crowd<OverloadSettings>, Vec<bool>)>] = &[
+    Param::new(
+        "resilience",
+        "run only one pipeline mode (default: an off row and an on row)",
+        |(_, modes), v| on_off(v).map(|mode| *modes = vec![mode]),
+    ),
+    Crowd::clients().help("crowd size (half near each hotspot)"),
+    Crowd::duration_s(),
+];
 
 /// The overload city, built and run in one pipeline mode. Returns the world
 /// plus the crowd and hotspot node ids (hotspots: `[flapping, healthy]`).
@@ -318,11 +94,11 @@ impl Application for HotspotApp {
 /// outer crowd at x∈\[28,34\] (the healthy one is). The world seed — and with
 /// it every flap phase — is independent of `resilience_on`, so the two
 /// modes face the identical fault schedule.
-pub fn overload_run(settings: &OverloadSettings, resilience_on: bool) -> (World, Vec<NodeId>, Vec<NodeId>) {
-    let mut world = wlan_world(settings.seed ^ 0x0E16_0000);
+pub fn overload_run(crowd: &Crowd<OverloadSettings>, resilience_on: bool) -> (World, Vec<NodeId>, Vec<NodeId>) {
+    let mut world = wlan_world(crowd.seed ^ 0x0E16_0000);
     // Everyone static, WLAN, two-hop discovery: the E15 metro tuning at
     // crowd scale.
-    let mut cfg = wlan_city_config("crowd", settings.inquiry_interval);
+    let mut cfg = wlan_city_config("crowd", crowd.inquiry_interval);
     if resilience_on {
         cfg.resilience = ResilienceConfig::all_on();
     }
@@ -334,38 +110,31 @@ pub fn overload_run(settings: &OverloadSettings, resilience_on: bool) -> (World,
     let flapping = hotspot(&mut world, "hs-flapping", 0.0);
     let healthy = hotspot(&mut world, "hs-healthy", 36.0);
 
-    let inner = settings.clients / 2;
-    let mut clients = Vec::with_capacity(settings.clients);
-    for i in 0..settings.clients {
+    let inner = crowd.clients / 2;
+    let mut clients = Vec::with_capacity(crowd.clients);
+    for i in 0..crowd.clients {
         let (base_x, j) = if i < inner { (4.0, i) } else { (28.0, i - inner) };
         let pos = Point::new(base_x + (j % 4) as f64 * 2.0, 6.0 + (j / 4) as f64 * 2.0);
-        let app = CrowdApp::new(settings.ping_interval, settings.pings_per_tick, settings.warmup);
-        clients.push(add_stack(&mut world, format!("c{i}"), pos, &cfg, app));
+        clients.push(add_stack(&mut world, format!("c{i}"), pos, &cfg, crowd.app()));
     }
 
     let mut plan = FaultPlan::new();
     for &client in &clients {
-        plan = plan.flapping_link(client, settings.flap_period, settings.flap_duty);
+        plan = plan.flapping_link(client, crowd.extra.flap_period, crowd.extra.flap_duty);
     }
     world.install_fault_plan(flapping, plan);
 
     let scope = format!("E16 resilience={}", if resilience_on { "on" } else { "off" });
-    crate::telemetry::instrument_world(&mut world, &scope);
+    // Mirror the pipeline's per-layer state (summed over every node) into
+    // the `resilience` gauges between frames.
     let ids: Vec<NodeId> = world.node_ids().collect();
-    crate::telemetry::run_world(&mut world, settings.duration, |world| {
-        // Mirror the pipeline's per-layer state (summed over every node)
-        // into the `resilience` gauges between frames.
-        let mut total = ResilienceStats::default();
-        for id in &ids {
-            if let Some(stats) = world.with_agent::<PeerHoodNode, _>(*id, |node, _| node.resilience_stats()) {
-                total.absorb(&stats);
-            }
-        }
-        if let Some(tel) = world.telemetry_mut() {
-            total.export(tel);
-        }
-    });
-    crate::telemetry::finish_world(&mut world, &scope);
+    crowd.run(
+        &mut world,
+        &scope,
+        &ids,
+        |total: &mut ResilienceStats, node| total.absorb(&node.resilience_stats()),
+        ResilienceStats::export,
+    );
     (world, clients, vec![flapping, healthy])
 }
 
@@ -390,63 +159,34 @@ pub struct OverloadOutcome {
 }
 
 /// Runs one mode and aggregates the outcome.
-pub fn overload_outcome(settings: &OverloadSettings, resilience_on: bool) -> OverloadOutcome {
-    let (mut world, clients, hotspots) = overload_run(settings, resilience_on);
-    let mut outcome = OverloadOutcome {
-        goodput: 0,
-        fairness: 0.0,
-        sessions: 0,
-        diverted: 0,
-        mean_reconnect_s: 0.0,
-        per_client: Vec::with_capacity(clients.len()),
-        stats: ResilienceStats::default(),
-    };
-    let mut reconnect_secs = 0.0;
-    let mut reconnects = 0u64;
-    for &id in &clients {
-        let sample = world.with_agent::<PeerHoodNode, _>(id, |node, _| {
-            let app = node
-                .with_app(|a: &CrowdApp| {
-                    (
-                        a.delivered,
-                        a.sessions_established,
-                        a.diverted,
-                        a.reconnect_secs_total,
-                        a.reconnects,
-                    )
-                })
-                .unwrap_or((0, 0, 0, 0.0, 0));
-            (app, node.resilience_stats())
-        });
-        let ((delivered, sessions, diverted, rec_secs, recs), stats) = sample.unwrap_or_default();
-        outcome.per_client.push(delivered);
-        outcome.goodput += delivered;
-        outcome.sessions += sessions;
-        outcome.diverted += diverted;
-        reconnect_secs += rec_secs;
-        reconnects += recs;
-        outcome.stats.absorb(&stats);
-    }
+pub fn overload_outcome(crowd: &Crowd<OverloadSettings>, resilience_on: bool) -> OverloadOutcome {
+    let (mut world, clients, hotspots) = overload_run(crowd, resilience_on);
+    let mut stats = ResilienceStats::default();
+    let tally = CrowdTally::of(&mut world, &clients, |node| stats.absorb(&node.resilience_stats()));
     for &id in &hotspots {
-        if let Some(stats) = world.with_agent::<PeerHoodNode, _>(id, |node, _| node.resilience_stats()) {
-            outcome.stats.absorb(&stats);
-        }
+        world.with_agent::<PeerHoodNode, _>(id, |node, _| stats.absorb(&node.resilience_stats()));
     }
-    let min = outcome.per_client.iter().copied().min().unwrap_or(0);
-    let max = outcome.per_client.iter().copied().max().unwrap_or(0);
-    if max > 0 {
-        outcome.fairness = min as f64 / max as f64;
+    let min = tally.delivered.iter().copied().min().unwrap_or(0);
+    let max = tally.delivered.iter().copied().max().unwrap_or(0);
+    OverloadOutcome {
+        goodput: tally.goodput(),
+        fairness: if max > 0 { min as f64 / max as f64 } else { 0.0 },
+        sessions: tally.sessions,
+        diverted: tally.diverted,
+        mean_reconnect_s: if tally.reconnects > 0 {
+            tally.reconnect_secs / tally.reconnects as f64
+        } else {
+            0.0
+        },
+        per_client: tally.delivered,
+        stats,
     }
-    if reconnects > 0 {
-        outcome.mean_reconnect_s = reconnect_secs / reconnects as f64;
-    }
-    outcome
 }
 
 /// E16 (beyond the thesis): the overload city, with and without the
 /// resilience pipeline. `modes` lists the pipeline states to run
 /// (`false` = off, `true` = on), one report row each.
-pub fn e16_overload(settings: &OverloadSettings, modes: &[bool]) -> ExperimentReport {
+pub fn e16_overload(crowd: &Crowd<OverloadSettings>, modes: &[bool]) -> ExperimentReport {
     let mut report = ExperimentReport::new(&[
         "resilience",
         "goodput",
@@ -460,7 +200,7 @@ pub fn e16_overload(settings: &OverloadSettings, modes: &[bool]) -> ExperimentRe
         "rejected",
     ]);
     for &on in modes {
-        let o = overload_outcome(settings, on);
+        let o = overload_outcome(crowd, on);
         report.push_row([
             if on { "on" } else { "off" }.to_string(),
             o.goodput.to_string(),
@@ -478,13 +218,13 @@ pub fn e16_overload(settings: &OverloadSettings, modes: &[bool]) -> ExperimentRe
         "{} clients split between a flapping hotspot (period {}s, duty {:.0}%, seeded phase) and a \
          healthy one, {} pings per {}s tick, {}s discovery warmup, {}s simulated; identical world \
          seed in both modes — only the pipeline differs",
-        settings.clients,
-        settings.flap_period.as_secs(),
-        settings.flap_duty * 100.0,
-        settings.pings_per_tick,
-        settings.ping_interval.as_secs(),
-        settings.warmup.as_secs(),
-        settings.duration.as_secs_f64(),
+        crowd.clients,
+        crowd.extra.flap_period.as_secs(),
+        crowd.extra.flap_duty * 100.0,
+        crowd.pings_per_tick,
+        crowd.ping_interval.as_secs(),
+        crowd.warmup.as_secs(),
+        crowd.duration.as_secs_f64(),
     ));
     report
 }
@@ -493,12 +233,17 @@ pub fn e16_overload(settings: &OverloadSettings, modes: &[bool]) -> ExperimentRe
 mod tests {
     use super::*;
 
+    /// E16's quick crowd at eight clients: a debug-build city.
+    fn small() -> Crowd<OverloadSettings> {
+        Crowd { clients: 8, ..quick() }
+    }
+
     /// Satellite: same seed ⇒ identical E16 report and identical per-node
     /// `ResilienceStats`, pipeline on and off — the subsystem draws no
     /// randomness of its own.
     #[test]
     fn overload_city_is_deterministic_in_both_modes() {
-        let settings = OverloadSettings::smoke();
+        let settings = small();
         for on in [false, true] {
             let a = overload_outcome(&settings, on);
             let b = overload_outcome(&settings, on);
@@ -511,7 +256,7 @@ mod tests {
 
     #[test]
     fn pipeline_strictly_improves_goodput_and_fairness() {
-        let settings = OverloadSettings::smoke();
+        let settings = small();
         let off = overload_outcome(&settings, false);
         let on = overload_outcome(&settings, true);
         assert!(

@@ -10,10 +10,12 @@
 //! An entry is the one place an experiment's id, title and *Paper:* line are
 //! written: the entry point fills in only columns, rows and notes, and
 //! [`Experiment::run`] stamps the header on. Beside them an entry names its
-//! settings type's two presets, parameter table (see
-//! [`params`](super::params)) and entry point; nothing else is written per
-//! experiment. `crates/scenarios/tests/claims.rs` holds one check per entry,
-//! written from its *Paper:* line and run at eight seeds.
+//! settings' two presets, parameter table (see [`params`](super::params))
+//! and entry point; nothing else is written per experiment. The
+//! metropolises' settings are a [`City`](super::City), the crowd cities' a
+//! [`Crowd`](super::Crowd) with the modes they run.
+//! `crates/scenarios/tests/claims.rs` holds one check per entry, written
+//! from its *Paper:* line and run at eight seeds.
 //!
 //! The table is `'static` data: a sweep worker thread looks its experiment
 //! up with [`find`] and builds the world entirely inside the worker (a
@@ -23,12 +25,11 @@ use std::collections::BTreeMap;
 
 use crate::experiments::params::{count, Param, Params};
 use crate::experiments::{
-    e01_coverage_exclusion, e02_gnutella_traffic, e03_quality_route_selection, e04_notification_delay,
+    adversary_exp, e01_coverage_exclusion, e02_gnutella_traffic, e03_quality_route_selection, e04_notification_delay,
     e05_static_vs_dynamic_bridge, e06_bridge_performance, e07_two_server_handover, e08_routing_handover,
     e09_result_routing, e10_coverage_amplification, e11_monitoring_limitation, e12_dense_city, e13_churn_sweep,
     e14_blackout_flash_crowd, e15_full_stack_metropolis, e16_overload, e17_sharded_metropolis, e18_hotspot_metropolis,
-    e19_hostile_city, AdversarySettings, ChurnSettings, Defense, DiscoverySettings, HotspotSettings,
-    MetropolisSettings, OverloadSettings, ScaleSettings, ShardedSettings,
+    e19_hostile_city, faults_exp, hotspot, metropolis, overload, scale, sharded, Defense, DiscoverySettings,
 };
 use crate::report::ExperimentReport;
 
@@ -367,10 +368,10 @@ static REGISTRY: [Experiment; 19] = [
         key_columns: &["nodes"],
         suite_seed: Some(12),
         plan: &Plan {
-            quick: ScaleSettings::quick,
-            full: ScaleSettings::full,
-            seed: |s| &mut s.city.seed,
-            params: ScaleSettings::PARAMS,
+            quick: scale::quick,
+            full: scale::full,
+            seed: |s| &mut s.seed,
+            params: scale::PARAMS,
             report: e12_dense_city,
         },
     },
@@ -384,10 +385,10 @@ static REGISTRY: [Experiment; 19] = [
         key_columns: &["nodes", "churn (/node/h)"],
         suite_seed: Some(13),
         plan: &Plan {
-            quick: ChurnSettings::quick,
-            full: ChurnSettings::full,
-            seed: |s| &mut s.city.seed,
-            params: ChurnSettings::PARAMS,
+            quick: faults_exp::quick,
+            full: faults_exp::full,
+            seed: |s| &mut s.seed,
+            params: faults_exp::PARAMS,
             report: e13_churn_sweep,
         },
     },
@@ -420,10 +421,10 @@ static REGISTRY: [Experiment; 19] = [
         key_columns: &["nodes"],
         suite_seed: Some(15),
         plan: &Plan {
-            quick: MetropolisSettings::quick,
-            full: MetropolisSettings::full,
-            seed: |s| &mut s.city.seed,
-            params: MetropolisSettings::PARAMS,
+            quick: metropolis::quick,
+            full: metropolis::full,
+            seed: |s| &mut s.seed,
+            params: metropolis::PARAMS,
             report: e15_full_stack_metropolis,
         },
     },
@@ -439,11 +440,11 @@ static REGISTRY: [Experiment; 19] = [
         suite_seed: Some(16),
         plan: &Plan {
             // The settings plus the pipeline modes to run, one row each.
-            quick: || (OverloadSettings::quick(), vec![false, true]),
-            full: || (OverloadSettings::full(), vec![false, true]),
-            seed: |(settings, _)| &mut settings.seed,
-            params: OverloadSettings::PARAMS,
-            report: |(settings, modes)| e16_overload(settings, modes),
+            quick: || (overload::quick(), vec![false, true]),
+            full: || (overload::full(), vec![false, true]),
+            seed: |(crowd, _)| &mut crowd.seed,
+            params: overload::PARAMS,
+            report: |(crowd, modes)| e16_overload(crowd, modes),
         },
     },
     Experiment {
@@ -458,10 +459,10 @@ static REGISTRY: [Experiment; 19] = [
         key_columns: &["nodes"],
         suite_seed: Some(17),
         plan: &Plan {
-            quick: ShardedSettings::quick,
-            full: ShardedSettings::full,
-            seed: |s| &mut s.city.seed,
-            params: ShardedSettings::PARAMS,
+            quick: sharded::quick,
+            full: sharded::full,
+            seed: |s| &mut s.seed,
+            params: sharded::PARAMS,
             report: e17_sharded_metropolis,
         },
     },
@@ -478,10 +479,10 @@ static REGISTRY: [Experiment; 19] = [
         key_columns: &["nodes"],
         suite_seed: Some(18),
         plan: &Plan {
-            quick: HotspotSettings::quick,
-            full: HotspotSettings::full,
-            seed: |s| &mut s.city.seed,
-            params: HotspotSettings::PARAMS,
+            quick: hotspot::quick,
+            full: hotspot::full,
+            seed: |s| &mut s.seed,
+            params: hotspot::PARAMS,
             report: e18_hotspot_metropolis,
         },
     },
@@ -497,11 +498,11 @@ static REGISTRY: [Experiment; 19] = [
         suite_seed: Some(19),
         plan: &Plan {
             // The settings plus the defence tiers to run, one row each.
-            quick: || (AdversarySettings::quick(), Defense::ALL.to_vec()),
-            full: || (AdversarySettings::full(), Defense::ALL.to_vec()),
-            seed: |(settings, _)| &mut settings.seed,
-            params: AdversarySettings::PARAMS,
-            report: |(settings, tiers)| e19_hostile_city(settings, tiers),
+            quick: || (adversary_exp::quick(), Defense::ALL.to_vec()),
+            full: || (adversary_exp::full(), Defense::ALL.to_vec()),
+            seed: |(crowd, _)| &mut crowd.seed,
+            params: adversary_exp::PARAMS,
+            report: |(crowd, tiers)| e19_hostile_city(crowd, tiers),
         },
     },
 ];

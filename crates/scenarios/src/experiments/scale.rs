@@ -16,69 +16,47 @@ use simnet::prelude::*;
 
 use crate::experiments::city::City;
 use crate::experiments::metropolis::aggregate_full_stats;
-use crate::experiments::params::{count, Param};
+use crate::experiments::params::Param;
 use crate::experiments::probe::CityProbe;
 use crate::report::ExperimentReport;
 
-/// Settings for the E12 dense-city scale runs.
-#[derive(Debug, Clone)]
-pub struct ScaleSettings {
-    /// The shared city core (seed 12).
-    pub city: City,
-    /// Total node counts to sweep.
-    pub node_counts: Vec<usize>,
-}
-
-impl ScaleSettings {
-    /// The full sizes (`repro` without `--quick`): 1k–10k nodes.
-    pub fn full() -> Self {
-        ScaleSettings {
-            city: City {
-                seed: 12,
-                density_per_km2: 2_000.0,
-                mobile_fraction: 0.25,
-                duration: SimDuration::from_secs(300),
-                inquiry_interval: SimDuration::from_secs(8),
-                // E12 installs no churn.
-                mean_downtime: SimDuration::ZERO,
-            },
-            node_counts: vec![1_000, 2_500, 5_000, 10_000],
-        }
-    }
-
-    /// A reduced variant for CI and `cargo test`.
-    pub fn quick() -> Self {
-        let mut quick = ScaleSettings::full();
-        quick.node_counts = vec![150, 400];
-        quick.city.duration = SimDuration::from_secs(90);
-        quick.city.inquiry_interval = SimDuration::from_secs(10);
-        quick
-    }
-
-    /// The grid parameters of E12.
-    pub const PARAMS: &'static [Param<Self>] = &[
-        Param::new("nodes", "city population (replaces the node-count sweep)", |s, v| {
-            count(v).map(|n| s.node_counts = vec![n])
-        }),
-        City::density(),
-        City::mobile_fraction(),
-        City::duration_s().help("simulated seconds per run"),
-    ];
-}
-
-impl AsMut<City> for ScaleSettings {
-    fn as_mut(&mut self) -> &mut City {
-        &mut self.city
+/// E12 at full size (`repro` without `--quick`): 1k–10k nodes.
+pub fn full() -> City {
+    City {
+        seed: 12,
+        nodes: vec![1_000, 2_500, 5_000, 10_000],
+        density_per_km2: 2_000.0,
+        mobile_fraction: 0.25,
+        duration: SimDuration::from_secs(300),
+        inquiry_interval: SimDuration::from_secs(8),
+        ..City::default()
     }
 }
+
+/// E12 reduced for CI and `cargo test`.
+pub fn quick() -> City {
+    City {
+        nodes: vec![150, 400],
+        duration: SimDuration::from_secs(90),
+        inquiry_interval: SimDuration::from_secs(10),
+        ..full()
+    }
+}
+
+/// The grid parameters of E12.
+pub const PARAMS: &[Param<City>] = &[
+    City::nodes().help("city population (replaces the node-count sweep)"),
+    City::density(),
+    City::mobile_fraction(),
+    City::duration_s().help("simulated seconds per run"),
+];
 
 /// One dense-city run; returns the populated world after `duration`.
 /// Honours the thread's [`telemetry`](crate::telemetry) settings.
-fn city_run(settings: &ScaleSettings, nodes: usize) -> World {
-    let city = &settings.city;
+fn city_run(city: &City, nodes: usize) -> World {
     let mut world = city.world(nodes);
     for (i, mobility, _) in city.placement(nodes, 0xC17F) {
-        let probe = CityProbe::with(city.inquiry_interval, None, true);
+        let probe = CityProbe::with(city.inquiry_interval, city.ping_interval, true);
         world.add_node(format!("c{i}"), mobility, &[RadioTech::Wlan], Box::new(OnWorld(probe)));
     }
     let scope = format!("E12 nodes={nodes}");
@@ -87,7 +65,7 @@ fn city_run(settings: &ScaleSettings, nodes: usize) -> World {
 }
 
 /// E12 (beyond the thesis): dense-city discovery and handover at scale.
-pub fn e12_dense_city(settings: &ScaleSettings) -> ExperimentReport {
+pub fn e12_dense_city(city: &City) -> ExperimentReport {
     let mut report = ExperimentReport::new(&[
         "nodes",
         "side (m)",
@@ -97,8 +75,8 @@ pub fn e12_dense_city(settings: &ScaleSettings) -> ExperimentReport {
         "handovers",
         "coverage drops",
     ]);
-    for &nodes in &settings.node_counts {
-        let mut world = city_run(settings, nodes);
+    for &nodes in &city.nodes {
+        let mut world = city_run(city, nodes);
         let ids: Vec<NodeId> = world.node_ids().collect();
         // Ground-truth neighbourhood size, sampled over a deterministic
         // subset to keep the report cheap at 10k nodes.
@@ -113,7 +91,7 @@ pub fn e12_dense_city(settings: &ScaleSettings) -> ExperimentReport {
         let g = world.metrics().global();
         report.push_row([
             nodes.to_string(),
-            format!("{:.0}", settings.city.side_m(nodes)),
+            format!("{:.0}", city.side_m(nodes)),
             ExperimentReport::f(avg_neighbors),
             g.inquiries_started.to_string(),
             g.connects_established.to_string(),
@@ -123,9 +101,9 @@ pub fn e12_dense_city(settings: &ScaleSettings) -> ExperimentReport {
     }
     report.push_note(format!(
         "constant density {} nodes/km^2, {:.0}% mobile, {}s simulated per row",
-        settings.city.density_per_km2,
-        settings.city.mobile_fraction * 100.0,
-        settings.city.duration.as_secs_f64()
+        city.density_per_km2,
+        city.mobile_fraction * 100.0,
+        city.duration.as_secs_f64()
     ));
     report
 }

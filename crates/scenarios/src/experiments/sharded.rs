@@ -22,84 +22,46 @@ use simnet::telemetry::Fnv1a;
 
 use crate::experiments::city::City;
 use crate::experiments::full_stack::FullStats;
-use crate::experiments::params::{count, number, Param};
+use crate::experiments::params::Param;
 use crate::experiments::probe::CityProbe;
 use crate::report::ExperimentReport;
 
-/// Settings for the E17 sharded-metropolis run.
-#[derive(Debug, Clone)]
-pub struct ShardedSettings {
-    /// The shared city core (seed 17).
-    pub city: City,
-    /// City population.
-    pub nodes: usize,
-    /// Expected crashes per churning node per hour (every tenth node
-    /// churns). Zero disables the fault engine.
-    pub churn_per_hour: f64,
-    /// How often an attached device pings its peer.
-    pub ping_interval: SimDuration,
-    /// Worker threads to run the world on. Changes wall-clock time only,
-    /// never results.
-    pub shards: usize,
-}
-
-impl ShardedSettings {
-    /// The full-size run (`repro` without `--quick`): a quarter-million nodes.
-    pub fn full() -> Self {
-        ShardedSettings {
-            city: City {
-                seed: 17,
-                density_per_km2: 1_000.0,
-                mobile_fraction: 0.2,
-                duration: SimDuration::from_secs(120),
-                inquiry_interval: SimDuration::from_secs(20),
-                mean_downtime: SimDuration::from_secs(25),
-            },
-            nodes: 250_000,
-            churn_per_hour: 20.0,
-            ping_interval: SimDuration::from_secs(10),
-            shards: 2,
-        }
-    }
-
-    /// The CI variant: a 100k-node city over a shorter horizon.
-    pub fn quick() -> Self {
-        let mut quick = ShardedSettings::full();
-        quick.nodes = 100_000;
-        quick.city.duration = SimDuration::from_secs(45);
-        quick
-    }
-
-    /// A small population for debug-build smoke tests (`cargo test`).
-    pub fn smoke() -> Self {
-        let mut smoke = ShardedSettings::full();
-        smoke.nodes = 600;
-        smoke.city.duration = SimDuration::from_secs(60);
-        smoke
-    }
-
-    /// The grid parameters of E17.
-    pub const PARAMS: &'static [Param<Self>] = &[
-        Param::new(
-            "shards",
-            "worker threads (wall-clock only; results are shard-invariant)",
-            |s, v| count(v).map(|n| s.shards = n.max(1)),
-        ),
-        Param::new("nodes", "city population", |s, v| count(v).map(|n| s.nodes = n)),
-        City::density(),
-        Param::new("churn", "crashes per churning node per hour", |s, v| {
-            number(v).map(|rate| s.churn_per_hour = rate)
-        }),
-        City::mobile_fraction(),
-        City::duration_s(),
-    ];
-}
-
-impl AsMut<City> for ShardedSettings {
-    fn as_mut(&mut self) -> &mut City {
-        &mut self.city
+/// E17 at full size (`repro` without `--quick`): a quarter-million nodes,
+/// every tenth churning.
+pub fn full() -> City {
+    City {
+        seed: 17,
+        nodes: vec![250_000],
+        density_per_km2: 1_000.0,
+        mobile_fraction: 0.2,
+        duration: SimDuration::from_secs(120),
+        inquiry_interval: SimDuration::from_secs(20),
+        ping_interval: Some(SimDuration::from_secs(10)),
+        churn_per_hour: vec![20.0],
+        mean_downtime: SimDuration::from_secs(25),
+        shards: 2,
+        extra: (),
     }
 }
+
+/// E17's CI variant: a 100k-node city over a shorter horizon.
+pub fn quick() -> City {
+    City {
+        nodes: vec![100_000],
+        duration: SimDuration::from_secs(45),
+        ..full()
+    }
+}
+
+/// The grid parameters of E17.
+pub const PARAMS: &[Param<City>] = &[
+    City::shards(),
+    City::nodes(),
+    City::density(),
+    City::churn(),
+    City::mobile_fraction(),
+    City::duration_s(),
+];
 
 /// The probe of the sharded cities, under the name `benchmark/` builds it by:
 /// [`CityProbe::new`] — scan, attach, ping, hand over.
@@ -114,25 +76,25 @@ pub fn probe_stats(world: &mut ShardedWorld) -> (FullStats, usize) {
     )
 }
 
-/// Builds and runs the sharded metropolis, returning the world for
-/// inspection. Identical `(settings minus shards)` produce identical worlds
-/// at any shard count.
-pub fn sharded_metropolis_run(settings: &ShardedSettings) -> ShardedWorld {
-    let city = &settings.city;
-    let mut world = ShardedWorld::new(city.sharded_config(settings.nodes, settings.shards, 2.0));
-    for (i, mobility, _) in city.placement(settings.nodes, 0x5AD0) {
+/// Builds and runs a sharded metropolis of `nodes` probes, every tenth
+/// churning at `churn_per_hour`, returning the world for inspection.
+/// Identical `(city minus shards)` produce identical worlds at any shard
+/// count.
+pub fn sharded_metropolis_run(city: &City, nodes: usize, churn_per_hour: f64) -> ShardedWorld {
+    let mut world = ShardedWorld::new(city.sharded_config(nodes, 2.0));
+    for (i, mobility, _) in city.placement(nodes, 0x5AD0) {
         world.add_node(
             format!("s{i}"),
             mobility,
             &[RadioTech::Wlan],
-            Box::new(CityProbe::new(city.inquiry_interval, settings.ping_interval)),
+            Box::new(CityProbe::with(city.inquiry_interval, city.ping_interval, true)),
         );
     }
     let ids: Vec<NodeId> = world.node_ids().collect();
-    city.install_churn(&ids, 10, settings.churn_per_hour, 0xFA17_5A4D, |node, plan| {
+    city.install_churn(&ids, 10, churn_per_hour, 0xFA17_5A4D, |node, plan| {
         world.install_fault_plan(node, &plan)
     });
-    let scope = format!("E17 nodes={} shards={}", settings.nodes, settings.shards);
+    let scope = format!("E17 nodes={nodes} shards={}", city.shards);
     crate::telemetry::instrument_sharded(&mut world, &scope);
     world.run_for(city.duration);
     crate::telemetry::finish_sharded(&mut world, &scope);
@@ -192,7 +154,7 @@ pub fn sharded_world_digest(world: &ShardedWorld) -> u64 {
 /// The report is identical for every shard count by construction — it
 /// includes the run digest and omits the shard count, so `diff`-ing two
 /// runs at different `--shards` values is the invariance check itself.
-pub fn e17_sharded_metropolis(settings: &ShardedSettings) -> ExperimentReport {
+pub fn e17_sharded_metropolis(city: &City) -> ExperimentReport {
     let mut report = ExperimentReport::new(&[
         "nodes",
         "side (m)",
@@ -205,32 +167,34 @@ pub fn e17_sharded_metropolis(settings: &ShardedSettings) -> ExperimentReport {
         "restarts",
         "digest",
     ]);
-    let mut world = sharded_metropolis_run(settings);
-    let (stats, _) = probe_stats(&mut world);
-    let digest = sharded_world_digest(&world);
-    let g = world.metrics().global();
-    let fault = world.fault_stats();
-    report.push_row([
-        settings.nodes.to_string(),
-        format!("{:.0}", settings.city.side_m(settings.nodes)),
-        g.inquiries_started.to_string(),
-        g.connects_established.to_string(),
-        stats.handover_completions.to_string(),
-        stats.route_breaks().to_string(),
-        g.messages_delivered.to_string(),
-        fault.crashes.to_string(),
-        fault.restarts.to_string(),
-        format!("{digest:016x}"),
-    ]);
+    for (nodes, rate) in city.cells() {
+        let mut world = sharded_metropolis_run(city, nodes, rate);
+        let (stats, _) = probe_stats(&mut world);
+        let digest = sharded_world_digest(&world);
+        let g = world.metrics().global();
+        let fault = world.fault_stats();
+        report.push_row([
+            nodes.to_string(),
+            format!("{:.0}", city.side_m(nodes)),
+            g.inquiries_started.to_string(),
+            g.connects_established.to_string(),
+            stats.handover_completions.to_string(),
+            stats.route_breaks().to_string(),
+            g.messages_delivered.to_string(),
+            fault.crashes.to_string(),
+            fault.restarts.to_string(),
+            format!("{digest:016x}"),
+        ]);
+    }
     report.push_note(format!(
         "density {} nodes/km^2, {:.0}% mobile, every 10th node churning at {}/h (mean downtime \
          {}s), {}s simulated; windowed execution (1s lookahead), digest covers all counters, \
          per-node tallies and the lifecycle stream",
-        settings.city.density_per_km2,
-        settings.city.mobile_fraction * 100.0,
-        settings.churn_per_hour,
-        settings.city.mean_downtime.as_secs(),
-        settings.city.duration.as_secs_f64(),
+        city.density_per_km2,
+        city.mobile_fraction * 100.0,
+        city.churn_rates(),
+        city.mean_downtime.as_secs(),
+        city.duration.as_secs_f64(),
     ));
     report
 }
@@ -239,17 +203,23 @@ pub fn e17_sharded_metropolis(settings: &ShardedSettings) -> ExperimentReport {
 mod tests {
     use super::*;
 
+    /// E17 at 600 nodes over 60 s on `shards` threads: a debug-build city.
+    fn small(shards: usize) -> City {
+        City {
+            nodes: vec![600],
+            duration: SimDuration::from_secs(60),
+            shards,
+            ..quick()
+        }
+    }
+
     #[test]
     fn smoke_city_runs_and_report_is_shard_invariant() {
-        let mut one = ShardedSettings::smoke();
-        one.shards = 1;
-        let mut four = ShardedSettings::smoke();
-        four.shards = 4;
-        let a = e17_sharded_metropolis(&one);
-        let b = e17_sharded_metropolis(&four);
+        let a = e17_sharded_metropolis(&small(1));
+        let b = e17_sharded_metropolis(&small(4));
         assert_eq!(a.to_string(), b.to_string(), "report must not depend on shard count");
         // The city actually did something.
-        let world = sharded_metropolis_run(&one);
+        let world = sharded_metropolis_run(&small(1), 600, 20.0);
         assert!(world.metrics().global().connects_established > 0);
         assert!(world.metrics().global().messages_delivered > 0);
     }
@@ -264,9 +234,7 @@ mod tests {
     #[test]
     fn smoke_city_digest_is_pinned_at_1_2_and_3_shards() {
         for shards in [1, 2, 3] {
-            let mut settings = ShardedSettings::smoke();
-            settings.shards = shards;
-            let digest = sharded_world_digest(&sharded_metropolis_run(&settings));
+            let digest = sharded_world_digest(&sharded_metropolis_run(&small(shards), 600, 20.0));
             assert_eq!(
                 digest, PINNED_SMOKE_DIGEST,
                 "smoke digest {digest:#018x} moved at {shards} shard(s)"

@@ -11,9 +11,10 @@
 //!   the simulation: the experiment report is byte-identical to an
 //!   uninstrumented run.
 
-use scenarios::experiments::sharded::{sharded_metropolis_run, sharded_world_digest, ShardedSettings};
-use scenarios::experiments::{e12_dense_city, e16_overload, overload_outcome, OverloadSettings, ScaleSettings};
+use scenarios::experiments::sharded::{sharded_metropolis_run, sharded_world_digest};
+use scenarios::experiments::{e12_dense_city, e16_overload, overload, overload_outcome, scale, sharded, City};
 use scenarios::telemetry::{configure, take_captures, TelemetryMode, TelemetrySettings};
+use simnet::ShardedWorld;
 
 fn record() -> TelemetrySettings {
     TelemetrySettings {
@@ -22,11 +23,12 @@ fn record() -> TelemetrySettings {
     }
 }
 
-fn small_scale() -> ScaleSettings {
-    let mut s = ScaleSettings::quick();
-    s.node_counts = vec![120];
-    s.city.duration = simnet::SimDuration::from_secs(45);
-    s
+fn small_scale() -> City {
+    City {
+        nodes: vec![120],
+        duration: simnet::SimDuration::from_secs(45),
+        ..scale::quick()
+    }
 }
 
 #[test]
@@ -64,7 +66,7 @@ fn telemetry_on_keeps_the_report_byte_identical() {
 
 #[test]
 fn overload_exports_resilience_gauges() {
-    let mut settings = OverloadSettings::quick();
+    let mut settings = overload::quick();
     settings.duration = simnet::SimDuration::from_secs(60);
     configure(TelemetrySettings::default());
     let plain = e16_overload(&settings, &[true]);
@@ -87,13 +89,15 @@ fn overload_exports_resilience_gauges() {
     assert!(outcome.stats.breaker_trips > 0);
 }
 
-fn churny_sharded(shards: usize) -> ShardedSettings {
-    let mut s = ShardedSettings::quick();
-    s.nodes = 3_000;
-    s.shards = shards;
-    s.churn_per_hour = 60.0;
-    s.city.duration = simnet::SimDuration::from_secs(30);
-    s
+/// Runs E17's quick city at 3 000 nodes, every tenth churning at 60 per
+/// hour, for 30 s on `shards` threads.
+fn churny_sharded(shards: usize) -> ShardedWorld {
+    let city = City {
+        shards,
+        duration: simnet::SimDuration::from_secs(30),
+        ..sharded::quick()
+    };
+    sharded_metropolis_run(&city, 3_000, 60.0)
 }
 
 #[test]
@@ -102,7 +106,7 @@ fn sharded_series_are_shard_invariant() {
     let mut world_digests = Vec::new();
     for shards in [1usize, 2, 8] {
         configure(record());
-        let world = sharded_metropolis_run(&churny_sharded(shards));
+        let world = churny_sharded(shards);
         let captures = take_captures();
         configure(TelemetrySettings::default());
         assert_eq!(captures.len(), 1, "one capture per run");
@@ -119,14 +123,17 @@ fn sharded_series_are_shard_invariant() {
 
 #[test]
 fn shard_series_are_opt_in_and_report_per_shard_load() {
-    use scenarios::experiments::{hotspot_metropolis_run, HotspotSettings};
+    use scenarios::experiments::{hotspot, hotspot_metropolis_run};
 
-    let mut settings = HotspotSettings::smoke();
-    settings.shards = 4;
+    let settings = City {
+        duration: simnet::SimDuration::from_secs(60),
+        shards: 4,
+        ..hotspot::quick()
+    };
     // Default capture: no layout-dependent shard/* series, so the JSONL
     // stays byte-identical across --shards counts (the test above).
     configure(record());
-    let _ = hotspot_metropolis_run(&settings);
+    let _ = hotspot_metropolis_run(&settings, 600);
     let plain = take_captures();
     // Opt in: per-shard load/occupancy gauges and the rebalance counter
     // appear, and the rebalancer demonstrably ran.
@@ -134,7 +141,7 @@ fn shard_series_are_opt_in_and_report_per_shard_load() {
         shard_series: true,
         ..record()
     });
-    let world = hotspot_metropolis_run(&settings);
+    let world = hotspot_metropolis_run(&settings, 600);
     let with_shards = take_captures();
     configure(TelemetrySettings::default());
     assert_eq!(plain.len(), 1);
@@ -154,11 +161,11 @@ fn shard_series_are_opt_in_and_report_per_shard_load() {
 #[test]
 fn sharded_run_with_telemetry_matches_uninstrumented_world() {
     configure(TelemetrySettings::default());
-    let plain = sharded_metropolis_run(&churny_sharded(2));
+    let plain = churny_sharded(2);
     assert!(take_captures().is_empty());
     let plain_digest = sharded_world_digest(&plain);
     configure(record());
-    let instrumented = sharded_metropolis_run(&churny_sharded(2));
+    let instrumented = churny_sharded(2);
     let captures = take_captures();
     configure(TelemetrySettings::default());
     assert_eq!(captures.len(), 1);

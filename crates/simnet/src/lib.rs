@@ -90,6 +90,7 @@ pub mod event;
 pub mod faults;
 pub mod geometry;
 mod hash;
+pub mod json;
 pub mod link;
 pub mod metrics;
 pub mod mobility;

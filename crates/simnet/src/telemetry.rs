@@ -29,6 +29,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use crate::json;
 use crate::time::{SimDuration, SimTime};
 
 /// Default virtual-time sampling interval (one simulated second).
@@ -364,21 +365,21 @@ impl Telemetry {
     }
 
     /// Serialises every retained frame as JSON lines, one line per series
-    /// sample, in (time, key) order. The encoding is hand-rolled (the
-    /// workspace builds offline; `serde` is a stub) and fully deterministic.
+    /// sample, in (time, key) order. The encoding is hand-rolled through
+    /// [`crate::json`] (the workspace builds offline; `serde` is a stub) and
+    /// fully deterministic; keys and labels are escaped, so a label may hold
+    /// any text and its sample is still one valid JSON line.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for frame in &self.frames {
             for (key, value) in &frame.samples {
-                let _ = write!(
-                    out,
-                    "{{\"t_us\":{},\"subsystem\":\"{}\",\"name\":\"{}\"",
-                    frame.at.as_micros(),
-                    key.subsystem,
-                    key.name
-                );
+                let _ = write!(out, "{{\"t_us\":{},\"subsystem\":", frame.at.as_micros());
+                json::string(&mut out, key.subsystem);
+                out.push_str(",\"name\":");
+                json::string(&mut out, key.name);
                 if let Some(label) = &key.label {
-                    let _ = write!(out, ",\"label\":\"{label}\"");
+                    out.push_str(",\"label\":");
+                    json::string(&mut out, label);
                 }
                 let _ = write!(out, ",\"kind\":\"{}\"", value.kind());
                 match value {
@@ -386,7 +387,8 @@ impl Telemetry {
                         let _ = write!(out, ",\"value\":{v}");
                     }
                     SeriesValue::Gauge(v) => {
-                        let _ = write!(out, ",\"value\":{v}");
+                        out.push_str(",\"value\":");
+                        json::number(&mut out, *v, None);
                     }
                     SeriesValue::Histogram(h) => {
                         let _ = write!(out, ",\"count\":{},\"sum\":{},\"counts\":[", h.count, h.sum);
@@ -725,6 +727,20 @@ mod tests {
         assert_eq!(frame.get("world", "nodes_alive"), Some(10.0));
         assert_eq!(frame.get("world", "payload_bytes"), Some(2.0));
         assert_eq!(frame.get("world", "missing"), None);
+    }
+
+    #[test]
+    fn a_label_with_a_quote_and_a_control_character_is_one_valid_json_line() {
+        let mut tel = Telemetry::new(TelemetryConfig::every(SimDuration::from_secs(1)));
+        tel.set_gauge("world", "load", Some("say \"hi\"\nnow"), 0.5);
+        tel.sample(SimTime::from_secs(1));
+        let jsonl = tel.to_jsonl();
+        assert_eq!(
+            jsonl,
+            "{\"t_us\":1000000,\"subsystem\":\"world\",\"name\":\"load\",\"label\":\"say \\\"hi\\\"\\u000anow\",\
+             \"kind\":\"gauge\",\"value\":0.5}\n"
+        );
+        assert_eq!(jsonl.lines().count(), 1);
     }
 
     #[test]

@@ -550,19 +550,6 @@ impl ShardedWorld {
         shard.note_pending(raw, earliest);
     }
 
-    /// Rejects adversary schedules. Partition cuts and Byzantine injection
-    /// consult globally ordered state (cross-cut link sweeps, one adversary
-    /// RNG stream, the sniff ring) that has no shard-local representation
-    /// yet, so — exactly like flapping links — a sharded run refuses the plan
-    /// instead of silently diverging from the sequential world. Use the
-    /// sequential [`World`](crate::world::World) for adversarial scenarios.
-    pub fn install_adversary_plan(&mut self, plan: &crate::adversary::AdversaryPlan) {
-        assert!(
-            plan.is_empty(),
-            "sharded world does not support adversary plans (partitions and byzantine injection are sequential-only)"
-        );
-    }
-
     /// Runs until `deadline` (inclusive of every event strictly before it),
     /// advancing in lookahead windows and executing shards on parallel
     /// threads. Repeated calls continue deterministically; results depend

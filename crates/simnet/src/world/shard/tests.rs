@@ -222,25 +222,6 @@ fn flapping_links_are_rejected() {
 }
 
 #[test]
-#[should_panic(expected = "does not support adversary plans")]
-fn adversary_plans_are_rejected() {
-    let mut world = two_node_world(1);
-    let plan = crate::adversary::AdversaryPlan::new().partition(
-        SimTime::from_secs(1),
-        SimTime::from_secs(2),
-        [NodeId::from_raw(0)],
-    );
-    world.install_adversary_plan(&plan);
-}
-
-#[test]
-fn empty_adversary_plan_is_accepted_by_the_sharded_world() {
-    let mut world = two_node_world(1);
-    world.install_adversary_plan(&crate::adversary::AdversaryPlan::new());
-    world.run_for(SimDuration::from_secs(1));
-}
-
-#[test]
 fn profiling_splits_the_scope_into_one_idle_span_per_window() {
     let mut world = two_node_world(2);
     world.enable_profiling();

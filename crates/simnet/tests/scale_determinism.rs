@@ -824,23 +824,6 @@ fn hotspot_city_trace_is_invariant_to_shards_and_adaptivity() {
 }
 
 #[test]
-#[should_panic(expected = "sequential-only")]
-fn sharded_world_cleanly_rejects_a_partition_plan() {
-    // The partition cut sweep consults globally ordered link state and one
-    // adversary RNG stream, neither of which has a shard-local
-    // representation — so, exactly like flapping links, the sharded engine
-    // must refuse the plan outright rather than silently diverge from the
-    // sequential trace the test above pins down.
-    let mut world = sharded::build_city(2008, 2);
-    let island: Vec<NodeId> = world.node_ids().take(40).collect();
-    world.install_adversary_plan(&AdversaryPlan::new().partition(
-        SimTime::from_secs(20),
-        SimTime::from_secs(70),
-        island,
-    ));
-}
-
-#[test]
 fn full_peerhood_city_actually_runs_the_middleware() {
     let mut world = full_stack::build(77);
     world.run_for(SimDuration::from_secs(45));

@@ -10,6 +10,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use scenarios::experiments::find;
+use simnet::json;
 
 use crate::exec::SweepRun;
 use crate::stats::{summarize, Summary};
@@ -136,78 +137,61 @@ pub fn aggregate(run: &SweepRun) -> SweepReport {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Fixed-precision float formatting: one deterministic representation per
-/// value, independent of magnitude.
-fn num(v: f64) -> String {
-    format!("{v:.6}")
-}
-
 impl SweepReport {
     /// The aggregated campaign as JSON. Deliberately excludes wall clock
     /// and thread count: the JSON depends only on the spec and the sampled
     /// values, so `--threads 1` and `--threads 8` emit identical bytes.
     pub fn to_json(&self) -> String {
         let mut j = String::new();
-        j.push_str("{\n");
-        let _ = writeln!(j, "  \"experiment\": \"{}\",", esc(&self.experiment));
-        let _ = writeln!(j, "  \"id\": \"{}\",", esc(&self.id));
-        let _ = writeln!(j, "  \"quick\": {},", self.quick);
+        j.push_str("{\n  \"experiment\": ");
+        json::string(&mut j, &self.experiment);
+        j.push_str(",\n  \"id\": ");
+        json::string(&mut j, &self.id);
+        let _ = writeln!(j, ",\n  \"quick\": {},", self.quick);
         let seeds: Vec<String> = self.seeds.iter().map(u64::to_string).collect();
         let _ = writeln!(j, "  \"seeds\": [{}],", seeds.join(", "));
         j.push_str("  \"grid\": [");
         for (i, (key, values)) in self.axes.iter().enumerate() {
-            let vals: Vec<String> = values.iter().map(|v| format!("\"{}\"", esc(v))).collect();
-            let _ = write!(
-                j,
-                "{}{{\"key\": \"{}\", \"values\": [{}]}}",
-                if i == 0 { "" } else { ", " },
-                esc(key),
-                vals.join(", ")
-            );
+            j.push_str(if i == 0 { "{\"key\": " } else { ", {\"key\": " });
+            json::string(&mut j, key);
+            j.push_str(", \"values\": [");
+            for (vi, value) in values.iter().enumerate() {
+                j.push_str(if vi == 0 { "" } else { ", " });
+                json::string(&mut j, value);
+            }
+            j.push_str("]}");
         }
         j.push_str("],\n");
         j.push_str("  \"points\": [\n");
         for (pi, point) in self.points.iter().enumerate() {
             j.push_str("    {\"grid\": {");
             for (i, (k, v)) in point.grid.iter().enumerate() {
-                let _ = write!(j, "{}\"{}\": \"{}\"", if i == 0 { "" } else { ", " }, esc(k), esc(v));
+                j.push_str(if i == 0 { "" } else { ", " });
+                json::string(&mut j, k);
+                j.push_str(": ");
+                json::string(&mut j, v);
             }
             j.push_str("}, \"scenarios\": [\n");
             for (si, scenario) in point.scenarios.iter().enumerate() {
-                let _ = writeln!(
-                    j,
-                    "      {{\"scenario\": \"{}\", \"metrics\": [",
-                    esc(&scenario.scenario)
-                );
+                j.push_str("      {\"scenario\": ");
+                json::string(&mut j, &scenario.scenario);
+                j.push_str(", \"metrics\": [\n");
                 for (mi, m) in scenario.metrics.iter().enumerate() {
                     let s = m.stats;
-                    let _ = write!(
-                        j,
-                        "        {{\"name\": \"{}\", \"n\": {}, \"mean\": {}, \"stddev\": {}, \"min\": {}, \"max\": {}, \"ci95\": {}}}",
-                        esc(&m.metric),
-                        s.n,
-                        num(s.mean),
-                        num(s.stddev),
-                        num(s.min),
-                        num(s.max),
-                        num(s.ci95)
-                    );
+                    j.push_str("        {\"name\": ");
+                    json::string(&mut j, &m.metric);
+                    let _ = write!(j, ", \"n\": {}", s.n);
+                    for (name, value) in [
+                        ("mean", s.mean),
+                        ("stddev", s.stddev),
+                        ("min", s.min),
+                        ("max", s.max),
+                        ("ci95", s.ci95),
+                    ] {
+                        let _ = write!(j, ", \"{name}\": ");
+                        json::number(&mut j, value, Some(6));
+                    }
+                    j.push('}');
                     j.push_str(if mi + 1 == scenario.metrics.len() { "\n" } else { ",\n" });
                 }
                 j.push_str("      ]}");
@@ -320,7 +304,20 @@ mod tests {
 
     #[test]
     fn json_escapes_quotes_and_controls() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\u000ad");
+        let report = SweepReport {
+            experiment: "a\"b\\c\nd".to_string(),
+            id: String::new(),
+            title: String::new(),
+            quick: true,
+            seeds: Vec::new(),
+            axes: Vec::new(),
+            points: Vec::new(),
+            threads: 1,
+            wall: Duration::ZERO,
+            busy: Duration::ZERO,
+            jobs: 0,
+        };
+        assert!(report.to_json().contains("\"experiment\": \"a\\\"b\\\\c\\u000ad\","));
     }
 
     #[test]
