@@ -4,6 +4,7 @@
 //! ```text
 //! cargo run -p bench --release --bin repro                          # full E1-E19 suite
 //! cargo run -p bench --release --bin repro -- --quick --seed 42     # reduced sizes, explicit seed
+//! cargo run -p bench --release --bin repro -- --quick --against golden/quick.20080815.md
 //! cargo run -p bench --release --bin repro -- --list                # experiments & parameters
 //! cargo run -p bench --release --bin repro -- churn --quick         # one experiment (slug or id)
 //! cargo run -p bench --release --bin repro -- e8 --seed 7
@@ -25,6 +26,11 @@
 //! writes the same aggregation as JSON — byte-identical for any `--threads`
 //! value.
 //!
+//! `--against FILE` (the suite or one experiment) prints, instead of the
+//! reports, every cell in which they differ from FILE's reports of the same
+//! experiments — one line each: experiment, row, column, before → after —
+//! and exits non-zero if any does; it prints nothing when none does.
+//!
 //! The telemetry plane (`--telemetry`, `--profile`, `watch`) writes to
 //! **stderr** and side files only: the stdout report stays byte-identical
 //! with the plane on or off (pinned by `integration_telemetry`).
@@ -34,6 +40,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use scenarios::experiments::{find, registry, Experiment, Params};
+use scenarios::report::{changed_cells, CellChange};
 use scenarios::run_all;
 use scenarios::telemetry::{TelemetryMode, TelemetrySettings};
 use simnet::SimDuration;
@@ -49,7 +56,7 @@ const SWITCHES: [&str; 5] = ["--quick", "--list", "--telemetry", "--shard-series
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match Cli::parse(&args).and_then(run) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => code,
         Err(message) => {
             eprintln!("error: {message}");
             eprintln!("run `repro --list` for the available experiments and flags");
@@ -143,42 +150,62 @@ impl<'a> Cli<'a> {
     }
 }
 
-fn run(mut cli: Cli) -> Result<(), String> {
+fn run(mut cli: Cli) -> Result<ExitCode, String> {
     if cli.switch("--list") {
-        return print_out(list);
+        return print_out(list).map(|()| ExitCode::SUCCESS);
     }
     let quick = cli.switch("--quick");
     let seed = cli.take::<u64>("seed", "a u64")?;
     match cli.words.first().copied() {
-        Some("sweep") => run_sweep_command(cli, seed, quick),
+        Some("sweep") => run_sweep_command(cli, seed, quick).map(|()| ExitCode::SUCCESS),
         // Live mode: one experiment with frame streaming forced on.
         Some("watch") => run_one(cli, true, seed, quick),
         Some(_) => run_one(cli, false, seed, quick),
         None => {
             // The full E1-E19 suite.
+            let against = cli.take::<String>("against", "a path")?;
             cli.finish(0, &["--quick"], None)?;
             let seed = seed.unwrap_or(DEFAULT_SUITE_SEED);
             eprintln!(
                 "running the E1-E19 experiment suite (seed {seed}, {}) ...",
                 if quick { "Quick" } else { "Full" }
             );
-            let reports = run_all(seed, quick);
-            print_out(|out| {
-                reports.iter().try_for_each(|report| {
-                    writeln!(out, "{report}\n")?;
-                    eprintln!("  finished {}", report.id);
-                    Ok(())
-                })
-            })
+            let mut text = String::new();
+            for report in run_all(seed, quick) {
+                text.push_str(&format!("{report}\n\n"));
+                eprintln!("  finished {}", report.id);
+            }
+            emit(&text, against)
         }
     }
+}
+
+/// Prints `text`, reports as `repro` renders them — or, given `against`,
+/// every cell in which they differ from that file's reports of the same
+/// experiments, failing if any does.
+fn emit(text: &str, against: Option<String>) -> Result<ExitCode, String> {
+    let Some(path) = against else {
+        print_out(|out| out.write_all(text.as_bytes()))?;
+        return Ok(ExitCode::SUCCESS);
+    };
+    let before = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+    let changes = changed_cells(&before, text);
+    if changes.is_empty() {
+        return Ok(ExitCode::SUCCESS);
+    }
+    print_out(|out| {
+        writeln!(out, "{}", CellChange::HEADER)?;
+        changes.iter().try_for_each(|change| writeln!(out, "{change}"))
+    })?;
+    eprintln!("{} report cell(s) differ from {path}", changes.len());
+    Ok(ExitCode::FAILURE)
 }
 
 /// Runs a single experiment (`repro <exp>` or `repro watch <exp>`): resolves
 /// the slug, turns every `--<key> <value>` into a parameter override, engages
 /// the telemetry plane per the flags and prints the report to stdout and
 /// every telemetry artefact to stderr.
-fn run_one(mut cli: Cli, watch: bool, seed: Option<u64>, quick: bool) -> Result<(), String> {
+fn run_one(mut cli: Cli, watch: bool, seed: Option<u64>, quick: bool) -> Result<ExitCode, String> {
     // The experiment follows the `watch` word, or is the first word itself.
     let name_at = usize::from(watch);
     let name = *cli
@@ -194,6 +221,7 @@ fn run_one(mut cli: Cli, watch: bool, seed: Option<u64>, quick: bool) -> Result<
     }
 
     let jsonl_path = cli.take::<String>("telemetry-jsonl", "a path")?;
+    let against = cli.take::<String>("against", "a path")?;
     let interval = match cli.take::<f64>("interval", "a positive number of seconds")? {
         Some(secs) if secs.is_finite() && secs > 0.0 => SimDuration::from_secs_f64(secs),
         Some(secs) => return Err(format!("--interval: `{secs}` is not a positive number of seconds")),
@@ -233,7 +261,7 @@ fn run_one(mut cli: Cli, watch: bool, seed: Option<u64>, quick: bool) -> Result<
         if quick { "Quick" } else { "Full" }
     );
     let report = experiment.run(seed, &params, quick)?.report;
-    print_out(|out| writeln!(out, "{report}"))?;
+    let code = emit(&format!("{report}\n"), against)?;
 
     let captures = scenarios::telemetry::take_captures();
     scenarios::telemetry::configure(TelemetrySettings::default());
@@ -262,7 +290,7 @@ fn run_one(mut cli: Cli, watch: bool, seed: Option<u64>, quick: bool) -> Result<
         std::fs::write(&path, jsonl).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("  wrote {path}");
     }
-    Ok(())
+    Ok(code)
 }
 
 /// Writes to stdout under one lock. A reader that went away
@@ -321,8 +349,11 @@ fn run_sweep_command(mut cli: Cli, base_seed: Option<u64>, quick: bool) -> Resul
 /// The fixed part of `repro --list`; the experiment table follows it.
 const USAGE: &str = "\
 usage:
-  repro [--quick] [--seed N]                 run the full E1-E19 suite
-  repro <experiment> [--quick] [--seed N] [--<key> <value>]...
+  repro [--quick] [--seed N] [--against FILE] run the full E1-E19 suite; with --against, print
+                                             only the cells that differ from FILE's reports
+                                             (experiment, row, column, before → after) and exit
+                                             non-zero if any does
+  repro <experiment> [--quick] [--seed N] [--against FILE] [--<key> <value>]...
         [--telemetry] [--shard-series] [--interval SECS] [--telemetry-jsonl PATH] [--profile]
                                              run one experiment (slug or id);
                                              --<key> <value> sets any parameter listed under the

@@ -188,3 +188,34 @@ fn a_closed_stdout_pipe_is_a_clean_exit() {
     assert!(out.status.success(), "exit {:?}: {stderr}", out.status);
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// `--against FILE` prints nothing and exits 0 when the reports read as FILE
+/// has them, and otherwise exactly the cells that differ, exiting non-zero.
+#[test]
+fn against_prints_only_the_cells_that_differ() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../golden/quick.20080815.md");
+    let against = |file: &str| {
+        repro()
+            .args(["e3", "--quick", "--against", file])
+            .output()
+            .expect("repro runs")
+    };
+    let out = against(golden);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+
+    let row = "| A-C-D | [210, 250] | 460 | false | false |";
+    let text = std::fs::read_to_string(golden).unwrap();
+    let edited = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("quick.edited.md");
+    std::fs::write(
+        &edited,
+        text.replace(row, "| A-C-D | [210, 250] | 461 | false | false |"),
+    )
+    .unwrap();
+    let out = against(edited.to_str().unwrap());
+    assert!(!out.status.success(), "a changed cell must fail the run");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "| experiment | row | column | before → after |\n|---|---|---|---|\n| E3 | 2: A-C-D | sum | 461 → 460 |\n"
+    );
+}

@@ -79,7 +79,7 @@ pub struct HandoverMonitor {
     /// Target semantics in force.
     pub target: HandoverTarget,
     /// Opaque key of the inputs the candidate was last refreshed from
-    /// (storage generation, target, excluded bridge). Lets the monitoring
+    /// (the storage's two generations summed, target, excluded bridge). Lets the monitoring
     /// pass skip recomputing the candidate list when nothing it derives
     /// from has changed — the steady-state common case. `None` until the
     /// first refresh; dies with the monitor, so a replacement monitor

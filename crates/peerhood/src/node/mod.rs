@@ -141,7 +141,8 @@ impl Core {
                 .expect("bridge service registers into an empty registry");
         }
         Core {
-            storage: DeviceStorage::new(info.address, config.monitor.quality_threshold),
+            storage: DeviceStorage::new(info.address, config.monitor.quality_threshold)
+                .with_owner_mobility(info.mobility),
             registry,
             plugins: config.techs.iter().map(|&tech| PluginState::new(tech)).collect(),
             info,

@@ -206,6 +206,12 @@ impl Core {
         // whatever protocol flow the attempt belonged to.
         self.resilience
             .record_dial_failure(&mut self.security.peers, peer, ctx.now());
+        // The radio has lost the hop: stop offering it, and what is routed
+        // through it, until it is heard again. A downed link (a flap, a
+        // partition) refuses an in-range peer, which stays offered.
+        if error == ConnectError::OutOfRange {
+            self.storage.mark_absent(peer);
+        }
         match role {
             LinkRole::DaemonFetch { .. } => {
                 self.note_fetch_finished(ctx, tech);

@@ -845,10 +845,13 @@ impl Core {
             None => return,
         };
         // The candidate ranking is a pure function of the device storage
-        // (generation-tracked), the target and the excluded bridge: when
-        // none of them moved since the monitor's last refresh — the
-        // steady-state monitoring pass — skip the walk-and-sort entirely.
-        let key = (self.storage.generation(), target, exclude);
+        // (its contents and its absent marks, each generation-tracked), the
+        // target and the excluded bridge: when none of them moved since the
+        // monitor's last refresh — the steady-state monitoring pass — skip
+        // the walk-and-sort entirely. Both counters only grow, so their sum
+        // moves exactly when either does.
+        let storage = self.storage.generation() + self.storage.presence_generation();
+        let key = (storage, target, exclude);
         if self
             .connections
             .get(conn)

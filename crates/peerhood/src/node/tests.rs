@@ -919,6 +919,68 @@ fn crashed_peer_expires_and_reborn_daemon_readvertises() {
 /// The per-peer circuit breaker on the client refuses dials towards a
 /// crashed server once consecutive failures trip it, surfacing
 /// `CircuitOpen` synchronously instead of burning radio attempts.
+/// A refused dial is knowledge: the client walks out of provider `near`'s
+/// range towards provider `far`, dials `near` (still stored, still best
+/// ranked) and is refused as out of range. Its next dial goes to `far`, not
+/// to `near` again.
+#[test]
+fn a_walker_whose_provider_left_range_dials_another_provider_next() {
+    let mut world = World::new(WorldConfig::ideal(58));
+    // Bluetooth reaches 10 m. From x = 3 the walker hears both; from x = 16,
+    // reached at t = 41.3 s, only `far`. No inquiry loop ends between
+    // leaving `near` and the dials (loops every 12 s), so `near` is not yet
+    // stale: only the refusal can move the second dial.
+    let walk = MobilityModel::walk_after(
+        Point::new(3.0, 0.0),
+        Point::new(16.0, 0.0),
+        10.0,
+        SimDuration::from_secs(40),
+    );
+    let client = world.add_node(
+        "client",
+        walk,
+        &bt(),
+        peerhood("client", MobilityClass::Dynamic, TestApp::default()),
+    );
+    // `near` is the closer and the lower address: it ranks first.
+    let [near, far] = [0.0, 8.0].map(|x| {
+        world.add_node(
+            "server",
+            MobilityModel::stationary(Point::new(x, 0.0)),
+            &bt(),
+            peerhood("server", MobilityClass::Static, TestApp::server("echo", false)),
+        )
+    });
+    let [near, far] = [near, far].map(DeviceAddress::from_node);
+    world.run_for(SimDuration::from_secs(42));
+    let dial = |world: &mut World| {
+        let conn = world
+            .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
+                n.with_api(ctx, |api| api.connect_to_service("echo")).unwrap()
+            })
+            .unwrap()
+            .expect("both providers are stored");
+        world.run_for(SimDuration::from_secs(2));
+        world
+            .with_agent::<PeerHoodNode, _>(client, |n, _| {
+                let dialled = n.connections().into_iter().find(|c| c.id == conn).unwrap().remote;
+                let app = n.app::<TestApp>().unwrap();
+                (dialled, app.connected.contains(&conn))
+            })
+            .unwrap()
+    };
+    assert_eq!(
+        dial(&mut world),
+        (near, false),
+        "the first dial goes to the best ranked, gone provider"
+    );
+    assert_eq!(
+        dial(&mut world),
+        (far, true),
+        "the refusal steers the next dial elsewhere"
+    );
+}
+
 #[test]
 fn circuit_breaker_blocks_dials_to_a_dead_peer() {
     let mut client_cfg = PeerHoodConfig::new("client", MobilityClass::Dynamic);

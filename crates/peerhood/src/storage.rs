@@ -64,6 +64,9 @@ pub struct StoredDevice {
     pub last_fetched: SimTime,
     /// Consecutive inquiry loops a *direct* neighbour has missed.
     pub missed_loops: u32,
+    /// A dial to the device was refused as out of range since it was last
+    /// heard: the radio has lost it. See [`DeviceStorage::mark_absent`].
+    pub absent: bool,
 }
 
 impl StoredDevice {
@@ -119,6 +122,11 @@ impl Description {
     }
 }
 
+/// A row's own absent mark ([`StoredDevice::absent`]).
+const ABSENT: u8 = 1;
+/// The mark of a row whose route's bridge holds [`ABSENT`].
+const VIA_ABSENT: u8 = 2;
+
 /// One known device as the table holds it: a [`StoredDevice`] with its route
 /// flattened in and its three shared lists behind one pointer. 64 bytes, and
 /// the tests hold it there.
@@ -130,7 +138,10 @@ struct Row {
     /// The route's hop qualities, nearest hop first.
     hops: HopQualities,
     checksum: Checksum,
-    missed_loops: u32,
+    /// Saturates: a row is erased long before 65 535 missed loops.
+    missed_loops: u16,
+    /// [`ABSENT`] and [`VIA_ABSENT`]; a row with either is not offered.
+    absence: u8,
     address: DeviceAddress,
     /// The route's gateway neighbour; `None` exactly when `jumps` is 0.
     bridge: Option<DeviceAddress>,
@@ -147,6 +158,16 @@ impl Row {
 
     fn quality_sum(&self) -> u32 {
         route_quality_sum(&self.hops)
+    }
+
+    /// The device itself is marked absent.
+    fn is_absent(&self) -> bool {
+        self.absence & ABSENT != 0
+    }
+
+    /// Neither the device nor its route's bridge is marked absent.
+    fn offered(&self) -> bool {
+        self.absence == 0
     }
 
     /// The `candidate_replaces` comparison chain of Fig. 3.13 against the
@@ -172,6 +193,7 @@ impl Row {
     fn heard_at(&mut self, quality: u8, now: SimTime) -> bool {
         self.last_seen = now;
         self.missed_loops = 0;
+        self.absence &= !ABSENT;
         let changed = self.is_direct() && *self.hops != [quality];
         if changed {
             self.hops = HopQualities::prefixed(quality, &[]);
@@ -212,7 +234,8 @@ impl From<&Row> for StoredDevice {
             services: row.description.services.clone(),
             last_seen: row.last_seen,
             last_fetched: row.last_fetched,
-            missed_loops: row.missed_loops,
+            missed_loops: u32::from(row.missed_loops),
+            absent: row.is_absent(),
         }
     }
 }
@@ -469,6 +492,8 @@ fn claimed_quality(claims: &[u64], target: DeviceAddress) -> Option<u8> {
 pub struct DeviceStorage {
     own_address: DeviceAddress,
     quality_threshold: u8,
+    /// The owner is not static: every stale direct row ranks last.
+    mobile_owner: bool,
     /// Boxed: three vector headers inline would push the host that embeds
     /// the storage past the allocator's last small size class.
     devices: Box<Table>,
@@ -480,6 +505,9 @@ pub struct DeviceStorage {
     /// Bumped on every mutation; lets callers (the node's cached inquiry
     /// response frame) detect staleness without diffing contents.
     generation: u64,
+    /// Bumped whenever an absent mark is set or cleared; see
+    /// [`DeviceStorage::presence_generation`].
+    presence_generation: u64,
     /// Set by [`DeviceStorage::remove`] (which defers its orphan cascade to
     /// the next aging cycle); lets [`DeviceStorage::age_cycle`] skip the
     /// orphaned-bridge scan when nothing could possibly be orphaned.
@@ -487,16 +515,27 @@ pub struct DeviceStorage {
 }
 
 impl DeviceStorage {
-    /// Creates an empty storage for the device with the given address.
+    /// Creates an empty storage for the static device with the given
+    /// address.
     pub fn new(own_address: DeviceAddress, quality_threshold: u8) -> Self {
         DeviceStorage {
             own_address,
             quality_threshold,
+            mobile_owner: false,
             devices: Box::default(),
             claims: IdTable::default(),
             generation: 0,
+            presence_generation: 0,
             maybe_orphans: false,
         }
+    }
+
+    /// The storage of an owner of `mobility`. A non-static owner ranks every
+    /// direct row that missed the last inquiry loop after the rows that
+    /// answered it (see [`DeviceStorage::service_providers`]).
+    pub fn with_owner_mobility(mut self, mobility: MobilityClass) -> Self {
+        self.mobile_owner = mobility != MobilityClass::Static;
+        self
     }
 
     /// The owning device's address (never stored as an entry).
@@ -509,6 +548,14 @@ impl DeviceStorage {
     /// frame) can be cached and reused until it moves.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// Bumped whenever an absent mark is set or cleared. The export carries
+    /// no mark, so [`DeviceStorage::generation`] does not move with them and
+    /// the cached inquiry-response frame stays warm; what ranks by the marks
+    /// — the handover candidates — keys on both counters.
+    pub(crate) fn presence_generation(&self) -> u64 {
+        self.presence_generation
     }
 
     /// Number of known remote devices.
@@ -552,29 +599,76 @@ impl DeviceStorage {
         }
     }
 
-    /// Erases a device and what it claimed.
+    /// Erases a device and what it claimed. The rows bridged through an
+    /// absent device lose their mark with it: their bridge is gone, which
+    /// the next aging cycle acts on.
     fn erase(&mut self, address: DeviceAddress) -> Option<Row> {
         self.claims.remove(&address);
-        self.devices.remove(address)
+        let row = self.devices.remove(address)?;
+        if row.is_absent() {
+            self.mark_bridged_through(address, false);
+        }
+        Some(row)
     }
 
-    /// The provider-selection rank of a row: jumps, then nearest mobility,
-    /// then (descending) quality sum, and the address last. Addresses are
-    /// unique, so no two rows rank alike, and ordering by the key is the
-    /// stable sort of address-ordered rows by the first three.
-    fn provider_rank(row: &Row) -> (u8, u8, std::cmp::Reverse<u32>, DeviceAddress) {
+    /// A dial to `address` was refused as out of range: the radio has lost
+    /// the device. Its row — and every row bridged through it — drops out of
+    /// [`DeviceStorage::service_providers`],
+    /// [`DeviceStorage::best_service_provider`] and
+    /// [`DeviceStorage::handover_candidates_iter`] until the device is heard
+    /// again: an inquiry hit ([`DeviceStorage::note_inquiry_hit`]) or a
+    /// fetch ([`DeviceStorage::upsert_direct`]). The row, its claims and
+    /// its routes stay. A neighbour that still reports the device does not
+    /// clear the mark: only the device itself answering does. Exports do
+    /// not carry the mark, so [`DeviceStorage::generation`] does not move.
+    pub fn mark_absent(&mut self, address: DeviceAddress) {
+        if let Some(row) = self.devices.get_mut(address) {
+            if !row.is_absent() {
+                row.absence |= ABSENT;
+                self.mark_bridged_through(address, true);
+            }
+        }
+    }
+
+    /// Sets or clears [`VIA_ABSENT`] on every row bridged through `bridge`,
+    /// whose own mark was just set or cleared. A walk of the slab, paid
+    /// only when a mark flips.
+    fn mark_bridged_through(&mut self, bridge: DeviceAddress, absent: bool) {
+        self.presence_generation += 1;
+        for row in self.devices.rows.iter_mut().filter(|row| row.bridge == Some(bridge)) {
+            row.absence = if absent {
+                row.absence | VIA_ABSENT
+            } else {
+                row.absence & !VIA_ABSENT
+            };
+        }
+    }
+
+    /// The provider-selection rank of a row, as
+    /// [`DeviceStorage::service_providers`] describes it, with the address
+    /// last. Addresses are unique, so no two rows rank alike, and ordering by
+    /// the key is the stable sort of address-ordered rows by the rest.
+    fn provider_rank(&self, row: &Row) -> (bool, u8, u8, std::cmp::Reverse<u32>, DeviceAddress) {
+        let moving = self.mobile_owner || row.mobility != MobilityClass::Static;
+        let stale = moving && row.is_direct() && row.missed_loops > 0;
         let quality = std::cmp::Reverse(row.quality_sum());
-        (row.jumps, row.nearest_mobility.value(), quality, row.address)
+        (stale, row.jumps, row.nearest_mobility.value(), quality, row.address)
     }
 
-    /// Every device offering a service whose name matches `name`, with that
-    /// service, best route first. (The ranking requires a sort, so the
-    /// iterator is backed by one internally collected vector; it exists so
-    /// call sites can stream the ranked results without a second
-    /// allocation.)
+    /// Every offered device (see [`DeviceStorage::mark_absent`]) offering a
+    /// service whose name matches `name`, with that service, best first:
+    /// fresh before stale, then fewer jumps, then the nearest hop's mobility,
+    /// then the higher quality sum. A direct row that missed the latest
+    /// inquiry loop is *stale* when one end is non-static — the owner (see
+    /// [`DeviceStorage::with_owner_mobility`]) or the device: it ranks after
+    /// every row that answered the loop. Between two static devices a missed
+    /// loop is noise, and the rank is the route's alone. (The ranking
+    /// requires a sort, so the iterator is backed by one internally collected
+    /// vector; it exists so call sites can stream the ranked results without
+    /// a second allocation.)
     pub fn service_providers<'a>(&'a self, name: &str) -> impl Iterator<Item = (DeviceAddress, &'a ServiceInfo)> {
         let mut providers = Vec::new();
-        self.each_provider(name, |d, s| providers.push((Self::provider_rank(d), s)));
+        self.each_provider(name, |d, s| providers.push((self.provider_rank(d), s)));
         providers.sort_unstable_by_key(|(rank, _)| *rank);
         providers.into_iter().map(|((.., address), s)| (address, s))
     }
@@ -585,7 +679,7 @@ impl DeviceStorage {
     pub fn best_service_provider(&self, name: &str) -> Option<(DeviceAddress, &ServiceInfo)> {
         let mut best = None;
         self.each_provider(name, |d, s| {
-            let rank = Self::provider_rank(d);
+            let rank = self.provider_rank(d);
             if best.as_ref().is_none_or(|(b, _)| rank < *b) {
                 best = Some((rank, s));
             }
@@ -593,14 +687,14 @@ impl DeviceStorage {
         best.map(|((.., address), s)| (address, s))
     }
 
-    /// Every device offering a service called `name`, with that service, in
-    /// the rows' slab order: the ranking orders them itself, so the walk
-    /// reads the rows where they lie instead of through the index. A
-    /// fleet's rows share one description, so the name is searched for once
-    /// per run of rows holding the same one.
+    /// Every offered device offering a service called `name`, with that
+    /// service, in the rows' slab order: the ranking orders them itself, so
+    /// the walk reads the rows where they lie instead of through the index.
+    /// A fleet's rows share one description, so the name is searched for
+    /// once per run of rows holding the same one.
     fn each_provider<'a>(&'a self, name: &str, mut visit: impl FnMut(&'a Row, &'a ServiceInfo)) {
         let mut previous: Option<(&Arc<Description>, Option<&ServiceInfo>)> = None;
-        for d in &self.devices.rows {
+        for d in self.devices.rows.iter().filter(|d| d.offered()) {
             let offered = match previous {
                 Some((described, offered)) if Arc::ptr_eq(described, &d.description) => offered,
                 _ => d.description.services.iter().find(|s| s.name == name),
@@ -715,6 +809,7 @@ impl DeviceStorage {
             hops: HopQualities::prefixed(quality, &[]),
             checksum: seen.checksum(),
             missed_loops: 0,
+            absence: 0,
             address,
             bridge: None,
             jumps: 0,
@@ -735,7 +830,11 @@ impl DeviceStorage {
                 // A neighbour that still describes itself as stored keeps
                 // the stored description.
                 let description = seen.description(Some(&existing.description));
+                let was_absent = existing.is_absent();
                 *existing = direct(description, nearest_mobility);
+                if was_absent {
+                    self.mark_bridged_through(address, false);
+                }
                 false
             }
             Err(at) => {
@@ -755,12 +854,11 @@ impl DeviceStorage {
     /// `interval`, returns `true` and the caller starts a full fetch.
     /// Otherwise the device answered the current inquiry loop and needs no
     /// fetch (the cheap path of Fig. 3.12): `last_seen`, the missed-loop
-    /// count and a direct row's hop quality are refreshed, and it returns
-    /// `false`. `last_seen` and `missed_loops` are invisible to the
-    /// generation's consumers (exports and handover candidates), so the
-    /// generation only moves when the exported hop quality changes, which
-    /// keeps the encode-once inquiry-response cache warm across steady
-    /// cycles.
+    /// count, the absent mark and a direct row's hop quality are refreshed,
+    /// and it returns `false`. `last_seen`, `missed_loops` and the mark are
+    /// invisible to the exports, so the generation only moves when the
+    /// exported hop quality changes, which keeps the encode-once
+    /// inquiry-response cache warm across steady cycles.
     pub fn note_inquiry_hit(
         &mut self,
         address: DeviceAddress,
@@ -774,7 +872,11 @@ impl DeviceStorage {
                 if now.saturating_since(entry.last_fetched) >= interval {
                     return true;
                 }
+                let was_absent = entry.is_absent();
                 self.generation += u64::from(entry.heard_at(quality, now));
+                if was_absent {
+                    self.mark_bridged_through(address, false);
+                }
                 false
             }
         }
@@ -853,6 +955,12 @@ impl DeviceStorage {
     ) {
         let capacity = self.devices.rows.capacity();
         self.generation += 1;
+        // A route through the responder carries its absent mark; on the
+        // node's path the responder was just heard, so it has none.
+        let via_absent = match self.devices.get(responder) {
+            Some(row) if row.is_absent() => VIA_ABSENT,
+            _ => 0,
+        };
         // The description the responder's own row holds, for new rows to
         // share: in a fleet built from one configuration every device
         // advertises the same name, technology list and service list, and a
@@ -922,6 +1030,7 @@ impl DeviceStorage {
                         hops: HopQualities::prefixed(responder_quality, hops),
                         checksum: record.checksum(),
                         missed_loops: 0,
+                        absence: via_absent,
                         address,
                         bridge: Some(responder),
                         jumps: cand_jumps,
@@ -953,6 +1062,7 @@ impl DeviceStorage {
                         existing.bridge = Some(responder);
                         existing.jumps = cand_jumps;
                         existing.nearest_mobility = responder_mobility;
+                        existing.absence = existing.absence & ABSENT | via_absent;
                     }
                 }
             }
@@ -995,8 +1105,8 @@ impl DeviceStorage {
                 if responded.binary_search(&entry.address).is_ok() {
                     entry.missed_loops = 0;
                 } else {
-                    entry.missed_loops += 1;
-                    if entry.missed_loops > max_missed_loops {
+                    entry.missed_loops = entry.missed_loops.saturating_add(1);
+                    if u32::from(entry.missed_loops) > max_missed_loops {
                         removed.push(entry.address);
                     }
                 }
@@ -1042,7 +1152,8 @@ impl DeviceStorage {
     pub fn mark_suspect(&mut self, address: DeviceAddress, max_missed_loops: u32) {
         if let Some(entry) = self.devices.get_mut(address) {
             self.generation += 1;
-            entry.missed_loops = entry.missed_loops.max(max_missed_loops);
+            let tolerance = u16::try_from(max_missed_loops).unwrap_or(u16::MAX);
+            entry.missed_loops = entry.missed_loops.max(tolerance);
         }
     }
 
@@ -1055,9 +1166,10 @@ impl DeviceStorage {
         self.erase(address).as_ref().map(StoredDevice::from)
     }
 
-    /// Direct neighbours that have reported `target` as *their* direct
-    /// neighbour, together with the quality they reported — the candidate
-    /// bridges for a routing handover towards `target` (Fig. 5.5 state 0).
+    /// Direct neighbours not marked absent that have reported `target` as
+    /// *their* direct neighbour, together with the quality they reported —
+    /// the candidate bridges for a routing handover towards `target`
+    /// (Fig. 5.5 state 0).
     /// Best first (our quality to the bridge + its reported quality to the
     /// target); like [`DeviceStorage::service_providers`] the ranking needs
     /// one internal sort, after which the results stream without copies.
@@ -1072,7 +1184,7 @@ impl DeviceStorage {
             .filter(|(responder, _)| *responder != target)
             .filter_map(|(responder, seen)| {
                 let reported = claimed_quality(seen, target)?;
-                let d = self.devices.get(responder).filter(|d| d.is_direct())?;
+                let d = self.devices.get(responder).filter(|d| d.is_direct() && d.offered())?;
                 Some((responder, d.hops.first().copied().unwrap_or(0), reported))
             })
             .collect();
@@ -1704,6 +1816,135 @@ mod tests {
         assert!(candidates.iter().all(|(a, _, _)| *a != addr(9)));
     }
 
+    /// Devices 1 (dynamic) and 2 (static) are direct and offer "echo"; 2
+    /// reports 3 (also "echo") and 9, and 1 reports 9 too.
+    fn two_providers_and_one_bridged() -> DeviceStorage {
+        let mut s = storage();
+        let echo = || vec![ServiceInfo::new("echo", "", 1)];
+        s.upsert_direct(info(1, MobilityClass::Dynamic), 240, echo(), T0);
+        s.upsert_direct(info(2, MobilityClass::Static), 245, echo(), T0);
+        for (responder, mobility, quality) in [(1, MobilityClass::Dynamic, 240), (2, MobilityClass::Static, 245)] {
+            let mut records = vec![record(9, 0, 250, vec![])];
+            if responder == 2 {
+                records.insert(0, record(3, 0, 250, echo()));
+            }
+            s.integrate_neighbor_report(addr(responder), quality, mobility, &records, DiscoveryMode::Dynamic, T0);
+        }
+        s
+    }
+
+    fn echo_providers(s: &DeviceStorage) -> Vec<DeviceAddress> {
+        let ranked: Vec<_> = s.service_providers("echo").map(|(a, _)| a).collect();
+        assert_eq!(s.best_service_provider("echo").map(|(a, _)| a), ranked.first().copied());
+        ranked
+    }
+
+    fn bridges_to(s: &DeviceStorage, target: u64) -> Vec<DeviceAddress> {
+        s.handover_candidates_iter(addr(target)).map(|(a, ..)| a).collect()
+    }
+
+    #[test]
+    fn an_absent_device_and_what_is_bridged_through_it_are_not_offered() {
+        let mut s = two_providers_and_one_bridged();
+        assert_eq!(echo_providers(&s), [addr(2), addr(1), addr(3)]);
+        assert_eq!(bridges_to(&s, 9), [addr(2), addr(1)]);
+        let (generation, presence) = (s.generation(), s.presence_generation());
+
+        s.mark_absent(addr(2));
+        assert_eq!(echo_providers(&s), [addr(1)], "2 and 3, bridged through 2, are skipped");
+        assert_eq!(bridges_to(&s, 9), [addr(1)]);
+        assert!(s.get(addr(2)).unwrap().absent);
+        assert!(
+            !s.get(addr(3)).unwrap().absent,
+            "3 is skipped for its bridge, not marked"
+        );
+        // Everything stays stored; only what ranks moves.
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.reported_quality(addr(2), addr(3)), Some(250));
+        assert_eq!(s.generation(), generation, "the export carries no mark");
+        assert!(s.presence_generation() > presence);
+
+        s.mark_absent(addr(1));
+        assert_eq!(echo_providers(&s), []);
+        assert_eq!(bridges_to(&s, 9), []);
+        s.mark_absent(addr(42));
+        assert_eq!(s.len(), 4, "marking an unknown device stores nothing");
+    }
+
+    #[test]
+    fn a_hit_or_a_fetch_clears_the_absent_mark_and_gossip_does_not() {
+        let interval = SimDuration::from_secs(60);
+        let mut s = two_providers_and_one_bridged();
+        s.mark_absent(addr(2));
+        // 1 still reports 2 as its neighbour: 2 stays absent.
+        let gossip = [record(2, 0, 250, vec![])];
+        s.integrate_neighbor_report(
+            addr(1),
+            240,
+            MobilityClass::Dynamic,
+            &gossip,
+            DiscoveryMode::Dynamic,
+            T0,
+        );
+        assert!(s.get(addr(2)).unwrap().absent);
+        assert_eq!(echo_providers(&s), [addr(1)]);
+
+        assert!(!s.note_inquiry_hit(addr(2), 245, SimTime::from_secs(10), interval));
+        assert!(!s.get(addr(2)).unwrap().absent);
+        assert_eq!(echo_providers(&s), [addr(2), addr(1), addr(3)]);
+        assert_eq!(bridges_to(&s, 9), [addr(2), addr(1)]);
+
+        s.mark_absent(addr(2));
+        s.upsert_direct(
+            info(2, MobilityClass::Static),
+            245,
+            vec![ServiceInfo::new("echo", "", 1)],
+            T0,
+        );
+        assert!(!s.get(addr(2)).unwrap().absent);
+        assert_eq!(echo_providers(&s), [addr(2), addr(1), addr(3)]);
+    }
+
+    #[test]
+    fn stale_rows_rank_last_when_one_end_moves_and_static_storages_rank_as_before() {
+        let age = |s: &mut DeviceStorage, responded: &[u64]| {
+            let mut responded: Vec<_> = responded.iter().map(|&n| addr(n)).collect();
+            s.age_cycle(&mut responded, T0, 5, SimDuration::from_secs(600));
+        };
+        // A static owner: the dynamic 1 that missed the loop goes after the
+        // one-jump 3; the static 2 missing a loop keeps its place.
+        let mut s = two_providers_and_one_bridged();
+        age(&mut s, &[2]);
+        assert_eq!(echo_providers(&s), [addr(2), addr(3), addr(1)]);
+        age(&mut s, &[]);
+        assert_eq!(echo_providers(&s), [addr(2), addr(3), addr(1)]);
+        s.note_inquiry_hit(addr(1), 240, T0, SimDuration::from_secs(60));
+        assert_eq!(
+            echo_providers(&s),
+            [addr(2), addr(1), addr(3)],
+            "answering again restores the rank"
+        );
+
+        // All static: a missed loop moves nothing.
+        let mut s = storage();
+        let echo = || vec![ServiceInfo::new("echo", "", 1)];
+        s.upsert_direct(info(1, MobilityClass::Static), 250, echo(), T0);
+        s.upsert_direct(info(2, MobilityClass::Static), 240, echo(), T0);
+        let before = echo_providers(&s);
+        assert_eq!(before, [addr(1), addr(2)]);
+        for responded in [&[2][..], &[1], &[]] {
+            age(&mut s, responded);
+            assert_eq!(echo_providers(&s), before);
+        }
+
+        // A moving owner ranks a silent static row last as well.
+        let mut s = storage().with_owner_mobility(MobilityClass::Hybrid);
+        s.upsert_direct(info(1, MobilityClass::Static), 250, echo(), T0);
+        s.upsert_direct(info(2, MobilityClass::Static), 240, echo(), T0);
+        age(&mut s, &[2]);
+        assert_eq!(echo_providers(&s), [addr(2), addr(1)]);
+    }
+
     /// The storage as it was before the table: rows inside a `BTreeMap`,
     /// every record its own lookup, every candidate route built and put
     /// through [`candidate_replaces`]. The oracle
@@ -1712,6 +1953,7 @@ mod tests {
     struct Model {
         own: DeviceAddress,
         threshold: u8,
+        mobile_owner: bool,
         devices: BTreeMap<DeviceAddress, StoredDevice>,
         reported: BTreeMap<DeviceAddress, BTreeMap<DeviceAddress, u8>>,
         generation: u64,
@@ -1733,6 +1975,7 @@ mod tests {
                 last_seen: now,
                 last_fetched: now,
                 missed_loops: 0,
+                absent: false,
             });
             if entry.route.jumps > 0 || candidate_replaces(&route, &entry.route, self.threshold) {
                 entry.route = route;
@@ -1740,7 +1983,7 @@ mod tests {
                 entry.route.hop_qualities = vec![quality].into();
             }
             (entry.info, entry.services) = (info, services);
-            (entry.last_seen, entry.last_fetched, entry.missed_loops) = (now, now, 0);
+            (entry.last_seen, entry.last_fetched, entry.missed_loops, entry.absent) = (now, now, 0, false);
             new
         }
 
@@ -1785,6 +2028,7 @@ mod tests {
                                 last_seen: now,
                                 last_fetched: now,
                                 missed_loops: 0,
+                                absent: false,
                             },
                         );
                     }
@@ -1819,7 +2063,7 @@ mod tests {
             if now.saturating_since(entry.last_fetched) >= interval {
                 return true;
             }
-            (entry.last_seen, entry.missed_loops) = (now, 0);
+            (entry.last_seen, entry.missed_loops, entry.absent) = (now, 0, false);
             if entry.is_direct() && *entry.route.hop_qualities != [quality] {
                 self.generation += 1;
                 entry.route.hop_qualities = vec![quality].into();
@@ -1832,6 +2076,18 @@ mod tests {
                 self.generation += 1;
                 entry.missed_loops = entry.missed_loops.max(max_missed_loops);
             }
+        }
+
+        fn mark_absent(&mut self, address: DeviceAddress) {
+            if let Some(entry) = self.devices.get_mut(&address) {
+                entry.absent = true;
+            }
+        }
+
+        /// Neither the device nor a stored bridge of its route is absent.
+        fn offered(&self, d: &StoredDevice) -> bool {
+            let bridge = d.route.bridge.and_then(|b| self.devices.get(&b));
+            !d.absent && !bridge.is_some_and(|b| b.absent)
         }
 
         fn remove(&mut self, address: DeviceAddress) -> Option<StoredDevice> {
@@ -1891,7 +2147,7 @@ mod tests {
         fn handover_candidates(&self, target: DeviceAddress) -> Vec<(DeviceAddress, u8, u8)> {
             let mut candidates = Vec::new();
             for (responder, seen) in &self.reported {
-                let direct = self.devices.get(responder).filter(|d| d.is_direct());
+                let direct = self.devices.get(responder).filter(|d| d.is_direct() && self.offered(d));
                 if let (true, Some(reported), Some(d)) = (*responder != target, seen.get(&target), direct) {
                     candidates.push((*responder, d.route.first_hop_quality(), *reported));
                 }
@@ -1901,10 +2157,16 @@ mod tests {
         }
 
         fn service_providers(&self, name: &str) -> Vec<(DeviceAddress, ServiceInfo)> {
-            let mut providers: Vec<&StoredDevice> = self.devices.values().filter(|d| d.offers(name)).collect();
+            let mut providers: Vec<&StoredDevice> = self
+                .devices
+                .values()
+                .filter(|d| d.offers(name) && self.offered(d))
+                .collect();
             let rank = |d: &StoredDevice| {
+                let moving = self.mobile_owner || d.info.mobility != MobilityClass::Static;
+                let stale = moving && d.is_direct() && d.missed_loops > 0;
                 let quality = std::cmp::Reverse(d.route.quality_sum());
-                (d.route.jumps, d.route.nearest_mobility.value(), quality)
+                (stale, d.route.jumps, d.route.nearest_mobility.value(), quality)
             };
             providers.sort_by_key(|d| rank(d));
             let named = |d: &StoredDevice| d.services.iter().find(|s| s.name == name).cloned();
@@ -1989,12 +2251,17 @@ mod tests {
         // of these lengths, and service merges on rows sharing a description.
         let mut hop_list_lengths = BTreeSet::new();
         let mut merges_on_shared_rows = 0;
+        // Steps that ended with a row skipped for its absent bridge alone.
+        let mut skipped_for_the_bridge = 0;
         for seed in 0..8 {
             let mut rng = SimRng::new(0x7AB1E + seed);
-            let mut s = storage();
+            // Odd seeds' owner walks: every stale direct row ranks last.
+            let owner = [MobilityClass::Static, MobilityClass::Dynamic][seed as usize % 2];
+            let mut s = storage().with_owner_mobility(owner);
             let mut m = Model {
                 own: addr(0),
                 threshold: 230,
+                mobile_owner: owner != MobilityClass::Static,
                 devices: BTreeMap::new(),
                 reported: BTreeMap::new(),
                 generation: 0,
@@ -2006,7 +2273,7 @@ mod tests {
                 let who = addr(rng.range(0u64..24));
                 let quality = rng.range(200u8..=255);
                 let at = format!("seed {seed} step {step}");
-                match rng.range(0u8..12) {
+                match rng.range(0u8..14) {
                     0..=2 => {
                         let device = random_device(&mut rng);
                         let services = service_lists[rng.index(4)].clone();
@@ -2064,6 +2331,10 @@ mod tests {
                         m.mark_suspect(who, 2);
                     }
                     9 => assert_eq!(s.remove(who), m.remove(who), "{at}"),
+                    11 | 12 => {
+                        s.mark_absent(who);
+                        m.mark_absent(who);
+                    }
                     10 => {
                         let mut responded: Vec<_> =
                             (0..rng.range(0usize..10)).map(|_| addr(rng.range(0u64..24))).collect();
@@ -2075,6 +2346,7 @@ mod tests {
                 }
                 assert!(s.devices().eq(m.devices.values().cloned()), "{at}");
                 hop_list_lengths.extend(s.devices.rows.iter().map(|row| row.hops.len()));
+                skipped_for_the_bridge += usize::from(s.devices.rows.iter().any(|row| row.absence == VIA_ABSENT));
                 assert_eq!(s.len(), m.devices.len(), "{at}");
                 assert_eq!(s.generation(), m.generation, "{at}");
                 assert!(
@@ -2112,6 +2384,10 @@ mod tests {
         assert!(
             merges_on_shared_rows > 20,
             "{merges_on_shared_rows} service merges on shared rows"
+        );
+        assert!(
+            skipped_for_the_bridge > 100,
+            "{skipped_for_the_bridge} steps skipped a row for its bridge"
         );
     }
 

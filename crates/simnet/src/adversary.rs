@@ -5,7 +5,7 @@
 //!
 //! * **Partition windows** — scheduled intervals during which two node sets
 //!   cannot hear each other at all: inquiries do not cross the cut,
-//!   connection attempts fail with `OutOfRange`, in-flight payloads are
+//!   connection attempts fail with `LinkDown`, in-flight payloads are
 //!   lost, and open links spanning the cut break the instant the window
 //!   opens. When the window closes the cut heals and ordinary discovery,
 //!   handover and bridge re-routing repair the damage.

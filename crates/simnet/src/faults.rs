@@ -137,12 +137,13 @@ impl FaultPlan {
 
     /// Declares the link pair between the planned node and `peer` as
     /// flapping: up for `duty` of every `period`, dead for the rest. While
-    /// the pair is down, connection attempts between the two nodes fail,
-    /// payloads in flight between them are lost and open links break at the
-    /// next link check — all with
-    /// [`ConnectError::OutOfRange`](crate::node::ConnectError::OutOfRange) /
-    /// [`DisconnectReason::OutOfRange`](crate::node::DisconnectReason::OutOfRange)
-    /// semantics, so recovery machinery sees an ordinary range loss.
+    /// the pair is down, connection attempts between the two nodes fail
+    /// with [`ConnectError::LinkDown`](crate::node::ConnectError::LinkDown)
+    /// (the peer is in range, so nothing should take it for gone), payloads
+    /// in flight between them are lost and open links break at the next
+    /// link check with
+    /// [`DisconnectReason::OutOfRange`](crate::node::DisconnectReason::OutOfRange),
+    /// so recovery machinery sees an ordinary range loss.
     ///
     /// The square wave's phase offset is drawn from the world's dedicated
     /// fault stream at install time, so a population of flapping links

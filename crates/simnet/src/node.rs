@@ -82,8 +82,13 @@ pub enum ConnectError {
     /// A technology-level fault (the "normal Bluetooth connection fault"
     /// observed in §4.3 even with a strong signal).
     Fault,
-    /// The peer moved out of radio range before setup completed.
+    /// The peer moved out of radio range before setup completed: the radio
+    /// has lost it. Only the range check refuses with this.
     OutOfRange,
+    /// The peer is in range but the pair's link is down: a flapping pair in
+    /// its down phase or a partition cut between the two. Unlike
+    /// [`ConnectError::OutOfRange`] it says nothing about where the peer is.
+    LinkDown,
     /// The peer's agent declined the connection.
     Rejected,
     /// The target node does not exist, is switched off, or lacks the radio.
@@ -95,6 +100,7 @@ impl fmt::Display for ConnectError {
         let s = match self {
             ConnectError::Fault => "technology-level connection fault",
             ConnectError::OutOfRange => "peer out of range",
+            ConnectError::LinkDown => "link to peer down",
             ConnectError::Rejected => "connection rejected by peer",
             ConnectError::Unreachable => "peer unreachable",
         };
@@ -238,6 +244,7 @@ mod tests {
     fn errors_display_something_useful() {
         assert!(ConnectError::Fault.to_string().contains("fault"));
         assert!(ConnectError::OutOfRange.to_string().contains("range"));
+        assert!(ConnectError::LinkDown.to_string().contains("down"));
         assert!(DisconnectReason::PeerClosed.to_string().contains("peer"));
     }
 

@@ -203,14 +203,14 @@ fn partition_suppresses_discovery_connects_and_delivery_until_heal() {
     })
     .unwrap();
 
-    // Connects fail exactly like a range loss.
+    // Connects fail as a downed link: the peer beyond the cut is in range.
     w.with_agent::<Probe, _>(a, |_, ctx| {
         ctx.connect(b, RadioTech::Bluetooth);
     })
     .unwrap();
     w.run_for(SimDuration::from_secs(5));
     w.with_agent::<Probe, _>(a, |p, _| {
-        assert_eq!(p.failed, vec![ConnectError::OutOfRange]);
+        assert_eq!(p.failed, vec![ConnectError::LinkDown]);
     })
     .unwrap();
 

@@ -342,7 +342,7 @@ fn flapping_link_breaks_and_blocks_the_pair_periodically() {
     assert_eq!(breaks, 1, "only the first break: nobody re-dialed");
     assert!(reasons_ok, "flap breaks must look like range losses");
 
-    // Redialing during a down phase fails with OutOfRange; over enough
+    // Redialing during a down phase fails with LinkDown; over enough
     // retries both outcomes appear and successes reconnect the pair.
     let mut successes = 0usize;
     let mut failures = 0usize;
@@ -365,10 +365,37 @@ fn flapping_link_breaks_and_blocks_the_pair_periodically() {
     assert!(failures > 0, "down phases must refuse connects");
     w.with_agent::<FaultProbe, _>(a, |p, _| {
         assert!(
-            p.failed.iter().all(|e| *e == ConnectError::OutOfRange),
-            "flap refusals use range-loss semantics: {:?}",
+            p.failed.iter().all(|e| *e == ConnectError::LinkDown),
+            "a flap refuses an in-range pair as a downed link, not a lost peer: {:?}",
             p.failed
         );
+    })
+    .unwrap();
+}
+
+/// Only the range check says a peer is gone: a flapping pair that is out of
+/// range refuses as `OutOfRange`, the same flap in range as `LinkDown`.
+#[test]
+fn only_a_pair_out_of_range_refuses_as_out_of_range() {
+    let mut w = probe_world(22);
+    let a = add_probe(&mut w, "a", 0.0);
+    let near = add_probe(&mut w, "near", 5.0);
+    let far = add_probe(&mut w, "far", 500.0);
+    w.run_for(SimDuration::from_secs(1));
+    // Duty 0: both pairs are down for the whole period.
+    let flaps = FaultPlan::new()
+        .flapping_link(near, SimDuration::from_secs(10), 0.0)
+        .flapping_link(far, SimDuration::from_secs(10), 0.0);
+    w.install_fault_plan(a, flaps);
+    for peer in [near, far] {
+        w.with_agent::<FaultProbe, _>(a, |_, ctx| {
+            ctx.connect(peer, RadioTech::Bluetooth);
+        })
+        .unwrap();
+        w.run_for(SimDuration::from_secs(5));
+    }
+    w.with_agent::<FaultProbe, _>(a, |p, _| {
+        assert_eq!(p.failed, vec![ConnectError::LinkDown, ConnectError::OutOfRange]);
     })
     .unwrap();
 }

@@ -231,15 +231,16 @@ impl World {
             fail(self, ConnectError::OutOfRange);
             return;
         }
-        // A flapping pair in its down phase refuses connections exactly like
-        // a range loss. Guarded so flap-free worlds skip the scan entirely.
+        // A flapping pair in its down phase refuses a pair that is in range:
+        // the link is down, the peer is not gone. Guarded so flap-free
+        // worlds skip the scan entirely.
         if self.faults.has_flaps() && self.faults.link_flapped_down(from, to, self.now) {
-            fail(self, ConnectError::OutOfRange);
+            fail(self, ConnectError::LinkDown);
             return;
         }
         // An active partition cut refuses connections the same way.
         if self.adversary.has_partitions() && self.adversary.partitioned(from, to, self.now) {
-            fail(self, ConnectError::OutOfRange);
+            fail(self, ConnectError::LinkDown);
             return;
         }
         let profile = self.config.radio.profile(tech).clone();
