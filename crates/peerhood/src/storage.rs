@@ -407,6 +407,10 @@ struct Table {
     rows: Vec<Row>,
     keys: Vec<u64>,
     slots: Vec<u32>,
+    /// `(key(bridge), n)` for every device `n > 0` rows are bridged through,
+    /// sorted. Kept by the bridge's address, not in its row: a row outlives
+    /// its bridge's row until the next aging cycle.
+    bridged: Vec<(u64, u32)>,
 }
 
 impl Table {
@@ -443,6 +447,7 @@ impl Table {
         reserve_one(&mut self.rows, more);
         self.keys.insert(at, key(row.address));
         self.slots.insert(at, slot);
+        self.rebridge(None, row.bridge);
         self.rows.push(row);
     }
 
@@ -456,7 +461,34 @@ impl Table {
             let at = self.place_of(moved.address).expect("every row is indexed");
             self.slots[at] = slot;
         }
+        self.rebridge(row.bridge, None);
         Some(row)
+    }
+
+    /// A row's route moved from bridge `from` to bridge `to`; `None` is no
+    /// bridge (a direct row, or no row).
+    fn rebridge(&mut self, from: Option<DeviceAddress>, to: Option<DeviceAddress>) {
+        if from == to {
+            return;
+        }
+        if let Some(bridge) = from {
+            let at = find(&self.bridged, key(bridge), |b| b.0).expect("every bridge in use is counted");
+            self.bridged[at].1 -= 1;
+            if self.bridged[at].1 == 0 {
+                self.bridged.remove(at);
+            }
+        }
+        if let Some(bridge) = to {
+            match find(&self.bridged, key(bridge), |b| b.0) {
+                Ok(at) => self.bridged[at].1 += 1,
+                Err(at) => self.bridged.insert(at, (key(bridge), 1)),
+            }
+        }
+    }
+
+    /// How many rows are bridged through `bridge`.
+    fn bridged_through(&self, bridge: DeviceAddress) -> u32 {
+        find(&self.bridged, key(bridge), |b| b.0).map_or(0, |at| self.bridged[at].1)
     }
 
     /// Gives memory back once three quarters of it stand empty, down to the
@@ -631,16 +663,34 @@ impl DeviceStorage {
     }
 
     /// Sets or clears [`VIA_ABSENT`] on every row bridged through `bridge`,
-    /// whose own mark was just set or cleared. A walk of the slab, paid
-    /// only when a mark flips.
+    /// whose own mark was just set or cleared. A walk of the slab up to the
+    /// last such row, paid only when a mark flips on a device something is
+    /// routed through.
     fn mark_bridged_through(&mut self, bridge: DeviceAddress, absent: bool) {
         self.presence_generation += 1;
+        let mut left = self.devices.bridged_through(bridge);
+        debug_assert_eq!(
+            left as usize,
+            self.devices
+                .rows
+                .iter()
+                .filter(|row| row.bridge == Some(bridge))
+                .count(),
+            "the count is the rows bridged through {bridge}"
+        );
+        if left == 0 {
+            return;
+        }
         for row in self.devices.rows.iter_mut().filter(|row| row.bridge == Some(bridge)) {
             row.absence = if absent {
                 row.absence | VIA_ABSENT
             } else {
                 row.absence & !VIA_ABSENT
             };
+            left -= 1;
+            if left == 0 {
+                break;
+            }
         }
     }
 
@@ -830,8 +880,9 @@ impl DeviceStorage {
                 // A neighbour that still describes itself as stored keeps
                 // the stored description.
                 let description = seen.description(Some(&existing.description));
-                let was_absent = existing.is_absent();
+                let (was_absent, bridge) = (existing.is_absent(), existing.bridge);
                 *existing = direct(description, nearest_mobility);
+                self.devices.rebridge(bridge, None);
                 if was_absent {
                     self.mark_bridged_through(address, false);
                 }
@@ -1059,10 +1110,11 @@ impl DeviceStorage {
                     let threshold = self.quality_threshold;
                     if existing.beaten_by(cand_jumps, responder_mobility, responder_quality, hops, threshold) {
                         existing.hops = HopQualities::prefixed(responder_quality, hops);
-                        existing.bridge = Some(responder);
+                        let bridge = existing.bridge.replace(responder);
                         existing.jumps = cand_jumps;
                         existing.nearest_mobility = responder_mobility;
                         existing.absence = existing.absence & ABSENT | via_absent;
+                        self.devices.rebridge(bridge, Some(responder));
                     }
                 }
             }

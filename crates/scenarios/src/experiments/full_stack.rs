@@ -80,10 +80,13 @@ pub(crate) fn wlan_city_config(name: &str, inquiry_interval: SimDuration) -> Pee
     // coverage edge" on this curve (~46 m), which restores the intended
     // semantics: hand over when the link is about to die.
     cfg.monitor.quality_threshold = 190;
-    // One routing attempt, then fall back to reconnecting directly to
-    // another provider: in a uniform city a direct re-route to a nearer
-    // peer beats growing a relay chain, and every avoided bridge is one
-    // less pair of links to check, relay through and eventually break.
+    // One routing attempt. If it fails, the middleware proposes a switch
+    // to another provider of the service (§5.2.2), which `MetroApp`
+    // accepts: it dials the best-ranked candidate still in storage, and if
+    // that dial fails the app re-attaches on its next ping tick. In a
+    // uniform city a direct re-route to a nearer peer beats growing a
+    // relay chain, and every avoided bridge is one less pair of links to
+    // check, relay through and eventually break.
     cfg.handover.max_routing_attempts = 1;
     cfg
 }
@@ -106,22 +109,53 @@ pub(crate) fn add_stack(
     )
 }
 
+/// Where a [`MetroApp`]'s client session stands.
+#[derive(Clone, Copy, Default, PartialEq)]
+enum Session {
+    /// No session: the next ping tick or discovery dials one.
+    #[default]
+    Idle,
+    /// The app's own dial is in flight.
+    Dialling(ConnectionId),
+    /// Established.
+    Up(ConnectionId),
+    /// Broken; the middleware's §5.2.2 switch to another provider is in
+    /// flight on the same connection id.
+    Switching(ConnectionId),
+}
+
+impl Session {
+    fn conn(self) -> Option<ConnectionId> {
+        match self {
+            Session::Idle => None,
+            Session::Dialling(conn) | Session::Up(conn) | Session::Switching(conn) => Some(conn),
+        }
+    }
+}
+
 /// The application of a full-stack city node: every device both offers and
 /// consumes the [`METRO_SERVICE`], mirroring the lightweight probes'
-/// attach-to-best-neighbour behaviour through the real middleware API.
+/// attach-to-best-neighbour behaviour through the real middleware API. A
+/// broken session is recovered the thesis' way (Fig. 5.5): the middleware
+/// tries a routing handover, then switches to another provider, which the
+/// app accepts; only when both fail does the app dial again itself, on its
+/// next ping tick.
 #[derive(Default)]
 pub struct MetroApp {
-    /// The session this node currently drives as a client.
-    current: Option<ConnectionId>,
-    connecting: bool,
-    /// Set when the session is lost; consumed by the next establishment to
-    /// measure reconnection latency. Survives restarts (the app is the
-    /// measurement instrument).
+    /// The client session this node drives.
+    session: Session,
+    /// When the middleware first told the app that its session was down
+    /// (it proposed a provider switch, or it dropped the session); consumed
+    /// by the next establishment — the switch completing or a later dial of
+    /// the app's own — to measure reconnection latency. A switch that fails
+    /// leaves it running. Survives restarts (the app is the measurement
+    /// instrument).
     down_since: Option<SimTime>,
-    /// Client sessions established (first connects, service reconnections
-    /// and re-attachments after loss).
+    /// Client sessions established (first connects, provider switches and
+    /// the app's re-attachments after loss).
     pub sessions_established: u64,
-    /// App-level session losses the middleware could not recover.
+    /// Session losses the middleware could not recover: it dropped the
+    /// session, or its provider switch failed.
     pub sessions_lost: u64,
     /// Completed route changes observed on the live session (routing
     /// handover / re-attachment).
@@ -138,23 +172,27 @@ pub struct MetroApp {
 
 impl MetroApp {
     fn try_attach(&mut self, api: &mut PeerHoodApi<'_>) {
-        if self.current.is_some() || self.connecting {
+        if self.session != Session::Idle {
             return;
         }
         if let Ok(conn) = api.connect_to_service(METRO_SERVICE) {
-            self.current = Some(conn);
-            self.connecting = true;
+            self.session = Session::Dialling(conn);
         }
     }
 
     /// True while the node holds an established client session.
     pub fn attached(&self) -> bool {
-        self.current.is_some() && !self.connecting
+        matches!(self.session, Session::Up(_))
     }
 
     /// The client session this app currently drives, if any.
     pub fn current_conn(&self) -> Option<ConnectionId> {
-        self.current
+        self.session.conn()
+    }
+
+    /// True when `conn` is this app's client session.
+    fn drives(&self, conn: ConnectionId) -> bool {
+        self.session.conn() == Some(conn)
     }
 }
 
@@ -162,8 +200,7 @@ impl Application for MetroApp {
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         // A restart reaches here too (the reborn daemon re-runs app
         // start-up): session state is gone with the old core.
-        self.current = None;
-        self.connecting = false;
+        self.session = Session::Idle;
         let _ = api.register_service(ServiceInfo::new(METRO_SERVICE, "v1", 7));
         api.schedule_timer(SimDuration::from_secs(10), PING_TIMER);
     }
@@ -173,8 +210,8 @@ impl Application for MetroApp {
     }
 
     fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.current == Some(conn) {
-            self.connecting = false;
+        if self.drives(conn) {
+            self.session = Session::Up(conn);
             self.sessions_established += 1;
             if let Some(t0) = self.down_since.take() {
                 self.reconnect_secs_total += api.now().saturating_since(t0).as_secs_f64();
@@ -184,9 +221,9 @@ impl Application for MetroApp {
     }
 
     fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
-        if self.current == Some(conn) {
-            self.current = None;
-            self.connecting = false;
+        if self.drives(conn) {
+            self.sessions_lost += u64::from(self.session == Session::Switching(conn));
+            self.session = Session::Idle;
         }
     }
 
@@ -195,32 +232,33 @@ impl Application for MetroApp {
     }
 
     fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
-        if self.current == Some(conn) {
-            self.current = None;
-            self.connecting = false;
+        if self.drives(conn) {
+            self.session = Session::Idle;
             self.sessions_lost += 1;
-            self.down_since = Some(api.now());
+            self.down_since.get_or_insert(api.now());
         }
     }
 
     fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.current == Some(conn) {
+        if self.drives(conn) {
             self.route_changes += 1;
         }
     }
 
     fn on_reconnect_required(
         &mut self,
-        _api: &mut PeerHoodApi<'_>,
-        _conn: ConnectionId,
+        api: &mut PeerHoodApi<'_>,
+        conn: ConnectionId,
         _candidates: &[DeviceAddress],
     ) -> bool {
-        // Decline the middleware-driven provider switch: in a uniform city
-        // every node offers the service, so re-attaching lazily on the next
-        // ping tick picks the *best* provider known then (the same lazy
-        // re-attach the lightweight probes use) instead of cascading
-        // connects through the candidate list right now.
-        false
+        // The routing handover failed: the session is down from here until
+        // the switch completes (`on_service_reconnected`) or, if it fails,
+        // until the app's own dial on a later ping tick succeeds.
+        if self.drives(conn) {
+            self.session = Session::Switching(conn);
+            self.down_since.get_or_insert(api.now());
+        }
+        true
     }
 
     fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
@@ -231,8 +269,8 @@ impl Application for MetroApp {
         if token != PING_TIMER {
             return;
         }
-        match self.current {
-            Some(conn) if !self.connecting => {
+        match self.session {
+            Session::Up(conn) => {
                 if api.send(conn, b"metro-ping".to_vec()).is_ok() {
                     self.pings_sent += 1;
                 }

@@ -7,10 +7,12 @@
 use std::rc::Rc;
 
 use peerhood::config::SecurityConfig;
+use peerhood::ids::DeviceAddress;
+use peerhood::node::{PeerHoodEvent, PeerHoodNode};
 use peerhood::resilience::{ResilienceConfig, ResilienceStats};
 use peerhood::security::SecurityStats;
 use scenarios::experiments::city::wlan_world;
-use scenarios::experiments::full_stack::{metro_configs, FullStackHost};
+use scenarios::experiments::full_stack::{metro_configs, FullStackHost, MetroApp};
 use scenarios::experiments::{find, Params};
 use scenarios::topology::random_positions;
 use simnet::prelude::*;
@@ -118,5 +120,113 @@ fn a_full_stack_host_stays_a_small_bin_allocation() {
         "FullStackHost is {size} bytes: past 1000 a boxed host leaves glibc's last small-bin request (1008 with \
          its header) and every `add_node` takes the large-request path — setup_s read +10-12 % at 1008 (PR 20). \
          Slim `Core` before adding a field."
+    );
+}
+
+/// §5.2.2 in a city node: a walker's session provider falls out of range, no
+/// neighbour reaches it (so the routing handover has no candidate), and the
+/// middleware switches the session to the other provider it knows — on the
+/// same connection id, with no dial of the app's own. The walker reads
+/// detached from the proposal to the switch's `Accept`, and that window is
+/// its one reconnect sample.
+#[test]
+fn a_walker_whose_provider_left_is_switched_by_the_middleware_and_timed() {
+    const STEP: SimDuration = SimDuration::from_millis(10);
+    let mut world = World::new(WorldConfig::ideal(47));
+    let (static_cfg, mobile_cfg) = metro_configs(SimDuration::from_secs(10));
+    // WLAN reaches 50 m. `near` (x = 0) and `far` (x = 75) never hear each
+    // other. The walker leaves x = 20 at t = 30 s at 1 m/s: it hears `far`
+    // from t = 35 s and loses `near` at t = 60 s.
+    let mut node = PeerHoodNode::builder()
+        .config((*mobile_cfg).clone())
+        .app(MetroApp::default())
+        .build();
+    node.subscribe_event_trace();
+    let walk = MobilityModel::walk_after(
+        Point::new(20.0, 0.0),
+        Point::new(60.0, 0.0),
+        1.0,
+        SimDuration::from_secs(30),
+    );
+    let walker = world.add_node("walker", walk, &[RadioTech::Wlan], Box::new(OnWorld(node)));
+    let [near, far] = [0.0, 75.0].map(|x| {
+        let host = FullStackHost::new(Rc::clone(&static_cfg));
+        let at = MobilityModel::stationary(Point::new(x, 0.0));
+        world.add_node("provider", at, &[RadioTech::Wlan], Box::new(host))
+    });
+    let [near, far] = [near, far].map(DeviceAddress::from_node);
+    let look = |world: &mut World| {
+        world
+            .with_agent::<PeerHoodNode, _>(walker, |n, _| {
+                let app = n.app::<MetroApp>().unwrap();
+                let conn = app.current_conn();
+                let remote = conn.and_then(|c| n.connection(c)).map(|c| c.remote);
+                (app.attached(), conn, remote, app.reconnects, app.reconnect_secs_total)
+            })
+            .unwrap()
+    };
+    let drain = |world: &mut World| {
+        world
+            .with_agent::<PeerHoodNode, _>(walker, |n, _| n.take_event_trace())
+            .unwrap()
+    };
+
+    world.run_for(SimDuration::from_secs(55));
+    drain(&mut world);
+    let (attached, session, remote, reconnects, total_before) = look(&mut world);
+    assert!(attached, "the walker holds a session before it walks off");
+    assert_eq!(remote, Some(near), "the session is on the nearer provider");
+    let session = session.unwrap();
+    assert!(
+        world
+            .with_agent::<PeerHoodNode, _>(walker, |n, _| n.known_devices().iter().any(|d| d.info.address == far))
+            .unwrap(),
+        "the other provider is known before the break"
+    );
+
+    // Step through the break in 10 ms slices, reading the walker after each.
+    let (mut proposed, mut switched) = (None, None);
+    let mut step = 0u32;
+    while switched.is_none() && step < 1_500 {
+        world.run_for(STEP);
+        step += 1;
+        for event in drain(&mut world) {
+            match event {
+                PeerHoodEvent::ReconnectRequired { conn, .. } if conn == session => proposed = Some(step),
+                PeerHoodEvent::ServiceReconnected { conn, provider, .. } if conn == session => {
+                    assert_eq!(provider, far, "the switch goes to the provider still in range");
+                    switched = Some(step);
+                }
+                PeerHoodEvent::Disconnected { conn, .. } if conn == session => {
+                    panic!("step {step}: the session was abandoned instead of switched")
+                }
+                PeerHoodEvent::Connected { conn, .. } | PeerHoodEvent::ConnectFailed { conn, .. } => {
+                    panic!("step {step}: the walker dialled {conn:?} itself")
+                }
+                _ => {}
+            }
+        }
+        let (attached, conn, ..) = look(&mut world);
+        assert_eq!(conn, Some(session), "step {step}: the session keeps its connection id");
+        if proposed.is_some() && switched.is_none() {
+            assert!(!attached, "step {step}: attached while the switch is in flight");
+        }
+    }
+    let proposed = proposed.expect("the middleware proposed a provider switch");
+    let switched = switched.expect("the switch completed");
+    let (attached, _, remote, after, total) = look(&mut world);
+    assert!(attached && remote == Some(far), "re-attached to the other provider");
+    assert_eq!(after, reconnects + 1, "one reconnect sample");
+    // The sample runs from the proposal to the `Accept`, each known to the
+    // slice it fell in.
+    let (window, slices) = (total - total_before, f64::from(switched - proposed));
+    let slice = STEP.as_secs_f64();
+    assert!(
+        window > (slices - 1.0) * slice && window <= (slices + 1.0) * slice,
+        "a {window} s sample for a switch seen {slices} slices after the proposal"
+    );
+    assert!(
+        window < 1.0,
+        "the switch took {window} s: a ping tick re-attached the walker"
     );
 }
