@@ -67,16 +67,16 @@ pub trait Application: Any + Send {
     }
 
     /// Routing handover is impossible and the middleware proposes to
-    /// reconnect to a different provider of the same service (§5.2.2 notes
-    /// the user should be asked for permission because the task restarts from
-    /// zero). Return `true` to allow the reconnection.
+    /// reconnect to `provider`, the best-ranked other provider of the same
+    /// service (§5.2.2 notes the user should be asked for permission because
+    /// the task restarts from zero). Return `true` to allow the reconnection.
     fn on_reconnect_required(
         &mut self,
         api: &mut PeerHoodApi<'_>,
         conn: ConnectionId,
-        candidates: &[DeviceAddress],
+        provider: DeviceAddress,
     ) -> bool {
-        let _ = (api, conn, candidates);
+        let _ = (api, conn, provider);
         true
     }
 

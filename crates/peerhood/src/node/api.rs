@@ -244,7 +244,7 @@ impl Core {
     ) -> Result<ConnectionId, PeerHoodError> {
         let provider = self
             .storage
-            .best_service_provider(service)
+            .best_service_provider(service, None)
             .map(|(provider, _)| provider)
             .ok_or_else(|| PeerHoodError::ServiceNotFound(service.to_string()))?;
         self.op_connect_to(ctx, owner, provider, service)

@@ -119,8 +119,9 @@ pub enum PeerHoodEvent {
         app: Option<AppId>,
         /// The broken connection.
         conn: ConnectionId,
-        /// Alternative providers of the same service.
-        candidates: Vec<DeviceAddress>,
+        /// The best-ranked other provider of the same service, the one the
+        /// switch dials if the application allows it.
+        provider: DeviceAddress,
     },
     /// The resilience pipeline shed load on a connection (an inbound payload
     /// dropped by the rate limit or a queued result dropped by the outbox

@@ -227,14 +227,10 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                     // Install the middleware state that classifies `link`
                     // into `role`, exactly as the real flows would.
                     match role {
-                        LinkRole::IncomingUnidentified => {}
-                        LinkRole::DaemonFetch { .. } | LinkRole::DaemonServe => {
-                            core.roles.insert(link, role);
-                        }
+                        LinkRole::IncomingUnidentified | LinkRole::DaemonFetch { .. } | LinkRole::DaemonServe => {}
                         LinkRole::AppConnection(conn) => {
                             core.connections
                                 .insert(AppConnection::incoming(conn, attacker_info(), "svc", link, now));
-                            core.roles.insert(link, role);
                         }
                         LinkRole::HandoverPending { conn, via } => {
                             core.connections.insert(AppConnection::outgoing(
@@ -244,21 +240,19 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                                 ConnKind::OutgoingDirect,
                                 now,
                             ));
-                            core.roles.insert(link, role);
                         }
                         LinkRole::BridgeUpstream(conn) => {
                             core.bridge
                                 .insert_pending(conn, link, dest, "svc", attacker_info(), None);
                             core.bridge.get_mut(conn).unwrap().downstream = Some(aux);
-                            core.roles.insert(link, role);
                         }
                         LinkRole::BridgeDownstream(conn) => {
                             core.bridge
                                 .insert_pending(conn, aux, dest, "svc", attacker_info(), None);
                             core.bridge.get_mut(conn).unwrap().downstream = Some(link);
-                            core.roles.insert(link, role);
                         }
                     }
+                    core.roles.insert(link, (role, RadioTech::Bluetooth));
                     // The hostile frame for this command. Session-scoped
                     // commands use the classified session id (replay shape);
                     // the rest present the phantom's foreign id (splice
@@ -317,7 +311,10 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                 reply_context: Some(foreign_conn()),
             };
             injected += 1;
-            core.handle_message(ctx, LinkId(next_link), attacker_node(), wire::encode(&message).into());
+            let link = LinkId(next_link);
+            core.roles
+                .insert(link, (LinkRole::IncomingUnidentified, RadioTech::Bluetooth));
+            core.handle_message(ctx, link, attacker_node(), wire::encode(&message).into());
         })
         .unwrap();
     // Let queued events drain through the normal dispatch path.

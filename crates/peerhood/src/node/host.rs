@@ -358,12 +358,12 @@ impl PeerHoodNode {
                         a.on_service_reconnected(api, conn, provider)
                     });
                 }
-                PeerHoodEvent::ReconnectRequired { app, conn, candidates } => {
+                PeerHoodEvent::ReconnectRequired { app, conn, provider } => {
                     let mut asked = false;
                     Self::deliver(apps, core, ctx, app, |a, api| {
                         asked = true;
-                        if a.on_reconnect_required(api, conn, &candidates) {
-                            api.core.start_service_reconnection(api.ctx, conn, &candidates);
+                        if a.on_reconnect_required(api, conn, provider) {
+                            api.core.start_service_reconnection(api.ctx, conn, provider);
                         } else {
                             api.core.abandon_connection(conn);
                         }
@@ -500,7 +500,7 @@ impl Agent for PeerHoodNode {
                 let half_open = core
                     .roles
                     .values()
-                    .filter(|role| **role == LinkRole::IncomingUnidentified);
+                    .filter(|(role, _)| *role == LinkRole::IncomingUnidentified);
                 let active = half_open.count()
                     + core
                         .connections
@@ -511,7 +511,8 @@ impl Agent for PeerHoodNode {
                 if !core.resilience.admit(peers, peer, ctx.now(), active) {
                     return false;
                 }
-                core.roles.insert(incoming.link, LinkRole::IncomingUnidentified);
+                core.roles
+                    .insert(incoming.link, (LinkRole::IncomingUnidentified, incoming.tech));
                 true
             }
             None => false,

@@ -88,8 +88,8 @@ pub(crate) struct Core {
     /// One discovery plugin per configured radio, in `config.techs` order.
     pub(crate) plugins: Vec<PluginState>,
     /// What each live radio link is used for, so its payloads and its
-    /// disconnect reach the right flow.
-    pub(crate) roles: IdTable<LinkId, LinkRole>,
+    /// disconnect reach the right flow, and the radio it came up on.
+    pub(crate) roles: IdTable<LinkId, (LinkRole, RadioTech)>,
     pub(crate) connections: ConnectionTable,
     pub(crate) bridge: BridgeService,
     /// Radio connects in flight, each with the role its link takes once up.
@@ -204,6 +204,13 @@ impl Core {
     /// or our primary technology when it is not known.
     pub(crate) fn tech_towards(&self, hop: DeviceAddress) -> RadioTech {
         self.tech_for(self.storage.get(hop).map(|d| d.info).as_ref())
+    }
+
+    /// Re-classifies a live link; it keeps the radio it came up on.
+    pub(crate) fn set_role(&mut self, link: LinkId, role: LinkRole) {
+        if let Some(entry) = self.roles.get_mut(&link) {
+            entry.0 = role;
+        }
     }
 
     /// Closes a link and forgets its role: the one way the node drops a link.

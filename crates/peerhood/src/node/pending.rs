@@ -131,7 +131,7 @@ impl Core {
         attempt: AttemptId,
         link: LinkId,
         peer: NodeId,
-        _tech: RadioTech,
+        tech: RadioTech,
     ) {
         let role = match self.pending.remove(&attempt) {
             Some(r) => r,
@@ -181,7 +181,7 @@ impl Core {
         };
         match request {
             Some(request) => {
-                self.roles.insert(link, role);
+                self.roles.insert(link, (role, tech));
                 self.send_frame(ctx, link, &request);
             }
             // The connection or the relayed pair went away during the dial.
@@ -202,15 +202,18 @@ impl Core {
             None => return,
         };
         let peer = DeviceAddress::from_node(peer);
-        // Dial failures towards a physical hop feed its circuit breaker,
-        // whatever protocol flow the attempt belonged to.
-        self.resilience
-            .record_dial_failure(&mut self.security.peers, peer, ctx.now());
-        // The radio has lost the hop: stop offering it, and what is routed
-        // through it, until it is heard again. A downed link (a flap, a
-        // partition) refuses an in-range peer, which stays offered.
         if error == ConnectError::OutOfRange {
+            // The radio has lost the hop: stop offering it, and what is
+            // routed through it, until it is heard again. Absence is not
+            // failure, so its breaker is not charged.
             self.storage.mark_absent(peer);
+        } else {
+            // Any other refusal of a physical hop feeds its circuit breaker,
+            // whatever protocol flow the attempt belonged to. A downed link
+            // (a flap, a partition) refuses an in-range peer, which stays
+            // offered.
+            self.resilience
+                .record_dial_failure(&mut self.security.peers, peer, ctx.now());
         }
         match role {
             LinkRole::DaemonFetch { .. } => {

@@ -235,7 +235,10 @@ impl Core {
         } else {
             payload.as_slice()
         };
-        let role = self.roles.get(&link).copied().unwrap_or(LinkRole::IncomingUnidentified);
+        let role = self
+            .roles
+            .get(&link)
+            .map_or(LinkRole::IncomingUnidentified, |&(role, _)| role);
         // The daemon's frames are read where they lie. On a fetch link the
         // neighbour report is read in the frame it arrived in, and anything
         // but a valid inquiry response is ignored. On a serve link the
@@ -256,7 +259,7 @@ impl Core {
                 if body.get(1) == Some(&wire::TAG_INQUIRY_REQUEST) && wire::validate(body).is_ok() =>
             {
                 let frame = self.inquiry_response_frame();
-                self.roles.insert(link, LinkRole::DaemonServe);
+                self.set_role(link, LinkRole::DaemonServe);
                 self.transmit_frame(ctx, link, &frame, &frame);
                 return;
             }
@@ -368,7 +371,7 @@ impl Core {
             if old != link {
                 self.drop_link(ctx, old);
             }
-            self.roles.insert(link, LinkRole::BridgeUpstream(conn_id));
+            self.set_role(link, LinkRole::BridgeUpstream(conn_id));
             self.send_frame(ctx, link, &Message::Accept { conn_id });
             return;
         }
@@ -376,7 +379,7 @@ impl Core {
         if self.registry.find(&service).is_some() {
             let connection = AppConnection::incoming(conn_id, client.clone(), service.clone(), link, now);
             self.connections.insert(connection);
-            self.roles.insert(link, LinkRole::AppConnection(conn_id));
+            self.set_role(link, LinkRole::AppConnection(conn_id));
             self.send_frame(ctx, link, &Message::Accept { conn_id });
             // Route the new connection to the application that registered
             // the service.
@@ -408,7 +411,7 @@ impl Core {
         if let Some(old) = old.filter(|&old| old != link) {
             self.drop_link(ctx, old);
         }
-        self.roles.insert(link, LinkRole::AppConnection(conn));
+        self.set_role(link, LinkRole::AppConnection(conn));
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -464,7 +467,7 @@ impl Core {
         };
         self.bridge
             .insert_pending(conn_id, link, destination, service, client, reply_context);
-        self.roles.insert(link, LinkRole::BridgeUpstream(conn_id));
+        self.set_role(link, LinkRole::BridgeUpstream(conn_id));
         // Not breaker-gated (see `Core::connect_hop`).
         self.connect_hop(ctx, hop, LinkRole::BridgeDownstream(conn_id));
     }
@@ -749,6 +752,7 @@ impl Core {
         peer: NodeId,
         reason: DisconnectReason,
     ) {
+        let address = DeviceAddress::from_node(peer);
         if reason == DisconnectReason::PeerFailed {
             // The peer's whole stack died, not just this link: flag its
             // storage entry so it ages out within one discovery cycle
@@ -756,21 +760,31 @@ impl Core {
             // device actually comes back it answers the next inquiry and the
             // flag is reset.
             self.storage
-                .mark_suspect(DeviceAddress::from_node(peer), self.config.discovery.max_missed_loops);
+                .mark_suspect(address, self.config.discovery.max_missed_loops);
             // A crashed peer counts as a dial failure towards it.
             self.resilience
-                .record_dial_failure(&mut self.security.peers, DeviceAddress::from_node(peer), ctx.now());
-        } else if reason == DisconnectReason::OutOfRange {
-            // A physically broken link feeds the flap detector: a neighbour
-            // whose links keep breaking trips its breaker even though every
-            // individual dial succeeds.
-            self.resilience
-                .record_link_break(&mut self.security.peers, DeviceAddress::from_node(peer), ctx.now());
+                .record_dial_failure(&mut self.security.peers, address, ctx.now());
         }
-        let role = match self.roles.remove(&link) {
-            Some(r) => r,
-            None => return,
+        let Some((role, tech)) = self.roles.remove(&link) else {
+            return;
         };
+        if reason == DisconnectReason::OutOfRange {
+            if ctx.in_range(peer, tech) {
+                // The link went down with the peer still in range (a flap,
+                // a partition cut, an exhausted quality override, a dark
+                // radio): it feeds the flap detector, so a neighbour whose
+                // links keep breaking trips its breaker even though every
+                // individual dial succeeds.
+                self.resilience
+                    .record_link_break(&mut self.security.peers, address, ctx.now());
+            } else {
+                // The radio has lost the peer, as a dial refused out of range
+                // says (see `handle_connect_failed`): before the role's flow
+                // looks for a new route or provider, the peer and every row
+                // bridged through it stop being offered.
+                self.storage.mark_absent(address);
+            }
+        }
         match role {
             LinkRole::IncomingUnidentified | LinkRole::DaemonServe => {}
             LinkRole::DaemonFetch { tech, .. } => {
@@ -956,21 +970,15 @@ impl Core {
             });
             return;
         }
-        let candidates: Vec<DeviceAddress> = self
-            .storage
-            .service_providers(&service)
-            .map(|(provider, _)| provider)
-            .filter(|a| *a != remote)
-            .collect();
-        if candidates.is_empty() {
-            self.events.push_back(PeerHoodEvent::Disconnected {
+        match self.storage.best_service_provider(&service, Some(remote)) {
+            Some((provider, _)) => self
+                .events
+                .push_back(PeerHoodEvent::ReconnectRequired { app, conn, provider }),
+            None => self.events.push_back(PeerHoodEvent::Disconnected {
                 app,
                 conn,
                 graceful: false,
-            });
-        } else {
-            self.events
-                .push_back(PeerHoodEvent::ReconnectRequired { app, conn, candidates });
+            }),
         }
     }
 
@@ -978,16 +986,8 @@ impl Core {
         &mut self,
         ctx: &mut dyn Ctx,
         conn: ConnectionId,
-        candidates: &[DeviceAddress],
+        provider: DeviceAddress,
     ) {
-        let provider = candidates.iter().copied().find(|a| self.storage.contains(*a));
-        let provider = match provider {
-            Some(p) => p,
-            None => {
-                self.abandon_connection(conn);
-                return;
-            }
-        };
         let route = match self.storage.get(provider) {
             Some(entry) => entry.route,
             None => {

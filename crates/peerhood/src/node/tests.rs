@@ -10,6 +10,7 @@ use simnet::{Ctx, MobilityModel, NodeId, OnWorld, Point, RadioTech, SimDuration,
 use crate::application::Application;
 use crate::bridge::BridgeService;
 use crate::config::PeerHoodConfig;
+use crate::connection::ConnState;
 use crate::device::{DeviceInfo, MobilityClass};
 use crate::error::PeerHoodError;
 use crate::ids::{ConnectionId, DeviceAddress};
@@ -35,6 +36,9 @@ struct TestApp {
     failed: Vec<(ConnectionId, PeerHoodError)>,
     discovered: Vec<DeviceAddress>,
     timers: Vec<u64>,
+    /// Each provider switch the middleware proposed, with the devices the
+    /// storage held absent when it asked.
+    switches: Vec<(ConnectionId, DeviceAddress, Vec<DeviceAddress>)>,
 }
 
 impl TestApp {
@@ -81,6 +85,21 @@ impl Application for TestApp {
     }
     fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         self.changed.push(conn);
+    }
+    fn on_reconnect_required(
+        &mut self,
+        api: &mut PeerHoodApi<'_>,
+        conn: ConnectionId,
+        provider: DeviceAddress,
+    ) -> bool {
+        let absent = api
+            .device_list()
+            .iter()
+            .filter(|d| d.absent)
+            .map(|d| d.info.address)
+            .collect();
+        self.switches.push((conn, provider, absent));
+        true
     }
     fn on_device_discovered(&mut self, _api: &mut PeerHoodApi<'_>, address: DeviceAddress) {
         self.discovered.push(address);
@@ -916,9 +935,6 @@ fn crashed_peer_expires_and_reborn_daemon_readvertises() {
 // Resilience pipeline
 // ---------------------------------------------------------------------
 
-/// The per-peer circuit breaker on the client refuses dials towards a
-/// crashed server once consecutive failures trip it, surfacing
-/// `CircuitOpen` synchronously instead of burning radio attempts.
 /// A refused dial is knowledge: the client walks out of provider `near`'s
 /// range towards provider `far`, dials `near` (still stored, still best
 /// ranked) and is refused as out of range. Its next dial goes to `far`, not
@@ -981,6 +997,201 @@ fn a_walker_whose_provider_left_range_dials_another_provider_next() {
     );
 }
 
+/// A link that breaks out of range is knowledge too. A walker's session
+/// provider `near` falls out of range; `shadow` is stored only through
+/// `near`, and `far` only through the hybrid-class relay `b`, so the lost
+/// route ranks first among the other providers until the break marks `near`
+/// absent. Routing handover is off, so the break goes straight to the
+/// provider switch: when the middleware asks, before it dials anything,
+/// `near` is absent, and the switch goes to `far`.
+#[test]
+fn a_range_exit_marks_the_provider_absent_before_the_switch_picks_another() {
+    let mut world = World::new(WorldConfig::ideal(59));
+    // Bluetooth reaches 10 m. The walker leaves x = 3 at t = 40 s at 1 m/s
+    // and loses `near` (x = 0) at t = 47 s; it hears `b` all the way and
+    // never hears `shadow` or `far`.
+    let walk = MobilityModel::walk_after(
+        Point::new(3.0, 0.0),
+        Point::new(12.0, 0.0),
+        1.0,
+        SimDuration::from_secs(40),
+    );
+    let mut cfg = fast_discovery_config("client", MobilityClass::Dynamic);
+    cfg.handover.max_routing_attempts = 0;
+    let client = world.add_node(
+        "client",
+        walk,
+        &bt(),
+        Box::new(OnWorld(
+            PeerHoodNode::builder().config(cfg).app(TestApp::default()).build(),
+        )),
+    );
+    let provider = |world: &mut World, x: f64, y: f64| {
+        let at = MobilityModel::stationary(Point::new(x, y));
+        let app = TestApp::server("echo", false);
+        DeviceAddress::from_node(world.add_node("server", at, &bt(), peerhood("server", MobilityClass::Static, app)))
+    };
+    let near = provider(&mut world, 0.0, 0.0);
+    let shadow = provider(&mut world, -8.0, 0.0);
+    let far = provider(&mut world, 13.0, 10.0);
+    world.add_node(
+        "b",
+        MobilityModel::stationary(Point::new(7.0, 6.0)),
+        &bt(),
+        peerhood("b", MobilityClass::Hybrid, TestApp::default()),
+    );
+    world.run_for(SimDuration::from_secs(40));
+    let routes = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| {
+            let jumps = |a| {
+                n.known_devices()
+                    .iter()
+                    .find(|d| d.info.address == a)
+                    .map(|d| d.route.jumps)
+            };
+            [near, shadow, far].map(jumps)
+        })
+        .unwrap();
+    assert_eq!(
+        routes,
+        [Some(0), Some(1), Some(1)],
+        "near direct, shadow and far one jump away"
+    );
+    let conn = world
+        .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
+            n.with_api(ctx, |api| api.connect_to_service("echo")).unwrap()
+        })
+        .unwrap()
+        .expect("three providers are stored");
+    world.run_for(SimDuration::from_secs(10));
+    let (switches, remote) = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| {
+            let remote = n.connection(conn).map(|c| c.remote);
+            (n.app::<TestApp>().unwrap().switches.clone(), remote)
+        })
+        .unwrap();
+    assert_eq!(
+        switches,
+        [(conn, far, vec![near])],
+        "one switch, asked with near already absent, to the provider not routed through it"
+    );
+    assert_eq!(remote, Some(far));
+}
+
+/// A link that breaks while its peer is still in range (here a flap's down
+/// phase) says nothing about where the peer is: the row stays offered and
+/// the break is booked on the peer's breaker.
+#[test]
+fn an_in_range_flap_break_leaves_the_row_offered_and_books_a_break() {
+    let mut cfg = PeerHoodConfig::new("client", MobilityClass::Dynamic);
+    cfg.resilience = crate::resilience::ResilienceConfig::all_on();
+    let mut world = World::new(WorldConfig::ideal(61));
+    let client = world.add_node(
+        "client",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        Box::new(OnWorld(
+            PeerHoodNode::builder().config(cfg).app(TestApp::default()).build(),
+        )),
+    );
+    let server = world.add_node(
+        "server",
+        MobilityModel::stationary(Point::new(4.0, 0.0)),
+        &bt(),
+        peerhood("server", MobilityClass::Static, TestApp::server("echo", false)),
+    );
+    let server_addr = DeviceAddress::from_node(server);
+    world.run_for(SimDuration::from_secs(40));
+    let conn = world
+        .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
+            n.with_api(ctx, |api| api.connect_to(server_addr, "echo")).unwrap()
+        })
+        .unwrap()
+        .expect("the server is stored");
+    world.run_for(SimDuration::from_secs(2));
+    let period = SimDuration::from_secs(20);
+    world.install_fault_plan(client, simnet::FaultPlan::new().flapping_link(server, period, 0.5));
+    world.run_for(period);
+    let (disconnected, absent, offered, breaks) = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| {
+            let disconnected = n.app::<TestApp>().unwrap().disconnected.clone();
+            let core = n.core_mut().expect("client running");
+            let absent = core.storage.get(server_addr).map(|d| d.absent);
+            let offered = core.storage.best_service_provider("echo", None).map(|(a, _)| a);
+            let breaks = core.security.peers.get(&server_addr).map(|row| row.breaker.breaks());
+            (disconnected, absent, offered, breaks)
+        })
+        .unwrap();
+    assert_eq!(disconnected, [(conn, false)], "the flap broke the session");
+    assert_eq!(absent, Some(false));
+    assert_eq!(offered, Some(server_addr));
+    assert_eq!(breaks, Some(1));
+}
+
+/// Absence is not failure: a hardened client whose only peer keeps walking
+/// out of range, breaking its session each time and refusing the dials made
+/// while it is away, trips no breaker.
+#[test]
+fn peers_that_only_walk_away_trip_no_breaker() {
+    let mut cfg = PeerHoodConfig::new("client", MobilityClass::Static);
+    cfg.resilience = crate::resilience::ResilienceConfig::all_on();
+    let mut world = World::new(WorldConfig::ideal(62));
+    let client = world.add_node(
+        "client",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        Box::new(OnWorld(
+            PeerHoodNode::builder().config(cfg).app(TestApp::default()).build(),
+        )),
+    );
+    // Bluetooth reaches 10 m: from t = 30 s the walker is out of range for
+    // 8 s of every 20, three times within one flap window.
+    let (inside, outside) = (Point::new(4.0, 0.0), Point::new(14.0, 0.0));
+    let walk = MobilityModel::Waypoints {
+        points: vec![inside, outside, inside, outside, inside, outside, inside],
+        speed_mps: 1.0,
+        start_after: SimDuration::from_secs(30),
+    };
+    let walker = world.add_node(
+        "walker",
+        walk,
+        &bt(),
+        peerhood("walker", MobilityClass::Dynamic, TestApp::server("echo", false)),
+    );
+    let walker_addr = DeviceAddress::from_node(walker);
+    world.run_for(SimDuration::from_secs(25));
+    // Keep a session up: whenever none is, dial again.
+    for _ in 0..70 {
+        world
+            .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
+                let up = n.connections().iter().any(|c| {
+                    matches!(
+                        c.state,
+                        ConnState::Connecting | ConnState::AwaitingAccept | ConnState::Established
+                    )
+                });
+                if !up {
+                    // A refusal by an open breaker is counted below.
+                    let _ = n.with_api(ctx, |api| api.connect_to(walker_addr, "echo"));
+                }
+            })
+            .unwrap();
+        world.run_for(SimDuration::from_secs(1));
+    }
+    let (breaks, refusals, stats) = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| {
+            let app = n.app::<TestApp>().unwrap();
+            (app.disconnected.len(), app.failed.len(), n.resilience_stats())
+        })
+        .unwrap();
+    assert!(breaks >= 3, "the walker broke {breaks} sessions");
+    assert!(refusals >= 3 * 3, "{refusals} dials refused while it was away");
+    assert_eq!((stats.breaker_trips, stats.breaker_blocked), (0, 0), "{stats:?}");
+}
+
+/// The per-peer circuit breaker on the client refuses dials towards a
+/// crashed server once consecutive failures trip it, surfacing
+/// `CircuitOpen` synchronously instead of burning radio attempts.
 #[test]
 fn circuit_breaker_blocks_dials_to_a_dead_peer() {
     let mut client_cfg = PeerHoodConfig::new("client", MobilityClass::Dynamic);

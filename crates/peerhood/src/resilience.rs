@@ -151,6 +151,12 @@ impl CircuitBreaker {
         self.probe_successes = 0;
     }
 
+    /// Link breaks booked within the flap window, as of the latest one.
+    #[cfg(test)]
+    pub(crate) fn breaks(&self) -> usize {
+        self.breaks.len()
+    }
+
     /// Gate for one outgoing dial. An Open breaker past its cooldown moves
     /// to HalfOpen and admits the dial as a probe; returns whether the dial
     /// may proceed.

@@ -64,8 +64,9 @@ pub struct StoredDevice {
     pub last_fetched: SimTime,
     /// Consecutive inquiry loops a *direct* neighbour has missed.
     pub missed_loops: u32,
-    /// A dial to the device was refused as out of range since it was last
-    /// heard: the radio has lost it. See [`DeviceStorage::mark_absent`].
+    /// A dial to the device was refused as out of range, or a link to it
+    /// broke with it out of range, since it was last heard: the radio has
+    /// lost it. See [`DeviceStorage::mark_absent`].
     pub absent: bool,
 }
 
@@ -643,8 +644,8 @@ impl DeviceStorage {
         Some(row)
     }
 
-    /// A dial to `address` was refused as out of range: the radio has lost
-    /// the device. Its row — and every row bridged through it — drops out of
+    /// A dial to `address` was refused as out of range, or a link to it
+    /// broke with it out of range: the radio has lost the device. Its row — and every row bridged through it — drops out of
     /// [`DeviceStorage::service_providers`],
     /// [`DeviceStorage::best_service_provider`] and
     /// [`DeviceStorage::handover_candidates_iter`] until the device is heard
@@ -714,8 +715,9 @@ impl DeviceStorage {
     /// every row that answered the loop. Between two static devices a missed
     /// loop is noise, and the rank is the route's alone. (The ranking
     /// requires a sort, so the iterator is backed by one internally collected
-    /// vector; it exists so call sites can stream the ranked results without
-    /// a second allocation.)
+    /// vector. The node only ever takes the first entry, through
+    /// [`DeviceStorage::best_service_provider`]; the whole ranking is what
+    /// the reference-model test holds that pass to.)
     pub fn service_providers<'a>(&'a self, name: &str) -> impl Iterator<Item = (DeviceAddress, &'a ServiceInfo)> {
         let mut providers = Vec::new();
         self.each_provider(name, |d, s| providers.push((self.provider_rank(d), s)));
@@ -723,12 +725,20 @@ impl DeviceStorage {
         providers.into_iter().map(|((.., address), s)| (address, s))
     }
 
-    /// The best-ranked provider of `name` — exactly
-    /// `service_providers(name).next()`, but found in one allocation-free
-    /// pass that keeps the strict minimum of the rank.
-    pub fn best_service_provider(&self, name: &str) -> Option<(DeviceAddress, &ServiceInfo)> {
+    /// The best-ranked provider of `name` other than `except` — exactly
+    /// the first of `service_providers(name)` that is not `except`, but
+    /// found in one allocation-free pass that keeps the strict minimum of
+    /// the rank.
+    pub fn best_service_provider(
+        &self,
+        name: &str,
+        except: Option<DeviceAddress>,
+    ) -> Option<(DeviceAddress, &ServiceInfo)> {
         let mut best = None;
         self.each_provider(name, |d, s| {
+            if Some(d.address) == except {
+                return;
+            }
             let rank = self.provider_rank(d);
             if best.as_ref().is_none_or(|(b, _)| rank < *b) {
                 best = Some((rank, s));
@@ -1887,7 +1897,10 @@ mod tests {
 
     fn echo_providers(s: &DeviceStorage) -> Vec<DeviceAddress> {
         let ranked: Vec<_> = s.service_providers("echo").map(|(a, _)| a).collect();
-        assert_eq!(s.best_service_provider("echo").map(|(a, _)| a), ranked.first().copied());
+        assert_eq!(
+            s.best_service_provider("echo", None).map(|(a, _)| a),
+            ranked.first().copied()
+        );
         ranked
     }
 
@@ -2423,10 +2436,20 @@ mod tests {
                         "{at}"
                     );
                     assert_eq!(
-                        s.best_service_provider(name).map(flat),
+                        s.best_service_provider(name, None).map(flat),
                         expected.first().cloned(),
                         "{at}"
                     );
+                    // Excluding the best (the switch excludes the provider
+                    // it lost) answers the runner-up; excluding a device
+                    // that offers nothing answers the best.
+                    for except in expected.iter().map(|(a, _)| *a).take(1).chain([addr(99)]) {
+                        assert_eq!(
+                            s.best_service_provider(name, Some(except)).map(flat),
+                            expected.iter().find(|(a, _)| *a != except).cloned(),
+                            "{at}: without {except:?}"
+                        );
+                    }
                 }
             }
         }

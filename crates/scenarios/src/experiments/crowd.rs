@@ -265,7 +265,7 @@ impl Application for CrowdApp {
         &mut self,
         _api: &mut PeerHoodApi<'_>,
         _conn: ConnectionId,
-        _candidates: &[DeviceAddress],
+        _provider: DeviceAddress,
     ) -> bool {
         false
     }

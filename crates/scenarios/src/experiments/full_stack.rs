@@ -249,7 +249,7 @@ impl Application for MetroApp {
         &mut self,
         api: &mut PeerHoodApi<'_>,
         conn: ConnectionId,
-        _candidates: &[DeviceAddress],
+        _provider: DeviceAddress,
     ) -> bool {
         // The routing handover failed: the session is down from here until
         // the switch completes (`on_service_reconnected`) or, if it fails,

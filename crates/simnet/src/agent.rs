@@ -74,6 +74,19 @@ pub trait Ctx {
     /// judged on the snapshot, and ids pack `(initiator, per-node counter)`.
     fn connect(&mut self, peer: NodeId, tech: RadioTech) -> AttemptId;
 
+    /// Whether `peer` is within this node's `tech` range now: the range check
+    /// a dial resolving now would make, so `false` is what a dial refused
+    /// with [`ConnectError::OutOfRange`] says. A link that broke with
+    /// [`DisconnectReason::OutOfRange`] while this still answers `true` broke
+    /// for another reason: a flap, a partition cut, an exhausted quality
+    /// override or a dark radio. Exact on both engines (positions come from
+    /// the compiled motion plans). A `LinkDown` disconnect reason for those
+    /// breaks would carry the split itself and replace this query; it waits
+    /// because `benchmark/` matches [`DisconnectReason`] exhaustively.
+    /// *Differs:* GPRS dead zones exist on `World` alone; on shards every
+    /// GPRS pair is in range, as their dials find it.
+    fn in_range(&self, peer: NodeId, tech: RadioTech) -> bool;
+
     /// Sends `payload` on an open link of this node; it is lost if the link
     /// breaks while it is in flight (the data-loss risk §6.1 points out for
     /// the original `Write`). A [`Payload`] clone shares its bytes, so one

@@ -114,6 +114,10 @@ impl std::error::Error for ConnectError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DisconnectReason {
     /// The endpoints drifted out of radio range (coverage loss, Fig. 1.1).
+    /// A link that a flap's down phase, a partition cut, an exhausted quality
+    /// override or a dark radio breaks reports this too, with the peer still
+    /// in range; [`Ctx::in_range`](crate::agent::Ctx::in_range) tells the two
+    /// apart.
     OutOfRange,
     /// The remote endpoint closed the connection.
     PeerClosed,

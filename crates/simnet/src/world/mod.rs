@@ -909,6 +909,10 @@ impl Ctx for NodeCtx<'_> {
         id
     }
 
+    fn in_range(&self, peer: NodeId, tech: RadioTech) -> bool {
+        self.world.in_range(self.node, peer, tech)
+    }
+
     fn send(&mut self, link: LinkId, payload: Payload) -> Result<(), SendError> {
         let node = self.node;
         match self.world.links.get(link) {

@@ -89,6 +89,11 @@ impl Ctx for ShardCtx<'_> {
         attempt
     }
 
+    fn in_range(&self, peer: NodeId, tech: RadioTech) -> bool {
+        let distance = self.view.distance(self.node.id, peer, self.now);
+        self.view.radio.profile(tech).in_range(distance)
+    }
+
     fn send(&mut self, link: LinkId, payload: Payload) -> Result<(), SendError> {
         let Some(half) = self.node.links.get_mut(&link) else {
             return Err(SendError::UnknownLink);

@@ -15,6 +15,8 @@ struct Chatter {
     got: Vec<Vec<u8>>,
     connected: u32,
     disconnects: Vec<DisconnectReason>,
+    /// [`Ctx::in_range`] towards the dialled peer over WLAN and Bluetooth.
+    in_range: Vec<bool>,
 }
 
 impl Agent for Chatter {
@@ -38,15 +40,12 @@ impl Agent for Chatter {
     fn on_incoming_connection<C: Ctx>(&mut self, _ctx: &mut C, _incoming: IncomingConnection) -> bool {
         true
     }
-    fn on_connected<C: Ctx>(
-        &mut self,
-        ctx: &mut C,
-        _attempt: AttemptId,
-        link: LinkId,
-        _peer: NodeId,
-        _tech: RadioTech,
-    ) {
+    fn on_connected<C: Ctx>(&mut self, ctx: &mut C, _attempt: AttemptId, link: LinkId, peer: NodeId, _tech: RadioTech) {
         self.connected += 1;
+        self.in_range = vec![
+            ctx.in_range(peer, RadioTech::Wlan),
+            ctx.in_range(peer, RadioTech::Bluetooth),
+        ];
         ctx.send(link, b"ping".into()).unwrap();
     }
     fn on_message<C: Ctx>(&mut self, ctx: &mut C, link: LinkId, _from: NodeId, payload: SharedPayload) {
@@ -81,6 +80,8 @@ fn the_ctx_contract_holds_on_both_engines() {
     let mut config = crate::world::WorldConfig::with_seed(42);
     config.radio.wlan.setup_fault_prob = 0.0;
     config.radio.wlan.inquiry_miss_prob = 0.0;
+    // As in `two_node_world`: the pair stands 10 m apart, out of this range.
+    config.radio.bluetooth.range_m = Some(5.0);
     let mut seq = crate::world::World::new(config);
     for (name, x) in [("a", 10.0), ("b", 20.0)] {
         let at = MobilityModel::stationary(Point::new(x, 50.0));
@@ -111,6 +112,12 @@ fn the_ctx_contract_holds_on_both_engines() {
     }
     // Differs: only shards tell the closer, and only `World` counts a
     // sample of a link that is gone (b's, after the close).
+    // The pair is in WLAN range and out of the cut Bluetooth range on
+    // both engines, though neither node carries Bluetooth.
+    assert_eq!(
+        (&a[0].in_range, &a[1].in_range),
+        (&vec![true, false], &vec![true, false])
+    );
     assert_eq!(a[0].disconnects, []);
     assert_eq!(a[1].disconnects, [DisconnectReason::LocalClosed]);
     assert_eq!(seq.metrics().global().quality_samples, 1);
@@ -124,6 +131,9 @@ fn two_node_world(shards: usize) -> ShardedWorld {
     // handshake free of random setup faults.
     config.radio.wlan.setup_fault_prob = 0.0;
     config.radio.wlan.inquiry_miss_prob = 0.0;
+    // A radio the nodes lack, cut below the pair's 10 m so that
+    // `Ctx::in_range` has a pair out of range to answer for.
+    config.radio.bluetooth.range_m = Some(5.0);
     let mut world = ShardedWorld::new(config);
     world.add_node(
         "a",
