@@ -123,11 +123,6 @@ impl Description {
     }
 }
 
-/// A row's own absent mark ([`StoredDevice::absent`]).
-const ABSENT: u8 = 1;
-/// The mark of a row whose route's bridge holds [`ABSENT`].
-const VIA_ABSENT: u8 = 2;
-
 /// One known device as the table holds it: a [`StoredDevice`] with its route
 /// flattened in and its three shared lists behind one pointer. 64 bytes, and
 /// the tests hold it there.
@@ -141,8 +136,10 @@ struct Row {
     checksum: Checksum,
     /// Saturates: a row is erased long before 65 535 missed loops.
     missed_loops: u16,
-    /// [`ABSENT`] and [`VIA_ABSENT`]; a row with either is not offered.
-    absence: u8,
+    /// [`StoredDevice::absent`]. A row bridged through an absent device is
+    /// not offered either; the bridge's row is read for that where it is
+    /// asked, not copied here.
+    absent: bool,
     address: DeviceAddress,
     /// The route's gateway neighbour; `None` exactly when `jumps` is 0.
     bridge: Option<DeviceAddress>,
@@ -159,16 +156,6 @@ impl Row {
 
     fn quality_sum(&self) -> u32 {
         route_quality_sum(&self.hops)
-    }
-
-    /// The device itself is marked absent.
-    fn is_absent(&self) -> bool {
-        self.absence & ABSENT != 0
-    }
-
-    /// Neither the device nor its route's bridge is marked absent.
-    fn offered(&self) -> bool {
-        self.absence == 0
     }
 
     /// The `candidate_replaces` comparison chain of Fig. 3.13 against the
@@ -194,7 +181,7 @@ impl Row {
     fn heard_at(&mut self, quality: u8, now: SimTime) -> bool {
         self.last_seen = now;
         self.missed_loops = 0;
-        self.absence &= !ABSENT;
+        self.absent = false;
         let changed = self.is_direct() && *self.hops != [quality];
         if changed {
             self.hops = HopQualities::prefixed(quality, &[]);
@@ -236,7 +223,7 @@ impl From<&Row> for StoredDevice {
             last_seen: row.last_seen,
             last_fetched: row.last_fetched,
             missed_loops: u32::from(row.missed_loops),
-            absent: row.is_absent(),
+            absent: row.absent,
         }
     }
 }
@@ -408,10 +395,6 @@ struct Table {
     rows: Vec<Row>,
     keys: Vec<u64>,
     slots: Vec<u32>,
-    /// `(key(bridge), n)` for every device `n > 0` rows are bridged through,
-    /// sorted. Kept by the bridge's address, not in its row: a row outlives
-    /// its bridge's row until the next aging cycle.
-    bridged: Vec<(u64, u32)>,
 }
 
 impl Table {
@@ -448,48 +431,19 @@ impl Table {
         reserve_one(&mut self.rows, more);
         self.keys.insert(at, key(row.address));
         self.slots.insert(at, slot);
-        self.rebridge(None, row.bridge);
         self.rows.push(row);
     }
 
     /// Takes a row out; the last row fills its slot.
-    fn remove(&mut self, address: DeviceAddress) -> Option<Row> {
-        let at = self.place_of(address).ok()?;
+    fn remove(&mut self, address: DeviceAddress) {
+        let Ok(at) = self.place_of(address) else { return };
         self.keys.remove(at);
         let slot = self.slots.remove(at);
-        let row = self.rows.swap_remove(slot as usize);
+        self.rows.swap_remove(slot as usize);
         if let Some(moved) = self.rows.get(slot as usize) {
             let at = self.place_of(moved.address).expect("every row is indexed");
             self.slots[at] = slot;
         }
-        self.rebridge(row.bridge, None);
-        Some(row)
-    }
-
-    /// A row's route moved from bridge `from` to bridge `to`; `None` is no
-    /// bridge (a direct row, or no row).
-    fn rebridge(&mut self, from: Option<DeviceAddress>, to: Option<DeviceAddress>) {
-        if from == to {
-            return;
-        }
-        if let Some(bridge) = from {
-            let at = find(&self.bridged, key(bridge), |b| b.0).expect("every bridge in use is counted");
-            self.bridged[at].1 -= 1;
-            if self.bridged[at].1 == 0 {
-                self.bridged.remove(at);
-            }
-        }
-        if let Some(bridge) = to {
-            match find(&self.bridged, key(bridge), |b| b.0) {
-                Ok(at) => self.bridged[at].1 += 1,
-                Err(at) => self.bridged.insert(at, (key(bridge), 1)),
-            }
-        }
-    }
-
-    /// How many rows are bridged through `bridge`.
-    fn bridged_through(&self, bridge: DeviceAddress) -> u32 {
-        find(&self.bridged, key(bridge), |b| b.0).map_or(0, |at| self.bridged[at].1)
     }
 
     /// Gives memory back once three quarters of it stand empty, down to the
@@ -541,10 +495,6 @@ pub struct DeviceStorage {
     /// Bumped whenever an absent mark is set or cleared; see
     /// [`DeviceStorage::presence_generation`].
     presence_generation: u64,
-    /// Set by [`DeviceStorage::remove`] (which defers its orphan cascade to
-    /// the next aging cycle); lets [`DeviceStorage::age_cycle`] skip the
-    /// orphaned-bridge scan when nothing could possibly be orphaned.
-    maybe_orphans: bool,
 }
 
 impl DeviceStorage {
@@ -559,13 +509,12 @@ impl DeviceStorage {
             claims: IdTable::default(),
             generation: 0,
             presence_generation: 0,
-            maybe_orphans: false,
         }
     }
 
     /// The storage of an owner of `mobility`. A non-static owner ranks every
     /// direct row that missed the last inquiry loop after the rows that
-    /// answered it (see [`DeviceStorage::service_providers`]).
+    /// answered it (see [`DeviceStorage::best_service_provider`]).
     pub fn with_owner_mobility(mut self, mobility: MobilityClass) -> Self {
         self.mobile_owner = mobility != MobilityClass::Static;
         self
@@ -632,21 +581,15 @@ impl DeviceStorage {
         }
     }
 
-    /// Erases a device and what it claimed. The rows bridged through an
-    /// absent device lose their mark with it: their bridge is gone, which
-    /// the next aging cycle acts on.
-    fn erase(&mut self, address: DeviceAddress) -> Option<Row> {
+    /// Erases a device and what it claimed.
+    fn erase(&mut self, address: DeviceAddress) {
         self.claims.remove(&address);
-        let row = self.devices.remove(address)?;
-        if row.is_absent() {
-            self.mark_bridged_through(address, false);
-        }
-        Some(row)
+        self.devices.remove(address);
     }
 
     /// A dial to `address` was refused as out of range, or a link to it
-    /// broke with it out of range: the radio has lost the device. Its row — and every row bridged through it — drops out of
-    /// [`DeviceStorage::service_providers`],
+    /// broke with it out of range: the radio has lost the device. Its row,
+    /// and every row bridged through it, drops out of
     /// [`DeviceStorage::best_service_provider`] and
     /// [`DeviceStorage::handover_candidates_iter`] until the device is heard
     /// again: an inquiry hit ([`DeviceStorage::note_inquiry_hit`]) or a
@@ -656,49 +599,28 @@ impl DeviceStorage {
     /// not carry the mark, so [`DeviceStorage::generation`] does not move.
     pub fn mark_absent(&mut self, address: DeviceAddress) {
         if let Some(row) = self.devices.get_mut(address) {
-            if !row.is_absent() {
-                row.absence |= ABSENT;
-                self.mark_bridged_through(address, true);
+            if !row.absent {
+                row.absent = true;
+                self.presence_generation += 1;
             }
         }
     }
 
-    /// Sets or clears [`VIA_ABSENT`] on every row bridged through `bridge`,
-    /// whose own mark was just set or cleared. A walk of the slab up to the
-    /// last such row, paid only when a mark flips on a device something is
-    /// routed through.
-    fn mark_bridged_through(&mut self, bridge: DeviceAddress, absent: bool) {
-        self.presence_generation += 1;
-        let mut left = self.devices.bridged_through(bridge);
-        debug_assert_eq!(
-            left as usize,
-            self.devices
-                .rows
-                .iter()
-                .filter(|row| row.bridge == Some(bridge))
-                .count(),
-            "the count is the rows bridged through {bridge}"
-        );
-        if left == 0 {
-            return;
-        }
-        for row in self.devices.rows.iter_mut().filter(|row| row.bridge == Some(bridge)) {
-            row.absence = if absent {
-                row.absence | VIA_ABSENT
-            } else {
-                row.absence & !VIA_ABSENT
-            };
-            left -= 1;
-            if left == 0 {
-                break;
-            }
-        }
+    /// The route's bridge is stored and marked absent.
+    fn bridge_absent(&self, row: &Row) -> bool {
+        let bridge = row.bridge.and_then(|bridge| self.devices.get(bridge));
+        bridge.is_some_and(|bridge| bridge.absent)
     }
 
-    /// The provider-selection rank of a row, as
-    /// [`DeviceStorage::service_providers`] describes it, with the address
-    /// last. Addresses are unique, so no two rows rank alike, and ordering by
-    /// the key is the stable sort of address-ordered rows by the rest.
+    /// The provider-selection rank of a row, with the address last: fresh
+    /// before stale, then fewer jumps, then the nearest hop's mobility, then
+    /// the higher quality sum. A direct row that missed the latest inquiry
+    /// loop is *stale* when one end is non-static — the owner (see
+    /// [`DeviceStorage::with_owner_mobility`]) or the device: it ranks after
+    /// every row that answered the loop. Between two static devices a missed
+    /// loop is noise, and the rank is the route's alone. Addresses are
+    /// unique, so no two rows rank alike, and ordering by the key is the
+    /// stable sort of address-ordered rows by the rest.
     fn provider_rank(&self, row: &Row) -> (bool, u8, u8, std::cmp::Reverse<u32>, DeviceAddress) {
         let moving = self.mobile_owner || row.mobility != MobilityClass::Static;
         let stale = moving && row.is_direct() && row.missed_loops > 0;
@@ -706,29 +628,12 @@ impl DeviceStorage {
         (stale, row.jumps, row.nearest_mobility.value(), quality, row.address)
     }
 
-    /// Every offered device (see [`DeviceStorage::mark_absent`]) offering a
-    /// service whose name matches `name`, with that service, best first:
-    /// fresh before stale, then fewer jumps, then the nearest hop's mobility,
-    /// then the higher quality sum. A direct row that missed the latest
-    /// inquiry loop is *stale* when one end is non-static — the owner (see
-    /// [`DeviceStorage::with_owner_mobility`]) or the device: it ranks after
-    /// every row that answered the loop. Between two static devices a missed
-    /// loop is noise, and the rank is the route's alone. (The ranking
-    /// requires a sort, so the iterator is backed by one internally collected
-    /// vector. The node only ever takes the first entry, through
-    /// [`DeviceStorage::best_service_provider`]; the whole ranking is what
-    /// the reference-model test holds that pass to.)
-    pub fn service_providers<'a>(&'a self, name: &str) -> impl Iterator<Item = (DeviceAddress, &'a ServiceInfo)> {
-        let mut providers = Vec::new();
-        self.each_provider(name, |d, s| providers.push((self.provider_rank(d), s)));
-        providers.sort_unstable_by_key(|(rank, _)| *rank);
-        providers.into_iter().map(|((.., address), s)| (address, s))
-    }
-
-    /// The best-ranked provider of `name` other than `except` — exactly
-    /// the first of `service_providers(name)` that is not `except`, but
-    /// found in one allocation-free pass that keeps the strict minimum of
-    /// the rank.
+    /// The best-ranked offered device (see [`DeviceStorage::mark_absent`])
+    /// other than `except` that offers a service called `name`, with that
+    /// service, found in one allocation-free pass that keeps the strict
+    /// minimum of the rank. A row's bridge is looked up only when the row
+    /// would become the best so far, so a pass over rows in no particular
+    /// order makes O(log n) lookups, expected.
     pub fn best_service_provider(
         &self,
         name: &str,
@@ -740,21 +645,21 @@ impl DeviceStorage {
                 return;
             }
             let rank = self.provider_rank(d);
-            if best.as_ref().is_none_or(|(b, _)| rank < *b) {
+            if best.as_ref().is_none_or(|(b, _)| rank < *b) && !self.bridge_absent(d) {
                 best = Some((rank, s));
             }
         });
         best.map(|((.., address), s)| (address, s))
     }
 
-    /// Every offered device offering a service called `name`, with that
-    /// service, in the rows' slab order: the ranking orders them itself, so
-    /// the walk reads the rows where they lie instead of through the index.
-    /// A fleet's rows share one description, so the name is searched for
-    /// once per run of rows holding the same one.
+    /// Every device not itself marked absent offering a service called
+    /// `name`, with that service, in the rows' slab order: the ranking
+    /// orders them itself, so the walk reads the rows where they lie instead
+    /// of through the index. A fleet's rows share one description, so the
+    /// name is searched for once per run of rows holding the same one.
     fn each_provider<'a>(&'a self, name: &str, mut visit: impl FnMut(&'a Row, &'a ServiceInfo)) {
         let mut previous: Option<(&Arc<Description>, Option<&ServiceInfo>)> = None;
-        for d in self.devices.rows.iter().filter(|d| d.offered()) {
+        for d in self.devices.rows.iter().filter(|d| !d.absent) {
             let offered = match previous {
                 Some((described, offered)) if Arc::ptr_eq(described, &d.description) => offered,
                 _ => d.description.services.iter().find(|s| s.name == name),
@@ -869,7 +774,7 @@ impl DeviceStorage {
             hops: HopQualities::prefixed(quality, &[]),
             checksum: seen.checksum(),
             missed_loops: 0,
-            absence: 0,
+            absent: false,
             address,
             bridge: None,
             jumps: 0,
@@ -890,12 +795,9 @@ impl DeviceStorage {
                 // A neighbour that still describes itself as stored keeps
                 // the stored description.
                 let description = seen.description(Some(&existing.description));
-                let (was_absent, bridge) = (existing.is_absent(), existing.bridge);
+                let was_absent = existing.absent;
                 *existing = direct(description, nearest_mobility);
-                self.devices.rebridge(bridge, None);
-                if was_absent {
-                    self.mark_bridged_through(address, false);
-                }
+                self.presence_generation += u64::from(was_absent);
                 false
             }
             Err(at) => {
@@ -933,11 +835,8 @@ impl DeviceStorage {
                 if now.saturating_since(entry.last_fetched) >= interval {
                     return true;
                 }
-                let was_absent = entry.is_absent();
+                self.presence_generation += u64::from(entry.absent);
                 self.generation += u64::from(entry.heard_at(quality, now));
-                if was_absent {
-                    self.mark_bridged_through(address, false);
-                }
                 false
             }
         }
@@ -1016,12 +915,6 @@ impl DeviceStorage {
     ) {
         let capacity = self.devices.rows.capacity();
         self.generation += 1;
-        // A route through the responder carries its absent mark; on the
-        // node's path the responder was just heard, so it has none.
-        let via_absent = match self.devices.get(responder) {
-            Some(row) if row.is_absent() => VIA_ABSENT,
-            _ => 0,
-        };
         // The description the responder's own row holds, for new rows to
         // share: in a fleet built from one configuration every device
         // advertises the same name, technology list and service list, and a
@@ -1091,7 +984,7 @@ impl DeviceStorage {
                         hops: HopQualities::prefixed(responder_quality, hops),
                         checksum: record.checksum(),
                         missed_loops: 0,
-                        absence: via_absent,
+                        absent: false,
                         address,
                         bridge: Some(responder),
                         jumps: cand_jumps,
@@ -1120,11 +1013,9 @@ impl DeviceStorage {
                     let threshold = self.quality_threshold;
                     if existing.beaten_by(cand_jumps, responder_mobility, responder_quality, hops, threshold) {
                         existing.hops = HopQualities::prefixed(responder_quality, hops);
-                        let bridge = existing.bridge.replace(responder);
+                        existing.bridge = Some(responder);
                         existing.jumps = cand_jumps;
                         existing.nearest_mobility = responder_mobility;
-                        existing.absence = existing.absence & ABSENT | via_absent;
-                        self.devices.rebridge(bridge, Some(responder));
                     }
                 }
             }
@@ -1180,15 +1071,13 @@ impl DeviceStorage {
             self.erase(addr);
         }
         // Pass 2 (repeated): drop indirect entries whose bridge is gone.
-        // Orphans can only exist when something was removed — in pass 1
-        // just now, or earlier through `remove` (which defers its cascade
-        // here); every other mutation only adds or improves entries. The
-        // steady-state cycle with nothing to age skips the scan.
-        if removed.is_empty() && !self.maybe_orphans {
+        // Orphans can only exist when pass 1 just removed something; every
+        // other mutation only adds or improves entries. The steady-state
+        // cycle with nothing to age skips the scan.
+        if removed.is_empty() {
             return removed;
         }
         self.generation += 1;
-        self.maybe_orphans = false;
         loop {
             let bridge_gone = |e: &&Row| e.bridge.is_some_and(|bridge| !self.contains(bridge));
             let orphaned: Vec<DeviceAddress> = self.devices.iter().filter(bridge_gone).map(|e| e.address).collect();
@@ -1219,22 +1108,14 @@ impl DeviceStorage {
         }
     }
 
-    /// Removes a device outright (e.g. after repeated connection failures).
-    /// Routes through the removed device are cascaded away by the next
-    /// [`DeviceStorage::age_cycle`].
-    pub fn remove(&mut self, address: DeviceAddress) -> Option<StoredDevice> {
-        self.generation += 1;
-        self.maybe_orphans = true;
-        self.erase(address).as_ref().map(StoredDevice::from)
-    }
-
     /// Direct neighbours not marked absent that have reported `target` as
     /// *their* direct neighbour, together with the quality they reported —
     /// the candidate bridges for a routing handover towards `target`
     /// (Fig. 5.5 state 0).
     /// Best first (our quality to the bridge + its reported quality to the
-    /// target); like [`DeviceStorage::service_providers`] the ranking needs
-    /// one internal sort, after which the results stream without copies.
+    /// target); the ranking needs one internal sort, after which the results
+    /// stream without copies. A direct row has no bridge, so its own mark is
+    /// all there is to check.
     pub fn handover_candidates_iter(&self, target: DeviceAddress) -> impl Iterator<Item = (DeviceAddress, u8, u8)> {
         // Walk the (much smaller) claims table instead of the whole device
         // storage: a candidate must have filed a neighbour report, and both
@@ -1246,7 +1127,7 @@ impl DeviceStorage {
             .filter(|(responder, _)| *responder != target)
             .filter_map(|(responder, seen)| {
                 let reported = claimed_quality(seen, target)?;
-                let d = self.devices.get(responder).filter(|d| d.is_direct() && d.offered())?;
+                let d = self.devices.get(responder).filter(|d| d.is_direct() && !d.absent)?;
                 Some((responder, d.hops.first().copied().unwrap_or(0), reported))
             })
             .collect();
@@ -1369,7 +1250,13 @@ mod tests {
                     );
                 }
                 7 => {
-                    s.remove(addr(district + rng.range(0u64..300)));
+                    // One device is erased by aging: suspected, then silent
+                    // through a cycle every other direct neighbour answered.
+                    let gone = addr(district + rng.range(0u64..300));
+                    s.mark_suspect(gone, 2);
+                    let others = s.devices().filter(|d| d.is_direct() && d.info.address != gone);
+                    let mut responded: Vec<_> = others.map(|d| d.info.address).collect();
+                    s.age_cycle(&mut responded, now, 2, SimDuration::from_secs(20));
                 }
                 _ => {
                     let mut responded: Vec<DeviceAddress> =
@@ -1818,6 +1705,23 @@ mod tests {
         assert_eq!(d.last_fetched, T0);
     }
 
+    impl DeviceStorage {
+        /// Every offered provider of `name` with that service, best first:
+        /// the whole ranking, sorted, that
+        /// [`DeviceStorage::best_service_provider`] must answer the first
+        /// of without a sort.
+        fn service_providers<'a>(&'a self, name: &str) -> impl Iterator<Item = (DeviceAddress, &'a ServiceInfo)> {
+            let mut providers = Vec::new();
+            self.each_provider(name, |d, s| {
+                if !self.bridge_absent(d) {
+                    providers.push((self.provider_rank(d), s));
+                }
+            });
+            providers.sort_unstable_by_key(|(rank, _)| *rank);
+            providers.into_iter().map(|((.., address), s)| (address, s))
+        }
+    }
+
     #[test]
     fn service_provider_lookup_sorts_by_route_preference() {
         let mut s = storage();
@@ -1934,6 +1838,17 @@ mod tests {
         assert_eq!(bridges_to(&s, 9), []);
         s.mark_absent(addr(42));
         assert_eq!(s.len(), 4, "marking an unknown device stores nothing");
+
+        // A walking owner whose direct providers both missed the last loop
+        // ranks 3 first. Once 2 is absent, 3 is the best-ranked row not
+        // marked itself, and only the lookup of its bridge skips it.
+        let mut s = two_providers_and_one_bridged().with_owner_mobility(MobilityClass::Dynamic);
+        s.age_cycle(&mut [], T0, 5, SimDuration::from_secs(600));
+        assert_eq!(echo_providers(&s), [addr(3), addr(2), addr(1)]);
+        s.mark_absent(addr(2));
+        assert!(!s.get(addr(3)).unwrap().absent);
+        assert_eq!(s.best_service_provider("echo", None).map(|(a, _)| a), Some(addr(1)));
+        assert_eq!(s.best_service_provider("echo", Some(addr(1))).map(|(a, _)| a), None);
     }
 
     #[test]
@@ -2022,7 +1937,6 @@ mod tests {
         devices: BTreeMap<DeviceAddress, StoredDevice>,
         reported: BTreeMap<DeviceAddress, BTreeMap<DeviceAddress, u8>>,
         generation: u64,
-        maybe_orphans: bool,
     }
 
     impl Model {
@@ -2155,13 +2069,6 @@ mod tests {
             !d.absent && !bridge.is_some_and(|b| b.absent)
         }
 
-        fn remove(&mut self, address: DeviceAddress) -> Option<StoredDevice> {
-            self.generation += 1;
-            self.maybe_orphans = true;
-            self.reported.remove(&address);
-            self.devices.remove(&address)
-        }
-
         fn age_cycle(
             &mut self,
             responded: &[DeviceAddress],
@@ -2184,11 +2091,10 @@ mod tests {
                     }
                 }
             }
-            if removed.is_empty() && !self.maybe_orphans {
+            if removed.is_empty() {
                 return removed;
             }
             self.generation += 1;
-            self.maybe_orphans = false;
             let mut round = removed.clone();
             loop {
                 for addr in &round {
@@ -2330,7 +2236,6 @@ mod tests {
                 devices: BTreeMap::new(),
                 reported: BTreeMap::new(),
                 generation: 0,
-                maybe_orphans: false,
             };
             let mut now = T0;
             for step in 0..600 {
@@ -2338,7 +2243,7 @@ mod tests {
                 let who = addr(rng.range(0u64..24));
                 let quality = rng.range(200u8..=255);
                 let at = format!("seed {seed} step {step}");
-                match rng.range(0u8..14) {
+                match rng.range(0u8..13) {
                     0..=2 => {
                         let device = random_device(&mut rng);
                         let services = service_lists[rng.index(4)].clone();
@@ -2395,12 +2300,11 @@ mod tests {
                         s.mark_suspect(who, 2);
                         m.mark_suspect(who, 2);
                     }
-                    9 => assert_eq!(s.remove(who), m.remove(who), "{at}"),
-                    11 | 12 => {
+                    10 | 11 => {
                         s.mark_absent(who);
                         m.mark_absent(who);
                     }
-                    10 => {
+                    9 => {
                         let mut responded: Vec<_> =
                             (0..rng.range(0usize..10)).map(|_| addr(rng.range(0u64..24))).collect();
                         let stale_timeout = SimDuration::from_secs(60);
@@ -2411,7 +2315,8 @@ mod tests {
                 }
                 assert!(s.devices().eq(m.devices.values().cloned()), "{at}");
                 hop_list_lengths.extend(s.devices.rows.iter().map(|row| row.hops.len()));
-                skipped_for_the_bridge += usize::from(s.devices.rows.iter().any(|row| row.absence == VIA_ABSENT));
+                let for_the_bridge = |row: &Row| !row.absent && s.bridge_absent(row);
+                skipped_for_the_bridge += usize::from(s.devices.rows.iter().any(for_the_bridge));
                 assert_eq!(s.len(), m.devices.len(), "{at}");
                 assert_eq!(s.generation(), m.generation, "{at}");
                 assert!(
@@ -2513,14 +2418,14 @@ mod tests {
             T0,
         );
         assert_eq!(s.reported_quality(addr(1), addr(2)), Some(230));
-        assert!(s.remove(addr(1)).is_some());
-        assert!(s.remove(addr(1)).is_none());
+        // 2 is heard directly too, so its row does not hang on 1.
+        s.upsert_direct(info(2, MobilityClass::Static), 240, vec![], T0);
+        let age = |s: &mut DeviceStorage| s.age_cycle(&mut [addr(2)], T0, 0, SimDuration::from_secs(600));
+        assert_eq!(age(&mut s), [addr(1)]);
+        assert_eq!(age(&mut s), []);
         assert_eq!(s.reported_quality(addr(1), addr(2)), None);
         assert!(s.claims.is_empty(), "the claims row outlived its device");
-        assert!(
-            s.get(addr(2)).is_some(),
-            "what it reported stays until the next aging cycle"
-        );
+        assert!(s.get(addr(2)).is_some(), "what it reported stays");
         assert_eq!(s.own_address(), addr(0));
     }
 }
