@@ -51,6 +51,11 @@ pub enum ConnKind {
 }
 
 impl ConnKind {
+    /// An outgoing connection through `bridge`, or direct without one.
+    pub fn outgoing(bridge: Option<DeviceAddress>) -> Self {
+        bridge.map_or(ConnKind::OutgoingDirect, |bridge| ConnKind::OutgoingBridged { bridge })
+    }
+
     /// True for connections we initiated.
     pub fn is_outgoing(&self) -> bool {
         !matches!(self, ConnKind::Incoming { .. })

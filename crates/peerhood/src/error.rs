@@ -18,9 +18,6 @@ pub enum PeerHoodError {
     /// The connection exists but is not in a state that allows the operation
     /// (for example writing before the end-to-end acknowledgement arrived).
     InvalidConnectionState(ConnectionId),
-    /// The stored route to the device is unusable (for example the bridge
-    /// node has disappeared from the storage).
-    NoRoute(DeviceAddress),
     /// A service with the same name is already registered locally.
     ServiceAlreadyRegistered(String),
     /// The bridge service refused the connection because it reached its
@@ -45,7 +42,6 @@ impl fmt::Display for PeerHoodError {
             PeerHoodError::InvalidConnectionState(id) => {
                 write!(f, "connection {id} is not in a valid state for this operation")
             }
-            PeerHoodError::NoRoute(addr) => write!(f, "no usable route to {addr}"),
             PeerHoodError::ServiceAlreadyRegistered(name) => {
                 write!(f, "service already registered: {name}")
             }

@@ -202,25 +202,20 @@ impl Core {
         target: DeviceAddress,
         service: &str,
     ) -> Result<ConnectionId, PeerHoodError> {
-        let entry = self.storage.get(target).ok_or(PeerHoodError::UnknownDevice(target))?;
-        let route = entry.route;
-        let kind = if route.is_direct() {
-            ConnKind::OutgoingDirect
-        } else {
-            let bridge = route.bridge.ok_or(PeerHoodError::NoRoute(target))?;
-            ConnKind::OutgoingBridged { bridge }
-        };
+        let route = self.storage.get(target).map(|entry| entry.route);
+        let route = route.ok_or(PeerHoodError::UnknownDevice(target))?;
         // The circuit breaker gates the dial towards the first physical hop
         // before any connection state is allocated: a refused dial costs
         // nothing — no id, no table entry, no radio attempt. So this is the
         // one dial that asks the breaker itself and then takes `dial`'s
         // ungated half.
-        let first_hop = kind.first_hop(target).unwrap_or(target);
+        let first_hop = route.first_hop(target);
         let peers = &mut self.security.peers;
         if !self.resilience.allow_dial(peers, first_hop, ctx.now()) {
             return Err(PeerHoodError::CircuitOpen(first_hop));
         }
         let conn = self.connections.allocate_id(self.my_address());
+        let kind = ConnKind::outgoing(route.bridge);
         let mut connection = AppConnection::outgoing(conn, target, service, kind, ctx.now());
         if self.config.handover.enabled {
             connection.monitor = Some(HandoverMonitor::new(
@@ -277,17 +272,14 @@ impl Core {
             // start result routing (§5.3 / Fig. 5.10). The outbox cap bounds
             // how much a dead client's results may occupy; shed results are
             // reported to the owning application instead of queued silently.
-            if let Some(cap) = self.resilience.outbox_cap() {
-                let len = self.connections.get(conn).map(|c| c.outbox.len()).unwrap_or(0);
-                if len >= cap {
-                    self.resilience.note_queue_shed();
-                    self.events.push_back(super::PeerHoodEvent::Shed {
-                        app: owner,
-                        conn,
-                        dropped_bytes: payload.len(),
-                    });
-                    return Err(PeerHoodError::Overloaded(conn));
-                }
+            let queued = self.connections.get(conn).map_or(0, |c| c.outbox.len());
+            if !self.resilience.allow_queued(queued) {
+                self.events.push_back(super::PeerHoodEvent::Shed {
+                    app: owner,
+                    conn,
+                    dropped_bytes: payload.len(),
+                });
+                return Err(PeerHoodError::Overloaded(conn));
             }
             if let Some(c) = self.connections.get_mut(conn) {
                 c.outbox.push(payload);

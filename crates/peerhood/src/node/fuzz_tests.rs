@@ -18,8 +18,10 @@
 
 use std::collections::BTreeSet;
 
+use simnet::agent::Agent;
 use simnet::{
-    Ctx, FrameForge, LinkId, MobilityModel, NodeId, OnWorld, Point, RadioTech, SimDuration, SimRng, World, WorldConfig,
+    Ctx, FrameForge, IncomingConnection, LinkId, MobilityModel, NodeId, OnWorld, Payload, Point, RadioTech,
+    SimDuration, SimRng, World, WorldConfig,
 };
 
 use crate::application::Application;
@@ -30,7 +32,8 @@ use crate::error::ErrorCode;
 use crate::hostile::{ProtocolForge, HOSTILE_BASE};
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::proto::{Message, NeighborRecord};
-use crate::resilience::ResilienceConfig;
+use crate::resilience::{ResilienceConfig, INBOUND_BURST, PER_PEER_RATE};
+use crate::security::Security;
 use crate::service::ServiceInfo;
 use crate::wire;
 
@@ -420,6 +423,83 @@ fn auth_rejects_every_raw_hostile_frame_before_decode() {
     assert_eq!(outcome.hijacked, 0);
     assert!(!outcome.poisoned);
     assert_eq!(outcome.stats.penalties_recorded, outcome.injected);
+}
+
+/// The frame path's order is behaviour. With frame auth, the sanity tier
+/// and the resilience pipeline all on, a frame one step refuses never
+/// reaches a later one: more forged `Data` frames than the inbound bucket
+/// holds all stop at the MAC check, as many authenticated ones naming
+/// another session all stop at the session check, and an honest frame after
+/// both floods still finds the bucket full and reaches the app. An incoming
+/// connection that admission refuses leaves no link role behind.
+#[test]
+fn a_frame_one_defence_refuses_never_reaches_the_next() {
+    let (mut world, victim) = victim_world(SecurityConfig::auth(), ResilienceConfig::all_on());
+    let attacker = DeviceAddress::from_node(attacker_node());
+    let session = ConnectionId::new(attacker, 1);
+    let link = LinkId(0x4000);
+    let flood = INBOUND_BURST as u64 + 1;
+    // The sender holds the key: a frame it seals verifies, one it does not
+    // is a forgery.
+    let mut sender = Security::new(SecurityConfig::auth());
+    let mut data = |conn_id, payload: &[u8], sealed: bool| -> Payload {
+        let mut frame = wire::encode(&Message::Data {
+            conn_id,
+            payload: payload.to_vec(),
+        });
+        if sealed {
+            sender.append_trailer(attacker, &mut frame);
+        }
+        frame.into()
+    };
+    world
+        .with_agent::<PeerHoodNode, _>(victim, |n, ctx| {
+            let app = n.app_ids()[0];
+            let now = ctx.now();
+            let core = n.core_mut().expect("node started");
+            core.connections
+                .insert(AppConnection::incoming(session, attacker_info(), "svc", link, now));
+            core.conn_owner.insert(session, app);
+            core.roles
+                .insert(link, (LinkRole::AppConnection(session), RadioTech::Bluetooth));
+            for _ in 0..flood {
+                core.handle_message(ctx, link, attacker_node(), data(session, b"forged", false));
+                core.handle_message(ctx, link, attacker_node(), data(foreign_conn(), b"spliced", true));
+            }
+            core.handle_message(ctx, link, attacker_node(), data(session, b"honest", true));
+        })
+        .unwrap();
+    world.run_for(SimDuration::from_secs(2));
+    world
+        .with_agent::<PeerHoodNode, _>(victim, |n, ctx| {
+            let security = n.security_stats();
+            assert_eq!(security.auth_rejected, flood);
+            assert_eq!(security.conn_mismatch_dropped, flood);
+            let shed = n.resilience_stats().inbound_shed;
+            assert_eq!(shed, 0, "a refused frame was charged to the inbound bucket");
+            assert_eq!(n.app::<FuzzApp>().unwrap().data, vec![b"honest".to_vec()]);
+            // The per-peer accept rate refuses the connection past it.
+            let links: Vec<_> = (0..=PER_PEER_RATE as u64).map(|i| LinkId(0x5000 + i)).collect();
+            let admitted: Vec<bool> = links
+                .iter()
+                .map(|&link| {
+                    let incoming = IncomingConnection {
+                        from: attacker_node(),
+                        tech: RadioTech::Bluetooth,
+                        link,
+                    };
+                    n.on_incoming_connection(ctx, incoming)
+                })
+                .collect();
+            assert_eq!(admitted, [vec![true; PER_PEER_RATE], vec![false]].concat());
+            let roles = &n.core_mut().expect("node started").roles;
+            assert!(roles.get(&links[0]).is_some());
+            assert!(
+                roles.get(&links[PER_PEER_RATE]).is_none(),
+                "a refused connection left a link role"
+            );
+        })
+        .unwrap();
 }
 
 #[test]

@@ -497,16 +497,12 @@ impl Agent for PeerHoodNode {
                 // session cap, so a flood of half-open connections cannot
                 // sneak past it.
                 let peer = DeviceAddress::from_node(incoming.from);
-                let half_open = core
-                    .roles
-                    .values()
-                    .filter(|(role, _)| *role == LinkRole::IncomingUnidentified);
-                let active = half_open.count()
-                    + core
-                        .connections
-                        .iter()
-                        .filter(|c| !c.is_outgoing() && c.is_established())
-                        .count();
+                let (roles, connections) = (&core.roles, &core.connections);
+                let active = || {
+                    let half_open = roles.values().filter(|r| r.0 == LinkRole::IncomingUnidentified);
+                    let served = connections.iter().filter(|c| !c.is_outgoing() && c.is_established());
+                    half_open.count() + served.count()
+                };
                 let peers = &mut core.security.peers;
                 if !core.resilience.admit(peers, peer, ctx.now(), active) {
                     return false;

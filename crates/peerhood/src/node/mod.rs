@@ -120,13 +120,13 @@ pub(crate) struct Core {
     /// outgoing frame it is encoded in the thread's encode buffer and copied
     /// out once, so the node holds no encode buffer of its own.
     pub(crate) inquiry_frame: Option<((u64, u64, u8), crate::wire::Frame)>,
-    /// The resilience pipeline: circuit breakers, backpressure and admission
-    /// control interposed on the data path (no-op when every layer is
-    /// disabled, the default).
+    /// The resilience pipeline's gates on the frame path (`allow_*` and
+    /// `admit`): each counts its own sheds; off, the default, all allow.
     pub(crate) resilience: crate::resilience::Resilience,
-    /// The protocol-hardening layer: frame authentication, replay windows
-    /// and the sanity-check counters (no-op when every defence is disabled,
-    /// the default).
+    /// The hardening layer's verdicts on the frame path: `open` and `seal`,
+    /// the sanity checks and `admits_report`. Each checks its own tier, counts
+    /// its own reason and charges its own penalty; off, the default, it
+    /// passes everything. It owns the peer table the breakers live in too.
     pub(crate) security: crate::security::Security,
 }
 

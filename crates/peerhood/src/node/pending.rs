@@ -285,20 +285,9 @@ impl Core {
             return;
         }
         // Fig. 5.10: look the client up in the device storage and reconnect.
-        let route = match self.storage.get(remote) {
-            Some(entry) => entry.route,
-            None => {
-                self.schedule_reply_retry(ctx, conn);
-                return;
-            }
-        };
-        let first_hop = if route.is_direct() {
-            remote
-        } else {
-            match route.bridge {
-                Some(b) => b,
-                None => remote,
-            }
+        let Some(first_hop) = self.storage.get(remote).map(|entry| entry.route.first_hop(remote)) else {
+            self.schedule_reply_retry(ctx, conn);
+            return;
         };
         // An open breaker towards the hop turns the dial into a scheduled
         // retry: the bounded retry budget is not burned on a hop known bad.

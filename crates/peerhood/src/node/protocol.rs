@@ -37,9 +37,7 @@ impl Core {
     /// one share-copy made here is the allocation the world's delivery
     /// pipeline carries end to end.
     fn send_encoded(&mut self, ctx: &mut dyn Ctx, link: LinkId, frame: &mut Vec<u8>) {
-        if self.security.frame_auth() {
-            self.security.append_trailer(self.info.address, frame);
-        }
+        self.security.seal(self.info.address, frame);
         let _ = ctx.send(link, wire::Frame::copy_from_slice(frame));
     }
 
@@ -223,17 +221,8 @@ impl Core {
         // arrived from, and the rest of the stack (including the bridge
         // relay fast path) works on the bare wire frame — a slice of the
         // payload it arrived in, never a copy.
-        let body = if self.security.frame_auth() {
-            let sender = DeviceAddress::from_node(from);
-            match self.security.verify_and_strip(sender, payload.as_slice()) {
-                Ok(body) => body,
-                Err(_) => {
-                    self.security.penalize(sender);
-                    return;
-                }
-            }
-        } else {
-            payload.as_slice()
+        let Some(body) = self.security.open(DeviceAddress::from_node(from), payload.as_slice()) else {
+            return;
         };
         let role = self
             .roles
@@ -317,30 +306,11 @@ impl Core {
         reply_context: Option<ConnectionId>,
     ) {
         let now = ctx.now();
-        if self.security.sanity_checks() {
-            if let Some(orig) = reply_context {
-                // A §5.3 reply connection refers back to a session *this*
-                // device initiated (the connection id packs its allocator);
-                // anything else is a forged or replayed reply context.
-                if orig.initiator() != self.my_address() {
-                    self.security.stats.bad_reply_context += 1;
-                    self.security.penalize(client.address);
-                    self.drop_link(ctx, link);
-                    return;
-                }
-            } else if self.connections.get(conn_id).is_none()
-                && self.bridge.get(conn_id).is_none()
-                && conn_id.initiator() != client.address
-            {
-                // A brand-new session's connection id is allocated by its
-                // client: a fresh request whose id claims a different
-                // allocator is a replayed or forged frame trying to hijack
-                // or pre-poison someone else's session.
-                self.security.stats.foreign_conn_rejected += 1;
-                self.security.penalize(client.address);
-                self.drop_link(ctx, link);
-                return;
-            }
+        let known = self.connections.get(conn_id).is_some() || self.bridge.get(conn_id).is_some();
+        let (me, security) = (self.info.address, &mut self.security);
+        if !security.admits_connect_request(me, client.address, conn_id, reply_context, known) {
+            self.drop_link(ctx, link);
+            return;
         }
         // Case 1: the server is calling back with the result of a migrated
         // task — attach the link to the waiting session (§5.3).
@@ -439,31 +409,17 @@ impl Core {
             return;
         }
         // Select the next hop from the device storage (Fig. 4.4: "get devices
-        // list, find given address").
-        let next_hop = match self.storage.get(destination) {
-            Some(entry) if entry.route.is_direct() => Some(destination),
-            Some(entry) => entry.route.bridge,
-            None => None,
-        };
-        // Routing-loop sanity check (§3.4.3 hardening): if the best route to
-        // the destination goes back through the very node that sent us this
-        // request, relaying would only bounce the frame between the two of us
-        // until bridge capacity runs out. Forged neighbour reports manufacture
-        // exactly such cycles (the "provider" a hostile advertises resolves
-        // back to the hostile itself), so treat the reflection as no route and
-        // let the originator's reputation layer charge its bridge.
-        let next_hop = match next_hop {
-            Some(hop) if self.security.sanity_checks() && hop.node_id() == from => None,
-            other => other,
-        };
-        let hop = match next_hop {
-            Some(h) => h,
-            None => {
-                self.bridge.record_refusal();
-                let detail = format!("no route to {destination}");
-                self.refuse(ctx, link, conn_id, ErrorCode::NoRouteToDestination, detail);
-                return;
-            }
+        // list, find given address"). A reflection back to the requester is
+        // no route, and the originator's reputation layer charges its bridge.
+        let next_hop = self
+            .storage
+            .get(destination)
+            .map(|entry| entry.route.first_hop(destination));
+        let Some(hop) = next_hop.filter(|&hop| !self.security.refuses_reflection(hop, from)) else {
+            self.bridge.record_refusal();
+            let detail = format!("no route to {destination}");
+            self.refuse(ctx, link, conn_id, ErrorCode::NoRouteToDestination, detail);
+            return;
         };
         self.bridge
             .insert_pending(conn_id, link, destination, service, client, reply_context);
@@ -480,20 +436,11 @@ impl Core {
         quality: u8,
         report: &wire::InquiryResponseView<'_>,
     ) {
-        // Reporter reputation (§3.4.3 hardening): a responder whose
-        // penalty count crossed the limit keeps its *direct*
-        // storage entry — we did just talk to it — but its neighbour
-        // report is gossip and is no longer integrated into the routing
-        // table, so a compromised node cannot keep poisoning route
-        // candidates after being caught.
-        let blocked = self.security.reporter_blocked(report.device.address);
-        if blocked {
-            self.security.stats.reports_skipped += 1;
-        }
+        let admitted = self.security.admits_report(report.device.address);
         let mode = self.config.discovery.mode;
         let mut discovered = Discovered(&mut self.events);
         self.storage
-            .integrate_report_into(report, !blocked, quality, mode, ctx.now(), &mut discovered);
+            .integrate_report_into(report, admitted, quality, mode, ctx.now(), &mut discovered);
         self.drop_link(ctx, link);
         self.note_fetch_finished(ctx, tech);
     }
@@ -512,11 +459,7 @@ impl Core {
             }
             return;
         }
-        if self.security.sanity_checks() && message.connection_id().is_some_and(|id| id != conn) {
-            // The frame decodes but names a different session than the one
-            // classified on this link: a spliced or tampered frame. Drop it
-            // before it can touch the session state.
-            self.security.stats.conn_mismatch_dropped += 1;
+        if !self.security.admits_session_frame(conn, message.connection_id()) {
             return;
         }
         match message {
@@ -534,12 +477,6 @@ impl Core {
                     }
                     _ => (false, None),
                 };
-                if !fire && self.security.sanity_checks() {
-                    // An Accept for a session that is not awaiting one is a
-                    // replay; the state machine already ignores it, and the
-                    // counter feeds the scorecard.
-                    self.security.stats.duplicate_accepts += 1;
-                }
                 if fire {
                     let is_incoming = self.connections.get(conn).map(|c| !c.is_outgoing()).unwrap_or(false);
                     let app = self.owner_of(conn);
@@ -554,29 +491,16 @@ impl Core {
                     } else {
                         self.events.push_back(PeerHoodEvent::Connected { app, conn });
                     }
+                } else {
+                    self.security.note_unawaited_accept();
                 }
             }
             Message::Error { code, detail, .. } => {
                 let outgoing = self.connections.get(conn).map(|c| c.is_outgoing()).unwrap_or(true);
-                // Reputation (§3.4.3 hardening): a failed outgoing attempt
-                // points back at whoever vouched for it. A bridged attempt
-                // dying downstream means the bridge advertised a next hop it
-                // cannot actually reach (a poisoned route manifesting at the
-                // client); a provider refusing a service it advertised means
-                // the device we physically dialed spoofed its service list
-                // (or, for a bridged dial, routed us to a spoofer).
-                if outgoing {
-                    let blame = match (&code, self.connections.get(conn)) {
-                        (ErrorCode::DownstreamFailed | ErrorCode::NoRouteToDestination, Some(c)) => match &c.kind {
-                            ConnKind::OutgoingBridged { bridge } => Some(*bridge),
-                            _ => None,
-                        },
-                        (ErrorCode::ServiceUnavailable, Some(c)) => c.kind.first_hop(c.remote),
-                        _ => None,
-                    };
-                    if let Some(peer) = blame {
-                        self.security.penalize(peer);
-                    }
+                // A failed outgoing attempt points back at whoever vouched
+                // for it (§3.4.3 hardening).
+                if let Some(c) = self.connections.get(conn).filter(|_| outgoing) {
+                    self.security.blame_refusal(&code, c);
                 }
                 if let Some(c) = self.connections.get_mut(conn) {
                     c.link = None;
@@ -641,11 +565,7 @@ impl Core {
                     // connection was in flight can no longer masquerade as
                     // the bridge in use — and a direct re-route to the
                     // destination correctly sheds the bridged kind.
-                    c.kind = if via == c.remote {
-                        ConnKind::OutgoingDirect
-                    } else {
-                        ConnKind::OutgoingBridged { bridge: via }
-                    };
+                    c.kind = ConnKind::outgoing((via != c.remote).then_some(via));
                     if let Some(monitor) = c.monitor.as_mut() {
                         monitor.switch_succeeded();
                     }
@@ -988,22 +908,11 @@ impl Core {
         conn: ConnectionId,
         provider: DeviceAddress,
     ) {
-        let route = match self.storage.get(provider) {
-            Some(entry) => entry.route,
-            None => {
-                self.abandon_connection(conn);
-                return;
-            }
+        let Some(route) = self.storage.get(provider).map(|entry| entry.route) else {
+            self.abandon_connection(conn);
+            return;
         };
-        let kind = if route.is_direct() {
-            ConnKind::OutgoingDirect
-        } else {
-            match route.bridge {
-                Some(bridge) => ConnKind::OutgoingBridged { bridge },
-                None => ConnKind::OutgoingDirect,
-            }
-        };
-        let first_hop = kind.first_hop(provider).unwrap_or(provider);
+        let first_hop = route.first_hop(provider);
         // A connection its app closed before approving the switch is not
         // dialled, and its hop's breaker is not asked.
         if self.connections.get(conn).is_none() {
@@ -1015,7 +924,7 @@ impl Core {
         }
         if let Some(c) = self.connections.get_mut(conn) {
             c.remote = provider;
-            c.kind = kind;
+            c.kind = ConnKind::outgoing(route.bridge);
             c.state = ConnState::Connecting;
             c.link = None;
             c.reconnecting = true;

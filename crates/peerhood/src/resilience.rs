@@ -472,14 +472,15 @@ impl Resilience {
         ok
     }
 
-    /// The outbox queue cap, when the pipeline is on.
-    pub fn outbox_cap(&self) -> Option<usize> {
-        self.cfg.enabled.then_some(OUTBOX_CAP)
-    }
-
-    /// Counts one result shed by the outbox cap.
-    pub fn note_queue_shed(&mut self) {
-        self.counters.queue_shed += 1;
+    /// Gate for one result queued on a §5.3 outbox already holding `queued`
+    /// results: at [`OUTBOX_CAP`] it is shed.
+    pub fn allow_queued(&mut self, queued: usize) -> bool {
+        if !self.cfg.enabled {
+            return true;
+        }
+        let ok = queued < OUTBOX_CAP;
+        self.counters.queue_shed += u64::from(!ok);
+        ok
     }
 
     // ------------------------------------------------------------------
@@ -487,13 +488,20 @@ impl Resilience {
     // ------------------------------------------------------------------
 
     /// Gate for one incoming radio connection from `peer`.
-    /// `active_sessions` is the caller-computed concurrent incoming-session
-    /// count (established incoming connections plus unidentified links).
-    pub fn admit(&mut self, peers: &mut PeerTable, peer: DeviceAddress, now: SimTime, active_sessions: usize) -> bool {
+    /// `active_sessions` counts the concurrent incoming sessions
+    /// (established incoming connections plus unidentified links); it is
+    /// asked only when the pipeline is on.
+    pub fn admit(
+        &mut self,
+        peers: &mut PeerTable,
+        peer: DeviceAddress,
+        now: SimTime,
+        active_sessions: impl FnOnce() -> usize,
+    ) -> bool {
         if !self.cfg.enabled {
             return true;
         }
-        if active_sessions >= MAX_SESSIONS {
+        if active_sessions() >= MAX_SESSIONS {
             self.counters.rejected_sessions += 1;
             return false;
         }
@@ -643,13 +651,13 @@ mod tests {
         let mut peers = PeerTable::default();
         let peer = DeviceAddress::from_node_raw(5);
         for _ in 0..PER_PEER_RATE {
-            assert!(r.admit(&mut peers, peer, t(0), 0));
+            assert!(r.admit(&mut peers, peer, t(0), || 0));
         }
         assert!(
-            !r.admit(&mut peers, peer, t(10), 0),
+            !r.admit(&mut peers, peer, t(10), || 0),
             "the accepts at 0 s still count at 10 s"
         );
-        assert!(r.admit(&mut peers, peer, after(t(10)), 0));
+        assert!(r.admit(&mut peers, peer, after(t(10)), || 0));
     }
 
     #[test]
@@ -673,8 +681,8 @@ mod tests {
 
     /// The default switch leaves all three layers inert past every cap: more
     /// dial failures than `FAILURE_THRESHOLD`, more sends than either burst,
-    /// more sessions than `MAX_SESSIONS` and more accepts than
-    /// `PER_PEER_RATE` all pass, and no counter moves.
+    /// more results than `OUTBOX_CAP` and more accepts than `PER_PEER_RATE`
+    /// all pass, no session count is asked, and no counter moves.
     #[test]
     fn disabled_layers_allow_everything_and_count_nothing() {
         let mut r = Resilience::new(ResilienceConfig::default());
@@ -690,10 +698,14 @@ mod tests {
             assert!(r.allow_inbound(None, t(0)));
         }
         for _ in 0..=PER_PEER_RATE {
-            assert!(r.admit(&mut peers, peer, t(0), MAX_SESSIONS + 1));
+            assert!(r.admit(&mut peers, peer, t(0), || unreachable!(
+                "the session count is not asked"
+            )));
         }
         assert!(peers.is_empty(), "a switched-off pipeline created a row");
-        assert_eq!(r.outbox_cap(), None);
+        for queued in [0, OUTBOX_CAP, OUTBOX_CAP + 1] {
+            assert!(r.allow_queued(queued));
+        }
         assert_eq!(r.stats(&peers), ResilienceStats::default());
     }
 
@@ -725,19 +737,19 @@ mod tests {
         let mut peers = PeerTable::default();
         let peer = DeviceAddress::from_node_raw(3);
         // Session cap: one below MAX_SESSIONS is admitted, at it is not.
-        assert!(r.admit(&mut peers, peer, t(0), MAX_SESSIONS - 1));
-        assert!(!r.admit(&mut peers, peer, t(0), MAX_SESSIONS));
+        assert!(r.admit(&mut peers, peer, t(0), || MAX_SESSIONS - 1));
+        assert!(!r.admit(&mut peers, peer, t(0), || MAX_SESSIONS));
         assert_eq!(r.stats(&peers).rejected_sessions, 1);
         // Per-peer rate cap inside the window...
         for _ in 1..PER_PEER_RATE {
-            assert!(r.admit(&mut peers, peer, t(1), 0));
+            assert!(r.admit(&mut peers, peer, t(1), || 0));
         }
-        assert!(!r.admit(&mut peers, peer, t(2), 0));
+        assert!(!r.admit(&mut peers, peer, t(2), || 0));
         assert_eq!(r.stats(&peers).rejected_rate, 1);
         // ...which is per peer...
-        assert!(r.admit(&mut peers, DeviceAddress::from_node_raw(4), t(2), 0));
+        assert!(r.admit(&mut peers, DeviceAddress::from_node_raw(4), t(2), || 0));
         // ...and recovers once the window slides past.
-        assert!(r.admit(&mut peers, peer, t(20), 0));
+        assert!(r.admit(&mut peers, peer, t(20), || 0));
         assert_eq!(r.stats(&peers).admitted, PER_PEER_RATE as u64 + 2);
     }
 
@@ -750,7 +762,10 @@ mod tests {
         }
         assert!(!r.allow_outbound(app, t(0)));
         assert_eq!(r.stats(&PeerTable::default()).outbound_shed, 1);
-        assert_eq!(r.outbox_cap(), Some(OUTBOX_CAP));
+        // The outbox cap sheds the result that would exceed it.
+        assert!(r.allow_queued(OUTBOX_CAP - 1));
+        assert!(!r.allow_queued(OUTBOX_CAP));
+        assert_eq!(r.stats(&PeerTable::default()).queue_shed, 1);
         // Separate apps have separate buckets, and so do the two directions.
         assert!(r.allow_outbound(Some(AppId(1)), t(0)));
         assert!(r.allow_inbound(app, t(0)));

@@ -154,6 +154,12 @@ impl RouteInfo {
         self.jumps == 0
     }
 
+    /// The device to dial first towards `destination`: the bridge, or itself.
+    /// A stored route names a bridge exactly when it is not direct.
+    pub fn first_hop(&self, destination: DeviceAddress) -> DeviceAddress {
+        self.bridge.unwrap_or(destination)
+    }
+
     /// The quality of the first hop (towards the bridge or the device
     /// itself).
     pub fn first_hop_quality(&self) -> u8 {

@@ -38,10 +38,12 @@ use std::collections::VecDeque;
 use serde::{Deserialize, Serialize};
 use simnet::table::IdTable;
 use simnet::telemetry::Fnv1a;
-use simnet::SimTime;
+use simnet::{NodeId, SimTime};
 
 use crate::config::SecurityConfig;
-use crate::ids::DeviceAddress;
+use crate::connection::{AppConnection, ConnKind};
+use crate::error::ErrorCode;
+use crate::ids::{ConnectionId, DeviceAddress};
 use crate::resilience::CircuitBreaker;
 
 /// Bytes the frame-auth trailer appends to every frame: an 8-byte
@@ -198,15 +200,16 @@ impl SecurityStats {
 }
 
 /// Per-node runtime of the hardening layer: the enabled defences, the
-/// outbound sequence counter, the peer table and the counters.
+/// outbound sequence counter, the peer table, the counters, and a verdict per
+/// frame-path step that checks its tier, counts its reason and charges its
+/// penalty.
 #[derive(Debug)]
 pub struct Security {
     config: SecurityConfig,
     send_seq: u64,
     /// Every defence's per-peer state.
     pub(crate) peers: PeerTable,
-    /// Counters (read by [`SecurityStats`] consumers via `stats()`).
-    pub stats: SecurityStats,
+    stats: SecurityStats,
 }
 
 impl Security {
@@ -225,12 +228,6 @@ impl Security {
         self.config.frame_auth
     }
 
-    /// Whether the sanity tier (protocol sanity checks and reporter
-    /// reputation) is active.
-    pub fn sanity_checks(&self) -> bool {
-        self.config.sanity_checks
-    }
-
     /// The counters so far.
     pub fn stats(&self) -> SecurityStats {
         self.stats
@@ -238,7 +235,7 @@ impl Security {
 
     /// Records a reputation penalty against a peer one of the defences
     /// caught misbehaving (no-op below the sanity tier).
-    pub fn penalize(&mut self, peer: DeviceAddress) {
+    pub(crate) fn penalize(&mut self, peer: DeviceAddress) {
         if self.config.sanity_checks {
             let penalties = &mut self.peers.get_or_insert_with(peer, Peer::default).penalties;
             *penalties = penalties.saturating_add(1);
@@ -246,10 +243,98 @@ impl Security {
         }
     }
 
-    /// True when `peer` has exhausted its penalty budget: its neighbour
-    /// reports must be ignored.
-    pub fn reporter_blocked(&self, peer: DeviceAddress) -> bool {
-        self.peers.get(&peer).map_or(0, |row| row.penalties) >= REPORTER_PENALTY_LIMIT
+    /// The inbound auth step: `frame` from `sender` without its trailer, or
+    /// `None` when [`Security::verify_and_strip`] fails it and the sender is
+    /// penalised. Without frame auth the frame is already bare.
+    pub(crate) fn open<'a>(&mut self, sender: DeviceAddress, frame: &'a [u8]) -> Option<&'a [u8]> {
+        if !self.config.frame_auth {
+            return Some(frame);
+        }
+        let body = self.verify_and_strip(sender, frame).ok();
+        if body.is_none() {
+            self.penalize(sender);
+        }
+        body
+    }
+
+    /// The outbound auth step: appends the trailer to the encoded frame when
+    /// frame auth is on.
+    pub(crate) fn seal(&mut self, sender: DeviceAddress, frame: &mut Vec<u8>) {
+        if self.config.frame_auth {
+            self.append_trailer(sender, frame);
+        }
+    }
+
+    /// The sanity check of a connection request from `client` to `me`: a §5.3
+    /// reply context must name a session `me` allocated, and a session `me`
+    /// does not know an id `client` allocated. Anything else is a forged or
+    /// replayed frame hijacking or pre-poisoning someone else's session.
+    pub(crate) fn admits_connect_request(
+        &mut self,
+        me: DeviceAddress,
+        client: DeviceAddress,
+        conn_id: ConnectionId,
+        reply_context: Option<ConnectionId>,
+        known: bool,
+    ) -> bool {
+        if !self.config.sanity_checks {
+            return true;
+        }
+        let counter = match reply_context {
+            Some(orig) if orig.initiator() != me => &mut self.stats.bad_reply_context,
+            None if !known && conn_id.initiator() != client => &mut self.stats.foreign_conn_rejected,
+            _ => return true,
+        };
+        *counter += 1;
+        self.penalize(client);
+        false
+    }
+
+    /// The routing-loop check of a bridge request from `from`: whether its
+    /// next `hop` leads back to `from`, bouncing the frame between the two
+    /// until bridge capacity runs out. Forged neighbour reports make exactly
+    /// such cycles (a hostile's advertised provider resolves to itself).
+    pub(crate) fn refuses_reflection(&self, hop: DeviceAddress, from: NodeId) -> bool {
+        self.config.sanity_checks && hop.node_id() == from
+    }
+
+    /// The session check of a frame on `conn`'s link: one that `names`
+    /// another session is spliced or tampered, and is dropped and counted.
+    pub(crate) fn admits_session_frame(&mut self, conn: ConnectionId, names: Option<ConnectionId>) -> bool {
+        let spliced = self.config.sanity_checks && names.is_some_and(|id| id != conn);
+        self.stats.conn_mismatch_dropped += u64::from(spliced);
+        !spliced
+    }
+
+    /// Counts an `Accept` for a session that awaited none: a replay, which
+    /// the state machine ignores anyway.
+    pub(crate) fn note_unawaited_accept(&mut self) {
+        self.stats.duplicate_accepts += u64::from(self.config.sanity_checks);
+    }
+
+    /// Reporter reputation: whether the neighbour report of `reporter` may be
+    /// integrated. One with [`REPORTER_PENALTY_LIMIT`] penalties keeps its
+    /// direct entry, but a caught node cannot go on poisoning routes.
+    pub(crate) fn admits_report(&mut self, reporter: DeviceAddress) -> bool {
+        let blocked = self.peers.get(&reporter).map_or(0, |row| row.penalties) >= REPORTER_PENALTY_LIMIT;
+        self.stats.reports_skipped += u64::from(blocked);
+        !blocked
+    }
+
+    /// Charges whoever vouched for an outgoing `attempt` refused with `code`:
+    /// the bridge of one that died downstream advertised a hop it cannot
+    /// reach, and the first hop of one refused a service spoofed it.
+    pub(crate) fn blame_refusal(&mut self, code: &ErrorCode, attempt: &AppConnection) {
+        let blamed = match (code, &attempt.kind) {
+            (ErrorCode::DownstreamFailed | ErrorCode::NoRouteToDestination, ConnKind::OutgoingBridged { bridge }) => {
+                Some(*bridge)
+            }
+            (ErrorCode::ServiceUnavailable, kind) => kind.first_hop(attempt.remote),
+            _ => None,
+        };
+        if let Some(peer) = blamed {
+            self.penalize(peer);
+        }
     }
 
     /// Appends the `[seq | MAC]` trailer to an outbound frame. The caller
@@ -329,6 +414,18 @@ mod tests {
         assert_eq!(sender.stats.frames_authenticated, 1);
         assert_eq!(sender.stats.auth_bytes, AUTH_TRAILER_LEN as u64);
         assert_eq!(receiver.stats.frames_rejected(), 0);
+    }
+
+    #[test]
+    fn without_frame_auth_frames_pass_bare_and_nothing_is_counted() {
+        let mut sanity = Security::new(SecurityConfig::sanity());
+        let mut frame = b"bare".to_vec();
+        sanity.seal(addr(1), &mut frame);
+        assert_eq!(frame, b"bare");
+        assert_eq!(sanity.open(addr(1), &frame), Some(&b"bare"[..]));
+        assert_eq!(sanity.open(addr(1), b""), Some(&b""[..]));
+        assert_eq!(sanity.stats, SecurityStats::default());
+        assert!(sanity.peers.is_empty());
     }
 
     #[test]
@@ -430,17 +527,18 @@ mod tests {
         armed.penalize(addr(9));
         armed.penalize(addr(9));
         assert_eq!(armed.peers.get(&addr(9)).map(|row| row.penalties), Some(2));
-        assert!(!armed.reporter_blocked(addr(9)));
+        assert!(armed.admits_report(addr(9)));
         armed.penalize(addr(9));
-        assert!(armed.reporter_blocked(addr(9)));
-        assert!(!armed.reporter_blocked(addr(10)), "other peers unaffected");
+        assert!(!armed.admits_report(addr(9)));
+        assert!(armed.admits_report(addr(10)), "other peers unaffected");
         assert_eq!(armed.stats.penalties_recorded, 3);
+        assert_eq!(armed.stats.reports_skipped, 1);
         // Below the tier none is recorded, and no row is created.
         let mut off = Security::new(SecurityConfig::off());
         for _ in 0..=REPORTER_PENALTY_LIMIT {
             off.penalize(addr(9));
         }
-        assert!(!off.reporter_blocked(addr(9)));
+        assert!(off.admits_report(addr(9)));
         assert!(off.peers.is_empty());
         assert_eq!(off.stats, SecurityStats::default());
     }
@@ -579,6 +677,77 @@ mod tests {
             self.penalties.get(&peer).is_some_and(|p| *p >= REPORTER_PENALTY_LIMIT)
         }
 
+        /// The node's inbound auth step as it was written in the handler.
+        fn open(&mut self, key: u64, sender: DeviceAddress, frame: &[u8]) -> Result<Vec<u8>, AuthReject> {
+            let verdict = self.verify(key, sender, frame);
+            if verdict.is_err() {
+                self.penalize(sender);
+            }
+            verdict
+        }
+
+        // The sanity checks as the protocol handlers wrote them inline.
+
+        fn connect_request(
+            &mut self,
+            me: DeviceAddress,
+            client: DeviceAddress,
+            conn_id: ConnectionId,
+            reply_context: Option<ConnectionId>,
+            known: bool,
+        ) -> bool {
+            if self.sanity {
+                if let Some(orig) = reply_context {
+                    if orig.initiator() != me {
+                        self.security.bad_reply_context += 1;
+                        self.penalize(client);
+                        return false;
+                    }
+                } else if !known && conn_id.initiator() != client {
+                    self.security.foreign_conn_rejected += 1;
+                    self.penalize(client);
+                    return false;
+                }
+            }
+            true
+        }
+
+        fn session_frame(&mut self, conn: ConnectionId, names: Option<ConnectionId>) -> bool {
+            if self.sanity && names.is_some_and(|id| id != conn) {
+                self.security.conn_mismatch_dropped += 1;
+                return false;
+            }
+            true
+        }
+
+        fn unawaited_accept(&mut self) {
+            if self.sanity {
+                self.security.duplicate_accepts += 1;
+            }
+        }
+
+        fn report(&mut self, reporter: DeviceAddress) -> bool {
+            let blocked = self.blocked(reporter);
+            if blocked {
+                self.security.reports_skipped += 1;
+            }
+            !blocked
+        }
+
+        fn refusal(&mut self, code: &ErrorCode, c: &AppConnection) {
+            let blame = match code {
+                ErrorCode::DownstreamFailed | ErrorCode::NoRouteToDestination => match &c.kind {
+                    ConnKind::OutgoingBridged { bridge } => Some(*bridge),
+                    _ => None,
+                },
+                ErrorCode::ServiceUnavailable => c.kind.first_hop(c.remote),
+                _ => None,
+            };
+            if let Some(peer) = blame {
+                self.penalize(peer);
+            }
+        }
+
         fn allow_dial(&mut self, peer: DeviceAddress, now: SimTime) -> bool {
             if !self.pipeline {
                 return true;
@@ -660,11 +829,12 @@ mod tests {
     /// and an advancing clock, with the sanity tier and the resilience
     /// pipeline each on and off: every verdict, both stats snapshots, every
     /// breaker's state and the set of peers with a row must agree after
-    /// every step.
+    /// every step. The model decides the sanity checks as the protocol
+    /// handlers once did inline, so the verdicts are held to that too.
     #[test]
     fn the_peer_table_answers_what_four_maps_answered() {
         let mut reached = ResilienceStats::default();
-        let (mut replays, mut blocks) = (0, 0);
+        let (mut replays, mut blocks, mut sanity_refusals) = (0, 0, 0);
         for (sanity, pipeline) in [(true, true), (true, false), (false, true), (false, false)] {
             for seed in 0..3 {
                 let mut rng = SimRng::new(0x9EE5 + seed);
@@ -704,7 +874,7 @@ mod tests {
                     };
                     let peer = addr(raw);
                     let burst = if rng.chance(0.2) { rng.range(2usize..9) } else { 1 };
-                    let op = rng.range(0u8..11);
+                    let op = rng.range(0u8..16);
                     for _ in 0..burst {
                         now += SimDuration::from_millis(250 * rng.range(0u64..3));
                         let at = format!("sanity {sanity} pipeline {pipeline} seed {seed} step {step} op {op}");
@@ -740,15 +910,10 @@ mod tests {
                                     }
                                     _ => continue,
                                 };
-                                let verdict = security.verify_and_strip(sender, &frame).map(<[u8]>::to_vec);
-                                let expected = m.verify(key, sender, &frame);
-                                assert_eq!(verdict, expected, "{at}");
-                                replays += usize::from(verdict == Err(AuthReject::Replayed));
-                                if verdict.is_err() {
-                                    // As the node does with a frame that fails.
-                                    security.penalize(sender);
-                                    m.penalize(sender);
-                                }
+                                let verdict = security.open(sender, &frame).map(<[u8]>::to_vec);
+                                let expected = m.open(key, sender, &frame);
+                                assert_eq!(verdict, expected.clone().ok(), "{at}");
+                                replays += usize::from(expected == Err(AuthReject::Replayed));
                                 if sent.len() > 48 {
                                     sent.remove(0);
                                 }
@@ -776,17 +941,65 @@ mod tests {
                                 } else {
                                     rng.range(MAX_SESSIONS..MAX_SESSIONS + 3)
                                 };
-                                let admitted = resilience.admit(&mut security.peers, peer, now, sessions);
+                                let admitted = resilience.admit(&mut security.peers, peer, now, || sessions);
                                 assert_eq!(admitted, m.admit(peer, now, sessions), "{at}");
                             }
                             9 => {
                                 security.penalize(peer);
                                 m.penalize(peer);
                             }
+                            10 => {
+                                let admitted = security.admits_report(peer);
+                                assert_eq!(admitted, m.report(peer), "{at}");
+                                blocks += usize::from(!admitted);
+                            }
+                            // A connection request from `peer`, with ids of
+                            // four allocators, this node's among them.
+                            11 => {
+                                let id = |rng: &mut SimRng| ConnectionId::new(addr(rng.range(0u64..4)), 1);
+                                let conn_id = id(&mut rng);
+                                let reply_context = rng.chance(0.5).then(|| id(&mut rng));
+                                let known = rng.chance(0.3);
+                                let me = addr(0);
+                                let admitted = security.admits_connect_request(me, peer, conn_id, reply_context, known);
+                                let expected = m.connect_request(me, peer, conn_id, reply_context, known);
+                                assert_eq!(admitted, expected, "{at}");
+                                sanity_refusals += usize::from(!admitted);
+                            }
+                            12 => {
+                                let conn = ConnectionId::new(peer, 1);
+                                let names = match rng.range(0u8..3) {
+                                    0 => None,
+                                    1 => Some(conn),
+                                    _ => Some(ConnectionId::new(peer, 2)),
+                                };
+                                let admitted = security.admits_session_frame(conn, names);
+                                assert_eq!(admitted, m.session_frame(conn, names), "{at}");
+                            }
+                            13 => {
+                                security.note_unawaited_accept();
+                                m.unawaited_accept();
+                            }
+                            14 => {
+                                let from = addr(rng.range(1u64..=4)).node_id();
+                                let reflected = sanity && peer.node_id() == from;
+                                assert_eq!(security.refuses_reflection(peer, from), reflected, "{at}");
+                            }
+                            // A refused outgoing attempt, dialled directly or
+                            // through a bridge.
                             _ => {
-                                let blocked = security.reporter_blocked(peer);
-                                assert_eq!(blocked, m.blocked(peer), "{at}");
-                                blocks += usize::from(blocked);
+                                let code = [
+                                    ErrorCode::DownstreamFailed,
+                                    ErrorCode::NoRouteToDestination,
+                                    ErrorCode::ServiceUnavailable,
+                                    ErrorCode::BridgeBusy,
+                                ][rng.index(4)];
+                                let bridge = rng.chance(0.5).then(|| addr(rng.range(1u64..=16)));
+                                let kind = crate::connection::ConnKind::outgoing(bridge);
+                                let attempt =
+                                    AppConnection::outgoing(ConnectionId::new(addr(0), 1), peer, "svc", kind, now);
+                                security.blame_refusal(&code, &attempt);
+                                m.refusal(&code, &attempt);
                             }
                         }
                         assert_eq!(security.stats(), m.security, "{at}");
@@ -809,8 +1022,8 @@ mod tests {
         }
         // What the generators must have reached.
         assert!(
-            replays > 50 && blocks > 50,
-            "{replays} replays, {blocks} blocked queries"
+            replays > 50 && blocks > 50 && sanity_refusals > 50,
+            "{replays} replays, {blocks} blocked reports, {sanity_refusals} refused connection requests"
         );
         for (what, count) in [
             ("trips", reached.breaker_trips),

@@ -2314,6 +2314,10 @@ mod tests {
                     _ => {}
                 }
                 assert!(s.devices().eq(m.devices.values().cloned()), "{at}");
+                // A route names a bridge exactly when it is not direct, the
+                // rule `RouteInfo::first_hop` and `ConnKind::outgoing` read.
+                let direct_iff_unbridged = |d: StoredDevice| d.route.is_direct() == d.route.bridge.is_none();
+                assert!(s.devices().all(direct_iff_unbridged), "{at}");
                 hop_list_lengths.extend(s.devices.rows.iter().map(|row| row.hops.len()));
                 let for_the_bridge = |row: &Row| !row.absent && s.bridge_absent(row);
                 skipped_for_the_bridge += usize::from(s.devices.rows.iter().any(for_the_bridge));

@@ -16,6 +16,7 @@ use peerhood::node::{PeerHoodApi, PeerHoodNode};
 use peerhood::service::ServiceInfo;
 use simnet::prelude::*;
 
+use crate::experiments::full_stack::Session;
 use crate::experiments::params::{count, seconds, Param};
 
 /// Name of the service the hotspots offer and the crowd consumes.
@@ -55,8 +56,7 @@ impl<E> Crowd<E> {
             tick: self.ping_interval,
             ping_burst: self.pings_per_tick,
             warmup: self.warmup,
-            current: None,
-            connecting: false,
+            session: Session::Idle,
             down_since: None,
             sessions_established: 0,
             sessions_lost: 0,
@@ -165,8 +165,7 @@ pub struct CrowdApp {
     ping_burst: usize,
     /// No attach before this long into the run (discovery warmup).
     warmup: SimDuration,
-    current: Option<ConnectionId>,
-    connecting: bool,
+    session: Session,
     down_since: Option<SimTime>,
     /// Client sessions established.
     pub sessions_established: u64,
@@ -188,14 +187,11 @@ pub struct CrowdApp {
 
 impl CrowdApp {
     fn try_attach(&mut self, api: &mut PeerHoodApi<'_>) {
-        if self.current.is_some() || self.connecting || api.now() < SimTime::ZERO + self.warmup {
+        if self.session != Session::Idle || api.now() < SimTime::ZERO + self.warmup {
             return;
         }
         match api.connect_to_service(HOTSPOT_SERVICE) {
-            Ok(conn) => {
-                self.current = Some(conn);
-                self.connecting = true;
-            }
+            Ok(conn) => self.session = Session::Dialling(conn),
             Err(PeerHoodError::CircuitOpen(_)) => {
                 // The best-ranked provider is behind an open breaker: try
                 // the other known providers in deterministic address order.
@@ -207,8 +203,7 @@ impl CrowdApp {
                     .collect();
                 for addr in providers {
                     if let Ok(conn) = api.connect_to(addr, HOTSPOT_SERVICE) {
-                        self.current = Some(conn);
-                        self.connecting = true;
+                        self.session = Session::Dialling(conn);
                         self.diverted += 1;
                         return;
                     }
@@ -221,8 +216,7 @@ impl CrowdApp {
 
 impl Application for CrowdApp {
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
-        self.current = None;
-        self.connecting = false;
+        self.session = Session::Idle;
         api.schedule_timer(self.tick, PING_TIMER);
     }
 
@@ -231,8 +225,8 @@ impl Application for CrowdApp {
     }
 
     fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.current == Some(conn) {
-            self.connecting = false;
+        if self.session.drives(conn) {
+            self.session = Session::Up(conn);
             self.sessions_established += 1;
             if let Some(t0) = self.down_since.take() {
                 self.reconnect_secs_total += api.now().saturating_since(t0).as_secs_f64();
@@ -242,9 +236,8 @@ impl Application for CrowdApp {
     }
 
     fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
-        if self.current == Some(conn) {
-            self.current = None;
-            self.connecting = false;
+        if self.session.drives(conn) {
+            self.session = Session::Idle;
         }
     }
 
@@ -253,9 +246,8 @@ impl Application for CrowdApp {
     }
 
     fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
-        if self.current == Some(conn) {
-            self.current = None;
-            self.connecting = false;
+        if self.session.drives(conn) {
+            self.session = Session::Idle;
             self.sessions_lost += 1;
             self.down_since = Some(api.now());
         }
@@ -278,8 +270,8 @@ impl Application for CrowdApp {
         if token != PING_TIMER {
             return;
         }
-        match self.current {
-            Some(conn) if !self.connecting => {
+        match self.session {
+            Session::Up(conn) => {
                 for _ in 0..self.ping_burst {
                     match api.send(conn, b"crowd-ping".to_vec()) {
                         Ok(()) => self.pings_sent += 1,

@@ -109,9 +109,11 @@ pub(crate) fn add_stack(
     )
 }
 
-/// Where a [`MetroApp`]'s client session stands.
+/// Where a client session stands: a [`MetroApp`]'s, or a
+/// [`CrowdApp`](crate::experiments::crowd::CrowdApp)'s, which declines the
+/// provider switch and so never enters `Switching`.
 #[derive(Clone, Copy, Default, PartialEq)]
-enum Session {
+pub(crate) enum Session {
     /// No session: the next ping tick or discovery dials one.
     #[default]
     Idle,
@@ -130,6 +132,11 @@ impl Session {
             Session::Idle => None,
             Session::Dialling(conn) | Session::Up(conn) | Session::Switching(conn) => Some(conn),
         }
+    }
+
+    /// True when `conn` is this session's connection.
+    pub(crate) fn drives(self, conn: ConnectionId) -> bool {
+        self.conn() == Some(conn)
     }
 }
 
@@ -189,11 +196,6 @@ impl MetroApp {
     pub fn current_conn(&self) -> Option<ConnectionId> {
         self.session.conn()
     }
-
-    /// True when `conn` is this app's client session.
-    fn drives(&self, conn: ConnectionId) -> bool {
-        self.session.conn() == Some(conn)
-    }
 }
 
 impl Application for MetroApp {
@@ -210,7 +212,7 @@ impl Application for MetroApp {
     }
 
     fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.drives(conn) {
+        if self.session.drives(conn) {
             self.session = Session::Up(conn);
             self.sessions_established += 1;
             if let Some(t0) = self.down_since.take() {
@@ -221,7 +223,7 @@ impl Application for MetroApp {
     }
 
     fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
-        if self.drives(conn) {
+        if self.session.drives(conn) {
             self.sessions_lost += u64::from(self.session == Session::Switching(conn));
             self.session = Session::Idle;
         }
@@ -232,7 +234,7 @@ impl Application for MetroApp {
     }
 
     fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
-        if self.drives(conn) {
+        if self.session.drives(conn) {
             self.session = Session::Idle;
             self.sessions_lost += 1;
             self.down_since.get_or_insert(api.now());
@@ -240,7 +242,7 @@ impl Application for MetroApp {
     }
 
     fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.drives(conn) {
+        if self.session.drives(conn) {
             self.route_changes += 1;
         }
     }
@@ -254,7 +256,7 @@ impl Application for MetroApp {
         // The routing handover failed: the session is down from here until
         // the switch completes (`on_service_reconnected`) or, if it fails,
         // until the app's own dial on a later ping tick succeeds.
-        if self.drives(conn) {
+        if self.session.drives(conn) {
             self.session = Session::Switching(conn);
             self.down_since.get_or_insert(api.now());
         }
