@@ -295,6 +295,11 @@ impl Core {
             if let Some(link) = c.link {
                 self.hang_up(ctx, link, conn);
             }
+            // A routing handover in flight ends with the session, on either
+            // end: the old route a server left and the new one a client is
+            // building.
+            self.drop_left_routes(ctx, conn);
+            self.drop_replacement_routes(ctx, conn);
         }
         self.conn_owner.remove(&conn);
     }

@@ -222,6 +222,7 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                         "HandoverPending" => LinkRole::HandoverPending {
                             conn: session,
                             via: dest,
+                            before_break: true,
                         },
                         "BridgeUpstream" => LinkRole::BridgeUpstream(session),
                         "BridgeDownstream" => LinkRole::BridgeDownstream(session),
@@ -235,7 +236,7 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                             core.connections
                                 .insert(AppConnection::incoming(conn, attacker_info(), "svc", link, now));
                         }
-                        LinkRole::HandoverPending { conn, via } => {
+                        LinkRole::HandoverPending { conn, via, .. } => {
                             core.connections.insert(AppConnection::outgoing(
                                 conn,
                                 via,

@@ -206,9 +206,20 @@ impl PeerHoodNode {
         self.core.as_ref().map(|c| c.security.stats()).unwrap_or_default()
     }
 
-    /// Number of routing handovers successfully completed by this node.
+    /// Number of routing handovers successfully completed by this node,
+    /// before or after the old route broke.
     pub fn handover_completions(&self) -> u64 {
-        self.core.as_ref().map(|c| c.handover_completions).unwrap_or(0)
+        self.core
+            .as_ref()
+            .map_or(0, |c| c.handovers_before_break + c.handovers_after_break)
+    }
+
+    /// The routing handovers of [`PeerHoodNode::handover_completions`] that
+    /// the quality monitor started while the old route was still up — the
+    /// thesis' make-before-break switch (Fig. 5.5, state 1 → 2) — rather
+    /// than as a repair after the break.
+    pub fn proactive_handover_completions(&self) -> u64 {
+        self.core.as_ref().map_or(0, |c| c.handovers_before_break)
     }
 
     /// Number of server-initiated reply reconnections completed (result

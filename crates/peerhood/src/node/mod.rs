@@ -110,7 +110,11 @@ pub(crate) struct Core {
     /// Which application owns each logical connection (all per-connection
     /// callbacks are routed to it).
     pub(crate) conn_owner: IdTable<ConnectionId, AppId>,
-    pub(crate) handover_completions: u64,
+    /// Routing handovers completed that the monitor started while the old
+    /// link was up (Fig. 5.5, state 1 → 2).
+    pub(crate) handovers_before_break: u64,
+    /// Routing handovers completed that repaired a route after it broke.
+    pub(crate) handovers_after_break: u64,
     pub(crate) reply_reconnections: u64,
     /// Cached encoded inquiry-response frame, keyed by (storage generation,
     /// registry generation, bridge load). While nothing changes — the common
@@ -157,7 +161,8 @@ impl Core {
             events: VecDeque::new(),
             service_owner: BTreeMap::new(),
             conn_owner: IdTable::default(),
-            handover_completions: 0,
+            handovers_before_break: 0,
+            handovers_after_break: 0,
             reply_reconnections: 0,
             inquiry_frame: None,
             resilience: crate::resilience::Resilience::new(config.resilience),

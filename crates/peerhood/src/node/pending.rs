@@ -60,6 +60,9 @@ pub(crate) enum LinkRole {
         /// route actually built even when the monitor's candidate has been
         /// refreshed while the switch was in flight.
         via: DeviceAddress,
+        /// True when the quality monitor started the switch while the old
+        /// link was up, false for a repair after the break.
+        before_break: bool,
     },
     /// Upstream leg (towards the requester) of a relayed bridge pair.
     BridgeUpstream(ConnectionId),
@@ -172,10 +175,13 @@ impl Core {
                     pair.reply_context,
                 )
             }),
-            LinkRole::HandoverPending { conn, via } => self.connections.get(conn).map(|c| {
-                let target = self.handover_destination(c);
-                open_request(conn, via == target, target, c.service.clone(), self.my_info(), None)
-            }),
+            LinkRole::HandoverPending { conn, via, .. } if self.switch_in_flight(conn) => {
+                self.connections.get(conn).map(|c| {
+                    let target = self.handover_destination(c);
+                    open_request(conn, via == target, target, c.service.clone(), self.my_info(), None)
+                })
+            }
+            LinkRole::HandoverPending { .. } => None,
             // Never dialled.
             LinkRole::IncomingUnidentified | LinkRole::DaemonServe | LinkRole::BridgeUpstream(_) => None,
         };
@@ -184,7 +190,8 @@ impl Core {
                 self.roles.insert(link, (role, tech));
                 self.send_frame(ctx, link, &request);
             }
-            // The connection or the relayed pair went away during the dial.
+            // The connection, its switch or the relayed pair went away
+            // during the dial.
             None => self.drop_link(ctx, link),
         }
     }

@@ -263,7 +263,11 @@ impl Core {
             // Handled above.
             LinkRole::DaemonFetch { .. } | LinkRole::DaemonServe => {}
             LinkRole::AppConnection(conn) => self.handle_app_message(ctx, link, conn, message),
-            LinkRole::HandoverPending { conn, via } => self.handle_handover_message(ctx, link, conn, via, message),
+            LinkRole::HandoverPending {
+                conn,
+                via,
+                before_break,
+            } => self.handle_handover_message(ctx, link, conn, via, before_break, message),
             LinkRole::BridgeUpstream(conn) => {
                 self.handle_bridge_message(ctx, link, conn, BridgeSide::Upstream, message, body, &payload)
             }
@@ -316,14 +320,23 @@ impl Core {
         // task — attach the link to the waiting session (§5.3).
         // Case 2: re-establishment of a session this device already knows
         // (server side of a routing handover or client re-attachment); its
-        // queued results follow on the new link.
+        // queued results follow on the new link. The route the session
+        // leaves stays open: the client is still on it until this `Accept`
+        // reaches it, and hangs it up then (Fig. 5.5, state 2: "once it is
+        // confirmed substitute the old connection"). Until then frames on it
+        // are stale (`handle_app_message`), and if the new route dies first
+        // the old one goes with it (`app_link_lost`).
         let known = match reply_context {
             Some(orig) if self.connections.get(orig).is_some() => Some((orig, false)),
             _ if self.connections.get(conn_id).is_some() => Some((conn_id, true)),
             _ => None,
         };
         if let Some((conn, flush)) = known {
-            self.adopt_link(ctx, conn, link);
+            if flush {
+                self.attach_link(ctx, conn, link);
+            } else {
+                self.adopt_link(ctx, conn, link);
+            }
             self.send_frame(ctx, link, &Message::Accept { conn_id });
             self.events.push_back(PeerHoodEvent::ConnectionChanged {
                 app: self.owner_of(conn),
@@ -336,11 +349,11 @@ impl Core {
         }
         // Case 3: splice of an existing bridge pair's upstream leg (the
         // per-hop handover of §5.2.1's monitoring-limitation discussion).
+        // The leg it leaves stays open as Case 2's route does: the requester
+        // hangs it up on the `Accept`, frames on it are stale
+        // (`handle_bridge_message`), and it goes when the pair goes.
         if let Some(pair) = self.bridge.get_mut(conn_id) {
-            let old = std::mem::replace(&mut pair.upstream, link);
-            if old != link {
-                self.drop_link(ctx, old);
-            }
+            pair.upstream = link;
             self.set_role(link, LinkRole::BridgeUpstream(conn_id));
             self.send_frame(ctx, link, &Message::Accept { conn_id });
             return;
@@ -369,19 +382,58 @@ impl Core {
         }
     }
 
-    /// Moves `conn` onto `link`: the link it was on, if another, is dropped
-    /// and `link` is classified as the connection's.
-    fn adopt_link(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, link: LinkId) {
+    /// Moves `conn` onto `link` and classifies `link` as the connection's;
+    /// returns the link it was on, if another. That link keeps its role.
+    fn attach_link(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, link: LinkId) -> Option<LinkId> {
         let now = ctx.now();
         let old = self.connections.get_mut(conn).and_then(|c| {
             let old = c.link;
             c.establish(link, now);
             old
         });
-        if let Some(old) = old.filter(|&old| old != link) {
+        self.set_role(link, LinkRole::AppConnection(conn));
+        old.filter(|&old| old != link)
+    }
+
+    /// Moves `conn` onto `link` and drops the link it was on, if another.
+    fn adopt_link(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, link: LinkId) {
+        if let Some(old) = self.attach_link(ctx, conn, link) {
             self.drop_link(ctx, old);
         }
-        self.set_role(link, LinkRole::AppConnection(conn));
+    }
+
+    /// Drops every link still classified as `conn`'s session or as the
+    /// upstream leg of its relayed pair: the routes a server or a bridge
+    /// left for a routing handover the client has not confirmed. Called once
+    /// the connection's current link, or the pair, is gone, so the client,
+    /// still on an old route, hears the session end instead of pinging into
+    /// a link no one reads.
+    pub(crate) fn drop_left_routes(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
+        self.drop_links(
+            ctx,
+            |role| matches!(role, LinkRole::AppConnection(c) | LinkRole::BridgeUpstream(c) if c == conn),
+        );
+    }
+
+    /// Drops the link a routing handover is building for `conn`, if any.
+    pub(crate) fn drop_replacement_routes(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
+        self.drop_links(
+            ctx,
+            |role| matches!(role, LinkRole::HandoverPending { conn: c, .. } if c == conn),
+        );
+    }
+
+    /// Drops every live link whose role `pick` selects.
+    fn drop_links(&mut self, ctx: &mut dyn Ctx, pick: impl Fn(LinkRole) -> bool) {
+        let picked: Vec<LinkId> = self
+            .roles
+            .iter()
+            .filter(|(_, (role, _))| pick(*role))
+            .map(|(link, _)| link)
+            .collect();
+        for link in picked {
+            self.drop_link(ctx, link);
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -532,19 +584,32 @@ impl Core {
                 }
                 self.events.push_back(PeerHoodEvent::Data { app, conn, payload });
             }
+            // The peer hung up: as if it had closed the link.
             Message::Disconnect { .. } => {
-                if let Some(c) = self.connections.get_mut(conn) {
-                    c.mark_closed();
-                }
                 self.drop_link(ctx, link);
-                self.events.push_back(PeerHoodEvent::Disconnected {
-                    app: self.owner_of(conn),
-                    conn,
-                    graceful: true,
-                });
+                self.app_link_lost(ctx, conn, link, DisconnectReason::PeerClosed);
             }
             _ => {}
         }
+    }
+
+    /// The peer closed `conn`: the app hears it, and the switch in flight,
+    /// if any, is abandoned — its replacement link dropped and the monitor
+    /// back to monitoring — so no late `Accept` brings back a session the
+    /// app was told is closed. A dial for the switch still in flight is
+    /// dropped once it lands (`handle_connected`).
+    fn peer_closed(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
+        if let Some(monitor) = self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
+            if monitor.is_switching() {
+                monitor.switch_failed();
+                self.drop_replacement_routes(ctx, conn);
+            }
+        }
+        self.events.push_back(PeerHoodEvent::Disconnected {
+            app: self.owner_of(conn),
+            conn,
+            graceful: true,
+        });
     }
 
     fn handle_handover_message(
@@ -553,6 +618,7 @@ impl Core {
         link: LinkId,
         conn: ConnectionId,
         via: DeviceAddress,
+        before_break: bool,
         message: Message,
     ) {
         match message {
@@ -570,7 +636,11 @@ impl Core {
                         monitor.switch_succeeded();
                     }
                 }
-                self.handover_completions += 1;
+                if before_break {
+                    self.handovers_before_break += 1;
+                } else {
+                    self.handovers_after_break += 1;
+                }
                 self.events.push_back(PeerHoodEvent::ConnectionChanged {
                     app: self.owner_of(conn),
                     conn,
@@ -648,6 +718,7 @@ impl Core {
                         self.hang_up(ctx, other, conn);
                     }
                     self.drop_link(ctx, link);
+                    self.drop_left_routes(ctx, conn);
                 }
             }
             _ => {}
@@ -662,6 +733,7 @@ impl Core {
             if let Some(down) = pair.downstream {
                 self.drop_link(ctx, down);
             }
+            self.drop_left_routes(ctx, conn);
         }
     }
 
@@ -718,6 +790,7 @@ impl Core {
                     if let Some(down) = self.bridge.remove(conn).and_then(|pair| pair.downstream) {
                         self.hang_up(ctx, down, conn);
                     }
+                    self.drop_left_routes(ctx, conn);
                 }
             }
             LinkRole::BridgeDownstream(conn) => {
@@ -742,19 +815,23 @@ impl Core {
         if !is_current {
             return;
         }
-        let graceful = reason == DisconnectReason::PeerClosed;
         if let Some(c) = self.connections.get_mut(conn) {
             c.mark_closed();
+        }
+        self.drop_left_routes(ctx, conn);
+        if reason == DisconnectReason::PeerClosed {
+            self.peer_closed(ctx, conn);
+            return;
         }
         let (outgoing, sending) = match self.connections.get(conn) {
             Some(c) => (c.is_outgoing(), c.sending),
             None => return,
         };
-        if graceful || !outgoing || !sending || !self.config.handover.enabled {
+        if !outgoing || !sending || !self.config.handover.enabled {
             self.events.push_back(PeerHoodEvent::Disconnected {
                 app: self.owner_of(conn),
                 conn,
-                graceful,
+                graceful: false,
             });
             return;
         }
@@ -815,16 +892,18 @@ impl Core {
         }
     }
 
+    /// True while a replacement route for `conn` is being established.
+    pub(crate) fn switch_in_flight(&self, conn: ConnectionId) -> bool {
+        self.connections
+            .get(conn)
+            .and_then(|c| c.monitor.as_ref())
+            .is_some_and(|m| m.is_switching())
+    }
+
     fn try_routing_handover(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) -> bool {
         // If a replacement route is already being established, let it resolve
         // instead of stacking a second recovery on top of it.
-        if self
-            .connections
-            .get(conn)
-            .and_then(|c| c.monitor.as_ref())
-            .map(|m| m.is_switching())
-            .unwrap_or(false)
-        {
+        if self.switch_in_flight(conn) {
             return true;
         }
         self.refresh_handover_candidates(conn);
@@ -838,17 +917,25 @@ impl Core {
     /// reconnection instead of dialling a hop known bad.
     fn switch_route(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) -> bool {
         let max_attempts = self.config.handover.max_routing_attempts;
-        let candidate = self
-            .connections
-            .get_mut(conn)
-            .and_then(|c| c.monitor.as_mut())
+        let Some(c) = self.connections.get_mut(conn) else {
+            return false;
+        };
+        let before_break = c.is_established();
+        let candidate = c
+            .monitor
+            .as_mut()
             .filter(|m| !m.attempts_exhausted(max_attempts))
             .and_then(|m| m.begin_switch());
         let via = match candidate {
             Some(c) => c.bridge,
             None => return false,
         };
-        if self.dial(ctx, via, LinkRole::HandoverPending { conn, via }) {
+        let role = LinkRole::HandoverPending {
+            conn,
+            via,
+            before_break,
+        };
+        if self.dial(ctx, via, role) {
             return true;
         }
         if let Some(m) = self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
@@ -858,10 +945,10 @@ impl Core {
     }
 
     pub(crate) fn handover_attempt_failed(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
-        if let Some(c) = self.connections.get_mut(conn) {
-            if let Some(m) = c.monitor.as_mut() {
-                m.switch_failed();
-            }
+        match self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
+            Some(m) if m.is_switching() => m.switch_failed(),
+            // An abandoned switch (`peer_closed`) has nothing left to fail.
+            _ => return,
         }
         let still_connected = self.connections.get(conn).map(|c| c.is_established()).unwrap_or(false);
         if still_connected {

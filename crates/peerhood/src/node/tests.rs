@@ -13,6 +13,7 @@ use crate::config::PeerHoodConfig;
 use crate::connection::ConnState;
 use crate::device::{DeviceInfo, MobilityClass};
 use crate::error::PeerHoodError;
+use crate::handover::HandoverTarget;
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::proto::{Message, NeighborRecord};
 use crate::resilience::BreakerState;
@@ -773,7 +774,7 @@ fn handover_records_the_bridge_actually_used_not_the_refreshed_candidate() {
             .with_agent::<PeerHoodNode, _>(client, |n, _| {
                 n.core_mut().and_then(|core| {
                     core.pending.values().find_map(|p| match p {
-                        LinkRole::HandoverPending { conn: c, via } if *c == conn => Some(*via),
+                        LinkRole::HandoverPending { conn: c, via, .. } if *c == conn => Some(*via),
                         _ => None,
                     })
                 })
@@ -840,6 +841,351 @@ fn handover_records_the_bridge_actually_used_not_the_refreshed_candidate() {
         Some(carrier[0]),
         "ConnKind must record the bridge actually in use"
     );
+}
+
+/// An echo session whose first link is about to degrade, on ideal radios
+/// with a fixed 2 s connection set-up. Once the first link carries the
+/// session its quality is set to fall from 240 at 20/s, so the monitor starts
+/// a switch within ~5 s and the link breaks at 12 s.
+///
+/// Direct: the server is 5 m from the client, the session runs straight to
+/// it, and the new route goes through a bridge in range of both. Spliced:
+/// the client is out of the server's range and reaches it through the relay
+/// `old_hop`; re-routing towards the link peer (the thesis' target), the
+/// new route reaches `old_hop` through `bridge`, which `old_hop` splices in
+/// as its pair's upstream leg.
+struct DecayingSession {
+    world: World,
+    client: NodeId,
+    server: NodeId,
+    /// The device the new route goes through.
+    bridge: NodeId,
+    /// The far end of the first link: the server, or the relay it splices.
+    old_hop: NodeId,
+    conn: ConnectionId,
+    /// The link the session starts on.
+    link: simnet::LinkId,
+}
+
+fn decaying_session(spliced: bool) -> DecayingSession {
+    let mut cfg = WorldConfig::ideal(47);
+    cfg.radio.bluetooth.setup_min_s = 2.0;
+    cfg.radio.bluetooth.setup_max_s = 2.0;
+    let mut world = World::new(cfg);
+    let relay = |world: &mut World, at: Point| {
+        let node = PeerHoodNode::relay(fast_discovery_config("bridge", MobilityClass::Static));
+        world.add_node("bridge", MobilityModel::stationary(at), &bt(), Box::new(OnWorld(node)))
+    };
+    let mut client_cfg = PeerHoodConfig::new("client", MobilityClass::Dynamic);
+    let (client_at, bridge_at) = if spliced {
+        client_cfg.handover.target = HandoverTarget::LinkPeer;
+        (Point::new(13.5, 0.0), Point::new(11.0, 4.0))
+    } else {
+        (Point::new(5.0, 0.0), Point::new(2.5, 3.5))
+    };
+    let client = world.add_node(
+        "client",
+        MobilityModel::stationary(client_at),
+        &bt(),
+        Box::new(OnWorld(
+            PeerHoodNode::builder()
+                .config(client_cfg)
+                .app(TestApp::default())
+                .build(),
+        )),
+    );
+    let server = world.add_node(
+        "server",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        peerhood("server", MobilityClass::Static, TestApp::server("echo", false)),
+    );
+    let bridge = relay(&mut world, bridge_at);
+    let old_hop = if spliced {
+        relay(&mut world, Point::new(8.0, 0.0))
+    } else {
+        server
+    };
+    world.run_for(SimDuration::from_secs(180));
+    let server_addr = DeviceAddress::from_node(server);
+    let conn = world
+        .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
+            n.with_api(ctx, |api| api.connect_to(server_addr, "echo")).unwrap()
+        })
+        .unwrap()
+        .expect("the connection must start");
+    world.run_for(SimDuration::from_secs(10));
+    let link = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection_link(conn))
+        .unwrap()
+        .expect("connection established");
+    let first_hop = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection(conn).unwrap().first_hop)
+        .unwrap();
+    assert_eq!(first_hop, Some(DeviceAddress::from_node(old_hop)), "the first route");
+    world.set_link_quality_override(link, 240.0, 20.0);
+    DecayingSession {
+        world,
+        client,
+        server,
+        bridge,
+        old_hop,
+        conn,
+        link,
+    }
+}
+
+impl DecayingSession {
+    /// The live links `node` holds towards the client for the session: its
+    /// own, a route being built for it, or a relayed pair's upstream leg.
+    fn links_of_session(&mut self, node: NodeId) -> Vec<(simnet::LinkId, LinkRole)> {
+        let conn = self.conn;
+        self.world
+            .with_agent::<PeerHoodNode, _>(node, |n, _| {
+                let core = n.core_mut().expect("node running");
+                core.roles
+                    .iter()
+                    .filter(|(_, (role, _))| match *role {
+                        LinkRole::AppConnection(c)
+                        | LinkRole::BridgeUpstream(c)
+                        | LinkRole::HandoverPending { conn: c, .. } => c == conn,
+                        _ => false,
+                    })
+                    .map(|(link, (role, _))| (link, *role))
+                    .collect()
+            })
+            .unwrap()
+    }
+
+    /// Runs in `step`s until `done` holds, for at most 30 s.
+    fn run_until(&mut self, step: SimDuration, mut done: impl FnMut(&mut Self) -> bool) {
+        let deadline = self.world.now() + SimDuration::from_secs(30);
+        while !done(self) {
+            assert!(self.world.now() < deadline, "the awaited state never came");
+            self.world.run_for(step);
+        }
+    }
+
+    fn client_app<R>(&mut self, f: impl FnOnce(&TestApp) -> R) -> R {
+        self.world
+            .with_agent::<PeerHoodNode, _>(self.client, |n, _| n.with_app(f).unwrap())
+            .unwrap()
+    }
+
+    fn client_state(&mut self) -> Option<ConnState> {
+        let conn = self.conn;
+        self.world
+            .with_agent::<PeerHoodNode, _>(self.client, |n, _| n.connection(conn).map(|c| c.state))
+            .unwrap()
+    }
+
+    fn link_open(&self, link: simnet::LinkId) -> bool {
+        self.world.link_info(link).is_some_and(|l| l.open)
+    }
+}
+
+/// Fig. 5.5, state 2: the replacement route is built while the old one is
+/// still up, and "once it is confirmed" substitutes it. The session lives
+/// on: the app hears one route change and nothing else, the next payload
+/// arrives, and each end of the old link keeps exactly one link for the
+/// session — the old one hung up by the client once the `Accept` reached
+/// it. So for a direct session re-routed through a bridge, and for a
+/// relayed session whose relay splices in a new upstream leg.
+#[test]
+fn a_proactive_handover_substitutes_the_route_without_ending_the_session() {
+    for spliced in [false, true] {
+        let mut s = decaying_session(spliced);
+        s.world.run_for(SimDuration::from_secs(30));
+        let conn = s.conn;
+        let (changed, disconnected, switches) =
+            s.client_app(|a| (a.changed.clone(), a.disconnected.clone(), a.switches.len()));
+        assert_eq!(changed, [conn], "spliced {spliced}: one route change");
+        assert_eq!(disconnected, [], "spliced {spliced}: the session never ended");
+        assert_eq!(switches, 0, "spliced {spliced}: no provider switch was proposed");
+        let (completions, proactive, snapshot) = s
+            .world
+            .with_agent::<PeerHoodNode, _>(s.client, |n, _| {
+                (
+                    n.handover_completions(),
+                    n.proactive_handover_completions(),
+                    n.connection(conn).unwrap(),
+                )
+            })
+            .unwrap();
+        assert_eq!(
+            (completions, proactive),
+            (1, 1),
+            "spliced {spliced}: one handover, begun before the break"
+        );
+        assert_eq!(snapshot.state, ConnState::Established);
+        assert_eq!(snapshot.first_hop, Some(DeviceAddress::from_node(s.bridge)));
+        for node in [s.client, s.old_hop] {
+            let links = s.links_of_session(node);
+            assert_eq!(links.len(), 1, "spliced {spliced}: one link for the session: {links:?}");
+            assert_ne!(
+                links[0].0, s.link,
+                "spliced {spliced}: the old link is not the session's"
+            );
+        }
+        assert!(!s.link_open(s.link), "spliced {spliced}: the old link is hung up");
+        s.world
+            .with_agent::<PeerHoodNode, _>(s.client, |n, ctx| {
+                n.with_api(ctx, |api| api.send(conn, b"after the switch".to_vec()))
+            })
+            .unwrap()
+            .unwrap()
+            .expect("the session takes payloads");
+        s.world.run_for(SimDuration::from_secs(2));
+        let last = s
+            .world
+            .with_agent::<PeerHoodNode, _>(s.server, |n, _| n.app::<TestApp>().unwrap().data.last().cloned())
+            .unwrap();
+        assert_eq!(last, Some((conn, b"after the switch".to_vec())), "spliced {spliced}");
+    }
+}
+
+/// The server (or the splicing relay) has moved the session onto the new
+/// route, but the client has not heard the `Accept` when the session ends
+/// on the new route: the bridge dies, the server dies, or the server's app
+/// closes. The device that left the old link hangs it up too, so the client
+/// hears the session end instead of staying up on a link no one reads.
+#[test]
+fn a_new_route_lost_before_the_client_confirms_it_ends_the_session() {
+    #[derive(Debug, Clone, Copy)]
+    enum End {
+        BridgeDark,
+        ServerDark,
+        ServerCloses,
+    }
+    for (spliced, end) in [
+        (false, End::BridgeDark),
+        (false, End::ServerCloses),
+        (true, End::BridgeDark),
+        (true, End::ServerDark),
+        (true, End::ServerCloses),
+    ] {
+        let case = format!("spliced {spliced}, {end:?}");
+        let mut s = decaying_session(spliced);
+        let (conn, old, old_hop) = (s.conn, s.link, s.old_hop);
+        s.run_until(SimDuration::from_millis(1), |s| {
+            s.links_of_session(old_hop).iter().any(|&(link, _)| link != old)
+        });
+        let client_link = s
+            .world
+            .with_agent::<PeerHoodNode, _>(s.client, |n, _| n.connection_link(conn))
+            .unwrap();
+        assert_eq!(client_link, Some(old), "{case}: the client has not confirmed yet");
+        assert!(s.link_open(old), "{case}: the old link was left open");
+        assert_eq!(s.client_app(|a| a.disconnected.clone()), []);
+
+        // The old link stops decaying, so only a hang-up can end it.
+        s.world.set_link_quality_override(old, 240.0, 0.0);
+        match end {
+            End::BridgeDark => s.world.set_radio_enabled(s.bridge, RadioTech::Bluetooth, false),
+            End::ServerDark => s.world.set_radio_enabled(s.server, RadioTech::Bluetooth, false),
+            End::ServerCloses => s
+                .world
+                .with_agent::<PeerHoodNode, _>(s.server, |n, ctx| n.with_api(ctx, |api| api.close(conn)))
+                .unwrap()
+                .unwrap(),
+        }
+        s.world.run_for(SimDuration::from_secs(30));
+        let (disconnected, changed) = s.client_app(|a| (a.disconnected.clone(), a.changed.clone()));
+        assert_eq!(disconnected, [(conn, true)], "{case}: the client hears the hang-up");
+        assert_eq!(changed, [], "{case}: no route change reached the app");
+        assert_ne!(s.client_state(), Some(ConnState::Established), "{case}: not left up");
+        assert!(!s.link_open(old), "{case}: the old link is hung up");
+        for node in [s.client, s.old_hop] {
+            assert_eq!(s.links_of_session(node), [], "{case}: no link is left");
+        }
+    }
+}
+
+/// An app that closes the session while the client's switch is in flight
+/// ends it. When the server's app closes, the client's app hears
+/// `Disconnected` once and the switch is abandoned: no late `Accept` revives
+/// the session, no failed dial starts another switch, and the server never
+/// sees the session come back as a new one. The close lands while the
+/// replacement link is up, while its dial is in flight, and while a dial the
+/// bridge's dark radio will refuse is in flight. When the client's own app
+/// closes, its switch goes with the session: the server's app hears one
+/// `Disconnected` and no route change.
+#[test]
+fn a_session_closed_during_a_switch_stays_closed() {
+    for (closer_is_server, dialling, bridge_goes_dark) in [
+        (true, false, false),
+        (true, true, false),
+        (true, true, true),
+        (false, false, false),
+    ] {
+        let case =
+            format!("server closes {closer_is_server}, dialling {dialling}, bridge goes dark {bridge_goes_dark}");
+        let mut s = decaying_session(false);
+        let conn = s.conn;
+        s.run_until(SimDuration::from_millis(10), |s| {
+            let client = s.client;
+            if dialling {
+                s.world
+                    .with_agent::<PeerHoodNode, _>(client, |n, _| {
+                        let core = n.core_mut().expect("node running");
+                        core.pending
+                            .values()
+                            .any(|role| matches!(role, LinkRole::HandoverPending { conn: c, .. } if *c == conn))
+                    })
+                    .unwrap()
+            } else {
+                s.links_of_session(client)
+                    .iter()
+                    .any(|(_, role)| matches!(role, LinkRole::HandoverPending { .. }))
+            }
+        });
+        let closer = if closer_is_server { s.server } else { s.client };
+        s.world
+            .with_agent::<PeerHoodNode, _>(closer, |n, ctx| n.with_api(ctx, |api| api.close(conn)))
+            .unwrap();
+        if bridge_goes_dark {
+            s.world.set_radio_enabled(s.bridge, RadioTech::Bluetooth, false);
+        }
+        s.world.run_for(SimDuration::from_secs(30));
+        let (disconnected, changed) = s.client_app(|a| (a.disconnected.clone(), a.changed.clone()));
+        let heard: &[(ConnectionId, bool)] = if closer_is_server { &[(conn, true)] } else { &[] };
+        assert_eq!(
+            disconnected, heard,
+            "{case}: the client's app hears the peer's close once"
+        );
+        assert_eq!(changed, [], "{case}: the abandoned switch changed no route");
+        let (state, completions) = s
+            .world
+            .with_agent::<PeerHoodNode, _>(s.client, |n, _| {
+                (n.connection(conn).map(|c| c.state), n.handover_completions())
+            })
+            .unwrap();
+        assert_ne!(
+            state,
+            Some(ConnState::Established),
+            "{case}: the client holds no session"
+        );
+        assert_eq!(completions, 0, "{case}");
+        assert_eq!(s.links_of_session(s.client), [], "{case}");
+        let peers = s
+            .world
+            .with_agent::<PeerHoodNode, _>(s.server, |n, _| n.app::<TestApp>().unwrap().peer_connected.len())
+            .unwrap();
+        assert_eq!(peers, 1, "{case}: the server saw the session connect once");
+        let server_heard = s
+            .world
+            .with_agent::<PeerHoodNode, _>(s.server, |n, _| {
+                let app = n.app::<TestApp>().unwrap();
+                (app.disconnected.clone(), app.changed.clone())
+            })
+            .unwrap();
+        let heard: &[(ConnectionId, bool)] = if closer_is_server { &[] } else { &[(conn, true)] };
+        assert_eq!(
+            server_heard,
+            (heard.to_vec(), vec![]),
+            "{case}: what the server's app heard"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

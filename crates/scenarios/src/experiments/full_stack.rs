@@ -187,7 +187,11 @@ impl MetroApp {
         }
     }
 
-    /// True while the node holds an established client session.
+    /// True while the node holds an established client session. A session
+    /// stays `Up` while the middleware repairs its broken route after the
+    /// break (a routing handover the app is not told of until it completes),
+    /// so that window counts as attached and `sim_reconnect_s` does not see
+    /// it — a known gap in the measurement.
     pub fn attached(&self) -> bool {
         matches!(self.session, Session::Up(_))
     }
@@ -296,6 +300,10 @@ pub struct FullStats {
     pub broken_by_range: u64,
     /// Completed routing handovers (middleware counter).
     pub handover_completions: u64,
+    /// Of those, the ones the quality monitor started while the old route
+    /// was still up (Fig. 5.5's make-before-break switch); the rest repaired
+    /// a route after it broke.
+    pub proactive_handover_completions: u64,
     /// Route changes observed by the application.
     pub route_changes: u64,
     /// Total reconnection latency and sample count.
@@ -336,6 +344,7 @@ impl std::ops::AddAssign for FullStats {
         self.broken_by_crash += other.broken_by_crash;
         self.broken_by_range += other.broken_by_range;
         self.handover_completions += other.handover_completions;
+        self.proactive_handover_completions += other.proactive_handover_completions;
         self.route_changes += other.route_changes;
         self.reconnect_secs_total += other.reconnect_secs_total;
         self.reconnects += other.reconnects;
@@ -422,6 +431,7 @@ impl FullStackHost {
             broken_by_crash: self.broken_by_crash,
             broken_by_range: self.broken_by_range,
             handover_completions: self.node.handover_completions(),
+            proactive_handover_completions: self.node.proactive_handover_completions(),
             route_changes: app(&|a| a.route_changes),
             reconnect_secs_total: self.node.with_app(|a: &MetroApp| a.reconnect_secs_total).unwrap_or(0.0),
             reconnects: app(&|a| a.reconnects),

@@ -204,11 +204,18 @@ pub fn e08_routing_handover(seed: u64, runs_per_rate: usize) -> ExperimentReport
         "mean stall during switch (s)",
         "mean messages delivered / 50",
     ]);
+    // The decay rates at which every run handed over, and the others.
+    let (mut kept, mut lost) = (Vec::new(), Vec::new());
     for &decay in &[1.0, 5.0, 15.0, 30.0] {
         let runs: Vec<HandoverRun> = (0..runs_per_rate)
             .map(|i| routing_handover_run(seed + i as u64 * 31, decay))
             .collect();
         let completed = runs.iter().filter(|r| r.handover_completed).count();
+        if completed == runs.len() {
+            kept.push(decay.to_string());
+        } else {
+            lost.push(decay.to_string());
+        }
         let stalls: Vec<f64> = runs.iter().filter_map(|r| r.switch_seconds).collect();
         let mean_stall = if stalls.is_empty() {
             0.0
@@ -224,8 +231,17 @@ pub fn e08_routing_handover(seed: u64, runs_per_rate: usize) -> ExperimentReport
             ExperimentReport::f(mean_delivered),
         ]);
     }
-    report
-        .push_note("slow decay leaves enough time for the multi-second Bluetooth interconnection; fast decay does not");
+    report.push_note(match (kept.is_empty(), lost.is_empty()) {
+        (false, true) => "every decay rate leaves enough time for the multi-second Bluetooth interconnection: \
+                          the handover completed in every run"
+            .to_string(),
+        (true, _) => "at no decay rate did the handover complete in every run".to_string(),
+        (false, false) => format!(
+            "the handover completed in every run at {} quality/s of decay, but not at {}",
+            kept.join(", "),
+            lost.join(", ")
+        ),
+    });
     report
 }
 

@@ -121,7 +121,7 @@ pub fn e15_full_stack_metropolis(city: &City) -> ExperimentReport {
         "restarts",
         "attached %",
     ]);
-    let (mut reconnect_secs, mut reconnects) = (0.0, 0);
+    let (mut reconnect_secs, mut reconnects, mut proactive) = (0.0, 0, 0);
     for (nodes, rate) in city.cells() {
         let mut world = metropolis_run(city, nodes, rate);
         let (stats, attached) = aggregate_full_stats(&mut world);
@@ -139,6 +139,7 @@ pub fn e15_full_stack_metropolis(city: &City) -> ExperimentReport {
         ]);
         reconnect_secs += stats.reconnect_secs_total;
         reconnects += stats.reconnects;
+        proactive += stats.proactive_handover_completions;
     }
     let mean_reconnect = if reconnects == 0 {
         0.0
@@ -147,7 +148,8 @@ pub fn e15_full_stack_metropolis(city: &City) -> ExperimentReport {
     };
     report.push_note(format!(
         "full PeerHood stack on every node; density {} nodes/km^2, {:.0}% mobile, every 10th node \
-         churning at {}/h (mean downtime {}s), {}s simulated; mean reconnect {:.2}s over {} samples",
+         churning at {}/h (mean downtime {}s), {}s simulated; mean reconnect {:.2}s over {} samples; \
+         {} handovers began before the break",
         city.density_per_km2,
         city.mobile_fraction * 100.0,
         city.churn_rates(),
@@ -155,6 +157,7 @@ pub fn e15_full_stack_metropolis(city: &City) -> ExperimentReport {
         city.duration.as_secs_f64(),
         mean_reconnect,
         reconnects,
+        proactive,
     ));
     report
 }

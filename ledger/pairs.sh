@@ -14,12 +14,14 @@
 # Prints one line per side of each pair: every end-to-end metric BENCHMARK.json
 # bounds (node-sim-s/s as the run's wall seconds, setup_s, peak_rss_mb,
 # attached_pct, reconnect_s with its sample count, peerhood.app.reconnects)
-# and ops_failed/ops_attempted. Then, over the N pairs, each metric's
+# beside the routing handovers completed (peerhood.handover.completions), and
+# ops_failed/ops_attempted. Then, over the N pairs, each metric's
 # change/base ratio — median, range, and how many pairs the change won in the
-# metric's better direction — each side's failed-ops share and reconnect
-# samples, and each side's sim_digests (a byte-identical change prints the
-# same single digest on both sides). A mean reconnect time is read with its
-# base: fewer, shorter samples is not the same gain as as many, shorter ones.
+# metric's better direction — each side's failed-ops share, reconnect
+# samples and handovers, and each side's sim_digests (a byte-identical change
+# prints the same single digest on both sides). A mean reconnect time is read
+# with its base: fewer, shorter samples is not the same gain as as many,
+# shorter ones, and the handover count says which mechanism moved.
 #
 # A `rep`'s setup_s is one cold set-up in a fresh process; the benchmark's own
 # pipeline reports the fastest of 15 set-ups, so setup_s here is the noisier
@@ -50,6 +52,7 @@ pin() {
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 # One row per side of each pair: pair side run setup rss attached reconnect failed attempted digest samples
+# handovers (a count the line lacks reads 0, so every row has every column)
 for ((i = 0; i < n; i++)); do
     first=base second=change
     if ((i % 2)); then first=change second=base; fi
@@ -64,12 +67,13 @@ for ((i = 0; i < n; i++)); do
         line=$(tail -1 "$out/$side")
         row="$((i + 1)) $side"
         for key in run_s setup_s peak_rss_mb attached_pct reconnect_s ops_failed ops_attempted sim_digest \
-            peerhood.app.reconnects; do
-            row+=" $(field "$key" "$line")"
+            peerhood.app.reconnects peerhood.handover.completions; do
+            value=$(field "$key" "$line")
+            row+=" ${value:-0}"
         done
         echo "$row" >>"$out/rows"
-        awk '{ printf "  %-6s run %.3f s, setup %.4f s, rss %.1f MB, attached %.2f %%, reconnect %.2f s over %d samples, failed %d/%d (%.2f %%), digest %s\n",
-            $2 ":", $3, $4, $5, $6, $7, $11, $8, $9, 100 * $8 / $9, $10 }' <<<"$row"
+        awk '{ printf "  %-6s run %.3f s, setup %.4f s, rss %.1f MB, attached %.2f %%, reconnect %.2f s over %d samples (%d handovers), failed %d/%d (%.2f %%), digest %s\n",
+            $2 ":", $3, $4, $5, $6, $7, $11, $12, $8, $9, 100 * $8 / $9, $10 }' <<<"$row"
     done
 done
 
@@ -93,7 +97,7 @@ awk -v w="$workload" -v n="$n" '
     }
     {
         for (c = 3; c <= 9; c++) v[$2, $1, c] = $c + 0
-        failed[$2] += $8; attempted[$2] += $9; samples[$2] += $11
+        failed[$2] += $8; attempted[$2] += $9; samples[$2] += $11; handovers[$2] += $12
         if (!seen[$2, $10]++) digests[$2] = digests[$2] " " $10
     }
     END {
@@ -106,6 +110,7 @@ awk -v w="$workload" -v n="$n" '
         printf "failed ops: base %d/%d (%.2f %%), change %d/%d (%.2f %%)\n",
             failed["base"], attempted["base"], 100 * failed["base"] / attempted["base"],
             failed["change"], attempted["change"], 100 * failed["change"] / attempted["change"]
-        printf "reconnect samples per pair: base %.0f, change %.0f\n", samples["base"] / n, samples["change"] / n
+        printf "reconnect samples per pair: base %.0f, change %.0f; handovers per pair: base %.0f, change %.0f\n",
+            samples["base"] / n, samples["change"] / n, handovers["base"] / n, handovers["change"] / n
         printf "sim_digest base%s, change%s\n", digests["base"], digests["change"]
     }' "$out/rows"
