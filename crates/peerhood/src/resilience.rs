@@ -48,7 +48,7 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use simnet::table::IdTable;
-use simnet::{SimDuration, SimTime, Telemetry};
+use simnet::{SimDuration, SimTime};
 
 use crate::ids::DeviceAddress;
 use crate::node::AppId;
@@ -280,74 +280,40 @@ impl TokenBucket {
     }
 }
 
-/// Point-in-time snapshot of the pipeline's per-layer counters and breaker
-/// population, exported per node.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ResilienceStats {
-    /// Times any breaker transitioned to Open.
-    pub breaker_trips: u64,
-    /// Outgoing dials refused locally by an Open breaker.
-    pub breaker_blocked: u64,
-    /// Half-open probe dials admitted.
-    pub breaker_probes: u64,
-    /// Breakers currently Open.
-    pub breakers_open: usize,
-    /// Breakers currently HalfOpen.
-    pub breakers_half_open: usize,
-    /// Inbound payloads shed by the per-app token bucket.
-    pub inbound_shed: u64,
-    /// Outbound sends shed by the per-app token bucket.
-    pub outbound_shed: u64,
-    /// Results shed by the outbox queue cap.
-    pub queue_shed: u64,
-    /// Incoming connections admitted by the admission layer.
-    pub admitted: u64,
-    /// Incoming connections rejected by the concurrent-session cap.
-    pub rejected_sessions: u64,
-    /// Incoming connections rejected by the per-peer rate cap.
-    pub rejected_rate: u64,
-    /// Inquiry responses served from the generation-keyed cached frame.
-    pub inquiries_cached: u64,
-    /// Inquiry responses that required a fresh encode.
-    pub inquiries_encoded: u64,
-}
-
-impl ResilienceStats {
-    /// Adds another snapshot into this one; breaker populations and counters
-    /// all sum, so a fleet-wide roll-up is a plain fold.
-    pub fn absorb(&mut self, other: &ResilienceStats) {
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_blocked += other.breaker_blocked;
-        self.breaker_probes += other.breaker_probes;
-        self.breakers_open += other.breakers_open;
-        self.breakers_half_open += other.breakers_half_open;
-        self.inbound_shed += other.inbound_shed;
-        self.outbound_shed += other.outbound_shed;
-        self.queue_shed += other.queue_shed;
-        self.admitted += other.admitted;
-        self.rejected_sessions += other.rejected_sessions;
-        self.rejected_rate += other.rejected_rate;
-        self.inquiries_cached += other.inquiries_cached;
-        self.inquiries_encoded += other.inquiries_encoded;
-    }
-
-    /// Mirrors the snapshot into the telemetry plane under the `resilience`
-    /// subsystem: monotonic tallies as counters, the live breaker population
-    /// as gauges.
-    pub fn export(&self, tel: &mut Telemetry) {
-        tel.set_counter("resilience", "breaker_trips", None, self.breaker_trips);
-        tel.set_counter("resilience", "breaker_blocked", None, self.breaker_blocked);
-        tel.set_counter("resilience", "breaker_probes", None, self.breaker_probes);
-        tel.set_gauge("resilience", "breakers_open", None, self.breakers_open as f64);
-        tel.set_gauge("resilience", "breakers_half_open", None, self.breakers_half_open as f64);
-        tel.set_counter("resilience", "inbound_shed", None, self.inbound_shed);
-        tel.set_counter("resilience", "outbound_shed", None, self.outbound_shed);
-        tel.set_counter("resilience", "queue_shed", None, self.queue_shed);
-        tel.set_counter("resilience", "admitted", None, self.admitted);
-        tel.set_counter("resilience", "rejected_sessions", None, self.rejected_sessions);
-        tel.set_counter("resilience", "rejected_rate", None, self.rejected_rate);
-        tel.set_counter("resilience", "inquiries_cached", None, self.inquiries_cached);
-        tel.set_counter("resilience", "inquiries_encoded", None, self.inquiries_encoded);
+simnet::counter_table! {
+    /// Point-in-time snapshot of the pipeline's per-layer counters and
+    /// breaker population, exported per node as the `resilience/*` series:
+    /// monotonic tallies as counters, the live breaker population as gauges.
+    /// Breaker populations and counters all sum, so a fleet-wide roll-up is
+    /// a plain fold.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ResilienceStats in "resilience" {
+        /// Times any breaker transitioned to Open.
+        pub breaker_trips: u64 => counter "breaker_trips",
+        /// Outgoing dials refused locally by an Open breaker.
+        pub breaker_blocked: u64 => counter "breaker_blocked",
+        /// Half-open probe dials admitted.
+        pub breaker_probes: u64 => counter "breaker_probes",
+        /// Breakers currently Open.
+        pub breakers_open: usize => gauge "breakers_open",
+        /// Breakers currently HalfOpen.
+        pub breakers_half_open: usize => gauge "breakers_half_open",
+        /// Inbound payloads shed by the per-app token bucket.
+        pub inbound_shed: u64 => counter "inbound_shed",
+        /// Outbound sends shed by the per-app token bucket.
+        pub outbound_shed: u64 => counter "outbound_shed",
+        /// Results shed by the outbox queue cap.
+        pub queue_shed: u64 => counter "queue_shed",
+        /// Incoming connections admitted by the admission layer.
+        pub admitted: u64 => counter "admitted",
+        /// Incoming connections rejected by the concurrent-session cap.
+        pub rejected_sessions: u64 => counter "rejected_sessions",
+        /// Incoming connections rejected by the per-peer rate cap.
+        pub rejected_rate: u64 => counter "rejected_rate",
+        /// Inquiry responses served from the generation-keyed cached frame.
+        pub inquiries_cached: u64 => counter "inquiries_cached",
+        /// Inquiry responses that required a fresh encode.
+        pub inquiries_encoded: u64 => counter "inquiries_encoded",
     }
 }
 

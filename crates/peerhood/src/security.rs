@@ -126,67 +126,40 @@ pub struct Peer {
 /// Every defence's per-peer state, one [`Peer`] row per address.
 pub type PeerTable = IdTable<DeviceAddress, Peer>;
 
-/// Counters of everything the hardening layer did — the per-node raw
-/// material of the E19 security scorecard.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SecurityStats {
-    /// Outbound frames that received an auth trailer.
-    pub frames_authenticated: u64,
-    /// Trailer bytes added to outbound frames (the bandwidth overhead).
-    pub auth_bytes: u64,
-    /// Inbound frames dropped because their MAC did not verify.
-    pub auth_rejected: u64,
-    /// Inbound frames dropped by the per-sender replay window.
-    pub replay_rejected: u64,
-    /// Connection requests rejected because their connection id was
-    /// allocated by a different device than the requester.
-    pub foreign_conn_rejected: u64,
-    /// Connection requests rejected because their reply context did not
-    /// refer back to a connection this node initiated.
-    pub bad_reply_context: u64,
-    /// Session Accepts dropped because the session was not awaiting one.
-    pub duplicate_accepts: u64,
-    /// Frames dropped because their connection id did not match the
-    /// connection classified on the arrival link.
-    pub conn_mismatch_dropped: u64,
-    /// Neighbour reports ignored because the reporter's reputation was
-    /// exhausted.
-    pub reports_skipped: u64,
-    /// Reputation penalties recorded against misbehaving peers.
-    pub penalties_recorded: u64,
+simnet::counter_table! {
+    /// Counters of everything the hardening layer did — the per-node raw
+    /// material of the E19 security scorecard, mirrored as the `security/*`
+    /// series.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct SecurityStats in "security" {
+        /// Outbound frames that received an auth trailer.
+        pub frames_authenticated: u64 => counter "frames_authenticated",
+        /// Trailer bytes added to outbound frames (the bandwidth overhead).
+        pub auth_bytes: u64 => counter "auth_bytes",
+        /// Inbound frames dropped because their MAC did not verify.
+        pub auth_rejected: u64 => counter "auth_rejected",
+        /// Inbound frames dropped by the per-sender replay window.
+        pub replay_rejected: u64 => counter "replay_rejected",
+        /// Connection requests rejected because their connection id was
+        /// allocated by a different device than the requester.
+        pub foreign_conn_rejected: u64 => counter "foreign_conn_rejected",
+        /// Connection requests rejected because their reply context did not
+        /// refer back to a connection this node initiated.
+        pub bad_reply_context: u64 => counter "bad_reply_context",
+        /// Session Accepts dropped because the session was not awaiting one.
+        pub duplicate_accepts: u64 => counter "duplicate_accepts",
+        /// Frames dropped because their connection id did not match the
+        /// connection classified on the arrival link.
+        pub conn_mismatch_dropped: u64 => counter "conn_mismatch_dropped",
+        /// Neighbour reports ignored because the reporter's reputation was
+        /// exhausted.
+        pub reports_skipped: u64 => counter "reports_skipped",
+        /// Reputation penalties recorded against misbehaving peers.
+        pub penalties_recorded: u64 => counter "penalties_recorded",
+    }
 }
 
 impl SecurityStats {
-    /// Adds another node's counters into this one (scorecard aggregation).
-    pub fn absorb(&mut self, other: &SecurityStats) {
-        self.frames_authenticated += other.frames_authenticated;
-        self.auth_bytes += other.auth_bytes;
-        self.auth_rejected += other.auth_rejected;
-        self.replay_rejected += other.replay_rejected;
-        self.foreign_conn_rejected += other.foreign_conn_rejected;
-        self.bad_reply_context += other.bad_reply_context;
-        self.duplicate_accepts += other.duplicate_accepts;
-        self.conn_mismatch_dropped += other.conn_mismatch_dropped;
-        self.reports_skipped += other.reports_skipped;
-        self.penalties_recorded += other.penalties_recorded;
-    }
-
-    /// Mirrors the counters into a telemetry sink under the `security`
-    /// subsystem (same shape as
-    /// [`ResilienceStats::export`](crate::resilience::ResilienceStats::export)).
-    pub fn export(&self, tel: &mut simnet::Telemetry) {
-        tel.set_counter("security", "frames_authenticated", None, self.frames_authenticated);
-        tel.set_counter("security", "auth_bytes", None, self.auth_bytes);
-        tel.set_counter("security", "auth_rejected", None, self.auth_rejected);
-        tel.set_counter("security", "replay_rejected", None, self.replay_rejected);
-        tel.set_counter("security", "foreign_conn_rejected", None, self.foreign_conn_rejected);
-        tel.set_counter("security", "bad_reply_context", None, self.bad_reply_context);
-        tel.set_counter("security", "duplicate_accepts", None, self.duplicate_accepts);
-        tel.set_counter("security", "conn_mismatch_dropped", None, self.conn_mismatch_dropped);
-        tel.set_counter("security", "reports_skipped", None, self.reports_skipped);
-        tel.set_counter("security", "penalties_recorded", None, self.penalties_recorded);
-    }
-
     /// Hostile frames this node demonstrably refused: every rejection a
     /// defence produced, across all tiers.
     pub fn frames_rejected(&self) -> u64 {

@@ -158,23 +158,12 @@ pub struct MetroApp {
     /// leaves it running. Survives restarts (the app is the measurement
     /// instrument).
     down_since: Option<SimTime>,
-    /// Client sessions established (first connects, provider switches and
-    /// the app's re-attachments after loss).
-    pub sessions_established: u64,
-    /// Session losses the middleware could not recover: it dropped the
-    /// session, or its provider switch failed.
-    pub sessions_lost: u64,
-    /// Completed route changes observed on the live session (routing
-    /// handover / re-attachment).
-    pub route_changes: u64,
-    /// Pings sent on the session.
-    pub pings_sent: u64,
-    /// Payloads received (pings served plus echoes).
-    pub payloads_received: u64,
-    /// Total reconnection latency across all samples.
-    pub reconnect_secs_total: f64,
-    /// Number of latency samples in `reconnect_secs_total`.
-    pub reconnects: u64,
+    /// What the app counts: sessions established (first connects, provider
+    /// switches and the app's re-attachments after loss), route changes on
+    /// the live session, pings sent, payloads received (pings served plus
+    /// echoes) and reconnection latency. The route breaks, the handover
+    /// completions and `attached` are filled in by [`FullStackHost::stats`].
+    pub counts: FullStats,
 }
 
 impl MetroApp {
@@ -218,36 +207,34 @@ impl Application for MetroApp {
     fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         if self.session.drives(conn) {
             self.session = Session::Up(conn);
-            self.sessions_established += 1;
+            self.counts.sessions_established += 1;
             if let Some(t0) = self.down_since.take() {
-                self.reconnect_secs_total += api.now().saturating_since(t0).as_secs_f64();
-                self.reconnects += 1;
+                self.counts.reconnect_secs_total += api.now().saturating_since(t0).as_secs_f64();
+                self.counts.reconnects += 1;
             }
         }
     }
 
     fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
         if self.session.drives(conn) {
-            self.sessions_lost += u64::from(self.session == Session::Switching(conn));
             self.session = Session::Idle;
         }
     }
 
     fn on_data(&mut self, _api: &mut PeerHoodApi<'_>, _conn: ConnectionId, _payload: Vec<u8>) {
-        self.payloads_received += 1;
+        self.counts.payloads_received += 1;
     }
 
     fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
         if self.session.drives(conn) {
             self.session = Session::Idle;
-            self.sessions_lost += 1;
             self.down_since.get_or_insert(api.now());
         }
     }
 
     fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
         if self.session.drives(conn) {
-            self.route_changes += 1;
+            self.counts.route_changes += 1;
         }
     }
 
@@ -278,7 +265,7 @@ impl Application for MetroApp {
         match self.session {
             Session::Up(conn) => {
                 if api.send(conn, b"metro-ping".to_vec()).is_ok() {
-                    self.pings_sent += 1;
+                    self.counts.pings_sent += 1;
                 }
             }
             _ => self.try_attach(api),
@@ -287,35 +274,38 @@ impl Application for MetroApp {
     }
 }
 
-/// Per-node counters of a city node: read off the middleware by
-/// [`FullStackHost`], counted by the light
-/// [`CityProbe`](crate::experiments::probe::CityProbe) itself.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FullStats {
-    /// Client sessions established.
-    pub sessions_established: u64,
-    /// Session routes broken because the peer's stack died.
-    pub broken_by_crash: u64,
-    /// Session routes broken by coverage/radio loss.
-    pub broken_by_range: u64,
-    /// Completed routing handovers (middleware counter).
-    pub handover_completions: u64,
-    /// Of those, the ones the quality monitor started while the old route
-    /// was still up (Fig. 5.5's make-before-break switch); the rest repaired
-    /// a route after it broke.
-    pub proactive_handover_completions: u64,
-    /// Route changes observed by the application.
-    pub route_changes: u64,
-    /// Total reconnection latency and sample count.
-    pub reconnect_secs_total: f64,
-    /// Number of latency samples in `reconnect_secs_total`.
-    pub reconnects: u64,
-    /// Pings sent / payloads received by the app.
-    pub pings_sent: u64,
-    /// Payloads the app received.
-    pub payloads_received: u64,
-    /// True if the node currently holds an established session.
-    pub attached: bool,
+simnet::counter_table! {
+    /// Per-node counters of a city node: read off the middleware by
+    /// [`FullStackHost`], counted by the light
+    /// [`CityProbe`](crate::experiments::probe::CityProbe) itself.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct FullStats {
+        /// Client sessions established.
+        pub sessions_established: u64,
+        /// Session routes broken because the peer's stack died.
+        pub broken_by_crash: u64,
+        /// Session routes broken by coverage/radio loss.
+        pub broken_by_range: u64,
+        /// Completed routing handovers (middleware counter).
+        pub handover_completions: u64,
+        /// Of those, the ones the quality monitor started while the old route
+        /// was still up (Fig. 5.5's make-before-break switch); the rest repaired
+        /// a route after it broke.
+        pub proactive_handover_completions: u64,
+        /// Route changes observed by the application.
+        pub route_changes: u64,
+        /// Total reconnection latency and sample count.
+        pub reconnect_secs_total: f64,
+        /// Number of latency samples in `reconnect_secs_total`.
+        pub reconnects: u64,
+        /// Pings sent / payloads received by the app.
+        pub pings_sent: u64,
+        /// Payloads the app received.
+        pub payloads_received: u64,
+        /// True if the node currently holds an established session: one
+        /// node's state, which [`FullStats::absorb`] leaves alone.
+        pub attached: bool,
+    }
 }
 
 impl FullStats {
@@ -330,26 +320,10 @@ impl FullStats {
         let mut total = FullStats::default();
         let mut attached = 0;
         for node in nodes {
-            total += node;
+            total.absorb(&node);
             attached += usize::from(node.attached);
         }
         (total, attached)
-    }
-}
-
-/// Counters add; `attached` is one node's state and is left alone.
-impl std::ops::AddAssign for FullStats {
-    fn add_assign(&mut self, other: FullStats) {
-        self.sessions_established += other.sessions_established;
-        self.broken_by_crash += other.broken_by_crash;
-        self.broken_by_range += other.broken_by_range;
-        self.handover_completions += other.handover_completions;
-        self.proactive_handover_completions += other.proactive_handover_completions;
-        self.route_changes += other.route_changes;
-        self.reconnect_secs_total += other.reconnect_secs_total;
-        self.reconnects += other.reconnects;
-        self.pings_sent += other.pings_sent;
-        self.payloads_received += other.payloads_received;
     }
 }
 
@@ -425,19 +399,16 @@ impl FullStackHost {
 
     /// Aggregated counters for experiment reports.
     pub fn stats(&self) -> FullStats {
-        let app = |f: &dyn Fn(&MetroApp) -> u64| self.node.with_app(|a: &MetroApp| f(a)).unwrap_or(0);
+        let app = self.node.with_app(|a: &MetroApp| FullStats {
+            attached: a.attached(),
+            ..a.counts
+        });
         FullStats {
-            sessions_established: app(&|a| a.sessions_established),
             broken_by_crash: self.broken_by_crash,
             broken_by_range: self.broken_by_range,
             handover_completions: self.node.handover_completions(),
             proactive_handover_completions: self.node.proactive_handover_completions(),
-            route_changes: app(&|a| a.route_changes),
-            reconnect_secs_total: self.node.with_app(|a: &MetroApp| a.reconnect_secs_total).unwrap_or(0.0),
-            reconnects: app(&|a| a.reconnects),
-            pings_sent: app(&|a| a.pings_sent),
-            payloads_received: app(&|a| a.payloads_received),
-            attached: self.node.with_app(|a: &MetroApp| a.attached()).unwrap_or(false),
+            ..app.unwrap_or_default()
         }
     }
 }

@@ -109,33 +109,17 @@ pub fn sharded_metropolis_run(city: &City, nodes: usize, churn_per_hour: f64) ->
 pub fn sharded_world_digest(world: &ShardedWorld) -> u64 {
     let mut digest = Fnv1a::default();
     let mut fold = |v: u64| digest.write(&v.to_le_bytes());
-    let fold_counters = |fold: &mut dyn FnMut(u64), c: &Counters| {
-        fold(c.inquiries_started);
-        fold(c.inquiry_hits);
-        fold(c.connect_attempts);
-        fold(c.connect_failures);
-        fold(c.connects_established);
-        fold(c.messages_sent);
-        fold(c.bytes_sent);
-        fold(c.messages_delivered);
-        fold(c.messages_lost);
-        fold(c.links_broken);
-        fold(c.quality_samples);
-    };
-    fold_counters(&mut fold, world.metrics().global());
+    // Each struct folds in its declaration order.
+    world.metrics().global().fields().for_each(|(_, v)| fold(v));
     for (id, counters) in world.metrics().iter_nodes() {
         fold(id.as_raw());
-        fold_counters(&mut fold, counters);
+        counters.fields().for_each(|(_, v)| fold(v));
     }
     for tech in [RadioTech::Bluetooth, RadioTech::Wlan, RadioTech::Gprs] {
         fold(world.metrics().messages_for_tech(tech));
         fold(world.metrics().bytes_for_tech(tech));
     }
-    let stats = world.fault_stats();
-    fold(stats.crashes);
-    fold(stats.restarts);
-    fold(stats.radio_outages);
-    fold(stats.radio_restores);
+    world.fault_stats().fields().for_each(|(_, v)| fold(v));
     for event in world.lifecycle_events() {
         fold(event.at.as_micros());
         fold(event.node.as_raw());

@@ -161,7 +161,14 @@ fn a_walker_whose_provider_left_is_switched_by_the_middleware_and_timed() {
                 let app = n.app::<MetroApp>().unwrap();
                 let conn = app.current_conn();
                 let remote = conn.and_then(|c| n.connection(c)).map(|c| c.remote);
-                (app.attached(), conn, remote, app.reconnects, app.reconnect_secs_total)
+                let counts = app.counts;
+                (
+                    app.attached(),
+                    conn,
+                    remote,
+                    counts.reconnects,
+                    counts.reconnect_secs_total,
+                )
             })
             .unwrap()
     };

@@ -171,3 +171,32 @@ fn sharded_run_with_telemetry_matches_uninstrumented_world() {
     assert_eq!(captures.len(), 1);
     assert_eq!(plain_digest, sharded_world_digest(&instrumented));
 }
+
+/// README's metric catalogue is written from the stats structs'
+/// declarations: every `subsystem/name` a `counter_table!` declares must be
+/// named there, so adding a series without documenting it fails here.
+#[test]
+fn the_readme_catalogue_names_every_declared_series() {
+    let readme = include_str!("../../../README.md");
+    let start = readme
+        .find("* **Metric catalogue.**")
+        .expect("README has a metric catalogue");
+    let end = start
+        + readme[start..]
+            .find("* **Profiling.**")
+            .expect("the catalogue ends at Profiling");
+    let catalogue = &readme[start..end];
+    let tables = [
+        simnet::Counters::SERIES,
+        simnet::FaultStats::SERIES,
+        simnet::AdversaryStats::SERIES,
+        peerhood::resilience::ResilienceStats::SERIES,
+        peerhood::security::SecurityStats::SERIES,
+    ];
+    let missing: Vec<_> = tables
+        .concat()
+        .into_iter()
+        .filter(|series| !catalogue.contains(&format!("`{series}`")))
+        .collect();
+    assert!(missing.is_empty(), "README's metric catalogue lacks {missing:?}");
+}

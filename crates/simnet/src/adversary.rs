@@ -147,21 +147,24 @@ pub trait FrameForge {
     fn forge(&mut self, attacker: NodeId, peer: NodeId, sniffed: &[Payload], rng: &mut SimRng) -> Option<Payload>;
 }
 
-/// Aggregate counters of adversarial activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AdversaryStats {
-    /// Partition windows that have opened.
-    pub partitions_started: u64,
-    /// Partition windows that have healed.
-    pub partitions_healed: u64,
-    /// In-flight payloads lost to an active cut.
-    pub partition_drops: u64,
-    /// Open links broken by a window opening across them.
-    pub cut_links_broken: u64,
-    /// Frames rewritten in flight by the forge.
-    pub frames_tampered: u64,
-    /// Forged frames injected on an attacker's links.
-    pub frames_injected: u64,
+crate::counter_table! {
+    /// Aggregate counters of adversarial activity, mirrored as the
+    /// `adversary/*` series in a world that installed a plan.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct AdversaryStats in "adversary" {
+        /// Partition windows that have opened.
+        pub partitions_started: u64,
+        /// Partition windows that have healed.
+        pub partitions_healed: u64,
+        /// In-flight payloads lost to an active cut.
+        pub partition_drops: u64 => counter "partition_drops",
+        /// Open links broken by a window opening across them.
+        pub cut_links_broken: u64 => counter "cut_links_broken",
+        /// Frames rewritten in flight by the forge.
+        pub frames_tampered: u64 => counter "frames_tampered",
+        /// Forged frames injected on an attacker's links.
+        pub frames_injected: u64 => counter "frames_injected",
+    }
 }
 
 impl AdversaryStats {

@@ -33,7 +33,6 @@ use serde::{Deserialize, Serialize};
 use crate::node::NodeId;
 use crate::radio::RadioTech;
 use crate::rng::SimRng;
-use crate::telemetry::Telemetry;
 use crate::time::{SimDuration, SimTime};
 
 /// One scheduled state transition of a node or one of its radios.
@@ -204,28 +203,23 @@ pub struct LifecycleEvent {
     pub kind: LifecycleKind,
 }
 
-/// Aggregate fault-injection counters for experiment reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultStats {
-    /// Nodes crashed (transitions to down).
-    pub crashes: u64,
-    /// Nodes restarted (transitions back up).
-    pub restarts: u64,
-    /// Radio outages started.
-    pub radio_outages: u64,
-    /// Radios restored.
-    pub radio_restores: u64,
+crate::counter_table! {
+    /// Aggregate fault-injection counters for experiment reports, mirrored
+    /// as the `faults/*` series — the one catalogue both engines sample.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct FaultStats in "faults" {
+        /// Nodes crashed (transitions to down).
+        pub crashes: u64 => counter "node_crashes",
+        /// Nodes restarted (transitions back up).
+        pub restarts: u64 => counter "node_restarts",
+        /// Radio outages started.
+        pub radio_outages: u64 => counter "radio_outages",
+        /// Radios restored.
+        pub radio_restores: u64,
+    }
 }
 
 impl FaultStats {
-    /// Adds another set of counters into this one.
-    pub(crate) fn absorb(&mut self, other: &FaultStats) {
-        self.crashes += other.crashes;
-        self.restarts += other.restarts;
-        self.radio_outages += other.radio_outages;
-        self.radio_restores += other.radio_restores;
-    }
-
     /// Counts one lifecycle transition.
     pub(crate) fn count(&mut self, kind: LifecycleKind) {
         match kind {
@@ -234,14 +228,6 @@ impl FaultStats {
             LifecycleKind::RadioDown(_) => self.radio_outages += 1,
             LifecycleKind::RadioUp(_) => self.radio_restores += 1,
         }
-    }
-
-    /// Mirrors the lifecycle counters into the telemetry plane as the
-    /// `faults/*` series — the one catalogue both engines sample.
-    pub fn export(&self, tel: &mut Telemetry) {
-        tel.set_counter("faults", "node_crashes", None, self.crashes);
-        tel.set_counter("faults", "node_restarts", None, self.restarts);
-        tel.set_counter("faults", "radio_outages", None, self.radio_outages);
     }
 }
 

@@ -86,6 +86,7 @@
 
 pub mod adversary;
 pub mod agent;
+mod counter_table;
 pub mod event;
 pub mod faults;
 pub mod geometry;

@@ -3,7 +3,8 @@
 //! The experiment runners (E1–E12) summarise their results from these
 //! counters: inquiry activity, connection attempts and outcomes, traffic
 //! volume and link breakage. Counters exist per node and are also aggregated
-//! globally.
+//! globally. [`Counters`] is declared through
+//! [`counter_table!`](crate::counter_table).
 
 use serde::{Deserialize, Serialize};
 
@@ -12,65 +13,37 @@ use crate::node::NodeId;
 use crate::radio::RadioTech;
 use crate::telemetry::{Histogram, Telemetry};
 
-/// Counters for one node (or the global aggregate).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Counters {
-    /// Device-discovery inquiries started.
-    pub inquiries_started: u64,
-    /// Devices returned across all inquiry results.
-    pub inquiry_hits: u64,
-    /// Connection attempts initiated.
-    pub connect_attempts: u64,
-    /// Connection attempts that failed (fault, out of range or rejection).
-    pub connect_failures: u64,
-    /// Connections successfully established.
-    pub connects_established: u64,
-    /// Messages passed to the radio for transmission.
-    pub messages_sent: u64,
-    /// Payload bytes passed to the radio for transmission.
-    pub bytes_sent: u64,
-    /// Messages delivered to the peer.
-    pub messages_delivered: u64,
-    /// Messages lost because the link broke before delivery.
-    pub messages_lost: u64,
-    /// Established links that broke (out of range or forced).
-    pub links_broken: u64,
-    /// Link-quality samples taken.
-    pub quality_samples: u64,
+crate::counter_table! {
+    /// Counters for one node (or the global aggregate), mirrored as the
+    /// `world/*` series — the one catalogue both engines sample.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct Counters in "world" {
+        /// Device-discovery inquiries started.
+        pub inquiries_started: u64 => counter "inquiries_started",
+        /// Devices returned across all inquiry results.
+        pub inquiry_hits: u64 => counter "inquiry_hits",
+        /// Connection attempts initiated.
+        pub connect_attempts: u64 => counter "connect_attempts",
+        /// Connection attempts that failed (fault, out of range or rejection).
+        pub connect_failures: u64 => counter "connect_failures",
+        /// Connections successfully established.
+        pub connects_established: u64 => counter "connects_established",
+        /// Messages passed to the radio for transmission.
+        pub messages_sent: u64 => counter "messages_sent",
+        /// Payload bytes passed to the radio for transmission.
+        pub bytes_sent: u64 => counter "bytes_sent",
+        /// Messages delivered to the peer.
+        pub messages_delivered: u64 => counter "messages_delivered",
+        /// Messages lost because the link broke before delivery.
+        pub messages_lost: u64 => counter "messages_lost",
+        /// Established links that broke (out of range or forced).
+        pub links_broken: u64 => counter "links_broken",
+        /// Link-quality samples taken.
+        pub quality_samples: u64,
+    }
 }
 
 impl Counters {
-    /// Adds another set of counters into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        self.inquiries_started += other.inquiries_started;
-        self.inquiry_hits += other.inquiry_hits;
-        self.connect_attempts += other.connect_attempts;
-        self.connect_failures += other.connect_failures;
-        self.connects_established += other.connects_established;
-        self.messages_sent += other.messages_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.messages_delivered += other.messages_delivered;
-        self.messages_lost += other.messages_lost;
-        self.links_broken += other.links_broken;
-        self.quality_samples += other.quality_samples;
-    }
-
-    /// Mirrors the counters into the telemetry plane as the `world/*`
-    /// series — the one catalogue both engines sample.
-    pub fn export(&self, tel: &mut Telemetry) {
-        tel.set_counter("world", "inquiries_started", None, self.inquiries_started);
-        tel.set_counter("world", "inquiry_hits", None, self.inquiry_hits);
-        tel.set_counter("world", "connect_attempts", None, self.connect_attempts);
-        tel.set_counter("world", "connects_established", None, self.connects_established);
-        tel.set_counter("world", "connect_failures", None, self.connect_failures);
-        tel.set_counter("world", "messages_sent", None, self.messages_sent);
-        tel.set_counter("world", "messages_delivered", None, self.messages_delivered);
-        tel.set_counter("world", "messages_lost", None, self.messages_lost);
-        tel.set_counter("world", "bytes_sent", None, self.bytes_sent);
-        tel.set_counter("world", "links_broken", None, self.links_broken);
-        tel.set_gauge("world", "delivery_rate", None, self.delivery_rate());
-    }
-
     /// Fraction of sent messages that were delivered, or 1.0 if none were sent.
     pub fn delivery_rate(&self) -> f64 {
         if self.messages_sent == 0 {
@@ -97,6 +70,7 @@ pub(crate) fn export_world_frame(
     tel.set_gauge("world", "nodes_alive", None, nodes_alive as f64);
     tel.set_gauge("world", "links_open", None, links_open);
     counters.export(tel);
+    tel.set_gauge("world", "delivery_rate", None, counters.delivery_rate());
     faults.export(tel);
     for (tech, &(messages, bytes)) in RadioTech::ALL.iter().zip(per_tech) {
         if messages == 0 && bytes == 0 {
@@ -250,8 +224,8 @@ impl Metrics {
         if *counters == Counters::default() {
             return;
         }
-        self.global.merge(counters);
-        self.node_mut(node).merge(counters);
+        self.global.absorb(counters);
+        self.node_mut(node).absorb(counters);
     }
 
     /// Merges externally recorded per-technology traffic totals (the
@@ -283,6 +257,8 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{SeriesValue, TelemetryConfig};
+    use crate::time::{SimDuration, SimTime};
 
     fn node(n: u64) -> NodeId {
         NodeId::from_raw(n)
@@ -336,10 +312,78 @@ mod tests {
             links_broken: 1,
             ..Default::default()
         };
-        a.merge(&b);
+        a.absorb(&b);
         assert_eq!(a.messages_sent, 7);
         assert_eq!(a.bytes_sent, 130);
         assert_eq!(a.links_broken, 1);
+    }
+
+    crate::counter_table! {
+        /// A stats struct only this test declares: each field is one line.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        struct Sample in "sample" {
+            /// A counter exported under its own name.
+            sent: u64 => counter "sent",
+            /// A counter exported under another name.
+            drops: u64 => counter "frames_dropped",
+            /// A level, exported as a gauge.
+            open: usize => gauge "open",
+            /// A counter no series carries.
+            retries: u64,
+            /// A sum that is no integer: absorbed, not listed.
+            secs: f64,
+            /// One node's state: neither absorbed nor listed.
+            up: bool,
+        }
+    }
+
+    #[test]
+    fn adding_a_counter_is_one_line() {
+        let mut a = Sample {
+            sent: 1,
+            drops: 2,
+            open: 3,
+            retries: 4,
+            secs: 0.5,
+            up: true,
+        };
+        a.absorb(&Sample {
+            sent: 10,
+            drops: 20,
+            open: 30,
+            retries: 40,
+            secs: 0.25,
+            up: false,
+        });
+        let summed = Sample {
+            sent: 11,
+            drops: 22,
+            open: 33,
+            retries: 44,
+            secs: 0.75,
+            up: true,
+        };
+        assert_eq!(a, summed);
+        let fields: Vec<_> = a.fields().collect();
+        assert_eq!(fields, [("sent", 11), ("drops", 22), ("open", 33), ("retries", 44)]);
+
+        assert_eq!(Sample::SERIES, ["sample/sent", "sample/frames_dropped", "sample/open"]);
+        let mut tel = Telemetry::new(TelemetryConfig::every(SimDuration::from_secs(1)));
+        a.export(&mut tel);
+        tel.sample(SimTime::ZERO + SimDuration::from_secs(1));
+        let written: Vec<_> = tel
+            .latest()
+            .unwrap()
+            .samples()
+            .iter()
+            .map(|(k, v)| (k.display(), v.clone()))
+            .collect();
+        let expected = [
+            ("sample/frames_dropped", SeriesValue::Counter(22)),
+            ("sample/open", SeriesValue::Gauge(33.0)),
+            ("sample/sent", SeriesValue::Counter(11)),
+        ];
+        assert_eq!(written, expected.map(|(name, value)| (name.to_string(), value)));
     }
 
     #[test]

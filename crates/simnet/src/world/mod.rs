@@ -790,11 +790,7 @@ impl World {
         if self.adversary.installed() {
             // Only adversarial worlds carry the series: plan-free runs keep
             // their telemetry streams (and digests) untouched.
-            let adv = self.adversary.stats;
-            tel.set_counter("adversary", "frames_injected", None, adv.frames_injected);
-            tel.set_counter("adversary", "frames_tampered", None, adv.frames_tampered);
-            tel.set_counter("adversary", "partition_drops", None, adv.partition_drops);
-            tel.set_counter("adversary", "cut_links_broken", None, adv.cut_links_broken);
+            self.adversary.stats.export(tel);
             tel.set_gauge(
                 "adversary",
                 "partitions_active",

@@ -863,24 +863,8 @@ mod differential {
 
     /// Everything both engines count, under one name per field.
     fn observe(g: &Counters, f: FaultStats, lifecycle: &[LifecycleEvent]) -> Vec<(&'static str, u64)> {
-        vec![
-            ("inquiries_started", g.inquiries_started),
-            ("inquiry_hits", g.inquiry_hits),
-            ("connect_attempts", g.connect_attempts),
-            ("connect_failures", g.connect_failures),
-            ("connects_established", g.connects_established),
-            ("messages_sent", g.messages_sent),
-            ("bytes_sent", g.bytes_sent),
-            ("messages_delivered", g.messages_delivered),
-            ("messages_lost", g.messages_lost),
-            ("links_broken", g.links_broken),
-            ("quality_samples", g.quality_samples),
-            ("crashes", f.crashes),
-            ("restarts", f.restarts),
-            ("radio_outages", f.radio_outages),
-            ("radio_restores", f.radio_restores),
-            ("lifecycle_events", lifecycle.len() as u64),
-        ]
+        let lifecycle = ("lifecycle_events", lifecycle.len() as u64);
+        g.fields().chain(f.fields()).chain([lifecycle]).collect()
     }
 
     /// Runs the 400-node city for 60 s on `World` and on a one-shard

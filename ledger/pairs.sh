@@ -52,7 +52,7 @@ pin() {
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 # One row per side of each pair: pair side run setup rss attached reconnect failed attempted digest samples
-# handovers (a count the line lacks reads 0, so every row has every column)
+# handovers (a count the line lacks reads n/a, so every row has every column)
 for ((i = 0; i < n; i++)); do
     first=base second=change
     if ((i % 2)); then first=change second=base; fi
@@ -69,10 +69,10 @@ for ((i = 0; i < n; i++)); do
         for key in run_s setup_s peak_rss_mb attached_pct reconnect_s ops_failed ops_attempted sim_digest \
             peerhood.app.reconnects peerhood.handover.completions; do
             value=$(field "$key" "$line")
-            row+=" ${value:-0}"
+            row+=" ${value:-n/a}"
         done
         echo "$row" >>"$out/rows"
-        awk '{ printf "  %-6s run %.3f s, setup %.4f s, rss %.1f MB, attached %.2f %%, reconnect %.2f s over %d samples (%d handovers), failed %d/%d (%.2f %%), digest %s\n",
+        awk '{ printf "  %-6s run %.3f s, setup %.4f s, rss %.1f MB, attached %.2f %%, reconnect %.2f s over %s samples (%s handovers), failed %d/%d (%.2f %%), digest %s\n",
             $2 ":", $3, $4, $5, $6, $7, $11, $12, $8, $9, 100 * $8 / $9, $10 }' <<<"$row"
     done
 done
@@ -82,6 +82,10 @@ awk -v w="$workload" -v n="$n" '
     function sort(a, k,    i, j, t) {
         for (i = 2; i <= k; i++)
             for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+    }
+    # The mean count per pair of one side, or n/a when a row of that side lacks the count.
+    function per_pair(sum, na, side) {
+        return na[side] ? "n/a" : sprintf("%.0f", sum[side] / n)
     }
     function summary(name, col, higher, note,    i, k, r, wins, median) {
         k = 0; wins = 0
@@ -98,6 +102,9 @@ awk -v w="$workload" -v n="$n" '
     {
         for (c = 3; c <= 9; c++) v[$2, $1, c] = $c + 0
         failed[$2] += $8; attempted[$2] += $9; samples[$2] += $11; handovers[$2] += $12
+        # A count one row lacks is unknown for its side, not zero.
+        if ($11 == "n/a") samples_na[$2] = 1
+        if ($12 == "n/a") handovers_na[$2] = 1
         if (!seen[$2, $10]++) digests[$2] = digests[$2] " " $10
     }
     END {
@@ -110,7 +117,8 @@ awk -v w="$workload" -v n="$n" '
         printf "failed ops: base %d/%d (%.2f %%), change %d/%d (%.2f %%)\n",
             failed["base"], attempted["base"], 100 * failed["base"] / attempted["base"],
             failed["change"], attempted["change"], 100 * failed["change"] / attempted["change"]
-        printf "reconnect samples per pair: base %.0f, change %.0f; handovers per pair: base %.0f, change %.0f\n",
-            samples["base"] / n, samples["change"] / n, handovers["base"] / n, handovers["change"] / n
+        printf "reconnect samples per pair: base %s, change %s; handovers per pair: base %s, change %s\n",
+            per_pair(samples, samples_na, "base"), per_pair(samples, samples_na, "change"),
+            per_pair(handovers, handovers_na, "base"), per_pair(handovers, handovers_na, "change")
         printf "sim_digest base%s, change%s\n", digests["base"], digests["change"]
     }' "$out/rows"
