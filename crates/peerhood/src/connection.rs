@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use simnet::table::IdTable;
-use simnet::{LinkId, SimTime};
+use simnet::{LinkId, RadioTech, SimTime};
 
 use crate::device::DeviceInfo;
 use crate::handover::HandoverMonitor;
@@ -73,6 +73,41 @@ impl ConnKind {
     }
 }
 
+/// A §5.2.2 provider switch on an outgoing connection, and which of its two
+/// second chances it has spent. When the switch's dial fails, a set-up fault
+/// re-dials the same first hop once, and a refusal as out of range runs one
+/// fresh inquiry whose best hit the switch is re-aimed at; after that the
+/// app hears the failure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProviderSwitch {
+    /// The provider the session lost: the fresh search never proposes it.
+    pub lost: DeviceAddress,
+    /// The re-dial after a set-up fault is spent.
+    pub retried: bool,
+    /// The fresh search is spent.
+    pub searched: bool,
+    /// While the fresh search runs, the radio whose next completed inquiry
+    /// serves it.
+    pub searching: Option<RadioTech>,
+}
+
+impl ProviderSwitch {
+    /// A switch away from `lost` with both second chances left.
+    pub fn away_from(lost: DeviceAddress) -> Self {
+        ProviderSwitch {
+            lost,
+            retried: false,
+            searched: false,
+            searching: None,
+        }
+    }
+
+    /// True once the switch has spent a second chance.
+    pub fn rescued(&self) -> bool {
+        self.retried || self.searched
+    }
+}
+
 /// One logical PeerHood connection.
 #[derive(Debug, Clone)]
 pub struct AppConnection {
@@ -105,6 +140,8 @@ pub struct AppConnection {
     /// True while a service-reconnection (to a *different* provider) is in
     /// progress, so that establishment fires the right callback.
     pub reconnecting: bool,
+    /// The current service-reconnection, or the last one once it is over.
+    pub switch: Option<ProviderSwitch>,
     /// When the connection entry was created.
     pub created_at: SimTime,
     /// When the connection was last established end-to-end.
@@ -132,6 +169,7 @@ impl AppConnection {
             outbox: Vec::new(),
             reconnect_attempts: 0,
             reconnecting: false,
+            switch: None,
             created_at: now,
             established_at: None,
         }
@@ -157,6 +195,7 @@ impl AppConnection {
             outbox: Vec::new(),
             reconnect_attempts: 0,
             reconnecting: false,
+            switch: None,
             created_at: now,
             established_at: Some(now),
         }
@@ -210,6 +249,9 @@ pub struct ConnectionSnapshot {
     pub sending: bool,
     /// Number of routing-handover attempts performed so far.
     pub handover_attempts: u32,
+    /// The current or last service-reconnection spent a second chance (see
+    /// [`ProviderSwitch`]): it did not land on its first dial, if it landed.
+    pub switch_rescued: bool,
 }
 
 impl From<&AppConnection> for ConnectionSnapshot {
@@ -223,6 +265,7 @@ impl From<&AppConnection> for ConnectionSnapshot {
             first_hop: c.kind.first_hop(c.remote),
             sending: c.sending,
             handover_attempts: c.monitor.as_ref().map(|m| m.attempts).unwrap_or(0),
+            switch_rescued: c.switch.is_some_and(|s| s.rescued()),
         }
     }
 }

@@ -226,18 +226,13 @@ impl Core {
             LinkRole::DaemonFetch { .. } => {
                 self.note_fetch_finished(ctx, tech);
             }
-            // Our own connection: the app hears the failure even if it closed
-            // the connection while the radio was dialling.
+            // Our own connection: a provider switch takes a second chance if
+            // it has one left; otherwise the app hears the failure, even if
+            // it closed the connection while the radio was dialling.
             LinkRole::AppConnection(conn) if conn.initiator() == self.my_address() => {
-                if let Some(c) = self.connections.get_mut(conn) {
-                    c.state = ConnState::Failed;
-                    c.link = None;
+                if !self.second_chance(ctx, conn, peer, tech, error) {
+                    self.fail_connection(conn, error);
                 }
-                self.events.push_back(PeerHoodEvent::ConnectFailed {
-                    app: self.owner_of(conn),
-                    conn,
-                    error: PeerHoodError::Remote(error.to_string()),
-                });
             }
             LinkRole::AppConnection(conn) => {
                 if let Some(c) = self.connections.get_mut(conn) {
@@ -258,6 +253,56 @@ impl Core {
                 self.handover_attempt_failed(ctx, conn);
             }
             LinkRole::IncomingUnidentified | LinkRole::DaemonServe | LinkRole::BridgeUpstream(_) => {}
+        }
+    }
+
+    /// Our own connection `conn` cannot be established: it is failed, and
+    /// its app hears `error`.
+    pub(crate) fn fail_connection(&mut self, conn: ConnectionId, error: ConnectError) {
+        if let Some(c) = self.connections.get_mut(conn) {
+            c.state = ConnState::Failed;
+            c.link = None;
+        }
+        self.events.push_back(PeerHoodEvent::ConnectFailed {
+            app: self.owner_of(conn),
+            conn,
+            error: PeerHoodError::Remote(error.to_string()),
+        });
+    }
+
+    /// The dial of `conn` towards `hop` over `tech` failed with `error`. If
+    /// the dial was a provider switch's (§5.2.2), the switch takes the
+    /// second chance that answers the error, once each (see
+    /// [`ProviderSwitch`](crate::connection::ProviderSwitch)): a set-up fault
+    /// re-dials the hop, and a refusal as out of range starts a fresh search
+    /// on the radio (`Core::search_for_provider`). Returns whether it took
+    /// one.
+    fn second_chance(
+        &mut self,
+        ctx: &mut dyn Ctx,
+        conn: ConnectionId,
+        hop: DeviceAddress,
+        tech: RadioTech,
+        error: ConnectError,
+    ) -> bool {
+        let Some(switch) = self
+            .connections
+            .get_mut(conn)
+            .filter(|c| c.reconnecting)
+            .and_then(|c| c.switch.as_mut())
+        else {
+            return false;
+        };
+        match error {
+            ConnectError::Fault if !switch.retried => {
+                switch.retried = true;
+                self.dial(ctx, hop, LinkRole::AppConnection(conn))
+            }
+            ConnectError::OutOfRange if !switch.searched => {
+                switch.searched = true;
+                self.search_for_provider(ctx, conn, tech)
+            }
+            _ => false,
         }
     }
 

@@ -8,15 +8,15 @@
 
 use std::collections::VecDeque;
 
-use simnet::{Ctx, DisconnectReason, InquiryHit, LinkId, NodeId, Payload, RadioTech, SimDuration};
+use simnet::{ConnectError, Ctx, DisconnectReason, InquiryHit, LinkId, NodeId, Payload, RadioTech, SimDuration};
 
 use crate::bridge::BridgeSide;
-use crate::connection::{AppConnection, ConnKind, ConnState};
+use crate::connection::{AppConnection, ConnKind, ConnState, ProviderSwitch};
 use crate::device::DeviceInfo;
 use crate::error::{ErrorCode, PeerHoodError};
 use crate::handover::{HandoverMonitor, HandoverTarget};
 use crate::ids::{ConnectionId, DeviceAddress};
-use crate::plugin::PluginState;
+use crate::plugin::{InquiryKind, PluginState};
 use crate::proto::Message;
 use crate::service::BRIDGE_SERVICE_NAME;
 use crate::wire;
@@ -121,6 +121,7 @@ impl Core {
                         return;
                     }
                     plugin.begin_cycle();
+                    plugin.inquiries.push_back(InquiryKind::Periodic);
                 }
                 ctx.start_inquiry(tech);
             }
@@ -157,11 +158,88 @@ impl Core {
         }
     }
 
+    /// An inquiry on `tech` completed: the oldest scan in flight there. A
+    /// periodic scan runs its discovery cycle on, and any scan serves the
+    /// provider switches searching on the radio.
     pub(crate) fn handle_inquiry_complete(&mut self, ctx: &mut dyn Ctx, tech: RadioTech, hits: Vec<InquiryHit>) {
+        let kind = self.plugin_mut(tech).and_then(|p| p.inquiries.pop_front());
+        if kind != Some(InquiryKind::Search) {
+            self.continue_discovery_cycle(ctx, tech, &hits);
+        }
+        self.serve_searches(tech, &hits);
+    }
+
+    /// Has `conn`'s switch search for another provider: it waits for the next
+    /// inquiry on `tech` to complete, and one is started unless a scan is in
+    /// flight there already, which serves the search instead. The search
+    /// writes nothing to the storage and leaves the discovery cycle alone.
+    /// Returns false when the node has no plugin for `tech`.
+    pub(crate) fn search_for_provider(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, tech: RadioTech) -> bool {
+        let Some(plugin) = self.plugin_mut(tech) else {
+            return false;
+        };
+        if plugin.inquiries.is_empty() {
+            plugin.inquiries.push_back(InquiryKind::Search);
+            ctx.start_inquiry(tech);
+        }
+        if let Some(switch) = self.connections.get_mut(conn).and_then(|c| c.switch.as_mut()) {
+            switch.searching = Some(tech);
+        }
+        true
+    }
+
+    /// Re-aims every switch searching on `tech` at the best-quality hit
+    /// stored as a direct row offering the session's service, other than the
+    /// provider the session lost, through the app's approval
+    /// (`ReconnectRequired`). A switch with no such hit fails, and its app
+    /// hears it as it would the refusal that started the search.
+    fn serve_searches(&mut self, tech: RadioTech, hits: &[InquiryHit]) {
+        let searching: Vec<ConnectionId> = self
+            .connections
+            .iter()
+            .filter(|c| c.switch.is_some_and(|s| s.searching == Some(tech)))
+            .map(|c| c.id)
+            .collect();
+        for conn in searching {
+            let Some(c) = self.connections.get_mut(conn) else {
+                continue;
+            };
+            let Some(switch) = c.switch.as_mut() else {
+                continue;
+            };
+            switch.searching = None;
+            let (lost, service) = (switch.lost, &c.service);
+            let mut best: Option<&InquiryHit> = None;
+            for hit in hits {
+                let address = DeviceAddress::from_node(hit.node);
+                let offered = || {
+                    self.storage
+                        .get(address)
+                        .is_some_and(|d| d.is_direct() && d.offers(service))
+                };
+                if address != lost && best.is_none_or(|b| hit.quality > b.quality) && offered() {
+                    best = Some(hit);
+                }
+            }
+            match best {
+                Some(hit) => self.events.push_back(PeerHoodEvent::ReconnectRequired {
+                    app: self.owner_of(conn),
+                    conn,
+                    provider: DeviceAddress::from_node(hit.node),
+                }),
+                None => self.fail_connection(conn, ConnectError::OutOfRange),
+            }
+        }
+    }
+
+    /// The periodic discovery cycle's step after its scan: notes the hits,
+    /// fetches from the devices that need it and, when none does, completes
+    /// the cycle.
+    fn continue_discovery_cycle(&mut self, ctx: &mut dyn Ctx, tech: RadioTech, hits: &[InquiryHit]) {
         let now = ctx.now();
         let service_check = self.config.discovery.service_check_interval;
         let mut fetches: Vec<(DeviceAddress, u8)> = Vec::new();
-        for hit in &hits {
+        for hit in hits {
             let addr = DeviceAddress::from_node(hit.node);
             if let Some(plugin) = self.plugin_mut(tech) {
                 plugin.note_responder(addr);
@@ -1010,6 +1088,10 @@ impl Core {
             return;
         }
         if let Some(c) = self.connections.get_mut(conn) {
+            // A switch re-aimed by its fresh search keeps what it has spent.
+            if !c.reconnecting {
+                c.switch = Some(ProviderSwitch::away_from(c.remote));
+            }
             c.remote = provider;
             c.kind = ConnKind::outgoing(route.bridge);
             c.state = ConnState::Connecting;

@@ -10,11 +10,12 @@ use simnet::{Ctx, MobilityModel, NodeId, OnWorld, Point, RadioTech, SimDuration,
 use crate::application::Application;
 use crate::bridge::BridgeService;
 use crate::config::PeerHoodConfig;
-use crate::connection::ConnState;
+use crate::connection::{AppConnection, ConnKind, ConnState};
 use crate::device::{DeviceInfo, MobilityClass};
 use crate::error::PeerHoodError;
 use crate::handover::HandoverTarget;
 use crate::ids::{ConnectionId, DeviceAddress};
+use crate::plugin::InquiryKind;
 use crate::proto::{Message, NeighborRecord};
 use crate::resilience::BreakerState;
 use crate::service::{ServiceInfo, BRIDGE_SERVICE_NAME};
@@ -1422,6 +1423,266 @@ fn a_range_exit_marks_the_provider_absent_before_the_switch_picks_another() {
         "one switch, asked with near already absent, to the provider not routed through it"
     );
     assert_eq!(remote, Some(far));
+}
+
+/// A switch refused as out of range is re-aimed at a provider a fresh
+/// inquiry hears. The walker's session provider `lost` falls out of range,
+/// and the switch goes to `gone`, which outranks `near` in storage but left
+/// range a moment before. The refusal starts a search, which hears `near`:
+/// the session lands there on its own connection id, and the app hears no
+/// failure and needs no dial of its own.
+#[test]
+fn a_refused_switch_lands_on_a_provider_the_fresh_search_heard() {
+    let mut world = World::new(WorldConfig::ideal(64));
+    // Bluetooth reaches 10 m. From x = 5 the walker hears all three; at
+    // 10 m/s from t = 40 s it loses `gone` (x = -2) at t = 40.3 s and `lost`
+    // (x = 0) at t = 40.5 s, and stops at x = 18, 4 m from `near`.
+    let walk = MobilityModel::walk_after(
+        Point::new(5.0, 0.0),
+        Point::new(18.0, 0.0),
+        10.0,
+        SimDuration::from_secs(40),
+    );
+    let mut cfg = fast_discovery_config("client", MobilityClass::Dynamic);
+    cfg.handover.max_routing_attempts = 0;
+    let client = world.add_node(
+        "client",
+        walk,
+        &bt(),
+        traced(PeerHoodNode::builder().config(cfg).app(TestApp::default()).build()),
+    );
+    let [lost, gone, near] = [0.0, -2.0, 14.0].map(|x| {
+        let at = MobilityModel::stationary(Point::new(x, 0.0));
+        let app = TestApp::server("echo", false);
+        DeviceAddress::from_node(world.add_node("server", at, &bt(), peerhood("server", MobilityClass::Static, app)))
+    });
+    world.run_for(SimDuration::from_secs(38));
+    let conn = world
+        .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
+            n.with_api(ctx, |api| api.connect_to(lost, "echo")).unwrap()
+        })
+        .unwrap()
+        .expect("the provider is stored");
+    world.run_for(SimDuration::from_secs(17));
+    let (app, session, sessions, reconnected) = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| {
+            let app = n.app::<TestApp>().unwrap();
+            let app = (app.switches.clone(), app.failed.clone(), app.connected.clone());
+            let reconnected: Vec<_> = n
+                .take_event_trace()
+                .into_iter()
+                .filter_map(|e| match e {
+                    PeerHoodEvent::ServiceReconnected { conn, provider, .. } => Some((conn, provider)),
+                    _ => None,
+                })
+                .collect();
+            (app, n.connection(conn), n.connections().len(), reconnected)
+        })
+        .unwrap();
+    let (switches, failed, connected) = app;
+    let proposed: Vec<_> = switches.iter().map(|(c, provider, _)| (*c, *provider)).collect();
+    assert_eq!(
+        proposed,
+        [(conn, gone), (conn, near)],
+        "the refused switch is re-aimed at the heard provider"
+    );
+    assert!(failed.is_empty(), "the app heard {failed:?}");
+    assert_eq!(connected, [conn], "the app dialled only its first session");
+    assert_eq!(reconnected, [(conn, near)]);
+    assert_eq!(sessions, 1, "no connection but the session's");
+    let session = session.expect("the session is kept");
+    assert_eq!((session.remote, session.state), (near, ConnState::Established));
+    assert!(session.switch_rescued, "the switch landed on its second chance");
+}
+
+/// Starts a provider switch on a new connection of the client's app, as the
+/// app's approval of a `ReconnectRequired` does: the connection lost `lost`
+/// and goes to `target`.
+fn begin_switch(world: &mut World, client: NodeId, lost: DeviceAddress, target: DeviceAddress) -> ConnectionId {
+    world
+        .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
+            n.with_api(ctx, |api| {
+                let now = api.now();
+                let core = &mut *api.core;
+                let conn = core.connections.allocate_id(core.my_address());
+                let entry = AppConnection::outgoing(conn, lost, "echo", ConnKind::OutgoingDirect, now);
+                core.connections.insert(entry);
+                core.conn_owner.insert(conn, api.app.expect("the client hosts an app"));
+                core.start_service_reconnection(api.ctx, conn, target);
+                conn
+            })
+        })
+        .flatten()
+        .expect("the client is running")
+}
+
+/// A switch whose dial faults at set-up re-dials the same hop once: with a
+/// radio on which every set-up faults, the switch makes two dials, and the
+/// app hears the second fault.
+#[test]
+fn a_faulted_switch_dial_is_retried_exactly_once() {
+    let mut config = WorldConfig::ideal(65);
+    config.radio.profile_mut(RadioTech::Bluetooth).setup_fault_prob = 1.0;
+    let mut world = World::new(config);
+    let client = world.add_node(
+        "client",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        peerhood("client", MobilityClass::Static, TestApp::default()),
+    );
+    let server = world.add_node(
+        "server",
+        MobilityModel::stationary(Point::new(4.0, 0.0)),
+        &bt(),
+        peerhood("server", MobilityClass::Static, TestApp::server("echo", false)),
+    );
+    // Every fetch faults too, so the client learns the server by hand, and
+    // the switch runs before the first inquiry ends (10.24 s).
+    world.run_for(SimDuration::from_secs(1));
+    world
+        .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
+            let services = vec![ServiceInfo::new("echo", "test", 10)];
+            let core = n.core_mut().expect("client running");
+            core.storage
+                .upsert_direct(device(server.as_raw()), 200, services, ctx.now());
+        })
+        .unwrap();
+    let before = world.metrics().node(client);
+    let lost = DeviceAddress::from_node_raw(99);
+    let conn = begin_switch(&mut world, client, lost, DeviceAddress::from_node(server));
+    world.run_for(SimDuration::from_secs(1));
+    let after = world.metrics().node(client);
+    assert_eq!(
+        (
+            after.connect_attempts - before.connect_attempts,
+            after.connect_failures - before.connect_failures
+        ),
+        (2, 2),
+        "one dial and one re-dial, both faulted"
+    );
+    let (failed, session) = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| {
+            (n.app::<TestApp>().unwrap().failed.clone(), n.connection(conn))
+        })
+        .unwrap();
+    assert_eq!(
+        failed,
+        [(conn, PeerHoodError::Remote(simnet::ConnectError::Fault.to_string()))],
+        "the app hears the second fault"
+    );
+    let session = session.unwrap();
+    assert_eq!(session.state, ConnState::Failed);
+    assert!(session.switch_rescued);
+}
+
+/// The fresh search is an inquiry of its own that writes nothing: a switch
+/// refused as out of range while no scan is in flight starts one, and when
+/// it completes the storage and the plugin's cycle are as they were — no
+/// hit noted, no fetch, no aging — while the switch is re-aimed at its hit.
+/// The periodic inquiry then starts when it was scheduled to, as in a twin
+/// world where no switch ran.
+#[test]
+fn a_fresh_search_leaves_the_storage_and_the_discovery_cycle_alone() {
+    let world_with = |switch: bool| {
+        let mut world = World::new(WorldConfig::ideal(66));
+        let mut cfg = PeerHoodConfig::new("client", MobilityClass::Static);
+        cfg.discovery.inquiry_interval = SimDuration::from_secs(60);
+        let client = world.add_node(
+            "client",
+            MobilityModel::stationary(Point::new(0.0, 0.0)),
+            &bt(),
+            Box::new(OnWorld(
+                PeerHoodNode::builder().config(cfg).app(TestApp::default()).build(),
+            )),
+        );
+        let server = world.add_node(
+            "server",
+            MobilityModel::stationary(Point::new(4.0, 0.0)),
+            &bt(),
+            peerhood("server", MobilityClass::Static, TestApp::server("echo", false)),
+        );
+        // Out of range: known to the client only by hand.
+        let far = world.add_node(
+            "far",
+            MobilityModel::stationary(Point::new(50.0, 0.0)),
+            &bt(),
+            peerhood("far", MobilityClass::Static, TestApp::server("echo", false)),
+        );
+        // The first cycle ends by t = 13 s; the next starts 60-120 s later.
+        world.run_for(SimDuration::from_secs(20));
+        world
+            .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
+                let services = vec![ServiceInfo::new("echo", "test", 10)];
+                let core = n.core_mut().expect("client running");
+                core.storage
+                    .upsert_direct(device(far.as_raw()), 250, services, ctx.now());
+            })
+            .unwrap();
+        let lost = DeviceAddress::from_node_raw(99);
+        let conn = switch.then(|| begin_switch(&mut world, client, lost, DeviceAddress::from_node(far)));
+        (world, client, DeviceAddress::from_node(server), conn)
+    };
+    let stored = |world: &mut World, client| {
+        world
+            .with_agent::<PeerHoodNode, _>(client, |n, _| {
+                let core = n.core_mut().expect("client running");
+                let generations = (core.storage.generation(), core.storage.presence_generation());
+                (
+                    core.storage.devices().collect::<Vec<_>>(),
+                    generations,
+                    core.plugins.clone(),
+                )
+            })
+            .unwrap()
+    };
+    let (mut world, client, server, conn) = world_with(true);
+    let conn = conn.unwrap();
+    world.run_for(SimDuration::from_millis(100));
+    let refused = stored(&mut world, client);
+    assert_eq!(
+        refused.2[0].inquiries,
+        [InquiryKind::Search],
+        "the refusal started a search"
+    );
+    assert_eq!(world.metrics().node(client).inquiries_started, 2);
+    world.run_for(SimDuration::from_secs(11));
+    let searched = stored(&mut world, client);
+    assert_eq!(searched.0, refused.0, "the search wrote no row");
+    assert_eq!(searched.1, refused.1, "the search moved no generation");
+    assert!(searched.2[0].inquiries.is_empty());
+    assert_eq!(
+        (
+            searched.2[0].cycle_active,
+            searched.2[0].pending_fetches,
+            searched.2[0].current_responders.len()
+        ),
+        (false, 0, 0),
+        "the search touched no discovery cycle"
+    );
+    let (switches, session) = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| {
+            (n.app::<TestApp>().unwrap().switches.clone(), n.connection(conn))
+        })
+        .unwrap();
+    assert_eq!(switches.iter().map(|s| s.1).collect::<Vec<_>>(), [server]);
+    assert_eq!(
+        session.map(|c| (c.remote, c.state)),
+        Some((server, ConnState::Established))
+    );
+    // The next periodic inquiry starts at the instant it does without the
+    // search (the search is the one extra inquiry).
+    let next_periodic = |world: &mut World, client, already: u64| {
+        let start = world.now();
+        while world.metrics().node(client).inquiries_started == already {
+            world.run_for(SimDuration::from_millis(10));
+            assert!(world.now().saturating_since(start) < SimDuration::from_secs(200));
+        }
+        world.now()
+    };
+    let with_search = next_periodic(&mut world, client, 2);
+    let (mut twin, twin_client, ..) = world_with(false);
+    let without = next_periodic(&mut twin, twin_client, 1);
+    assert_eq!(with_search, without);
 }
 
 /// A link that breaks while its peer is still in range (here a flap's down

@@ -7,10 +7,23 @@
 //! per-plugin bookkeeping here; the scan and fetch themselves are radio
 //! operations performed by the node glue.
 
+use std::collections::VecDeque;
+
 use serde::{Deserialize, Serialize};
 use simnet::RadioTech;
 
 use crate::ids::DeviceAddress;
+
+/// Why the node started an inquiry scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum InquiryKind {
+    /// The plugin's periodic discovery cycle: its hits feed the device
+    /// storage, the fetches and the aging of the loop.
+    Periodic,
+    /// A provider switch's fresh search (§5.2.2): its hits are read to re-aim
+    /// the switch and written nowhere.
+    Search,
+}
 
 /// Per-technology discovery bookkeeping.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,6 +36,10 @@ pub struct PluginState {
     pub pending_fetches: usize,
     /// True while an inquiry scan or its follow-up fetches are in progress.
     pub cycle_active: bool,
+    /// The scans in flight on this radio, oldest first. A scan lasts the
+    /// radio's fixed inquiry duration, so they complete in the order they
+    /// started and each completion is the front one's.
+    pub inquiries: VecDeque<InquiryKind>,
 }
 
 impl PluginState {
@@ -33,6 +50,7 @@ impl PluginState {
             current_responders: Vec::new(),
             pending_fetches: 0,
             cycle_active: false,
+            inquiries: VecDeque::new(),
         }
     }
 

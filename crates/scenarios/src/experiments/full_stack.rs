@@ -82,11 +82,13 @@ pub(crate) fn wlan_city_config(name: &str, inquiry_interval: SimDuration) -> Pee
     cfg.monitor.quality_threshold = 190;
     // One routing attempt. If it fails, the middleware proposes a switch
     // to another provider of the service (§5.2.2), which `MetroApp`
-    // accepts: it dials the best-ranked candidate still in storage, and if
-    // that dial fails the app re-attaches on its next ping tick. In a
-    // uniform city a direct re-route to a nearer peer beats growing a
-    // relay chain, and every avoided bridge is one less pair of links to
-    // check, relay through and eventually break.
+    // accepts: it dials the best-ranked candidate still in storage. A
+    // faulted dial is re-dialled once; a dial refused as out of range is
+    // re-aimed, with the app's approval, at a provider a fresh inquiry
+    // hears; only when those fail too does the app re-attach on its next
+    // ping tick. In a uniform city a direct re-route to a nearer peer beats
+    // growing a relay chain, and every avoided bridge is one less pair of
+    // links to check, relay through and eventually break.
     cfg.handover.max_routing_attempts = 1;
     cfg
 }
@@ -122,7 +124,9 @@ pub(crate) enum Session {
     /// Established.
     Up(ConnectionId),
     /// Broken; the middleware's §5.2.2 switch to another provider is in
-    /// flight on the same connection id.
+    /// flight on the same connection id: dialling, re-dialling after a
+    /// set-up fault, or searching for another provider after a refusal as
+    /// out of range.
     Switching(ConnectionId),
 }
 
@@ -145,8 +149,9 @@ impl Session {
 /// attach-to-best-neighbour behaviour through the real middleware API. A
 /// broken session is recovered the thesis' way (Fig. 5.5): the middleware
 /// tries a routing handover, then switches to another provider, which the
-/// app accepts; only when both fail does the app dial again itself, on its
-/// next ping tick.
+/// app accepts — and accepts again when a switch refused as out of range is
+/// re-aimed at a provider a fresh inquiry heard. Only when the switch fails
+/// does the app dial again itself, on its next ping tick.
 #[derive(Default)]
 pub struct MetroApp {
     /// The client session this node drives.
@@ -156,7 +161,9 @@ pub struct MetroApp {
     /// by the next establishment — the switch completing or a later dial of
     /// the app's own — to measure reconnection latency. A switch that fails
     /// leaves it running. Survives restarts (the app is the measurement
-    /// instrument).
+    /// instrument). Each sample is counted by how it ended:
+    /// [`FullStats::switched_first_dial`], [`FullStats::switched_second_chance`]
+    /// or [`FullStats::redialled`].
     down_since: Option<SimTime>,
     /// What the app counts: sessions established (first connects, provider
     /// switches and the app's re-attachments after loss), route changes on
@@ -189,6 +196,22 @@ impl MetroApp {
     pub fn current_conn(&self) -> Option<ConnectionId> {
         self.session.conn()
     }
+
+    /// `conn` was established: if it is the session's, the session is up.
+    /// Returns whether that closed a reconnect sample.
+    fn session_up(&mut self, now: SimTime, conn: ConnectionId) -> bool {
+        if !self.session.drives(conn) {
+            return false;
+        }
+        self.session = Session::Up(conn);
+        self.counts.sessions_established += 1;
+        let Some(t0) = self.down_since.take() else {
+            return false;
+        };
+        self.counts.reconnect_secs_total += now.saturating_since(t0).as_secs_f64();
+        self.counts.reconnects += 1;
+        true
+    }
 }
 
 impl Application for MetroApp {
@@ -205,13 +228,8 @@ impl Application for MetroApp {
     }
 
     fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.session.drives(conn) {
-            self.session = Session::Up(conn);
-            self.counts.sessions_established += 1;
-            if let Some(t0) = self.down_since.take() {
-                self.counts.reconnect_secs_total += api.now().saturating_since(t0).as_secs_f64();
-                self.counts.reconnects += 1;
-            }
+        if self.session_up(api.now(), conn) {
+            self.counts.redialled += 1;
         }
     }
 
@@ -246,7 +264,8 @@ impl Application for MetroApp {
     ) -> bool {
         // The routing handover failed: the session is down from here until
         // the switch completes (`on_service_reconnected`) or, if it fails,
-        // until the app's own dial on a later ping tick succeeds.
+        // until the app's own dial on a later ping tick succeeds. A switch
+        // re-aimed by its fresh search asks again, already `Switching`.
         if self.session.drives(conn) {
             self.session = Session::Switching(conn);
             self.down_since.get_or_insert(api.now());
@@ -255,7 +274,13 @@ impl Application for MetroApp {
     }
 
     fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
-        self.on_connected(api, conn);
+        if self.session_up(api.now(), conn) {
+            if api.connection(conn).is_some_and(|c| c.switch_rescued) {
+                self.counts.switched_second_chance += 1;
+            } else {
+                self.counts.switched_first_dial += 1;
+            }
+        }
     }
 
     fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
@@ -298,13 +323,18 @@ simnet::counter_table! {
         pub reconnect_secs_total: f64,
         /// Number of latency samples in `reconnect_secs_total`.
         pub reconnects: u64,
+        /// Samples a provider switch (§5.2.2) ended on its first dial.
+        pub switched_first_dial: u64,
+        /// Samples a provider switch ended after a second chance: its
+        /// re-dial of a faulted set-up or its re-aim by a fresh search.
+        pub switched_second_chance: u64,
+        /// Samples the app's own dial ended, after the middleware gave the
+        /// session up.
+        pub redialled: u64,
         /// Pings sent / payloads received by the app.
         pub pings_sent: u64,
         /// Payloads the app received.
         pub payloads_received: u64,
-        /// True if the node currently holds an established session: one
-        /// node's state, which [`FullStats::absorb`] leaves alone.
-        pub attached: bool,
     }
 }
 
@@ -315,13 +345,14 @@ impl FullStats {
         self.broken_by_crash + self.broken_by_range
     }
 
-    /// Sums per-node stats and counts the attached nodes.
-    pub fn tally(nodes: impl IntoIterator<Item = FullStats>) -> (FullStats, usize) {
+    /// Sums per-node stats and counts the attached nodes: each node gives
+    /// its stats and whether it holds an established session.
+    pub fn tally(nodes: impl IntoIterator<Item = (FullStats, bool)>) -> (FullStats, usize) {
         let mut total = FullStats::default();
         let mut attached = 0;
-        for node in nodes {
+        for (node, is_attached) in nodes {
             total.absorb(&node);
-            attached += usize::from(node.attached);
+            attached += usize::from(is_attached);
         }
         (total, attached)
     }
@@ -397,12 +428,15 @@ impl FullStackHost {
         self.node.connection_link(conn)
     }
 
+    /// True if the node's app holds an established session (see
+    /// [`MetroApp::attached`]).
+    pub fn attached(&self) -> bool {
+        self.node.with_app(MetroApp::attached).unwrap_or(false)
+    }
+
     /// Aggregated counters for experiment reports.
     pub fn stats(&self) -> FullStats {
-        let app = self.node.with_app(|a: &MetroApp| FullStats {
-            attached: a.attached(),
-            ..a.counts
-        });
+        let app = self.node.with_app(|a: &MetroApp| a.counts);
         FullStats {
             broken_by_crash: self.broken_by_crash,
             broken_by_range: self.broken_by_range,

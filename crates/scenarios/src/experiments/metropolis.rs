@@ -85,7 +85,7 @@ fn refresh_stack_gauges(world: &mut World, ids: &[NodeId]) {
     let (total, attached) = FullStats::tally(ids.iter().filter_map(|id| {
         world.with_agent::<FullStackHost, _>(*id, |a, _| {
             resilience.absorb(&a.node().resilience_stats());
-            a.stats()
+            (a.stats(), a.attached())
         })
     }));
     if let Some(tel) = world.telemetry_mut() {
@@ -103,8 +103,8 @@ pub fn aggregate_full_stats(world: &mut World) -> (FullStats, usize) {
     let ids: Vec<NodeId> = world.node_ids().collect();
     FullStats::tally(ids.into_iter().filter_map(|id| {
         world
-            .with_agent::<CityProbe, _>(id, |a, _| a.stats())
-            .or_else(|| world.with_agent::<FullStackHost, _>(id, |a, _| a.stats()))
+            .with_agent::<CityProbe, _>(id, |a, _| (a.stats(), a.attached()))
+            .or_else(|| world.with_agent::<FullStackHost, _>(id, |a, _| (a.stats(), a.attached())))
     }))
 }
 
@@ -121,7 +121,7 @@ pub fn e15_full_stack_metropolis(city: &City) -> ExperimentReport {
         "restarts",
         "attached %",
     ]);
-    let (mut reconnect_secs, mut reconnects, mut proactive) = (0.0, 0, 0);
+    let mut total = FullStats::default();
     for (nodes, rate) in city.cells() {
         let mut world = metropolis_run(city, nodes, rate);
         let (stats, attached) = aggregate_full_stats(&mut world);
@@ -137,18 +137,17 @@ pub fn e15_full_stack_metropolis(city: &City) -> ExperimentReport {
             fault.restarts.to_string(),
             ExperimentReport::f(100.0 * attached as f64 / nodes as f64),
         ]);
-        reconnect_secs += stats.reconnect_secs_total;
-        reconnects += stats.reconnects;
-        proactive += stats.proactive_handover_completions;
+        total.absorb(&stats);
     }
-    let mean_reconnect = if reconnects == 0 {
+    let mean_reconnect = if total.reconnects == 0 {
         0.0
     } else {
-        reconnect_secs / reconnects as f64
+        total.reconnect_secs_total / total.reconnects as f64
     };
     report.push_note(format!(
         "full PeerHood stack on every node; density {} nodes/km^2, {:.0}% mobile, every 10th node \
-         churning at {}/h (mean downtime {}s), {}s simulated; mean reconnect {:.2}s over {} samples; \
+         churning at {}/h (mean downtime {}s), {}s simulated; mean reconnect {:.2}s over {} samples \
+         (ended by a provider switch's first dial {}, by its second chance {}, by the app's own dial {}); \
          {} handovers began before the break",
         city.density_per_km2,
         city.mobile_fraction * 100.0,
@@ -156,8 +155,11 @@ pub fn e15_full_stack_metropolis(city: &City) -> ExperimentReport {
         city.mean_downtime.as_secs(),
         city.duration.as_secs_f64(),
         mean_reconnect,
-        reconnects,
-        proactive,
+        total.reconnects,
+        total.switched_first_dial,
+        total.switched_second_chance,
+        total.redialled,
+        total.proactive_handover_completions,
     ));
     report
 }

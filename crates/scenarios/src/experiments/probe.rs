@@ -70,10 +70,12 @@ impl CityProbe {
     /// is a payload received, and a break is classified by the radio-level
     /// reason exactly as `FullStackHost` classifies its session route's.
     pub fn stats(&self) -> FullStats {
-        FullStats {
-            attached: self.attached.is_some(),
-            ..self.counts
-        }
+        self.counts
+    }
+
+    /// True while the probe holds a session.
+    pub fn attached(&self) -> bool {
+        self.attached.is_some()
     }
 
     /// The order candidates are chosen in: by quality, ties broken towards

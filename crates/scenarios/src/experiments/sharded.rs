@@ -72,7 +72,7 @@ pub fn probe_stats(world: &mut ShardedWorld) -> (FullStats, usize) {
     let ids: Vec<NodeId> = world.node_ids().collect();
     FullStats::tally(
         ids.into_iter()
-            .filter_map(|id| world.with_agent::<CityProbe, _>(id, |a| a.stats())),
+            .filter_map(|id| world.with_agent::<CityProbe, _>(id, |a| (a.stats(), a.attached()))),
     )
 }
 

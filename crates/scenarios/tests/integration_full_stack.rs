@@ -11,9 +11,10 @@ use peerhood::ids::DeviceAddress;
 use peerhood::node::{PeerHoodEvent, PeerHoodNode};
 use peerhood::resilience::{ResilienceConfig, ResilienceStats};
 use peerhood::security::SecurityStats;
-use scenarios::experiments::city::wlan_world;
+use scenarios::experiments::city::{wlan_world, City};
 use scenarios::experiments::full_stack::{metro_configs, FullStackHost, MetroApp};
-use scenarios::experiments::{find, Params};
+use scenarios::experiments::metropolis::{self, aggregate_full_stats};
+use scenarios::experiments::{find, metropolis_run, Params};
 use scenarios::topology::random_positions;
 use simnet::prelude::*;
 
@@ -28,6 +29,28 @@ fn e15_report_is_deterministic() {
     let a = metropolis.run(15, &params, true).unwrap();
     let b = metropolis.run(15, &params, true).unwrap();
     assert_eq!(a.report, b.report, "same settings must reproduce the identical report");
+}
+
+/// Every reconnect sample a city's apps take is counted once by how it
+/// ended: a provider switch's first dial, a switch's second chance (its
+/// re-dial after a set-up fault or its re-aim by a fresh search) or the
+/// app's own dial. An all-walking debug-sized E15 city takes each kind.
+#[test]
+fn every_reconnect_sample_is_counted_by_how_it_ended() {
+    let city = City {
+        nodes: vec![300],
+        mobile_fraction: 1.0,
+        duration: SimDuration::from_secs(80),
+        ..metropolis::quick()
+    };
+    let mut world = metropolis_run(&city, 300, 40.0);
+    let (stats, _) = aggregate_full_stats(&mut world);
+    let ended = [stats.switched_first_dial, stats.switched_second_chance, stats.redialled];
+    assert_eq!(ended.iter().sum::<u64>(), stats.reconnects, "{stats:?}");
+    assert!(
+        ended.iter().all(|&n| n > 0),
+        "a kind of ending never happened: {stats:?}"
+    );
 }
 
 /// The hardening tier must sit on the data path of an honest city without
