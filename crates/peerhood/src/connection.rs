@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use simnet::table::IdTable;
-use simnet::{LinkId, RadioTech, SimTime};
+use simnet::{ConnectError, LinkId, RadioTech, SimTime};
 
 use crate::device::DeviceInfo;
 use crate::handover::HandoverMonitor;
@@ -75,9 +75,10 @@ impl ConnKind {
 
 /// A §5.2.2 provider switch on an outgoing connection, and which of its two
 /// second chances it has spent. When the switch's dial fails, a set-up fault
-/// re-dials the same first hop once, and a refusal as out of range runs one
-/// fresh inquiry whose best hit the switch is re-aimed at; after that the
-/// app hears the failure.
+/// re-dials the same first hop once, and a refusal that says the hop cannot
+/// be reached (out of range, its link down, its stack down) runs one fresh
+/// inquiry; the switch is re-aimed at the best provider it heard, dialled
+/// directly. After that the app hears the failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProviderSwitch {
     /// The provider the session lost: the fresh search never proposes it.
@@ -87,8 +88,13 @@ pub struct ProviderSwitch {
     /// The fresh search is spent.
     pub searched: bool,
     /// While the fresh search runs, the radio whose next completed inquiry
-    /// serves it.
-    pub searching: Option<RadioTech>,
+    /// serves it, and the refusal that started it: the app hears that
+    /// refusal if the search finds no provider.
+    pub searching: Option<(RadioTech, ConnectError)>,
+    /// The provider the fresh search heard and re-aimed the switch at. The
+    /// radio has just heard it, so it is dialled directly, whatever route
+    /// storage holds for it.
+    pub heard: Option<DeviceAddress>,
 }
 
 impl ProviderSwitch {
@@ -99,6 +105,7 @@ impl ProviderSwitch {
             retried: false,
             searched: false,
             searching: None,
+            heard: None,
         }
     }
 

@@ -274,9 +274,10 @@ impl Core {
     /// the dial was a provider switch's (§5.2.2), the switch takes the
     /// second chance that answers the error, once each (see
     /// [`ProviderSwitch`](crate::connection::ProviderSwitch)): a set-up fault
-    /// re-dials the hop, and a refusal as out of range starts a fresh search
-    /// on the radio (`Core::search_for_provider`). Returns whether it took
-    /// one.
+    /// re-dials the hop, and a refusal that says the hop cannot be reached —
+    /// out of range, its link down (a flap, a partition cut) or its stack
+    /// down — starts a fresh search on the radio
+    /// (`Core::search_for_provider`). Returns whether it took one.
     fn second_chance(
         &mut self,
         ctx: &mut dyn Ctx,
@@ -298,9 +299,9 @@ impl Core {
                 switch.retried = true;
                 self.dial(ctx, hop, LinkRole::AppConnection(conn))
             }
-            ConnectError::OutOfRange if !switch.searched => {
+            ConnectError::OutOfRange | ConnectError::LinkDown | ConnectError::Unreachable if !switch.searched => {
                 switch.searched = true;
-                self.search_for_provider(ctx, conn, tech)
+                self.search_for_provider(ctx, conn, tech, error)
             }
             _ => false,
         }

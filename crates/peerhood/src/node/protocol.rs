@@ -169,12 +169,19 @@ impl Core {
         self.serve_searches(tech, &hits);
     }
 
-    /// Has `conn`'s switch search for another provider: it waits for the next
-    /// inquiry on `tech` to complete, and one is started unless a scan is in
-    /// flight there already, which serves the search instead. The search
-    /// writes nothing to the storage and leaves the discovery cycle alone.
-    /// Returns false when the node has no plugin for `tech`.
-    pub(crate) fn search_for_provider(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, tech: RadioTech) -> bool {
+    /// Has `conn`'s switch search for another provider after its dial was
+    /// refused with `refusal`: it waits for the next inquiry on `tech` to
+    /// complete, and one is started unless a scan is in flight there already,
+    /// which serves the search instead. The search writes nothing to the
+    /// storage and leaves the discovery cycle alone. Returns false when the
+    /// node has no plugin for `tech`.
+    pub(crate) fn search_for_provider(
+        &mut self,
+        ctx: &mut dyn Ctx,
+        conn: ConnectionId,
+        tech: RadioTech,
+        refusal: ConnectError,
+    ) -> bool {
         let Some(plugin) = self.plugin_mut(tech) else {
             return false;
         };
@@ -183,21 +190,23 @@ impl Core {
             ctx.start_inquiry(tech);
         }
         if let Some(switch) = self.connections.get_mut(conn).and_then(|c| c.switch.as_mut()) {
-            switch.searching = Some(tech);
+            switch.searching = Some((tech, refusal));
         }
         true
     }
 
-    /// Re-aims every switch searching on `tech` at the best-quality hit
-    /// stored as a direct row offering the session's service, other than the
-    /// provider the session lost, through the app's approval
-    /// (`ReconnectRequired`). A switch with no such hit fails, and its app
-    /// hears it as it would the refusal that started the search.
+    /// Re-aims every switch searching on `tech` at the best-quality hit that
+    /// storage knows as offering the session's service, whatever route it
+    /// holds for it, other than the provider the session lost, through the
+    /// app's approval (`ReconnectRequired`). The hit is kept on the switch as
+    /// heard, so the approved dial goes to it directly. A switch with no
+    /// such hit fails, and its app hears the refusal that started the
+    /// search.
     fn serve_searches(&mut self, tech: RadioTech, hits: &[InquiryHit]) {
         let searching: Vec<ConnectionId> = self
             .connections
             .iter()
-            .filter(|c| c.switch.is_some_and(|s| s.searching == Some(tech)))
+            .filter(|c| c.switch.is_some_and(|s| s.searching.is_some_and(|(t, _)| t == tech)))
             .map(|c| c.id)
             .collect();
         for conn in searching {
@@ -207,27 +216,28 @@ impl Core {
             let Some(switch) = c.switch.as_mut() else {
                 continue;
             };
-            switch.searching = None;
+            let Some((_, refusal)) = switch.searching.take() else {
+                continue;
+            };
             let (lost, service) = (switch.lost, &c.service);
             let mut best: Option<&InquiryHit> = None;
             for hit in hits {
                 let address = DeviceAddress::from_node(hit.node);
-                let offered = || {
-                    self.storage
-                        .get(address)
-                        .is_some_and(|d| d.is_direct() && d.offers(service))
-                };
+                let offered = || self.storage.get(address).is_some_and(|d| d.offers(service));
                 if address != lost && best.is_none_or(|b| hit.quality > b.quality) && offered() {
                     best = Some(hit);
                 }
             }
-            match best {
-                Some(hit) => self.events.push_back(PeerHoodEvent::ReconnectRequired {
-                    app: self.owner_of(conn),
-                    conn,
-                    provider: DeviceAddress::from_node(hit.node),
-                }),
-                None => self.fail_connection(conn, ConnectError::OutOfRange),
+            match best.map(|hit| DeviceAddress::from_node(hit.node)) {
+                Some(provider) => {
+                    switch.heard = Some(provider);
+                    self.events.push_back(PeerHoodEvent::ReconnectRequired {
+                        app: self.owner_of(conn),
+                        conn,
+                        provider,
+                    })
+                }
+                None => self.fail_connection(conn, refusal),
             }
         }
     }
@@ -1067,6 +1077,9 @@ impl Core {
         }
     }
 
+    /// Dials `provider` for `conn`'s switch, as the app approved. A provider
+    /// the switch's fresh search heard is dialled directly; any other follows
+    /// its stored route.
     pub(crate) fn start_service_reconnection(
         &mut self,
         ctx: &mut dyn Ctx,
@@ -1077,13 +1090,14 @@ impl Core {
             self.abandon_connection(conn);
             return;
         };
-        let first_hop = route.first_hop(provider);
         // A connection its app closed before approving the switch is not
         // dialled, and its hop's breaker is not asked.
-        if self.connections.get(conn).is_none() {
+        let Some(c) = self.connections.get(conn) else {
             return;
-        }
-        if !self.dial(ctx, first_hop, LinkRole::AppConnection(conn)) {
+        };
+        let heard = c.reconnecting && c.switch.is_some_and(|s| s.heard == Some(provider));
+        let bridge = if heard { None } else { route.bridge };
+        if !self.dial(ctx, bridge.unwrap_or(provider), LinkRole::AppConnection(conn)) {
             self.abandon_connection(conn);
             return;
         }
@@ -1093,7 +1107,7 @@ impl Core {
                 c.switch = Some(ProviderSwitch::away_from(c.remote));
             }
             c.remote = provider;
-            c.kind = ConnKind::outgoing(route.bridge);
+            c.kind = ConnKind::outgoing(bridge);
             c.state = ConnState::Connecting;
             c.link = None;
             c.reconnecting = true;

@@ -10,7 +10,7 @@ use simnet::{Ctx, MobilityModel, NodeId, OnWorld, Point, RadioTech, SimDuration,
 use crate::application::Application;
 use crate::bridge::BridgeService;
 use crate::config::PeerHoodConfig;
-use crate::connection::{AppConnection, ConnKind, ConnState};
+use crate::connection::{AppConnection, ConnKind, ConnState, ConnectionSnapshot};
 use crate::device::{DeviceInfo, MobilityClass};
 use crate::error::PeerHoodError;
 use crate::handover::HandoverTarget;
@@ -1683,6 +1683,172 @@ fn a_fresh_search_leaves_the_storage_and_the_discovery_cycle_alone() {
     let (mut twin, twin_client, ..) = world_with(false);
     let without = next_periodic(&mut twin, twin_client, 1);
     assert_eq!(with_search, without);
+}
+
+/// A client at the origin whose first discovery cycle has stored the echo
+/// servers `target` (4 m east) and `near` (4 m north) as direct rows; its
+/// next cycle starts no sooner than t = 73 s.
+fn two_provider_world(seed: u64) -> (World, NodeId, NodeId, DeviceAddress) {
+    let mut world = World::new(WorldConfig::ideal(seed));
+    let mut cfg = PeerHoodConfig::new("client", MobilityClass::Static);
+    cfg.discovery.inquiry_interval = SimDuration::from_secs(60);
+    let client = world.add_node(
+        "client",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        Box::new(OnWorld(
+            PeerHoodNode::builder().config(cfg).app(TestApp::default()).build(),
+        )),
+    );
+    let [target, near] = [(4.0, 0.0), (0.0, 4.0)].map(|(x, y)| {
+        let at = MobilityModel::stationary(Point::new(x, y));
+        let app = TestApp::server("echo", false);
+        world.add_node("server", at, &bt(), peerhood("server", MobilityClass::Static, app))
+    });
+    world.run_for(SimDuration::from_secs(20));
+    let stored = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| {
+            let core = n.core_mut().expect("client running");
+            [target, near].map(|t| core.storage.get(DeviceAddress::from_node(t)).map(|d| d.is_direct()))
+        })
+        .unwrap();
+    assert_eq!(stored, [Some(true); 2], "both servers stored as direct rows");
+    (world, client, target, DeviceAddress::from_node(near))
+}
+
+/// Runs a switch of the client's from a lost provider to `target` for 15 s
+/// and checks that its refused dial was re-aimed once at `heard`, on the
+/// session's own connection id, dialled directly, with no failure heard by
+/// the app. Returns the session.
+fn switch_lands_on(
+    world: &mut World,
+    client: NodeId,
+    target: DeviceAddress,
+    heard: DeviceAddress,
+) -> ConnectionSnapshot {
+    let lost = DeviceAddress::from_node_raw(99);
+    let conn = begin_switch(world, client, lost, target);
+    world.run_for(SimDuration::from_secs(15));
+    let (switches, failed, kind, session) = world
+        .with_agent::<PeerHoodNode, _>(client, |n, _| {
+            let app = n.app::<TestApp>().unwrap();
+            let switches: Vec<_> = app.switches.iter().map(|s| (s.0, s.1)).collect();
+            let failed = app.failed.clone();
+            let session = n.connection(conn).expect("the session is kept");
+            let kind = n.core_mut().unwrap().connections.get(conn).unwrap().kind.clone();
+            (switches, failed, kind, session)
+        })
+        .unwrap();
+    assert_eq!(
+        switches,
+        [(conn, heard)],
+        "the refused switch is re-aimed at the heard provider"
+    );
+    assert!(failed.is_empty(), "the app heard {failed:?}");
+    assert_eq!((session.remote, session.state), (heard, ConnState::Established));
+    assert_eq!(kind, ConnKind::OutgoingDirect);
+    assert!(session.switch_rescued);
+    session
+}
+
+/// A switch whose dial a partition cut refuses (`LinkDown`) gets the fresh
+/// search: it is re-aimed at the provider the search heard, on the same
+/// connection id, and the app hears no failure.
+#[test]
+fn a_switch_refused_by_a_partition_cut_lands_on_a_provider_the_search_heard() {
+    let (mut world, client, target, near) = two_provider_world(67);
+    let now = world.now();
+    let cut = simnet::AdversaryPlan::new().partition(now, now + SimDuration::from_secs(120), [target]);
+    world.install_adversary_plan(cut);
+    switch_lands_on(&mut world, client, DeviceAddress::from_node(target), near);
+}
+
+/// A switch whose dial is refused as `Unreachable` — the provider's stack
+/// is down — gets the fresh search too, and lands where it heard.
+#[test]
+fn a_switch_to_a_crashed_provider_lands_on_a_provider_the_search_heard() {
+    let (mut world, client, target, near) = two_provider_world(68);
+    world.install_fault_plan(target, simnet::FaultPlan::new().crash_at(world.now()));
+    world.run_for(SimDuration::from_millis(100));
+    assert!(!world.is_alive(target));
+    switch_lands_on(&mut world, client, DeviceAddress::from_node(target), near);
+}
+
+/// A provider the search heard is dialled directly, whatever route storage
+/// holds for it. `p` joins after the client's first discovery cycle and is
+/// stored only through the bridge `b`'s report; the switch to `far`, out of
+/// range, is refused and re-aimed at `p`, which the radio just heard: the
+/// session's first hop is `p` itself, `b` relays nothing, and the stored row
+/// is still the bridged one, since the search writes nothing.
+#[test]
+fn a_heard_provider_stored_only_behind_a_bridge_is_dialled_directly() {
+    let mut world = World::new(WorldConfig::ideal(69));
+    let mut cfg = PeerHoodConfig::new("client", MobilityClass::Static);
+    cfg.discovery.inquiry_interval = SimDuration::from_secs(60);
+    let client = world.add_node(
+        "client",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        Box::new(OnWorld(
+            PeerHoodNode::builder().config(cfg).app(TestApp::default()).build(),
+        )),
+    );
+    let b = world.add_node(
+        "b",
+        MobilityModel::stationary(Point::new(0.0, 4.0)),
+        &bt(),
+        peerhood("b", MobilityClass::Static, TestApp::default()),
+    );
+    let far = world.add_node(
+        "far",
+        MobilityModel::stationary(Point::new(50.0, 0.0)),
+        &bt(),
+        peerhood("far", MobilityClass::Static, TestApp::server("echo", false)),
+    );
+    world.run_for(SimDuration::from_secs(20));
+    let p = world.add_node(
+        "p",
+        MobilityModel::stationary(Point::new(4.0, 0.0)),
+        &bt(),
+        peerhood("p", MobilityClass::Static, TestApp::server("echo", false)),
+    );
+    let p_info = device(p.as_raw());
+    let [b, p] = [b, p].map(DeviceAddress::from_node);
+    let route_to_p = |world: &mut World| {
+        world
+            .with_agent::<PeerHoodNode, _>(client, |n, _| {
+                let route = n.core_mut().unwrap().storage.get(p).map(|d| d.route);
+                route.map(|r| (r.jumps, r.bridge))
+            })
+            .unwrap()
+    };
+    world
+        .with_agent::<PeerHoodNode, _>(client, |n, ctx| {
+            let services: Arc<[ServiceInfo]> = vec![ServiceInfo::new("echo", "test", 10)].into();
+            let core = n.core_mut().expect("client running");
+            core.storage
+                .upsert_direct(device(far.as_raw()), 250, services.clone(), ctx.now());
+            let record = NeighborRecord {
+                info: p_info,
+                jumps: 0,
+                hop_qualities: vec![200],
+                services,
+            };
+            let mode = crate::config::DiscoveryMode::Dynamic;
+            core.storage
+                .integrate_neighbor_report(b, 220, MobilityClass::Static, &[record], mode, ctx.now());
+        })
+        .unwrap();
+    assert_eq!(route_to_p(&mut world), Some((1, Some(b))), "p is stored behind b only");
+    let session = switch_lands_on(&mut world, client, DeviceAddress::from_node(far), p);
+    assert_eq!(session.first_hop, Some(p));
+    let relayed = world.with_agent::<PeerHoodNode, _>(b.node_id(), |n, _| n.bridge_stats().0);
+    assert_eq!(relayed, Some(0), "b relays nothing");
+    assert_eq!(
+        route_to_p(&mut world),
+        Some((1, Some(b))),
+        "the stored row is still bridged"
+    );
 }
 
 /// A link that breaks while its peer is still in range (here a flap's down

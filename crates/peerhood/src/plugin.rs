@@ -21,7 +21,8 @@ pub enum InquiryKind {
     /// storage, the fetches and the aging of the loop.
     Periodic,
     /// A provider switch's fresh search (§5.2.2): its hits are read to re-aim
-    /// the switch and written nowhere.
+    /// the switch at a provider the radio just heard, which it then dials
+    /// directly, and written nowhere.
     Search,
 }
 

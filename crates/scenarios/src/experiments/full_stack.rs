@@ -83,10 +83,12 @@ pub(crate) fn wlan_city_config(name: &str, inquiry_interval: SimDuration) -> Pee
     // One routing attempt. If it fails, the middleware proposes a switch
     // to another provider of the service (§5.2.2), which `MetroApp`
     // accepts: it dials the best-ranked candidate still in storage. A
-    // faulted dial is re-dialled once; a dial refused as out of range is
-    // re-aimed, with the app's approval, at a provider a fresh inquiry
-    // hears; only when those fail too does the app re-attach on its next
-    // ping tick. In a uniform city a direct re-route to a nearer peer beats
+    // faulted dial is re-dialled once; a dial refused because the hop is
+    // gone (out of range, its link cut, its stack down) is re-aimed, with
+    // the app's approval, at a provider a fresh inquiry hears — every node
+    // here offers `metro`, so any stored hit will do — and that provider is
+    // dialled directly, whatever route storage holds for it; only when
+    // those fail too does the app re-attach on its next ping tick. In a uniform city a direct re-route to a nearer peer beats
     // growing a relay chain, and every avoided bridge is one less pair of
     // links to check, relay through and eventually break.
     cfg.handover.max_routing_attempts = 1;
@@ -149,9 +151,10 @@ impl Session {
 /// attach-to-best-neighbour behaviour through the real middleware API. A
 /// broken session is recovered the thesis' way (Fig. 5.5): the middleware
 /// tries a routing handover, then switches to another provider, which the
-/// app accepts — and accepts again when a switch refused as out of range is
-/// re-aimed at a provider a fresh inquiry heard. Only when the switch fails
-/// does the app dial again itself, on its next ping tick.
+/// app accepts — and accepts again when a switch refused because its hop is
+/// gone (out of range, link down, stack down) is re-aimed at a provider a
+/// fresh inquiry heard, which the middleware dials directly. Only when the
+/// switch fails does the app dial again itself, on its next ping tick.
 #[derive(Default)]
 pub struct MetroApp {
     /// The client session this node drives.
