@@ -9,6 +9,7 @@
 
 use peerhood::node::PeerHoodApi;
 use peerhood::prelude::*;
+use peerhood::session::{ServiceSession, SessionUp, REDIAL_AFTER};
 use simnet::{SimDuration, SimTime};
 
 const TOKEN_CONNECT: u64 = 1;
@@ -28,22 +29,16 @@ pub struct MessagingClient {
     pub interval: SimDuration,
     /// Delay before the first connection attempt.
     pub start_after: SimDuration,
-    /// If the connection cannot be established (or no provider is known yet),
-    /// retry after this long.
-    pub retry_after: SimDuration,
-    /// Maximum number of connection attempts before giving up.
-    pub max_attempts: u32,
+    /// The client session: its connection, its dials (ten at most) and
+    /// whether a new provider restarts the task.
+    pub session: ServiceSession,
 
     // --- recorded state ---
-    /// The active connection, if any.
-    pub conn: Option<ConnectionId>,
     /// Messages sent so far (in the current task run).
     pub sent: u32,
     /// When each message was handed to the middleware, in sending order
     /// (across task restarts).
     pub sent_at: Vec<SimTime>,
-    /// Connection attempts made.
-    pub attempts: u32,
     /// When the first connection attempt started.
     pub first_attempt_at: Option<SimTime>,
     /// When the connection was last established.
@@ -57,8 +52,6 @@ pub struct MessagingClient {
     pub disconnects: u32,
     /// Times the task had to restart from zero on a new provider.
     pub restarts: u32,
-    /// True once the client has permanently given up.
-    pub gave_up: bool,
 }
 
 impl MessagingClient {
@@ -100,19 +93,15 @@ impl MessagingClient {
             repetitions,
             interval,
             start_after,
-            retry_after: SimDuration::from_secs(5),
-            max_attempts: 10,
-            conn: None,
+            session: ServiceSession::with_attempts(10),
             sent: 0,
             sent_at: Vec::new(),
-            attempts: 0,
             first_attempt_at: None,
             connected_at: None,
             finished_at: None,
             connection_changes: 0,
             disconnects: 0,
             restarts: 0,
-            gave_up: false,
         }
     }
 
@@ -128,26 +117,27 @@ impl MessagingClient {
     }
 
     fn try_connect(&mut self, api: &mut PeerHoodApi<'_>) {
-        if self.gave_up || self.conn.is_some() {
-            return;
-        }
-        if self.attempts >= self.max_attempts {
-            self.gave_up = true;
+        if !self.session.may_dial() {
             return;
         }
         match api.connect_to_service(&self.service) {
             Ok(conn) => {
-                self.attempts += 1;
-                if self.first_attempt_at.is_none() {
-                    self.first_attempt_at = Some(api.now());
-                }
-                self.conn = Some(conn);
+                self.session.dialled(conn);
+                self.first_attempt_at.get_or_insert(api.now());
             }
-            Err(_) => {
-                // Provider not discovered yet; retry later.
-                api.schedule_timer(self.retry_after, TOKEN_CONNECT);
-            }
+            // Provider not discovered yet; retry later.
+            Err(_) => api.schedule_timer(REDIAL_AFTER, TOKEN_CONNECT),
         }
+    }
+
+    /// The session came up: sending resumes, from zero if the task
+    /// restarts.
+    fn resume(&mut self, api: &mut PeerHoodApi<'_>, up: SessionUp) {
+        if up.restarts_task {
+            self.restarts += 1;
+            self.sent = 0;
+        }
+        api.schedule_timer(SimDuration::from_millis(10), TOKEN_SEND);
     }
 }
 
@@ -160,9 +150,8 @@ impl Application for MessagingClient {
         match token {
             TOKEN_CONNECT => self.try_connect(api),
             TOKEN_SEND => {
-                let conn = match self.conn {
-                    Some(c) => c,
-                    None => return,
+                let Some(conn) = self.session.conn() else {
+                    return;
                 };
                 if self.sent >= self.repetitions {
                     return;
@@ -182,21 +171,20 @@ impl Application for MessagingClient {
     }
 
     fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.conn == Some(conn) {
+        if let Some(up) = self.session.connected(api, conn) {
             self.connected_at = Some(api.now());
-            api.schedule_timer(SimDuration::from_millis(10), TOKEN_SEND);
+            self.resume(api, up);
         }
     }
 
     fn on_connect_failed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
-        if self.conn == Some(conn) {
-            self.conn = None;
-            api.schedule_timer(self.retry_after, TOKEN_CONNECT);
+        if self.session.connect_failed(conn) {
+            api.schedule_timer(REDIAL_AFTER, TOKEN_CONNECT);
         }
     }
 
     fn on_connection_changed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.conn == Some(conn) {
+        if self.session.drives(conn) {
             self.connection_changes += 1;
             if self.connected_at.is_none() {
                 self.connected_at = Some(api.now());
@@ -208,23 +196,29 @@ impl Application for MessagingClient {
         }
     }
 
-    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
-        if self.conn == Some(conn) {
-            // A different provider means the task starts over (§5.2.2).
-            self.restarts += 1;
-            self.sent = 0;
+    fn on_reconnect_required(
+        &mut self,
+        api: &mut PeerHoodApi<'_>,
+        conn: ConnectionId,
+        _provider: DeviceAddress,
+    ) -> bool {
+        self.session.switching(api.now(), conn);
+        true
+    }
+
+    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, provider: DeviceAddress) {
+        if let Some(up) = self.session.switched(api, conn, provider) {
             self.connection_changes += 1;
-            api.schedule_timer(SimDuration::from_millis(10), TOKEN_SEND);
+            self.resume(api, up);
         }
     }
 
     fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
-        if self.conn == Some(conn) {
+        if self.session.disconnected(api.now(), conn) {
             self.disconnects += 1;
             if !self.finished() {
-                // Try again from scratch unless exhausted.
-                self.conn = None;
-                api.schedule_timer(self.retry_after, TOKEN_CONNECT);
+                // Try again unless the dials are spent.
+                api.schedule_timer(REDIAL_AFTER, TOKEN_CONNECT);
             }
         }
     }

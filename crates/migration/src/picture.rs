@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 
 use peerhood::node::PeerHoodApi;
 use peerhood::prelude::*;
+use peerhood::session::{ServiceSession, SessionUp, REDIAL_AFTER};
 use simnet::{SimDuration, SimTime};
 
 use crate::task::{TaskOutcome, TaskSpec};
@@ -43,12 +44,11 @@ pub struct PictureClient {
     pub start_after: SimDuration,
     /// Interval between uploaded packages.
     pub package_interval: SimDuration,
-    /// Retry interval while the service is not yet discovered.
-    pub retry_after: SimDuration,
+    /// The task's client session: its connection and whether a new
+    /// provider restarts the task.
+    pub session: ServiceSession,
 
     // --- recorded state ---
-    /// The task connection.
-    pub conn: Option<ConnectionId>,
     /// Packages sent in the current upload run.
     pub sent_packages: u32,
     /// When the upload finished.
@@ -65,8 +65,6 @@ pub struct PictureClient {
     pub connection_changes: u32,
     /// Final disconnect notifications received.
     pub disconnects: u32,
-    /// True if establishment failed permanently.
-    pub failed: bool,
 }
 
 impl PictureClient {
@@ -77,8 +75,7 @@ impl PictureClient {
             spec,
             start_after,
             package_interval: SimDuration::from_millis(200),
-            retry_after: SimDuration::from_secs(5),
-            conn: None,
+            session: ServiceSession::default(),
             sent_packages: 0,
             upload_complete_at: None,
             result: None,
@@ -87,7 +84,6 @@ impl PictureClient {
             upload_attempts: 0,
             connection_changes: 0,
             disconnects: 0,
-            failed: false,
         }
     }
 
@@ -111,20 +107,25 @@ impl PictureClient {
     }
 
     fn try_connect(&mut self, api: &mut PeerHoodApi<'_>) {
-        if self.conn.is_some() || self.completed() {
+        if !self.session.may_dial() || self.completed() {
             return;
         }
         match api.connect_to_service(&self.service) {
-            Ok(conn) => self.conn = Some(conn),
-            Err(_) => api.schedule_timer(self.retry_after, TOKEN_CONNECT),
+            Ok(conn) => self.session.dialled(conn),
+            Err(_) => api.schedule_timer(REDIAL_AFTER, TOKEN_CONNECT),
         }
     }
 
-    fn begin_upload(&mut self, api: &mut PeerHoodApi<'_>) {
-        let conn = match self.conn {
-            Some(c) => c,
-            None => return,
+    /// The session came up: the upload begins, and counts as a restart if
+    /// the task does.
+    fn begin_upload(&mut self, api: &mut PeerHoodApi<'_>, up: SessionUp) {
+        let Some(conn) = self.session.conn() else {
+            return;
         };
+        if up.restarts_task {
+            self.restarts += 1;
+        }
+        self.upload_complete_at = None;
         self.sent_packages = 0;
         self.upload_attempts += 1;
         let _ = api.send(conn, encode_header(self.spec.packages));
@@ -141,9 +142,8 @@ impl Application for PictureClient {
         match token {
             TOKEN_CONNECT => self.try_connect(api),
             TOKEN_SEND => {
-                let conn = match self.conn {
-                    Some(c) => c,
-                    None => return,
+                let Some(conn) = self.session.conn() else {
+                    return;
                 };
                 if self.upload_complete_at.is_some() || self.completed() {
                     return;
@@ -167,27 +167,26 @@ impl Application for PictureClient {
     }
 
     fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.conn == Some(conn) {
-            self.begin_upload(api);
+        if let Some(up) = self.session.connected(api, conn) {
+            self.begin_upload(api, up);
         }
     }
 
     fn on_connect_failed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
-        if self.conn == Some(conn) {
-            self.conn = None;
-            api.schedule_timer(self.retry_after, TOKEN_CONNECT);
+        if self.session.connect_failed(conn) {
+            api.schedule_timer(REDIAL_AFTER, TOKEN_CONNECT);
         }
     }
 
     fn on_data(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, payload: Vec<u8>) {
-        if self.conn == Some(conn) && self.result.is_none() {
+        if self.session.drives(conn) && self.result.is_none() {
             self.result = Some(payload);
             self.result_received_at = Some(api.now());
         }
     }
 
     fn on_connection_changed(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.conn == Some(conn) {
+        if self.session.drives(conn) {
             if !self.completed() {
                 self.connection_changes += 1;
             }
@@ -198,29 +197,37 @@ impl Application for PictureClient {
         }
     }
 
-    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
-        if self.conn == Some(conn) {
-            // A different server means the whole task restarts (§5.2.2).
-            self.restarts += 1;
-            self.upload_complete_at = None;
-            self.begin_upload(api);
+    fn on_reconnect_required(
+        &mut self,
+        api: &mut PeerHoodApi<'_>,
+        conn: ConnectionId,
+        _provider: DeviceAddress,
+    ) -> bool {
+        self.session.switching(api.now(), conn);
+        true
+    }
+
+    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, provider: DeviceAddress) {
+        if let Some(up) = self.session.switched(api, conn, provider) {
+            self.begin_upload(api, up);
         }
     }
 
     fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
-        if self.conn == Some(conn) {
-            if !self.completed() {
-                self.disconnects += 1;
-            }
-            if self.upload_complete_at.is_some() || self.completed() {
-                // Waiting for the result: stay asleep, the server will call
-                // back (result routing).
-                return;
-            }
-            // Broken mid-upload and the middleware gave up: try again.
-            self.conn = None;
-            api.schedule_timer(self.retry_after, TOKEN_CONNECT);
+        if !self.session.drives(conn) {
+            return;
         }
+        if !self.completed() {
+            self.disconnects += 1;
+        }
+        if self.upload_complete_at.is_some() || self.completed() {
+            // Waiting for the result: the session sleeps, and the server
+            // calls back on the same connection (result routing).
+            return;
+        }
+        // Broken mid-upload and the middleware gave up: try again.
+        self.session.disconnected(api.now(), conn);
+        api.schedule_timer(REDIAL_AFTER, TOKEN_CONNECT);
     }
 }
 

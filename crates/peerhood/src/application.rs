@@ -69,7 +69,9 @@ pub trait Application: Any + Send {
     /// Routing handover is impossible and the middleware proposes to
     /// reconnect to `provider`, the best-ranked other provider of the same
     /// service (§5.2.2 notes the user should be asked for permission because
-    /// the task restarts from zero). Return `true` to allow the reconnection.
+    /// the task restarts). Return `true` to allow the reconnection; an app
+    /// that keeps a [`ServiceSession`](crate::session::ServiceSession) marks
+    /// it switching first.
     fn on_reconnect_required(
         &mut self,
         api: &mut PeerHoodApi<'_>,
@@ -80,9 +82,10 @@ pub trait Application: Any + Send {
         true
     }
 
-    /// A service reconnection to `provider` completed. The application must
-    /// restart its task (re-send the migrated data) on the same connection
-    /// id.
+    /// A service reconnection to `provider` completed on the same connection
+    /// id. Whether the task restarts is
+    /// [`ServiceSession`](crate::session::ServiceSession)'s rule: it does when
+    /// `provider` is not the one the task began on.
     fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, provider: DeviceAddress) {
         let _ = (api, conn, provider);
     }

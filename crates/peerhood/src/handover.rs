@@ -76,8 +76,6 @@ pub struct HandoverMonitor {
     pub attempts: u32,
     /// Current phase.
     pub phase: HandoverPhase,
-    /// Target semantics in force.
-    pub target: HandoverTarget,
     /// Opaque key of the inputs the candidate was last refreshed from
     /// (the storage's two generations summed, target, excluded bridge). Lets the monitoring
     /// pass skip recomputing the candidate list when nothing it derives
@@ -88,14 +86,13 @@ pub struct HandoverMonitor {
 }
 
 impl HandoverMonitor {
-    /// Creates a monitor with the given threshold and target semantics.
-    pub fn new(quality_threshold: u8, target: HandoverTarget) -> Self {
+    /// Creates a monitor with the given quality threshold.
+    pub fn new(quality_threshold: u8) -> Self {
         HandoverMonitor {
             counter: LowSignalCounter::new(quality_threshold),
             candidate: None,
             attempts: 0,
             phase: HandoverPhase::Monitoring,
-            target,
             refresh_key: None,
         }
     }
@@ -189,7 +186,7 @@ mod tests {
     }
 
     fn monitor() -> HandoverMonitor {
-        HandoverMonitor::new(230, HandoverTarget::FinalDestination)
+        HandoverMonitor::new(230)
     }
 
     #[test]
@@ -271,7 +268,5 @@ mod tests {
     #[test]
     fn default_target_is_final_destination() {
         assert_eq!(HandoverTarget::default(), HandoverTarget::FinalDestination);
-        let m = HandoverMonitor::new(230, HandoverTarget::LinkPeer);
-        assert_eq!(m.target, HandoverTarget::LinkPeer);
     }
 }

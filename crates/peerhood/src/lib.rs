@@ -89,6 +89,7 @@ pub mod resilience;
 pub mod route;
 pub mod security;
 pub mod service;
+pub mod session;
 pub mod storage;
 pub mod wire;
 

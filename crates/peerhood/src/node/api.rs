@@ -218,10 +218,7 @@ impl Core {
         let kind = ConnKind::outgoing(route.bridge);
         let mut connection = AppConnection::outgoing(conn, target, service, kind, ctx.now());
         if self.config.handover.enabled {
-            connection.monitor = Some(HandoverMonitor::new(
-                self.config.monitor.quality_threshold,
-                self.config.handover.target,
-            ));
+            connection.monitor = Some(HandoverMonitor::new(self.config.monitor.quality_threshold));
         }
         self.connections.insert(connection);
         if let Some(owner) = owner {

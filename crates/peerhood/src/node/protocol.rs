@@ -1111,10 +1111,7 @@ impl Core {
             c.state = ConnState::Connecting;
             c.link = None;
             c.reconnecting = true;
-            c.monitor = Some(HandoverMonitor::new(
-                self.config.monitor.quality_threshold,
-                self.config.handover.target,
-            ));
+            c.monitor = Some(HandoverMonitor::new(self.config.monitor.quality_threshold));
         }
     }
 

@@ -321,9 +321,12 @@ pub fn adversary_outcome(crowd: &Crowd<AdversarySettings>, defense: Defense) -> 
     let hostile_frames = adversary.frames_hostile();
     let hostile_rejected = security.frames_rejected();
     AdversaryOutcome {
-        sessions: tally.sessions,
-        survived: tally.sessions.saturating_sub(tally.lost),
-        goodput: tally.goodput(),
+        sessions: tally.total.sessions_established,
+        survived: tally
+            .total
+            .sessions_established
+            .saturating_sub(tally.total.sessions_lost),
+        goodput: tally.total.delivered,
         routes_poisoned,
         hostile_frames,
         hostile_rejected,

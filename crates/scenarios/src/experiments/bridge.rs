@@ -4,6 +4,7 @@ use migration::{MessagingClient, MessagingServer};
 use peerhood::config::DiscoveryMode;
 use peerhood::device::MobilityClass;
 use peerhood::node::PeerHoodNode;
+use peerhood::session::ServiceSession;
 use simnet::prelude::*;
 
 use crate::report::ExperimentReport;
@@ -43,7 +44,7 @@ pub fn bridge_trial(seed: u64) -> BridgeTrial {
     // attempt rather than letting the middleware retry.
     client_cfg.handover.enabled = false;
     let mut client_app = MessagingClient::bridge_test("sink", SimDuration::from_secs(240));
-    client_app.max_attempts = 1;
+    client_app.session = ServiceSession::with_attempts(1);
     let client = spawn_app(
         &mut world,
         client_cfg,

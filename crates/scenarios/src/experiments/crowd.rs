@@ -14,9 +14,9 @@ use peerhood::error::PeerHoodError;
 use peerhood::ids::{ConnectionId, DeviceAddress};
 use peerhood::node::{PeerHoodApi, PeerHoodNode};
 use peerhood::service::ServiceInfo;
+use peerhood::session::ServiceSession;
 use simnet::prelude::*;
 
-use crate::experiments::full_stack::Session;
 use crate::experiments::params::{count, seconds, Param};
 
 /// Name of the service the hotspots offer and the crowd consumes.
@@ -56,16 +56,8 @@ impl<E> Crowd<E> {
             tick: self.ping_interval,
             ping_burst: self.pings_per_tick,
             warmup: self.warmup,
-            session: Session::Idle,
-            down_since: None,
-            sessions_established: 0,
-            sessions_lost: 0,
-            diverted: 0,
-            pings_sent: 0,
-            delivered: 0,
-            sends_shed: 0,
-            reconnect_secs_total: 0.0,
-            reconnects: 0,
+            session: ServiceSession::default(),
+            counts: CrowdCounts::default(),
         }
     }
 
@@ -113,16 +105,8 @@ pub struct CrowdTally {
     /// Echo payloads delivered to each node, in node order (0 for a node
     /// that is down or runs no [`CrowdApp`]).
     pub delivered: Vec<u64>,
-    /// Client sessions established.
-    pub sessions: u64,
-    /// Sessions the middleware could not keep alive.
-    pub lost: u64,
-    /// Attaches diverted away from an open breaker.
-    pub diverted: u64,
-    /// Total session-recovery latency in seconds.
-    pub reconnect_secs: f64,
-    /// Recovery latency samples in `reconnect_secs`.
-    pub reconnects: u64,
+    /// The live [`CrowdApp`]s' counters, summed.
+    pub total: CrowdCounts,
 }
 
 impl CrowdTally {
@@ -134,22 +118,37 @@ impl CrowdTally {
             let delivered = world.with_agent::<PeerHoodNode, _>(id, |node, _| {
                 each(node);
                 node.with_app(|app: &CrowdApp| {
-                    tally.sessions += app.sessions_established;
-                    tally.lost += app.sessions_lost;
-                    tally.diverted += app.diverted;
-                    tally.reconnect_secs += app.reconnect_secs_total;
-                    tally.reconnects += app.reconnects;
-                    app.delivered
+                    tally.total.absorb(&app.counts);
+                    app.counts.delivered
                 })
             });
             tally.delivered.push(delivered.flatten().unwrap_or(0));
         }
         tally
     }
+}
 
-    /// Echo payloads delivered across the crowd.
-    pub fn goodput(&self) -> u64 {
-        self.delivered.iter().sum()
+simnet::counter_table! {
+    /// What one [`CrowdApp`] counted.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct CrowdCounts {
+        /// Client sessions established.
+        pub sessions_established: u64,
+        /// Sessions the middleware could not keep alive.
+        pub sessions_lost: u64,
+        /// Attaches diverted away from an open-breaker provider.
+        pub diverted: u64,
+        /// Pings sent.
+        pub pings_sent: u64,
+        /// Echo payloads delivered back to this client.
+        pub delivered: u64,
+        /// Sends refused by the backpressure layer.
+        pub sends_shed: u64,
+        /// Total reconnection latency, from the middleware's first report
+        /// of the session down.
+        pub reconnect_secs_total: f64,
+        /// Number of latency samples in `reconnect_secs_total`.
+        pub reconnects: u64,
     }
 }
 
@@ -165,33 +164,18 @@ pub struct CrowdApp {
     ping_burst: usize,
     /// No attach before this long into the run (discovery warmup).
     warmup: SimDuration,
-    session: Session,
-    down_since: Option<SimTime>,
-    /// Client sessions established.
-    pub sessions_established: u64,
-    /// Sessions the middleware could not keep alive.
-    pub sessions_lost: u64,
-    /// Attaches diverted away from an open-breaker provider.
-    pub diverted: u64,
-    /// Pings sent / echoes received.
-    pub pings_sent: u64,
-    /// Echo payloads delivered back to this client.
-    pub delivered: u64,
-    /// Sends refused by the backpressure layer.
-    pub sends_shed: u64,
-    /// Total reconnection latency and sample count.
-    pub reconnect_secs_total: f64,
-    /// Number of latency samples in `reconnect_secs_total`.
-    pub reconnects: u64,
+    session: ServiceSession,
+    /// What this member counted.
+    pub counts: CrowdCounts,
 }
 
 impl CrowdApp {
     fn try_attach(&mut self, api: &mut PeerHoodApi<'_>) {
-        if self.session != Session::Idle || api.now() < SimTime::ZERO + self.warmup {
+        if !self.session.may_dial() || api.now() < SimTime::ZERO + self.warmup {
             return;
         }
         match api.connect_to_service(HOTSPOT_SERVICE) {
-            Ok(conn) => self.session = Session::Dialling(conn),
+            Ok(conn) => self.session.dialled(conn),
             Err(PeerHoodError::CircuitOpen(_)) => {
                 // The best-ranked provider is behind an open breaker: try
                 // the other known providers in deterministic address order.
@@ -203,8 +187,8 @@ impl CrowdApp {
                     .collect();
                 for addr in providers {
                     if let Ok(conn) = api.connect_to(addr, HOTSPOT_SERVICE) {
-                        self.session = Session::Dialling(conn);
-                        self.diverted += 1;
+                        self.session.dialled(conn);
+                        self.counts.diverted += 1;
                         return;
                     }
                 }
@@ -214,9 +198,11 @@ impl CrowdApp {
     }
 }
 
+/// A crowd member declines the middleware's provider switch: a session it
+/// loses is down until its own dial on a later tick.
 impl Application for CrowdApp {
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
-        self.session = Session::Idle;
+        self.session.restarted();
         api.schedule_timer(self.tick, PING_TIMER);
     }
 
@@ -225,31 +211,26 @@ impl Application for CrowdApp {
     }
 
     fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.session.drives(conn) {
-            self.session = Session::Up(conn);
-            self.sessions_established += 1;
-            if let Some(t0) = self.down_since.take() {
-                self.reconnect_secs_total += api.now().saturating_since(t0).as_secs_f64();
-                self.reconnects += 1;
+        if let Some(up) = self.session.connected(api, conn) {
+            self.counts.sessions_established += 1;
+            if let Some(down_for) = up.down_for {
+                self.counts.reconnect_secs_total += down_for.as_secs_f64();
+                self.counts.reconnects += 1;
             }
         }
     }
 
     fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
-        if self.session.drives(conn) {
-            self.session = Session::Idle;
-        }
+        self.session.connect_failed(conn);
     }
 
     fn on_data(&mut self, _api: &mut PeerHoodApi<'_>, _conn: ConnectionId, _payload: Vec<u8>) {
-        self.delivered += 1;
+        self.counts.delivered += 1;
     }
 
     fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
-        if self.session.drives(conn) {
-            self.session = Session::Idle;
-            self.sessions_lost += 1;
-            self.down_since = Some(api.now());
+        if self.session.disconnected(api.now(), conn) {
+            self.counts.sessions_lost += 1;
         }
     }
 
@@ -262,27 +243,23 @@ impl Application for CrowdApp {
         false
     }
 
-    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
-        self.on_connected(api, conn);
-    }
-
     fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
         if token != PING_TIMER {
             return;
         }
-        match self.session {
-            Session::Up(conn) => {
+        match self.session.up() {
+            Some(conn) => {
                 for _ in 0..self.ping_burst {
                     match api.send(conn, b"crowd-ping".to_vec()) {
-                        Ok(()) => self.pings_sent += 1,
+                        Ok(()) => self.counts.pings_sent += 1,
                         Err(_) => {
-                            self.sends_shed += 1;
+                            self.counts.sends_shed += 1;
                             break;
                         }
                     }
                 }
             }
-            _ => self.try_attach(api),
+            None => self.try_attach(api),
         }
         api.schedule_timer(self.tick, PING_TIMER);
     }

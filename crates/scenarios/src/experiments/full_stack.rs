@@ -28,6 +28,7 @@ use peerhood::error::PeerHoodError;
 use peerhood::ids::{ConnectionId, DeviceAddress};
 use peerhood::node::{PeerHoodApi, PeerHoodNode};
 use peerhood::service::ServiceInfo;
+use peerhood::session::{ServiceSession, SessionUp, Via};
 use simnet::agent::Agent;
 use simnet::prelude::*;
 
@@ -83,14 +84,14 @@ pub(crate) fn wlan_city_config(name: &str, inquiry_interval: SimDuration) -> Pee
     // One routing attempt. If it fails, the middleware proposes a switch
     // to another provider of the service (§5.2.2), which `MetroApp`
     // accepts: it dials the best-ranked candidate still in storage. A
-    // faulted dial is re-dialled once; a dial refused because the hop is
+    // faulted dial is re-dialled once. A dial refused because the hop is
     // gone (out of range, its link cut, its stack down) is re-aimed, with
-    // the app's approval, at a provider a fresh inquiry hears — every node
-    // here offers `metro`, so any stored hit will do — and that provider is
-    // dialled directly, whatever route storage holds for it; only when
-    // those fail too does the app re-attach on its next ping tick. In a uniform city a direct re-route to a nearer peer beats
-    // growing a relay chain, and every avoided bridge is one less pair of
-    // links to check, relay through and eventually break.
+    // the app's approval, at a provider a fresh inquiry hears, dialled
+    // directly; every node here offers `metro`, so any stored hit will do.
+    // Only when those fail too does the app re-attach on its next ping
+    // tick. In a uniform city a direct re-route to a nearer peer beats
+    // growing a relay chain: every avoided bridge is one less pair of links
+    // to check, relay through and eventually break.
     cfg.handover.max_routing_attempts = 1;
     cfg
 }
@@ -113,39 +114,6 @@ pub(crate) fn add_stack(
     )
 }
 
-/// Where a client session stands: a [`MetroApp`]'s, or a
-/// [`CrowdApp`](crate::experiments::crowd::CrowdApp)'s, which declines the
-/// provider switch and so never enters `Switching`.
-#[derive(Clone, Copy, Default, PartialEq)]
-pub(crate) enum Session {
-    /// No session: the next ping tick or discovery dials one.
-    #[default]
-    Idle,
-    /// The app's own dial is in flight.
-    Dialling(ConnectionId),
-    /// Established.
-    Up(ConnectionId),
-    /// Broken; the middleware's §5.2.2 switch to another provider is in
-    /// flight on the same connection id: dialling, re-dialling after a
-    /// set-up fault, or searching for another provider after a refusal as
-    /// out of range.
-    Switching(ConnectionId),
-}
-
-impl Session {
-    fn conn(self) -> Option<ConnectionId> {
-        match self {
-            Session::Idle => None,
-            Session::Dialling(conn) | Session::Up(conn) | Session::Switching(conn) => Some(conn),
-        }
-    }
-
-    /// True when `conn` is this session's connection.
-    pub(crate) fn drives(self, conn: ConnectionId) -> bool {
-        self.conn() == Some(conn)
-    }
-}
-
 /// The application of a full-stack city node: every device both offers and
 /// consumes the [`METRO_SERVICE`], mirroring the lightweight probes'
 /// attach-to-best-neighbour behaviour through the real middleware API. A
@@ -157,42 +125,31 @@ impl Session {
 /// switch fails does the app dial again itself, on its next ping tick.
 #[derive(Default)]
 pub struct MetroApp {
-    /// The client session this node drives.
-    session: Session,
-    /// When the middleware first told the app that its session was down
-    /// (it proposed a provider switch, or it dropped the session); consumed
-    /// by the next establishment — the switch completing or a later dial of
-    /// the app's own — to measure reconnection latency. A switch that fails
-    /// leaves it running. Survives restarts (the app is the measurement
-    /// instrument). Each sample is counted by how it ended:
-    /// [`FullStats::switched_first_dial`], [`FullStats::switched_second_chance`]
-    /// or [`FullStats::redialled`].
-    down_since: Option<SimTime>,
-    /// What the app counts: sessions established (first connects, provider
-    /// switches and the app's re-attachments after loss), route changes on
-    /// the live session, pings sent, payloads received (pings served plus
-    /// echoes) and reconnection latency. The route breaks, the handover
-    /// completions and `attached` are filled in by [`FullStackHost::stats`].
-    pub counts: FullStats,
+    /// The client session this node drives. Its down window survives
+    /// restarts (the app is the measurement instrument).
+    session: ServiceSession,
+    /// What the app counts; [`FullStackHost::stats`] adds the route breaks
+    /// and the handover completions.
+    pub counts: MetroCounts,
 }
 
 impl MetroApp {
     fn try_attach(&mut self, api: &mut PeerHoodApi<'_>) {
-        if self.session != Session::Idle {
+        if !self.session.may_dial() {
             return;
         }
         if let Ok(conn) = api.connect_to_service(METRO_SERVICE) {
-            self.session = Session::Dialling(conn);
+            self.session.dialled(conn);
         }
     }
 
     /// True while the node holds an established client session. A session
-    /// stays `Up` while the middleware repairs its broken route after the
+    /// stays up while the middleware repairs its broken route after the
     /// break (a routing handover the app is not told of until it completes),
     /// so that window counts as attached and `sim_reconnect_s` does not see
     /// it — a known gap in the measurement.
     pub fn attached(&self) -> bool {
-        matches!(self.session, Session::Up(_))
+        self.session.up().is_some()
     }
 
     /// The client session this app currently drives, if any.
@@ -200,28 +157,31 @@ impl MetroApp {
         self.session.conn()
     }
 
-    /// `conn` was established: if it is the session's, the session is up.
-    /// Returns whether that closed a reconnect sample.
-    fn session_up(&mut self, now: SimTime, conn: ConnectionId) -> bool {
-        if !self.session.drives(conn) {
-            return false;
-        }
-        self.session = Session::Up(conn);
-        self.counts.sessions_established += 1;
-        let Some(t0) = self.down_since.take() else {
-            return false;
+    /// Counts a session that came up, and the reconnect sample it closed,
+    /// by how it ended.
+    fn count_up(&mut self, up: Option<SessionUp>) {
+        let Some(up) = up else {
+            return;
         };
-        self.counts.reconnect_secs_total += now.saturating_since(t0).as_secs_f64();
+        self.counts.sessions_established += 1;
+        let Some(down_for) = up.down_for else {
+            return;
+        };
+        self.counts.reconnect_secs_total += down_for.as_secs_f64();
         self.counts.reconnects += 1;
-        true
+        match up.via {
+            Via::Dial => self.counts.redialled += 1,
+            Via::Switch => self.counts.switched_first_dial += 1,
+            Via::SwitchRescued => self.counts.switched_second_chance += 1,
+        }
     }
 }
 
 impl Application for MetroApp {
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
         // A restart reaches here too (the reborn daemon re-runs app
-        // start-up): session state is gone with the old core.
-        self.session = Session::Idle;
+        // start-up): the connection is gone with the old core.
+        self.session.restarted();
         let _ = api.register_service(ServiceInfo::new(METRO_SERVICE, "v1", 7));
         api.schedule_timer(SimDuration::from_secs(10), PING_TIMER);
     }
@@ -231,15 +191,12 @@ impl Application for MetroApp {
     }
 
     fn on_connected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
-        if self.session_up(api.now(), conn) {
-            self.counts.redialled += 1;
-        }
+        let up = self.session.connected(api, conn);
+        self.count_up(up);
     }
 
     fn on_connect_failed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _error: PeerHoodError) {
-        if self.session.drives(conn) {
-            self.session = Session::Idle;
-        }
+        self.session.connect_failed(conn);
     }
 
     fn on_data(&mut self, _api: &mut PeerHoodApi<'_>, _conn: ConnectionId, _payload: Vec<u8>) {
@@ -247,10 +204,7 @@ impl Application for MetroApp {
     }
 
     fn on_disconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
-        if self.session.drives(conn) {
-            self.session = Session::Idle;
-            self.down_since.get_or_insert(api.now());
-        }
+        self.session.disconnected(api.now(), conn);
     }
 
     fn on_connection_changed(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId) {
@@ -266,39 +220,61 @@ impl Application for MetroApp {
         _provider: DeviceAddress,
     ) -> bool {
         // The routing handover failed: the session is down from here until
-        // the switch completes (`on_service_reconnected`) or, if it fails,
-        // until the app's own dial on a later ping tick succeeds. A switch
-        // re-aimed by its fresh search asks again, already `Switching`.
-        if self.session.drives(conn) {
-            self.session = Session::Switching(conn);
-            self.down_since.get_or_insert(api.now());
-        }
+        // the switch completes or, if it fails, until the app's own dial on
+        // a later ping tick succeeds. A switch re-aimed by its fresh search
+        // asks again, already switching.
+        self.session.switching(api.now(), conn);
         true
     }
 
-    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, _provider: DeviceAddress) {
-        if self.session_up(api.now(), conn) {
-            if api.connection(conn).is_some_and(|c| c.switch_rescued) {
-                self.counts.switched_second_chance += 1;
-            } else {
-                self.counts.switched_first_dial += 1;
-            }
-        }
+    fn on_service_reconnected(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, provider: DeviceAddress) {
+        let up = self.session.switched(api, conn, provider);
+        self.count_up(up);
     }
 
     fn on_timer(&mut self, api: &mut PeerHoodApi<'_>, token: u64) {
         if token != PING_TIMER {
             return;
         }
-        match self.session {
-            Session::Up(conn) => {
+        match self.session.up() {
+            Some(conn) => {
                 if api.send(conn, b"metro-ping".to_vec()).is_ok() {
                     self.counts.pings_sent += 1;
                 }
             }
-            _ => self.try_attach(api),
+            None => self.try_attach(api),
         }
         api.schedule_timer(SimDuration::from_secs(10), PING_TIMER);
+    }
+}
+
+simnet::counter_table! {
+    /// What a [`MetroApp`] counts: sessions established (first connects,
+    /// provider switches and the app's re-attachments after loss), route
+    /// changes on the live session, pings sent, payloads received (pings
+    /// served plus echoes) and reconnection latency, each sample counted by
+    /// how it ended.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct MetroCounts {
+        /// Client sessions established.
+        pub sessions_established: u64,
+        /// Route changes observed by the application.
+        pub route_changes: u64,
+        /// Total reconnection latency, from the middleware's first report
+        /// of the session down.
+        pub reconnect_secs_total: f64,
+        /// Number of latency samples in `reconnect_secs_total`.
+        pub reconnects: u64,
+        /// Samples a provider switch (§5.2.2) ended on its first dial.
+        pub switched_first_dial: u64,
+        /// Samples a provider switch ended after a second chance.
+        pub switched_second_chance: u64,
+        /// Samples the app's own dial ended.
+        pub redialled: u64,
+        /// Pings sent.
+        pub pings_sent: u64,
+        /// Payloads received.
+        pub payloads_received: u64,
     }
 }
 
@@ -439,13 +415,21 @@ impl FullStackHost {
 
     /// Aggregated counters for experiment reports.
     pub fn stats(&self) -> FullStats {
-        let app = self.node.with_app(|a: &MetroApp| a.counts);
+        let app = self.node.with_app(|a: &MetroApp| a.counts).unwrap_or_default();
         FullStats {
+            sessions_established: app.sessions_established,
             broken_by_crash: self.broken_by_crash,
             broken_by_range: self.broken_by_range,
             handover_completions: self.node.handover_completions(),
             proactive_handover_completions: self.node.proactive_handover_completions(),
-            ..app.unwrap_or_default()
+            route_changes: app.route_changes,
+            reconnect_secs_total: app.reconnect_secs_total,
+            reconnects: app.reconnects,
+            switched_first_dial: app.switched_first_dial,
+            switched_second_chance: app.switched_second_chance,
+            redialled: app.redialled,
+            pings_sent: app.pings_sent,
+            payloads_received: app.payloads_received,
         }
     }
 }

@@ -20,6 +20,8 @@ pub fn e07_two_server_handover(seed: u64) -> ExperimentReport {
         "messages received (both servers)",
         "messages needed",
     ]);
+    // Task restarts and messages received, per strategy.
+    let mut outcomes = Vec::new();
     for &routing_handover in &[false, true] {
         let mut world = World::new(WorldConfig::ideal(seed + routing_handover as u64));
         let mut client_cfg = experiment_config("client", MobilityClass::Dynamic, DiscoveryMode::Dynamic);
@@ -81,6 +83,7 @@ pub fn e07_two_server_handover(seed: u64) -> ExperimentReport {
         let received1 = with_app(&mut world, server1, MessagingServer::received_count).unwrap();
         let received2 = with_app(&mut world, server2, MessagingServer::received_count).unwrap();
         let total_sent = received1 + received2;
+        outcomes.push((restarts, total_sent));
         report.push_row([
             if routing_handover {
                 "routing handover (keep server 1)"
@@ -94,7 +97,18 @@ pub fn e07_two_server_handover(seed: u64) -> ExperimentReport {
             "100".to_string(),
         ]);
     }
-    report.push_note("service reconnection re-sends work already done; routing handover keeps the original session");
+    let [(switched, sent), (routed, _)] = outcomes[..] else {
+        unreachable!("one outcome per strategy");
+    };
+    report.push_note(if switched > 0 && routed == 0 {
+        format!(
+            "service reconnection restarted the task and re-sent {} messages of work already done; routing \
+             handover kept the original session",
+            sent.saturating_sub(100)
+        )
+    } else {
+        format!("the task restarted {switched} time(s) on a server switch and {routed} under routing handover")
+    });
     report
 }
 
@@ -144,7 +158,7 @@ pub fn routing_handover_run(seed: u64, decay_per_sec: f64) -> HandoverRun {
     let scope = format!("E8 decay={decay_per_sec} seed={seed}");
     crate::telemetry::instrument_world(&mut world, &scope);
     crate::telemetry::run_world(&mut world, SimDuration::from_secs(270), |_| {});
-    let conn = with_app(&mut world, client, |app: &MessagingClient| app.conn).unwrap();
+    let conn = with_app(&mut world, client, |app: &MessagingClient| app.session.conn()).unwrap();
     let link = conn.and_then(|c| {
         world
             .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection_link(c))

@@ -169,12 +169,12 @@ pub fn overload_outcome(crowd: &Crowd<OverloadSettings>, resilience_on: bool) ->
     let min = tally.delivered.iter().copied().min().unwrap_or(0);
     let max = tally.delivered.iter().copied().max().unwrap_or(0);
     OverloadOutcome {
-        goodput: tally.goodput(),
+        goodput: tally.total.delivered,
         fairness: if max > 0 { min as f64 / max as f64 } else { 0.0 },
-        sessions: tally.sessions,
-        diverted: tally.diverted,
-        mean_reconnect_s: if tally.reconnects > 0 {
-            tally.reconnect_secs / tally.reconnects as f64
+        sessions: tally.total.sessions_established,
+        diverted: tally.total.diverted,
+        mean_reconnect_s: if tally.total.reconnects > 0 {
+            tally.total.reconnect_secs_total / tally.total.reconnects as f64
         } else {
             0.0
         },

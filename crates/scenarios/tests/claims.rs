@@ -126,7 +126,7 @@ const CLAIMS: [Claim; 19] = [
     finding("E4", e04_delay_stays_within_jumps_times_cycle),
     claim("E5", e05_a_static_bridge_keeps_the_relay),
     claim("E6", e06_set_up_takes_3_to_18_s_and_relaying_adds_little_delay),
-    finding("E7", e07_only_a_server_switch_restarts_the_task),
+    claim("E7", e07_only_a_server_switch_restarts_the_task),
     finding("E8", e08_slow_decay_hands_over),
     claim("E9", e09_three_regimes_three_outcomes),
     claim("E10", e10_bridges_carry_the_phone_to_the_server),

@@ -84,7 +84,7 @@ fn bridge_capacity_limit_refuses_extra_connections() {
         Box::new({
             let mut c = mk_client("c2");
             c.start_after = SimDuration::from_secs(170);
-            c.max_attempts = 1;
+            c.session = peerhood::session::ServiceSession::with_attempts(1);
             c
         }),
     );

@@ -146,6 +146,16 @@ fn a_full_stack_host_stays_a_small_bin_allocation() {
     );
 }
 
+#[test]
+fn a_metro_app_stays_136_bytes() {
+    let size = std::mem::size_of::<MetroApp>();
+    assert!(
+        size <= 136,
+        "MetroApp is {size} bytes: every node boxes one, and at 144 bytes `benchmark setup` on city_fullstack read \
+         ~12 % slower than at 120-136 over 20 alternated runs. Keep what only the host fills out of its counts."
+    );
+}
+
 /// §5.2.2 in a city node: a walker's session provider falls out of range, no
 /// neighbour reaches it (so the routing handover has no candidate), and the
 /// middleware switches the session to the other provider it knows — on the

@@ -89,7 +89,7 @@ fn artificial_quality_decay_triggers_handover_through_the_bridge() {
     );
     world.run_for(SimDuration::from_secs(80));
     let conn = world
-        .with_agent::<PeerHoodNode, _>(client, |n, _| n.app::<MessagingClient>().unwrap().conn)
+        .with_agent::<PeerHoodNode, _>(client, |n, _| n.app::<MessagingClient>().unwrap().session.conn())
         .unwrap()
         .expect("client connected");
     let link = world
