@@ -256,8 +256,6 @@ pub struct PictureServer {
     pub results_sent: u32,
     /// Number of clients that connected.
     pub clients: u32,
-    /// Number of sessions whose client disconnected before the upload ended.
-    pub interrupted_uploads: u32,
 }
 
 impl PictureServer {
@@ -272,7 +270,6 @@ impl PictureServer {
             next_token: 0,
             results_sent: 0,
             clients: 0,
-            interrupted_uploads: 0,
         }
     }
 
@@ -340,14 +337,6 @@ impl Application for PictureServer {
             let result = vec![0xCD; self.result_size];
             if api.send(conn, result).is_ok() {
                 self.results_sent += 1;
-            }
-        }
-    }
-
-    fn on_disconnected(&mut self, _api: &mut PeerHoodApi<'_>, conn: ConnectionId, _graceful: bool) {
-        if let Some(session) = self.sessions.get(&conn) {
-            if !session.done && !session.processing {
-                self.interrupted_uploads += 1;
             }
         }
     }

@@ -8,8 +8,12 @@
 //! it, with the exception of disconnects, which tear the pair down
 //! (Fig. 4.4).
 //!
-//! This module holds the pair table; the node glue performs the actual
-//! connects and sends.
+//! This module holds the pair table, one [`BridgePair`] per relayed
+//! connection, keyed by its end-to-end id. A leg's link role names the pair
+//! and the side (`LinkRole::Bridge{Upstream,Downstream}` in the node), so a
+//! relayed frame finds the other leg with one lookup
+//! ([`BridgePair::leg`]); the node glue performs the actual connects and
+//! sends.
 
 use serde::{Deserialize, Serialize};
 use simnet::table::IdTable;
@@ -37,12 +41,10 @@ impl BridgeSide {
     }
 }
 
-/// One relayed connection: a pair of legs identified by the end-to-end
-/// connection id.
+/// One relayed connection: a pair of legs, keyed in the table by the
+/// end-to-end connection id.
 #[derive(Debug, Clone)]
 pub struct BridgePair {
-    /// End-to-end connection identity.
-    pub conn_id: ConnectionId,
     /// Link towards the requester.
     pub upstream: LinkId,
     /// Link towards the destination (absent while the downstream leg is still
@@ -56,12 +58,16 @@ pub struct BridgePair {
     pub client: DeviceInfo,
     /// Forwarded reply-context (result routing).
     pub reply_context: Option<ConnectionId>,
-    /// True once the end-to-end PH_OK has passed through.
-    pub established: bool,
-    /// Bytes relayed through this pair (for the experiments' accounting).
-    pub relayed_bytes: u64,
-    /// Messages relayed through this pair.
-    pub relayed_messages: u64,
+}
+
+impl BridgePair {
+    /// The link of the leg on `side`, once that leg is connected.
+    pub fn leg(&self, side: BridgeSide) -> Option<LinkId> {
+        match side {
+            BridgeSide::Upstream => Some(self.upstream),
+            BridgeSide::Downstream => self.downstream,
+        }
+    }
 }
 
 /// The bridge service state: the capacity-limited pair table.
@@ -71,7 +77,6 @@ pub struct BridgeService {
     max_connections: usize,
     total_relayed_messages: u64,
     total_relayed_bytes: u64,
-    refused: u64,
 }
 
 impl BridgeService {
@@ -82,7 +87,6 @@ impl BridgeService {
             max_connections,
             total_relayed_messages: 0,
             total_relayed_bytes: 0,
-            refused: 0,
         }
     }
 
@@ -110,16 +114,6 @@ impl BridgeService {
         ((self.pairs.len() * 100) / self.max_connections).min(100) as u8
     }
 
-    /// Records a refused request (capacity or routing failure).
-    pub fn record_refusal(&mut self) {
-        self.refused += 1;
-    }
-
-    /// Number of refused bridge requests.
-    pub fn refused(&self) -> u64 {
-        self.refused
-    }
-
     /// Total messages relayed by this node.
     pub fn total_relayed_messages(&self) -> u64 {
         self.total_relayed_messages
@@ -143,16 +137,12 @@ impl BridgeService {
         self.pairs.insert(
             conn_id,
             BridgePair {
-                conn_id,
                 upstream,
                 downstream: None,
                 destination,
                 service: service.into(),
                 client,
                 reply_context,
-                established: false,
-                relayed_bytes: 0,
-                relayed_messages: 0,
             },
         );
     }
@@ -167,37 +157,15 @@ impl BridgeService {
         self.pairs.get_mut(&conn_id)
     }
 
-    /// Finds the pair one of whose legs is `link`, together with which side
-    /// the link is.
-    pub fn by_link(&self, link: LinkId) -> Option<(&BridgePair, BridgeSide)> {
-        self.pairs.values().find_map(|p| {
-            if p.upstream == link {
-                Some((p, BridgeSide::Upstream))
-            } else if p.downstream == Some(link) {
-                Some((p, BridgeSide::Downstream))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// The link on the opposite side of `link` within its pair, if the pair
-    /// is complete.
-    pub fn relay_target(&self, link: LinkId) -> Option<(ConnectionId, LinkId, BridgeSide)> {
-        let (pair, side) = self.by_link(link)?;
-        let other = match side {
-            BridgeSide::Upstream => pair.downstream?,
-            BridgeSide::Downstream => pair.upstream,
-        };
-        Some((pair.conn_id, other, side))
+    /// True while `link` is the leg on `side` of `conn_id`'s pair.
+    pub fn is_leg(&self, conn_id: ConnectionId, side: BridgeSide, link: LinkId) -> bool {
+        self.pairs
+            .get(&conn_id)
+            .is_some_and(|pair| pair.leg(side) == Some(link))
     }
 
     /// Accounts one relayed payload.
-    pub fn record_relay(&mut self, conn_id: ConnectionId, bytes: usize) {
-        if let Some(pair) = self.pairs.get_mut(&conn_id) {
-            pair.relayed_messages += 1;
-            pair.relayed_bytes += bytes as u64;
-        }
+    pub fn record_relay(&mut self, bytes: usize) {
         self.total_relayed_messages += 1;
         self.total_relayed_bytes += bytes as u64;
     }
@@ -248,8 +216,6 @@ mod tests {
         b.insert_pending(conn(1, 1), LinkId(2), addr(9), "s", client(), None);
         assert!(!b.has_capacity());
         assert_eq!(b.load_percent(), 100);
-        b.record_refusal();
-        assert_eq!(b.refused(), 1);
         let zero_cap = BridgeService::new(0);
         assert_eq!(zero_cap.load_percent(), 100);
     }
@@ -257,41 +223,35 @@ mod tests {
     #[test]
     fn pending_pair_has_no_relay_target_until_downstream_connects() {
         let (mut b, id) = service_with_one_pair();
-        assert!(b.relay_target(LinkId(10)).is_none());
+        let relay_target = |b: &BridgeService, side: BridgeSide| b.get(id).unwrap().leg(side.other());
+        assert_eq!(relay_target(&b, BridgeSide::Upstream), None);
+        assert_eq!(relay_target(&b, BridgeSide::Downstream), Some(LinkId(10)));
         b.get_mut(id).unwrap().downstream = Some(LinkId(20));
-        let (cid, other, side) = b.relay_target(LinkId(10)).unwrap();
-        assert_eq!(cid, id);
-        assert_eq!(other, LinkId(20));
-        assert_eq!(side, BridgeSide::Upstream);
-        let (_, other, side) = b.relay_target(LinkId(20)).unwrap();
-        assert_eq!(other, LinkId(10));
-        assert_eq!(side, BridgeSide::Downstream);
-        assert!(b.relay_target(LinkId(99)).is_none());
+        assert_eq!(relay_target(&b, BridgeSide::Upstream), Some(LinkId(20)));
+        assert_eq!(relay_target(&b, BridgeSide::Downstream), Some(LinkId(10)));
+        assert_eq!(BridgeSide::Upstream.other(), BridgeSide::Downstream);
+        assert_eq!(BridgeSide::Downstream.other(), BridgeSide::Upstream);
     }
 
     #[test]
     fn by_link_identifies_sides() {
         let (mut b, id) = service_with_one_pair();
         b.get_mut(id).unwrap().downstream = Some(LinkId(20));
-        assert_eq!(b.by_link(LinkId(10)).unwrap().1, BridgeSide::Upstream);
-        assert_eq!(b.by_link(LinkId(20)).unwrap().1, BridgeSide::Downstream);
-        assert!(b.by_link(LinkId(5)).is_none());
-        assert_eq!(BridgeSide::Upstream.other(), BridgeSide::Downstream);
-        assert_eq!(BridgeSide::Downstream.other(), BridgeSide::Upstream);
+        assert!(b.is_leg(id, BridgeSide::Upstream, LinkId(10)));
+        assert!(b.is_leg(id, BridgeSide::Downstream, LinkId(20)));
+        assert!(!b.is_leg(id, BridgeSide::Upstream, LinkId(20)));
+        assert!(!b.is_leg(id, BridgeSide::Downstream, LinkId(10)));
+        assert!(!b.is_leg(id, BridgeSide::Upstream, LinkId(5)));
+        assert!(!b.is_leg(conn(2, 0), BridgeSide::Upstream, LinkId(10)));
     }
 
     #[test]
     fn relay_accounting() {
-        let (mut b, id) = service_with_one_pair();
-        b.record_relay(id, 100);
-        b.record_relay(id, 50);
-        // Unknown pair still counts towards node totals (defensive).
-        b.record_relay(conn(2, 0), 10);
-        let pair = b.get(id).unwrap();
-        assert_eq!(pair.relayed_messages, 2);
-        assert_eq!(pair.relayed_bytes, 150);
-        assert_eq!(b.total_relayed_messages(), 3);
-        assert_eq!(b.total_relayed_bytes(), 160);
+        let mut b = BridgeService::new(4);
+        b.record_relay(100);
+        b.record_relay(50);
+        assert_eq!(b.total_relayed_messages(), 2);
+        assert_eq!(b.total_relayed_bytes(), 150);
     }
 
     #[test]

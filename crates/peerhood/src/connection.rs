@@ -1,19 +1,20 @@
-//! Application-level connections and the connection table.
+//! Application-level connections.
 //!
 //! The original library keeps an `iThreadList` of `ThreadInfo` records, one
-//! per virtual connection (Fig. 2.5). This module is its equivalent: every
-//! logical PeerHood connection — direct or bridged, outgoing or incoming —
-//! has an [`AppConnection`] entry that survives handovers, link breaks and
-//! re-establishments, because the entry is keyed by the end-to-end
-//! [`ConnectionId`] rather than by the underlying radio link.
+//! per virtual connection (Fig. 2.5). Here that list is the node core's
+//! `connections` table: every logical PeerHood connection — direct or
+//! bridged, outgoing or incoming — is one [`AppConnection`] record, owner
+//! included, that survives handovers, link breaks and re-establishments,
+//! because it is keyed by the end-to-end [`ConnectionId`] rather than by the
+//! underlying radio link.
 
 use serde::{Deserialize, Serialize};
-use simnet::table::IdTable;
-use simnet::{ConnectError, LinkId, RadioTech, SimTime};
+use simnet::{ConnectError, LinkId, RadioTech};
 
 use crate::device::DeviceInfo;
 use crate::handover::HandoverMonitor;
 use crate::ids::{ConnectionId, DeviceAddress};
+use crate::node::AppId;
 
 /// Establishment state of a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -149,10 +150,9 @@ pub struct AppConnection {
     pub reconnecting: bool,
     /// The current service-reconnection, or the last one once it is over.
     pub switch: Option<ProviderSwitch>,
-    /// When the connection entry was created.
-    pub created_at: SimTime,
-    /// When the connection was last established end-to-end.
-    pub established_at: Option<SimTime>,
+    /// The application every callback about the connection is routed to:
+    /// the one that opened it, or the one that registered its service.
+    pub owner: Option<AppId>,
 }
 
 impl AppConnection {
@@ -162,7 +162,7 @@ impl AppConnection {
         remote: DeviceAddress,
         service: impl Into<String>,
         kind: ConnKind,
-        now: SimTime,
+        owner: Option<AppId>,
     ) -> Self {
         AppConnection {
             id,
@@ -177,8 +177,7 @@ impl AppConnection {
             reconnect_attempts: 0,
             reconnecting: false,
             switch: None,
-            created_at: now,
-            established_at: None,
+            owner,
         }
     }
 
@@ -188,7 +187,7 @@ impl AppConnection {
         client: DeviceInfo,
         service: impl Into<String>,
         link: LinkId,
-        now: SimTime,
+        owner: Option<AppId>,
     ) -> Self {
         AppConnection {
             id,
@@ -203,8 +202,7 @@ impl AppConnection {
             reconnect_attempts: 0,
             reconnecting: false,
             switch: None,
-            created_at: now,
-            established_at: Some(now),
+            owner,
         }
     }
 
@@ -219,10 +217,9 @@ impl AppConnection {
     }
 
     /// Marks the connection established over `link`.
-    pub fn establish(&mut self, link: LinkId, now: SimTime) {
+    pub fn establish(&mut self, link: LinkId) {
         self.link = Some(link);
         self.state = ConnState::Established;
-        self.established_at = Some(now);
     }
 
     /// Marks the connection down, detaching the link.
@@ -254,8 +251,6 @@ pub struct ConnectionSnapshot {
     pub first_hop: Option<DeviceAddress>,
     /// Current value of the "sending" flag.
     pub sending: bool,
-    /// Number of routing-handover attempts performed so far.
-    pub handover_attempts: u32,
     /// The current or last service-reconnection spent a second chance (see
     /// [`ProviderSwitch`]): it did not land on its first dial, if it landed.
     pub switch_rescued: bool,
@@ -271,70 +266,22 @@ impl From<&AppConnection> for ConnectionSnapshot {
             bridged: matches!(c.kind, ConnKind::OutgoingBridged { .. }),
             first_hop: c.kind.first_hop(c.remote),
             sending: c.sending,
-            handover_attempts: c.monitor.as_ref().map(|m| m.attempts).unwrap_or(0),
             switch_rescued: c.switch.is_some_and(|s| s.rescued()),
         }
     }
 }
 
-/// The table of all logical connections of one node (the `iThreadList`).
-#[derive(Debug, Clone, Default)]
-pub struct ConnectionTable {
-    connections: IdTable<ConnectionId, AppConnection>,
-    next_counter: u32,
-}
+/// A node's connection-id allocator: ids it hands out are unique on the
+/// node and embed the initiating device.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ConnectionIds(u32);
 
-impl ConnectionTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        ConnectionTable::default()
-    }
-
-    /// Allocates the next locally unique connection id for `initiator`.
-    pub fn allocate_id(&mut self, initiator: DeviceAddress) -> ConnectionId {
-        let id = ConnectionId::new(initiator, self.next_counter);
-        self.next_counter += 1;
+impl ConnectionIds {
+    /// The next id of a connection `initiator` opens.
+    pub fn allocate(&mut self, initiator: DeviceAddress) -> ConnectionId {
+        let id = ConnectionId::new(initiator, self.0);
+        self.0 += 1;
         id
-    }
-
-    /// Inserts a connection entry.
-    pub fn insert(&mut self, connection: AppConnection) {
-        self.connections.insert(connection.id, connection);
-    }
-
-    /// Looks up a connection.
-    pub fn get(&self, id: ConnectionId) -> Option<&AppConnection> {
-        self.connections.get(&id)
-    }
-
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, id: ConnectionId) -> Option<&mut AppConnection> {
-        self.connections.get_mut(&id)
-    }
-
-    /// Removes an entry.
-    pub fn remove(&mut self, id: ConnectionId) -> Option<AppConnection> {
-        self.connections.remove(&id)
-    }
-
-    /// All connection ids (in id order).
-    pub fn ids(&self) -> Vec<ConnectionId> {
-        self.connections.keys().collect()
-    }
-
-    /// Iterates over the connections.
-    pub fn iter(&self) -> impl Iterator<Item = &AppConnection> {
-        self.connections.values()
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.connections.len()
-    }
-
-    /// True if no connection exists.
-    pub fn is_empty(&self) -> bool {
-        self.connections.is_empty()
     }
 }
 
@@ -359,9 +306,9 @@ mod tests {
 
     #[test]
     fn id_allocation_is_unique_and_embeds_initiator() {
-        let mut table = ConnectionTable::new();
-        let a = table.allocate_id(addr(7));
-        let b = table.allocate_id(addr(7));
+        let mut ids = ConnectionIds::default();
+        let a = ids.allocate(addr(7));
+        let b = ids.allocate(addr(7));
         assert_ne!(a, b);
         assert_eq!(a.initiator(), addr(7));
     }
@@ -373,14 +320,13 @@ mod tests {
             addr(9),
             "echo",
             ConnKind::OutgoingBridged { bridge: addr(5) },
-            SimTime::ZERO,
+            None,
         );
         assert!(conn.is_outgoing());
         assert!(!conn.is_established());
         assert_eq!(conn.kind.first_hop(conn.remote), Some(addr(5)));
-        conn.establish(LinkId(3), SimTime::from_secs(4));
+        conn.establish(LinkId(3));
         assert!(conn.is_established());
-        assert_eq!(conn.established_at, Some(SimTime::from_secs(4)));
         conn.mark_closed();
         assert_eq!(conn.state, ConnState::Closed);
         assert!(conn.link.is_none());
@@ -393,7 +339,7 @@ mod tests {
             addr(9),
             "echo",
             ConnKind::OutgoingDirect,
-            SimTime::ZERO,
+            None,
         );
         conn.state = ConnState::Failed;
         conn.mark_closed();
@@ -407,7 +353,7 @@ mod tests {
             client_info(2),
             "picture-analysis",
             LinkId(1),
-            SimTime::ZERO,
+            None,
         );
         assert!(!conn.is_outgoing());
         assert!(conn.is_established());
@@ -420,36 +366,19 @@ mod tests {
     }
 
     #[test]
-    fn table_lookup_by_id_and_link() {
-        let mut table = ConnectionTable::new();
-        let id = table.allocate_id(addr(1));
-        let mut conn = AppConnection::outgoing(id, addr(9), "echo", ConnKind::OutgoingDirect, SimTime::ZERO);
-        conn.establish(LinkId(42), SimTime::ZERO);
-        table.insert(conn);
-        assert_eq!(table.len(), 1);
-        assert_eq!(table.get(id).unwrap().link, Some(LinkId(42)));
-        table.get_mut(id).unwrap().sending = false;
-        assert!(!table.get(id).unwrap().sending);
-        assert_eq!(table.ids(), vec![id]);
-        assert!(table.remove(id).is_some());
-        assert!(table.is_empty());
-    }
-
-    #[test]
     fn snapshot_reflects_connection() {
         let mut conn = AppConnection::outgoing(
             ConnectionId::new(addr(1), 3),
             addr(9),
             "echo",
             ConnKind::OutgoingBridged { bridge: addr(4) },
-            SimTime::ZERO,
+            None,
         );
         conn.sending = false;
         let snap = ConnectionSnapshot::from(&conn);
         assert!(snap.bridged);
         assert!(!snap.sending);
         assert_eq!(snap.state, ConnState::Connecting);
-        assert_eq!(snap.handover_attempts, 0);
         assert_eq!(snap.service, "echo");
     }
 }

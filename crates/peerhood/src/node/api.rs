@@ -20,7 +20,7 @@ use crate::service::ServiceInfo;
 use crate::storage::{StorageStats, StoredDevice};
 
 use super::pending::LinkRole;
-use super::{token, AppId, Core, KIND_APP};
+use super::{AppId, Core, Timer};
 
 /// Handle applications (and scenario drivers) use to act on the middleware.
 ///
@@ -28,8 +28,8 @@ use super::{token, AppId, Core, KIND_APP};
 /// (services registered and connections opened through it belong to that
 /// application). It is **routing, not sandboxing**: applications on one
 /// device are mutually trusted, as in the original library where they share
-/// one daemon, so mutating operations (`send`, `close`, `set_sending`,
-/// `unregister_service`) accept any connection or service on the node.
+/// one daemon, so mutating operations (`send`, `close`, `set_sending`)
+/// accept any connection on the node.
 pub struct PeerHoodApi<'a> {
     pub(crate) core: &'a mut Core,
     pub(crate) ctx: &'a mut dyn Ctx,
@@ -74,15 +74,6 @@ impl PeerHoodApi<'_> {
             self.core.service_owner.insert(name, app);
         }
         Ok(())
-    }
-
-    /// Unregisters an application service.
-    pub fn unregister_service(&mut self, name: &str) -> Option<ServiceInfo> {
-        let removed = self.core.registry.unregister(name);
-        if removed.is_some() {
-            self.core.service_owner.remove(name);
-        }
-        removed
     }
 
     /// `GetDeviceList`: every remote device currently in the storage.
@@ -160,33 +151,19 @@ impl PeerHoodApi<'_> {
 
     /// Snapshot of one connection.
     pub fn connection(&self, conn: ConnectionId) -> Option<ConnectionSnapshot> {
-        self.core.connections.get(conn).map(ConnectionSnapshot::from)
+        self.core.connections.get(&conn).map(ConnectionSnapshot::from)
     }
 
     /// Snapshots of all connections.
     pub fn connections(&self) -> Vec<ConnectionSnapshot> {
-        self.core.connections.iter().map(ConnectionSnapshot::from).collect()
-    }
-
-    /// Samples the link quality of an established connection.
-    pub fn connection_quality(&mut self, conn: ConnectionId) -> Option<u8> {
-        let link = self.core.connections.get(conn)?.link?;
-        self.ctx.link_quality(link)
+        self.core.connections.values().map(ConnectionSnapshot::from).collect()
     }
 
     /// Schedules an application timer delivered through
     /// [`Application::on_timer`](crate::application::Application::on_timer)
     /// to the scheduling application.
-    pub fn schedule_timer(&mut self, after: SimDuration, token_value: u64) {
-        let key = self.core.next_app_timer;
-        self.core.next_app_timer += 1;
-        self.core.app_timers.insert(key, (self.app, token_value));
-        self.ctx.schedule(after, token(KIND_APP, key));
-    }
-
-    /// The bridge service load of this node (0-100).
-    pub fn bridge_load_percent(&self) -> u8 {
-        self.core.bridge.load_percent()
+    pub fn schedule_timer(&mut self, after: SimDuration, token: u64) {
+        self.core.schedule(self.ctx, after, Timer::App(self.app, token));
     }
 }
 
@@ -214,16 +191,13 @@ impl Core {
         if !self.resilience.allow_dial(peers, first_hop, ctx.now()) {
             return Err(PeerHoodError::CircuitOpen(first_hop));
         }
-        let conn = self.connections.allocate_id(self.my_address());
+        let conn = self.connection_ids.allocate(self.my_address());
         let kind = ConnKind::outgoing(route.bridge);
-        let mut connection = AppConnection::outgoing(conn, target, service, kind, ctx.now());
+        let mut connection = AppConnection::outgoing(conn, target, service, kind, owner);
         if self.config.handover.enabled {
             connection.monitor = Some(HandoverMonitor::new(self.config.monitor.quality_threshold));
         }
-        self.connections.insert(connection);
-        if let Some(owner) = owner {
-            self.conn_owner.insert(conn, owner);
-        }
+        self.connections.insert(conn, connection);
         self.connect_hop(ctx, first_hop, LinkRole::AppConnection(conn));
         Ok(conn)
     }
@@ -248,7 +222,7 @@ impl Core {
         conn: ConnectionId,
         payload: Vec<u8>,
     ) -> Result<(), PeerHoodError> {
-        let (established, outgoing, link) = match self.connections.get(conn) {
+        let (established, outgoing, link) = match self.connections.get(&conn) {
             Some(c) => (c.is_established(), c.is_outgoing(), c.link),
             None => return Err(PeerHoodError::UnknownConnection(conn)),
         };
@@ -269,7 +243,7 @@ impl Core {
             // start result routing (§5.3 / Fig. 5.10). The outbox cap bounds
             // how much a dead client's results may occupy; shed results are
             // reported to the owning application instead of queued silently.
-            let queued = self.connections.get(conn).map_or(0, |c| c.outbox.len());
+            let queued = self.connections.get(&conn).map_or(0, |c| c.outbox.len());
             if !self.resilience.allow_queued(queued) {
                 self.events.push_back(super::PeerHoodEvent::Shed {
                     app: owner,
@@ -278,7 +252,7 @@ impl Core {
                 });
                 return Err(PeerHoodError::Overloaded(conn));
             }
-            if let Some(c) = self.connections.get_mut(conn) {
+            if let Some(c) = self.connections.get_mut(&conn) {
                 c.outbox.push(payload);
             }
             self.try_reply_reconnect(ctx, conn);
@@ -288,7 +262,7 @@ impl Core {
     }
 
     pub(crate) fn op_close(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
-        if let Some(c) = self.connections.remove(conn) {
+        if let Some(c) = self.connections.remove(&conn) {
             if let Some(link) = c.link {
                 self.hang_up(ctx, link, conn);
             }
@@ -298,11 +272,10 @@ impl Core {
             self.drop_left_routes(ctx, conn);
             self.drop_replacement_routes(ctx, conn);
         }
-        self.conn_owner.remove(&conn);
     }
 
     pub(crate) fn op_set_sending(&mut self, conn: ConnectionId, sending: bool) -> Result<(), PeerHoodError> {
-        match self.connections.get_mut(conn) {
+        match self.connections.get_mut(&conn) {
             Some(c) => {
                 c.sending = sending;
                 Ok(())

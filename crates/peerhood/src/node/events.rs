@@ -157,22 +157,6 @@ pub enum PeerHoodEvent {
 }
 
 impl PeerHoodEvent {
-    /// The connection the event concerns, if any.
-    pub fn connection(&self) -> Option<ConnectionId> {
-        match self {
-            PeerHoodEvent::PeerConnected { conn, .. }
-            | PeerHoodEvent::Connected { conn, .. }
-            | PeerHoodEvent::ConnectFailed { conn, .. }
-            | PeerHoodEvent::Data { conn, .. }
-            | PeerHoodEvent::Disconnected { conn, .. }
-            | PeerHoodEvent::ConnectionChanged { conn, .. }
-            | PeerHoodEvent::ServiceReconnected { conn, .. }
-            | PeerHoodEvent::ReconnectRequired { conn, .. }
-            | PeerHoodEvent::Shed { conn, .. } => Some(*conn),
-            _ => None,
-        }
-    }
-
     /// The application the event targets, if it targets exactly one.
     pub fn app(&self) -> Option<AppId> {
         match self {

@@ -20,8 +20,8 @@ use std::collections::BTreeSet;
 
 use simnet::agent::Agent;
 use simnet::{
-    Ctx, FrameForge, IncomingConnection, LinkId, MobilityModel, NodeId, OnWorld, Payload, Point, RadioTech,
-    SimDuration, SimRng, World, WorldConfig,
+    FrameForge, IncomingConnection, LinkId, MobilityModel, NodeId, OnWorld, Payload, Point, RadioTech, SimDuration,
+    SimRng, World, WorldConfig,
 };
 
 use crate::application::Application;
@@ -203,7 +203,6 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
             let aux = LinkId(next_link + 1);
             world
                 .with_agent::<PeerHoodNode, _>(victim, |n, ctx| {
-                    let now = ctx.now();
                     let core = n.core_mut().expect("node started");
                     let attacker_addr = DeviceAddress::from_node(attacker_node());
                     // Each job gets a fresh session id so state torn down by
@@ -233,17 +232,12 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
                     match role {
                         LinkRole::IncomingUnidentified | LinkRole::DaemonFetch { .. } | LinkRole::DaemonServe => {}
                         LinkRole::AppConnection(conn) => {
-                            core.connections
-                                .insert(AppConnection::incoming(conn, attacker_info(), "svc", link, now));
+                            let entry = AppConnection::incoming(conn, attacker_info(), "svc", link, None);
+                            core.connections.insert(conn, entry);
                         }
                         LinkRole::HandoverPending { conn, via, .. } => {
-                            core.connections.insert(AppConnection::outgoing(
-                                conn,
-                                via,
-                                "svc",
-                                ConnKind::OutgoingDirect,
-                                now,
-                            ));
+                            let entry = AppConnection::outgoing(conn, via, "svc", ConnKind::OutgoingDirect, None);
+                            core.connections.insert(conn, entry);
                         }
                         LinkRole::BridgeUpstream(conn) => {
                             core.bridge
@@ -329,8 +323,7 @@ fn run_matrix(tier: SecurityConfig) -> MatrixOutcome {
             let core = n.core_mut().expect("node started");
             let hijacked = core
                 .connections
-                .ids()
-                .iter()
+                .keys()
                 .filter(|c| c.initiator() == phantom_addr())
                 .count();
             let poisoned = core.storage.get(phantom_addr()).is_some()
@@ -456,11 +449,9 @@ fn a_frame_one_defence_refuses_never_reaches_the_next() {
     world
         .with_agent::<PeerHoodNode, _>(victim, |n, ctx| {
             let app = n.app_ids()[0];
-            let now = ctx.now();
             let core = n.core_mut().expect("node started");
-            core.connections
-                .insert(AppConnection::incoming(session, attacker_info(), "svc", link, now));
-            core.conn_owner.insert(session, app);
+            let entry = AppConnection::incoming(session, attacker_info(), "svc", link, Some(app));
+            core.connections.insert(session, entry);
             core.roles
                 .insert(link, (LinkRole::AppConnection(session), RadioTech::Bluetooth));
             for _ in 0..flood {

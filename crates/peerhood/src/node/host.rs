@@ -151,7 +151,7 @@ impl PeerHoodNode {
     pub fn connection(&self, conn: ConnectionId) -> Option<ConnectionSnapshot> {
         self.core
             .as_ref()
-            .and_then(|c| c.connections.get(conn))
+            .and_then(|c| c.connections.get(&conn))
             .map(ConnectionSnapshot::from)
     }
 
@@ -159,7 +159,7 @@ impl PeerHoodNode {
     pub fn connections(&self) -> Vec<ConnectionSnapshot> {
         self.core
             .as_ref()
-            .map(|c| c.connections.iter().map(ConnectionSnapshot::from).collect())
+            .map(|c| c.connections.values().map(ConnectionSnapshot::from).collect())
             .unwrap_or_default()
     }
 
@@ -169,7 +169,7 @@ impl PeerHoodNode {
     pub fn connection_link(&self, conn: ConnectionId) -> Option<LinkId> {
         self.core
             .as_ref()
-            .and_then(|c| c.connections.get(conn))
+            .and_then(|c| c.connections.get(&conn))
             .and_then(|c| c.link)
     }
 
@@ -511,7 +511,7 @@ impl Agent for PeerHoodNode {
                 let (roles, connections) = (&core.roles, &core.connections);
                 let active = || {
                     let half_open = roles.values().filter(|r| r.0 == LinkRole::IncomingUnidentified);
-                    let served = connections.iter().filter(|c| !c.is_outgoing() && c.is_established());
+                    let served = connections.values().filter(|c| !c.is_outgoing() && c.is_established());
                     half_open.count() + served.count()
                 };
                 let peers = &mut core.security.peers;

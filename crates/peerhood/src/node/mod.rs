@@ -3,8 +3,9 @@
 //! [`PeerHoodNode`] implements [`simnet::agent::Agent`] and owns the whole
 //! middleware stack of one device — the daemon's device storage, service
 //! registry and discovery plugins (Fig. 2.3), the role of every radio link
-//! (the engine of §4.1), the connection table, bridge service and handover
-//! machinery — plus the registry of
+//! (the engine of §4.1), one record per logical connection (the
+//! `iThreadList`), one per relayed bridge pair, the timers the middleware
+//! owns and the handover machinery — plus the registry of
 //! [`Application`](crate::application::Application)s running on top of it.
 //! Applications act on the middleware through [`PeerHoodApi`] and receive
 //! their callbacks through the typed [`PeerHoodEvent`] dispatch layer.
@@ -33,11 +34,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use simnet::table::IdTable;
-use simnet::{AttemptId, Ctx, LinkId, RadioTech, TimerToken};
+use simnet::{AttemptId, Ctx, LinkId, RadioTech, SimDuration, TimerToken};
 
 use crate::bridge::BridgeService;
 use crate::config::PeerHoodConfig;
-use crate::connection::ConnectionTable;
+use crate::connection::{AppConnection, ConnectionIds};
 use crate::device::DeviceInfo;
 use crate::error::ErrorCode;
 use crate::ids::{ConnectionId, DeviceAddress};
@@ -66,12 +67,21 @@ pub use host::{PeerHoodNode, PeerHoodNodeBuilder};
 const KIND_SHIFT: u64 = 56;
 const KIND_INQUIRY: u64 = 1;
 const KIND_MONITOR: u64 = 2;
-const KIND_APP: u64 = 3;
-const KIND_RETRY: u64 = 4;
+/// The payload is a key of `Core::timers`.
+const KIND_TABLE: u64 = 3;
 const PAYLOAD_MASK: u64 = (1 << KIND_SHIFT) - 1;
 
 fn token(kind: u64, payload: u64) -> TimerToken {
     TimerToken((kind << KIND_SHIFT) | (payload & PAYLOAD_MASK))
+}
+
+/// A one-shot timer the core keeps in its table until it fires.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Timer {
+    /// An application timer: the scheduling app and its full 64-bit token.
+    App(Option<AppId>, u64),
+    /// The next result-routing reconnect of a server's connection (§5.3).
+    ReplyRetry(ConnectionId),
 }
 
 /// Everything the node owns once started: the middleware state shared by the
@@ -90,26 +100,24 @@ pub(crate) struct Core {
     /// What each live radio link is used for, so its payloads and its
     /// disconnect reach the right flow, and the radio it came up on.
     pub(crate) roles: IdTable<LinkId, (LinkRole, RadioTech)>,
-    pub(crate) connections: ConnectionTable,
+    /// Every logical connection, owner included (the `iThreadList`).
+    pub(crate) connections: IdTable<ConnectionId, AppConnection>,
+    /// Hands out the ids of the connections this node opens.
+    pub(crate) connection_ids: ConnectionIds,
+    /// The relayed pairs, one per bridged connection.
     pub(crate) bridge: BridgeService,
     /// Radio connects in flight, each with the role its link takes once up.
     pub(crate) pending: IdTable<AttemptId, LinkRole>,
-    pub(crate) retry_conns: IdTable<u64, ConnectionId>,
-    pub(crate) next_retry_token: u64,
-    /// In-flight application timers, keyed by the sequential payload carried
-    /// in the simulator timer. The indirection preserves the full 64-bit
-    /// application token and the scheduling [`AppId`].
-    pub(crate) app_timers: IdTable<u64, (Option<AppId>, u64)>,
-    pub(crate) next_app_timer: u64,
+    /// One-shot timers in flight, keyed by the sequential payload of their
+    /// simulator token, which cannot carry an app's full 64-bit token.
+    pub(crate) timers: IdTable<u64, Timer>,
+    pub(crate) next_timer: u64,
     /// Typed events queued during protocol processing and dispatched by the
     /// host once the middleware state is consistent.
     pub(crate) events: VecDeque<PeerHoodEvent>,
     /// Which application registered each local service (incoming connections
     /// to that service are routed to it).
     pub(crate) service_owner: BTreeMap<String, AppId>,
-    /// Which application owns each logical connection (all per-connection
-    /// callbacks are routed to it).
-    pub(crate) conn_owner: IdTable<ConnectionId, AppId>,
     /// Routing handovers completed that the monitor started while the old
     /// link was up (Fig. 5.5, state 1 → 2).
     pub(crate) handovers_before_break: u64,
@@ -151,16 +159,14 @@ impl Core {
             plugins: config.techs.iter().map(|&tech| PluginState::new(tech)).collect(),
             info,
             roles: IdTable::default(),
-            connections: ConnectionTable::new(),
+            connections: IdTable::default(),
+            connection_ids: ConnectionIds::default(),
             bridge: BridgeService::new(config.bridge.max_connections),
             pending: IdTable::default(),
-            retry_conns: IdTable::default(),
-            next_retry_token: 0,
-            app_timers: IdTable::default(),
-            next_app_timer: 0,
+            timers: IdTable::default(),
+            next_timer: 0,
             events: VecDeque::new(),
             service_owner: BTreeMap::new(),
-            conn_owner: IdTable::default(),
             handovers_before_break: 0,
             handovers_after_break: 0,
             reply_reconnections: 0,
@@ -186,7 +192,15 @@ impl Core {
 
     /// The application owning a connection, if any.
     pub(crate) fn owner_of(&self, conn: ConnectionId) -> Option<AppId> {
-        self.conn_owner.get(&conn).copied()
+        self.connections.get(&conn).and_then(|c| c.owner)
+    }
+
+    /// Has `timer` fire `after` from now.
+    pub(crate) fn schedule(&mut self, ctx: &mut dyn Ctx, after: SimDuration, timer: Timer) {
+        let key = self.next_timer;
+        self.next_timer += 1;
+        self.timers.insert(key, timer);
+        ctx.schedule(after, token(KIND_TABLE, key));
     }
 
     /// Radio technology to use towards a device (first configured technology

@@ -16,7 +16,7 @@ use crate::error::{ErrorCode, PeerHoodError};
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::proto::Message;
 
-use super::{token, Core, PeerHoodEvent, KIND_RETRY};
+use super::{Core, PeerHoodEvent, Timer};
 
 /// Reconnect attempts a server makes to return results to a disconnected
 /// client (result routing, §5.3) before it gives the connection up.
@@ -153,7 +153,7 @@ impl Core {
                 // any other is a server reconnecting to its client (§5.3).
                 let reply = conn.initiator() != self.my_address();
                 let client = self.my_info();
-                self.connections.get_mut(conn).map(|c| {
+                self.connections.get_mut(&conn).map(|c| {
                     c.link = Some(link);
                     c.state = ConnState::AwaitingAccept;
                     let direct = if reply {
@@ -176,7 +176,7 @@ impl Core {
                 )
             }),
             LinkRole::HandoverPending { conn, via, .. } if self.switch_in_flight(conn) => {
-                self.connections.get(conn).map(|c| {
+                self.connections.get(&conn).map(|c| {
                     let target = self.handover_destination(c);
                     open_request(conn, via == target, target, c.service.clone(), self.my_info(), None)
                 })
@@ -235,7 +235,7 @@ impl Core {
                 }
             }
             LinkRole::AppConnection(conn) => {
-                if let Some(c) = self.connections.get_mut(conn) {
+                if let Some(c) = self.connections.get_mut(&conn) {
                     c.state = ConnState::Closed;
                     c.link = None;
                 }
@@ -259,7 +259,7 @@ impl Core {
     /// Our own connection `conn` cannot be established: it is failed, and
     /// its app hears `error`.
     pub(crate) fn fail_connection(&mut self, conn: ConnectionId, error: ConnectError) {
-        if let Some(c) = self.connections.get_mut(conn) {
+        if let Some(c) = self.connections.get_mut(&conn) {
             c.state = ConnState::Failed;
             c.link = None;
         }
@@ -288,7 +288,7 @@ impl Core {
     ) -> bool {
         let Some(switch) = self
             .connections
-            .get_mut(conn)
+            .get_mut(&conn)
             .filter(|c| c.reconnecting)
             .and_then(|c| c.switch.as_mut())
         else {
@@ -308,7 +308,7 @@ impl Core {
     }
 
     pub(crate) fn schedule_reply_retry(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
-        let attempts = match self.connections.get_mut(conn) {
+        let attempts = match self.connections.get_mut(&conn) {
             Some(c) => {
                 c.reconnect_attempts += 1;
                 c.reconnect_attempts
@@ -323,14 +323,11 @@ impl Core {
             });
             return;
         }
-        let token_payload = self.next_retry_token;
-        self.next_retry_token += 1;
-        self.retry_conns.insert(token_payload, conn);
-        ctx.schedule(REPLY_RETRY_INTERVAL, token(KIND_RETRY, token_payload));
+        self.schedule(ctx, REPLY_RETRY_INTERVAL, Timer::ReplyRetry(conn));
     }
 
     pub(crate) fn try_reply_reconnect(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
-        let (established, remote, has_outbox) = match self.connections.get(conn) {
+        let (established, remote, has_outbox) = match self.connections.get(&conn) {
             Some(c) => (c.is_established(), c.remote, !c.outbox.is_empty()),
             None => return,
         };
@@ -348,7 +345,7 @@ impl Core {
             self.schedule_reply_retry(ctx, conn);
             return;
         }
-        if let Some(c) = self.connections.get_mut(conn) {
+        if let Some(c) = self.connections.get_mut(&conn) {
             c.state = ConnState::Connecting;
         }
     }

@@ -22,7 +22,7 @@ use crate::service::BRIDGE_SERVICE_NAME;
 use crate::wire;
 
 use super::pending::LinkRole;
-use super::{token, Core, PeerHoodEvent, KIND_APP, KIND_INQUIRY, KIND_MONITOR, KIND_RETRY, KIND_SHIFT, PAYLOAD_MASK};
+use super::{token, Core, PeerHoodEvent, Timer, KIND_INQUIRY, KIND_MONITOR, KIND_SHIFT, KIND_TABLE, PAYLOAD_MASK};
 
 impl Core {
     pub(crate) fn send_frame(&mut self, ctx: &mut dyn Ctx, link: LinkId, message: &Message) {
@@ -129,19 +129,11 @@ impl Core {
                 self.monitor_pass(ctx);
                 ctx.schedule(self.config.monitor.interval, token(KIND_MONITOR, 0));
             }
-            KIND_APP => {
-                if let Some((app, token_value)) = self.app_timers.remove(&payload) {
-                    self.events.push_back(PeerHoodEvent::Timer {
-                        app,
-                        token: token_value,
-                    });
-                }
-            }
-            KIND_RETRY => {
-                if let Some(conn) = self.retry_conns.remove(&payload) {
-                    self.try_reply_reconnect(ctx, conn);
-                }
-            }
+            KIND_TABLE => match self.timers.remove(&payload) {
+                Some(Timer::App(app, token)) => self.events.push_back(PeerHoodEvent::Timer { app, token }),
+                Some(Timer::ReplyRetry(conn)) => self.try_reply_reconnect(ctx, conn),
+                None => {}
+            },
             _ => {}
         }
     }
@@ -189,7 +181,7 @@ impl Core {
             plugin.inquiries.push_back(InquiryKind::Search);
             ctx.start_inquiry(tech);
         }
-        if let Some(switch) = self.connections.get_mut(conn).and_then(|c| c.switch.as_mut()) {
+        if let Some(switch) = self.connections.get_mut(&conn).and_then(|c| c.switch.as_mut()) {
             switch.searching = Some((tech, refusal));
         }
         true
@@ -205,12 +197,12 @@ impl Core {
     fn serve_searches(&mut self, tech: RadioTech, hits: &[InquiryHit]) {
         let searching: Vec<ConnectionId> = self
             .connections
-            .iter()
+            .values()
             .filter(|c| c.switch.is_some_and(|s| s.searching.is_some_and(|(t, _)| t == tech)))
             .map(|c| c.id)
             .collect();
         for conn in searching {
-            let Some(c) = self.connections.get_mut(conn) else {
+            let Some(c) = self.connections.get_mut(&conn) else {
                 continue;
             };
             let Some(switch) = c.switch.as_mut() else {
@@ -397,8 +389,7 @@ impl Core {
         client: DeviceInfo,
         reply_context: Option<ConnectionId>,
     ) {
-        let now = ctx.now();
-        let known = self.connections.get(conn_id).is_some() || self.bridge.get(conn_id).is_some();
+        let known = self.connections.get(&conn_id).is_some() || self.bridge.get(conn_id).is_some();
         let (me, security) = (self.info.address, &mut self.security);
         if !security.admits_connect_request(me, client.address, conn_id, reply_context, known) {
             self.drop_link(ctx, link);
@@ -415,13 +406,13 @@ impl Core {
         // are stale (`handle_app_message`), and if the new route dies first
         // the old one goes with it (`app_link_lost`).
         let known = match reply_context {
-            Some(orig) if self.connections.get(orig).is_some() => Some((orig, false)),
-            _ if self.connections.get(conn_id).is_some() => Some((conn_id, true)),
+            Some(orig) if self.connections.get(&orig).is_some() => Some((orig, false)),
+            _ if self.connections.get(&conn_id).is_some() => Some((conn_id, true)),
             _ => None,
         };
         if let Some((conn, flush)) = known {
             if flush {
-                self.attach_link(ctx, conn, link);
+                self.attach_link(conn, link);
             } else {
                 self.adopt_link(ctx, conn, link);
             }
@@ -448,16 +439,13 @@ impl Core {
         }
         // Case 4: a brand-new incoming connection to one of our services.
         if self.registry.find(&service).is_some() {
-            let connection = AppConnection::incoming(conn_id, client.clone(), service.clone(), link, now);
-            self.connections.insert(connection);
-            self.set_role(link, LinkRole::AppConnection(conn_id));
-            self.send_frame(ctx, link, &Message::Accept { conn_id });
             // Route the new connection to the application that registered
             // the service.
             let owner = self.service_owner.get(&service).copied();
-            if let Some(owner) = owner {
-                self.conn_owner.insert(conn_id, owner);
-            }
+            let connection = AppConnection::incoming(conn_id, client.clone(), service.clone(), link, owner);
+            self.connections.insert(conn_id, connection);
+            self.set_role(link, LinkRole::AppConnection(conn_id));
+            self.send_frame(ctx, link, &Message::Accept { conn_id });
             self.events.push_back(PeerHoodEvent::PeerConnected {
                 app: owner,
                 conn: conn_id,
@@ -472,11 +460,10 @@ impl Core {
 
     /// Moves `conn` onto `link` and classifies `link` as the connection's;
     /// returns the link it was on, if another. That link keeps its role.
-    fn attach_link(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, link: LinkId) -> Option<LinkId> {
-        let now = ctx.now();
-        let old = self.connections.get_mut(conn).and_then(|c| {
+    fn attach_link(&mut self, conn: ConnectionId, link: LinkId) -> Option<LinkId> {
+        let old = self.connections.get_mut(&conn).and_then(|c| {
             let old = c.link;
-            c.establish(link, now);
+            c.establish(link);
             old
         });
         self.set_role(link, LinkRole::AppConnection(conn));
@@ -485,7 +472,7 @@ impl Core {
 
     /// Moves `conn` onto `link` and drops the link it was on, if another.
     fn adopt_link(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, link: LinkId) {
-        if let Some(old) = self.attach_link(ctx, conn, link) {
+        if let Some(old) = self.attach_link(conn, link) {
             self.drop_link(ctx, old);
         }
     }
@@ -543,7 +530,6 @@ impl Core {
             return;
         }
         if !self.config.bridge.enabled || !self.bridge.has_capacity() {
-            self.bridge.record_refusal();
             let detail = "bridge service unavailable or at capacity".into();
             self.refuse(ctx, link, conn_id, ErrorCode::BridgeBusy, detail);
             return;
@@ -556,7 +542,6 @@ impl Core {
             .get(destination)
             .map(|entry| entry.route.first_hop(destination));
         let Some(hop) = next_hop.filter(|&hop| !self.security.refuses_reflection(hop, from)) else {
-            self.bridge.record_refusal();
             let detail = format!("no route to {destination}");
             self.refuse(ctx, link, conn_id, ErrorCode::NoRouteToDestination, detail);
             return;
@@ -590,7 +575,7 @@ impl Core {
         // have been handed over to a different link).
         let is_current = self
             .connections
-            .get(conn)
+            .get(&conn)
             .map(|c| c.link == Some(link))
             .unwrap_or(false);
         if !is_current {
@@ -604,10 +589,9 @@ impl Core {
         }
         match message {
             Message::Accept { .. } => {
-                let now = ctx.now();
-                let (fire, reconnected_to) = match self.connections.get_mut(conn) {
+                let (fire, reconnected_to) = match self.connections.get_mut(&conn) {
                     Some(c) if c.state == ConnState::AwaitingAccept => {
-                        c.establish(link, now);
+                        c.establish(link);
                         if c.reconnecting {
                             c.reconnecting = false;
                             (true, Some(c.remote))
@@ -618,7 +602,7 @@ impl Core {
                     _ => (false, None),
                 };
                 if fire {
-                    let is_incoming = self.connections.get(conn).map(|c| !c.is_outgoing()).unwrap_or(false);
+                    let is_incoming = self.connections.get(&conn).map(|c| !c.is_outgoing()).unwrap_or(false);
                     let app = self.owner_of(conn);
                     if is_incoming {
                         // Server reply channel established: deliver queued results.
@@ -636,13 +620,13 @@ impl Core {
                 }
             }
             Message::Error { code, detail, .. } => {
-                let outgoing = self.connections.get(conn).map(|c| c.is_outgoing()).unwrap_or(true);
+                let outgoing = self.connections.get(&conn).map(|c| c.is_outgoing()).unwrap_or(true);
                 // A failed outgoing attempt points back at whoever vouched
                 // for it (§3.4.3 hardening).
-                if let Some(c) = self.connections.get(conn).filter(|_| outgoing) {
+                if let Some(c) = self.connections.get(&conn).filter(|_| outgoing) {
                     self.security.blame_refusal(&code, c);
                 }
-                if let Some(c) = self.connections.get_mut(conn) {
+                if let Some(c) = self.connections.get_mut(&conn) {
                     c.link = None;
                     c.state = if outgoing { ConnState::Failed } else { ConnState::Closed };
                 }
@@ -687,7 +671,7 @@ impl Core {
     /// app was told is closed. A dial for the switch still in flight is
     /// dropped once it lands (`handle_connected`).
     fn peer_closed(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
-        if let Some(monitor) = self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
+        if let Some(monitor) = self.connections.get_mut(&conn).and_then(|c| c.monitor.as_mut()) {
             if monitor.is_switching() {
                 monitor.switch_failed();
                 self.drop_replacement_routes(ctx, conn);
@@ -712,7 +696,7 @@ impl Core {
         match message {
             Message::Accept { .. } => {
                 self.adopt_link(ctx, conn, link);
-                if let Some(c) = self.connections.get_mut(conn) {
+                if let Some(c) = self.connections.get_mut(&conn) {
                     // Record the route actually built. `via` travelled with
                     // the link role from the moment the switch began, so a
                     // candidate refreshed (or consumed) while the replacement
@@ -753,32 +737,22 @@ impl Core {
         body: &[u8],
         carrier: &Payload,
     ) {
-        // Ignore traffic on legs that are no longer part of the pair.
-        let current = match self.bridge.get(conn) {
-            Some(pair) => match side {
-                BridgeSide::Upstream => pair.upstream == link,
-                BridgeSide::Downstream => pair.downstream == Some(link),
-            },
-            None => false,
-        };
-        if !current {
+        // The link's role named the pair and the side; traffic on a leg the
+        // pair has left is ignored.
+        let Some(pair) = self.bridge.get(conn).filter(|pair| pair.leg(side) == Some(link)) else {
             return;
-        }
+        };
+        let (upstream, other) = (pair.upstream, pair.leg(side.other()));
         match message {
             Message::Accept { .. } if side == BridgeSide::Downstream => {
-                if let Some(pair) = self.bridge.get_mut(conn) {
-                    pair.established = true;
-                }
-                if let Some(upstream) = self.bridge.get(conn).map(|p| p.upstream) {
-                    self.send_frame(ctx, upstream, &Message::Accept { conn_id: conn });
-                }
+                self.send_frame(ctx, upstream, &Message::Accept { conn_id: conn });
             }
             Message::Error { code, detail, .. } if side == BridgeSide::Downstream => {
                 self.fail_bridge_pair(ctx, conn, code, detail);
             }
             Message::Data { conn_id, payload } => {
-                if let Some((_, other, _)) = self.bridge.relay_target(link) {
-                    self.bridge.record_relay(conn, payload.len());
+                if let Some(other) = other {
+                    self.bridge.record_relay(payload.len());
                     if conn_id == conn {
                         // The relayed frame would re-encode to exactly the
                         // received bytes, so forward the original shared
@@ -797,17 +771,12 @@ impl Core {
                 }
             }
             Message::Disconnect { .. } => {
-                if let Some(pair) = self.bridge.remove(conn) {
-                    let other = match side {
-                        BridgeSide::Upstream => pair.downstream,
-                        BridgeSide::Downstream => Some(pair.upstream),
-                    };
-                    if let Some(other) = other {
-                        self.hang_up(ctx, other, conn);
-                    }
-                    self.drop_link(ctx, link);
-                    self.drop_left_routes(ctx, conn);
+                self.bridge.remove(conn);
+                if let Some(other) = other {
+                    self.hang_up(ctx, other, conn);
                 }
+                self.drop_link(ctx, link);
+                self.drop_left_routes(ctx, conn);
             }
             _ => {}
         }
@@ -872,38 +841,30 @@ impl Core {
             }
             LinkRole::AppConnection(conn) => self.app_link_lost(ctx, conn, link, reason),
             LinkRole::HandoverPending { conn, .. } => self.handover_attempt_failed(ctx, conn),
-            LinkRole::BridgeUpstream(conn) => {
-                let matches = self.bridge.get(conn).map(|p| p.upstream == link).unwrap_or(false);
-                if matches {
-                    if let Some(down) = self.bridge.remove(conn).and_then(|pair| pair.downstream) {
-                        self.hang_up(ctx, down, conn);
-                    }
-                    self.drop_left_routes(ctx, conn);
+            LinkRole::BridgeUpstream(conn) if self.bridge.is_leg(conn, BridgeSide::Upstream, link) => {
+                if let Some(down) = self.bridge.remove(conn).and_then(|pair| pair.downstream) {
+                    self.hang_up(ctx, down, conn);
                 }
+                self.drop_left_routes(ctx, conn);
             }
-            LinkRole::BridgeDownstream(conn) => {
-                let matches = self
-                    .bridge
-                    .get(conn)
-                    .map(|p| p.downstream == Some(link))
-                    .unwrap_or(false);
-                if matches {
-                    self.fail_bridge_pair(ctx, conn, ErrorCode::DownstreamFailed, "bridge leg failed".into());
-                }
+            LinkRole::BridgeDownstream(conn) if self.bridge.is_leg(conn, BridgeSide::Downstream, link) => {
+                self.fail_bridge_pair(ctx, conn, ErrorCode::DownstreamFailed, "bridge leg failed".into());
             }
+            // A leg the pair has left, or a pair already gone.
+            LinkRole::BridgeUpstream(_) | LinkRole::BridgeDownstream(_) => {}
         }
     }
 
     fn app_link_lost(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, link: LinkId, reason: DisconnectReason) {
         let is_current = self
             .connections
-            .get(conn)
+            .get(&conn)
             .map(|c| c.link == Some(link))
             .unwrap_or(false);
         if !is_current {
             return;
         }
-        if let Some(c) = self.connections.get_mut(conn) {
+        if let Some(c) = self.connections.get_mut(&conn) {
             c.mark_closed();
         }
         self.drop_left_routes(ctx, conn);
@@ -911,7 +872,7 @@ impl Core {
             self.peer_closed(ctx, conn);
             return;
         }
-        let (outgoing, sending) = match self.connections.get(conn) {
+        let (outgoing, sending) = match self.connections.get(&conn) {
             Some(c) => (c.is_outgoing(), c.sending),
             None => return,
         };
@@ -939,7 +900,7 @@ impl Core {
     }
 
     fn refresh_handover_candidates(&mut self, conn: ConnectionId) {
-        let (target, exclude) = match self.connections.get(conn) {
+        let (target, exclude) = match self.connections.get(&conn) {
             Some(c) => (self.handover_destination(c), c.kind.first_hop(c.remote)),
             None => return,
         };
@@ -953,7 +914,7 @@ impl Core {
         let key = (storage, target, exclude);
         if self
             .connections
-            .get(conn)
+            .get(&conn)
             .and_then(|c| c.monitor.as_ref())
             .and_then(|m| m.refresh_key())
             == Some(key)
@@ -972,7 +933,7 @@ impl Core {
                 }
             }
         }
-        if let Some(c) = self.connections.get_mut(conn) {
+        if let Some(c) = self.connections.get_mut(&conn) {
             if let Some(monitor) = c.monitor.as_mut() {
                 monitor.refresh_candidates(&candidates, exclude);
                 monitor.note_refreshed(key);
@@ -983,7 +944,7 @@ impl Core {
     /// True while a replacement route for `conn` is being established.
     pub(crate) fn switch_in_flight(&self, conn: ConnectionId) -> bool {
         self.connections
-            .get(conn)
+            .get(&conn)
             .and_then(|c| c.monitor.as_ref())
             .is_some_and(|m| m.is_switching())
     }
@@ -1005,7 +966,7 @@ impl Core {
     /// reconnection instead of dialling a hop known bad.
     fn switch_route(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) -> bool {
         let max_attempts = self.config.handover.max_routing_attempts;
-        let Some(c) = self.connections.get_mut(conn) else {
+        let Some(c) = self.connections.get_mut(&conn) else {
             return false;
         };
         let before_break = c.is_established();
@@ -1026,19 +987,19 @@ impl Core {
         if self.dial(ctx, via, role) {
             return true;
         }
-        if let Some(m) = self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
+        if let Some(m) = self.connections.get_mut(&conn).and_then(|c| c.monitor.as_mut()) {
             m.switch_failed();
         }
         false
     }
 
     pub(crate) fn handover_attempt_failed(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
-        match self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
+        match self.connections.get_mut(&conn).and_then(|c| c.monitor.as_mut()) {
             Some(m) if m.is_switching() => m.switch_failed(),
             // An abandoned switch (`peer_closed`) has nothing left to fail.
             _ => return,
         }
-        let still_connected = self.connections.get(conn).map(|c| c.is_established()).unwrap_or(false);
+        let still_connected = self.connections.get(&conn).map(|c| c.is_established()).unwrap_or(false);
         if still_connected {
             // The old route is still up; keep monitoring.
             return;
@@ -1052,7 +1013,7 @@ impl Core {
     }
 
     fn propose_service_reconnection(&mut self, conn: ConnectionId) {
-        let (service, remote, sending) = match self.connections.get(conn) {
+        let (service, remote, sending) = match self.connections.get(&conn) {
             Some(c) => (c.service.clone(), c.remote, c.sending),
             None => return,
         };
@@ -1092,7 +1053,7 @@ impl Core {
         };
         // A connection its app closed before approving the switch is not
         // dialled, and its hop's breaker is not asked.
-        let Some(c) = self.connections.get(conn) else {
+        let Some(c) = self.connections.get(&conn) else {
             return;
         };
         let heard = c.reconnecting && c.switch.is_some_and(|s| s.heard == Some(provider));
@@ -1101,7 +1062,7 @@ impl Core {
             self.abandon_connection(conn);
             return;
         }
-        if let Some(c) = self.connections.get_mut(conn) {
+        if let Some(c) = self.connections.get_mut(&conn) {
             // A switch re-aimed by its fresh search keeps what it has spent.
             if !c.reconnecting {
                 c.switch = Some(ProviderSwitch::away_from(c.remote));
@@ -1116,7 +1077,7 @@ impl Core {
     }
 
     pub(crate) fn abandon_connection(&mut self, conn: ConnectionId) {
-        if let Some(c) = self.connections.get_mut(conn) {
+        if let Some(c) = self.connections.get_mut(&conn) {
             c.mark_closed();
         }
         self.events.push_back(PeerHoodEvent::Disconnected {
@@ -1130,9 +1091,9 @@ impl Core {
         if !self.config.handover.enabled {
             return;
         }
-        let ids = self.connections.ids();
+        let ids: Vec<ConnectionId> = self.connections.keys().collect();
         for conn in ids {
-            let (established, outgoing, sending, link) = match self.connections.get(conn) {
+            let (established, outgoing, sending, link) = match self.connections.get(&conn) {
                 Some(c) => (c.is_established(), c.is_outgoing(), c.sending, c.link),
                 None => continue,
             };
@@ -1143,7 +1104,7 @@ impl Core {
             self.refresh_handover_candidates(conn);
             // State 1: sample quality and count consecutive low readings.
             let quality = link.and_then(|l| ctx.link_quality(l));
-            let trigger = match self.connections.get_mut(conn).and_then(|c| c.monitor.as_mut()) {
+            let trigger = match self.connections.get_mut(&conn).and_then(|c| c.monitor.as_mut()) {
                 Some(m) => m.record_quality(quality),
                 None => false,
             };
@@ -1157,7 +1118,7 @@ impl Core {
     }
 
     pub(crate) fn flush_outbox(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
-        let (link, payloads) = match self.connections.get_mut(conn) {
+        let (link, payloads) = match self.connections.get_mut(&conn) {
             Some(c) if c.is_established() => (c.link, std::mem::take(&mut c.outbox)),
             _ => return,
         };

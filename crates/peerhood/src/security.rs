@@ -970,7 +970,7 @@ mod tests {
                                 let bridge = rng.chance(0.5).then(|| addr(rng.range(1u64..=16)));
                                 let kind = crate::connection::ConnKind::outgoing(bridge);
                                 let attempt =
-                                    AppConnection::outgoing(ConnectionId::new(addr(0), 1), peer, "svc", kind, now);
+                                    AppConnection::outgoing(ConnectionId::new(addr(0), 1), peer, "svc", kind, None);
                                 security.blame_refusal(&code, &attempt);
                                 m.refusal(&code, &attempt);
                             }

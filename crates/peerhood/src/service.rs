@@ -77,13 +77,6 @@ impl ServiceRegistry {
         Ok(())
     }
 
-    /// Removes a service by name, returning it if it was registered.
-    pub fn unregister(&mut self, name: &str) -> Option<ServiceInfo> {
-        let idx = self.services.iter().position(|s| s.name == name)?;
-        self.generation += 1;
-        Some(self.services.remove(idx))
-    }
-
     /// Looks up a registered service by name.
     pub fn find(&self, name: &str) -> Option<&ServiceInfo> {
         self.services.iter().find(|s| s.name == name)
@@ -110,7 +103,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn register_find_unregister() {
+    fn register_and_find() {
         let mut reg = ServiceRegistry::new();
         assert!(reg.is_empty());
         reg.register(ServiceInfo::new("echo", "v1", 10)).unwrap();
@@ -118,10 +111,6 @@ mod tests {
         assert_eq!(reg.len(), 2);
         assert_eq!(reg.find("echo").unwrap().port, ServicePort(10));
         assert!(reg.find("missing").is_none());
-        let removed = reg.unregister("echo").unwrap();
-        assert_eq!(removed.name, "echo");
-        assert!(reg.unregister("echo").is_none());
-        assert_eq!(reg.len(), 1);
     }
 
     #[test]

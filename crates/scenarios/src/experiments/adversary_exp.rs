@@ -224,7 +224,7 @@ pub fn adversary_run(crowd: &Crowd<AdversarySettings>, defense: Defense) -> (Wor
     let mut honest = Vec::with_capacity(attack.providers + crowd.clients);
     for p in 0..attack.providers {
         let at = Point::new(20.0 * p as f64, 20.0);
-        honest.push(add_stack(&mut world, format!("hs{p}"), at, &cfg, HotspotApp::default()));
+        honest.push(add_stack(&mut world, format!("hs{p}"), at, &cfg, HotspotApp));
     }
     let mut left_clients = Vec::new();
     for i in 0..crowd.clients {

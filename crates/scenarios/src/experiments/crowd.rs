@@ -267,13 +267,7 @@ impl Application for CrowdApp {
 
 /// A hotspot: registers the [`HOTSPOT_SERVICE`] and echoes every payload
 /// back to its sender.
-#[derive(Default)]
-pub struct HotspotApp {
-    /// Payloads received and echoed.
-    pub served: u64,
-    /// Echoes refused by the backpressure layer.
-    pub echoes_shed: u64,
-}
+pub struct HotspotApp;
 
 impl Application for HotspotApp {
     fn on_start(&mut self, api: &mut PeerHoodApi<'_>) {
@@ -281,9 +275,6 @@ impl Application for HotspotApp {
     }
 
     fn on_data(&mut self, api: &mut PeerHoodApi<'_>, conn: ConnectionId, payload: Vec<u8>) {
-        match api.send(conn, payload) {
-            Ok(()) => self.served += 1,
-            Err(_) => self.echoes_shed += 1,
-        }
+        let _ = api.send(conn, payload);
     }
 }

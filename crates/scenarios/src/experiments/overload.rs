@@ -104,9 +104,7 @@ pub fn overload_run(crowd: &Crowd<OverloadSettings>, resilience_on: bool) -> (Wo
     }
     let cfg = Arc::new(cfg);
 
-    let hotspot = |world: &mut World, name: &str, x: f64| {
-        add_stack(world, name, Point::new(x, 10.0), &cfg, HotspotApp::default())
-    };
+    let hotspot = |world: &mut World, name: &str, x: f64| add_stack(world, name, Point::new(x, 10.0), &cfg, HotspotApp);
     let flapping = hotspot(&mut world, "hs-flapping", 0.0);
     let healthy = hotspot(&mut world, "hs-healthy", 36.0);
 
