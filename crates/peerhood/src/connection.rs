@@ -6,7 +6,10 @@
 //! bridged, outgoing or incoming — is one [`AppConnection`] record, owner
 //! included, that survives handovers, link breaks and re-establishments,
 //! because it is keyed by the end-to-end [`ConnectionId`] rather than by the
-//! underlying radio link.
+//! underlying radio link. The record's [`ConnState`] says where the
+//! connection stands and, while a link carries it, which link. Applications
+//! and scenario drivers read the record in place
+//! ([`PeerHoodApi::connection`](crate::node::PeerHoodApi::connection)).
 
 use serde::{Deserialize, Serialize};
 use simnet::{ConnectError, LinkId, RadioTech};
@@ -16,16 +19,17 @@ use crate::handover::HandoverMonitor;
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::node::AppId;
 
-/// Establishment state of a connection.
+/// Where a connection stands. The two states a radio link carries the
+/// connection in hold that link; in the others no link is the connection's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ConnState {
     /// A physical link towards the peer (or bridge) is being set up.
     Connecting,
-    /// The link exists and the PH_CONNECT / PH_BRIDGE command has been sent;
-    /// waiting for the end-to-end PH_OK.
-    AwaitingAccept,
-    /// The end-to-end acknowledgement arrived; data can flow.
-    Established,
+    /// The link is up and the PH_CONNECT / PH_BRIDGE command has been sent
+    /// on it; waiting for the end-to-end PH_OK.
+    AwaitingAccept(LinkId),
+    /// The end-to-end acknowledgement arrived; data can flow on the link.
+    Established(LinkId),
     /// The connection is down (link broke or the peer closed). The entry is
     /// kept so that result routing or reconnection can revive it.
     Closed,
@@ -60,17 +64,6 @@ impl ConnKind {
     /// True for connections we initiated.
     pub fn is_outgoing(&self) -> bool {
         !matches!(self, ConnKind::Incoming { .. })
-    }
-
-    /// The device we physically connect to first (the bridge for bridged
-    /// connections, the peer itself otherwise). `None` for incoming
-    /// connections.
-    pub fn first_hop(&self, remote: DeviceAddress) -> Option<DeviceAddress> {
-        match self {
-            ConnKind::OutgoingDirect => Some(remote),
-            ConnKind::OutgoingBridged { bridge } => Some(*bridge),
-            ConnKind::Incoming { .. } => None,
-        }
     }
 }
 
@@ -117,7 +110,7 @@ impl ProviderSwitch {
 }
 
 /// One logical PeerHood connection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppConnection {
     /// End-to-end identity.
     pub id: ConnectionId,
@@ -128,10 +121,8 @@ pub struct AppConnection {
     pub service: String,
     /// Direction / shape.
     pub kind: ConnKind,
-    /// Establishment state.
+    /// Where the connection stands, and the link carrying it.
     pub state: ConnState,
-    /// The radio link currently carrying the connection, if any.
-    pub link: Option<LinkId>,
     /// The §5.3 "sending" flag: while `true` the client still needs the
     /// connection and the handover machinery keeps it alive; when the
     /// application clears it, a broken connection is left for the server to
@@ -170,7 +161,6 @@ impl AppConnection {
             service: service.into(),
             kind,
             state: ConnState::Connecting,
-            link: None,
             sending: true,
             monitor: None,
             outbox: Vec::new(),
@@ -194,8 +184,7 @@ impl AppConnection {
             remote: client.address,
             service: service.into(),
             kind: ConnKind::Incoming { client },
-            state: ConnState::Established,
-            link: Some(link),
+            state: ConnState::Established(link),
             sending: true,
             monitor: None,
             outbox: Vec::new(),
@@ -208,7 +197,15 @@ impl AppConnection {
 
     /// True if data can currently be written.
     pub fn is_established(&self) -> bool {
-        self.state == ConnState::Established && self.link.is_some()
+        matches!(self.state, ConnState::Established(_))
+    }
+
+    /// The radio link currently carrying the connection, if any.
+    pub fn link(&self) -> Option<LinkId> {
+        match self.state {
+            ConnState::AwaitingAccept(link) | ConnState::Established(link) => Some(link),
+            _ => None,
+        }
     }
 
     /// True for connections we initiated.
@@ -216,57 +213,27 @@ impl AppConnection {
         self.kind.is_outgoing()
     }
 
-    /// Marks the connection established over `link`.
-    pub fn establish(&mut self, link: LinkId) {
-        self.link = Some(link);
-        self.state = ConnState::Established;
+    /// The device the route physically connects to first: the bridge for
+    /// bridged connections, the remote itself for direct ones, `None` for
+    /// incoming connections. Tracks handovers.
+    pub fn first_hop(&self) -> Option<DeviceAddress> {
+        match self.kind {
+            ConnKind::OutgoingDirect => Some(self.remote),
+            ConnKind::OutgoingBridged { bridge } => Some(bridge),
+            ConnKind::Incoming { .. } => None,
+        }
+    }
+
+    /// The current or last service-reconnection spent a second chance (see
+    /// [`ProviderSwitch`]): it did not land on its first dial, if it landed.
+    pub fn switch_rescued(&self) -> bool {
+        self.switch.is_some_and(|s| s.rescued())
     }
 
     /// Marks the connection down, detaching the link.
     pub fn mark_closed(&mut self) {
-        self.link = None;
         if self.state != ConnState::Failed {
             self.state = ConnState::Closed;
-        }
-    }
-}
-
-/// Read-only snapshot handed to applications.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConnectionSnapshot {
-    /// End-to-end identity.
-    pub id: ConnectionId,
-    /// Remote application device.
-    pub remote: DeviceAddress,
-    /// Target service name.
-    pub service: String,
-    /// Establishment state.
-    pub state: ConnState,
-    /// Whether a bridge is involved on our first hop.
-    pub bridged: bool,
-    /// The device the route physically connects to first: the bridge for
-    /// bridged connections, the remote itself for direct ones, `None` for
-    /// incoming connections. Tracks handovers, so tests can assert which
-    /// bridge actually carries the session.
-    pub first_hop: Option<DeviceAddress>,
-    /// Current value of the "sending" flag.
-    pub sending: bool,
-    /// The current or last service-reconnection spent a second chance (see
-    /// [`ProviderSwitch`]): it did not land on its first dial, if it landed.
-    pub switch_rescued: bool,
-}
-
-impl From<&AppConnection> for ConnectionSnapshot {
-    fn from(c: &AppConnection) -> Self {
-        ConnectionSnapshot {
-            id: c.id,
-            remote: c.remote,
-            service: c.service.clone(),
-            state: c.state,
-            bridged: matches!(c.kind, ConnKind::OutgoingBridged { .. }),
-            first_hop: c.kind.first_hop(c.remote),
-            sending: c.sending,
-            switch_rescued: c.switch.is_some_and(|s| s.rescued()),
         }
     }
 }
@@ -324,12 +291,12 @@ mod tests {
         );
         assert!(conn.is_outgoing());
         assert!(!conn.is_established());
-        assert_eq!(conn.kind.first_hop(conn.remote), Some(addr(5)));
-        conn.establish(LinkId(3));
+        assert_eq!(conn.first_hop(), Some(addr(5)));
+        conn.state = ConnState::Established(LinkId(3));
         assert!(conn.is_established());
         conn.mark_closed();
         assert_eq!(conn.state, ConnState::Closed);
-        assert!(conn.link.is_none());
+        assert!(conn.link().is_none());
     }
 
     #[test]
@@ -362,11 +329,11 @@ mod tests {
             ConnKind::Incoming { client } => assert_eq!(client.address, addr(2)),
             other => panic!("unexpected kind {other:?}"),
         }
-        assert_eq!(conn.kind.first_hop(conn.remote), None);
+        assert_eq!(conn.first_hop(), None);
     }
 
     #[test]
-    fn snapshot_reflects_connection() {
+    fn the_record_reads_its_link_first_hop_and_switch_in_place() {
         let mut conn = AppConnection::outgoing(
             ConnectionId::new(addr(1), 3),
             addr(9),
@@ -375,10 +342,19 @@ mod tests {
             None,
         );
         conn.sending = false;
-        let snap = ConnectionSnapshot::from(&conn);
-        assert!(snap.bridged);
-        assert!(!snap.sending);
-        assert_eq!(snap.state, ConnState::Connecting);
-        assert_eq!(snap.service, "echo");
+        assert_eq!(conn.first_hop(), Some(addr(4)));
+        assert!(!conn.sending);
+        assert_eq!((conn.state, conn.link()), (ConnState::Connecting, None));
+        assert_eq!(conn.service, "echo");
+        conn.state = ConnState::AwaitingAccept(LinkId(5));
+        assert_eq!(conn.link(), Some(LinkId(5)));
+        assert!(!conn.is_established());
+        assert!(!conn.switch_rescued());
+        let mut switch = ProviderSwitch::away_from(addr(9));
+        conn.switch = Some(switch);
+        assert!(!conn.switch_rescued());
+        switch.retried = true;
+        conn.switch = Some(switch);
+        assert!(conn.switch_rescued());
     }
 }

@@ -97,7 +97,7 @@ pub mod wire;
 pub mod prelude {
     pub use crate::application::{Application, IdleApplication};
     pub use crate::config::{DiscoveryMode, PeerHoodConfig, SecurityConfig};
-    pub use crate::connection::{ConnState, ConnectionSnapshot};
+    pub use crate::connection::{AppConnection, ConnState};
     pub use crate::device::{DeviceInfo, MobilityClass};
     pub use crate::error::PeerHoodError;
     pub use crate::handover::HandoverTarget;

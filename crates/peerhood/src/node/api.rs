@@ -11,7 +11,7 @@
 
 use simnet::{Ctx, SimDuration, SimTime};
 
-use crate::connection::{AppConnection, ConnKind, ConnectionSnapshot};
+use crate::connection::{AppConnection, ConnKind, ConnState};
 use crate::error::PeerHoodError;
 use crate::handover::HandoverMonitor;
 use crate::ids::{ConnectionId, DeviceAddress};
@@ -149,14 +149,14 @@ impl PeerHoodApi<'_> {
         self.core.op_close(self.ctx, conn);
     }
 
-    /// Snapshot of one connection.
-    pub fn connection(&self, conn: ConnectionId) -> Option<ConnectionSnapshot> {
-        self.core.connections.get(&conn).map(ConnectionSnapshot::from)
+    /// The record of one connection, read in place.
+    pub fn connection(&self, conn: ConnectionId) -> Option<&AppConnection> {
+        self.core.connections.get(&conn)
     }
 
-    /// Snapshots of all connections.
-    pub fn connections(&self) -> Vec<ConnectionSnapshot> {
-        self.core.connections.values().map(ConnectionSnapshot::from).collect()
+    /// The records of every connection on the node, in id order.
+    pub fn connections(&self) -> Vec<&AppConnection> {
+        self.core.connections.values().collect()
     }
 
     /// Schedules an application timer delivered through
@@ -222,8 +222,8 @@ impl Core {
         conn: ConnectionId,
         payload: Vec<u8>,
     ) -> Result<(), PeerHoodError> {
-        let (established, outgoing, link) = match self.connections.get(&conn) {
-            Some(c) => (c.is_established(), c.is_outgoing(), c.link),
+        let (state, outgoing) = match self.connections.get(&conn) {
+            Some(c) => (c.state, c.is_outgoing()),
             None => return Err(PeerHoodError::UnknownConnection(conn)),
         };
         // Backpressure: the per-app outbound bucket sheds sends that exceed
@@ -232,11 +232,9 @@ impl Core {
         if !self.resilience.allow_outbound(owner, ctx.now()) {
             return Err(PeerHoodError::Overloaded(conn));
         }
-        if established {
-            if let Some(link) = link {
-                self.send_frame(ctx, link, &Message::Data { conn_id: conn, payload });
-                return Ok(());
-            }
+        if let ConnState::Established(link) = state {
+            self.send_frame(ctx, link, &Message::Data { conn_id: conn, payload });
+            return Ok(());
         }
         if !outgoing {
             // Server side with a broken connection: queue the result and
@@ -263,7 +261,7 @@ impl Core {
 
     pub(crate) fn op_close(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
         if let Some(c) = self.connections.remove(&conn) {
-            if let Some(link) = c.link {
+            if let Some(link) = c.link() {
                 self.hang_up(ctx, link, conn);
             }
             // A routing handover in flight ends with the session, on either

@@ -37,7 +37,7 @@ use simnet::{
 
 use crate::application::Application;
 use crate::config::PeerHoodConfig;
-use crate::connection::ConnectionSnapshot;
+use crate::connection::AppConnection;
 use crate::device::DeviceInfo;
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::storage::{StorageStats, StoredDevice};
@@ -147,35 +147,18 @@ impl PeerHoodNode {
             .unwrap_or_default()
     }
 
-    /// Snapshot of one connection.
-    pub fn connection(&self, conn: ConnectionId) -> Option<ConnectionSnapshot> {
-        self.core
-            .as_ref()
-            .and_then(|c| c.connections.get(&conn))
-            .map(ConnectionSnapshot::from)
+    /// The record of one connection, read in place: its state and link
+    /// (which scenario drivers decay for §5.2.1), its owner, its route.
+    pub fn connection(&self, conn: ConnectionId) -> Option<&AppConnection> {
+        self.core.as_ref().and_then(|c| c.connections.get(&conn))
     }
 
-    /// Snapshots of every connection.
-    pub fn connections(&self) -> Vec<ConnectionSnapshot> {
+    /// The records of every connection on the node, in id order.
+    pub fn connections(&self) -> Vec<&AppConnection> {
         self.core
             .as_ref()
-            .map(|c| c.connections.values().map(ConnectionSnapshot::from).collect())
+            .map(|c| c.connections.values().collect())
             .unwrap_or_default()
-    }
-
-    /// The radio link currently carrying a connection, if any. Scenario
-    /// drivers use this to install the §5.2.1 artificial quality decay on the
-    /// link under a live connection.
-    pub fn connection_link(&self, conn: ConnectionId) -> Option<LinkId> {
-        self.core
-            .as_ref()
-            .and_then(|c| c.connections.get(&conn))
-            .and_then(|c| c.link)
-    }
-
-    /// The application owning a connection, if any.
-    pub fn connection_owner(&self, conn: ConnectionId) -> Option<AppId> {
-        self.core.as_ref().and_then(|c| c.owner_of(conn))
     }
 
     /// Number of connection pairs currently relayed by this node's bridge

@@ -64,20 +64,15 @@ pub use api::PeerHoodApi;
 pub use events::{AppId, PeerHoodEvent};
 pub use host::{PeerHoodNode, PeerHoodNodeBuilder};
 
-const KIND_SHIFT: u64 = 56;
-const KIND_INQUIRY: u64 = 1;
-const KIND_MONITOR: u64 = 2;
-/// The payload is a key of `Core::timers`.
-const KIND_TABLE: u64 = 3;
-const PAYLOAD_MASK: u64 = (1 << KIND_SHIFT) - 1;
-
-fn token(kind: u64, payload: u64) -> TimerToken {
-    TimerToken((kind << KIND_SHIFT) | (payload & PAYLOAD_MASK))
-}
-
-/// A one-shot timer the core keeps in its table until it fires.
+/// A one-shot timer the core keeps in its table until it fires. Every timer
+/// the middleware sets is one entry, and the simulator token is its key.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Timer {
+    /// The next periodic inquiry of the plugin at this index of
+    /// `config.techs`.
+    Inquiry(usize),
+    /// The next pass of the quality monitor (§5.2.1), re-armed as it fires.
+    Monitor,
     /// An application timer: the scheduling app and its full 64-bit token.
     App(Option<AppId>, u64),
     /// The next result-routing reconnect of a server's connection (§5.3).
@@ -108,8 +103,9 @@ pub(crate) struct Core {
     pub(crate) bridge: BridgeService,
     /// Radio connects in flight, each with the role its link takes once up.
     pub(crate) pending: IdTable<AttemptId, LinkRole>,
-    /// One-shot timers in flight, keyed by the sequential payload of their
-    /// simulator token, which cannot carry an app's full 64-bit token.
+    /// Every timer in flight, keyed by its simulator token: the inquiry
+    /// loops, the monitor, app timers and reply retries. A sequential key
+    /// leaves an app's full 64-bit token to the entry.
     pub(crate) timers: IdTable<u64, Timer>,
     pub(crate) next_timer: u64,
     /// Typed events queued during protocol processing and dispatched by the
@@ -195,12 +191,21 @@ impl Core {
         self.connections.get(&conn).and_then(|c| c.owner)
     }
 
+    /// `conn` is over: its app hears `Disconnected`, `graceful` when the
+    /// peer closed it. The one way the middleware ends a connection for its
+    /// app.
+    pub(crate) fn end_for_app(&mut self, conn: ConnectionId, graceful: bool) {
+        let app = self.owner_of(conn);
+        self.events
+            .push_back(PeerHoodEvent::Disconnected { app, conn, graceful });
+    }
+
     /// Has `timer` fire `after` from now.
     pub(crate) fn schedule(&mut self, ctx: &mut dyn Ctx, after: SimDuration, timer: Timer) {
         let key = self.next_timer;
         self.next_timer += 1;
         self.timers.insert(key, timer);
-        ctx.schedule(after, token(KIND_TABLE, key));
+        ctx.schedule(after, TimerToken(key));
     }
 
     /// Radio technology to use towards a device (first configured technology

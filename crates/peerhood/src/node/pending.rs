@@ -154,8 +154,7 @@ impl Core {
                 let reply = conn.initiator() != self.my_address();
                 let client = self.my_info();
                 self.connections.get_mut(&conn).map(|c| {
-                    c.link = Some(link);
-                    c.state = ConnState::AwaitingAccept;
+                    c.state = ConnState::AwaitingAccept(link);
                     let direct = if reply {
                         peer == c.remote
                     } else {
@@ -231,13 +230,12 @@ impl Core {
             // it closed the connection while the radio was dialling.
             LinkRole::AppConnection(conn) if conn.initiator() == self.my_address() => {
                 if !self.second_chance(ctx, conn, peer, tech, error) {
-                    self.fail_connection(conn, error);
+                    self.fail_connection(conn, error.to_string());
                 }
             }
             LinkRole::AppConnection(conn) => {
                 if let Some(c) = self.connections.get_mut(&conn) {
-                    c.state = ConnState::Closed;
-                    c.link = None;
+                    c.mark_closed();
                 }
                 self.schedule_reply_retry(ctx, conn);
             }
@@ -257,16 +255,15 @@ impl Core {
     }
 
     /// Our own connection `conn` cannot be established: it is failed, and
-    /// its app hears `error`.
-    pub(crate) fn fail_connection(&mut self, conn: ConnectionId, error: ConnectError) {
+    /// its app hears `failure`.
+    pub(crate) fn fail_connection(&mut self, conn: ConnectionId, failure: String) {
         if let Some(c) = self.connections.get_mut(&conn) {
             c.state = ConnState::Failed;
-            c.link = None;
         }
         self.events.push_back(PeerHoodEvent::ConnectFailed {
             app: self.owner_of(conn),
             conn,
-            error: PeerHoodError::Remote(error.to_string()),
+            error: PeerHoodError::Remote(failure),
         });
     }
 
@@ -316,24 +313,21 @@ impl Core {
             None => return,
         };
         if attempts > MAX_REPLY_ATTEMPTS {
-            self.events.push_back(PeerHoodEvent::Disconnected {
-                app: self.owner_of(conn),
-                conn,
-                graceful: false,
-            });
+            self.end_for_app(conn, false);
             return;
         }
         self.schedule(ctx, REPLY_RETRY_INTERVAL, Timer::ReplyRetry(conn));
     }
 
+    /// Dials the client of the server's connection `conn` to return its
+    /// queued results (Fig. 5.10). Only a closed connection with results
+    /// queued is dialled: one being dialled or awaiting its `Accept` flushes
+    /// them once it is established.
     pub(crate) fn try_reply_reconnect(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
-        let (established, remote, has_outbox) = match self.connections.get(&conn) {
-            Some(c) => (c.is_established(), c.remote, !c.outbox.is_empty()),
-            None => return,
+        let remote = match self.connections.get(&conn) {
+            Some(c) if c.state == ConnState::Closed && !c.outbox.is_empty() => c.remote,
+            _ => return,
         };
-        if established || !has_outbox {
-            return;
-        }
         // Fig. 5.10: look the client up in the device storage and reconnect.
         let Some(first_hop) = self.storage.get(remote).map(|entry| entry.route.first_hop(remote)) else {
             self.schedule_reply_retry(ctx, conn);

@@ -13,7 +13,7 @@ use simnet::{ConnectError, Ctx, DisconnectReason, InquiryHit, LinkId, NodeId, Pa
 use crate::bridge::BridgeSide;
 use crate::connection::{AppConnection, ConnKind, ConnState, ProviderSwitch};
 use crate::device::DeviceInfo;
-use crate::error::{ErrorCode, PeerHoodError};
+use crate::error::ErrorCode;
 use crate::handover::{HandoverMonitor, HandoverTarget};
 use crate::ids::{ConnectionId, DeviceAddress};
 use crate::plugin::{InquiryKind, PluginState};
@@ -22,7 +22,7 @@ use crate::service::BRIDGE_SERVICE_NAME;
 use crate::wire;
 
 use super::pending::LinkRole;
-use super::{token, Core, PeerHoodEvent, Timer, KIND_INQUIRY, KIND_MONITOR, KIND_SHIFT, KIND_TABLE, PAYLOAD_MASK};
+use super::{Core, PeerHoodEvent, Timer};
 
 impl Core {
     pub(crate) fn send_frame(&mut self, ctx: &mut dyn Ctx, link: LinkId, message: &Message) {
@@ -100,42 +100,40 @@ impl Core {
         // not scan in lock-step.
         for idx in 0..self.config.techs.len() {
             let jitter = SimDuration::from_millis(ctx.rng().range(0u64..2_000));
-            ctx.schedule(jitter, token(KIND_INQUIRY, idx as u64));
+            self.schedule(ctx, jitter, Timer::Inquiry(idx));
         }
-        ctx.schedule(self.config.monitor.interval, token(KIND_MONITOR, 0));
+        self.schedule(ctx, self.config.monitor.interval, Timer::Monitor);
     }
 
-    pub(crate) fn handle_timer(&mut self, ctx: &mut dyn Ctx, timer: simnet::TimerToken) {
-        let kind = timer.0 >> KIND_SHIFT;
-        let payload = timer.0 & PAYLOAD_MASK;
-        match kind {
-            KIND_INQUIRY => {
-                let tech = match self.config.techs.get(payload as usize).copied() {
-                    Some(t) => t,
-                    None => return,
-                };
-                if let Some(plugin) = self.plugin_mut(tech) {
-                    if plugin.cycle_active {
-                        // The previous cycle is still fetching; retry shortly.
-                        ctx.schedule(SimDuration::from_secs(2), timer);
-                        return;
-                    }
-                    plugin.begin_cycle();
-                    plugin.inquiries.push_back(InquiryKind::Periodic);
-                }
-                ctx.start_inquiry(tech);
-            }
-            KIND_MONITOR => {
+    pub(crate) fn handle_timer(&mut self, ctx: &mut dyn Ctx, token: simnet::TimerToken) {
+        match self.timers.remove(&token.0) {
+            Some(Timer::Inquiry(idx)) => self.periodic_inquiry(ctx, idx),
+            Some(Timer::Monitor) => {
                 self.monitor_pass(ctx);
-                ctx.schedule(self.config.monitor.interval, token(KIND_MONITOR, 0));
+                self.schedule(ctx, self.config.monitor.interval, Timer::Monitor);
             }
-            KIND_TABLE => match self.timers.remove(&payload) {
-                Some(Timer::App(app, token)) => self.events.push_back(PeerHoodEvent::Timer { app, token }),
-                Some(Timer::ReplyRetry(conn)) => self.try_reply_reconnect(ctx, conn),
-                None => {}
-            },
-            _ => {}
+            Some(Timer::App(app, token)) => self.events.push_back(PeerHoodEvent::Timer { app, token }),
+            Some(Timer::ReplyRetry(conn)) => self.try_reply_reconnect(ctx, conn),
+            None => {}
         }
+    }
+
+    /// Starts the periodic inquiry of the plugin at `idx` of `config.techs`,
+    /// unless its previous cycle is still fetching.
+    fn periodic_inquiry(&mut self, ctx: &mut dyn Ctx, idx: usize) {
+        let Some(tech) = self.config.techs.get(idx).copied() else {
+            return;
+        };
+        if let Some(plugin) = self.plugin_mut(tech) {
+            if plugin.cycle_active {
+                // The previous cycle is still fetching; retry shortly.
+                self.schedule(ctx, SimDuration::from_secs(2), Timer::Inquiry(idx));
+                return;
+            }
+            plugin.begin_cycle();
+            plugin.inquiries.push_back(InquiryKind::Periodic);
+        }
+        ctx.start_inquiry(tech);
     }
 
     fn schedule_next_inquiry(&mut self, ctx: &mut dyn Ctx, tech: RadioTech) {
@@ -146,7 +144,7 @@ impl Core {
             // invisible for long stretches.
             let base = self.config.discovery.inquiry_interval;
             let jitter = SimDuration::from_millis(ctx.rng().range(0u64..=base.as_millis().max(1)));
-            ctx.schedule(base + jitter, token(KIND_INQUIRY, idx as u64));
+            self.schedule(ctx, base + jitter, Timer::Inquiry(idx));
         }
     }
 
@@ -229,7 +227,7 @@ impl Core {
                         provider,
                     })
                 }
-                None => self.fail_connection(conn, refusal),
+                None => self.fail_connection(conn, refusal.to_string()),
             }
         }
     }
@@ -462,8 +460,8 @@ impl Core {
     /// returns the link it was on, if another. That link keeps its role.
     fn attach_link(&mut self, conn: ConnectionId, link: LinkId) -> Option<LinkId> {
         let old = self.connections.get_mut(&conn).and_then(|c| {
-            let old = c.link;
-            c.establish(link);
+            let old = c.link();
+            c.state = ConnState::Established(link);
             old
         });
         self.set_role(link, LinkRole::AppConnection(conn));
@@ -573,12 +571,7 @@ impl Core {
     fn handle_app_message(&mut self, ctx: &mut dyn Ctx, link: LinkId, conn: ConnectionId, message: Message) {
         // Stale links must not affect the session (the connection may already
         // have been handed over to a different link).
-        let is_current = self
-            .connections
-            .get(&conn)
-            .map(|c| c.link == Some(link))
-            .unwrap_or(false);
-        if !is_current {
+        if !self.carries(link, conn) {
             if matches!(message, Message::Disconnect { .. }) {
                 self.drop_link(ctx, link);
             }
@@ -590,8 +583,8 @@ impl Core {
         match message {
             Message::Accept { .. } => {
                 let (fire, reconnected_to) = match self.connections.get_mut(&conn) {
-                    Some(c) if c.state == ConnState::AwaitingAccept => {
-                        c.establish(link);
+                    Some(c) if c.state == ConnState::AwaitingAccept(link) => {
+                        c.state = ConnState::Established(link);
                         if c.reconnecting {
                             c.reconnecting = false;
                             (true, Some(c.remote))
@@ -626,18 +619,13 @@ impl Core {
                 if let Some(c) = self.connections.get(&conn).filter(|_| outgoing) {
                     self.security.blame_refusal(&code, c);
                 }
-                if let Some(c) = self.connections.get_mut(&conn) {
-                    c.link = None;
-                    c.state = if outgoing { ConnState::Failed } else { ConnState::Closed };
-                }
                 self.drop_link(ctx, link);
                 if outgoing {
-                    self.events.push_back(PeerHoodEvent::ConnectFailed {
-                        app: self.owner_of(conn),
-                        conn,
-                        error: PeerHoodError::Remote(format!("{code}: {detail}")),
-                    });
+                    self.fail_connection(conn, format!("{code}: {detail}"));
                 } else {
+                    if let Some(c) = self.connections.get_mut(&conn) {
+                        c.mark_closed();
+                    }
                     self.schedule_reply_retry(ctx, conn);
                 }
             }
@@ -677,11 +665,7 @@ impl Core {
                 self.drop_replacement_routes(ctx, conn);
             }
         }
-        self.events.push_back(PeerHoodEvent::Disconnected {
-            app: self.owner_of(conn),
-            conn,
-            graceful: true,
-        });
+        self.end_for_app(conn, true);
     }
 
     fn handle_handover_message(
@@ -855,13 +839,13 @@ impl Core {
         }
     }
 
+    /// True when `link` is the one currently carrying `conn`.
+    fn carries(&self, link: LinkId, conn: ConnectionId) -> bool {
+        self.connections.get(&conn).is_some_and(|c| c.link() == Some(link))
+    }
+
     fn app_link_lost(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId, link: LinkId, reason: DisconnectReason) {
-        let is_current = self
-            .connections
-            .get(&conn)
-            .map(|c| c.link == Some(link))
-            .unwrap_or(false);
-        if !is_current {
+        if !self.carries(link, conn) {
             return;
         }
         if let Some(c) = self.connections.get_mut(&conn) {
@@ -877,11 +861,7 @@ impl Core {
             None => return,
         };
         if !outgoing || !sending || !self.config.handover.enabled {
-            self.events.push_back(PeerHoodEvent::Disconnected {
-                app: self.owner_of(conn),
-                conn,
-                graceful: false,
-            });
+            self.end_for_app(conn, false);
             return;
         }
         // The connection broke while still needed: try routing handover
@@ -895,13 +875,13 @@ impl Core {
     pub(crate) fn handover_destination(&self, c: &AppConnection) -> DeviceAddress {
         match self.config.handover.target {
             HandoverTarget::FinalDestination => c.remote,
-            HandoverTarget::LinkPeer => c.kind.first_hop(c.remote).unwrap_or(c.remote),
+            HandoverTarget::LinkPeer => c.first_hop().unwrap_or(c.remote),
         }
     }
 
     fn refresh_handover_candidates(&mut self, conn: ConnectionId) {
         let (target, exclude) = match self.connections.get(&conn) {
-            Some(c) => (self.handover_destination(c), c.kind.first_hop(c.remote)),
+            Some(c) => (self.handover_destination(c), c.first_hop()),
             None => return,
         };
         // The candidate ranking is a pure function of the device storage
@@ -1013,28 +993,18 @@ impl Core {
     }
 
     fn propose_service_reconnection(&mut self, conn: ConnectionId) {
-        let (service, remote, sending) = match self.connections.get(&conn) {
-            Some(c) => (c.service.clone(), c.remote, c.sending),
+        let provider = match self.connections.get(&conn) {
+            Some(c) if c.sending => self.storage.best_service_provider(&c.service, Some(c.remote)),
+            Some(_) => None,
             None => return,
         };
-        let app = self.owner_of(conn);
-        if !sending {
-            self.events.push_back(PeerHoodEvent::Disconnected {
-                app,
+        match provider {
+            Some((provider, _)) => self.events.push_back(PeerHoodEvent::ReconnectRequired {
+                app: self.owner_of(conn),
                 conn,
-                graceful: false,
-            });
-            return;
-        }
-        match self.storage.best_service_provider(&service, Some(remote)) {
-            Some((provider, _)) => self
-                .events
-                .push_back(PeerHoodEvent::ReconnectRequired { app, conn, provider }),
-            None => self.events.push_back(PeerHoodEvent::Disconnected {
-                app,
-                conn,
-                graceful: false,
+                provider,
             }),
+            None => self.end_for_app(conn, false),
         }
     }
 
@@ -1070,7 +1040,6 @@ impl Core {
             c.remote = provider;
             c.kind = ConnKind::outgoing(bridge);
             c.state = ConnState::Connecting;
-            c.link = None;
             c.reconnecting = true;
             c.monitor = Some(HandoverMonitor::new(self.config.monitor.quality_threshold));
         }
@@ -1080,11 +1049,7 @@ impl Core {
         if let Some(c) = self.connections.get_mut(&conn) {
             c.mark_closed();
         }
-        self.events.push_back(PeerHoodEvent::Disconnected {
-            app: self.owner_of(conn),
-            conn,
-            graceful: false,
-        });
+        self.end_for_app(conn, false);
     }
 
     fn monitor_pass(&mut self, ctx: &mut dyn Ctx) {
@@ -1093,17 +1058,17 @@ impl Core {
         }
         let ids: Vec<ConnectionId> = self.connections.keys().collect();
         for conn in ids {
-            let (established, outgoing, sending, link) = match self.connections.get(&conn) {
-                Some(c) => (c.is_established(), c.is_outgoing(), c.sending, c.link),
-                None => continue,
+            let link = match self.connections.get(&conn).filter(|c| c.is_outgoing() && c.sending) {
+                Some(AppConnection {
+                    state: ConnState::Established(link),
+                    ..
+                }) => *link,
+                _ => continue,
             };
-            if !established || !outgoing || !sending {
-                continue;
-            }
             // State 0: keep the alternative-route candidate fresh.
             self.refresh_handover_candidates(conn);
             // State 1: sample quality and count consecutive low readings.
-            let quality = link.and_then(|l| ctx.link_quality(l));
+            let quality = ctx.link_quality(link);
             let trigger = match self.connections.get_mut(&conn).and_then(|c| c.monitor.as_mut()) {
                 Some(m) => m.record_quality(quality),
                 None => false,
@@ -1119,13 +1084,15 @@ impl Core {
 
     pub(crate) fn flush_outbox(&mut self, ctx: &mut dyn Ctx, conn: ConnectionId) {
         let (link, payloads) = match self.connections.get_mut(&conn) {
-            Some(c) if c.is_established() => (c.link, std::mem::take(&mut c.outbox)),
+            Some(AppConnection {
+                state: ConnState::Established(link),
+                outbox,
+                ..
+            }) => (*link, std::mem::take(outbox)),
             _ => return,
         };
-        if let Some(link) = link {
-            for payload in payloads {
-                self.send_frame(ctx, link, &Message::Data { conn_id: conn, payload });
-            }
+        for payload in payloads {
+            self.send_frame(ctx, link, &Message::Data { conn_id: conn, payload });
         }
     }
 }

@@ -10,7 +10,7 @@ use simnet::{Ctx, MobilityModel, NodeId, OnWorld, Point, RadioTech, SimDuration,
 use crate::application::Application;
 use crate::bridge::BridgeService;
 use crate::config::PeerHoodConfig;
-use crate::connection::{AppConnection, ConnKind, ConnState, ConnectionSnapshot};
+use crate::connection::{AppConnection, ConnKind, ConnState};
 use crate::device::{DeviceInfo, MobilityClass};
 use crate::error::PeerHoodError;
 use crate::handover::HandoverTarget;
@@ -198,7 +198,7 @@ fn discovery_connect_and_echo_between_direct_neighbors() {
         .unwrap();
     // The server sees the session too.
     let server_conns = world
-        .with_agent::<PeerHoodNode, _>(server, |n, _| n.connections())
+        .with_agent::<PeerHoodNode, _>(server, |n, _| n.connections().into_iter().cloned().collect::<Vec<_>>())
         .unwrap();
     assert_eq!(server_conns.len(), 1);
     assert_eq!(server_conns[0].id, conn);
@@ -355,7 +355,7 @@ fn one_bridge_relays_two_sessions_to_two_servers_at_once() {
         world
             .with_agent::<PeerHoodNode, _>(*client, |n, ctx| {
                 assert_eq!(n.app::<TestApp>().unwrap().connected, vec![*conn]);
-                let first_hop = n.connection(*conn).and_then(|c| c.first_hop);
+                let first_hop = n.connection(*conn).and_then(|c| c.first_hop());
                 assert_eq!(
                     first_hop,
                     Some(DeviceAddress::from_node(b)),
@@ -535,8 +535,8 @@ fn two_services_on_one_device_route_to_the_right_app() {
             assert_eq!(print_app.data.len(), 1);
             assert_eq!(print_app.data[0].1, b"to print".to_vec());
             // Connection ownership is queryable.
-            assert_eq!(n.connection_owner(echo_conn), Some(AppId(0)));
-            assert_eq!(n.connection_owner(print_conn), Some(AppId(1)));
+            assert_eq!(n.connection(echo_conn).and_then(|c| c.owner), Some(AppId(0)));
+            assert_eq!(n.connection(print_conn).and_then(|c| c.owner), Some(AppId(1)));
         })
         .unwrap();
     // The echo reply reached the client (whose single app owns both
@@ -546,7 +546,7 @@ fn two_services_on_one_device_route_to_the_right_app() {
             let app = n.app::<TestApp>().unwrap();
             assert_eq!(app.data.len(), 1);
             assert_eq!(app.data[0].1, b"ohce ot".to_vec());
-            assert_eq!(n.connection_owner(echo_conn), Some(AppId(0)));
+            assert_eq!(n.connection(echo_conn).and_then(|c| c.owner), Some(AppId(0)));
         })
         .unwrap();
 }
@@ -634,8 +634,11 @@ fn timers_are_routed_to_the_scheduling_app() {
         .unwrap();
 }
 
-/// An app timer and a reply retry wait in the one timer table: each fires
-/// once, the app's token keeps all 64 bits, and the table ends empty.
+/// Every timer waits in the one timer table: the node's own inquiry and
+/// monitor entries beside an app timer and a reply retry. The app timer and
+/// the retry each fire once and the app's token keeps all 64 bits; the
+/// inquiry entry starts its plugin's scan and the monitor entry re-arms
+/// itself, so the table ends holding only the node's loops.
 #[test]
 fn app_timers_and_reply_retries_share_one_table() {
     let mut world = World::new(WorldConfig::ideal(45));
@@ -650,27 +653,112 @@ fn app_timers_and_reply_retries_share_one_table() {
                 .build(),
         )),
     );
+    // The node's loops: the monitor's key, and the radios whose next
+    // inquiry waits in the table.
+    let loops = |core: &Core| {
+        let monitors: Vec<u64> = core
+            .timers
+            .iter()
+            .filter(|(_, t)| matches!(t, Timer::Monitor))
+            .map(|(key, _)| key)
+            .collect();
+        let inquiries: Vec<usize> = core
+            .timers
+            .values()
+            .filter_map(|t| match t {
+                Timer::Inquiry(idx) => Some(*idx),
+                _ => None,
+            })
+            .collect();
+        (monitors, inquiries)
+    };
+    world.run_for(SimDuration::from_millis(1));
+    let at_start = world
+        .with_agent::<PeerHoodNode, _>(node, |n, _| loops(n.core_mut().unwrap()))
+        .unwrap();
+    assert_eq!(
+        (at_start.0.len(), at_start.1.as_slice()),
+        (1, &[0][..]),
+        "one monitor, one inquiry"
+    );
     world.run_for(SimDuration::from_secs(1));
     let gone = ConnectionId::new(DeviceAddress::from_node(NodeId::from_raw(9)), 0);
     world
         .with_agent::<PeerHoodNode, _>(node, |n, ctx| {
             n.with_api(ctx, |api| {
+                let loops = loops(api.core);
                 api.schedule_timer(SimDuration::from_secs(2), u64::MAX);
                 api.core
                     .schedule(api.ctx, SimDuration::from_secs(1), Timer::ReplyRetry(gone));
-                assert_eq!(api.core.timers.len(), 2);
+                assert_eq!(api.core.timers.len(), 2 + loops.0.len() + loops.1.len());
             })
         })
         .flatten()
         .unwrap();
     world.run_for(SimDuration::from_secs(5));
+    assert!(
+        world.metrics().node(node).inquiries_started >= 1,
+        "the inquiry entry fired"
+    );
     world
         .with_agent::<PeerHoodNode, _>(node, |n, _| {
             assert_eq!(n.app::<TestApp>().unwrap().timers, vec![u64::MAX]);
-            assert!(n.core_mut().unwrap().timers.is_empty());
+            let core = n.core_mut().unwrap();
+            let (monitors, inquiries) = loops(core);
+            assert_eq!(monitors.len(), 1, "the monitor re-arms once");
+            assert_ne!(monitors, at_start.0, "under a new key");
+            assert!(inquiries.len() <= 1);
+            assert_eq!(
+                core.timers.len(),
+                monitors.len() + inquiries.len(),
+                "only the loops are left"
+            );
             assert!(n.connections().is_empty(), "a retry of a connection gone does nothing");
         })
         .unwrap();
+}
+
+/// A server dials a disconnected client once to return its results (§5.3):
+/// a second result queued while that reconnect is being dialled waits for
+/// it instead of dialling the client again.
+#[test]
+fn a_reply_reconnect_is_dialled_once() {
+    let mut world = World::new(WorldConfig::ideal(47));
+    let client = world.add_node(
+        "client",
+        MobilityModel::stationary(Point::new(0.0, 0.0)),
+        &bt(),
+        peerhood("client", MobilityClass::Dynamic, TestApp::default()),
+    );
+    let server = world.add_node(
+        "server",
+        MobilityModel::stationary(Point::new(4.0, 0.0)),
+        &bt(),
+        peerhood("server", MobilityClass::Static, TestApp::server("echo", false)),
+    );
+    world.run_for(SimDuration::from_secs(40));
+    let client = DeviceAddress::from_node(client);
+    let dials = world
+        .with_agent::<PeerHoodNode, _>(server, |n, ctx| {
+            let core = n.core_mut().unwrap();
+            let info = core.storage.get(client).expect("the server knows its client").info;
+            let conn = ConnectionId::new(client, 0);
+            let mut incoming = AppConnection::incoming(conn, info, "echo", simnet::LinkId(u64::MAX), None);
+            incoming.mark_closed();
+            core.connections.insert(conn, incoming);
+            n.with_api(ctx, |api| {
+                api.send(conn, b"first result".to_vec()).unwrap();
+                api.send(conn, b"second result".to_vec()).unwrap();
+                api.core
+                    .pending
+                    .values()
+                    .filter(|role| **role == LinkRole::AppConnection(conn))
+                    .count()
+            })
+        })
+        .flatten()
+        .unwrap();
+    assert_eq!(dials, 1, "the second result waits for the reconnect in flight");
 }
 
 #[test]
@@ -889,12 +977,12 @@ fn handover_records_the_bridge_actually_used_not_the_refreshed_candidate() {
         .expect("direct connection must start");
     world.run_for(SimDuration::from_secs(10));
     let link = world
-        .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection_link(conn))
+        .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection(conn)?.link())
         .unwrap()
         .expect("connection established");
     assert!(
         world
-            .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection(conn).unwrap().first_hop)
+            .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection(conn).unwrap().first_hop())
             .unwrap()
             == Some(server_addr),
         "the initial route is direct"
@@ -954,10 +1042,15 @@ fn handover_records_the_bridge_actually_used_not_the_refreshed_candidate() {
 
     world.run_for(SimDuration::from_secs(30));
     let (completions, snapshot) = world
-        .with_agent::<PeerHoodNode, _>(client, |n, _| (n.handover_completions(), n.connection(conn).unwrap()))
+        .with_agent::<PeerHoodNode, _>(client, |n, _| {
+            (n.handover_completions(), n.connection(conn).unwrap().clone())
+        })
         .unwrap();
     assert!(completions >= 1, "the degraded link must be substituted");
-    assert!(snapshot.bridged, "the replacement route goes through a bridge");
+    assert!(
+        matches!(snapshot.kind, ConnKind::OutgoingBridged { .. }),
+        "the replacement route goes through a bridge"
+    );
     // The recorded first hop must be the bridge that actually relays the
     // session, not whichever candidate the monitor held at Accept time.
     let carrier: Vec<DeviceAddress> = bridges
@@ -972,7 +1065,7 @@ fn handover_records_the_bridge_actually_used_not_the_refreshed_candidate() {
         .collect();
     assert_eq!(carrier.len(), 1, "exactly one bridge carries the session");
     assert_eq!(
-        snapshot.first_hop,
+        snapshot.first_hop(),
         Some(carrier[0]),
         "ConnKind must record the bridge actually in use"
     );
@@ -1051,11 +1144,11 @@ fn decaying_session(spliced: bool) -> DecayingSession {
         .expect("the connection must start");
     world.run_for(SimDuration::from_secs(10));
     let link = world
-        .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection_link(conn))
+        .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection(conn)?.link())
         .unwrap()
         .expect("connection established");
     let first_hop = world
-        .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection(conn).unwrap().first_hop)
+        .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection(conn).unwrap().first_hop())
         .unwrap();
     assert_eq!(first_hop, Some(DeviceAddress::from_node(old_hop)), "the first route");
     world.set_link_quality_override(link, 240.0, 20.0);
@@ -1143,7 +1236,7 @@ fn a_proactive_handover_substitutes_the_route_without_ending_the_session() {
                 (
                     n.handover_completions(),
                     n.proactive_handover_completions(),
-                    n.connection(conn).unwrap(),
+                    n.connection(conn).unwrap().clone(),
                 )
             })
             .unwrap();
@@ -1152,8 +1245,8 @@ fn a_proactive_handover_substitutes_the_route_without_ending_the_session() {
             (1, 1),
             "spliced {spliced}: one handover, begun before the break"
         );
-        assert_eq!(snapshot.state, ConnState::Established);
-        assert_eq!(snapshot.first_hop, Some(DeviceAddress::from_node(s.bridge)));
+        assert!(matches!(snapshot.state, ConnState::Established(_)));
+        assert_eq!(snapshot.first_hop(), Some(DeviceAddress::from_node(s.bridge)));
         for node in [s.client, s.old_hop] {
             let links = s.links_of_session(node);
             assert_eq!(links.len(), 1, "spliced {spliced}: one link for the session: {links:?}");
@@ -1207,7 +1300,7 @@ fn a_new_route_lost_before_the_client_confirms_it_ends_the_session() {
         });
         let client_link = s
             .world
-            .with_agent::<PeerHoodNode, _>(s.client, |n, _| n.connection_link(conn))
+            .with_agent::<PeerHoodNode, _>(s.client, |n, _| n.connection(conn)?.link())
             .unwrap();
         assert_eq!(client_link, Some(old), "{case}: the client has not confirmed yet");
         assert!(s.link_open(old), "{case}: the old link was left open");
@@ -1228,7 +1321,10 @@ fn a_new_route_lost_before_the_client_confirms_it_ends_the_session() {
         let (disconnected, changed) = s.client_app(|a| (a.disconnected.clone(), a.changed.clone()));
         assert_eq!(disconnected, [(conn, true)], "{case}: the client hears the hang-up");
         assert_eq!(changed, [], "{case}: no route change reached the app");
-        assert_ne!(s.client_state(), Some(ConnState::Established), "{case}: not left up");
+        assert!(
+            !matches!(s.client_state(), Some(ConnState::Established(_))),
+            "{case}: not left up"
+        );
         assert!(!s.link_open(old), "{case}: the old link is hung up");
         for node in [s.client, s.old_hop] {
             assert_eq!(s.links_of_session(node), [], "{case}: no link is left");
@@ -1295,9 +1391,8 @@ fn a_session_closed_during_a_switch_stays_closed() {
                 (n.connection(conn).map(|c| c.state), n.handover_completions())
             })
             .unwrap();
-        assert_ne!(
-            state,
-            Some(ConnState::Established),
+        assert!(
+            !matches!(state, Some(ConnState::Established(_))),
             "{case}: the client holds no session"
         );
         assert_eq!(completions, 0, "{case}");
@@ -1610,7 +1705,7 @@ fn a_refused_switch_lands_on_a_provider_the_fresh_search_heard() {
                     _ => None,
                 })
                 .collect();
-            (app, n.connection(conn), n.connections().len(), reconnected)
+            (app, n.connection(conn).cloned(), n.connections().len(), reconnected)
         })
         .unwrap();
     let (switches, failed, connected) = app;
@@ -1625,8 +1720,9 @@ fn a_refused_switch_lands_on_a_provider_the_fresh_search_heard() {
     assert_eq!(reconnected, [(conn, near)]);
     assert_eq!(sessions, 1, "no connection but the session's");
     let session = session.expect("the session is kept");
-    assert_eq!((session.remote, session.state), (near, ConnState::Established));
-    assert!(session.switch_rescued, "the switch landed on its second chance");
+    assert_eq!(session.remote, near);
+    assert!(matches!(session.state, ConnState::Established(_)));
+    assert!(session.switch_rescued(), "the switch landed on its second chance");
 }
 
 /// Starts a provider switch on a new connection of the client's app, as the
@@ -1695,7 +1791,7 @@ fn a_faulted_switch_dial_is_retried_exactly_once() {
     );
     let (failed, session) = world
         .with_agent::<PeerHoodNode, _>(client, |n, _| {
-            (n.app::<TestApp>().unwrap().failed.clone(), n.connection(conn))
+            (n.app::<TestApp>().unwrap().failed.clone(), n.connection(conn).cloned())
         })
         .unwrap();
     assert_eq!(
@@ -1705,7 +1801,7 @@ fn a_faulted_switch_dial_is_retried_exactly_once() {
     );
     let session = session.unwrap();
     assert_eq!(session.state, ConnState::Failed);
-    assert!(session.switch_rescued);
+    assert!(session.switch_rescued());
 }
 
 /// The fresh search is an inquiry of its own that writes nothing: a switch
@@ -1794,14 +1890,17 @@ fn a_fresh_search_leaves_the_storage_and_the_discovery_cycle_alone() {
     );
     let (switches, session) = world
         .with_agent::<PeerHoodNode, _>(client, |n, _| {
-            (n.app::<TestApp>().unwrap().switches.clone(), n.connection(conn))
+            (
+                n.app::<TestApp>().unwrap().switches.clone(),
+                n.connection(conn).cloned(),
+            )
         })
         .unwrap();
     assert_eq!(switches.iter().map(|s| s.1).collect::<Vec<_>>(), [server]);
-    assert_eq!(
+    assert!(matches!(
         session.map(|c| (c.remote, c.state)),
-        Some((server, ConnState::Established))
-    );
+        Some((remote, ConnState::Established(_))) if remote == server
+    ));
     // The next periodic inquiry starts at the instant it does without the
     // search (the search is the one extra inquiry).
     let next_periodic = |world: &mut World, client, already: u64| {
@@ -1853,12 +1952,7 @@ fn two_provider_world(seed: u64) -> (World, NodeId, NodeId, DeviceAddress) {
 /// and checks that its refused dial was re-aimed once at `heard`, on the
 /// session's own connection id, dialled directly, with no failure heard by
 /// the app. Returns the session.
-fn switch_lands_on(
-    world: &mut World,
-    client: NodeId,
-    target: DeviceAddress,
-    heard: DeviceAddress,
-) -> ConnectionSnapshot {
+fn switch_lands_on(world: &mut World, client: NodeId, target: DeviceAddress, heard: DeviceAddress) -> AppConnection {
     let lost = DeviceAddress::from_node_raw(99);
     let conn = begin_switch(world, client, lost, target);
     world.run_for(SimDuration::from_secs(15));
@@ -1867,7 +1961,7 @@ fn switch_lands_on(
             let app = n.app::<TestApp>().unwrap();
             let switches: Vec<_> = app.switches.iter().map(|s| (s.0, s.1)).collect();
             let failed = app.failed.clone();
-            let session = n.connection(conn).expect("the session is kept");
+            let session = n.connection(conn).expect("the session is kept").clone();
             let kind = n.core_mut().unwrap().connections.get(&conn).unwrap().kind.clone();
             (switches, failed, kind, session)
         })
@@ -1878,9 +1972,10 @@ fn switch_lands_on(
         "the refused switch is re-aimed at the heard provider"
     );
     assert!(failed.is_empty(), "the app heard {failed:?}");
-    assert_eq!((session.remote, session.state), (heard, ConnState::Established));
+    assert_eq!(session.remote, heard);
+    assert!(matches!(session.state, ConnState::Established(_)));
     assert_eq!(kind, ConnKind::OutgoingDirect);
-    assert!(session.switch_rescued);
+    assert!(session.switch_rescued());
     session
 }
 
@@ -1974,7 +2069,7 @@ fn a_heard_provider_stored_only_behind_a_bridge_is_dialled_directly() {
         .unwrap();
     assert_eq!(route_to_p(&mut world), Some((1, Some(b))), "p is stored behind b only");
     let session = switch_lands_on(&mut world, client, DeviceAddress::from_node(far), p);
-    assert_eq!(session.first_hop, Some(p));
+    assert_eq!(session.first_hop(), Some(p));
     let relayed = world.with_agent::<PeerHoodNode, _>(b.node_id(), |n, _| n.bridge_stats().0);
     assert_eq!(relayed, Some(0), "b relays nothing");
     assert_eq!(
@@ -2073,7 +2168,7 @@ fn peers_that_only_walk_away_trip_no_breaker() {
                 let up = n.connections().iter().any(|c| {
                     matches!(
                         c.state,
-                        ConnState::Connecting | ConnState::AwaitingAccept | ConnState::Established
+                        ConnState::Connecting | ConnState::AwaitingAccept(_) | ConnState::Established(_)
                     )
                 });
                 if !up {
@@ -2130,7 +2225,7 @@ fn circuit_breaker_blocks_dials_to_a_dead_peer() {
     // radio attempts in flight.
     let footprint = |n: &mut PeerHoodNode| {
         (
-            n.connections(),
+            n.connections().into_iter().cloned().collect::<Vec<_>>(),
             n.core_mut().expect("client core running").pending.len(),
         )
     };

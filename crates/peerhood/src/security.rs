@@ -302,7 +302,7 @@ impl Security {
             (ErrorCode::DownstreamFailed | ErrorCode::NoRouteToDestination, ConnKind::OutgoingBridged { bridge }) => {
                 Some(*bridge)
             }
-            (ErrorCode::ServiceUnavailable, kind) => kind.first_hop(attempt.remote),
+            (ErrorCode::ServiceUnavailable, _) => attempt.first_hop(),
             _ => None,
         };
         if let Some(peer) = blamed {
@@ -713,7 +713,7 @@ mod tests {
                     ConnKind::OutgoingBridged { bridge } => Some(*bridge),
                     _ => None,
                 },
-                ErrorCode::ServiceUnavailable => c.kind.first_hop(c.remote),
+                ErrorCode::ServiceUnavailable => c.first_hop(),
                 _ => None,
             };
             if let Some(peer) = blame {

@@ -123,7 +123,7 @@ impl ServiceSession {
 
     /// `on_service_reconnected`: the switch of `conn` reached `to`.
     pub fn switched(&mut self, api: &PeerHoodApi<'_>, conn: ConnectionId, to: DeviceAddress) -> Option<SessionUp> {
-        let rescued = self.drives(conn) && api.connection(conn).is_some_and(|c| c.switch_rescued);
+        let rescued = self.drives(conn) && api.connection(conn).is_some_and(|c| c.switch_rescued());
         let via = if rescued { Via::SwitchRescued } else { Via::Switch };
         self.come_up(api.now(), conn, to, via)
     }

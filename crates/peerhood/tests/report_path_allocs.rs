@@ -492,7 +492,7 @@ fn session(frame_auth: bool, rounds: usize) -> Session {
     exchange(&mut world);
 
     let link = world
-        .with_agent::<Counted, _>(client, |c, _| c.node.connection_link(conn))
+        .with_agent::<Counted, _>(client, |c, _| c.node.connection(conn)?.link())
         .unwrap()
         .expect("the direct route is up");
     world.set_link_quality_override(link, 240.0, 20.0);

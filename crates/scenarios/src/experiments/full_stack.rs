@@ -404,7 +404,7 @@ impl FullStackHost {
     /// The radio link currently carrying the app's session, if any.
     fn session_link(&self) -> Option<LinkId> {
         let conn = self.node.with_app(|a: &MetroApp| a.current_conn()).flatten()?;
-        self.node.connection_link(conn)
+        self.node.connection(conn)?.link()
     }
 
     /// True if the node's app holds an established session (see

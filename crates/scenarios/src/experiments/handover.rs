@@ -2,6 +2,7 @@
 
 use migration::{MessagingClient, MessagingServer};
 use peerhood::config::DiscoveryMode;
+use peerhood::connection::ConnKind;
 use peerhood::device::MobilityClass;
 use peerhood::handover::HandoverTarget;
 use peerhood::node::PeerHoodNode;
@@ -161,7 +162,7 @@ pub fn routing_handover_run(seed: u64, decay_per_sec: f64) -> HandoverRun {
     let conn = with_app(&mut world, client, |app: &MessagingClient| app.session.conn()).unwrap();
     let link = conn.and_then(|c| {
         world
-            .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection_link(c))
+            .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection(c)?.link())
             .unwrap()
     });
     let link = match link {
@@ -335,7 +336,8 @@ pub fn e11_monitoring_limitation(seed: u64) -> ExperimentReport {
             .sum();
         let bridged = world
             .with_agent::<PeerHoodNode, _>(client, |n, _| {
-                n.connections().first().map(|c| c.bridged).unwrap_or(false)
+                let first = n.connections().first().map(|c| &c.kind);
+                matches!(first, Some(ConnKind::OutgoingBridged { .. }))
             })
             .unwrap();
         let _ = server;

@@ -93,7 +93,7 @@ fn artificial_quality_decay_triggers_handover_through_the_bridge() {
         .unwrap()
         .expect("client connected");
     let link = world
-        .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection_link(conn))
+        .with_agent::<PeerHoodNode, _>(client, |n, _| n.connection(conn)?.link())
         .unwrap()
         .expect("connection has a live link");
     world.set_link_quality_override(link, 240.0, 1.0);

@@ -160,7 +160,7 @@ fn with_api_for_targets_a_specific_application() {
     world.run_for(SimDuration::from_secs(5));
     world
         .with_agent::<PeerHoodNode, _>(a, |n, _| {
-            assert_eq!(n.connection_owner(conn), Some(AppId(1)));
+            assert_eq!(n.connection(conn).and_then(|c| c.owner), Some(AppId(1)));
             let trace = n.take_event_trace();
             assert!(
                 trace
